@@ -152,19 +152,18 @@ fn run(options: &Options) -> Result<()> {
         // every slide is mined *while* later batches keep ingesting.  The
         // worker's newest epoch is the final window, so its result is the
         // printed output — byte-identical to a sequential run's.
-        let mut newest = None;
-        let mut slides_mined = 0usize;
-        std::thread::scope(|scope| -> Result<()> {
-            let (jobs, worker_jobs) = std::sync::mpsc::channel::<fsm_core::MinerSnapshot>();
-            let worker = scope.spawn(move || {
-                let mut last = None;
-                let mut mined = 0usize;
-                for job in worker_jobs {
-                    last = Some(job.mine());
-                    mined += 1;
-                }
-                (mined, last)
-            });
+        let (jobs, worker_jobs) = std::sync::mpsc::channel::<fsm_core::MinerSnapshot>();
+        // Snapshots borrow nothing from the miner, so a plain thread does.
+        let worker = std::thread::spawn(move || {
+            let mut last = None;
+            let mut mined = 0usize;
+            for job in worker_jobs {
+                last = Some(job.mine());
+                mined += 1;
+            }
+            (mined, last)
+        });
+        let mut feed = || -> Result<()> {
             for batch in &batches {
                 miner.ingest_batch(batch)?;
                 ingested += 1;
@@ -175,12 +174,14 @@ fn run(options: &Options) -> Result<()> {
                 jobs.send(miner.snapshot()?)
                     .map_err(|_| fsm_types::FsmError::config("mining worker hung up"))?;
             }
-            drop(jobs);
-            let (mined, last) = worker.join().expect("mining worker panicked");
-            slides_mined = mined;
-            newest = last;
             Ok(())
-        })?;
+        };
+        let fed = feed();
+        // Hang up and join before looking at `fed`, so the worker is never
+        // left detached on an ingest error.
+        drop(jobs);
+        let (slides_mined, newest) = worker.join().expect("mining worker panicked");
+        fed?;
         eprintln!(
             "concurrent: {slides_mined} window slides mined on a worker thread during ingest"
         );

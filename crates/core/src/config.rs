@@ -56,9 +56,13 @@ pub struct MinerConfig {
     /// subtrees for the vertical algorithms, per-pivot projected databases
     /// for the horizontal (FP-tree) algorithms.
     ///
-    /// `1` (the default) mines sequentially; `0` uses every available core;
-    /// any other value pins the worker count.  Results are identical for
-    /// every setting — per-worker outputs merge back in canonical order.
+    /// Sizes the miner's private [`crate::WorkerPool`], built once with the
+    /// miner: `1` (the default) mines sequentially and spawns nothing; `0`
+    /// uses every available core; any other value `n` is the mining thread
+    /// plus `n - 1` pool helpers.  Results are identical for every setting —
+    /// per-worker outputs merge back in canonical order.  (A
+    /// [`crate::SessionRegistry`] mines its tenants on its own
+    /// [`crate::RegistryConfig::exec`] instead.)
     pub threads: usize,
     /// Byte budget of the decoded-chunk cache the disk backends read
     /// through.  `0` (the default) disables it: every mine re-reads and

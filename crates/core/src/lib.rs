@@ -46,10 +46,12 @@
 //!
 //! * **Threading model** — the top-level enumeration (one subtree per
 //!   frequent single edge for the vertical family, one projected database
-//!   per pivot edge for the horizontal family) fans out over scoped worker
-//!   threads with dynamic load balancing ([`parallel`]).  Configure it with
-//!   [`StreamMinerBuilder::threads`] / [`MinerConfig::threads`]: `1`
-//!   (default) is sequential, `0` uses every available core.  Per-worker
+//!   per pivot edge for the horizontal family) fans out over one executor,
+//!   the caller-participating [`WorkerPool`] behind [`Exec`], with dynamic
+//!   load balancing ([`parallel`]).  A [`StreamMiner`] builds its pool once
+//!   from [`StreamMinerBuilder::threads`] / [`MinerConfig::threads`] — `1`
+//!   (default) is sequential and spawns nothing, `0` uses every available
+//!   core — and every mine and snapshot mine reuses it.  Per-worker
 //!   results merge back in canonical edge order ([`MiningStats::merge`]), so
 //!   pattern lists and statistics are byte-identical for every thread count —
 //!   property-tested for all five algorithms in

@@ -42,6 +42,9 @@ pub struct StreamMiner {
     matrix: DsMatrix,
     tracker: MemoryTracker,
     next_batch_id: u64,
+    /// The miner's own executor, sized once by [`MinerConfig::threads`] and
+    /// shared with every [`MinerSnapshot`] it hands out.
+    exec: Exec,
     /// Incrementally maintained pattern state, created on the first
     /// [`StreamMiner::mine_delta`] call and advanced epoch by epoch.
     delta: Option<DeltaMiner>,
@@ -116,12 +119,14 @@ impl StreamMiner {
         };
         let tracker = MemoryTracker::new();
         let next_batch_id = matrix.last_batch_id().map_or(0, |id| id + 1);
+        let exec = Exec::scoped(config.threads);
         let mut miner = Self {
             config,
             catalog,
             matrix,
             tracker,
             next_batch_id,
+            exec,
             delta: None,
         };
         miner.matrix.set_tracker(miner.tracker.clone());
@@ -190,14 +195,15 @@ impl StreamMiner {
     /// [`StreamMiner::mine_delta`], which maintains the pattern set across
     /// slides instead of re-enumerating the window.
     pub fn mine(&mut self) -> Result<MiningResult> {
-        self.mine_with(&Exec::scoped(self.config.threads))
+        let exec = self.exec.clone();
+        self.mine_with(&exec)
     }
 
-    /// Like [`StreamMiner::mine`] but under an explicit executor — the
-    /// service layer passes [`Exec::pool`] here so concurrent tenant mines
-    /// multiplex over one process-wide worker set instead of each spawning
-    /// scoped threads.  Output is byte-identical to [`StreamMiner::mine`]
-    /// for every executor.
+    /// Like [`StreamMiner::mine`] but on an explicit executor instead of
+    /// the miner's own — the service layer passes [`Exec::pool`] here so
+    /// concurrent tenant mines multiplex over one process-wide worker set.
+    /// Output is byte-identical to [`StreamMiner::mine`] for every
+    /// executor.
     ///
     /// Delta mining ([`MinerConfig::delta`]) maintains its pattern set
     /// sequentially and therefore ignores the executor.
@@ -318,7 +324,7 @@ impl StreamMiner {
 
     /// Freezes the current window epoch into a self-contained, `Send + Sync`
     /// mining job: the epoch snapshot plus the miner's algorithm, resolved
-    /// minimum support, catalog, limits and thread count.
+    /// minimum support, catalog, limits and executor.
     ///
     /// The returned [`MinerSnapshot`] borrows nothing from this miner — hand
     /// it to another thread and call [`MinerSnapshot::mine`] there while
@@ -342,7 +348,7 @@ impl StreamMiner {
             resolved_minsup,
             connectivity: self.config.connectivity,
             limits: self.config.limits,
-            threads: self.config.threads,
+            exec: self.exec.clone(),
         })
     }
 
@@ -385,7 +391,8 @@ pub struct MinerSnapshot {
     resolved_minsup: Support,
     connectivity: ConnectivityMode,
     limits: MiningLimits,
-    threads: usize,
+    /// The source miner's executor: snapshot mines share its helper threads.
+    exec: Exec,
 }
 
 impl MinerSnapshot {
@@ -399,7 +406,7 @@ impl MinerSnapshot {
     /// epoch; the capture/durability statistics are zero (a snapshot has no
     /// capture structure).
     pub fn mine(&self) -> Result<MiningResult> {
-        self.mine_with(&Exec::scoped(self.threads))
+        self.mine_with(&self.exec)
     }
 
     /// Like [`MinerSnapshot::mine`] but under an explicit executor (see
@@ -614,6 +621,56 @@ mod tests {
                 stop_the_world.stats().resolved_minsup
             );
         }
+    }
+
+    #[test]
+    fn every_mine_and_snapshot_mine_shares_the_miners_three_helper_threads() {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+        use std::thread::ThreadId;
+
+        let mut miner = StreamMinerBuilder::new()
+            .algorithm(Algorithm::Vertical)
+            .window_batches(2)
+            .min_support(MinSup::absolute(2))
+            .complete_graph_vertices(4)
+            .threads(4)
+            .build()
+            .unwrap();
+        for batch in paper_batches() {
+            miner.ingest_batch(&batch).unwrap();
+        }
+        // Which threads serve tasks handed to an executor right now.
+        let seen: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
+        let probe = |exec: &Exec| {
+            exec.run_indexed_stateful(
+                32,
+                || (),
+                |(), _| {
+                    std::thread::sleep(std::time::Duration::from_micros(100));
+                    seen.lock().unwrap().insert(std::thread::current().id());
+                },
+            );
+        };
+        let reference = miner.mine().unwrap();
+        for _ in 0..50 {
+            assert!(miner.mine().unwrap().same_patterns_as(&reference));
+            probe(&miner.exec);
+        }
+        let job = miner.snapshot().unwrap();
+        assert!(job.mine().unwrap().same_patterns_as(&reference));
+        probe(&job.exec);
+
+        // 51 fan-outs later the tasks have only ever run on the caller and
+        // the three helpers the miner was built with: nothing spawns per
+        // mine, and a snapshot brings no threads of its own.
+        let seen = seen.into_inner().unwrap();
+        assert!(seen.contains(&std::thread::current().id()));
+        assert!(
+            (2..=4).contains(&seen.len()),
+            "tasks ran on {} distinct threads",
+            seen.len()
+        );
     }
 
     #[test]

@@ -29,8 +29,7 @@ use crate::scratch::ScratchArena;
 /// allocation-free: candidates are screened with the fused
 /// [`RowRef::and_count`] kernel and surviving intersections land in per-depth
 /// [`ScratchArena`] buffers, while the fan-out over frequent single edges
-/// runs under `exec` (scoped workers or the shared pool) and merges
-/// deterministically.
+/// runs on `exec`'s worker pool and merges deterministically.
 /// Singleton rows are borrowed zero-copy from the [`WindowView`] — the live
 /// one or a frozen [`fsm_dsmatrix::EpochSnapshot`]'s — as [`RowRef`]s (flat
 /// cached rows on the memory backend, pinned-chunk cursors on a budgeted
@@ -212,12 +211,11 @@ fn is_canonical_extension(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::pool_shapes;
     use fsm_dsmatrix::{DsMatrix, DsMatrixConfig};
-    use fsm_pool::WorkerPool;
     use fsm_storage::StorageBackend;
     use fsm_stream::WindowConfig;
     use fsm_types::{Batch, Transaction};
-    use std::sync::Arc;
 
     fn paper_matrix() -> DsMatrix {
         let e = |raw: &[u32]| Transaction::from_raw(raw.iter().copied());
@@ -326,6 +324,7 @@ mod tests {
         let catalog = EdgeCatalog::complete(4);
         let mut m = paper_matrix();
         let view = m.view().unwrap();
+        let execs = pool_shapes();
         for minsup in 1..=4 {
             let sequential = mine_direct(
                 &view,
@@ -335,13 +334,6 @@ mod tests {
                 &Exec::scoped(1),
             )
             .unwrap();
-            let execs = [
-                Exec::scoped(2),
-                Exec::scoped(4),
-                Exec::scoped(0),
-                Exec::pool(Arc::new(WorkerPool::new(2))),
-                Exec::pool(Arc::new(WorkerPool::inline_only())),
-            ];
             for exec in &execs {
                 let parallel =
                     mine_direct(&view, &catalog, minsup, MiningLimits::UNBOUNDED, exec).unwrap();

@@ -68,9 +68,8 @@ pub fn mine_top_down(
 /// Shared outline of the three horizontal algorithms, parameterised by the
 /// projected-database mining strategy.
 ///
-/// `exec` fans the per-pivot loop out over workers (per-mine scoped threads
-/// or the shared pool); each worker reuses one projection scratch for every
-/// pivot it processes, and results merge in canonical order so the output
+/// `exec` fans the per-pivot loop out over its worker pool; each worker
+/// reuses one projection scratch for every pivot it processes, and results merge in canonical order so the output
 /// never depends on the worker count.
 fn mine_horizontal(
     view: &WindowView<'_>,
@@ -147,12 +146,11 @@ fn mine_horizontal(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::pool_shapes;
     use fsm_dsmatrix::{DsMatrix, DsMatrixConfig};
-    use fsm_pool::WorkerPool;
     use fsm_storage::StorageBackend;
     use fsm_stream::WindowConfig;
     use fsm_types::{Batch, Transaction};
-    use std::sync::Arc;
 
     /// DSMatrix holding the paper's window E4..E9.
     fn paper_matrix() -> DsMatrix {
@@ -265,17 +263,11 @@ mod tests {
     fn parallel_run_is_identical_to_sequential() {
         let mut m = paper_matrix();
         let view = m.view().unwrap();
+        let execs = pool_shapes();
         for miner in [mine_multi_tree, mine_single_tree, mine_top_down] {
             for minsup in 1..=5 {
                 let sequential =
                     miner(&view, minsup, MiningLimits::UNBOUNDED, &Exec::scoped(1)).unwrap();
-                let execs = [
-                    Exec::scoped(2),
-                    Exec::scoped(4),
-                    Exec::scoped(0),
-                    Exec::pool(Arc::new(WorkerPool::new(2))),
-                    Exec::pool(Arc::new(WorkerPool::inline_only())),
-                ];
                 for exec in &execs {
                     let parallel = miner(&view, minsup, MiningLimits::UNBOUNDED, exec).unwrap();
                     // Not just as sets: the merged order must match exactly.

@@ -62,10 +62,10 @@ impl RawMiningOutput {
 /// harness when it wants raw (pre-post-processing) output.  `exec` fans
 /// every algorithm's top-level enumeration — per-singleton subtrees for the
 /// vertical family, per-pivot projected databases for the horizontal family —
-/// out over worker threads: [`Exec::scoped`] spawns per-mine scoped workers
-/// (`0` = all available cores, `1` = sequential), [`Exec::pool`] multiplexes
-/// the tasks over a process-wide [`crate::parallel::WorkerPool`].  Results
-/// are byte-identical for every executor, thread count and pool size.
+/// out over the [`crate::parallel::WorkerPool`] behind `exec`: the caller
+/// plus however many of the pool's helpers are idle ([`Exec::scoped`]`(1)`
+/// has none and mines sequentially).  Results are byte-identical for every
+/// pool size.
 pub fn run_algorithm(
     algorithm: Algorithm,
     matrix: &mut DsMatrix,

@@ -23,9 +23,9 @@ use crate::scratch::ScratchArena;
 /// infrequent candidates never materialise an intersection vector at all),
 /// and surviving intersections are written into a per-depth [`ScratchArena`]
 /// buffer via [`RowRef::and_into`].  The top-level fan-out over frequent
-/// single edges runs under `exec` (per-mine scoped workers or the shared
-/// pool); per-edge subtrees are merged back in canonical order, so the
-/// output is identical to the sequential traversal.
+/// single edges runs on `exec`'s worker pool; per-edge subtrees are merged
+/// back in canonical order, so the output is identical to the sequential
+/// traversal.
 ///
 /// Rows are read through the zero-copy [`WindowView`] as [`RowRef`]s —
 /// either the live view ([`fsm_dsmatrix::DsMatrix::view`]) or a frozen
@@ -182,12 +182,11 @@ fn extend(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::pool_shapes;
     use fsm_dsmatrix::{DsMatrix, DsMatrixConfig};
-    use fsm_pool::WorkerPool;
     use fsm_storage::StorageBackend;
     use fsm_stream::WindowConfig;
     use fsm_types::{Batch, Transaction};
-    use std::sync::Arc;
 
     fn paper_matrix() -> DsMatrix {
         let e = |raw: &[u32]| Transaction::from_raw(raw.iter().copied());
@@ -281,16 +280,10 @@ mod tests {
     fn parallel_run_is_identical_to_sequential() {
         let mut m = paper_matrix();
         let view = m.view().unwrap();
+        let execs = pool_shapes();
         for minsup in 1..=5 {
             let sequential =
                 mine_vertical(&view, minsup, MiningLimits::UNBOUNDED, &Exec::scoped(1)).unwrap();
-            let execs = [
-                Exec::scoped(2),
-                Exec::scoped(4),
-                Exec::scoped(0),
-                Exec::pool(Arc::new(WorkerPool::new(2))),
-                Exec::pool(Arc::new(WorkerPool::inline_only())),
-            ];
             for exec in &execs {
                 let parallel = mine_vertical(&view, minsup, MiningLimits::UNBOUNDED, exec).unwrap();
                 // Not just as sets: the merged order must match exactly.

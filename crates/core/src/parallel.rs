@@ -1,176 +1,113 @@
-//! Minimal data-parallel fan-out for the mining hot path.
+//! The data-parallel fan-out of the mining hot path.
 //!
 //! The top level of all five algorithms is an embarrassingly parallel loop
 //! over the frequent single edges: a vertical subtree rooted at edge *i* only
 //! reads the shared frequent-row table, and a horizontal pivot *i* only reads
 //! the shared row snapshot — either way each task writes its own
-//! [`crate::miners::RawMiningOutput`].  This module distributes those tasks
-//! over `std::thread::scope` workers with dynamic (atomic-counter) load
-//! balancing — task costs are heavily skewed towards small indices (they see
-//! the most extensions / the largest projected databases), so static chunking
-//! would idle most workers.
-//!
-//! Results are returned **in task-index order**, which keeps the merged
-//! pattern list identical to the sequential traversal and the whole engine
-//! deterministic regardless of thread count.
+//! [`crate::miners::RawMiningOutput`].  [`Exec`] hands those tasks to the
+//! workspace's one executor, the caller-participating [`WorkerPool`]: tasks
+//! are claimed off an atomic counter (task costs are heavily skewed towards
+//! small indices — they see the most extensions / the largest projected
+//! databases — so static chunking would idle most workers) and results are
+//! returned **in task-index order**, which keeps the merged pattern list
+//! identical to the sequential traversal and the whole engine deterministic
+//! regardless of thread count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 pub use fsm_pool::WorkerPool;
 
-/// How a mine call fans its top-level subtree tasks out over threads.
+/// The executor a mine call fans its top-level subtree tasks out on: a
+/// cheaply clonable handle that derefs to one [`WorkerPool`]
+/// ([`WorkerPool::run_indexed_stateful`] is the fan-out).
 ///
-/// The single-tenant shape is [`Exec::Scoped`]: spawn `threads` scoped
-/// workers for this one mine and join them before returning — exactly the
-/// behaviour every algorithm had before the service layer existed.  The
-/// multi-tenant shape is [`Exec::Pool`]: the calling thread participates
-/// while a process-wide [`WorkerPool`] lends however many of its fixed
-/// workers are idle, so a thousand concurrent tenant mines share one worker
-/// set instead of spawning a thousand scoped sets.
-///
-/// Either way tasks are claimed off an atomic counter and results return in
-/// task-index order, so the merged pattern list — and therefore the final
-/// output — is byte-identical across executors, thread counts and pool
-/// sizes.  The `miner_agreement` / `epoch_agreement` / `tenant_isolation`
-/// property suites pin this.
-#[derive(Clone)]
-pub enum Exec {
-    /// Spawn `threads` scoped workers per mine (`0` = all cores) and join
-    /// them before returning.  The pre-service default.
-    Scoped {
-        /// Worker threads per mine; `0` resolves to all available cores.
-        threads: usize,
-    },
-    /// Participate from the calling thread while the shared pool's fixed
-    /// workers help with whatever capacity is idle.
-    Pool(Arc<WorkerPool>),
-}
-
-impl std::fmt::Debug for Exec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Exec::Scoped { threads } => f.debug_struct("Scoped").field("threads", threads).finish(),
-            Exec::Pool(pool) => f.debug_tuple("Pool").field(pool).finish(),
-        }
-    }
-}
+/// A standalone [`crate::StreamMiner`] owns a private pool sized by
+/// [`crate::MinerConfig::threads`] ([`Exec::scoped`]), built once and reused
+/// by every mine and every [`crate::MinerSnapshot`]; the multi-tenant
+/// service shares one process-wide pool between all tenants
+/// ([`Exec::pool`]).  Nothing spawns threads per mine, and output — pattern
+/// lists *and* statistics — is byte-identical for every pool size,
+/// including none at all (`miner_agreement` / `epoch_agreement` /
+/// `tenant_isolation` pin this).
+#[derive(Debug, Clone)]
+pub struct Exec(Arc<WorkerPool>);
 
 impl Exec {
-    /// Per-mine scoped workers (`0` = all cores) — the single-tenant shape.
+    /// A private pool for `threads` participants: the calling thread plus
+    /// `threads - 1` helpers.  `1` spawns nothing and runs every task
+    /// inline on the caller; `0` means one participant per available core.
     pub fn scoped(threads: usize) -> Self {
-        Exec::Scoped { threads }
+        let participants = match threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
+        Self(Arc::new(match participants - 1 {
+            0 => WorkerPool::inline_only(),
+            helpers => WorkerPool::new(helpers),
+        }))
     }
 
-    /// Shared-pool execution — the multi-tenant shape.
+    /// Execution on a shared pool — the multi-tenant shape.
     pub fn pool(pool: Arc<WorkerPool>) -> Self {
-        Exec::Pool(pool)
-    }
-
-    /// Runs `task(0..tasks)` under this executor and returns the results in
-    /// index order; see [`run_indexed_stateful`] for the state contract.
-    pub fn run_indexed_stateful<T, S, I, F>(&self, tasks: usize, init: I, task: F) -> Vec<T>
-    where
-        T: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) -> T + Sync,
-    {
-        match self {
-            Exec::Scoped { threads } => {
-                run_indexed_stateful(tasks, effective_threads(*threads, tasks), init, task)
-            }
-            Exec::Pool(pool) => pool.run_indexed_stateful(tasks, init, task),
-        }
+        Self(pool)
     }
 }
 
-/// Resolves a user-facing thread-count knob: `0` means "all available
-/// cores", and the result is clamped to `[1, tasks]` so tiny workloads never
-/// pay spawn overhead for idle workers.
-pub fn effective_threads(requested: usize, tasks: usize) -> usize {
-    let hardware = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let requested = if requested == 0 { hardware } else { requested };
-    requested.clamp(1, tasks.max(1))
+impl std::ops::Deref for Exec {
+    type Target = WorkerPool;
+
+    fn deref(&self) -> &WorkerPool {
+        &self.0
+    }
 }
 
-/// Runs `task(0..tasks)` across `threads` scoped workers and returns the
-/// results in index order.  Every worker owns one `init()`-created state for
-/// its whole lifetime (the miners use this to share one scratch arena across
-/// all subtrees a worker processes, so buffers warm up once per worker, not
-/// once per subtree).  With one thread, a single state serves every task.
-pub fn run_indexed_stateful<T, S, I, F>(tasks: usize, threads: usize, init: I, task: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    let threads = threads.clamp(1, tasks.max(1));
-    if threads <= 1 {
-        let mut state = init();
-        return (0..tasks).map(|index| task(&mut state, index)).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..tasks).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut state = init();
-                loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    if index >= tasks {
-                        break;
-                    }
-                    let value = task(&mut state, index);
-                    let mut slots = slots.lock().unwrap_or_else(|p| p.into_inner());
-                    slots[index] = Some(value);
-                }
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .unwrap_or_else(|p| p.into_inner())
-        .into_iter()
-        .map(|slot| slot.expect("every index was claimed by exactly one worker"))
-        .collect()
+/// Every pool shape the unit tests sweep for byte-identity: no helpers at
+/// all, then 1, 2, 3 and 7 helpers, then one participant per core.
+#[cfg(test)]
+pub(crate) fn pool_shapes() -> Vec<Exec> {
+    let mut shapes = vec![Exec::pool(Arc::new(WorkerPool::inline_only()))];
+    shapes.extend([1, 2, 3, 7].map(|helpers| Exec::pool(Arc::new(WorkerPool::new(helpers)))));
+    shapes.push(Exec::scoped(0));
+    shapes
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     #[test]
     fn results_come_back_in_index_order() {
-        for threads in [1, 2, 4, 8] {
-            let results = run_indexed_stateful(37, threads, || (), |(), i| i * i);
+        for exec in pool_shapes() {
+            let results = exec.run_indexed_stateful(37, || (), |(), i| i * i);
             assert_eq!(results, (0..37).map(|i| i * i).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn zero_and_tiny_task_counts_are_safe() {
-        assert!(run_indexed_stateful(0, 4, || (), |(), i| i).is_empty());
-        assert_eq!(run_indexed_stateful(1, 4, || (), |(), i| i), vec![0]);
+        for exec in pool_shapes() {
+            assert!(exec.run_indexed_stateful(0, || (), |(), i| i).is_empty());
+            assert_eq!(exec.run_indexed_stateful(1, || (), |(), i| i), vec![0]);
+        }
     }
 
     #[test]
-    fn effective_threads_resolves_auto_and_clamps() {
-        assert_eq!(effective_threads(3, 100), 3);
-        assert_eq!(effective_threads(8, 2), 2);
-        assert_eq!(effective_threads(1, 0), 1);
-        assert!(effective_threads(0, 1000) >= 1, "auto resolves to >= 1");
+    fn scoped_sizes_a_private_pool_counting_the_caller() {
+        assert_eq!(Exec::scoped(1).size(), 0, "sequential spawns nothing");
+        assert_eq!(Exec::scoped(2).size(), 1);
+        assert_eq!(Exec::scoped(4).size(), 3);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(Exec::scoped(0).size(), cores - 1, "auto = one per core");
     }
 
     #[test]
     fn stateful_variant_reuses_one_state_per_worker() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         let inits = AtomicUsize::new(0);
-        let results = run_indexed_stateful(
+        let results = Exec::scoped(1).run_indexed_stateful(
             20,
-            1,
             || {
                 inits.fetch_add(1, Ordering::Relaxed);
                 0usize
@@ -180,14 +117,13 @@ mod tests {
                 (*state, index)
             },
         );
-        // One thread: one state serves every task and counts them all.
+        // One participant: one state serves every task and counts them all.
         assert_eq!(inits.load(Ordering::Relaxed), 1);
         assert_eq!(results.last(), Some(&(20, 19)));
-        // Multi-threaded: at most one state per worker.
+        // Four participants: at most one state each.
         let inits = AtomicUsize::new(0);
-        run_indexed_stateful(
+        Exec::scoped(4).run_indexed_stateful(
             20,
-            4,
             || {
                 inits.fetch_add(1, Ordering::Relaxed);
             },
@@ -199,13 +135,10 @@ mod tests {
     #[test]
     fn exec_variants_agree_with_each_other() {
         let expected: Vec<usize> = (0..53).map(|i| i * 7 + 1).collect();
-        for exec in [
-            Exec::scoped(1),
-            Exec::scoped(4),
-            Exec::scoped(0),
-            Exec::pool(Arc::new(WorkerPool::inline_only())),
-            Exec::pool(Arc::new(WorkerPool::new(3))),
-        ] {
+        for exec in pool_shapes()
+            .into_iter()
+            .chain([Exec::scoped(1), Exec::scoped(4)])
+        {
             let results = exec.run_indexed_stateful(53, || (), |(), i| i * 7 + 1);
             assert_eq!(results, expected, "executor {exec:?} diverged");
         }
@@ -213,12 +146,9 @@ mod tests {
 
     #[test]
     fn work_is_shared_between_workers() {
-        use std::collections::HashSet;
-        use std::sync::Mutex;
         let seen: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
-        let results = run_indexed_stateful(
+        let results = Exec::scoped(4).run_indexed_stateful(
             64,
-            4,
             || (),
             |(), i| {
                 // Make tasks slow enough that several workers participate.
@@ -228,6 +158,7 @@ mod tests {
             },
         );
         assert_eq!(results.len(), 64);
-        assert!(seen.lock().unwrap().len() > 1, "expected multiple workers");
+        let seen = seen.lock().unwrap().len();
+        assert!((2..=4).contains(&seen), "{seen} threads ran tasks");
     }
 }

@@ -10,8 +10,8 @@
 //!
 //! * one [`Exec`] — typically [`Exec::pool`] over a fixed
 //!   [`crate::WorkerPool`], so a thousand concurrent tenant mines multiplex
-//!   their subtree tasks over one worker set instead of spawning a thousand
-//!   scoped sets;
+//!   their subtree tasks over one worker set instead of each bringing its
+//!   own threads;
 //! * one optional [`BudgetGovernor`] — the process-wide chunk-cache cap the
 //!   disk-backed tenants lease from;
 //! * one optional durable root — each durable tenant's WAL/checkpoints live
@@ -103,10 +103,10 @@ use crate::result::MiningResult;
 /// [`SessionRegistry`].
 #[derive(Debug, Clone)]
 pub struct RegistryConfig {
-    /// Executor every tenant mine runs under.  The service shape is
+    /// Executor every tenant mine runs on.  The service shape is
     /// [`Exec::pool`] over one fixed [`crate::WorkerPool`]; the default
-    /// ([`Exec::scoped`]`(1)`) mines each tenant sequentially on the calling
-    /// thread.
+    /// ([`Exec::scoped`]`(1)`, a pool without helpers) mines each tenant
+    /// sequentially on the calling thread.
     pub exec: Exec,
     /// Process-wide chunk-cache cap the disk-backed tenants lease from
     /// (see [`MinerConfig::cache_governor`]).  `None` leaves each tenant's

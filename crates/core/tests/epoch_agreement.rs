@@ -119,34 +119,37 @@ fn mine_epochs_concurrently(
     miner: &mut StreamMiner,
     batches: &[Batch],
 ) -> Vec<(Option<BatchId>, MiningResult)> {
-    thread::scope(|scope| {
-        let (result_tx, result_rx) = mpsc::channel();
-        let mut jobs: Vec<mpsc::Sender<MinerSnapshot>> = Vec::with_capacity(READERS);
-        for _ in 0..READERS {
-            let (tx, rx) = mpsc::channel::<MinerSnapshot>();
-            let result_tx = result_tx.clone();
-            scope.spawn(move || {
-                for job in rx {
-                    let epoch = job.last_batch_id();
-                    result_tx.send((epoch, job.mine().unwrap())).unwrap();
-                }
-            });
-            jobs.push(tx);
-        }
-        drop(result_tx);
-        // The writer: snapshot the empty epoch, then every post-slide epoch,
-        // handing each to a reader round-robin and ingesting on without
-        // waiting for any mine to finish.
-        jobs[0].send(miner.snapshot().unwrap()).unwrap();
-        for (i, batch) in batches.iter().enumerate() {
-            miner.ingest_batch(batch).unwrap();
-            jobs[(i + 1) % READERS]
-                .send(miner.snapshot().unwrap())
-                .unwrap();
-        }
-        drop(jobs);
-        result_rx.iter().collect()
-    })
+    let (result_tx, result_rx) = mpsc::channel();
+    let mut jobs: Vec<mpsc::Sender<MinerSnapshot>> = Vec::with_capacity(READERS);
+    let mut readers = Vec::with_capacity(READERS);
+    for _ in 0..READERS {
+        let (tx, rx) = mpsc::channel::<MinerSnapshot>();
+        let result_tx = result_tx.clone();
+        readers.push(thread::spawn(move || {
+            for job in rx {
+                let epoch = job.last_batch_id();
+                result_tx.send((epoch, job.mine().unwrap())).unwrap();
+            }
+        }));
+        jobs.push(tx);
+    }
+    drop(result_tx);
+    // The writer: snapshot the empty epoch, then every post-slide epoch,
+    // handing each to a reader round-robin and ingesting on without
+    // waiting for any mine to finish.
+    jobs[0].send(miner.snapshot().unwrap()).unwrap();
+    for (i, batch) in batches.iter().enumerate() {
+        miner.ingest_batch(batch).unwrap();
+        jobs[(i + 1) % READERS]
+            .send(miner.snapshot().unwrap())
+            .unwrap();
+    }
+    drop(jobs);
+    let results = result_rx.iter().collect();
+    for reader in readers {
+        reader.join().expect("reader thread panicked");
+    }
+    results
 }
 
 proptest! {

@@ -30,6 +30,15 @@ fn arb_stream() -> impl Strategy<Value = Vec<Vec<Vec<u32>>>> {
     )
 }
 
+/// Every pool shape the thread-count property sweeps: no helpers at all,
+/// then 1, 2, 3 and 7 helpers, then one participant per core.
+fn pool_shapes() -> Vec<Exec> {
+    let mut shapes = vec![Exec::pool(Arc::new(WorkerPool::inline_only()))];
+    shapes.extend([1, 2, 3, 7].map(|helpers| Exec::pool(Arc::new(WorkerPool::new(helpers)))));
+    shapes.push(Exec::scoped(0));
+    shapes
+}
+
 fn ingest(raw: &[Vec<Vec<u32>>], window: usize) -> DsMatrix {
     let mut matrix = DsMatrix::new(DsMatrixConfig::new(
         WindowConfig::new(window).unwrap(),
@@ -114,6 +123,7 @@ proptest! {
     ) {
         let catalog = EdgeCatalog::complete(VERTICES);
         let mut matrix = ingest(&raw, window);
+        let execs = pool_shapes();
 
         for algorithm in Algorithm::ALL {
             let sequential = miners::run_algorithm(
@@ -125,21 +135,14 @@ proptest! {
                 &Exec::scoped(1),
             )
             .unwrap();
-            for exec in [
-                Exec::scoped(2),
-                Exec::scoped(3),
-                Exec::scoped(8),
-                Exec::scoped(0),
-                Exec::pool(Arc::new(WorkerPool::new(2))),
-                Exec::pool(Arc::new(WorkerPool::inline_only())),
-            ] {
+            for exec in &execs {
                 let parallel = miners::run_algorithm(
                     algorithm,
                     &mut matrix,
                     &catalog,
                     minsup,
                     MiningLimits::UNBOUNDED,
-                    &exec,
+                    exec,
                 )
                 .unwrap();
                 prop_assert_eq!(
@@ -147,7 +150,7 @@ proptest! {
                     &sequential.patterns,
                     "{} under {:?}",
                     algorithm,
-                    &exec
+                    exec
                 );
                 // Byte-identical statistics too: intersection counts, tree
                 // footprints, pattern counts — nothing may depend on the
@@ -157,7 +160,7 @@ proptest! {
                     &sequential.stats,
                     "{} under {:?}",
                     algorithm,
-                    &exec
+                    exec
                 );
             }
         }

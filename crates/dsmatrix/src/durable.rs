@@ -27,7 +27,8 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use fsm_storage::Wal;
-use fsm_types::{Batch, FsmError, Result, Transaction};
+use fsm_types::codec::{put_u32, put_u64, Reader};
+use fsm_types::{Batch, Result, Transaction};
 
 /// Durability knobs of a [`crate::DsMatrixConfig`].
 #[derive(Debug, Clone)]
@@ -147,12 +148,12 @@ impl DurableState {
 /// CRC; this encoding carries no checksum of its own.
 pub fn encode_batch(batch: &Batch) -> Vec<u8> {
     let mut out = Vec::with_capacity(12 + batch.total_edge_occurrences() * 4);
-    out.extend_from_slice(&batch.id.to_le_bytes());
-    out.extend_from_slice(&(batch.len() as u32).to_le_bytes());
+    put_u64(&mut out, batch.id);
+    put_u32(&mut out, batch.len() as u32);
     for transaction in batch.iter() {
-        out.extend_from_slice(&(transaction.len() as u32).to_le_bytes());
+        put_u32(&mut out, transaction.len() as u32);
         for edge in transaction.iter() {
-            out.extend_from_slice(&(edge.index() as u32).to_le_bytes());
+            put_u32(&mut out, edge.index() as u32);
         }
     }
     out
@@ -160,38 +161,20 @@ pub fn encode_batch(batch: &Batch) -> Vec<u8> {
 
 /// Decodes a WAL record payload back into a batch.
 pub fn decode_batch(payload: &[u8]) -> Result<Batch> {
-    let mut offset = 0usize;
-    let take = |offset: &mut usize, n: usize| -> Result<&[u8]> {
-        let end = *offset + n;
-        if end > payload.len() {
-            return Err(FsmError::corrupt_artifact(
-                "wal batch payload",
-                format!("truncated at byte {} of {}", *offset, payload.len()),
-            ));
-        }
-        let bytes = &payload[*offset..end];
-        *offset = end;
-        Ok(bytes)
-    };
-    let id = u64::from_le_bytes(take(&mut offset, 8)?.try_into().expect("8-byte slice"));
-    let num_tx = u32::from_le_bytes(take(&mut offset, 4)?.try_into().expect("4-byte slice"));
-    let mut transactions = Vec::with_capacity(num_tx.min(1 << 20) as usize);
+    let mut reader = Reader::artifact(payload, "wal batch payload");
+    let id = reader.take_u64()?;
+    // A transaction is at least its `u32` edge count; an edge is a `u32`.
+    let num_tx = reader.count_u32(4)?;
+    let mut transactions = Vec::with_capacity(num_tx);
     for _ in 0..num_tx {
-        let num_edges = u32::from_le_bytes(take(&mut offset, 4)?.try_into().expect("4-byte slice"));
-        let mut edges = Vec::with_capacity(num_edges.min(1 << 20) as usize);
+        let num_edges = reader.count_u32(4)?;
+        let mut edges = Vec::with_capacity(num_edges);
         for _ in 0..num_edges {
-            edges.push(u32::from_le_bytes(
-                take(&mut offset, 4)?.try_into().expect("4-byte slice"),
-            ));
+            edges.push(reader.take_u32()?);
         }
         transactions.push(Transaction::from_raw(edges));
     }
-    if offset != payload.len() {
-        return Err(FsmError::corrupt_artifact(
-            "wal batch payload",
-            format!("{} trailing bytes", payload.len() - offset),
-        ));
-    }
+    reader.finish()?;
     Ok(Batch::from_transactions(id, transactions))
 }
 

@@ -126,8 +126,8 @@ impl FsmdClient {
     pub fn list_tenants_detailed(&mut self) -> Result<Vec<TenantStatus>> {
         let body = self.call(&[Opcode::ListTenants as u8], "")?;
         let mut cursor = Cursor::new(&body);
-        let count = cursor.take_u32()? as usize;
-        let mut tenants = Vec::with_capacity(count.min(1 << 16));
+        let count = cursor.count_u32(TenantStatus::MIN_ENCODED_BYTES)?;
+        let mut tenants = Vec::with_capacity(count);
         for _ in 0..count {
             tenants.push(TenantStatus::decode(&mut cursor)?);
         }

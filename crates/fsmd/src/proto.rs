@@ -27,7 +27,13 @@
 use std::io::{Read, Write};
 
 use fsm_core::LifecycleState;
+use fsm_types::codec::{put_u16, put_u32, put_u64};
 use fsm_types::{EdgeSet, FrequentPattern, FsmError, Result};
+
+/// The bounds-checked reader every body is decoded with — the workspace's
+/// shared [`fsm_types::codec::Reader`] in its wire-protocol flavour
+/// ([`FsmError::Parse`] errors) — and its string writer.
+pub use fsm_types::codec::{put_str, Reader as Cursor};
 
 /// Upper bound on a frame payload; a peer announcing more is treated as
 /// corrupt rather than allocated for.
@@ -48,7 +54,7 @@ pub const PROTO_VERSION: u16 = 2;
 pub fn encode_hello() -> Vec<u8> {
     let mut out = Vec::with_capacity(PROTO_MAGIC.len() + 2);
     out.extend_from_slice(&PROTO_MAGIC);
-    out.extend_from_slice(&PROTO_VERSION.to_le_bytes());
+    put_u16(&mut out, PROTO_VERSION);
     out
 }
 
@@ -186,13 +192,13 @@ impl TenantSpec {
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         put_str(out, &self.tenant);
         out.push(self.algorithm);
-        out.extend_from_slice(&self.window_batches.to_le_bytes());
+        put_u32(out, self.window_batches);
         out.push(self.minsup_absolute as u8);
-        out.extend_from_slice(&self.minsup.to_le_bytes());
+        put_u64(out, self.minsup);
         out.push(self.catalog_kind);
-        out.extend_from_slice(&self.catalog_n.to_le_bytes());
+        put_u32(out, self.catalog_n);
         out.push(self.backend);
-        out.extend_from_slice(&self.cache_budget.to_le_bytes());
+        put_u64(out, self.cache_budget);
         out.push(self.durable as u8);
         out.push(self.delta as u8);
     }
@@ -232,13 +238,16 @@ pub struct TenantStatus {
 }
 
 impl TenantStatus {
+    /// Bytes of a record with an empty id: id length, state, three `u64`s.
+    pub const MIN_ENCODED_BYTES: usize = 2 + 1 + 24;
+
     /// Serialises one status record.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         put_str(out, &self.tenant);
         out.push(self.state.code());
-        out.extend_from_slice(&self.resident_bytes.to_le_bytes());
-        out.extend_from_slice(&self.thaws.to_le_bytes());
-        out.extend_from_slice(&self.thaw_nanos.to_le_bytes());
+        put_u64(out, self.resident_bytes);
+        put_u64(out, self.thaws);
+        put_u64(out, self.thaw_nanos);
     }
 
     /// Parses one status record.
@@ -265,7 +274,9 @@ pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> Result<()> {
             payload.len()
         )));
     }
-    writer.write_all(&(payload.len() as u32).to_le_bytes())?;
+    let mut header = Vec::with_capacity(4);
+    put_u32(&mut header, payload.len() as u32);
+    writer.write_all(&header)?;
     writer.write_all(payload)?;
     writer.flush()?;
     Ok(())
@@ -279,7 +290,7 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Option<Vec<u8>>> {
         Err(err) if err.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
         Err(err) => return Err(err.into()),
     }
-    let len = u32::from_le_bytes(len) as usize;
+    let len = Cursor::new(&len).take_u32()? as usize;
     if len > MAX_FRAME_BYTES {
         return Err(FsmError::parse(format!(
             "peer announced a {len}-byte frame (limit {MAX_FRAME_BYTES})"
@@ -290,33 +301,29 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Option<Vec<u8>>> {
     Ok(Some(payload))
 }
 
-/// Appends a `u16`-length-prefixed UTF-8 string.
-pub fn put_str(out: &mut Vec<u8>, s: &str) {
-    let len = s.len().min(u16::MAX as usize) as u16;
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&s.as_bytes()[..len as usize]);
-}
+/// Bytes one encoded pattern occupies at least: `u64` support + `u16` edge
+/// count.
+const MIN_PATTERN_BYTES: usize = 10;
 
 /// Appends a pattern list in wire order.
 pub fn put_patterns(out: &mut Vec<u8>, patterns: &[FrequentPattern]) {
-    out.extend_from_slice(&(patterns.len() as u32).to_le_bytes());
+    put_u32(out, patterns.len() as u32);
     for pattern in patterns {
-        out.extend_from_slice(&pattern.support.to_le_bytes());
-        let edges: Vec<u32> = pattern.edges.iter().map(|e| e.0).collect();
-        out.extend_from_slice(&(edges.len() as u16).to_le_bytes());
-        for edge in edges {
-            out.extend_from_slice(&edge.to_le_bytes());
+        put_u64(out, pattern.support);
+        put_u16(out, pattern.edges.len() as u16);
+        for edge in pattern.edges.iter() {
+            put_u32(out, edge.0);
         }
     }
 }
 
 /// Reads a pattern list written by [`put_patterns`].
 pub fn take_patterns(cursor: &mut Cursor<'_>) -> Result<Vec<FrequentPattern>> {
-    let count = cursor.take_u32()? as usize;
-    let mut patterns = Vec::with_capacity(count.min(1 << 20));
+    let count = cursor.count_u32(MIN_PATTERN_BYTES)?;
+    let mut patterns = Vec::with_capacity(count);
     for _ in 0..count {
         let support = cursor.take_u64()?;
-        let num_edges = cursor.take_u16()? as usize;
+        let num_edges = cursor.count_u16(4)?;
         let mut edges = Vec::with_capacity(num_edges);
         for _ in 0..num_edges {
             edges.push(cursor.take_u32()?);
@@ -324,90 +331,6 @@ pub fn take_patterns(cursor: &mut Cursor<'_>) -> Result<Vec<FrequentPattern>> {
         patterns.push(FrequentPattern::new(EdgeSet::from_raw(edges), support));
     }
     Ok(patterns)
-}
-
-/// A bounds-checked reader over one frame payload.
-#[derive(Debug)]
-pub struct Cursor<'a> {
-    bytes: &'a [u8],
-    offset: usize,
-}
-
-impl<'a> Cursor<'a> {
-    /// Wraps a payload.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, offset: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .offset
-            .checked_add(n)
-            .filter(|e| *e <= self.bytes.len());
-        let Some(end) = end else {
-            return Err(FsmError::parse(format!(
-                "frame truncated at byte {} of {}",
-                self.offset,
-                self.bytes.len()
-            )));
-        };
-        let slice = &self.bytes[self.offset..end];
-        self.offset = end;
-        Ok(slice)
-    }
-
-    /// One byte.
-    pub fn take_u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Little-endian `u16`.
-    pub fn take_u16(&mut self) -> Result<u16> {
-        let mut bytes = [0u8; 2];
-        bytes.copy_from_slice(self.take(2)?);
-        Ok(u16::from_le_bytes(bytes))
-    }
-
-    /// Little-endian `u32`.
-    pub fn take_u32(&mut self) -> Result<u32> {
-        let mut bytes = [0u8; 4];
-        bytes.copy_from_slice(self.take(4)?);
-        Ok(u32::from_le_bytes(bytes))
-    }
-
-    /// Little-endian `u64`.
-    pub fn take_u64(&mut self) -> Result<u64> {
-        let mut bytes = [0u8; 8];
-        bytes.copy_from_slice(self.take(8)?);
-        Ok(u64::from_le_bytes(bytes))
-    }
-
-    /// `u16`-length-prefixed UTF-8 string.
-    pub fn take_str(&mut self) -> Result<String> {
-        let len = self.take_u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| FsmError::parse("frame string is not valid UTF-8"))
-    }
-
-    /// Everything not yet consumed.
-    pub fn rest(&mut self) -> &'a [u8] {
-        let rest = &self.bytes[self.offset..];
-        self.offset = self.bytes.len();
-        rest
-    }
-
-    /// Errors if unconsumed bytes remain — requests are exact, trailing
-    /// garbage means a framing bug.
-    pub fn finish(self) -> Result<()> {
-        if self.offset != self.bytes.len() {
-            return Err(FsmError::parse(format!(
-                "{} trailing bytes in frame",
-                self.bytes.len() - self.offset
-            )));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -24,6 +24,7 @@ use std::thread::JoinHandle;
 use fsm_core::{Algorithm, IngestOutcome, MinerConfig, SessionRegistry, Subscription};
 use fsm_storage::StorageBackend;
 use fsm_stream::WindowConfig;
+use fsm_types::codec::put_u32;
 use fsm_types::{EdgeCatalog, FsmError, MinSup, Result, VertexId};
 
 use crate::proto::{
@@ -216,7 +217,7 @@ fn handle(
             cursor.finish()?;
             let statuses = registry.statuses();
             let mut body = Vec::new();
-            body.extend_from_slice(&(statuses.len() as u32).to_le_bytes());
+            put_u32(&mut body, statuses.len() as u32);
             for (tenant, status) in &statuses {
                 TenantStatus {
                     tenant: tenant.clone(),

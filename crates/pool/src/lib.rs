@@ -1,43 +1,69 @@
-//! A shared, fixed-size worker pool for the mining fan-out.
+//! The workspace's one executor: a fixed-size, caller-participating worker
+//! pool for the mining fan-out.
 //!
-//! The single-tenant engine fans each mine's top-level subtree tasks over
-//! `std::thread::scope` workers spawned *per mine call*.  A multi-tenant
-//! process cannot afford that shape: thousands of sessions mining
-//! concurrently would each spawn their own worker set, oversubscribing the
-//! machine by the tenant count.  [`WorkerPool`] replaces it with **one fixed
-//! set of threads per process** that multiplexes subtree tasks from however
-//! many concurrent mines are in flight.
+//! Every mine fans its top-level subtree tasks out through a [`WorkerPool`]
+//! (behind `fsm_core::Exec`): a standalone `StreamMiner` owns a private pool
+//! sized by its `threads` setting and built once, the multi-tenant service
+//! shares **one fixed set of threads per process** between however many
+//! concurrent tenant mines are in flight.  Nothing spawns threads per mine.
 //!
 //! The execution model is *caller-participating*: the thread that calls
 //! [`WorkerPool::run_indexed_stateful`] claims and executes tasks from its
 //! own batch exactly like a pool worker would, while the pool's threads join
 //! in for whatever tasks are left.  Two properties follow:
 //!
-//! * **No mine ever waits for pool capacity.**  A saturated (or zero-sized)
-//!   pool degrades a mine to sequential execution on its own thread; it never
-//!   deadlocks or queues behind other tenants' mines.
+//! * **No mine ever waits for pool capacity.**  A saturated (or zero-sized,
+//!   [`WorkerPool::inline_only`]) pool degrades a mine to sequential
+//!   execution on its own thread; it never deadlocks or queues behind other
+//!   tenants' mines.
 //! * **Determinism is untouched.**  Tasks are claimed from an atomic counter
-//!   (dynamic load balancing, same as the scoped path) but results are
-//!   returned **in task-index order**, so the canonical-order merge — and
-//!   therefore byte-identical output for any pool size — is preserved.  The
-//!   `miner_agreement` / `epoch_agreement` / `tenant_isolation` property
-//!   suites in `fsm-core` gate exactly this.
+//!   (dynamic load balancing) but results are returned **in task-index
+//!   order**, so the canonical-order merge — and therefore byte-identical
+//!   output for any pool size — is preserved.  The `miner_agreement` /
+//!   `epoch_agreement` / `tenant_isolation` property suites in `fsm-core`
+//!   gate exactly this.
 //!
 //! # Why this crate contains `unsafe`
 //!
 //! Subtree tasks borrow the per-mine window view (frequent-row tables,
 //! pinned chunk borrows), so the closures handed to the pool are **not**
-//! `'static` — the reason the original design used `std::thread::scope`.
-//! Persistent pool threads cannot accept borrowed closures safely, so the
-//! batch context is passed as a type-erased raw pointer and re-borrowed
-//! inside a monomorphised runner function.  Soundness rests on a simple
-//! join protocol, documented at `Gate`: the caller does not return from
-//! `run_indexed_stateful` (i.e. the borrowed context stays alive) until
-//! every helper that could still dereference the pointer has provably
-//! exited its dereferencing region — including when the caller itself
-//! unwinds, via `GateGuard`.  The rest of the workspace keeps its
-//! `#![forbid(unsafe_code)]`; the unsafety is confined to this module and
-//! audited by the stress tests below.
+//! `'static`.  The safe way to run borrowed closures on other threads is
+//! `std::thread::scope`, which spawns and joins its threads per call — the
+//! engine's original executor.  Persistent pool threads cannot accept
+//! borrowed closures safely, so the batch context is passed as a type-erased
+//! raw pointer and re-borrowed inside a monomorphised runner function.
+//! Soundness rests on a simple join protocol, documented at `Gate`: the
+//! caller does not return from `run_indexed_stateful` (i.e. the borrowed
+//! context stays alive) until every helper that could still dereference the
+//! pointer has provably exited its dereferencing region — including when the
+//! caller itself unwinds, via `GateGuard`.  The rest of the workspace keeps
+//! its `#![forbid(unsafe_code)]`; the unsafety is confined to this module,
+//! audited by the stress tests below, and run under Miri in CI.
+//!
+//! **The number that pays for it.**  The two executors were
+//! property-tested byte-identical, so which one to keep was a measurement:
+//! the service's `Exec::pool` requests were rerouted through the
+//! `thread::scope` implementation (same participant count) and raced
+//! against the unmodified build on the repo benchmark (`benchmark/`,
+//! alternating pairs, 15–20 s runs, seeds 1–6, 2-vCPU host).  On the
+//! one-connection workloads per-mine spawning is within noise
+//! (`dense_full`: pool ahead in 6 of 9 pairs, gaps −11 % … +9 %;
+//! `fleet_serial`: 2 of 4).  On two-connection `fleet_disk` — two mines
+//! sharing the cores, the shape the service exists for — it lost
+//! **14–31 % `tx_per_s`** and added **26–82 % to `step_p95_ms`** in 3 of 3
+//! pairs (re-measured when the scoped path was deleted: same sign in 3 of 3
+//! pairs, −4 … −25 % `tx_per_s`, +3 … +63 % `step_p95_ms` — the host is
+//! noisy, the direction is not).  So the pool is the executor the service
+//! needs, per-mine scoped threads the one no caller needs, and the scoped
+//! implementation was deleted rather than this module.
+//!
+//! To regenerate: check out the last commit that still has
+//! `fsm_core::parallel::run_indexed_stateful` (the parent of the commit
+//! that introduced this paragraph), make the `Exec::Pool` arm of
+//! `Exec::run_indexed_stateful` call it with `pool.size() + 1` threads,
+//! build `benchmark/` from that tree and from the unmodified one, and
+//! alternate `fsm-benchmark --workload fleet_disk --seed N --seconds 20`
+//! between the two binaries.
 
 #![warn(missing_docs)]
 
@@ -92,13 +118,20 @@ impl std::fmt::Debug for WorkerPool {
 impl WorkerPool {
     /// Creates a pool of `threads` workers (`0` = one per available core).
     pub fn new(threads: usize) -> Self {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        };
+        Self::with_workers(match threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        })
+    }
+
+    /// Creates a pool with **no** worker threads: every batch runs inline on
+    /// its caller.  The degenerate corner of the multiplexing model, pinned
+    /// by the isolation property tests.
+    pub fn inline_only() -> Self {
+        Self::with_workers(0)
+    }
+
+    fn with_workers(threads: usize) -> Self {
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(VecDeque::new()),
             work_ready: Condvar::new(),
@@ -117,22 +150,6 @@ impl WorkerPool {
         Self { shared, workers }
     }
 
-    /// Creates a pool with **no** worker threads: every batch runs inline on
-    /// its caller.  The degenerate corner of the multiplexing model, pinned
-    /// by the isolation property tests.
-    pub fn inline_only() -> Self {
-        let shared = Arc::new(PoolShared {
-            queue: Mutex::new(VecDeque::new()),
-            work_ready: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            jobs_run: AtomicU64::new(0),
-        });
-        Self {
-            shared,
-            workers: Vec::new(),
-        }
-    }
-
     /// Number of pool worker threads (callers add themselves on top).
     pub fn size(&self) -> usize {
         self.workers.len()
@@ -143,9 +160,8 @@ impl WorkerPool {
         self.shared.jobs_run.load(Ordering::Relaxed)
     }
 
-    /// Runs `task(0..tasks)` and returns the results **in index order**,
-    /// exactly like the scoped fan-out it replaces — but instead of spawning
-    /// threads, the calling thread executes tasks itself while up to
+    /// Runs `task(0..tasks)` and returns the results **in index order**:
+    /// the calling thread executes tasks itself while up to
     /// `min(pool size, tasks - 1)` pool workers help.  Every participant
     /// owns one `init()`-created state for the whole batch (the miners share
     /// one scratch arena per worker this way).

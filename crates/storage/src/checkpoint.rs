@@ -10,27 +10,28 @@
 //!
 //! # File format
 //!
-//! ```text
-//! ┌──────────────────┬──────────────────────────────┬──────────────┐
-//! │ magic "FSMCKPT1" │ body (u64 LE fields, below)  │ crc32: u32 LE│
-//! └──────────────────┴──────────────────────────────┴──────────────┘
-//! ```
-//!
-//! The CRC covers the whole body; a single flipped bit anywhere makes
-//! [`Checkpoint::load`] reject the file, and recovery falls back to the next
-//! older checkpoint (whose WAL suffix is retained for exactly this reason).
+//! A `crate::framed` artifact with magic `"FSMCKPT1"` whose body is all
+//! `u64` little-endian fields: `last_seq`, `next_uid`, `num_items`,
+//! `window_batches`, the support counters (count-prefixed), then the live
+//! segments (count-prefixed) — each `uid`, `batch_id`, `cols` and its
+//! count-prefixed rows as `(row, first_page, len, ones)`.  A single flipped
+//! bit anywhere makes [`Checkpoint::load`] reject the file, and recovery
+//! falls back to the next older checkpoint (whose WAL suffix is retained
+//! for exactly this reason).
 
-use std::fs::OpenOptions;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use fsm_types::{FsmError, Result};
+use fsm_types::codec::put_u64;
+use fsm_types::Result;
 
-use crate::checksum::crc32;
-use crate::paged::{annotate, artifact_name};
+use crate::framed;
 use crate::segment::SegmentMeta;
 
 const MAGIC: &[u8; 8] = b"FSMCKPT1";
+/// Encoded bytes of a segment with no rows: uid, batch id, cols, row count.
+const SEGMENT_HEADER_BYTES: usize = 32;
+/// Encoded bytes of one [`CheckpointRow`].
+const ROW_BYTES: usize = 32;
 
 /// Durable metadata of one row of one segment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,20 +88,13 @@ impl Checkpoint {
     /// returning the final path, the encoded size in bytes, and the number of
     /// `fsync` calls issued.
     pub fn write(&self, dir: &Path) -> Result<(PathBuf, u64, u64)> {
-        let bytes = self.encode();
-        let path = dir.join(Self::file_name(self.last_seq));
-        let tmp = dir.join(format!("{}.tmp", Self::file_name(self.last_seq)));
-        let mut file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)
-            .map_err(|err| annotate(err, "create checkpoint temp", &tmp))?;
-        file.write_all(&bytes)?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&tmp, &path)?;
-        Ok((path, bytes.len() as u64, 1))
+        let (path, bytes) = framed::write(
+            dir,
+            &Self::file_name(self.last_seq),
+            MAGIC,
+            &self.encode_body(),
+        )?;
+        Ok((path, bytes, 1))
     }
 
     /// Lists the checkpoint files in `dir` as `(seq, path)`, newest first.
@@ -157,73 +151,50 @@ impl Checkpoint {
     /// Loads and validates a checkpoint file.
     ///
     /// Any damage — wrong magic, truncation, a flipped bit anywhere in the
-    /// body — fails with [`FsmError::CorruptArtifact`] naming the file.
+    /// body, a count the body cannot hold — fails with
+    /// [`fsm_types::FsmError::CorruptArtifact`] naming the file.
     pub fn load(path: &Path) -> Result<Self> {
-        let name = artifact_name(path);
-        let bytes = std::fs::read(path).map_err(|err| annotate(err, "read checkpoint", path))?;
-        if bytes.len() < MAGIC.len() + 4 {
-            return Err(FsmError::corrupt_artifact(
-                &name,
-                format!("only {} bytes — too short to be a checkpoint", bytes.len()),
-            ));
-        }
-        if &bytes[..MAGIC.len()] != MAGIC {
-            return Err(FsmError::corrupt_artifact(&name, "bad magic"));
-        }
-        let body = &bytes[MAGIC.len()..bytes.len() - 4];
-        let mut trailer = [0u8; 4];
-        trailer.copy_from_slice(&bytes[bytes.len() - 4..]);
-        let stored_crc = u32::from_le_bytes(trailer);
-        let actual_crc = crc32(body);
-        if stored_crc != actual_crc {
-            return Err(FsmError::corrupt_artifact(
-                &name,
-                format!(
-                    "checksum mismatch (stored {stored_crc:#010x}, computed {actual_crc:#010x})"
-                ),
-            ));
-        }
-        let mut reader = FieldReader::new(body, &name);
-        let last_seq = reader.u64("last_seq")?;
-        let next_uid = reader.u64("next_uid")?;
-        let num_items = reader.u64("num_items")?;
-        let window_batches = reader.u64("window_batches")?;
-        let num_supports = reader.u64("supports count")?;
-        let mut supports = Vec::with_capacity(num_supports.min(1 << 20) as usize);
-        for _ in 0..num_supports {
-            supports.push(reader.u64("support")?);
-        }
-        let num_segments = reader.u64("segments count")?;
-        let mut segments = Vec::with_capacity(num_segments.min(1 << 16) as usize);
-        for _ in 0..num_segments {
-            let uid = reader.u64("segment uid")?;
-            let batch_id = reader.u64("segment batch id")?;
-            let cols = reader.u64("segment cols")?;
-            let num_rows = reader.u64("segment rows count")?;
-            let mut rows = Vec::with_capacity(num_rows.min(1 << 20) as usize);
-            for _ in 0..num_rows {
-                rows.push(CheckpointRow {
-                    row: reader.u64("row id")?,
-                    first_page: reader.u64("row first page")?,
-                    len: reader.u64("row length")?,
-                    ones: reader.u64("row ones")?,
+        framed::load(path, MAGIC, |reader| {
+            let last_seq = reader.take_u64()?;
+            let next_uid = reader.take_u64()?;
+            let num_items = reader.take_u64()?;
+            let window_batches = reader.take_u64()?;
+            let num_supports = reader.count_u64(8)?;
+            let mut supports = Vec::with_capacity(num_supports);
+            for _ in 0..num_supports {
+                supports.push(reader.take_u64()?);
+            }
+            let num_segments = reader.count_u64(SEGMENT_HEADER_BYTES)?;
+            let mut segments = Vec::with_capacity(num_segments);
+            for _ in 0..num_segments {
+                let uid = reader.take_u64()?;
+                let batch_id = reader.take_u64()?;
+                let cols = reader.take_u64()?;
+                let num_rows = reader.count_u64(ROW_BYTES)?;
+                let mut rows = Vec::with_capacity(num_rows);
+                for _ in 0..num_rows {
+                    rows.push(CheckpointRow {
+                        row: reader.take_u64()?,
+                        first_page: reader.take_u64()?,
+                        len: reader.take_u64()?,
+                        ones: reader.take_u64()?,
+                    });
+                }
+                segments.push(CheckpointSegment {
+                    uid,
+                    batch_id,
+                    cols,
+                    rows,
                 });
             }
-            segments.push(CheckpointSegment {
-                uid,
-                batch_id,
-                cols,
-                rows,
-            });
-        }
-        reader.finish()?;
-        Ok(Self {
-            last_seq,
-            next_uid,
-            num_items,
-            window_batches,
-            supports,
-            segments,
+            Ok(Self {
+                last_seq,
+                next_uid,
+                num_items,
+                window_batches,
+                supports,
+                segments,
+            })
         })
     }
 
@@ -244,94 +215,30 @@ impl Checkpoint {
             .collect()
     }
 
-    fn encode(&self) -> Vec<u8> {
+    fn encode_body(&self) -> Vec<u8> {
         let mut body = Vec::new();
-        let push = |v: u64, body: &mut Vec<u8>| body.extend_from_slice(&v.to_le_bytes());
-        push(self.last_seq, &mut body);
-        push(self.next_uid, &mut body);
-        push(self.num_items, &mut body);
-        push(self.window_batches, &mut body);
-        push(self.supports.len() as u64, &mut body);
+        put_u64(&mut body, self.last_seq);
+        put_u64(&mut body, self.next_uid);
+        put_u64(&mut body, self.num_items);
+        put_u64(&mut body, self.window_batches);
+        put_u64(&mut body, self.supports.len() as u64);
         for &s in &self.supports {
-            push(s, &mut body);
+            put_u64(&mut body, s);
         }
-        push(self.segments.len() as u64, &mut body);
+        put_u64(&mut body, self.segments.len() as u64);
         for seg in &self.segments {
-            push(seg.uid, &mut body);
-            push(seg.batch_id, &mut body);
-            push(seg.cols, &mut body);
-            push(seg.rows.len() as u64, &mut body);
+            put_u64(&mut body, seg.uid);
+            put_u64(&mut body, seg.batch_id);
+            put_u64(&mut body, seg.cols);
+            put_u64(&mut body, seg.rows.len() as u64);
             for row in &seg.rows {
-                push(row.row, &mut body);
-                push(row.first_page, &mut body);
-                push(row.len, &mut body);
-                push(row.ones, &mut body);
+                put_u64(&mut body, row.row);
+                put_u64(&mut body, row.first_page);
+                put_u64(&mut body, row.len);
+                put_u64(&mut body, row.ones);
             }
         }
-        let mut bytes = Vec::with_capacity(MAGIC.len() + body.len() + 4);
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&body);
-        bytes.extend_from_slice(&crc32(&body).to_le_bytes());
-        bytes
-    }
-}
-
-/// Bounds-checked little-endian field reader over a checksummed body.
-/// Shared by every CRC-framed artifact in this crate ([`Checkpoint`] and
-/// [`crate::spill::Hibernation`]) so they decode under one discipline.
-pub(crate) struct FieldReader<'a> {
-    bytes: &'a [u8],
-    offset: usize,
-    artifact: &'a str,
-}
-
-impl<'a> FieldReader<'a> {
-    pub(crate) fn new(bytes: &'a [u8], artifact: &'a str) -> Self {
-        Self {
-            bytes,
-            offset: 0,
-            artifact,
-        }
-    }
-
-    pub(crate) fn u64(&mut self, what: &str) -> Result<u64> {
-        let mut word = [0u8; 8];
-        word.copy_from_slice(self.bytes_inner(8, what)?);
-        Ok(u64::from_le_bytes(word))
-    }
-
-    /// Takes `len` raw bytes out of the body.
-    pub(crate) fn bytes(&mut self, len: usize, what: &str) -> Result<&'a [u8]> {
-        self.bytes_inner(len, what)
-    }
-
-    fn bytes_inner(&mut self, len: usize, what: &str) -> Result<&'a [u8]> {
-        let end = self
-            .offset
-            .checked_add(len)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or_else(|| {
-                FsmError::corrupt_artifact(
-                    self.artifact,
-                    format!("truncated body while reading {what}"),
-                )
-            })?;
-        let slice = &self.bytes[self.offset..end];
-        self.offset = end;
-        Ok(slice)
-    }
-
-    pub(crate) fn finish(&self) -> Result<()> {
-        if self.offset != self.bytes.len() {
-            return Err(FsmError::corrupt_artifact(
-                self.artifact,
-                format!(
-                    "{} trailing bytes after the last field",
-                    self.bytes.len() - self.offset
-                ),
-            ));
-        }
-        Ok(())
+        body
     }
 }
 
@@ -339,6 +246,7 @@ impl<'a> FieldReader<'a> {
 mod tests {
     use super::*;
     use crate::temp::TempDir;
+    use fsm_types::FsmError;
 
     fn sample(seq: u64) -> Checkpoint {
         Checkpoint {

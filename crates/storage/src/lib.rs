@@ -49,6 +49,7 @@ pub mod bitvec;
 pub mod checkpoint;
 pub mod checksum;
 pub mod chunkcache;
+mod framed;
 pub mod governor;
 pub mod paged;
 pub mod rowstore;

@@ -10,37 +10,31 @@
 //!
 //! # File format
 //!
-//! Deliberately the same framing discipline as [`crate::Checkpoint`]: a
-//! magic, a body of u64 little-endian fields (chunk payloads are
-//! length-prefixed [`crate::BitVec`] images), and a trailing CRC-32 over the
-//! whole body.  Writes go to a temp path, fsync, then rename — a crash
-//! mid-spill leaves either no artifact or one complete artifact, never a
-//! half-written one that parses.  Decoding shares the checkpoint's
-//! bounds-checked `FieldReader`, so any damage surfaces as
-//! [`FsmError::CorruptArtifact`] naming the file.
+//! The same `crate::framed` envelope as [`crate::Checkpoint`], with magic
+//! `"FSMSPIL1"`: written to a temp path, fsynced, renamed — a crash
+//! mid-spill leaves either no artifact or one complete artifact — and any
+//! damage surfaces on load as [`fsm_types::FsmError::CorruptArtifact`]
+//! naming the file.
 //!
-//! ```text
-//! ┌──────────────────┬──────────────────────────────┬──────────────┐
-//! │ magic "FSMSPIL1" │ body (u64 LE fields + chunks)│ crc32: u32 LE│
-//! └──────────────────┴──────────────────────────────┴──────────────┘
-//! ```
-//!
-//! The body is: `num_items`, `window_batches`, the support counters
-//! (count-prefixed), then the live segments oldest-first — each a
-//! `batch_id`, its column count, and its touched rows as
-//! `(row id, chunk byte length, chunk bytes)` triples.
+//! The body is `u64` little-endian fields: `num_items`, `window_batches`,
+//! the support counters (count-prefixed), then the live segments
+//! oldest-first (count-prefixed) — each a `batch_id`, its column count, and
+//! its count-prefixed touched rows as `(row id, chunk byte length, chunk
+//! bytes)` triples, a chunk being a [`crate::BitVec`] image.
 
-use std::fs::OpenOptions;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use fsm_types::{FsmError, Result};
+use fsm_types::codec::put_u64;
+use fsm_types::Result;
 
-use crate::checkpoint::FieldReader;
-use crate::checksum::crc32;
-use crate::paged::{annotate, artifact_name};
+use crate::framed;
+use crate::paged::annotate;
 
 const MAGIC: &[u8; 8] = b"FSMSPIL1";
+/// Encoded bytes of a segment with no rows: batch id, cols, row count.
+const SEGMENT_HEADER_BYTES: usize = 24;
+/// Encoded bytes of a row with an empty chunk: row id, chunk length.
+const ROW_HEADER_BYTES: usize = 16;
 
 /// One touched row of one hibernated segment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,115 +87,72 @@ impl Hibernation {
     /// returning the final path and the encoded size in bytes.
     pub fn write(&self, dir: &Path) -> Result<(PathBuf, u64)> {
         std::fs::create_dir_all(dir).map_err(|err| annotate(err, "create spill dir", dir))?;
-        let bytes = self.encode();
-        let path = Self::artifact_path(dir);
-        let tmp = dir.join(format!("{}.tmp", Self::FILE_NAME));
-        let mut file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)
-            .map_err(|err| annotate(err, "create hibernation temp", &tmp))?;
-        file.write_all(&bytes)?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&tmp, &path)?;
-        Ok((path, bytes.len() as u64))
+        framed::write(dir, Self::FILE_NAME, MAGIC, &self.encode_body())
     }
 
     /// Loads and validates a hibernation artifact.
     ///
     /// Any damage — wrong magic, truncation, a flipped bit anywhere in the
-    /// body — fails with [`FsmError::CorruptArtifact`] naming the file.
+    /// body, a count the body cannot hold — fails with
+    /// [`fsm_types::FsmError::CorruptArtifact`] naming the file.
     pub fn load(path: &Path) -> Result<Self> {
-        let name = artifact_name(path);
-        let bytes = std::fs::read(path).map_err(|err| annotate(err, "read hibernation", path))?;
-        if bytes.len() < MAGIC.len() + 4 {
-            return Err(FsmError::corrupt_artifact(
-                &name,
-                format!(
-                    "only {} bytes — too short to be a hibernation image",
-                    bytes.len()
-                ),
-            ));
-        }
-        if &bytes[..MAGIC.len()] != MAGIC {
-            return Err(FsmError::corrupt_artifact(&name, "bad magic"));
-        }
-        let body = &bytes[MAGIC.len()..bytes.len() - 4];
-        let mut trailer = [0u8; 4];
-        trailer.copy_from_slice(&bytes[bytes.len() - 4..]);
-        let stored_crc = u32::from_le_bytes(trailer);
-        let actual_crc = crc32(body);
-        if stored_crc != actual_crc {
-            return Err(FsmError::corrupt_artifact(
-                &name,
-                format!(
-                    "checksum mismatch (stored {stored_crc:#010x}, computed {actual_crc:#010x})"
-                ),
-            ));
-        }
-        let mut reader = FieldReader::new(body, &name);
-        let num_items = reader.u64("num_items")?;
-        let window_batches = reader.u64("window_batches")?;
-        let num_supports = reader.u64("supports count")?;
-        let mut supports = Vec::with_capacity(num_supports.min(1 << 20) as usize);
-        for _ in 0..num_supports {
-            supports.push(reader.u64("support")?);
-        }
-        let num_segments = reader.u64("segments count")?;
-        let mut segments = Vec::with_capacity(num_segments.min(1 << 16) as usize);
-        for _ in 0..num_segments {
-            let batch_id = reader.u64("segment batch id")?;
-            let cols = reader.u64("segment cols")?;
-            let num_rows = reader.u64("segment rows count")?;
-            let mut rows = Vec::with_capacity(num_rows.min(1 << 20) as usize);
-            for _ in 0..num_rows {
-                let row = reader.u64("row id")?;
-                let len = reader.u64("row chunk length")?;
-                let chunk = reader.bytes(len as usize, "row chunk bytes")?.to_vec();
-                rows.push(HibernationRow { row, chunk });
+        framed::load(path, MAGIC, |reader| {
+            let num_items = reader.take_u64()?;
+            let window_batches = reader.take_u64()?;
+            let num_supports = reader.count_u64(8)?;
+            let mut supports = Vec::with_capacity(num_supports);
+            for _ in 0..num_supports {
+                supports.push(reader.take_u64()?);
             }
-            segments.push(HibernationSegment {
-                batch_id,
-                cols,
-                rows,
-            });
-        }
-        reader.finish()?;
-        Ok(Self {
-            num_items,
-            window_batches,
-            supports,
-            segments,
+            let num_segments = reader.count_u64(SEGMENT_HEADER_BYTES)?;
+            let mut segments = Vec::with_capacity(num_segments);
+            for _ in 0..num_segments {
+                let batch_id = reader.take_u64()?;
+                let cols = reader.take_u64()?;
+                let num_rows = reader.count_u64(ROW_HEADER_BYTES)?;
+                let mut rows = Vec::with_capacity(num_rows);
+                for _ in 0..num_rows {
+                    let row = reader.take_u64()?;
+                    // A chunk is a count-prefixed list of bytes.
+                    let len = reader.count_u64(1)?;
+                    let chunk = reader.take(len)?.to_vec();
+                    rows.push(HibernationRow { row, chunk });
+                }
+                segments.push(HibernationSegment {
+                    batch_id,
+                    cols,
+                    rows,
+                });
+            }
+            Ok(Self {
+                num_items,
+                window_batches,
+                supports,
+                segments,
+            })
         })
     }
 
-    fn encode(&self) -> Vec<u8> {
+    fn encode_body(&self) -> Vec<u8> {
         let mut body = Vec::new();
-        let push = |v: u64, body: &mut Vec<u8>| body.extend_from_slice(&v.to_le_bytes());
-        push(self.num_items, &mut body);
-        push(self.window_batches, &mut body);
-        push(self.supports.len() as u64, &mut body);
+        put_u64(&mut body, self.num_items);
+        put_u64(&mut body, self.window_batches);
+        put_u64(&mut body, self.supports.len() as u64);
         for &s in &self.supports {
-            push(s, &mut body);
+            put_u64(&mut body, s);
         }
-        push(self.segments.len() as u64, &mut body);
+        put_u64(&mut body, self.segments.len() as u64);
         for seg in &self.segments {
-            push(seg.batch_id, &mut body);
-            push(seg.cols, &mut body);
-            push(seg.rows.len() as u64, &mut body);
+            put_u64(&mut body, seg.batch_id);
+            put_u64(&mut body, seg.cols);
+            put_u64(&mut body, seg.rows.len() as u64);
             for row in &seg.rows {
-                push(row.row, &mut body);
-                push(row.chunk.len() as u64, &mut body);
+                put_u64(&mut body, row.row);
+                put_u64(&mut body, row.chunk.len() as u64);
                 body.extend_from_slice(&row.chunk);
             }
         }
-        let mut bytes = Vec::with_capacity(MAGIC.len() + body.len() + 4);
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&body);
-        bytes.extend_from_slice(&crc32(&body).to_le_bytes());
-        bytes
+        body
     }
 }
 
@@ -210,6 +161,7 @@ mod tests {
     use super::*;
     use crate::bitvec::BitVec;
     use crate::temp::TempDir;
+    use fsm_types::FsmError;
 
     fn sample() -> Hibernation {
         let chunk = |bits: &[bool]| BitVec::from_bools(bits.iter().copied()).to_bytes();

@@ -37,6 +37,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use fsm_types::codec::{put_u32, put_u64, Reader};
 use fsm_types::{FsmError, Result};
 
 use crate::checksum::crc32;
@@ -258,14 +259,13 @@ impl Wal {
 /// Frames `payload` as one wire-format record (exposed so crash-point tests
 /// can compute byte-exact record boundaries without reaching into the file).
 pub fn frame(seq: u64, payload: &[u8]) -> Vec<u8> {
-    let body_len = SEQ_BYTES + payload.len();
-    let mut record = Vec::with_capacity(HEADER_BYTES + body_len);
-    record.extend_from_slice(&(body_len as u32).to_le_bytes());
-    record.extend_from_slice(&[0u8; 4]); // crc placeholder
-    record.extend_from_slice(&seq.to_le_bytes());
-    record.extend_from_slice(payload);
-    let crc = crc32(&record[HEADER_BYTES..]);
-    record[4..8].copy_from_slice(&crc.to_le_bytes());
+    let mut body = Vec::with_capacity(SEQ_BYTES + payload.len());
+    put_u64(&mut body, seq);
+    body.extend_from_slice(payload);
+    let mut record = Vec::with_capacity(HEADER_BYTES + body.len());
+    put_u32(&mut record, body.len() as u32);
+    put_u32(&mut record, crc32(&body));
+    record.extend_from_slice(&body);
     record
 }
 
@@ -273,42 +273,37 @@ pub fn frame(seq: u64, payload: &[u8]) -> Vec<u8> {
 /// consumed, or a human-readable reason why the bytes are not a committed
 /// record (short header, short body, checksum mismatch).
 fn decode_record(bytes: &[u8]) -> std::result::Result<(WalRecord, usize), String> {
-    if bytes.len() < HEADER_BYTES {
+    let mut reader = Reader::new(bytes);
+    let (Ok(body_len), Ok(stored_crc)) = (reader.take_u32(), reader.take_u32()) else {
         return Err(format!(
             "torn header ({} of {HEADER_BYTES} bytes)",
             bytes.len()
         ));
-    }
-    let mut word = [0u8; 4];
-    word.copy_from_slice(&bytes[0..4]);
-    let body_len = u32::from_le_bytes(word) as usize;
-    word.copy_from_slice(&bytes[4..8]);
-    let stored_crc = u32::from_le_bytes(word);
+    };
+    let body_len = body_len as usize;
     if body_len < SEQ_BYTES {
         return Err(format!(
             "body length {body_len} is shorter than the sequence number"
         ));
     }
-    if bytes.len() < HEADER_BYTES + body_len {
+    let Ok(body) = reader.take(body_len) else {
         return Err(format!(
             "torn body ({} of {body_len} bytes)",
-            bytes.len() - HEADER_BYTES
+            reader.remaining()
         ));
-    }
-    let body = &bytes[HEADER_BYTES..HEADER_BYTES + body_len];
+    };
     let actual_crc = crc32(body);
     if actual_crc != stored_crc {
         return Err(format!(
             "checksum mismatch (stored {stored_crc:#010x}, computed {actual_crc:#010x})"
         ));
     }
-    let mut seq_word = [0u8; 8];
-    seq_word.copy_from_slice(&body[..SEQ_BYTES]);
-    let seq = u64::from_le_bytes(seq_word);
+    let mut body = Reader::new(body);
+    let seq = body.take_u64().map_err(|err| err.to_string())?;
     Ok((
         WalRecord {
             seq,
-            payload: body[SEQ_BYTES..].to_vec(),
+            payload: body.rest().to_vec(),
         },
         HEADER_BYTES + body_len,
     ))

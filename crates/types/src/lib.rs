@@ -20,6 +20,7 @@
 
 pub mod batch;
 pub mod catalog;
+pub mod codec;
 pub mod edge;
 pub mod error;
 pub mod graph;
