@@ -59,6 +59,28 @@ pub fn millis(duration: std::time::Duration) -> String {
     format!("{:.3}", duration.as_secs_f64() * 1000.0)
 }
 
+/// The host block a committed `BENCH_*.json` carries so its numbers can be
+/// compared: visible cores, the git commit measured (suffixed `-dirty` when
+/// the tree holds uncommitted changes on top of it) and the compiler, as a
+/// JSON object (`"unknown"` where `git` / `rustc` cannot be asked).
+pub fn host_json() -> String {
+    let ask = |program: &str, args: &[&str]| {
+        std::process::Command::new(program)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+            .map_or_else(|| "unknown".to_string(), |s| s.trim().replace('"', "'"))
+    };
+    format!(
+        "{{\"cores\": {}, \"commit\": \"{}\", \"rustc\": \"{}\"}}",
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        ask("git", &["describe", "--always", "--dirty", "--abbrev=40"]),
+        ask("rustc", &["--version"]),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,6 +93,13 @@ mod tests {
         assert!(lines[0].contains("algo"));
         assert!(lines[1].contains("---"));
         assert!(lines[2].contains("vertical"));
+    }
+
+    #[test]
+    fn host_block_names_cores_commit_and_compiler() {
+        let host = host_json();
+        assert!(host.starts_with("{\"cores\": ") && host.ends_with("\"}"));
+        assert!(host.contains("\"commit\": \"") && host.contains("\"rustc\": \""));
     }
 
     #[test]

@@ -87,8 +87,12 @@ pub struct MinerConfig {
     /// [`crate::DeltaMiner`] ([`StreamMiner::mine_delta`]): the
     /// frequent-pattern set is maintained across window slides and each mine
     /// pays only for the patterns the slide affected, instead of
-    /// re-enumerating the window.  Output is byte-identical to a full
-    /// re-mine at the same epoch.  `false` by default.
+    /// re-enumerating the window.  What is maintained is the set the
+    /// configured mine returns — the connected collections, grown like the
+    /// §4 direct algorithm grows them; the full §3.4 enumeration only for a
+    /// post-processing algorithm under [`ConnectivityMode::PaperRule`] — so
+    /// output is byte-identical to a full re-mine at the same epoch.
+    /// `false` by default.
     pub delta: bool,
     /// Process-wide arbitration of [`MinerConfig::cache_budget_bytes`]
     /// across many miners (the multi-tenant service's one memory cap).

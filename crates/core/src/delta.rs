@@ -31,34 +31,195 @@
 //! 3. **Targeted re-expansion.**  Only when a support count crosses minsup
 //!    does enumeration run, and only under the affected prefix: a border
 //!    crossing materialises that one candidate and re-expands just its
-//!    subtree via the same screen-then-materialise kernels the §3.4 vertical
-//!    miner uses; a singleton crossing up runs a canonical-order sweep that
-//!    visits only tree paths whose screens pass.  Subtrees whose root fell
-//!    below minsup are cut in one step (sound by anti-monotonicity), their
-//!    contribution records moving onto the border entry left behind for the
-//!    reverse crossing.
+//!    subtree; a singleton crossing up runs a sweep that visits only tree
+//!    paths whose screens pass.  Subtrees whose root fell below minsup are
+//!    cut in one step (sound by anti-monotonicity), their contribution
+//!    records moving onto the border entry left behind for the reverse
+//!    crossing.
+//!
+//! # Which tree
+//!
+//! The tree is *the set the configured mine returns* ([`TreeShape`]), so
+//! nothing is maintained only to be filtered away on collection:
+//!
+//! * [`TreeShape::Connected`] — the §4 neighbourhood enumeration
+//!   ([`crate::miners::direct::mine_direct`]).  A node's extension
+//!   candidates are the edges of its [`Neighborhood`] whose addition is the
+//!   pattern's canonical growth step, so every tracked node is a connected
+//!   pattern, every border entry a failed *neighbour* screen, and the
+//!   collected set needs no connectivity post-processing.  Canonical growth
+//!   sequences are prefix-closed, which is what makes them a tree: a node's
+//!   root path is its pattern's canonical sequence, its root is the
+//!   pattern's smallest edge, and the remaining path edges are in absorption
+//!   order, not ascending.
+//! * [`TreeShape::Lexicographic`] — the §3.4 enumeration
+//!   ([`crate::miners::vertical::mine_vertical`]): every frequent
+//!   collection, extended in ascending edge order.  Needed only where
+//!   disconnected collections are part of the answer (a post-processing
+//!   algorithm under [`crate::ConnectivityMode::PaperRule`], whose rule
+//!   keeps some of them).
+//!
+//! Both shapes share one arena, border, slide and promotion implementation;
+//! they differ only in `Position` — the candidate generator and the
+//! admission test a sweep applies at each node it visits.
 //!
 //! Steady state — no threshold crossings — therefore costs O(patterns and
 //! border candidates whose support the slide changed), not O(window): a mine
 //! call subtracts the departed segment's contribution records, walks the
 //! arriving segment's chunks down the tree, and collects the result, each
 //! touch costing one segment-sized chunk operation rather than a
-//! window-sized row intersection.
+//! window-sized row intersection.  The walk allocates like the miners do:
+//! one [`ScratchArena`] buffer per depth, reused for every node at that
+//! depth, and no per-node collections.
 //!
 //! The full re-mine stays authoritative: `StreamMiner::mine_delta` output is
 //! byte-identical to [`crate::StreamMiner::mine`] at the same epoch,
 //! property-tested across randomized slide sequences in
-//! `crates/core/tests/delta_agreement.rs` with a brute-force support recount
-//! shadowing the border bookkeeping.
+//! `crates/core/tests/delta_agreement.rs` with brute-force support recounts
+//! of both tree shapes shadowing the border bookkeeping.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{btree_set, HashMap};
+use std::ops::Range;
 
 use fsm_dsmatrix::{EpochSnapshot, WindowView};
 use fsm_fptree::MiningLimits;
 use fsm_storage::{BitVec, EpochSegment, RowRef};
-use fsm_types::{EdgeId, EdgeSet, FrequentPattern, FsmError, Result, Support};
+use fsm_types::{EdgeCatalog, EdgeId, EdgeSet, FrequentPattern, FsmError, Result, Support};
 
 use crate::instrument::DeltaStats;
+use crate::miners::direct::is_canonical_extension;
+use crate::neighborhood::Neighborhood;
+use crate::scratch::ScratchArena;
+
+/// Which enumeration tree a [`DeltaMiner`] maintains (see the
+/// [module docs](self#which-tree)).
+#[derive(Debug, Clone, Copy)]
+pub enum TreeShape<'a> {
+    /// §3.4: every frequent edge collection, connected or not, each reached
+    /// by extending its prefix in ascending edge order.
+    Lexicographic,
+    /// §4: connected collections only, each reached along its canonical
+    /// growth sequence through the catalog's edge neighbourhoods.  Edges
+    /// outside the catalog are tracked as singletons and never grown.
+    Connected(&'a EdgeCatalog),
+}
+
+/// What a maintained tree must agree on to keep advancing: the shape, and
+/// for the connected tree the catalog width it was grown over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ShapeKey {
+    Lexicographic,
+    Connected { catalog_edges: usize },
+}
+
+impl<'a> TreeShape<'a> {
+    fn key(self) -> ShapeKey {
+        match self {
+            TreeShape::Lexicographic => ShapeKey::Lexicographic,
+            TreeShape::Connected(catalog) => ShapeKey::Connected {
+                catalog_edges: catalog.num_edges(),
+            },
+        }
+    }
+
+    /// The root position of singleton `edge`; `None` for a root that cannot
+    /// grow.
+    fn root(self, edge: EdgeId) -> Result<Option<Position<'a>>> {
+        Ok(match self {
+            TreeShape::Lexicographic => Some(Position::Lexicographic { last: edge }),
+            TreeShape::Connected(catalog) if edge.index() < catalog.num_edges() => {
+                Some(Position::Connected {
+                    catalog,
+                    hood: Neighborhood::of_edge(catalog, edge)?,
+                })
+            }
+            TreeShape::Connected(_) => None,
+        })
+    }
+}
+
+/// The enumeration's view of one tree node — the only place the two tree
+/// shapes differ: which extensions the node can have
+/// ([`Position::candidates`]) and what a sweep for a newly frequent edge
+/// does on reaching it ([`Position::admission`]).
+enum Position<'a> {
+    /// The node's largest (last added) edge.
+    Lexicographic { last: EdgeId },
+    /// The node's members and their neighbourhood (equations 1 and 2).
+    Connected {
+        catalog: &'a EdgeCatalog,
+        hood: Neighborhood,
+    },
+}
+
+/// What reaching a node means for the extension `node ∪ {edge}`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Admission {
+    /// It is a tree child of the node: screen it.
+    Extend,
+    /// It is not a child here but can be one further down (the edge is not
+    /// yet adjacent, or not yet the canonical growth step): keep descending.
+    PassThrough,
+    /// Neither here nor anywhere below.
+    Closed,
+}
+
+impl<'a> Position<'a> {
+    /// The position of the child reached by adding `edge`.
+    fn child(&self, edge: EdgeId) -> Result<Self> {
+        Ok(match self {
+            Position::Lexicographic { .. } => Position::Lexicographic { last: edge },
+            Position::Connected { catalog, hood } => Position::Connected {
+                catalog,
+                hood: hood.extend(catalog, edge)?,
+            },
+        })
+    }
+
+    /// A superset of the node's extension edges; the caller keeps those that
+    /// are frequent singletons and [`Admission::Extend`].
+    fn candidates(&self, num_items: usize) -> Candidates<'_> {
+        match self {
+            Position::Lexicographic { last } => Candidates::Ascending(last.index() + 1..num_items),
+            Position::Connected { hood, .. } => Candidates::Neighbours(hood.neighbors().iter()),
+        }
+    }
+
+    fn admission(&self, edge: EdgeId) -> Admission {
+        match self {
+            Position::Lexicographic { last } if *last < edge => Admission::Extend,
+            Position::Lexicographic { .. } => Admission::Closed,
+            Position::Connected { catalog, hood } => {
+                if hood.members().contains(&edge) {
+                    Admission::Closed
+                } else if hood.is_neighbor(edge)
+                    && is_canonical_extension(catalog, hood.members(), edge)
+                {
+                    Admission::Extend
+                } else {
+                    Admission::PassThrough
+                }
+            }
+        }
+    }
+}
+
+/// See [`Position::candidates`].
+enum Candidates<'p> {
+    Ascending(Range<usize>),
+    Neighbours(btree_set::Iter<'p, EdgeId>),
+}
+
+impl Iterator for Candidates<'_> {
+    type Item = EdgeId;
+
+    fn next(&mut self) -> Option<EdgeId> {
+        match self {
+            Candidates::Ascending(range) => range.next().map(|idx| EdgeId::new(idx as u32)),
+            Candidates::Neighbours(iter) => iter.next().copied(),
+        }
+    }
+}
 
 /// Generational handle to a pattern-tree slot: stale handles (left behind in
 /// contribution indexes after a subtree prune) resolve to `None` instead of
@@ -69,8 +230,8 @@ struct NodeRef {
     generation: u32,
 }
 
-/// One tracked frequent collection: a node of the Eclat-style prefix tree,
-/// identified by the edges on its root path (ascending canonical order).
+/// One tracked frequent collection: a node of the prefix tree, identified by
+/// the edges on its root path.
 #[derive(Debug)]
 struct Node {
     edge: EdgeId,
@@ -86,12 +247,41 @@ struct Node {
     border: Vec<BorderEntry>,
 }
 
+impl Node {
+    fn new(edge: EdgeId, parent: Option<NodeRef>, support: Support) -> Self {
+        Self {
+            edge,
+            parent,
+            support,
+            contribs: Vec::new(),
+            children: Vec::new(),
+            border: Vec::new(),
+        }
+    }
+}
+
 /// An arena slot; `generation` increments on every free so old [`NodeRef`]s
 /// die with their node.
 #[derive(Debug)]
 struct Slot {
     generation: u32,
     node: Option<Node>,
+}
+
+/// Borrows only the arena, so callers can update counters and indexes while
+/// holding the node.
+fn slot_mut(slots: &mut [Slot], r: NodeRef) -> Option<&mut Node> {
+    let slot = slots.get_mut(r.idx as usize)?;
+    if slot.generation != r.generation {
+        return None;
+    }
+    slot.node.as_mut()
+}
+
+fn dead_node(during: &str) -> FsmError {
+    FsmError::corrupt(format!(
+        "delta state references a dead pattern node during {during}"
+    ))
 }
 
 /// A remembered failed extension: pattern `parent ∪ {edge}` with its exact
@@ -117,25 +307,40 @@ struct BorderEntry {
     contribs: Vec<(u64, Support)>,
 }
 
+/// What one arriving segment's walk accumulates.
+struct Arrival<'s> {
+    seg: &'s EpochSegment,
+    /// Tracked nodes the segment supports (its `contribs` index row).
+    records: Vec<NodeRef>,
+    /// Border entries the segment supports (its `border_index` row).
+    border_records: Vec<(NodeRef, EdgeId, u64)>,
+    /// Border entries that crossed minsup, in walk (top-down) order.
+    crossings: &'s mut Vec<(NodeRef, EdgeId)>,
+}
+
 /// Incrementally maintains the set of frequent edge collections across
 /// window slides.
 ///
 /// Drive it with [`DeltaMiner::advance`] once per mine against the current
-/// [`EpochSnapshot`]; the first call (and any call after a minsup, limit, or
-/// window discontinuity) falls back to a full rebuild, every later call pays
-/// only for the patterns the slide affected.  The returned collections are
-/// exactly what the §3.4 vertical enumeration would produce at the same
-/// epoch — connected and disconnected alike, so the caller applies the same
-/// §3.5 connectivity post-processing as a full mine.
+/// [`EpochSnapshot`]; the first call (and any call after a minsup, limit,
+/// tree-shape, catalog or window discontinuity) falls back to a full
+/// rebuild, every later call pays only for the patterns the slide affected.
+/// The returned collections are exactly what the enumeration named by the
+/// [`TreeShape`] would produce at the same epoch: the connected frequent
+/// collections for [`TreeShape::Connected`], every frequent collection for
+/// [`TreeShape::Lexicographic`].
 ///
 /// The preferred entry point is the [`crate::StreamMiner::mine_delta`]
-/// facade, which wires snapshots, threshold resolution, and post-processing
-/// exactly like [`crate::StreamMiner::mine`].
+/// facade, which wires snapshots, threshold resolution, and the tree shape
+/// to match [`crate::StreamMiner::mine`].
 #[derive(Debug)]
 pub struct DeltaMiner {
     /// Resolved absolute threshold the current state was built against.
     minsup: Support,
     limits: MiningLimits,
+    /// [`TreeShape::key`] of the tree the state holds (`None` before first
+    /// use).
+    shape_key: Option<ShapeKey>,
     /// Epoch of the snapshot the state reflects (`None` before first use).
     epoch: Option<u64>,
     num_items: usize,
@@ -143,8 +348,8 @@ pub struct DeltaMiner {
     segments: Vec<(u64, usize)>,
     slots: Vec<Slot>,
     free: Vec<u32>,
-    /// Live length-1 patterns, by edge.
-    roots: BTreeMap<EdgeId, NodeRef>,
+    /// Live length-1 patterns, indexed by edge.
+    roots: Vec<Option<NodeRef>>,
     /// Per-segment contribution index for tracked patterns: segment uid →
     /// nodes it supports.  The counts live on the nodes; a departing segment
     /// drains its index row and subtracts each node's recorded contribution.
@@ -156,6 +361,8 @@ pub struct DeltaMiner {
     next_seq: u64,
     /// Which singletons are currently frequent (extension alphabet).
     frequent: Vec<bool>,
+    /// Intersection buffers, one per tree depth.
+    scratch: ScratchArena,
     live_nodes: usize,
     border_entries: usize,
     stats: DeltaStats,
@@ -174,16 +381,18 @@ impl DeltaMiner {
         Self {
             minsup: 0,
             limits: MiningLimits::UNBOUNDED,
+            shape_key: None,
             epoch: None,
             num_items: 0,
             segments: Vec::new(),
             slots: Vec::new(),
             free: Vec::new(),
-            roots: BTreeMap::new(),
+            roots: Vec::new(),
             contribs: HashMap::new(),
             border_index: HashMap::new(),
             next_seq: 0,
             frequent: Vec::new(),
+            scratch: ScratchArena::new(),
             live_nodes: 0,
             border_entries: 0,
             stats: DeltaStats::default(),
@@ -207,14 +416,22 @@ impl DeltaMiner {
     }
 
     /// Brings the maintained pattern set to `snapshot`'s epoch and returns
-    /// every frequent edge collection there (pre-connectivity, like the raw
-    /// §3.4 output; unsorted — [`crate::MiningResult::new`] canonicalises).
+    /// every collection `shape`'s enumeration finds frequent there
+    /// (unsorted — [`crate::MiningResult::new`] canonicalises).
     ///
     /// Incremental when the snapshot continues the previously seen window
-    /// under the same resolved `minsup` and `limits`; otherwise (first call,
-    /// threshold re-resolution, domain growth, or a window discontinuity of
-    /// more than the full window) it falls back to one full rebuild and
-    /// records that in [`DeltaStats::full_rebuilds`].
+    /// under the same resolved `minsup`, `limits` and `shape`; otherwise
+    /// (first call, threshold re-resolution, domain or catalog growth, a
+    /// shape switch, or a window discontinuity of more than the full window)
+    /// it falls back to one full rebuild and records that in
+    /// [`DeltaStats::full_rebuilds`].
+    ///
+    /// Precondition for [`TreeShape::Connected`]: successive calls pass the
+    /// *same* catalog, grown only by interning (what
+    /// [`crate::StreamMiner`] does).  Catalog growth is detected by its
+    /// width alone, so a different catalog of equal width would keep
+    /// advancing a tree grown over the old adjacency; start a new
+    /// `DeltaMiner` to switch catalogs.
     ///
     /// Errors surface a corrupt maintained state ([`FsmError::CorruptStructure`])
     /// instead of panicking, so one tenant's damaged delta state cannot abort
@@ -224,11 +441,13 @@ impl DeltaMiner {
         snapshot: &EpochSnapshot,
         minsup: Support,
         limits: MiningLimits,
+        shape: TreeShape<'_>,
     ) -> Result<Vec<FrequentPattern>> {
         let minsup = minsup.max(1);
         self.stats = DeltaStats::default();
         let unchanged_config = self.minsup == minsup
             && self.limits == limits
+            && self.shape_key == Some(shape.key())
             && self.num_items == snapshot.num_items();
         if self.epoch == Some(snapshot.epoch()) && unchanged_config {
             self.finish_stats();
@@ -242,9 +461,9 @@ impl DeltaMiner {
         let overlap = self.window_overlap(&metas);
         let contiguous = overlap > 0 || self.segments.is_empty() || metas.is_empty();
         if self.epoch.is_some() && unchanged_config && contiguous {
-            self.apply_slides(snapshot, &metas, overlap)?;
+            self.apply_slides(snapshot, shape, &metas, overlap)?;
         } else {
-            self.rebuild(snapshot, &metas, minsup, limits)?;
+            self.rebuild(snapshot, shape, &metas, minsup, limits)?;
         }
         self.epoch = Some(snapshot.epoch());
         self.finish_stats();
@@ -266,24 +485,26 @@ impl DeltaMiner {
             .unwrap_or(0)
     }
 
+    fn is_frequent(&self, edge: EdgeId) -> bool {
+        self.frequent.get(edge.index()).copied().unwrap_or(false)
+    }
+
     // ----- incremental path ------------------------------------------------
 
     fn apply_slides(
         &mut self,
         snapshot: &EpochSnapshot,
+        shape: TreeShape<'_>,
         metas: &[(u64, usize)],
         overlap: usize,
     ) -> Result<()> {
-        let departed: Vec<u64> = self.segments[..self.segments.len() - overlap]
-            .iter()
-            .map(|(uid, _)| *uid)
-            .collect();
+        let departing = self.segments.len() - overlap;
         let arrivals = &snapshot.segments()[overlap..];
-        self.stats.slides_applied = departed.len().max(arrivals.len()) as u64;
+        self.stats.slides_applied = departing.max(arrivals.len()) as u64;
 
         let mut touched = Vec::new();
-        for uid in departed {
-            self.subtract_segment(uid, &mut touched);
+        for i in 0..departing {
+            self.subtract_segment(self.segments[i].0, &mut touched);
         }
         self.segments = metas.to_vec();
         let mut crossings = Vec::new();
@@ -300,10 +521,10 @@ impl DeltaMiner {
         if !promoted.is_empty() || !crossings.is_empty() {
             let view = snapshot.view();
             for (parent, edge) in crossings {
-                self.promote_border(&view, parent, edge)?;
+                self.promote_border(&view, shape, parent, edge)?;
             }
             for edge in promoted {
-                self.promote_singleton(snapshot, &view, edge)?;
+                self.promote_singleton(snapshot, &view, shape, edge)?;
             }
         }
         Ok(())
@@ -360,99 +581,86 @@ impl DeltaMiner {
         seg: &EpochSegment,
         crossings: &mut Vec<(NodeRef, EdgeId)>,
     ) -> Result<()> {
-        let mut records = Vec::new();
-        let roots: Vec<NodeRef> = self.roots.values().copied().collect();
-        for root in roots {
-            self.add_segment_walk(seg, root, None, &mut records, crossings)?;
+        let mut arrival = Arrival {
+            seg,
+            records: Vec::new(),
+            border_records: Vec::new(),
+            crossings,
+        };
+        for idx in 0..self.roots.len() {
+            if let Some(root) = self.roots[idx] {
+                self.add_segment_walk(&mut arrival, root, None, 0)?;
+            }
         }
-        if !records.is_empty() {
-            self.contribs.insert(seg.uid(), records);
+        if !arrival.records.is_empty() {
+            self.contribs.insert(seg.uid(), arrival.records);
+        }
+        if !arrival.border_records.is_empty() {
+            self.border_index.insert(seg.uid(), arrival.border_records);
         }
         Ok(())
     }
 
+    /// One node of the arrival walk.  `prefix_chunk` is the parent pattern's
+    /// columns within the segment (`None` at a root, whose columns are its
+    /// edge's chunk itself — no intersection, the popcount is free).
     fn add_segment_walk(
         &mut self,
-        seg: &EpochSegment,
+        arrival: &mut Arrival<'_>,
         nref: NodeRef,
         prefix_chunk: Option<&BitVec>,
-        records: &mut Vec<NodeRef>,
-        crossings: &mut Vec<(NodeRef, EdgeId)>,
+        depth: usize,
     ) -> Result<()> {
-        self.stats.patterns_reexamined += 1;
-        let edge = self.live(nref, "segment-arrival walk")?.edge;
+        const DURING: &str = "segment-arrival walk";
+        // A root reads its own chunk's popcount: a singleton read like the
+        // ones a full mine takes from the ingest counters, not a screen.
+        self.stats.patterns_reexamined += u64::from(prefix_chunk.is_some());
+        let seg = arrival.seg;
+        let edge = self.live(nref, DURING)?.edge;
         let Some(own) = seg.chunk(edge.index()) else {
             return Ok(());
         };
-        let (contrib, materialised) = match prefix_chunk {
-            // Root level: the pattern's columns within the segment are the
-            // edge's chunk itself — no intersection, the popcount is free.
-            None => (own.count_ones(), None),
-            Some(prefix) => {
-                let mut buf = BitVec::new();
-                let contrib = prefix.and_into(own, &mut buf);
-                (contrib, Some(buf))
-            }
+        let mut buf = self.scratch.take(depth);
+        let (contrib, chunk) = match prefix_chunk {
+            None => (own.count_ones(), own),
+            Some(prefix) => (prefix.and_into(own, &mut buf), &buf),
         };
-        if contrib == 0 {
-            return Ok(());
-        }
-        let uid = seg.uid();
-        {
-            let node = self.live_mut(nref, "segment-arrival walk")?;
+        if contrib > 0 {
+            let uid = seg.uid();
+            let minsup = self.minsup;
+            let node = slot_mut(&mut self.slots, nref).ok_or_else(|| dead_node(DURING))?;
             node.support += contrib;
             node.contribs.push((uid, contrib));
-        }
-        self.stats.patterns_affected += 1;
-        records.push(nref);
-
-        let chunk: &BitVec = materialised.as_ref().unwrap_or(own);
-        // Border entries ride the same walk: each costs one chunk-sized
-        // intersection against the arriving segment (entry tidset = node
-        // tidset ∧ singleton row, restricted to this segment's columns).
-        let gains: Vec<(EdgeId, u64, Support)> = self
-            .live(nref, "segment-arrival walk")?
-            .border
-            .iter()
-            .filter_map(|entry| {
+            self.stats.patterns_affected += 1;
+            arrival.records.push(nref);
+            // Border entries ride the same walk: each costs one chunk-sized
+            // screen against the arriving segment (entry tidset = node
+            // tidset ∧ singleton row, restricted to this segment's columns).
+            for entry in &mut node.border {
                 let gain = seg
                     .chunk(entry.edge.index())
                     .map_or(0, |row| chunk.and_count(row));
-                (gain > 0).then_some((entry.edge, entry.seq, gain))
-            })
-            .collect();
-        let minsup = self.minsup;
-        for (border_edge, seq, gain) in gains {
-            let mut recorded = false;
-            let mut crossed = false;
-            if let Some(node) = self.node_mut(nref) {
-                if let Ok(i) = node.border.binary_search_by_key(&border_edge, |b| b.edge) {
-                    let entry = &mut node.border[i];
-                    if entry.seq == seq {
-                        let was = entry.support;
-                        entry.support += gain;
-                        entry.contribs.push((uid, gain));
-                        recorded = true;
-                        crossed = was < minsup && entry.support >= minsup;
-                    }
+                if gain == 0 {
+                    continue;
+                }
+                let was = entry.support;
+                entry.support += gain;
+                entry.contribs.push((uid, gain));
+                self.stats.border_updates += 1;
+                arrival.border_records.push((nref, entry.edge, entry.seq));
+                if was < minsup && entry.support >= minsup {
+                    arrival.crossings.push((nref, entry.edge));
                 }
             }
-            if recorded {
-                self.stats.border_updates += 1;
-                self.border_index
-                    .entry(uid)
-                    .or_default()
-                    .push((nref, border_edge, seq));
-            }
-            if crossed {
-                crossings.push((nref, border_edge));
+            // The walk changes supports, never the tree, so the child list
+            // is stable under index iteration.
+            let mut i = 0;
+            while let Some(&child) = self.live(nref, DURING)?.children.get(i) {
+                self.add_segment_walk(arrival, child, Some(chunk), depth + 1)?;
+                i += 1;
             }
         }
-
-        let children = self.live(nref, "segment-arrival walk")?.children.clone();
-        for child in children {
-            self.add_segment_walk(seg, child, Some(chunk), records, crossings)?;
-        }
+        self.scratch.put(depth, buf);
         Ok(())
     }
 
@@ -487,9 +695,7 @@ impl DeltaMiner {
             // A root going infrequent is a singleton crossing; those are
             // re-detected from the snapshot's exact support counters, so no
             // border entry is needed.
-            None => {
-                self.roots.remove(&edge);
-            }
+            None => self.roots[edge.index()] = None,
             Some(parent) => {
                 if let Some(node) = self.node_mut(parent) {
                     node.children.retain(|c| *c != nref);
@@ -531,6 +737,7 @@ impl DeltaMiner {
     fn promote_border(
         &mut self,
         view: &WindowView<'_>,
+        shape: TreeShape<'_>,
         parent: NodeRef,
         edge: EdgeId,
     ) -> Result<()> {
@@ -540,81 +747,115 @@ impl DeltaMiner {
         let Ok(i) = node.border.binary_search_by_key(&edge, |b| b.edge) else {
             return Ok(()); // consumed by an earlier promotion this advance
         };
-        let entry = &node.border[i];
-        if entry.support < self.minsup {
+        let (maintained, deep) = (node.border[i].support, node.border[i].deep);
+        if maintained < self.minsup {
             return Ok(());
         }
-        let deep = entry.deep;
-        let len = self.path_len(parent)?;
+        let path = self.root_path(parent)?;
+        let len = path.len();
+        self.remove_border(parent, edge);
         if !self.limits.allows(len + 1) {
-            self.remove_border(parent, edge);
             return Ok(());
+        }
+        // Only grown nodes carry border entries, so the root has a position.
+        let mut position = shape.root(path[0])?.ok_or_else(|| {
+            FsmError::corrupt("delta state holds a border entry under a root that cannot grow")
+        })?;
+        for &member in &path[1..] {
+            position = position.child(member)?;
         }
         self.stats.patterns_reexamined += 1;
-        let mut path = BitVec::new();
-        let mut buf = BitVec::new();
-        let support = match (self.path_tidset(view, parent, &mut path)?, view.row(edge)) {
-            (true, Some(row)) => RowRef::Flat(&path).and_into(&row, &mut buf),
+        let mut parent_tidset = self.scratch.take(len);
+        let mut tidset = self.scratch.take(len + 1);
+        let support = match view.row(edge) {
+            // `tidset` doubles as the path assembly's ping-pong buffer.
+            Some(row) if assemble_path(view, &path, &mut parent_tidset, &mut tidset) => {
+                RowRef::Flat(&parent_tidset).and_into(&row, &mut tidset)
+            }
             _ => 0,
         };
         debug_assert_eq!(
-            support,
-            self.live(parent, "border promotion")?.border[i].support,
+            support, maintained,
             "maintained border support diverged from the materialised tidset"
         );
-        self.remove_border(parent, edge);
-        let child = self.attach_child(parent, edge, support, &buf)?;
+        let child = self.attach_child(parent, edge, support, &tidset)?;
         self.stats.border_promotions += 1;
-        self.expand(view, child, &RowRef::Flat(&buf), len + 1)?;
+        self.expand(
+            view,
+            child,
+            &RowRef::Flat(&tidset),
+            &position.child(edge)?,
+            len + 1,
+        )?;
+        self.scratch.put(len + 1, tidset);
         if deep {
             // Resume the singleton sweep this entry interrupted: the failed
             // screen had skipped the parent's descendants.
             if let Some(row) = view.row(edge) {
-                self.sweep_children(view, parent, &RowRef::Flat(&path), len, edge, &row)?;
+                let tidset = RowRef::Flat(&parent_tidset);
+                self.sweep_children(view, parent, &tidset, &position, len, edge, &row)?;
             }
         }
+        self.scratch.put(len, parent_tidset);
         Ok(())
     }
 
     /// Handles a singleton newly crossing minsup: creates its root (with
-    /// full expansion) and runs a canonical-order sweep extending every
-    /// tracked pattern with `edge` where the screen passes.  Failed screens
-    /// become `deep` border entries — the sweep stops there, and a later
-    /// promotion resumes it below that point.
+    /// full expansion) and sweeps the tree, extending every tracked pattern
+    /// that admits `edge` where the screen passes.  Failed screens become
+    /// `deep` border entries — the sweep stops there, and a later promotion
+    /// resumes it below that point.
     fn promote_singleton(
         &mut self,
         snapshot: &EpochSnapshot,
         view: &WindowView<'_>,
+        shape: TreeShape<'_>,
         edge: EdgeId,
     ) -> Result<()> {
         self.stats.singleton_sweeps += 1;
         if !self.limits.allows(1) {
             return Ok(());
         }
-        let support = snapshot.singleton_support(edge.index());
-        let contribs = self.singleton_contribs(snapshot, edge);
-        let nref = self.alloc(Node {
-            edge,
-            parent: None,
-            support,
-            contribs: Vec::new(),
-            children: Vec::new(),
-            border: Vec::new(),
-        });
-        self.roots.insert(edge, nref);
-        self.stats.patterns_affected += 1;
-        self.stats.patterns_reexamined += 1;
-        self.set_node_contribs(nref, contribs);
-        let Some(row) = view.row(edge) else {
+        let position = shape.root(edge)?;
+        let grows = position.is_some();
+        self.plant_root(snapshot, view, position, edge)?;
+        // A root that cannot grow (an edge outside the catalog) cannot
+        // extend any tracked pattern either: nothing to sweep.
+        let (true, Some(row)) = (grows, view.row(edge)) else {
             return Ok(());
         };
-        self.expand(view, nref, &row, 1)?;
-        self.sweep(view, edge, &row)
+        // Every pattern's root is its smallest edge (in either shape), so
+        // only the roots before `edge` can hold patterns that admit it.
+        for idx in 0..edge.index() {
+            let Some(root) = self.roots[idx] else {
+                continue;
+            };
+            let root_edge = EdgeId::new(idx as u32);
+            let (Some(position), Some(root_row)) = (shape.root(root_edge)?, view.row(root_edge))
+            else {
+                continue;
+            };
+            let admission = position.admission(edge);
+            self.sweep_node(view, root, &root_row, &position, 1, edge, &row, admission)?;
+        }
+        Ok(())
     }
 
-    /// Per-segment contributions of a singleton, straight from the
-    /// snapshot's frozen segment chunks.
-    fn singleton_contribs(&self, snapshot: &EpochSnapshot, edge: EdgeId) -> Vec<(u64, Support)> {
+    /// Creates the root of frequent singleton `edge` and, when it has a
+    /// `position` ([`TreeShape::root`]), fully expands it.
+    fn plant_root(
+        &mut self,
+        snapshot: &EpochSnapshot,
+        view: &WindowView<'_>,
+        position: Option<Position<'_>>,
+        edge: EdgeId,
+    ) -> Result<()> {
+        let support = snapshot.singleton_support(edge.index());
+        let nref = self.alloc(Node::new(edge, None, support));
+        self.roots[edge.index()] = Some(nref);
+        self.stats.patterns_affected += 1;
+        // Per-segment contributions of a singleton come straight from the
+        // snapshot's frozen segment chunks.
         let mut contribs = Vec::new();
         for (seg_idx, &(uid, _)) in self.segments.iter().enumerate() {
             let contrib = snapshot.segment_support(seg_idx, edge.index());
@@ -622,7 +863,11 @@ impl DeltaMiner {
                 contribs.push((uid, contrib));
             }
         }
-        contribs
+        self.set_node_contribs(nref, contribs);
+        if let (Some(position), Some(row)) = (position, view.row(edge)) {
+            self.expand(view, nref, &row, &position, 1)?;
+        }
+        Ok(())
     }
 
     /// Installs a node's contribution records and indexes them per segment.
@@ -635,40 +880,42 @@ impl DeltaMiner {
         }
     }
 
-    /// Full Eclat expansion of one node over the currently frequent
-    /// alphabet: the exact materialise-and-count loop of the §3.4 vertical
-    /// miner, except failed screens are remembered as border entries (whose
-    /// per-segment contributions are split from the materialised tidset).
+    /// Full expansion of one node over the currently frequent alphabet: the
+    /// materialise-and-count loop of the vertical miners, except failed
+    /// screens are remembered as border entries (whose per-segment
+    /// contributions are split from the materialised tidset, which is why
+    /// there is no `and_count` pre-screen here).
     fn expand(
         &mut self,
         view: &WindowView<'_>,
         nref: NodeRef,
         tidset: &RowRef<'_>,
+        position: &Position<'_>,
         len: usize,
     ) -> Result<()> {
         if !self.limits.allows(len + 1) {
             return Ok(());
         }
-        let last = self.live(nref, "expansion")?.edge;
-        for idx in last.index() + 1..self.num_items {
-            if !self.frequent[idx] {
+        let mut buf = self.scratch.take(len + 1);
+        for edge in position.candidates(self.num_items) {
+            if !self.is_frequent(edge) || position.admission(edge) != Admission::Extend {
                 continue;
             }
-            let edge = EdgeId::new(idx as u32);
             self.stats.patterns_reexamined += 1;
             let Some(row) = view.row(edge) else {
                 continue;
             };
-            let mut buf = BitVec::new();
             let support = tidset.and_into(&row, &mut buf);
             if support >= self.minsup {
                 let child = self.attach_child(nref, edge, support, &buf)?;
-                self.expand(view, child, &RowRef::Flat(&buf), len + 1)?;
+                let next = position.child(edge)?;
+                self.expand(view, child, &RowRef::Flat(&buf), &next, len + 1)?;
             } else {
                 let contribs = self.split_contribs(&buf);
                 self.arm_border(nref, edge, support, false, contribs)?;
             }
         }
+        self.scratch.put(len + 1, buf);
         Ok(())
     }
 
@@ -681,14 +928,7 @@ impl DeltaMiner {
         support: Support,
         tidset: &BitVec,
     ) -> Result<NodeRef> {
-        let child = self.alloc(Node {
-            edge,
-            parent: Some(parent),
-            support,
-            contribs: Vec::new(),
-            children: Vec::new(),
-            border: Vec::new(),
-        });
+        let child = self.alloc(Node::new(edge, Some(parent), support));
         self.insert_child(parent, child, edge)?;
         let contribs = self.split_contribs(tidset);
         self.set_node_contribs(child, contribs);
@@ -711,29 +951,20 @@ impl DeltaMiner {
         out
     }
 
-    /// Canonical-order sweep for a singleton `edge` that newly became
-    /// frequent: visits every tracked pattern whose edges all precede
-    /// `edge`, screening the extension against the window rows.
-    fn sweep(&mut self, view: &WindowView<'_>, edge: EdgeId, row: &RowRef<'_>) -> Result<()> {
-        let roots: Vec<NodeRef> = self.roots.range(..edge).map(|(_, r)| *r).collect();
-        for root in roots {
-            let root_edge = self.live(root, "singleton sweep")?.edge;
-            let Some(root_row) = view.row(root_edge) else {
-                continue;
-            };
-            self.sweep_node(view, root, &root_row, 1, edge, row)?;
-        }
-        Ok(())
-    }
-
+    /// One node of a sweep for singleton `edge` that newly became frequent;
+    /// `admission` is this node's (never [`Admission::Closed`] — callers
+    /// test that before materialising `tidset`).
+    #[allow(clippy::too_many_arguments)]
     fn sweep_node(
         &mut self,
         view: &WindowView<'_>,
         nref: NodeRef,
         tidset: &RowRef<'_>,
+        position: &Position<'_>,
         len: usize,
         edge: EdgeId,
         row: &RowRef<'_>,
+        admission: Admission,
     ) -> Result<()> {
         if !self.limits.allows(len + 1) {
             return Ok(());
@@ -748,53 +979,79 @@ impl DeltaMiner {
             .children
             .iter()
             .any(|&c| self.node(c).is_some_and(|n| n.edge == edge));
-        if already_attached {
-            return self.sweep_children(view, nref, tidset, len, edge, row);
+        if admission == Admission::Extend && !already_attached {
+            self.stats.patterns_reexamined += 1;
+            let mut buf = self.scratch.take(len + 1);
+            let support = tidset.and_into(row, &mut buf);
+            // A fresh exact evaluation supersedes any remembered border
+            // entry for this candidate.
+            self.remove_border(nref, edge);
+            let frequent = support >= self.minsup;
+            if frequent {
+                let child = self.attach_child(nref, edge, support, &buf)?;
+                let next = position.child(edge)?;
+                self.expand(view, child, &RowRef::Flat(&buf), &next, len + 1)?;
+            } else {
+                let contribs = self.split_contribs(&buf);
+                self.arm_border(nref, edge, support, true, contribs)?;
+            }
+            self.scratch.put(len + 1, buf);
+            if !frequent {
+                // Anti-monotone: no descendant can support the extension
+                // either.
+                return Ok(());
+            }
         }
-        self.stats.patterns_reexamined += 1;
-        let mut buf = BitVec::new();
-        let support = tidset.and_into(row, &mut buf);
-        // A fresh exact evaluation supersedes any remembered border entry
-        // for this candidate.
-        self.remove_border(nref, edge);
-        if support >= self.minsup {
-            let child = self.attach_child(nref, edge, support, &buf)?;
-            self.expand(view, child, &RowRef::Flat(&buf), len + 1)?;
-        } else {
-            let contribs = self.split_contribs(&buf);
-            self.arm_border(nref, edge, support, true, contribs)?;
-            // Anti-monotone: no descendant can support the extension either.
-            return Ok(());
-        }
-        self.sweep_children(view, nref, tidset, len, edge, row)
+        self.sweep_children(view, nref, tidset, position, len, edge, row)
     }
 
-    /// Continues a sweep into the children of `nref` whose edge precedes the
-    /// swept singleton (extensions stay in canonical ascending order).
+    /// Continues a sweep into every child of `nref` under which a pattern
+    /// can still admit the swept singleton.
+    #[allow(clippy::too_many_arguments)]
     fn sweep_children(
         &mut self,
         view: &WindowView<'_>,
         nref: NodeRef,
         tidset: &RowRef<'_>,
+        position: &Position<'_>,
         len: usize,
         edge: EdgeId,
         row: &RowRef<'_>,
     ) -> Result<()> {
-        let mut children: Vec<(NodeRef, EdgeId)> = Vec::new();
-        for &c in &self.live(nref, "singleton sweep")?.children {
-            let child_edge = self.live(c, "singleton sweep")?.edge;
-            if child_edge < edge {
-                children.push((c, child_edge));
+        const DURING: &str = "singleton sweep";
+        let mut buf = self.scratch.take(len + 1);
+        // A sweep attaches nodes only below the children it descends into
+        // (`nref`'s own extension was attached before this call), so the
+        // child list is stable under index iteration.
+        let mut i = 0;
+        while let Some(&child) = self.live(nref, DURING)?.children.get(i) {
+            i += 1;
+            let node = self.live(child, DURING)?;
+            let (child_edge, leaf) = (node.edge, node.children.is_empty());
+            let child_position = position.child(child_edge)?;
+            let admission = child_position.admission(edge);
+            // A leaf that only passes the sweep through has nothing below it
+            // to pass it to: its tidset is never needed.
+            if admission == Admission::Closed || (leaf && admission == Admission::PassThrough) {
+                continue;
             }
-        }
-        for (child, child_edge) in children {
             let Some(child_row) = view.row(child_edge) else {
                 continue;
             };
-            let mut buf = BitVec::new();
             tidset.and_into(&child_row, &mut buf);
-            self.sweep_node(view, child, &RowRef::Flat(&buf), len + 1, edge, row)?;
+            let child_tidset = RowRef::Flat(&buf);
+            self.sweep_node(
+                view,
+                child,
+                &child_tidset,
+                &child_position,
+                len + 1,
+                edge,
+                row,
+                admission,
+            )?;
         }
+        self.scratch.put(len + 1, buf);
         Ok(())
     }
 
@@ -830,49 +1087,29 @@ impl DeltaMiner {
             deep,
             contribs,
         };
-        let mut inserted = false;
-        {
-            let node = self.live_mut(parent, "border arming")?;
-            match node.border.binary_search_by_key(&edge, |b| b.edge) {
-                Ok(i) => node.border[i] = entry,
-                Err(i) => {
-                    node.border.insert(i, entry);
-                    inserted = true;
-                }
+        let node = self.live_mut(parent, "border arming")?;
+        match node.border.binary_search_by_key(&edge, |b| b.edge) {
+            Ok(i) => node.border[i] = entry,
+            Err(i) => {
+                node.border.insert(i, entry);
+                self.border_entries += 1;
             }
-        }
-        if inserted {
-            self.border_entries += 1;
         }
         Ok(())
     }
 
-    fn remove_border(&mut self, parent: NodeRef, edge: EdgeId) -> Option<BorderEntry> {
-        let node = self.node_mut(parent)?;
-        match node.border.binary_search_by_key(&edge, |b| b.edge) {
-            Ok(i) => {
-                let entry = node.border.remove(i);
-                self.border_entries -= 1;
-                Some(entry)
-            }
-            Err(_) => None,
+    fn remove_border(&mut self, parent: NodeRef, edge: EdgeId) {
+        let Some(node) = self.node_mut(parent) else {
+            return;
+        };
+        if let Ok(i) = node.border.binary_search_by_key(&edge, |b| b.edge) {
+            node.border.remove(i);
+            self.border_entries -= 1;
         }
     }
 
-    fn path_len(&self, nref: NodeRef) -> Result<usize> {
-        let mut len = 0;
-        let mut cursor = Some(nref);
-        while let Some(r) = cursor {
-            len += 1;
-            cursor = self.live(r, "root-path walk")?.parent;
-        }
-        Ok(len)
-    }
-
-    /// Materialises the tidset of `nref`'s full pattern by intersecting its
-    /// root path's rows.  Returns `false` if any row is unavailable (the
-    /// pattern then has support 0 at this epoch).
-    fn path_tidset(&self, view: &WindowView<'_>, nref: NodeRef, out: &mut BitVec) -> Result<bool> {
+    /// The edges on `nref`'s root path, root first.
+    fn root_path(&self, nref: NodeRef) -> Result<Vec<EdgeId>> {
         let mut edges = Vec::new();
         let mut cursor = Some(nref);
         while let Some(r) = cursor {
@@ -881,29 +1118,18 @@ impl DeltaMiner {
             cursor = node.parent;
         }
         edges.reverse();
-        let Some(first) = view.row(edges[0]) else {
-            return Ok(false);
-        };
-        first.assemble_into(out);
-        let mut scratch = BitVec::new();
-        for &edge in &edges[1..] {
-            let Some(row) = view.row(edge) else {
-                return Ok(false);
-            };
-            RowRef::Flat(out).and_into(&row, &mut scratch);
-            std::mem::swap(out, &mut scratch);
-        }
-        Ok(true)
+        Ok(edges)
     }
 
     // ----- full rebuild ----------------------------------------------------
 
     /// Rebuilds the whole state from one snapshot: the same enumeration as
-    /// the sequential §3.4 vertical miner, additionally materialising the
+    /// the sequential miner `shape` names, additionally materialising the
     /// per-segment contribution records and the border set.
     fn rebuild(
         &mut self,
         snapshot: &EpochSnapshot,
+        shape: TreeShape<'_>,
         metas: &[(u64, usize)],
         minsup: Support,
         limits: MiningLimits,
@@ -911,11 +1137,13 @@ impl DeltaMiner {
         self.stats.full_rebuilds = 1;
         self.minsup = minsup;
         self.limits = limits;
+        self.shape_key = Some(shape.key());
         self.num_items = snapshot.num_items();
         self.segments = metas.to_vec();
         self.slots.clear();
         self.free.clear();
         self.roots.clear();
+        self.roots.resize(self.num_items, None);
         self.contribs.clear();
         self.border_index.clear();
         self.live_nodes = 0;
@@ -928,26 +1156,9 @@ impl DeltaMiner {
         }
         let view = snapshot.view();
         for idx in 0..self.num_items {
-            if !self.frequent[idx] {
-                continue;
-            }
-            let edge = EdgeId::new(idx as u32);
-            let support = snapshot.singleton_support(idx);
-            let contribs = self.singleton_contribs(snapshot, edge);
-            let nref = self.alloc(Node {
-                edge,
-                parent: None,
-                support,
-                contribs: Vec::new(),
-                children: Vec::new(),
-                border: Vec::new(),
-            });
-            self.roots.insert(edge, nref);
-            self.stats.patterns_affected += 1;
-            self.stats.patterns_reexamined += 1;
-            self.set_node_contribs(nref, contribs);
-            if let Some(row) = view.row(edge) {
-                self.expand(&view, nref, &row, 1)?;
+            if self.frequent[idx] {
+                let edge = EdgeId::new(idx as u32);
+                self.plant_root(snapshot, &view, shape.root(edge)?, edge)?;
             }
         }
         Ok(())
@@ -959,20 +1170,12 @@ impl DeltaMiner {
     /// error rather than a silent skip — used where liveness is an invariant
     /// of the maintained structure, not an expected race with pruning.
     fn live(&self, r: NodeRef, during: &str) -> Result<&Node> {
-        self.node(r).ok_or_else(|| {
-            FsmError::corrupt(format!(
-                "delta state references a dead pattern node during {during}"
-            ))
-        })
+        self.node(r).ok_or_else(|| dead_node(during))
     }
 
     /// Mutable counterpart of [`DeltaMiner::live`].
     fn live_mut(&mut self, r: NodeRef, during: &str) -> Result<&mut Node> {
-        self.node_mut(r).ok_or_else(|| {
-            FsmError::corrupt(format!(
-                "delta state references a dead pattern node during {during}"
-            ))
-        })
+        self.node_mut(r).ok_or_else(|| dead_node(during))
     }
 
     fn node(&self, r: NodeRef) -> Option<&Node> {
@@ -984,11 +1187,7 @@ impl DeltaMiner {
     }
 
     fn node_mut(&mut self, r: NodeRef) -> Option<&mut Node> {
-        let slot = self.slots.get_mut(r.idx as usize)?;
-        if slot.generation != r.generation {
-            return None;
-        }
-        slot.node.as_mut()
+        slot_mut(&mut self.slots, r)
     }
 
     fn alloc(&mut self, node: Node) -> NodeRef {
@@ -1050,7 +1249,7 @@ impl DeltaMiner {
     fn collect(&self) -> Result<Vec<FrequentPattern>> {
         let mut out = Vec::with_capacity(self.live_nodes);
         let mut prefix = Vec::new();
-        for &root in self.roots.values() {
+        for &root in self.roots.iter().flatten() {
             self.collect_node(root, &mut prefix, &mut out)?;
         }
         Ok(out)
@@ -1074,4 +1273,27 @@ impl DeltaMiner {
         prefix.pop();
         Ok(())
     }
+}
+
+/// Materialises the tidset of the pattern `path` into `out` by intersecting
+/// its rows (`scratch` is the ping-pong buffer).  Returns `false` if any row
+/// is unavailable — the pattern then has support 0 at this epoch.
+fn assemble_path(
+    view: &WindowView<'_>,
+    path: &[EdgeId],
+    out: &mut BitVec,
+    scratch: &mut BitVec,
+) -> bool {
+    let Some(first) = view.row(path[0]) else {
+        return false;
+    };
+    first.assemble_into(out);
+    for &edge in &path[1..] {
+        let Some(row) = view.row(edge) else {
+            return false;
+        };
+        RowRef::Flat(out).and_into(&row, scratch);
+        std::mem::swap(out, scratch);
+    }
+    true
 }

@@ -103,7 +103,10 @@ pub struct DeltaStats {
     /// without evaluating anything.
     pub patterns_affected: u64,
     /// Support evaluations the advance performed in total — the delta-mine
-    /// analogue of a full re-mine's candidate screens.
+    /// analogue of a full re-mine's candidate screens, and like them not
+    /// counting singleton reads: a root's arrival contribution is its own
+    /// chunk's popcount, no intersection, just as a full mine takes singleton
+    /// supports from the ingest-time counters.
     pub patterns_reexamined: u64,
     /// Border entries (infrequent extensions armed for promotion) after the
     /// advance.

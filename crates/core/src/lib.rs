@@ -97,7 +97,7 @@ pub use algorithm::{Algorithm, ConnectivityMode};
 pub use baseline::{mine_dstable, mine_dstree, BaselineStructure};
 pub use config::{MinerConfig, StreamMinerBuilder};
 pub use connectivity::ConnectivityChecker;
-pub use delta::DeltaMiner;
+pub use delta::{DeltaMiner, TreeShape};
 pub use fsm_dsmatrix::{DurabilityConfig, RecoveryReport};
 pub use instrument::{DeltaStats, MiningStats};
 pub use miner::{MinerSnapshot, StreamMiner};

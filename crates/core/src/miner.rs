@@ -15,7 +15,7 @@ use fsm_types::{Batch, BatchId, EdgeCatalog, GraphSnapshot, Result, Support, Tra
 use crate::algorithm::{Algorithm, ConnectivityMode};
 use crate::config::MinerConfig;
 use crate::connectivity::ConnectivityChecker;
-use crate::delta::DeltaMiner;
+use crate::delta::{DeltaMiner, TreeShape};
 use crate::miners;
 use crate::parallel::Exec;
 use crate::result::MiningResult;
@@ -275,35 +275,47 @@ impl StreamMiner {
     /// re-enumerating the whole window.
     ///
     /// Pattern output is byte-identical to [`StreamMiner::mine`] at the same
-    /// epoch for every algorithm, backend and thread count (the maintained
-    /// set is the full §3.4 enumeration, and the same §3.5 connectivity
-    /// post-processing is applied on collection) — property-tested against
-    /// the full re-mine oracle in `crates/core/tests/delta_agreement.rs`.
-    /// The work actually performed is reported in
-    /// [`crate::MiningStats::delta`].
+    /// epoch for every algorithm, backend, thread count and connectivity
+    /// mode, because the maintained tree is the set that mine returns
+    /// ([`TreeShape`]): the connected collections (§4 neighbourhood growth,
+    /// nothing to post-process) for [`Algorithm::DirectVertical`] and for
+    /// every algorithm under [`ConnectivityMode::Exact`]; the full §3.4
+    /// enumeration followed by the paper-rule filter only for a
+    /// post-processing algorithm under [`ConnectivityMode::PaperRule`], whose
+    /// answer includes the disconnected collections the rule lets through.
+    /// Property-tested against the full re-mine oracle in
+    /// `crates/core/tests/delta_agreement.rs`.  The work actually performed
+    /// is reported in [`crate::MiningStats::delta`].
     ///
-    /// The first call (and any call after the resolved minimum support or
-    /// pattern-length limit changed, e.g. a relative threshold re-resolving
-    /// as the window grows) performs one full rebuild; steady-state calls on
-    /// a sliding window are O(patterns affected by the slide).
+    /// The first call (and any call after the resolved minimum support, the
+    /// pattern-length limit or the catalog changed, e.g. a relative threshold
+    /// re-resolving as the window grows or [`StreamMiner::ingest_snapshots`]
+    /// interning a new vertex pair) performs one full rebuild; steady-state
+    /// calls on a sliding window are O(patterns affected by the slide).
     pub fn mine_delta(&mut self) -> Result<MiningResult> {
         let start = Instant::now();
         let read_before = self.matrix.read_stats();
         let snapshot = self.matrix.snapshot_epoch()?;
         let resolved = self.config.min_support.resolve(snapshot.num_transactions());
+        let paper_rule = self.config.algorithm.needs_postprocessing()
+            && self.config.connectivity == ConnectivityMode::PaperRule;
+        let shape = if paper_rule {
+            TreeShape::Lexicographic
+        } else {
+            TreeShape::Connected(&self.catalog)
+        };
         let state = self.delta.get_or_insert_with(DeltaMiner::new);
-        let mut patterns = state.advance(&snapshot, resolved, self.config.limits)?;
+        let mut patterns = state.advance(&snapshot, resolved, self.config.limits, shape)?;
         let mut stats = crate::MiningStats {
             delta: state.stats().clone(),
             intersections: state.stats().patterns_reexamined,
             ..Default::default()
         };
         stats.patterns_before_postprocess = patterns.len();
-        // The maintained set is the full enumeration (connected and
-        // disconnected, like §3.4), so the connectivity step always runs —
-        // the final pattern set is the same one every algorithm produces.
-        let checker = ConnectivityChecker::new(&self.catalog, self.config.connectivity);
-        stats.patterns_pruned = checker.prune_disconnected(&mut patterns);
+        if paper_rule {
+            let checker = ConnectivityChecker::new(&self.catalog, ConnectivityMode::PaperRule);
+            stats.patterns_pruned = checker.prune_disconnected(&mut patterns);
+        }
         let read_after = self.matrix.read_stats();
         stats.read_words_assembled = read_after.words_assembled - read_before.words_assembled;
         stats.pages_read = read_after.pages_read - read_before.pages_read;

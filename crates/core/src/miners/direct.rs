@@ -178,7 +178,11 @@ fn grow(
 /// step of the resulting pattern: rebuilding the pattern from its smallest
 /// edge by repeatedly absorbing the smallest adjacent member must absorb
 /// `candidate` last.
-fn is_canonical_extension(
+///
+/// Canonical sequences are prefix-closed, so the connected patterns form a
+/// tree under this relation; [`crate::DeltaMiner`] maintains that same tree
+/// across window slides.
+pub(crate) fn is_canonical_extension(
     catalog: &EdgeCatalog,
     members: &std::collections::BTreeSet<EdgeId>,
     candidate: EdgeId,

@@ -1,33 +1,64 @@
 //! Delta-mining agreement: the incrementally maintained pattern set must be
 //! **byte-identical** to a full re-mine at every epoch of a randomized slide
 //! sequence — for all five algorithms, both storage backends, several thread
-//! counts, and absolute *and* relative thresholds (whose re-resolution as
-//! the window size changes forces the delta miner's rebuild fallback).
+//! counts, both connectivity modes, and absolute *and* relative thresholds
+//! (whose re-resolution as the window size changes forces the delta miner's
+//! rebuild fallback).
 //!
-//! Alongside the facade-level oracle property, a shadow-model test drives
-//! [`DeltaMiner`] directly and recounts every support brute-force from the
-//! window's transactions (the `HashMap`-free equivalent of recounting from
-//! scratch): the maintained set must equal the recounted frequent set after
-//! every advance, which catches border-set bookkeeping errors (missed
-//! promotions, stale triggers, wrong per-segment contributions) that the
-//! pattern-level oracle would only surface indirectly.  A third test
-//! interleaves delta advances with a held epoch snapshot mined concurrently
-//! on another thread — the PR 7 reader/writer split must compose with delta
-//! state.
+//! Alongside the facade-level oracle property, two shadow-model tests drive
+//! [`DeltaMiner`] directly — one per [`TreeShape`] — and recount every
+//! support brute-force from the window's transactions (the `HashMap`-free
+//! equivalent of recounting from scratch): the maintained set must equal the
+//! recounted frequent set after every advance, which catches border-set
+//! bookkeeping errors (missed promotions, stale triggers, wrong per-segment
+//! contributions) that the pattern-level oracle would only surface
+//! indirectly.  Another test interleaves delta advances with a held epoch
+//! snapshot mined concurrently on another thread — the PR 7 reader/writer
+//! split must compose with delta state.
 
 use std::thread;
 
-use fsm_core::{Algorithm, DeltaMiner, MiningResult, StreamMiner, StreamMinerBuilder};
+use fsm_core::{
+    Algorithm, ConnectivityMode, DeltaMiner, MiningResult, StreamMiner, StreamMinerBuilder,
+    TreeShape,
+};
 use fsm_fptree::MiningLimits;
 use fsm_storage::StorageBackend;
-use fsm_types::{Batch, MinSup, Transaction};
+use fsm_types::{Batch, EdgeCatalog, EdgeSet, GraphSnapshot, MinSup, Transaction, VertexId};
 use proptest::prelude::*;
 
-const VERTICES: u32 = 5;
 const EDGES: u32 = 10;
 
+fn catalog_of(pairs: &[(u32, u32)]) -> EdgeCatalog {
+    EdgeCatalog::from_pairs(
+        pairs
+            .iter()
+            .map(|&(u, v)| (VertexId::new(u), VertexId::new(v))),
+    )
+}
+
+/// Two triangles joined by four bridges: ten edges over six vertices, the
+/// smallest shape where the paper's vertex-frequency rule and the exact check
+/// disagree (`{(1,2),(2,3),(4,5),(5,6)}` passes the rule, disconnected).
+fn two_triangles() -> EdgeCatalog {
+    catalog_of(&[
+        (1, 2),
+        (2, 3),
+        (1, 3),
+        (4, 5),
+        (5, 6),
+        (4, 6),
+        (1, 4),
+        (2, 5),
+        (3, 6),
+        (1, 5),
+    ])
+}
+
+#[allow(clippy::too_many_arguments)]
 fn build(
     algorithm: Algorithm,
+    connectivity: ConnectivityMode,
     window: usize,
     minsup: MinSup,
     backend: StorageBackend,
@@ -37,12 +68,13 @@ fn build(
 ) -> StreamMiner {
     let mut builder = StreamMinerBuilder::new()
         .algorithm(algorithm)
+        .connectivity(connectivity)
         .window_batches(window)
         .min_support(minsup)
         .backend(backend)
         .threads(threads)
         .delta(delta)
-        .complete_graph_vertices(VERTICES);
+        .catalog(two_triangles());
     if let Some(max) = max_len {
         builder = builder.max_pattern_len(max);
     }
@@ -101,8 +133,8 @@ proptest! {
     /// The headline property: `mine_delta` after every slide (and, via the
     /// random mask, after *runs* of slides — multi-segment advances) equals
     /// the stop-the-world miner of each algorithm at the same epoch, on
-    /// both backends, sequential and threaded oracles, absolute and
-    /// relative thresholds.  Relative thresholds re-resolve as the window
+    /// both backends, sequential and threaded oracles, both connectivity
+    /// modes, absolute and relative thresholds.  Relative thresholds re-resolve as the window
     /// fills, which must route the delta miner through its rebuild
     /// fallback without breaking agreement.
     #[test]
@@ -121,30 +153,35 @@ proptest! {
             MinSup::absolute(abs)
         };
         for algorithm in Algorithm::ALL {
-            for backend in [StorageBackend::Memory, StorageBackend::DiskTemp] {
-                for threads in [1usize, 2] {
-                    let label = format!(
-                        "{algorithm} {backend:?} threads={threads} minsup={minsup} max_len={max_len:?}"
-                    );
-                    let mut delta_miner = build(
-                        algorithm, window, minsup, backend.clone(), threads, max_len, true,
-                    );
-                    let mut oracle = build(
-                        algorithm, window, minsup, backend.clone(), threads, max_len, false,
-                    );
-                    for (i, batch) in batches.iter().enumerate() {
-                        delta_miner.ingest_batch(batch).unwrap();
-                        oracle.ingest_batch(batch).unwrap();
-                        // The mask skips mines at some epochs, so the next
-                        // delta advance has to absorb several slides at once
-                        // (and a full window turnover when the gap exceeds
-                        // the window).  The last epoch is always mined.
-                        if i + 1 != batches.len() && !mask[i % mask.len()] {
-                            continue;
+            for connectivity in [ConnectivityMode::Exact, ConnectivityMode::PaperRule] {
+                for backend in [StorageBackend::Memory, StorageBackend::DiskTemp] {
+                    for threads in [1usize, 2] {
+                        let label = format!(
+                            "{algorithm} {connectivity} {backend:?} threads={threads} \
+                             minsup={minsup} max_len={max_len:?}"
+                        );
+                        let miner = |delta| {
+                            build(
+                                algorithm, connectivity, window, minsup, backend.clone(),
+                                threads, max_len, delta,
+                            )
+                        };
+                        let (mut delta_miner, mut oracle) = (miner(true), miner(false));
+                        for (i, batch) in batches.iter().enumerate() {
+                            delta_miner.ingest_batch(batch).unwrap();
+                            oracle.ingest_batch(batch).unwrap();
+                            // The mask skips mines at some epochs, so the
+                            // next delta advance has to absorb several
+                            // slides at once (and a full window turnover
+                            // when the gap exceeds the window).  The last
+                            // epoch is always mined.
+                            if i + 1 != batches.len() && !mask[i % mask.len()] {
+                                continue;
+                            }
+                            let incremental = delta_miner.mine().unwrap();
+                            let full = oracle.mine().unwrap();
+                            assert_same(&format!("{label} epoch={i}"), &incremental, &full)?;
                         }
-                        let incremental = delta_miner.mine().unwrap();
-                        let full = oracle.mine().unwrap();
-                        assert_same(&format!("{label} epoch={i}"), &incremental, &full)?;
                     }
                 }
             }
@@ -168,6 +205,7 @@ proptest! {
         let batches = to_batches(&raw);
         let mut miner = build(
             Algorithm::Vertical,
+            ConnectivityMode::Exact,
             window,
             MinSup::absolute(minsup),
             StorageBackend::Memory,
@@ -186,7 +224,9 @@ proptest! {
             // must fall back to a full rebuild exactly once per switch.
             let threshold = if i >= batches.len() / 2 { switched } else { minsup };
             let snapshot = miner.matrix_mut().snapshot_epoch().unwrap();
-            let mut found = state.advance(&snapshot, threshold, MiningLimits::UNBOUNDED).unwrap();
+            let mut found = state
+                .advance(&snapshot, threshold, MiningLimits::UNBOUNDED, TreeShape::Lexicographic)
+                .unwrap();
             rebuilds_seen += state.stats().full_rebuilds;
 
             let window_tx = window_transactions(&batches, i, window);
@@ -209,6 +249,77 @@ proptest! {
             prop_assert_eq!(state.stats().border_size, state.border_size());
         }
         prop_assert!(rebuilds_seen >= 1, "the first advance is always a rebuild");
+    }
+
+    /// The same shadow model for the connected tree: the maintained set
+    /// must equal the brute-force recount of the *connected* frequent sets
+    /// over catalogs that are not complete graphs.  Every catalog knows
+    /// only edges `0..8` while the stream mentions `0..10`, so members
+    /// outside the catalog must stay singleton-only (and their first
+    /// appearance widens the matrix, one more rebuild trigger).
+    #[test]
+    fn connected_delta_state_matches_a_brute_force_recount(
+        raw in arb_stream(),
+        mask in proptest::collection::vec(any::<bool>(), 6),
+        window in 1usize..4,
+        knobs in (1u64..4, 1u64..4, 0usize..3, 0usize..5),
+    ) {
+        let (minsup, switched, catalog_idx, max_len_raw) = knobs;
+        let catalog = match catalog_idx {
+            // a path, a star, and two components (a path and a triangle
+            // with a tail)
+            0 => catalog_of(&[(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9)]),
+            1 => catalog_of(&[(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (1, 8), (1, 9)]),
+            _ => catalog_of(&[(1, 2), (2, 3), (3, 4), (4, 5), (6, 7), (7, 8), (6, 8), (8, 9)]),
+        };
+        let limits = match max_len_raw {
+            0 => MiningLimits::UNBOUNDED,
+            max => MiningLimits::with_max_len(max),
+        };
+        let batches = to_batches(&raw);
+        let mut miner = StreamMinerBuilder::new()
+            .window_batches(window)
+            .catalog(catalog.clone())
+            .build()
+            .unwrap();
+        let mut state = DeltaMiner::new();
+        for (i, batch) in batches.iter().enumerate() {
+            miner.ingest_batch(batch).unwrap();
+            if i + 1 != batches.len() && !mask[i % mask.len()] {
+                continue;
+            }
+            let threshold = if i >= batches.len() / 2 { switched } else { minsup };
+            let snapshot = miner.matrix_mut().snapshot_epoch().unwrap();
+            let found = state
+                .advance(&snapshot, threshold, limits, TreeShape::Connected(&catalog))
+                .unwrap();
+
+            let window_tx = window_transactions(&batches, i, window);
+            let mut expected = brute_force_frequent(&window_tx, threshold);
+            expected.retain(|(set, _)| {
+                limits.allows(set.len())
+                    && EdgeSet::from_raw(set.iter().copied()).is_connected(&catalog)
+            });
+            let mut got: Vec<(Vec<u32>, u64)> = found
+                .iter()
+                .map(|p| (p.edges.edges().iter().map(|e| e.0).collect(), p.support))
+                .collect();
+            got.sort();
+            expected.sort();
+            prop_assert_eq!(
+                got,
+                expected,
+                "epoch {} window {} minsup {} catalog {} limits {:?}: maintained connected \
+                 set diverged from recount",
+                i,
+                window,
+                threshold,
+                catalog_idx,
+                limits
+            );
+            prop_assert_eq!(state.stats().patterns_tracked, state.patterns_tracked());
+            prop_assert_eq!(state.stats().border_size, state.border_size());
+        }
     }
 }
 
@@ -305,6 +416,7 @@ fn delta_advances_while_a_held_snapshot_is_mined() {
     let batches = to_batches(&raw);
     let mut delta_miner = build(
         Algorithm::Vertical,
+        ConnectivityMode::Exact,
         2,
         MinSup::absolute(2),
         StorageBackend::Memory,
@@ -314,6 +426,7 @@ fn delta_advances_while_a_held_snapshot_is_mined() {
     );
     let mut oracle = build(
         Algorithm::Vertical,
+        ConnectivityMode::Exact,
         2,
         MinSup::absolute(2),
         StorageBackend::Memory,
@@ -359,6 +472,7 @@ fn delta_advances_while_a_held_snapshot_is_mined() {
 fn repeated_delta_mines_are_idempotent() {
     let mut miner = build(
         Algorithm::Vertical,
+        ConnectivityMode::Exact,
         2,
         MinSup::absolute(2),
         StorageBackend::Memory,
@@ -375,4 +489,138 @@ fn repeated_delta_mines_are_idempotent() {
     assert_eq!(again.stats().delta.full_rebuilds, 0);
     assert_eq!(again.stats().delta.slides_applied, 0);
     assert_eq!(again.stats().delta.patterns_reexamined, 0);
+}
+
+/// With `DirectVertical` the connectivity mode is irrelevant to a full mine
+/// (the algorithm never post-processes), so it must be irrelevant to the
+/// delta mine too.  `{a,f,m,o}` — two disjoint two-edge paths — passes the
+/// paper's vertex-frequency rule; a delta miner that paper-rule-filters a
+/// §3.4 tree reports it, the full mine never does.
+#[test]
+fn direct_vertical_under_the_paper_rule_reports_no_disconnected_collection() {
+    let catalog = EdgeCatalog::complete(6);
+    let pair = |u, v| {
+        catalog
+            .lookup(VertexId::new(u), VertexId::new(v))
+            .unwrap()
+            .0
+    };
+    let transaction = [pair(1, 2), pair(2, 3), pair(4, 5), pair(5, 6)];
+    let batch = Batch::from_transactions(0, vec![Transaction::from_raw(transaction); 3]);
+    let mine = |delta: bool| {
+        let mut miner = StreamMinerBuilder::new()
+            .algorithm(Algorithm::DirectVertical)
+            .connectivity(ConnectivityMode::PaperRule)
+            .min_support(MinSup::absolute(2))
+            .delta(delta)
+            .catalog(catalog.clone())
+            .build()
+            .unwrap();
+        miner.ingest_batch(&batch).unwrap();
+        miner.mine().unwrap()
+    };
+    let (full, delta) = (mine(false), mine(true));
+    assert_eq!(full.len(), 6, "four singletons and the two connected pairs");
+    assert!(
+        delta.same_patterns_as(&full),
+        "delta diverged from the full mine: {:?}",
+        full.diff(&delta)
+    );
+    assert_eq!(delta.support_of(&EdgeSet::from_raw(transaction)), None);
+}
+
+/// `ingest_snapshots` interning a vertex pair adjacent to tracked patterns
+/// changes the neighbourhoods the connected tree was grown over: the next
+/// delta mine must rebuild — once — and stay byte-identical throughout.
+#[test]
+fn interning_an_adjacent_vertex_pair_mid_stream_rebuilds_once() {
+    let snapshots = |graphs: &[&[(u32, u32)]]| -> Vec<GraphSnapshot> {
+        graphs
+            .iter()
+            .map(|pairs| GraphSnapshot::from_pairs(pairs.iter().copied()))
+            .collect()
+    };
+    let stream = [
+        snapshots(&[&[(1, 2), (2, 3)], &[(1, 2), (2, 3)], &[(1, 2)]]),
+        snapshots(&[&[(1, 2), (2, 3)], &[(2, 3)]]),
+        // (3,4) is new here and adjacent to the tracked {(1,2),(2,3)}.
+        snapshots(&[
+            &[(1, 2), (2, 3), (3, 4)],
+            &[(2, 3), (3, 4)],
+            &[(1, 2), (2, 3), (3, 4)],
+        ]),
+        snapshots(&[&[(1, 2), (2, 3), (3, 4)], &[(2, 3), (3, 4)]]),
+    ];
+    let build = |delta: bool| {
+        StreamMinerBuilder::new()
+            .algorithm(Algorithm::Vertical)
+            .window_batches(2)
+            .min_support(MinSup::absolute(2))
+            .delta(delta)
+            .build()
+            .unwrap()
+    };
+    let (mut delta_miner, mut oracle) = (build(true), build(false));
+    let mut rebuilds = Vec::new();
+    for batch in &stream {
+        delta_miner.ingest_snapshots(batch).unwrap();
+        oracle.ingest_snapshots(batch).unwrap();
+        let incremental = delta_miner.mine().unwrap();
+        let full = oracle.mine().unwrap();
+        assert!(
+            incremental.same_patterns_as(&full),
+            "delta diverged from the full re-mine: {:?}",
+            full.diff(&incremental)
+        );
+        rebuilds.push(incremental.stats().delta.full_rebuilds);
+    }
+    assert_eq!(rebuilds, [1, 0, 1, 0]);
+    // The grown pattern spans the newly interned pair.
+    let last = delta_miner.mine().unwrap();
+    assert_eq!(last.support_of(&EdgeSet::from_raw([0, 1, 2])), Some(3));
+}
+
+/// The catalog width is a rebuild trigger of its own: a wider catalog over
+/// an unchanged matrix domain still means different neighbourhoods.
+#[test]
+fn catalog_growth_alone_rebuilds_the_connected_tree() {
+    let narrow = catalog_of(&[(1, 2), (2, 3)]);
+    let wide = catalog_of(&[(1, 2), (2, 3), (3, 4)]);
+    let mut miner = StreamMinerBuilder::new()
+        .window_batches(2)
+        .catalog(wide.clone())
+        .build()
+        .unwrap();
+    let batches = to_batches(&[vec![vec![0, 1, 2], vec![0, 1, 2]], vec![vec![1, 2]]]);
+    let mut state = DeltaMiner::new();
+    let mut advance = |miner: &mut StreamMiner, catalog: &EdgeCatalog| {
+        let snapshot = miner.matrix_mut().snapshot_epoch().unwrap();
+        let found = state
+            .advance(
+                &snapshot,
+                2,
+                MiningLimits::UNBOUNDED,
+                TreeShape::Connected(catalog),
+            )
+            .unwrap();
+        (found.len(), state.stats().full_rebuilds)
+    };
+    miner.ingest_batch(&batches[0]).unwrap();
+    // Edge 2 is outside the narrow catalog: a singleton, never grown.
+    assert_eq!(advance(&mut miner, &narrow), (4, 1));
+    miner.ingest_batch(&batches[1]).unwrap();
+    assert_eq!(advance(&mut miner, &narrow), (4, 0));
+    // Same epoch, wider catalog: {b,c} and {a,b,c} become reachable.
+    assert_eq!(advance(&mut miner, &wide), (6, 1));
+    // ... and a shape switch rebuilds too ({a,c} is frequent, disconnected).
+    let snapshot = miner.matrix_mut().snapshot_epoch().unwrap();
+    let all = state
+        .advance(
+            &snapshot,
+            2,
+            MiningLimits::UNBOUNDED,
+            TreeShape::Lexicographic,
+        )
+        .unwrap();
+    assert_eq!((all.len(), state.stats().full_rebuilds), (7, 1));
 }

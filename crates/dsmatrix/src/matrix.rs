@@ -356,7 +356,7 @@ impl DsMatrix {
 
         // The WAL self-repairs its torn tail on open; everything before the
         // tear is intact (per-record CRCs).
-        let (wal, records, torn) = Wal::open(dur.wal_path())?;
+        let (mut wal, records, torn) = Wal::open(dur.wal_path())?;
         let wal_torn = torn.map(|t| t.reason);
 
         // Newest checkpoint whose metadata *and* referenced pages verify
@@ -426,6 +426,11 @@ impl DsMatrix {
             );
         }
 
+        // A checkpoint can cover the whole log (two checkpoints with no
+        // ingest between them prune it to nothing): the WAL then continues
+        // from the checkpoint's sequence number, not from whatever the
+        // surviving records say.
+        wal.resume_after(ckpt.last_seq);
         let mut durable = DurableState::fresh(dur, wal);
         durable.applied_seq = ckpt.last_seq;
         durable.last_ckpt_seq = checkpoint_seq;

@@ -127,6 +127,63 @@ fn durable_hibernate_reuses_the_checkpoint_path() {
     assert_same_window(&mut replayed, &mut thawed, "durable thaw");
 }
 
+/// Two checkpoints with no ingest between them prune the WAL to nothing
+/// (the older retained checkpoint then covers every record).  Recovery must
+/// resume the log at the checkpoint's sequence number, or the first ingest
+/// after the thaw is refused as an out-of-order append.
+#[test]
+fn a_checkpoint_that_emptied_the_wal_still_thaws_into_an_ingestable_window() {
+    let durable_root = TempDir::new("hib-pruned-wal").unwrap();
+    let spill = TempDir::new("hib-pruned-wal-spill").unwrap();
+    let stream = batches(&[
+        vec![vec![0, 1], vec![2]],
+        vec![vec![1, 3]],
+        vec![vec![0, 4], vec![3, 5], vec![2]],
+        vec![vec![1, 2], vec![0, 5]],
+        vec![vec![3]],
+    ]);
+    let durable_config = || {
+        config(2, StorageBackend::DiskTemp)
+            .with_durability(DurabilityConfig::new(durable_root.path().to_path_buf()))
+    };
+    let mut replayed = DsMatrix::new(config(2, StorageBackend::DiskTemp)).unwrap();
+    let mut original = DsMatrix::new(durable_config()).unwrap();
+    for batch in &stream[..3] {
+        original.ingest_batch(batch).unwrap();
+        replayed.ingest_batch(batch).unwrap();
+    }
+    original.hibernate(spill.path()).unwrap();
+    original.hibernate(spill.path()).unwrap();
+    drop(original);
+    assert_eq!(
+        std::fs::metadata(durable_root.path().join("wal.log"))
+            .unwrap()
+            .len(),
+        0,
+        "the second checkpoint prunes every record"
+    );
+
+    let mut thawed = DsMatrix::thaw(durable_config(), spill.path()).unwrap();
+    assert_same_window(&mut replayed, &mut thawed, "thaw over an empty WAL");
+    thawed.ingest_batch(&stream[3]).unwrap();
+    replayed.ingest_batch(&stream[3]).unwrap();
+    assert_same_window(&mut replayed, &mut thawed, "first ingest after the thaw");
+    drop(thawed);
+
+    // The log now starts at seq 4: a crash recovery replays it on top of
+    // the checkpoint, and the window keeps sliding.
+    let mut recovered = DsMatrix::recover(durable_config()).unwrap();
+    assert_eq!(recovered.recovery_report().unwrap().replayed_batches, 1);
+    assert_same_window(
+        &mut replayed,
+        &mut recovered,
+        "recovery past the resumed WAL",
+    );
+    recovered.ingest_batch(&stream[4]).unwrap();
+    replayed.ingest_batch(&stream[4]).unwrap();
+    assert_same_window(&mut replayed, &mut recovered, "ingest after recovery");
+}
+
 #[test]
 fn corrupt_image_is_named_deleted_and_never_served() {
     let spill = TempDir::new("hib-corrupt").unwrap();

@@ -283,7 +283,15 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        // The flag is raised under the queue lock because a worker reads it
+        // under that lock immediately before it waits: it then either sees
+        // the flag, or is already waiting when the notification goes out.
+        // Raised outside the lock, both could fall between the worker's
+        // check and its wait, and the join below would never return.
+        {
+            let _queue = lock_unpoisoned(&self.shared.queue);
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         self.shared.work_ready.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -594,6 +602,22 @@ mod tests {
             assert_eq!(results, vec![round, round + 1, round + 2, round + 3]);
         }
         blocker.join().expect("blocker panicked");
+    }
+
+    #[test]
+    fn dropping_a_pool_whose_workers_are_going_idle_always_joins() {
+        // Every `StreamMiner` owns a pool and drops it right after its last
+        // mine, i.e. while the workers are between "queue is empty" and
+        // "wait": a shutdown they can miss there hangs the drop.  A stress
+        // loop cannot force that interleaving, only make it likely.
+        let rounds = if cfg!(miri) { 20 } else { 2_000 };
+        for round in 0..rounds {
+            let pool = WorkerPool::new(2);
+            assert_eq!(
+                pool.run_indexed_stateful(3, || (), |(), i| i + round).len(),
+                3
+            );
+        }
     }
 
     #[test]

@@ -235,6 +235,18 @@ impl Wal {
         Ok(())
     }
 
+    /// Tells a reopened log that a checkpoint covers its history through
+    /// `covered`: the next append continues at `max(last_seq, covered) + 1`.
+    ///
+    /// [`Wal::open`] derives the last sequence number from the records it
+    /// finds, and a log that [`Wal::prune_through`] emptied holds none —
+    /// though its history did not restart at 1.  Recovery calls this with
+    /// the sequence number of the checkpoint it restored; nothing else may,
+    /// since anywhere else a jump in sequence numbers is a lost record.
+    pub fn resume_after(&mut self, covered: u64) {
+        self.last_seq = self.last_seq.max(covered);
+    }
+
     /// Byte length of the committed log.
     pub fn len_bytes(&self) -> u64 {
         self.len
@@ -468,6 +480,38 @@ mod tests {
         drop(wal);
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].seq, 3);
+    }
+
+    #[test]
+    fn a_fully_pruned_log_reopens_at_the_checkpoint_it_resumes_after() {
+        let dir = TempDir::new("wal").unwrap();
+        let path = dir.file("wal.log");
+        let mut wal = Wal::create(&path).unwrap();
+        wal.append(1, b"x").unwrap();
+        wal.append(2, b"y").unwrap();
+        wal.prune_through(2).unwrap();
+        drop(wal);
+
+        // The empty file cannot say where its history stopped ...
+        let (mut wal, records, _) = reopen(&path);
+        assert!(records.is_empty());
+        assert_eq!(wal.last_seq(), 0);
+        assert!(wal.append(3, b"z").is_err());
+        // ... the checkpoint that justified the prune can.
+        wal.resume_after(2);
+        assert_eq!(wal.last_seq(), 2);
+        assert!(wal.append(1, b"z").is_err());
+        wal.append(3, b"z").unwrap();
+        // A log that is already further along is not moved back.
+        wal.resume_after(1);
+        wal.append(4, b"w").unwrap();
+        drop(wal);
+
+        let (wal, records, torn) = reopen(&path);
+        assert!(torn.is_none());
+        assert_eq!(wal.last_seq(), 4);
+        let seqs: Vec<u64> = records.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![3, 4]);
     }
 
     #[test]
