@@ -828,7 +828,7 @@ struct DeltaRow {
 }
 
 /// Delta-mining section: the maintained pattern set
-/// ([`fsm_core::StreamMiner::mine_delta`]) against a full re-mine after
+/// ([`fsm_core::MinerConfig::delta`]) against a full re-mine after
 /// every slide.  The oracle runs [`Algorithm::DirectVertical`] — the same §4
 /// neighbourhood enumeration the delta tree maintains incrementally, so its
 /// intersection count is the work a from-scratch mine spends on the

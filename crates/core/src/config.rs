@@ -84,15 +84,14 @@ pub struct MinerConfig {
     /// without [`MinerConfig::durable_dir`]).
     pub checkpoint_every: usize,
     /// Route [`StreamMiner::mine`] through the incremental
-    /// [`crate::DeltaMiner`] ([`StreamMiner::mine_delta`]): the
-    /// frequent-pattern set is maintained across window slides and each mine
-    /// pays only for the patterns the slide affected, instead of
-    /// re-enumerating the window.  What is maintained is the set the
-    /// configured mine returns — the connected collections, grown like the
-    /// §4 direct algorithm grows them; the full §3.4 enumeration only for a
-    /// post-processing algorithm under [`ConnectivityMode::PaperRule`] — so
-    /// output is byte-identical to a full re-mine at the same epoch.
-    /// `false` by default.
+    /// [`crate::DeltaMiner`]: the frequent-pattern set is maintained across
+    /// window slides and each mine pays only for the patterns the slide
+    /// affected, instead of re-enumerating the window.  What is maintained
+    /// is the connected collections, grown like the §4 direct algorithm
+    /// grows them; a post-processing algorithm under
+    /// [`ConnectivityMode::PaperRule`] returns more than those, and is mined
+    /// in full whatever this flag says.  Output is byte-identical to a full
+    /// re-mine at the same epoch either way.  `false` by default.
     pub delta: bool,
     /// Process-wide arbitration of [`MinerConfig::cache_budget_bytes`]
     /// across many miners (the multi-tenant service's one memory cap).
@@ -282,10 +281,9 @@ impl StreamMinerBuilder {
         self
     }
 
-    /// Enables delta mining: [`StreamMiner::mine`] maintains the
-    /// frequent-pattern set across window slides
-    /// ([`StreamMiner::mine_delta`]) instead of re-enumerating the window on
-    /// every call.  Output stays byte-identical to a full re-mine; the
+    /// Enables delta mining ([`MinerConfig::delta`]): [`StreamMiner::mine`]
+    /// maintains the frequent-pattern set across window slides instead of
+    /// re-enumerating the window on every call.  Output stays byte-identical to a full re-mine; the
     /// incremental work performed is reported in
     /// [`crate::MiningStats::delta`].
     ///

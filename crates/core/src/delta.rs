@@ -39,32 +39,26 @@
 //!
 //! # Which tree
 //!
-//! The tree is *the set the configured mine returns* ([`TreeShape`]), so
-//! nothing is maintained only to be filtered away on collection:
+//! The tree is the §4 neighbourhood enumeration
+//! ([`crate::miners::direct::mine_direct`]): a node's extension candidates
+//! are the edges of its [`Neighborhood`] whose addition is the pattern's
+//! canonical growth step, so every tracked node is a connected pattern,
+//! every border entry a failed *neighbour* screen, and the collected set
+//! needs no connectivity post-processing — nothing is maintained only to be
+//! filtered away on collection.  Canonical growth sequences are
+//! prefix-closed, which is what makes them a tree: a node's root path is its
+//! pattern's canonical sequence, its root is the pattern's smallest edge,
+//! and the remaining path edges are in absorption order, not ascending.
 //!
-//! * [`TreeShape::Connected`] — the §4 neighbourhood enumeration
-//!   ([`crate::miners::direct::mine_direct`]).  A node's extension
-//!   candidates are the edges of its [`Neighborhood`] whose addition is the
-//!   pattern's canonical growth step, so every tracked node is a connected
-//!   pattern, every border entry a failed *neighbour* screen, and the
-//!   collected set needs no connectivity post-processing.  Canonical growth
-//!   sequences are prefix-closed, which is what makes them a tree: a node's
-//!   root path is its pattern's canonical sequence, its root is the
-//!   pattern's smallest edge, and the remaining path edges are in absorption
-//!   order, not ascending.
-//! * [`TreeShape::Lexicographic`] — the §3.4 enumeration
-//!   ([`crate::miners::vertical::mine_vertical`]): every frequent
-//!   collection, extended in ascending edge order.  Needed only where
-//!   disconnected collections are part of the answer (a post-processing
-//!   algorithm under [`crate::ConnectivityMode::PaperRule`], whose rule
-//!   keeps some of them).
+//! That is the set every configuration's mine returns except one: a
+//! post-processing algorithm under [`crate::ConnectivityMode::PaperRule`],
+//! whose rule keeps some disconnected collections.  No connected tree holds
+//! those, so [`crate::StreamMiner`] routes that configuration to its full
+//! re-mine even with [`crate::MinerConfig::delta`] set, and the
+//! [`DeltaMiner`] stays connected-only.
 //!
-//! Both shapes share one arena, border, slide and promotion implementation;
-//! they differ only in `Position` — the candidate generator and the
-//! admission test a sweep applies at each node it visits.
-//!
-//! Steady state — no threshold crossings — therefore costs O(patterns and
-//! border candidates whose support the slide changed), not O(window): a mine
+//! Steady state — no threshold crossings — costs O(patterns and border
+//! candidates whose support the slide changed), not O(window): a mine
 //! call subtracts the departed segment's contribution records, walks the
 //! arriving segment's chunks down the tree, and collects the result, each
 //! touch costing one segment-sized chunk operation rather than a
@@ -72,14 +66,13 @@
 //! one [`ScratchArena`] buffer per depth, reused for every node at that
 //! depth, and no per-node collections.
 //!
-//! The full re-mine stays authoritative: `StreamMiner::mine_delta` output is
-//! byte-identical to [`crate::StreamMiner::mine`] at the same epoch,
-//! property-tested across randomized slide sequences in
-//! `crates/core/tests/delta_agreement.rs` with brute-force support recounts
-//! of both tree shapes shadowing the border bookkeeping.
+//! The full re-mine stays authoritative: a delta-enabled
+//! [`crate::StreamMiner::mine`] is byte-identical to a full one at the same
+//! epoch, property-tested across randomized slide sequences in
+//! `crates/core/tests/delta_agreement.rs` with a brute-force support recount
+//! shadowing the border bookkeeping.
 
-use std::collections::{btree_set, HashMap};
-use std::ops::Range;
+use std::collections::HashMap;
 
 use fsm_dsmatrix::{EpochSnapshot, WindowView};
 use fsm_fptree::MiningLimits;
@@ -91,65 +84,13 @@ use crate::miners::direct::is_canonical_extension;
 use crate::neighborhood::Neighborhood;
 use crate::scratch::ScratchArena;
 
-/// Which enumeration tree a [`DeltaMiner`] maintains (see the
-/// [module docs](self#which-tree)).
-#[derive(Debug, Clone, Copy)]
-pub enum TreeShape<'a> {
-    /// §3.4: every frequent edge collection, connected or not, each reached
-    /// by extending its prefix in ascending edge order.
-    Lexicographic,
-    /// §4: connected collections only, each reached along its canonical
-    /// growth sequence through the catalog's edge neighbourhoods.  Edges
-    /// outside the catalog are tracked as singletons and never grown.
-    Connected(&'a EdgeCatalog),
-}
-
-/// What a maintained tree must agree on to keep advancing: the shape, and
-/// for the connected tree the catalog width it was grown over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ShapeKey {
-    Lexicographic,
-    Connected { catalog_edges: usize },
-}
-
-impl<'a> TreeShape<'a> {
-    fn key(self) -> ShapeKey {
-        match self {
-            TreeShape::Lexicographic => ShapeKey::Lexicographic,
-            TreeShape::Connected(catalog) => ShapeKey::Connected {
-                catalog_edges: catalog.num_edges(),
-            },
-        }
-    }
-
-    /// The root position of singleton `edge`; `None` for a root that cannot
-    /// grow.
-    fn root(self, edge: EdgeId) -> Result<Option<Position<'a>>> {
-        Ok(match self {
-            TreeShape::Lexicographic => Some(Position::Lexicographic { last: edge }),
-            TreeShape::Connected(catalog) if edge.index() < catalog.num_edges() => {
-                Some(Position::Connected {
-                    catalog,
-                    hood: Neighborhood::of_edge(catalog, edge)?,
-                })
-            }
-            TreeShape::Connected(_) => None,
-        })
-    }
-}
-
-/// The enumeration's view of one tree node — the only place the two tree
-/// shapes differ: which extensions the node can have
-/// ([`Position::candidates`]) and what a sweep for a newly frequent edge
-/// does on reaching it ([`Position::admission`]).
-enum Position<'a> {
-    /// The node's largest (last added) edge.
-    Lexicographic { last: EdgeId },
-    /// The node's members and their neighbourhood (equations 1 and 2).
-    Connected {
-        catalog: &'a EdgeCatalog,
-        hood: Neighborhood,
-    },
+/// The enumeration's view of one tree node: its members and their
+/// neighbourhood (equations 1 and 2), which decide the extensions the node
+/// can have ([`Position::candidates`]) and what a sweep for a newly frequent
+/// edge does on reaching it ([`Position::admission`]).
+struct Position<'a> {
+    catalog: &'a EdgeCatalog,
+    hood: Neighborhood,
 }
 
 /// What reaching a node means for the extension `node ∪ {edge}`.
@@ -165,58 +106,41 @@ enum Admission {
 }
 
 impl<'a> Position<'a> {
+    /// The root position of singleton `edge`; `None` for a root that cannot
+    /// grow (an edge outside the catalog is tracked as a singleton only).
+    fn root(catalog: &'a EdgeCatalog, edge: EdgeId) -> Result<Option<Self>> {
+        if edge.index() >= catalog.num_edges() {
+            return Ok(None);
+        }
+        Ok(Some(Self {
+            catalog,
+            hood: Neighborhood::of_edge(catalog, edge)?,
+        }))
+    }
+
     /// The position of the child reached by adding `edge`.
     fn child(&self, edge: EdgeId) -> Result<Self> {
-        Ok(match self {
-            Position::Lexicographic { .. } => Position::Lexicographic { last: edge },
-            Position::Connected { catalog, hood } => Position::Connected {
-                catalog,
-                hood: hood.extend(catalog, edge)?,
-            },
+        Ok(Self {
+            catalog: self.catalog,
+            hood: self.hood.extend(self.catalog, edge)?,
         })
     }
 
     /// A superset of the node's extension edges; the caller keeps those that
     /// are frequent singletons and [`Admission::Extend`].
-    fn candidates(&self, num_items: usize) -> Candidates<'_> {
-        match self {
-            Position::Lexicographic { last } => Candidates::Ascending(last.index() + 1..num_items),
-            Position::Connected { hood, .. } => Candidates::Neighbours(hood.neighbors().iter()),
-        }
+    fn candidates(&self) -> impl Iterator<Item = EdgeId> + '_ {
+        self.hood.neighbors().iter().copied()
     }
 
     fn admission(&self, edge: EdgeId) -> Admission {
-        match self {
-            Position::Lexicographic { last } if *last < edge => Admission::Extend,
-            Position::Lexicographic { .. } => Admission::Closed,
-            Position::Connected { catalog, hood } => {
-                if hood.members().contains(&edge) {
-                    Admission::Closed
-                } else if hood.is_neighbor(edge)
-                    && is_canonical_extension(catalog, hood.members(), edge)
-                {
-                    Admission::Extend
-                } else {
-                    Admission::PassThrough
-                }
-            }
-        }
-    }
-}
-
-/// See [`Position::candidates`].
-enum Candidates<'p> {
-    Ascending(Range<usize>),
-    Neighbours(btree_set::Iter<'p, EdgeId>),
-}
-
-impl Iterator for Candidates<'_> {
-    type Item = EdgeId;
-
-    fn next(&mut self) -> Option<EdgeId> {
-        match self {
-            Candidates::Ascending(range) => range.next().map(|idx| EdgeId::new(idx as u32)),
-            Candidates::Neighbours(iter) => iter.next().copied(),
+        if self.hood.members().contains(&edge) {
+            Admission::Closed
+        } else if self.hood.is_neighbor(edge)
+            && is_canonical_extension(self.catalog, self.hood.members(), edge)
+        {
+            Admission::Extend
+        } else {
+            Admission::PassThrough
         }
     }
 }
@@ -323,24 +247,22 @@ struct Arrival<'s> {
 ///
 /// Drive it with [`DeltaMiner::advance`] once per mine against the current
 /// [`EpochSnapshot`]; the first call (and any call after a minsup, limit,
-/// tree-shape, catalog or window discontinuity) falls back to a full
-/// rebuild, every later call pays only for the patterns the slide affected.
-/// The returned collections are exactly what the enumeration named by the
-/// [`TreeShape`] would produce at the same epoch: the connected frequent
-/// collections for [`TreeShape::Connected`], every frequent collection for
-/// [`TreeShape::Lexicographic`].
+/// catalog or window discontinuity) falls back to a full rebuild, every
+/// later call pays only for the patterns the slide affected.  The returned
+/// collections are exactly what the §4 enumeration would produce at the same
+/// epoch: the connected frequent collections.
 ///
-/// The preferred entry point is the [`crate::StreamMiner::mine_delta`]
-/// facade, which wires snapshots, threshold resolution, and the tree shape
-/// to match [`crate::StreamMiner::mine`].
-#[derive(Debug)]
+/// The preferred entry point is [`crate::StreamMiner::mine`] with
+/// [`crate::MinerConfig::delta`] set, which wires snapshots and threshold
+/// resolution, and routes the one configuration whose answer is not the
+/// connected set to the full re-mine.
+#[derive(Debug, Default)]
 pub struct DeltaMiner {
     /// Resolved absolute threshold the current state was built against.
     minsup: Support,
     limits: MiningLimits,
-    /// [`TreeShape::key`] of the tree the state holds (`None` before first
-    /// use).
-    shape_key: Option<ShapeKey>,
+    /// Width of the catalog the tree was grown over.
+    catalog_edges: usize,
     /// Epoch of the snapshot the state reflects (`None` before first use).
     epoch: Option<u64>,
     num_items: usize,
@@ -368,35 +290,11 @@ pub struct DeltaMiner {
     stats: DeltaStats,
 }
 
-impl Default for DeltaMiner {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl DeltaMiner {
     /// Creates an empty miner; the first [`DeltaMiner::advance`] performs a
     /// full rebuild.
     pub fn new() -> Self {
-        Self {
-            minsup: 0,
-            limits: MiningLimits::UNBOUNDED,
-            shape_key: None,
-            epoch: None,
-            num_items: 0,
-            segments: Vec::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            roots: Vec::new(),
-            contribs: HashMap::new(),
-            border_index: HashMap::new(),
-            next_seq: 0,
-            frequent: Vec::new(),
-            scratch: ScratchArena::new(),
-            live_nodes: 0,
-            border_entries: 0,
-            stats: DeltaStats::default(),
-        }
+        Self::default()
     }
 
     /// Counters of the most recent [`DeltaMiner::advance`] call.
@@ -416,21 +314,20 @@ impl DeltaMiner {
     }
 
     /// Brings the maintained pattern set to `snapshot`'s epoch and returns
-    /// every collection `shape`'s enumeration finds frequent there
-    /// (unsorted — [`crate::MiningResult::new`] canonicalises).
+    /// every connected collection over `catalog` that is frequent there
+    /// (unsorted — [`crate::MiningResult::new`] canonicalises).  Edges
+    /// outside the catalog are tracked as singletons and never grown.
     ///
     /// Incremental when the snapshot continues the previously seen window
-    /// under the same resolved `minsup`, `limits` and `shape`; otherwise
-    /// (first call, threshold re-resolution, domain or catalog growth, a
-    /// shape switch, or a window discontinuity of more than the full window)
-    /// it falls back to one full rebuild and records that in
-    /// [`DeltaStats::full_rebuilds`].
+    /// under the same resolved `minsup` and `limits`; otherwise (first call,
+    /// threshold re-resolution, domain or catalog growth, or a window
+    /// discontinuity of more than the full window) it falls back to one full
+    /// rebuild and records that in [`DeltaStats::full_rebuilds`].
     ///
-    /// Precondition for [`TreeShape::Connected`]: successive calls pass the
-    /// *same* catalog, grown only by interning (what
-    /// [`crate::StreamMiner`] does).  Catalog growth is detected by its
-    /// width alone, so a different catalog of equal width would keep
-    /// advancing a tree grown over the old adjacency; start a new
+    /// Precondition: successive calls pass the *same* catalog, grown only by
+    /// interning (what [`crate::StreamMiner`] does).  Catalog growth is
+    /// detected by its width alone, so a different catalog of equal width
+    /// would keep advancing a tree grown over the old adjacency; start a new
     /// `DeltaMiner` to switch catalogs.
     ///
     /// Errors surface a corrupt maintained state ([`FsmError::CorruptStructure`])
@@ -441,14 +338,14 @@ impl DeltaMiner {
         snapshot: &EpochSnapshot,
         minsup: Support,
         limits: MiningLimits,
-        shape: TreeShape<'_>,
+        catalog: &EdgeCatalog,
     ) -> Result<Vec<FrequentPattern>> {
         let minsup = minsup.max(1);
         self.stats = DeltaStats::default();
         let unchanged_config = self.minsup == minsup
             && self.limits == limits
-            && self.shape_key == Some(shape.key())
-            && self.num_items == snapshot.num_items();
+            && self.num_items == snapshot.num_items()
+            && self.catalog_edges == catalog.num_edges();
         if self.epoch == Some(snapshot.epoch()) && unchanged_config {
             self.finish_stats();
             return self.collect();
@@ -461,9 +358,9 @@ impl DeltaMiner {
         let overlap = self.window_overlap(&metas);
         let contiguous = overlap > 0 || self.segments.is_empty() || metas.is_empty();
         if self.epoch.is_some() && unchanged_config && contiguous {
-            self.apply_slides(snapshot, shape, &metas, overlap)?;
+            self.apply_slides(snapshot, catalog, &metas, overlap)?;
         } else {
-            self.rebuild(snapshot, shape, &metas, minsup, limits)?;
+            self.rebuild(snapshot, catalog, &metas, minsup, limits)?;
         }
         self.epoch = Some(snapshot.epoch());
         self.finish_stats();
@@ -494,7 +391,7 @@ impl DeltaMiner {
     fn apply_slides(
         &mut self,
         snapshot: &EpochSnapshot,
-        shape: TreeShape<'_>,
+        catalog: &EdgeCatalog,
         metas: &[(u64, usize)],
         overlap: usize,
     ) -> Result<()> {
@@ -521,10 +418,10 @@ impl DeltaMiner {
         if !promoted.is_empty() || !crossings.is_empty() {
             let view = snapshot.view();
             for (parent, edge) in crossings {
-                self.promote_border(&view, shape, parent, edge)?;
+                self.promote_border(&view, catalog, parent, edge)?;
             }
             for edge in promoted {
-                self.promote_singleton(snapshot, &view, shape, edge)?;
+                self.promote_singleton(snapshot, &view, catalog, edge)?;
             }
         }
         Ok(())
@@ -737,7 +634,7 @@ impl DeltaMiner {
     fn promote_border(
         &mut self,
         view: &WindowView<'_>,
-        shape: TreeShape<'_>,
+        catalog: &EdgeCatalog,
         parent: NodeRef,
         edge: EdgeId,
     ) -> Result<()> {
@@ -758,7 +655,7 @@ impl DeltaMiner {
             return Ok(());
         }
         // Only grown nodes carry border entries, so the root has a position.
-        let mut position = shape.root(path[0])?.ok_or_else(|| {
+        let mut position = Position::root(catalog, path[0])?.ok_or_else(|| {
             FsmError::corrupt("delta state holds a border entry under a root that cannot grow")
         })?;
         for &member in &path[1..] {
@@ -809,14 +706,14 @@ impl DeltaMiner {
         &mut self,
         snapshot: &EpochSnapshot,
         view: &WindowView<'_>,
-        shape: TreeShape<'_>,
+        catalog: &EdgeCatalog,
         edge: EdgeId,
     ) -> Result<()> {
         self.stats.singleton_sweeps += 1;
         if !self.limits.allows(1) {
             return Ok(());
         }
-        let position = shape.root(edge)?;
+        let position = Position::root(catalog, edge)?;
         let grows = position.is_some();
         self.plant_root(snapshot, view, position, edge)?;
         // A root that cannot grow (an edge outside the catalog) cannot
@@ -824,14 +721,15 @@ impl DeltaMiner {
         let (true, Some(row)) = (grows, view.row(edge)) else {
             return Ok(());
         };
-        // Every pattern's root is its smallest edge (in either shape), so
-        // only the roots before `edge` can hold patterns that admit it.
+        // Every pattern's root is its smallest edge, so only the roots before
+        // `edge` can hold patterns that admit it.
         for idx in 0..edge.index() {
             let Some(root) = self.roots[idx] else {
                 continue;
             };
             let root_edge = EdgeId::new(idx as u32);
-            let (Some(position), Some(root_row)) = (shape.root(root_edge)?, view.row(root_edge))
+            let (Some(position), Some(root_row)) =
+                (Position::root(catalog, root_edge)?, view.row(root_edge))
             else {
                 continue;
             };
@@ -842,7 +740,7 @@ impl DeltaMiner {
     }
 
     /// Creates the root of frequent singleton `edge` and, when it has a
-    /// `position` ([`TreeShape::root`]), fully expands it.
+    /// `position` ([`Position::root`]), fully expands it.
     fn plant_root(
         &mut self,
         snapshot: &EpochSnapshot,
@@ -897,7 +795,7 @@ impl DeltaMiner {
             return Ok(());
         }
         let mut buf = self.scratch.take(len + 1);
-        for edge in position.candidates(self.num_items) {
+        for edge in position.candidates() {
             if !self.is_frequent(edge) || position.admission(edge) != Admission::Extend {
                 continue;
             }
@@ -1124,12 +1022,13 @@ impl DeltaMiner {
     // ----- full rebuild ----------------------------------------------------
 
     /// Rebuilds the whole state from one snapshot: the same enumeration as
-    /// the sequential miner `shape` names, additionally materialising the
-    /// per-segment contribution records and the border set.
+    /// the sequential [`crate::miners::direct::mine_direct`], additionally
+    /// materialising the per-segment contribution records and the border
+    /// set.
     fn rebuild(
         &mut self,
         snapshot: &EpochSnapshot,
-        shape: TreeShape<'_>,
+        catalog: &EdgeCatalog,
         metas: &[(u64, usize)],
         minsup: Support,
         limits: MiningLimits,
@@ -1137,7 +1036,7 @@ impl DeltaMiner {
         self.stats.full_rebuilds = 1;
         self.minsup = minsup;
         self.limits = limits;
-        self.shape_key = Some(shape.key());
+        self.catalog_edges = catalog.num_edges();
         self.num_items = snapshot.num_items();
         self.segments = metas.to_vec();
         self.slots.clear();
@@ -1158,7 +1057,7 @@ impl DeltaMiner {
         for idx in 0..self.num_items {
             if self.frequent[idx] {
                 let edge = EdgeId::new(idx as u32);
-                self.plant_root(snapshot, &view, shape.root(edge)?, edge)?;
+                self.plant_root(snapshot, &view, Position::root(catalog, edge)?, edge)?;
             }
         }
         Ok(())

@@ -74,8 +74,9 @@ pub struct MiningStats {
     /// Batches crash recovery replayed from the WAL tail to rebuild this
     /// miner's window (zero unless the miner was built by recovery).
     pub recovery_replayed_batches: u64,
-    /// Incremental-maintenance counters of the last
-    /// [`crate::StreamMiner::mine_delta`] call (all zero for full re-mines).
+    /// Incremental-maintenance counters of this mine, when it advanced the
+    /// [`crate::DeltaMiner`] state ([`crate::MinerConfig::delta`]); all zero
+    /// for full re-mines.
     pub delta: DeltaStats,
 }
 

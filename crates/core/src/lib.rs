@@ -67,8 +67,8 @@
 //!   only candidates that meet the support threshold write into a scratch
 //!   buffer (via [`fsm_storage::BitVec::and_into`]).  Infrequent candidates
 //!   therefore cost one popcount pass and zero allocations.  The horizontal
-//!   miners snapshot the matrix once ([`fsm_dsmatrix::DsMatrix::snapshot`])
-//!   and each worker recycles one [`fsm_dsmatrix::ProjectionScratch`], so
+//!   miners project from the same shared [`fsm_dsmatrix::WindowView`] and
+//!   each worker recycles one [`fsm_dsmatrix::ProjectionScratch`], so
 //!   steady-state projection allocates nothing either.
 //! * **Incremental capture** — the DSMatrix itself never rewrites surviving
 //!   rows on a window slide (see [`fsm_dsmatrix`]); the words it does write
@@ -97,7 +97,7 @@ pub use algorithm::{Algorithm, ConnectivityMode};
 pub use baseline::{mine_dstable, mine_dstree, BaselineStructure};
 pub use config::{MinerConfig, StreamMinerBuilder};
 pub use connectivity::ConnectivityChecker;
-pub use delta::{DeltaMiner, TreeShape};
+pub use delta::DeltaMiner;
 pub use fsm_dsmatrix::{DurabilityConfig, RecoveryReport};
 pub use instrument::{DeltaStats, MiningStats};
 pub use miner::{MinerSnapshot, StreamMiner};

@@ -6,7 +6,9 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use fsm_dsmatrix::{DsMatrix, DsMatrixConfig, DurabilityConfig, EpochSnapshot, RecoveryReport};
+use fsm_dsmatrix::{
+    DsMatrix, DsMatrixConfig, DurabilityConfig, EpochSnapshot, ReadStats, RecoveryReport,
+};
 use fsm_fptree::MiningLimits;
 use fsm_storage::MemoryTracker;
 use fsm_stream::SlideOutcome;
@@ -15,8 +17,8 @@ use fsm_types::{Batch, BatchId, EdgeCatalog, GraphSnapshot, Result, Support, Tra
 use crate::algorithm::{Algorithm, ConnectivityMode};
 use crate::config::MinerConfig;
 use crate::connectivity::ConnectivityChecker;
-use crate::delta::{DeltaMiner, TreeShape};
-use crate::miners;
+use crate::delta::DeltaMiner;
+use crate::miners::{self, RawMiningOutput};
 use crate::parallel::Exec;
 use crate::result::MiningResult;
 
@@ -45,8 +47,8 @@ pub struct StreamMiner {
     /// The miner's own executor, sized once by [`MinerConfig::threads`] and
     /// shared with every [`MinerSnapshot`] it hands out.
     exec: Exec,
-    /// Incrementally maintained pattern state, created on the first
-    /// [`StreamMiner::mine_delta`] call and advanced epoch by epoch.
+    /// Incrementally maintained pattern state, created on the first delta
+    /// mine and advanced epoch by epoch.
     delta: Option<DeltaMiner>,
 }
 
@@ -191,9 +193,27 @@ impl StreamMiner {
     /// Mines the current window with the configured algorithm, applying the
     /// connectivity post-processing step where the algorithm requires it.
     ///
-    /// With [`MinerConfig::delta`] enabled this delegates to
-    /// [`StreamMiner::mine_delta`], which maintains the pattern set across
-    /// slides instead of re-enumerating the window.
+    /// With [`MinerConfig::delta`] enabled the pattern set is *maintained*
+    /// across slides instead: the [`DeltaMiner`] state is advanced to the
+    /// current epoch, paying only for the patterns the intervening slides
+    /// affected.  The maintained tree is the connected frequent collections
+    /// (§4 neighbourhood growth, nothing to post-process) — what
+    /// [`Algorithm::DirectVertical`] returns, and every algorithm under
+    /// [`ConnectivityMode::Exact`] — so pattern output is byte-identical to a
+    /// full mine at the same epoch for every algorithm, backend, thread count
+    /// and connectivity mode.  The one configuration whose answer is *not*
+    /// that set — a post-processing algorithm under
+    /// [`ConnectivityMode::PaperRule`], whose rule lets some disconnected
+    /// collections through — is mined in full whatever the flag says.
+    /// Property-tested against the full re-mine oracle in
+    /// `crates/core/tests/delta_agreement.rs`; the work a delta mine actually
+    /// performed is reported in [`crate::MiningStats::delta`].
+    ///
+    /// The first delta mine (and any after the resolved minimum support, the
+    /// pattern-length limit or the catalog changed, e.g. a relative threshold
+    /// re-resolving as the window grows or [`StreamMiner::ingest_snapshots`]
+    /// interning a new vertex pair) performs one full rebuild; steady-state
+    /// calls on a sliding window are O(patterns affected by the slide).
     pub fn mine(&mut self) -> Result<MiningResult> {
         let exec = self.exec.clone();
         self.mine_with(&exec)
@@ -208,130 +228,63 @@ impl StreamMiner {
     /// Delta mining ([`MinerConfig::delta`]) maintains its pattern set
     /// sequentially and therefore ignores the executor.
     pub fn mine_with(&mut self, exec: &Exec) -> Result<MiningResult> {
-        if self.config.delta {
-            return self.mine_delta();
-        }
-        self.mine_full(exec)
+        let start = Instant::now();
+        let read_before = self.matrix.read_stats();
+        let window_transactions = self.matrix.num_transactions();
+        let resolved = self.config.min_support.resolve(window_transactions);
+        let (algorithm, connectivity) = (self.config.algorithm, self.config.connectivity);
+        let keeps_disconnected =
+            algorithm.needs_postprocessing() && connectivity == ConnectivityMode::PaperRule;
+        let delta = self.config.delta && !keeps_disconnected;
+        let raw = if delta {
+            self.mine_delta(resolved)?
+        } else {
+            self.mine_full(resolved, exec)?
+        };
+        let postprocess = if delta {
+            None // the maintained tree is connected by construction
+        } else {
+            postprocessor(algorithm, &self.catalog, connectivity)
+        };
+        Ok(finish_mine(
+            raw,
+            start,
+            postprocess,
+            window_transactions,
+            resolved,
+            Some((&self.matrix, read_before)),
+        ))
     }
 
-    fn mine_full(&mut self, exec: &Exec) -> Result<MiningResult> {
-        let start = Instant::now();
-        let resolved = self
-            .config
-            .min_support
-            .resolve(self.matrix.num_transactions());
-
-        let read_before = self.matrix.read_stats();
+    /// Re-enumerates the window with the configured algorithm.
+    fn mine_full(&mut self, resolved: Support, exec: &Exec) -> Result<RawMiningOutput> {
         // The guard releases the disk backends' eager view materialisation
         // whichever way mining exits — success, error or panic — so the
         // between-mines resident footprint never silently retains a window
         // copy on a failed mine.
         let matrix = TrimCacheGuard(&mut self.matrix);
-        let mut raw = miners::run_algorithm(
+        miners::run_algorithm(
             self.config.algorithm,
             matrix.0,
             &self.catalog,
             resolved,
             self.config.limits,
             exec,
-        )?;
-        drop(matrix);
-        // Read amplification of this call: words the read path materialised
-        // and disk pages it fetched.  Words are zero in the steady state on
-        // the memory backend (zero-copy view) *and* on the disk backends
-        // when a chunk-cache budget covers the working set (rows served from
-        // pinned chunks, counted in `rows_pinned`); pages drop to the
-        // slide's chunks in the same regime.
-        let read_after = self.matrix.read_stats();
-        raw.stats.read_words_assembled = read_after.words_assembled - read_before.words_assembled;
-        raw.stats.pages_read = read_after.pages_read - read_before.pages_read;
-        raw.stats.cache_hits = read_after.cache_hits - read_before.cache_hits;
-        raw.stats.rows_pinned = read_after.rows_pinned - read_before.rows_pinned;
-
-        if self.config.algorithm.needs_postprocessing() {
-            let checker = ConnectivityChecker::new(&self.catalog, self.config.connectivity);
-            raw.stats.patterns_pruned = checker.prune_disconnected(&mut raw.patterns);
-        }
-
-        raw.stats.elapsed = start.elapsed();
-        raw.stats.capture_resident_bytes = self.matrix.resident_bytes();
-        raw.stats.capture_on_disk_bytes = self.matrix.on_disk_bytes();
-        raw.stats.capture_words_written = self.matrix.capture_stats().words_written;
-        raw.stats.window_transactions = self.matrix.num_transactions();
-        raw.stats.resolved_minsup = resolved;
-        // Durability counters are cumulative (like `capture_words_written`):
-        // what the WAL + checkpoint layer has cost since the miner was
-        // created.  All zero on non-durable configurations.
-        raw.stats.wal_bytes_written = read_after.wal_bytes_written;
-        raw.stats.fsyncs = read_after.fsyncs;
-        raw.stats.checkpoint_bytes = read_after.checkpoint_bytes;
-        raw.stats.recovery_replayed_batches = read_after.recovery_replayed_batches;
-        Ok(MiningResult::new(raw.patterns, raw.stats))
+        )
     }
 
-    /// Mines the current window *incrementally*: the maintained
-    /// [`DeltaMiner`] state is advanced to the current epoch, paying only
-    /// for the patterns the intervening slides affected, instead of
-    /// re-enumerating the whole window.
-    ///
-    /// Pattern output is byte-identical to [`StreamMiner::mine`] at the same
-    /// epoch for every algorithm, backend, thread count and connectivity
-    /// mode, because the maintained tree is the set that mine returns
-    /// ([`TreeShape`]): the connected collections (§4 neighbourhood growth,
-    /// nothing to post-process) for [`Algorithm::DirectVertical`] and for
-    /// every algorithm under [`ConnectivityMode::Exact`]; the full §3.4
-    /// enumeration followed by the paper-rule filter only for a
-    /// post-processing algorithm under [`ConnectivityMode::PaperRule`], whose
-    /// answer includes the disconnected collections the rule lets through.
-    /// Property-tested against the full re-mine oracle in
-    /// `crates/core/tests/delta_agreement.rs`.  The work actually performed
-    /// is reported in [`crate::MiningStats::delta`].
-    ///
-    /// The first call (and any call after the resolved minimum support, the
-    /// pattern-length limit or the catalog changed, e.g. a relative threshold
-    /// re-resolving as the window grows or [`StreamMiner::ingest_snapshots`]
-    /// interning a new vertex pair) performs one full rebuild; steady-state
-    /// calls on a sliding window are O(patterns affected by the slide).
-    pub fn mine_delta(&mut self) -> Result<MiningResult> {
-        let start = Instant::now();
-        let read_before = self.matrix.read_stats();
+    /// Advances the maintained [`DeltaMiner`] state to the current epoch.
+    fn mine_delta(&mut self, resolved: Support) -> Result<RawMiningOutput> {
         let snapshot = self.matrix.snapshot_epoch()?;
-        let resolved = self.config.min_support.resolve(snapshot.num_transactions());
-        let paper_rule = self.config.algorithm.needs_postprocessing()
-            && self.config.connectivity == ConnectivityMode::PaperRule;
-        let shape = if paper_rule {
-            TreeShape::Lexicographic
-        } else {
-            TreeShape::Connected(&self.catalog)
-        };
         let state = self.delta.get_or_insert_with(DeltaMiner::new);
-        let mut patterns = state.advance(&snapshot, resolved, self.config.limits, shape)?;
-        let mut stats = crate::MiningStats {
+        let patterns = state.advance(&snapshot, resolved, self.config.limits, &self.catalog)?;
+        let stats = crate::MiningStats {
             delta: state.stats().clone(),
             intersections: state.stats().patterns_reexamined,
+            patterns_before_postprocess: patterns.len(),
             ..Default::default()
         };
-        stats.patterns_before_postprocess = patterns.len();
-        if paper_rule {
-            let checker = ConnectivityChecker::new(&self.catalog, ConnectivityMode::PaperRule);
-            stats.patterns_pruned = checker.prune_disconnected(&mut patterns);
-        }
-        let read_after = self.matrix.read_stats();
-        stats.read_words_assembled = read_after.words_assembled - read_before.words_assembled;
-        stats.pages_read = read_after.pages_read - read_before.pages_read;
-        stats.cache_hits = read_after.cache_hits - read_before.cache_hits;
-        stats.rows_pinned = read_after.rows_pinned - read_before.rows_pinned;
-        stats.elapsed = start.elapsed();
-        stats.capture_resident_bytes = self.matrix.resident_bytes();
-        stats.capture_on_disk_bytes = self.matrix.on_disk_bytes();
-        stats.capture_words_written = self.matrix.capture_stats().words_written;
-        stats.window_transactions = snapshot.num_transactions();
-        stats.resolved_minsup = resolved;
-        stats.wal_bytes_written = read_after.wal_bytes_written;
-        stats.fsyncs = read_after.fsyncs;
-        stats.checkpoint_bytes = read_after.checkpoint_bytes;
-        stats.recovery_replayed_batches = read_after.recovery_replayed_batches;
-        Ok(MiningResult::new(patterns, stats))
+        Ok(RawMiningOutput { patterns, stats })
     }
 
     /// Freezes the current window epoch into a self-contained, `Send + Sync`
@@ -422,12 +375,11 @@ impl MinerSnapshot {
     }
 
     /// Like [`MinerSnapshot::mine`] but under an explicit executor (see
-    /// [`StreamMiner::mine_with`]); the service layer's subscription path
-    /// mines epoch snapshots on the shared pool through this.
+    /// [`StreamMiner::mine_with`]).
     pub fn mine_with(&self, exec: &Exec) -> Result<MiningResult> {
         let start = Instant::now();
         let view = self.snapshot.view();
-        let mut raw = miners::run_algorithm_on_view(
+        let raw = miners::run_algorithm_on_view(
             self.algorithm,
             &view,
             &self.catalog,
@@ -435,14 +387,14 @@ impl MinerSnapshot {
             self.limits,
             exec,
         )?;
-        if self.algorithm.needs_postprocessing() {
-            let checker = ConnectivityChecker::new(&self.catalog, self.connectivity);
-            raw.stats.patterns_pruned = checker.prune_disconnected(&mut raw.patterns);
-        }
-        raw.stats.elapsed = start.elapsed();
-        raw.stats.window_transactions = self.snapshot.num_transactions();
-        raw.stats.resolved_minsup = self.resolved_minsup;
-        Ok(MiningResult::new(raw.patterns, raw.stats))
+        Ok(finish_mine(
+            raw,
+            start,
+            postprocessor(self.algorithm, &self.catalog, self.connectivity),
+            self.snapshot.num_transactions(),
+            self.resolved_minsup,
+            None,
+        ))
     }
 
     /// The underlying epoch snapshot (epoch id, batch alignment, geometry).
@@ -469,6 +421,64 @@ const _: fn() = || {
     fn assert_send_sync<T: Send + Sync + 'static>() {}
     assert_send_sync::<MinerSnapshot>();
 };
+
+/// The §3.5 filter `algorithm`'s raw output still needs, if any.
+fn postprocessor(
+    algorithm: Algorithm,
+    catalog: &EdgeCatalog,
+    connectivity: ConnectivityMode,
+) -> Option<ConnectivityChecker<'_>> {
+    algorithm
+        .needs_postprocessing()
+        .then(|| ConnectivityChecker::new(catalog, connectivity))
+}
+
+/// The one epilogue of every mine route: applies the post-processing step
+/// and completes the statistics an enumeration cannot know about itself.
+///
+/// `capture` is the live capture structure the mine ran against, with its
+/// read counters from before the mine; a frozen epoch passes `None` and
+/// reports zero capture, read-amplification and durability statistics.
+fn finish_mine(
+    mut raw: RawMiningOutput,
+    start: Instant,
+    postprocess: Option<ConnectivityChecker<'_>>,
+    window_transactions: usize,
+    resolved_minsup: Support,
+    capture: Option<(&DsMatrix, ReadStats)>,
+) -> MiningResult {
+    let stats = &mut raw.stats;
+    if let Some(checker) = postprocess {
+        stats.patterns_pruned = checker.prune_disconnected(&mut raw.patterns);
+    }
+    if let Some((matrix, before)) = capture {
+        // Read amplification of this call: words the read path materialised
+        // and disk pages it fetched.  Words are zero in the steady state on
+        // the memory backend (zero-copy view) *and* on the disk backends
+        // when a chunk-cache budget covers the working set (rows served from
+        // pinned chunks, counted in `rows_pinned`); pages drop to the
+        // slide's chunks in the same regime.
+        let after = matrix.read_stats();
+        stats.read_words_assembled = after.words_assembled - before.words_assembled;
+        stats.pages_read = after.pages_read - before.pages_read;
+        stats.cache_hits = after.cache_hits - before.cache_hits;
+        stats.rows_pinned = after.rows_pinned - before.rows_pinned;
+        stats.capture_resident_bytes = matrix.resident_bytes();
+        stats.capture_on_disk_bytes = matrix.on_disk_bytes();
+        stats.capture_words_written = matrix.capture_stats().words_written;
+        // Durability counters are cumulative (like `capture_words_written`):
+        // what the WAL + checkpoint layer has cost since the miner was
+        // created.  All zero on non-durable configurations.
+        stats.wal_bytes_written = after.wal_bytes_written;
+        stats.fsyncs = after.fsyncs;
+        stats.checkpoint_bytes = after.checkpoint_bytes;
+        stats.recovery_replayed_batches = after.recovery_replayed_batches;
+    }
+    stats.elapsed = start.elapsed();
+    stats.window_transactions = window_transactions;
+    stats.resolved_minsup = resolved_minsup;
+    MiningResult::new(raw.patterns, raw.stats)
+}
 
 /// Calls [`DsMatrix::trim_cache`] when dropped, so a mine that exits early
 /// (miner error or panic) still releases the disk backends' eager view

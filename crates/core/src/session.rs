@@ -38,13 +38,15 @@
 //!
 //! [`Session::subscribe`] registers a consumer for mine-on-every-slide
 //! output: whenever an ingest completes a window slide, the session mines
-//! the new epoch — through a frozen [`MinerSnapshot`](crate::MinerSnapshot)
-//! ([`StreamMiner::snapshot`]), the same reader path the concurrent-mining
-//! layer uses — and publishes the result; subscribers [`Subscription::poll`]
-//! or block on [`Subscription::wait`] for it.  Delta-enabled tenants
-//! publish through their maintained [`crate::DeltaMiner`] state instead
-//! (it requires exclusive access); either way the published patterns are
-//! the ones a stop-the-world mine at that epoch would return.
+//! the new epoch and publishes the result; subscribers
+//! [`Subscription::poll`] or block on [`Subscription::wait`] for it.  A
+//! publish is the mine an on-demand [`Session::mine`] at that epoch would
+//! run — [`StreamMiner::mine_with`] on the registry's executor, under the
+//! window lock the slide already holds — so it reads through the tenant's
+//! own budgeted view and advances its maintained delta state like any other
+//! mine; producers arriving meanwhile park in the ingest queue.  (Mining
+//! *off* the lock is what [`StreamMiner::snapshot`] is for; the session
+//! layer does not use it.)
 //!
 //! # Tenant lifecycle: resident set, spill and thaw
 //!
@@ -86,7 +88,6 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::time::Instant;
 
@@ -163,13 +164,10 @@ pub struct SessionRegistry {
 
 /// The registry state sessions point back into (via [`Weak`], so a session
 /// outliving its registry simply stops sweeping): tenant table, residency
-/// policy, the logical clock behind last-touch stamps and the sweep hand.
+/// policy and the sweep hand.
 struct Shared {
     config: RegistryConfig,
     sessions: Mutex<BTreeMap<String, Arc<Session>>>,
-    /// Logical time: bumped on every touch, stamped into
-    /// [`Lifecycle::last_touch`].
-    clock: AtomicU64,
     /// The clock-sweep hand.  `try_lock`ed by [`Shared::enforce`] so at most
     /// one thread sweeps and a toucher never blocks on residency
     /// enforcement.
@@ -193,7 +191,6 @@ impl SessionRegistry {
             shared: Arc::new(Shared {
                 config,
                 sessions: Mutex::new(BTreeMap::new()),
-                clock: AtomicU64::new(0),
                 sweep: Mutex::new(SweepHand::default()),
             }),
         }
@@ -297,7 +294,6 @@ impl SessionRegistry {
         ));
         sessions.insert(tenant.to_string(), Arc::clone(&session));
         drop(sessions);
-        session.stamp_touch();
         self.shared.enforce();
         Ok(session)
     }
@@ -596,7 +592,7 @@ pub struct Session {
     /// tenants, the durable directory for durable ones, `None` when the
     /// tenant is pinned resident (volatile, no spill root configured).
     spill_dir: Option<PathBuf>,
-    /// Back-pointer for touch stamps and sweep triggering.
+    /// Back-pointer for sweep triggering.
     shared: Weak<Shared>,
     /// Bounded arrival-order ingest queue (see the module docs).
     pending: Mutex<VecDeque<Batch>>,
@@ -626,10 +622,6 @@ struct Lifecycle {
     /// Clock-sweep reference bit: set on every completed operation, cleared
     /// by a passing hand.
     touched: bool,
-    /// Logical-clock stamp of the last completed operation (diagnostic;
-    /// the sweep keys off `touched`).
-    #[allow(dead_code)]
-    last_touch: u64,
     resident_bytes: usize,
     thaws: u64,
     thaw_nanos: u64,
@@ -668,7 +660,6 @@ impl Session {
             lifecycle: Mutex::new(Lifecycle {
                 state: LifecycleState::Active,
                 touched: true,
-                last_touch: 0,
                 resident_bytes,
                 thaws: 0,
                 thaw_nanos: 0,
@@ -770,7 +761,7 @@ impl Session {
         let (value, resident_bytes) = {
             let mut window = lock_unpoisoned(&self.window);
             let miner = self.live(&mut window)?;
-            let _ = self.drain_into(miner);
+            self.drain_into(miner)?;
             let value = f(miner);
             (value, miner.resident_bytes())
         };
@@ -875,7 +866,6 @@ impl Session {
     /// re-balance the resident set (it `try_lock`s the sweep hand, so this
     /// never blocks the completing request).
     fn after_touch(&self, resident_bytes: usize) {
-        let shared = self.shared.upgrade();
         {
             let mut lifecycle = lock_unpoisoned(&self.lifecycle);
             lifecycle.touched = true;
@@ -883,21 +873,9 @@ impl Session {
             if lifecycle.state == LifecycleState::Idle {
                 lifecycle.state = LifecycleState::Active;
             }
-            if let Some(shared) = &shared {
-                lifecycle.last_touch = shared.clock.fetch_add(1, Ordering::Relaxed);
-            }
         }
-        if let Some(shared) = &shared {
-            shared.enforce();
-        }
-    }
-
-    /// Admission-time variant of [`Session::after_touch`]: stamps the
-    /// clock without sweeping (the registry sweeps right after insert).
-    fn stamp_touch(&self) {
         if let Some(shared) = self.shared.upgrade() {
-            lock_unpoisoned(&self.lifecycle).last_touch =
-                shared.clock.fetch_add(1, Ordering::Relaxed);
+            shared.enforce();
         }
     }
 
@@ -926,15 +904,10 @@ impl Session {
         lock_unpoisoned(&self.published).subscribers > 0
     }
 
-    /// Mines the just-slid window and publishes the result: through a
-    /// frozen epoch snapshot for full-mine tenants, through the maintained
-    /// delta state for delta tenants.
+    /// Mines the just-slid window — the mine [`Session::mine`] would run —
+    /// and publishes the result.
     fn publish(&self, miner: &mut StreamMiner) -> Result<()> {
-        let result = if miner.config().delta {
-            miner.mine_with(&self.exec)?
-        } else {
-            miner.snapshot()?.mine_with(&self.exec)?
-        };
+        let result = miner.mine_with(&self.exec)?;
         let mut published = lock_unpoisoned(&self.published);
         published.seq += 1;
         published.result = Some(result);
@@ -1030,6 +1003,27 @@ mod tests {
         ]
     }
 
+    /// Holds `session`'s window on another thread — ingests queue meanwhile
+    /// — until the returned closure is called.
+    fn hold_window(session: &Arc<Session>) -> impl FnOnce() {
+        let hostage = Arc::clone(session);
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel::<()>();
+        let holder = std::thread::spawn(move || {
+            hostage
+                .with_miner(|_| {
+                    ready_tx.send(()).unwrap();
+                    rx.recv().unwrap();
+                })
+                .unwrap();
+        });
+        ready_rx.recv().unwrap();
+        move || {
+            tx.send(()).unwrap();
+            holder.join().unwrap();
+        }
+    }
+
     #[test]
     fn tenants_are_isolated_and_match_standalone_miners() {
         let registry = SessionRegistry::new(RegistryConfig::default());
@@ -1094,26 +1088,14 @@ mod tests {
         let session = registry.create_tenant("t", tenant_config(), false).unwrap();
         let batches = paper_batches();
         // Hold the window hostage on another thread so ingests queue.
-        let hostage = Arc::clone(&session);
-        let (tx, rx) = std::sync::mpsc::channel::<()>();
-        let (ready_tx, ready_rx) = std::sync::mpsc::channel::<()>();
-        let holder = std::thread::spawn(move || {
-            hostage
-                .with_miner(|_| {
-                    ready_tx.send(()).unwrap();
-                    rx.recv().unwrap();
-                })
-                .unwrap();
-        });
-        ready_rx.recv().unwrap();
+        let release = hold_window(&session);
         assert_eq!(session.ingest(&batches[0]).unwrap(), IngestOutcome::Queued);
         assert_eq!(session.ingest(&batches[1]).unwrap(), IngestOutcome::Queued);
         assert!(matches!(
             session.ingest(&batches[2]),
             Err(FsmError::Backpressure { .. })
         ));
-        tx.send(()).unwrap();
-        holder.join().unwrap();
+        release();
         // The third batch applies now; the queued two drain first, in order.
         assert!(matches!(
             session.ingest(&batches[2]).unwrap(),
@@ -1128,6 +1110,36 @@ mod tests {
             .mine()
             .unwrap()
             .same_patterns_as(&standalone.mine().unwrap()));
+    }
+
+    #[test]
+    fn with_miner_reports_a_queued_batch_it_failed_to_apply() {
+        let durable_root = TempDir::new("session-drain-error").unwrap();
+        let registry = SessionRegistry::new(RegistryConfig {
+            durable_root: Some(durable_root.path().to_path_buf()),
+            ..RegistryConfig::default()
+        });
+        let config = MinerConfig {
+            backend: fsm_storage::StorageBackend::DiskTemp,
+            ..tenant_config()
+        };
+        let session = registry.create_tenant("t", config, true).unwrap();
+        let batches = paper_batches();
+        session.ingest(&batches[0]).unwrap();
+        // Park a batch behind a held window, then put a plain file where
+        // the tenant's segment directory was: the drain's segment write
+        // must fail.
+        let release = hold_window(&session);
+        assert_eq!(session.ingest(&batches[1]).unwrap(), IngestOutcome::Queued);
+        release();
+        let segments = durable_root.path().join("t").join("segments");
+        std::fs::remove_dir_all(&segments).unwrap();
+        std::fs::write(&segments, b"").unwrap();
+        assert!(
+            session.with_miner(|_| ()).is_err(),
+            "the queued batch was popped and lost without a word"
+        );
+        assert_eq!(session.pending_batches(), 0);
     }
 
     #[test]
@@ -1281,21 +1293,9 @@ mod tests {
         assert!(subscription.poll().is_some());
         // Park a batch in the queue while the window is held hostage, then
         // spill: the spill must drain (and publish) it before hibernating.
-        let hostage = Arc::clone(&session);
-        let (tx, rx) = std::sync::mpsc::channel::<()>();
-        let (ready_tx, ready_rx) = std::sync::mpsc::channel::<()>();
-        let holder = std::thread::spawn(move || {
-            hostage
-                .with_miner(|_| {
-                    ready_tx.send(()).unwrap();
-                    rx.recv().unwrap();
-                })
-                .unwrap();
-        });
-        ready_rx.recv().unwrap();
+        let release = hold_window(&session);
         assert_eq!(session.ingest(&batches[1]).unwrap(), IngestOutcome::Queued);
-        tx.send(()).unwrap();
-        holder.join().unwrap();
+        release();
         assert!(session.spill().unwrap());
         assert_eq!(session.state(), LifecycleState::Spilled);
         assert_eq!(session.pending_batches(), 0);

@@ -5,22 +5,22 @@
 //! (whose re-resolution as the window size changes forces the delta miner's
 //! rebuild fallback).
 //!
-//! Alongside the facade-level oracle property, two shadow-model tests drive
-//! [`DeltaMiner`] directly — one per [`TreeShape`] — and recount every
-//! support brute-force from the window's transactions (the `HashMap`-free
-//! equivalent of recounting from scratch): the maintained set must equal the
-//! recounted frequent set after every advance, which catches border-set
-//! bookkeeping errors (missed promotions, stale triggers, wrong per-segment
-//! contributions) that the pattern-level oracle would only surface
-//! indirectly.  Another test interleaves delta advances with a held epoch
+//! Alongside the facade-level oracle property, a shadow-model test drives
+//! [`DeltaMiner`] directly and recounts every support brute-force from the
+//! window's transactions (the `HashMap`-free equivalent of recounting from
+//! scratch): the maintained set must equal the recounted connected frequent
+//! set after every advance, which catches border-set bookkeeping errors
+//! (missed promotions, stale triggers, wrong per-segment contributions) that
+//! the pattern-level oracle would only surface indirectly.  Another test
+//! interleaves delta advances with a held epoch
 //! snapshot mined concurrently on another thread — the PR 7 reader/writer
 //! split must compose with delta state.
 
 use std::thread;
 
 use fsm_core::{
-    Algorithm, ConnectivityMode, DeltaMiner, MiningResult, StreamMiner, StreamMinerBuilder,
-    TreeShape,
+    Algorithm, ConnectivityMode, DeltaMiner, DeltaStats, MiningResult, StreamMiner,
+    StreamMinerBuilder,
 };
 use fsm_fptree::MiningLimits;
 use fsm_storage::StorageBackend;
@@ -189,74 +189,17 @@ proptest! {
     }
 
     /// Shadow model: drive the [`DeltaMiner`] directly through randomized
-    /// slides and recount every pattern's support brute-force from the
-    /// window's transactions.  The maintained (pre-connectivity) set must
-    /// equal the recounted frequent set exactly — supports included — after
-    /// every advance, including advances that cover several slides and a
-    /// mid-stream threshold switch (which must trigger exactly one rebuild).
-    #[test]
-    fn delta_state_matches_a_brute_force_recount(
-        raw in arb_stream(),
-        mask in proptest::collection::vec(any::<bool>(), 6),
-        window in 1usize..4,
-        thresholds in (1u64..4, 1u64..4),
-    ) {
-        let (minsup, switched) = thresholds;
-        let batches = to_batches(&raw);
-        let mut miner = build(
-            Algorithm::Vertical,
-            ConnectivityMode::Exact,
-            window,
-            MinSup::absolute(minsup),
-            StorageBackend::Memory,
-            1,
-            None,
-            false,
-        );
-        let mut state = DeltaMiner::new();
-        let mut rebuilds_seen = 0u64;
-        for (i, batch) in batches.iter().enumerate() {
-            miner.ingest_batch(batch).unwrap();
-            if i + 1 != batches.len() && !mask[i % mask.len()] {
-                continue;
-            }
-            // Switch thresholds halfway through the stream: the advance
-            // must fall back to a full rebuild exactly once per switch.
-            let threshold = if i >= batches.len() / 2 { switched } else { minsup };
-            let snapshot = miner.matrix_mut().snapshot_epoch().unwrap();
-            let mut found = state
-                .advance(&snapshot, threshold, MiningLimits::UNBOUNDED, TreeShape::Lexicographic)
-                .unwrap();
-            rebuilds_seen += state.stats().full_rebuilds;
-
-            let window_tx = window_transactions(&batches, i, window);
-            let mut expected = brute_force_frequent(&window_tx, threshold.max(1));
-            let mut got: Vec<(Vec<u32>, u64)> = found
-                .drain(..)
-                .map(|p| (p.edges.edges().iter().map(|e| e.0).collect(), p.support))
-                .collect();
-            got.sort();
-            expected.sort();
-            prop_assert_eq!(
-                got,
-                expected,
-                "epoch {} window {} minsup {}: maintained set diverged from recount",
-                i,
-                window,
-                threshold
-            );
-            prop_assert_eq!(state.stats().patterns_tracked, state.patterns_tracked());
-            prop_assert_eq!(state.stats().border_size, state.border_size());
-        }
-        prop_assert!(rebuilds_seen >= 1, "the first advance is always a rebuild");
-    }
-
-    /// The same shadow model for the connected tree: the maintained set
-    /// must equal the brute-force recount of the *connected* frequent sets
-    /// over catalogs that are not complete graphs.  Every catalog knows
-    /// only edges `0..8` while the stream mentions `0..10`, so members
-    /// outside the catalog must stay singleton-only (and their first
-    /// appearance widens the matrix, one more rebuild trigger).
+    /// slides — including advances that cover several slides — and recount
+    /// every pattern's support brute-force from the window's transactions.
+    /// The maintained set must equal the recount of the *connected* frequent
+    /// sets, supports included, over catalogs that are not complete graphs.
+    /// Every catalog knows only edges `0..8` while the stream mentions
+    /// `0..10`, so members outside the catalog must stay singleton-only.
+    ///
+    /// An advance rebuilds exactly once when it has to — the first one, the
+    /// mid-stream threshold switch, an edge past the catalog widening the
+    /// matrix, a gap that turned the whole window over — and never
+    /// otherwise.
     #[test]
     fn connected_delta_state_matches_a_brute_force_recount(
         raw in arb_stream(),
@@ -283,16 +226,32 @@ proptest! {
             .build()
             .unwrap();
         let mut state = DeltaMiner::new();
+        // (batch index, threshold, matrix width) of the previous advance.
+        let mut previous: Option<(usize, u64, usize)> = None;
         for (i, batch) in batches.iter().enumerate() {
             miner.ingest_batch(batch).unwrap();
             if i + 1 != batches.len() && !mask[i % mask.len()] {
                 continue;
             }
+            // Switch thresholds halfway through the stream.
             let threshold = if i >= batches.len() / 2 { switched } else { minsup };
             let snapshot = miner.matrix_mut().snapshot_epoch().unwrap();
-            let found = state
-                .advance(&snapshot, threshold, limits, TreeShape::Connected(&catalog))
-                .unwrap();
+            let found = state.advance(&snapshot, threshold, limits, &catalog).unwrap();
+
+            let oldest_in_window = (i + 1).saturating_sub(window);
+            let must_rebuild = previous.is_none_or(|(at, minsup, width)| {
+                minsup != threshold || width != snapshot.num_items() || at < oldest_in_window
+            });
+            prop_assert_eq!(
+                state.stats().full_rebuilds,
+                u64::from(must_rebuild),
+                "epoch {}: previous advance {:?}, now minsup {} width {}",
+                i,
+                previous,
+                threshold,
+                snapshot.num_items()
+            );
+            previous = Some((i, threshold, snapshot.num_items()));
 
             let window_tx = window_transactions(&batches, i, window);
             let mut expected = brute_force_frequent(&window_tx, threshold);
@@ -529,6 +488,49 @@ fn direct_vertical_under_the_paper_rule_reports_no_disconnected_collection() {
     assert_eq!(delta.support_of(&EdgeSet::from_raw(transaction)), None);
 }
 
+/// The routing rule: a post-processing algorithm under the paper's rule
+/// returns disconnected collections no connected tree holds, so `delta(true)`
+/// must not reach the [`DeltaMiner`] at all — the result is the full mine's,
+/// and the delta counters stay untouched.
+#[test]
+fn a_postprocessing_algorithm_under_the_paper_rule_is_mined_in_full() {
+    // Two disjoint two-edge paths, one per triangle: disconnected, but every
+    // vertex-frequency condition of the paper's rule holds.
+    let transaction = [0, 1, 3, 4];
+    let batches: Vec<Batch> = (0..3)
+        .map(|id| Batch::from_transactions(id, vec![Transaction::from_raw(transaction); 2]))
+        .collect();
+    let miner = |delta| {
+        build(
+            Algorithm::Vertical,
+            ConnectivityMode::PaperRule,
+            2,
+            MinSup::absolute(2),
+            StorageBackend::Memory,
+            1,
+            None,
+            delta,
+        )
+    };
+    let (mut flagged, mut full) = (miner(true), miner(false));
+    for (i, batch) in batches.iter().enumerate() {
+        flagged.ingest_batch(batch).unwrap();
+        full.ingest_batch(batch).unwrap();
+        let (got, want) = (flagged.mine().unwrap(), full.mine().unwrap());
+        assert_eq!(got.patterns(), want.patterns());
+        let in_window = 2 * (i as u64 + 1).min(2);
+        assert_eq!(
+            got.support_of(&EdgeSet::from_raw(transaction)),
+            Some(in_window)
+        );
+        assert_eq!(got.stats().delta, DeltaStats::default());
+        assert_eq!(
+            got.stats().patterns_before_postprocess,
+            want.stats().patterns_before_postprocess
+        );
+    }
+}
+
 /// `ingest_snapshots` interning a vertex pair adjacent to tracked patterns
 /// changes the neighbourhoods the connected tree was grown over: the next
 /// delta mine must rebuild — once — and stay byte-identical throughout.
@@ -596,12 +598,7 @@ fn catalog_growth_alone_rebuilds_the_connected_tree() {
     let mut advance = |miner: &mut StreamMiner, catalog: &EdgeCatalog| {
         let snapshot = miner.matrix_mut().snapshot_epoch().unwrap();
         let found = state
-            .advance(
-                &snapshot,
-                2,
-                MiningLimits::UNBOUNDED,
-                TreeShape::Connected(catalog),
-            )
+            .advance(&snapshot, 2, MiningLimits::UNBOUNDED, catalog)
             .unwrap();
         (found.len(), state.stats().full_rebuilds)
     };
@@ -612,15 +609,4 @@ fn catalog_growth_alone_rebuilds_the_connected_tree() {
     assert_eq!(advance(&mut miner, &narrow), (4, 0));
     // Same epoch, wider catalog: {b,c} and {a,b,c} become reachable.
     assert_eq!(advance(&mut miner, &wide), (6, 1));
-    // ... and a shape switch rebuilds too ({a,c} is frequent, disconnected).
-    let snapshot = miner.matrix_mut().snapshot_epoch().unwrap();
-    let all = state
-        .advance(
-            &snapshot,
-            2,
-            MiningLimits::UNBOUNDED,
-            TreeShape::Lexicographic,
-        )
-        .unwrap();
-    assert_eq!((all.len(), state.stats().full_rebuilds), (7, 1));
 }

@@ -1,8 +1,9 @@
 //! Spill/thaw lifecycle corners that the headline isolation property
 //! cannot reach on its own: a corrupt spill artifact surfacing (and the
-//! tenant staying recreatable), a spill racing an in-flight mine, and a
+//! tenant staying recreatable), a spill racing an in-flight mine, a
 //! delta tenant's incremental state rebuilding exactly across a
-//! spill/thaw cycle.
+//! spill/thaw cycle, and a subscribed disk tenant holding nothing resident
+//! outside its chunk-cache budget.
 
 use std::sync::{mpsc, Arc};
 
@@ -195,4 +196,55 @@ fn delta_state_rebuilds_exactly_on_thaw() {
         scratch.ingest_batch(batch).unwrap();
     }
     assert!(served.same_patterns_as(&scratch.mine().unwrap()));
+}
+
+/// Publishing to a subscriber is the tenant's ordinary mine, so it leaves
+/// behind what an ordinary mine leaves behind: a disk tenant mined on every
+/// slide reports the resident bytes of an unsubscribed twin mined once at
+/// the end — bookkeeping plus at most its chunk-cache budget.  (Publishing
+/// from an epoch snapshot instead would leave the store's decoded-segment
+/// memo resident: a copy of the window outside that budget.)
+#[test]
+fn a_subscribed_disk_tenant_holds_no_more_than_an_unsubscribed_one() {
+    let disk = MinerConfig {
+        algorithm: Algorithm::Vertical,
+        window: WindowConfig::new(3).unwrap(),
+        backend: StorageBackend::DiskTemp,
+        catalog: Some(EdgeCatalog::complete(6)),
+        cache_budget_bytes: 4 << 10,
+        ..config(false)
+    };
+    // 8 batches of 2048 transactions over the 15 edges: every chunk is 256
+    // bytes, so the three-batch window (45 chunks) outweighs the 4 KiB
+    // budget almost three times over.
+    let stream: Vec<Batch> = (0..8u64)
+        .map(|id| {
+            let transactions = (0..2048u64)
+                .map(|t| {
+                    let edges = (0..15u32).filter(|&e| (id + t * 7 + u64::from(e) * 3) % 4 != 0);
+                    Transaction::from_raw(edges)
+                })
+                .collect();
+            Batch::from_transactions(id, transactions)
+        })
+        .collect();
+
+    let registry = SessionRegistry::new(RegistryConfig::default());
+    let subscribed = registry.create_tenant("sub", disk.clone(), false).unwrap();
+    let unsubscribed = registry.create_tenant("unsub", disk, false).unwrap();
+    let mut subscription = subscribed.subscribe();
+    let mut published = None;
+    for batch in &stream {
+        subscribed.ingest(batch).unwrap();
+        unsubscribed.ingest(batch).unwrap();
+        published = Some(subscription.poll().expect("every slide publishes"));
+    }
+    let mined = unsubscribed.mine().unwrap();
+    assert!(published.unwrap().same_patterns_as(&mined));
+    assert!(!mined.is_empty());
+    assert_eq!(
+        subscribed.status().resident_bytes,
+        unsubscribed.status().resident_bytes,
+        "a publish must leave resident exactly what a mine leaves resident"
+    );
 }

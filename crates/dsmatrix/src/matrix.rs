@@ -14,7 +14,7 @@ use fsm_types::{Batch, BatchId, EdgeId, FsmError, Result, Support, Transaction};
 
 use crate::durable::{decode_batch, encode_batch, DurabilityConfig, DurableState, RecoveryReport};
 use crate::epoch::EpochSnapshot;
-use crate::snapshot::{ProjectedRows, RowSnapshot};
+use crate::snapshot::RowSnapshot;
 use crate::view::{MixedRow, WindowView};
 
 const WORD_BITS: usize = 64;
@@ -318,14 +318,6 @@ impl DsMatrix {
             return Err(FsmError::config("checkpoint_every must be at least 1"));
         }
         Ok(())
-    }
-
-    /// Creates a matrix with the default configuration (disk-backed, `w = 5`).
-    pub fn with_window(window: WindowConfig) -> Result<Self> {
-        Self::new(DsMatrixConfig {
-            window,
-            ..DsMatrixConfig::default()
-        })
     }
 
     /// Rebuilds the exact pre-crash window from the durable directory.
@@ -1069,38 +1061,22 @@ impl DsMatrix {
     /// then both fetches only the pages the preceding slide invalidated
     /// (`pages_read`) *and* assembles zero words (`words_assembled`),
     /// matching the memory backend.  Rows whose chunks miss the budget fall
-    /// back to counted eager assembly into the cache buffers — and with a
-    /// budget of `0` (the default) every row does, reproducing the original
-    /// fully-eager read path byte for byte.
+    /// back to counted eager assembly into the cache buffers — the same
+    /// path at every budget: with a budget of `0` (the default) no row can
+    /// be pinned, so every row falls back and the window is assembled once
+    /// per call.
     pub fn view(&mut self) -> Result<WindowView<'_>> {
         self.rebalance_cache_budget();
-        if self.cache.enabled {
-            debug_assert_eq!(
-                self.cache.generation,
-                self.store.generation(),
-                "row cache must be maintained by every ingest"
-            );
-            if self.cache.rows.len() < self.num_items {
-                self.cache.rows.resize_with(self.num_items, BitVec::new);
-            }
-        } else if self.store.cache_budget() > 0 {
+        if !self.cache.enabled {
             return self.pinned_view();
-        } else {
-            // Eager fallback into the cache's buffers.  Direct callers that
-            // keep taking views reuse the allocations; the `StreamMiner`
-            // facade instead calls `trim_cache()` after each mine so the
-            // between-mines resident footprint stays bookkeeping-only (the
-            // paper's on-disk space story).
-            self.cache.offset = 0;
+        }
+        debug_assert_eq!(
+            self.cache.generation,
+            self.store.generation(),
+            "row cache must be maintained by every ingest"
+        );
+        if self.cache.rows.len() < self.num_items {
             self.cache.rows.resize_with(self.num_items, BitVec::new);
-            for idx in 0..self.num_items {
-                let mut row = std::mem::take(&mut self.cache.rows[idx]);
-                self.store.assemble_row(idx, &mut row)?;
-                row.resize(self.num_cols);
-                self.read_stats.rows_assembled += 1;
-                self.read_stats.words_assembled += words_of(row.len());
-                self.cache.rows[idx] = row;
-            }
         }
         debug_assert!(self.supports.len() >= self.num_items);
         Ok(WindowView::new(
@@ -1111,14 +1087,18 @@ impl DsMatrix {
         ))
     }
 
-    /// The budgeted-disk view path: pin every row's chunks in the decoded
-    /// cache and borrow them in place; assemble flat fallbacks only for rows
-    /// the budget cannot hold.
+    /// The disk view path: pin every row's chunks in the decoded cache and
+    /// borrow them in place; assemble flat fallbacks only for rows the
+    /// budget cannot hold (all of them when the cache is disabled).
     fn pinned_view(&mut self) -> Result<WindowView<'_>> {
         // Phase 1 (mutable): decide per row.  Pins from a previous view are
         // stale — release them so this view's working set competes for the
         // whole budget — then pin row by row, falling back to (counted)
-        // eager assembly whenever a row's chunks miss the budget.
+        // eager assembly whenever a row's chunks miss the budget.  Direct
+        // callers that keep taking views reuse the fallback allocations; the
+        // `StreamMiner` facade instead calls `trim_cache()` after each mine
+        // so the between-mines resident footprint stays bookkeeping plus the
+        // chunk-cache budget (the paper's on-disk space story).
         self.store.release_pins();
         let pinned_at = self.store.generation();
         self.cache.offset = 0;
@@ -1275,24 +1255,6 @@ impl DsMatrix {
         Ok(RowSnapshot::new(rows, self.num_cols))
     }
 
-    /// Support of a single edge, from the counters maintained at
-    /// ingest/evict time (no row scan).
-    pub fn support(&mut self, item: EdgeId) -> Result<Support> {
-        Ok(self.supports.get(item.index()).copied().unwrap_or(0))
-    }
-
-    /// Supports of every edge in canonical order — the first step of both
-    /// vertical algorithms (§3.4 and §4).  Counter reads, no row scans.
-    pub fn singleton_supports(&mut self) -> Result<Vec<(EdgeId, Support)>> {
-        Ok(self
-            .supports
-            .iter()
-            .take(self.num_items)
-            .enumerate()
-            .map(|(idx, &support)| (EdgeId::new(idx as u32), support))
-            .collect())
-    }
-
     /// Reconstructs one window transaction (one column read downwards).
     ///
     /// Reads only the *owning segment's* chunks — the rows that batch
@@ -1339,50 +1301,6 @@ impl DsMatrix {
             }
         }
         Ok(Transaction::from_edges(edges))
-    }
-
-    /// Builds the `{pivot}`-projected database: for every column whose pivot
-    /// bit is `1`, the items strictly *after* the pivot in canonical order
-    /// ("extract its column downwards", Example 2).
-    ///
-    /// The result is a weighted transaction list ready for FP-tree
-    /// construction; identical suffixes are merged to keep it small.
-    ///
-    /// Only the pivot row and the rows after it are assembled, so a single
-    /// projection never materialises the whole window.  Callers projecting
-    /// every pivot in a loop should [`DsMatrix::snapshot`] once and use
-    /// [`RowSnapshot::project_into`] instead — that is what the parallel
-    /// horizontal miners do.
-    pub fn project(&mut self, pivot: EdgeId) -> Result<ProjectedRows> {
-        let pivot_row = self.row(pivot)?;
-        let columns: Vec<usize> = pivot_row.iter_ones().collect();
-        if columns.is_empty() {
-            return Ok(Vec::new());
-        }
-        // suffixes[i] collects the items of window column columns[i].
-        let mut suffixes: Vec<Vec<EdgeId>> = vec![Vec::new(); columns.len()];
-        let mut row = BitVec::new();
-        for idx in (pivot.index() + 1)..self.num_items {
-            self.store.assemble_row(idx, &mut row)?;
-            for (slot, &col) in columns.iter().enumerate() {
-                if row.get(col) {
-                    suffixes[slot].push(EdgeId::new(idx as u32));
-                }
-            }
-        }
-        // Merge identical suffixes into weighted entries.
-        suffixes.sort();
-        let mut merged: ProjectedRows = Vec::new();
-        for suffix in suffixes {
-            if suffix.is_empty() {
-                continue;
-            }
-            match merged.last_mut() {
-                Some((prev, count)) if *prev == suffix => *count += 1,
-                _ => merged.push((suffix, 1)),
-            }
-        }
-        Ok(merged)
     }
 
     /// Bytes resident in main memory: window bookkeeping, the reused chunk
@@ -1551,7 +1469,7 @@ mod tests {
         for batch in paper_batches() {
             m.ingest_batch(&batch).unwrap();
         }
-        let supports = m.singleton_supports().unwrap();
+        let supports = m.view().unwrap().singleton_supports();
         let expected = [5u64, 2, 5, 4, 1, 4]; // a, b, c, d, e, f
         for (idx, &want) in expected.iter().enumerate() {
             assert_eq!(supports[idx].1, want, "support of row {idx}");
@@ -1566,7 +1484,8 @@ mod tests {
         }
         // {a}-projected database: {c,d,f}, {d,e,f}, {b,c}, {c,f}, {c,d,f}
         // (with the two identical suffixes merged).
-        let db = m.project(EdgeId::new(0)).unwrap();
+        let view = m.view().unwrap();
+        let db = view.project(EdgeId::new(0));
         let total: Support = db.iter().map(|(_, c)| c).sum();
         assert_eq!(total, 5);
         let as_strings: Vec<(String, Support)> = db
@@ -1579,7 +1498,7 @@ mod tests {
         assert!(as_strings.contains(&("cf".to_string(), 1)));
 
         // {b}-projected database: {c} and {c,d} (Example 2).
-        let db_b = m.project(EdgeId::new(1)).unwrap();
+        let db_b = view.project(EdgeId::new(1));
         let as_strings: Vec<(String, Support)> = db_b
             .iter()
             .map(|(items, c)| (items.iter().map(|e| e.symbol()).collect::<String>(), *c))
@@ -1589,7 +1508,7 @@ mod tests {
         assert!(as_strings.contains(&("cd".to_string(), 1)));
 
         // Projecting the last edge yields an empty database.
-        assert!(m.project(EdgeId::new(5)).unwrap().is_empty());
+        assert!(view.project(EdgeId::new(5)).is_empty());
     }
 
     #[test]
@@ -1626,14 +1545,14 @@ mod tests {
         assert_eq!(m.num_items(), 3);
         assert_eq!(row_string(&mut m, 2), "01", "row created late is padded");
         assert_eq!(row_string(&mut m, 1), "00", "never-seen edge is all zeros");
-        assert_eq!(m.support(EdgeId::new(0)).unwrap(), 1);
+        assert_eq!(m.view().unwrap().support(EdgeId::new(0)), 1);
     }
 
     #[test]
     fn unknown_rows_read_as_zero() {
         let mut m = matrix(StorageBackend::Memory);
         m.ingest_batch(&paper_batches()[0]).unwrap();
-        assert_eq!(m.support(EdgeId::new(40)).unwrap(), 0);
+        assert_eq!(m.view().unwrap().support(EdgeId::new(40)), 0);
         assert_eq!(m.row(EdgeId::new(40)).unwrap().len(), 3);
     }
 

@@ -69,8 +69,8 @@ impl RowSnapshot {
     /// strictly *after* the pivot in canonical order, with identical suffixes
     /// merged into weighted entries (Example 2 of the paper).
     ///
-    /// The output is identical to [`crate::DsMatrix::project`]; the
-    /// difference is purely operational — `&self` access plus per-worker
+    /// The output is identical to [`crate::WindowView::project_into`] over
+    /// the same window (they share one body); `&self` access plus per-worker
     /// scratch reuse make it safe and cheap to call from a parallel fan-out.
     pub fn project_into<'a>(
         &self,

@@ -9,8 +9,8 @@
 //! ([`fsm_storage::SegmentedWindowStore::pin_row_chunks`]): each row becomes
 //! a [`fsm_storage::ChunkedRow`] cursor over cache-resident chunks, so no
 //! flat row is assembled at all; only rows whose chunks miss the budget fall
-//! back to eager assembly into the matrix's cache buffers (and with a zero
-//! budget every row does — the original fully-eager path, byte for byte).
+//! back to eager assembly into the matrix's cache buffers (with a zero
+//! budget no row can be pinned, so every row of that same view does).
 //! Whatever mix results, the view API is identical: miners read rows as
 //! [`RowRef`]s and never know which representation they got.
 //!
@@ -49,10 +49,10 @@ pub(crate) enum MixedRow<'a> {
 
 #[derive(Debug, Clone)]
 enum ViewRows<'a> {
-    /// Every row is a flat [`BitVec`] in one shared slice (memory-backend
-    /// row cache, or the fully-eager disk fallback).
+    /// Every row is a flat [`BitVec`] in one shared slice (the
+    /// memory-backend row cache).
     Flat(&'a [BitVec]),
-    /// Per-row representations (the pinned disk read path).
+    /// Per-row representations (the disk read path).
     Mixed(Vec<MixedRow<'a>>),
 }
 
@@ -60,8 +60,9 @@ enum ViewRows<'a> {
 /// read surface over the live window.
 ///
 /// Built by [`crate::DsMatrix::view`].  Zero-copy on the memory backend;
-/// served from pinned cache chunks (with per-row eager fallback) on the
-/// budgeted disk backends; assembled once per call at budget 0.
+/// served from pinned cache chunks, with per-row eager fallback, on the
+/// disk backends (at budget 0 every row falls back: assembled once per
+/// call).
 #[derive(Debug, Clone)]
 pub struct WindowView<'a> {
     rows: ViewRows<'a>,

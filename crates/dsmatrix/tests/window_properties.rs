@@ -62,6 +62,7 @@ proptest! {
                 .collect();
             prop_assert_eq!(matrix.num_transactions(), window.len());
 
+            let mut expected_supports = Vec::new();
             for edge in 0..DOMAIN {
                 let row = matrix.row(EdgeId::new(edge)).unwrap();
                 prop_assert_eq!(row.len(), window.len());
@@ -78,8 +79,13 @@ proptest! {
                     .iter()
                     .filter(|t| t.contains(EdgeId::new(edge)))
                     .count() as u64;
-                prop_assert_eq!(matrix.support(EdgeId::new(edge)).unwrap(), expected);
+                expected_supports.push((EdgeId::new(edge), expected));
             }
+            let view = matrix.view().unwrap();
+            for &(edge, expected) in &expected_supports {
+                prop_assert_eq!(view.support(edge), expected);
+            }
+            prop_assert_eq!(view.singleton_supports(), expected_supports);
 
             // Boundaries are cumulative batch sizes of the window.
             let mut acc = 0;
@@ -94,20 +100,12 @@ proptest! {
         }
     }
 
-    /// Projection on a pivot reproduces exactly the suffixes of the window
-    /// transactions containing the pivot.
+    /// Projection on a pivot — through the view, the projection the miners
+    /// run — reproduces exactly the suffixes of the window transactions
+    /// containing the pivot, on both storage backends.
     #[test]
     fn projection_is_exact(raw in arb_batches(), w in 1usize..4, pivot in 0u32..DOMAIN) {
         let batches = to_batches(&raw);
-        let mut matrix = DsMatrix::new(DsMatrixConfig::new(
-            WindowConfig::new(w).unwrap(),
-            StorageBackend::Memory,
-            DOMAIN as usize,
-        ))
-        .unwrap();
-        for batch in &batches {
-            matrix.ingest_batch(batch).unwrap();
-        }
         let start = batches.len().saturating_sub(w);
         let pivot_id = EdgeId::new(pivot);
         let mut expected: Vec<Vec<EdgeId>> = batches[start..]
@@ -119,13 +117,24 @@ proptest! {
             .collect();
         expected.sort();
 
-        let mut got: Vec<Vec<EdgeId>> = Vec::new();
-        for (suffix, count) in matrix.project(pivot_id).unwrap() {
-            for _ in 0..count {
-                got.push(suffix.clone());
+        for backend in [StorageBackend::Memory, StorageBackend::DiskTemp] {
+            let mut matrix = DsMatrix::new(DsMatrixConfig::new(
+                WindowConfig::new(w).unwrap(),
+                backend,
+                DOMAIN as usize,
+            ))
+            .unwrap();
+            for batch in &batches {
+                matrix.ingest_batch(batch).unwrap();
             }
+            let mut got: Vec<Vec<EdgeId>> = Vec::new();
+            for (suffix, count) in matrix.view().unwrap().project(pivot_id) {
+                for _ in 0..count {
+                    got.push(suffix.clone());
+                }
+            }
+            got.sort();
+            prop_assert_eq!(&got, &expected);
         }
-        got.sort();
-        prop_assert_eq!(got, expected);
     }
 }
