@@ -529,11 +529,15 @@ fn read_amplification(setup: &Setup) {
 ///
 /// Two claims are *asserted*, not just printed: overlap really happened
 /// (slides completed while a mine was in flight, counted via a shared
-/// progress counter the worker reads when each mine finishes — summed over
-/// the suite, since a fast workload's individual mines can beat the next
-/// ingest), and there is no correctness divergence (every
-/// concurrently-mined epoch's patterns are identical to the
-/// stop-the-world miner's at that epoch).  The table shows
+/// progress counter the worker reads when each mine finishes), and there is
+/// no correctness divergence (every concurrently-mined epoch's patterns are
+/// identical to the stop-the-world miner's at that epoch).  The overlap is
+/// *constructed*, not sampled — how long a mine happens to take must not
+/// decide whether the section passes: on one slide per workload the worker
+/// announces the epoch it is about to mine and holds its snapshot until the
+/// writer has completed the next ingest, so that mine provably runs over a
+/// window that has already slid.  Whatever overlap the other slides add by
+/// timing alone is counted and printed too.  The table shows
 /// the third claim — ingest stall ≈ 0: the writer's per-ingest latency is
 /// unchanged by the mining running underneath it, because a snapshot is
 /// `Arc`-shared segments, never a copy and never a lock the writer waits on.
@@ -579,14 +583,27 @@ fn concurrent_ingest_mine(setup: &Setup) {
         let ingested = Arc::new(AtomicU64::new(0));
         let (mut conc_ingest, mut conc_ingest_max) = (Duration::ZERO, Duration::ZERO);
         let conc_start = Instant::now();
+        // The handshake slide: the first one that evicts, or the last one
+        // that still has an ingest after it on a short stream.
+        let handshake = setup.window.min(workload.batches.len().saturating_sub(2));
         let (mined, overlap) = std::thread::scope(|scope| {
             let (jobs, worker_jobs) = mpsc::channel::<MinerSnapshot>();
+            let (announce, announced) = mpsc::channel::<()>();
+            let (release, released) = mpsc::channel::<()>();
             let progress = Arc::clone(&ingested);
             let worker = scope.spawn(move || {
                 let mut mined = Vec::new();
                 let mut overlap = 0u64;
-                for job in worker_jobs {
+                for (index, job) in worker_jobs.into_iter().enumerate() {
                     let at_snapshot = job.last_batch_id().map_or(0, |id| id + 1);
+                    if index == handshake {
+                        // "Mining this epoch" — then hold the snapshot until
+                        // the writer has slid the window past it.  (On a
+                        // one-batch stream no ingest follows; the writer
+                        // hangs up instead and `recv` returns at once.)
+                        announce.send(()).expect("writer alive");
+                        let _ = released.recv();
+                    }
                     let result = job.mine().expect("snapshot mine");
                     // Slides the writer completed while this mine ran.
                     overlap += progress.load(Ordering::Relaxed).saturating_sub(at_snapshot);
@@ -594,17 +611,25 @@ fn concurrent_ingest_mine(setup: &Setup) {
                 }
                 (mined, overlap)
             });
-            for batch in &workload.batches {
+            for (index, batch) in workload.batches.iter().enumerate() {
                 let t = Instant::now();
                 concurrent.ingest_batch(batch).expect("ingest");
                 let dt = t.elapsed();
                 conc_ingest += dt;
                 conc_ingest_max = conc_ingest_max.max(dt);
                 ingested.fetch_add(1, Ordering::Relaxed);
+                if index == handshake + 1 {
+                    release.send(()).expect("mining worker alive");
+                }
                 jobs.send(concurrent.snapshot().expect("snapshot"))
                     .expect("mining worker alive");
+                if index == handshake {
+                    // Outside the timed ingest: wait for the worker to reach
+                    // this epoch before sliding past it.
+                    announced.recv().expect("mining worker alive");
+                }
             }
-            drop(jobs);
+            drop((jobs, release));
             worker.join().expect("mining worker panicked")
         });
         let conc_wall = conc_start.elapsed();
@@ -621,6 +646,11 @@ fn concurrent_ingest_mine(setup: &Setup) {
                 seq_results[idx].diff(result)
             );
         }
+        assert!(
+            overlap > 0 || workload.batches.len() < 2,
+            "{}: the handshake slide did not complete while its mine was in flight",
+            workload.name
+        );
         suite_overlap += overlap;
 
         let per = |d: Duration| {
@@ -665,14 +695,9 @@ fn concurrent_ingest_mine(setup: &Setup) {
              ingest stall vs stop-the-world: {stall:.2}x avg\n"
         );
     }
-    // A fast workload's mines can individually finish before the next
-    // ingest lands, but across the suite the overlap must be real.
-    assert!(
-        suite_overlap > 0,
-        "no slide in the whole suite completed while a mine was in flight"
-    );
     println!(
-        "suite total: {suite_overlap} slides completed while a mine was in flight (asserted > 0)\n"
+        "suite total: {suite_overlap} slides completed while a mine was in flight \
+         (at least the one constructed per workload, asserted)\n"
     );
 }
 

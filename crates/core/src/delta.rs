@@ -80,20 +80,14 @@ use fsm_storage::{BitVec, EpochSegment, RowRef};
 use fsm_types::{EdgeCatalog, EdgeId, EdgeSet, FrequentPattern, FsmError, Result, Support};
 
 use crate::instrument::DeltaStats;
-use crate::miners::direct::is_canonical_extension;
 use crate::neighborhood::Neighborhood;
 use crate::scratch::ScratchArena;
 
-/// The enumeration's view of one tree node: its members and their
-/// neighbourhood (equations 1 and 2), which decide the extensions the node
-/// can have ([`Position::candidates`]) and what a sweep for a newly frequent
-/// edge does on reaching it ([`Position::admission`]).
-struct Position<'a> {
-    catalog: &'a EdgeCatalog,
-    hood: Neighborhood,
-}
-
-/// What reaching a node means for the extension `node ∪ {edge}`.
+/// What reaching a node means for the extension `node ∪ {edge}`.  A node's
+/// position in the enumeration is a [`Neighborhood`] cursor seated on its
+/// root path: the cursor's canonical candidates are the extensions the node
+/// can have, and [`Admission::at`] is what a sweep for a newly frequent edge
+/// does on reaching it.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Admission {
     /// It is a tree child of the node: screen it.
@@ -105,39 +99,12 @@ enum Admission {
     Closed,
 }
 
-impl<'a> Position<'a> {
-    /// The root position of singleton `edge`; `None` for a root that cannot
-    /// grow (an edge outside the catalog is tracked as a singleton only).
-    fn root(catalog: &'a EdgeCatalog, edge: EdgeId) -> Result<Option<Self>> {
-        if edge.index() >= catalog.num_edges() {
-            return Ok(None);
-        }
-        Ok(Some(Self {
-            catalog,
-            hood: Neighborhood::of_edge(catalog, edge)?,
-        }))
-    }
-
-    /// The position of the child reached by adding `edge`.
-    fn child(&self, edge: EdgeId) -> Result<Self> {
-        Ok(Self {
-            catalog: self.catalog,
-            hood: self.hood.extend(self.catalog, edge)?,
-        })
-    }
-
-    /// A superset of the node's extension edges; the caller keeps those that
-    /// are frequent singletons and [`Admission::Extend`].
-    fn candidates(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        self.hood.neighbors().iter().copied()
-    }
-
-    fn admission(&self, edge: EdgeId) -> Admission {
-        if self.hood.members().contains(&edge) {
+impl Admission {
+    /// The admission of `edge` at the node `hood` is seated on.
+    fn at(hood: &Neighborhood<'_>, edge: EdgeId) -> Self {
+        if hood.members().contains(&edge) {
             Admission::Closed
-        } else if self.hood.is_neighbor(edge)
-            && is_canonical_extension(self.catalog, self.hood.members(), edge)
-        {
+        } else if hood.is_canonical_step(edge) {
             Admission::Extend
         } else {
             Admission::PassThrough
@@ -417,11 +384,14 @@ impl DeltaMiner {
         let promoted = self.detect_singleton_crossings(snapshot);
         if !promoted.is_empty() || !crossings.is_empty() {
             let view = snapshot.view();
+            // One cursor for every expansion of this advance, re-seated per
+            // promotion: its per-depth neighbour lists are allocated once.
+            let mut hood = Neighborhood::new(catalog);
             for (parent, edge) in crossings {
-                self.promote_border(&view, catalog, parent, edge)?;
+                self.promote_border(&view, &mut hood, parent, edge)?;
             }
             for edge in promoted {
-                self.promote_singleton(snapshot, &view, catalog, edge)?;
+                self.promote_singleton(snapshot, &view, &mut hood, edge)?;
             }
         }
         Ok(())
@@ -634,7 +604,7 @@ impl DeltaMiner {
     fn promote_border(
         &mut self,
         view: &WindowView<'_>,
-        catalog: &EdgeCatalog,
+        hood: &mut Neighborhood<'_>,
         parent: NodeRef,
         edge: EdgeId,
     ) -> Result<()> {
@@ -654,12 +624,14 @@ impl DeltaMiner {
         if !self.limits.allows(len + 1) {
             return Ok(());
         }
-        // Only grown nodes carry border entries, so the root has a position.
-        let mut position = Position::root(catalog, path[0])?.ok_or_else(|| {
-            FsmError::corrupt("delta state holds a border entry under a root that cannot grow")
-        })?;
+        // Only grown nodes carry border entries, so the root can be seated.
+        if !self.seat_root(hood, path[0])? {
+            return Err(FsmError::corrupt(
+                "delta state holds a border entry under a root that cannot grow",
+            ));
+        }
         for &member in &path[1..] {
-            position = position.child(member)?;
+            hood.push(member)?;
         }
         self.stats.patterns_reexamined += 1;
         let mut parent_tidset = self.scratch.take(len);
@@ -677,20 +649,16 @@ impl DeltaMiner {
         );
         let child = self.attach_child(parent, edge, support, &tidset)?;
         self.stats.border_promotions += 1;
-        self.expand(
-            view,
-            child,
-            &RowRef::Flat(&tidset),
-            &position.child(edge)?,
-            len + 1,
-        )?;
+        hood.push(edge)?;
+        self.expand(view, child, &RowRef::Flat(&tidset), hood, len + 1)?;
+        hood.pop();
         self.scratch.put(len + 1, tidset);
         if deep {
             // Resume the singleton sweep this entry interrupted: the failed
             // screen had skipped the parent's descendants.
             if let Some(row) = view.row(edge) {
                 let tidset = RowRef::Flat(&parent_tidset);
-                self.sweep_children(view, parent, &tidset, &position, len, edge, &row)?;
+                self.sweep_children(view, parent, &tidset, hood, len, edge, &row)?;
             }
         }
         self.scratch.put(len, parent_tidset);
@@ -706,16 +674,14 @@ impl DeltaMiner {
         &mut self,
         snapshot: &EpochSnapshot,
         view: &WindowView<'_>,
-        catalog: &EdgeCatalog,
+        hood: &mut Neighborhood<'_>,
         edge: EdgeId,
     ) -> Result<()> {
         self.stats.singleton_sweeps += 1;
         if !self.limits.allows(1) {
             return Ok(());
         }
-        let position = Position::root(catalog, edge)?;
-        let grows = position.is_some();
-        self.plant_root(snapshot, view, position, edge)?;
+        let grows = self.plant_root(snapshot, view, hood, edge)?;
         // A root that cannot grow (an edge outside the catalog) cannot
         // extend any tracked pattern either: nothing to sweep.
         let (true, Some(row)) = (grows, view.row(edge)) else {
@@ -728,26 +694,36 @@ impl DeltaMiner {
                 continue;
             };
             let root_edge = EdgeId::new(idx as u32);
-            let (Some(position), Some(root_row)) =
-                (Position::root(catalog, root_edge)?, view.row(root_edge))
+            let (true, Some(root_row)) = (self.seat_root(hood, root_edge)?, view.row(root_edge))
             else {
                 continue;
             };
-            let admission = position.admission(edge);
-            self.sweep_node(view, root, &root_row, &position, 1, edge, &row, admission)?;
+            let admission = Admission::at(hood, edge);
+            self.sweep_node(view, root, &root_row, hood, 1, edge, &row, admission)?;
         }
         Ok(())
     }
 
-    /// Creates the root of frequent singleton `edge` and, when it has a
-    /// `position` ([`Position::root`]), fully expands it.
+    /// Seats `hood` on the root of singleton `edge`; `false` for a root that
+    /// cannot grow (an edge outside the catalog is tracked as a singleton
+    /// only).
+    fn seat_root(&self, hood: &mut Neighborhood<'_>, edge: EdgeId) -> Result<bool> {
+        if edge.index() >= self.catalog_edges {
+            return Ok(false);
+        }
+        hood.seat(edge)?;
+        Ok(true)
+    }
+
+    /// Creates the root of frequent singleton `edge` and, when it can grow
+    /// ([`DeltaMiner::seat_root`], the return value), fully expands it.
     fn plant_root(
         &mut self,
         snapshot: &EpochSnapshot,
         view: &WindowView<'_>,
-        position: Option<Position<'_>>,
+        hood: &mut Neighborhood<'_>,
         edge: EdgeId,
-    ) -> Result<()> {
+    ) -> Result<bool> {
         let support = snapshot.singleton_support(edge.index());
         let nref = self.alloc(Node::new(edge, None, support));
         self.roots[edge.index()] = Some(nref);
@@ -762,10 +738,11 @@ impl DeltaMiner {
             }
         }
         self.set_node_contribs(nref, contribs);
-        if let (Some(position), Some(row)) = (position, view.row(edge)) {
-            self.expand(view, nref, &row, &position, 1)?;
+        let grows = self.seat_root(hood, edge)?;
+        if let (true, Some(row)) = (grows, view.row(edge)) {
+            self.expand(view, nref, &row, hood, 1)?;
         }
-        Ok(())
+        Ok(grows)
     }
 
     /// Installs a node's contribution records and indexes them per segment.
@@ -782,21 +759,24 @@ impl DeltaMiner {
     /// materialise-and-count loop of the vertical miners, except failed
     /// screens are remembered as border entries (whose per-segment
     /// contributions are split from the materialised tidset, which is why
-    /// there is no `and_count` pre-screen here).
+    /// there is no `and_count` pre-screen here).  `hood` is seated on the
+    /// node and is back on it when this returns.
     fn expand(
         &mut self,
         view: &WindowView<'_>,
         nref: NodeRef,
         tidset: &RowRef<'_>,
-        position: &Position<'_>,
+        hood: &mut Neighborhood<'_>,
         len: usize,
     ) -> Result<()> {
         if !self.limits.allows(len + 1) {
             return Ok(());
         }
         let mut buf = self.scratch.take(len + 1);
-        for edge in position.candidates() {
-            if !self.is_frequent(edge) || position.admission(edge) != Admission::Extend {
+        let mut index = 0;
+        while let Some((edge, canonical)) = hood.candidate(index) {
+            index += 1;
+            if !canonical || !self.is_frequent(edge) {
                 continue;
             }
             self.stats.patterns_reexamined += 1;
@@ -806,8 +786,9 @@ impl DeltaMiner {
             let support = tidset.and_into(&row, &mut buf);
             if support >= self.minsup {
                 let child = self.attach_child(nref, edge, support, &buf)?;
-                let next = position.child(edge)?;
-                self.expand(view, child, &RowRef::Flat(&buf), &next, len + 1)?;
+                hood.push(edge)?;
+                self.expand(view, child, &RowRef::Flat(&buf), hood, len + 1)?;
+                hood.pop();
             } else {
                 let contribs = self.split_contribs(&buf);
                 self.arm_border(nref, edge, support, false, contribs)?;
@@ -849,16 +830,17 @@ impl DeltaMiner {
         out
     }
 
-    /// One node of a sweep for singleton `edge` that newly became frequent;
-    /// `admission` is this node's (never [`Admission::Closed`] — callers
-    /// test that before materialising `tidset`).
+    /// One node of a sweep for singleton `edge` that newly became frequent,
+    /// with `hood` seated on it; `admission` is this node's (never
+    /// [`Admission::Closed`] — callers test that before materialising
+    /// `tidset`).
     #[allow(clippy::too_many_arguments)]
     fn sweep_node(
         &mut self,
         view: &WindowView<'_>,
         nref: NodeRef,
         tidset: &RowRef<'_>,
-        position: &Position<'_>,
+        hood: &mut Neighborhood<'_>,
         len: usize,
         edge: EdgeId,
         row: &RowRef<'_>,
@@ -887,8 +869,9 @@ impl DeltaMiner {
             let frequent = support >= self.minsup;
             if frequent {
                 let child = self.attach_child(nref, edge, support, &buf)?;
-                let next = position.child(edge)?;
-                self.expand(view, child, &RowRef::Flat(&buf), &next, len + 1)?;
+                hood.push(edge)?;
+                self.expand(view, child, &RowRef::Flat(&buf), hood, len + 1)?;
+                hood.pop();
             } else {
                 let contribs = self.split_contribs(&buf);
                 self.arm_border(nref, edge, support, true, contribs)?;
@@ -900,7 +883,7 @@ impl DeltaMiner {
                 return Ok(());
             }
         }
-        self.sweep_children(view, nref, tidset, position, len, edge, row)
+        self.sweep_children(view, nref, tidset, hood, len, edge, row)
     }
 
     /// Continues a sweep into every child of `nref` under which a pattern
@@ -911,7 +894,7 @@ impl DeltaMiner {
         view: &WindowView<'_>,
         nref: NodeRef,
         tidset: &RowRef<'_>,
-        position: &Position<'_>,
+        hood: &mut Neighborhood<'_>,
         len: usize,
         edge: EdgeId,
         row: &RowRef<'_>,
@@ -926,28 +909,28 @@ impl DeltaMiner {
             i += 1;
             let node = self.live(child, DURING)?;
             let (child_edge, leaf) = (node.edge, node.children.is_empty());
-            let child_position = position.child(child_edge)?;
-            let admission = child_position.admission(edge);
+            hood.push(child_edge)?;
+            let admission = Admission::at(hood, edge);
             // A leaf that only passes the sweep through has nothing below it
             // to pass it to: its tidset is never needed.
-            if admission == Admission::Closed || (leaf && admission == Admission::PassThrough) {
-                continue;
+            let dead_end =
+                admission == Admission::Closed || (leaf && admission == Admission::PassThrough);
+            let child_row = if dead_end { None } else { view.row(child_edge) };
+            if let Some(child_row) = child_row {
+                tidset.and_into(&child_row, &mut buf);
+                let child_tidset = RowRef::Flat(&buf);
+                self.sweep_node(
+                    view,
+                    child,
+                    &child_tidset,
+                    hood,
+                    len + 1,
+                    edge,
+                    row,
+                    admission,
+                )?;
             }
-            let Some(child_row) = view.row(child_edge) else {
-                continue;
-            };
-            tidset.and_into(&child_row, &mut buf);
-            let child_tidset = RowRef::Flat(&buf);
-            self.sweep_node(
-                view,
-                child,
-                &child_tidset,
-                &child_position,
-                len + 1,
-                edge,
-                row,
-                admission,
-            )?;
+            hood.pop();
         }
         self.scratch.put(len + 1, buf);
         Ok(())
@@ -1054,10 +1037,10 @@ impl DeltaMiner {
             return Ok(());
         }
         let view = snapshot.view();
+        let mut hood = Neighborhood::new(catalog);
         for idx in 0..self.num_items {
             if self.frequent[idx] {
-                let edge = EdgeId::new(idx as u32);
-                self.plant_root(snapshot, &view, Position::root(catalog, edge)?, edge)?;
+                self.plant_root(snapshot, &view, &mut hood, EdgeId::new(idx as u32))?;
             }
         }
         Ok(())

@@ -1,7 +1,5 @@
 //! §4 — direct vertical mining of frequent *connected* subgraphs.
 
-use std::collections::BTreeMap;
-
 use fsm_dsmatrix::WindowView;
 use fsm_fptree::MiningLimits;
 use fsm_storage::RowRef;
@@ -23,13 +21,25 @@ use crate::scratch::ScratchArena;
 /// edge and always absorbing the smallest adjacent member, the last edge
 /// absorbed must be the edge we are about to add.  Example 7's run is exactly
 /// this sequence of intersections (e.g. `{c,d,f}` is reached from `{c,f}` by
-/// adding `d`, never from `{c,d}`, which is not connected).
+/// adding `d`, never from `{c,d}`, which is not connected).  Canonical
+/// sequences are prefix-closed, so the connected patterns form a tree under
+/// this relation; [`crate::DeltaMiner`] maintains that same tree across
+/// window slides.
 ///
-/// Like [`crate::miners::vertical::mine_vertical`], the hot loop is
-/// allocation-free: candidates are screened with the fused
-/// [`RowRef::and_count`] kernel and surviving intersections land in per-depth
-/// [`ScratchArena`] buffers, while the fan-out over frequent single edges
-/// runs on `exec`'s worker pool and merges deterministically.
+/// A screen costs its kernel.  Each worker walks its subtrees with one
+/// [`Neighborhood`] cursor: the members are the current node's root path,
+/// a child's neighbour list is one sorted merge into a buffer reused for
+/// every node at that depth, and the merge leaves each neighbour with the
+/// answer to "is adding it the canonical growth step?" (the rule and its
+/// proof are on [`Neighborhood`]), so the per-candidate work is an indexed
+/// lookup of the frequent row, one comparison, and the fused
+/// [`RowRef::and_count`] screen.  Nothing is allocated per candidate:
+/// surviving intersections land in per-depth [`ScratchArena`] buffers, and
+/// the only per-pattern allocation is the emitted pattern itself
+/// (`crates/core/tests/alloc_regression.rs` pins that).  The fan-out over
+/// frequent single edges runs on `exec`'s worker pool and merges
+/// deterministically.
+///
 /// Singleton rows are borrowed zero-copy from the [`WindowView`] — the live
 /// one or a frozen [`fsm_dsmatrix::EpochSnapshot`]'s — as [`RowRef`]s (flat
 /// cached rows on the memory backend, pinned-chunk cursors on a budgeted
@@ -46,9 +56,10 @@ pub fn mine_direct(
     let mut output = RawMiningOutput::default();
 
     // Frequent single edges and their rows, borrowed zero-copy from the
-    // window view (supports come from ingest-time counters).
-    let mut rows: BTreeMap<EdgeId, RowRef<'_>> = BTreeMap::new();
-    let mut frequent: Vec<(EdgeId, Support)> = Vec::new();
+    // window view (supports come from ingest-time counters).  `rows` is
+    // indexed by edge: `None` for an infrequent one.
+    let mut rows: Vec<Option<RowRef<'_>>> = Vec::new();
+    let mut frequent: Vec<(EdgeId, Support, RowRef<'_>)> = Vec::new();
     for (edge, support) in view.singleton_supports() {
         if support >= minsup {
             let row = view.row(edge).ok_or_else(|| {
@@ -60,11 +71,14 @@ pub fn mine_direct(
                     edge.index()
                 ))
             })?;
-            rows.insert(edge, row);
-            frequent.push((edge, support));
+            if rows.len() <= edge.index() {
+                rows.resize(edge.index() + 1, None);
+            }
+            rows[edge.index()] = Some(row);
+            frequent.push((edge, support, row));
         }
     }
-    let base_bytes: usize = rows.values().map(|row| row.heap_bytes()).sum();
+    let base_bytes: usize = rows.iter().flatten().map(|row| row.heap_bytes()).sum();
     output.stats.peak_bitvector_bytes = base_bytes;
 
     // Singletons are patterns of length 1 and obey the same cardinality cap
@@ -73,35 +87,30 @@ pub fn mine_direct(
         return Ok(output);
     }
 
-    let worker = |scratch: &mut ScratchArena, idx: usize| -> Result<RawMiningOutput> {
-        let (edge, support) = frequent[idx];
+    let worker = |(scratch, hood): &mut (ScratchArena, Neighborhood<'_>),
+                  idx: usize|
+     -> Result<RawMiningOutput> {
+        let (edge, support, row) = frequent[idx];
         let mut sub = RawMiningOutput::default();
         sub.patterns
             .push(FrequentPattern::new(EdgeSet::singleton(edge), support));
         if !limits.allows(2) || edge.index() >= catalog.num_edges() {
             return Ok(sub);
         }
-        let neighborhood = Neighborhood::of_edge(catalog, edge)?;
-        grow(
-            catalog,
-            &rows,
-            &neighborhood,
-            rows[&edge],
-            minsup,
-            limits,
-            Bytes {
-                base: base_bytes,
-                ancestors: 0,
-            },
-            scratch,
-            &mut sub,
-        )?;
+        hood.seat(edge)?;
+        let bytes = Bytes {
+            base: base_bytes,
+            ancestors: 0,
+        };
+        grow(&rows, hood, row, minsup, limits, bytes, scratch, &mut sub)?;
         Ok(sub)
     };
 
-    // Each worker owns one scratch arena for all the subtrees it processes,
-    // so intersection buffers are allocated once per worker per depth.
-    for sub in exec.run_indexed_stateful(frequent.len(), ScratchArena::new, worker) {
+    // Each worker owns one scratch arena and one neighbourhood cursor for all
+    // the subtrees it processes, so intersection buffers and neighbour lists
+    // are allocated once per worker per depth.
+    let state = || (ScratchArena::new(), Neighborhood::new(catalog));
+    for sub in exec.run_indexed_stateful(frequent.len(), state, worker) {
         output.merge(sub?);
     }
 
@@ -109,13 +118,13 @@ pub fn mine_direct(
     Ok(output)
 }
 
-/// Extends the connected subgraph described by `neighborhood` with every
+/// Extends the connected subgraph `hood` is positioned on with every
 /// frequent neighbouring edge whose addition is the canonical growth step.
+/// `hood` is back on the same subgraph when this returns.
 #[allow(clippy::too_many_arguments)]
 fn grow(
-    catalog: &EdgeCatalog,
-    rows: &BTreeMap<EdgeId, RowRef<'_>>,
-    neighborhood: &Neighborhood,
+    rows: &[Option<RowRef<'_>>],
+    hood: &mut Neighborhood<'_>,
     vector: RowRef<'_>,
     minsup: Support,
     limits: MiningLimits,
@@ -123,29 +132,30 @@ fn grow(
     scratch: &mut ScratchArena,
     output: &mut RawMiningOutput,
 ) -> Result<()> {
-    let members = neighborhood.members();
-    let depth = members.len();
+    let depth = hood.members().len();
     let mut buffer = scratch.take(depth);
-    for &candidate in neighborhood.neighbors() {
+    let mut index = 0;
+    while let Some((candidate, canonical)) = hood.candidate(index) {
+        index += 1;
         // Only frequent edges are ever intersected ("the algorithm only
         // intersects vectors of frequent edges").
-        let Some(row) = rows.get(&candidate) else {
+        let Some(row) = rows.get(candidate.index()).copied().flatten() else {
             continue;
         };
-        if !is_canonical_extension(catalog, members, candidate) {
+        if !canonical {
             continue;
         }
         output.stats.intersections += 1;
         // Fused popcount screen: infrequent candidates never materialise.
-        let support = vector.and_count(row);
+        let support = vector.and_count(&row);
         if support < minsup {
             continue;
         }
-        let written = vector.and_into(row, &mut buffer);
+        let written = vector.and_into(&row, &mut buffer);
         debug_assert_eq!(written, support);
-        let next = neighborhood.extend(catalog, candidate)?;
+        hood.push(candidate)?;
         output.patterns.push(FrequentPattern::new(
-            EdgeSet::from_edges(next.members().iter().copied()),
+            EdgeSet::from_edges(hood.members().iter().copied()),
             support,
         ));
         // Working set: the frequent rows plus the intersection buffer of
@@ -153,63 +163,18 @@ fn grow(
         let live = bytes.ancestors + buffer.heap_bytes();
         output.stats.peak_bitvector_bytes =
             output.stats.peak_bitvector_bytes.max(bytes.base + live);
-        if limits.allows(next.members().len() + 1) {
-            grow(
-                catalog,
-                rows,
-                &next,
-                RowRef::Flat(&buffer),
-                minsup,
-                limits,
-                Bytes {
-                    base: bytes.base,
-                    ancestors: live,
-                },
-                scratch,
-                output,
-            )?;
+        if limits.allows(depth + 2) {
+            let below = Bytes {
+                base: bytes.base,
+                ancestors: live,
+            };
+            let vector = RowRef::Flat(&buffer);
+            grow(rows, hood, vector, minsup, limits, below, scratch, output)?;
         }
+        hood.pop();
     }
     scratch.put(depth, buffer);
     Ok(())
-}
-
-/// Returns `true` if adding `candidate` to `members` is the canonical growth
-/// step of the resulting pattern: rebuilding the pattern from its smallest
-/// edge by repeatedly absorbing the smallest adjacent member must absorb
-/// `candidate` last.
-///
-/// Canonical sequences are prefix-closed, so the connected patterns form a
-/// tree under this relation; [`crate::DeltaMiner`] maintains that same tree
-/// across window slides.
-pub(crate) fn is_canonical_extension(
-    catalog: &EdgeCatalog,
-    members: &std::collections::BTreeSet<EdgeId>,
-    candidate: EdgeId,
-) -> bool {
-    let mut remaining: Vec<EdgeId> = members.iter().copied().collect();
-    remaining.push(candidate);
-    remaining.sort_unstable();
-    // The canonical sequence starts from the smallest edge of the pattern.
-    let mut absorbed: Vec<EdgeId> = vec![remaining.remove(0)];
-    let mut last = absorbed[0];
-    while !remaining.is_empty() {
-        let next_pos = remaining.iter().position(|&edge| {
-            absorbed
-                .iter()
-                .any(|&member| catalog.are_adjacent(member, edge))
-        });
-        match next_pos {
-            Some(pos) => {
-                last = remaining.remove(pos);
-                absorbed.push(last);
-            }
-            // Disconnected (cannot happen for neighbourhood-grown patterns,
-            // but be safe): never canonical.
-            None => return false,
-        }
-    }
-    last == candidate
 }
 
 #[cfg(test)]

@@ -165,6 +165,90 @@ impl DsMatrixConfig {
     }
 }
 
+/// Transposes an entering batch — transactions listing their edges — into
+/// one bit chunk per row the batch touches, without an ordered map: a dense
+/// row → slot table finds a row's chunk in one indexed load per set bit, and
+/// the touched list (≤ rows touched) is sorted once per batch so the chunks
+/// read back ascending by row.  Chunk buffers, the table and the list are
+/// reused from batch to batch.
+#[derive(Debug, Default)]
+struct Transposer {
+    /// Width of the batch being filled.
+    cols: usize,
+    /// `slot_of[row]` is one more than the row's index into `chunks`, or 0
+    /// for a row the current batch has not touched.
+    slot_of: Vec<u32>,
+    /// The rows the current batch touches, ascending once
+    /// [`Transposer::fill`] returns.
+    touched: Vec<usize>,
+    /// The first `touched.len()` chunks are claimed (in first-touch order);
+    /// the rest are spare buffers.
+    chunks: Vec<BitVec>,
+}
+
+impl Transposer {
+    /// Transposes `batch`, replacing whatever the previous one left behind.
+    fn fill(&mut self, batch: &Batch) {
+        self.begin(batch.len());
+        for (col, transaction) in batch.iter().enumerate() {
+            for edge in transaction.iter() {
+                self.set(edge.index(), col);
+            }
+        }
+        self.touched.sort_unstable();
+    }
+
+    /// Starts a batch of `cols` columns.  The previous fill is released
+    /// here, on entry, rather than by whoever consumed it — an ingest that a
+    /// failed segment write abandoned never got that far — so every chunk
+    /// claimed from here on is `cols` zero bits.
+    fn begin(&mut self, cols: usize) {
+        for &row in &self.touched {
+            self.slot_of[row] = 0;
+        }
+        self.touched.clear();
+        self.cols = cols;
+    }
+
+    /// Sets bit `col` of `row`'s chunk, claiming a zeroed one on the row's
+    /// first touch.
+    fn set(&mut self, row: usize, col: usize) {
+        if self.slot_of.len() <= row {
+            self.slot_of.resize(row + 1, 0);
+        }
+        if self.slot_of[row] == 0 {
+            let slot = self.touched.len();
+            if self.chunks.len() == slot {
+                self.chunks.push(BitVec::new());
+            }
+            let chunk = &mut self.chunks[slot];
+            chunk.resize(0);
+            chunk.resize(self.cols);
+            self.touched.push(row);
+            self.slot_of[row] = slot as u32 + 1;
+        }
+        self.chunks[self.slot_of[row] as usize - 1].set(col, true);
+    }
+
+    /// One past the largest row touched (0 for an empty batch).
+    fn row_bound(&self) -> usize {
+        self.touched.last().map_or(0, |row| row + 1)
+    }
+
+    /// The touched rows and their chunks, ascending by row.
+    fn rows(&self) -> impl Iterator<Item = (usize, &BitVec)> {
+        self.touched
+            .iter()
+            .map(|&row| (row, &self.chunks[self.slot_of[row] as usize - 1]))
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.chunks.iter().map(BitVec::heap_bytes).sum::<usize>()
+            + self.slot_of.capacity() * std::mem::size_of::<u32>()
+            + self.touched.capacity() * std::mem::size_of::<usize>()
+    }
+}
+
 /// The Data Stream Matrix of the paper (§2.3).
 ///
 /// Rows are stored as per-batch segments in a
@@ -183,10 +267,9 @@ pub struct DsMatrix {
     num_items: usize,
     num_cols: usize,
     tracker: Option<MemoryTracker>,
-    /// Reused per-ingest map of row id → bit chunk for the entering batch.
-    chunks: BTreeMap<usize, BitVec>,
-    /// Recycled chunk buffers for the map above.
-    spare_chunks: Vec<BitVec>,
+    /// Reused per-ingest transposition of the entering batch into one bit
+    /// chunk per row it touches.
+    transposer: Transposer,
     /// Singleton supports, maintained at ingest/evict time (never by row
     /// scans): `supports[i]` is the popcount of item `i`'s window row.
     supports: Vec<Support>,
@@ -257,8 +340,7 @@ impl DsMatrix {
             num_items: config.expected_edges,
             num_cols: 0,
             tracker: None,
-            chunks: BTreeMap::new(),
-            spare_chunks: Vec::new(),
+            transposer: Transposer::default(),
             supports: vec![0; config.expected_edges],
             segment_ones: VecDeque::new(),
             cache,
@@ -441,8 +523,7 @@ impl DsMatrix {
             num_items,
             num_cols,
             tracker: None,
-            chunks: BTreeMap::new(),
-            spare_chunks: Vec::new(),
+            transposer: Transposer::default(),
             supports,
             segment_ones,
             cache,
@@ -671,14 +752,12 @@ impl DsMatrix {
             }
         }
 
+        // One bit chunk per row the batch touches; rows absent from the batch
+        // cost nothing and read back as zeros.
+        self.transposer.fill(batch);
+
         // Grow the domain if the batch mentions edges beyond the current rows.
-        let max_edge = batch
-            .iter()
-            .flat_map(|t| t.iter())
-            .map(|e| e.index() + 1)
-            .max()
-            .unwrap_or(0);
-        self.num_items = self.num_items.max(max_edge);
+        self.num_items = self.num_items.max(self.transposer.row_bound());
         if self.supports.len() < self.num_items {
             self.supports.resize(self.num_items, 0);
         }
@@ -686,29 +765,15 @@ impl DsMatrix {
             self.cache.rows.resize_with(self.num_items, BitVec::new);
         }
 
-        // One bit chunk per row the batch touches; rows absent from the batch
-        // cost nothing and read back as zeros.
-        debug_assert!(self.chunks.is_empty());
-        for (col, transaction) in batch.iter().enumerate() {
-            for edge in transaction.iter() {
-                let chunk = self.chunks.entry(edge.index()).or_insert_with(|| {
-                    let mut chunk = self.spare_chunks.pop().unwrap_or_default();
-                    chunk.resize(0);
-                    chunk.resize(batch.len());
-                    chunk
-                });
-                chunk.set(col, true);
-            }
-        }
         self.store
-            .push_segment(batch.len(), self.chunks.iter().map(|(id, c)| (*id, c)))?;
+            .push_segment(batch.len(), self.transposer.rows())?;
 
         // Incremental read-side maintenance, again touching only the rows the
         // batch touches: bump the support counters, remember what an eventual
         // eviction must undo, and splice the chunk onto the cached row.
-        let mut entering = Vec::with_capacity(self.chunks.len());
+        let mut entering = Vec::with_capacity(self.transposer.touched.len());
         let splice_at = self.cache.offset + self.num_cols;
-        for (&id, chunk) in self.chunks.iter() {
+        for (id, chunk) in self.transposer.rows() {
             let ones = chunk.count_ones();
             self.supports[id] += ones;
             entering.push((id, ones));
@@ -722,10 +787,6 @@ impl DsMatrix {
         }
         self.segment_ones.push_back(entering);
         self.cache.generation = self.store.generation();
-
-        while let Some((_, chunk)) = self.chunks.pop_first() {
-            self.spare_chunks.push(chunk);
-        }
         self.num_cols += batch.len();
         debug_assert_eq!(self.num_cols, self.store.num_cols());
         self.report_memory();
@@ -1308,7 +1369,7 @@ impl DsMatrix {
     /// backend — the segment payloads.
     pub fn resident_bytes(&self) -> usize {
         let bookkeeping = self.window.num_batches() * std::mem::size_of::<(u64, usize)>();
-        let scratch: usize = self.spare_chunks.iter().map(BitVec::heap_bytes).sum();
+        let scratch = self.transposer.heap_bytes();
         let counters = self.supports.capacity() * std::mem::size_of::<Support>()
             + self
                 .segment_ones
@@ -1417,11 +1478,73 @@ mod tests {
         .unwrap()
     }
 
-    fn row_string(m: &mut DsMatrix, item: u32) -> String {
-        let row = m.row(EdgeId::new(item)).unwrap();
-        (0..row.len())
-            .map(|i| if row.get(i) { '1' } else { '0' })
+    fn bit_string(bits: &BitVec) -> String {
+        (0..bits.len())
+            .map(|i| if bits.get(i) { '1' } else { '0' })
             .collect()
+    }
+
+    fn transposed(t: &Transposer) -> Vec<(usize, String)> {
+        t.rows()
+            .map(|(row, chunk)| (row, bit_string(chunk)))
+            .collect()
+    }
+
+    #[test]
+    fn transposer_reads_back_ascending_whatever_the_touch_order() {
+        let e = |raw: &[u32]| Transaction::from_raw(raw.iter().copied());
+        let mut t = Transposer::default();
+        t.fill(&Batch::from_transactions(
+            0,
+            vec![e(&[2, 5]), e(&[0, 2]), e(&[5])],
+        ));
+        assert_eq!(t.row_bound(), 6);
+        assert_eq!(
+            transposed(&t),
+            [(0, "010".into()), (2, "110".into()), (5, "101".into())]
+        );
+        // An empty batch touches nothing.
+        t.fill(&Batch::from_transactions(1, Vec::new()));
+        assert_eq!(t.row_bound(), 0);
+        assert!(transposed(&t).is_empty());
+    }
+
+    #[test]
+    fn transposer_begin_resets_an_abandoned_fill() {
+        // A failed `push_segment` returns from the ingest with the batch
+        // transposed and nobody left to release it.  The next batch must not
+        // inherit a bit, a row or a width from it.
+        let wide = |id| {
+            let full = Transaction::from_raw([1, 4, 9]);
+            let mut transactions = vec![Transaction::from_raw([]); 70];
+            transactions[0] = full.clone();
+            transactions[69] = full;
+            Batch::from_transactions(id, transactions)
+        };
+        let e = |raw: &[u32]| Transaction::from_raw(raw.iter().copied());
+        let mut t = Transposer::default();
+        t.fill(&wide(0));
+        // Abandoned: nothing read it back.
+        t.fill(&Batch::from_transactions(
+            1,
+            vec![e(&[]), e(&[7]), e(&[]), e(&[4]), e(&[])],
+        ));
+        assert_eq!(t.row_bound(), 8);
+        assert_eq!(
+            transposed(&t),
+            [(4, "00010".into()), (7, "01000".into())],
+            "only the new batch's rows, zeroed, at the new width"
+        );
+        // The abandoned batch's buffers were recycled, not leaked or grown.
+        assert_eq!(t.chunks.len(), 3);
+        let before = t.heap_bytes();
+        t.fill(&wide(2));
+        assert_eq!(t.heap_bytes(), before);
+        assert!(t.rows().all(|(_, chunk)| chunk.count_ones() == 2));
+    }
+
+    fn row_string(m: &mut DsMatrix, item: u32) -> String {
+        bit_string(&m.row(EdgeId::new(item)).unwrap())
     }
 
     #[test]
