@@ -2,11 +2,10 @@
 //! mining cost as the stream grows longer while the window stays fixed.
 
 use fsm_bench::report::{markdown_table, millis};
-use fsm_bench::workloads::path_catalog;
 use fsm_core::{Algorithm, StreamMinerBuilder};
 use fsm_datagen::{QuestConfig, QuestGenerator};
 use fsm_storage::StorageBackend;
-use fsm_types::MinSup;
+use fsm_types::{EdgeCatalog, MinSup};
 use std::time::Instant;
 
 fn main() {
@@ -39,7 +38,7 @@ fn main() {
                 .min_support(MinSup::relative(0.03))
                 .max_pattern_len(4)
                 .backend(StorageBackend::DiskTemp)
-                .catalog(path_catalog(num_items))
+                .catalog(EdgeCatalog::path(num_items))
                 .build()
                 .expect("miner");
             let capture_start = Instant::now();

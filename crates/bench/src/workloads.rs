@@ -16,7 +16,7 @@ use fsm_datagen::{
     QuestConfig, QuestGenerator,
 };
 use fsm_stream::StreamStats;
-use fsm_types::{Batch, EdgeCatalog, EdgeId, VertexId};
+use fsm_types::{Batch, EdgeCatalog};
 
 /// Which generator a workload comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,7 +99,7 @@ impl Workload {
         Self {
             name: format!("quest(x{scale})"),
             kind: WorkloadKind::Quest,
-            catalog: path_catalog(num_items),
+            catalog: EdgeCatalog::path(num_items),
             batches,
         }
     }
@@ -118,7 +118,7 @@ impl Workload {
         Self {
             name: format!("dense-connect4(x{scale})"),
             kind: WorkloadKind::Dense,
-            catalog: path_catalog(130),
+            catalog: EdgeCatalog::path(130),
             batches,
         }
     }
@@ -145,22 +145,10 @@ impl Workload {
     }
 }
 
-/// Maps an item universe onto a path graph: item `i` becomes the edge
-/// `(v_{i+1}, v_{i+2})`, so consecutive items are adjacent edges.  This keeps
-/// itemset workloads (Quest, dense) usable for *connected* subgraph mining
-/// without changing their co-occurrence structure.
-pub fn path_catalog(num_items: u32) -> EdgeCatalog {
-    let mut catalog = EdgeCatalog::new();
-    for i in 0..num_items {
-        let id = catalog.intern(VertexId::new(i + 1), VertexId::new(i + 2));
-        debug_assert_eq!(id, EdgeId::new(i));
-    }
-    catalog
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fsm_types::{EdgeId, VertexId};
 
     #[test]
     fn standard_suite_produces_three_distinct_workloads() {
@@ -172,10 +160,15 @@ mod tests {
 
     #[test]
     fn path_catalog_makes_consecutive_items_adjacent() {
-        let catalog = path_catalog(5);
+        let catalog = EdgeCatalog::path(5);
         assert_eq!(catalog.num_edges(), 5);
         assert!(catalog.are_adjacent(EdgeId::new(0), EdgeId::new(1)));
         assert!(!catalog.are_adjacent(EdgeId::new(0), EdgeId::new(2)));
+        // Item i is the edge (v_{i+1}, v_{i+2}).
+        assert_eq!(
+            catalog.endpoints(EdgeId::new(4)).unwrap(),
+            (VertexId::new(5), VertexId::new(6))
+        );
     }
 
     #[test]

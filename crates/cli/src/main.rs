@@ -69,7 +69,7 @@ use fsm_core::{closed_patterns, maximal_patterns, top_k, StreamMinerBuilder};
 use fsm_datagen::read_fimi;
 use fsm_linked_data::{ntriples, GroupingStrategy, TripleStreamAdapter};
 use fsm_stream::BatchBuilder;
-use fsm_types::{EdgeCatalog, FrequentPattern, Result, Transaction, VertexId};
+use fsm_types::{EdgeCatalog, FrequentPattern, Result, Transaction};
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -304,11 +304,7 @@ fn load(options: &Options) -> Result<(EdgeCatalog, Vec<Transaction>)> {
                 .unwrap_or(0);
             // Items live on a path graph so that "connected" is well defined;
             // this matches the convention of the benchmark harness.
-            let mut catalog = EdgeCatalog::new();
-            for i in 0..max_item {
-                catalog.intern(VertexId::new(i + 1), VertexId::new(i + 2));
-            }
-            Ok((catalog, transactions))
+            Ok((EdgeCatalog::path(max_item), transactions))
         }
         InputFormat::NTriples => {
             let text = std::fs::read_to_string(&options.input)?;

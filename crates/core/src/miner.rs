@@ -10,7 +10,6 @@ use fsm_dsmatrix::{
     DsMatrix, DsMatrixConfig, DurabilityConfig, EpochSnapshot, ReadStats, RecoveryReport,
 };
 use fsm_fptree::MiningLimits;
-use fsm_storage::MemoryTracker;
 use fsm_stream::SlideOutcome;
 use fsm_types::{Batch, BatchId, EdgeCatalog, GraphSnapshot, Result, Support, Transaction};
 
@@ -42,7 +41,6 @@ pub struct StreamMiner {
     config: MinerConfig,
     catalog: EdgeCatalog,
     matrix: DsMatrix,
-    tracker: MemoryTracker,
     next_batch_id: u64,
     /// The miner's own executor, sized once by [`MinerConfig::threads`] and
     /// shared with every [`MinerSnapshot`] it hands out.
@@ -119,20 +117,16 @@ impl StreamMiner {
             BuildSource::Recover => DsMatrix::recover(matrix_config)?,
             BuildSource::Thaw(spill_dir) => DsMatrix::thaw(matrix_config, spill_dir)?,
         };
-        let tracker = MemoryTracker::new();
         let next_batch_id = matrix.last_batch_id().map_or(0, |id| id + 1);
         let exec = Exec::scoped(config.threads);
-        let mut miner = Self {
+        Ok(Self {
             config,
             catalog,
             matrix,
-            tracker,
             next_batch_id,
             exec,
             delta: None,
-        };
-        miner.matrix.set_tracker(miner.tracker.clone());
-        Ok(miner)
+        })
     }
 
     /// The active configuration (catalog moved out; see
@@ -144,11 +138,6 @@ impl StreamMiner {
     /// The edge vocabulary as currently known.
     pub fn catalog(&self) -> &EdgeCatalog {
         &self.catalog
-    }
-
-    /// The memory tracker observing the capture structure.
-    pub fn memory(&self) -> &MemoryTracker {
-        &self.tracker
     }
 
     /// Bytes the capture structure currently keeps resident in main memory
@@ -718,15 +707,5 @@ mod tests {
         let result = miner.mine().unwrap();
         assert!(result.is_empty());
         assert_eq!(result.stats().window_transactions, 0);
-    }
-
-    #[test]
-    fn memory_tracker_observes_the_capture_structure() {
-        let mut miner = build(Algorithm::Vertical);
-        for batch in paper_batches() {
-            miner.ingest_batch(&batch).unwrap();
-        }
-        assert!(miner.memory().peak_of(DsMatrix::TRACK_CATEGORY) > 0);
-        assert!(format!("{miner:?}").contains("Vertical") || !format!("{miner:?}").is_empty());
     }
 }

@@ -67,9 +67,13 @@
 //! the sweep (run opportunistically after each touch, never blocking the
 //! toucher) rotates a hand over the tenant table, demoting touched
 //! sessions to [`LifecycleState::Idle`] and spilling the first session it
-//! finds cold.  A spill drains the pending queue into the window first
-//! (publishing to subscribers exactly as a normal drain would), then
-//! serialises the window via [`StreamMiner::hibernate`] — a full-payload
+//! finds cold.  A session whose window is held at that moment is in use,
+//! not cold — its touch bit is only stamped when the operation completes —
+//! so the sweep passes over it instead of waiting for the window; the cap
+//! is re-checked on the next touch.  A spill drains the pending queue into
+//! the window first (publishing to subscribers exactly as a normal drain
+//! would), then serialises the window via
+//! [`StreamMiner::hibernate`] — a full-payload
 //! [`fsm_storage::Hibernation`] image under `spill_root/<tenant>/` for
 //! volatile tenants, a checkpoint under the durable root for durable ones —
 //! and drops the resident state.  Dropping the window releases its
@@ -88,7 +92,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError, Weak};
 use std::time::Instant;
 
 use fsm_storage::BudgetGovernor;
@@ -290,6 +294,7 @@ impl SessionRegistry {
             self.shared.config.exec.clone(),
             self.shared.config.max_pending_batches,
             spill_dir,
+            durable,
             Arc::downgrade(&self.shared),
         ));
         sessions.insert(tenant.to_string(), Arc::clone(&session));
@@ -311,11 +316,21 @@ impl SessionRegistry {
     /// (worker-pool access aside, which is shared) are freed when the last
     /// clone drops — including its budget lease, whose grant flows back to
     /// the surviving tenants.
+    ///
+    /// A volatile tenant's spill image (`spill_root/<tenant>/`) is removed
+    /// with it, so a retained [`Arc<Session>`] of a dropped tenant that was
+    /// spilled at the time can no longer thaw.  A durable tenant's directory
+    /// is left alone: it is what [`SessionRegistry::recover_tenant`] needs.
     pub fn drop_tenant(&self, tenant: &str) -> Result<()> {
-        lock_unpoisoned(&self.shared.sessions)
+        let mut sessions = lock_unpoisoned(&self.shared.sessions);
+        let session = sessions
             .remove(tenant)
-            .map(|_| ())
-            .ok_or_else(|| FsmError::unknown_tenant(tenant))
+            .ok_or_else(|| FsmError::unknown_tenant(tenant))?;
+        // Still under the sessions lock, like the cleanup in `admit`: a
+        // same-name successor cannot be created (and spill) until this is
+        // done.
+        session.discard_spill_image();
+        Ok(())
     }
 
     /// Live tenant ids, sorted.
@@ -413,9 +428,11 @@ impl Shared {
                 return;
             };
             attempted.insert(victim.tenant().to_string());
-            // A failed spill (I/O error) leaves the tenant resident and
-            // usable; `attempted` stops us retrying it this sweep.
-            let _ = victim.spill();
+            // A failed spill (I/O error) or a victim whose window is held
+            // (mid-operation, so its touch bit is stale) leaves the tenant
+            // resident and usable; `attempted` stops us retrying it this
+            // sweep.
+            let _ = victim.try_spill();
         }
     }
 
@@ -456,6 +473,18 @@ impl Shared {
             return Some(Arc::clone(session));
         }
         None
+    }
+}
+
+/// The tenants a registry still holds go the way of
+/// [`SessionRegistry::drop_tenant`]: their volatile spill images have no
+/// owner once the table is gone.
+impl Drop for Shared {
+    fn drop(&mut self) {
+        let sessions = self.sessions.get_mut().unwrap_or_else(|p| p.into_inner());
+        for session in sessions.values() {
+            session.discard_spill_image();
+        }
     }
 }
 
@@ -592,6 +621,9 @@ pub struct Session {
     /// tenants, the durable directory for durable ones, `None` when the
     /// tenant is pinned resident (volatile, no spill root configured).
     spill_dir: Option<PathBuf>,
+    /// Whether `spill_dir` is the tenant's durable directory — state that
+    /// outlives the tenant — rather than a disposable image directory.
+    durable: bool,
     /// Back-pointer for sweep triggering.
     shared: Weak<Shared>,
     /// Bounded arrival-order ingest queue (see the module docs).
@@ -649,6 +681,7 @@ impl Session {
         exec: Exec,
         max_pending: usize,
         spill_dir: Option<PathBuf>,
+        durable: bool,
         shared: Weak<Shared>,
     ) -> Self {
         let resident_bytes = miner.resident_bytes();
@@ -666,6 +699,7 @@ impl Session {
                 thaw_samples: Vec::new(),
             }),
             spill_dir,
+            durable,
             shared,
             pending: Mutex::new(VecDeque::new()),
             published: Mutex::new(Published::default()),
@@ -779,10 +813,24 @@ impl Session {
     /// Blocks on the window lock, so a spill racing an in-flight mine
     /// simply waits for the mine (and the drain that follows it) to finish.
     pub fn spill(&self) -> Result<bool> {
+        self.spill_window(lock_unpoisoned(&self.window))
+    }
+
+    /// The sweep's [`Session::spill`]: `Ok(false)` without waiting when the
+    /// window is held — the request that triggered the sweep must never wait
+    /// out another tenant's mine.
+    fn try_spill(&self) -> Result<bool> {
+        match self.window.try_lock() {
+            Ok(window) => self.spill_window(window),
+            Err(TryLockError::Poisoned(poisoned)) => self.spill_window(poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => Ok(false),
+        }
+    }
+
+    fn spill_window(&self, mut window: MutexGuard<'_, Window>) -> Result<bool> {
         let Some(dir) = &self.spill_dir else {
             return Ok(false);
         };
-        let mut window = lock_unpoisoned(&self.window);
         let Window::Live(miner) = &mut *window else {
             return Ok(false);
         };
@@ -810,6 +858,21 @@ impl Session {
         drop(lifecycle);
         drop(window);
         Ok(true)
+    }
+
+    /// Removes a volatile tenant's spill image and its then-empty directory
+    /// (best effort; a durable tenant's directory is never touched).  Called
+    /// by the registry as the session leaves the tenant table, not from
+    /// `Drop`: a stale `Arc<Session>` outliving a same-name re-creation
+    /// would unlink the new tenant's image.
+    fn discard_spill_image(&self) {
+        if self.durable {
+            return;
+        }
+        if let Some(dir) = &self.spill_dir {
+            let _ = std::fs::remove_file(fsm_storage::Hibernation::artifact_path(dir));
+            let _ = std::fs::remove_dir(dir);
+        }
     }
 
     /// Queued batches not yet applied to the window.

@@ -1,15 +1,17 @@
 //! Spill/thaw lifecycle corners that the headline isolation property
 //! cannot reach on its own: a corrupt spill artifact surfacing (and the
-//! tenant staying recreatable), a spill racing an in-flight mine, a
-//! delta tenant's incremental state rebuilding exactly across a
-//! spill/thaw cycle, and a subscribed disk tenant holding nothing resident
-//! outside its chunk-cache budget.
+//! tenant staying recreatable), a spill racing an in-flight mine, the
+//! residency sweep never waiting on a held window, a dropped tenant's spill
+//! image going with it, a delta tenant's incremental state rebuilding
+//! exactly across a spill/thaw cycle, and a subscribed disk tenant holding
+//! nothing resident outside its chunk-cache budget.
 
 use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use fsm_core::{
-    Algorithm, Exec, LifecycleState, MinerConfig, RegistryConfig, SessionRegistry, StreamMiner,
-    WorkerPool,
+    Algorithm, Exec, LifecycleState, MinerConfig, RegistryConfig, Session, SessionRegistry,
+    StreamMiner, WorkerPool,
 };
 use fsm_storage::{Hibernation, StorageBackend, TempDir};
 use fsm_stream::WindowConfig;
@@ -41,6 +43,29 @@ fn spilling_registry(root: &TempDir) -> SessionRegistry {
         spill_root: Some(root.path().into()),
         ..RegistryConfig::default()
     })
+}
+
+/// Holds `session`'s window on another thread — as a long mine would —
+/// until the returned closure is called.
+fn hold_window(session: &Arc<Session>) -> impl FnOnce() {
+    let (hold_tx, hold_rx) = mpsc::channel::<()>();
+    let (held_tx, held_rx) = mpsc::channel::<()>();
+    let hostage = {
+        let session = Arc::clone(session);
+        std::thread::spawn(move || {
+            session
+                .with_miner(move |_| {
+                    held_tx.send(()).unwrap();
+                    hold_rx.recv().unwrap();
+                })
+                .unwrap();
+        })
+    };
+    held_rx.recv().unwrap();
+    move || {
+        hold_tx.send(()).unwrap();
+        hostage.join().unwrap();
+    }
 }
 
 /// A corrupt spill artifact follows the recovery discipline: the thaw
@@ -120,28 +145,14 @@ fn spill_racing_an_in_flight_mine_drains_cleanly() {
 
     // Hold the window hostage from another thread, issue the spill while
     // it is held, and only then release the hostage.
-    let (hold_tx, hold_rx) = mpsc::channel::<()>();
-    let (held_tx, held_rx) = mpsc::channel::<()>();
-    let hostage = {
-        let session = Arc::clone(&session);
-        std::thread::spawn(move || {
-            session
-                .with_miner(move |_| {
-                    held_tx.send(()).unwrap();
-                    hold_rx.recv().unwrap();
-                })
-                .unwrap();
-        })
-    };
-    held_rx.recv().unwrap();
+    let release = hold_window(&session);
     let spiller = {
         let session = Arc::clone(&session);
         std::thread::spawn(move || session.spill())
     };
     // The spill is now queued on the window lock; let the mine finish.
-    std::thread::sleep(std::time::Duration::from_millis(20));
-    hold_tx.send(()).unwrap();
-    hostage.join().unwrap();
+    std::thread::sleep(Duration::from_millis(20));
+    release();
     assert!(
         spiller.join().unwrap().unwrap(),
         "the queued spill must land"
@@ -152,6 +163,124 @@ fn spill_racing_an_in_flight_mine_drains_cleanly() {
     assert!(session.mine().unwrap().same_patterns_as(&expected));
     assert_ne!(session.state(), LifecycleState::Spilled);
     assert_eq!(session.status().thaws, 1);
+}
+
+/// Enforcing the resident cap never makes a request wait on another
+/// tenant's window.  A tenant in the middle of a long operation looks cold
+/// to the clock (its touch bit is only stamped on completion); the sweep
+/// must pass over it, not queue behind its window lock.
+#[test]
+fn a_request_never_waits_on_another_tenants_window() {
+    let root = TempDir::new("lifecycle-held").unwrap();
+    let registry = SessionRegistry::new(RegistryConfig {
+        max_resident: Some(1),
+        spill_root: Some(root.path().into()),
+        ..RegistryConfig::default()
+    });
+    let a = registry.create_tenant("a", config(false), false).unwrap();
+    let b = registry.create_tenant("b", config(false), false).unwrap();
+    let stream = batches();
+    b.ingest(&stream[0]).unwrap();
+    // Admitting b swept a out and left the clock hand on b: b is the
+    // victim the next over-cap sweep reaches first.
+    assert_eq!(a.state(), LifecycleState::Spilled);
+
+    // b enters a long operation: its window stays held until released.
+    let release = hold_window(&b);
+
+    // a's request thaws a (two resident windows, cap one) and sweeps.
+    let (done_tx, done_rx) = mpsc::channel();
+    let request = {
+        let a = Arc::clone(&a);
+        let batch = stream[0].clone();
+        std::thread::spawn(move || done_tx.send(a.ingest(&batch)).unwrap())
+    };
+    done_rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("a's ingest waited on b's window to enforce the cap")
+        .unwrap();
+    assert_ne!(
+        b.state(),
+        LifecycleState::Spilled,
+        "b's window is held: it is in use, not cold"
+    );
+    request.join().unwrap();
+
+    release();
+    registry.enforce_residency();
+    let resident = [&a, &b]
+        .iter()
+        .filter(|session| session.state() != LifecycleState::Spilled)
+        .count();
+    assert_eq!(resident, 1, "the cap is re-established once b lets go");
+
+    // Neither tenant's window was disturbed along the way.
+    let mut oracle = StreamMiner::new(config(false)).unwrap();
+    oracle.ingest_batch(&stream[0]).unwrap();
+    let expected = oracle.mine().unwrap();
+    assert!(a.mine().unwrap().same_patterns_as(&expected));
+    assert!(b.mine().unwrap().same_patterns_as(&expected));
+}
+
+/// A volatile tenant's spill image goes when the tenant goes — whether it
+/// was spilled at the time or had thawed again — and so does one the
+/// registry still holds when it is dropped.  A durable tenant's directory is
+/// the opposite case: it must survive the drop, because it is what
+/// `recover_tenant` reads.
+#[test]
+fn dropping_a_volatile_tenant_removes_its_spill_image() {
+    let root = TempDir::new("lifecycle-drop").unwrap();
+    let durable_root = TempDir::new("lifecycle-drop-durable").unwrap();
+    let registry = SessionRegistry::new(RegistryConfig {
+        spill_root: Some(root.path().into()),
+        durable_root: Some(durable_root.path().into()),
+        ..RegistryConfig::default()
+    });
+    let stream = batches();
+    let image = |tenant: &str| Hibernation::artifact_path(&root.path().join(tenant));
+
+    for tenant in ["spilled", "thawed", "held"] {
+        let session = registry
+            .create_tenant(tenant, config(false), false)
+            .unwrap();
+        session.ingest(&stream[0]).unwrap();
+        assert!(session.spill().unwrap());
+        assert!(image(tenant).exists());
+    }
+    registry.get("thawed").unwrap().mine().unwrap();
+    registry.drop_tenant("spilled").unwrap();
+    registry.drop_tenant("thawed").unwrap();
+    for tenant in ["spilled", "thawed"] {
+        assert!(
+            !root.path().join(tenant).exists(),
+            "{tenant}: the spill image outlived its tenant"
+        );
+    }
+
+    let durable = MinerConfig {
+        backend: StorageBackend::DiskTemp,
+        ..config(false)
+    };
+    let session = registry
+        .create_tenant("kept", durable.clone(), true)
+        .unwrap();
+    for batch in &stream {
+        session.ingest(batch).unwrap();
+    }
+    let expected = session.mine().unwrap();
+    assert!(session.spill().unwrap());
+    drop(session);
+    registry.drop_tenant("kept").unwrap();
+    let recovered = registry.recover_tenant("kept", durable).unwrap();
+    assert!(recovered.mine().unwrap().same_patterns_as(&expected));
+    drop(recovered);
+
+    drop(registry);
+    assert!(
+        !root.path().join("held").exists(),
+        "the spill image outlived the registry"
+    );
+    assert!(durable_root.path().join("kept").exists());
 }
 
 /// A delta tenant's incremental pattern set rebuilds exactly on thaw: the

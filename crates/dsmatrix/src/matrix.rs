@@ -7,7 +7,7 @@ use std::sync::Arc;
 use fsm_storage::{
     scan_segment_files, BitVec, BudgetGovernor, BudgetLease, CaptureStats, Checkpoint,
     CheckpointRow, CheckpointSegment, Hibernation, HibernationRow, HibernationSegment,
-    MemoryTracker, SegmentedWindowStore, StorageBackend, Wal,
+    SegmentedWindowStore, StorageBackend, Wal,
 };
 use fsm_stream::{SlideOutcome, SlidingWindow, WindowConfig};
 use fsm_types::{Batch, BatchId, EdgeId, FsmError, Result, Support, Transaction};
@@ -266,7 +266,6 @@ pub struct DsMatrix {
     window: SlidingWindow,
     num_items: usize,
     num_cols: usize,
-    tracker: Option<MemoryTracker>,
     /// Reused per-ingest transposition of the entering batch into one bit
     /// chunk per row it touches.
     transposer: Transposer,
@@ -301,9 +300,6 @@ pub struct DsMatrix {
 }
 
 impl DsMatrix {
-    /// Memory-accounting category used when a tracker is attached.
-    pub const TRACK_CATEGORY: &'static str = "dsmatrix-resident";
-
     /// Creates an empty matrix.
     ///
     /// With [`DsMatrixConfig::durability`] set this is a **fresh start**: any
@@ -339,7 +335,6 @@ impl DsMatrix {
             window: SlidingWindow::new(config.window),
             num_items: config.expected_edges,
             num_cols: 0,
-            tracker: None,
             transposer: Transposer::default(),
             supports: vec![0; config.expected_edges],
             segment_ones: VecDeque::new(),
@@ -522,7 +517,6 @@ impl DsMatrix {
             window,
             num_items,
             num_cols,
-            tracker: None,
             transposer: Transposer::default(),
             supports,
             segment_ones,
@@ -589,7 +583,6 @@ impl DsMatrix {
             wal_torn,
             skipped_artifacts: skipped,
         });
-        matrix.report_memory();
         Ok(matrix)
     }
 
@@ -627,13 +620,6 @@ impl DsMatrix {
         )?;
         store.verify_segments()?;
         Ok((ckpt, store))
-    }
-
-    /// Attaches a memory tracker; the matrix reports the bytes it holds
-    /// resident (which, for the disk backend, excludes the row payloads).
-    pub fn set_tracker(&mut self, tracker: MemoryTracker) {
-        self.tracker = Some(tracker);
-        self.report_memory();
     }
 
     /// Number of rows (domain edges) currently represented.
@@ -789,7 +775,6 @@ impl DsMatrix {
         self.cache.generation = self.store.generation();
         self.num_cols += batch.len();
         debug_assert_eq!(self.num_cols, self.store.num_cols());
-        self.report_memory();
 
         let checkpoint_due = if let Some(durable) = &mut self.durable {
             durable.applied_seq += 1;
@@ -1276,7 +1261,6 @@ impl DsMatrix {
         self.desired_cache_budget = budget_bytes;
         self.store
             .set_cache_budget(Self::granted(&self.lease, budget_bytes));
-        self.report_memory();
     }
 
     /// Frees the eager [`DsMatrix::view`] fallback materialisation of the
@@ -1384,12 +1368,6 @@ impl DsMatrix {
     /// backend).
     pub fn on_disk_bytes(&self) -> u64 {
         self.store.on_disk_bytes()
-    }
-
-    fn report_memory(&self) {
-        if let Some(tracker) = &self.tracker {
-            tracker.set(Self::TRACK_CATEGORY, self.resident_bytes() as u64);
-        }
     }
 }
 
@@ -1912,17 +1890,6 @@ mod tests {
                 "{backend:?}"
             );
         }
-    }
-
-    #[test]
-    fn tracker_reports_resident_bytes() {
-        let tracker = MemoryTracker::new();
-        let mut m = matrix(StorageBackend::Memory);
-        m.set_tracker(tracker.clone());
-        for batch in paper_batches() {
-            m.ingest_batch(&batch).unwrap();
-        }
-        assert!(tracker.peak_of(DsMatrix::TRACK_CATEGORY) > 0);
     }
 
     #[test]

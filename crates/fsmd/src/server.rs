@@ -25,7 +25,7 @@ use fsm_core::{Algorithm, IngestOutcome, MinerConfig, SessionRegistry, Subscript
 use fsm_storage::StorageBackend;
 use fsm_stream::WindowConfig;
 use fsm_types::codec::put_u32;
-use fsm_types::{EdgeCatalog, FsmError, MinSup, Result, VertexId};
+use fsm_types::{EdgeCatalog, FsmError, MinSup, Result};
 
 use crate::proto::{
     encode_hello, put_patterns, put_str, read_frame, write_frame, Cursor, Opcode, Status,
@@ -268,14 +268,7 @@ pub fn miner_config(spec: &TenantSpec) -> Result<MinerConfig> {
         ))
     })?;
     let catalog = match spec.catalog_kind {
-        // The FIMI convention: item i = edge between path vertices i+1, i+2.
-        0 => {
-            let mut catalog = EdgeCatalog::new();
-            for i in 0..spec.catalog_n {
-                catalog.intern(VertexId::new(i + 1), VertexId::new(i + 2));
-            }
-            catalog
-        }
+        0 => EdgeCatalog::path(spec.catalog_n),
         1 => EdgeCatalog::complete(spec.catalog_n),
         other => {
             return Err(FsmError::config(format!(

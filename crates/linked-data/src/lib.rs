@@ -9,8 +9,6 @@
 //! * [`Iri`], [`Literal`] and [`Term`] — RDF terms;
 //! * [`Triple`] — a subject/predicate/object statement;
 //! * [`ntriples`] — a line-oriented N-Triples parser and serialiser;
-//! * [`TripleStore`] — an indexed in-memory triple collection with simple
-//!   pattern matching;
 //! * [`ResourceDictionary`] and [`TripleStreamAdapter`] — the bridge that maps
 //!   resources to vertices, triples to edges, and groups of triples to
 //!   [`fsm_types::GraphSnapshot`]s ready for batching.
@@ -20,11 +18,9 @@
 
 pub mod adapter;
 pub mod ntriples;
-pub mod store;
 pub mod term;
 pub mod triple;
 
 pub use adapter::{GroupingStrategy, ResourceDictionary, TripleStreamAdapter};
-pub use store::TripleStore;
 pub use term::{Iri, Literal, Term};
 pub use triple::Triple;

@@ -1,5 +1,4 @@
-//! Storage substrate: bit vectors, paged files, disk-backed row stores and
-//! memory accounting.
+//! Storage substrate: bit vectors, paged files and disk-backed row stores.
 //!
 //! The paper's central space argument is that the DSTable and the DSMatrix
 //! keep the window contents *on disk* while only small working structures
@@ -28,8 +27,6 @@
 //! * [`BudgetGovernor`] — process-wide arbitration of those chunk-cache
 //!   budgets across many matrices (the multi-tenant service's one cap), with
 //!   per-member [`BudgetLease`]s granted under a fair-share rule;
-//! * [`MemoryTracker`] — per-structure resident/peak byte accounting used by
-//!   the space-efficiency experiment (E2);
 //! * [`TempDir`] — a small self-cleaning temporary directory helper so the
 //!   disk-backed structures need no external crates;
 //! * [`Wal`] — the write-ahead log (length-prefixed, checksummed,
@@ -56,7 +53,6 @@ pub mod rowstore;
 pub mod segment;
 pub mod spill;
 pub mod temp;
-pub mod tracker;
 pub mod wal;
 
 pub use bitvec::BitVec;
@@ -72,5 +68,4 @@ pub use segment::{
 };
 pub use spill::{Hibernation, HibernationRow, HibernationSegment};
 pub use temp::TempDir;
-pub use tracker::{MemoryReport, MemoryTracker};
 pub use wal::{TornTail, Wal, WalRecord, WalStats};

@@ -261,6 +261,63 @@ enum Placement {
     },
 }
 
+/// Everything a disk chunk read touches, kept together so the read surfaces
+/// can borrow it beside the segment queue: the buffers are reused across
+/// calls, so a scan over many rows performs no steady-state allocation.
+/// (`push_segment` serialises through the same `buf` and `page_size`.)
+struct ChunkReader {
+    /// Reusable (de)serialisation buffer for row chunks.
+    buf: Vec<u8>,
+    /// Reusable decoded chunk (what [`ChunkReader::read`] decodes into).
+    chunk: BitVec,
+    /// Budgeted decoded-chunk cache over the disk segments (disabled — and
+    /// never consulted — with a zero budget or on the memory backend).
+    cache: ChunkCache,
+    /// Disk pages fetched by chunk reads so far.
+    pages_read: u64,
+    page_size: usize,
+}
+
+impl ChunkReader {
+    fn new(page_size: usize) -> Self {
+        Self {
+            buf: Vec::new(),
+            chunk: BitVec::new(),
+            cache: ChunkCache::new(0),
+            pages_read: 0,
+            page_size,
+        }
+    }
+
+    /// Reads row `id`'s chunk of a disk segment from its paged file into the
+    /// scratch chunk, bypassing the cache — the one place a chunk read
+    /// fetches, counts and decodes pages.  Admission is the caller's.
+    fn read(&mut self, store: &mut RowStore, id: usize) -> Result<&BitVec> {
+        store.get_row_into(id, &mut self.buf)?;
+        self.pages_read += pages_for(self.buf.len(), self.page_size);
+        if !self.chunk.read_bytes(&self.buf) {
+            return Err(FsmError::corrupt(format!(
+                "row {id} chunk failed to deserialise"
+            )));
+        }
+        Ok(&self.chunk)
+    }
+
+    /// Appends row `id`'s chunk of disk segment `uid` to `out`: served from
+    /// the cache on a hit, else read from the paged file and admitted
+    /// unpinned.
+    fn fetch(&mut self, uid: u64, store: &mut RowStore, id: usize, out: &mut BitVec) -> Result<()> {
+        if let Some(cached) = self.cache.get(uid, id) {
+            out.extend_from_bitvec(cached);
+            return Ok(());
+        }
+        self.read(store, id)?;
+        self.cache.insert(uid, id, &self.chunk);
+        out.extend_from_bitvec(&self.chunk);
+        Ok(())
+    }
+}
+
 /// A queue of per-batch row segments backing one sliding window.
 ///
 /// All three [`StorageBackend`]s are supported: `Memory` keeps segments as
@@ -271,18 +328,10 @@ pub struct SegmentedWindowStore {
     placement: Placement,
     segments: VecDeque<Segment>,
     next_id: u64,
-    page_size: usize,
     stats: CaptureStats,
     generation: u64,
-    /// Reusable (de)serialisation buffer for row chunks.
-    buf: Vec<u8>,
-    /// Reusable decoded chunk for [`SegmentedWindowStore::assemble_row`].
-    chunk: BitVec,
-    /// Budgeted decoded-chunk cache over the disk segments (disabled — and
-    /// never consulted — with a zero budget or on the memory backend).
-    cache: ChunkCache,
-    /// Disk pages fetched by chunk reads so far.
-    pages_read: u64,
+    /// The disk segments' chunk read state (idle on the memory backend).
+    reader: ChunkReader,
     /// Segment uids pinned so far for the row currently being pinned
     /// (reused across [`SegmentedWindowStore::pin_row_chunks`] calls so a
     /// full-window pin pass performs no steady-state allocation).
@@ -327,13 +376,9 @@ impl SegmentedWindowStore {
             placement,
             segments: VecDeque::new(),
             next_id: 0,
-            page_size: Self::SEGMENT_PAGE_SIZE,
             stats: CaptureStats::default(),
             generation: 0,
-            buf: Vec::new(),
-            chunk: BitVec::new(),
-            cache: ChunkCache::new(0),
-            pages_read: 0,
+            reader: ChunkReader::new(Self::SEGMENT_PAGE_SIZE),
             pin_scratch: Vec::new(),
         })
     }
@@ -346,24 +391,24 @@ impl SegmentedWindowStore {
         if self.is_memory_resident() {
             return;
         }
-        self.cache.set_budget(budget_bytes);
+        self.reader.cache.set_budget(budget_bytes);
     }
 
     /// The configured decoded-chunk cache budget in bytes.
     pub fn cache_budget(&self) -> usize {
-        self.cache.budget_bytes()
+        self.reader.cache.budget_bytes()
     }
 
     /// The chunk cache's cumulative hit/miss/eviction counters.
     pub fn cache_stats(&self) -> ChunkCacheStats {
-        self.cache.stats()
+        self.reader.cache.stats()
     }
 
     /// The cumulative read-side I/O counters (see [`ReadIoStats`]).
     pub fn io_stats(&self) -> ReadIoStats {
-        let cache = self.cache.stats();
+        let cache = self.reader.cache.stats();
         ReadIoStats {
-            pages_read: self.pages_read,
+            pages_read: self.reader.pages_read,
             cache_hits: cache.hits,
             cache_misses: cache.misses,
         }
@@ -412,7 +457,7 @@ impl SegmentedWindowStore {
         // The window is changing: outstanding chunk pins belong to the old
         // generation and must not outlive it.  (Epoch snapshots are immune:
         // they own `Arc`s into the segments, not cache pins.)
-        self.cache.release_pins();
+        self.reader.cache.release_pins();
         let id = self.next_id;
         self.next_id += 1;
         let (segment_rows, path) = match &self.placement {
@@ -436,12 +481,14 @@ impl SegmentedWindowStore {
             }
             Placement::Disk { dir, .. } => {
                 let path = dir.join(format!("seg-{id}.pages"));
-                let mut store =
-                    RowStore::with_page_size(StorageBackend::DiskAt(path.clone()), self.page_size)?;
+                let mut store = RowStore::with_page_size(
+                    StorageBackend::DiskAt(path.clone()),
+                    self.reader.page_size,
+                )?;
                 for (row, chunk) in rows {
                     debug_assert_eq!(chunk.len(), cols, "row chunk must span the segment");
-                    chunk.write_bytes(&mut self.buf);
-                    store.put_row(row, &self.buf)?;
+                    chunk.write_bytes(&mut self.reader.buf);
+                    store.put_row(row, &self.reader.buf)?;
                     self.stats.rows_written += 1;
                     self.stats.words_written += 1 + chunk.len().div_ceil(WORD_BITS) as u64;
                 }
@@ -468,26 +515,14 @@ impl SegmentedWindowStore {
     /// Drops the oldest segment, returning how many columns left with it.
     ///
     /// Surviving segments are untouched: for the disk backends this is one
-    /// file removal, not a compaction rewrite.
+    /// file removal, not a compaction rewrite.  Should that removal fail the
+    /// segment has still left the window — queue, generation and counters
+    /// moved together — and only its file is left behind.
     pub fn pop_segment(&mut self) -> Result<usize> {
-        let segment = self
-            .segments
-            .pop_front()
-            .ok_or_else(|| FsmError::corrupt("pop_segment on an empty window"))?;
-        let cols = segment.cols;
-        let path = segment.path.clone();
-        // The window is changing: pins of the old generation are void, and
-        // the popped segment's cached chunks can never be read again (its
-        // uid is not reused, and the window columns it covered are gone).
-        self.cache.release_pins();
-        self.cache.invalidate_segment(segment.id);
-        // Close the row store (drops its file handle) before unlinking.
-        drop(segment);
-        if let Some(path) = path {
+        let (cols, file) = self.pop_segment_detached()?;
+        if let Some((_, path)) = file {
             remove_segment_file(&path)?;
         }
-        self.stats.segments_dropped += 1;
-        self.generation += 1;
         Ok(cols)
     }
 
@@ -507,8 +542,13 @@ impl SegmentedWindowStore {
         let cols = segment.cols;
         let uid = segment.id;
         let path = segment.path.clone();
-        self.cache.release_pins();
-        self.cache.invalidate_segment(uid);
+        // The window is changing: pins of the old generation are void, and
+        // the popped segment's cached chunks can never be read again (its
+        // uid is not reused, and the window columns it covered are gone).
+        self.reader.cache.release_pins();
+        self.reader.cache.invalidate_segment(uid);
+        // Close the row store (drops its file handle) so the file can be
+        // unlinked.
         drop(segment);
         self.stats.segments_dropped += 1;
         self.generation += 1;
@@ -563,13 +603,9 @@ impl SegmentedWindowStore {
             },
             segments,
             next_id,
-            page_size: Self::SEGMENT_PAGE_SIZE,
             stats: CaptureStats::default(),
             generation: 0,
-            buf: Vec::new(),
-            chunk: BitVec::new(),
-            cache: ChunkCache::new(0),
-            pages_read: 0,
+            reader: ChunkReader::new(Self::SEGMENT_PAGE_SIZE),
             pin_scratch: Vec::new(),
         })
     }
@@ -641,17 +677,8 @@ impl SegmentedWindowStore {
     /// [`SegmentedWindowStore::chunked_row`].
     pub fn assemble_row(&mut self, id: usize, out: &mut BitVec) -> Result<()> {
         out.resize(0);
-        // Split borrows: the queue, the byte buffer, the decoded chunk and
-        // the cache are disjoint fields reused across calls, so a scan over
-        // many rows performs no steady-state allocation.
         let Self {
-            segments,
-            buf,
-            chunk,
-            cache,
-            pages_read,
-            page_size,
-            ..
+            segments, reader, ..
         } = self;
         for segment in segments.iter_mut() {
             match &mut segment.rows {
@@ -661,19 +688,7 @@ impl SegmentedWindowStore {
                 },
                 SegmentRows::Disk { store, .. } => {
                     if store.contains_row(id) {
-                        if let Some(cached) = cache.get(segment.id, id) {
-                            out.extend_from_bitvec(cached);
-                            continue;
-                        }
-                        store.get_row_into(id, buf)?;
-                        *pages_read += pages_for(buf.len(), *page_size);
-                        if !chunk.read_bytes(buf) {
-                            return Err(FsmError::corrupt(format!(
-                                "row {id} chunk failed to deserialise"
-                            )));
-                        }
-                        cache.insert(segment.id, id, chunk);
-                        out.extend_from_bitvec(chunk);
+                        reader.fetch(segment.id, store, id, out)?;
                     } else {
                         out.resize(out.len() + segment.cols);
                     }
@@ -722,16 +737,12 @@ impl SegmentedWindowStore {
     /// cache, where the pinned path does not apply); the caller falls back to
     /// eager assembly for that row.
     pub fn pin_row_chunks(&mut self, id: usize) -> Result<bool> {
-        if self.is_memory_resident() || !self.cache.is_enabled() {
+        if self.is_memory_resident() || !self.reader.cache.is_enabled() {
             return Ok(false);
         }
         let Self {
             segments,
-            buf,
-            chunk,
-            cache,
-            pages_read,
-            page_size,
+            reader,
             pin_scratch,
             ..
         } = self;
@@ -743,26 +754,21 @@ impl SegmentedWindowStore {
             if !store.contains_row(id) {
                 continue;
             }
-            if cache.pin(segment.id, id) {
+            if reader.cache.pin(segment.id, id) {
                 pin_scratch.push(segment.id);
                 continue;
             }
-            if cache.peek(segment.id, id).is_some() {
+            if reader.cache.peek(segment.id, id).is_some() {
                 // Cached but unpinnable: the pin budget is exhausted, so the
                 // row cannot be pinned whole — give up without touching the
                 // disk (the chunk stays warm for the eager fallback).
                 for &seg in pin_scratch.iter() {
-                    cache.unpin(seg, id);
+                    reader.cache.unpin(seg, id);
                 }
                 return Ok(false);
             }
-            store.get_row_into(id, buf)?;
-            *pages_read += pages_for(buf.len(), *page_size);
-            if !chunk.read_bytes(buf) {
-                return Err(FsmError::corrupt(format!(
-                    "row {id} chunk failed to deserialise"
-                )));
-            }
+            reader.read(store, id)?;
+            let ChunkReader { cache, chunk, .. } = reader;
             if cache.insert_pinned(segment.id, id, chunk) {
                 pin_scratch.push(segment.id);
             } else {
@@ -804,7 +810,7 @@ impl SegmentedWindowStore {
                 SegmentRows::Memory(seg) => seg.chunk(id),
                 SegmentRows::Disk { store, .. } => {
                     if store.contains_row(id) {
-                        Some(self.cache.peek(segment.id, id).ok_or_else(|| {
+                        Some(self.reader.cache.peek(segment.id, id).ok_or_else(|| {
                             FsmError::corrupt(format!(
                                 "pinned chunk of row {id} missing from the cache"
                             ))
@@ -824,7 +830,7 @@ impl SegmentedWindowStore {
     /// the next mine re-pins them without touching the disk — they merely
     /// become evictable again.
     pub fn release_pins(&mut self) {
-        self.cache.release_pins();
+        self.reader.cache.release_pins();
     }
 
     /// Publishes segment `seg` (0 = oldest live) as a shared
@@ -843,13 +849,7 @@ impl SegmentedWindowStore {
     /// dropped.
     pub fn epoch_segment(&mut self, seg: usize) -> Result<Arc<EpochSegment>> {
         let Self {
-            segments,
-            buf,
-            chunk,
-            cache,
-            pages_read,
-            page_size,
-            ..
+            segments, reader, ..
         } = self;
         let segment = segments
             .get_mut(seg)
@@ -865,18 +865,13 @@ impl SegmentedWindowStore {
                 let ids: Vec<usize> = store.row_ids().collect();
                 let mut rows = BTreeMap::new();
                 for id in ids {
-                    if let Some(cached) = cache.get(uid, id) {
-                        rows.insert(id, cached.clone());
-                        continue;
-                    }
-                    store.get_row_into(id, buf)?;
-                    *pages_read += pages_for(buf.len(), *page_size);
-                    if !chunk.read_bytes(buf) {
-                        return Err(FsmError::corrupt(format!(
-                            "row {id} chunk failed to deserialise"
-                        )));
-                    }
-                    rows.insert(id, chunk.clone());
+                    // Cold chunks are not admitted to the cache: the decoded
+                    // segment is memoised below, so nothing reads them twice.
+                    let chunk = match reader.cache.get(uid, id) {
+                        Some(cached) => cached.clone(),
+                        None => reader.read(store, id)?.clone(),
+                    };
+                    rows.insert(id, chunk);
                 }
                 let segment = Arc::new(EpochSegment { uid, cols, rows });
                 *decoded = Some(Arc::clone(&segment));
@@ -922,12 +917,7 @@ impl SegmentedWindowStore {
     /// never saw the row.
     pub fn read_segment_chunk(&mut self, seg: usize, id: usize, out: &mut BitVec) -> Result<bool> {
         let Self {
-            segments,
-            buf,
-            cache,
-            pages_read,
-            page_size,
-            ..
+            segments, reader, ..
         } = self;
         let segment = segments
             .get_mut(seg)
@@ -945,18 +935,7 @@ impl SegmentedWindowStore {
                 if !store.contains_row(id) {
                     return Ok(false);
                 }
-                if let Some(cached) = cache.get(segment.id, id) {
-                    out.extend_from_bitvec(cached);
-                    return Ok(true);
-                }
-                store.get_row_into(id, buf)?;
-                *pages_read += pages_for(buf.len(), *page_size);
-                if !out.read_bytes(buf) {
-                    return Err(FsmError::corrupt(format!(
-                        "row {id} chunk failed to deserialise"
-                    )));
-                }
-                cache.insert(segment.id, id, out);
+                reader.fetch(segment.id, store, id, out)?;
                 Ok(true)
             }
         }
@@ -979,7 +958,7 @@ impl SegmentedWindowStore {
     /// the disk backends the per-segment row indexes plus whatever the
     /// decoded-chunk cache currently pins (bounded by its budget).
     pub fn resident_bytes(&self) -> usize {
-        self.cache.used_bytes()
+        self.reader.cache.used_bytes()
             + self
                 .segments
                 .iter()
@@ -1906,5 +1885,26 @@ mod tests {
         assert!(root.join("seg-0.pages").exists());
         store.pop_segment().unwrap();
         assert!(!root.join("seg-0.pages").exists());
+    }
+
+    #[test]
+    fn a_failed_unlink_still_leaves_generation_and_stats_describing_the_window() {
+        let dir = TempDir::new("segstore-unlink").unwrap();
+        let root = dir.file("segments");
+        let mut store = SegmentedWindowStore::open(StorageBackend::DiskAt(root.clone())).unwrap();
+        store.push_segment(3, [(0, &bv("101"))]).unwrap();
+        store.push_segment(2, [(0, &bv("01"))]).unwrap();
+        let generation = store.generation();
+        // Someone removes the oldest segment's file behind the store's back.
+        std::fs::remove_file(root.join("seg-0.pages")).unwrap();
+
+        assert!(store.pop_segment().is_err(), "the unlink must be reported");
+        assert_eq!(store.num_segments(), 1);
+        assert_eq!(store.generation(), generation + 1);
+        assert_eq!(store.stats().segments_dropped, 1);
+        // The store still serves the window its generation describes.
+        let mut row = BitVec::new();
+        store.assemble_row(0, &mut row).unwrap();
+        assert_eq!(format!("{row:?}"), "BitVec[01]");
     }
 }

@@ -1,5 +1,4 @@
-//! The graph stream model: batch construction, sliding windows and stream
-//! sources.
+//! The graph stream model: batch construction and sliding windows.
 //!
 //! The paper processes a continuous, unbounded stream of graph transactions in
 //! *batches* and mines over a *sliding window* of the most recent `w` batches
@@ -9,22 +8,15 @@
 //! * [`BatchBuilder`] — groups incoming transactions into fixed-size batches;
 //! * [`SlidingWindow`] — tracks which batches are inside the window and where
 //!   the batch boundaries fall, the bookkeeping every capture structure needs
-//!   when the window slides;
-//! * [`TransactionWindow`] — a reference window that actually retains the
-//!   transactions (used by the exactness oracle and the DSTree/DSTable
-//!   baselines);
-//! * [`GraphStreamSource`] and adapters — how batches are produced, whether
-//!   from in-memory vectors, graph snapshots, or generators downstream.
+//!   when the window slides.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod builder;
-pub mod source;
 pub mod stats;
 pub mod window;
 
 pub use builder::BatchBuilder;
-pub use source::{BatchIter, GraphStreamSource, SnapshotSource, VecSource};
 pub use stats::StreamStats;
-pub use window::{SlideOutcome, SlidingWindow, TransactionWindow, WindowConfig};
+pub use window::{SlideOutcome, SlidingWindow, WindowConfig};

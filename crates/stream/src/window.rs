@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use fsm_types::{Batch, BatchId, FsmError, Result, Transaction};
+use fsm_types::{BatchId, FsmError, Result};
 
 /// Configuration of the sliding window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,79 +134,9 @@ impl SlidingWindow {
     }
 }
 
-/// A reference window that retains the transactions of the last `w` batches in
-/// memory.
-///
-/// The exact-mining oracle, the DSTree and the DSTable all need the actual
-/// window contents; the DSMatrix does not (it keeps them on disk), which is
-/// the whole point of the paper — but having one canonical in-memory view
-/// keeps the baselines honest and the tests simple.
-#[derive(Debug, Clone, Default)]
-pub struct TransactionWindow {
-    window: SlidingWindow,
-    contents: VecDeque<Batch>,
-}
-
-impl TransactionWindow {
-    /// Creates an empty transaction-retaining window.
-    pub fn new(config: WindowConfig) -> Self {
-        Self {
-            window: SlidingWindow::new(config),
-            contents: VecDeque::with_capacity(config.window_batches),
-        }
-    }
-
-    /// Pushes a batch, evicting the oldest if the window is full.
-    pub fn push(&mut self, batch: Batch) -> SlideOutcome {
-        let outcome = self.window.push(batch.id, batch.len());
-        if outcome.evicted.is_some() {
-            self.contents.pop_front();
-        }
-        self.contents.push_back(batch);
-        outcome
-    }
-
-    /// The boundary bookkeeping of the underlying window.
-    pub fn window(&self) -> &SlidingWindow {
-        &self.window
-    }
-
-    /// Iterates over every transaction currently in the window, oldest batch
-    /// first.
-    pub fn transactions(&self) -> impl Iterator<Item = &Transaction> {
-        self.contents.iter().flat_map(|b| b.transactions().iter())
-    }
-
-    /// Total number of transactions in the window.
-    pub fn total_transactions(&self) -> usize {
-        self.window.total_transactions()
-    }
-
-    /// Batches currently retained, oldest first.
-    pub fn batches(&self) -> impl Iterator<Item = &Batch> {
-        self.contents.iter()
-    }
-
-    /// Returns `true` if no batch has been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.contents.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fsm_types::Transaction;
-
-    fn batch(id: BatchId, sizes: &[usize]) -> Batch {
-        Batch::from_transactions(
-            id,
-            sizes
-                .iter()
-                .map(|n| Transaction::from_raw(0..*n as u32))
-                .collect(),
-        )
-    }
 
     #[test]
     fn config_rejects_zero_window() {
@@ -256,22 +186,6 @@ mod tests {
         window.push(2, 1);
         assert_eq!(window.boundaries(), vec![2, 7, 8]);
         assert_eq!(window.total_transactions(), 8);
-    }
-
-    #[test]
-    fn transaction_window_retains_only_window_contents() {
-        let mut tw = TransactionWindow::new(WindowConfig::new(2).unwrap());
-        assert!(tw.is_empty());
-        tw.push(batch(0, &[1, 2]));
-        tw.push(batch(1, &[3]));
-        tw.push(batch(2, &[2, 2]));
-        assert_eq!(tw.total_transactions(), 3);
-        assert_eq!(tw.window().batch_ids(), vec![1, 2]);
-        assert_eq!(tw.transactions().count(), 3);
-        assert_eq!(tw.batches().count(), 2);
-        // The evicted batch's transactions are gone.
-        let max_len = tw.transactions().map(|t| t.len()).max().unwrap();
-        assert_eq!(max_len, 3);
     }
 
     #[test]

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::transaction::Transaction;
 
 /// Monotonically increasing identifier of a batch since the beginning of the
@@ -15,7 +13,7 @@ pub type BatchId = u64;
 /// The paper's experiments group the stream into batches of 6 000 records and
 /// keep a window of `w = 5` batches; the running example uses batches of three
 /// graphs each.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Batch {
     /// Stream-wide identifier of this batch (0 for the first batch ever).
     pub id: BatchId,

@@ -3,8 +3,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::edge::{Edge, EdgeId};
 use crate::error::{FsmError, Result};
 use crate::vertex::VertexId;
@@ -23,7 +21,7 @@ use crate::vertex::VertexId;
 /// The catalog can be built up-front (when the vertex universe is known, as in
 /// the paper's generator) or incrementally while streaming via
 /// [`EdgeCatalog::intern`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct EdgeCatalog {
     edges: Vec<Edge>,
     by_endpoints: BTreeMap<(VertexId, VertexId), EdgeId>,
@@ -53,6 +51,17 @@ impl EdgeCatalog {
             }
         }
         catalog
+    }
+
+    /// Builds the catalog of a path graph with `n` edges: edge `i` joins
+    /// vertices `i + 1` and `i + 2`, so consecutive identifiers are adjacent
+    /// edges.
+    ///
+    /// This is the FIMI convention: an item universe (Quest, connect4-like
+    /// dense streams) mapped onto a path keeps "connected" well defined
+    /// without changing the items' co-occurrence structure.
+    pub fn path(n: u32) -> Self {
+        Self::from_pairs((0..n).map(|i| (VertexId::new(i + 1), VertexId::new(i + 2))))
     }
 
     /// Builds a catalog from an explicit list of vertex pairs, preserving the

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::vertex::VertexId;
 
 /// Identifier of a *distinct* edge (a vertex pair) in the graph stream.
@@ -14,9 +12,7 @@ use crate::vertex::VertexId;
 /// edge symbols it contains.  Identifiers are assigned in *canonical order*
 /// (the order used by every capture structure), so `EdgeId(0)` is the first
 /// edge in canonical order.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct EdgeId(pub u32);
 
 impl EdgeId {
@@ -67,7 +63,7 @@ impl fmt::Display for EdgeId {
 ///
 /// Endpoints are stored in ascending order so that two edges over the same
 /// vertex pair compare equal regardless of construction order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Edge {
     /// Canonical identifier of the edge.
     pub id: EdgeId,

@@ -4,8 +4,6 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::catalog::EdgeCatalog;
 use crate::error::Result;
 use crate::transaction::Transaction;
@@ -16,7 +14,7 @@ use crate::vertex::VertexId;
 ///
 /// A snapshot is an *undirected simple graph*: parallel edges collapse and
 /// endpoint order is irrelevant.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GraphSnapshot {
     edges: BTreeSet<(VertexId, VertexId)>,
 }

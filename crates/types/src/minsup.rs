@@ -2,15 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A user-specified minimum support threshold.
 ///
 /// The paper states thresholds as absolute frequencies in the running example
 /// (`minsup = 2`) and as relative percentages in the evaluation; both forms
 /// are supported and resolved against the number of transactions currently in
 /// the sliding window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MinSup {
     /// An absolute number of transactions a pattern must appear in.
     Absolute(u64),

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::catalog::EdgeCatalog;
 use crate::edge::EdgeId;
 use crate::vertex::VertexId;
@@ -16,7 +14,7 @@ pub type Support = u64;
 /// This is the pattern language of the paper: a *collection of co-occurring
 /// edges*, e.g. `{a, c, d, f}`.  Whether the collection forms a connected
 /// subgraph is a property judged against an [`EdgeCatalog`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct EdgeSet {
     edges: Vec<EdgeId>,
 }
@@ -211,7 +209,7 @@ impl fmt::Display for EdgeSet {
 
 /// Classification of a frequent edge collection, used when reporting results
 /// of the post-processing algorithms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PatternKind {
     /// Every pair of member edges is linked through shared vertices.
     Connected,
@@ -221,7 +219,7 @@ pub enum PatternKind {
 
 /// A frequent collection of edges together with its support in the current
 /// sliding window.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FrequentPattern {
     /// The member edges, in canonical order.
     pub edges: EdgeSet,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::edge::EdgeId;
 
 /// Position of a transaction within the current sliding window (column index
@@ -17,7 +15,7 @@ pub type TransactionId = usize;
 /// streamed graph `E4 = {(v1,v2), (v1,v4), (v2,v3), (v3,v4)}` becomes the
 /// transaction `{a, c, d, f}`.  Canonical ordering is what lets every capture
 /// structure be built in a single scan without ever reordering its contents.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Transaction {
     edges: Vec<EdgeId>,
 }

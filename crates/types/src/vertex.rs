@@ -2,16 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a vertex in the (fixed) vertex universe of the graph stream.
 ///
 /// The paper assumes every graph in the stream is drawn over the same vertex
 /// universe (Example 1 uses `v1..v4`); vertices are therefore dense small
 /// integers.  `u32` keeps the incidence tables compact.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VertexId(pub u32);
 
 impl VertexId {

@@ -5,9 +5,8 @@
 //! public API of every member crate so that applications (and the runnable
 //! examples under `examples/`) only need a single dependency.
 //!
-//! See `README.md` for a quickstart and `DESIGN.md` for the full system
-//! inventory and the mapping from the paper's experiments to benchmark
-//! targets.
+//! See `ARCHITECTURE.md` for the data flow, the mapping from the paper's
+//! sections to crates, and where to start reading.
 
 #![forbid(unsafe_code)]
 
