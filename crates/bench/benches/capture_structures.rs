@@ -14,8 +14,8 @@
 //! A third group benchmarks the *disk* read surface: assembling a view over
 //! a disk-backed window with the chunk cache disabled (budget 0 — every call
 //! fetches, decodes and flat-assembles all pages again) versus an unlimited
-//! budget (after the first call, the view borrows rows straight from pinned
-//! decoded chunks — no page fetch and no flat-row assembly at all).
+//! budget (after the first call, the view assembles its rows from cached
+//! decoded chunks — no page fetch, no decode).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fsm_bench::Workload;

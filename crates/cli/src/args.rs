@@ -133,9 +133,9 @@ OPTIONS:
   --backend <disk|memory>   where the DSMatrix keeps the window
                         (default: disk, the paper's space posture)
   --cache-budget <BYTES>    decoded-chunk cache budget for the disk
-                        backend: rows whose chunks fit are mined straight
-                        from pinned cache chunks (no per-mine assembly);
-                        0 disables it, 'unlimited' pins the whole window
+                        backend: chunks that fit are not re-read from disk
+                        by later mines (it buys page reads, never assembly);
+                        0 disables it, 'unlimited' holds the whole window
                         (default: 0; rejected with --backend memory)
   --durable-dir <DIR>   make the run crash-recoverable: WAL every batch and
                         checkpoint the window into DIR (disk backend only)

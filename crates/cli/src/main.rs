@@ -42,13 +42,13 @@
 //!
 //! `--backend` picks where the window lives (`disk`, the paper's default
 //! space posture, or `memory`), and `--cache-budget BYTES` lets the disk
-//! backend pin up to that many bytes of decoded row chunks: mining then
-//! reads rows *straight from the pinned chunks* — zero per-mine flat-row
-//! assembly for every row the budget holds — so steady-state disk mines
-//! re-read only the pages a window slide invalidated and materialise
-//! nothing, matching the memory backend.  The stderr summary reports the
-//! pages fetched, cache hits and pinned-row count of the final mine
-//! alongside the read-amplification line.  Combining `--cache-budget` with
+//! backend keep up to that many bytes of decoded row chunks between mines.
+//! The budget buys page reads, never assembly: every disk mine assembles the
+//! window into flat rows once, but chunks the budget holds are not fetched
+//! again, so with a budget covering the window steady-state disk mines
+//! re-read only the pages a window slide invalidated.  The stderr summary
+//! reports the pages fetched and cache hits of the final mine alongside the
+//! read-amplification line.  Combining `--cache-budget` with
 //! `--backend memory` is rejected up front rather than silently ignored.
 //!
 //! `--durable-dir DIR` makes the run crash-recoverable: every ingested batch
@@ -245,11 +245,9 @@ fn run(options: &Options) -> Result<()> {
             bytes => format!("{bytes} bytes"),
         };
         eprintln!(
-            "disk cache: {} pages read, {} chunk-cache hits, {} rows mined from \
-             pinned chunks (budget {budget})",
+            "disk cache: {} pages read, {} chunk-cache hits (budget {budget})",
             result.stats().pages_read,
             result.stats().cache_hits,
-            result.stats().rows_pinned,
         );
     }
     if options.delta {

@@ -65,15 +65,14 @@ pub struct MinerConfig {
     /// [`crate::RegistryConfig::exec`] instead.)
     pub threads: usize,
     /// Byte budget of the decoded-chunk cache the disk backends read
-    /// through.  `0` (the default) disables it: every mine re-reads and
-    /// re-assembles the window from disk, the strictest space posture.  With
-    /// a budget configured, mining reads rows *straight from pinned cached
-    /// chunks* — no per-mine flat-row assembly for any row whose chunks fit
-    /// the budget — so a budget covering the touched working set makes
+    /// through.  `0` (the default) disables it: every mine re-reads the
+    /// window from disk, the strictest space posture.  The budget buys page
+    /// reads, never assembly: every disk mine assembles the window into flat
+    /// rows once (and frees them when it returns), but the chunks the budget
+    /// holds are not fetched again, so a budget covering the window makes
     /// steady-state disk mines fetch only the pages a window slide
-    /// invalidated and assemble **zero** words, matching the memory
-    /// backend.  Results are byte-identical for every setting.  Ignored by
-    /// the memory backend.
+    /// invalidated.  Results are byte-identical for every setting.  Ignored
+    /// by the memory backend.
     pub cache_budget_bytes: usize,
     /// Durable-directory root for the WAL + checkpoint layer (disk backends
     /// only).  `None` (the default) keeps the matrix volatile; `Some(dir)`
@@ -211,10 +210,10 @@ impl StreamMinerBuilder {
 
     /// Budgets the decoded-chunk cache of the disk backends (`0` disables
     /// it; ignored by the memory backend).  Mining output is byte-identical
-    /// for every budget — only the per-mine read work changes: rows whose
-    /// chunks fit the budget are mined straight from pinned cached chunks
-    /// (zero assembly, pages only for what the last slide invalidated),
-    /// the rest fall back to eager per-mine assembly.
+    /// for every budget — only the per-mine page reads change: chunks the
+    /// budget holds are not fetched again (with a budget covering the
+    /// window, pages only for what the last slide invalidated).  The budget
+    /// buys page reads, never assembly.
     ///
     /// ```
     /// use fsm_core::StreamMinerBuilder;
@@ -223,7 +222,7 @@ impl StreamMinerBuilder {
     ///
     /// let miner = StreamMinerBuilder::new()
     ///     .backend(StorageBackend::DiskTemp)
-    ///     .cache_budget_bytes(1 << 20) // pin up to 1 MiB of decoded chunks
+    ///     .cache_budget_bytes(1 << 20) // keep up to 1 MiB of decoded chunks
     ///     .catalog(EdgeCatalog::complete(4))
     ///     .build()
     ///     .unwrap();

@@ -42,22 +42,17 @@ pub struct MiningStats {
     /// call* (the read-amplification counter; see
     /// [`fsm_dsmatrix::DsMatrix::read_stats`]).  Zero on the memory backend,
     /// whose miners borrow the incrementally-maintained row cache zero-copy;
-    /// on the disk backends it is the eager row-assembly fallback.
+    /// on the disk backends it is the window, assembled once, at every
+    /// chunk-cache budget.
     pub read_words_assembled: u64,
     /// Disk pages the read path fetched *for this mine call* (zero on the
     /// memory backend).  With a [`crate::MinerConfig::cache_budget_bytes`]
-    /// budget covering the touched working set, a steady-state disk mine
-    /// fetches only the pages the preceding window slide invalidated.
+    /// budget covering the window, a steady-state disk mine fetches only the
+    /// pages the preceding window slide invalidated.
     pub pages_read: u64,
     /// Chunk reads this mine call served from the budgeted decoded-chunk
     /// cache instead of the paged file (always zero with a zero budget).
     pub cache_hits: u64,
-    /// Disk-backend view rows this mine call served straight from pinned
-    /// cache chunks — rows that paid zero flat-row assembly.  With a budget
-    /// covering the touched working set this is every row, and
-    /// `read_words_assembled` drops to zero (matching the memory backend);
-    /// always zero at budget 0 and on the memory backend.
-    pub rows_pinned: u64,
     /// Number of window transactions the run mined over.
     pub window_transactions: usize,
     /// The absolute minimum support the thresholds resolved to.
@@ -184,7 +179,6 @@ impl MiningStats {
         self.read_words_assembled = self.read_words_assembled.max(other.read_words_assembled);
         self.pages_read = self.pages_read.max(other.pages_read);
         self.cache_hits = self.cache_hits.max(other.cache_hits);
-        self.rows_pinned = self.rows_pinned.max(other.rows_pinned);
         self.window_transactions = self.window_transactions.max(other.window_transactions);
         self.resolved_minsup = self.resolved_minsup.max(other.resolved_minsup);
         // Durability counters are cumulative window-level quantities sampled

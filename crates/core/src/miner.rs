@@ -247,7 +247,7 @@ impl StreamMiner {
 
     /// Re-enumerates the window with the configured algorithm.
     fn mine_full(&mut self, resolved: Support, exec: &Exec) -> Result<RawMiningOutput> {
-        // The guard releases the disk backends' eager view materialisation
+        // The guard releases the flat rows a disk-backend view assembled
         // whichever way mining exits — success, error or panic — so the
         // between-mines resident footprint never silently retains a window
         // copy on a failed mine.
@@ -443,15 +443,13 @@ fn finish_mine(
     if let Some((matrix, before)) = capture {
         // Read amplification of this call: words the read path materialised
         // and disk pages it fetched.  Words are zero in the steady state on
-        // the memory backend (zero-copy view) *and* on the disk backends
-        // when a chunk-cache budget covers the working set (rows served from
-        // pinned chunks, counted in `rows_pinned`); pages drop to the
-        // slide's chunks in the same regime.
+        // the memory backend (zero-copy view) and the window, once, on the
+        // disk backends; pages drop to the slide's chunks when a chunk-cache
+        // budget covers the window.
         let after = matrix.read_stats();
         stats.read_words_assembled = after.words_assembled - before.words_assembled;
         stats.pages_read = after.pages_read - before.pages_read;
         stats.cache_hits = after.cache_hits - before.cache_hits;
-        stats.rows_pinned = after.rows_pinned - before.rows_pinned;
         stats.capture_resident_bytes = matrix.resident_bytes();
         stats.capture_on_disk_bytes = matrix.on_disk_bytes();
         stats.capture_words_written = matrix.capture_stats().words_written;
@@ -470,8 +468,8 @@ fn finish_mine(
 }
 
 /// Calls [`DsMatrix::trim_cache`] when dropped, so a mine that exits early
-/// (miner error or panic) still releases the disk backends' eager view
-/// materialisation instead of leaking a resident window copy.
+/// (miner error or panic) still releases the flat rows a disk-backend view
+/// assembled instead of leaking a resident window copy.
 struct TrimCacheGuard<'a>(&'a mut DsMatrix);
 
 impl Drop for TrimCacheGuard<'_> {

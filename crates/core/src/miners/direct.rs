@@ -40,11 +40,10 @@ use crate::scratch::ScratchArena;
 /// frequent single edges runs on `exec`'s worker pool and merges
 /// deterministically.
 ///
-/// Singleton rows are borrowed zero-copy from the [`WindowView`] — the live
-/// one or a frozen [`fsm_dsmatrix::EpochSnapshot`]'s — as [`RowRef`]s (flat
-/// cached rows on the memory backend, pinned-chunk cursors on a budgeted
-/// disk backend) and their supports come from ingest-time counters, so in
-/// both steady states setup materialises no window data.
+/// Singleton rows are borrowed from the [`WindowView`] — the live one or a
+/// frozen [`fsm_dsmatrix::EpochSnapshot`]'s — as [`RowRef`]s (flat rows for a
+/// live view, chunk cursors for an epoch) and their supports come from
+/// ingest-time counters, so setup itself materialises no window data.
 pub fn mine_direct(
     view: &WindowView<'_>,
     catalog: &EdgeCatalog,

@@ -12,11 +12,11 @@
 //!
 //! The per-pivot work units are independent (pivot `x`'s projected database
 //! only reads rows after `x`), so all three algorithms fan the pivots out
-//! over the [`crate::parallel`] engine: workers share one zero-copy
+//! over the [`crate::parallel`] engine: workers share one
 //! [`WindowView`] (the live [`fsm_dsmatrix::DsMatrix::view`] or a frozen
 //! [`fsm_dsmatrix::EpochSnapshot::view`] — nothing is copied on the memory
-//! backend, and a budgeted disk backend lends rows straight out of pinned
-//! decoded chunks; only budget-0 disk mines assemble rows once per call),
+//! backend or for an epoch; a disk-backend mine assembles each row once per
+//! call, whatever its chunk-cache budget),
 //! each worker owns one [`ProjectionScratch`] for allocation-free
 //! projection, and per-pivot outputs merge back in canonical edge order —
 //! pattern lists and statistics are byte-identical for every thread count.

@@ -27,13 +27,11 @@ use crate::scratch::ScratchArena;
 /// back in canonical order, so the output is identical to the sequential
 /// traversal.
 ///
-/// Rows are read through the zero-copy [`WindowView`] as [`RowRef`]s —
-/// either the live view ([`fsm_dsmatrix::DsMatrix::view`]) or a frozen
-/// epoch's ([`fsm_dsmatrix::EpochSnapshot::view`]): singleton supports come
-/// from ingest-time counters and the frequent rows are *borrowed* — from the
-/// matrix's incrementally-maintained cache on the memory backend, or
-/// streamed out of pinned decoded chunks on a budgeted disk backend — rather
-/// than assembled per call, so in both steady states this function
+/// Rows are read through the [`WindowView`] as [`RowRef`]s — either the
+/// live view ([`fsm_dsmatrix::DsMatrix::view`]) or a frozen epoch's
+/// ([`fsm_dsmatrix::EpochSnapshot::view`]): singleton supports come from
+/// ingest-time counters and the frequent rows are *borrowed* — flat rows
+/// from a live view, chunk cursors from an epoch — so this function itself
 /// materialises no window data at all.
 pub fn mine_vertical(
     view: &WindowView<'_>,
@@ -122,7 +120,7 @@ fn mine_subtree(
 /// every frequent edge after position `from` in canonical order.
 ///
 /// `vector` is a [`RowRef`] so the root level can intersect borrowed rows in
-/// whatever representation the view served (flat or pinned-chunked); deeper
+/// whatever representation the view served (flat or chunked); deeper
 /// levels always pass flat scratch buffers.
 #[allow(clippy::too_many_arguments)]
 fn extend(

@@ -35,9 +35,9 @@ const EDGES: u32 = 10;
 /// Reader threads mining snapshots concurrently with the writer.
 const READERS: usize = 3;
 
-/// The backend/budget corners under test: memory, eager disk, a tiny disk
-/// budget (pinned/fallback mixes under eviction pressure) and an unlimited
-/// disk budget (all rows pinned).
+/// The backend/budget corners under test: memory, uncached disk, a tiny
+/// disk budget (hits and page reads mix within a row) and an unlimited disk
+/// budget (everything but the entering segment hits).
 fn corners() -> Vec<(&'static str, StorageBackend, usize)> {
     vec![
         ("memory", StorageBackend::Memory, 0),

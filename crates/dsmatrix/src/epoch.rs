@@ -13,7 +13,7 @@
 //! # Ownership and reclamation
 //!
 //! A snapshot owns `Arc` handles to decoded segment data, not chunk-cache
-//! pins and not borrows of the matrix:
+//! entries and not borrows of the matrix:
 //!
 //! * on the **memory backend** the handles alias the live store segments —
 //!   taking a snapshot copies nothing but the support counters;
@@ -22,12 +22,11 @@
 //!   ([`fsm_storage::SegmentedWindowStore::epoch_segment`]), so consecutive
 //!   snapshots of a sliding window pay only for the segment that entered.
 //!
-//! Either way the `Arc` *is* the per-epoch pin set: a window slide,
-//! [`crate::DsMatrix::set_cache_budget`], or
-//! [`fsm_storage::SegmentedWindowStore::release_pins`] cannot invalidate a
-//! held snapshot, and a popped segment's data is freed exactly when the last
-//! snapshot referencing it drops (plain `Arc` reclamation — no epoch
-//! registry to leak).  Segment *files* are governed separately by the
+//! Either way the `Arc`s are all that keeps an epoch alive: a window slide,
+//! [`crate::DsMatrix::set_cache_budget`] or a later live view cannot
+//! invalidate a held snapshot, and a popped segment's data is freed exactly
+//! when the last snapshot referencing it drops (plain `Arc` reclamation — no
+//! epoch registry to leak).  Segment *files* are governed separately by the
 //! durable deferred-GC protocol; snapshots never read files.
 //!
 //! Mining a snapshot goes through [`EpochSnapshot::view`], which serves the
@@ -40,7 +39,7 @@ use std::sync::Arc;
 use fsm_storage::{ChunkedRow, EpochSegment};
 use fsm_types::{BatchId, Support};
 
-use crate::view::{MixedRow, WindowView};
+use crate::view::WindowView;
 
 /// An owned, immutable snapshot of one window epoch.
 ///
@@ -181,9 +180,9 @@ impl EpochSnapshot {
                 .iter()
                 .map(|seg| (seg.cols(), seg.chunk(idx)))
                 .collect();
-            rows.push(MixedRow::Chunked(ChunkedRow::from_parts(parts)));
+            rows.push(ChunkedRow::from_parts(parts));
         }
-        WindowView::new_mixed(rows, &self.supports, self.num_cols)
+        WindowView::new_chunked(rows, &self.supports, self.num_cols)
     }
 }
 
@@ -302,8 +301,8 @@ mod tests {
             let frozen = render(&snap.view());
 
             // The writer keeps going: a slide evicts the snapshot's oldest
-            // segment, the cache is re-budgeted twice (the old footgun
-            // released every pin here), and a live view is taken.
+            // segment, the cache is re-budgeted twice (each shrink evicts),
+            // and a live view is taken.
             m.ingest_batch(&batches[2]).unwrap();
             m.set_cache_budget(64);
             m.set_cache_budget(0);

@@ -15,7 +15,7 @@ use fsm_types::{Batch, BatchId, EdgeId, FsmError, Result, Support, Transaction};
 use crate::durable::{decode_batch, encode_batch, DurabilityConfig, DurableState, RecoveryReport};
 use crate::epoch::EpochSnapshot;
 use crate::snapshot::RowSnapshot;
-use crate::view::{MixedRow, WindowView};
+use crate::view::WindowView;
 
 const WORD_BITS: usize = 64;
 
@@ -35,12 +35,13 @@ fn words_of(bits: usize) -> u64 {
 /// a model.  Differencing `words_assembled` across a mine call gives the
 /// exact number of words the read path had to materialise for it — zero in
 /// the steady state on the memory backend, where [`DsMatrix::view`] borrows
-/// the incrementally-maintained row cache.
+/// the incrementally-maintained row cache; the window, once, on the disk
+/// backends.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadStats {
-    /// 64-bit words copied into flat rows by eager reads
-    /// ([`DsMatrix::row`], [`DsMatrix::snapshot`], the disk-backend fallback
-    /// of [`DsMatrix::view`]).
+    /// 64-bit words copied into flat rows or chunks by eager reads
+    /// ([`DsMatrix::row`], [`DsMatrix::snapshot`], [`DsMatrix::column`],
+    /// [`DsMatrix::view`] on the disk backends).
     pub words_assembled: u64,
     /// Flat rows materialised by those eager reads.
     pub rows_assembled: u64,
@@ -52,16 +53,16 @@ pub struct ReadStats {
     pub cache_compact_words: u64,
     /// Disk pages the chunk-read path fetched (disk backends only; zero on
     /// the memory backend, whose chunks are borrowed).  With a chunk-cache
-    /// budget covering the touched working set, the per-mine delta drops to
-    /// the chunks the preceding slide invalidated.
+    /// budget covering the window, the per-mine delta drops to the chunks
+    /// the preceding slide invalidated.
     pub pages_read: u64,
     /// Chunk reads served by the budgeted decoded-chunk cache
     /// ([`fsm_storage::ChunkCache`]) instead of the paged file.
     pub cache_hits: u64,
-    /// Disk-backend view rows served straight from pinned cache chunks —
-    /// rows that paid **zero** assembly ([`DsMatrix::view`]'s pinned path).
-    /// Always zero on the memory backend (its rows are borrowed flat) and at
-    /// budget 0 (every row takes the eager fallback).
+    /// Always 0: no view lends rows out of the chunk cache any more, so
+    /// nothing writes this.  The field is kept only because
+    /// `benchmark/src/ladder.rs` reads it; the next `benchmark` PR removes it
+    /// together with the `dsmatrix.rows_pinned_per_mine` metric.
     pub rows_pinned: u64,
     /// Bytes appended to the write-ahead log (durable windows only; always
     /// zero otherwise — the memory backend pays nothing for durability it
@@ -92,8 +93,8 @@ struct RowCache {
     rows: Vec<BitVec>,
     /// Dead (all-zero) bits at the front of every cached row.
     offset: usize,
-    /// `false` on the disk backends: the cache is then only a scratch target
-    /// for the eager [`DsMatrix::view`] fallback, never maintained at ingest.
+    /// `false` on the disk backends: the cache is then only the buffers
+    /// [`DsMatrix::view`] assembles into, never maintained at ingest.
     enabled: bool,
     /// Store generation the cached rows reflect (see
     /// [`fsm_storage::SegmentedWindowStore::generation`]).
@@ -258,8 +259,9 @@ impl Transposer {
 /// batch plus the evicted columns — never to the full window.  Reads go
 /// through [`DsMatrix::view`], which on the memory backend borrows an
 /// incrementally-maintained row cache (zero-copy, same slide-proportional
-/// cost bound); eager flat-[`BitVec`] reads ([`DsMatrix::row`],
-/// [`DsMatrix::snapshot`]) remain as the disk fallback and test reference,
+/// cost bound) and on the disk backends assembles each row once per call
+/// through the budgeted chunk cache; the other eager flat-[`BitVec`] reads
+/// ([`DsMatrix::row`], [`DsMatrix::snapshot`]) remain as the test reference,
 /// identical to the paper's conceptual matrix bit for bit.
 pub struct DsMatrix {
     store: SegmentedWindowStore,
@@ -281,9 +283,6 @@ pub struct DsMatrix {
     read_stats: ReadStats,
     /// Reused chunk buffer for the segment-direct [`DsMatrix::column`] read.
     col_chunk: BitVec,
-    /// Reused per-view flags: which rows of the current pinned-path view are
-    /// served from pinned chunks (`true`) vs the eager fallback (`false`).
-    pin_flags: Vec<bool>,
     /// Durability state (WAL handle, checkpoint bookkeeping, deferred file
     /// GC).  `None` on volatile matrices — including every memory-backend
     /// matrix — so the non-durable ingest path pays exactly one branch.
@@ -341,7 +340,6 @@ impl DsMatrix {
             cache,
             read_stats: ReadStats::default(),
             col_chunk: BitVec::new(),
-            pin_flags: Vec::new(),
             durable,
             last_snapshot: None,
             desired_cache_budget: config.cache_budget_bytes,
@@ -523,7 +521,6 @@ impl DsMatrix {
             cache,
             read_stats: ReadStats::default(),
             col_chunk: BitVec::new(),
-            pin_flags: Vec::new(),
             durable: Some(durable),
             last_snapshot: None,
             desired_cache_budget: config.cache_budget_bytes,
@@ -1071,13 +1068,7 @@ impl DsMatrix {
     pub fn row(&mut self, item: EdgeId) -> Result<BitVec> {
         let mut row = BitVec::new();
         if item.index() < self.num_items {
-            // Memory backend: concatenate the borrowed chunk view (no
-            // serialise round-trip); disk: decode chunk by chunk.
-            if let Some(chunked) = self.store.chunked_row(item.index()) {
-                chunked.assemble_into(&mut row);
-            } else {
-                self.store.assemble_row(item.index(), &mut row)?;
-            }
+            self.store.assemble_row(item.index(), &mut row)?;
         }
         row.resize(self.num_cols);
         // Unknown rows materialise a (zero-filled) flat row too, so both
@@ -1087,99 +1078,49 @@ impl DsMatrix {
         Ok(row)
     }
 
-    /// The zero-copy read surface over the live window: what all five miners
-    /// read.
+    /// The read surface over the live window: what all five miners read —
+    /// flat rows on every backend.
     ///
     /// On the memory backend this borrows the incrementally-maintained row
     /// cache — nothing is copied, so the steady-state read cost of a mine
     /// call is whatever the preceding slides already paid (rows touched by
     /// the slide, counted in [`DsMatrix::read_stats`]).
     ///
-    /// On the disk backends with a [`DsMatrixConfig::cache_budget_bytes`]
-    /// budget configured, rows are served **straight from pinned decoded
-    /// chunks**: each row's chunks are pinned in the budgeted
-    /// [`fsm_storage::ChunkCache`] for the duration of the borrow (a window
-    /// slide releases every pin — the generation check in the storage layer
-    /// refuses stale borrows) and the view streams them through
-    /// [`fsm_storage::ChunkedRow`] cursors, so rows whose chunks fit the
-    /// budget are never assembled into flat vectors at all
-    /// (`rows_pinned` in [`DsMatrix::read_stats`]).  A steady-state mine
-    /// then both fetches only the pages the preceding slide invalidated
-    /// (`pages_read`) *and* assembles zero words (`words_assembled`),
-    /// matching the memory backend.  Rows whose chunks miss the budget fall
-    /// back to counted eager assembly into the cache buffers — the same
-    /// path at every budget: with a budget of `0` (the default) no row can
-    /// be pinned, so every row falls back and the window is assembled once
-    /// per call.
+    /// On the disk backends every row is assembled once per call into the
+    /// cache buffers (`rows_assembled` / `words_assembled` count the window,
+    /// once), each chunk fetched through the budgeted
+    /// [`fsm_storage::ChunkCache`].  A [`DsMatrixConfig::cache_budget_bytes`]
+    /// budget buys page reads, never assembly: with a budget covering the
+    /// window a steady-state view fetches only the pages the preceding slide
+    /// invalidated (`pages_read`); with a smaller one, whatever fitted first
+    /// keeps hitting; with `0` (the default) the window is re-read from disk
+    /// on every call.  Direct callers that keep taking views reuse the row
+    /// allocations; the `StreamMiner` facade instead calls
+    /// [`DsMatrix::trim_cache`] after each mine.
     pub fn view(&mut self) -> Result<WindowView<'_>> {
         self.rebalance_cache_budget();
-        if !self.cache.enabled {
-            return self.pinned_view();
-        }
-        debug_assert_eq!(
-            self.cache.generation,
-            self.store.generation(),
-            "row cache must be maintained by every ingest"
-        );
         if self.cache.rows.len() < self.num_items {
             self.cache.rows.resize_with(self.num_items, BitVec::new);
+        }
+        if self.cache.enabled {
+            debug_assert_eq!(
+                self.cache.generation,
+                self.store.generation(),
+                "row cache must be maintained by every ingest"
+            );
+        } else {
+            for (idx, row) in self.cache.rows.iter_mut().enumerate() {
+                self.store.assemble_row(idx, row)?;
+                row.resize(self.num_cols);
+                self.read_stats.rows_assembled += 1;
+                self.read_stats.words_assembled += words_of(row.len());
+            }
         }
         debug_assert!(self.supports.len() >= self.num_items);
         Ok(WindowView::new(
             &self.cache.rows[..self.num_items],
             &self.supports[..self.num_items],
             self.cache.offset,
-            self.num_cols,
-        ))
-    }
-
-    /// The disk view path: pin every row's chunks in the decoded cache and
-    /// borrow them in place; assemble flat fallbacks only for rows the
-    /// budget cannot hold (all of them when the cache is disabled).
-    fn pinned_view(&mut self) -> Result<WindowView<'_>> {
-        // Phase 1 (mutable): decide per row.  Pins from a previous view are
-        // stale — release them so this view's working set competes for the
-        // whole budget — then pin row by row, falling back to (counted)
-        // eager assembly whenever a row's chunks miss the budget.  Direct
-        // callers that keep taking views reuse the fallback allocations; the
-        // `StreamMiner` facade instead calls `trim_cache()` after each mine
-        // so the between-mines resident footprint stays bookkeeping plus the
-        // chunk-cache budget (the paper's on-disk space story).
-        self.store.release_pins();
-        let pinned_at = self.store.generation();
-        self.cache.offset = 0;
-        self.cache.rows.resize_with(self.num_items, BitVec::new);
-        self.pin_flags.clear();
-        self.pin_flags.resize(self.num_items, false);
-        for idx in 0..self.num_items {
-            if self.store.pin_row_chunks(idx)? {
-                self.pin_flags[idx] = true;
-                self.read_stats.rows_pinned += 1;
-            } else {
-                let mut row = std::mem::take(&mut self.cache.rows[idx]);
-                self.store.assemble_row(idx, &mut row)?;
-                row.resize(self.num_cols);
-                self.read_stats.rows_assembled += 1;
-                self.read_stats.words_assembled += words_of(row.len());
-                self.cache.rows[idx] = row;
-            }
-        }
-        // Phase 2 (shared): borrow the pinned chunks (generation-checked)
-        // and the flat fallbacks into one mixed view.
-        let mut rows = Vec::with_capacity(self.num_items);
-        for idx in 0..self.num_items {
-            if self.pin_flags[idx] {
-                rows.push(MixedRow::Chunked(
-                    self.store.pinned_chunked_row(idx, pinned_at)?,
-                ));
-            } else {
-                rows.push(MixedRow::Flat(&self.cache.rows[idx]));
-            }
-        }
-        debug_assert!(self.supports.len() >= self.num_items);
-        Ok(WindowView::new_mixed(
-            rows,
-            &self.supports[..self.num_items],
             self.num_cols,
         ))
     }
@@ -1235,9 +1176,8 @@ impl DsMatrix {
     /// read amplification.
     pub fn read_stats(&self) -> ReadStats {
         let mut stats = self.read_stats;
-        let io = self.store.io_stats();
-        stats.pages_read = io.pages_read;
-        stats.cache_hits = io.cache_hits;
+        stats.pages_read = self.store.pages_read();
+        stats.cache_hits = self.store.cache_stats().hits;
         if let Some(durable) = &self.durable {
             let wal = durable.wal.stats();
             stats.wal_bytes_written = wal.bytes_written;
@@ -1263,21 +1203,18 @@ impl DsMatrix {
             .set_cache_budget(Self::granted(&self.lease, budget_bytes));
     }
 
-    /// Frees the eager [`DsMatrix::view`] fallback materialisation of the
-    /// disk backends and releases any chunk pins the pinned view path took
+    /// Frees the flat rows [`DsMatrix::view`] assembled on the disk backends
     /// (no-op on the memory backend, whose cache is the
-    /// incrementally-maintained read surface, not a copy).  Released chunks
-    /// stay cached — within the budget — so the next mine re-pins them
-    /// without touching the disk; they merely become evictable again.
+    /// incrementally-maintained read surface, not a copy).  The chunk cache
+    /// is untouched, so the next view re-reads only what it does not hold.
     ///
     /// The facade calls this after a disk-backed mine — through an RAII
     /// guard, so it also runs when mining errors or panics — keeping the
-    /// window's between-mines resident footprint what the paper promises:
-    /// bookkeeping, plus at most the configured chunk-cache budget.
+    /// window's between-mines resident footprint what the paper promises, at
+    /// every budget: bookkeeping, plus at most the chunk-cache budget.
     pub fn trim_cache(&mut self) {
         if !self.cache.enabled {
             self.cache.rows = Vec::new();
-            self.store.release_pins();
         }
     }
 
@@ -1312,38 +1249,25 @@ impl DsMatrix {
                 self.num_cols
             ))
         })?;
+        // One chunk read per touched row, through a single scratch buffer
+        // reused across rows (and across calls).
+        let ids = self
+            .store
+            .segment_row_ids(seg)
+            .ok_or_else(|| FsmError::corrupt(format!("segment {seg} vanished")))?;
         let mut edges = Vec::new();
-        if self.store.is_memory_resident() {
-            // Memory backend: borrow the chunks, copy nothing.
-            let chunks = self
+        for id in ids {
+            if self
                 .store
-                .segment_chunks(seg)
-                .ok_or_else(|| FsmError::corrupt(format!("segment {seg} vanished")))?;
-            for (id, chunk) in chunks {
-                if chunk.get(offset) {
-                    edges.push(EdgeId::new(id as u32));
-                }
+                .read_segment_chunk(seg, id, &mut self.col_chunk)?
+                && self.col_chunk.get(offset)
+            {
+                edges.push(EdgeId::new(id as u32));
             }
-        } else {
-            // Disk backend: one chunk read per touched row, through a single
-            // scratch buffer reused across rows (and across calls).
-            let ids = self
-                .store
-                .segment_row_ids(seg)
-                .ok_or_else(|| FsmError::corrupt(format!("segment {seg} vanished")))?;
-            for id in ids {
-                if self
-                    .store
-                    .read_segment_chunk(seg, id, &mut self.col_chunk)?
-                    && self.col_chunk.get(offset)
-                {
-                    edges.push(EdgeId::new(id as u32));
-                }
-                // Same unit as every other increment: 64-bit words of the
-                // materialised payload (a chunk here, not a full row, so
-                // `rows_assembled` is deliberately not ticked).
-                self.read_stats.words_assembled += words_of(self.col_chunk.len());
-            }
+            // Same unit as every other increment: 64-bit words of the
+            // materialised payload (a chunk here, not a full row, so
+            // `rows_assembled` is deliberately not ticked).
+            self.read_stats.words_assembled += words_of(self.col_chunk.len());
         }
         Ok(Transaction::from_edges(edges))
     }
@@ -1681,13 +1605,13 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_disk_views_read_only_the_slide_and_assemble_nothing() {
+    fn budgeted_disk_views_read_only_the_slide_and_assemble_what_eager_views_do() {
         // The same stream through an uncached (budget 0) and a budgeted disk
-        // matrix: rows stay byte-identical at every step, but the budgeted
-        // matrix serves its views from pinned chunks — zero words assembled —
-        // and once the window is warm it fetches only the chunks the slide
-        // invalidated, while budget 0 reproduces the fully eager per-mine
-        // read pattern.
+        // matrix: rows stay byte-identical at every step and both assemble
+        // the same words — the budget buys page reads, never assembly — but
+        // once the window is warm the budgeted matrix fetches only the chunks
+        // the slide invalidated, while budget 0 re-reads the whole window on
+        // every view.
         let config = |budget: usize| {
             DsMatrixConfig::new(WindowConfig::new(2).unwrap(), StorageBackend::DiskTemp, 6)
                 .with_cache_budget(budget)
@@ -1716,8 +1640,8 @@ mod tests {
                 assert_eq!(eager_view.num_transactions(), cols);
             }
             {
-                // The budgeted view serves every row from pinned chunks and
-                // agrees with the eager ground truth bit for bit.
+                // The budgeted view agrees with the eager ground truth bit
+                // for bit.
                 let view = budgeted.view().unwrap();
                 for (item, want) in expected.iter().enumerate() {
                     let mut assembled = BitVec::new();
@@ -1725,11 +1649,11 @@ mod tests {
                         .unwrap()
                         .assemble_into(&mut assembled);
                     assembled.resize(view.num_transactions());
-                    let mut from_view = String::new();
-                    for i in 0..assembled.len() {
-                        from_view.push(if assembled.get(i) { '1' } else { '0' });
-                    }
-                    assert_eq!(&from_view, want, "row {item} diverged on round {round}");
+                    assert_eq!(
+                        &bit_string(&assembled),
+                        want,
+                        "row {item} diverged on round {round}"
+                    );
                 }
             }
             budgeted.trim_cache();
@@ -1737,19 +1661,15 @@ mod tests {
 
             assert_eq!(
                 b1.words_assembled - b0.words_assembled,
-                0,
-                "round {round}: pinned views must assemble nothing"
+                6,
+                "round {round}: a view assembles the window, once"
             );
             assert_eq!(
-                b1.rows_pinned - b0.rows_pinned,
-                6,
-                "round {round}: every row must be served from pinned chunks"
+                b1.words_assembled - b0.words_assembled,
+                e1.words_assembled - e0.words_assembled,
+                "round {round}: budgeted and budget-0 views assemble the same words"
             );
-            assert!(
-                e1.words_assembled > e0.words_assembled,
-                "round {round}: budget 0 still pays the eager assembly"
-            );
-            assert_eq!(e1.rows_pinned, 0, "budget 0 never pins");
+            assert_eq!(b1.rows_assembled - b0.rows_assembled, 6);
             assert_eq!(e1.cache_hits, 0, "budget 0 never hits");
             let eager_pages = e1.pages_read - e0.pages_read;
             let budgeted_pages = b1.pages_read - b0.pages_read;
@@ -1772,10 +1692,10 @@ mod tests {
     }
 
     #[test]
-    fn partial_pin_budgets_fall_back_per_row_and_stay_correct() {
-        // A budget that holds some rows' chunks but not all: pinned and
-        // fallback rows coexist in one view, and both agree with the eager
-        // ground truth.
+    fn tight_budgets_refuse_admissions_and_stay_correct() {
+        // A budget that holds some of the window's chunks but not all: hits
+        // and page reads coexist in one view, and every row agrees with the
+        // eager ground truth.
         let mut m = DsMatrix::new(
             DsMatrixConfig::new(WindowConfig::new(2).unwrap(), StorageBackend::DiskTemp, 6)
                 .with_cache_budget(600),
@@ -1789,7 +1709,9 @@ mod tests {
         let expected: Vec<String> = (0..6)
             .map(|item| row_string(&mut reference, item))
             .collect();
-        let stats = {
+        let mut per_view = Vec::new();
+        for _ in 0..2 {
+            let before = m.read_stats();
             let view = m.view().unwrap();
             for (item, want) in expected.iter().enumerate() {
                 let got: String = (0..view.num_transactions())
@@ -1803,17 +1725,62 @@ mod tests {
                     .collect();
                 assert_eq!(&got, want, "row {item}");
             }
-            m.read_stats()
-        };
-        m.trim_cache();
+            m.trim_cache();
+            let after = m.read_stats();
+            per_view.push((
+                after.cache_hits - before.cache_hits,
+                after.pages_read - before.pages_read,
+            ));
+        }
+        let (hits, pages) = per_view[1];
+        assert!(hits > 0, "a 600-byte budget should keep some chunks warm");
         assert!(
-            stats.rows_pinned > 0,
-            "a 600-byte budget should pin at least one row"
+            pages > 0 && pages < per_view[0].1,
+            "a 600-byte budget should also refuse some: {per_view:?}"
         );
-        assert!(
-            stats.rows_assembled > 0,
-            "a 600-byte budget should also overflow into the fallback"
-        );
+    }
+
+    /// Chunks the live window holds, from the store's in-memory index.
+    fn window_chunks(m: &DsMatrix) -> u64 {
+        (0..m.store.num_segments())
+            .map(|seg| m.store.segment_row_ids(seg).unwrap().len() as u64)
+            .sum()
+    }
+
+    #[test]
+    fn a_disk_view_looks_each_chunk_up_once() {
+        // Every paper chunk fits one page, so per view each chunk the window
+        // holds is either one cache hit or one page read — never both, never
+        // neither — whether the budget holds part of the window or all of
+        // it, cold or steady.
+        for budget in [600, usize::MAX] {
+            let mut m = DsMatrix::new(
+                DsMatrixConfig::new(WindowConfig::new(2).unwrap(), StorageBackend::DiskTemp, 6)
+                    .with_cache_budget(budget),
+            )
+            .unwrap();
+            let patterns = paper_batches();
+            for round in 0..6u64 {
+                let batch = Batch::from_transactions(
+                    round,
+                    patterns[(round % 3) as usize].iter().cloned().collect(),
+                );
+                m.ingest_batch(&batch).unwrap();
+                for pass in 0..2 {
+                    let before = m.read_stats();
+                    m.view().unwrap();
+                    m.trim_cache();
+                    let after = m.read_stats();
+                    assert_eq!(
+                        (after.cache_hits - before.cache_hits)
+                            + (after.pages_read - before.pages_read),
+                        window_chunks(&m),
+                        "budget {budget}, round {round}, pass {pass}"
+                    );
+                }
+            }
+            assert!(m.read_stats().cache_hits > 0, "budget {budget}");
+        }
     }
 
     /// Satellite regression: `words_assembled` is counted in 64-bit words of
@@ -1862,8 +1829,8 @@ mod tests {
                 3 * window_words
             );
 
-            // view(): zero words on the memory backend (borrowed), one full
-            // eager assembly at budget 0 on disk.
+            // view(): zero words on the memory backend (borrowed), the
+            // window once on disk.
             let before_view = m.read_stats();
             m.view().unwrap();
             let after_view = m.read_stats();
@@ -1878,17 +1845,18 @@ mod tests {
                 "{backend:?}"
             );
 
-            // column(): disk reads one chunk per row of the owning segment —
-            // the 70-column segment holds 3 rows of ceil(70/64) = 2 words.
+            // column(): one chunk read per row of the owning segment, on
+            // every backend — the 70-column segment holds 3 rows of
+            // ceil(70/64) = 2 words.
             let before_column = m.read_stats();
             m.column(0).unwrap();
             let after_column = m.read_stats();
-            let expected_column_words = if m.is_disk_backed() { 3 * 2 } else { 0 };
             assert_eq!(
                 after_column.words_assembled - before_column.words_assembled,
-                expected_column_words,
+                3 * 2,
                 "{backend:?}"
             );
+            assert_eq!(after_column.rows_assembled, before_column.rows_assembled);
         }
     }
 

@@ -1,18 +1,21 @@
-//! Zero-copy window views: the miners' read surface over the live window.
+//! Window views: the miners' read surface over the window.
 //!
 //! [`WindowView`] replaces the eager [`crate::RowSnapshot`] as the default
-//! read path of all five miners.  On the memory backend it *borrows* the
-//! matrix's incrementally-maintained row cache — constructing a view copies
-//! nothing, so the per-mine read cost is whatever the slide touched, not the
-//! window size.  On the disk backends with a chunk-cache budget configured
-//! the view serves rows straight out of **pinned decoded chunks**
-//! ([`fsm_storage::SegmentedWindowStore::pin_row_chunks`]): each row becomes
-//! a [`fsm_storage::ChunkedRow`] cursor over cache-resident chunks, so no
-//! flat row is assembled at all; only rows whose chunks miss the budget fall
-//! back to eager assembly into the matrix's cache buffers (with a zero
-//! budget no row can be pinned, so every row of that same view does).
-//! Whatever mix results, the view API is identical: miners read rows as
-//! [`RowRef`]s and never know which representation they got.
+//! read path of all five miners.  A view has one of two representations:
+//!
+//! * a **live** view ([`crate::DsMatrix::view`]) is a slice of flat rows on
+//!   every backend.  On the memory backend it *borrows* the matrix's
+//!   incrementally-maintained row cache — constructing a view copies
+//!   nothing, so the per-mine read cost is whatever the slide touched, not
+//!   the window size.  On the disk backends the matrix assembles each row
+//!   once per call, fetching chunks through the budgeted chunk cache (the
+//!   budget buys page reads, never assembly);
+//! * a **frozen epoch** ([`crate::EpochSnapshot::view`]) is one
+//!   [`fsm_storage::ChunkedRow`] cursor per row over the snapshot's shared
+//!   segments, so freezing an epoch copies no row.
+//!
+//! Either way the view API is identical: miners read rows as [`RowRef`]s and
+//! never know which representation they got.
 //!
 //! # Alignment convention
 //!
@@ -24,9 +27,9 @@
 //! bits read as zero).  Both conventions are invisible to the mining
 //! kernels:
 //!
-//! * every row shares the same `offset` (pinned chunked rows always have
-//!   offset 0), so the fused AND kernels between rows — the vertical hot
-//!   loop — see identical intersections bit for bit;
+//! * every row shares the same `offset` (disk-backend and chunked rows
+//!   always have offset 0), so the fused AND kernels between rows — the
+//!   vertical hot loop — see identical intersections bit for bit;
 //! * [`WindowView::project_into`] translates set-bit positions back to
 //!   logical window columns, producing output byte-identical to
 //!   [`crate::RowSnapshot::project_into`];
@@ -38,31 +41,20 @@ use fsm_types::{EdgeId, Support};
 
 use crate::snapshot::{ProjectedRows, ProjectionScratch};
 
-/// One row of a mixed-representation view (see [`WindowView`]).
-#[derive(Debug, Clone)]
-pub(crate) enum MixedRow<'a> {
-    /// Eagerly-assembled flat fallback (chunks missed the pin budget).
-    Flat(&'a BitVec),
-    /// Borrowed cursor over chunks pinned in the decoded-chunk cache.
-    Chunked(ChunkedRow<'a>),
-}
-
 #[derive(Debug, Clone)]
 enum ViewRows<'a> {
-    /// Every row is a flat [`BitVec`] in one shared slice (the
-    /// memory-backend row cache).
+    /// Every row is a flat [`BitVec`] in one shared slice (every live view).
     Flat(&'a [BitVec]),
-    /// Per-row representations (the disk read path).
-    Mixed(Vec<MixedRow<'a>>),
+    /// Every row is a cursor over borrowed segment chunks (a frozen epoch).
+    Chunked(Vec<ChunkedRow<'a>>),
 }
 
 /// An immutable, concurrently-shareable (`&self` everywhere, `Send + Sync`)
-/// read surface over the live window.
+/// read surface over the window.
 ///
-/// Built by [`crate::DsMatrix::view`].  Zero-copy on the memory backend;
-/// served from pinned cache chunks, with per-row eager fallback, on the
-/// disk backends (at budget 0 every row falls back: assembled once per
-/// call).
+/// Built by [`crate::DsMatrix::view`] — flat rows, zero-copy on the memory
+/// backend and assembled once per call on the disk backends — or by
+/// [`crate::EpochSnapshot::view`], as chunk cursors over a frozen epoch.
 #[derive(Debug, Clone)]
 pub struct WindowView<'a> {
     rows: ViewRows<'a>,
@@ -89,18 +81,15 @@ impl<'a> WindowView<'a> {
         }
     }
 
-    pub(crate) fn new_mixed(
-        rows: Vec<MixedRow<'a>>,
+    pub(crate) fn new_chunked(
+        rows: Vec<ChunkedRow<'a>>,
         supports: &'a [Support],
         num_cols: usize,
     ) -> Self {
         debug_assert_eq!(rows.len(), supports.len());
-        debug_assert!(rows.iter().all(|row| match row {
-            MixedRow::Flat(row) => row.len() <= num_cols,
-            MixedRow::Chunked(row) => row.len() == num_cols,
-        }));
+        debug_assert!(rows.iter().all(|row| row.len() == num_cols));
         Self {
-            rows: ViewRows::Mixed(rows),
+            rows: ViewRows::Chunked(rows),
             supports,
             offset: 0,
             num_cols,
@@ -111,7 +100,7 @@ impl<'a> WindowView<'a> {
     pub fn num_items(&self) -> usize {
         match &self.rows {
             ViewRows::Flat(rows) => rows.len(),
-            ViewRows::Mixed(rows) => rows.len(),
+            ViewRows::Chunked(rows) => rows.len(),
         }
     }
 
@@ -132,7 +121,7 @@ impl<'a> WindowView<'a> {
     /// All rows of one view share the same alignment, so intersecting two
     /// rows through the [`RowRef`] kernels yields exactly the flat-matrix
     /// intersection — this is what the vertical miners feed their hot loop,
-    /// whether the row is a borrowed flat vector or a cursor over pinned
+    /// whether the row is a borrowed flat vector or a cursor over an epoch's
     /// chunks.
     pub fn row(&self, item: EdgeId) -> Option<RowRef<'_>> {
         self.row_at(item.index())
@@ -141,10 +130,7 @@ impl<'a> WindowView<'a> {
     fn row_at(&self, idx: usize) -> Option<RowRef<'_>> {
         match &self.rows {
             ViewRows::Flat(rows) => rows.get(idx).map(RowRef::Flat),
-            ViewRows::Mixed(rows) => rows.get(idx).map(|row| match row {
-                MixedRow::Flat(row) => RowRef::Flat(row),
-                MixedRow::Chunked(row) => RowRef::Chunked(row),
-            }),
+            ViewRows::Chunked(rows) => rows.get(idx).map(RowRef::Chunked),
         }
     }
 
@@ -174,19 +160,13 @@ impl<'a> WindowView<'a> {
     }
 
     /// Heap bytes of the rows this view reads (the resident mining working
-    /// set; on the memory backend — and for pinned chunked rows, whose
-    /// chunks live in the budgeted cache — it is shared with the capture
+    /// set; on the memory backend — and for an epoch's chunked rows, whose
+    /// chunks live in the shared segments — it is shared with the capture
     /// structures rather than copied per mine call).
     pub fn heap_bytes(&self) -> usize {
         match &self.rows {
             ViewRows::Flat(rows) => rows.iter().map(BitVec::heap_bytes).sum(),
-            ViewRows::Mixed(rows) => rows
-                .iter()
-                .map(|row| match row {
-                    MixedRow::Flat(row) => row.heap_bytes(),
-                    MixedRow::Chunked(row) => row.heap_bytes(),
-                })
-                .sum(),
+            ViewRows::Chunked(rows) => rows.iter().map(ChunkedRow::heap_bytes).sum(),
         }
     }
 

@@ -33,9 +33,10 @@ fn matrix(window: usize, backend: StorageBackend, expected: usize) -> DsMatrix {
 }
 
 /// The backend/budget corners every consistency check runs on: zero-copy
-/// memory, fully-eager disk (budget 0), the pinned-chunk path under eviction
-/// pressure (tiny budget — most rows fall back) and with the whole working
-/// set pinned (unlimited budget — zero assembly).
+/// memory, uncached disk (budget 0 — every chunk read from its page file),
+/// a tiny budget (most admissions refused, so hits and page reads mix within
+/// one row) and an unlimited one (every chunk but the entering segment's
+/// served from the cache).
 fn corner_matrices(window: usize, expected: usize) -> Vec<DsMatrix> {
     let budgets = [600, usize::MAX];
     let mut matrices = vec![

@@ -26,7 +26,7 @@
 //! # Why this crate contains `unsafe`
 //!
 //! Subtree tasks borrow the per-mine window view (frequent-row tables,
-//! pinned chunk borrows), so the closures handed to the pool are **not**
+//! row borrows), so the closures handed to the pool are **not**
 //! `'static`.  The safe way to run borrowed closures on other threads is
 //! `std::thread::scope`, which spawns and joins its threads per call — the
 //! engine's original executor.  Persistent pool threads cannot accept

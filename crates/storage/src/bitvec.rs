@@ -366,7 +366,7 @@ impl BitVec {
     /// as zero) and returns its popcount in the same pass.
     ///
     /// This is the kernel behind the chunked-row × chunked-row (and
-    /// chunked × flat) intersections of the pinned disk read path, where
+    /// chunked × flat) intersections of the epoch-snapshot read path, where
     /// *neither* operand exists as a flat vector — both sides stream their
     /// words out of borrowed segment chunks.
     pub fn assign_and_of_words<A, B>(&mut self, len: usize, a: A, b: B) -> u64

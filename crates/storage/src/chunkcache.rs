@@ -4,30 +4,38 @@
 //! row chunks serialised in a paged file; before this cache, *every* read of
 //! a chunk paid a page fetch plus a deserialisation, so assembling the whole
 //! window once per mine call cost O(window) page reads no matter how little
-//! the window had changed.  [`ChunkCache`] keeps recently-decoded chunks
-//! pinned in memory up to an explicit byte budget:
+//! the window had changed.  [`ChunkCache`] keeps decoded chunks in memory up
+//! to an explicit byte budget.  The budget buys page reads, never assembly:
+//! a hit saves the fetch and the decode, and the reader still copies the
+//! chunk into the flat row it is building.
 //!
 //! * **Keying.**  Entries are keyed by `(segment uid, row id)`.  Segments are
-//!   immutable once pushed, so a cached chunk can never go stale — the only
-//!   invalidation event is the segment being dropped by a window slide
-//!   ([`ChunkCache::invalidate_segment`]), the cache-level mirror of the
-//!   store's generation bump on `push_segment`/`pop_segment`.
-//! * **Budget + clock eviction.**  [`ChunkCache::insert`] charges each entry
-//!   its decoded heap size plus bookkeeping overhead against the budget and
-//!   runs a second-chance (clock) sweep while over it: entries touched by a
-//!   [`ChunkCache::get`] since the hand last passed survive one extra round,
-//!   untouched ones are evicted.  A budget of `0` disables the cache
-//!   entirely, reproducing the uncached read path byte for byte.
+//!   immutable once pushed, so a cached chunk can never go stale.
+//! * **Admit-if-room.**  [`ChunkCache::insert`] charges each entry its
+//!   decoded heap size plus bookkeeping overhead and stores it only while
+//!   `used + charge <= budget`; it never evicts to make room.  The one
+//!   production access pattern is a full cyclic scan of the window in row
+//!   order, and on a cyclic scan larger than the budget evict-to-admit throws
+//!   out exactly the entries the next pass would have hit (measured: 0.000
+//!   hit ratio) — whereas keeping whatever fitted first keeps hitting it on
+//!   every pass.  A budget of `0` disables the cache entirely, reproducing
+//!   the uncached read path byte for byte.
+//! * **Two exits.**  An entry leaves when its segment leaves the window
+//!   ([`ChunkCache::invalidate_segment`] — so every entry's lifetime is
+//!   bounded by the window length in slides, and the room it frees is what
+//!   admits the entering segment's chunks), or when
+//!   [`ChunkCache::set_budget`] shrinks the budget below the bytes in use,
+//!   which evicts oldest-segment-first until the cache fits.
 //! * **Counters.**  Hits, misses, insertions, evictions and invalidations
 //!   are tallied in [`ChunkCacheStats`], so the read-amplification tables of
 //!   the benchmark harness report measured cache behaviour, not a model.
 //!
 //! The cache is deliberately read-through only: it fills on read misses, not
-//! on segment writes, so a steady-state mine over an unchanged window region
-//! re-reads exactly the pages a window slide invalidated — the incremental
-//! bound the DSMatrix read path advertises.
+//! on segment writes, so with a budget covering the window a steady-state
+//! mine re-reads exactly the pages a window slide invalidated — the
+//! incremental bound the DSMatrix read path advertises.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use crate::bitvec::BitVec;
 
@@ -40,7 +48,7 @@ pub struct ChunkCacheStats {
     pub misses: u64,
     /// Decoded chunks admitted into the cache.
     pub insertions: u64,
-    /// Entries evicted by the clock sweep to stay within budget.
+    /// Entries evicted by a budget shrink ([`ChunkCache::set_budget`]).
     pub evictions: u64,
     /// Entries removed because their segment left the window.
     pub invalidations: u64,
@@ -50,41 +58,23 @@ struct CacheEntry {
     chunk: BitVec,
     /// Budget charge of this entry (decoded heap bytes + overhead).
     bytes: usize,
-    /// Second-chance bit: set on every hit, cleared when the clock hand
-    /// passes, evicted when the hand finds it cleared.
-    referenced: bool,
-    /// Pinned entries are borrowed by an in-progress mine and must not be
-    /// evicted; the clock sweep rotates past them (see [`ChunkCache::pin`]).
-    pinned: bool,
 }
 
-/// A budgeted `(segment uid, row id) → decoded chunk` cache with clock
-/// eviction.  See the module docs for the design.
+/// A budgeted `(segment uid, row id) → decoded chunk` map with admit-if-room
+/// admission.  See the module docs for the design.
 pub struct ChunkCache {
     budget_bytes: usize,
     used_bytes: usize,
     /// Segment uid → row id → entry.  Two levels so a window slide can drop
-    /// one segment's entries without scanning the whole cache.
+    /// one segment's entries without scanning the whole cache, and ordered so
+    /// a budget shrink evicts the oldest segment (smallest uid) first.
     entries: BTreeMap<u64, BTreeMap<usize, CacheEntry>>,
-    /// Clock ring of candidate keys.  May hold keys whose entry has already
-    /// been invalidated; those are skipped lazily by the sweep and compacted
-    /// away once they outnumber the live slots.
-    clock: VecDeque<(u64, usize)>,
-    /// Ring slots whose entry has been invalidated but not yet reclaimed.
-    stale_slots: usize,
-    /// Bytes charged by pinned entries.  Invariant: `pinned_bytes <=
-    /// budget_bytes` (pin admission refuses anything beyond it), so evicting
-    /// every unpinned entry always gets the cache back under budget.
-    ///
-    /// Stale-borrow detection lives one layer up: the window store releases
-    /// every pin on a generation bump and generation-checks each borrow.
-    pinned_bytes: usize,
     stats: ChunkCacheStats,
 }
 
 impl ChunkCache {
     /// Approximate per-entry bookkeeping charge on top of the decoded chunk's
-    /// heap bytes (map nodes + clock slot).
+    /// heap bytes (the map nodes).
     const ENTRY_OVERHEAD: usize =
         std::mem::size_of::<CacheEntry>() + 4 * std::mem::size_of::<(u64, usize)>();
 
@@ -94,9 +84,6 @@ impl ChunkCache {
             budget_bytes,
             used_bytes: 0,
             entries: BTreeMap::new(),
-            clock: VecDeque::new(),
-            stale_slots: 0,
-            pinned_bytes: 0,
             stats: ChunkCacheStats::default(),
         }
     }
@@ -131,21 +118,27 @@ impl ChunkCache {
         self.stats
     }
 
-    /// Re-budgets the cache, evicting as needed to fit the new budget.
-    ///
-    /// Re-budgeting requires `&mut`, so no chunk borrow can be outstanding;
-    /// any pins are therefore released first — otherwise a shrink below the
-    /// pinned charge could never get back under budget.
+    /// Re-budgets the cache.  A shrink below the bytes in use evicts
+    /// oldest-segment-first — those entries are the next to be invalidated
+    /// anyway — until the cache fits; `0` clears it.
     pub fn set_budget(&mut self, budget_bytes: usize) {
         self.budget_bytes = budget_bytes;
-        if budget_bytes == 0 {
-            self.clear();
-        } else {
-            self.release_pins();
+        while self.used_bytes > budget_bytes {
+            let Some(mut oldest) = self.entries.first_entry() else {
+                debug_assert!(false, "bytes charged with no entry to evict");
+                return;
+            };
+            if let Some((_, entry)) = oldest.get_mut().pop_first() {
+                self.used_bytes -= entry.bytes;
+                self.stats.evictions += 1;
+            }
+            if oldest.get().is_empty() {
+                oldest.remove();
+            }
         }
     }
 
-    /// Looks up the chunk of `(seg, row)`, marking it recently used.
+    /// Looks up the chunk of `(seg, row)`.
     ///
     /// Callers consult the cache only for rows the segment is known to hold
     /// (absence is decided by the store's in-memory index), so every miss
@@ -154,9 +147,8 @@ impl ChunkCache {
         if !self.is_enabled() {
             return None;
         }
-        match self.entries.get_mut(&seg).and_then(|m| m.get_mut(&row)) {
+        match self.entries.get(&seg).and_then(|m| m.get(&row)) {
             Some(entry) => {
-                entry.referenced = true;
                 self.stats.hits += 1;
                 Some(&entry.chunk)
             }
@@ -167,135 +159,31 @@ impl ChunkCache {
         }
     }
 
-    /// Admits a freshly-decoded chunk, evicting colder entries if the budget
-    /// overflows.  Chunks larger than the whole budget are not admitted.
+    /// Admits a freshly-decoded chunk if the budget has room for it, and
+    /// otherwise does nothing — nothing is evicted to make room, and a
+    /// refused chunk is not even cloned, so a full cache costs a miss no
+    /// allocation.  Re-inserting a live key swaps its charge.
     pub fn insert(&mut self, seg: u64, row: usize, chunk: &BitVec) {
-        self.insert_entry(seg, row, chunk, false);
-    }
-
-    /// Admits a freshly-decoded chunk *pinned*: the entry is immune to the
-    /// clock sweep until [`ChunkCache::release_pins`] runs.  Returns `false`
-    /// — admitting nothing — if pinning it would push the total pinned charge
-    /// past the budget (the caller falls back to eager assembly for that
-    /// row); [`ChunkCache::insert`] may still admit it unpinned.
-    pub fn insert_pinned(&mut self, seg: u64, row: usize, chunk: &BitVec) -> bool {
-        self.insert_entry(seg, row, chunk, true)
-    }
-
-    fn insert_entry(&mut self, seg: u64, row: usize, chunk: &BitVec, pinned: bool) -> bool {
-        if !self.is_enabled() {
-            return false;
-        }
-        // Charge the clone we store, not the caller's chunk: callers pass
-        // long-lived scratch buffers whose capacity stays at the widest row
-        // they ever decoded, which would inflate every later charge (and
-        // could wrongly refuse admission outright).
-        let owned = chunk.clone();
-        let bytes = owned.heap_bytes() + Self::ENTRY_OVERHEAD;
-        if bytes > self.budget_bytes {
-            return false;
-        }
-        if pinned && self.pinned_bytes + bytes > self.budget_bytes {
-            // The pinned working set must stay within budget — that is what
-            // guarantees eviction always terminates — so refuse the pin.
-            return false;
-        }
-        let entry = CacheEntry {
-            chunk: owned,
-            bytes,
-            referenced: false,
-            pinned,
-        };
-        let slot = self.entries.entry(seg).or_default();
-        if let Some(previous) = slot.insert(row, entry) {
-            // Re-insert of a key the clock already tracks: swap the charge.
-            self.used_bytes -= previous.bytes;
-            if previous.pinned {
-                self.pinned_bytes -= previous.bytes;
-            }
-        } else {
-            self.clock.push_back((seg, row));
-        }
-        self.used_bytes += bytes;
-        if pinned {
-            self.pinned_bytes += bytes;
-        }
-        self.stats.insertions += 1;
-        self.evict_to_budget();
-        true
-    }
-
-    /// Pins the already-cached chunk of `(seg, row)` for the current pin
-    /// epoch, shielding it from eviction until [`ChunkCache::release_pins`].
-    /// Returns `false` (counting a miss) if the entry is absent — the caller
-    /// then fetches the chunk and offers it via [`ChunkCache::insert_pinned`].
-    pub fn pin(&mut self, seg: u64, row: usize) -> bool {
-        if !self.is_enabled() {
-            return false;
-        }
-        match self.entries.get_mut(&seg).and_then(|m| m.get_mut(&row)) {
-            Some(entry) => {
-                if !entry.pinned {
-                    if self.pinned_bytes + entry.bytes > self.budget_bytes {
-                        // Same admission rule as `insert_pinned`: the pinned
-                        // working set never outgrows the budget.
-                        self.stats.misses += 1;
-                        return false;
-                    }
-                    entry.pinned = true;
-                    self.pinned_bytes += entry.bytes;
-                }
-                entry.referenced = true;
-                self.stats.hits += 1;
-                true
-            }
-            None => {
-                self.stats.misses += 1;
-                false
-            }
-        }
-    }
-
-    /// Unpins one entry (a row whose pin set could not be completed hands its
-    /// partial pins back so other rows can use the budget).
-    pub fn unpin(&mut self, seg: u64, row: usize) {
-        if let Some(entry) = self.entries.get_mut(&seg).and_then(|m| m.get_mut(&row)) {
-            if entry.pinned {
-                entry.pinned = false;
-                self.pinned_bytes -= entry.bytes;
-            }
-        }
-    }
-
-    /// Releases every pin.  The entries stay cached (that is the point — the
-    /// next mine re-pins them without any page fetch); they merely become
-    /// evictable again.
-    pub fn release_pins(&mut self) {
-        if self.pinned_bytes > 0 {
-            for rows in self.entries.values_mut() {
-                for entry in rows.values_mut() {
-                    entry.pinned = false;
-                }
-            }
-            self.pinned_bytes = 0;
-        }
-        self.evict_to_budget();
-    }
-
-    /// Bytes currently charged by pinned entries.
-    pub fn pinned_bytes(&self) -> usize {
-        self.pinned_bytes
-    }
-
-    /// Borrows the chunk of `(seg, row)` without touching the clock state or
-    /// the hit/miss counters — the `&self` borrow surface the pinned read
-    /// path serves rows from (the entry was already counted when it was
-    /// pinned).
-    pub fn peek(&self, seg: u64, row: usize) -> Option<&BitVec> {
-        self.entries
+        // Charge what the stored clone will occupy, not the caller's chunk:
+        // callers pass long-lived scratch buffers whose capacity stays at the
+        // widest row they ever decoded, which would inflate every later
+        // charge (and could wrongly refuse admission outright).
+        let bytes = std::mem::size_of_val(chunk.as_words()) + Self::ENTRY_OVERHEAD;
+        let replaced = self
+            .entries
             .get(&seg)
             .and_then(|m| m.get(&row))
-            .map(|entry| &entry.chunk)
+            .map_or(0, |entry| entry.bytes);
+        if self.used_bytes - replaced + bytes > self.budget_bytes {
+            return;
+        }
+        let entry = CacheEntry {
+            chunk: chunk.clone(),
+            bytes,
+        };
+        self.entries.entry(seg).or_default().insert(row, entry);
+        self.used_bytes = self.used_bytes - replaced + bytes;
+        self.stats.insertions += 1;
     }
 
     /// Drops every entry of segment `seg` (the segment left the window).
@@ -303,117 +191,32 @@ impl ChunkCache {
         if let Some(rows) = self.entries.remove(&seg) {
             for entry in rows.values() {
                 self.used_bytes -= entry.bytes;
-                if entry.pinned {
-                    // A slide invalidates outstanding borrows (the store
-                    // releases pins on every generation bump; this covers
-                    // direct invalidation too): reclaim the pin charge.
-                    self.pinned_bytes -= entry.bytes;
-                }
                 self.stats.invalidations += 1;
             }
-            self.stale_slots += rows.len();
-        }
-        // Stale clock slots are skipped lazily by the sweep; compact the
-        // ring once they outnumber the live slots so a long-running stream
-        // whose budget never overflows (eviction never sweeps) cannot grow
-        // the ring without bound.  Amortised O(1) per invalidated entry.
-        if self.stale_slots > self.clock.len() / 2 {
-            let entries = &self.entries;
-            self.clock
-                .retain(|(seg, row)| entries.get(seg).is_some_and(|m| m.contains_key(row)));
-            self.stale_slots = 0;
         }
     }
 
-    /// Drops every entry.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.clock.clear();
-        self.stale_slots = 0;
-        self.used_bytes = 0;
-        self.pinned_bytes = 0;
-    }
-
-    /// The clock sweep: rotate the hand, giving referenced entries a second
-    /// chance, until the budget holds again.  Pinned entries only rotate —
-    /// they are borrowed and must survive — which is safe because pin
-    /// admission keeps `pinned_bytes <= budget_bytes`: whenever the budget
-    /// overflows there is an unpinned entry to evict.
-    fn evict_to_budget(&mut self) {
-        while self.used_bytes > self.budget_bytes && self.used_bytes > self.pinned_bytes {
-            let Some((seg, row)) = self.clock.pop_front() else {
-                debug_assert!(false, "budget overflow with an empty clock ring");
-                return;
-            };
-            let Some(rows) = self.entries.get_mut(&seg) else {
-                self.stale_slots = self.stale_slots.saturating_sub(1);
-                continue; // stale slot: segment was invalidated
-            };
-            let Some(entry) = rows.get_mut(&row) else {
-                self.stale_slots = self.stale_slots.saturating_sub(1);
-                continue; // stale slot: entry was evicted or replaced
-            };
-            if entry.pinned {
-                self.clock.push_back((seg, row));
-                continue;
-            }
-            if entry.referenced {
-                entry.referenced = false;
-                self.clock.push_back((seg, row));
-                continue;
-            }
-            self.used_bytes -= entry.bytes;
-            rows.remove(&row);
-            self.stats.evictions += 1;
-        }
-    }
-
-    /// Checks the structural invariants the shadow-model tests rely on:
-    /// byte charges match the live entries, and every live entry owns exactly
-    /// one clock slot (so `clock.len() == len() + stale_slots`).  Returns a
-    /// description of the first violation, if any.
+    /// Checks the structural invariants the shadow-model tests rely on: the
+    /// byte charge matches the live entries and stays within the budget.
+    /// Returns a description of the first violation, if any.
     #[doc(hidden)]
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
-        let mut used = 0usize;
-        let mut pinned = 0usize;
-        for rows in self.entries.values() {
-            for entry in rows.values() {
-                used += entry.bytes;
-                if entry.pinned {
-                    pinned += entry.bytes;
-                }
-            }
-        }
+        let used: usize = self
+            .entries
+            .values()
+            .flat_map(BTreeMap::values)
+            .map(|entry| entry.bytes)
+            .sum();
         if used != self.used_bytes {
             return Err(format!(
                 "used_bytes drifted: counter {} vs live {}",
                 self.used_bytes, used
             ));
         }
-        if pinned != self.pinned_bytes {
-            return Err(format!(
-                "pinned_bytes drifted: counter {} vs live {}",
-                self.pinned_bytes, pinned
-            ));
-        }
-        if self.pinned_bytes > self.budget_bytes {
-            return Err(format!(
-                "pinned bytes {} exceed the budget {}",
-                self.pinned_bytes, self.budget_bytes
-            ));
-        }
-        if self.used_bytes > self.budget_bytes.max(self.pinned_bytes) {
+        if self.used_bytes > self.budget_bytes {
             return Err(format!(
                 "used bytes {} exceed the budget {}",
                 self.used_bytes, self.budget_bytes
-            ));
-        }
-        if self.clock.len() != self.len() + self.stale_slots {
-            return Err(format!(
-                "clock ring drifted: {} slots for {} live entries + {} stale",
-                self.clock.len(),
-                self.len(),
-                self.stale_slots
             ));
         }
         Ok(())
@@ -472,26 +275,71 @@ mod tests {
 
     #[test]
     fn eviction_keeps_the_budget() {
+        // Admission never overshoots: past the third entry every insert is
+        // refused, and nothing is evicted to make room for it.
         let budget = budget_for(3, 64);
         let mut cache = ChunkCache::new(budget);
-        for row in 0..10 {
-            cache.insert(0, row, &chunk(64));
+        for seg in 0..10 {
+            cache.insert(seg, 0, &chunk(64));
             assert!(cache.used_bytes() <= budget, "budget must hold");
         }
         assert_eq!(cache.len(), 3);
-        assert_eq!(cache.stats().evictions, 7);
+        assert_eq!(cache.stats().evictions, 0);
+        // A shrink is what evicts: oldest segment first, down to the new
+        // budget.
+        cache.set_budget(budget_for(1, 64));
+        assert!(cache.used_bytes() <= cache.budget_bytes());
+        assert_eq!(cache.stats().evictions, 2);
+        assert!(cache.get(0, 0).is_none(), "the oldest segment goes first");
+        assert!(cache.get(1, 0).is_none());
+        assert!(cache.get(2, 0).is_some(), "the newest resident survives");
+        cache.check_invariants().unwrap();
     }
 
     #[test]
-    fn clock_gives_referenced_entries_a_second_chance() {
+    fn a_refused_admission_changes_nothing() {
         let mut cache = ChunkCache::new(budget_for(2, 64));
-        cache.insert(0, 0, &chunk(64)); // A
-        assert!(cache.get(0, 0).is_some()); // touch A
-        cache.insert(0, 1, &chunk(64)); // B (untouched)
-        cache.insert(0, 2, &chunk(64)); // C → sweep: A survives, B evicted
-        assert!(cache.get(0, 0).is_some(), "referenced entry survives");
-        assert!(cache.get(0, 1).is_none(), "unreferenced entry is evicted");
-        assert!(cache.get(0, 2).is_some());
+        cache.insert(0, 0, &chunk(64));
+        cache.insert(0, 1, &chunk(64));
+        let (used, len, stats) = (cache.used_bytes(), cache.len(), cache.stats());
+        cache.insert(0, 2, &chunk(64));
+        cache.insert(1, 0, &chunk(64));
+        // Growing a live key past the budget is refused like a new key; the
+        // smaller chunk it already holds stays.
+        cache.insert(0, 1, &chunk(100_000));
+        assert_eq!(cache.used_bytes(), used);
+        assert_eq!(cache.len(), len);
+        assert_eq!(cache.stats(), stats, "no insertion, no eviction");
+        assert_eq!(cache.get(0, 1).unwrap().len(), 64);
+        assert!(cache.get(0, 2).is_none());
+        cache.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_cyclic_scan_larger_than_the_budget_keeps_hitting_what_fits() {
+        // The one production access pattern: every pass reads every key in
+        // the same order, inserting on a miss.  With twice the budget's worth
+        // of keys, whatever the first pass admitted is hit on every later
+        // pass — evicting to admit would hit nothing, ever.
+        let budget = budget_for(8, 64);
+        let mut cache = ChunkCache::new(budget);
+        for pass in 0..5 {
+            let before = cache.stats().hits;
+            for key in 0..16 {
+                if cache.get(0, key).is_none() {
+                    cache.insert(0, key, &chunk(64));
+                }
+                assert!(cache.used_bytes() <= budget);
+            }
+            let hits = cache.stats().hits - before;
+            if pass == 0 {
+                assert_eq!(hits, 0, "cold pass");
+            } else {
+                assert_eq!(hits, cache.len() as u64, "pass {pass}");
+            }
+        }
+        assert_eq!(cache.len(), 8);
+        assert_eq!(cache.stats().evictions, 0);
     }
 
     #[test]
@@ -506,8 +354,10 @@ mod tests {
         assert!(cache.used_bytes() < before);
         assert!(cache.get(3, 0).is_none());
         assert!(cache.get(4, 0).is_some(), "other segments are untouched");
-        // The stale clock slots are skipped without issue by later sweeps.
-        cache.set_budget(budget_for(1, 64));
+        // The room it freed is what admits the next segment's chunks.
+        cache.set_budget(budget_for(2, 64));
+        cache.insert(5, 0, &chunk(64));
+        assert!(cache.get(5, 0).is_some());
         assert!(cache.used_bytes() <= cache.budget_bytes());
     }
 
@@ -549,29 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn clock_ring_stays_bounded_without_eviction_pressure() {
-        // A long-running stream whose budget never overflows: eviction never
-        // sweeps, so stale slots must be reclaimed by the invalidation-side
-        // compaction instead.
-        let mut cache = ChunkCache::new(usize::MAX);
-        for seg in 0..200u64 {
-            for row in 0..5 {
-                cache.insert(seg, row, &chunk(64));
-            }
-            if seg >= 4 {
-                cache.invalidate_segment(seg - 4); // 4 segments stay live
-            }
-        }
-        assert_eq!(cache.len(), 4 * 5);
-        assert!(
-            cache.clock.len() <= 2 * cache.len(),
-            "ring holds {} slots for {} live entries",
-            cache.clock.len(),
-            cache.len()
-        );
-    }
-
-    #[test]
     fn set_budget_zero_clears_everything() {
         let mut cache = ChunkCache::new(usize::MAX);
         cache.insert(0, 0, &chunk(64));
@@ -580,81 +407,12 @@ mod tests {
         assert!(!cache.is_enabled());
     }
 
-    #[test]
-    fn pinned_entries_survive_eviction_pressure() {
-        let mut cache = ChunkCache::new(budget_for(2, 64));
-        assert!(cache.insert_pinned(0, 0, &chunk(64)));
-        for row in 1..10 {
-            cache.insert(0, row, &chunk(64));
-        }
-        assert!(
-            cache.peek(0, 0).is_some(),
-            "the pinned entry must outlive every sweep"
-        );
-        assert!(cache.used_bytes() <= cache.budget_bytes());
-        cache.release_pins();
-        cache.insert(0, 20, &chunk(64));
-        cache.insert(0, 21, &chunk(64));
-        assert!(
-            cache.peek(0, 0).is_none(),
-            "released entries are evictable again"
-        );
-    }
-
-    #[test]
-    fn pin_admission_is_capped_by_the_budget() {
-        let mut cache = ChunkCache::new(budget_for(2, 64));
-        assert!(cache.insert_pinned(0, 0, &chunk(64)));
-        assert!(cache.insert_pinned(0, 1, &chunk(64)));
-        assert!(
-            !cache.insert_pinned(0, 2, &chunk(64)),
-            "a third pin would push pinned bytes past the budget"
-        );
-        // The refused chunk can still be cached unpinned (it just becomes
-        // eviction fodder), and releasing the pins frees the pin budget.
-        cache.insert(0, 2, &chunk(64));
-        cache.release_pins();
-        assert_eq!(cache.pinned_bytes(), 0);
-        assert!(cache.insert_pinned(0, 3, &chunk(64)));
-    }
-
-    #[test]
-    fn pin_hits_existing_entries_and_counts() {
-        let mut cache = ChunkCache::new(usize::MAX);
-        assert!(!cache.pin(0, 0), "pinning an absent entry misses");
-        cache.insert(0, 0, &chunk(64));
-        assert!(cache.pin(0, 0));
-        assert!(cache.pinned_bytes() > 0);
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-        // Peek serves the borrow without touching the counters.
-        assert!(cache.peek(0, 0).is_some());
-        assert_eq!(cache.stats().hits, 1);
-        // Unpin of a pinned row's partial set hands the charge back.
-        cache.unpin(0, 0);
-        assert_eq!(cache.pinned_bytes(), 0);
-    }
-
-    #[test]
-    fn invalidating_a_segment_reclaims_its_pin_charge() {
-        let mut cache = ChunkCache::new(usize::MAX);
-        cache.insert_pinned(7, 0, &chunk(64));
-        cache.release_pins();
-        assert_eq!(cache.pinned_bytes(), 0);
-        // A slide that drops a segment holding pinned chunks reclaims the
-        // pin charge along with the entries.
-        cache.insert_pinned(8, 0, &chunk(64));
-        assert!(cache.pinned_bytes() > 0);
-        cache.invalidate_segment(8);
-        assert_eq!(cache.pinned_bytes(), 0);
-        cache.check_invariants().unwrap();
-    }
-
     /// Satellite regression: repeated slide-invalidate + re-budget cycles
     /// (including `set_budget(0)`) over randomized op sequences must never
-    /// drift `stale_slots`, `current_bytes` or the eviction bookkeeping.
-    /// The shadow model tracks the authoritative chunk per key; the
-    /// structural counters are checked by `check_invariants` after every op.
+    /// drift `used_bytes` or overshoot the budget.  The shadow model tracks
+    /// the chunk each key holds — an insert lands exactly when it fits, a
+    /// shrink only ever removes — and the structural counters are checked by
+    /// `check_invariants` after every op.
     #[test]
     fn shadow_model_invariants_hold_under_randomized_ops() {
         let mut rng = 0x853c49e6748fea9bu64;
@@ -665,15 +423,16 @@ mod tests {
             (rng >> 33) as usize % bound.max(1)
         };
         let mut cache = ChunkCache::new(budget_for(4, 64));
-        // Authoritative chunk length per key (uids never reused, so a plain
-        // map keyed by (seg, row) is enough).
+        // Chunk length per resident key (uids never reused, so a plain map
+        // keyed by (seg, row) is enough).
         let mut model: BTreeMap<(u64, usize), usize> = BTreeMap::new();
         let mut live_segs: Vec<u64> = Vec::new();
         let mut next_seg = 0u64;
+        let (mut refused, mut shrinks) = (0u64, 0u64);
         for step in 0..4000 {
             match next(100) {
-                0..=39 => {
-                    // Insert (sometimes pinned) into a live or fresh segment.
+                0..=49 => {
+                    // Insert into a live or fresh segment.
                     let seg = if live_segs.is_empty() || next(4) == 0 {
                         live_segs.push(next_seg);
                         next_seg += 1;
@@ -683,22 +442,26 @@ mod tests {
                     };
                     let row = next(6);
                     let bits = 32 + next(3) * 32;
-                    if next(5) == 0 {
-                        if !cache.insert_pinned(seg, row, &chunk(bits)) {
-                            cache.insert(seg, row, &chunk(bits));
-                        }
+                    let (used, len, insertions) =
+                        (cache.used_bytes(), cache.len(), cache.stats().insertions);
+                    let replaced = model
+                        .get(&(seg, row))
+                        .map_or(0, |&bits| budget_for(1, bits));
+                    let fits = used - replaced + budget_for(1, bits) <= cache.budget_bytes();
+                    cache.insert(seg, row, &chunk(bits));
+                    if fits {
+                        model.insert((seg, row), bits);
+                        assert_eq!(cache.stats().insertions, insertions + 1, "step {step}");
                     } else {
-                        cache.insert(seg, row, &chunk(bits));
+                        refused += 1;
+                        assert_eq!(
+                            (cache.used_bytes(), cache.len(), cache.stats().insertions),
+                            (used, len, insertions),
+                            "step {step}: a refused admission must change nothing"
+                        );
                     }
-                    // Sync the model from the cache itself: an insert may be
-                    // refused (disabled cache, oversized chunk) and must not
-                    // leave a stale model value behind.
-                    match cache.peek(seg, row) {
-                        Some(stored) => model.insert((seg, row), stored.len()),
-                        None => model.remove(&(seg, row)),
-                    };
                 }
-                40..=59 => {
+                50..=69 => {
                     let seg = next(next_seg.max(1) as usize) as u64;
                     let row = next(6);
                     if let Some(found) = cache.get(seg, row) {
@@ -709,7 +472,7 @@ mod tests {
                         );
                     }
                 }
-                60..=74 => {
+                70..=84 => {
                     // Slide: invalidate the oldest live segment.
                     if !live_segs.is_empty() {
                         let seg = live_segs.remove(0);
@@ -717,36 +480,31 @@ mod tests {
                         model.retain(|&(s, _), _| s != seg);
                     }
                 }
-                75..=84 => {
-                    let seg = next(next_seg.max(1) as usize) as u64;
-                    let row = next(6);
-                    if next(2) == 0 {
-                        cache.pin(seg, row);
-                    } else {
-                        cache.unpin(seg, row);
-                    }
-                }
-                85..=89 => {
-                    cache.release_pins();
-                }
                 _ => {
-                    // Re-budget, including the disable-and-clear corner.
+                    // Re-budget, including the disable-and-clear corner.  A
+                    // shrink evicts whole keys, oldest segment first: what
+                    // survives is a suffix of the model in key order.
                     let budget = [0, budget_for(1, 64), budget_for(4, 64), usize::MAX][next(4)];
+                    let shrinking = budget < cache.used_bytes();
                     cache.set_budget(budget);
-                    if budget == 0 {
-                        model.clear();
+                    if shrinking {
+                        shrinks += 1;
+                        for _ in cache.len()..model.len() {
+                            model.pop_first();
+                        }
                     }
                 }
             }
-            // Evictions shrink the cache below the model, never past it, and
-            // every surviving entry must agree with the model.
             cache
                 .check_invariants()
                 .unwrap_or_else(|violation| panic!("step {step}: {violation}"));
-            assert!(cache.len() <= model.len(), "step {step}: ghost entries");
+            assert_eq!(cache.len(), model.len(), "step {step}: model drifted");
+            let charged: usize = model.values().map(|&bits| budget_for(1, bits)).sum();
+            assert_eq!(cache.used_bytes(), charged, "step {step}: charge drifted");
         }
         // The sequence must actually have exercised the interesting paths.
         let stats = cache.stats();
+        assert!(refused > 0 && shrinks > 0);
         assert!(stats.evictions > 0);
         assert!(stats.invalidations > 0);
         assert!(stats.hits > 0);

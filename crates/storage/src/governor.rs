@@ -22,8 +22,8 @@
 //!   over-granted member; convergence is cooperative — every member
 //!   re-requests at its next ingest/view boundary, and those re-requests are
 //!   clamped by the same rule, shrinking the over-shares.  The governor
-//!   never reaches into a member's cache: eviction stays where the pinned
-//!   borrows are.
+//!   never reaches into a member's cache: a shrunken grant is applied — and
+//!   evicts — on the member's own thread, at that boundary.
 //!
 //! Leases release their grant on drop, so a departing tenant's share flows
 //! back to the survivors at their next request.

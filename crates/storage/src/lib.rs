@@ -16,14 +16,13 @@
 //!   segment and unlinks one instead of rewriting every row (writes are
 //!   counted in [`CaptureStats`]).  On the memory backend its segments are
 //!   readable zero-copy through [`ChunkedRow`] views and the chunk-aware
-//!   `BitVec` kernels; on the disk backends chunk reads go through a
-//!   budgeted [`ChunkCache`] (page fetches and hits counted in
-//!   [`ReadIoStats`]), and whole rows can be *pinned and borrowed* out of
-//!   that cache (`pin_row_chunks` / `pinned_chunked_row`) so a mine reads
-//!   them in place — as [`RowRef`]s — without assembling flat copies;
-//! * [`ChunkCache`] — the budgeted `(segment, row) → decoded chunk` cache
-//!   with clock eviction and a pin surface (pinned entries are immune to
-//!   eviction for the duration of a borrow epoch) behind that read path;
+//!   `BitVec` kernels; on the disk backends rows are assembled flat, each
+//!   chunk fetched through a budgeted [`ChunkCache`] (page fetches and hits
+//!   are counted).  Miners take either representation as a [`RowRef`];
+//! * [`ChunkCache`] — the budgeted `(segment, row) → decoded chunk` map
+//!   behind that read path: it admits a chunk only while it has room and
+//!   never evicts to make room, so the budget buys page reads, never
+//!   assembly;
 //! * [`BudgetGovernor`] — process-wide arbitration of those chunk-cache
 //!   budgets across many matrices (the multi-tenant service's one cap), with
 //!   per-member [`BudgetLease`]s granted under a fair-share rule;
@@ -64,7 +63,7 @@ pub use paged::PagedFile;
 pub use rowstore::{RowStore, StorageBackend};
 pub use segment::{
     remove_segment_file, scan_segment_files, CaptureStats, ChunkCursor, ChunkedRow, EpochSegment,
-    ReadIoStats, RowRef, SegmentMeta, SegmentedWindowStore,
+    RowRef, SegmentMeta, SegmentedWindowStore,
 };
 pub use spill::{Hibernation, HibernationRow, HibernationSegment};
 pub use temp::TempDir;

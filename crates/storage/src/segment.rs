@@ -22,30 +22,26 @@
 //!
 //! * On the memory backend, segments hold decoded [`BitVec`] chunks, so
 //!   readers can borrow a row's per-segment chunks **zero-copy**
-//!   ([`SegmentedWindowStore::chunked_row`], returning a [`ChunkedRow`]) or a
-//!   single segment's chunks directly
-//!   ([`SegmentedWindowStore::segment_chunks`]).  A [`ChunkedRow`] streams
-//!   the logical row's 64-bit words across segment boundaries with zero-fill
-//!   for segments that never saw the row, and the chunk-aware kernels
-//!   [`BitVec::and_count_chunked`] / [`BitVec::and_into_chunked`] consume
-//!   that stream without materialising the row.
-//! * On the disk backends chunk reads go through a budgeted decoded-chunk
-//!   cache ([`crate::ChunkCache`],
-//!   [`SegmentedWindowStore::set_cache_budget`]): segments are immutable, so
-//!   cached chunks stay valid until their segment is popped, and with a
-//!   budget covering the touched working set a steady-state scan re-fetches
-//!   only the pages a window slide invalidated.  Disk rows can be read two
-//!   ways: **pinned borrows** ([`SegmentedWindowStore::pin_row_chunks`] +
-//!   [`SegmentedWindowStore::pinned_chunked_row`]) pin a row's chunks in the
-//!   cache for the duration of a mine and lend them out as a [`ChunkedRow`]
-//!   — no flat copy at all; every `push_segment`/`pop_segment` releases the
-//!   pins, and a stale-generation borrow is refused — while
-//!   [`SegmentedWindowStore::assemble_row`] eagerly concatenates the chunks
-//!   into a flat row ([`BitVec::extend_from_bitvec`]), the fallback when a
-//!   row's chunks do not fit the pin budget.  Page fetches and cache hits
-//!   are counted in [`ReadIoStats`] ([`SegmentedWindowStore::io_stats`]); a
-//!   zero budget (the default) disables the cache and reproduces fully-eager
-//!   reads byte for byte.
+//!   ([`SegmentedWindowStore::chunked_row`], returning a [`ChunkedRow`]).  A
+//!   [`ChunkedRow`] streams the logical row's 64-bit words across segment
+//!   boundaries with zero-fill for segments that never saw the row, and the
+//!   chunk-aware kernels [`BitVec::and_count_chunked`] /
+//!   [`BitVec::and_into_chunked`] consume that stream without materialising
+//!   the row.
+//! * On the disk backends a live read reaches a chunk one way:
+//!   [`SegmentedWindowStore::assemble_row`] (or
+//!   [`SegmentedWindowStore::read_segment_chunk`] for a single chunk)
+//!   concatenates the row's chunks into a flat row
+//!   ([`BitVec::extend_from_bitvec`]), fetching each through a budgeted
+//!   decoded-chunk cache ([`crate::ChunkCache`],
+//!   [`SegmentedWindowStore::set_cache_budget`]).  Segments are immutable,
+//!   so cached chunks stay valid until their segment is popped, and with a
+//!   budget covering the window a steady-state scan re-fetches only the
+//!   pages a window slide invalidated.  The budget buys page reads, never
+//!   assembly.  Page fetches are counted in
+//!   [`SegmentedWindowStore::pages_read`], cache hits in
+//!   [`SegmentedWindowStore::cache_stats`]; a zero budget (the default)
+//!   disables the cache and reproduces fully-eager reads byte for byte.
 //! * [`SegmentedWindowStore::generation`] is a monotonic counter bumped by
 //!   every segment append or drop, so cached derivations of the window (the
 //!   DSMatrix row cache) can tag themselves with the store state they
@@ -91,27 +87,6 @@ pub struct CaptureStats {
     pub segments_written: u64,
     /// Segments dropped by window eviction.
     pub segments_dropped: u64,
-}
-
-/// Cumulative read-side I/O counters of a [`SegmentedWindowStore`]'s disk
-/// backends (always zero on the memory backend, whose chunks are borrowed).
-///
-/// `pages_read` counts the paged-file fetches chunk reads performed;
-/// differencing it across a mine call measures that call's disk read
-/// amplification the same way [`CaptureStats::words_written`] measures write
-/// amplification.  With a [`ChunkCache`] budget covering the touched working
-/// set, steady-state reads hit the cache and the per-mine page count drops to
-/// the chunks a window slide invalidated.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReadIoStats {
-    /// Disk pages fetched by chunk reads (cache misses and uncached reads).
-    pub pages_read: u64,
-    /// Chunk reads served from the decoded-chunk cache.
-    pub cache_hits: u64,
-    /// Chunk reads an *enabled* cache failed to serve (and therefore went to
-    /// the paged file).  Always zero when the cache is disabled (budget 0):
-    /// uncached reads show up only in `pages_read`.
-    pub cache_misses: u64,
 }
 
 /// Durable metadata of one live segment, as recorded by a checkpoint and
@@ -304,8 +279,8 @@ impl ChunkReader {
     }
 
     /// Appends row `id`'s chunk of disk segment `uid` to `out`: served from
-    /// the cache on a hit, else read from the paged file and admitted
-    /// unpinned.
+    /// the cache on a hit, else read from the paged file and offered to the
+    /// cache (which admits it if it has room).
     fn fetch(&mut self, uid: u64, store: &mut RowStore, id: usize, out: &mut BitVec) -> Result<()> {
         if let Some(cached) = self.cache.get(uid, id) {
             out.extend_from_bitvec(cached);
@@ -332,10 +307,6 @@ pub struct SegmentedWindowStore {
     generation: u64,
     /// The disk segments' chunk read state (idle on the memory backend).
     reader: ChunkReader,
-    /// Segment uids pinned so far for the row currently being pinned
-    /// (reused across [`SegmentedWindowStore::pin_row_chunks`] calls so a
-    /// full-window pin pass performs no steady-state allocation).
-    pin_scratch: Vec<u64>,
 }
 
 impl SegmentedWindowStore {
@@ -379,14 +350,13 @@ impl SegmentedWindowStore {
             stats: CaptureStats::default(),
             generation: 0,
             reader: ChunkReader::new(Self::SEGMENT_PAGE_SIZE),
-            pin_scratch: Vec::new(),
         })
     }
 
     /// Sets the decoded-chunk cache budget in bytes (`0` disables caching,
-    /// reproducing fully-eager disk reads).  Shrinking the budget evicts
-    /// immediately.  The memory backend ignores the budget: its chunks are
-    /// already resident and borrowed zero-copy.
+    /// reproducing fully-eager disk reads).  Shrinking the budget below the
+    /// bytes in use evicts immediately.  The memory backend ignores the
+    /// budget: its chunks are already resident and borrowed zero-copy.
     pub fn set_cache_budget(&mut self, budget_bytes: usize) {
         if self.is_memory_resident() {
             return;
@@ -404,14 +374,13 @@ impl SegmentedWindowStore {
         self.reader.cache.stats()
     }
 
-    /// The cumulative read-side I/O counters (see [`ReadIoStats`]).
-    pub fn io_stats(&self) -> ReadIoStats {
-        let cache = self.reader.cache.stats();
-        ReadIoStats {
-            pages_read: self.reader.pages_read,
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-        }
+    /// Disk pages fetched by chunk reads so far (cache misses and uncached
+    /// reads; always zero on the memory backend, whose chunks are borrowed).
+    /// Differencing it across a mine call measures that call's disk read
+    /// amplification the same way [`CaptureStats::words_written`] measures
+    /// write amplification.
+    pub fn pages_read(&self) -> u64 {
+        self.reader.pages_read
     }
 
     /// Returns `true` if segment payloads live in main memory.
@@ -454,10 +423,6 @@ impl SegmentedWindowStore {
     where
         I: IntoIterator<Item = (usize, &'a BitVec)>,
     {
-        // The window is changing: outstanding chunk pins belong to the old
-        // generation and must not outlive it.  (Epoch snapshots are immune:
-        // they own `Arc`s into the segments, not cache pins.)
-        self.reader.cache.release_pins();
         let id = self.next_id;
         self.next_id += 1;
         let (segment_rows, path) = match &self.placement {
@@ -542,10 +507,8 @@ impl SegmentedWindowStore {
         let cols = segment.cols;
         let uid = segment.id;
         let path = segment.path.clone();
-        // The window is changing: pins of the old generation are void, and
-        // the popped segment's cached chunks can never be read again (its
+        // The popped segment's cached chunks can never be read again (its
         // uid is not reused, and the window columns it covered are gone).
-        self.reader.cache.release_pins();
         self.reader.cache.invalidate_segment(uid);
         // Close the row store (drops its file handle) so the file can be
         // unlinked.
@@ -606,7 +569,6 @@ impl SegmentedWindowStore {
             stats: CaptureStats::default(),
             generation: 0,
             reader: ChunkReader::new(Self::SEGMENT_PAGE_SIZE),
-            pin_scratch: Vec::new(),
         })
     }
 
@@ -722,117 +684,6 @@ impl SegmentedWindowStore {
         Some(ChunkedRow { parts, len })
     }
 
-    /// Pins row `id`'s chunks in the decoded-chunk cache for the duration of
-    /// a mine: every live segment that holds the row has its chunk fetched
-    /// (on a cache miss) and shielded from eviction until the pins are
-    /// released — by [`SegmentedWindowStore::release_pins`], or automatically
-    /// by the next `push_segment`/`pop_segment` (a window slide invalidates
-    /// borrows).
-    ///
-    /// Returns `Ok(true)` when every chunk of the row is pinned, after which
-    /// [`SegmentedWindowStore::pinned_chunked_row`] can borrow the row
-    /// zero-copy.  Returns `Ok(false)` — unpinning whatever this call pinned,
-    /// so other rows can use the budget — when the row's chunks do not fit
-    /// the remaining pin budget (or on the memory backend / with a disabled
-    /// cache, where the pinned path does not apply); the caller falls back to
-    /// eager assembly for that row.
-    pub fn pin_row_chunks(&mut self, id: usize) -> Result<bool> {
-        if self.is_memory_resident() || !self.reader.cache.is_enabled() {
-            return Ok(false);
-        }
-        let Self {
-            segments,
-            reader,
-            pin_scratch,
-            ..
-        } = self;
-        pin_scratch.clear();
-        for segment in segments.iter_mut() {
-            let SegmentRows::Disk { store, .. } = &mut segment.rows else {
-                unreachable!("disk placement holds disk segments");
-            };
-            if !store.contains_row(id) {
-                continue;
-            }
-            if reader.cache.pin(segment.id, id) {
-                pin_scratch.push(segment.id);
-                continue;
-            }
-            if reader.cache.peek(segment.id, id).is_some() {
-                // Cached but unpinnable: the pin budget is exhausted, so the
-                // row cannot be pinned whole — give up without touching the
-                // disk (the chunk stays warm for the eager fallback).
-                for &seg in pin_scratch.iter() {
-                    reader.cache.unpin(seg, id);
-                }
-                return Ok(false);
-            }
-            reader.read(store, id)?;
-            let ChunkReader { cache, chunk, .. } = reader;
-            if cache.insert_pinned(segment.id, id, chunk) {
-                pin_scratch.push(segment.id);
-            } else {
-                // Keep the freshly-decoded chunk warm (unpinned) for the
-                // eager fallback, and hand this row's partial pins back.
-                cache.insert(segment.id, id, chunk);
-                for &seg in pin_scratch.iter() {
-                    cache.unpin(seg, id);
-                }
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    /// Borrows row `id` as a zero-copy [`ChunkedRow`] over the chunks a
-    /// successful [`SegmentedWindowStore::pin_row_chunks`] pinned.
-    ///
-    /// `pinned_at` must be the store [`SegmentedWindowStore::generation`] the
-    /// pins were taken under; a mismatch means the window slid underneath the
-    /// borrow (slides release every pin) and is reported as corruption rather
-    /// than serving stale chunks.
-    ///
-    /// Each borrow allocates the row's part list — O(live segments) pointer
-    /// pairs, once per row per mine, same as the memory backend's
-    /// [`SegmentedWindowStore::chunked_row`].  The chunks themselves are
-    /// never copied; a reusable arena would need the parts to outlive the
-    /// `&self` borrow they capture, which safe Rust cannot express here.
-    pub fn pinned_chunked_row(&self, id: usize, pinned_at: u64) -> Result<ChunkedRow<'_>> {
-        if self.generation != pinned_at {
-            return Err(FsmError::corrupt(format!(
-                "pinned row {id} borrowed at generation {pinned_at}, window is at {}",
-                self.generation
-            )));
-        }
-        let mut parts = Vec::with_capacity(self.segments.len());
-        for segment in &self.segments {
-            let chunk = match &segment.rows {
-                SegmentRows::Memory(seg) => seg.chunk(id),
-                SegmentRows::Disk { store, .. } => {
-                    if store.contains_row(id) {
-                        Some(self.reader.cache.peek(segment.id, id).ok_or_else(|| {
-                            FsmError::corrupt(format!(
-                                "pinned chunk of row {id} missing from the cache"
-                            ))
-                        })?)
-                    } else {
-                        None
-                    }
-                }
-            };
-            parts.push((segment.cols, chunk));
-        }
-        Ok(ChunkedRow::from_parts(parts))
-    }
-
-    /// Releases every chunk pin taken by
-    /// [`SegmentedWindowStore::pin_row_chunks`].  The chunks stay cached —
-    /// the next mine re-pins them without touching the disk — they merely
-    /// become evictable again.
-    pub fn release_pins(&mut self) {
-        self.reader.cache.release_pins();
-    }
-
     /// Publishes segment `seg` (0 = oldest live) as a shared
     /// [`EpochSegment`] handle — the building block of an epoch snapshot.
     ///
@@ -842,11 +693,10 @@ impl SegmentedWindowStore {
     /// hits; cold chunks pay their page fetches) and the decoded form is
     /// memoised on the segment, so in the steady state a new epoch only
     /// decodes the segment the latest slide appended.  The decoded rows are
-    /// *owned by the returned handle*, not pinned in the shared cache:
-    /// budget changes, slides and pin churn on the writer side can never
-    /// invalidate them, and the memory is reclaimed when the store drops the
-    /// segment (window slide) *and* the last snapshot referencing it is
-    /// dropped.
+    /// *owned by the returned handle*, not held in the shared cache: budget
+    /// changes and slides on the writer side can never invalidate them, and
+    /// the memory is reclaimed when the store drops the segment (window
+    /// slide) *and* the last snapshot referencing it is dropped.
     pub fn epoch_segment(&mut self, seg: usize) -> Result<Arc<EpochSegment>> {
         let Self {
             segments, reader, ..
@@ -883,23 +733,6 @@ impl SegmentedWindowStore {
     /// Number of columns contributed by segment `seg` (0 = oldest live).
     pub fn segment_cols(&self, seg: usize) -> Option<usize> {
         self.segments.get(seg).map(|s| s.cols)
-    }
-
-    /// Borrows the `(row id, chunk)` pairs of segment `seg` in ascending row
-    /// order — the zero-copy way to scan one batch's touched rows.
-    ///
-    /// Returns `None` on the disk backends (use
-    /// [`SegmentedWindowStore::segment_row_ids`] +
-    /// [`SegmentedWindowStore::read_segment_chunk`] there) or if `seg` is out
-    /// of range.
-    pub fn segment_chunks(
-        &self,
-        seg: usize,
-    ) -> Option<impl Iterator<Item = (usize, &BitVec)> + '_> {
-        match &self.segments.get(seg)?.rows {
-            SegmentRows::Memory(segment) => Some(segment.rows()),
-            SegmentRows::Disk { .. } => None,
-        }
     }
 
     /// The row ids segment `seg` holds a chunk for, in ascending order (works
@@ -956,7 +789,7 @@ impl SegmentedWindowStore {
 
     /// Bytes held in main memory: for the memory backend the payloads, for
     /// the disk backends the per-segment row indexes plus whatever the
-    /// decoded-chunk cache currently pins (bounded by its budget).
+    /// decoded-chunk cache currently holds (bounded by its budget).
     pub fn resident_bytes(&self) -> usize {
         self.reader.cache.used_bytes()
             + self
@@ -1045,8 +878,8 @@ impl<'a> ChunkedRow<'a> {
         self.len == 0
     }
 
-    /// Heap bytes of the chunks the row borrows (shared with their owner —
-    /// the segment map or the chunk cache — not copied per row).
+    /// Heap bytes of the chunks the row borrows (shared with their owner,
+    /// the segment map — not copied per row).
     pub fn heap_bytes(&self) -> usize {
         self.parts
             .iter()
@@ -1146,8 +979,9 @@ impl<'a> ChunkedRow<'a> {
 }
 
 /// A borrowed window row in whichever representation the read path produced:
-/// a flat [`BitVec`] (memory-backend row cache, eager disk fallback) or a
-/// [`ChunkedRow`] over pinned cache chunks (the zero-assembly disk path).
+/// a flat [`BitVec`] (every live view: the memory-backend row cache, the
+/// disk backends' assembled rows) or a [`ChunkedRow`] over an epoch
+/// snapshot's segments.
 ///
 /// The mining kernels consume rows through this enum so one miner
 /// implementation covers every backend; all four operand combinations of the
@@ -1193,8 +1027,8 @@ impl<'a> RowRef<'a> {
     }
 
     /// Heap bytes of the row's backing storage (for working-set accounting;
-    /// chunked rows count the pinned chunks they borrow, which are shared
-    /// with the cache rather than copied per mine).
+    /// chunked rows count the segment chunks they borrow, which are shared
+    /// with their owner rather than copied per mine).
     pub fn heap_bytes(&self) -> usize {
         match self {
             RowRef::Flat(row) => row.heap_bytes(),
@@ -1460,7 +1294,6 @@ mod tests {
         let mut store = SegmentedWindowStore::open(StorageBackend::DiskTemp).unwrap();
         store.push_segment(2, [(0, &bv("10"))]).unwrap();
         assert!(store.chunked_row(0).is_none());
-        assert!(store.segment_chunks(0).is_none());
         // The index-level accessors still work.
         assert_eq!(store.segment_row_ids(0).unwrap(), vec![0]);
         let mut chunk = BitVec::new();
@@ -1485,8 +1318,6 @@ mod tests {
         assert_eq!(store.locate_column(3), Some((1, 0)));
         assert_eq!(store.locate_column(4), Some((1, 1)));
         assert_eq!(store.locate_column(5), None);
-        let rows: Vec<usize> = store.segment_chunks(1).unwrap().map(|(id, _)| id).collect();
-        assert_eq!(rows, vec![1, 4]);
         assert_eq!(store.segment_row_ids(1).unwrap(), vec![1, 4]);
     }
 
@@ -1542,8 +1373,8 @@ mod tests {
     #[test]
     fn budgeted_reads_agree_with_eager_reads() {
         // Shadow model: the same push/pop/read sequence through a disabled
-        // cache (budget 0), a tight budget (constant eviction pressure) and
-        // an unlimited budget must produce identical rows at every step.
+        // cache (budget 0), a tight budget (most admissions refused) and an
+        // unlimited budget must produce identical rows at every step.
         let budgets = [0usize, 700, usize::MAX];
         let mut stores: Vec<SegmentedWindowStore> = budgets
             .iter()
@@ -1592,13 +1423,19 @@ mod tests {
                 }
             }
         }
-        // The eager store hit nothing; the cached stores hit and respected
-        // their budgets.
-        assert_eq!(stores[0].io_stats().cache_hits, 0);
-        assert!(stores[1].io_stats().cache_hits > 0);
-        assert!(stores[1].cache_stats().evictions > 0, "tight budget evicts");
-        assert!(stores[2].io_stats().cache_hits > stores[1].io_stats().cache_hits);
-        assert!(stores[2].io_stats().pages_read < stores[0].io_stats().pages_read);
+        // The eager store hit nothing; the cached stores hit, and the tight
+        // one did so without ever evicting to admit.
+        let [eager, tight, unlimited] = [0, 1, 2].map(|i| stores[i].cache_stats());
+        assert_eq!(eager.hits, 0);
+        assert!(tight.hits > 0);
+        assert!(
+            tight.insertions < tight.misses,
+            "tight budget refuses admissions"
+        );
+        assert_eq!(tight.evictions, 0, "nothing is evicted to make room");
+        assert!(unlimited.hits > tight.hits);
+        assert!(stores[2].pages_read() < stores[1].pages_read());
+        assert!(stores[1].pages_read() < stores[0].pages_read());
     }
 
     #[test]
@@ -1620,10 +1457,10 @@ mod tests {
                 .unwrap();
         }
         scan(&mut store); // cold scan: every chunk is fetched once
-        let cold = store.io_stats().pages_read;
+        let cold = store.pages_read();
         assert!(cold > 0);
         scan(&mut store); // warm scan: all hits, zero new pages
-        assert_eq!(store.io_stats().pages_read, cold);
+        assert_eq!(store.pages_read(), cold);
 
         // One slide (push + pop), then a scan: only the entering segment's
         // chunks are fetched — the incremental read bound.
@@ -1632,7 +1469,7 @@ mod tests {
             .unwrap();
         store.pop_segment().unwrap();
         scan(&mut store);
-        let after_slide = store.io_stats().pages_read;
+        let after_slide = store.pages_read();
         assert_eq!(
             after_slide - cold,
             rows as u64,
@@ -1647,83 +1484,10 @@ mod tests {
                 .unwrap();
         }
         scan(&mut eager);
-        let once = eager.io_stats().pages_read;
+        let once = eager.pages_read();
         scan(&mut eager);
-        assert_eq!(eager.io_stats().pages_read, 2 * once);
-        assert_eq!(eager.io_stats().cache_hits, 0);
-    }
-
-    #[test]
-    fn pinned_rows_serve_borrowed_chunks_without_assembly() {
-        let mut store = SegmentedWindowStore::open(StorageBackend::DiskTemp).unwrap();
-        store.set_cache_budget(usize::MAX);
-        // Misaligned widths to exercise the cursor stitching: 3 + 70 + 64.
-        store
-            .push_segment(3, [(0, &bv("101")), (1, &bv("011"))])
-            .unwrap();
-        store
-            .push_segment(70, [(0, &bv(&"10".repeat(35)))])
-            .unwrap();
-        store.push_segment(64, [(1, &bv(&"1".repeat(64)))]).unwrap();
-        let generation = store.generation();
-
-        for id in [0usize, 1, 9] {
-            assert!(store.pin_row_chunks(id).unwrap(), "row {id} must pin");
-        }
-        let pages_after_pin = store.io_stats().pages_read;
-        let mut flat = BitVec::new();
-        for id in [0usize, 1, 9] {
-            store.assemble_row(id, &mut flat).unwrap();
-            let pinned = store.pinned_chunked_row(id, generation).unwrap();
-            assert_eq!(pinned.len(), flat.len(), "row {id}");
-            let streamed: Vec<u64> = pinned.words().collect();
-            assert_eq!(streamed, flat.as_words(), "row {id}");
-            assert_eq!(
-                pinned.iter_ones().collect::<Vec<_>>(),
-                flat.iter_ones().collect::<Vec<_>>(),
-                "row {id}"
-            );
-            for idx in 0..flat.len() + 2 {
-                assert_eq!(pinned.get(idx), flat.get(idx), "row {id} bit {idx}");
-            }
-        }
-        assert_eq!(
-            store.io_stats().pages_read,
-            pages_after_pin,
-            "borrowing pinned rows must not touch the disk"
-        );
-
-        // A slide releases the pins and voids the generation: stale borrows
-        // are refused instead of served.
-        store.push_segment(2, [(0, &bv("11"))]).unwrap();
-        assert!(store.pinned_chunked_row(0, generation).is_err());
-    }
-
-    #[test]
-    fn pin_falls_back_when_the_budget_cannot_hold_the_row() {
-        let mut store = SegmentedWindowStore::open(StorageBackend::DiskTemp).unwrap();
-        // Room for roughly one 80-bit chunk entry (decoded payload plus the
-        // cache's bookkeeping overhead): a two-segment row cannot pin whole.
-        store.set_cache_budget(150);
-        let wide = bv(&"10".repeat(40));
-        store.push_segment(80, [(0, &wide)]).unwrap();
-        store.push_segment(80, [(0, &wide)]).unwrap();
-        assert!(
-            !store.pin_row_chunks(0).unwrap(),
-            "a row wider than the pin budget must fall back"
-        );
-        // The failed pin attempt must hand its partial pins back so they do
-        // not clog the budget, and the eager path still reads correctly.
-        let mut row = BitVec::new();
-        store.assemble_row(0, &mut row).unwrap();
-        assert_eq!(row.len(), 160);
-        // Memory backend and disabled cache never pin.
-        let mut memory = SegmentedWindowStore::open(StorageBackend::Memory).unwrap();
-        memory.push_segment(2, [(0, &bv("10"))]).unwrap();
-        assert!(!memory.pin_row_chunks(0).unwrap());
-        let mut uncached = SegmentedWindowStore::open(StorageBackend::DiskTemp).unwrap();
-        uncached.push_segment(2, [(0, &bv("10"))]).unwrap();
-        assert!(!uncached.pin_row_chunks(0).unwrap());
+        assert_eq!(eager.pages_read(), 2 * once);
+        assert_eq!(eager.cache_stats().hits, 0);
     }
 
     #[test]
@@ -1782,7 +1546,8 @@ mod tests {
         store.push_segment(2, [(0, &bv("10"))]).unwrap();
         let mut row = BitVec::new();
         store.assemble_row(0, &mut row).unwrap();
-        assert_eq!(store.io_stats(), ReadIoStats::default());
+        assert_eq!(store.pages_read(), 0);
+        assert_eq!(store.cache_stats(), ChunkCacheStats::default());
     }
 
     #[test]
@@ -1824,12 +1589,12 @@ mod tests {
         store.push_segment(80, [(0, &wide)]).unwrap();
 
         let first = store.epoch_segment(0).unwrap();
-        let pages_after_decode = store.io_stats().pages_read;
+        let pages_after_decode = store.pages_read();
         assert!(pages_after_decode > 0, "the first decode reads pages");
         // A second epoch over the same segment is served from the memo.
         let again = store.epoch_segment(0).unwrap();
         assert!(Arc::ptr_eq(&first, &again));
-        assert_eq!(store.io_stats().pages_read, pages_after_decode);
+        assert_eq!(store.pages_read(), pages_after_decode);
 
         // The slide drops the store's handle and unlinks the file, but the
         // snapshot's data survives until its last Arc drops.
@@ -1860,9 +1625,8 @@ mod tests {
 
     #[test]
     fn budget_changes_never_touch_epoch_segment_data() {
-        // The pin-lifecycle regression at the store level: `set_cache_budget`
-        // (which releases every cache pin) and later slides must not disturb
-        // rows owned by an epoch segment.
+        // `set_cache_budget` (which evicts on a shrink) and later slides
+        // must not disturb rows owned by an epoch segment.
         let mut store = SegmentedWindowStore::open(StorageBackend::DiskTemp).unwrap();
         store.set_cache_budget(usize::MAX);
         let wide = bv(&"10".repeat(40));
