@@ -12,7 +12,7 @@ use fsm_core::{Algorithm, MinerSnapshot, StreamMiner, StreamMinerBuilder};
 use fsm_dsmatrix::{DsMatrix, DsMatrixConfig};
 use fsm_storage::{BitVec, StorageBackend};
 use fsm_stream::WindowConfig;
-use fsm_types::MinSup;
+use fsm_types::{Batch, MinSup};
 
 /// Shared experiment setup: every section mines the same workload suite at
 /// the same thresholds and window, so the configuration is derived once here
@@ -817,6 +817,9 @@ fn parallel_scaling(setup: &Setup) {
     }
 }
 
+/// Steady-state slides the delta section measures per workload.
+const DELTA_STEADY_SLIDES: usize = 64;
+
 /// One workload's delta-mining numbers, persisted via `--json-out`.
 struct DeltaRow {
     workload: String,
@@ -849,6 +852,10 @@ struct DeltaRow {
 /// window batches) — the point of the layer.  Neither side's count includes
 /// singleton reads: the oracle takes them from the ingest-time counters, the
 /// arrival walk from the arriving chunk's popcount at each root.
+///
+/// A workload's batches are replayed cyclically under fresh batch ids until
+/// the warm window has slid [`DELTA_STEADY_SLIDES`] times, so the per-slide
+/// means are over that many slides whatever the suite's scale.
 fn delta_mining(setup: &Setup) -> Vec<DeltaRow> {
     use std::time::{Duration, Instant};
 
@@ -879,7 +886,9 @@ fn delta_mining(setup: &Setup) -> Vec<DeltaRow> {
         let mut steady = [0u64; 6];
         let mut steady_slides = 0u64;
         let mut final_patterns = 0usize;
-        for (idx, batch) in workload.batches.iter().enumerate() {
+        let slides = setup.window + DELTA_STEADY_SLIDES;
+        for (idx, batch) in workload.batches.iter().cycle().take(slides).enumerate() {
+            let batch = &Batch::from_transactions(idx as u64, batch.transactions().to_vec());
             delta_miner.ingest_batch(batch).expect("ingest");
             oracle.ingest_batch(batch).expect("ingest");
             let t = Instant::now();
@@ -960,7 +969,7 @@ fn delta_mining(setup: &Setup) -> Vec<DeltaRow> {
         ]);
         out.push(DeltaRow {
             workload: workload.name.clone(),
-            slides: workload.batches.len() as u64,
+            slides: slides as u64,
             steady_slides,
             steady_reexamined_per_slide: per(steady[0]),
             steady_affected_per_slide: per(steady[1]),

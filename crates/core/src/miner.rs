@@ -140,10 +140,14 @@ impl StreamMiner {
         &self.catalog
     }
 
-    /// Bytes the capture structure currently keeps resident in main memory
-    /// (what a spill releases).
+    /// Bytes this miner currently keeps resident in main memory: the capture
+    /// structure's share of the window plus, once a delta mine has run, the
+    /// maintained pattern state ([`DeltaMiner::heap_bytes`]).  That is what a
+    /// spill releases — [`StreamMiner::hibernate`] writes the window out and
+    /// the session layer then drops the miner, delta state included (it is
+    /// rebuilt by the first mine after the thaw).
     pub fn resident_bytes(&self) -> usize {
-        self.matrix.resident_bytes()
+        self.matrix.resident_bytes() + self.delta.as_ref().map_or(0, DeltaMiner::heap_bytes)
     }
 
     /// Number of transactions currently in the window.
@@ -202,7 +206,11 @@ impl StreamMiner {
     /// pattern-length limit or the catalog changed, e.g. a relative threshold
     /// re-resolving as the window grows or [`StreamMiner::ingest_snapshots`]
     /// interning a new vertex pair) performs one full rebuild; steady-state
-    /// calls on a sliding window are O(patterns affected by the slide).
+    /// calls on a sliding window are O(patterns affected by the slide), each
+    /// touch one integer or one segment-sized chunk operation.  A delta mine
+    /// reads the epoch's segments directly and builds no window view, on
+    /// either backend; the state it maintains counts towards
+    /// [`StreamMiner::resident_bytes`].
     pub fn mine(&mut self) -> Result<MiningResult> {
         let exec = self.exec.clone();
         self.mine_with(&exec)
@@ -215,7 +223,9 @@ impl StreamMiner {
     /// executor.
     ///
     /// Delta mining ([`MinerConfig::delta`]) maintains its pattern set
-    /// sequentially and therefore ignores the executor.
+    /// sequentially and therefore ignores the executor: an advance is two
+    /// walks of one tree and a handful of subtree re-expansions, with no
+    /// independent per-singleton jobs to fan out.
     pub fn mine_with(&mut self, exec: &Exec) -> Result<MiningResult> {
         let start = Instant::now();
         let read_before = self.matrix.read_stats();
@@ -697,6 +707,40 @@ mod tests {
         assert!(frozen.same_patterns_as(&at_epoch));
         assert!(!after_slide.same_patterns_as(&frozen) || after_slide.same_patterns_as(&at_epoch));
         assert_eq!(job.last_batch_id(), Some(1));
+    }
+
+    #[test]
+    fn resident_bytes_include_the_maintained_delta_state() {
+        let build = |delta: bool| {
+            StreamMinerBuilder::new()
+                .algorithm(Algorithm::DirectVertical)
+                .window_batches(2)
+                .min_support(MinSup::absolute(2))
+                .complete_graph_vertices(4)
+                .delta(delta)
+                .build()
+                .unwrap()
+        };
+        let (mut delta, mut full) = (build(true), build(false));
+        for batch in paper_batches() {
+            delta.ingest_batch(&batch).unwrap();
+            full.ingest_batch(&batch).unwrap();
+            // Before its first mine a delta miner holds no state yet.
+            assert_eq!(delta.resident_bytes(), delta.matrix.resident_bytes());
+        }
+        let stats = delta.mine().unwrap().stats().delta.clone();
+        full.mine().unwrap();
+        assert_eq!(full.resident_bytes(), full.matrix.resident_bytes());
+        assert!(stats.patterns_tracked >= 15 && stats.border_size > 0);
+        // One u32 per window segment (the stride: two batches fill the
+        // window) for every tracked pattern and every border entry, at least.
+        let counts = 4 * delta.window_batches() * (stats.patterns_tracked + stats.border_size);
+        let state = delta.resident_bytes() - delta.matrix.resident_bytes();
+        assert!(
+            state >= counts,
+            "{state} B of delta state cannot hold {counts} B of counts"
+        );
+        assert_eq!(state, delta.delta.as_ref().unwrap().heap_bytes());
     }
 
     #[test]

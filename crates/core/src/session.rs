@@ -588,7 +588,9 @@ impl std::fmt::Display for LifecycleState {
 pub struct SessionStatus {
     /// Current lifecycle state.
     pub state: LifecycleState,
-    /// Bytes of resident window state (`0` while spilled).
+    /// Bytes of resident state — the window and, for a delta tenant, its
+    /// maintained pattern state ([`StreamMiner::resident_bytes`]); `0` while
+    /// spilled.
     pub resident_bytes: u64,
     /// Transparent thaws performed over the session's lifetime.
     pub thaws: u64,

@@ -1,10 +1,12 @@
-//! Allocation regression gates for the two per-item loops of the dense step.
+//! Allocation regression gates for the three per-item loops of the dense
+//! step.
 //!
 //! `mine_direct`'s rustdoc and ARCHITECTURE § "Mining allocation discipline"
 //! say a screen allocates nothing and a pattern allocates only itself;
 //! § "Incremental capture" says the batch transposition allocates nothing
-//! per set bit.  A benchmark would notice a reintroduced per-candidate or
-//! per-bit allocation as a slowdown on a quiet host; this file notices it as
+//! per set bit; § "Delta mining" says no border entry owns an allocation.  A
+//! benchmark would notice a reintroduced per-candidate, per-bit or per-entry
+//! allocation as a slowdown on a quiet host; this file notices it as
 //! a count, under a per-thread counting allocator (the technique of
 //! `crates/fsmd/tests/formats.rs`, counting requests instead of sizing
 //! them).
@@ -12,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use fsm_core::{miners, Exec};
+use fsm_core::{miners, DeltaMiner, Exec};
 use fsm_datagen::DenseGenerator;
 use fsm_dsmatrix::{DsMatrix, DsMatrixConfig};
 use fsm_fptree::MiningLimits;
@@ -110,6 +112,58 @@ fn a_sequential_direct_mine_allocates_per_pattern_not_per_screen() {
         allocations <= budget,
         "{allocations} allocations for {patterns} patterns, depth {depth}, \
          {screens} screens (budget {budget}): something allocates per screen"
+    );
+}
+
+#[test]
+fn a_steady_delta_advance_allocates_per_pattern_and_regrown_subtree_not_per_border_entry() {
+    // The same shape again, as a stream: ten slides past a full window of
+    // five batches, every one of them an incremental advance.
+    let catalog = EdgeCatalog::complete(17);
+    let mut matrix = memory_matrix(5, 130);
+    let mut state = DeltaMiner::new();
+    let minsup = 90; // 18 % of 500
+    let (mut allocations, mut collected, mut border_touched) = (0, 0, 0);
+    let (mut regrown, mut prunes) = (0, 0);
+    for (i, batch) in DenseGenerator::default()
+        .generate_batches(15, 100)
+        .iter()
+        .enumerate()
+    {
+        matrix.ingest_batch(batch).unwrap();
+        let snapshot = matrix.snapshot_epoch().unwrap();
+        let (found, requests) = allocations_during(|| {
+            state.advance(&snapshot, minsup, MiningLimits::UNBOUNDED, &catalog)
+        });
+        let stats = state.stats();
+        if i < 5 {
+            continue; // the rebuild, and the window still filling
+        }
+        assert_eq!((stats.full_rebuilds, stats.slides_applied), (0, 1));
+        allocations += requests;
+        collected += found.unwrap().len() as u64;
+        regrown += stats.border_promotions + stats.singleton_sweeps;
+        border_touched += stats.border_updates;
+        prunes += stats.subtree_prunes;
+    }
+    assert!(
+        regrown >= 10 && prunes >= 10 && border_touched >= 20 * collected,
+        "fixture drifted: {regrown} subtrees re-grown, {prunes} prunes, {border_touched} \
+         border updates for {collected} patterns collected"
+    );
+    // Per pattern collected: its edge set, and a share of the output list.
+    // Per re-grown subtree: the promoted node's root path, and per node
+    // attached its counts table, its border run (both sized once, before the
+    // screens) and its child list.  Per advance: the arriving segment's row
+    // table, the crossing context, the prune and crossing queues.  Nothing
+    // per border entry touched.
+    let budget = 2 * collected + 16 * regrown + 64;
+    assert!(
+        allocations <= budget,
+        "{allocations} allocations over ten advances that collected {collected} patterns, \
+         re-grew {regrown} subtrees and updated {border_touched} border entries (budget \
+         {budget}): something allocates per border entry.  This fixture made 1 318 556 \
+         when every entry owned a `Vec` of contributions and every segment a hash-index row."
     );
 }
 

@@ -11,7 +11,10 @@
 //! scratch): the maintained set must equal the recounted connected frequent
 //! set after every advance, which catches border-set bookkeeping errors
 //! (missed promotions, stale triggers, wrong per-segment contributions) that
-//! the pattern-level oracle would only surface indirectly.  Another test
+//! the pattern-level oracle would only surface indirectly — over windows of
+//! up to 13 batches, filling and full, with the state's own invariants
+//! ([`DeltaMiner::check_invariants`]) re-checked after every advance.
+//! Another test
 //! interleaves delta advances with a held epoch
 //! snapshot mined concurrently on another thread — the PR 7 reader/writer
 //! split must compose with delta state.
@@ -81,14 +84,15 @@ fn build(
     builder.build().unwrap()
 }
 
-fn arb_stream() -> impl Strategy<Value = Vec<Vec<Vec<u32>>>> {
+/// A stream of fewer than `max_batches` batches.
+fn arb_stream(max_batches: usize) -> impl Strategy<Value = Vec<Vec<Vec<u32>>>> {
     proptest::collection::vec(
         proptest::collection::vec(
             proptest::collection::btree_set(0u32..EDGES, 0..6)
                 .prop_map(|s| s.into_iter().collect::<Vec<u32>>()),
             1..6,
         ),
-        1..7,
+        1..max_batches,
     )
 }
 
@@ -139,7 +143,7 @@ proptest! {
     /// fallback without breaking agreement.
     #[test]
     fn delta_mining_matches_every_full_remine_oracle(
-        raw in arb_stream(),
+        raw in arb_stream(7),
         mask in proptest::collection::vec(any::<bool>(), 6),
         window in 1usize..4,
         knobs in (1u64..4, any::<bool>(), 0usize..4),
@@ -189,23 +193,30 @@ proptest! {
     }
 
     /// Shadow model: drive the [`DeltaMiner`] directly through randomized
-    /// slides — including advances that cover several slides — and recount
-    /// every pattern's support brute-force from the window's transactions.
-    /// The maintained set must equal the recount of the *connected* frequent
-    /// sets, supports included, over catalogs that are not complete graphs.
-    /// Every catalog knows only edges `0..8` while the stream mentions
-    /// `0..10`, so members outside the catalog must stay singleton-only.
+    /// slides and recount every pattern's support brute-force from the
+    /// window's transactions.  The maintained set must equal the recount of
+    /// the *connected* frequent sets, supports included, over catalogs that
+    /// are not complete graphs.  Every catalog knows only edges `0..8` while
+    /// the stream mentions `0..10`, so members outside the catalog must stay
+    /// singleton-only.
+    ///
+    /// Windows run to 13 batches and streams to 30, so the window is mined
+    /// both while it is still filling (the counts rows widen under an
+    /// absolute threshold, incrementally) and long after (every slot has
+    /// been freed and reused).  An advance follows `1..=window + 1` ingests:
+    /// one slide, several slots turning over at once, or — `window + 1` — a
+    /// gap that leaves nothing of the window the state knew.
     ///
     /// An advance rebuilds exactly once when it has to — the first one, the
     /// mid-stream threshold switch, an edge past the catalog widening the
     /// matrix, a gap that turned the whole window over — and never
-    /// otherwise.
+    /// otherwise; a window that merely grew is none of those.
     #[test]
     fn connected_delta_state_matches_a_brute_force_recount(
-        raw in arb_stream(),
-        mask in proptest::collection::vec(any::<bool>(), 6),
-        window in 1usize..4,
-        knobs in (1u64..4, 1u64..4, 0usize..3, 0usize..5),
+        raw in arb_stream(31),
+        gaps in proptest::collection::vec(0usize..14, 1..8),
+        window in 1usize..14,
+        knobs in (1u64..8, 1u64..8, 0usize..3, 0usize..5),
     ) {
         let (minsup, switched, catalog_idx, max_len_raw) = knobs;
         let catalog = match catalog_idx {
@@ -228,11 +239,17 @@ proptest! {
         let mut state = DeltaMiner::new();
         // (batch index, threshold, matrix width) of the previous advance.
         let mut previous: Option<(usize, u64, usize)> = None;
+        // Ingests still to go before the next advance; the last epoch is
+        // always mined.
+        let mut gaps = gaps.iter().cycle().map(|gap| 1 + gap % (window + 1));
+        let mut wait = gaps.next().unwrap();
         for (i, batch) in batches.iter().enumerate() {
             miner.ingest_batch(batch).unwrap();
-            if i + 1 != batches.len() && !mask[i % mask.len()] {
+            wait -= 1;
+            if i + 1 != batches.len() && wait > 0 {
                 continue;
             }
+            wait = gaps.next().unwrap();
             // Switch thresholds halfway through the stream.
             let threshold = if i >= batches.len() / 2 { switched } else { minsup };
             let snapshot = miner.matrix_mut().snapshot_epoch().unwrap();
@@ -278,6 +295,12 @@ proptest! {
             );
             prop_assert_eq!(state.stats().patterns_tracked, state.patterns_tracked());
             prop_assert_eq!(state.stats().border_size, state.border_size());
+            // The self-check is compiled into debug builds only.
+            #[cfg(debug_assertions)]
+            {
+                let checked = state.check_invariants();
+                prop_assert!(checked.is_ok(), "epoch {} window {}: {:?}", i, window, checked);
+            }
         }
     }
 }

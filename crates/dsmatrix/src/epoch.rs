@@ -130,30 +130,12 @@ impl EpochSnapshot {
         self.supports.get(item).copied().unwrap_or(0)
     }
 
-    /// Per-segment column attribution: for each window segment, oldest
-    /// first, its identity uid and the half-open column range it occupies in
-    /// the epoch's concatenated window.
-    ///
-    /// Views built by [`EpochSnapshot::view`] always start at column 0 (no
-    /// dead prefix, unlike live memory-backend views), so these ranges index
-    /// snapshot-derived tidsets directly — this is what lets the delta miner
-    /// split a pattern's support into per-segment contributions with
-    /// [`fsm_storage::BitVec::count_range`].
-    pub fn segment_col_ranges(&self) -> Vec<(u64, std::ops::Range<usize>)> {
-        let mut start = 0usize;
-        self.segments
-            .iter()
-            .map(|seg| {
-                let range = start..start + seg.cols();
-                start = range.end;
-                (seg.uid(), range)
-            })
-            .collect()
-    }
-
     /// Support contribution of `item` from window segment `segment` alone
     /// (the popcount of the item's chunk in that segment; `0` when the item
-    /// has no chunk there or the index is out of range).
+    /// has no chunk there or the index is out of range).  Over the window's
+    /// segments these sum to [`EpochSnapshot::singleton_support`] — the
+    /// identity `fsm_core::DeltaMiner`'s per-segment counts of a singleton,
+    /// read off the same chunks, rest on.
     pub fn segment_support(&self, segment: usize, item: usize) -> Support {
         self.segments
             .get(segment)
@@ -335,17 +317,11 @@ mod tests {
             for b in paper_batches() {
                 m.ingest_batch(&b).unwrap();
                 let snap = m.snapshot_epoch().unwrap();
-                let ranges = snap.segment_col_ranges();
-                assert_eq!(ranges.len(), snap.segments().len());
-                assert_eq!(ranges.first().map_or(0, |(_, r)| r.start), 0);
                 assert_eq!(
-                    ranges.last().map_or(0, |(_, r)| r.end),
+                    snap.segments().iter().map(|s| s.cols()).sum::<usize>(),
                     snap.num_transactions(),
-                    "{backend:?} budget {budget}: ranges must tile the window"
+                    "{backend:?} budget {budget}: segments must tile the window"
                 );
-                for pair in ranges.windows(2) {
-                    assert_eq!(pair[0].1.end, pair[1].1.start, "ranges must be contiguous");
-                }
                 for item in 0..snap.num_items() {
                     let total: u64 = (0..snap.segments().len())
                         .map(|s| snap.segment_support(s, item))
