@@ -30,10 +30,18 @@
 //!   are tallied in [`ChunkCacheStats`], so the read-amplification tables of
 //!   the benchmark harness report measured cache behaviour, not a model.
 //!
-//! The cache is deliberately read-through only: it fills on read misses, not
-//! on segment writes, so with a budget covering the window a steady-state
-//! mine re-reads exactly the pages a window slide invalidated — the
-//! incremental bound the DSMatrix read path advertises.
+//! The cache fills from both sides of the store.  **Write-through:**
+//! [`crate::SegmentedWindowStore::push_segment`] offers every chunk it has
+//! just written (same key, same charge, same admit-if-room rule), because
+//! the mine that follows an ingest would otherwise fetch, checksum and decode
+//! pages whose contents the ingest still held decoded.  **On a read miss**
+//! the reader offers what it decoded.  A slide pops before it pushes, so the
+//! room the leaving segment frees goes to the entering one: with a budget
+//! covering the window a steady-state mine reads no page at all, and with a
+//! smaller one it reads exactly the chunks that never fitted, the same ones
+//! on every pass.  A cached chunk is the value that was written; the on-disk
+//! copy is CRC-verified whenever it — rather than the cache — is what gets
+//! read.
 
 use std::collections::BTreeMap;
 
@@ -159,8 +167,9 @@ impl ChunkCache {
         }
     }
 
-    /// Admits a freshly-decoded chunk if the budget has room for it, and
-    /// otherwise does nothing — nothing is evicted to make room, and a
+    /// Admits a chunk — freshly decoded by a read miss, or just written by a
+    /// segment push — if the budget has room for it, and otherwise does
+    /// nothing — nothing is evicted to make room, and a
     /// refused chunk is not even cloned, so a full cache costs a miss no
     /// allocation.  Re-inserting a live key swaps its charge.
     pub fn insert(&mut self, seg: u64, row: usize, chunk: &BitVec) {

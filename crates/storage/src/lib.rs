@@ -7,7 +7,8 @@
 //!
 //! * [`BitVec`] — the bit-vector representation used by the DSMatrix rows and
 //!   by the vertical mining algorithms (§3.4, §4);
-//! * [`PagedFile`] — a minimal fixed-page file abstraction;
+//! * [`PagedFile`] — a minimal append-only fixed-page file: positional
+//!   reads and writes, every page CRC-verified on read;
 //! * [`RowStore`] — a disk- or memory-backed store of variable-length rows,
 //!   used by the DSTable (and by every window segment) to spill contents to
 //!   disk;
@@ -48,6 +49,7 @@ pub mod chunkcache;
 mod framed;
 pub mod governor;
 pub mod paged;
+mod positional;
 pub mod rowstore;
 pub mod segment;
 pub mod spill;

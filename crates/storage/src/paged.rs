@@ -1,28 +1,45 @@
 //! A minimal fixed-size-page file, the unit of on-disk storage.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use fsm_types::{FsmError, Result};
 
-use crate::checksum::{crc32, Crc32};
+use crate::checksum::crc32;
+use crate::positional::{read_exact_at, write_all_at};
 
-/// A file divided into fixed-size pages, addressed by page index.
+/// An append-only file of fixed-size pages, read back by page index.
 ///
 /// This is intentionally the simplest storage engine that exhibits the I/O
 /// pattern the paper's disk-resident structures rely on: sequential appends
-/// while a batch streams in, and sequential scans while mining.  Pages are
-/// written and read whole; short writes are zero-padded to the page size.
+/// while a batch streams in, and scans while mining.  Its one user,
+/// [`crate::RowStore`], only ever appends (and truncates to zero on a bulk
+/// rewrite), so that is all the file offers: [`PagedFile::append_pages`]
+/// hands a whole page-aligned run to the operating system with one
+/// positional write, [`PagedFile::read_page_into`] fetches one page with one
+/// positional read into the caller's buffer.  Neither moves a file cursor,
+/// and neither allocates a buffer per page.
 ///
 /// # Integrity and durability
 ///
-/// Every page write also records a CRC-32 of the (padded) page in a sidecar
-/// file `<path>.crc` (4 bytes per page, same index order).  Reads verify the
-/// checksum and fail with [`FsmError::CorruptArtifact`] on mismatch, so a torn
-/// or bit-flipped page is detected instead of silently mis-mined.  The sidecar
-/// — rather than a per-page trailer — keeps the full page size available as
-/// payload, so none of the chunked-row arithmetic layered on top changes.
+/// Every page carries a CRC-32 of its full (padded) contents in a sidecar
+/// file `<path>.crc` (4 bytes per page, little-endian, same index order).
+/// The sidecar — rather than a per-page trailer — keeps the full page size
+/// available as payload, so none of the chunked-row arithmetic layered on top
+/// changes.
+///
+/// **What verifies what.**  The sidecar's bytes are also held in memory
+/// (4 B per page, counted in [`crate::RowStore::resident_bytes`]): an append
+/// extends the in-memory table and writes the same bytes to the sidecar file
+/// (data first, then sidecar); [`PagedFile::open_existing`] loads the table
+/// with one read, after checking that the sidecar holds exactly one checksum
+/// per page; and that is the *only* time the sidecar file is read.  Every page read from
+/// disk is checksummed and compared with its table entry before a byte of it
+/// is returned, failing with [`FsmError::CorruptArtifact`] on a mismatch.  So
+/// a torn or bit-flipped *data* page is refused whenever it is read — on a
+/// file still open since it was written (the expected CRC is the one computed
+/// at write time) as after a reopen — and a damaged *sidecar* is refused at
+/// the first read of the affected page after the reopen that loaded it.
 ///
 /// Writes are buffered by the operating system until [`PagedFile::sync_all`]
 /// is called; callers that need durability (the WAL/checkpoint machinery) must
@@ -31,14 +48,18 @@ use crate::checksum::{crc32, Crc32};
 pub struct PagedFile {
     file: File,
     checksums: File,
+    /// The sidecar's contents: one little-endian CRC-32 per page, in index
+    /// order.  Its length is the page count.
+    sidecar: Vec<u8>,
     path: PathBuf,
     page_size: usize,
-    num_pages: usize,
     bytes_written: u64,
     bytes_read: u64,
     fsyncs: u64,
-    zero_page_crc: u32,
 }
+
+/// Bytes of sidecar per page (one CRC-32).
+const CRC_BYTES: usize = 4;
 
 impl PagedFile {
     /// Default page size (4 KiB) used by the disk-backed structures.
@@ -88,13 +109,12 @@ impl PagedFile {
         Ok(Self {
             file,
             checksums,
+            sidecar: Vec::new(),
             path,
             page_size,
-            num_pages: 0,
             bytes_written: 0,
             bytes_read: 0,
             fsyncs: 0,
-            zero_page_crc: crc32(&vec![0u8; page_size]),
         })
     }
 
@@ -102,8 +122,9 @@ impl PagedFile {
     ///
     /// The page count is derived from the file length, which must be an exact
     /// multiple of `page_size`; the sidecar must hold exactly one checksum per
-    /// page.  Page contents are *not* verified here — verification happens on
-    /// read, or eagerly via [`PagedFile::verify_all_pages`].
+    /// page, and is read into memory here — once.  Page contents are *not*
+    /// verified here — verification happens on read, or eagerly via
+    /// [`PagedFile::verify_all_pages`].
     pub fn open_existing(path: impl AsRef<Path>, page_size: usize) -> Result<Self> {
         if page_size == 0 {
             return Err(FsmError::config("page size must be non-zero"));
@@ -121,33 +142,39 @@ impl PagedFile {
                 format!("length {len} is not a multiple of the page size {page_size}"),
             ));
         }
-        let num_pages = (len / page_size as u64) as usize;
-        let sidecar = Self::checksum_path(&path);
+        let num_pages = len / page_size as u64;
+        let sidecar_path = Self::checksum_path(&path);
         let checksums = OpenOptions::new()
             .read(true)
             .write(true)
-            .open(&sidecar)
-            .map_err(|err| annotate(err, "open checksum sidecar", &sidecar))?;
+            .open(&sidecar_path)
+            .map_err(|err| annotate(err, "open checksum sidecar", &sidecar_path))?;
         let sidecar_len = checksums.metadata()?.len();
-        if sidecar_len != num_pages as u64 * 4 {
+        if sidecar_len != num_pages * CRC_BYTES as u64 {
             return Err(FsmError::corrupt_artifact(
-                artifact_name(&sidecar),
+                artifact_name(&sidecar_path),
                 format!(
                     "sidecar holds {sidecar_len} bytes but {num_pages} pages need {}",
-                    num_pages as u64 * 4
+                    num_pages * CRC_BYTES as u64
                 ),
             ));
         }
+        // Bounded by the data file's real length: one CRC per page it holds.
+        let sidecar_len = usize::try_from(sidecar_len).map_err(|_| {
+            FsmError::corrupt_artifact(artifact_name(&sidecar_path), "sidecar too large to load")
+        })?;
+        let mut sidecar = vec![0u8; sidecar_len];
+        read_exact_at(&checksums, &mut sidecar, 0)
+            .map_err(|err| annotate(err, "read checksum sidecar", &sidecar_path))?;
         Ok(Self {
             file,
             checksums,
+            sidecar,
             path,
             page_size,
-            num_pages,
             bytes_written: 0,
             bytes_read: 0,
             fsyncs: 0,
-            zero_page_crc: crc32(&vec![0u8; page_size]),
         })
     }
 
@@ -167,7 +194,7 @@ impl PagedFile {
     /// Number of pages written so far.
     #[inline]
     pub fn num_pages(&self) -> usize {
-        self.num_pages
+        self.sidecar.len() / CRC_BYTES
     }
 
     /// Total payload bytes handed to the operating system so far.
@@ -201,92 +228,103 @@ impl PagedFile {
     pub fn on_disk_bytes(&self) -> u64 {
         // Widen before multiplying: the product can exceed `usize` on 32-bit
         // targets long before either factor does.
-        self.num_pages as u64 * self.page_size as u64
+        self.num_pages() as u64 * self.page_size as u64
     }
 
-    /// Appends `data` as a new page and returns its index.
-    ///
-    /// `data` must not exceed the page size; shorter payloads are zero padded.
-    pub fn append_page(&mut self, data: &[u8]) -> Result<usize> {
-        self.write_page(self.num_pages, data)
+    /// Bytes this file keeps in main memory: the in-memory copy of the
+    /// checksum sidecar (4 B per page).
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.sidecar.capacity()
     }
 
-    /// Writes `data` at page `index`, extending the file if needed.
+    /// Appends `image` — a run of whole pages, already padded — to the file
+    /// and returns the index of its first page.
     ///
-    /// Writing past the current end materialises the intervening pages as
-    /// explicit zero pages: they are handed to the operating system and
-    /// counted in [`PagedFile::bytes_written`] like any other page, so
-    /// [`PagedFile::on_disk_bytes`] and the write counter can never drift
-    /// apart (a sparse seek would create hole pages the counter never saw,
-    /// reading back as zeros indistinguishable from real data).
-    pub fn write_page(&mut self, index: usize, data: &[u8]) -> Result<usize> {
-        if data.len() > self.page_size {
+    /// One positional write hands the run to the operating system, a second
+    /// one its checksums (one CRC-32 per page, over the page's full padded
+    /// bytes) to the sidecar — data before sidecar, so a crash between the
+    /// two leaves more pages than checksums, which
+    /// [`PagedFile::open_existing`] refuses by length.  Should either write
+    /// fail, the page count is unchanged.
+    pub fn append_pages(&mut self, image: &[u8]) -> Result<usize> {
+        if !image.len().is_multiple_of(self.page_size) {
             return Err(FsmError::config(format!(
-                "payload of {} bytes exceeds page size {}",
-                data.len(),
+                "run of {} bytes is not a whole number of {}-byte pages",
+                image.len(),
                 self.page_size
             )));
         }
-        if index > self.num_pages {
-            let zeros = vec![0u8; self.page_size];
-            self.file.seek(SeekFrom::Start(
-                self.num_pages as u64 * self.page_size as u64,
-            ))?;
-            while self.num_pages < index {
-                self.file.write_all(&zeros)?;
-                self.write_checksum(self.num_pages, self.zero_page_crc)?;
-                self.bytes_written += self.page_size as u64;
-                self.num_pages += 1;
-            }
+        let first_page = self.num_pages();
+        if image.is_empty() {
+            return Ok(first_page);
         }
-        let offset = index as u64 * self.page_size as u64;
-        self.file.seek(SeekFrom::Start(offset))?;
-        self.file.write_all(data)?;
-        let mut crc = Crc32::new();
-        crc.update(data);
-        if data.len() < self.page_size {
-            let padding = vec![0u8; self.page_size - data.len()];
-            self.file.write_all(&padding)?;
-            crc.update(&padding);
+        let table_len = self.sidecar.len();
+        self.sidecar
+            .reserve(image.len() / self.page_size * CRC_BYTES);
+        for page in image.chunks_exact(self.page_size) {
+            self.sidecar.extend_from_slice(&crc32(page).to_le_bytes());
         }
-        self.write_checksum(index, crc.finish())?;
-        self.bytes_written += self.page_size as u64;
-        self.num_pages = self.num_pages.max(index + 1);
-        Ok(index)
+        let written =
+            write_all_at(&self.file, image, self.on_disk_offset(first_page)).and_then(|()| {
+                write_all_at(
+                    &self.checksums,
+                    &self.sidecar[table_len..],
+                    table_len as u64,
+                )
+            });
+        if let Err(err) = written {
+            self.sidecar.truncate(table_len);
+            return Err(err.into());
+        }
+        self.bytes_written += image.len() as u64;
+        Ok(first_page)
     }
 
-    fn write_checksum(&mut self, index: usize, crc: u32) -> Result<()> {
-        self.checksums.seek(SeekFrom::Start(index as u64 * 4))?;
-        self.checksums.write_all(&crc.to_le_bytes())?;
-        Ok(())
+    /// Byte offset of page `index` in the data file.
+    fn on_disk_offset(&self, index: usize) -> u64 {
+        index as u64 * self.page_size as u64
     }
 
-    /// Reads page `index` into a fresh buffer of page size, verifying its
-    /// checksum against the sidecar.
-    pub fn read_page(&mut self, index: usize) -> Result<Vec<u8>> {
-        if index >= self.num_pages {
+    /// Reads page `index` into `page` — the caller's buffer, exactly one page
+    /// long — with one positional read, and verifies its checksum against
+    /// the in-memory sidecar table before returning.
+    pub fn read_page_into(&mut self, index: usize, page: &mut [u8]) -> Result<()> {
+        if index >= self.num_pages() {
             return Err(FsmError::corrupt(format!(
                 "page {index} out of range (file has {} pages)",
-                self.num_pages
+                self.num_pages()
             )));
         }
-        let offset = index as u64 * self.page_size as u64;
-        self.file.seek(SeekFrom::Start(offset))?;
-        let mut buf = vec![0u8; self.page_size];
-        self.file.read_exact(&mut buf)?;
+        if page.len() != self.page_size {
+            return Err(FsmError::config(format!(
+                "buffer of {} bytes is not one {}-byte page",
+                page.len(),
+                self.page_size
+            )));
+        }
+        read_exact_at(&self.file, page, self.on_disk_offset(index))?;
         self.bytes_read += self.page_size as u64;
-        self.checksums.seek(SeekFrom::Start(index as u64 * 4))?;
-        let mut stored = [0u8; 4];
-        self.checksums.read_exact(&mut stored)?;
+        let entry = index * CRC_BYTES;
+        let stored: [u8; CRC_BYTES] = self.sidecar[entry..entry + CRC_BYTES]
+            .try_into()
+            .expect("a sidecar entry is four bytes");
         let expected = u32::from_le_bytes(stored);
-        let actual = crc32(&buf);
+        let actual = crc32(page);
         if actual != expected {
             return Err(FsmError::corrupt_artifact(
                 format!("page {index} of {}", artifact_name(&self.path)),
                 format!("checksum mismatch (stored {expected:#010x}, computed {actual:#010x})"),
             ));
         }
-        Ok(buf)
+        Ok(())
+    }
+
+    /// Reads page `index` into a fresh buffer of page size (see
+    /// [`PagedFile::read_page_into`], which fills the caller's).
+    pub fn read_page(&mut self, index: usize) -> Result<Vec<u8>> {
+        let mut page = vec![0u8; self.page_size];
+        self.read_page_into(index, &mut page)?;
+        Ok(page)
     }
 
     /// Reads every page once, verifying all checksums.
@@ -294,8 +332,9 @@ impl PagedFile {
     /// Used by recovery to validate a checkpoint-referenced file before
     /// trusting it; the error names the first bad page.
     pub fn verify_all_pages(&mut self) -> Result<()> {
-        for index in 0..self.num_pages {
-            self.read_page(index)?;
+        let mut page = vec![0u8; self.page_size];
+        for index in 0..self.num_pages() {
+            self.read_page_into(index, &mut page)?;
         }
         Ok(())
     }
@@ -305,16 +344,7 @@ impl PagedFile {
     pub fn clear(&mut self) -> Result<()> {
         self.file.set_len(0)?;
         self.checksums.set_len(0)?;
-        self.num_pages = 0;
-        Ok(())
-    }
-
-    /// Flushes buffered writes to the operating system.
-    ///
-    /// This hands the bytes to the kernel but does **not** force them to
-    /// stable storage — use [`PagedFile::sync_all`] for durability.
-    pub fn sync(&mut self) -> Result<()> {
-        self.file.flush()?;
+        self.sidecar.clear();
         Ok(())
     }
 
@@ -351,18 +381,32 @@ mod tests {
     use super::*;
     use crate::temp::TempDir;
 
+    /// `payload` zero-padded to one page of `page_size` bytes.
+    fn page(payload: &[u8], page_size: usize) -> Vec<u8> {
+        let mut page = payload.to_vec();
+        page.resize(page_size, 0);
+        page
+    }
+
+    /// Flips one bit of the file at `path`, behind any open handle's back.
+    fn flip_bit(path: &Path, byte: usize, mask: u8) {
+        let mut bytes = std::fs::read(path).unwrap();
+        bytes[byte] ^= mask;
+        std::fs::write(path, &bytes).unwrap();
+    }
+
     #[test]
     fn append_and_read_roundtrip() {
         let dir = TempDir::new("paged").unwrap();
         let mut pf = PagedFile::create(dir.file("pages.bin"), 64).unwrap();
-        let first = pf.append_page(b"hello").unwrap();
-        let second = pf.append_page(&[7u8; 64]).unwrap();
+        let first = pf.append_pages(&page(b"hello", 64)).unwrap();
+        let second = pf.append_pages(&[7u8; 64]).unwrap();
         assert_eq!((first, second), (0, 1));
         assert_eq!(pf.num_pages(), 2);
 
-        let page = pf.read_page(0).unwrap();
-        assert_eq!(&page[..5], b"hello");
-        assert!(page[5..].iter().all(|&b| b == 0), "short pages are padded");
+        let read = pf.read_page(0).unwrap();
+        assert_eq!(&read[..5], b"hello");
+        assert!(read[5..].iter().all(|&b| b == 0));
         assert_eq!(pf.read_page(1).unwrap(), vec![7u8; 64]);
         assert_eq!(pf.on_disk_bytes(), 128);
         assert_eq!(pf.bytes_written(), 128);
@@ -370,36 +414,50 @@ mod tests {
     }
 
     #[test]
-    fn overwrite_existing_page() {
+    fn a_run_of_pages_is_appended_whole_and_read_back_page_by_page() {
         let dir = TempDir::new("paged").unwrap();
-        let mut pf = PagedFile::create(dir.file("pages.bin"), 32).unwrap();
-        pf.append_page(b"old").unwrap();
-        pf.write_page(0, b"new").unwrap();
-        assert_eq!(&pf.read_page(0).unwrap()[..3], b"new");
-        assert_eq!(pf.num_pages(), 1);
-    }
-
-    #[test]
-    fn sparse_write_extends_page_count() {
-        let dir = TempDir::new("paged").unwrap();
-        let mut pf = PagedFile::create(dir.file("pages.bin"), 16).unwrap();
-        pf.write_page(3, b"x").unwrap();
+        let path = dir.file("pages.bin");
+        let mut pf = PagedFile::create(&path, 16).unwrap();
+        assert_eq!(pf.append_pages(&[]).unwrap(), 0, "an empty run is legal");
+        let mut run = page(b"alpha", 16);
+        run.extend_from_slice(&page(b"beta", 16));
+        run.extend_from_slice(&[9u8; 16]);
+        assert_eq!(pf.append_pages(&run).unwrap(), 0);
+        assert_eq!(pf.append_pages(&page(b"tail", 16)).unwrap(), 3);
         assert_eq!(pf.num_pages(), 4);
-        // The gap pages are materialised and accounted, not silent holes:
-        // every byte on_disk_bytes() reports went through bytes_written.
         assert_eq!(pf.bytes_written(), 64);
-        assert_eq!(pf.on_disk_bytes(), 64);
-        for page in 0..3 {
-            assert_eq!(pf.read_page(page).unwrap(), vec![0u8; 16]);
-        }
-        assert_eq!(&pf.read_page(3).unwrap()[..1], b"x");
+
+        // One caller-owned buffer serves every read; it must be one page.
+        let mut buf = vec![0xFFu8; 16];
+        pf.read_page_into(1, &mut buf).unwrap();
+        assert_eq!(buf, page(b"beta", 16));
+        pf.read_page_into(3, &mut buf).unwrap();
+        assert_eq!(buf, page(b"tail", 16));
+        assert!(pf.read_page_into(3, &mut buf[..15]).is_err());
+        pf.verify_all_pages().unwrap();
+
+        // On disk: the pages back to back, and one little-endian CRC of each
+        // padded page in the sidecar.
+        let mut expected = run.clone();
+        expected.extend_from_slice(&page(b"tail", 16));
+        assert_eq!(std::fs::read(&path).unwrap(), expected);
+        let crcs: Vec<u8> = expected
+            .chunks(16)
+            .flat_map(|page| crc32(page).to_le_bytes())
+            .collect();
+        assert_eq!(
+            std::fs::read(PagedFile::checksum_path(&path)).unwrap(),
+            crcs
+        );
     }
 
     #[test]
     fn oversized_payload_is_rejected() {
         let dir = TempDir::new("paged").unwrap();
         let mut pf = PagedFile::create(dir.file("pages.bin"), 8).unwrap();
-        assert!(pf.append_page(&[0u8; 9]).is_err());
+        // Nine bytes are neither one page nor two: runs are whole pages.
+        assert!(pf.append_pages(&[0u8; 9]).is_err());
+        assert_eq!(pf.num_pages(), 0);
     }
 
     #[test]
@@ -419,11 +477,13 @@ mod tests {
     fn clear_resets_pages() {
         let dir = TempDir::new("paged").unwrap();
         let mut pf = PagedFile::create(dir.file("pages.bin"), 8).unwrap();
-        pf.append_page(b"abc").unwrap();
+        pf.append_pages(&page(b"abc", 8)).unwrap();
         pf.clear().unwrap();
         assert_eq!(pf.num_pages(), 0);
         assert!(pf.read_page(0).is_err());
-        pf.sync().unwrap();
+        // Appends restart at page 0 of the truncated file.
+        assert_eq!(pf.append_pages(&page(b"xyz", 8)).unwrap(), 0);
+        assert_eq!(&pf.read_page(0).unwrap()[..3], b"xyz");
     }
 
     #[test]
@@ -443,27 +503,35 @@ mod tests {
     fn sync_all_counts_fsyncs() {
         let dir = TempDir::new("paged").unwrap();
         let mut pf = PagedFile::create(dir.file("pages.bin"), 8).unwrap();
-        pf.append_page(b"abc").unwrap();
+        pf.append_pages(&page(b"abc", 8)).unwrap();
         assert_eq!(pf.fsyncs(), 0);
         pf.sync_all().unwrap();
         assert_eq!(pf.fsyncs(), 2, "data file + sidecar");
+    }
+
+    /// A two-page file (`alpha`, `beta`; 16-byte pages), synced and closed.
+    fn two_page_file(path: &Path) {
+        let mut pf = PagedFile::create(path, 16).unwrap();
+        pf.append_pages(&page(b"alpha", 16)).unwrap();
+        pf.append_pages(&page(b"beta", 16)).unwrap();
+        pf.sync_all().unwrap();
     }
 
     #[test]
     fn open_existing_roundtrip() {
         let dir = TempDir::new("paged").unwrap();
         let path = dir.file("pages.bin");
-        {
-            let mut pf = PagedFile::create(&path, 16).unwrap();
-            pf.append_page(b"alpha").unwrap();
-            pf.append_page(b"beta").unwrap();
-            pf.sync_all().unwrap();
-        }
+        two_page_file(&path);
         let mut pf = PagedFile::open_existing(&path, 16).unwrap();
         assert_eq!(pf.num_pages(), 2);
         assert_eq!(&pf.read_page(0).unwrap()[..5], b"alpha");
         assert_eq!(&pf.read_page(1).unwrap()[..4], b"beta");
         pf.verify_all_pages().unwrap();
+        // A reopened file keeps appending where it ended.
+        assert_eq!(pf.append_pages(&page(b"gamma", 16)).unwrap(), 2);
+        drop(pf);
+        let mut pf = PagedFile::open_existing(&path, 16).unwrap();
+        assert_eq!(&pf.read_page(2).unwrap()[..5], b"gamma");
     }
 
     #[test]
@@ -472,7 +540,7 @@ mod tests {
         let path = dir.file("pages.bin");
         {
             let mut pf = PagedFile::create(&path, 16).unwrap();
-            pf.append_page(b"alpha").unwrap();
+            pf.append_pages(&page(b"alpha", 16)).unwrap();
         }
         // Tear the tail of the data file: no longer a page multiple.
         let file = OpenOptions::new().write(true).open(&path).unwrap();
@@ -485,19 +553,31 @@ mod tests {
     }
 
     #[test]
+    fn open_existing_rejects_a_sidecar_of_the_wrong_length() {
+        let dir = TempDir::new("paged").unwrap();
+        let path = dir.file("pages.bin");
+        two_page_file(&path);
+        // A crash between the data write and the sidecar write of an append
+        // looks like this: two pages, one checksum.
+        let sidecar = OpenOptions::new()
+            .write(true)
+            .open(PagedFile::checksum_path(&path))
+            .unwrap();
+        sidecar.set_len(4).unwrap();
+        let err = PagedFile::open_existing(&path, 16).unwrap_err();
+        assert!(
+            err.to_string().contains("sidecar holds 4 bytes"),
+            "unexpected error: {err}"
+        );
+    }
+
+    #[test]
     fn bit_flip_is_detected_on_read() {
         let dir = TempDir::new("paged").unwrap();
         let path = dir.file("pages.bin");
-        {
-            let mut pf = PagedFile::create(&path, 16).unwrap();
-            pf.append_page(b"alpha").unwrap();
-            pf.append_page(b"beta").unwrap();
-            pf.sync_all().unwrap();
-        }
+        two_page_file(&path);
         // Flip one bit in page 1.
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[16] ^= 0x04;
-        std::fs::write(&path, &bytes).unwrap();
+        flip_bit(&path, 16, 0x04);
 
         let mut pf = PagedFile::open_existing(&path, 16).unwrap();
         assert!(pf.read_page(0).is_ok(), "page 0 is untouched");
@@ -508,5 +588,43 @@ mod tests {
             "error must name the bad artifact: {msg}"
         );
         assert!(pf.verify_all_pages().is_err());
+    }
+
+    #[test]
+    fn a_data_page_damaged_under_an_open_file_is_refused_on_read() {
+        // The expected CRC of a still-open file comes from memory — the one
+        // computed when the page was written — never from a re-read of the
+        // sidecar, and the page itself is always fetched from the file.
+        let dir = TempDir::new("paged").unwrap();
+        let path = dir.file("pages.bin");
+        let mut pf = PagedFile::create(&path, 16).unwrap();
+        pf.append_pages(&page(b"alpha", 16)).unwrap();
+        pf.append_pages(&page(b"beta", 16)).unwrap();
+        assert!(pf.read_page(1).is_ok());
+        flip_bit(&path, 16 + 9, 0x80); // a padding byte of page 1
+        assert!(pf.read_page(0).is_ok(), "page 0 is untouched");
+        let msg = pf.read_page(1).unwrap_err().to_string();
+        assert!(
+            msg.contains("page 1 of pages.bin") && msg.contains("checksum mismatch"),
+            "error must name the bad artifact: {msg}"
+        );
+        assert!(pf.verify_all_pages().is_err());
+    }
+
+    #[test]
+    fn a_damaged_sidecar_is_refused_on_the_first_read_after_reopen() {
+        let dir = TempDir::new("paged").unwrap();
+        let path = dir.file("pages.bin");
+        two_page_file(&path);
+        // Flip one bit of page 1's stored checksum; the data is intact.
+        flip_bit(&PagedFile::checksum_path(&path), 4, 0x01);
+
+        let mut pf = PagedFile::open_existing(&path, 16).unwrap();
+        assert!(pf.read_page(0).is_ok(), "page 0's checksum is untouched");
+        let msg = pf.read_page(1).unwrap_err().to_string();
+        assert!(
+            msg.contains("page 1 of pages.bin") && msg.contains("checksum mismatch"),
+            "error must name the bad artifact: {msg}"
+        );
     }
 }

@@ -6,6 +6,18 @@
 //! are written whole, read back whole, and rewritten in bulk when the window
 //! slides.  An in-memory backend with the same interface exists for unit
 //! tests and for the storage ablation (A2).
+//!
+//! # Write and read paths
+//!
+//! The disk backend is append-only over a [`PagedFile`].  Every write —
+//! one row, a bulk rewrite, a whole window segment — goes through one body
+//! ([`RowStore::put_rows`]): rows are laid out page-aligned in a staging
+//! image and handed to the file a run at a time, so a segment costs one data
+//! write and one sidecar write rather than several system calls per page.
+//! [`RowStore::get_row_into`] reads a row's pages straight into the caller's
+//! buffer, one positional read per page, each page CRC-verified against the
+//! file's in-memory checksum table before the row is returned (see
+//! [`PagedFile`] § "Integrity and durability" for what verifies what).
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -13,6 +25,12 @@ use std::path::PathBuf;
 use crate::paged::PagedFile;
 use crate::temp::TempDir;
 use fsm_types::{FsmError, Result};
+
+/// Most bytes of page images [`RowStore::put_rows`] stages before handing
+/// them to the page file as one run.  A window segment of the default batch
+/// size is smaller (one run, one pair of writes); a bulk rewrite of a large
+/// table is written in runs of this size instead of being staged whole.
+const STAGE_BYTES: usize = 64 * 1024;
 
 /// Where a [`RowStore`] keeps its rows.
 #[derive(Debug, Clone, Default)]
@@ -100,12 +118,14 @@ impl RowStore {
         for (id, first_page, len) in entries {
             // Empty rows still occupy one (empty) page on disk.
             let pages_needed = len.div_ceil(page_size).max(1);
-            if first_page + pages_needed > file.num_pages() {
+            // The entry comes from a checkpoint: its sum may not even fit.
+            let end = first_page.checked_add(pages_needed);
+            if end.is_none_or(|end| end > file.num_pages()) {
                 return Err(FsmError::corrupt_artifact(
                     crate::paged::artifact_name(&path),
                     format!(
                         "row {id} needs pages {first_page}..{} but the file has only {}",
-                        first_page + pages_needed,
+                        first_page.saturating_add(pages_needed),
                         file.num_pages()
                     ),
                 ));
@@ -173,21 +193,62 @@ impl RowStore {
     /// mirroring how the DSMatrix rewrites rows on a window slide rather than
     /// patching bits in place.
     pub fn put_row(&mut self, id: usize, bytes: &[u8]) -> Result<()> {
+        self.put_rows([(id, bytes)])
+    }
+
+    /// Writes (or overwrites) every `(row id, payload)` of `rows`, in order —
+    /// the one write body behind [`RowStore::put_row`],
+    /// [`RowStore::rewrite_all`] and a window segment's push.
+    ///
+    /// On the disk backend each row starts on a page boundary (an empty row
+    /// still occupies one page) and is zero-padded to the next; the rows are
+    /// staged in that layout and appended a run at a time — one data write
+    /// and one sidecar write per run of up to 64 KiB, so a window segment is
+    /// one run.  When the call returns every page has been handed
+    /// to the operating system.  Should a write fail, rows of earlier runs
+    /// stay readable and no row of the failed run is indexed.
+    pub fn put_rows<I, B>(&mut self, rows: I) -> Result<()>
+    where
+        I: IntoIterator<Item = (usize, B)>,
+        B: AsRef<[u8]>,
+    {
         match &mut self.inner {
-            Inner::Memory { rows } => {
-                rows.insert(id, bytes.to_vec());
+            Inner::Memory { rows: map } => {
+                for (id, bytes) in rows {
+                    map.insert(id, bytes.as_ref().to_vec());
+                }
                 Ok(())
             }
             Inner::Disk { file, index, .. } => {
-                let first_page = file.num_pages();
-                for chunk in bytes.chunks(self.page_size) {
-                    file.append_page(chunk)?;
+                let page_size = self.page_size;
+                let rows = rows.into_iter();
+                // Most rows fit one page; larger ones grow the buffer.
+                let mut stage: Vec<u8> = Vec::with_capacity(
+                    STAGE_BYTES.min(rows.size_hint().0.saturating_mul(page_size)),
+                );
+                // Index entries of the staged run, published once it is on
+                // disk: (row id, page offset within the run, byte length).
+                let mut staged: Vec<(usize, usize, usize)> = Vec::new();
+                let mut flush = |stage: &mut Vec<u8>, staged: &mut Vec<(usize, usize, usize)>| {
+                    let first_page = file.append_pages(stage)?;
+                    for &(id, page, len) in staged.iter() {
+                        index.insert(id, (first_page + page, len));
+                    }
+                    stage.clear();
+                    staged.clear();
+                    Ok::<(), FsmError>(())
+                };
+                for (id, bytes) in rows {
+                    let bytes = bytes.as_ref();
+                    staged.push((id, stage.len() / page_size, bytes.len()));
+                    stage.extend_from_slice(bytes);
+                    let pages = bytes.len().div_ceil(page_size).max(1);
+                    stage.resize(stage.len() - bytes.len() + pages * page_size, 0);
+                    if stage.len() >= STAGE_BYTES {
+                        flush(&mut stage, &mut staged)?;
+                    }
                 }
-                if bytes.is_empty() {
-                    file.append_page(&[])?;
-                }
-                index.insert(id, (first_page, bytes.len()));
-                Ok(())
+                flush(&mut stage, &mut staged)
             }
         }
     }
@@ -216,16 +277,18 @@ impl RowStore {
                 let &(first_page, len) = index
                     .get(&id)
                     .ok_or_else(|| FsmError::corrupt(format!("row {id} not present")))?;
-                out.reserve(len);
-                let mut remaining = len;
-                let mut page = first_page;
-                while remaining > 0 {
-                    let buf = file.read_page(page)?;
-                    let take = remaining.min(self.page_size);
-                    out.extend_from_slice(&buf[..take]);
-                    remaining -= take;
-                    page += 1;
+                // The row's pages land in `out` itself, padding included;
+                // the padding is cut off once every page has verified, and
+                // a page that does not leaves `out` empty.
+                let page_size = self.page_size;
+                out.resize(len.div_ceil(page_size) * page_size, 0);
+                for (page, buf) in out.chunks_exact_mut(page_size).enumerate() {
+                    if let Err(err) = file.read_page_into(first_page + page, buf) {
+                        out.clear();
+                        return Err(err);
+                    }
                 }
+                out.truncate(len);
                 Ok(())
             }
         }
@@ -265,34 +328,19 @@ impl RowStore {
         I: IntoIterator<Item = (usize, &'a [u8])>,
     {
         match &mut self.inner {
-            Inner::Memory { rows: map } => {
-                map.clear();
-                for (id, bytes) in rows {
-                    map.insert(id, bytes.to_vec());
-                }
-                Ok(())
-            }
+            Inner::Memory { rows: map } => map.clear(),
             Inner::Disk { file, index, .. } => {
                 file.clear()?;
                 index.clear();
-                for (id, bytes) in rows {
-                    let first_page = file.num_pages();
-                    for chunk in bytes.chunks(self.page_size) {
-                        file.append_page(chunk)?;
-                    }
-                    if bytes.is_empty() {
-                        file.append_page(&[])?;
-                    }
-                    index.insert(id, (first_page, bytes.len()));
-                }
-                Ok(())
             }
         }
+        self.put_rows(rows)
     }
 
     /// Bytes held in main memory by this store.
     ///
-    /// For the disk backend this is only the (small) page index — the payload
+    /// For the disk backend this is only the (small) row index plus the
+    /// page file's in-memory checksum table (4 B per page) — the payload
     /// lives on disk, which is exactly the distinction the paper's space
     /// experiment draws.
     pub fn resident_bytes(&self) -> usize {
@@ -301,7 +349,9 @@ impl RowStore {
                 .values()
                 .map(|r| r.capacity() + std::mem::size_of::<usize>() * 2)
                 .sum(),
-            Inner::Disk { index, .. } => index.len() * std::mem::size_of::<(usize, usize, usize)>(),
+            Inner::Disk { file, index, .. } => {
+                index.len() * std::mem::size_of::<(usize, usize, usize)>() + file.resident_bytes()
+            }
         }
     }
 
@@ -383,6 +433,77 @@ mod tests {
     }
 
     #[test]
+    fn rows_are_page_aligned_whether_written_singly_in_bulk_or_in_several_runs() {
+        // 80 rows of 1000 bytes at 64-byte pages are 80 KiB of page images:
+        // more than one staged run.  The file must be the same row-by-row
+        // layout — each row from a page boundary, zero-padded, an empty row
+        // one empty page — whichever write call produced it.
+        let page_size = 64usize;
+        let payload = |id: usize| -> Vec<u8> {
+            match id % 5 {
+                0 => Vec::new(),
+                _ => (0..1000).map(|b| (b * 31 + id) as u8).collect(),
+            }
+        };
+        let ids: Vec<usize> = (0..80).rev().collect();
+        let mut expected = Vec::new();
+        for &id in &ids {
+            let bytes = payload(id);
+            let pages = bytes.len().div_ceil(page_size).max(1);
+            let start = expected.len();
+            expected.extend_from_slice(&bytes);
+            expected.resize(start + pages * page_size, 0);
+        }
+        assert!(
+            expected.len() > STAGE_BYTES,
+            "the bulk write must span runs"
+        );
+
+        let dir = TempDir::new("rowstore-layout").unwrap();
+        let rows: Vec<(usize, Vec<u8>)> = ids.iter().map(|&id| (id, payload(id))).collect();
+        type Write = fn(&mut RowStore, &[(usize, Vec<u8>)]);
+        let write: [(&str, Write); 3] = [
+            ("put_row", |store, rows| {
+                for (id, bytes) in rows {
+                    store.put_row(*id, bytes).unwrap();
+                }
+            }),
+            ("put_rows", |store, rows| {
+                store.put_rows(rows.iter().map(|(id, b)| (*id, b))).unwrap();
+            }),
+            ("rewrite_all", |store, rows| {
+                store.put_row(999, b"replaced by the rewrite").unwrap();
+                store
+                    .rewrite_all(rows.iter().map(|(id, b)| (*id, b.as_slice())))
+                    .unwrap();
+            }),
+        ];
+        for (name, write) in write {
+            let path = dir.file(&format!("{name}.pages"));
+            let mut store =
+                RowStore::with_page_size(StorageBackend::DiskAt(path.clone()), page_size).unwrap();
+            write(&mut store, &rows);
+            assert_eq!(std::fs::read(&path).unwrap(), expected, "{name}");
+            assert_eq!(store.num_rows(), ids.len(), "{name}");
+            for &id in &ids {
+                assert_eq!(store.get_row(id).unwrap(), payload(id), "{name}: row {id}");
+            }
+            store.verify_pages().unwrap();
+            // Reopened from its exported index, the file serves the same rows.
+            let entries = store.row_entries().unwrap();
+            drop(store);
+            let mut reopened = RowStore::open_existing(path, page_size, entries).unwrap();
+            for &id in &ids {
+                assert_eq!(
+                    reopened.get_row(id).unwrap(),
+                    payload(id),
+                    "{name}: row {id}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn disk_backend_keeps_payload_out_of_memory() {
         let mut store = RowStore::with_page_size(StorageBackend::DiskTemp, 64).unwrap();
         store.put_row(0, &[1u8; 10_000]).unwrap();
@@ -431,9 +552,16 @@ mod tests {
             store.put_row(0, b"short").unwrap();
             store.sync_all().unwrap();
         }
-        // Claim a row that needs more pages than the file holds.
-        let err = RowStore::open_existing(path, 16, vec![(0, 0, 64)]).unwrap_err();
-        assert!(err.to_string().contains("row 0"), "unexpected: {err}");
+        // Claim a row that needs more pages than the file holds — and one
+        // whose first page a hostile checkpoint put where the sum overflows.
+        for entry in [(0, 0, 64), (0, usize::MAX, 5), (0, usize::MAX - 1, 64)] {
+            let err = RowStore::open_existing(path.clone(), 16, vec![entry]).unwrap_err();
+            assert!(
+                matches!(err, FsmError::CorruptArtifact { .. })
+                    && err.to_string().contains("row 0"),
+                "{entry:?}: unexpected {err}"
+            );
+        }
     }
 
     #[test]

@@ -34,14 +34,25 @@
 //!   concatenates the row's chunks into a flat row
 //!   ([`BitVec::extend_from_bitvec`]), fetching each through a budgeted
 //!   decoded-chunk cache ([`crate::ChunkCache`],
-//!   [`SegmentedWindowStore::set_cache_budget`]).  Segments are immutable,
-//!   so cached chunks stay valid until their segment is popped, and with a
-//!   budget covering the window a steady-state scan re-fetches only the
-//!   pages a window slide invalidated.  The budget buys page reads, never
-//!   assembly.  Page fetches are counted in
+//!   [`SegmentedWindowStore::set_cache_budget`]).  The cache is
+//!   **write-through**: [`SegmentedWindowStore::push_segment`] offers every
+//!   chunk it has written to the cache (admit-if-room), and a read miss
+//!   offers what it decoded the same way.  Segments are immutable,
+//!   so cached chunks stay valid until their segment is popped — which is
+//!   also what makes room: a slide pops before it pushes, so the leaving
+//!   segment's bytes admit the entering one's chunks.  With a budget
+//!   covering the window a steady-state scan therefore fetches **no** pages;
+//!   with a smaller one it fetches exactly the chunks that never fitted.
+//!   A cached chunk is the value that was written, so serving it is what a
+//!   hit has always been; whatever is *not* served from the cache is read
+//!   from the segment's page file, every page CRC-verified before a byte of
+//!   it is decoded (tight budgets, budget 0,
+//!   [`SegmentedWindowStore::verify_segments`], recovery).  The budget buys
+//!   page reads, never assembly.  Page fetches are counted in
 //!   [`SegmentedWindowStore::pages_read`], cache hits in
 //!   [`SegmentedWindowStore::cache_stats`]; a zero budget (the default)
-//!   disables the cache and reproduces fully-eager reads byte for byte.
+//!   disables the cache — nothing is admitted, at write or at read — and
+//!   reproduces fully-eager reads byte for byte.
 //! * [`SegmentedWindowStore::generation`] is a monotonic counter bumped by
 //!   every segment append or drop, so cached derivations of the window (the
 //!   DSMatrix row cache) can tag themselves with the store state they
@@ -239,9 +250,9 @@ enum Placement {
 /// Everything a disk chunk read touches, kept together so the read surfaces
 /// can borrow it beside the segment queue: the buffers are reused across
 /// calls, so a scan over many rows performs no steady-state allocation.
-/// (`push_segment` serialises through the same `buf` and `page_size`.)
+/// (`push_segment` admits to the same `cache` and writes `page_size` pages.)
 struct ChunkReader {
-    /// Reusable (de)serialisation buffer for row chunks.
+    /// Reusable buffer a row chunk's pages are read into.
     buf: Vec<u8>,
     /// Reusable decoded chunk (what [`ChunkReader::read`] decodes into).
     chunk: BitVec,
@@ -266,7 +277,8 @@ impl ChunkReader {
 
     /// Reads row `id`'s chunk of a disk segment from its paged file into the
     /// scratch chunk, bypassing the cache — the one place a chunk read
-    /// fetches, counts and decodes pages.  Admission is the caller's.
+    /// fetches, counts and decodes pages (each page CRC-verified by the
+    /// store before this decodes it).  Admission is the caller's.
     fn read(&mut self, store: &mut RowStore, id: usize) -> Result<&BitVec> {
         store.get_row_into(id, &mut self.buf)?;
         self.pages_read += pages_for(self.buf.len(), self.page_size);
@@ -418,7 +430,10 @@ impl SegmentedWindowStore {
     ///
     /// This is the only write path of the store; its cost — and the counter
     /// increments it performs — are proportional to the chunks passed in,
-    /// never to data already stored.
+    /// never to data already stored.  On the disk backends the segment's
+    /// pages reach its file as one run ([`RowStore::put_rows`]; when this
+    /// returns every page and checksum has been handed to the operating
+    /// system) and each chunk written is then offered to the chunk cache.
     pub fn push_segment<'a, I>(&mut self, cols: usize, rows: I) -> Result<()>
     where
         I: IntoIterator<Item = (usize, &'a BitVec)>,
@@ -450,12 +465,20 @@ impl SegmentedWindowStore {
                     StorageBackend::DiskAt(path.clone()),
                     self.reader.page_size,
                 )?;
-                for (row, chunk) in rows {
+                let rows: Vec<(usize, &BitVec)> = rows.into_iter().collect();
+                store.put_rows(rows.iter().map(|&(row, chunk)| {
                     debug_assert_eq!(chunk.len(), cols, "row chunk must span the segment");
-                    chunk.write_bytes(&mut self.reader.buf);
-                    store.put_row(row, &self.reader.buf)?;
+                    (row, chunk.to_bytes())
+                }))?;
+                // Write-through: once the segment is on disk each chunk is
+                // offered to the cache (admit-if-room, the charge a read
+                // miss would pay), so the mine that follows finds the
+                // entering segment as warm as the budget allows instead of
+                // re-reading pages this call has just written.
+                for &(row, chunk) in &rows {
                     self.stats.rows_written += 1;
                     self.stats.words_written += 1 + chunk.len().div_ceil(WORD_BITS) as u64;
+                    self.reader.cache.insert(id, row, chunk);
                 }
                 (
                     SegmentRows::Disk {
@@ -1440,54 +1463,167 @@ mod tests {
 
     #[test]
     fn steady_state_reads_are_bounded_by_the_slide() {
-        let mut store = SegmentedWindowStore::open(StorageBackend::DiskTemp).unwrap();
-        store.set_cache_budget(usize::MAX);
         let rows = 8usize;
         let wide = bv(&"10".repeat(40));
-        let scan = |store: &mut SegmentedWindowStore| {
-            let mut row = BitVec::new();
-            for id in 0..rows {
-                store.assemble_row(id, &mut row).unwrap();
-            }
-        };
-        for id in 0..4u64 {
-            let _ = id;
+        let push = |store: &mut SegmentedWindowStore| {
             store
                 .push_segment(80, (0..rows).map(|r| (r, &wide)))
                 .unwrap();
-        }
-        scan(&mut store); // cold scan: every chunk is fetched once
-        let cold = store.pages_read();
-        assert!(cold > 0);
-        scan(&mut store); // warm scan: all hits, zero new pages
-        assert_eq!(store.pages_read(), cold);
+        };
+        // One scan of the window; returns (cache hits, pages read) it cost.
+        let scan = |store: &mut SegmentedWindowStore| {
+            let (hits, pages) = (store.cache_stats().hits, store.pages_read());
+            let mut row = BitVec::new();
+            for id in 0..rows {
+                store.assemble_row(id, &mut row).unwrap();
+                assert_eq!(row.count_ones(), 40 * store.num_segments() as u64);
+            }
+            (store.cache_stats().hits - hits, store.pages_read() - pages)
+        };
 
-        // One slide (push + pop), then a scan: only the entering segment's
-        // chunks are fetched — the incremental read bound.
-        store
-            .push_segment(80, (0..rows).map(|r| (r, &wide)))
-            .unwrap();
+        // A budget covering the window: the pushes themselves warmed the
+        // cache, so not even the first scan reads a page — and neither does
+        // the scan after a slide.
+        let mut store = SegmentedWindowStore::open(StorageBackend::DiskTemp).unwrap();
+        store.set_cache_budget(usize::MAX);
+        for _ in 0..4 {
+            push(&mut store);
+        }
+        assert_eq!(scan(&mut store), (4 * rows as u64, 0), "first scan");
+        assert_eq!(scan(&mut store), (4 * rows as u64, 0), "second scan");
         store.pop_segment().unwrap();
-        scan(&mut store);
-        let after_slide = store.pages_read();
-        assert_eq!(
-            after_slide - cold,
-            rows as u64,
-            "a steady-state scan re-reads only the slide's chunks"
-        );
+        push(&mut store);
+        assert_eq!(scan(&mut store), (4 * rows as u64, 0), "after a slide");
+        assert_eq!(store.pages_read(), 0);
 
         // Budget 0 on a fresh store: every scan pays the full window again.
         let mut eager = SegmentedWindowStore::open(StorageBackend::DiskTemp).unwrap();
         for _ in 0..4 {
-            eager
-                .push_segment(80, (0..rows).map(|r| (r, &wide)))
-                .unwrap();
+            push(&mut eager);
         }
-        scan(&mut eager);
-        let once = eager.pages_read();
-        scan(&mut eager);
-        assert_eq!(eager.pages_read(), 2 * once);
-        assert_eq!(eager.cache_stats().hits, 0);
+        assert_eq!(scan(&mut eager), (0, 4 * rows as u64));
+        assert_eq!(scan(&mut eager), (0, 4 * rows as u64));
+        assert_eq!(eager.cache_stats(), ChunkCacheStats::default());
+
+        // A budget of exactly two segments' charge over a three-segment
+        // window.  The first two pushes fill it and the third is refused;
+        // from then on a slide pops before it pushes, so the room the
+        // leaving segment frees admits the entering one — and when the
+        // leaving segment held no room (it was the refused one), the
+        // entering one is refused in turn.  Nothing else ever moves.
+        let segment_charge = {
+            let mut probe = SegmentedWindowStore::open(StorageBackend::DiskTemp).unwrap();
+            probe.set_cache_budget(usize::MAX);
+            push(&mut probe);
+            probe.reader.cache.used_bytes()
+        };
+        let mut tight = SegmentedWindowStore::open(StorageBackend::DiskTemp).unwrap();
+        tight.set_cache_budget(2 * segment_charge);
+        for _ in 0..3 {
+            push(&mut tight);
+        }
+        let (cached, read) = (2 * rows as u64, rows as u64);
+        assert_eq!(tight.cache_stats().insertions, cached);
+        assert_eq!(
+            scan(&mut tight),
+            (cached, read),
+            "segments 0 1 cached, 2 read"
+        );
+        for slide in 0..3 {
+            tight.pop_segment().unwrap();
+            push(&mut tight);
+            // Slides 0 and 1 trade a cached segment for the entering one;
+            // slide 2 pops the never-cached segment 2, frees nothing, and
+            // its entering segment is the one read from disk from then on.
+            assert_eq!(scan(&mut tight), (cached, read), "slide {slide}");
+            assert_eq!(scan(&mut tight), (cached, read), "slide {slide}, again");
+            let admitted = cached + rows as u64 * (slide as u64 + 1).min(2);
+            assert_eq!(tight.cache_stats().insertions, admitted, "slide {slide}");
+            assert_eq!(tight.reader.cache.used_bytes(), 2 * segment_charge);
+        }
+        assert_eq!(tight.cache_stats().evictions, 0);
+        assert_eq!(tight.cache_stats().invalidations, cached);
+    }
+
+    /// Bit-at-a-time CRC-32 (reflected IEEE), sharing nothing with
+    /// [`crate::checksum`]: the reference the format test checksums with.
+    fn reference_crc32(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &byte in bytes {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xEDB8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn a_segment_file_and_its_sidecar_are_the_bytewise_reference() {
+        // The on-disk format, spelled out byte by byte: per row in push
+        // order, the serialised chunk cut into pages, each page its payload
+        // then zero padding; the sidecar one little-endian CRC-32 of each
+        // padded page.  Staging a segment as one run must not move a byte.
+        let page_size = SegmentedWindowStore::SEGMENT_PAGE_SIZE;
+        let dir = TempDir::new("segstore-format").unwrap();
+        let root = dir.file("segments");
+        let mut store = SegmentedWindowStore::open(StorageBackend::DiskAt(root.clone())).unwrap();
+        let pattern = |cols: usize, salt: usize| {
+            BitVec::from_bools((0..cols).map(|c| (c * 7 + salt) % 5 < 2))
+        };
+        // Single-page chunks, pushed out of row order; chunks that span two
+        // pages and end exactly on a page boundary's far side; no rows.
+        let two_pages = (page_size + 64) * 8;
+        let segments: Vec<(usize, Vec<(usize, BitVec)>)> = vec![
+            (
+                500,
+                vec![
+                    (9, pattern(500, 1)),
+                    (2, pattern(500, 2)),
+                    (5, pattern(500, 3)),
+                ],
+            ),
+            (
+                two_pages,
+                vec![(0, pattern(two_pages, 4)), (1, pattern(two_pages, 5))],
+            ),
+            (
+                (page_size - 8) * 8,
+                vec![(3, pattern((page_size - 8) * 8, 6))],
+            ),
+            (0, vec![]),
+        ];
+        for (uid, (cols, rows)) in segments.iter().enumerate() {
+            store
+                .push_segment(*cols, rows.iter().map(|(id, chunk)| (*id, chunk)))
+                .unwrap();
+            let (mut pages, mut sidecar) = (Vec::new(), Vec::new());
+            for (_, chunk) in rows {
+                for payload in chunk.to_bytes().chunks(page_size) {
+                    let start = pages.len();
+                    pages.extend_from_slice(payload);
+                    pages.resize(start + page_size, 0);
+                    sidecar.extend_from_slice(&reference_crc32(&pages[start..]).to_le_bytes());
+                }
+            }
+            let path = root.join(format!("seg-{uid}.pages"));
+            assert_eq!(std::fs::read(&path).unwrap(), pages, "segment {uid}");
+            assert_eq!(
+                std::fs::read(crate::PagedFile::checksum_path(&path)).unwrap(),
+                sidecar,
+                "segment {uid} sidecar"
+            );
+        }
+        // The exact-fit chunk fills its page: no padding, one page.
+        assert_eq!(
+            std::fs::metadata(root.join("seg-2.pages")).unwrap().len(),
+            page_size as u64
+        );
+        store.verify_segments().unwrap();
     }
 
     #[test]
