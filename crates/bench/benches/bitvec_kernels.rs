@@ -43,17 +43,12 @@ fn intersection_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-/// Chunk-aware kernels: intersecting a flat row against a segmented row
-/// without assembling it, versus assembling into a reused buffer first and
-/// using the flat kernel.
-///
-/// This quantifies the trade the engine's defaults are built on: the
-/// streaming cursor needs no scratch memory at all, but pays per-word
-/// stitching, while splice-into-a-buffer amortises to a plain memcpy + flat
-/// AND — which is why the DSMatrix keeps a spliced row *cache* as the miners'
-/// read surface and reserves the cursor for cache-less one-off reads.
-fn chunked_kernels(c: &mut Criterion) {
-    let mut group = c.benchmark_group("bitvec_chunked");
+/// Screening against a segmented row: assemble it into a reused flat buffer
+/// (one `extend_from_bitvec` per segment — a memcpy when aligned, two shifts
+/// and an OR per word when not), then the flat kernel.  This is what every
+/// disk-backend view and every epoch mine pays per row, once, before mining.
+fn assembly_kernels(c: &mut Criterion) {
+    let mut group = c.benchmark_group("bitvec_assemble");
     group.sample_size(30);
 
     for bits in [8 * 1024usize, 128 * 1024] {
@@ -70,22 +65,12 @@ fn chunked_kernels(c: &mut Criterion) {
         }
 
         group.bench_with_input(
-            BenchmarkId::new("and_count_chunked", bits),
-            &(),
-            |bench, ()| {
-                let row = store.chunked_row(0).unwrap();
-                bench.iter(|| std::hint::black_box(a.and_count_chunked(&row)))
-            },
-        );
-
-        group.bench_with_input(
             BenchmarkId::new("assemble_then_and_count", bits),
             &(),
             |bench, ()| {
-                let row = store.chunked_row(0).unwrap();
                 let mut flat = BitVec::new();
                 bench.iter(|| {
-                    row.assemble_into(&mut flat);
+                    store.assemble_row(0, &mut flat).unwrap();
                     std::hint::black_box(a.and_count(&flat))
                 })
             },
@@ -116,7 +101,7 @@ fn slide_kernels(c: &mut Criterion) {
 criterion_group!(
     benches,
     intersection_kernels,
-    chunked_kernels,
+    assembly_kernels,
     slide_kernels
 );
 criterion_main!(benches);

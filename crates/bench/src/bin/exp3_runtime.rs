@@ -89,7 +89,7 @@ fn main() {
 
     main_table(&setup);
     parallel_scaling(&setup);
-    concurrent_ingest_mine(&setup);
+    let snapshot = concurrent_ingest_mine(&setup);
     slide_cost(&setup);
     read_amplification(&setup);
     disk_read_amplification(&setup);
@@ -98,9 +98,9 @@ fn main() {
     let kernels = kernel_timings();
 
     if let Some(path) = json_out {
-        let json = render_json(&delta, &kernels);
+        let json = render_json(&delta, &kernels, &snapshot);
         std::fs::write(&path, json).expect("write --json-out file");
-        println!("wrote delta + kernel numbers to {path}");
+        println!("wrote delta + kernel + snapshot-mine numbers to {path}");
     }
 }
 
@@ -511,18 +511,33 @@ fn read_amplification(setup: &Setup) {
 /// the third claim — ingest stall ≈ 0: the writer's per-ingest latency is
 /// unchanged by the mining running underneath it, because a snapshot is
 /// `Arc`-shared segments, never a copy and never a lock the writer waits on.
-fn concurrent_ingest_mine(setup: &Setup) {
+///
+/// Both loops time their mines, so the section also records what mining a
+/// frozen epoch costs against mining the live window it froze: the median
+/// stop-the-world [`StreamMiner::mine`] and the median worker-side
+/// [`MinerSnapshot::mine`] over the same epochs (the latter while the writer
+/// ingests on another core), persisted via `--json-out`.
+fn concurrent_ingest_mine(setup: &Setup) -> Vec<SnapshotRow> {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{mpsc, Arc};
     use std::time::{Duration, Instant};
 
     println!("# Concurrent ingest + mine — epoch snapshots vs stop-the-world\n");
+    let algorithm = Algorithm::DirectVertical;
+    let median_us = |mut mines: Vec<Duration>| {
+        mines.sort();
+        mines
+            .get(mines.len() / 2)
+            .map_or(0.0, Duration::as_secs_f64)
+            * 1e6
+    };
+    let mut out = Vec::new();
     let mut suite_overlap = 0u64;
     for (workload, minsup) in &setup.workloads {
         let minsup = *minsup;
         let build = || -> StreamMiner {
             StreamMinerBuilder::new()
-                .algorithm(Algorithm::DirectVertical)
+                .algorithm(algorithm)
                 .window_batches(setup.window)
                 .min_support(minsup)
                 .backend(StorageBackend::DiskTemp)
@@ -534,7 +549,7 @@ fn concurrent_ingest_mine(setup: &Setup) {
 
         // Stop-the-world baseline: ingest waits for every mine.
         let mut sequential = build();
-        let mut seq_results = Vec::new();
+        let (mut seq_results, mut live_mines) = (Vec::new(), Vec::new());
         let (mut seq_ingest, mut seq_ingest_max) = (Duration::ZERO, Duration::ZERO);
         let seq_start = Instant::now();
         for batch in &workload.batches {
@@ -543,7 +558,9 @@ fn concurrent_ingest_mine(setup: &Setup) {
             let dt = t.elapsed();
             seq_ingest += dt;
             seq_ingest_max = seq_ingest_max.max(dt);
+            let t = Instant::now();
             seq_results.push(sequential.mine().expect("mine"));
+            live_mines.push(t.elapsed());
         }
         let seq_wall = seq_start.elapsed();
 
@@ -556,13 +573,13 @@ fn concurrent_ingest_mine(setup: &Setup) {
         // The handshake slide: the first one that evicts, or the last one
         // that still has an ingest after it on a short stream.
         let handshake = setup.window.min(workload.batches.len().saturating_sub(2));
-        let (mined, overlap) = std::thread::scope(|scope| {
+        let (mined, snapshot_mines, overlap) = std::thread::scope(|scope| {
             let (jobs, worker_jobs) = mpsc::channel::<MinerSnapshot>();
             let (announce, announced) = mpsc::channel::<()>();
             let (release, released) = mpsc::channel::<()>();
             let progress = Arc::clone(&ingested);
             let worker = scope.spawn(move || {
-                let mut mined = Vec::new();
+                let (mut mined, mut mines) = (Vec::new(), Vec::new());
                 let mut overlap = 0u64;
                 for (index, job) in worker_jobs.into_iter().enumerate() {
                     let at_snapshot = job.last_batch_id().map_or(0, |id| id + 1);
@@ -574,12 +591,14 @@ fn concurrent_ingest_mine(setup: &Setup) {
                         announce.send(()).expect("writer alive");
                         let _ = released.recv();
                     }
+                    let t = Instant::now();
                     let result = job.mine().expect("snapshot mine");
+                    mines.push(t.elapsed());
                     // Slides the writer completed while this mine ran.
                     overlap += progress.load(Ordering::Relaxed).saturating_sub(at_snapshot);
                     mined.push((job.last_batch_id(), result));
                 }
-                (mined, overlap)
+                (mined, mines, overlap)
             });
             for (index, batch) in workload.batches.iter().enumerate() {
                 let t = Instant::now();
@@ -662,13 +681,34 @@ fn concurrent_ingest_mine(setup: &Setup) {
         println!(
             "slides completed while a mine was in flight: {overlap}; \
              every epoch byte-identical to stop-the-world (asserted); \
-             ingest stall vs stop-the-world: {stall:.2}x avg\n"
+             ingest stall vs stop-the-world: {stall:.2}x avg"
         );
+        let row = SnapshotRow {
+            workload: workload.name.clone(),
+            algorithm: algorithm.key(),
+            live_mine_us: median_us(live_mines),
+            snapshot_mine_us: median_us(snapshot_mines),
+        };
+        println!(
+            "median mine per epoch: live (stop-the-world) {:.0} µs, snapshot (worker) {:.0} µs\n",
+            row.live_mine_us, row.snapshot_mine_us
+        );
+        out.push(row);
     }
     println!(
         "suite total: {suite_overlap} slides completed while a mine was in flight \
          (at least the one constructed per workload, asserted)\n"
     );
+    out
+}
+
+/// One workload's epoch-mine cost against the live mine of the same windows,
+/// persisted via `--json-out`.
+struct SnapshotRow {
+    workload: String,
+    algorithm: &'static str,
+    live_mine_us: f64,
+    snapshot_mine_us: f64,
 }
 
 /// Slide-cost section: words the incremental DSMatrix actually writes per
@@ -1111,8 +1151,9 @@ fn kernel_timings() -> Vec<KernelRow> {
 }
 
 /// Hand-rolled JSON (the workspace carries no serde): the host block, the
-/// delta section's per-workload numbers and the kernel timings.
-fn render_json(delta: &[DeltaRow], kernels: &[KernelRow]) -> String {
+/// delta section's per-workload numbers, the kernel timings and the
+/// concurrent section's live-vs-snapshot mine medians.
+fn render_json(delta: &[DeltaRow], kernels: &[KernelRow], snapshot: &[SnapshotRow]) -> String {
     let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let delta_objects: Vec<String> = delta
         .iter()
@@ -1152,10 +1193,25 @@ fn render_json(delta: &[DeltaRow], kernels: &[KernelRow]) -> String {
             )
         })
         .collect();
+    let snapshot_objects: Vec<String> = snapshot
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{\"workload\": \"{}\", \"algorithm\": \"{}\", \
+                 \"live_mine_us\": {:.1}, \"snapshot_mine_us\": {:.1}}}",
+                escape(&r.workload),
+                r.algorithm,
+                r.live_mine_us,
+                r.snapshot_mine_us
+            )
+        })
+        .collect();
     format!(
-        "{{\n  \"host\": {},\n  \"delta\": [\n{}\n  ],\n  \"kernels\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"host\": {},\n  \"delta\": [\n{}\n  ],\n  \"kernels\": [\n{}\n  ],\n  \
+         \"snapshot\": [\n{}\n  ]\n}}\n",
         host_json(),
         delta_objects.join(",\n"),
-        kernel_objects.join(",\n")
+        kernel_objects.join(",\n"),
+        snapshot_objects.join(",\n")
     )
 }

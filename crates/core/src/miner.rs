@@ -369,6 +369,11 @@ impl MinerSnapshot {
     /// byte-identical to a stop-the-world [`StreamMiner::mine`] at the same
     /// epoch; the capture/durability statistics are zero (a snapshot has no
     /// capture structure).
+    ///
+    /// Each call assembles the epoch's rows into one flat copy of the
+    /// window ([`EpochSnapshot::assemble_rows`]) and drops it on return:
+    /// nothing is memoised, so a held snapshot never grows, and `n`
+    /// simultaneous mines hold `n` copies.
     pub fn mine(&self) -> Result<MiningResult> {
         self.mine_with(&self.exec)
     }
@@ -377,7 +382,10 @@ impl MinerSnapshot {
     /// [`StreamMiner::mine_with`]).
     pub fn mine_with(&self, exec: &Exec) -> Result<MiningResult> {
         let start = Instant::now();
-        let view = self.snapshot.view();
+        // One flat copy of the window per in-flight mine — what a
+        // disk-backend live mine assembles — dropped when this returns.
+        let rows = self.snapshot.assemble_rows();
+        let view = self.snapshot.view(&rows);
         let raw = miners::run_algorithm_on_view(
             self.algorithm,
             &view,

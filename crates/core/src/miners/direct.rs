@@ -2,7 +2,7 @@
 
 use fsm_dsmatrix::WindowView;
 use fsm_fptree::MiningLimits;
-use fsm_storage::RowRef;
+use fsm_storage::BitVec;
 use fsm_types::{EdgeCatalog, EdgeId, EdgeSet, FrequentPattern, Result, Support};
 
 use super::{Bytes, RawMiningOutput};
@@ -33,7 +33,7 @@ use crate::scratch::ScratchArena;
 /// answer to "is adding it the canonical growth step?" (the rule and its
 /// proof are on [`Neighborhood`]), so the per-candidate work is an indexed
 /// lookup of the frequent row, one comparison, and the fused
-/// [`RowRef::and_count`] screen.  Nothing is allocated per candidate:
+/// [`BitVec::and_count`] screen.  Nothing is allocated per candidate:
 /// surviving intersections land in per-depth [`ScratchArena`] buffers, and
 /// the only per-pattern allocation is the emitted pattern itself
 /// (`crates/core/tests/alloc_regression.rs` pins that).  The fan-out over
@@ -41,8 +41,7 @@ use crate::scratch::ScratchArena;
 /// deterministically.
 ///
 /// Singleton rows are borrowed from the [`WindowView`] — the live one or a
-/// frozen [`fsm_dsmatrix::EpochSnapshot`]'s — as [`RowRef`]s (flat rows for a
-/// live view, chunk cursors for an epoch) and their supports come from
+/// frozen [`fsm_dsmatrix::EpochSnapshot`]'s — and their supports come from
 /// ingest-time counters, so setup itself materialises no window data.
 pub fn mine_direct(
     view: &WindowView<'_>,
@@ -57,8 +56,8 @@ pub fn mine_direct(
     // Frequent single edges and their rows, borrowed zero-copy from the
     // window view (supports come from ingest-time counters).  `rows` is
     // indexed by edge: `None` for an infrequent one.
-    let mut rows: Vec<Option<RowRef<'_>>> = Vec::new();
-    let mut frequent: Vec<(EdgeId, Support, RowRef<'_>)> = Vec::new();
+    let mut rows: Vec<Option<&BitVec>> = Vec::new();
+    let mut frequent: Vec<(EdgeId, Support, &BitVec)> = Vec::new();
     for (edge, support) in view.singleton_supports() {
         if support >= minsup {
             let row = view.row(edge).ok_or_else(|| {
@@ -122,9 +121,9 @@ pub fn mine_direct(
 /// `hood` is back on the same subgraph when this returns.
 #[allow(clippy::too_many_arguments)]
 fn grow(
-    rows: &[Option<RowRef<'_>>],
+    rows: &[Option<&BitVec>],
     hood: &mut Neighborhood<'_>,
-    vector: RowRef<'_>,
+    vector: &BitVec,
     minsup: Support,
     limits: MiningLimits,
     bytes: Bytes,
@@ -146,11 +145,11 @@ fn grow(
         }
         output.stats.intersections += 1;
         // Fused popcount screen: infrequent candidates never materialise.
-        let support = vector.and_count(&row);
+        let support = vector.and_count(row);
         if support < minsup {
             continue;
         }
-        let written = vector.and_into(&row, &mut buffer);
+        let written = vector.and_into(row, &mut buffer);
         debug_assert_eq!(written, support);
         hood.push(candidate)?;
         output.patterns.push(FrequentPattern::new(
@@ -167,8 +166,7 @@ fn grow(
                 base: bytes.base,
                 ancestors: live,
             };
-            let vector = RowRef::Flat(&buffer);
-            grow(rows, hood, vector, minsup, limits, below, scratch, output)?;
+            grow(rows, hood, &buffer, minsup, limits, below, scratch, output)?;
         }
         hood.pop();
     }

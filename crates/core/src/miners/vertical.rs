@@ -2,7 +2,7 @@
 
 use fsm_dsmatrix::WindowView;
 use fsm_fptree::MiningLimits;
-use fsm_storage::RowRef;
+use fsm_storage::BitVec;
 use fsm_types::{EdgeId, EdgeSet, FrequentPattern, FsmError, Result, Support};
 
 use super::{Bytes, RawMiningOutput};
@@ -19,20 +19,19 @@ use crate::scratch::ScratchArena;
 /// §3.5 post-processing step prunes the disconnected ones afterwards.
 ///
 /// Two engine-level optimisations keep the hot loop allocation-free: every
-/// candidate is screened with the fused [`RowRef::and_count`] kernel (so
+/// candidate is screened with the fused [`BitVec::and_count`] kernel (so
 /// infrequent candidates never materialise an intersection vector at all),
 /// and surviving intersections are written into a per-depth [`ScratchArena`]
-/// buffer via [`RowRef::and_into`].  The top-level fan-out over frequent
+/// buffer via [`BitVec::and_into`].  The top-level fan-out over frequent
 /// single edges runs on `exec`'s worker pool; per-edge subtrees are merged
 /// back in canonical order, so the output is identical to the sequential
 /// traversal.
 ///
-/// Rows are read through the [`WindowView`] as [`RowRef`]s — either the
-/// live view ([`fsm_dsmatrix::DsMatrix::view`]) or a frozen epoch's
+/// Rows are read through the [`WindowView`] — the live view
+/// ([`fsm_dsmatrix::DsMatrix::view`]) or a frozen epoch's
 /// ([`fsm_dsmatrix::EpochSnapshot::view`]): singleton supports come from
-/// ingest-time counters and the frequent rows are *borrowed* — flat rows
-/// from a live view, chunk cursors from an epoch — so this function itself
-/// materialises no window data at all.
+/// ingest-time counters and the frequent rows are *borrowed* from the view,
+/// so this function itself materialises no window data at all.
 pub fn mine_vertical(
     view: &WindowView<'_>,
     minsup: Support,
@@ -45,7 +44,7 @@ pub fn mine_vertical(
     // Frequent single edges with their rows borrowed from the view.  All
     // rows of one view share the same column alignment, so the intersection
     // kernels below see exactly the flat-matrix bit strings.
-    let frequent: Vec<(EdgeId, Support, RowRef<'_>)> = view
+    let frequent: Vec<(EdgeId, Support, &BitVec)> = view
         .singleton_supports()
         .into_iter()
         .filter(|(_, support)| *support >= minsup)
@@ -85,7 +84,7 @@ pub fn mine_vertical(
 /// Mines the enumeration subtree rooted at `frequent[idx]`: the singleton
 /// pattern itself plus every extension by edges after it in canonical order.
 fn mine_subtree(
-    frequent: &[(EdgeId, Support, RowRef<'_>)],
+    frequent: &[(EdgeId, Support, &BitVec)],
     idx: usize,
     minsup: Support,
     limits: MiningLimits,
@@ -102,7 +101,7 @@ fn mine_subtree(
             frequent,
             idx,
             &mut vec![*edge],
-            *row,
+            row,
             minsup,
             limits,
             Bytes {
@@ -119,15 +118,14 @@ fn mine_subtree(
 /// Depth-first extension of `prefix` (whose transaction set is `vector`) with
 /// every frequent edge after position `from` in canonical order.
 ///
-/// `vector` is a [`RowRef`] so the root level can intersect borrowed rows in
-/// whatever representation the view served (flat or chunked); deeper
-/// levels always pass flat scratch buffers.
+/// At the root `vector` is a row borrowed from the view; deeper levels pass
+/// the scratch buffer of the level above.
 #[allow(clippy::too_many_arguments)]
 fn extend(
-    frequent: &[(EdgeId, Support, RowRef<'_>)],
+    frequent: &[(EdgeId, Support, &BitVec)],
     from: usize,
     prefix: &mut Vec<EdgeId>,
-    vector: RowRef<'_>,
+    vector: &BitVec,
     minsup: Support,
     limits: MiningLimits,
     bytes: Bytes,
@@ -161,7 +159,7 @@ fn extend(
                 frequent,
                 next_idx,
                 prefix,
-                RowRef::Flat(&buffer),
+                &buffer,
                 minsup,
                 limits,
                 Bytes {

@@ -1,5 +1,5 @@
 //! Allocation regression gates for the three per-item loops of the dense
-//! step.
+//! step, and for the row assembly in front of a snapshot mine.
 //!
 //! `mine_direct`'s rustdoc and ARCHITECTURE § "Mining allocation discipline"
 //! say a screen allocates nothing and a pattern allocates only itself;
@@ -14,13 +14,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use fsm_core::{miners, DeltaMiner, Exec};
+use fsm_core::{miners, Algorithm, DeltaMiner, Exec, StreamMinerBuilder};
 use fsm_datagen::DenseGenerator;
 use fsm_dsmatrix::{DsMatrix, DsMatrixConfig};
 use fsm_fptree::MiningLimits;
 use fsm_storage::{SegmentedWindowStore, StorageBackend};
 use fsm_stream::WindowConfig;
-use fsm_types::{Batch, EdgeCatalog, Transaction};
+use fsm_types::{Batch, EdgeCatalog, MinSup, Transaction};
 
 struct CountingAlloc;
 
@@ -233,4 +233,57 @@ fn a_steady_state_memory_ingest_allocates_per_row_touched_not_per_bit() {
          own writes account for {store_allocations}: the matrix adds \
          {matrix_share}, more than a constant per ingest"
     );
+}
+
+#[test]
+fn a_sequential_snapshot_mine_adds_one_allocation_per_row_and_memoises_nothing() {
+    // The first test's window, frozen: a snapshot mine assembles its flat
+    // rows up front and then is the same enumeration.
+    let mut miner = StreamMinerBuilder::new()
+        .algorithm(Algorithm::DirectVertical)
+        .window_batches(5)
+        .min_support(MinSup::absolute(90)) // 18 % of 500
+        .backend(StorageBackend::Memory)
+        .catalog(EdgeCatalog::complete(17))
+        .build()
+        .unwrap();
+    for batch in DenseGenerator::default().generate_batches(5, 100) {
+        miner.ingest_batch(&batch).unwrap();
+    }
+    let snapshot = miner.snapshot().unwrap();
+    let exec = Exec::scoped(1);
+
+    // The enumeration alone, over the live view of the same window.
+    let catalog = EdgeCatalog::complete(17);
+    let view = miner.matrix_mut().view().unwrap();
+    let (live, enumeration) = allocations_during(|| {
+        miners::direct::mine_direct(&view, &catalog, 90, MiningLimits::UNBOUNDED, &exec)
+    });
+    let live = live.unwrap();
+
+    let (first, first_allocations) = allocations_during(|| snapshot.mine_with(&exec));
+    let first = first.unwrap();
+    let rows = snapshot.epoch().num_items() as u64;
+    assert_eq!(first.len(), live.patterns.len());
+    assert!(
+        rows >= 100 && live.stats.intersections >= 10 * rows,
+        "fixture drifted: {rows} rows, {} screens",
+        live.stats.intersections
+    );
+    // On top of the enumeration: one buffer per assembled row — sized once,
+    // not grown per segment — the row list, and the result's canonical sort.
+    let budget = enumeration + rows + 8;
+    assert!(
+        first_allocations <= budget,
+        "{first_allocations} allocations for a snapshot mine of {rows} rows whose enumeration \
+         alone makes {enumeration} (budget {budget}): the assembly allocates per segment"
+    );
+
+    // Nothing is memoised on the snapshot: the flat copy is made again, so a
+    // held snapshot's footprint is the same after any number of mines.
+    let held = snapshot.epoch().heap_bytes();
+    let (second, second_allocations) = allocations_during(|| snapshot.mine_with(&exec));
+    assert_eq!(second.unwrap().patterns(), first.patterns());
+    assert_eq!(second_allocations, first_allocations);
+    assert_eq!(snapshot.epoch().heap_bytes(), held);
 }

@@ -29,16 +29,23 @@
 //! epoch registry to leak).  Segment *files* are governed separately by the
 //! durable deferred-GC protocol; snapshots never read files.
 //!
-//! Mining a snapshot goes through [`EpochSnapshot::view`], which serves the
-//! same [`crate::WindowView`] surface the miners already consume — output is
+//! Mining a snapshot starts with [`EpochSnapshot::assemble_rows`] — every
+//! row's chunks concatenated into one flat [`RowSnapshot`], exactly what a
+//! disk-backend live mine does — and reads it through
+//! [`EpochSnapshot::view`], the same flat [`crate::WindowView`] the miners
+//! consume everywhere else.  The copy belongs to the mine, not to the
+//! snapshot: a held snapshot never grows, and each in-flight mine of it
+//! holds one window's worth of rows until it returns.  Output is
 //! byte-identical to a stop-the-world mine at the same epoch, property-tested
 //! in `crates/core/tests/epoch_agreement.rs` under real concurrent slides.
 
+use std::convert::Infallible;
 use std::sync::Arc;
 
-use fsm_storage::{ChunkedRow, EpochSegment};
+use fsm_storage::EpochSegment;
 use fsm_types::{BatchId, Support};
 
+use crate::snapshot::RowSnapshot;
 use crate::view::WindowView;
 
 /// An owned, immutable snapshot of one window epoch.
@@ -150,21 +157,36 @@ impl EpochSnapshot {
         self.segments.iter().map(|s| s.heap_bytes()).sum()
     }
 
-    /// The read surface over the frozen epoch: the same [`WindowView`] API
-    /// every miner consumes, with each row a chunk cursor over the
-    /// snapshot's segments.  `&self` — any number of views (and threads) can
-    /// read one snapshot concurrently.
-    pub fn view(&self) -> WindowView<'_> {
-        let mut rows = Vec::with_capacity(self.num_items);
-        for idx in 0..self.num_items {
-            let parts = self
-                .segments
-                .iter()
-                .map(|seg| (seg.cols(), seg.chunk(idx)))
-                .collect();
-            rows.push(ChunkedRow::from_parts(parts));
-        }
-        WindowView::new_chunked(rows, &self.supports, self.num_cols)
+    /// Assembles every row of the frozen epoch into one flat bit vector of
+    /// [`EpochSnapshot::num_transactions`] bits: each segment's chunk
+    /// appended in window order, zero-filled where the segment never saw the
+    /// row.  One allocation per row; nothing is memoised on the snapshot, so
+    /// the copy lives exactly as long as the caller keeps it.
+    pub fn assemble_rows(&self) -> RowSnapshot {
+        let Ok(rows) = RowSnapshot::assemble(self.num_items, self.num_cols, |idx, row| {
+            for segment in &self.segments {
+                match segment.chunk(idx) {
+                    Some(chunk) => row.extend_from_bitvec(chunk),
+                    None => row.resize(row.len() + segment.cols()),
+                }
+            }
+            Ok::<(), Infallible>(())
+        });
+        rows
+    }
+
+    /// The read surface over the frozen epoch: `rows` (from
+    /// [`EpochSnapshot::assemble_rows`] on this snapshot) under the epoch's
+    /// frozen supports — the same flat [`WindowView`] a live mine reads, at
+    /// offset 0.  `&self` — any number of views (and threads) can read one
+    /// snapshot concurrently.
+    pub fn view<'a>(&'a self, rows: &'a RowSnapshot) -> WindowView<'a> {
+        assert_eq!(
+            (rows.num_items(), rows.num_transactions()),
+            (self.num_items, self.num_cols),
+            "rows assembled from another epoch"
+        );
+        WindowView::new(rows.rows(), &self.supports, 0, self.num_cols)
     }
 }
 
@@ -205,6 +227,11 @@ mod tests {
                 .with_cache_budget(budget),
         )
         .unwrap()
+    }
+
+    /// [`render`] of a snapshot's flat view.
+    fn render_epoch(snap: &crate::EpochSnapshot) -> (Vec<Vec<bool>>, Vec<u64>, Vec<String>) {
+        render(&snap.view(&snap.assemble_rows()))
     }
 
     /// Every bit, every support, and one projection of a view, rendered to
@@ -249,7 +276,7 @@ mod tests {
             for b in paper_batches() {
                 m.ingest_batch(&b).unwrap();
                 let snap = m.snapshot_epoch().unwrap();
-                let from_snapshot = render(&snap.view());
+                let from_snapshot = render_epoch(&snap);
                 let live = render(&m.view().unwrap());
                 assert_eq!(from_snapshot, live, "{backend:?} budget {budget}");
                 assert_eq!(snap.num_transactions(), m.num_transactions());
@@ -280,7 +307,7 @@ mod tests {
             m.ingest_batch(&batches[0]).unwrap();
             m.ingest_batch(&batches[1]).unwrap();
             let snap = m.snapshot_epoch().unwrap();
-            let frozen = render(&snap.view());
+            let frozen = render_epoch(&snap);
 
             // The writer keeps going: a slide evicts the snapshot's oldest
             // segment, the cache is re-budgeted twice (each shrink evicts),
@@ -291,7 +318,7 @@ mod tests {
             let _ = m.view().unwrap();
 
             assert_eq!(
-                render(&snap.view()),
+                render_epoch(&snap),
                 frozen,
                 "{backend:?} budget {budget}: held snapshot must be immutable"
             );
@@ -344,11 +371,9 @@ mod tests {
         let snap = m.snapshot_epoch().unwrap();
         assert_eq!(snap.batches(), 0);
         assert_eq!(snap.last_batch_id(), None);
-        assert_eq!(snap.view().num_transactions(), 0);
-        assert!(snap
-            .view()
-            .singleton_supports()
-            .iter()
-            .all(|(_, s)| *s == 0));
+        let rows = snap.assemble_rows();
+        let view = snap.view(&rows);
+        assert_eq!(view.num_transactions(), 0);
+        assert!(view.singleton_supports().iter().all(|(_, s)| *s == 0));
     }
 }

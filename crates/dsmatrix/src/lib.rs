@@ -21,9 +21,10 @@
 //!   one window epoch ([`DsMatrix::snapshot_epoch`]): reader threads mine it
 //!   while `ingest_batch` keeps sliding on the writer side, and its segment
 //!   data is reclaimed when the last holder drops.
-//! * [`RowSnapshot`] — the demoted eager copy: retained as the reference for
-//!   the view's byte-identity tests and for callers that need an owned copy
-//!   of the window outliving the matrix.
+//! * [`RowSnapshot`] — owned flat rows of one window: what an epoch mine
+//!   assembles from the snapshot's segments and views for the duration of
+//!   the mine ([`EpochSnapshot::assemble_rows`], [`EpochSnapshot::view`]),
+//!   and what [`DsMatrix::snapshot`] copies out of the live window.
 //!
 //! # Incremental capture — and incremental reads
 //!

@@ -260,9 +260,9 @@ impl Transposer {
 /// through [`DsMatrix::view`], which on the memory backend borrows an
 /// incrementally-maintained row cache (zero-copy, same slide-proportional
 /// cost bound) and on the disk backends assembles each row once per call
-/// through the budgeted chunk cache; the other eager flat-[`BitVec`] reads
-/// ([`DsMatrix::row`], [`DsMatrix::snapshot`]) remain as the test reference,
-/// identical to the paper's conceptual matrix bit for bit.
+/// through the budgeted chunk cache; [`DsMatrix::row`] assembles one row
+/// straight from the segment store and is the test reference, identical to
+/// the paper's conceptual matrix bit for bit.
 pub struct DsMatrix {
     store: SegmentedWindowStore,
     window: SlidingWindow,
@@ -1218,23 +1218,17 @@ impl DsMatrix {
         }
     }
 
-    /// Materialises every live-window row into an immutable [`RowSnapshot`].
-    ///
-    /// Demoted from the default read path: miners now share the zero-copy
-    /// [`DsMatrix::view`].  The eager snapshot remains for callers that need
-    /// an owned copy outliving the matrix, and as the reference surface the
-    /// view's byte-identity tests compare against.
+    /// Materialises every live-window row into an immutable [`RowSnapshot`]:
+    /// an owned copy of the window that outlives the matrix, assembled from
+    /// the segment store by the routine an epoch mine assembles its rows
+    /// with.  Miners read the live window through [`DsMatrix::view`].
     pub fn snapshot(&mut self) -> Result<RowSnapshot> {
-        let mut rows = Vec::with_capacity(self.num_items);
-        for idx in 0..self.num_items {
-            let mut row = BitVec::new();
-            self.store.assemble_row(idx, &mut row)?;
-            row.resize(self.num_cols);
+        let num_cols = self.num_cols;
+        RowSnapshot::assemble(self.num_items, num_cols, |idx, row| {
             self.read_stats.rows_assembled += 1;
-            self.read_stats.words_assembled += words_of(row.len());
-            rows.push(row);
-        }
-        Ok(RowSnapshot::new(rows, self.num_cols))
+            self.read_stats.words_assembled += words_of(num_cols);
+            self.store.assemble_row(idx, row)
+        })
     }
 
     /// Reconstructs one window transaction (one column read downwards).
@@ -1642,10 +1636,7 @@ mod tests {
                 // for bit.
                 let view = budgeted.view().unwrap();
                 for (item, want) in expected.iter().enumerate() {
-                    let mut assembled = BitVec::new();
-                    view.row(EdgeId::new(item as u32))
-                        .unwrap()
-                        .assemble_into(&mut assembled);
+                    let mut assembled = view.row(EdgeId::new(item as u32)).unwrap().clone();
                     assembled.resize(view.num_transactions());
                     assert_eq!(
                         &bit_string(&assembled),

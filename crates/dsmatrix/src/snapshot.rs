@@ -1,27 +1,32 @@
-//! Eager row snapshots and reusable projection scratch space.
+//! Owned flat window rows and reusable projection scratch space.
 //!
-//! [`RowSnapshot`] copies every live-window row into an immutable,
-//! concurrently-readable block.  It used to be the only way the parallel
-//! horizontal miners could share the window; since the zero-copy
-//! [`crate::WindowView`] took over as the default read surface, the eager
-//! snapshot is retained as (a) the reference the view's byte-identity tests
-//! compare against and (b) an owned, `'static`-friendly copy for callers
-//! that need the window to outlive the matrix.  [`ProjectionScratch`] is the
-//! per-worker recycled buffer set both read surfaces project through, so
-//! steady-state projection allocates nothing.
+//! [`RowSnapshot`] is the crate's one owned flat-rows type: every row of one
+//! window, each assembled into a [`BitVec`] of exactly the window's width.
+//! It has two producers and one job.  [`crate::DsMatrix::snapshot`] copies
+//! the live window out of the segment store (an owned copy that outlives the
+//! matrix), and [`crate::EpochSnapshot::assemble_rows`] concatenates a
+//! frozen epoch's shared segment chunks — what a snapshot mine does once, up
+//! front.  Both go through [`RowSnapshot::assemble`]; reading the rows back
+//! is the ordinary [`crate::WindowView`] ([`crate::EpochSnapshot::view`]).
+//! [`ProjectionScratch`] is the per-worker recycled buffer set the view
+//! projects through, so steady-state projection allocates nothing.
 
-use fsm_storage::{BitVec, RowRef};
+use fsm_storage::BitVec;
 use fsm_types::{EdgeId, Support};
+
+const WORD_BITS: usize = 64;
 
 /// A weighted transaction list in canonical edge order — structurally the
 /// same type as `fsm_fptree::ProjectedDb`, spelled out here so the capture
 /// crate does not depend on the mining crate.
 pub type ProjectedRows = Vec<(Vec<EdgeId>, Support)>;
 
-/// An immutable copy of every live-window row, padded to a common length.
+/// An immutable copy of every row of one window, each exactly
+/// [`RowSnapshot::num_transactions`] bits long.
 ///
-/// Built by [`crate::DsMatrix::snapshot`]; all access is `&self`, so a
-/// snapshot can be shared across mining worker threads.
+/// Built by [`crate::DsMatrix::snapshot`] or
+/// [`crate::EpochSnapshot::assemble_rows`]; all access is `&self`, so the
+/// rows can be shared across mining worker threads.
 #[derive(Debug, Clone)]
 pub struct RowSnapshot {
     rows: Vec<BitVec>,
@@ -29,9 +34,27 @@ pub struct RowSnapshot {
 }
 
 impl RowSnapshot {
-    pub(crate) fn new(rows: Vec<BitVec>, num_cols: usize) -> Self {
-        debug_assert!(rows.iter().all(|r| r.len() == num_cols));
-        Self { rows, num_cols }
+    /// The one row-assembly routine: for each of `num_items` rows, one
+    /// buffer sized to `num_cols` that `fill` appends the row's chunks to
+    /// (anything it leaves short is zero-filled).
+    pub(crate) fn assemble<E>(
+        num_items: usize,
+        num_cols: usize,
+        mut fill: impl FnMut(usize, &mut BitVec) -> Result<(), E>,
+    ) -> Result<Self, E> {
+        let mut rows = Vec::with_capacity(num_items);
+        for idx in 0..num_items {
+            // The row's only allocation.  The spare word is for
+            // `BitVec::extend_from_bitvec`, which pushes one spill word past
+            // the final length before truncating to it.
+            let mut row = BitVec::zeros(num_cols + WORD_BITS);
+            row.resize(0);
+            fill(idx, &mut row)?;
+            debug_assert!(row.len() <= num_cols);
+            row.resize(num_cols);
+            rows.push(row);
+        }
+        Ok(Self { rows, num_cols })
     }
 
     /// Number of rows (domain edges) captured.
@@ -49,81 +72,28 @@ impl RowSnapshot {
         self.rows.get(item.index())
     }
 
+    pub(crate) fn rows(&self) -> &[BitVec] {
+        &self.rows
+    }
+
     /// Heap bytes held by the materialised rows (for working-set accounting:
     /// a snapshot keeps the whole window resident while it is alive).
     pub fn heap_bytes(&self) -> usize {
         self.rows.iter().map(BitVec::heap_bytes).sum()
     }
-
-    /// Supports of every row in canonical order (the row sums).
-    pub fn singleton_supports(&self) -> Vec<(EdgeId, Support)> {
-        self.rows
-            .iter()
-            .enumerate()
-            .map(|(idx, row)| (EdgeId::new(idx as u32), row.count_ones()))
-            .collect()
-    }
-
-    /// Builds the `{pivot}`-projected database into `scratch` and returns a
-    /// view of it: for every column whose pivot bit is `1`, the items
-    /// strictly *after* the pivot in canonical order, with identical suffixes
-    /// merged into weighted entries (Example 2 of the paper).
-    ///
-    /// The output is identical to [`crate::WindowView::project_into`] over
-    /// the same window (they share one body); `&self` access plus per-worker
-    /// scratch reuse make it safe and cheap to call from a parallel fan-out.
-    pub fn project_into<'a>(
-        &self,
-        pivot: EdgeId,
-        scratch: &'a mut ProjectionScratch,
-    ) -> &'a ProjectedRows {
-        project_rows_into(&self.rows, 0, pivot, scratch)
-    }
-
-    /// Convenience wrapper around [`RowSnapshot::project_into`] that
-    /// allocates its own scratch (tests, one-off callers).
-    pub fn project(&self, pivot: EdgeId) -> ProjectedRows {
-        let mut scratch = ProjectionScratch::new();
-        self.project_into(pivot, &mut scratch);
-        scratch.db
-    }
 }
 
-/// Flat-slice entry point of the shared projection body (the eager
-/// [`RowSnapshot::project_into`] case).
+/// The projection behind [`crate::WindowView::project_into`]: build the
+/// `{pivot}`-projected database into `scratch`, treating bit `c + offset` of
+/// every row as logical window column `c`.
 pub(crate) fn project_rows_into<'a>(
     rows: &[BitVec],
     offset: usize,
     pivot: EdgeId,
     scratch: &'a mut ProjectionScratch,
 ) -> &'a ProjectedRows {
-    project_row_refs_into(
-        rows.len(),
-        |idx| rows.get(idx).map(RowRef::Flat),
-        offset,
-        pivot,
-        scratch,
-    )
-}
-
-/// The one projection implementation behind every read surface
-/// ([`RowSnapshot::project_into`] and [`crate::WindowView::project_into`],
-/// whatever representation the view serves its rows in): build the
-/// `{pivot}`-projected database into `scratch`, reading row `i` through
-/// `row_of(i)` and treating bit `c + offset` of every row as logical window
-/// column `c` (the eager snapshot is exactly the `offset = 0` flat case).
-///
-/// Sharing the body is what makes the surfaces byte-identical by
-/// construction rather than by parallel maintenance.
-pub(crate) fn project_row_refs_into<'a, 'r>(
-    num_items: usize,
-    row_of: impl Fn(usize) -> Option<RowRef<'r>>,
-    offset: usize,
-    pivot: EdgeId,
-    scratch: &'a mut ProjectionScratch,
-) -> &'a ProjectedRows {
     scratch.reset();
-    let Some(pivot_row) = row_of(pivot.index()) else {
+    let Some(pivot_row) = rows.get(pivot.index()) else {
         return &scratch.db;
     };
     // All set bits sit at or past the dead prefix, so the translation to
@@ -141,10 +111,7 @@ pub(crate) fn project_row_refs_into<'a, 'r>(
     }
     // suffixes[i] collects the items of window column columns[i]; the
     // row-major sweep appends items in ascending (canonical) order.
-    for idx in pivot.index() + 1..num_items {
-        let Some(row) = row_of(idx) else {
-            continue;
-        };
+    for (idx, row) in rows.iter().enumerate().skip(pivot.index() + 1) {
         for (slot, &col) in scratch.columns.iter().enumerate() {
             if row.get(col + offset) {
                 scratch.suffixes[slot].push(EdgeId::new(idx as u32));
@@ -210,32 +177,29 @@ impl ProjectionScratch {
 mod tests {
     use super::*;
 
-    fn snapshot(rows: &[&str]) -> RowSnapshot {
-        let cols = rows.first().map(|r| r.len()).unwrap_or(0);
-        RowSnapshot::new(
-            rows.iter()
-                .map(|r| BitVec::from_bools(r.chars().map(|c| c == '1')))
-                .collect(),
-            cols,
-        )
-    }
-
     /// The paper's window E4..E9 (Example 1 after the slide).
-    fn paper_snapshot() -> RowSnapshot {
-        snapshot(&[
+    fn paper_rows() -> Vec<BitVec> {
+        [
             "111110", // a
             "001001", // b
             "101111", // c
             "110011", // d
             "010000", // e
             "110110", // f
-        ])
+        ]
+        .iter()
+        .map(|r| BitVec::from_bools(r.chars().map(|c| c == '1')))
+        .collect()
+    }
+
+    fn project(rows: &[BitVec], pivot: u32) -> ProjectedRows {
+        let mut scratch = ProjectionScratch::new();
+        project_rows_into(rows, 0, EdgeId::new(pivot), &mut scratch).clone()
     }
 
     #[test]
     fn projection_matches_example_2() {
-        let snap = paper_snapshot();
-        let db = snap.project(EdgeId::new(0));
+        let db = project(&paper_rows(), 0);
         let as_strings: Vec<(String, Support)> = db
             .iter()
             .map(|(items, c)| (items.iter().map(|e| e.symbol()).collect::<String>(), *c))
@@ -250,31 +214,41 @@ mod tests {
 
     #[test]
     fn scratch_is_reusable_across_pivots() {
-        let snap = paper_snapshot();
+        let rows = paper_rows();
         let mut scratch = ProjectionScratch::new();
         // Projecting twice through the same scratch matches fresh projections.
         for pivot in 0..6u32 {
-            let through_scratch = snap.project_into(EdgeId::new(pivot), &mut scratch).clone();
-            assert_eq!(
-                through_scratch,
-                snap.project(EdgeId::new(pivot)),
-                "pivot {pivot}"
-            );
+            let through_scratch =
+                project_rows_into(&rows, 0, EdgeId::new(pivot), &mut scratch).clone();
+            assert_eq!(through_scratch, project(&rows, pivot), "pivot {pivot}");
         }
         // Last edge projects to nothing; out-of-range pivots are empty too.
-        assert!(snap.project(EdgeId::new(5)).is_empty());
-        assert!(snap.project(EdgeId::new(99)).is_empty());
+        assert!(project(&rows, 5).is_empty());
+        assert!(project(&rows, 99).is_empty());
     }
 
     #[test]
     fn supports_match_example_5() {
-        let snap = paper_snapshot();
-        let supports = snap.singleton_supports();
+        let rows = paper_rows();
+        let snap = RowSnapshot::assemble(6, 6, |idx, out| {
+            let mut stored = rows[idx].clone();
+            if idx == 4 {
+                // Row e stops after its last set bit; the routine pads it.
+                stored.resize(2);
+            }
+            out.extend_from_bitvec(&stored);
+            Ok::<(), ()>(())
+        })
+        .unwrap();
         let expected = [5u64, 2, 5, 4, 1, 4];
         for (idx, &want) in expected.iter().enumerate() {
-            assert_eq!(supports[idx].1, want, "support of row {idx}");
+            let row = snap.row(EdgeId::new(idx as u32)).unwrap();
+            assert_eq!(row.count_ones(), want, "support of row {idx}");
+            assert_eq!(row.len(), 6, "row {idx} is padded to the window");
         }
+        assert_eq!(snap.rows(), rows.as_slice());
         assert_eq!(snap.num_items(), 6);
         assert_eq!(snap.num_transactions(), 6);
+        assert!(snap.row(EdgeId::new(6)).is_none());
     }
 }

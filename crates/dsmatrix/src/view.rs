@@ -1,21 +1,19 @@
 //! Window views: the miners' read surface over the window.
 //!
-//! [`WindowView`] replaces the eager [`crate::RowSnapshot`] as the default
-//! read path of all five miners.  A view has one of two representations:
+//! A [`WindowView`] is a slice of flat [`BitVec`] rows plus the window's
+//! singleton support counters — one representation, whoever owns the rows:
 //!
-//! * a **live** view ([`crate::DsMatrix::view`]) is a slice of flat rows on
-//!   every backend.  On the memory backend it *borrows* the matrix's
-//!   incrementally-maintained row cache — constructing a view copies
-//!   nothing, so the per-mine read cost is whatever the slide touched, not
-//!   the window size.  On the disk backends the matrix assembles each row
-//!   once per call, fetching chunks through the budgeted chunk cache (the
-//!   budget buys page reads, never assembly);
-//! * a **frozen epoch** ([`crate::EpochSnapshot::view`]) is one
-//!   [`fsm_storage::ChunkedRow`] cursor per row over the snapshot's shared
-//!   segments, so freezing an epoch copies no row.
-//!
-//! Either way the view API is identical: miners read rows as [`RowRef`]s and
-//! never know which representation they got.
+//! * a **live** view ([`crate::DsMatrix::view`]) on the memory backend
+//!   *borrows* the matrix's incrementally-maintained row cache —
+//!   constructing a view copies nothing, so the per-mine read cost is
+//!   whatever the slide touched, not the window size.  On the disk backends
+//!   the matrix assembles each row once per call, fetching chunks through
+//!   the budgeted chunk cache (the budget buys page reads, never assembly);
+//! * a **frozen epoch** ([`crate::EpochSnapshot::view`]) borrows the
+//!   [`crate::RowSnapshot`] the caller assembled from the snapshot's shared
+//!   segments ([`crate::EpochSnapshot::assemble_rows`]) — freezing an epoch
+//!   copies no row; mining one copies the window once, for the duration of
+//!   that mine.
 //!
 //! # Alignment convention
 //!
@@ -27,37 +25,29 @@
 //! bits read as zero).  Both conventions are invisible to the mining
 //! kernels:
 //!
-//! * every row shares the same `offset` (disk-backend and chunked rows
-//!   always have offset 0), so the fused AND kernels between rows — the
-//!   vertical hot loop — see identical intersections bit for bit;
+//! * every row shares the same `offset` (assembled rows — a disk-backend
+//!   view's, an epoch's — always have offset 0), so the fused AND kernels
+//!   between rows — the vertical hot loop — see identical intersections bit
+//!   for bit;
 //! * [`WindowView::project_into`] translates set-bit positions back to
-//!   logical window columns, producing output byte-identical to
-//!   [`crate::RowSnapshot::project_into`];
+//!   logical window columns;
 //! * singleton supports come from counters the matrix maintains at
 //!   ingest/evict time, not from row scans.
 
-use fsm_storage::{BitVec, ChunkedRow, RowRef};
+use fsm_storage::BitVec;
 use fsm_types::{EdgeId, Support};
 
 use crate::snapshot::{ProjectedRows, ProjectionScratch};
 
-#[derive(Debug, Clone)]
-enum ViewRows<'a> {
-    /// Every row is a flat [`BitVec`] in one shared slice (every live view).
-    Flat(&'a [BitVec]),
-    /// Every row is a cursor over borrowed segment chunks (a frozen epoch).
-    Chunked(Vec<ChunkedRow<'a>>),
-}
-
 /// An immutable, concurrently-shareable (`&self` everywhere, `Send + Sync`)
 /// read surface over the window.
 ///
-/// Built by [`crate::DsMatrix::view`] — flat rows, zero-copy on the memory
-/// backend and assembled once per call on the disk backends — or by
-/// [`crate::EpochSnapshot::view`], as chunk cursors over a frozen epoch.
+/// Built by [`crate::DsMatrix::view`] — zero-copy on the memory backend,
+/// assembled once per call on the disk backends — or by
+/// [`crate::EpochSnapshot::view`] over a frozen epoch's assembled rows.
 #[derive(Debug, Clone)]
 pub struct WindowView<'a> {
-    rows: ViewRows<'a>,
+    rows: &'a [BitVec],
     supports: &'a [Support],
     /// Dead (all-zero) bits at the front of every row.
     offset: usize,
@@ -74,34 +64,16 @@ impl<'a> WindowView<'a> {
         debug_assert_eq!(rows.len(), supports.len());
         debug_assert!(rows.iter().all(|r| r.len() <= offset + num_cols));
         Self {
-            rows: ViewRows::Flat(rows),
+            rows,
             supports,
             offset,
             num_cols,
         }
     }
 
-    pub(crate) fn new_chunked(
-        rows: Vec<ChunkedRow<'a>>,
-        supports: &'a [Support],
-        num_cols: usize,
-    ) -> Self {
-        debug_assert_eq!(rows.len(), supports.len());
-        debug_assert!(rows.iter().all(|row| row.len() == num_cols));
-        Self {
-            rows: ViewRows::Chunked(rows),
-            supports,
-            offset: 0,
-            num_cols,
-        }
-    }
-
     /// Number of rows (domain edges) visible.
     pub fn num_items(&self) -> usize {
-        match &self.rows {
-            ViewRows::Flat(rows) => rows.len(),
-            ViewRows::Chunked(rows) => rows.len(),
-        }
+        self.rows.len()
     }
 
     /// Number of columns (window transactions) visible.
@@ -118,20 +90,12 @@ impl<'a> WindowView<'a> {
     /// The aligned row of `item`: bits `[offset(), offset() + c)` hold the
     /// window's first `c` columns, everything else is zero.
     ///
-    /// All rows of one view share the same alignment, so intersecting two
-    /// rows through the [`RowRef`] kernels yields exactly the flat-matrix
-    /// intersection — this is what the vertical miners feed their hot loop,
-    /// whether the row is a borrowed flat vector or a cursor over an epoch's
-    /// chunks.
-    pub fn row(&self, item: EdgeId) -> Option<RowRef<'_>> {
-        self.row_at(item.index())
-    }
-
-    fn row_at(&self, idx: usize) -> Option<RowRef<'_>> {
-        match &self.rows {
-            ViewRows::Flat(rows) => rows.get(idx).map(RowRef::Flat),
-            ViewRows::Chunked(rows) => rows.get(idx).map(RowRef::Chunked),
-        }
+    /// All rows of one view share the same alignment, so
+    /// [`BitVec::and_count`] / [`BitVec::and_into`] between two of them
+    /// yield exactly the flat-matrix intersection — this is what the
+    /// vertical miners feed their hot loop.
+    pub fn row(&self, item: EdgeId) -> Option<&'a BitVec> {
+        self.rows.get(item.index())
     }
 
     /// The bit at logical window column `col` of `item`'s row (`false` out of
@@ -160,14 +124,10 @@ impl<'a> WindowView<'a> {
     }
 
     /// Heap bytes of the rows this view reads (the resident mining working
-    /// set; on the memory backend — and for an epoch's chunked rows, whose
-    /// chunks live in the shared segments — it is shared with the capture
-    /// structures rather than copied per mine call).
+    /// set; on the memory backend it is shared with the capture structures
+    /// rather than copied per mine call).
     pub fn heap_bytes(&self) -> usize {
-        match &self.rows {
-            ViewRows::Flat(rows) => rows.iter().map(BitVec::heap_bytes).sum(),
-            ViewRows::Chunked(rows) => rows.iter().map(ChunkedRow::heap_bytes).sum(),
-        }
+        self.rows.iter().map(BitVec::heap_bytes).sum()
     }
 
     /// Builds the `{pivot}`-projected database into `scratch` and returns a
@@ -175,20 +135,14 @@ impl<'a> WindowView<'a> {
     /// strictly *after* the pivot in canonical order, with identical suffixes
     /// merged into weighted entries (Example 2 of the paper).
     ///
-    /// Byte-identical to [`crate::RowSnapshot::project_into`] over the same
-    /// window — property-tested in `tests/view_consistency.rs`.
+    /// Checked against a projection computed naively from
+    /// [`crate::DsMatrix::row`] in `tests/view_consistency.rs`.
     pub fn project_into<'s>(
         &self,
         pivot: EdgeId,
         scratch: &'s mut ProjectionScratch,
     ) -> &'s ProjectedRows {
-        crate::snapshot::project_row_refs_into(
-            self.num_items(),
-            |idx| self.row_at(idx),
-            self.offset,
-            pivot,
-            scratch,
-        )
+        crate::snapshot::project_rows_into(self.rows, self.offset, pivot, scratch)
     }
 
     /// Convenience wrapper around [`WindowView::project_into`] that allocates

@@ -1,26 +1,29 @@
-//! The zero-copy read path must be observationally identical to the eager
-//! one.
+//! Every read surface must be observationally identical to from-scratch
+//! assembly out of the segment store ([`DsMatrix::row`], the ground truth).
 //!
-//! Three surfaces are pinned against each other on arbitrary slide
-//! sequences (uneven batches, empty batches, growing domain, both storage
-//! backends):
+//! Four surfaces are pinned against it on arbitrary slide sequences (uneven
+//! batches, empty batches, growing domain, both storage backends):
 //!
-//! * the incrementally-maintained row cache behind [`DsMatrix::view`] versus
-//!   from-scratch assembly out of the segment store ([`DsMatrix::row`], the
-//!   ground truth);
-//! * [`WindowView::project_into`] / `singleton_supports` versus the eager
-//!   [`RowSnapshot`] equivalents (byte-identical output);
-//! * the segment-direct [`DsMatrix::column`] versus reading every row.
+//! * the incrementally-maintained row cache behind [`DsMatrix::view`];
+//! * the view's counter-maintained `singleton_supports` versus the ground
+//!   truth's popcounts, and [`WindowView::project`] versus a projected
+//!   database computed naively from the ground-truth rows;
+//! * the segment-direct [`DsMatrix::column`] versus reading every row;
+//! * the flat rows an epoch mine assembles from a frozen snapshot's shared
+//!   segments ([`EpochSnapshot::assemble_rows`]), over segment widths that
+//!   straddle word boundaries.
 //!
 //! A separate test forces the cache's amortised `drop_prefix` compaction and
 //! checks the rows survive it, and the read-amplification counters are
 //! asserted directly: steady-state view construction on the memory backend
 //! materialises zero words.
 
-use fsm_dsmatrix::{DsMatrix, DsMatrixConfig};
-use fsm_storage::StorageBackend;
+use std::collections::BTreeMap;
+
+use fsm_dsmatrix::{DsMatrix, DsMatrixConfig, ProjectedRows};
+use fsm_storage::{BitVec, StorageBackend};
 use fsm_stream::WindowConfig;
-use fsm_types::{Batch, EdgeId, Transaction};
+use fsm_types::{Batch, EdgeId, Support, Transaction};
 use proptest::prelude::*;
 
 fn matrix(window: usize, backend: StorageBackend, expected: usize) -> DsMatrix {
@@ -92,6 +95,33 @@ fn store_row_string(m: &mut DsMatrix, item: u32) -> String {
         .collect()
 }
 
+/// Every known row assembled from the segment store.
+fn store_rows(m: &mut DsMatrix) -> Vec<BitVec> {
+    (0..m.num_items() as u32)
+        .map(|item| m.row(EdgeId::new(item)).unwrap())
+        .collect()
+}
+
+/// The `{pivot}`-projected database read naively off ground-truth rows: per
+/// column holding the pivot, the later items it holds; identical non-empty
+/// suffixes merged and listed in ascending order.
+fn reference_projection(rows: &[BitVec], pivot: usize) -> ProjectedRows {
+    let mut merged: BTreeMap<Vec<EdgeId>, Support> = BTreeMap::new();
+    let Some(pivot_row) = rows.get(pivot) else {
+        return Vec::new();
+    };
+    for col in pivot_row.iter_ones() {
+        let suffix: Vec<EdgeId> = (pivot + 1..rows.len())
+            .filter(|&item| rows[item].get(col))
+            .map(|item| EdgeId::new(item as u32))
+            .collect();
+        if !suffix.is_empty() {
+            *merged.entry(suffix).or_default() += 1;
+        }
+    }
+    merged.into_iter().collect()
+}
+
 /// Pins every read surface of `m` against the eager reference.
 fn assert_view_matches_eager(m: &mut DsMatrix) {
     let num_items = m.num_items();
@@ -106,21 +136,19 @@ fn assert_view_matches_eager(m: &mut DsMatrix) {
         );
     }
 
-    // 2. Counter-maintained supports equal row popcounts; projection through
-    //    the view is byte-identical to the eager snapshot's.
-    let snapshot = m.snapshot().unwrap();
+    // 2. Counter-maintained supports equal the ground truth's row popcounts;
+    //    projection through the view equals the naive one over those rows.
+    let truth = store_rows(m);
     let view = m.view().unwrap();
     assert_eq!(view.num_items(), num_items);
     assert_eq!(view.num_transactions(), num_cols);
-    assert_eq!(
-        view.singleton_supports(),
-        snapshot.singleton_supports(),
-        "supports diverged from the row sums"
-    );
-    for pivot in 0..(num_items as u32 + 2) {
+    let row_sums: Vec<Support> = truth.iter().map(BitVec::count_ones).collect();
+    let supports: Vec<Support> = view.singleton_supports().iter().map(|(_, s)| *s).collect();
+    assert_eq!(supports, row_sums, "supports diverged from the row sums");
+    for pivot in 0..(num_items + 2) {
         assert_eq!(
-            view.project(EdgeId::new(pivot)),
-            snapshot.project(EdgeId::new(pivot)),
+            view.project(EdgeId::new(pivot as u32)),
+            reference_projection(&truth, pivot),
             "projected database of pivot {pivot} diverged"
         );
     }
@@ -253,22 +281,70 @@ proptest! {
                         id
                     );
                 }
-                let snapshot = m.snapshot().unwrap();
-                let expected_supports = snapshot.singleton_supports();
-                let expected_projections: Vec<_> = (0..m.num_items() as u32)
-                    .map(|p| snapshot.project(EdgeId::new(p)))
-                    .collect();
+                let truth = store_rows(&mut m);
                 let view = m.view().unwrap();
-                prop_assert_eq!(view.singleton_supports(), expected_supports);
-                for (pivot, expected) in expected_projections.iter().enumerate() {
+                for (item, row) in truth.iter().enumerate() {
+                    prop_assert_eq!(view.support(EdgeId::new(item as u32)), row.count_ones());
+                }
+                for pivot in 0..truth.len() {
                     prop_assert_eq!(
-                        &view.project(EdgeId::new(pivot as u32)),
-                        expected,
+                        view.project(EdgeId::new(pivot as u32)),
+                        reference_projection(&truth, pivot),
                         "pivot {} after batch {}",
                         pivot,
                         id
                     );
                 }
+            }
+        }
+    }
+
+    /// The flat rows an epoch mine assembles equal the segment store's at
+    /// that epoch, bit for bit and padded to the window — over batch widths
+    /// that are not multiples of 64 (so chunks land misaligned and straddle
+    /// word boundaries), empty batches, a domain that grows mid-stream and
+    /// rows absent from some segments (zero-filled), on every backend corner.
+    #[test]
+    fn an_epochs_flat_assembly_matches_the_segment_store(
+        segments in proptest::collection::vec(
+            (0usize..140, proptest::collection::btree_set(0u32..10, 0..5)),
+            1..8,
+        ),
+        window in 1usize..4,
+    ) {
+        for mut m in corner_matrices(window, 0) {
+            for (id, (width, present)) in segments.iter().enumerate() {
+                // Deterministic per-(segment, row) bit pattern.
+                let transactions = (0..*width)
+                    .map(|col| {
+                        Transaction::from_raw(
+                            present
+                                .iter()
+                                .copied()
+                                .filter(|&item| !(col + item as usize + id).is_multiple_of(3)),
+                        )
+                    })
+                    .collect();
+                m.ingest_batch(&Batch::from_transactions(id as u64, transactions)).unwrap();
+
+                let snap = m.snapshot_epoch().unwrap();
+                let rows = snap.assemble_rows();
+                let view = snap.view(&rows);
+                prop_assert_eq!(rows.num_items(), m.num_items());
+                prop_assert_eq!(rows.num_transactions(), m.num_transactions());
+                for item in 0..m.num_items() as u32 {
+                    let flat = rows.row(EdgeId::new(item)).unwrap();
+                    prop_assert_eq!(flat.len(), m.num_transactions(), "row {} is padded", item);
+                    prop_assert_eq!(
+                        flat,
+                        &m.row(EdgeId::new(item)).unwrap(),
+                        "row {} after batch {}",
+                        item,
+                        id
+                    );
+                    prop_assert_eq!(view.support(EdgeId::new(item)), flat.count_ones());
+                }
+                prop_assert!(rows.row(EdgeId::new(m.num_items() as u32)).is_none());
             }
         }
     }

@@ -236,132 +236,6 @@ impl BitVec {
         and_count_slices(&self.words[..overlap], &other.words[..overlap])
     }
 
-    /// Word-stream twin of [`BitVec::and_count`]: counts the set bits of the
-    /// intersection of `self` with an operand given as a stream of 64-bit
-    /// words (missing trailing words read as zero).
-    ///
-    /// This is how the chunk-aware kernels consume a
-    /// [`crate::segment::ChunkedRow`] without materialising it.
-    pub fn and_count_words<I>(&self, other: I) -> u64
-    where
-        I: IntoIterator<Item = u64>,
-    {
-        let mut stream = other.into_iter();
-        let mut lanes = [0u64; LANES];
-        let mut chunks = self.words.chunks_exact(LANES);
-        for c in &mut chunks {
-            // Pull a full block; a `None` mid-block ends the stream, and the
-            // remaining lanes intersect with zero.
-            let (b0, b1, b2, b3) = (stream.next(), stream.next(), stream.next(), stream.next());
-            lanes[0] += u64::from((c[0] & b0.unwrap_or(0)).count_ones());
-            lanes[1] += u64::from((c[1] & b1.unwrap_or(0)).count_ones());
-            lanes[2] += u64::from((c[2] & b2.unwrap_or(0)).count_ones());
-            lanes[3] += u64::from((c[3] & b3.unwrap_or(0)).count_ones());
-            if b3.is_none() {
-                return lanes.iter().sum();
-            }
-        }
-        let mut count: u64 = lanes.iter().sum();
-        for &a in chunks.remainder() {
-            count += u64::from((a & stream.next().unwrap_or(0)).count_ones());
-        }
-        count
-    }
-
-    /// Word-stream twin of [`BitVec::and_into`]: writes the intersection of
-    /// `self` with a word-stream operand into `out` (reusing its buffer) and
-    /// returns the popcount of the result in the same pass.  The result has
-    /// the length of `self`.
-    pub fn and_into_words<I>(&self, other: I, out: &mut BitVec) -> u64
-    where
-        I: IntoIterator<Item = u64>,
-    {
-        out.words.clear();
-        out.words.resize(self.words.len(), 0);
-        let mut stream = other.into_iter();
-        let mut lanes = [0u64; LANES];
-        let mut chunks_d = out.words.chunks_exact_mut(LANES);
-        let mut chunks_a = self.words.chunks_exact(LANES);
-        let mut exhausted = false;
-        for (cd, ca) in (&mut chunks_d).zip(&mut chunks_a) {
-            let (b0, b1, b2, b3) = (stream.next(), stream.next(), stream.next(), stream.next());
-            let m0 = ca[0] & b0.unwrap_or(0);
-            let m1 = ca[1] & b1.unwrap_or(0);
-            let m2 = ca[2] & b2.unwrap_or(0);
-            let m3 = ca[3] & b3.unwrap_or(0);
-            lanes[0] += u64::from(m0.count_ones());
-            lanes[1] += u64::from(m1.count_ones());
-            lanes[2] += u64::from(m2.count_ones());
-            lanes[3] += u64::from(m3.count_ones());
-            cd[0] = m0;
-            cd[1] = m1;
-            cd[2] = m2;
-            cd[3] = m3;
-            if b3.is_none() {
-                exhausted = true;
-                break;
-            }
-        }
-        let mut count: u64 = lanes.iter().sum();
-        if !exhausted {
-            for (dst, &a) in chunks_d
-                .into_remainder()
-                .iter_mut()
-                .zip(chunks_a.remainder())
-            {
-                let masked = a & stream.next().unwrap_or(0);
-                count += u64::from(masked.count_ones());
-                *dst = masked;
-            }
-        }
-        out.len = self.len;
-        count
-    }
-
-    /// Fused intersection of two 64-bit word streams: makes `self` the
-    /// `len`-bit vector whose words are `a & b` (missing trailing words read
-    /// as zero) and returns its popcount in the same pass.
-    ///
-    /// This is the kernel behind the chunked-row × chunked-row (and
-    /// chunked × flat) intersections of the epoch-snapshot read path, where
-    /// *neither* operand exists as a flat vector — both sides stream their
-    /// words out of borrowed segment chunks.
-    pub fn assign_and_of_words<A, B>(&mut self, len: usize, a: A, b: B) -> u64
-    where
-        A: IntoIterator<Item = u64>,
-        B: IntoIterator<Item = u64>,
-    {
-        self.words.clear();
-        self.words.resize(len.div_ceil(WORD_BITS), 0);
-        let mut a = a.into_iter();
-        let mut b = b.into_iter();
-        let mut lanes = [0u64; LANES];
-        let mut chunks = self.words.chunks_exact_mut(LANES);
-        for cd in &mut chunks {
-            let m0 = a.next().unwrap_or(0) & b.next().unwrap_or(0);
-            let m1 = a.next().unwrap_or(0) & b.next().unwrap_or(0);
-            let m2 = a.next().unwrap_or(0) & b.next().unwrap_or(0);
-            let m3 = a.next().unwrap_or(0) & b.next().unwrap_or(0);
-            lanes[0] += u64::from(m0.count_ones());
-            lanes[1] += u64::from(m1.count_ones());
-            lanes[2] += u64::from(m2.count_ones());
-            lanes[3] += u64::from(m3.count_ones());
-            cd[0] = m0;
-            cd[1] = m1;
-            cd[2] = m2;
-            cd[3] = m3;
-        }
-        let mut count: u64 = lanes.iter().sum();
-        for dst in chunks.into_remainder() {
-            let masked = a.next().unwrap_or(0) & b.next().unwrap_or(0);
-            count += u64::from(masked.count_ones());
-            *dst = masked;
-        }
-        self.len = len;
-        self.clear_tail();
-        count
-    }
-
     /// Drops the first `n` bits, shifting the remainder towards index 0.
     ///
     /// A general in-place prefix-drop primitive (word-by-word, reusing the
@@ -462,9 +336,6 @@ impl BitVec {
 
     /// The backing 64-bit words (little-endian within each word; bits past
     /// [`BitVec::len`] are always zero).
-    ///
-    /// Exposed so chunk-level readers ([`crate::segment::ChunkedRow`]) can
-    /// stream a row's words without materialising a flat copy.
     pub fn as_words(&self) -> &[u64] {
         &self.words
     }
@@ -650,26 +521,6 @@ mod tests {
         assert_eq!(scratch.len(), 200);
     }
 
-    #[test]
-    fn assign_and_of_words_matches_and_into() {
-        let a = bv(&"110".repeat(50));
-        let b = bv(&"101".repeat(50));
-        let mut expected = BitVec::new();
-        let want = a.and_into(&b, &mut expected);
-        let mut out = BitVec::new();
-        let count = out.assign_and_of_words(
-            a.len(),
-            a.as_words().iter().copied(),
-            b.as_words().iter().copied(),
-        );
-        assert_eq!(out, expected);
-        assert_eq!(count, want);
-        // Short streams zero-fill; the result keeps the requested length.
-        let count = out.assign_and_of_words(130, a.as_words().iter().copied(), [u64::MAX]);
-        assert_eq!(out.len(), 130);
-        assert_eq!(count, a.as_words()[0].count_ones() as u64);
-    }
-
     /// Deterministic pseudo-random vector for kernel agreement tests: long
     /// enough to exercise the 4-word unrolled blocks, with a length that
     /// leaves a scalar tail.
@@ -692,23 +543,9 @@ mod tests {
             let b = lcg_bits(lb as u64 + 2, lb);
             let naive: u64 = (0..la.min(lb)).filter(|&i| a.get(i) && b.get(i)).count() as u64;
             assert_eq!(a.and_count(&b), naive, "and_count {la}x{lb}");
-            assert_eq!(a.and_count_words(b.as_words().iter().copied()), naive);
             let mut out = BitVec::new();
             assert_eq!(a.and_into(&b, &mut out), naive, "and_into {la}x{lb}");
             assert_eq!(out, a.and(&b));
-            let mut streamed = BitVec::new();
-            assert_eq!(
-                a.and_into_words(b.as_words().iter().copied(), &mut streamed),
-                naive
-            );
-            assert_eq!(streamed, out);
-            let mut assigned = BitVec::new();
-            let count = assigned.assign_and_of_words(
-                la.min(lb),
-                a.as_words().iter().copied(),
-                b.as_words().iter().copied(),
-            );
-            assert_eq!(count, naive, "assign_and_of_words {la}x{lb}");
         }
     }
 

@@ -15,11 +15,11 @@
 //! * [`SegmentedWindowStore`] — an append-friendly queue of per-batch row
 //!   segments: the DSMatrix capture path, where a window slide appends one
 //!   segment and unlinks one instead of rewriting every row (writes are
-//!   counted in [`CaptureStats`]).  On the memory backend its segments are
-//!   readable zero-copy through [`ChunkedRow`] views and the chunk-aware
-//!   `BitVec` kernels; on the disk backends rows are assembled flat, each
-//!   chunk fetched through a budgeted [`ChunkCache`] (page fetches and hits
-//!   are counted).  Miners take either representation as a [`RowRef`];
+//!   counted in [`CaptureStats`]).  A window row is read back as one flat
+//!   [`BitVec`] — the only row type this crate has — by concatenating its
+//!   per-segment chunks: decoded [`EpochSegment`] chunks on the memory
+//!   backend, and on the disk backends chunks fetched through a budgeted
+//!   [`ChunkCache`] (page fetches and hits are counted);
 //! * [`ChunkCache`] — the budgeted `(segment, row) → decoded chunk` map
 //!   behind that read path: it admits a chunk only while it has room and
 //!   never evicts to make room, so the budget buys page reads, never
@@ -64,8 +64,8 @@ pub use governor::{BudgetGovernor, BudgetLease};
 pub use paged::PagedFile;
 pub use rowstore::{RowStore, StorageBackend};
 pub use segment::{
-    remove_segment_file, scan_segment_files, CaptureStats, ChunkCursor, ChunkedRow, EpochSegment,
-    RowRef, SegmentMeta, SegmentedWindowStore,
+    remove_segment_file, scan_segment_files, CaptureStats, EpochSegment, SegmentMeta,
+    SegmentedWindowStore,
 };
 pub use spill::{Hibernation, HibernationRow, HibernationSegment};
 pub use temp::TempDir;

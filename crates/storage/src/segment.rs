@@ -20,14 +20,10 @@
 //! The write side has always been incremental; this module also keeps the
 //! *read* side from paying full-window cost:
 //!
-//! * On the memory backend, segments hold decoded [`BitVec`] chunks, so
-//!   readers can borrow a row's per-segment chunks **zero-copy**
-//!   ([`SegmentedWindowStore::chunked_row`], returning a [`ChunkedRow`]).  A
-//!   [`ChunkedRow`] streams the logical row's 64-bit words across segment
-//!   boundaries with zero-fill for segments that never saw the row, and the
-//!   chunk-aware kernels [`BitVec::and_count_chunked`] /
-//!   [`BitVec::and_into_chunked`] consume that stream without materialising
-//!   the row.
+//! * On the memory backend, segments hold decoded [`BitVec`] chunks
+//!   ([`EpochSegment`]), shared by `Arc` with every epoch snapshot that
+//!   covers them; readers that want a whole row concatenate its chunks into
+//!   a flat [`BitVec`] ([`SegmentedWindowStore::assemble_row`]).
 //! * On the disk backends a live read reaches a chunk one way:
 //!   [`SegmentedWindowStore::assemble_row`] (or
 //!   [`SegmentedWindowStore::read_segment_chunk`] for a single chunk)
@@ -656,10 +652,6 @@ impl SegmentedWindowStore {
     /// the concatenation of the row's chunk in every live segment, with
     /// zero-fill where a segment never saw the row.  The result is always
     /// exactly [`SegmentedWindowStore::num_cols`] bits long.
-    ///
-    /// This is the eager read path; memory-backend readers that only need to
-    /// scan or intersect the row should prefer the zero-copy
-    /// [`SegmentedWindowStore::chunked_row`].
     pub fn assemble_row(&mut self, id: usize, out: &mut BitVec) -> Result<()> {
         out.resize(0);
         let Self {
@@ -681,30 +673,6 @@ impl SegmentedWindowStore {
             }
         }
         Ok(())
-    }
-
-    /// Borrows row `id` as a zero-copy [`ChunkedRow`] over the live segments.
-    ///
-    /// Returns `None` on the disk backends, whose chunks are not
-    /// memory-resident — callers fall back to
-    /// [`SegmentedWindowStore::assemble_row`].
-    pub fn chunked_row(&self, id: usize) -> Option<ChunkedRow<'_>> {
-        if !self.is_memory_resident() {
-            return None;
-        }
-        let mut parts = Vec::with_capacity(self.segments.len());
-        let mut len = 0;
-        for segment in &self.segments {
-            let chunk = match &segment.rows {
-                SegmentRows::Memory(seg) => seg.chunk(id),
-                SegmentRows::Disk { .. } => {
-                    unreachable!("memory placement holds memory segments")
-                }
-            };
-            len += segment.cols;
-            parts.push((segment.cols, chunk));
-        }
-        Some(ChunkedRow { parts, len })
     }
 
     /// Publishes segment `seg` (0 = oldest live) as a shared
@@ -861,345 +829,6 @@ impl std::fmt::Debug for SegmentedWindowStore {
     }
 }
 
-/// A zero-copy view of one logical window row: the row's per-segment chunks
-/// borrowed in window order, with absent chunks standing for all-zero spans.
-///
-/// The row's flat bit string is the concatenation of the parts; the cursor
-/// returned by [`ChunkedRow::words`] streams that string as 64-bit words
-/// (stitching across misaligned segment boundaries) so kernels can consume
-/// the row without ever materialising it.
-#[derive(Debug, Clone)]
-pub struct ChunkedRow<'a> {
-    /// `(columns, chunk)` per live segment; `None` = the segment never saw
-    /// this row (reads as zeros).
-    parts: Vec<(usize, Option<&'a BitVec>)>,
-    len: usize,
-}
-
-impl<'a> ChunkedRow<'a> {
-    /// Builds a chunked row from `(columns, chunk)` parts (exposed for tests
-    /// and for readers that gather chunks themselves).
-    pub fn from_parts(parts: Vec<(usize, Option<&'a BitVec>)>) -> Self {
-        let len = parts.iter().map(|(cols, _)| cols).sum();
-        if cfg!(debug_assertions) {
-            for (cols, chunk) in &parts {
-                if let Some(chunk) = chunk {
-                    debug_assert_eq!(chunk.len(), *cols, "chunk must span its segment");
-                }
-            }
-        }
-        Self { parts, len }
-    }
-
-    /// Number of bits (live-window columns) the row spans.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` if the row spans no columns.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Heap bytes of the chunks the row borrows (shared with their owner,
-    /// the segment map — not copied per row).
-    pub fn heap_bytes(&self) -> usize {
-        self.parts
-            .iter()
-            .filter_map(|(_, chunk)| chunk.as_ref())
-            .map(|chunk| chunk.heap_bytes())
-            .sum()
-    }
-
-    /// Number of set bits — per-chunk popcounts, no assembly.
-    pub fn count_ones(&self) -> u64 {
-        self.parts
-            .iter()
-            .filter_map(|(_, chunk)| chunk.as_ref())
-            .map(|chunk| chunk.count_ones())
-            .sum()
-    }
-
-    /// Streams the row's 64-bit words in order, zero-filling absent chunks
-    /// and stitching across segment boundaries that are not word-aligned.
-    pub fn words(&self) -> ChunkCursor<'a, '_> {
-        ChunkCursor {
-            parts: &self.parts,
-            part: 0,
-            word_in_part: 0,
-            acc: 0,
-            acc_bits: 0,
-            emitted: 0,
-            total_words: self.len.div_ceil(WORD_BITS),
-        }
-    }
-
-    /// Materialises the row into `out` (cleared first) — the chunk-level twin
-    /// of [`SegmentedWindowStore::assemble_row`].
-    pub fn assemble_into(&self, out: &mut BitVec) {
-        out.resize(0);
-        for (cols, chunk) in &self.parts {
-            match chunk {
-                Some(chunk) => out.extend_from_bitvec(chunk),
-                None => out.resize(out.len() + cols),
-            }
-        }
-    }
-
-    /// The bit at position `idx` of the logical row (`false` out of range,
-    /// matching [`BitVec::get`]).  Walks the part list, so it costs
-    /// O(segments) — fine for the column-sparse projection loop, not for a
-    /// full row scan (use [`ChunkedRow::words`] there).
-    pub fn get(&self, idx: usize) -> bool {
-        let mut start = 0;
-        for (cols, chunk) in &self.parts {
-            if idx < start + cols {
-                return match chunk {
-                    Some(chunk) => chunk.get(idx - start),
-                    None => false,
-                };
-            }
-            start += cols;
-        }
-        false
-    }
-
-    /// Iterates the indices of set bits in ascending order — the chunked twin
-    /// of [`BitVec::iter_ones`], offsetting each chunk's ones by its
-    /// segment's start column.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        let mut start = 0;
-        self.parts.iter().flat_map(move |(cols, chunk)| {
-            let base = start;
-            start += cols;
-            chunk
-                .iter()
-                .flat_map(move |chunk| chunk.iter_ones().map(move |idx| base + idx))
-        })
-    }
-
-    /// Chunked × chunked twin of [`BitVec::and_count`]: popcount of the
-    /// intersection of two chunked rows, streaming both word cursors.
-    pub fn and_count_rows(&self, other: &ChunkedRow<'_>) -> u64 {
-        self.words()
-            .zip(other.words())
-            .map(|(a, b)| u64::from((a & b).count_ones()))
-            .sum()
-    }
-
-    /// Chunked × chunked twin of [`BitVec::and_into`]: writes the
-    /// intersection into `out` (reusing its buffer, result length =
-    /// `self.len()`) and returns its popcount in the same pass.
-    pub fn and_into_rows(&self, other: &ChunkedRow<'_>, out: &mut BitVec) -> u64 {
-        out.assign_and_of_words(self.len, self.words(), other.words())
-    }
-
-    /// Chunked × flat twin of [`BitVec::and_into`] with the *chunked* operand
-    /// on the left: the result takes this row's length.
-    pub fn and_into_bitvec(&self, other: &BitVec, out: &mut BitVec) -> u64 {
-        out.assign_and_of_words(self.len, self.words(), other.as_words().iter().copied())
-    }
-}
-
-/// A borrowed window row in whichever representation the read path produced:
-/// a flat [`BitVec`] (every live view: the memory-backend row cache, the
-/// disk backends' assembled rows) or a [`ChunkedRow`] over an epoch
-/// snapshot's segments.
-///
-/// The mining kernels consume rows through this enum so one miner
-/// implementation covers every backend; all four operand combinations of the
-/// fused AND kernels are provided, and both representations agree bit for bit
-/// on every accessor (missing tail bits read as zero in both).
-#[derive(Debug, Clone, Copy)]
-pub enum RowRef<'a> {
-    /// A flat bit-vector row.
-    Flat(&'a BitVec),
-    /// A row streamed out of borrowed per-segment chunks.
-    Chunked(&'a ChunkedRow<'a>),
-}
-
-impl<'a> RowRef<'a> {
-    /// Number of bits the row physically spans (flat rows may be stored
-    /// short; missing tail bits read as zero).
-    pub fn len(&self) -> usize {
-        match self {
-            RowRef::Flat(row) => row.len(),
-            RowRef::Chunked(row) => row.len(),
-        }
-    }
-
-    /// Returns `true` if the row spans no bits.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The bit at `idx` (`false` out of range).
-    pub fn get(&self, idx: usize) -> bool {
-        match self {
-            RowRef::Flat(row) => row.get(idx),
-            RowRef::Chunked(row) => row.get(idx),
-        }
-    }
-
-    /// Number of set bits.
-    pub fn count_ones(&self) -> u64 {
-        match self {
-            RowRef::Flat(row) => row.count_ones(),
-            RowRef::Chunked(row) => row.count_ones(),
-        }
-    }
-
-    /// Heap bytes of the row's backing storage (for working-set accounting;
-    /// chunked rows count the segment chunks they borrow, which are shared
-    /// with their owner rather than copied per mine).
-    pub fn heap_bytes(&self) -> usize {
-        match self {
-            RowRef::Flat(row) => row.heap_bytes(),
-            RowRef::Chunked(row) => row.heap_bytes(),
-        }
-    }
-
-    /// Iterates the indices of set bits in ascending order.
-    pub fn iter_ones(&self) -> Box<dyn Iterator<Item = usize> + 'a> {
-        match self {
-            RowRef::Flat(row) => Box::new(row.iter_ones()),
-            RowRef::Chunked(row) => Box::new(row.iter_ones()),
-        }
-    }
-
-    /// Fused popcount screen over any operand combination — the
-    /// representation-polymorphic twin of [`BitVec::and_count`].
-    pub fn and_count(&self, other: &RowRef<'_>) -> u64 {
-        match (self, other) {
-            (RowRef::Flat(a), RowRef::Flat(b)) => a.and_count(b),
-            (RowRef::Flat(a), RowRef::Chunked(b)) => a.and_count_chunked(b),
-            // AND is symmetric and missing words read as zero on both sides.
-            (RowRef::Chunked(a), RowRef::Flat(b)) => b.and_count_chunked(a),
-            (RowRef::Chunked(a), RowRef::Chunked(b)) => a.and_count_rows(b),
-        }
-    }
-
-    /// Fused intersection over any operand combination — the
-    /// representation-polymorphic twin of [`BitVec::and_into`].  The result
-    /// (always a flat vector, reusing `out`'s buffer) takes `self`'s length
-    /// and the popcount is returned in the same pass.
-    pub fn and_into(&self, other: &RowRef<'_>, out: &mut BitVec) -> u64 {
-        match (self, other) {
-            (RowRef::Flat(a), RowRef::Flat(b)) => a.and_into(b, out),
-            (RowRef::Flat(a), RowRef::Chunked(b)) => a.and_into_chunked(b, out),
-            (RowRef::Chunked(a), RowRef::Flat(b)) => a.and_into_bitvec(b, out),
-            (RowRef::Chunked(a), RowRef::Chunked(b)) => a.and_into_rows(b, out),
-        }
-    }
-
-    /// Materialises the row into `out` (cleared first) — tests and one-off
-    /// consumers; the mining hot path never calls this.
-    pub fn assemble_into(&self, out: &mut BitVec) {
-        match self {
-            RowRef::Flat(row) => {
-                out.resize(0);
-                out.extend_from_bitvec(row);
-            }
-            RowRef::Chunked(row) => row.assemble_into(out),
-        }
-    }
-}
-
-/// Word cursor over a [`ChunkedRow`]: yields the logical row's `u64` words
-/// with zero-fill, two shifts and an OR per chunk word.
-pub struct ChunkCursor<'a, 'b> {
-    parts: &'b [(usize, Option<&'a BitVec>)],
-    part: usize,
-    /// Next word to read within the current part's chunk.
-    word_in_part: usize,
-    /// Bits carried over from the previous part (low `acc_bits` bits valid).
-    acc: u64,
-    acc_bits: usize,
-    emitted: usize,
-    total_words: usize,
-}
-
-impl Iterator for ChunkCursor<'_, '_> {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
-        if self.emitted >= self.total_words {
-            return None;
-        }
-        // Fill the accumulator until it holds a whole word (or the row ends).
-        while self.acc_bits < WORD_BITS && self.part < self.parts.len() {
-            let (cols, chunk) = &self.parts[self.part];
-            let remaining_bits = cols - self.word_in_part * WORD_BITS;
-            if remaining_bits == 0 {
-                self.part += 1;
-                self.word_in_part = 0;
-                continue;
-            }
-            let take = remaining_bits.min(WORD_BITS);
-            let word = match chunk {
-                Some(chunk) => {
-                    let raw = chunk.as_words()[self.word_in_part];
-                    if take == WORD_BITS {
-                        raw
-                    } else {
-                        raw & ((1u64 << take) - 1)
-                    }
-                }
-                None => 0,
-            };
-            if self.acc_bits < WORD_BITS {
-                self.acc |= word << self.acc_bits;
-            }
-            let consumed = take.min(WORD_BITS - self.acc_bits);
-            if consumed == take {
-                // The whole chunk word fit; advance within the part.
-                if take == WORD_BITS {
-                    self.word_in_part += 1;
-                } else {
-                    self.part += 1;
-                    self.word_in_part = 0;
-                }
-                self.acc_bits += take;
-            } else {
-                // The word straddles the output boundary: emit what fits and
-                // keep the spill for the next output word.
-                let out = self.acc;
-                self.acc = word >> consumed;
-                self.acc_bits = take - consumed;
-                if take == WORD_BITS {
-                    self.word_in_part += 1;
-                } else {
-                    self.part += 1;
-                    self.word_in_part = 0;
-                }
-                self.emitted += 1;
-                return Some(out);
-            }
-        }
-        let out = self.acc;
-        self.acc = 0;
-        self.acc_bits = 0;
-        self.emitted += 1;
-        Some(out)
-    }
-}
-
-impl BitVec {
-    /// Chunk-aware twin of [`BitVec::and_count`]: counts the set bits of
-    /// `self & row` where `row` is a [`ChunkedRow`], without materialising
-    /// either the row or the intersection.
-    pub fn and_count_chunked(&self, row: &ChunkedRow<'_>) -> u64 {
-        self.and_count_words(row.words())
-    }
-
-    /// Chunk-aware twin of [`BitVec::and_into`]: writes `self & row` into
-    /// `out` (reusing its buffer) and returns the popcount of the result in
-    /// the same pass.  The result has the length of `self`.
-    pub fn and_into_chunked(&self, row: &ChunkedRow<'_>, out: &mut BitVec) -> u64 {
-        self.and_into_words(row.words(), out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1264,84 +893,28 @@ mod tests {
     }
 
     #[test]
-    fn chunked_row_streams_the_assembled_words() {
-        let mut store = SegmentedWindowStore::open(StorageBackend::Memory).unwrap();
-        // Misaligned segment widths to exercise the stitching: 3 + 70 + 64.
-        let wide = bv(&"10".repeat(35));
-        store
-            .push_segment(3, [(0, &bv("101")), (1, &bv("011"))])
-            .unwrap();
-        store.push_segment(70, [(0, &wide)]).unwrap();
-        store.push_segment(64, [(1, &bv(&"1".repeat(64)))]).unwrap();
-
-        for id in [0usize, 1, 9] {
-            let mut flat = BitVec::new();
-            store.assemble_row(id, &mut flat).unwrap();
-            let chunked = store.chunked_row(id).unwrap();
-            assert_eq!(chunked.len(), flat.len(), "row {id}");
-            assert_eq!(chunked.count_ones(), flat.count_ones(), "row {id}");
-            let streamed: Vec<u64> = chunked.words().collect();
-            assert_eq!(streamed, flat.as_words(), "row {id}");
-            let mut reassembled = BitVec::new();
-            chunked.assemble_into(&mut reassembled);
-            assert_eq!(reassembled, flat, "row {id}");
-        }
-    }
-
-    #[test]
-    fn chunked_kernels_match_flat_kernels() {
-        let mut store = SegmentedWindowStore::open(StorageBackend::Memory).unwrap();
-        store
-            .push_segment(3, [(0, &bv("101")), (1, &bv("011"))])
-            .unwrap();
-        store
-            .push_segment(70, [(0, &bv(&"10".repeat(35)))])
-            .unwrap();
-        store.push_segment(5, [(1, &bv("11011"))]).unwrap();
-
-        let mut flat0 = BitVec::new();
-        store.assemble_row(0, &mut flat0).unwrap();
-        let chunked1 = store.chunked_row(1).unwrap();
-        let mut flat1 = BitVec::new();
-        chunked1.assemble_into(&mut flat1);
-
-        assert_eq!(flat0.and_count_chunked(&chunked1), flat0.and_count(&flat1));
-        let mut out = BitVec::new();
-        let count = flat0.and_into_chunked(&chunked1, &mut out);
-        assert_eq!(out, flat0.and(&flat1));
-        assert_eq!(count, out.count_ones());
-    }
-
-    #[test]
-    fn chunked_row_is_absent_on_disk_backends() {
-        let mut store = SegmentedWindowStore::open(StorageBackend::DiskTemp).unwrap();
-        store.push_segment(2, [(0, &bv("10"))]).unwrap();
-        assert!(store.chunked_row(0).is_none());
-        // The index-level accessors still work.
-        assert_eq!(store.segment_row_ids(0).unwrap(), vec![0]);
-        let mut chunk = BitVec::new();
-        assert!(store.read_segment_chunk(0, 0, &mut chunk).unwrap());
-        assert_eq!(format!("{chunk:?}"), "BitVec[10]");
-        assert!(!store.read_segment_chunk(0, 9, &mut chunk).unwrap());
-        assert!(store.read_segment_chunk(5, 0, &mut chunk).is_err());
-    }
-
-    #[test]
     fn segment_accessors_locate_columns_and_rows() {
-        let mut store = SegmentedWindowStore::open(StorageBackend::Memory).unwrap();
-        store.push_segment(3, [(4, &bv("111"))]).unwrap();
-        store
-            .push_segment(2, [(1, &bv("01")), (4, &bv("10"))])
-            .unwrap();
-        assert_eq!(store.segment_cols(0), Some(3));
-        assert_eq!(store.segment_cols(1), Some(2));
-        assert_eq!(store.segment_cols(2), None);
-        assert_eq!(store.locate_column(0), Some((0, 0)));
-        assert_eq!(store.locate_column(2), Some((0, 2)));
-        assert_eq!(store.locate_column(3), Some((1, 0)));
-        assert_eq!(store.locate_column(4), Some((1, 1)));
-        assert_eq!(store.locate_column(5), None);
-        assert_eq!(store.segment_row_ids(1).unwrap(), vec![1, 4]);
+        for backend in backends() {
+            let mut store = SegmentedWindowStore::open(backend).unwrap();
+            store.push_segment(3, [(4, &bv("111"))]).unwrap();
+            store
+                .push_segment(2, [(1, &bv("01")), (4, &bv("10"))])
+                .unwrap();
+            assert_eq!(store.segment_cols(0), Some(3));
+            assert_eq!(store.segment_cols(1), Some(2));
+            assert_eq!(store.segment_cols(2), None);
+            assert_eq!(store.locate_column(0), Some((0, 0)));
+            assert_eq!(store.locate_column(2), Some((0, 2)));
+            assert_eq!(store.locate_column(3), Some((1, 0)));
+            assert_eq!(store.locate_column(4), Some((1, 1)));
+            assert_eq!(store.locate_column(5), None);
+            assert_eq!(store.segment_row_ids(1).unwrap(), vec![1, 4]);
+            let mut chunk = BitVec::new();
+            assert!(store.read_segment_chunk(1, 4, &mut chunk).unwrap());
+            assert_eq!(format!("{chunk:?}"), "BitVec[10]");
+            assert!(!store.read_segment_chunk(1, 9, &mut chunk).unwrap());
+            assert!(store.read_segment_chunk(5, 0, &mut chunk).is_err());
+        }
     }
 
     #[test]
@@ -1627,54 +1200,6 @@ mod tests {
     }
 
     #[test]
-    fn row_ref_kernels_agree_across_representations() {
-        let mut store = SegmentedWindowStore::open(StorageBackend::Memory).unwrap();
-        store
-            .push_segment(3, [(0, &bv("101")), (1, &bv("011"))])
-            .unwrap();
-        store
-            .push_segment(70, [(0, &bv(&"10".repeat(35)))])
-            .unwrap();
-        store.push_segment(5, [(1, &bv("11011"))]).unwrap();
-
-        let mut flat0 = BitVec::new();
-        store.assemble_row(0, &mut flat0).unwrap();
-        let mut flat1 = BitVec::new();
-        store.assemble_row(1, &mut flat1).unwrap();
-        let chunked0 = store.chunked_row(0).unwrap();
-        let chunked1 = store.chunked_row(1).unwrap();
-
-        let reference = flat0.and_count(&flat1);
-        let mut expected = BitVec::new();
-        flat0.and_into(&flat1, &mut expected);
-
-        let combos = [
-            (RowRef::Flat(&flat0), RowRef::Flat(&flat1)),
-            (RowRef::Flat(&flat0), RowRef::Chunked(&chunked1)),
-            (RowRef::Chunked(&chunked0), RowRef::Flat(&flat1)),
-            (RowRef::Chunked(&chunked0), RowRef::Chunked(&chunked1)),
-        ];
-        for (idx, (a, b)) in combos.iter().enumerate() {
-            assert_eq!(a.and_count(b), reference, "combo {idx}");
-            let mut out = BitVec::new();
-            let count = a.and_into(b, &mut out);
-            assert_eq!(count, reference, "combo {idx}");
-            assert_eq!(out, expected, "combo {idx}");
-        }
-        // Accessors agree between the two representations of the same row.
-        let (flat, chunked) = (RowRef::Flat(&flat0), RowRef::Chunked(&chunked0));
-        assert_eq!(flat.len(), chunked.len());
-        assert_eq!(flat.count_ones(), chunked.count_ones());
-        assert_eq!(
-            flat.iter_ones().collect::<Vec<_>>(),
-            chunked.iter_ones().collect::<Vec<_>>()
-        );
-        let mut from_chunked = BitVec::new();
-        chunked.assemble_into(&mut from_chunked);
-        assert_eq!(from_chunked, flat0);
-    }
-
-    #[test]
     fn memory_backend_ignores_the_cache_budget() {
         let mut store = SegmentedWindowStore::open(StorageBackend::Memory).unwrap();
         store.set_cache_budget(usize::MAX);
@@ -1684,37 +1209,6 @@ mod tests {
         store.assemble_row(0, &mut row).unwrap();
         assert_eq!(store.pages_read(), 0);
         assert_eq!(store.cache_stats(), ChunkCacheStats::default());
-    }
-
-    #[test]
-    fn epoch_segments_agree_with_assembled_rows() {
-        for backend in backends() {
-            let mut store = SegmentedWindowStore::open(backend).unwrap();
-            // Misaligned widths to exercise every chunk shape: 3 + 70 + 64.
-            store
-                .push_segment(3, [(0, &bv("101")), (1, &bv("011"))])
-                .unwrap();
-            store
-                .push_segment(70, [(0, &bv(&"10".repeat(35)))])
-                .unwrap();
-            store.push_segment(64, [(1, &bv(&"1".repeat(64)))]).unwrap();
-
-            let epochs: Vec<Arc<EpochSegment>> = (0..store.num_segments())
-                .map(|seg| store.epoch_segment(seg).unwrap())
-                .collect();
-            for id in [0usize, 1, 9] {
-                let mut flat = BitVec::new();
-                store.assemble_row(id, &mut flat).unwrap();
-                let parts: Vec<(usize, Option<&BitVec>)> = epochs
-                    .iter()
-                    .map(|seg| (seg.cols(), seg.chunk(id)))
-                    .collect();
-                let chunked = ChunkedRow::from_parts(parts);
-                assert_eq!(chunked.len(), flat.len(), "row {id}");
-                let streamed: Vec<u64> = chunked.words().collect();
-                assert_eq!(streamed, flat.as_words(), "row {id}");
-            }
-        }
     }
 
     #[test]

@@ -1,55 +1,9 @@
 //! Property-based tests for the storage substrate.
 
-use fsm_storage::{BitVec, RowStore, SegmentedWindowStore, StorageBackend};
+use fsm_storage::{BitVec, RowStore, StorageBackend};
 use proptest::prelude::*;
 
 proptest! {
-    /// A zero-copy chunked row streams exactly the words of the flat
-    /// assembly, for arbitrary (misaligned) segment widths and sparse row
-    /// membership — and the chunk-aware kernels agree with the flat ones.
-    #[test]
-    fn chunked_rows_match_flat_assembly(
-        segments in proptest::collection::vec(
-            (1usize..100, proptest::collection::btree_set(0usize..6, 0..4)),
-            1..6,
-        ),
-        probe in proptest::collection::vec(any::<bool>(), 0..300),
-    ) {
-        let mut store = SegmentedWindowStore::open(StorageBackend::Memory).unwrap();
-        for (seed, (cols, rows)) in segments.iter().enumerate() {
-            let chunks: Vec<(usize, BitVec)> = rows
-                .iter()
-                .map(|&id| {
-                    // Deterministic per-(segment, row) bit pattern.
-                    let bits = (0..*cols).map(|c| (c + id + seed) % 3 != 0);
-                    (id, BitVec::from_bools(bits))
-                })
-                .collect();
-            store
-                .push_segment(*cols, chunks.iter().map(|(id, c)| (*id, c)))
-                .unwrap();
-        }
-        let probe = BitVec::from_bools(probe);
-        for id in 0..7usize {
-            let mut flat = BitVec::new();
-            store.assemble_row(id, &mut flat).unwrap();
-            let chunked = store.chunked_row(id).unwrap();
-            prop_assert_eq!(chunked.len(), flat.len());
-            prop_assert_eq!(chunked.count_ones(), flat.count_ones());
-            let streamed: Vec<u64> = chunked.words().collect();
-            prop_assert_eq!(streamed.as_slice(), flat.as_words(), "row {}", id);
-            prop_assert_eq!(
-                probe.and_count_chunked(&chunked),
-                probe.and_count(&flat),
-                "and_count_chunked diverged on row {}", id
-            );
-            let mut via_chunks = BitVec::new();
-            let count = probe.and_into_chunked(&chunked, &mut via_chunks);
-            prop_assert_eq!(&via_chunks, &probe.and(&flat), "and_into_chunked row {}", id);
-            prop_assert_eq!(count, via_chunks.count_ones());
-        }
-    }
-
     /// `clear_range` equals clearing bit by bit, for arbitrary ranges.
     #[test]
     fn clear_range_is_a_bitwise_clear(
