@@ -7,9 +7,8 @@
 //! dense data because it only drops a prefix of every bit row.
 //!
 //! A second group benchmarks the DSMatrix *read* surface: constructing the
-//! zero-copy `WindowView` versus materialising the eager `RowSnapshot` over
-//! the same captured window (the view should cost nanoseconds regardless of
-//! window size; the snapshot scales with it).
+//! zero-copy `WindowView` over a captured memory window (it should cost
+//! nanoseconds regardless of window size).
 //!
 //! A third group benchmarks the *disk* read surface: assembling a view over
 //! a disk-backed window with the chunk cache disabled (budget 0 — every call
@@ -101,17 +100,6 @@ fn read_surface(c: &mut Criterion) {
                 b.iter(|| {
                     let view = matrix.view().unwrap();
                     std::hint::black_box(view.num_transactions())
-                })
-            },
-        );
-
-        group.bench_with_input(
-            BenchmarkId::new("snapshot_eager", &workload.name),
-            &(),
-            |b, ()| {
-                b.iter(|| {
-                    let snapshot = matrix.snapshot().unwrap();
-                    std::hint::black_box(snapshot.num_transactions())
                 })
             },
         );

@@ -2,16 +2,22 @@
 //!
 //! Expected ordering (paper): runtime(multi-tree) > runtime(single-tree ≈
 //! top-down) > runtime(vertical) > runtime(direct-vertical).  Figure 2 plots
-//! the two vertical algorithms against each other; the companion Criterion
-//! bench `fig2_vertical` produces the statistically rigorous version of that
-//! figure, while this binary prints the full table across all algorithms.
+//! the two vertical algorithms against each other (the companion Criterion
+//! bench `fig2_vertical` times just that pair); this binary prints the full
+//! table across all algorithms.
+//!
+//! Beyond the paper's table the binary keeps only what no other harness can
+//! see: thread scaling of all five algorithms, the constructed concurrent
+//! ingest + mine overlap, delta-vs-full maintenance and the kernel / checksum
+//! timings — all four persisted by `--json-out` (`BENCH_delta.json`).
+//! What a served step costs layer by layer (capture, splice, assembly, pages,
+//! cache, WAL, spill / thaw, fleet contention) is `benchmark/`'s to report,
+//! and the accounting behind those counters is asserted by tier-1 tests.
 
 use fsm_bench::report::{host_json, markdown_table, millis};
 use fsm_bench::{run_algorithm_on, run_algorithm_threaded, run_baselines_on, Workload};
 use fsm_core::{Algorithm, MinerSnapshot, StreamMiner, StreamMinerBuilder};
-use fsm_dsmatrix::{DsMatrix, DsMatrixConfig};
 use fsm_storage::{BitVec, StorageBackend};
-use fsm_stream::WindowConfig;
 use fsm_types::{Batch, MinSup};
 
 /// Shared experiment setup: every section mines the same workload suite at
@@ -88,19 +94,15 @@ fn main() {
     let setup = Setup::new(scale.unwrap_or(1), threads);
 
     main_table(&setup);
-    parallel_scaling(&setup);
+    let scaling = parallel_scaling(&setup);
     let snapshot = concurrent_ingest_mine(&setup);
-    slide_cost(&setup);
-    read_amplification(&setup);
-    disk_read_amplification(&setup);
-    durability(&setup);
     let delta = delta_mining(&setup);
     let kernels = kernel_timings();
 
     if let Some(path) = json_out {
-        let json = render_json(&delta, &kernels, &snapshot);
+        let json = render_json(&delta, &kernels, &snapshot, &scaling);
         std::fs::write(&path, json).expect("write --json-out file");
-        println!("wrote delta + kernel + snapshot-mine numbers to {path}");
+        println!("wrote delta + kernel + snapshot-mine + thread-scaling numbers to {path}");
     }
 }
 
@@ -185,310 +187,6 @@ fn main_table(setup: &Setup) {
                 "see Criterion bench for the statistically robust comparison"
             }
         );
-    }
-}
-
-/// Durability section: what WAL-before-apply costs per slide (bytes appended
-/// and fsyncs issued), what checkpoints cost in bytes, and how long crash
-/// recovery (newest checkpoint + WAL-tail replay) takes as the window grows.
-///
-/// Every row is measured: the run is "crashed" by dropping the miner without
-/// a shutdown checkpoint, recovered with [`StreamMiner::recover`], and the
-/// recovered window's patterns are asserted identical to the uninterrupted
-/// run's.  The memory backend is asserted to pay nothing — all durability
-/// counters stay zero when durability is off.
-fn durability(setup: &Setup) {
-    println!("# Durability — WAL overhead per slide, recovery time vs window size\n");
-    for (workload, minsup) in &setup.workloads {
-        let minsup = *minsup;
-        println!("## {} ({})\n", workload.name, workload.stats());
-        let mut rows = Vec::new();
-        for window in [3usize, 5, 10] {
-            let dir = fsm_storage::TempDir::new("bench-durable").expect("tempdir");
-            let build = |recover: bool| -> StreamMiner {
-                let mut builder = StreamMinerBuilder::new()
-                    .algorithm(Algorithm::DirectVertical)
-                    .window_batches(window)
-                    .min_support(minsup)
-                    .backend(StorageBackend::DiskTemp)
-                    .catalog(workload.catalog.clone())
-                    .durable(dir.path())
-                    // Not a divisor of the stream length: the final batches
-                    // live only in the WAL, so recovery really replays.
-                    .checkpoint_every(3);
-                if recover {
-                    builder = builder.recover();
-                }
-                builder.build().expect("miner")
-            };
-            let mut miner = build(false);
-            for batch in &workload.batches {
-                miner.ingest_batch(batch).expect("ingest");
-            }
-            let expected = miner.mine().expect("mine");
-            let stats = expected.stats().clone();
-            // "Crash": drop without a shutdown checkpoint; recovery has real
-            // WAL replay to do.
-            drop(miner);
-
-            let start = std::time::Instant::now();
-            let mut recovered = build(true);
-            let recovery_time = start.elapsed();
-            let report = recovered
-                .recovery_report()
-                .expect("recovered miner has a report")
-                .clone();
-            let result = recovered.mine().expect("mine recovered");
-            assert!(
-                result.same_patterns_as(&expected),
-                "recovered patterns must match the uninterrupted run: {:?}",
-                expected.diff(&result)
-            );
-
-            let slides = workload.batches.len() as u64;
-            rows.push(vec![
-                window.to_string(),
-                (stats.wal_bytes_written / slides.max(1)).to_string(),
-                format!("{:.1}", stats.fsyncs as f64 / slides.max(1) as f64),
-                stats.checkpoint_bytes.to_string(),
-                millis(recovery_time),
-                report.replayed_batches.to_string(),
-            ]);
-        }
-        println!(
-            "{}",
-            markdown_table(
-                &[
-                    "window (batches)",
-                    "WAL bytes/slide",
-                    "fsyncs/slide",
-                    "checkpoint bytes",
-                    "recovery ms",
-                    "batches replayed"
-                ],
-                &rows
-            )
-        );
-
-        // The zero-cost claim, asserted: durability off (and in particular
-        // the memory backend) adds no WAL, no fsyncs, no checkpoints.
-        let mut volatile = StreamMinerBuilder::new()
-            .algorithm(Algorithm::DirectVertical)
-            .window_batches(5)
-            .min_support(minsup)
-            .backend(StorageBackend::Memory)
-            .catalog(workload.catalog.clone())
-            .build()
-            .expect("miner");
-        for batch in &workload.batches {
-            volatile.ingest_batch(batch).expect("ingest");
-        }
-        let volatile_stats = volatile.mine().expect("mine").stats().clone();
-        assert_eq!(volatile_stats.wal_bytes_written, 0);
-        assert_eq!(volatile_stats.fsyncs, 0);
-        assert_eq!(volatile_stats.checkpoint_bytes, 0);
-        assert_eq!(volatile_stats.recovery_replayed_batches, 0);
-        println!(
-            "recovered patterns identical to the uninterrupted run (asserted); \
-             memory backend pays 0 WAL bytes, 0 fsyncs, 0 checkpoint bytes (asserted)\n"
-        );
-    }
-}
-
-/// Disk read-amplification section: pages fetched from the paged files and
-/// words assembled into flat rows per mine call on the disk backend — the
-/// uncached path (cache budget 0, the whole window re-read per mine) against
-/// the budgeted chunk cache.
-///
-/// All columns are measured via [`DsMatrix::read_stats`].  The steady-state
-/// row demonstrates write-through admission: the cache is offered every
-/// chunk as its segment is written, so under a budget covering the window a
-/// mine fetches no page at all.  The budget buys page reads, never assembly
-/// — both paths assemble the window once per mine — and the section asserts
-/// both statements instead of merely printing them.
-fn disk_read_amplification(setup: &Setup) {
-    let window = setup.window;
-    println!("# Disk read amplification — pages fetched / words assembled per mine call (disk backend)\n");
-    for (workload, _) in &setup.workloads {
-        let make = |budget: usize| {
-            DsMatrix::new(
-                DsMatrixConfig::new(
-                    WindowConfig::new(window).expect("window"),
-                    StorageBackend::DiskTemp,
-                    workload.catalog.num_edges(),
-                )
-                .with_cache_budget(budget),
-            )
-            .expect("matrix")
-        };
-        let mut eager = make(0);
-        let mut budgeted = make(usize::MAX);
-        let mut mines = 0u64;
-        // eager pages, budgeted pages, cache hits, eager words, budgeted
-        // words
-        let mut totals = [0u64; 5];
-        let mut steady = [0u64; 5]; // same, counted once the window is full
-        let mut steady_mines = 0u64;
-        for (idx, batch) in workload.batches.iter().enumerate() {
-            eager.ingest_batch(batch).expect("ingest");
-            budgeted.ingest_batch(batch).expect("ingest");
-
-            let (e0, b0) = (eager.read_stats(), budgeted.read_stats());
-            let eager_view = eager.view().expect("view");
-            assert_eq!(eager_view.num_transactions(), eager.num_transactions());
-            let budgeted_view = budgeted.view().expect("view");
-            assert_eq!(
-                budgeted_view.num_transactions(),
-                budgeted.num_transactions()
-            );
-            eager.trim_cache();
-            budgeted.trim_cache();
-            let (e1, b1) = (eager.read_stats(), budgeted.read_stats());
-
-            let delta = [
-                e1.pages_read - e0.pages_read,
-                b1.pages_read - b0.pages_read,
-                b1.cache_hits - b0.cache_hits,
-                e1.words_assembled - e0.words_assembled,
-                b1.words_assembled - b0.words_assembled,
-            ];
-            mines += 1;
-            for (total, d) in totals.iter_mut().zip(delta) {
-                *total += d;
-            }
-            if idx >= window {
-                steady_mines += 1;
-                for (total, d) in steady.iter_mut().zip(delta) {
-                    *total += d;
-                }
-            }
-        }
-        println!("## {} ({})\n", workload.name, workload.stats());
-        println!(
-            "{}",
-            markdown_table(
-                &["read path (disk)", "pages/mine", "words/mine", "hits/mine"],
-                &[
-                    vec![
-                        "uncached (budget 0)".to_string(),
-                        (totals[0] / mines.max(1)).to_string(),
-                        (totals[3] / mines.max(1)).to_string(),
-                        "0".to_string(),
-                    ],
-                    vec![
-                        "budgeted chunk cache".to_string(),
-                        (totals[1] / mines.max(1)).to_string(),
-                        (totals[4] / mines.max(1)).to_string(),
-                        (totals[2] / mines.max(1)).to_string(),
-                    ],
-                    vec![
-                        "  steady state only".to_string(),
-                        (steady[1] / steady_mines.max(1)).to_string(),
-                        (steady[4] / steady_mines.max(1)).to_string(),
-                        (steady[2] / steady_mines.max(1)).to_string(),
-                    ],
-                ]
-            )
-        );
-        // The budget buys page reads, never assembly: both paths assemble
-        // the window once per mine — cold or steady.
-        assert!(totals[3] > 0, "a disk mine assembles the window");
-        assert_eq!(
-            totals[4], totals[3],
-            "budgeted and budget-0 mines must assemble identical word counts"
-        );
-        if steady_mines > 0 {
-            assert_eq!(steady[4], steady[3]);
-            // The budget is unlimited: every chunk was admitted when its
-            // segment was written, so no steady-state mine reads a page.
-            assert_eq!(
-                steady[1], 0,
-                "budgeted steady-state mines read pages under an unlimited budget"
-            );
-            println!(
-                "steady state: 0 pages/mine under the unlimited budget (every chunk admitted as \
-                 written); budget 0 re-read {} pages/mine; both assembled {} words/mine\n",
-                steady[0] / steady_mines.max(1),
-                steady[3] / steady_mines.max(1),
-            );
-        }
-    }
-}
-
-/// Read-amplification section: words of window data the read path
-/// materialises per mine call, before/after the `WindowView` refactor.
-///
-/// The "before" column is measured, not modelled: [`DsMatrix::snapshot`] is
-/// the retained eager read path (what a disk-backend view still pays), and
-/// [`DsMatrix::read_stats`] counts the words it copies.  The view column
-/// is zero by construction on the memory backend — its cost moved to the
-/// slide-proportional cache maintenance, reported alongside so nothing
-/// hides.
-fn read_amplification(setup: &Setup) {
-    println!("# Read amplification — words materialised per mine call (read path)\n");
-    for (workload, _) in &setup.workloads {
-        let mut matrix = DsMatrix::new(DsMatrixConfig::new(
-            WindowConfig::new(setup.window).expect("window"),
-            StorageBackend::Memory,
-            workload.catalog.num_edges(),
-        ))
-        .expect("matrix");
-        let mut mines = 0u64;
-        let mut view_words = 0u64;
-        let mut snapshot_words = 0u64;
-        let mut splice_words = 0u64;
-        let mut compact_words = 0u64;
-        for batch in &workload.batches {
-            let before = matrix.read_stats();
-            matrix.ingest_batch(batch).expect("ingest");
-            let ingested = matrix.read_stats();
-            // Mine-after-slide, zero-copy path: what the view materialises.
-            let view = matrix.view().expect("view");
-            assert_eq!(view.num_transactions(), matrix.num_transactions());
-            let viewed = matrix.read_stats();
-            // The demoted eager path over the same window, for comparison.
-            let snapshot = matrix.snapshot().expect("snapshot");
-            assert_eq!(snapshot.num_transactions(), matrix.num_transactions());
-            let snapshotted = matrix.read_stats();
-
-            mines += 1;
-            splice_words += ingested.cache_splice_words - before.cache_splice_words;
-            compact_words += ingested.cache_compact_words - before.cache_compact_words;
-            view_words += viewed.words_assembled - ingested.words_assembled;
-            snapshot_words += snapshotted.words_assembled - viewed.words_assembled;
-        }
-        println!("## {} ({})\n", workload.name, workload.stats());
-        println!(
-            "{}",
-            markdown_table(
-                &["read path", "words/mine (measured)", "total words"],
-                &[
-                    vec![
-                        "window view (zero-copy)".to_string(),
-                        (view_words / mines.max(1)).to_string(),
-                        view_words.to_string(),
-                    ],
-                    vec![
-                        "  + cache splice (at ingest)".to_string(),
-                        (splice_words / mines.max(1)).to_string(),
-                        splice_words.to_string(),
-                    ],
-                    vec![
-                        "  + cache compaction (amortised)".to_string(),
-                        (compact_words / mines.max(1)).to_string(),
-                        compact_words.to_string(),
-                    ],
-                    vec![
-                        "eager snapshot (old default)".to_string(),
-                        (snapshot_words / mines.max(1)).to_string(),
-                        snapshot_words.to_string(),
-                    ],
-                ]
-            )
-        );
-        let incremental = view_words + splice_words + compact_words;
-        let ratio = snapshot_words as f64 / incremental.max(1) as f64;
-        println!("read amplification avoided: {ratio:.1}x\n");
     }
 }
 
@@ -711,76 +409,48 @@ struct SnapshotRow {
     snapshot_mine_us: f64,
 }
 
-/// Slide-cost section: words the incremental DSMatrix actually writes per
-/// window slide, against what a full-rewrite capture (re-serialising every
-/// row on every batch, the pre-segmented implementation) would have written.
-///
-/// The counters come from [`DsMatrix::capture_stats`], so the table reports
-/// measured writes, not a model; only the full-rewrite column is computed
-/// (rows x (window words + header) summed over the same slides).
-fn slide_cost(setup: &Setup) {
-    println!("# Slide cost — words written per window slide (capture path)\n");
-    for (workload, _) in &setup.workloads {
-        let mut matrix = DsMatrix::new(DsMatrixConfig::new(
-            WindowConfig::new(setup.window).expect("window"),
-            StorageBackend::DiskTemp,
-            workload.catalog.num_edges(),
-        ))
-        .expect("matrix");
-        let mut full_rewrite_words = 0u64;
-        for batch in &workload.batches {
-            matrix.ingest_batch(batch).expect("ingest");
-            // What the old capture path would have written for this slide:
-            // every row, re-serialised at the new window width.
-            let window_words = (matrix.num_transactions().div_ceil(64) + 1) as u64;
-            full_rewrite_words += matrix.num_items() as u64 * window_words;
-        }
-        let stats = matrix.capture_stats();
-        let slides = workload.batches.len() as u64;
-        println!("## {} ({})\n", workload.name, workload.stats());
-        println!(
-            "{}",
-            markdown_table(
-                &[
-                    "capture",
-                    "words/slide",
-                    "rows touched/slide",
-                    "total words"
-                ],
-                &[
-                    vec![
-                        "incremental (measured)".to_string(),
-                        (stats.words_written / slides.max(1)).to_string(),
-                        (stats.rows_written / slides.max(1)).to_string(),
-                        stats.words_written.to_string(),
-                    ],
-                    vec![
-                        "full rewrite (computed)".to_string(),
-                        (full_rewrite_words / slides.max(1)).to_string(),
-                        matrix.num_items().to_string(),
-                        full_rewrite_words.to_string(),
-                    ],
-                ]
-            )
-        );
-        let ratio = full_rewrite_words as f64 / stats.words_written.max(1) as f64;
-        println!("write amplification avoided: {ratio:.1}x\n");
-    }
+/// One algorithm's mine time at 1 worker against `threads` workers on one
+/// workload, persisted via `--json-out` with the cores the host exposed.
+struct ScalingRow {
+    workload: String,
+    algorithm: &'static str,
+    threads: usize,
+    cores: usize,
+    mine_1_thread: std::time::Duration,
+    mine_n_threads: std::time::Duration,
 }
 
-/// Parallel-scaling run: the two vertical algorithms at 1 worker versus
-/// `threads` workers over the same captured windows.
+/// Parallel-scaling run: all five algorithms at 1 worker versus `threads`
+/// workers over the same captured windows — the vertical miners fan their
+/// subtrees over the worker pool, the horizontal (FP-tree) miners their
+/// per-pivot projected databases.
 ///
-/// The pattern cap is two deeper than the main table's so that the
-/// enumeration (the parallel region) dominates the mining call rather than
-/// row loading and post-processing.
-fn parallel_scaling(setup: &Setup) {
+/// The vertical family's pattern cap is two deeper than the main table's so
+/// that the enumeration (the parallel region) dominates the mining call
+/// rather than row loading and post-processing; the horizontal family is
+/// projection-bound at the main table's cap already.  The numbers are
+/// hardware-bound: on a host that exposes fewer cores than `threads` the
+/// speedup column reads ~1.0x by construction, and the section says so.
+fn parallel_scaling(setup: &Setup) -> Vec<ScalingRow> {
     let threads = setup.threads;
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let max_len = setup.max_len.map(|m| m + 2);
-    println!("# Parallel scaling — vertical engines at {threads} threads vs 1\n");
+    let families = [
+        (
+            &[Algorithm::Vertical, Algorithm::DirectVertical][..],
+            setup.max_len.map(|m| m + 2),
+        ),
+        (
+            &[
+                Algorithm::MultiTree,
+                Algorithm::SingleTree,
+                Algorithm::TopDown,
+            ][..],
+            setup.max_len,
+        ),
+    ];
+    println!("# Parallel scaling — all five miners at {threads} threads vs 1\n");
     println!("available cores: {cores}");
     if cores < threads {
         println!(
@@ -790,43 +460,54 @@ fn parallel_scaling(setup: &Setup) {
         );
     }
     println!();
+    let mut out = Vec::new();
     for (workload, minsup) in &setup.workloads {
         println!("## {} ({})\n", workload.name, workload.stats());
         let mut rows = Vec::new();
-        for algorithm in [Algorithm::Vertical, Algorithm::DirectVertical] {
-            let timing = |workers: usize| {
-                let mut total = std::time::Duration::ZERO;
-                let mut patterns = 0;
-                for _ in 0..setup.repeats {
-                    let run = run_algorithm_threaded(
-                        workload,
-                        algorithm,
-                        setup.window,
-                        *minsup,
-                        max_len,
-                        StorageBackend::Memory,
-                        workers,
-                    )
-                    .expect("run");
-                    total += run.mining_time;
-                    patterns = run.patterns;
-                }
-                (total / setup.repeats, patterns)
-            };
-            let (sequential, patterns_seq) = timing(1);
-            let (parallel, patterns_par) = timing(threads);
-            assert_eq!(
-                patterns_seq, patterns_par,
-                "parallel run must find identical patterns"
-            );
-            let speedup = sequential.as_secs_f64() / parallel.as_secs_f64().max(1e-9);
-            rows.push(vec![
-                algorithm.key().to_string(),
-                millis(sequential),
-                millis(parallel),
-                format!("{speedup:.2}x"),
-                patterns_par.to_string(),
-            ]);
+        for (family, max_len) in families {
+            for &algorithm in family {
+                let timing = |workers: usize| {
+                    let mut total = std::time::Duration::ZERO;
+                    let mut patterns = 0;
+                    for _ in 0..setup.repeats {
+                        let run = run_algorithm_threaded(
+                            workload,
+                            algorithm,
+                            setup.window,
+                            *minsup,
+                            max_len,
+                            StorageBackend::Memory,
+                            workers,
+                        )
+                        .expect("run");
+                        total += run.mining_time;
+                        patterns = run.patterns;
+                    }
+                    (total / setup.repeats, patterns)
+                };
+                let (sequential, patterns_seq) = timing(1);
+                let (parallel, patterns_par) = timing(threads);
+                assert_eq!(
+                    patterns_seq, patterns_par,
+                    "parallel run must find identical patterns"
+                );
+                let speedup = sequential.as_secs_f64() / parallel.as_secs_f64().max(1e-9);
+                rows.push(vec![
+                    algorithm.key().to_string(),
+                    millis(sequential),
+                    millis(parallel),
+                    format!("{speedup:.2}x"),
+                    patterns_par.to_string(),
+                ]);
+                out.push(ScalingRow {
+                    workload: workload.name.clone(),
+                    algorithm: algorithm.key(),
+                    threads,
+                    cores,
+                    mine_1_thread: sequential,
+                    mine_n_threads: parallel,
+                });
+            }
         }
         println!(
             "{}",
@@ -842,6 +523,7 @@ fn parallel_scaling(setup: &Setup) {
             )
         );
     }
+    out
 }
 
 /// Steady-state slides the delta section measures per workload.
@@ -1047,9 +729,9 @@ struct KernelRow {
 }
 
 /// In-binary timing of the unrolled intersection kernels (the Criterion
-/// bench `bitvec_kernels` is the statistically rigorous version; this one is
-/// cheap enough to run in CI and to persist alongside the delta numbers) and
-/// of the page checksum.
+/// bench `bitvec_kernels` sweeps more sizes and densities; this one is cheap
+/// enough to run in CI and to persist alongside the delta numbers) and of the
+/// page checksum.
 fn kernel_timings() -> Vec<KernelRow> {
     use std::hint::black_box;
     use std::time::Instant;
@@ -1151,9 +833,14 @@ fn kernel_timings() -> Vec<KernelRow> {
 }
 
 /// Hand-rolled JSON (the workspace carries no serde): the host block, the
-/// delta section's per-workload numbers, the kernel timings and the
-/// concurrent section's live-vs-snapshot mine medians.
-fn render_json(delta: &[DeltaRow], kernels: &[KernelRow], snapshot: &[SnapshotRow]) -> String {
+/// delta section's per-workload numbers, the kernel timings, the concurrent
+/// section's live-vs-snapshot mine medians and the thread-scaling rows.
+fn render_json(
+    delta: &[DeltaRow],
+    kernels: &[KernelRow],
+    snapshot: &[SnapshotRow],
+    scaling: &[ScalingRow],
+) -> String {
     let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let delta_objects: Vec<String> = delta
         .iter()
@@ -1206,12 +893,28 @@ fn render_json(delta: &[DeltaRow], kernels: &[KernelRow], snapshot: &[SnapshotRo
             )
         })
         .collect();
+    let scaling_objects: Vec<String> = scaling
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{\"workload\": \"{}\", \"algorithm\": \"{}\", \"threads\": {}, \
+                 \"cores\": {}, \"mine_ms_1_thread\": {}, \"mine_ms_n_threads\": {}}}",
+                escape(&r.workload),
+                r.algorithm,
+                r.threads,
+                r.cores,
+                millis(r.mine_1_thread),
+                millis(r.mine_n_threads)
+            )
+        })
+        .collect();
     format!(
         "{{\n  \"host\": {},\n  \"delta\": [\n{}\n  ],\n  \"kernels\": [\n{}\n  ],\n  \
-         \"snapshot\": [\n{}\n  ]\n}}\n",
+         \"snapshot\": [\n{}\n  ],\n  \"scaling\": [\n{}\n  ]\n}}\n",
         host_json(),
         delta_objects.join(",\n"),
         kernel_objects.join(",\n"),
-        snapshot_objects.join(",\n")
+        snapshot_objects.join(",\n"),
+        scaling_objects.join(",\n")
     )
 }

@@ -14,11 +14,15 @@
 //! * [`report`] — markdown tables and unit formatting for the binaries.
 //!
 //! Entry points live in `src/bin/`: `exp1_accuracy` … `exp5_scalability`
-//! mirror the paper's experiments, `exp_horizontal_scaling` and the
-//! parallel-scaling / slide-cost sections of `exp3_runtime` cover the
-//! engine work that goes beyond the paper, and the `ablation_*` binaries
-//! isolate individual design decisions.  Criterion-style benches (under
-//! `benches/`) give the statistically robust counterparts.
+//! mirror the paper's experiments, the `ablation_*` binaries isolate
+//! individual design decisions, and `exp3_runtime` additionally carries the
+//! engine work beyond the paper that only an in-process harness can see —
+//! thread scaling of all five algorithms, the constructed concurrent
+//! ingest + mine overlap, delta-vs-full maintenance and the kernel timings
+//! (`BENCH_delta.json`).  What a *served* step costs, layer by layer, is the
+//! repo benchmark's (`benchmark/`) to measure, not this crate's.
+//! Criterion-style benches (under `benches/`) time individual structures
+//! and kernels.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,4 +1,4 @@
-//! Plain-text report helpers (markdown tables and CSV rows).
+//! Plain-text report helpers (markdown tables, unit formatting, the host block).
 
 /// One row of a report table.
 pub type Row = Vec<String>;
@@ -21,18 +21,6 @@ pub fn markdown_table(header: &[&str], rows: &[Row]) -> String {
         for cell in row {
             out.push_str(&format!(" {cell} |"));
         }
-        out.push('\n');
-    }
-    out
-}
-
-/// Renders rows as CSV with the given header.
-pub fn csv(header: &[&str], rows: &[Row]) -> String {
-    let mut out = String::new();
-    out.push_str(&header.join(","));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&row.join(","));
         out.push('\n');
     }
     out
@@ -100,12 +88,6 @@ mod tests {
         let host = host_json();
         assert!(host.starts_with("{\"cores\": ") && host.ends_with("\"}"));
         assert!(host.contains("\"commit\": \"") && host.contains("\"rustc\": \""));
-    }
-
-    #[test]
-    fn csv_joins_cells_with_commas() {
-        let text = csv(&["a", "b"], &[vec!["1".into(), "2".into()]]);
-        assert_eq!(text, "a,b\n1,2\n");
     }
 
     #[test]

@@ -15,9 +15,12 @@
 //! The harness derives everything from proptest-chosen inputs: a random
 //! batch stream, a random per-tenant subsequence assignment, a random
 //! interleaving of (ingest, mine) events across tenants, and per-tenant
-//! backend/config corners.  A second deterministic test pins multi-tenant
-//! durable recovery: several tenants under one `durable_root`, process
-//! "crash" (drop), per-tenant recovery, identical windows.
+//! backend/config corners.  That harness interleaves the tenants on *one*
+//! thread; a deterministic case drives each tenant from its own producer
+//! thread instead, so ingests, mines and residency sweeps really overlap.
+//! A last deterministic test pins multi-tenant durable recovery: several
+//! tenants under one `durable_root`, process "crash" (drop), per-tenant
+//! recovery, identical windows.
 
 use std::sync::Arc;
 
@@ -173,6 +176,84 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// One producer thread per tenant: four tenants (mixed backends, one delta)
+/// each ingest and mine their own subsequence of a fixed stream, concurrently,
+/// through one registry whose pool, governor and resident-set cap they share
+/// — with two windows resident at most, every thread's touch sweeps somebody
+/// else's window out from under its producer.  An ingest that finds its
+/// window held by such a sweep is `Queued`; the tenant's next mine (the final
+/// one at the latest) drains it.  Whatever the schedule, every tenant's final
+/// patterns must equal its standalone run.
+#[test]
+fn tenants_driven_from_their_own_threads_equal_tenants_run_alone() {
+    const THREADS: usize = 4;
+    let raw: Vec<Vec<Vec<u32>>> = (0..32u32)
+        .map(|b| {
+            (0..4u32)
+                .map(|t| {
+                    vec![
+                        (b + t) % EDGES,
+                        (3 * b + 2 * t + 1) % EDGES,
+                        (5 * t + b) % EDGES,
+                    ]
+                })
+                .collect()
+        })
+        .collect();
+    let batches = to_batches(&raw);
+    // Tenant i skips every batch congruent to i, so no two windows agree.
+    let stream = |i: usize| {
+        batches
+            .iter()
+            .enumerate()
+            .filter(move |(b, _)| b % THREADS != i)
+            .map(|(_, batch)| batch)
+    };
+
+    let spill_root = fsm_storage::TempDir::new("tenant-isolation-threads").unwrap();
+    let registry = SessionRegistry::new(RegistryConfig {
+        exec: Exec::pool(Arc::new(WorkerPool::new(2))),
+        governor: Some(BudgetGovernor::new(2048)),
+        max_resident: Some(2),
+        spill_root: Some(spill_root.path().into()),
+        ..RegistryConfig::default()
+    });
+    let sessions: Vec<_> = (0..THREADS)
+        .map(|i| {
+            registry
+                .create_tenant(&format!("tenant-{i}"), tenant_config(i), false)
+                .unwrap()
+        })
+        .collect();
+    let start = std::sync::Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for (i, session) in sessions.iter().enumerate() {
+            let start = &start;
+            scope.spawn(move || {
+                start.wait();
+                for batch in stream(i) {
+                    session.ingest(batch).unwrap();
+                    session.mine().unwrap();
+                }
+            });
+        }
+    });
+
+    for (i, session) in sessions.iter().enumerate() {
+        let mut alone = StreamMiner::new(tenant_config(i)).unwrap();
+        for batch in stream(i) {
+            alone.ingest_batch(batch).unwrap();
+        }
+        let expected = alone.mine().unwrap();
+        let got = session.mine().unwrap();
+        assert!(
+            got.same_patterns_as(&expected),
+            "tenant {i} diverged from its standalone run: {:?}",
+            expected.diff(&got)
+        );
     }
 }
 

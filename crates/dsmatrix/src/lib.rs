@@ -23,8 +23,7 @@
 //!   data is reclaimed when the last holder drops.
 //! * [`RowSnapshot`] — owned flat rows of one window: what an epoch mine
 //!   assembles from the snapshot's segments and views for the duration of
-//!   the mine ([`EpochSnapshot::assemble_rows`], [`EpochSnapshot::view`]),
-//!   and what [`DsMatrix::snapshot`] copies out of the live window.
+//!   the mine ([`EpochSnapshot::assemble_rows`], [`EpochSnapshot::view`]).
 //!
 //! # Incremental capture — and incremental reads
 //!

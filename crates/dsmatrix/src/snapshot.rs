@@ -2,12 +2,11 @@
 //!
 //! [`RowSnapshot`] is the crate's one owned flat-rows type: every row of one
 //! window, each assembled into a [`BitVec`] of exactly the window's width.
-//! It has two producers and one job.  [`crate::DsMatrix::snapshot`] copies
-//! the live window out of the segment store (an owned copy that outlives the
-//! matrix), and [`crate::EpochSnapshot::assemble_rows`] concatenates a
-//! frozen epoch's shared segment chunks — what a snapshot mine does once, up
-//! front.  Both go through [`RowSnapshot::assemble`]; reading the rows back
-//! is the ordinary [`crate::WindowView`] ([`crate::EpochSnapshot::view`]).
+//! It has one producer and one job: [`crate::EpochSnapshot::assemble_rows`]
+//! concatenates a frozen epoch's shared segment chunks — what a snapshot
+//! mine does once, up front — through [`RowSnapshot::assemble`]; reading the
+//! rows back is the ordinary [`crate::WindowView`]
+//! ([`crate::EpochSnapshot::view`]).
 //! [`ProjectionScratch`] is the per-worker recycled buffer set the view
 //! projects through, so steady-state projection allocates nothing.
 
@@ -24,9 +23,8 @@ pub type ProjectedRows = Vec<(Vec<EdgeId>, Support)>;
 /// An immutable copy of every row of one window, each exactly
 /// [`RowSnapshot::num_transactions`] bits long.
 ///
-/// Built by [`crate::DsMatrix::snapshot`] or
-/// [`crate::EpochSnapshot::assemble_rows`]; all access is `&self`, so the
-/// rows can be shared across mining worker threads.
+/// Built by [`crate::EpochSnapshot::assemble_rows`]; all access is `&self`,
+/// so the rows can be shared across mining worker threads.
 #[derive(Debug, Clone)]
 pub struct RowSnapshot {
     rows: Vec<BitVec>,

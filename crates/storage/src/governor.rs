@@ -17,13 +17,24 @@
 //! * While the cap has headroom, members get what they ask for — a lone hot
 //!   tenant may use the whole cap.
 //! * Under contention a requester is never starved below its **fair share**
-//!   `T / n`, even if earlier grants already consumed the cap.  The sum of
-//!   grants may transiently exceed `T` by at most one fair share per
-//!   over-granted member; convergence is cooperative — every member
-//!   re-requests at its next ingest/view boundary, and those re-requests are
-//!   clamped by the same rule, shrinking the over-shares.  The governor
-//!   never reaches into a member's cache: a shrunken grant is applied — and
-//!   evicts — on the member's own thread, at that boundary.
+//!   `⌊T / n⌋`, even if earlier grants already consumed the cap — so the sum
+//!   of grants may transiently exceed `T`.  For a fixed membership of `n` it
+//!   never exceeds `T + (n − 1)·⌊T / n⌋`: one fair share per member granted
+//!   after the cap was exhausted.  (By induction over requests every
+//!   `k`-subset of members holds at most `T + (k − 1)·⌊T / n⌋`: a request
+//!   either fits the headroom, leaving any subset containing the requester
+//!   at `T` or less, or is clamped to one fair share on top of a
+//!   `(k − 1)`-subset.  The bound is met: `T = 900`, `n = 3` passes through
+//!   900 + 300 + 300.)
+//! * Convergence is cooperative — every member re-requests at its next
+//!   ingest/view boundary, and those re-requests are clamped by the same
+//!   rule, shrinking the over-shares: once every member has re-requested,
+//!   in any order, at an unchanged or lower desire, the sum is at most `T`
+//!   again.  (A re-request that fits the headroom leaves the sum at `T` or
+//!   less; any later one in the round is clamped to a fair share its member
+//!   already held, so it cannot raise the sum.)  The governor never reaches
+//!   into a member's cache: a shrunken grant is applied — and evicts — on
+//!   the member's own thread, at that boundary.
 //!
 //! Leases release their grant on drop, so a departing tenant's share flows
 //! back to the survivors at their next request.
@@ -77,8 +88,9 @@ impl BudgetGovernor {
     }
 
     /// Sum of currently granted bytes across all leases.  May transiently
-    /// exceed [`BudgetGovernor::total_bytes`] under contention (see the
-    /// module docs); converges below it as members re-request.
+    /// exceed [`BudgetGovernor::total_bytes`] under contention, by at most
+    /// one fair share per member but one (see the module docs); back at or
+    /// below it once every member has re-requested.
     pub fn granted_bytes(&self) -> usize {
         self.lock()
             .members
@@ -172,6 +184,7 @@ impl Drop for BudgetLease {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn lone_member_gets_the_whole_cap() {
@@ -232,10 +245,47 @@ mod tests {
         // Latecomers each still receive total / n.
         assert_eq!(leases[1].request(usize::MAX), 300);
         assert_eq!(leases[2].request(usize::MAX), 300);
+        // The stated bound, met: T + (n - 1) * (T / n), two fair shares over
+        // the cap with a single over-granted member.
+        assert_eq!(gov.granted_bytes(), 1500);
         // One cooperative round later everyone holds exactly a fair share.
         for lease in &leases {
             assert_eq!(lease.request(usize::MAX), 300);
         }
         assert_eq!(gov.granted_bytes(), 900);
+    }
+
+    proptest! {
+        /// Both halves of the module docs' bound, over arbitrary request
+        /// sequences against a fixed membership: the sum of grants never
+        /// exceeds `T + (n - 1) * (T / n)`, and one round of re-requests at
+        /// unchanged or lower desires, in any order, brings it back to at
+        /// most `T`.  (Desires range past `T`: asking for more than the
+        /// whole cap is how a hot tenant asks.)
+        #[test]
+        fn grants_stay_within_the_stated_bounds(
+            total in 0usize..4096,
+            members in 1usize..7,
+            requests in proptest::collection::vec((0usize..6, 0usize..8192), 0..48),
+            round in proptest::collection::vec((any::<u64>(), 0usize..8192), 6),
+        ) {
+            let gov = BudgetGovernor::new(total);
+            let leases: Vec<_> = (0..members).map(|_| gov.register()).collect();
+            let fair = total / members;
+            let mut desires = vec![0usize; members];
+            for (member, desired) in requests {
+                let member = member % members;
+                desires[member] = desired;
+                let grant = leases[member].request(desired);
+                prop_assert!(grant <= desired.min(total));
+                prop_assert!(gov.granted_bytes() <= total + (members - 1) * fair);
+            }
+            let mut order: Vec<usize> = (0..members).collect();
+            order.sort_by_key(|&member| round[member].0);
+            for member in order {
+                leases[member].request(desires[member].min(round[member].1));
+            }
+            prop_assert!(gov.granted_bytes() <= total);
+        }
     }
 }
