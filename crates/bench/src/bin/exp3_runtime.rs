@@ -728,7 +728,8 @@ struct KernelRow {
     ns_per_op: f64,
 }
 
-/// In-binary timing of the unrolled intersection kernels (the Criterion
+/// In-binary timing of the intersection kernels on the tier this CPU
+/// selects (`fsm_storage::bitvec::kernel_tier`; the Criterion
 /// bench `bitvec_kernels` sweeps more sizes and densities; this one is cheap
 /// enough to run in CI and to persist alongside the delta numbers) and of the
 /// page checksum.
@@ -736,7 +737,10 @@ fn kernel_timings() -> Vec<KernelRow> {
     use std::hint::black_box;
     use std::time::Instant;
 
-    println!("# BitVec kernels — unrolled and_count / and_into (ns per call)\n");
+    println!(
+        "# BitVec kernels — and_count / and_into, {} tier (ns per call)\n",
+        fsm_storage::bitvec::kernel_tier()
+    );
     let mut out = Vec::new();
     let mut rows = Vec::new();
     for bits in [1usize << 10, 1 << 14, 1 << 17] {

@@ -62,8 +62,9 @@ pub fn host_json() -> String {
             .map_or_else(|| "unknown".to_string(), |s| s.trim().replace('"', "'"))
     };
     format!(
-        "{{\"cores\": {}, \"commit\": \"{}\", \"rustc\": \"{}\"}}",
+        "{{\"cores\": {}, \"kernel_tier\": \"{}\", \"commit\": \"{}\", \"rustc\": \"{}\"}}",
         std::thread::available_parallelism().map_or(1, |n| n.get()),
+        fsm_storage::bitvec::kernel_tier(),
         ask("git", &["describe", "--always", "--dirty", "--abbrev=40"]),
         ask("rustc", &["--version"]),
     )
@@ -88,6 +89,11 @@ mod tests {
         let host = host_json();
         assert!(host.starts_with("{\"cores\": ") && host.ends_with("\"}"));
         assert!(host.contains("\"commit\": \"") && host.contains("\"rustc\": \""));
+        let tier = format!(
+            "\"kernel_tier\": \"{}\"",
+            fsm_storage::bitvec::kernel_tier()
+        );
+        assert!(host.contains(&tier), "{host}");
     }
 
     #[test]

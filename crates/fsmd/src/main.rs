@@ -197,8 +197,13 @@ fn run_serve(args: &[String]) -> Result<()> {
     let registry = Arc::new(SessionRegistry::new(config));
     let handle = serve(registry, listen)?;
     // Port 0 binds an ephemeral port; announce the resolved address so
-    // scripts (and the CI smoke test) can connect.
-    eprintln!("fsmd listening on {}", handle.local_addr());
+    // scripts (and the CI smoke test) can connect — and the kernel tier, so
+    // a host that fell back to `portable` shows in its own log.
+    eprintln!(
+        "fsmd listening on {} (bitvec kernels: {})",
+        handle.local_addr(),
+        fsm_storage::bitvec::kernel_tier()
+    );
     handle.wait();
     Ok(())
 }

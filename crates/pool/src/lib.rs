@@ -37,8 +37,10 @@
 //! context stays alive) until every helper that could still dereference the
 //! pointer has provably exited its dereferencing region — including when the
 //! caller itself unwinds, via `GateGuard`.  The rest of the workspace keeps
-//! its `#![forbid(unsafe_code)]`; the unsafety is confined to this module,
-//! audited by the stress tests below, and run under Miri in CI.
+//! its `#![forbid(unsafe_code)]` (one exception: `fsm-storage`'s
+//! `bitvec::kernel`, two calls into `#[target_feature]` code behind the CPU
+//! feature test — it carries its own number); the unsafety is confined to
+//! this module, audited by the stress tests below, and run under Miri in CI.
 //!
 //! **The number that pays for it.**  The two executors were
 //! property-tested byte-identical, so which one to keep was a measurement:

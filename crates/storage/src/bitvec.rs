@@ -6,77 +6,28 @@
 //! and appends new ones.  Those three operations — `and`, `count_ones`,
 //! `drop_prefix`/`push` — are the hot path of the whole system.
 
+mod kernel;
+
 use std::fmt;
+
+use kernel::{AndCount, AndInto, CountOnes};
 
 const WORD_BITS: usize = 64;
 
-/// Word-lane width of the unrolled intersection kernels.
+/// Which instantiation of the word kernels under [`BitVec::and_count`],
+/// [`BitVec::and_into`] and [`BitVec::count_ones`] this CPU runs:
+/// `"avx512-vpopcntdq"`, `"popcnt"` or `"portable"`.
 ///
-/// The hot kernels below process four independent `u64` lanes per iteration
-/// (with a scalar tail), which is the portable idiom LLVM turns into SIMD
-/// `AND` + `popcnt` sequences on every target the workspace builds for — no
-/// intrinsics, no `unsafe`, nothing the shims-only build environment cannot
-/// compile.  Four lanes is the sweet spot: it matches one AVX2 register (or
-/// two NEON registers) and keeps the popcount accumulators independent so
-/// the adds pipeline instead of serialising on one register.
-const LANES: usize = 4;
-
-/// Unrolled popcount of `a[i] & b[i]` over two equal-length word slices.
-#[inline]
-fn and_count_slices(a: &[u64], b: &[u64]) -> u64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut lanes = [0u64; LANES];
-    let mut chunks_a = a.chunks_exact(LANES);
-    let mut chunks_b = b.chunks_exact(LANES);
-    for (ca, cb) in (&mut chunks_a).zip(&mut chunks_b) {
-        lanes[0] += u64::from((ca[0] & cb[0]).count_ones());
-        lanes[1] += u64::from((ca[1] & cb[1]).count_ones());
-        lanes[2] += u64::from((ca[2] & cb[2]).count_ones());
-        lanes[3] += u64::from((ca[3] & cb[3]).count_ones());
-    }
-    let mut count = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-    for (&x, &y) in chunks_a.remainder().iter().zip(chunks_b.remainder()) {
-        count += u64::from((x & y).count_ones());
-    }
-    count
-}
-
-/// Unrolled fused intersection `dst[i] = a[i] & b[i]` over three
-/// equal-length word slices, returning the popcount of the result.
-#[inline]
-fn and_into_slices(dst: &mut [u64], a: &[u64], b: &[u64]) -> u64 {
-    debug_assert_eq!(dst.len(), a.len());
-    debug_assert_eq!(dst.len(), b.len());
-    let mut lanes = [0u64; LANES];
-    let mut chunks_d = dst.chunks_exact_mut(LANES);
-    let mut chunks_a = a.chunks_exact(LANES);
-    let mut chunks_b = b.chunks_exact(LANES);
-    for ((cd, ca), cb) in (&mut chunks_d).zip(&mut chunks_a).zip(&mut chunks_b) {
-        let m0 = ca[0] & cb[0];
-        let m1 = ca[1] & cb[1];
-        let m2 = ca[2] & cb[2];
-        let m3 = ca[3] & cb[3];
-        lanes[0] += u64::from(m0.count_ones());
-        lanes[1] += u64::from(m1.count_ones());
-        lanes[2] += u64::from(m2.count_ones());
-        lanes[3] += u64::from(m3.count_ones());
-        cd[0] = m0;
-        cd[1] = m1;
-        cd[2] = m2;
-        cd[3] = m3;
-    }
-    let mut count = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-    for ((d, &x), &y) in chunks_d
-        .into_remainder()
-        .iter_mut()
-        .zip(chunks_a.remainder())
-        .zip(chunks_b.remainder())
-    {
-        let masked = x & y;
-        count += u64::from(masked.count_ones());
-        *d = masked;
-    }
-    count
+/// The kernels are written once, in portable Rust around `u64::count_ones`.
+/// On the baseline x86-64 the workspace builds for that is *not* a `popcnt`
+/// instruction (baseline x86-64 has none; LLVM emits SSE2 bit-slicing), so
+/// on x86-64 the same bodies are also compiled with `POPCNT` and with
+/// AVX-512 `VPOPCNTDQ` enabled, and the process runs the fastest one its CPU
+/// reports.  Nothing selects a tier but the CPU; results are identical on
+/// all of them.  Benchmark host blocks and `fsmd serve`'s start-up line
+/// carry this name so numbers stay comparable across machines.
+pub fn kernel_tier() -> &'static str {
+    kernel::Tier::selected().name()
 }
 
 /// A growable vector of bits backed by `u64` words.
@@ -175,7 +126,7 @@ impl BitVec {
 
     /// Number of set bits — the row-sum / support count of §3.4.
     pub fn count_ones(&self) -> u64 {
-        self.words.iter().map(|w| w.count_ones() as u64).sum()
+        kernel::run(CountOnes(&self.words))
     }
 
     /// In-place intersection with `other` (`self &= other`).
@@ -203,16 +154,18 @@ impl BitVec {
     /// scratch buffer owned by the caller, so steady-state candidate
     /// extension performs no heap allocation at all.
     pub fn and_into(&self, other: &BitVec, out: &mut BitVec) -> u64 {
-        out.words.clear();
+        // Resize without clearing: the kernel overwrites `[..overlap]`, so
+        // only the words past it (none when `other` is as long) need zeroing.
         out.words.resize(self.words.len(), 0);
+        out.len = self.len;
         let overlap = self.words.len().min(other.words.len());
-        let count = and_into_slices(
-            &mut out.words[..overlap],
+        let (head, tail) = out.words.split_at_mut(overlap);
+        tail.fill(0);
+        kernel::run(AndInto(
+            head,
             &self.words[..overlap],
             &other.words[..overlap],
-        );
-        out.len = self.len;
-        count
+        ))
     }
 
     /// Returns the union `self | other` as a new vector whose length is the
@@ -233,7 +186,7 @@ impl BitVec {
     /// Counts the set bits of `self & other` without materialising the result.
     pub fn and_count(&self, other: &BitVec) -> u64 {
         let overlap = self.words.len().min(other.words.len());
-        and_count_slices(&self.words[..overlap], &other.words[..overlap])
+        kernel::run(AndCount(&self.words[..overlap], &other.words[..overlap]))
     }
 
     /// Drops the first `n` bits, shifting the remainder towards index 0.
@@ -455,6 +408,7 @@ impl FromIterator<bool> for BitVec {
 
 #[cfg(test)]
 mod tests {
+    use super::kernel::Tier;
     use super::*;
 
     fn bv(pattern: &str) -> BitVec {
@@ -521,9 +475,7 @@ mod tests {
         assert_eq!(scratch.len(), 200);
     }
 
-    /// Deterministic pseudo-random vector for kernel agreement tests: long
-    /// enough to exercise the 4-word unrolled blocks, with a length that
-    /// leaves a scalar tail.
+    /// Deterministic pseudo-random vector for kernel agreement tests.
     fn lcg_bits(seed: u64, len: usize) -> BitVec {
         let mut state = seed | 1;
         BitVec::from_bools((0..len).map(|_| {
@@ -546,6 +498,89 @@ mod tests {
             let mut out = BitVec::new();
             assert_eq!(a.and_into(&b, &mut out), naive, "and_into {la}x{lb}");
             assert_eq!(out, a.and(&b));
+        }
+    }
+
+    /// Checks every tier this CPU supports — each called directly, not just
+    /// the selected one — against a per-word reference on equal-length
+    /// slices.  `Portable` is always among them, so this is also "every tier
+    /// equals the portable body".
+    fn assert_tiers_match_reference(a: &[u64], b: &[u64]) {
+        let ones = |words: &[u64]| words.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
+        let masked: Vec<u64> = a.iter().zip(b).map(|(x, y)| x & y).collect();
+        let words = a.len();
+        for tier in Tier::supported() {
+            let count = tier.run(AndCount(a, b));
+            assert_eq!(count, ones(&masked), "{tier:?} and_count, {words} words");
+            let mut dst = vec![u64::MAX; words];
+            let count = tier.run(AndInto(&mut dst, a, b));
+            assert_eq!(count, ones(&masked), "{tier:?} and_into, {words} words");
+            assert_eq!(dst, masked, "{tier:?} and_into, {words} words");
+            let count = tier.run(CountOnes(a));
+            assert_eq!(count, ones(a), "{tier:?} count_ones, {words} words");
+        }
+    }
+
+    #[test]
+    fn every_supported_tier_matches_the_reference_at_every_length() {
+        assert_eq!(Tier::supported().last().map(Tier::name), Some("portable"));
+        assert_eq!(Tier::supported().next(), Some(Tier::selected()));
+        assert_eq!(kernel_tier(), Tier::selected().name());
+        // 0..=130 words covers every scalar and every 8-word vector tail on
+        // both sides of the 32-word interleaved vector loop.
+        let random = lcg_bits(7, 131 * 64);
+        let other = lcg_bits(11, 131 * 64);
+        for words in 0..=130 {
+            let patterns: [(&[u64], &[u64]); 5] = [
+                (&vec![0; words], &vec![u64::MAX; words]),
+                (&vec![u64::MAX; words], &vec![u64::MAX; words]),
+                (&vec![0xAAAA_AAAA_AAAA_AAAA; words], &vec![u64::MAX; words]),
+                (
+                    &vec![0xAAAA_AAAA_AAAA_AAAA; words],
+                    &vec![0x5555_5555_5555_5555; words],
+                ),
+                (&random.words[..words], &other.words[131 - words..][..words]),
+            ];
+            for (a, b) in patterns {
+                assert_tiers_match_reference(a, b);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn every_supported_tier_matches_the_reference_on_random_words(
+            a in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..131),
+            b in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..131),
+        ) {
+            let overlap = a.len().min(b.len());
+            assert_tiers_match_reference(&a[..overlap], &b[..overlap]);
+        }
+    }
+
+    #[test]
+    fn and_into_sizes_and_zero_fills_a_dirty_buffer_for_unequal_operands() {
+        // Word counts on both sides of each other and of the buffer's
+        // previous contents (all ones, so a word left unwritten shows).
+        for (la, lb, dirty) in [
+            (0, 3, 5),
+            (5, 2, 9),
+            (2, 5, 9),
+            (9, 9, 2),
+            (70, 33, 130),
+            (33, 70, 0),
+        ] {
+            // `a` ends mid-word (unless empty), `b` on a word boundary.
+            let a = lcg_bits(la as u64 + 3, la * 64 - la.min(1) * 17);
+            let b = lcg_bits(lb as u64 + 5, lb * 64);
+            let mut out = BitVec::from_bools((0..dirty * 64).map(|_| true));
+            let count = a.and_into(&b, &mut out);
+            let naive = (0..a.len()).filter(|&i| a.get(i) && b.get(i)).count() as u64;
+            assert_eq!(count, naive, "{la}x{lb} words into {dirty}");
+            assert_eq!(out.len(), a.len());
+            assert_eq!(out, a.and(&b), "{la}x{lb} words into {dirty}");
+            assert!(out.words[la.min(lb)..].iter().all(|&w| w == 0));
+            assert_eq!(a.and_count(&b), naive);
         }
     }
 

@@ -39,7 +39,10 @@
 //!   same framing, no second copy of the data).  Every durable artifact is
 //!   covered by the hand-rolled CRC-32 in [`checksum`].
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: `bitvec::kernel` carries the crate's one
+// `#[allow(unsafe_code)]`, on the call into `#[target_feature]` code (see its
+// module docs); every other module still fails to compile with an `unsafe`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bitvec;

@@ -28,11 +28,13 @@ pub fn put_u64(out: &mut Vec<u8>, value: u64) {
     out.extend_from_slice(&value.to_le_bytes());
 }
 
-/// Appends a `u16`-length-prefixed UTF-8 string (cut at `u16::MAX` bytes).
+/// Appends a `u16`-length-prefixed UTF-8 string, cut at the last character
+/// boundary within `u16::MAX` bytes so the peer's [`Reader::take_str`]
+/// always receives valid UTF-8.
 pub fn put_str(out: &mut Vec<u8>, s: &str) {
-    let len = s.len().min(u16::MAX as usize) as u16;
-    put_u16(out, len);
-    out.extend_from_slice(&s.as_bytes()[..len as usize]);
+    let cut = &s[..s.floor_char_boundary(u16::MAX.into())];
+    put_u16(out, cut.len() as u16);
+    out.extend_from_slice(cut.as_bytes());
 }
 
 /// A bounds-checked little-endian reader over one encoded value.
@@ -208,6 +210,18 @@ mod tests {
         reader.finish().unwrap();
         // Little-endian on the wire.
         assert_eq!(&out[1..3], &[0x02, 0x01]);
+    }
+
+    #[test]
+    fn an_overlong_string_is_cut_between_characters() {
+        // Byte 65 535 falls inside the two-byte `é`: cutting there would make
+        // the peer reject the whole frame as invalid UTF-8.
+        let ascii = "a".repeat(usize::from(u16::MAX) - 1);
+        let mut out = Vec::new();
+        put_str(&mut out, &format!("{ascii}é€"));
+        let mut reader = Reader::new(&out);
+        assert_eq!(reader.take_str().unwrap(), ascii);
+        reader.finish().unwrap();
     }
 
     #[test]
