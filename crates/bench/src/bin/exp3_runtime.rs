@@ -794,9 +794,9 @@ fn kernel_timings() -> Vec<KernelRow> {
     );
     println!();
 
-    // The page checksum: every segment page written or fetched pays one
-    // `crc32` over its full padded size, so the 8 192-bit row (one 1 KiB
-    // segment page) is the disk step's per-page cost.
+    // The checksum: every segment run written or read pays one `crc32` over
+    // its bytes (4.8 kB for a 60-row, 500-column segment), and every DSTable
+    // page one over its padded size; the 8 192-bit row is one 1 KiB page.
     println!("# Checksum kernel — crc32 (ns per call)\n");
     let mut rows = Vec::new();
     for bits in [8usize << 10, 1 << 19] {

@@ -134,7 +134,7 @@ OPTIONS:
                         (default: disk, the paper's space posture)
   --cache-budget <BYTES>    decoded-chunk cache budget for the disk
                         backend: chunks that fit are not re-read from disk
-                        by later mines (it buys page reads, never assembly);
+                        by later mines (it buys decodes, never assembly);
                         0 disables it, 'unlimited' holds the whole window
                         (default: 0; rejected with --backend memory)
   --durable-dir <DIR>   make the run crash-recoverable: WAL every batch and

@@ -66,13 +66,13 @@ pub struct MinerConfig {
     pub threads: usize,
     /// Byte budget of the decoded-chunk cache the disk backends read
     /// through.  `0` (the default) disables it: every mine re-reads the
-    /// window from disk, the strictest space posture.  The budget buys page
-    /// reads, never assembly: every disk mine assembles the window into flat
-    /// rows once (and frees them when it returns), but the chunks the budget
-    /// holds are not fetched again, so a budget covering the window makes
-    /// steady-state disk mines fetch only the pages a window slide
-    /// invalidated.  Results are byte-identical for every setting.  Ignored
-    /// by the memory backend.
+    /// window from disk, the strictest space posture.  The budget buys
+    /// decodes, never assembly: every disk mine assembles the window into
+    /// flat rows once (and frees them when it returns), but the chunks the
+    /// budget holds are not decoded again, and a segment whose chunks it all
+    /// holds is not read at all — a budget covering the window makes disk
+    /// mines read nothing.  Results are byte-identical for every setting.
+    /// Ignored by the memory backend.
     pub cache_budget_bytes: usize,
     /// Durable-directory root for the WAL + checkpoint layer (disk backends
     /// only).  `None` (the default) keeps the matrix volatile; `Some(dir)`
@@ -210,10 +210,10 @@ impl StreamMinerBuilder {
 
     /// Budgets the decoded-chunk cache of the disk backends (`0` disables
     /// it; ignored by the memory backend).  Mining output is byte-identical
-    /// for every budget — only the per-mine page reads change: chunks the
-    /// budget holds are not fetched again (with a budget covering the
-    /// window, pages only for what the last slide invalidated).  The budget
-    /// buys page reads, never assembly.
+    /// for every budget — only the per-mine disk reads change: chunks the
+    /// budget holds are not decoded again, and a segment whose chunks it all
+    /// holds is not read (with a budget covering the window, nothing is).
+    /// The budget buys decodes, never assembly.
     ///
     /// ```
     /// use fsm_core::StreamMinerBuilder;

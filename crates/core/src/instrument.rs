@@ -45,13 +45,13 @@ pub struct MiningStats {
     /// on the disk backends it is the window, assembled once, at every
     /// chunk-cache budget.
     pub read_words_assembled: u64,
-    /// Disk pages the read path fetched *for this mine call* (zero on the
-    /// memory backend).  With a [`crate::MinerConfig::cache_budget_bytes`]
-    /// budget covering the window, a steady-state disk mine fetches only the
-    /// pages the preceding window slide invalidated.
+    /// Positional reads of segment runs the read path issued *for this mine
+    /// call* (zero on the memory backend): at most one per segment, and
+    /// none with a [`crate::MinerConfig::cache_budget_bytes`] budget
+    /// covering the window.
     pub pages_read: u64,
     /// Chunk reads this mine call served from the budgeted decoded-chunk
-    /// cache instead of the paged file (always zero with a zero budget).
+    /// cache instead of a segment run (always zero with a zero budget).
     pub cache_hits: u64,
     /// Number of window transactions the run mined over.
     pub window_transactions: usize,

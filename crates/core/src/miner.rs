@@ -460,10 +460,10 @@ fn finish_mine(
     }
     if let Some((matrix, before)) = capture {
         // Read amplification of this call: words the read path materialised
-        // and disk pages it fetched.  Words are zero in the steady state on
+        // and segment runs it read.  Words are zero in the steady state on
         // the memory backend (zero-copy view) and the window, once, on the
-        // disk backends; pages drop to the slide's chunks when a chunk-cache
-        // budget covers the window.
+        // disk backends; runs drop to those holding a chunk the chunk-cache
+        // budget did not admit.
         let after = matrix.read_stats();
         stats.read_words_assembled = after.words_assembled - before.words_assembled;
         stats.pages_read = after.pages_read - before.pages_read;

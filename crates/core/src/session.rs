@@ -660,8 +660,9 @@ struct Lifecycle {
     thaws: u64,
     thaw_nanos: u64,
     /// Individual thaw latencies (nanoseconds), capped at
-    /// [`Session::THAW_SAMPLE_CAP`] — enough for the density experiment's
-    /// percentiles without unbounded growth.
+    /// [`Session::THAW_SAMPLE_CAP`] — enough for the percentiles the repo
+    /// benchmark reports (`core.session.thaw_us`, `thaw_p95_us`) without
+    /// unbounded growth.
     thaw_samples: Vec<u64>,
 }
 

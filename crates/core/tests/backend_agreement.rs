@@ -2,9 +2,9 @@
 //! cache underneath it) must be invisible in every output byte.
 //!
 //! The same batch stream is mined on the `Memory` backend, the uncached
-//! `DiskTemp` backend (budget 0 — every chunk read from its page file on
-//! every mine) and the budgeted disk path at both extremes (a deliberately
-//! tiny budget that refuses most admissions, so cache hits and page reads
+//! `DiskTemp` backend (budget 0 — every chunk decoded from its segment run
+//! on every mine) and the budgeted disk path at both extremes (a deliberately
+//! tiny budget that refuses most admissions, so cache hits and run reads
 //! mix within one row, and an unlimited budget where every chunk is a hit,
 //! the entering segment's included — the cache admits them as they are
 //! written).  Mining after every ingested batch
@@ -14,15 +14,15 @@
 //! combination; only the disk-read accounting may differ.
 //!
 //! A second test pins what a budget buys: with a budget covering the
-//! window a disk mine fetches no page at all — the slide's chunks were
+//! window a disk mine reads no run at all — the slide's chunks were
 //! admitted when they were written — while budget 0 keeps re-reading the
 //! whole window, and both assemble exactly the same words, because the
-//! budget buys page reads, never assembly.  A third holds every budget to the between-mines
+//! budget buys decodes, never assembly.  A third holds every budget to the between-mines
 //! footprint: the flat rows a mine assembled are gone when it returns,
 //! however it returns.
 
 use fsm_core::{Algorithm, StreamMiner, StreamMinerBuilder};
-use fsm_storage::{StorageBackend, TempDir};
+use fsm_storage::{BitVec, ChunkCache, StorageBackend, TempDir};
 use fsm_types::{Batch, FsmError, MinSup, Transaction};
 use proptest::prelude::*;
 
@@ -30,7 +30,7 @@ const VERTICES: u32 = 5;
 const EDGES: u32 = 10;
 
 /// The backend/budget corners under test: memory, uncached disk, a tiny
-/// disk budget (hits and page reads mix within a row) and an unlimited disk
+/// disk budget (hits and run reads mix within a row) and an unlimited disk
 /// budget (everything but the entering segment hits).
 fn corners() -> Vec<(&'static str, StorageBackend, usize)> {
     vec![
@@ -79,7 +79,7 @@ proptest! {
     /// Mining after every ingested batch (arbitrary slide schedules) yields
     /// byte-identical patterns and work counters on all four backend/budget
     /// corners crossed with every worker thread count, for all five
-    /// algorithms — a cache hit is indistinguishable from a page read in
+    /// algorithms — a cache hit is indistinguishable from a run read in
     /// every output byte.
     #[test]
     fn all_budget_corners_mine_identically(
@@ -137,7 +137,7 @@ proptest! {
 }
 
 /// What a budget buys, at the facade level: a disk mine under a budget
-/// covering the window fetches no page, from the first mine on — the cache
+/// covering the window reads no run, from the first mine on — the cache
 /// admitted every chunk as its segment was written — while budget 0
 /// reproduces the uncached read pattern (the whole window, every mine); the
 /// two assemble the same words — the window, once — and agree on every
@@ -199,7 +199,7 @@ fn steady_state_disk_mines_read_only_the_slide() {
         assert_eq!(
             budgeted_result.stats().pages_read,
             0,
-            "mine #{id}: a covering budget reads no page, cold or steady"
+            "mine #{id}: a covering budget reads no run, cold or steady"
         );
         assert!(budgeted_result.stats().cache_hits > 0, "mine #{id}");
     }
@@ -209,7 +209,7 @@ fn steady_state_disk_mines_read_only_the_slide() {
 /// released when it returns — normally or with an error half-way through its
 /// view — so the capture structure keeps resident only its bookkeeping plus
 /// what the chunk cache holds, which is at most the budget and never more
-/// than a decoded copy of what is on disk.
+/// than the window's chunks at the cache's own charge.
 ///
 /// The window is 5 touched rows in a domain of 2016: a retained flat copy
 /// (2016 rows × 3 words) would dwarf every bound below.
@@ -226,6 +226,18 @@ fn a_disk_mine_releases_its_flat_rows() {
     // budget-0 miner (the first), since a budgeted one's cache is warm from
     // its first ingest on.
     let mut bookkeeping = None;
+    // The most the chunk cache can hold whatever its budget: every chunk of
+    // a full window (3 segments × the touched rows, 64 columns each) at the
+    // cache's charge — a decoded copy plus its map entry.
+    let window_charge = {
+        let mut cache = ChunkCache::new(usize::MAX);
+        for seg in 0..3 {
+            for &row in &touched {
+                cache.insert(seg, row as usize, &BitVec::zeros(64));
+            }
+        }
+        cache.used_bytes()
+    };
     for budget in [0usize, 600, usize::MAX] {
         let root = TempDir::new("flat-rows").unwrap();
         let segments = root.path().join("segments");
@@ -249,8 +261,7 @@ fn a_disk_mine_releases_its_flat_rows() {
         let mut clean = None;
         for id in 4..9 {
             let result = miner.mine().unwrap();
-            let on_disk = usize::try_from(result.stats().capture_on_disk_bytes).unwrap();
-            bound = base + budget.min(on_disk);
+            bound = base + budget.min(window_charge);
             assert!(
                 miner.resident_bytes() <= bound,
                 "budget {budget}, mine before batch {id}: {} resident > {bound}",
@@ -261,21 +272,23 @@ fn a_disk_mine_releases_its_flat_rows() {
         }
         let clean = clean.expect("the loop mines");
 
-        // Damage the middle page of the segment the last ingest wrote.  The
-        // tight budget holds one segment's chunks, and this is not the one
-        // (it admits every third segment: the room only ever comes from a
+        // Damage the middle of the run the last ingest wrote.  The tight
+        // budget holds one segment's chunks, and this is not the one (it
+        // admits every third segment: the room only ever comes from a
         // cached segment leaving); budget 0 holds nothing.  For both, rows
-        // before the page assemble, then the view fails on its checksum.
-        // The unlimited budget admitted the chunk when it was written: it
-        // serves the value that was written and never opens the file.
-        let newest = segments.join("seg-8.pages");
+        // before the first that reads the run assemble, then the view fails
+        // on its checksum.  The unlimited budget admitted the chunks when
+        // they were written: it serves the values that were written and
+        // never opens the file.
+        let newest = segments.join("seg-8.run");
         let mut bytes = std::fs::read(&newest).unwrap();
-        bytes[2 * 1024] ^= 0x80;
+        let middle = bytes.len() / 2;
+        bytes[middle] ^= 0x80;
         std::fs::write(&newest, bytes).unwrap();
         let expect_crc_error = |miner: &mut StreamMiner, what: &str| {
             match miner.mine() {
                 Err(FsmError::CorruptArtifact { artifact, detail }) => {
-                    assert_eq!(artifact, "page 2 of seg-8.pages");
+                    assert_eq!(artifact, "seg-8.run");
                     assert!(detail.contains("checksum mismatch"), "{detail}");
                 }
                 other => panic!("{what}: expected the CRC error, got {other:?}"),
@@ -294,7 +307,7 @@ fn a_disk_mine_releases_its_flat_rows() {
                 "the cache serves what was written"
             );
             assert!(miner.resident_bytes() <= bound);
-            // Without the cache the same mine has to read the damaged page.
+            // Without the cache the same mine has to read the damaged run.
             miner.matrix_mut().set_cache_budget(0);
             expect_crc_error(&mut miner, "budget unlimited, then 0");
         } else {

@@ -20,7 +20,7 @@ use std::path::Path;
 use fsm_core::{Algorithm, MiningResult, StreamMinerBuilder};
 use fsm_dsmatrix::encode_batch;
 use fsm_storage::wal;
-use fsm_types::{Batch, MinSup, Transaction};
+use fsm_types::{Batch, FsmError, MinSup, Transaction};
 
 const VERTICES: u32 = 5;
 const EDGES: u32 = 10;
@@ -138,7 +138,7 @@ fn recovery_is_exact_at_every_wal_byte_cut() {
                 let mut wal_bytes = fs::read(&wal_path).unwrap();
                 wal_bytes.extend_from_slice(&frame[..cut]);
                 fs::write(&wal_path, wal_bytes).unwrap();
-                fs::write(scene.join("segments").join("seg-999983.pages"), b"torn").unwrap();
+                fs::write(scene.join("segments").join("seg-999983.run"), b"torn").unwrap();
 
                 let mut recovered = durable_builder(window, &scene, every)
                     .recover()
@@ -279,10 +279,11 @@ fn checkpoint_bit_flip_falls_back_to_the_previous_checkpoint() {
     assert_same(&recovered.mine().unwrap(), &expected[8], "checkpoint flip");
 }
 
-/// Satellite (c) 3/3: a flipped bit in a *data page* referenced only by the
-/// newest checkpoint is caught by the page CRC at verification time; the
-/// checkpoint is distrusted, the older one restores, and WAL replay
-/// re-creates the damaged segment — full state, correct patterns.
+/// Satellite (c) 3/3: a damaged byte — any byte — of the segment run
+/// referenced only by the newest checkpoint is caught by the run's CRC at
+/// verification time; the checkpoint is distrusted, the older one restores,
+/// and WAL replay re-creates the damaged segment — full state, correct
+/// patterns.
 #[test]
 fn data_page_bit_flip_is_detected_and_survived() {
     let window = 3;
@@ -297,40 +298,140 @@ fn data_page_bit_flip_is_detected_and_survived() {
             miner.ingest_batch(batch).unwrap();
         }
     }
-    // The newest segment file was created after the older checkpoint, so
+    // The newest segment run was written after the older checkpoint, so
     // only the newest checkpoint references it.
-    let newest_seg = fs::read_dir(dir.join("segments"))
+    let (newest_seg, name) = fs::read_dir(dir.join("segments"))
         .unwrap()
         .filter_map(|e| {
             let path = e.unwrap().path();
             let name = path.file_name()?.to_str()?.to_string();
             let uid: u64 = name
                 .strip_prefix("seg-")?
-                .strip_suffix(".pages")?
+                .strip_suffix(".run")?
                 .parse()
                 .ok()?;
-            Some((uid, path))
+            Some((uid, path, name))
         })
         .max()
-        .expect("segment files exist")
-        .1;
-    let mut bytes = fs::read(&newest_seg).unwrap();
-    assert!(!bytes.is_empty());
-    bytes[0] ^= 0x80;
-    fs::write(&newest_seg, bytes).unwrap();
+        .map(|(_, path, name)| (path, name))
+        .expect("segment files exist");
+    let clean = fs::read(&newest_seg).unwrap();
+    assert!(!clean.is_empty());
+    let scene = root.path().join("scene");
+    for at in 0..clean.len() {
+        if scene.exists() {
+            fs::remove_dir_all(&scene).unwrap();
+        }
+        copy_dir(&dir, &scene);
+        let mut bytes = clean.clone();
+        bytes[at] ^= 0x80;
+        fs::write(scene.join("segments").join(&name), bytes).unwrap();
+
+        let mut recovered = durable_builder(window, &scene, 2)
+            .recover()
+            .build()
+            .unwrap();
+        let report = recovered.recovery_report().unwrap().clone();
+        assert_eq!(
+            report.checkpoint_seq,
+            Some(6),
+            "byte {at}: fell back past the damage"
+        );
+        assert!(
+            report
+                .skipped_artifacts
+                .iter()
+                .any(|s| s.contains("checkpoint-8.ckpt") && s.contains(&name)),
+            "byte {at}: the rejection names the damaged run: {:?}",
+            report.skipped_artifacts
+        );
+        assert_same(
+            &recovered.mine().unwrap(),
+            &expected[8],
+            &format!("flip at byte {at}"),
+        );
+    }
+}
+
+/// Once a checkpoint has committed, collecting the segment files it proved
+/// unreferenced is best-effort.  A queued file removed behind the miner's
+/// back neither fails the ingest whose checkpoint collects it — that batch
+/// is logged, applied and checkpointed, and a client resending it would
+/// count it twice — nor strands the files queued after it, and recovery is
+/// still exact.
+#[test]
+fn a_vanished_queued_segment_file_neither_fails_the_ingest_nor_strands_the_queue() {
+    let window = 3;
+    let batches = batch_stream(13, 12);
+    let expected = oracle(window, &batches);
+
+    let root = fsm_storage::TempDir::new("gcqueue").unwrap();
+    let dir = root.path().join("durable");
+    let segments = dir.join("segments");
+    let mut miner = durable_builder(window, &dir, 2).build().unwrap();
+    // Batch i is segment uid i; a checkpoint follows every second batch.
+    // Batches 4 and 5 evict segments 1 and 2, which the checkpoints after
+    // batches 3 and 5 still reference; the checkpoint after batch 7 is the
+    // first that does not, and collects both.
+    for batch in &batches[..7] {
+        miner.ingest_batch(batch).unwrap();
+    }
+    fs::remove_file(segments.join("seg-1.run")).unwrap();
+    miner
+        .ingest_batch(&batches[7])
+        .expect("the checkpointing ingest succeeds");
+    // Segment 2 was still collected: the next push renamed it into place.
+    miner.ingest_batch(&batches[8]).unwrap();
+    assert!(!segments.join("seg-2.run").exists());
+    assert!(segments.join("seg-8.run").exists());
+    for batch in &batches[9..] {
+        miner.ingest_batch(batch).unwrap();
+    }
+    drop(miner);
 
     let mut recovered = durable_builder(window, &dir, 2).recover().build().unwrap();
-    let report = recovered.recovery_report().unwrap().clone();
-    assert_eq!(report.checkpoint_seq, Some(6), "fell back past the damage");
-    assert!(
-        report
-            .skipped_artifacts
-            .iter()
-            .any(|s| s.contains("checkpoint-8.ckpt") && s.contains("page")),
-        "the rejection names the damaged page: {:?}",
-        report.skipped_artifacts
+    assert_same(
+        &recovered.mine().unwrap(),
+        &expected[batches.len()],
+        "after a vanished queued file",
     );
-    assert_same(&recovered.mine().unwrap(), &expected[8], "page flip");
+}
+
+/// A directory written by segment format v1 — `seg-<uid>.pages` page files
+/// with `.crc` sidecars — is refused by name, and refusing it deletes
+/// nothing: no v1 decoder is kept, and recovery must not mistake the
+/// unreadable for the corrupt.
+#[test]
+fn a_format_v1_directory_is_refused_and_left_untouched() {
+    let window = 3;
+    let root = fsm_storage::TempDir::new("formatv1").unwrap();
+    let dir = root.path().join("durable");
+    {
+        let mut miner = durable_builder(window, &dir, 2).build().unwrap();
+        for batch in &batch_stream(3, 4) {
+            miner.ingest_batch(batch).unwrap();
+        }
+    }
+    fs::write(dir.join("segments").join("seg-3.pages"), [0u8; 1024]).unwrap();
+    fs::write(dir.join("segments").join("seg-3.pages.crc"), [0u8; 4]).unwrap();
+    let listing = |dir: &Path| {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    };
+    let before = (listing(&dir), listing(&dir.join("segments")));
+    let err = durable_builder(window, &dir, 2)
+        .recover()
+        .build()
+        .unwrap_err();
+    assert!(
+        matches!(&err, FsmError::CorruptArtifact { detail, .. } if detail.contains("segment format v1")),
+        "{err}"
+    );
+    assert_eq!((listing(&dir), listing(&dir.join("segments"))), before);
 }
 
 /// A live epoch snapshot neither blocks nor skews recovery: crash while a

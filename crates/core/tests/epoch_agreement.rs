@@ -36,7 +36,7 @@ const EDGES: u32 = 10;
 const READERS: usize = 3;
 
 /// The backend/budget corners under test: memory, uncached disk, a tiny
-/// disk budget (hits and page reads mix within a row) and an unlimited disk
+/// disk budget (hits and run reads mix within a row) and an unlimited disk
 /// budget (everything but the entering segment hits).
 fn corners() -> Vec<(&'static str, StorageBackend, usize)> {
     vec![

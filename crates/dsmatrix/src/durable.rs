@@ -1,25 +1,29 @@
 //! Durability plumbing for the disk-backed [`crate::DsMatrix`].
 //!
 //! The protocol is classic WAL-before-apply, specialised to the fact that
-//! window segments are *immutable files*:
+//! window segments are *immutable runs*, one file each:
 //!
 //! 1. `ingest_batch` first appends the encoded batch to the WAL and `fsync`s
 //!    it (one record, one fsync per commit), and only then mutates any state.
-//! 2. Segment files created since the last checkpoint are `fsync`ed lazily —
-//!    at checkpoint time, not per batch — because the WAL can always re-create
-//!    them by replay.
+//! 2. Segment runs written since the last checkpoint are `fsync`ed lazily —
+//!    at checkpoint time, not per batch, one `fsync` per run — because the
+//!    WAL can always re-create them by replay.
 //! 3. Every K slides a [`fsm_storage::Checkpoint`] snapshots the window
 //!    *metadata* (segment list + row indexes + support counters; never row
 //!    payloads), the two newest checkpoints are retained, and the WAL is
 //!    pruned only up to the **older** retained checkpoint — so if the newest
 //!    checkpoint file is ever found corrupt, the older one plus the retained
 //!    WAL suffix still reaches the exact pre-crash window.
-//! 4. Evicted segment files are not unlinked immediately: a retained
-//!    checkpoint may still reference them.  Their removal is deferred until a
-//!    later checkpoint proves them unreferenced.
+//! 4. Evicted segment files are not released immediately: a retained
+//!    checkpoint may still reference them.  Their release — to be renamed
+//!    and overwritten by a later push, never unlinked — is deferred until a
+//!    later checkpoint proves them unreferenced.  That collection runs after
+//!    the checkpoint has committed, so it is best-effort: a file whose
+//!    release fails stays queued for the next checkpoint, and the ingest
+//!    that triggered it still succeeds.
 //!
 //! [`crate::DsMatrix::recover`] inverts the protocol: newest checkpoint that
-//! loads *and* whose segment pages verify wins, the WAL tail past it is
+//! loads *and* whose segment runs verify wins, the WAL tail past it is
 //! replayed through the ordinary ingest path, and a [`RecoveryReport`] names
 //! every artifact that had to be distrusted along the way.
 
@@ -101,8 +105,8 @@ pub(crate) struct DurableState {
     pub(crate) last_ckpt_uids: BTreeSet<u64>,
     /// Segment uids referenced by the previous retained checkpoint.
     pub(crate) prev_ckpt_uids: BTreeSet<u64>,
-    /// Evicted segment files whose unlink is deferred until a checkpoint
-    /// proves them unreferenced.
+    /// Evicted segment files whose release is deferred until a checkpoint
+    /// proves them unreferenced (or whose release failed).
     pub(crate) garbage: Vec<(u64, PathBuf)>,
     /// Slides since the last checkpoint.
     pub(crate) slides_since_ckpt: usize,

@@ -39,7 +39,6 @@
 //! byte-identical to a stop-the-world mine at the same epoch, property-tested
 //! in `crates/core/tests/epoch_agreement.rs` under real concurrent slides.
 
-use std::convert::Infallible;
 use std::sync::Arc;
 
 use fsm_storage::EpochSegment;
@@ -163,16 +162,14 @@ impl EpochSnapshot {
     /// row.  One allocation per row; nothing is memoised on the snapshot, so
     /// the copy lives exactly as long as the caller keeps it.
     pub fn assemble_rows(&self) -> RowSnapshot {
-        let Ok(rows) = RowSnapshot::assemble(self.num_items, self.num_cols, |idx, row| {
+        RowSnapshot::assemble(self.num_items, self.num_cols, |idx, row| {
             for segment in &self.segments {
                 match segment.chunk(idx) {
                     Some(chunk) => row.extend_from_bitvec(chunk),
                     None => row.resize(row.len() + segment.cols()),
                 }
             }
-            Ok::<(), Infallible>(())
-        });
-        rows
+        })
     }
 
     /// The read surface over the frozen epoch: `rows` (from

@@ -31,7 +31,7 @@
 //! immutable segment per ingested batch, holding bit chunks only for the rows
 //! the batch touches.  [`DsMatrix::ingest_batch`] therefore costs
 //! `O(rows touched by the batch + evicted columns)` — it appends one segment
-//! and, when the window is full, unlinks the oldest — instead of rewriting
+//! and, when the window is full, drops the oldest — instead of rewriting
 //! every cell of every row as a flat-row layout would.  The
 //! [`DsMatrix::capture_stats`] counters expose the words actually written so
 //! tests and benchmarks can assert the bound.
@@ -46,8 +46,9 @@
 //! words the read path actually materialises, mirroring `capture_stats` on
 //! the write side.
 //!
-//! The matrix is "kept on the disk" by default: segments live in per-batch
-//! paged files under a temporary directory, the resident footprint during
+//! The matrix is "kept on the disk" by default: each segment is one packed,
+//! CRC-covered run file under a temporary directory (segment format v2,
+//! files recycled from slide to slide), the resident footprint during
 //! capture is only the boundary bookkeeping, counters and per-segment
 //! indexes, and [`DsMatrix::view`] falls back to assembling flat rows for
 //! the duration of a mine call.  An in-memory backend serves the zero-copy

@@ -32,7 +32,7 @@ fn words_of(bits: usize) -> u64 {
 /// ([`CaptureStats`]); these counters measure *reads* the same way, so the
 /// repo benchmark's `dsmatrix.{splice_words_per_slide,
 /// words_assembled_per_mine}` and `storage.pages_read_per_mine` report
-/// measured words and pages, not a model (CI pins them; the unit is asserted
+/// measured words and reads, not a model (CI pins them; the unit is asserted
 /// by `read_word_accounting_is_exact_for_a_known_window` below and by
 /// `view_consistency.rs`).  Differencing `words_assembled` across a mine
 /// call gives the exact number of words the read path had to materialise
@@ -53,13 +53,15 @@ pub struct ReadStats {
     /// Words moved by the amortised [`BitVec::drop_prefix`] compaction of the
     /// row cache's dead prefix.
     pub cache_compact_words: u64,
-    /// Disk pages the chunk-read path fetched (disk backends only; zero on
-    /// the memory backend, whose chunks are borrowed).  With a chunk-cache
-    /// budget covering the window, the per-mine delta drops to the chunks
-    /// the preceding slide invalidated.
+    /// Positional reads the chunk-read path issued (disk backends only; zero
+    /// on the memory backend, whose chunks are borrowed): one per segment
+    /// run read, and a view reads each segment with a cache miss at most
+    /// once.  (The name is the metric's, `storage.pages_read_per_mine`, from
+    /// when a segment was a file of pages read one per chunk.)  With a
+    /// chunk-cache budget covering the window it stays 0.
     pub pages_read: u64,
     /// Chunk reads served by the budgeted decoded-chunk cache
-    /// ([`fsm_storage::ChunkCache`]) instead of the paged file.
+    /// ([`fsm_storage::ChunkCache`]) instead of a segment run.
     pub cache_hits: u64,
     /// Always 0: no view lends rows out of the chunk cache any more, so
     /// nothing writes this.  The field is kept only because
@@ -400,9 +402,9 @@ impl DsMatrix {
     /// Rebuilds the exact pre-crash window from the durable directory.
     ///
     /// Recovery loads the newest checkpoint that (a) parses with a valid
-    /// CRC and (b) whose referenced segment pages all verify, then replays
+    /// CRC and (b) whose referenced segment runs all verify, then replays
     /// the WAL tail past it through the ordinary ingest path.  A corrupt
-    /// newest checkpoint (or a corrupt segment page it references) makes
+    /// newest checkpoint (or a corrupt segment run it references) makes
     /// recovery fall back to the older retained checkpoint — whose WAL
     /// suffix is retained precisely for this — and, failing that, to an
     /// empty window replayed from the full WAL.  Corrupt candidates are
@@ -411,7 +413,8 @@ impl DsMatrix {
     ///
     /// Any I/O error that is *not* a proven corruption fails recovery
     /// outright rather than falling back — a transient error must not
-    /// masquerade as data loss.
+    /// masquerade as data loss — and so does a directory holding segment
+    /// format v1 files, which is refused by name without deleting anything.
     pub fn recover(config: DsMatrixConfig) -> Result<Self> {
         let Some(dur) = config.durability.clone() else {
             return Err(FsmError::config(
@@ -422,13 +425,17 @@ impl DsMatrix {
         std::fs::create_dir_all(&dur.dir)?;
         std::fs::create_dir_all(dur.segments_dir())?;
         let segments_dir = dur.segments_dir();
+        // A directory segment format v1 wrote is refused before anything in
+        // it is touched: no v1 decoder exists, and the checkpoint walk below
+        // would otherwise delete its checkpoints as corrupt.
+        scan_segment_files(&segments_dir)?;
 
         // The WAL self-repairs its torn tail on open; everything before the
         // tear is intact (per-record CRCs).
         let (mut wal, records, torn) = Wal::open(dur.wal_path())?;
         let wal_torn = torn.map(|t| t.reason);
 
-        // Newest checkpoint whose metadata *and* referenced pages verify
+        // Newest checkpoint whose metadata *and* referenced runs verify
         // wins; proven-corrupt candidates are deleted so a later retention
         // prune cannot prefer them over a good older checkpoint.
         let mut skipped = Vec::new();
@@ -612,7 +619,7 @@ impl DsMatrix {
                 ),
             ));
         }
-        let mut store = SegmentedWindowStore::restore(
+        let store = SegmentedWindowStore::restore(
             dur.segments_dir(),
             &ckpt.segment_metas(),
             ckpt.next_uid,
@@ -681,8 +688,9 @@ impl DsMatrix {
     /// `fsync`ed — only then is any in-memory or segment state mutated
     /// (write-ahead protocol).  Every `checkpoint_every` slides the apply
     /// step also writes a checkpoint, prunes the WAL prefix the *older*
-    /// retained checkpoint covers, and unlinks evicted segment files that no
-    /// retained checkpoint references any more.
+    /// retained checkpoint covers, and releases evicted segment files that
+    /// no retained checkpoint references any more for later pushes to
+    /// overwrite.
     pub fn ingest_batch(&mut self, batch: &Batch) -> Result<SlideOutcome> {
         self.rebalance_cache_budget();
         if let Some(durable) = &mut self.durable {
@@ -706,7 +714,7 @@ impl DsMatrix {
             let dropped = match &mut self.durable {
                 None => self.store.pop_segment()?,
                 Some(durable) => {
-                    // Durable evictions defer the unlink: a retained
+                    // Durable evictions defer the release: a retained
                     // checkpoint may still reference the file.
                     let (cols, detached) = self.store.pop_segment_detached()?;
                     if let Some((uid, path)) = detached {
@@ -789,8 +797,9 @@ impl DsMatrix {
     }
 
     /// Writes a checkpoint of the current window, rotates the two retained
-    /// checkpoints, garbage-collects unreferenced evicted segment files, and
-    /// prunes the WAL prefix the older retained checkpoint covers.
+    /// checkpoints, releases unreferenced evicted segment files for
+    /// recycling, and prunes the WAL prefix the older retained checkpoint
+    /// covers.
     ///
     /// Called automatically every [`DurabilityConfig::checkpoint_every`]
     /// slides; exposed for tests and shutdown paths.  Errors if the matrix is
@@ -981,9 +990,9 @@ impl DsMatrix {
                     rows: meta
                         .rows
                         .iter()
-                        .map(|&(row, first_page, len)| CheckpointRow {
+                        .map(|&(row, offset, len)| CheckpointRow {
                             row: row as u64,
-                            first_page: first_page as u64,
+                            offset: offset as u64,
                             len: len as u64,
                             ones: ones.get(&row).copied().unwrap_or(0),
                         })
@@ -1012,13 +1021,17 @@ impl DsMatrix {
         let live: BTreeSet<u64> = checkpoint.segments.iter().map(|s| s.uid).collect();
         durable.prev_ckpt_uids = std::mem::replace(&mut durable.last_ckpt_uids, live);
 
-        // 5. Unlink evicted segment files no retained checkpoint references.
+        // 5. Release evicted segment files no retained checkpoint
+        //    references, for later pushes to overwrite.  The checkpoint has
+        //    committed, so this is best-effort: a file whose release fails
+        //    stays queued for the next checkpoint, and the ingest — its
+        //    batch logged, applied and checkpointed — still succeeds.
         let garbage = std::mem::take(&mut durable.garbage);
         for (uid, path) in garbage {
-            if durable.last_ckpt_uids.contains(&uid) || durable.prev_ckpt_uids.contains(&uid) {
+            let referenced =
+                durable.last_ckpt_uids.contains(&uid) || durable.prev_ckpt_uids.contains(&uid);
+            if referenced || self.store.release_segment_file(&path).is_err() {
                 durable.garbage.push((uid, path));
-            } else {
-                fsm_storage::remove_segment_file(&path)?;
             }
         }
 
@@ -1092,13 +1105,15 @@ impl DsMatrix {
     /// cache buffers (`rows_assembled` / `words_assembled` count the window,
     /// once), each chunk fetched through the budgeted
     /// [`fsm_storage::ChunkCache`].  A [`DsMatrixConfig::cache_budget_bytes`]
-    /// budget buys page reads, never assembly: with a budget covering the
-    /// window a steady-state view fetches only the pages the preceding slide
-    /// invalidated (`pages_read`); with a smaller one, whatever fitted first
-    /// keeps hitting; with `0` (the default) the window is re-read from disk
-    /// on every call.  Direct callers that keep taking views reuse the row
-    /// allocations; the `StreamMiner` facade instead calls
-    /// [`DsMatrix::trim_cache`] after each mine.
+    /// budget buys decodes, never assembly: with a budget covering the window
+    /// a view reads no run; with a smaller one, whatever fitted first keeps
+    /// hitting and each segment holding a chunk that did not is read once
+    /// (`pages_read`); with `0` (the default) every segment is re-read from
+    /// disk on every call — once, however many rows it holds.  The runs a
+    /// view read stay memoised until [`DsMatrix::trim_cache`].  Direct
+    /// callers that keep taking views reuse the row allocations; the
+    /// `StreamMiner` facade instead calls [`DsMatrix::trim_cache`] after each
+    /// mine.
     pub fn view(&mut self) -> Result<WindowView<'_>> {
         self.rebalance_cache_budget();
         if self.cache.rows.len() < self.num_items {
@@ -1172,13 +1187,13 @@ impl DsMatrix {
     }
 
     /// Cumulative read-path cost counters (words eagerly assembled, cache
-    /// maintenance work, disk pages fetched and chunk-cache hits).
+    /// maintenance work, segment runs read and chunk-cache hits).
     /// Differencing `words_assembled` across a mine call measures that
     /// call's assembly cost; differencing `pages_read` measures its disk
     /// read amplification.
     pub fn read_stats(&self) -> ReadStats {
         let mut stats = self.read_stats;
-        stats.pages_read = self.store.pages_read();
+        stats.pages_read = self.store.runs_read();
         stats.cache_hits = self.store.cache_stats().hits;
         if let Some(durable) = &self.durable {
             let wal = durable.wal.stats();
@@ -1206,9 +1221,10 @@ impl DsMatrix {
     }
 
     /// Frees the flat rows [`DsMatrix::view`] assembled on the disk backends
-    /// (no-op on the memory backend, whose cache is the
-    /// incrementally-maintained read surface, not a copy).  The chunk cache
-    /// is untouched, so the next view re-reads only what it does not hold.
+    /// and the segment runs it read (no-op on the memory backend, whose
+    /// cache is the incrementally-maintained read surface, not a copy).  The
+    /// chunk cache is untouched, so the next view re-reads only what it does
+    /// not hold.
     ///
     /// The facade calls this after a disk-backed mine — through an RAII
     /// guard, so it also runs when mining errors or panics — keeping the
@@ -1217,6 +1233,7 @@ impl DsMatrix {
     pub fn trim_cache(&mut self) {
         if !self.cache.enabled {
             self.cache.rows = Vec::new();
+            self.store.release_runs();
         }
     }
 
@@ -1591,10 +1608,10 @@ mod tests {
     fn budgeted_disk_views_read_only_the_slide_and_assemble_what_eager_views_do() {
         // The same stream through an uncached (budget 0) and a budgeted disk
         // matrix: rows stay byte-identical at every step and both assemble
-        // the same words — the budget buys page reads, never assembly — but
+        // the same words — the budget buys decodes, never assembly — but
         // the budgeted matrix, whose cache admits each chunk as its segment
-        // is written, never fetches a page at all, while budget 0 re-reads
-        // the whole window on every view.
+        // is written, never reads a run at all, while budget 0 re-reads
+        // the whole window on every view: each segment once.
         let config = |budget: usize| {
             DsMatrixConfig::new(WindowConfig::new(2).unwrap(), StorageBackend::DiskTemp, 6)
                 .with_cache_budget(budget)
@@ -1615,6 +1632,8 @@ mod tests {
 
             let cols = if round == 0 { 3 } else { 6 };
             let expected: Vec<String> = (0..6).map(|item| row_string(&mut eager, item)).collect();
+            // What a mine does afterwards: the reference reads' runs go.
+            eager.trim_cache();
             let (e0, b0) = (eager.read_stats(), budgeted.read_stats());
             {
                 let eager_view = eager.view().unwrap();
@@ -1654,7 +1673,7 @@ mod tests {
             assert_eq!(
                 b1.pages_read - b0.pages_read,
                 0,
-                "round {round}: a covering budget reads no page"
+                "round {round}: a covering budget reads no run"
             );
             assert_eq!(
                 b1.cache_hits - b0.cache_hits,
@@ -1663,8 +1682,8 @@ mod tests {
             );
             assert_eq!(
                 e1.pages_read - e0.pages_read,
-                window_chunks(&eager),
-                "round {round}: budget 0 reads every chunk (one page each)"
+                eager.store.num_segments() as u64,
+                "round {round}: budget 0 reads every segment, once"
             );
         }
     }
@@ -1672,7 +1691,7 @@ mod tests {
     #[test]
     fn tight_budgets_refuse_admissions_and_stay_correct() {
         // A budget that holds some of the window's chunks but not all: hits
-        // and page reads coexist in one view, and every row agrees with the
+        // and run reads coexist in one view, and every row agrees with the
         // eager ground truth.
         let mut m = DsMatrix::new(
             DsMatrixConfig::new(WindowConfig::new(2).unwrap(), StorageBackend::DiskTemp, 6)
@@ -1711,14 +1730,14 @@ mod tests {
             ));
         }
         // Write-through admission makes the first view as warm as the
-        // second: in both, hits and page reads coexist.
-        for (view, &(hits, pages)) in per_view.iter().enumerate() {
+        // second: in both, hits and run reads coexist.
+        for (view, &(hits, reads)) in per_view.iter().enumerate() {
             assert!(
                 hits > 0,
                 "view {view}: a 600-byte budget should keep some chunks warm: {per_view:?}"
             );
             assert!(
-                pages > 0,
+                reads > 0,
                 "view {view}: a 600-byte budget should also refuse some: {per_view:?}"
             );
         }
@@ -1734,10 +1753,10 @@ mod tests {
 
     #[test]
     fn a_disk_view_looks_each_chunk_up_once() {
-        // Every paper chunk fits one page, so per view each chunk the window
-        // holds is either one cache hit or one page read — never both, never
-        // neither — whether the budget holds part of the window or all of
-        // it, cold or steady.
+        // Per view each chunk the window holds is either one cache hit or
+        // one miss — never both, never neither — and the misses cost one run
+        // read per segment holding one, whether the budget holds part of the
+        // window or all of it, cold or steady.
         for budget in [600, usize::MAX] {
             let mut m = DsMatrix::new(
                 DsMatrixConfig::new(WindowConfig::new(2).unwrap(), StorageBackend::DiskTemp, 6)
@@ -1752,15 +1771,20 @@ mod tests {
                 );
                 m.ingest_batch(&batch).unwrap();
                 for pass in 0..2 {
-                    let before = m.read_stats();
+                    let (before, reads) = (m.store.cache_stats(), m.read_stats().pages_read);
                     m.view().unwrap();
                     m.trim_cache();
-                    let after = m.read_stats();
+                    let after = m.store.cache_stats();
+                    let misses = after.misses - before.misses;
                     assert_eq!(
-                        (after.cache_hits - before.cache_hits)
-                            + (after.pages_read - before.pages_read),
+                        (after.hits - before.hits) + misses,
                         window_chunks(&m),
                         "budget {budget}, round {round}, pass {pass}"
+                    );
+                    let reads = m.read_stats().pages_read - reads;
+                    assert!(
+                        reads <= m.store.num_segments() as u64 && (reads > 0) == (misses > 0),
+                        "budget {budget}, round {round}, pass {pass}: {reads} reads"
                     );
                 }
             }

@@ -35,11 +35,11 @@ impl RowSnapshot {
     /// The one row-assembly routine: for each of `num_items` rows, one
     /// buffer sized to `num_cols` that `fill` appends the row's chunks to
     /// (anything it leaves short is zero-filled).
-    pub(crate) fn assemble<E>(
+    pub(crate) fn assemble(
         num_items: usize,
         num_cols: usize,
-        mut fill: impl FnMut(usize, &mut BitVec) -> Result<(), E>,
-    ) -> Result<Self, E> {
+        mut fill: impl FnMut(usize, &mut BitVec),
+    ) -> Self {
         let mut rows = Vec::with_capacity(num_items);
         for idx in 0..num_items {
             // The row's only allocation.  The spare word is for
@@ -47,12 +47,12 @@ impl RowSnapshot {
             // the final length before truncating to it.
             let mut row = BitVec::zeros(num_cols + WORD_BITS);
             row.resize(0);
-            fill(idx, &mut row)?;
+            fill(idx, &mut row);
             debug_assert!(row.len() <= num_cols);
             row.resize(num_cols);
             rows.push(row);
         }
-        Ok(Self { rows, num_cols })
+        Self { rows, num_cols }
     }
 
     /// Number of rows (domain edges) captured.
@@ -235,9 +235,7 @@ mod tests {
                 stored.resize(2);
             }
             out.extend_from_bitvec(&stored);
-            Ok::<(), ()>(())
-        })
-        .unwrap();
+        });
         let expected = [5u64, 2, 5, 4, 1, 4];
         for (idx, &want) in expected.iter().enumerate() {
             let row = snap.row(EdgeId::new(idx as u32)).unwrap();

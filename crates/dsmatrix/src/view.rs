@@ -8,7 +8,7 @@
 //!   constructing a view copies nothing, so the per-mine read cost is
 //!   whatever the slide touched, not the window size.  On the disk backends
 //!   the matrix assembles each row once per call, fetching chunks through
-//!   the budgeted chunk cache (the budget buys page reads, never assembly);
+//!   the budgeted chunk cache (the budget buys decodes, never assembly);
 //! * a **frozen epoch** ([`crate::EpochSnapshot::view`]) borrows the
 //!   [`crate::RowSnapshot`] the caller assembled from the snapshot's shared
 //!   segments ([`crate::EpochSnapshot::assemble_rows`]) — freezing an epoch

@@ -36,8 +36,8 @@ fn matrix(window: usize, backend: StorageBackend, expected: usize) -> DsMatrix {
 }
 
 /// The backend/budget corners every consistency check runs on: zero-copy
-/// memory, uncached disk (budget 0 — every chunk read from its page file),
-/// a tiny budget (most admissions refused, so hits and page reads mix within
+/// memory, uncached disk (budget 0 — every chunk decoded from its segment run),
+/// a tiny budget (most admissions refused, so hits and run reads mix within
 /// one row) and an unlimited one (every chunk but the entering segment's
 /// served from the cache).
 fn corner_matrices(window: usize, expected: usize) -> Vec<DsMatrix> {

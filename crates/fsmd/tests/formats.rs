@@ -3,16 +3,19 @@
 //!
 //! Every format that crosses a trust boundary — wire bodies
 //! ([`TenantSpec`], [`TenantStatus`], pattern lists), the batch payload,
-//! the WAL record frame, and the two CRC-framed artifacts
-//! ([`Checkpoint`], [`Hibernation`]) — is written and read through one
-//! codec (`fsm_types::codec` + `fsm_storage::framed`).  The golden tests
-//! below hold the exact bytes the formats had before that codec existed,
-//! so a port or refactor of the codec provably moves no byte.  The
-//! property test then feeds every decoder arbitrary bytes and every
-//! truncation of a valid encoding: the answer must be a typed error —
-//! never a panic, and never a reservation sized by a count the input
-//! merely *announces* (measured with a counting allocator, see
-//! [`PeakAlloc`]).
+//! the WAL record frame, the two CRC-framed artifacts ([`Checkpoint`],
+//! [`Hibernation`]) and the segment run a disk window keeps per batch
+//! (segment format v2) — is written and read through one codec
+//! (`fsm_types::codec`, plus `fsm_storage::framed` for the framed
+//! artifacts).  The golden tests below hold the exact bytes of each format,
+//! so a port or refactor of the codec provably moves no byte; the wire,
+//! WAL and hibernation goldens are the bytes those formats had before the
+//! shared codec existed.  The retired `FSMCKPT1` checkpoint of segment
+//! format v1 is pinned as a refusal.  The property test then feeds every
+//! decoder arbitrary bytes, every truncation of a valid encoding and a
+//! bit-flipped one: the answer must be a typed error — never a panic, and
+//! never a reservation sized by a count the input merely *announces*
+//! (measured with a counting allocator, see [`PeakAlloc`]).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -21,8 +24,8 @@ use fsm_core::LifecycleState;
 use fsm_dsmatrix::{decode_batch, encode_batch};
 use fsm_fsmd::proto::{put_patterns, take_patterns, Cursor, TenantSpec, TenantStatus};
 use fsm_storage::{
-    crc32, wal, Checkpoint, CheckpointRow, CheckpointSegment, Hibernation, HibernationRow,
-    HibernationSegment, TempDir, Wal,
+    crc32, wal, BitVec, Checkpoint, CheckpointRow, CheckpointSegment, EpochSegment, Hibernation,
+    HibernationRow, HibernationSegment, SegmentedWindowStore, StorageBackend, TempDir, Wal,
 };
 use fsm_types::{Batch, EdgeSet, FrequentPattern, FsmError, Transaction};
 use proptest::prelude::*;
@@ -144,13 +147,13 @@ fn sample_checkpoint() -> Checkpoint {
                 rows: vec![
                     CheckpointRow {
                         row: 0,
-                        first_page: 0,
+                        offset: 56,
                         len: 16,
                         ones: 2,
                     },
                     CheckpointRow {
                         row: 2,
-                        first_page: 1,
+                        offset: 72,
                         len: 16,
                         ones: 1,
                     },
@@ -195,6 +198,36 @@ fn sample_hibernation() -> Hibernation {
     }
 }
 
+/// The run file of the segment [`sample_checkpoint`]'s first entry
+/// describes: uid 2 (two empty segments are pushed first), 3 columns, rows 0
+/// and 2.
+fn sample_run() -> Vec<u8> {
+    segment_run(
+        2,
+        3,
+        &[(0, vec![true, false, true]), (2, vec![false, true, true])],
+    )
+}
+
+/// The run `SegmentedWindowStore::push_segment` writes for a segment of
+/// `cols` columns holding `rows`, pushed as the store's `uid`-th segment.
+fn segment_run(uid: u64, cols: usize, rows: &[(usize, Vec<bool>)]) -> Vec<u8> {
+    let dir = TempDir::new("fmt-run").unwrap();
+    let root = dir.file("segments");
+    let mut store = SegmentedWindowStore::open(StorageBackend::DiskAt(root.clone())).unwrap();
+    for _ in 0..uid {
+        store.push_segment(0, []).unwrap();
+    }
+    let chunks: Vec<(usize, BitVec)> = rows
+        .iter()
+        .map(|(row, bits)| (*row, BitVec::from_bools(bits.iter().copied())))
+        .collect();
+    store
+        .push_segment(cols, chunks.iter().map(|(row, chunk)| (*row, chunk)))
+        .unwrap();
+    std::fs::read(root.join(format!("seg-{uid}.run"))).unwrap()
+}
+
 fn checkpoint_file_bytes(checkpoint: &Checkpoint) -> Vec<u8> {
     let dir = TempDir::new("fmt-ckpt").unwrap();
     let (path, bytes, _) = checkpoint.write(dir.path()).unwrap();
@@ -212,7 +245,7 @@ fn hibernation_file_bytes(hibernation: &Hibernation) -> Vec<u8> {
 }
 
 // ---------------------------------------------------------------------------
-// Golden bytes: captured from the commit before the shared codec existed.
+// Golden bytes.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -282,11 +315,49 @@ fn golden_wal_frame() {
 }
 
 #[test]
+fn golden_segment_run() {
+    let run = sample_run();
+    assert_eq!(hex(&run), "0200000002000000000000000300000000000000020000000000000030000000000000007a15f059000000000000000002000000000000000300000000000000050000000000000003000000000000000600000000000000");
+    let segment = EpochSegment::decode_run(&run, "seg-2.run").unwrap();
+    assert_eq!(
+        (segment.uid(), segment.cols(), segment.num_rows()),
+        (2, 3, 2)
+    );
+    assert_eq!(format!("{:?}", segment.chunk(2).unwrap()), "BitVec[011]");
+    // The golden checkpoint's first segment is this run: restored from its
+    // row offsets, the run verifies.
+    let dir = TempDir::new("fmt-run-restore").unwrap();
+    std::fs::write(dir.path().join("seg-2.run"), &run).unwrap();
+    let metas = sample_checkpoint().segment_metas();
+    SegmentedWindowStore::restore(dir.path().to_path_buf(), &metas[..1], 4)
+        .unwrap()
+        .verify_segments()
+        .unwrap();
+}
+
+#[test]
 fn golden_checkpoint_file() {
     assert_eq!(
         hex(&checkpoint_file_bytes(&sample_checkpoint())),
-        "46534d434b5054310900000000000000040000000000000003000000000000000200000000000000030000000000000005000000000000000000000000000000020000000000000002000000000000000200000000000000060000000000000003000000000000000200000000000000000000000000000000000000000000001000000000000000020000000000000002000000000000000100000000000000100000000000000001000000000000000300000000000000070000000000000001000000000000000000000000000000a651846e"
+        "46534d434b5054320900000000000000040000000000000003000000000000000200000000000000030000000000000005000000000000000000000000000000020000000000000002000000000000000200000000000000060000000000000003000000000000000200000000000000000000000000000038000000000000001000000000000000020000000000000002000000000000004800000000000000100000000000000001000000000000000300000000000000070000000000000001000000000000000000000000000000ffcc84c0"
     );
+}
+
+/// The same sample as written by segment format v1 (`FSMCKPT1`, its second
+/// row field a page number), byte for byte: refused by name, never decoded.
+#[test]
+fn golden_v1_checkpoint_is_refused_as_segment_format_v1() {
+    let v1 = "46534d434b5054310900000000000000040000000000000003000000000000000200000000000000030000000000000005000000000000000000000000000000020000000000000002000000000000000200000000000000060000000000000003000000000000000200000000000000000000000000000000000000000000001000000000000000020000000000000002000000000000000100000000000000100000000000000001000000000000000300000000000000070000000000000001000000000000000000000000000000a651846e";
+    let bytes: Vec<u8> = (0..v1.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&v1[i..i + 2], 16).unwrap())
+        .collect();
+    match decode_checkpoint(&bytes) {
+        Err(FsmError::CorruptArtifact { detail, .. }) => {
+            assert!(detail.contains("segment format v1"), "{detail}")
+        }
+        other => panic!("an FSMCKPT1 checkpoint must be refused: {other:?}"),
+    }
 }
 
 #[test]
@@ -301,7 +372,7 @@ fn golden_hibernation_file() {
 // Decoders under fire.
 // ---------------------------------------------------------------------------
 
-const CHECKPOINT_MAGIC: &[u8; 8] = b"FSMCKPT1";
+const CHECKPOINT_MAGIC: &[u8; 8] = b"FSMCKPT2";
 const HIBERNATION_MAGIC: &[u8; 8] = b"FSMSPIL1";
 
 /// `magic ‖ body ‖ crc32(body)` — a structurally arbitrary body behind a
@@ -369,6 +440,24 @@ fn decode_checkpoint_body(body: &[u8]) -> Result<(), FsmError> {
     decode_checkpoint(&framed(CHECKPOINT_MAGIC, body))
 }
 
+fn decode_run(bytes: &[u8]) -> Result<(), FsmError> {
+    EpochSegment::decode_run(bytes, "seg-0.run").map(drop)
+}
+
+/// A segment run with the given header fields and payload, behind a valid
+/// CRC (of the header's first 36 bytes and the payload), so the checks
+/// behind the CRC are reached.
+fn run_with(uid: u64, cols: u64, rows: u64, payload_len: u64, payload: &[u8]) -> Vec<u8> {
+    let mut bytes = 2u32.to_le_bytes().to_vec();
+    for field in [uid, cols, rows, payload_len] {
+        bytes.extend_from_slice(&field.to_le_bytes());
+    }
+    let crc = crc32(&[bytes.as_slice(), payload].concat());
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
 fn decode_hibernation(bytes: &[u8]) -> Result<(), FsmError> {
     decode_file(bytes, Hibernation::load)
 }
@@ -377,7 +466,7 @@ fn decode_hibernation_body(body: &[u8]) -> Result<(), FsmError> {
     decode_hibernation(&framed(HIBERNATION_MAGIC, body))
 }
 
-const DECODERS: [(&str, Decoder); 9] = [
+const DECODERS: [(&str, Decoder); 10] = [
     ("tenant spec", decode_spec),
     ("tenant status", decode_status),
     ("pattern list", decode_patterns),
@@ -387,7 +476,12 @@ const DECODERS: [(&str, Decoder); 9] = [
     ("checkpoint body", decode_checkpoint_body),
     ("hibernation file", decode_hibernation),
     ("hibernation body", decode_hibernation_body),
+    ("segment run", decode_run),
 ];
+
+/// The formats whose every byte a CRC covers: one flipped bit anywhere must
+/// be refused, not decoded into a different value.
+const CHECKSUMMED: [&str; 3] = ["checkpoint file", "hibernation file", "segment run"];
 
 /// What a decoder may allocate in one request for `input_len` bytes of
 /// input: a constant factor for in-memory records being wider than their
@@ -468,7 +562,7 @@ fn valid_encodings(id: u64, rows: &[Vec<u32>]) -> Vec<(&'static str, Decoder, Ve
                     .iter()
                     .map(|&r| CheckpointRow {
                         row: u64::from(r),
-                        first_page: 0,
+                        offset: 56,
                         len: 16,
                         ones: 1,
                     })
@@ -495,6 +589,17 @@ fn valid_encodings(id: u64, rows: &[Vec<u32>]) -> Vec<(&'static str, Decoder, Ve
             .collect(),
         ..sample_hibernation()
     };
+    // One segment holding a chunk for every distinct id the rows mention.
+    let mut ids: Vec<usize> = rows.iter().flatten().map(|&r| r as usize).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let run = segment_run(
+        id % 3,
+        5,
+        &ids.iter()
+            .map(|&r| (r, (0..5).map(|c| (r >> c) & 1 == 1).collect()))
+            .collect::<Vec<_>>(),
+    );
     vec![
         ("tenant spec", decode_spec, spec),
         ("tenant status", decode_status, status),
@@ -511,20 +616,23 @@ fn valid_encodings(id: u64, rows: &[Vec<u32>]) -> Vec<(&'static str, Decoder, Ve
             decode_hibernation,
             hibernation_file_bytes(&hibernation),
         ),
+        ("segment run", decode_run, run),
     ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Arbitrary bytes — raw, and behind a valid magic + CRC frame — and
-    /// every truncation of a valid encoding: each decoder answers with a
-    /// typed error, never a panic, never an input-announced reservation.
+    /// Arbitrary bytes — raw, and behind a valid magic + CRC frame — every
+    /// truncation of a valid encoding and a bit-flipped one: each decoder
+    /// answers with a typed error (or, where no CRC covers the flipped bit,
+    /// another value), never a panic, never an input-announced reservation.
     #[test]
     fn decoders_answer_garbage_and_truncations_with_typed_errors(
         garbage in proptest::collection::vec(any::<u8>(), 0..160),
         rows in proptest::collection::vec(proptest::collection::vec(0u32..100_000, 0..5), 0..4),
         id in any::<u64>(),
+        flip in any::<usize>(),
     ) {
         for (name, decode) in DECODERS {
             if let Err(violation) = check_decoder(name, decode, &garbage) {
@@ -549,6 +657,15 @@ proptest! {
                     ),
                     Err(violation) => prop_assert!(false, "{}", violation),
                 }
+            }
+            let mut flipped = encoded.clone();
+            flipped[flip / 8 % encoded.len()] ^= 1 << (flip % 8);
+            match check_decoder(name, decode, &flipped) {
+                Ok(Ok(())) if CHECKSUMMED.contains(&name) => prop_assert!(
+                    false, "{}: bit {} flipped was accepted", name, flip % (8 * encoded.len())
+                ),
+                Ok(_) => {}
+                Err(violation) => prop_assert!(false, "{}", violation),
             }
         }
     }
@@ -579,7 +696,11 @@ fn a_lying_count_is_refused_before_anything_is_reserved() {
     lying_transaction_edges.extend_from_slice(&[0; 4]);
     let huge = u64::MAX >> 4;
 
-    let cases: [(&str, Decoder, Vec<u8>); 10] = [
+    // A run header is CRC-covered, so these lie behind a valid CRC.
+    let chunk = [3u64, 5].map(u64::to_le_bytes).concat();
+    let one_row = [0u64.to_le_bytes().as_slice(), &chunk].concat();
+
+    let cases: [(&str, Decoder, Vec<u8>); 13] = [
         ("pattern count", decode_patterns, lying_patterns),
         ("pattern edge count", decode_patterns, lying_edges),
         (
@@ -621,6 +742,21 @@ fn a_lying_count_is_refused_before_anything_is_reserved() {
             "hibernation rows count",
             decode_hibernation_body,
             u64s(&[3, 2, 0, 1, 6, 3, huge, 0, 0]),
+        ),
+        (
+            "run row count",
+            decode_run,
+            run_with(0, 3, huge, 24, &one_row),
+        ),
+        (
+            "run payload length",
+            decode_run,
+            run_with(0, 3, 1, huge, &one_row),
+        ),
+        (
+            "run columns",
+            decode_run,
+            run_with(0, huge, 1, 24, &one_row),
         ),
     ];
     for (name, decode, input) in cases {

@@ -1,6 +1,6 @@
 //! Segment-aligned checkpoints: durable snapshots of the window metadata.
 //!
-//! Segments are immutable files, so a checkpoint never copies row data — it
+//! Segments are immutable runs, so a checkpoint never copies row data — it
 //! serialises only the *metadata* needed to reopen them: the live segment
 //! list (uid, batch id, columns, row index), the ingest-time support
 //! counters, and the WAL sequence number it covers.  Checkpoint files are
@@ -10,14 +10,17 @@
 //!
 //! # File format
 //!
-//! A `crate::framed` artifact with magic `"FSMCKPT1"` whose body is all
+//! A `crate::framed` artifact with magic `"FSMCKPT2"` whose body is all
 //! `u64` little-endian fields: `last_seq`, `next_uid`, `num_items`,
 //! `window_batches`, the support counters (count-prefixed), then the live
 //! segments (count-prefixed) — each `uid`, `batch_id`, `cols` and its
-//! count-prefixed rows as `(row, first_page, len, ones)`.  A single flipped
-//! bit anywhere makes [`Checkpoint::load`] reject the file, and recovery
-//! falls back to the next older checkpoint (whose WAL suffix is retained
-//! for exactly this reason).
+//! count-prefixed rows as `(row, offset, len, ones)`, `offset` and `len`
+//! locating the row's chunk in the segment's run (segment format v2).  A
+//! single flipped bit anywhere makes [`Checkpoint::load`] reject the file,
+//! and recovery falls back to the next older checkpoint (whose WAL suffix
+//! is retained for exactly this reason).  `"FSMCKPT1"` — the same fields,
+//! with the second one a page number of segment format v1 — is refused by
+//! name: no v1 decoder is kept.
 
 use std::path::{Path, PathBuf};
 
@@ -27,7 +30,9 @@ use fsm_types::Result;
 use crate::framed;
 use crate::segment::SegmentMeta;
 
-const MAGIC: &[u8; 8] = b"FSMCKPT1";
+const MAGIC: &[u8; 8] = b"FSMCKPT2";
+/// The magic of the checkpoints segment format v1 wrote.
+const MAGIC_V1: &[u8; 8] = b"FSMCKPT1";
 /// Encoded bytes of a segment with no rows: uid, batch id, cols, row count.
 const SEGMENT_HEADER_BYTES: usize = 32;
 /// Encoded bytes of one [`CheckpointRow`].
@@ -38,8 +43,8 @@ const ROW_BYTES: usize = 32;
 pub struct CheckpointRow {
     /// Row (edge) identifier.
     pub row: u64,
-    /// First page of the row inside the segment file.
-    pub first_page: u64,
+    /// Byte offset of the row's chunk in the segment's run.
+    pub offset: u64,
     /// Byte length of the serialised row chunk.
     pub len: u64,
     /// Number of set bits the row contributes in this segment (lets recovery
@@ -50,7 +55,7 @@ pub struct CheckpointRow {
 /// Durable metadata of one live segment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointSegment {
-    /// Stable uid (names the file `seg-<uid>.pages`).
+    /// Stable uid (names the file `seg-<uid>.run`).
     pub uid: u64,
     /// Stream-wide id of the batch this segment captured.
     pub batch_id: u64,
@@ -152,9 +157,10 @@ impl Checkpoint {
     ///
     /// Any damage — wrong magic, truncation, a flipped bit anywhere in the
     /// body, a count the body cannot hold — fails with
-    /// [`fsm_types::FsmError::CorruptArtifact`] naming the file.
+    /// [`fsm_types::FsmError::CorruptArtifact`] naming the file, and so does
+    /// an `FSMCKPT1` checkpoint, as "segment format v1".
     pub fn load(path: &Path) -> Result<Self> {
-        framed::load(path, MAGIC, |reader| {
+        framed::load(path, MAGIC, &[(MAGIC_V1, "segment format v1")], |reader| {
             let last_seq = reader.take_u64()?;
             let next_uid = reader.take_u64()?;
             let num_items = reader.take_u64()?;
@@ -175,7 +181,7 @@ impl Checkpoint {
                 for _ in 0..num_rows {
                     rows.push(CheckpointRow {
                         row: reader.take_u64()?,
-                        first_page: reader.take_u64()?,
+                        offset: reader.take_u64()?,
                         len: reader.take_u64()?,
                         ones: reader.take_u64()?,
                     });
@@ -209,7 +215,7 @@ impl Checkpoint {
                 rows: seg
                     .rows
                     .iter()
-                    .map(|r| (r.row as usize, r.first_page as usize, r.len as usize))
+                    .map(|r| (r.row as usize, r.offset as usize, r.len as usize))
                     .collect(),
             })
             .collect()
@@ -233,7 +239,7 @@ impl Checkpoint {
             put_u64(&mut body, seg.rows.len() as u64);
             for row in &seg.rows {
                 put_u64(&mut body, row.row);
-                put_u64(&mut body, row.first_page);
+                put_u64(&mut body, row.offset);
                 put_u64(&mut body, row.len);
                 put_u64(&mut body, row.ones);
             }
@@ -263,13 +269,13 @@ mod tests {
                     rows: vec![
                         CheckpointRow {
                             row: 0,
-                            first_page: 0,
+                            offset: 56,
                             len: 16,
                             ones: 2,
                         },
                         CheckpointRow {
                             row: 2,
-                            first_page: 1,
+                            offset: 72,
                             len: 16,
                             ones: 1,
                         },
@@ -296,7 +302,7 @@ mod tests {
         assert_eq!(Checkpoint::load(&path).unwrap(), ckpt);
         let metas = ckpt.segment_metas();
         assert_eq!(metas.len(), 2);
-        assert_eq!(metas[0].rows, vec![(0, 0, 16), (2, 1, 16)]);
+        assert_eq!(metas[0].rows, vec![(0, 56, 16), (2, 72, 16)]);
     }
 
     #[test]
@@ -342,6 +348,23 @@ mod tests {
         }
         std::fs::write(&path, &clean).unwrap();
         Checkpoint::load(&path).unwrap();
+    }
+
+    #[test]
+    fn a_format_v1_checkpoint_is_refused_by_name() {
+        // The v1 frame differs only in its magic (the CRC covers the body),
+        // so this is a checkpoint v1 would have loaded.
+        let dir = TempDir::new("ckpt").unwrap();
+        let (path, _, _) = sample(5).write(dir.path()).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[..8].copy_from_slice(MAGIC_V1);
+        std::fs::write(&path, &bytes).unwrap();
+        let err = Checkpoint::load(&path).unwrap_err();
+        assert!(
+            matches!(&err, FsmError::CorruptArtifact { artifact, detail }
+                if artifact == "checkpoint-5.ckpt" && detail.contains("segment format v1")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! CRC-32 (IEEE 802.3) checksums for durable artifacts.
 //!
 //! Every durable byte this crate writes — WAL records, checkpoint bodies,
-//! hibernation images, `framed` artifacts and data pages — carries a
-//! CRC-32 so that torn or bit-flipped artifacts are *detected* at read time
-//! instead of silently mis-mining.  The polynomial is the ubiquitous
+//! hibernation images, `framed` artifacts, segment runs and data pages —
+//! carries a CRC-32 so that torn or bit-flipped artifacts are *detected* at
+//! read time instead of silently mis-mining.  The polynomial is the ubiquitous
 //! reflected IEEE one (`0xEDB88320`), dependency-free and in safe Rust.
 //!
 //! The kernel is **slicing-by-16**: sixteen 256-entry tables built at
@@ -12,10 +12,10 @@
 //! at a time.  The digests are those of the byte-at-a-time loop for every
 //! input and every split of it across `update` calls (property-tested
 //! against that loop below).  It matters because the checksum, not the I/O
-//! around it, was the largest single cost of a disk-resident window: a
-//! segment page is 1 KiB, a step of the disk fleet checksums ≈ 200 of them,
-//! and the byte loop's 2.5 ns/B made that ≈ 40 % of the step; sliced it is
-//! ≈ 0.5 ns/B (`exp3_runtime` times it; the `crc32` kernel rows of
+//! around it, was once the largest single cost of a disk-resident window:
+//! under segment format v1 a step of the disk fleet checksummed ≈ 200 1 KiB
+//! pages, and the byte loop's 2.5 ns/B made that ≈ 40 % of the step; sliced
+//! it is ≈ 0.5 ns/B (`exp3_runtime` times it; the `crc32` kernel rows of
 //! `BENCH_delta.json`).  Sixteen rather than eight because it measured
 //! faster on page-sized input: 0.41–0.49 µs against 0.53–0.68 µs per 1 KiB
 //! page on the same host, for 8 KiB more tables.  The hardware `crc32`

@@ -1,13 +1,12 @@
 //! A budgeted cache of decoded row chunks over the disk-backed window store.
 //!
 //! The disk backends of [`crate::SegmentedWindowStore`] keep every segment's
-//! row chunks serialised in a paged file; before this cache, *every* read of
-//! a chunk paid a page fetch plus a deserialisation, so assembling the whole
-//! window once per mine call cost O(window) page reads no matter how little
-//! the window had changed.  [`ChunkCache`] keeps decoded chunks in memory up
-//! to an explicit byte budget.  The budget buys page reads, never assembly:
-//! a hit saves the fetch and the decode, and the reader still copies the
-//! chunk into the flat row it is building.
+//! row chunks serialised in a run file; without this cache, *every* read of
+//! a chunk pays a decode, and every segment a mine touches a run read, no
+//! matter how little the window has changed.  [`ChunkCache`] keeps decoded
+//! chunks in memory up to an explicit byte budget.  The budget buys decodes
+//! (and the run reads behind them), never assembly: a hit saves the decode,
+//! and the reader still copies the chunk into the flat row it is building.
 //!
 //! * **Keying.**  Entries are keyed by `(segment uid, row id)`.  Segments are
 //!   immutable once pushed, so a cached chunk can never go stale.
@@ -33,15 +32,15 @@
 //! The cache fills from both sides of the store.  **Write-through:**
 //! [`crate::SegmentedWindowStore::push_segment`] offers every chunk it has
 //! just written (same key, same charge, same admit-if-room rule), because
-//! the mine that follows an ingest would otherwise fetch, checksum and decode
-//! pages whose contents the ingest still held decoded.  **On a read miss**
+//! the mine that follows an ingest would otherwise read, checksum and decode
+//! a run whose contents the ingest still held decoded.  **On a read miss**
 //! the reader offers what it decoded.  A slide pops before it pushes, so the
 //! room the leaving segment frees goes to the entering one: with a budget
-//! covering the window a steady-state mine reads no page at all, and with a
-//! smaller one it reads exactly the chunks that never fitted, the same ones
-//! on every pass.  A cached chunk is the value that was written; the on-disk
-//! copy is CRC-verified whenever it — rather than the cache — is what gets
-//! read.
+//! covering the window a steady-state mine reads no run at all, and with a
+//! smaller one it decodes exactly the chunks that never fitted, the same
+//! ones on every pass.  A cached chunk is the value that was written; the
+//! on-disk copy is CRC-verified whenever it — rather than the cache — is
+//! what gets read.
 
 use std::collections::BTreeMap;
 
@@ -50,9 +49,9 @@ use crate::bitvec::BitVec;
 /// Cumulative counters of a [`ChunkCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChunkCacheStats {
-    /// Chunk reads served from the cache (no page fetch, no decode).
+    /// Chunk reads served from the cache (no decode, no run read).
     pub hits: u64,
-    /// Chunk reads that had to go to the paged file.
+    /// Chunk reads that had to be decoded from the segment's run.
     pub misses: u64,
     /// Decoded chunks admitted into the cache.
     pub insertions: u64,
@@ -150,7 +149,7 @@ impl ChunkCache {
     ///
     /// Callers consult the cache only for rows the segment is known to hold
     /// (absence is decided by the store's in-memory index), so every miss
-    /// recorded here corresponds to a real page fetch.
+    /// recorded here corresponds to a real decode from disk.
     pub fn get(&mut self, seg: u64, row: usize) -> Option<&BitVec> {
         if !self.is_enabled() {
             return None;

@@ -6,7 +6,8 @@
 //! leaves either no artifact or one complete artifact — never a
 //! half-written one that parses.  [`load`] checks length, magic and CRC
 //! before a single body field is decoded, and reports any damage as
-//! [`FsmError::CorruptArtifact`] naming the file.
+//! [`FsmError::CorruptArtifact`] naming the file — a retired format's magic
+//! by the format's name.
 
 use std::fs::OpenOptions;
 use std::io::Write;
@@ -49,10 +50,13 @@ pub(crate) fn write(
 }
 
 /// Validates the artifact at `path` and hands a [`Reader`] over its body
-/// to `decode`; bytes `decode` leaves unread are an error too.
+/// to `decode`; bytes `decode` leaves unread are an error too.  A file
+/// starting with one of the `retired` magics is refused by that format's
+/// name: no decoder for it is kept.
 pub(crate) fn load<T>(
     path: &Path,
     magic: &[u8; 8],
+    retired: &[(&[u8; 8], &str)],
     decode: impl FnOnce(&mut Reader<'_>) -> Result<T>,
 ) -> Result<T> {
     let name = artifact_name(path);
@@ -67,6 +71,12 @@ pub(crate) fn load<T>(
         ));
     }
     let body_end = bytes.len() - CRC_BYTES;
+    if let Some((_, format)) = retired.iter().find(|(old, _)| bytes.starts_with(*old)) {
+        return Err(FsmError::corrupt_artifact(
+            &name,
+            format!("{format}: written by an earlier version, and no decoder for it is kept"),
+        ));
+    }
     if !bytes.starts_with(magic) {
         return Err(FsmError::corrupt_artifact(&name, "bad magic"));
     }

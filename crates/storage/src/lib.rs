@@ -7,22 +7,25 @@
 //!
 //! * [`BitVec`] — the bit-vector representation used by the DSMatrix rows and
 //!   by the vertical mining algorithms (§3.4, §4);
-//! * [`PagedFile`] — a minimal append-only fixed-page file: positional
-//!   reads and writes, every page CRC-verified on read;
-//! * [`RowStore`] — a disk- or memory-backed store of variable-length rows,
-//!   used by the DSTable (and by every window segment) to spill contents to
-//!   disk;
+//! * [`PagedFile`] — a minimal append-only fixed-page file under the
+//!   DSTable's [`RowStore`]: positional reads and writes, every page
+//!   CRC-verified on read;
+//! * [`RowStore`] — a disk- or memory-backed store of variable-length rows
+//!   over a [`PagedFile`], used by the DSTable to spill contents to disk;
 //! * [`SegmentedWindowStore`] — an append-friendly queue of per-batch row
 //!   segments: the DSMatrix capture path, where a window slide appends one
-//!   segment and unlinks one instead of rewriting every row (writes are
-//!   counted in [`CaptureStats`]).  A window row is read back as one flat
-//!   [`BitVec`] — the only row type this crate has — by concatenating its
-//!   per-segment chunks: decoded [`EpochSegment`] chunks on the memory
-//!   backend, and on the disk backends chunks fetched through a budgeted
-//!   [`ChunkCache`] (page fetches and hits are counted);
+//!   segment and drops one instead of rewriting every row (writes are
+//!   counted in [`CaptureStats`]).  On the disk backends a segment is one
+//!   packed, CRC-covered run in its own file (segment format v2), written
+//!   with one positional write into a recycled file and read with one.  A
+//!   window row is read back as one flat [`BitVec`] — the only row type
+//!   this crate has — by concatenating its per-segment chunks: decoded
+//!   [`EpochSegment`] chunks on the memory backend, and on the disk backends
+//!   chunks fetched through a budgeted [`ChunkCache`] (run reads and hits
+//!   are counted);
 //! * [`ChunkCache`] — the budgeted `(segment, row) → decoded chunk` map
 //!   behind that read path: it admits a chunk only while it has room and
-//!   never evicts to make room, so the budget buys page reads, never
+//!   never evicts to make room, so the budget buys decodes, never
 //!   assembly;
 //! * [`BudgetGovernor`] — process-wide arbitration of those chunk-cache
 //!   budgets across many matrices (the multi-tenant service's one cap), with
@@ -54,6 +57,7 @@ pub mod governor;
 pub mod paged;
 mod positional;
 pub mod rowstore;
+mod run;
 pub mod segment;
 pub mod spill;
 pub mod temp;
@@ -67,8 +71,7 @@ pub use governor::{BudgetGovernor, BudgetLease};
 pub use paged::PagedFile;
 pub use rowstore::{RowStore, StorageBackend};
 pub use segment::{
-    remove_segment_file, scan_segment_files, CaptureStats, EpochSegment, SegmentMeta,
-    SegmentedWindowStore,
+    scan_segment_files, CaptureStats, EpochSegment, SegmentMeta, SegmentedWindowStore,
 };
 pub use spill::{Hibernation, HibernationRow, HibernationSegment};
 pub use temp::TempDir;

@@ -1,4 +1,6 @@
-//! A minimal fixed-size-page file, the unit of on-disk storage.
+//! A minimal fixed-size-page file, the DSTable's unit of on-disk storage
+//! (under [`crate::RowStore`]).  The DSMatrix's window segments do not use
+//! it: each is one packed run file, see [`crate::SegmentedWindowStore`].
 
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
@@ -13,37 +15,27 @@ use crate::positional::{read_exact_at, write_all_at};
 /// This is intentionally the simplest storage engine that exhibits the I/O
 /// pattern the paper's disk-resident structures rely on: sequential appends
 /// while a batch streams in, and scans while mining.  Its one user,
-/// [`crate::RowStore`], only ever appends (and truncates to zero on a bulk
-/// rewrite), so that is all the file offers: [`PagedFile::append_pages`]
-/// hands a whole page-aligned run to the operating system with one
-/// positional write, [`PagedFile::read_page_into`] fetches one page with one
-/// positional read into the caller's buffer.  Neither moves a file cursor,
-/// and neither allocates a buffer per page.
+/// [`crate::RowStore`] (the DSTable's row spill), only ever appends (and
+/// truncates to zero on a bulk rewrite), so that is all the file offers:
+/// [`PagedFile::append_pages`] hands a whole page-aligned run to the
+/// operating system with one positional write, [`PagedFile::read_page_into`]
+/// fetches one page with one positional read into the caller's buffer.
+/// Neither moves a file cursor, and neither allocates a buffer per page.
 ///
-/// # Integrity and durability
+/// # Integrity
 ///
 /// Every page carries a CRC-32 of its full (padded) contents in a sidecar
-/// file `<path>.crc` (4 bytes per page, little-endian, same index order).
-/// The sidecar — rather than a per-page trailer — keeps the full page size
-/// available as payload, so none of the chunked-row arithmetic layered on top
-/// changes.
-///
-/// **What verifies what.**  The sidecar's bytes are also held in memory
-/// (4 B per page, counted in [`crate::RowStore::resident_bytes`]): an append
-/// extends the in-memory table and writes the same bytes to the sidecar file
-/// (data first, then sidecar); [`PagedFile::open_existing`] loads the table
-/// with one read, after checking that the sidecar holds exactly one checksum
-/// per page; and that is the *only* time the sidecar file is read.  Every page read from
-/// disk is checksummed and compared with its table entry before a byte of it
-/// is returned, failing with [`FsmError::CorruptArtifact`] on a mismatch.  So
-/// a torn or bit-flipped *data* page is refused whenever it is read — on a
-/// file still open since it was written (the expected CRC is the one computed
-/// at write time) as after a reopen — and a damaged *sidecar* is refused at
-/// the first read of the affected page after the reopen that loaded it.
+/// file `<path>.crc` (4 bytes per page, little-endian, same index order),
+/// written after the data.  The same bytes are held in memory (4 B per page,
+/// counted in [`crate::RowStore::resident_bytes`]), and every page read from
+/// disk is checksummed and compared with its in-memory entry — the CRC
+/// computed when the page was written — before a byte of it is returned,
+/// failing with [`FsmError::CorruptArtifact`] on a mismatch.  So a torn or
+/// bit-flipped page is refused whenever it is read.
 ///
 /// Writes are buffered by the operating system until [`PagedFile::sync_all`]
-/// is called; callers that need durability (the WAL/checkpoint machinery) must
-/// sync explicitly and can audit that they did via [`PagedFile::fsyncs`].
+/// is called; callers that need durability must sync explicitly and can
+/// audit that they did via [`PagedFile::fsyncs`].
 #[derive(Debug)]
 pub struct PagedFile {
     file: File,
@@ -118,66 +110,6 @@ impl PagedFile {
         })
     }
 
-    /// Opens an existing paged file (and its checksum sidecar) for recovery.
-    ///
-    /// The page count is derived from the file length, which must be an exact
-    /// multiple of `page_size`; the sidecar must hold exactly one checksum per
-    /// page, and is read into memory here — once.  Page contents are *not*
-    /// verified here — verification happens on read, or eagerly via
-    /// [`PagedFile::verify_all_pages`].
-    pub fn open_existing(path: impl AsRef<Path>, page_size: usize) -> Result<Self> {
-        if page_size == 0 {
-            return Err(FsmError::config("page size must be non-zero"));
-        }
-        let path = path.as_ref().to_path_buf();
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&path)
-            .map_err(|err| annotate(err, "open paged file", &path))?;
-        let len = file.metadata()?.len();
-        if len % page_size as u64 != 0 {
-            return Err(FsmError::corrupt_artifact(
-                artifact_name(&path),
-                format!("length {len} is not a multiple of the page size {page_size}"),
-            ));
-        }
-        let num_pages = len / page_size as u64;
-        let sidecar_path = Self::checksum_path(&path);
-        let checksums = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&sidecar_path)
-            .map_err(|err| annotate(err, "open checksum sidecar", &sidecar_path))?;
-        let sidecar_len = checksums.metadata()?.len();
-        if sidecar_len != num_pages * CRC_BYTES as u64 {
-            return Err(FsmError::corrupt_artifact(
-                artifact_name(&sidecar_path),
-                format!(
-                    "sidecar holds {sidecar_len} bytes but {num_pages} pages need {}",
-                    num_pages * CRC_BYTES as u64
-                ),
-            ));
-        }
-        // Bounded by the data file's real length: one CRC per page it holds.
-        let sidecar_len = usize::try_from(sidecar_len).map_err(|_| {
-            FsmError::corrupt_artifact(artifact_name(&sidecar_path), "sidecar too large to load")
-        })?;
-        let mut sidecar = vec![0u8; sidecar_len];
-        read_exact_at(&checksums, &mut sidecar, 0)
-            .map_err(|err| annotate(err, "read checksum sidecar", &sidecar_path))?;
-        Ok(Self {
-            file,
-            checksums,
-            sidecar,
-            path,
-            page_size,
-            bytes_written: 0,
-            bytes_read: 0,
-            fsyncs: 0,
-        })
-    }
-
     /// Path of the checksum sidecar accompanying a paged file at `path`.
     pub fn checksum_path(path: &Path) -> PathBuf {
         let mut name = path.as_os_str().to_os_string();
@@ -242,10 +174,8 @@ impl PagedFile {
     ///
     /// One positional write hands the run to the operating system, a second
     /// one its checksums (one CRC-32 per page, over the page's full padded
-    /// bytes) to the sidecar — data before sidecar, so a crash between the
-    /// two leaves more pages than checksums, which
-    /// [`PagedFile::open_existing`] refuses by length.  Should either write
-    /// fail, the page count is unchanged.
+    /// bytes) to the sidecar.  Should either write fail, the page count is
+    /// unchanged.
     pub fn append_pages(&mut self, image: &[u8]) -> Result<usize> {
         if !image.len().is_multiple_of(self.page_size) {
             return Err(FsmError::config(format!(
@@ -325,18 +255,6 @@ impl PagedFile {
         let mut page = vec![0u8; self.page_size];
         self.read_page_into(index, &mut page)?;
         Ok(page)
-    }
-
-    /// Reads every page once, verifying all checksums.
-    ///
-    /// Used by recovery to validate a checkpoint-referenced file before
-    /// trusting it; the error names the first bad page.
-    pub fn verify_all_pages(&mut self) -> Result<()> {
-        let mut page = vec![0u8; self.page_size];
-        for index in 0..self.num_pages() {
-            self.read_page_into(index, &mut page)?;
-        }
-        Ok(())
     }
 
     /// Truncates the file (and its checksum sidecar) back to zero pages
@@ -434,7 +352,6 @@ mod tests {
         pf.read_page_into(3, &mut buf).unwrap();
         assert_eq!(buf, page(b"tail", 16));
         assert!(pf.read_page_into(3, &mut buf[..15]).is_err());
-        pf.verify_all_pages().unwrap();
 
         // On disk: the pages back to back, and one little-endian CRC of each
         // padded page in the sidecar.
@@ -509,77 +426,16 @@ mod tests {
         assert_eq!(pf.fsyncs(), 2, "data file + sidecar");
     }
 
-    /// A two-page file (`alpha`, `beta`; 16-byte pages), synced and closed.
-    fn two_page_file(path: &Path) {
-        let mut pf = PagedFile::create(path, 16).unwrap();
-        pf.append_pages(&page(b"alpha", 16)).unwrap();
-        pf.append_pages(&page(b"beta", 16)).unwrap();
-        pf.sync_all().unwrap();
-    }
-
-    #[test]
-    fn open_existing_roundtrip() {
-        let dir = TempDir::new("paged").unwrap();
-        let path = dir.file("pages.bin");
-        two_page_file(&path);
-        let mut pf = PagedFile::open_existing(&path, 16).unwrap();
-        assert_eq!(pf.num_pages(), 2);
-        assert_eq!(&pf.read_page(0).unwrap()[..5], b"alpha");
-        assert_eq!(&pf.read_page(1).unwrap()[..4], b"beta");
-        pf.verify_all_pages().unwrap();
-        // A reopened file keeps appending where it ended.
-        assert_eq!(pf.append_pages(&page(b"gamma", 16)).unwrap(), 2);
-        drop(pf);
-        let mut pf = PagedFile::open_existing(&path, 16).unwrap();
-        assert_eq!(&pf.read_page(2).unwrap()[..5], b"gamma");
-    }
-
-    #[test]
-    fn open_existing_rejects_ragged_length() {
-        let dir = TempDir::new("paged").unwrap();
-        let path = dir.file("pages.bin");
-        {
-            let mut pf = PagedFile::create(&path, 16).unwrap();
-            pf.append_pages(&page(b"alpha", 16)).unwrap();
-        }
-        // Tear the tail of the data file: no longer a page multiple.
-        let file = OpenOptions::new().write(true).open(&path).unwrap();
-        file.set_len(9).unwrap();
-        let err = PagedFile::open_existing(&path, 16).unwrap_err();
-        assert!(
-            err.to_string().contains("not a multiple"),
-            "unexpected error: {err}"
-        );
-    }
-
-    #[test]
-    fn open_existing_rejects_a_sidecar_of_the_wrong_length() {
-        let dir = TempDir::new("paged").unwrap();
-        let path = dir.file("pages.bin");
-        two_page_file(&path);
-        // A crash between the data write and the sidecar write of an append
-        // looks like this: two pages, one checksum.
-        let sidecar = OpenOptions::new()
-            .write(true)
-            .open(PagedFile::checksum_path(&path))
-            .unwrap();
-        sidecar.set_len(4).unwrap();
-        let err = PagedFile::open_existing(&path, 16).unwrap_err();
-        assert!(
-            err.to_string().contains("sidecar holds 4 bytes"),
-            "unexpected error: {err}"
-        );
-    }
-
     #[test]
     fn bit_flip_is_detected_on_read() {
         let dir = TempDir::new("paged").unwrap();
         let path = dir.file("pages.bin");
-        two_page_file(&path);
-        // Flip one bit in page 1.
+        let mut pf = PagedFile::create(&path, 16).unwrap();
+        pf.append_pages(&page(b"alpha", 16)).unwrap();
+        pf.append_pages(&page(b"beta", 16)).unwrap();
+        // Flip one payload bit of page 1.
         flip_bit(&path, 16, 0x04);
 
-        let mut pf = PagedFile::open_existing(&path, 16).unwrap();
         assert!(pf.read_page(0).is_ok(), "page 0 is untouched");
         let err = pf.read_page(1).unwrap_err();
         let msg = err.to_string();
@@ -587,7 +443,6 @@ mod tests {
             msg.contains("page 1 of pages.bin") && msg.contains("checksum mismatch"),
             "error must name the bad artifact: {msg}"
         );
-        assert!(pf.verify_all_pages().is_err());
     }
 
     #[test]
@@ -603,24 +458,6 @@ mod tests {
         assert!(pf.read_page(1).is_ok());
         flip_bit(&path, 16 + 9, 0x80); // a padding byte of page 1
         assert!(pf.read_page(0).is_ok(), "page 0 is untouched");
-        let msg = pf.read_page(1).unwrap_err().to_string();
-        assert!(
-            msg.contains("page 1 of pages.bin") && msg.contains("checksum mismatch"),
-            "error must name the bad artifact: {msg}"
-        );
-        assert!(pf.verify_all_pages().is_err());
-    }
-
-    #[test]
-    fn a_damaged_sidecar_is_refused_on_the_first_read_after_reopen() {
-        let dir = TempDir::new("paged").unwrap();
-        let path = dir.file("pages.bin");
-        two_page_file(&path);
-        // Flip one bit of page 1's stored checksum; the data is intact.
-        flip_bit(&PagedFile::checksum_path(&path), 4, 0x01);
-
-        let mut pf = PagedFile::open_existing(&path, 16).unwrap();
-        assert!(pf.read_page(0).is_ok(), "page 0's checksum is untouched");
         let msg = pf.read_page(1).unwrap_err().to_string();
         assert!(
             msg.contains("page 1 of pages.bin") && msg.contains("checksum mismatch"),

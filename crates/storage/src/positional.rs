@@ -1,8 +1,9 @@
 //! Positional file I/O: read or write at an explicit offset, without a file
 //! cursor to move first.
 //!
-//! [`crate::PagedFile`] addresses pages by index, so every access knows its
-//! offset.  On Unix that is one `pread` / `pwrite` per call
+//! [`crate::PagedFile`] addresses pages by index and a segment run is read
+//! and written whole from offset 0, so every access knows its offset.  On
+//! Unix that is one `pread` / `pwrite` per call
 //! ([`std::os::unix::fs::FileExt`]); elsewhere the same two functions fall
 //! back to a seek followed by the read or write, so the crate builds — and
 //! behaves identically — on every target.

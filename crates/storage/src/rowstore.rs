@@ -1,23 +1,23 @@
 //! A disk- or memory-backed store of variable-length rows.
 //!
-//! The DSMatrix keeps one row of bits per domain edge, and the DSTable keeps
-//! one row of pointer entries per domain item; both structures are "kept on
-//! the disk" in the paper.  `RowStore` gives them a common spill target: rows
-//! are written whole, read back whole, and rewritten in bulk when the window
-//! slides.  An in-memory backend with the same interface exists for unit
-//! tests and for the storage ablation (A2).
+//! The DSTable keeps one row of pointer entries per domain item, "kept on
+//! the disk" in the paper.  `RowStore` is its spill target: rows are written
+//! whole, read back whole, and rewritten in bulk when the window slides.  An
+//! in-memory backend with the same interface exists for unit tests and for
+//! the storage ablation (A2).  (The DSMatrix's window segments do not go
+//! through it: each is one packed run, see [`crate::SegmentedWindowStore`].)
 //!
 //! # Write and read paths
 //!
 //! The disk backend is append-only over a [`PagedFile`].  Every write —
-//! one row, a bulk rewrite, a whole window segment — goes through one body
+//! one row or a bulk rewrite — goes through one body
 //! ([`RowStore::put_rows`]): rows are laid out page-aligned in a staging
-//! image and handed to the file a run at a time, so a segment costs one data
-//! write and one sidecar write rather than several system calls per page.
+//! image and handed to the file a run at a time, one data write and one
+//! sidecar write per run rather than several system calls per page.
 //! [`RowStore::get_row_into`] reads a row's pages straight into the caller's
 //! buffer, one positional read per page, each page CRC-verified against the
 //! file's in-memory checksum table before the row is returned (see
-//! [`PagedFile`] § "Integrity and durability" for what verifies what).
+//! [`PagedFile`] § "Integrity" for what verifies what).
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -27,9 +27,8 @@ use crate::temp::TempDir;
 use fsm_types::{FsmError, Result};
 
 /// Most bytes of page images [`RowStore::put_rows`] stages before handing
-/// them to the page file as one run.  A window segment of the default batch
-/// size is smaller (one run, one pair of writes); a bulk rewrite of a large
-/// table is written in runs of this size instead of being staged whole.
+/// them to the page file as one run: a bulk rewrite of a large table is
+/// written in runs of this size instead of being staged whole.
 const STAGE_BYTES: usize = 64 * 1024;
 
 /// Where a [`RowStore`] keeps its rows.
@@ -101,89 +100,9 @@ impl RowStore {
         Ok(Self { inner, page_size })
     }
 
-    /// Reopens an existing on-disk row store from its page file and a row
-    /// index recorded in a checkpoint.
-    ///
-    /// The index is the store's only non-derivable in-memory state, so
-    /// recovery hands it back as `(row id, first page, byte length)` entries —
-    /// exactly what [`RowStore::row_entries`] exported at checkpoint time.
-    /// Entries that point past the end of the file are rejected as corruption
-    /// (a torn file can be shorter than the checkpoint remembers).
-    pub fn open_existing<I>(path: PathBuf, page_size: usize, entries: I) -> Result<Self>
-    where
-        I: IntoIterator<Item = (usize, usize, usize)>,
-    {
-        let file = PagedFile::open_existing(&path, page_size)?;
-        let mut index = BTreeMap::new();
-        for (id, first_page, len) in entries {
-            // Empty rows still occupy one (empty) page on disk.
-            let pages_needed = len.div_ceil(page_size).max(1);
-            // The entry comes from a checkpoint: its sum may not even fit.
-            let end = first_page.checked_add(pages_needed);
-            if end.is_none_or(|end| end > file.num_pages()) {
-                return Err(FsmError::corrupt_artifact(
-                    crate::paged::artifact_name(&path),
-                    format!(
-                        "row {id} needs pages {first_page}..{} but the file has only {}",
-                        first_page.saturating_add(pages_needed),
-                        file.num_pages()
-                    ),
-                ));
-            }
-            index.insert(id, (first_page, len));
-        }
-        Ok(Self {
-            inner: Inner::Disk {
-                _tempdir: None,
-                file,
-                index,
-            },
-            page_size,
-        })
-    }
-
     /// Returns `true` if the rows are kept in main memory.
     pub fn is_memory_resident(&self) -> bool {
         matches!(self.inner, Inner::Memory { .. })
-    }
-
-    /// Exports the disk index as `(row id, first page, byte length)` entries
-    /// in ascending row order — the metadata a checkpoint must persist to
-    /// reopen this store via [`RowStore::open_existing`].
-    ///
-    /// Returns `None` for the memory backend, which has no durable form.
-    pub fn row_entries(&self) -> Option<Vec<(usize, usize, usize)>> {
-        match &self.inner {
-            Inner::Memory { .. } => None,
-            Inner::Disk { index, .. } => Some(
-                index
-                    .iter()
-                    .map(|(&id, &(first_page, len))| (id, first_page, len))
-                    .collect(),
-            ),
-        }
-    }
-
-    /// Forces all pages of the disk backend to stable storage, returning the
-    /// number of `fsync` system calls issued (zero for the memory backend).
-    pub fn sync_all(&mut self) -> Result<u64> {
-        match &mut self.inner {
-            Inner::Memory { .. } => Ok(0),
-            Inner::Disk { file, .. } => {
-                let before = file.fsyncs();
-                file.sync_all()?;
-                Ok(file.fsyncs() - before)
-            }
-        }
-    }
-
-    /// Verifies the checksum of every on-disk page (no-op for the memory
-    /// backend).  The error names the first bad page and its file.
-    pub fn verify_pages(&mut self) -> Result<()> {
-        match &mut self.inner {
-            Inner::Memory { .. } => Ok(()),
-            Inner::Disk { file, .. } => file.verify_all_pages(),
-        }
     }
 
     /// Writes (or overwrites) row `id`.
@@ -197,14 +116,14 @@ impl RowStore {
     }
 
     /// Writes (or overwrites) every `(row id, payload)` of `rows`, in order —
-    /// the one write body behind [`RowStore::put_row`],
-    /// [`RowStore::rewrite_all`] and a window segment's push.
+    /// the one write body behind [`RowStore::put_row`] and
+    /// [`RowStore::rewrite_all`].
     ///
     /// On the disk backend each row starts on a page boundary (an empty row
     /// still occupies one page) and is zero-padded to the next; the rows are
     /// staged in that layout and appended a run at a time — one data write
-    /// and one sidecar write per run of up to 64 KiB, so a window segment is
-    /// one run.  When the call returns every page has been handed
+    /// and one sidecar write per run of up to 64 KiB.  When the call returns
+    /// every page has been handed
     /// to the operating system.  Should a write fail, rows of earlier runs
     /// stay readable and no row of the failed run is indexed.
     pub fn put_rows<I, B>(&mut self, rows: I) -> Result<()>
@@ -488,18 +407,6 @@ mod tests {
             for &id in &ids {
                 assert_eq!(store.get_row(id).unwrap(), payload(id), "{name}: row {id}");
             }
-            store.verify_pages().unwrap();
-            // Reopened from its exported index, the file serves the same rows.
-            let entries = store.row_entries().unwrap();
-            drop(store);
-            let mut reopened = RowStore::open_existing(path, page_size, entries).unwrap();
-            for &id in &ids {
-                assert_eq!(
-                    reopened.get_row(id).unwrap(),
-                    payload(id),
-                    "{name}: row {id}"
-                );
-            }
         }
     }
 
@@ -519,55 +426,6 @@ mod tests {
         assert!(store.resident_bytes() >= 10_000);
         assert_eq!(store.on_disk_bytes(), 0);
         assert!(store.is_memory_resident());
-    }
-
-    #[test]
-    fn open_existing_restores_rows_from_exported_index() {
-        let dir = TempDir::new("rowstore-reopen").unwrap();
-        let path = dir.file("rows.pages");
-        let entries = {
-            let mut store =
-                RowStore::with_page_size(StorageBackend::DiskAt(path.clone()), 16).unwrap();
-            store.put_row(0, b"hello world, this spans pages").unwrap();
-            store.put_row(7, b"").unwrap();
-            store.sync_all().unwrap();
-            store.row_entries().unwrap()
-        };
-        let mut reopened = RowStore::open_existing(path, 16, entries).unwrap();
-        assert_eq!(
-            reopened.get_row(0).unwrap(),
-            b"hello world, this spans pages"
-        );
-        assert_eq!(reopened.get_row(7).unwrap(), b"");
-        reopened.verify_pages().unwrap();
-    }
-
-    #[test]
-    fn open_existing_rejects_out_of_range_entries() {
-        let dir = TempDir::new("rowstore-reopen").unwrap();
-        let path = dir.file("rows.pages");
-        {
-            let mut store =
-                RowStore::with_page_size(StorageBackend::DiskAt(path.clone()), 16).unwrap();
-            store.put_row(0, b"short").unwrap();
-            store.sync_all().unwrap();
-        }
-        // Claim a row that needs more pages than the file holds — and one
-        // whose first page a hostile checkpoint put where the sum overflows.
-        for entry in [(0, 0, 64), (0, usize::MAX, 5), (0, usize::MAX - 1, 64)] {
-            let err = RowStore::open_existing(path.clone(), 16, vec![entry]).unwrap_err();
-            assert!(
-                matches!(err, FsmError::CorruptArtifact { .. })
-                    && err.to_string().contains("row 0"),
-                "{entry:?}: unexpected {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn memory_backend_has_no_durable_index() {
-        let store = RowStore::open(StorageBackend::Memory).unwrap();
-        assert!(store.row_entries().is_none());
     }
 
     #[test]

@@ -10,10 +10,28 @@
 //! batch's columns.  A window slide is then
 //!
 //! * **append** one new segment (cost: only the rows the batch touches), and
-//! * **drop** the oldest segment (cost: one file/map removal),
+//! * **drop** the oldest segment (cost: a queue pop; on the disk backends its
+//!   file is kept for the next append to overwrite),
 //!
 //! so capture cost is `O(rows touched by the new batch + evicted columns)`
 //! and unevicted row prefixes are never rewritten.
+//!
+//! # Disk segments
+//!
+//! On the disk backends a segment is one **run** in `seg-<uid>.run`: a
+//! 40-byte header, the row index and the chunks packed back to back under
+//! one CRC-32 (segment format v2; the layout is in the `run` module's docs).
+//! [`SegmentedWindowStore::push_segment`] writes it with one positional
+//! write, and a read fetches it with one positional read, verifying the CRC
+//! before a byte of it is decoded.  Files are **recycled**, not unlinked: a
+//! popped segment's file is released — at once by
+//! [`SegmentedWindowStore::pop_segment`], or by
+//! [`SegmentedWindowStore::release_segment_file`] once a durable window's
+//! checkpoint GC proves no retained checkpoint references it — and the next
+//! push renames a released file to its own name and overwrites it
+//! (truncating when the new run is shorter).  A steady slide creates and
+//! unlinks nothing.  The uid in the run header catches a file that was
+//! renamed but never rewritten.
 //!
 //! # Read surface
 //!
@@ -37,15 +55,18 @@
 //!   so cached chunks stay valid until their segment is popped — which is
 //!   also what makes room: a slide pops before it pushes, so the leaving
 //!   segment's bytes admit the entering one's chunks.  With a budget
-//!   covering the window a steady-state scan therefore fetches **no** pages;
-//!   with a smaller one it fetches exactly the chunks that never fitted.
+//!   covering the window a steady-state scan therefore reads **no** run;
+//!   with a smaller one it decodes exactly the chunks that never fitted.
 //!   A cached chunk is the value that was written, so serving it is what a
-//!   hit has always been; whatever is *not* served from the cache is read
-//!   from the segment's page file, every page CRC-verified before a byte of
-//!   it is decoded (tight budgets, budget 0,
-//!   [`SegmentedWindowStore::verify_segments`], recovery).  The budget buys
-//!   page reads, never assembly.  Page fetches are counted in
-//!   [`SegmentedWindowStore::pages_read`], cache hits in
+//!   hit has always been; whatever is *not* served from the cache is decoded
+//!   from the segment's run, CRC-verified when it was read (tight budgets,
+//!   budget 0, [`SegmentedWindowStore::verify_segments`], recovery).  A miss
+//!   reads its segment's run at most once until
+//!   [`SegmentedWindowStore::release_runs`]: the reader memoises every run
+//!   it reads, so a scan of the window reads each segment with a miss once,
+//!   however many of its chunks miss.  The budget buys decodes, never
+//!   assembly.  Run reads are counted in
+//!   [`SegmentedWindowStore::runs_read`], cache hits in
 //!   [`SegmentedWindowStore::cache_stats`]; a zero budget (the default)
 //!   disables the cache — nothing is admitted, at write or at read — and
 //!   reproduces fully-eager reads byte for byte.
@@ -60,22 +81,21 @@
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
+use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::bitvec::BitVec;
 use crate::chunkcache::{ChunkCache, ChunkCacheStats};
-use crate::rowstore::{RowStore, StorageBackend};
+use crate::paged::{annotate, artifact_name};
+use crate::positional::{read_exact_at, write_all_at};
+use crate::rowstore::StorageBackend;
+use crate::run;
 use crate::temp::TempDir;
+use fsm_types::codec::Reader;
 use fsm_types::{FsmError, Result};
 
 const WORD_BITS: usize = 64;
-
-/// Pages a row of `len` serialised bytes occupies (what one uncached read of
-/// it fetches from the paged file).
-fn pages_for(len: usize, page_size: usize) -> u64 {
-    len.div_ceil(page_size) as u64
-}
 
 /// Cumulative capture-cost counters of a [`SegmentedWindowStore`].
 ///
@@ -99,54 +119,87 @@ pub struct CaptureStats {
 /// Durable metadata of one live segment, as recorded by a checkpoint and
 /// consumed by [`SegmentedWindowStore::restore`].
 ///
-/// Segment files are immutable once written, so this — the uid, the column
+/// Segment runs are immutable once written, so this — the uid, the column
 /// count and the row index — is all a checkpoint has to persist; the row
 /// payloads stay where they are.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentMeta {
-    /// Stable uid of the segment (names its file `seg-<uid>.pages`).
+    /// Stable uid of the segment (names its file `seg-<uid>.run`).
     pub uid: u64,
     /// Number of window columns the segment contributes.
     pub cols: usize,
-    /// Row index entries `(row id, first page, byte length)`.
+    /// Row index entries `(row id, byte offset of its chunk in the run,
+    /// byte length)`, ascending by row.
     pub rows: Vec<(usize, usize, usize)>,
 }
 
-/// Lists the segment files (`seg-<uid>.pages`) in `dir` as `(uid, path)`
-/// pairs.  Checksum sidecars are not listed; they travel with their file.
-pub fn scan_segment_files(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
+/// File name of segment `uid`'s run.
+fn run_file_name(uid: u64) -> String {
+    format!("seg-{uid}.run")
+}
+
+/// What a `seg-…` file in a segment directory holds.
+enum SegmentFile {
+    /// A format v2 run of the given uid.
+    Run(u64),
+    /// A format v1 page file (`seg-<uid>.pages`) or its `.crc` sidecar.
+    V1,
+}
+
+/// Every segment file in `dir`, classified; other files are ignored.
+fn segment_files(dir: &Path) -> Result<Vec<(SegmentFile, PathBuf)>> {
     let mut out = Vec::new();
     if !dir.exists() {
         return Ok(out);
     }
     for entry in std::fs::read_dir(dir)? {
         let path = entry?.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        let Some(uid) = name
-            .strip_prefix("seg-")
-            .and_then(|rest| rest.strip_suffix(".pages"))
-            .and_then(|uid| uid.parse::<u64>().ok())
+        let Some(rest) = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .and_then(|n| n.strip_prefix("seg-"))
         else {
             continue;
         };
-        out.push((uid, path));
+        let kind = if let Some(uid) = rest.strip_suffix(".run") {
+            uid.parse().ok().map(SegmentFile::Run)
+        } else {
+            let uid = rest
+                .strip_suffix(".pages")
+                .or_else(|| rest.strip_suffix(".pages.crc"));
+            uid.and_then(|uid| uid.parse::<u64>().ok())
+                .map(|_| SegmentFile::V1)
+        };
+        if let Some(kind) = kind {
+            out.push((kind, path));
+        }
     }
-    out.sort_unstable();
     Ok(out)
 }
 
-/// Removes a segment file and its checksum sidecar (a missing sidecar is
-/// tolerated: a crash can land between creating the two).
-pub fn remove_segment_file(path: &Path) -> Result<()> {
-    std::fs::remove_file(path)?;
-    let sidecar = crate::paged::PagedFile::checksum_path(path);
-    match std::fs::remove_file(&sidecar) {
-        Ok(()) => Ok(()),
-        Err(err) if err.kind() == std::io::ErrorKind::NotFound => Ok(()),
-        Err(err) => Err(err.into()),
+/// Lists the segment runs (`seg-<uid>.run`) in `dir` as `(uid, path)`
+/// pairs, ascending by uid.
+///
+/// A segment file of format v1 — `seg-<uid>.pages` or its `.crc` sidecar —
+/// is refused with [`FsmError::CorruptArtifact`] naming it and "segment
+/// format v1": no v1 decoder is kept, so such a directory can be started
+/// afresh but not read.
+pub fn scan_segment_files(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
+    let mut out = Vec::new();
+    for (kind, path) in segment_files(dir)? {
+        match kind {
+            SegmentFile::Run(uid) => out.push((uid, path)),
+            SegmentFile::V1 => {
+                return Err(FsmError::corrupt_artifact(
+                    artifact_name(&path),
+                    "segment format v1 (zero-padded pages with a .crc sidecar): this \
+                     version reads only v2 runs (seg-<uid>.run) and keeps no v1 decoder",
+                ))
+            }
+        }
     }
+    out.sort_unstable();
+    Ok(out)
 }
 
 /// One immutable, fully-decoded window segment, shareable across threads.
@@ -154,10 +207,10 @@ pub fn remove_segment_file(path: &Path) -> Result<()> {
 /// This is the unit an epoch snapshot holds: every live segment of the window
 /// is published as an `Arc<EpochSegment>`, so readers keep the segment's data
 /// alive for exactly as long as they reference it — a window slide drops the
-/// *store's* `Arc` (and, on the disk backends, unlinks the backing file), but
-/// the decoded rows survive until the last snapshot referencing the epoch is
-/// dropped.  Segments are immutable once built, so sharing needs no locks:
-/// `EpochSegment` is `Send + Sync` by construction.
+/// *store's* `Arc` (and, on the disk backends, releases the backing file),
+/// but the decoded rows survive until the last snapshot referencing the
+/// epoch is dropped.  Segments are immutable once built, so sharing needs no
+/// locks: `EpochSegment` is `Send + Sync` by construction.
 ///
 /// On the memory backend the live segments *are* `EpochSegment`s (snapshots
 /// are free `Arc` clones); on the disk backends a segment is decoded into
@@ -174,6 +227,50 @@ pub struct EpochSegment {
 }
 
 impl EpochSegment {
+    /// Decodes one whole segment run — the bytes of a `seg-<uid>.run` file
+    /// (segment format v2).  The CRC is verified before any field is read;
+    /// then the header must describe exactly the bytes present, the row ids
+    /// must ascend strictly and every chunk must be the segment's columns
+    /// wide.  Damage is [`FsmError::CorruptArtifact`] naming `artifact`, and
+    /// nothing is allocated for a count the bytes present cannot hold.
+    pub fn decode_run(bytes: &[u8], artifact: &str) -> Result<Self> {
+        let header = run::check(bytes, artifact)?;
+        let chunk_bytes = run::chunk_bytes(header.cols);
+        let mut reader = Reader::artifact(&bytes[run::HEADER_BYTES..], artifact);
+        // `check` proved the payload holds `header.rows` index entries.
+        let mut ids: Vec<usize> = Vec::with_capacity(header.rows);
+        for _ in 0..header.rows {
+            let id = reader.take_u64()?;
+            match usize::try_from(id) {
+                Ok(id) if ids.last().is_none_or(|&last| last < id) => ids.push(id),
+                _ => {
+                    return Err(FsmError::corrupt_artifact(
+                        artifact,
+                        format!("row id {id} does not follow its predecessor in ascending order"),
+                    ))
+                }
+            }
+        }
+        let mut rows = BTreeMap::new();
+        for id in ids {
+            let chunk = BitVec::from_bytes(reader.take(chunk_bytes)?)
+                .filter(|chunk| chunk.len() == header.cols)
+                .ok_or_else(|| {
+                    FsmError::corrupt_artifact(
+                        artifact,
+                        format!("row {id}'s chunk is not {} bits", header.cols),
+                    )
+                })?;
+            rows.insert(id, chunk);
+        }
+        reader.finish()?;
+        Ok(Self {
+            uid: header.uid,
+            cols: header.cols,
+            rows,
+        })
+    }
+
     /// The segment's stable uid (never reused across the store's lifetime).
     pub fn uid(&self) -> u64 {
         self.uid
@@ -210,15 +307,64 @@ impl EpochSegment {
     }
 }
 
+/// A disk segment's run file: the open handle, the run's length and the
+/// row index — the ids of the rows the run holds, ascending; the chunk of
+/// `rows[i]` sits at [`run::chunk_offset`] of slot `i`.  A released file
+/// (free for the next push to overwrite) has an empty index.
+struct RunFile {
+    file: File,
+    path: PathBuf,
+    len: usize,
+    rows: Vec<usize>,
+}
+
+impl RunFile {
+    /// The index slot of row `id`, if the run holds it.
+    fn slot(&self, id: usize) -> Option<usize> {
+        self.rows.binary_search(&id).ok()
+    }
+
+    /// The whole run of segment `uid` (`cols` columns), read with one
+    /// positional read and verified — the CRC first, then the header
+    /// against the segment the window expects.
+    fn load(&self, uid: u64, cols: usize) -> Result<Vec<u8>> {
+        let name = artifact_name(&self.path);
+        let mut bytes = vec![0u8; self.len];
+        read_exact_at(&self.file, &mut bytes, 0).map_err(|err| {
+            if err.kind() == std::io::ErrorKind::UnexpectedEof {
+                FsmError::corrupt_artifact(
+                    &name,
+                    format!("truncated: shorter than its {}-byte run", self.len),
+                )
+            } else {
+                annotate(err, "read segment run", &self.path)
+            }
+        })?;
+        let header = run::check(&bytes, &name)?;
+        let expected = run::Header {
+            uid,
+            cols,
+            rows: self.rows.len(),
+        };
+        if header != expected {
+            return Err(FsmError::corrupt_artifact(
+                name,
+                format!("the run holds {header:?}, the window expects {expected:?}"),
+            ));
+        }
+        Ok(bytes)
+    }
+}
+
 enum SegmentRows {
     /// Memory backend: decoded chunks, borrowable zero-copy and shared with
     /// epoch snapshots via `Arc`.
     Memory(Arc<EpochSegment>),
-    /// Disk backends: serialised chunks in a paged file, plus the memoised
-    /// decoded form the first covering snapshot produced (segments are
-    /// immutable, so the memo can never go stale).
+    /// Disk backends: the segment's run, plus the memoised decoded form the
+    /// first covering snapshot produced (segments are immutable, so the memo
+    /// can never go stale).
     Disk {
-        store: RowStore,
+        run: RunFile,
         decoded: Option<Arc<EpochSegment>>,
     },
 }
@@ -230,8 +376,6 @@ struct Segment {
     cols: usize,
     /// Row chunks of the segment; rows without a set bit are absent.
     rows: SegmentRows,
-    /// Backing file to delete on eviction (disk backends only).
-    path: Option<PathBuf>,
 }
 
 enum Placement {
@@ -240,73 +384,130 @@ enum Placement {
         dir: PathBuf,
         /// Keeps the self-cleaning directory alive for `DiskTemp`.
         _tempdir: Option<TempDir>,
+        /// Released run files, each overwritten by a later push.
+        free: Vec<RunFile>,
+        /// Reusable buffer a pushed segment's run is encoded into.
+        stage: Vec<u8>,
     },
 }
 
 /// Everything a disk chunk read touches, kept together so the read surfaces
-/// can borrow it beside the segment queue: the buffers are reused across
-/// calls, so a scan over many rows performs no steady-state allocation.
-/// (`push_segment` admits to the same `cache` and writes `page_size` pages.)
+/// can borrow it beside the segment queue.  (`push_segment` admits to the
+/// same `cache`.)
 struct ChunkReader {
-    /// Reusable buffer a row chunk's pages are read into.
-    buf: Vec<u8>,
+    /// Runs read since the last [`SegmentedWindowStore::release_runs`],
+    /// keyed by segment uid, each verified when it was read: a scan reads a
+    /// segment's run at most once, however many of its chunks miss.
+    runs: Vec<(u64, Vec<u8>)>,
     /// Reusable decoded chunk (what [`ChunkReader::read`] decodes into).
     chunk: BitVec,
     /// Budgeted decoded-chunk cache over the disk segments (disabled — and
     /// never consulted — with a zero budget or on the memory backend).
     cache: ChunkCache,
-    /// Disk pages fetched by chunk reads so far.
-    pages_read: u64,
-    page_size: usize,
+    /// Positional reads issued so far (one per run read).
+    reads: u64,
 }
 
 impl ChunkReader {
-    fn new(page_size: usize) -> Self {
+    fn new() -> Self {
         Self {
-            buf: Vec::new(),
+            runs: Vec::new(),
             chunk: BitVec::new(),
             cache: ChunkCache::new(0),
-            pages_read: 0,
-            page_size,
+            reads: 0,
         }
     }
 
-    /// Reads row `id`'s chunk of a disk segment from its paged file into the
-    /// scratch chunk, bypassing the cache — the one place a chunk read
-    /// fetches, counts and decodes pages (each page CRC-verified by the
-    /// store before this decodes it).  Admission is the caller's.
-    fn read(&mut self, store: &mut RowStore, id: usize) -> Result<&BitVec> {
-        store.get_row_into(id, &mut self.buf)?;
-        self.pages_read += pages_for(self.buf.len(), self.page_size);
-        if !self.chunk.read_bytes(&self.buf) {
-            return Err(FsmError::corrupt(format!(
-                "row {id} chunk failed to deserialise"
-            )));
+    /// Index into `runs` of segment `uid`'s run: the memoised one, or one
+    /// [`RunFile::load`] — a positional read, verified before it is
+    /// memoised.
+    fn run(&mut self, uid: u64, cols: usize, run: &RunFile) -> Result<usize> {
+        if let Some(at) = self.runs.iter().position(|&(memo, _)| memo == uid) {
+            return Ok(at);
+        }
+        self.reads += 1;
+        let bytes = run.load(uid, cols)?;
+        self.runs.push((uid, bytes));
+        Ok(self.runs.len() - 1)
+    }
+
+    /// Decodes index slot `slot` of segment `uid`'s run into the scratch
+    /// chunk, bypassing the cache — the one place a chunk is decoded from
+    /// disk.  Admission is the caller's.
+    fn read(&mut self, uid: u64, cols: usize, run: &RunFile, slot: usize) -> Result<&BitVec> {
+        let at = self.run(uid, cols, run)?;
+        let chunk_bytes = run::chunk_bytes(cols);
+        // `run` proved the run holds `run.rows.len()` chunks of this size.
+        let start = run::chunk_offset(run.rows.len(), chunk_bytes, slot);
+        let bytes = &self.runs[at].1[start..start + chunk_bytes];
+        if !self.chunk.read_bytes(bytes) || self.chunk.len() != cols {
+            return Err(FsmError::corrupt_artifact(
+                artifact_name(&run.path),
+                format!("row {}'s chunk failed to decode", run.rows[slot]),
+            ));
         }
         Ok(&self.chunk)
     }
 
-    /// Appends row `id`'s chunk of disk segment `uid` to `out`: served from
-    /// the cache on a hit, else read from the paged file and offered to the
-    /// cache (which admits it if it has room).
-    fn fetch(&mut self, uid: u64, store: &mut RowStore, id: usize, out: &mut BitVec) -> Result<()> {
-        if let Some(cached) = self.cache.get(uid, id) {
+    /// Appends index slot `slot`'s chunk of disk segment `uid` to `out`:
+    /// served from the cache on a hit, else decoded from the run and
+    /// offered to the cache (which admits it if it has room).
+    fn fetch(
+        &mut self,
+        uid: u64,
+        cols: usize,
+        run: &RunFile,
+        slot: usize,
+        out: &mut BitVec,
+    ) -> Result<()> {
+        if let Some(cached) = self.cache.get(uid, run.rows[slot]) {
             out.extend_from_bitvec(cached);
             return Ok(());
         }
-        self.read(store, id)?;
-        self.cache.insert(uid, id, &self.chunk);
+        self.read(uid, cols, run, slot)?;
+        self.cache.insert(uid, run.rows[slot], &self.chunk);
         out.extend_from_bitvec(&self.chunk);
         Ok(())
     }
+
+    /// Drops segment `uid`'s memoised run, if any.
+    fn forget_run(&mut self, uid: u64) {
+        self.runs.retain(|&(memo, _)| memo != uid);
+    }
+}
+
+/// Writes `run` to `path` with one positional write — into a released file
+/// renamed to `path` (and truncated when the run is shorter than what it
+/// held), or into a file created there when none is free — and returns the
+/// file.  A released file that can no longer be renamed (removed behind the
+/// store's back) is dropped and the next one tried.
+fn write_run(free: &mut Vec<RunFile>, path: &Path, run: &[u8]) -> Result<File> {
+    while let Some(spare) = free.pop() {
+        if std::fs::rename(&spare.path, path).is_err() {
+            continue;
+        }
+        write_all_at(&spare.file, run, 0)?;
+        if spare.len > run.len() {
+            spare.file.set_len(run.len() as u64)?;
+        }
+        return Ok(spare.file);
+    }
+    let file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create_new(true)
+        .open(path)
+        .map_err(|err| annotate(err, "create segment run", path))?;
+    write_all_at(&file, run, 0)?;
+    Ok(file)
 }
 
 /// A queue of per-batch row segments backing one sliding window.
 ///
 /// All three [`StorageBackend`]s are supported: `Memory` keeps segments as
-/// decoded chunk maps (zero-copy readable), the disk backends write one paged
-/// file per segment (so eviction is one `unlink`, never a rewrite of
-/// surviving data).
+/// decoded chunk maps (zero-copy readable), the disk backends write one run
+/// file per segment (so eviction never rewrites surviving data, and the
+/// evicted file is recycled by a later push).
 pub struct SegmentedWindowStore {
     placement: Placement,
     segments: VecDeque<Segment>,
@@ -318,37 +519,26 @@ pub struct SegmentedWindowStore {
 }
 
 impl SegmentedWindowStore {
-    /// Page size of the per-segment files.  Segments hold per-batch chunks
-    /// (much smaller than whole-window rows), so the pages are smaller than
-    /// [`crate::PagedFile::DEFAULT_PAGE_SIZE`].
-    pub const SEGMENT_PAGE_SIZE: usize = 1024;
-
     /// Opens a store with the given backend.
     pub fn open(backend: StorageBackend) -> Result<Self> {
         let placement = match backend {
             StorageBackend::Memory => Placement::Memory,
             StorageBackend::DiskTemp => {
                 let tempdir = TempDir::new("segstore")?;
-                Placement::Disk {
-                    dir: tempdir.path().to_path_buf(),
-                    _tempdir: Some(tempdir),
-                }
+                Self::disk(tempdir.path().to_path_buf(), Some(tempdir))
             }
             StorageBackend::DiskAt(path) => {
                 std::fs::create_dir_all(&path)?;
                 // Opening a fresh store at an explicit path is an explicit
-                // truncation of whatever a previous run left there: stale
-                // segment files would collide with the uids this store is
-                // about to assign.  Recovery goes through
-                // [`SegmentedWindowStore::restore`] instead, which *keeps*
-                // referenced files.
-                for (_, stale) in scan_segment_files(&path)? {
-                    remove_segment_file(&stale)?;
+                // truncation of whatever a previous run left there — format
+                // v1 files included: stale segment files would collide with
+                // the uids this store is about to assign.  Recovery goes
+                // through [`SegmentedWindowStore::restore`] instead, which
+                // *keeps* referenced files.
+                for (_, stale) in segment_files(&path)? {
+                    std::fs::remove_file(&stale)?;
                 }
-                Placement::Disk {
-                    dir: path,
-                    _tempdir: None,
-                }
+                Self::disk(path, None)
             }
         };
         Ok(Self {
@@ -357,8 +547,17 @@ impl SegmentedWindowStore {
             next_id: 0,
             stats: CaptureStats::default(),
             generation: 0,
-            reader: ChunkReader::new(Self::SEGMENT_PAGE_SIZE),
+            reader: ChunkReader::new(),
         })
+    }
+
+    fn disk(dir: PathBuf, tempdir: Option<TempDir>) -> Placement {
+        Placement::Disk {
+            dir,
+            _tempdir: tempdir,
+            free: Vec::new(),
+            stage: Vec::new(),
+        }
     }
 
     /// Sets the decoded-chunk cache budget in bytes (`0` disables caching,
@@ -382,13 +581,21 @@ impl SegmentedWindowStore {
         self.reader.cache.stats()
     }
 
-    /// Disk pages fetched by chunk reads so far (cache misses and uncached
-    /// reads; always zero on the memory backend, whose chunks are borrowed).
-    /// Differencing it across a mine call measures that call's disk read
-    /// amplification the same way [`CaptureStats::words_written`] measures
-    /// write amplification.
-    pub fn pages_read(&self) -> u64 {
-        self.reader.pages_read
+    /// Positional reads the chunk-read path has issued so far — one per run
+    /// it read (always zero on the memory backend, whose chunks are
+    /// borrowed).  A scan reads each segment with a cache miss once until
+    /// [`SegmentedWindowStore::release_runs`], so differencing it across a
+    /// mine call counts the segments that call had to go to disk for — the
+    /// read amplification twin of [`CaptureStats::words_written`].
+    pub fn runs_read(&self) -> u64 {
+        self.reader.reads
+    }
+
+    /// Drops the runs the read path memoised (the memory backend has none).
+    /// The next miss in a segment reads its run again; the chunk cache is
+    /// untouched.
+    pub fn release_runs(&mut self) {
+        self.reader.runs.clear();
     }
 
     /// Returns `true` if segment payloads live in main memory.
@@ -422,67 +629,91 @@ impl SegmentedWindowStore {
     }
 
     /// Appends one segment of `cols` columns whose touched rows are given as
-    /// `(row id, bit chunk)` pairs.  Chunks must be exactly `cols` bits long.
+    /// `(row id, bit chunk)` pairs; a row given twice keeps its last chunk.
+    /// A chunk that is not exactly `cols` bits long is refused before
+    /// anything is written.
     ///
     /// This is the only write path of the store; its cost — and the counter
     /// increments it performs — are proportional to the chunks passed in,
-    /// never to data already stored.  On the disk backends the segment's
-    /// pages reach its file as one run ([`RowStore::put_rows`]; when this
-    /// returns every page and checksum has been handed to the operating
-    /// system) and each chunk written is then offered to the chunk cache.
+    /// never to data already stored.  On the disk backends the segment
+    /// reaches its file as one run with one positional write (when this
+    /// returns it has been handed to the operating system; the file is a
+    /// released one renamed, when there is one) and each chunk written is
+    /// then offered to the chunk cache.
     pub fn push_segment<'a, I>(&mut self, cols: usize, rows: I) -> Result<()>
     where
         I: IntoIterator<Item = (usize, &'a BitVec)>,
     {
+        let check = |row: usize, chunk: &BitVec| {
+            if chunk.len() == cols {
+                Ok(())
+            } else {
+                Err(FsmError::config(format!(
+                    "row {row}'s chunk is {} bits, but the segment is {cols} columns",
+                    chunk.len()
+                )))
+            }
+        };
         let id = self.next_id;
         self.next_id += 1;
-        let (segment_rows, path) = match &self.placement {
+        let segment_rows = match &mut self.placement {
             Placement::Memory => {
                 let mut map = BTreeMap::new();
                 for (row, chunk) in rows {
-                    debug_assert_eq!(chunk.len(), cols, "row chunk must span the segment");
+                    check(row, chunk)?;
+                    map.insert(row, chunk.clone());
+                }
+                for chunk in map.values() {
                     self.stats.rows_written += 1;
                     // One header word plus the payload words — identical for
                     // both backends so the slide-cost tables are
                     // backend-independent.
                     self.stats.words_written += 1 + chunk.len().div_ceil(WORD_BITS) as u64;
-                    map.insert(row, chunk.clone());
                 }
                 let segment = EpochSegment {
                     uid: id,
                     cols,
                     rows: map,
                 };
-                (SegmentRows::Memory(Arc::new(segment)), None)
+                SegmentRows::Memory(Arc::new(segment))
             }
-            Placement::Disk { dir, .. } => {
-                let path = dir.join(format!("seg-{id}.pages"));
-                let mut store = RowStore::with_page_size(
-                    StorageBackend::DiskAt(path.clone()),
-                    self.reader.page_size,
-                )?;
-                let rows: Vec<(usize, &BitVec)> = rows.into_iter().collect();
-                store.put_rows(rows.iter().map(|&(row, chunk)| {
-                    debug_assert_eq!(chunk.len(), cols, "row chunk must span the segment");
-                    (row, chunk.to_bytes())
-                }))?;
+            Placement::Disk {
+                dir, free, stage, ..
+            } => {
+                let mut rows: Vec<(usize, &BitVec)> = rows.into_iter().collect();
+                for &(row, chunk) in &rows {
+                    check(row, chunk)?;
+                }
+                // A run stores one chunk per row, ascending.  Reversing
+                // first makes the stable sort put a repeated row's last
+                // chunk first, which is the one `dedup` keeps.
+                if !rows.is_sorted_by(|a, b| a.0 < b.0) {
+                    rows.reverse();
+                    rows.sort_by_key(|&(row, _)| row);
+                    rows.dedup_by_key(|&mut (row, _)| row);
+                }
+                run::encode(id, cols, &rows, stage);
+                let path = dir.join(run_file_name(id));
+                let file = write_run(free, &path, stage)?;
                 // Write-through: once the segment is on disk each chunk is
                 // offered to the cache (admit-if-room, the charge a read
                 // miss would pay), so the mine that follows finds the
                 // entering segment as warm as the budget allows instead of
-                // re-reading pages this call has just written.
+                // re-reading the run this call has just written.
                 for &(row, chunk) in &rows {
                     self.stats.rows_written += 1;
                     self.stats.words_written += 1 + chunk.len().div_ceil(WORD_BITS) as u64;
                     self.reader.cache.insert(id, row, chunk);
                 }
-                (
-                    SegmentRows::Disk {
-                        store,
-                        decoded: None,
+                SegmentRows::Disk {
+                    run: RunFile {
+                        file,
+                        path,
+                        len: stage.len(),
+                        rows: rows.iter().map(|&(row, _)| row).collect(),
                     },
-                    Some(path),
-                )
+                    decoded: None,
+                }
             }
         };
         self.stats.segments_written += 1;
@@ -491,67 +722,101 @@ impl SegmentedWindowStore {
             id,
             cols,
             rows: segment_rows,
-            path,
         });
         Ok(())
     }
 
     /// Drops the oldest segment, returning how many columns left with it.
     ///
-    /// Surviving segments are untouched: for the disk backends this is one
-    /// file removal, not a compaction rewrite.  Should that removal fail the
-    /// segment has still left the window — queue, generation and counters
-    /// moved together — and only its file is left behind.
+    /// Surviving segments are untouched.  On the disk backends the leaving
+    /// segment's file is released at once — the next push renames and
+    /// overwrites it — so a slide issues no unlink.
     pub fn pop_segment(&mut self) -> Result<usize> {
-        let (cols, file) = self.pop_segment_detached()?;
-        if let Some((_, path)) = file {
-            remove_segment_file(&path)?;
+        let segment = self.pop_oldest()?;
+        if let (SegmentRows::Disk { mut run, .. }, Placement::Disk { free, .. }) =
+            (segment.rows, &mut self.placement)
+        {
+            run.rows = Vec::new();
+            free.push(run);
         }
-        Ok(cols)
+        Ok(segment.cols)
     }
 
     /// Drops the oldest segment like [`SegmentedWindowStore::pop_segment`],
-    /// but *keeps its backing file on disk*, returning `(columns, uid, path)`.
+    /// but *keeps its backing file out of reuse*, returning
+    /// `(columns, uid, path)`.
     ///
     /// Durable windows evict through this path: an evicted segment's file may
-    /// still be referenced by a retained checkpoint, so its removal must be
-    /// deferred until the next checkpoint proves it unreferenced.  The caller
-    /// owns the returned path and is responsible for eventually unlinking it
-    /// (via [`remove_segment_file`]).
+    /// still be referenced by a retained checkpoint, so it must not be
+    /// overwritten until a later checkpoint proves it unreferenced.  The
+    /// caller owns the returned path and hands it back through
+    /// [`SegmentedWindowStore::release_segment_file`] once it is.
     pub fn pop_segment_detached(&mut self) -> Result<(usize, Option<(u64, PathBuf)>)> {
+        let segment = self.pop_oldest()?;
+        let file = match segment.rows {
+            SegmentRows::Disk { run, .. } => Some((segment.id, run.path)),
+            SegmentRows::Memory(_) => None,
+        };
+        Ok((segment.cols, file))
+    }
+
+    /// Takes the oldest segment off the queue; its cached chunks and its
+    /// memoised run leave with it, and generation and counters move.
+    fn pop_oldest(&mut self) -> Result<Segment> {
         let segment = self
             .segments
             .pop_front()
             .ok_or_else(|| FsmError::corrupt("pop_segment on an empty window"))?;
-        let cols = segment.cols;
-        let uid = segment.id;
-        let path = segment.path.clone();
-        // The popped segment's cached chunks can never be read again (its
-        // uid is not reused, and the window columns it covered are gone).
-        self.reader.cache.invalidate_segment(uid);
-        // Close the row store (drops its file handle) so the file can be
-        // unlinked.
-        drop(segment);
+        // The popped segment's chunks can never be read again (its uid is
+        // not reused, and the window columns it covered are gone).
+        self.reader.cache.invalidate_segment(segment.id);
+        self.reader.forget_run(segment.id);
         self.stats.segments_dropped += 1;
         self.generation += 1;
-        Ok((cols, path.map(|p| (uid, p))))
+        Ok(segment)
+    }
+
+    /// Releases a segment file [`SegmentedWindowStore::pop_segment_detached`]
+    /// kept out of reuse: a later push renames and overwrites it instead of
+    /// creating a file.  A file that no longer exists counts as released;
+    /// any other failure to open it is returned, and the caller may retry.
+    pub fn release_segment_file(&mut self, path: &Path) -> Result<()> {
+        let Placement::Disk { free, .. } = &mut self.placement else {
+            return Err(FsmError::config("the memory backend has no segment files"));
+        };
+        let file = match OpenOptions::new().read(true).write(true).open(path) {
+            Ok(file) => file,
+            Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+            Err(err) => return Err(annotate(err, "open released segment run", path)),
+        };
+        let len = usize::try_from(file.metadata()?.len()).unwrap_or(usize::MAX);
+        free.push(RunFile {
+            file,
+            path: path.to_path_buf(),
+            len,
+            rows: Vec::new(),
+        });
+        Ok(())
     }
 
     /// Restores a disk-backed store from checkpointed segment metadata.
     ///
-    /// Every entry of `metas` must name a segment file `seg-<uid>.pages` in
-    /// `dir` (verified checksummed pages; contents validated lazily on read
-    /// or eagerly via [`SegmentedWindowStore::verify_segments`]).  Segment
-    /// files with a uid at or above `next_id` are crash leftovers — they were
-    /// created by batches the checkpoint does not cover, and WAL replay will
-    /// re-create them — so they are removed here.  Unreferenced files *below*
-    /// `next_id` may belong to an older retained checkpoint and are left for
-    /// the caller to garbage-collect once a new checkpoint commits.
+    /// Every entry of `metas` must name a segment run `seg-<uid>.run` in
+    /// `dir`, and its row index must be the one the run layout places
+    /// (contents are validated on read, or eagerly via
+    /// [`SegmentedWindowStore::verify_segments`]).  Segment files with a uid
+    /// at or above `next_id` are crash leftovers — they were created (or
+    /// renamed into place) by batches the checkpoint does not cover, and WAL
+    /// replay will re-create them — so they are removed here.  Unreferenced
+    /// files *below* `next_id` may belong to an older retained checkpoint
+    /// and are left for the caller to release once a new checkpoint commits.
+    /// A directory holding format v1 files is refused
+    /// ([`scan_segment_files`]).
     pub fn restore(dir: PathBuf, metas: &[SegmentMeta], next_id: u64) -> Result<Self> {
         std::fs::create_dir_all(&dir)?;
         for (uid, stale) in scan_segment_files(&dir)? {
             if uid >= next_id {
-                remove_segment_file(&stale)?;
+                std::fs::remove_file(&stale)?;
             }
         }
         let mut segments = VecDeque::with_capacity(metas.len());
@@ -562,32 +827,34 @@ impl SegmentedWindowStore {
                     meta.uid
                 )));
             }
-            let path = dir.join(format!("seg-{}.pages", meta.uid));
-            let store = RowStore::open_existing(
-                path.clone(),
-                Self::SEGMENT_PAGE_SIZE,
-                meta.rows.iter().copied(),
-            )?;
+            let path = dir.join(run_file_name(meta.uid));
+            let (rows, len) = checkpointed_index(&path, meta)?;
+            let file = OpenOptions::new()
+                .read(true)
+                .write(true)
+                .open(&path)
+                .map_err(|err| annotate(err, "open segment run", &path))?;
             segments.push_back(Segment {
                 id: meta.uid,
                 cols: meta.cols,
                 rows: SegmentRows::Disk {
-                    store,
+                    run: RunFile {
+                        file,
+                        path,
+                        len,
+                        rows,
+                    },
                     decoded: None,
                 },
-                path: Some(path),
             });
         }
         Ok(Self {
-            placement: Placement::Disk {
-                dir,
-                _tempdir: None,
-            },
+            placement: Self::disk(dir, None),
             segments,
             next_id,
             stats: CaptureStats::default(),
             generation: 0,
-            reader: ChunkReader::new(Self::SEGMENT_PAGE_SIZE),
+            reader: ChunkReader::new(),
         })
     }
 
@@ -599,40 +866,61 @@ impl SegmentedWindowStore {
             .iter()
             .map(|segment| match &segment.rows {
                 SegmentRows::Memory(_) => None,
-                SegmentRows::Disk { store, .. } => Some(SegmentMeta {
-                    uid: segment.id,
-                    cols: segment.cols,
-                    rows: store.row_entries()?,
-                }),
+                SegmentRows::Disk { run, .. } => {
+                    let chunk_bytes = run::chunk_bytes(segment.cols);
+                    let n = run.rows.len();
+                    Some(SegmentMeta {
+                        uid: segment.id,
+                        cols: segment.cols,
+                        rows: run
+                            .rows
+                            .iter()
+                            .enumerate()
+                            .map(|(slot, &row)| {
+                                (row, run::chunk_offset(n, chunk_bytes, slot), chunk_bytes)
+                            })
+                            .collect(),
+                    })
+                }
             })
             .collect()
     }
 
-    /// Verifies the page checksums of every live segment file.  The error
-    /// names the first corrupt page and its file.
-    pub fn verify_segments(&mut self) -> Result<()> {
-        for segment in &mut self.segments {
-            if let SegmentRows::Disk { store, .. } = &mut segment.rows {
-                store.verify_pages()?;
+    /// Reads and fully decodes every live segment's run, checking it holds
+    /// the segment the window describes (uid, columns, row ids).  The error
+    /// names the first damaged run.
+    pub fn verify_segments(&self) -> Result<()> {
+        for segment in &self.segments {
+            if let SegmentRows::Disk { run, .. } = &segment.rows {
+                let name = artifact_name(&run.path);
+                let decoded =
+                    EpochSegment::decode_run(&run.load(segment.id, segment.cols)?, &name)?;
+                if !decoded.rows.keys().eq(run.rows.iter()) {
+                    return Err(FsmError::corrupt_artifact(
+                        name,
+                        "the run's row ids are not the ones the window indexes",
+                    ));
+                }
             }
         }
         Ok(())
     }
 
     /// Forces every live segment with uid `>= min_uid` to stable storage,
-    /// returning the number of `fsync` system calls issued.
+    /// returning the number of `fsync` system calls issued (one per run).
     ///
     /// Checkpointing calls this with the watermark of the last checkpoint:
     /// older segments were already synced then and are immutable, so only the
-    /// files created since need an `fsync`.
-    pub fn sync_segments(&mut self, min_uid: u64) -> Result<u64> {
+    /// runs written since need an `fsync`.
+    pub fn sync_segments(&self, min_uid: u64) -> Result<u64> {
         let mut fsyncs = 0;
-        for segment in &mut self.segments {
+        for segment in &self.segments {
             if segment.id < min_uid {
                 continue;
             }
-            if let SegmentRows::Disk { store, .. } = &mut segment.rows {
-                fsyncs += store.sync_all()?;
+            if let SegmentRows::Disk { run, .. } = &segment.rows {
+                run.file.sync_all()?;
+                fsyncs += 1;
             }
         }
         Ok(fsyncs)
@@ -657,19 +945,16 @@ impl SegmentedWindowStore {
         let Self {
             segments, reader, ..
         } = self;
-        for segment in segments.iter_mut() {
-            match &mut segment.rows {
+        for segment in segments.iter() {
+            match &segment.rows {
                 SegmentRows::Memory(seg) => match seg.chunk(id) {
                     Some(chunk) => out.extend_from_bitvec(chunk),
                     None => out.resize(out.len() + segment.cols),
                 },
-                SegmentRows::Disk { store, .. } => {
-                    if store.contains_row(id) {
-                        reader.fetch(segment.id, store, id, out)?;
-                    } else {
-                        out.resize(out.len() + segment.cols);
-                    }
-                }
+                SegmentRows::Disk { run, .. } => match run.slot(id) {
+                    Some(slot) => reader.fetch(segment.id, segment.cols, run, slot, out)?,
+                    None => out.resize(out.len() + segment.cols),
+                },
             }
         }
         Ok(())
@@ -681,13 +966,14 @@ impl SegmentedWindowStore {
     /// On the memory backend this is a free `Arc` clone of the live segment.
     /// On the disk backends the segment is decoded in full on the first call
     /// (chunks warm in the [`ChunkCache`] are served from it and counted as
-    /// hits; cold chunks pay their page fetches) and the decoded form is
-    /// memoised on the segment, so in the steady state a new epoch only
-    /// decodes the segment the latest slide appended.  The decoded rows are
-    /// *owned by the returned handle*, not held in the shared cache: budget
-    /// changes and slides on the writer side can never invalidate them, and
-    /// the memory is reclaimed when the store drops the segment (window
-    /// slide) *and* the last snapshot referencing it is dropped.
+    /// hits; cold chunks are decoded from one read of the run) and the
+    /// decoded form is memoised on the segment, so in the steady state a new
+    /// epoch only decodes the segment the latest slide appended.  The
+    /// decoded rows are *owned by the returned handle*, not held in the
+    /// shared cache: budget changes and slides on the writer side can never
+    /// invalidate them, and the memory is reclaimed when the store drops the
+    /// segment (window slide) *and* the last snapshot referencing it is
+    /// dropped.
     pub fn epoch_segment(&mut self, seg: usize) -> Result<Arc<EpochSegment>> {
         let Self {
             segments, reader, ..
@@ -699,21 +985,22 @@ impl SegmentedWindowStore {
         let cols = segment.cols;
         match &mut segment.rows {
             SegmentRows::Memory(seg) => Ok(Arc::clone(seg)),
-            SegmentRows::Disk { store, decoded } => {
+            SegmentRows::Disk { run, decoded } => {
                 if let Some(seg) = decoded {
                     return Ok(Arc::clone(seg));
                 }
-                let ids: Vec<usize> = store.row_ids().collect();
                 let mut rows = BTreeMap::new();
-                for id in ids {
+                for (slot, &id) in run.rows.iter().enumerate() {
                     // Cold chunks are not admitted to the cache: the decoded
                     // segment is memoised below, so nothing reads them twice.
                     let chunk = match reader.cache.get(uid, id) {
                         Some(cached) => cached.clone(),
-                        None => reader.read(store, id)?.clone(),
+                        None => reader.read(uid, cols, run, slot)?.clone(),
                     };
                     rows.insert(id, chunk);
                 }
+                // For the same reason the run itself is not kept.
+                reader.forget_run(uid);
                 let segment = Arc::new(EpochSegment { uid, cols, rows });
                 *decoded = Some(Arc::clone(&segment));
                 Ok(segment)
@@ -732,7 +1019,7 @@ impl SegmentedWindowStore {
     pub fn segment_row_ids(&self, seg: usize) -> Option<Vec<usize>> {
         match &self.segments.get(seg)?.rows {
             SegmentRows::Memory(segment) => Some(segment.rows().map(|(id, _)| id).collect()),
-            SegmentRows::Disk { store, .. } => Some(store.row_ids().collect()),
+            SegmentRows::Disk { run, .. } => Some(run.rows.clone()),
         }
     }
 
@@ -744,10 +1031,10 @@ impl SegmentedWindowStore {
             segments, reader, ..
         } = self;
         let segment = segments
-            .get_mut(seg)
+            .get(seg)
             .ok_or_else(|| FsmError::corrupt(format!("segment {seg} out of range")))?;
         out.resize(0);
-        match &mut segment.rows {
+        match &segment.rows {
             SegmentRows::Memory(seg) => match seg.chunk(id) {
                 Some(chunk) => {
                     out.extend_from_bitvec(chunk);
@@ -755,13 +1042,13 @@ impl SegmentedWindowStore {
                 }
                 None => Ok(false),
             },
-            SegmentRows::Disk { store, .. } => {
-                if !store.contains_row(id) {
-                    return Ok(false);
+            SegmentRows::Disk { run, .. } => match run.slot(id) {
+                Some(slot) => {
+                    reader.fetch(segment.id, segment.cols, run, slot, out)?;
+                    Ok(true)
                 }
-                reader.fetch(segment.id, store, id, out)?;
-                Ok(true)
-            }
+                None => Ok(false),
+            },
         }
     }
 
@@ -779,37 +1066,73 @@ impl SegmentedWindowStore {
     }
 
     /// Bytes held in main memory: for the memory backend the payloads, for
-    /// the disk backends the per-segment row indexes plus whatever the
-    /// decoded-chunk cache currently holds (bounded by its budget).
+    /// the disk backends the per-segment row indexes, the push buffer, the
+    /// runs the read path holds memoised (none once released) and whatever
+    /// the decoded-chunk cache currently holds (bounded by its budget).
     pub fn resident_bytes(&self) -> usize {
-        self.reader.cache.used_bytes()
-            + self
-                .segments
-                .iter()
-                .map(|s| {
-                    let rows = match &s.rows {
-                        SegmentRows::Memory(segment) => segment.heap_bytes(),
-                        SegmentRows::Disk { store, decoded } => {
-                            store.resident_bytes()
-                                + decoded.as_ref().map_or(0, |seg| seg.heap_bytes())
-                        }
-                    };
-                    rows + std::mem::size_of::<Segment>()
-                })
-                .sum::<usize>()
+        let stage = match &self.placement {
+            Placement::Memory => 0,
+            Placement::Disk { stage, .. } => stage.capacity(),
+        };
+        let runs: usize = self.reader.runs.iter().map(|(_, run)| run.capacity()).sum();
+        let segments: usize = self
+            .segments
+            .iter()
+            .map(|s| {
+                let rows = match &s.rows {
+                    SegmentRows::Memory(segment) => segment.heap_bytes(),
+                    SegmentRows::Disk { run, decoded } => {
+                        run.rows.capacity() * std::mem::size_of::<usize>()
+                            + decoded.as_ref().map_or(0, |seg| seg.heap_bytes())
+                    }
+                };
+                rows + std::mem::size_of::<Segment>()
+            })
+            .sum();
+        self.reader.cache.used_bytes() + stage + runs + segments
     }
 
-    /// Bytes held on disk across all live segments (zero for the memory
-    /// backend).
+    /// Bytes the live segments' runs occupy on disk (zero for the memory
+    /// backend; a released file waiting to be overwritten holds no segment
+    /// and is not counted).
     pub fn on_disk_bytes(&self) -> u64 {
         self.segments
             .iter()
             .map(|s| match &s.rows {
                 SegmentRows::Memory(_) => 0,
-                SegmentRows::Disk { store, .. } => store.on_disk_bytes(),
+                SegmentRows::Disk { run, .. } => run.len as u64,
             })
             .sum()
     }
+}
+
+/// The row index a checkpoint records for segment `meta`, checked against
+/// the run layout — rows strictly ascending, each chunk at the offset and
+/// of the length the layout places it — with the run's length.
+fn checkpointed_index(path: &Path, meta: &SegmentMeta) -> Result<(Vec<usize>, usize)> {
+    let n = meta.rows.len();
+    let chunk_bytes = run::chunk_bytes(meta.cols);
+    let len = run::run_len(n, meta.cols).ok_or_else(|| {
+        FsmError::corrupt_artifact(
+            artifact_name(path),
+            format!("{n} rows of {} columns overflow a run", meta.cols),
+        )
+    })?;
+    let mut rows = Vec::with_capacity(n);
+    for (slot, &(row, offset, bytes)) in meta.rows.iter().enumerate() {
+        let at = run::chunk_offset(n, chunk_bytes, slot);
+        if rows.last().is_some_and(|&last| last >= row) || offset != at || bytes != chunk_bytes {
+            return Err(FsmError::corrupt_artifact(
+                artifact_name(path),
+                format!(
+                    "the checkpoint places row {row} at byte {offset} ({bytes} bytes), \
+                     the run layout at byte {at} ({chunk_bytes} bytes)"
+                ),
+            ));
+        }
+        rows.push(row);
+    }
+    Ok((rows, len))
 }
 
 impl std::fmt::Debug for SegmentedWindowStore {
@@ -839,6 +1162,17 @@ mod tests {
 
     fn backends() -> Vec<StorageBackend> {
         vec![StorageBackend::Memory, StorageBackend::DiskTemp]
+    }
+
+    /// The `seg-*` file names in `dir`, sorted.
+    fn segment_file_names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name.starts_with("seg-"))
+            .collect();
+        names.sort();
+        names
     }
 
     #[test]
@@ -918,17 +1252,54 @@ mod tests {
     }
 
     #[test]
-    fn eviction_removes_the_backing_file() {
-        let mut store = SegmentedWindowStore::open(StorageBackend::DiskTemp).unwrap();
+    fn a_chunk_of_the_wrong_width_or_a_repeated_row_is_handled_alike_on_every_backend() {
+        for backend in backends() {
+            let mut store = SegmentedWindowStore::open(backend).unwrap();
+            let err = store.push_segment(3, [(0, &bv("10"))]).unwrap_err();
+            assert!(matches!(err, FsmError::InvalidConfig(_)), "{err}");
+            // A row given twice keeps its last chunk; the run stays ascending.
+            store
+                .push_segment(2, [(5, &bv("10")), (1, &bv("11")), (5, &bv("01"))])
+                .unwrap();
+            assert_eq!(store.segment_row_ids(0).unwrap(), vec![1, 5]);
+            let mut chunk = BitVec::new();
+            assert!(store.read_segment_chunk(0, 5, &mut chunk).unwrap());
+            assert_eq!(format!("{chunk:?}"), "BitVec[01]");
+        }
+    }
+
+    #[test]
+    fn eviction_recycles_the_backing_file() {
+        let dir = TempDir::new("segstore-recycle").unwrap();
+        let root = dir.file("segments");
+        let mut store = SegmentedWindowStore::open(StorageBackend::DiskAt(root.clone())).unwrap();
         store.push_segment(8, [(0, &bv("10101010"))]).unwrap();
-        store.push_segment(8, [(1, &bv("01010101"))]).unwrap();
+        store
+            .push_segment(8, [(1, &bv("01010101")), (2, &bv("11110000"))])
+            .unwrap();
         let before = store.on_disk_bytes();
         assert!(before > 0);
         store.pop_segment().unwrap();
         assert!(
             store.on_disk_bytes() < before,
-            "evicted segment must free its file"
+            "the evicted segment leaves the window's footprint"
         );
+        // The released file is still there, waiting for the next push, which
+        // renames and overwrites it — shorter than what it held, so it is
+        // truncated — instead of creating a file.
+        assert_eq!(segment_file_names(&root), ["seg-0.run", "seg-1.run"]);
+        store.pop_segment().unwrap();
+        store.push_segment(8, [(3, &bv("00000001"))]).unwrap();
+        let names = segment_file_names(&root);
+        assert_eq!(names.len(), 2, "{names:?}");
+        assert!(names.contains(&"seg-2.run".to_string()), "{names:?}");
+        assert_eq!(
+            std::fs::metadata(root.join("seg-2.run")).unwrap().len(),
+            store.on_disk_bytes()
+        );
+        let mut row = BitVec::new();
+        store.assemble_row(3, &mut row).unwrap();
+        assert_eq!(format!("{row:?}"), "BitVec[00000001]");
         assert!(!store.is_memory_resident());
         assert!(store.resident_bytes() < 4096, "only indexes stay resident");
     }
@@ -1018,6 +1389,9 @@ mod tests {
                     assert_eq!(row, reference, "row {id} diverged at step {step}");
                 }
             }
+            for store in &mut stores {
+                store.release_runs();
+            }
         }
         // The eager store hit nothing; the cached stores hit, and the tight
         // one did so without ever evicting to admit.
@@ -1030,8 +1404,8 @@ mod tests {
         );
         assert_eq!(tight.evictions, 0, "nothing is evicted to make room");
         assert!(unlimited.hits > tight.hits);
-        assert!(stores[2].pages_read() < stores[1].pages_read());
-        assert!(stores[1].pages_read() < stores[0].pages_read());
+        assert!(stores[2].runs_read() < stores[1].runs_read());
+        assert!(stores[1].runs_read() < stores[0].runs_read());
     }
 
     #[test]
@@ -1043,19 +1417,21 @@ mod tests {
                 .push_segment(80, (0..rows).map(|r| (r, &wide)))
                 .unwrap();
         };
-        // One scan of the window; returns (cache hits, pages read) it cost.
+        // One scan of the window, then the release a mine ends with; returns
+        // (cache hits, runs read) it cost.
         let scan = |store: &mut SegmentedWindowStore| {
-            let (hits, pages) = (store.cache_stats().hits, store.pages_read());
+            let (hits, reads) = (store.cache_stats().hits, store.runs_read());
             let mut row = BitVec::new();
             for id in 0..rows {
                 store.assemble_row(id, &mut row).unwrap();
                 assert_eq!(row.count_ones(), 40 * store.num_segments() as u64);
             }
-            (store.cache_stats().hits - hits, store.pages_read() - pages)
+            store.release_runs();
+            (store.cache_stats().hits - hits, store.runs_read() - reads)
         };
 
         // A budget covering the window: the pushes themselves warmed the
-        // cache, so not even the first scan reads a page — and neither does
+        // cache, so not even the first scan reads a run — and neither does
         // the scan after a slide.
         let mut store = SegmentedWindowStore::open(StorageBackend::DiskTemp).unwrap();
         store.set_cache_budget(usize::MAX);
@@ -1067,15 +1443,16 @@ mod tests {
         store.pop_segment().unwrap();
         push(&mut store);
         assert_eq!(scan(&mut store), (4 * rows as u64, 0), "after a slide");
-        assert_eq!(store.pages_read(), 0);
+        assert_eq!(store.runs_read(), 0);
 
-        // Budget 0 on a fresh store: every scan pays the full window again.
+        // Budget 0 on a fresh store: every scan pays the full window again —
+        // one run per segment, however many of its chunks it decodes.
         let mut eager = SegmentedWindowStore::open(StorageBackend::DiskTemp).unwrap();
         for _ in 0..4 {
             push(&mut eager);
         }
-        assert_eq!(scan(&mut eager), (0, 4 * rows as u64));
-        assert_eq!(scan(&mut eager), (0, 4 * rows as u64));
+        assert_eq!(scan(&mut eager), (0, 4));
+        assert_eq!(scan(&mut eager), (0, 4));
         assert_eq!(eager.cache_stats(), ChunkCacheStats::default());
 
         // A budget of exactly two segments' charge over a three-segment
@@ -1095,7 +1472,7 @@ mod tests {
         for _ in 0..3 {
             push(&mut tight);
         }
-        let (cached, read) = (2 * rows as u64, rows as u64);
+        let (cached, read) = (2 * rows as u64, 1);
         assert_eq!(tight.cache_stats().insertions, cached);
         assert_eq!(
             scan(&mut tight),
@@ -1118,6 +1495,62 @@ mod tests {
         assert_eq!(tight.cache_stats().invalidations, cached);
     }
 
+    #[test]
+    fn a_scan_reads_each_segment_at_most_once_and_looks_each_chunk_up_once() {
+        // Five segments of 60 rows (the disk fleet's shape, narrowed to 64
+        // columns) scanned row-major, twice per window, at budget 0, at a
+        // budget holding two segments' chunks and at a covering one.  The
+        // cache sees the calls it always saw — each chunk looked up once a
+        // scan, hits and misses as the budget decides — and the reads are
+        // one per segment with a miss, never one per missed chunk.
+        let (segments, rows) = (5usize, 60usize);
+        let chunk = BitVec::from_bools((0..64).map(|c| c % 3 == 0));
+        let charge = {
+            let mut probe = ChunkCache::new(usize::MAX);
+            probe.insert(0, 0, &chunk);
+            probe.used_bytes()
+        };
+        // (budget, hits, misses, reads) per scan.
+        let cases = [
+            (0, 0, 0, segments as u64),
+            (2 * rows * charge, 2 * rows as u64, 3 * rows as u64, 3),
+            (usize::MAX, (segments * rows) as u64, 0, 0),
+        ];
+        for (budget, hits, misses, reads) in cases {
+            let mut store = SegmentedWindowStore::open(StorageBackend::DiskTemp).unwrap();
+            store.set_cache_budget(budget);
+            for slide in 0..segments + 3 {
+                if store.num_segments() == segments {
+                    store.pop_segment().unwrap();
+                }
+                store
+                    .push_segment(64, (0..rows).map(|row| (row, &chunk)))
+                    .unwrap();
+                if store.num_segments() < segments {
+                    continue;
+                }
+                for pass in 0..2 {
+                    let (before, read_before) = (store.cache_stats(), store.runs_read());
+                    let mut row = BitVec::new();
+                    for id in 0..rows {
+                        store.assemble_row(id, &mut row).unwrap();
+                    }
+                    store.release_runs();
+                    let after = store.cache_stats();
+                    assert_eq!(
+                        (
+                            after.hits - before.hits,
+                            after.misses - before.misses,
+                            store.runs_read() - read_before
+                        ),
+                        (hits, misses, reads),
+                        "budget {budget}, slide {slide}, pass {pass}"
+                    );
+                }
+            }
+        }
+    }
+
     /// Bit-at-a-time CRC-32 (reflected IEEE), sharing nothing with
     /// [`crate::checksum`]: the reference the format test checksums with.
     fn reference_crc32(bytes: &[u8]) -> u32 {
@@ -1136,21 +1569,19 @@ mod tests {
     }
 
     #[test]
-    fn a_segment_file_and_its_sidecar_are_the_bytewise_reference() {
-        // The on-disk format, spelled out byte by byte: per row in push
-        // order, the serialised chunk cut into pages, each page its payload
-        // then zero padding; the sidecar one little-endian CRC-32 of each
-        // padded page.  Staging a segment as one run must not move a byte.
-        let page_size = SegmentedWindowStore::SEGMENT_PAGE_SIZE;
+    fn a_segment_file_is_the_bytewise_reference_run() {
+        // Segment format v2, spelled out byte by byte: the header (version,
+        // uid, columns, rows, payload length, then the CRC of everything
+        // else), the row ids ascending, the chunks in the same order — each
+        // its bit count, then its words — with nothing between or after.
         let dir = TempDir::new("segstore-format").unwrap();
         let root = dir.file("segments");
         let mut store = SegmentedWindowStore::open(StorageBackend::DiskAt(root.clone())).unwrap();
         let pattern = |cols: usize, salt: usize| {
             BitVec::from_bools((0..cols).map(|c| (c * 7 + salt) % 5 < 2))
         };
-        // Single-page chunks, pushed out of row order; chunks that span two
-        // pages and end exactly on a page boundary's far side; no rows.
-        let two_pages = (page_size + 64) * 8;
+        // Rows pushed out of order, several words per chunk, a word-exact
+        // width, and segments without rows.
         let segments: Vec<(usize, Vec<(usize, BitVec)>)> = vec![
             (
                 500,
@@ -1160,43 +1591,167 @@ mod tests {
                     (5, pattern(500, 3)),
                 ],
             ),
-            (
-                two_pages,
-                vec![(0, pattern(two_pages, 4)), (1, pattern(two_pages, 5))],
-            ),
-            (
-                (page_size - 8) * 8,
-                vec![(3, pattern((page_size - 8) * 8, 6))],
-            ),
+            (128, vec![(0, pattern(128, 4)), (1, pattern(128, 5))]),
+            (7, vec![]),
             (0, vec![]),
         ];
         for (uid, (cols, rows)) in segments.iter().enumerate() {
             store
                 .push_segment(*cols, rows.iter().map(|(id, chunk)| (*id, chunk)))
                 .unwrap();
-            let (mut pages, mut sidecar) = (Vec::new(), Vec::new());
-            for (_, chunk) in rows {
-                for payload in chunk.to_bytes().chunks(page_size) {
-                    let start = pages.len();
-                    pages.extend_from_slice(payload);
-                    pages.resize(start + page_size, 0);
-                    sidecar.extend_from_slice(&reference_crc32(&pages[start..]).to_le_bytes());
+            let mut sorted: Vec<&(usize, BitVec)> = rows.iter().collect();
+            sorted.sort_by_key(|(id, _)| *id);
+            let mut payload = Vec::new();
+            for (id, _) in &sorted {
+                payload.extend_from_slice(&(*id as u64).to_le_bytes());
+            }
+            for (_, chunk) in &sorted {
+                payload.extend_from_slice(&(*cols as u64).to_le_bytes());
+                for word in chunk.as_words() {
+                    payload.extend_from_slice(&word.to_le_bytes());
                 }
             }
-            let path = root.join(format!("seg-{uid}.pages"));
-            assert_eq!(std::fs::read(&path).unwrap(), pages, "segment {uid}");
-            assert_eq!(
-                std::fs::read(crate::PagedFile::checksum_path(&path)).unwrap(),
-                sidecar,
-                "segment {uid} sidecar"
-            );
+            let mut expected = 2u32.to_le_bytes().to_vec();
+            for field in [uid, *cols, rows.len(), payload.len()] {
+                expected.extend_from_slice(&(field as u64).to_le_bytes());
+            }
+            let crc = reference_crc32(&[expected.as_slice(), &payload].concat());
+            expected.extend_from_slice(&crc.to_le_bytes());
+            expected.extend_from_slice(&payload);
+            let path = root.join(format!("seg-{uid}.run"));
+            assert_eq!(std::fs::read(&path).unwrap(), expected, "segment {uid}");
         }
-        // The exact-fit chunk fills its page: no padding, one page.
+        // A 500-column chunk is its 8-byte bit count and 8 words: 72 bytes,
+        // packed, where format v1 spent a 1 KiB page on it.
         assert_eq!(
-            std::fs::metadata(root.join("seg-2.pages")).unwrap().len(),
-            page_size as u64
+            std::fs::metadata(root.join("seg-0.run")).unwrap().len(),
+            40 + 3 * (8 + 72)
         );
         store.verify_segments().unwrap();
+    }
+
+    #[test]
+    fn every_damaged_byte_of_a_run_is_refused_on_read() {
+        let dir = TempDir::new("segstore-flip").unwrap();
+        let root = dir.file("segments");
+        let mut store = SegmentedWindowStore::open(StorageBackend::DiskAt(root.clone())).unwrap();
+        store
+            .push_segment(70, [(1, &bv(&"10".repeat(35))), (4, &bv(&"1".repeat(70)))])
+            .unwrap();
+        let path = root.join("seg-0.run");
+        let clean = std::fs::read(&path).unwrap();
+        let mut row = BitVec::new();
+        for at in 0..clean.len() {
+            let mut bytes = clean.clone();
+            bytes[at] ^= 0x20;
+            std::fs::write(&path, &bytes).unwrap();
+            for check in 0..2 {
+                let err = if check == 0 {
+                    store.assemble_row(4, &mut row).unwrap_err()
+                } else {
+                    store.verify_segments().unwrap_err()
+                };
+                assert!(
+                    matches!(&err, FsmError::CorruptArtifact { artifact, .. } if artifact == "seg-0.run"),
+                    "byte {at}, check {check}: {err}"
+                );
+            }
+        }
+        // Truncated behind the store's back: refused as damage, not as I/O.
+        std::fs::write(&path, &clean[..clean.len() - 1]).unwrap();
+        let err = store.assemble_row(4, &mut row).unwrap_err();
+        assert!(matches!(err, FsmError::CorruptArtifact { .. }), "{err}");
+        std::fs::write(&path, &clean).unwrap();
+        store.assemble_row(4, &mut row).unwrap();
+        assert_eq!(row.count_ones(), 70);
+    }
+
+    #[test]
+    fn a_restored_store_reads_what_was_pushed_and_refuses_a_lying_index() {
+        let dir = TempDir::new("segstore-restore").unwrap();
+        let root = dir.file("segments");
+        let (metas, next_id, expected) = {
+            let mut store =
+                SegmentedWindowStore::open(StorageBackend::DiskAt(root.clone())).unwrap();
+            store.push_segment(3, [(0, &bv("101"))]).unwrap();
+            store
+                .push_segment(66, [(2, &bv(&"1".repeat(66))), (7, &bv(&"01".repeat(33)))])
+                .unwrap();
+            store.sync_segments(0).unwrap();
+            let mut expected = Vec::new();
+            for id in 0..8 {
+                let mut row = BitVec::new();
+                store.assemble_row(id, &mut row).unwrap();
+                expected.push(row);
+            }
+            (
+                store.segment_metas().unwrap(),
+                store.next_segment_id(),
+                expected,
+            )
+        };
+        // A leftover at or past the next uid is removed; below it, kept.
+        std::fs::write(root.join("seg-9.run"), b"torn").unwrap();
+        let mut restored = SegmentedWindowStore::restore(root.clone(), &metas, next_id).unwrap();
+        restored.verify_segments().unwrap();
+        assert!(!root.join("seg-9.run").exists());
+        for (id, want) in expected.iter().enumerate() {
+            let mut row = BitVec::new();
+            restored.assemble_row(id, &mut row).unwrap();
+            assert_eq!(&row, want, "row {id}");
+        }
+        assert_eq!(restored.segment_metas().unwrap(), metas);
+        drop(restored);
+
+        // An index entry the run layout does not place there.
+        let mut lying = metas.clone();
+        lying[1].rows[1].1 += 8;
+        let err = SegmentedWindowStore::restore(root.clone(), &lying, next_id).unwrap_err();
+        assert!(
+            matches!(&err, FsmError::CorruptArtifact { artifact, .. } if artifact == "seg-1.run"),
+            "{err}"
+        );
+        // A file renamed into place but never rewritten: the header's uid
+        // is not the one its name claims.
+        std::fs::rename(root.join("seg-0.run"), root.join("seg-5.run")).unwrap();
+        let renamed = [SegmentMeta {
+            uid: 5,
+            ..metas[0].clone()
+        }];
+        let restored = SegmentedWindowStore::restore(root.clone(), &renamed, 6).unwrap();
+        let err = restored.verify_segments().unwrap_err();
+        assert!(
+            matches!(&err, FsmError::CorruptArtifact { artifact, .. } if artifact == "seg-5.run"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_format_v1_segment_directory_is_refused_by_name() {
+        let dir = TempDir::new("segstore-v1").unwrap();
+        let root = dir.file("segments");
+        std::fs::create_dir_all(&root).unwrap();
+        std::fs::write(root.join("seg-3.pages"), [0u8; 1024]).unwrap();
+        std::fs::write(root.join("seg-3.pages.crc"), [0u8; 4]).unwrap();
+        for refused in [
+            scan_segment_files(&root).map(drop),
+            SegmentedWindowStore::restore(root.clone(), &[], 4).map(drop),
+        ] {
+            let err = refused.unwrap_err();
+            assert!(
+                matches!(&err, FsmError::CorruptArtifact { artifact, detail }
+                    if artifact.starts_with("seg-3.pages") && detail.contains("segment format v1")),
+                "{err}"
+            );
+        }
+        assert_eq!(
+            segment_file_names(&root).len(),
+            2,
+            "refusing deletes nothing"
+        );
+        // A fresh start at the same path discards them like any stale file.
+        SegmentedWindowStore::open(StorageBackend::DiskAt(root.clone())).unwrap();
+        assert!(segment_file_names(&root).is_empty());
     }
 
     #[test]
@@ -1207,7 +1762,7 @@ mod tests {
         store.push_segment(2, [(0, &bv("10"))]).unwrap();
         let mut row = BitVec::new();
         store.assemble_row(0, &mut row).unwrap();
-        assert_eq!(store.pages_read(), 0);
+        assert_eq!(store.runs_read(), 0);
         assert_eq!(store.cache_stats(), ChunkCacheStats::default());
     }
 
@@ -1219,14 +1774,14 @@ mod tests {
         store.push_segment(80, [(0, &wide)]).unwrap();
 
         let first = store.epoch_segment(0).unwrap();
-        let pages_after_decode = store.pages_read();
-        assert!(pages_after_decode > 0, "the first decode reads pages");
+        assert_eq!(store.runs_read(), 1, "the first decode reads the run once");
         // A second epoch over the same segment is served from the memo.
         let again = store.epoch_segment(0).unwrap();
         assert!(Arc::ptr_eq(&first, &again));
-        assert_eq!(store.pages_read(), pages_after_decode);
+        assert_eq!(store.runs_read(), 1);
+        assert!(store.reader.runs.is_empty(), "the decode keeps no run");
 
-        // The slide drops the store's handle and unlinks the file, but the
+        // The slide drops the store's handle and releases the file, but the
         // snapshot's data survives until its last Arc drops.
         let weak = Arc::downgrade(&first);
         store.pop_segment().unwrap();
@@ -1276,29 +1831,35 @@ mod tests {
         let root = dir.file("segments");
         let mut store = SegmentedWindowStore::open(StorageBackend::DiskAt(root.clone())).unwrap();
         store.push_segment(4, [(0, &bv("1001"))]).unwrap();
-        assert!(root.join("seg-0.pages").exists());
+        assert!(root.join("seg-0.run").exists());
         store.pop_segment().unwrap();
-        assert!(!root.join("seg-0.pages").exists());
+        store.push_segment(4, [(1, &bv("0110"))]).unwrap();
+        assert_eq!(segment_file_names(&root), ["seg-1.run"]);
     }
 
     #[test]
-    fn a_failed_unlink_still_leaves_generation_and_stats_describing_the_window() {
-        let dir = TempDir::new("segstore-unlink").unwrap();
+    fn a_released_file_removed_behind_the_stores_back_is_not_recycled() {
+        let dir = TempDir::new("segstore-removed").unwrap();
         let root = dir.file("segments");
         let mut store = SegmentedWindowStore::open(StorageBackend::DiskAt(root.clone())).unwrap();
         store.push_segment(3, [(0, &bv("101"))]).unwrap();
         store.push_segment(2, [(0, &bv("01"))]).unwrap();
         let generation = store.generation();
         // Someone removes the oldest segment's file behind the store's back.
-        std::fs::remove_file(root.join("seg-0.pages")).unwrap();
+        std::fs::remove_file(root.join("seg-0.run")).unwrap();
 
-        assert!(store.pop_segment().is_err(), "the unlink must be reported");
+        // The pop releases a file that is gone; the window moves regardless.
+        assert_eq!(store.pop_segment().unwrap(), 3);
         assert_eq!(store.num_segments(), 1);
         assert_eq!(store.generation(), generation + 1);
         assert_eq!(store.stats().segments_dropped, 1);
-        // The store still serves the window its generation describes.
+        // The next push finds nothing to rename and creates its file.
+        store.push_segment(1, [(0, &bv("1"))]).unwrap();
+        assert_eq!(segment_file_names(&root), ["seg-1.run", "seg-2.run"]);
         let mut row = BitVec::new();
         store.assemble_row(0, &mut row).unwrap();
-        assert_eq!(format!("{row:?}"), "BitVec[01]");
+        assert_eq!(format!("{row:?}"), "BitVec[011]");
+        // A durable window's release of a vanished file counts as done.
+        store.release_segment_file(&root.join("seg-0.run")).unwrap();
     }
 }

@@ -96,7 +96,7 @@ impl Hibernation {
     /// body, a count the body cannot hold — fails with
     /// [`fsm_types::FsmError::CorruptArtifact`] naming the file.
     pub fn load(path: &Path) -> Result<Self> {
-        framed::load(path, MAGIC, |reader| {
+        framed::load(path, MAGIC, &[], |reader| {
             let num_items = reader.take_u64()?;
             let window_batches = reader.take_u64()?;
             let num_supports = reader.count_u64(8)?;

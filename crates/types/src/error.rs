@@ -39,8 +39,8 @@ pub enum FsmError {
         /// Human-readable description.
         message: String,
     },
-    /// A durable on-disk artifact (WAL record, checkpoint, data page) failed
-    /// its checksum or structural validation.
+    /// A durable on-disk artifact (WAL record, checkpoint, segment run, data
+    /// page) failed its checksum or structural validation.
     ///
     /// Unlike [`FsmError::CorruptStructure`] — which flags an in-memory
     /// invariant violation — this variant names the *file-level artifact* that
@@ -49,7 +49,7 @@ pub enum FsmError {
     /// to).
     CorruptArtifact {
         /// Which artifact is damaged, e.g. `"wal record #3"`,
-        /// `"checkpoint-16.ckpt"` or `"page 2 of seg-7.pages"`.
+        /// `"checkpoint-16.ckpt"` or `"seg-7.run"`.
         artifact: String,
         /// What validation failed (checksum mismatch, truncated body, …).
         detail: String,
