@@ -235,6 +235,62 @@ fn a_steady_state_memory_ingest_allocates_per_row_touched_not_per_bit() {
     );
 }
 
+/// Batch `id` of the disk-view fixture: 50 transactions over rows `0..40`,
+/// every one of which it touches, plus three rows of its own from `100`
+/// on, which the later batches of the window lack.
+fn disk_view_batch(id: u64) -> Batch {
+    let own = 100 + 3 * id as u32;
+    let transactions = (0..50u32)
+        .map(|t| Transaction::from_raw([t % 40, (t + 1) % 40, own + t % 3]))
+        .collect();
+    Batch::from_transactions(id, transactions)
+}
+
+#[test]
+fn a_steady_state_disk_view_allocates_one_buffer_per_held_row_and_none_for_the_others() {
+    // A disk window of five batches over complete(24)'s 276 rows, of which
+    // the live segments hold 55: rows 0..40 in every segment, and three
+    // rows in each segment alone.  The view is taken and released the way
+    // a mine does, after every slide.
+    const WINDOW: u64 = 5;
+    let held = 40 + 3 * WINDOW;
+    for budget in [0, usize::MAX] {
+        let mut matrix = DsMatrix::new(
+            DsMatrixConfig::new(
+                WindowConfig::new(WINDOW as usize).unwrap(),
+                StorageBackend::DiskTemp,
+                276,
+            )
+            .with_cache_budget(budget),
+        )
+        .unwrap();
+        for id in 0..3 * WINDOW {
+            matrix.ingest_batch(&disk_view_batch(id)).unwrap();
+            let (before, reads) = (matrix.read_stats(), matrix.read_stats().pages_read);
+            let (view, allocations) = allocations_during(|| matrix.view().map(drop));
+            view.unwrap();
+            let after = matrix.read_stats();
+            matrix.trim_cache();
+            if id < 2 * WINDOW {
+                continue; // the window filling, then the reader's buffers settling
+            }
+            assert_eq!(after.rows_assembled - before.rows_assembled, held);
+            // One buffer per held row, sized once at the window's width; the
+            // row table the matrix lends out; and, at budget 0, the buffer
+            // each segment's run is read into.  Nothing for the 221 rows no
+            // live segment holds, nothing per chunk.
+            let runs = after.pages_read - reads;
+            assert_eq!(runs, if budget == 0 { WINDOW } else { 0 });
+            assert_eq!(
+                allocations,
+                held + 1 + runs,
+                "budget {budget}, batch {id}: {allocations} allocations for a view of {held} \
+                 held rows and {runs} run reads"
+            );
+        }
+    }
+}
+
 #[test]
 fn a_sequential_snapshot_mine_adds_one_allocation_per_row_and_memoises_nothing() {
     // The first test's window, frozen: a snapshot mine assembles its flat

@@ -37,15 +37,20 @@ fn words_of(bits: usize) -> u64 {
 /// `view_consistency.rs`).  Differencing `words_assembled` across a mine
 /// call gives the exact number of words the read path had to materialise
 /// for it — zero in the steady state on the memory backend, where
-/// [`DsMatrix::view`] borrows the incrementally-maintained row cache; the
-/// window, once, on the disk backends.
+/// [`DsMatrix::view`] borrows the incrementally-maintained row cache; on
+/// the disk backends, the rows of the window some live segment holds, once.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadStats {
-    /// 64-bit words copied into flat rows or chunks by eager reads
-    /// ([`DsMatrix::row`], [`DsMatrix::column`], [`DsMatrix::view`] on the
-    /// disk backends).
+    /// 64-bit words of the flat rows or chunks eager reads materialised:
+    /// [`DsMatrix::row`] (a full-width row, held or not),
+    /// [`DsMatrix::column`] (each chunk it read) and [`DsMatrix::view`] on
+    /// the disk backends (each materialised row, up to the end of its last
+    /// chunk; a row no live segment holds is not materialised and adds
+    /// nothing).
     pub words_assembled: u64,
-    /// Flat rows materialised by those eager reads.
+    /// Flat rows those eager reads materialised: one per [`DsMatrix::row`]
+    /// call, and per disk [`DsMatrix::view`] the rows some live segment
+    /// holds.
     pub rows_assembled: u64,
     /// Words spliced into the incremental row cache at ingest time (cost
     /// proportional to the rows the batch touches).
@@ -263,10 +268,10 @@ impl Transposer {
 /// batch plus the evicted columns — never to the full window.  Reads go
 /// through [`DsMatrix::view`], which on the memory backend borrows an
 /// incrementally-maintained row cache (zero-copy, same slide-proportional
-/// cost bound) and on the disk backends assembles each row once per call
-/// through the budgeted chunk cache; [`DsMatrix::row`] assembles one row
-/// straight from the segment store and is the test reference, identical to
-/// the paper's conceptual matrix bit for bit.
+/// cost bound) and on the disk backends assembles the window once per call,
+/// segment by segment, through the budgeted chunk cache; [`DsMatrix::row`]
+/// assembles one row straight from the segment store and is the test
+/// reference, identical to the paper's conceptual matrix bit for bit.
 pub struct DsMatrix {
     store: SegmentedWindowStore,
     window: SlidingWindow,
@@ -1101,12 +1106,18 @@ impl DsMatrix {
     /// call is whatever the preceding slides already paid (rows touched by
     /// the slide, counted in [`DsMatrix::read_stats`]).
     ///
-    /// On the disk backends every row is assembled once per call into the
-    /// cache buffers (`rows_assembled` / `words_assembled` count the window,
-    /// once), each chunk fetched through the budgeted
-    /// [`fsm_storage::ChunkCache`].  A [`DsMatrixConfig::cache_budget_bytes`]
-    /// budget buys decodes, never assembly: with a budget covering the window
-    /// a view reads no run; with a smaller one, whatever fitted first keeps
+    /// On the disk backends the window is assembled once per call into the
+    /// cache buffers, segment by segment
+    /// ([`fsm_storage::SegmentedWindowStore::assemble_rows`]), each chunk
+    /// fetched once through the budgeted [`fsm_storage::ChunkCache`].  A row
+    /// some live segment holds is allocated once, at the window's width, and
+    /// ends where its last chunk ends; a row no live segment holds stays
+    /// empty and unallocated (both read as the zero-tailed rows
+    /// [`WindowView`] documents).  `rows_assembled` / `words_assembled`
+    /// count the rows materialised and their words, once.  A
+    /// [`DsMatrixConfig::cache_budget_bytes`] budget buys decodes, never
+    /// assembly: with a budget covering the window a view reads no run;
+    /// with a smaller one, whatever fitted first keeps
     /// hitting and each segment holding a chunk that did not is read once
     /// (`pages_read`); with `0` (the default) every segment is re-read from
     /// disk on every call — once, however many rows it holds.  The runs a
@@ -1126,9 +1137,9 @@ impl DsMatrix {
                 "row cache must be maintained by every ingest"
             );
         } else {
-            for (idx, row) in self.cache.rows.iter_mut().enumerate() {
-                self.store.assemble_row(idx, row)?;
-                row.resize(self.num_cols);
+            let rows = &mut self.cache.rows[..self.num_items];
+            self.store.assemble_rows(rows)?;
+            for row in rows.iter().filter(|row| !row.is_empty()) {
                 self.read_stats.rows_assembled += 1;
                 self.read_stats.words_assembled += words_of(row.len());
             }
@@ -1220,9 +1231,11 @@ impl DsMatrix {
             .set_cache_budget(Self::granted(&self.lease, budget_bytes));
     }
 
-    /// Frees the flat rows [`DsMatrix::view`] assembled on the disk backends
-    /// and the segment runs it read (no-op on the memory backend, whose
-    /// cache is the incrementally-maintained read surface, not a copy).  The
+    /// Frees the flat rows [`DsMatrix::view`] materialised on the disk
+    /// backends — those some live segment held; the others were never
+    /// allocated — and the segment runs it read (no-op on the memory
+    /// backend, whose cache is the incrementally-maintained read surface,
+    /// not a copy).  The
     /// chunk cache is untouched, so the next view re-reads only what it does
     /// not hold.
     ///
@@ -1656,17 +1669,21 @@ mod tests {
             budgeted.trim_cache();
             let (e1, b1) = (eager.read_stats(), budgeted.read_stats());
 
+            // The first batch never mentions row 1; from the second on the
+            // window holds every row.  Each is one word (≤ 6 columns).
+            let held = held_rows(&budgeted);
+            assert_eq!(held, if round == 0 { 5 } else { 6 });
             assert_eq!(
                 b1.words_assembled - b0.words_assembled,
-                6,
-                "round {round}: a view assembles the window, once"
+                held,
+                "round {round}: a view assembles the rows the window holds, once"
             );
             assert_eq!(
                 b1.words_assembled - b0.words_assembled,
                 e1.words_assembled - e0.words_assembled,
                 "round {round}: budgeted and budget-0 views assemble the same words"
             );
-            assert_eq!(b1.rows_assembled - b0.rows_assembled, 6);
+            assert_eq!(b1.rows_assembled - b0.rows_assembled, held);
             assert_eq!(e1.cache_hits, 0, "budget 0 never hits");
             // An unlimited budget holds every chunk from the moment it was
             // written — cold or steady, a view is all hits.
@@ -1751,6 +1768,14 @@ mod tests {
             .sum()
     }
 
+    /// Distinct rows some live segment holds a chunk for.
+    fn held_rows(m: &DsMatrix) -> u64 {
+        (0..m.store.num_segments())
+            .flat_map(|seg| m.store.segment_row_ids(seg).unwrap())
+            .collect::<BTreeSet<usize>>()
+            .len() as u64
+    }
+
     #[test]
     fn a_disk_view_looks_each_chunk_up_once() {
         // Per view each chunk the window holds is either one cache hit or
@@ -1830,7 +1855,8 @@ mod tests {
             );
 
             // view(): zero words on the memory backend (borrowed), the
-            // window once on disk.
+            // window once on disk — both segments hold all three rows, so
+            // each is materialised at full width.
             let before_view = m.read_stats();
             m.view().unwrap();
             let after_view = m.read_stats();

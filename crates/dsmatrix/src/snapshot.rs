@@ -45,8 +45,8 @@ impl RowSnapshot {
             // The row's only allocation.  The spare word is for
             // `BitVec::extend_from_bitvec`, which pushes one spill word past
             // the final length before truncating to it.
-            let mut row = BitVec::zeros(num_cols + WORD_BITS);
-            row.resize(0);
+            let mut row = BitVec::new();
+            row.ensure_capacity(num_cols + WORD_BITS);
             fill(idx, &mut row);
             debug_assert!(row.len() <= num_cols);
             row.resize(num_cols);

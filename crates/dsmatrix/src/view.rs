@@ -7,8 +7,11 @@
 //!   *borrows* the matrix's incrementally-maintained row cache —
 //!   constructing a view copies nothing, so the per-mine read cost is
 //!   whatever the slide touched, not the window size.  On the disk backends
-//!   the matrix assembles each row once per call, fetching chunks through
-//!   the budgeted chunk cache (the budget buys decodes, never assembly);
+//!   the matrix assembles the window once per call, segment by segment,
+//!   fetching chunks through the budgeted chunk cache (the budget buys
+//!   decodes, never assembly).  Those rows are not full-width: a row ends
+//!   where its last chunk in the window ends, and a row no live segment
+//!   holds is empty — the short-row convention below;
 //! * a **frozen epoch** ([`crate::EpochSnapshot::view`]) borrows the
 //!   [`crate::RowSnapshot`] the caller assembled from the snapshot's shared
 //!   segments ([`crate::EpochSnapshot::assemble_rows`]) — freezing an epoch
@@ -21,9 +24,9 @@
 //! eviction: a window slide zeroes the evicted chunk and defers the physical
 //! [`fsm_storage::BitVec::drop_prefix`] until enough dead columns
 //! accumulate) and may be **shorter** than `offset() + num_transactions()`
-//! (rows untouched since their last set bit are not padded; missing tail
-//! bits read as zero).  Both conventions are invisible to the mining
-//! kernels:
+//! (rows untouched since their last set bit are not padded, on the memory
+//! backend's cache and in a disk view alike; missing tail bits read as
+//! zero).  Both conventions are invisible to the mining kernels:
 //!
 //! * every row shares the same `offset` (assembled rows — a disk-backend
 //!   view's, an epoch's — always have offset 0), so the fused AND kernels
@@ -43,7 +46,7 @@ use crate::snapshot::{ProjectedRows, ProjectionScratch};
 /// read surface over the window.
 ///
 /// Built by [`crate::DsMatrix::view`] — zero-copy on the memory backend,
-/// assembled once per call on the disk backends — or by
+/// assembled once per call, segment by segment, on the disk backends — or by
 /// [`crate::EpochSnapshot::view`] over a frozen epoch's assembled rows.
 #[derive(Debug, Clone)]
 pub struct WindowView<'a> {

@@ -13,8 +13,12 @@
 //!   segments ([`EpochSnapshot::assemble_rows`]), over segment widths that
 //!   straddle word boundaries.
 //!
-//! A separate test forces the cache's amortised `drop_prefix` compaction and
-//! checks the rows survive it, and the read-amplification counters are
+//! A fixed stream pins a disk view's rows read directly, at budgets 0,
+//! tight and covering: lazily padded — cut at their last chunk, or empty
+//! and unallocated when no live segment holds them — and bit for bit the
+//! ground truth.  A separate test forces the cache's amortised
+//! `drop_prefix` compaction and checks the rows survive it, and the
+//! read-amplification counters are
 //! asserted directly: steady-state view construction on the memory backend
 //! materialises zero words.
 
@@ -181,6 +185,68 @@ fn view_matches_eager_reads_on_a_fixed_stream() {
             m.ingest_batch(b).unwrap();
             assert_view_matches_eager(&mut m);
         }
+    }
+}
+
+/// A disk view assembles the window segment by segment and pads lazily: a
+/// row ends where its last chunk in the window ends, and a row no live
+/// segment holds stays empty.  Read straight off [`WindowView::row`], every
+/// bit still equals the segment store's full-width row, at budget 0, at a
+/// tight budget and at a covering one — over rows held by no segment, rows
+/// the newest segments lack, and a batch whose 70 columns straddle a word.
+#[test]
+fn every_bit_of_a_disk_view_equals_the_segment_store() {
+    let wide: Vec<&[u32]> = vec![&[0, 6]; 70];
+    let batches = [
+        batch(0, &[&[0, 1, 7], &[1, 8], &[0]]),
+        batch(1, &[&[0, 2], &[2, 7]]),
+        batch(2, &[&[3], &[0, 3, 4], &[4]]),
+        batch(3, &[&[0, 5], &[5]]),
+        batch(4, &wide),
+        batch(5, &[&[0], &[6]]),
+    ];
+    for budget in [0, 600, usize::MAX] {
+        let mut m = DsMatrix::new(
+            DsMatrixConfig::new(WindowConfig::new(3).unwrap(), StorageBackend::DiskTemp, 10)
+                .with_cache_budget(budget),
+        )
+        .unwrap();
+        let (mut unheld, mut cut_short) = (0, 0);
+        for b in &batches {
+            m.ingest_batch(b).unwrap();
+            let truth = store_rows(&mut m);
+            let ends = m.boundaries();
+            let num_cols = m.num_transactions();
+            let view = m.view().unwrap();
+            assert_eq!(view.num_items(), 10);
+            for (item, want) in truth.iter().enumerate() {
+                let row = view.row(EdgeId::new(item as u32)).unwrap();
+                let context = format!("budget {budget}, batch {}, row {item}", b.id);
+                // A segment holds a row exactly when the row has a set bit
+                // in it, so the row's last set bit names its last chunk.
+                match want.iter_ones().last() {
+                    None => {
+                        assert!(row.is_empty(), "{context}: {row:?}");
+                        assert_eq!(row.heap_bytes(), 0, "{context}: allocated");
+                        unheld += 1;
+                    }
+                    Some(last) => {
+                        let end = *ends.iter().find(|&&end| end > last).unwrap();
+                        assert_eq!(row.len(), end, "{context}: not cut at its last chunk");
+                        cut_short += usize::from(end < num_cols);
+                        for col in 0..num_cols {
+                            assert_eq!(row.get(col), want.get(col), "{context}, column {col}");
+                            assert_eq!(view.get(EdgeId::new(item as u32), col), want.get(col));
+                        }
+                    }
+                }
+            }
+            m.trim_cache();
+        }
+        assert!(
+            unheld > 0 && cut_short > 0,
+            "{unheld} unheld, {cut_short} short"
+        );
     }
 }
 

@@ -39,6 +39,12 @@ pub use fsm_types::codec::{put_str, Reader as Cursor};
 /// corrupt rather than allocated for.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
+/// Bytes [`read_frame`] reserves for a payload before any of it arrives.
+/// It holds the largest frames the repo benchmark sends (a dense ingest
+/// batch, ≈ 83 KB) in one allocation; a larger frame grows as its bytes
+/// arrive.
+pub const FRAME_RESERVE_BYTES: usize = 128 << 10;
+
 /// First bytes of the server's hello frame — identifies the protocol
 /// before any version arithmetic happens.
 pub const PROTO_MAGIC: [u8; 4] = *b"FSMD";
@@ -283,22 +289,61 @@ pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> Result<()> {
 }
 
 /// Reads one frame; `Ok(None)` on a clean EOF at a frame boundary.
+///
+/// A frame's length is a claim, not a fact: the payload buffer is reserved
+/// up to [`FRAME_RESERVE_BYTES`] before its first byte arrives, and past
+/// that grows at most by what has arrived.  So a bare header announcing
+/// [`MAX_FRAME_BYTES`] costs the reserve, not 64 MiB, and a peer that hangs
+/// up mid-frame has made the reader allocate at most the reserve or twice
+/// what it sent, whichever is larger.  A frame cut short — in its header or
+/// its payload — is [`FsmError::Parse`], not an I/O error.
 pub fn read_frame(reader: &mut impl Read) -> Result<Option<Vec<u8>>> {
-    let mut len = [0u8; 4];
-    match reader.read_exact(&mut len) {
-        Ok(()) => {}
-        Err(err) if err.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(err) => return Err(err.into()),
+    let mut header = [0u8; 4];
+    let got = read_up_to(reader, &mut header)?;
+    if got == 0 {
+        return Ok(None);
     }
-    let len = Cursor::new(&len).take_u32()? as usize;
+    if got < header.len() {
+        return Err(FsmError::parse(format!(
+            "truncated frame: the peer hung up after {got} of the 4 header bytes"
+        )));
+    }
+    let len = Cursor::new(&header).take_u32()? as usize;
     if len > MAX_FRAME_BYTES {
         return Err(FsmError::parse(format!(
             "peer announced a {len}-byte frame (limit {MAX_FRAME_BYTES})"
         )));
     }
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload)?;
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let filled = payload.len();
+        let step = (len - filled).min(filled.max(FRAME_RESERVE_BYTES));
+        payload.reserve_exact(step);
+        payload.resize(filled + step, 0);
+        let got = read_up_to(reader, &mut payload[filled..])?;
+        if got < step {
+            return Err(FsmError::parse(format!(
+                "truncated frame: the peer announced {len} bytes and hung up after {}",
+                filled + got
+            )));
+        }
+    }
     Ok(Some(payload))
+}
+
+/// Fills as much of `buf` as `reader` yields before EOF, retrying
+/// interrupted reads, and returns how much that was.
+fn read_up_to(reader: &mut impl Read, buf: &mut [u8]) -> Result<usize> {
+    let mut got = 0;
+    while got < buf.len() {
+        match reader.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(err) => return Err(err.into()),
+        }
+    }
+    Ok(got)
 }
 
 /// Bytes one encoded pattern occupies at least: `u64` support + `u16` edge
@@ -368,6 +413,31 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&(u32::MAX).to_le_bytes());
         assert!(read_frame(&mut &buf[..]).is_err());
+    }
+
+    #[test]
+    fn a_frame_cut_short_is_a_parse_error() {
+        let mut whole = Vec::new();
+        // Past the reserve, so the payload arrives in more than one step.
+        let payload: Vec<u8> = (0..FRAME_RESERVE_BYTES + 4321).map(|i| i as u8).collect();
+        write_frame(&mut whole, &payload).unwrap();
+        assert_eq!(read_frame(&mut &whole[..]).unwrap().unwrap(), payload);
+        // Every cut inside the header or the payload — a bare header
+        // announcing the limit among them — is refused as a truncated
+        // frame, never read as a clean hang-up or surfaced as bare I/O.
+        let mut bare = MAX_FRAME_BYTES.to_le_bytes()[..4].to_vec();
+        for cut in [1, 3, 4, 5, FRAME_RESERVE_BYTES + 4, whole.len() - 1] {
+            for input in [&whole[..cut], &bare[..cut.min(4)]] {
+                match read_frame(&mut &input[..]) {
+                    Err(FsmError::Parse { message, .. }) => {
+                        assert!(message.contains("truncated frame"), "{message}")
+                    }
+                    other => panic!("cut at {cut} of {}: {other:?}", input.len()),
+                }
+            }
+        }
+        bare.clear();
+        assert!(read_frame(&mut &bare[..]).unwrap().is_none());
     }
 
     #[test]

@@ -15,14 +15,18 @@
 //! decoder arbitrary bytes, every truncation of a valid encoding and a
 //! bit-flipped one: the answer must be a typed error — never a panic, and
 //! never a reservation sized by a count the input merely *announces*
-//! (measured with a counting allocator, see [`PeakAlloc`]).
+//! (measured with a counting allocator, see [`PeakAlloc`]) — nor, for the
+//! wire frame around every body, by its announced length.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use fsm_core::LifecycleState;
 use fsm_dsmatrix::{decode_batch, encode_batch};
-use fsm_fsmd::proto::{put_patterns, take_patterns, Cursor, TenantSpec, TenantStatus};
+use fsm_fsmd::proto::{
+    put_patterns, read_frame, take_patterns, write_frame, Cursor, TenantSpec, TenantStatus,
+    FRAME_RESERVE_BYTES, MAX_FRAME_BYTES,
+};
 use fsm_storage::{
     crc32, wal, BitVec, Checkpoint, CheckpointRow, CheckpointSegment, EpochSegment, Hibernation,
     HibernationRow, HibernationSegment, SegmentedWindowStore, StorageBackend, TempDir, Wal,
@@ -669,6 +673,38 @@ proptest! {
             }
         }
     }
+}
+
+/// A wire frame's length prefix is a claim too, and the reader used to
+/// zero-allocate it in full before a payload byte arrived: four bytes
+/// announcing the 64 MiB limit cost 64 MiB.  The reservation is now bounded
+/// by [`FRAME_RESERVE_BYTES`] and then grows only with the bytes received,
+/// and the hang-up is a typed error; a frame of the benchmark's largest size
+/// is still one allocation of exactly its length.
+#[test]
+fn a_frame_header_reserves_a_bounded_buffer_not_its_announcement() {
+    let announced = u32::try_from(MAX_FRAME_BYTES).unwrap().to_le_bytes();
+    for sent in [0usize, 1000, 512 << 10] {
+        let mut input = announced.to_vec();
+        input.resize(4 + sent, 7);
+        let (verdict, largest) = largest_allocation_during(|| read_frame(&mut &input[..]));
+        assert!(
+            matches!(verdict, Err(FsmError::Parse { .. })),
+            "{sent} bytes sent: {verdict:?}"
+        );
+        let bound = FRAME_RESERVE_BYTES.max(2 * sent) + 4096;
+        assert!(
+            largest <= bound,
+            "{sent} of {MAX_FRAME_BYTES} announced bytes sent: the reader requested \
+             {largest} bytes at once (bound {bound})"
+        );
+    }
+    let payload = vec![1u8; 83_000];
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &payload).unwrap();
+    let (read, largest) = largest_allocation_during(|| read_frame(&mut &frame[..]));
+    assert_eq!(read.unwrap().unwrap(), payload);
+    assert_eq!(largest, payload.len());
 }
 
 /// The defect the shared reader's `count` closes: a count field is a claim,

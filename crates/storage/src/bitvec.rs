@@ -124,6 +124,16 @@ impl BitVec {
         self.clear_tail();
     }
 
+    /// Makes room for `bits` bits in total, so growing to that length
+    /// reallocates nothing: a no-op when the buffer already has the room,
+    /// otherwise one reservation of exactly the missing words.  The length
+    /// does not change.
+    pub fn ensure_capacity(&mut self, bits: usize) {
+        let words = bits.div_ceil(WORD_BITS);
+        self.words
+            .reserve_exact(words.saturating_sub(self.words.len()));
+    }
+
     /// Number of set bits — the row-sum / support count of §3.4.
     pub fn count_ones(&self) -> u64 {
         kernel::run(CountOnes(&self.words))
@@ -756,5 +766,20 @@ mod tests {
     fn heap_bytes_accounts_for_words() {
         let v = BitVec::zeros(1024);
         assert!(v.heap_bytes() >= 1024 / 8);
+    }
+
+    #[test]
+    fn ensure_capacity_reserves_exactly_the_missing_words_once() {
+        let mut v = BitVec::new();
+        v.ensure_capacity(130);
+        assert_eq!((v.len(), v.heap_bytes()), (0, 3 * 8), "three words, no bit");
+        // Growing within the room keeps the buffer; asking for less is a no-op.
+        let words = v.as_words().as_ptr();
+        v.extend_from_bitvec(&bv(&"1".repeat(70)));
+        v.extend_from_bitvec(&bv(&"01".repeat(30)));
+        v.ensure_capacity(64);
+        assert_eq!((v.len(), v.heap_bytes()), (130, 3 * 8));
+        assert_eq!(v.as_words().as_ptr(), words);
+        assert_eq!(v.count_ones(), 100);
     }
 }

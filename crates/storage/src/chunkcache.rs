@@ -13,8 +13,9 @@
 //! * **Admit-if-room.**  [`ChunkCache::insert`] charges each entry its
 //!   decoded heap size plus bookkeeping overhead and stores it only while
 //!   `used + charge <= budget`; it never evicts to make room.  The one
-//!   production access pattern is a full cyclic scan of the window in row
-//!   order, and on a cyclic scan larger than the budget evict-to-admit throws
+//!   production access pattern is a full cyclic scan of the window in the
+//!   same order every pass (segment by segment, rows ascending within each),
+//!   and on a cyclic scan larger than the budget evict-to-admit throws
 //!   out exactly the entries the next pass would have hit (measured: 0.000
 //!   hit ratio) — whereas keeping whatever fitted first keeps hitting it on
 //!   every pass.  A budget of `0` disables the cache entirely, reproducing

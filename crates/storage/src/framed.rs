@@ -59,7 +59,7 @@ pub(crate) fn load<T>(
     retired: &[(&[u8; 8], &str)],
     decode: impl FnOnce(&mut Reader<'_>) -> Result<T>,
 ) -> Result<T> {
-    let name = artifact_name(path);
+    let name = artifact_name(path).into_owned();
     let bytes = std::fs::read(path).map_err(|err| annotate(err, "read artifact", path))?;
     if bytes.len() < magic.len() + CRC_BYTES {
         return Err(FsmError::corrupt_artifact(

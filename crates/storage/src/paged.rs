@@ -2,6 +2,7 @@
 //! (under [`crate::RowStore`]).  The DSMatrix's window segments do not use
 //! it: each is one packed run file, see [`crate::SegmentedWindowStore`].
 
+use std::borrow::Cow;
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 
@@ -278,11 +279,13 @@ impl PagedFile {
     }
 }
 
-/// Last path component, used to name artifacts in corruption errors.
-pub(crate) fn artifact_name(path: &Path) -> String {
+/// Last path component, used to name artifacts in corruption errors —
+/// borrowed from `path` when it is UTF-8, so a read that names its file in
+/// case it fails allocates nothing when it does not.
+pub(crate) fn artifact_name(path: &Path) -> Cow<'_, str> {
     path.file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| path.display().to_string())
+        .map(|n| n.to_string_lossy())
+        .unwrap_or_else(|| Cow::Owned(path.display().to_string()))
 }
 
 /// Wraps an I/O error with the operation and path that failed, so disk-path

@@ -42,12 +42,12 @@
 //!   ([`EpochSegment`]), shared by `Arc` with every epoch snapshot that
 //!   covers them; readers that want a whole row concatenate its chunks into
 //!   a flat [`BitVec`] ([`SegmentedWindowStore::assemble_row`]).
-//! * On the disk backends a live read reaches a chunk one way:
-//!   [`SegmentedWindowStore::assemble_row`] (or
-//!   [`SegmentedWindowStore::read_segment_chunk`] for a single chunk)
-//!   concatenates the row's chunks into a flat row
-//!   ([`BitVec::extend_from_bitvec`]), fetching each through a budgeted
-//!   decoded-chunk cache ([`crate::ChunkCache`],
+//! * On the disk backends a live read reaches a chunk one way, whether
+//!   [`SegmentedWindowStore::assemble_rows`] concatenates the window's
+//!   chunks into flat rows ([`BitVec::extend_from_bitvec`]) segment by
+//!   segment, [`SegmentedWindowStore::assemble_row`] one row's, or
+//!   [`SegmentedWindowStore::read_segment_chunk`] reads a single chunk:
+//!   through a budgeted decoded-chunk cache ([`crate::ChunkCache`],
 //!   [`SegmentedWindowStore::set_cache_budget`]).  The cache is
 //!   **write-through**: [`SegmentedWindowStore::push_segment`] offers every
 //!   chunk it has written to the cache (admit-if-room), and a read miss
@@ -333,7 +333,7 @@ impl RunFile {
         read_exact_at(&self.file, &mut bytes, 0).map_err(|err| {
             if err.kind() == std::io::ErrorKind::UnexpectedEof {
                 FsmError::corrupt_artifact(
-                    &name,
+                    &*name,
                     format!("truncated: shorter than its {}-byte run", self.len),
                 )
             } else {
@@ -936,10 +936,66 @@ impl SegmentedWindowStore {
         self.segments.iter().map(|s| s.id).collect()
     }
 
+    /// Materialises the live window into `rows` — `rows[id]` is row `id` —
+    /// in one segment-major pass: the live segments oldest first, and within
+    /// each the rows it holds, walked along its ascending row index.  Every
+    /// held chunk is fetched once, in row order within its segment, and no
+    /// index is searched.
+    ///
+    /// Every row is cleared first, keeping its buffer.  A row that some live
+    /// segment holds gets room for the whole window plus the spare word
+    /// [`BitVec::extend_from_bitvec`] needs before its first chunk lands —
+    /// one allocation, none if its buffer already has the room — and is
+    /// zero-extended only up to the start of each chunk it receives, so it
+    /// ends where its last chunk ends.  A row no live segment holds stays
+    /// empty and unallocated.  Bit for bit, each row is
+    /// [`SegmentedWindowStore::assemble_row`]'s without its zero tail.
+    /// Chunks of rows at or past `rows.len()` are not fetched.
+    pub fn assemble_rows(&mut self, rows: &mut [BitVec]) -> Result<()> {
+        let width = self.num_cols() + WORD_BITS;
+        for row in rows.iter_mut() {
+            row.resize(0);
+        }
+        let Self {
+            segments, reader, ..
+        } = self;
+        let mut start = 0;
+        for segment in segments.iter() {
+            // Readies the row a chunk starting at window column `start` is
+            // about to extend.
+            let open = |row: &mut BitVec| {
+                row.ensure_capacity(width);
+                row.resize(start);
+            };
+            match &segment.rows {
+                SegmentRows::Memory(seg) => {
+                    for (id, chunk) in seg.rows() {
+                        let Some(row) = rows.get_mut(id) else { break };
+                        open(row);
+                        row.extend_from_bitvec(chunk);
+                    }
+                }
+                SegmentRows::Disk { run, .. } => {
+                    for (slot, &id) in run.rows.iter().enumerate() {
+                        let Some(row) = rows.get_mut(id) else { break };
+                        open(row);
+                        reader.fetch(segment.id, segment.cols, run, slot, row)?;
+                    }
+                }
+            }
+            start += segment.cols;
+        }
+        Ok(())
+    }
+
     /// Materialises row `id` of the live window into `out` (cleared first):
     /// the concatenation of the row's chunk in every live segment, with
     /// zero-fill where a segment never saw the row.  The result is always
     /// exactly [`SegmentedWindowStore::num_cols`] bits long.
+    ///
+    /// One row at a time, with a search of every segment's index: the
+    /// reference [`SegmentedWindowStore::assemble_rows`] is checked against,
+    /// and the read behind a single-row lookup.
     pub fn assemble_row(&mut self, id: usize, out: &mut BitVec) -> Result<()> {
         out.resize(0);
         let Self {
@@ -1194,6 +1250,51 @@ mod tests {
             store.assemble_row(7, &mut row).unwrap();
             assert_eq!(row.len(), 5);
             assert_eq!(row.count_ones(), 0);
+        }
+    }
+
+    #[test]
+    fn assemble_rows_pads_lazily_and_leaves_unheld_rows_unallocated() {
+        for backend in backends() {
+            let mut store = SegmentedWindowStore::open(backend).unwrap();
+            store
+                .push_segment(3, [(0, &bv("101")), (2, &bv("011"))])
+                .unwrap();
+            store
+                .push_segment(2, [(2, &bv("10")), (5, &bv("01"))])
+                .unwrap();
+            store.push_segment(4, [(0, &bv("0001"))]).unwrap();
+            // Row 1 still holds an earlier view's bits; row 5 is held but
+            // past the rows asked for.
+            let mut rows = vec![BitVec::new(); 5];
+            rows[1] = bv("1111111");
+            store.assemble_rows(&mut rows).unwrap();
+            let shapes: Vec<String> = rows.iter().map(|row| format!("{row:?}")).collect();
+            // Row 0 is zero-filled across the segment that lacks it; row 2
+            // ends with its last chunk; rows 1, 3 and 4 are held by no
+            // segment and stay empty.
+            assert_eq!(
+                shapes,
+                [
+                    "BitVec[101000001]",
+                    "BitVec[]",
+                    "BitVec[01110]",
+                    "BitVec[]",
+                    "BitVec[]"
+                ]
+            );
+            // A held row is one buffer of the window's 9 columns plus the
+            // spare word: 73 bits, two words.  Unheld rows allocate nothing.
+            assert_eq!((rows[0].heap_bytes(), rows[2].heap_bytes()), (16, 16));
+            assert_eq!((rows[3].heap_bytes(), rows[4].heap_bytes()), (0, 0));
+            // Bit for bit the reference, once its zero tail is restored.
+            for (id, row) in rows.iter().enumerate() {
+                let mut reference = BitVec::new();
+                store.assemble_row(id, &mut reference).unwrap();
+                let mut padded = row.clone();
+                padded.resize(store.num_cols());
+                assert_eq!(padded, reference, "row {id}");
+            }
         }
     }
 
@@ -1498,11 +1599,12 @@ mod tests {
     #[test]
     fn a_scan_reads_each_segment_at_most_once_and_looks_each_chunk_up_once() {
         // Five segments of 60 rows (the disk fleet's shape, narrowed to 64
-        // columns) scanned row-major, twice per window, at budget 0, at a
-        // budget holding two segments' chunks and at a covering one.  The
-        // cache sees the calls it always saw — each chunk looked up once a
-        // scan, hits and misses as the budget decides — and the reads are
-        // one per segment with a miss, never one per missed chunk.
+        // columns) scanned twice per window — row by row (`assemble_row`,
+        // the reference), then segment by segment (`assemble_rows`, the
+        // view's pass) — at budget 0, at a budget holding two segments'
+        // chunks and at a covering one.  Both scans cost the same: each
+        // chunk looked up once, hits and misses as the budget decides, and
+        // one read per segment with a miss, never one per missed chunk.
         let (segments, rows) = (5usize, 60usize);
         let chunk = BitVec::from_bools((0..64).map(|c| c % 3 == 0));
         let charge = {
@@ -1529,11 +1631,16 @@ mod tests {
                 if store.num_segments() < segments {
                     continue;
                 }
+                let mut reference = vec![BitVec::new(); rows];
+                let mut assembled = vec![BitVec::new(); rows];
                 for pass in 0..2 {
                     let (before, read_before) = (store.cache_stats(), store.runs_read());
-                    let mut row = BitVec::new();
-                    for id in 0..rows {
-                        store.assemble_row(id, &mut row).unwrap();
+                    if pass == 0 {
+                        for (id, row) in reference.iter_mut().enumerate() {
+                            store.assemble_row(id, row).unwrap();
+                        }
+                    } else {
+                        store.assemble_rows(&mut assembled).unwrap();
                     }
                     store.release_runs();
                     let after = store.cache_stats();
@@ -1547,6 +1654,8 @@ mod tests {
                         "budget {budget}, slide {slide}, pass {pass}"
                     );
                 }
+                // Every segment holds every row, so no row is cut short.
+                assert_eq!(assembled, reference, "budget {budget}, slide {slide}");
             }
         }
     }
