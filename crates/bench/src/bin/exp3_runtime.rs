@@ -31,7 +31,8 @@ struct Setup {
     max_len: Option<usize>,
     /// Timing repeats per measured cell.
     repeats: u32,
-    /// Worker threads for the parallel-scaling section.
+    /// Worker threads for the parallel-scaling section and for both miners
+    /// of the delta section.
     threads: usize,
     /// The standard workload suite, each paired with its minsup (dense
     /// streams mine at a higher relative threshold, as in the paper's
@@ -532,6 +533,8 @@ const DELTA_STEADY_SLIDES: usize = 64;
 /// One workload's delta-mining numbers, persisted via `--json-out`.
 struct DeltaRow {
     workload: String,
+    /// Participants both miners mined on.
+    threads: usize,
     slides: u64,
     steady_slides: u64,
     steady_reexamined_per_slide: f64,
@@ -562,13 +565,20 @@ struct DeltaRow {
 /// singleton reads: the oracle takes them from the ingest-time counters, the
 /// arrival walk from the arriving chunk's popcount at each root.
 ///
+/// Both miners run on `setup.threads` participants, so with more than one
+/// the byte-identity check covers the delta advance's per-root fan-out, and
+/// the two timings are the same pool shape.
+///
 /// A workload's batches are replayed cyclically under fresh batch ids until
 /// the warm window has slid [`DELTA_STEADY_SLIDES`] times, so the per-slide
 /// means are over that many slides whatever the suite's scale.
 fn delta_mining(setup: &Setup) -> Vec<DeltaRow> {
     use std::time::{Duration, Instant};
 
-    println!("# Delta mining — maintained pattern set vs full re-mine per slide\n");
+    println!(
+        "# Delta mining — maintained pattern set vs full re-mine per slide, {} threads\n",
+        setup.threads
+    );
     let mut out = Vec::new();
     let mut rows = Vec::new();
     for (workload, minsup) in &setup.workloads {
@@ -578,6 +588,7 @@ fn delta_mining(setup: &Setup) -> Vec<DeltaRow> {
                 .window_batches(setup.window)
                 .min_support(*minsup)
                 .backend(StorageBackend::DiskTemp)
+                .threads(setup.threads)
                 .delta(delta)
                 .catalog(workload.catalog.clone());
             if let Some(max) = setup.max_len {
@@ -678,6 +689,7 @@ fn delta_mining(setup: &Setup) -> Vec<DeltaRow> {
         ]);
         out.push(DeltaRow {
             workload: workload.name.clone(),
+            threads: setup.threads,
             slides: slides as u64,
             steady_slides,
             steady_reexamined_per_slide: per(steady[0]),
@@ -850,7 +862,8 @@ fn render_json(
         .iter()
         .map(|r| {
             format!(
-                "    {{\"workload\": \"{}\", \"slides\": {}, \"steady_slides\": {}, \
+                "    {{\"workload\": \"{}\", \"threads\": {}, \"slides\": {}, \
+                 \"steady_slides\": {}, \
                  \"steady_reexamined_per_slide\": {:.1}, \"steady_affected_per_slide\": {:.1}, \
                  \"steady_tracked_per_slide\": {:.1}, \
                  \"steady_border_updates_per_slide\": {:.1}, \
@@ -859,6 +872,7 @@ fn render_json(
                  \"steady_delta_ms_per_slide\": {:.3}, \
                  \"steady_full_ms_per_slide\": {:.3}, \"rebuilds\": {}}}",
                 escape(&r.workload),
+                r.threads,
                 r.slides,
                 r.steady_slides,
                 r.steady_reexamined_per_slide,

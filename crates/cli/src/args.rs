@@ -52,7 +52,7 @@ pub struct Options {
     /// For N-Triples input: group triples into one graph per N statements
     /// (`None` means group by subject).
     pub group_size: Option<usize>,
-    /// Worker threads for the vertical algorithms (0 = all cores).
+    /// Worker threads for mining, full or `--delta` (0 = all cores).
     pub threads: usize,
     /// Mine every window slide on a worker thread (epoch snapshots) while
     /// ingest continues on the main thread.
@@ -121,7 +121,7 @@ OPTIONS:
   --window <N>          sliding window size in batches     (default: 5)
   --batch-size <N>      transactions per batch             (default: 1000)
   --max-len <N>         cap on pattern cardinality
-  --threads <N>         worker threads for the vertical algorithms
+  --threads <N>         worker threads for mining, full or --delta
                         (0 = all cores, default: 1)
   --concurrent          freeze an epoch snapshot after every ingested batch
                         and mine it on a worker thread while ingest continues

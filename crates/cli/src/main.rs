@@ -17,8 +17,9 @@
 //!
 //! `--threads N` sets the mining worker count for **all five** algorithms
 //! (per-pivot FP-trees for the horizontal family, per-singleton subtrees for
-//! the vertical family); `0` uses every core, and the output is identical
-//! for any setting.  Capture is incremental regardless of threading: each
+//! the vertical family) and for `--delta` (per-root subtrees of the
+//! maintained tree); `0` uses every core, and the output is identical for
+//! any setting.  Capture is incremental regardless of threading: each
 //! batch is one appended row segment, so ingest cost tracks the batch, not
 //! the window.  Reads are incremental too — mining runs off a zero-copy
 //! window view on the memory backend, and the stderr summary reports how

@@ -54,7 +54,8 @@ pub struct MinerConfig {
     pub catalog: Option<EdgeCatalog>,
     /// Worker threads for the top-level mining fan-out — per-singleton
     /// subtrees for the vertical algorithms, per-pivot projected databases
-    /// for the horizontal (FP-tree) algorithms.
+    /// for the horizontal (FP-tree) algorithms, per-root subtrees of the
+    /// maintained tree for a delta mine ([`MinerConfig::delta`]).
     ///
     /// Sizes the miner's private [`crate::WorkerPool`], built once with the
     /// miner: `1` (the default) mines sequentially and spawns nothing; `0`

@@ -210,7 +210,9 @@ impl StreamMiner {
     /// touch one integer or one segment-sized chunk operation.  A delta mine
     /// reads the epoch's segments directly and builds no window view, on
     /// either backend; the state it maintains counts towards
-    /// [`StreamMiner::resident_bytes`].
+    /// [`StreamMiner::resident_bytes`].  Either kind of mine fans out over
+    /// the miner's own executor ([`MinerConfig::threads`]): a full one per
+    /// frequent singleton, a delta one per root of the maintained tree.
     pub fn mine(&mut self) -> Result<MiningResult> {
         let exec = self.exec.clone();
         self.mine_with(&exec)
@@ -222,10 +224,11 @@ impl StreamMiner {
     /// Output is byte-identical to [`StreamMiner::mine`] for every
     /// executor.
     ///
-    /// Delta mining ([`MinerConfig::delta`]) maintains its pattern set
-    /// sequentially and therefore ignores the executor: an advance is two
-    /// walks of one tree and a handful of subtree re-expansions, with no
-    /// independent per-singleton jobs to fan out.
+    /// Delta mining ([`MinerConfig::delta`]) fans out on it too: the
+    /// maintained tree is a forest of per-root subtrees that never reference
+    /// each other, so [`DeltaMiner::advance`] runs its shared prelude on the
+    /// caller and one task per root on `exec` — the shape of the full
+    /// re-mine's per-singleton fan-out.
     pub fn mine_with(&mut self, exec: &Exec) -> Result<MiningResult> {
         let start = Instant::now();
         let read_before = self.matrix.read_stats();
@@ -236,7 +239,7 @@ impl StreamMiner {
             algorithm.needs_postprocessing() && connectivity == ConnectivityMode::PaperRule;
         let delta = self.config.delta && !keeps_disconnected;
         let raw = if delta {
-            self.mine_delta(resolved)?
+            self.mine_delta(resolved, exec)?
         } else {
             self.mine_full(resolved, exec)?
         };
@@ -273,10 +276,11 @@ impl StreamMiner {
     }
 
     /// Advances the maintained [`DeltaMiner`] state to the current epoch.
-    fn mine_delta(&mut self, resolved: Support) -> Result<RawMiningOutput> {
+    fn mine_delta(&mut self, resolved: Support, exec: &Exec) -> Result<RawMiningOutput> {
         let snapshot = self.matrix.snapshot_epoch()?;
         let state = self.delta.get_or_insert_with(DeltaMiner::new);
-        let patterns = state.advance(&snapshot, resolved, self.config.limits, &self.catalog)?;
+        let patterns =
+            state.advance(&snapshot, resolved, self.config.limits, &self.catalog, exec)?;
         let stats = crate::MiningStats {
             delta: state.stats().clone(),
             intersections: state.stats().patterns_reexamined,

@@ -79,6 +79,31 @@ impl<'c> Neighborhood<'c> {
         }
     }
 
+    /// An empty cursor over `catalog` that grows into `buffers` — the lists
+    /// a cursor parked with [`Neighborhood::take_buffers`] — instead of
+    /// allocating its own.
+    pub(crate) fn with_buffers(catalog: &'c EdgeCatalog, buffers: HoodBuffers) -> Self {
+        let HoodBuffers {
+            mut members,
+            levels,
+        } = buffers;
+        members.clear();
+        Self {
+            catalog,
+            members,
+            levels,
+        }
+    }
+
+    /// Moves the cursor's buffers out, leaving it empty: they outlive the
+    /// catalog borrow, so a caller can park them between uses.
+    pub(crate) fn take_buffers(&mut self) -> HoodBuffers {
+        HoodBuffers {
+            members: std::mem::take(&mut self.members),
+            levels: std::mem::take(&mut self.levels),
+        }
+    }
+
     /// The neighbourhood of a single edge (the paper's Table 2 row).
     pub fn of_edge(catalog: &'c EdgeCatalog, edge: EdgeId) -> Result<Self> {
         let mut hood = Self::new(catalog);
@@ -188,6 +213,26 @@ impl<'c> Neighborhood<'c> {
     }
 }
 
+/// A [`Neighborhood`]'s member and neighbour-list buffers without its
+/// catalog borrow.
+#[derive(Debug, Default)]
+pub(crate) struct HoodBuffers {
+    members: Vec<EdgeId>,
+    levels: Vec<Vec<Neighbor>>,
+}
+
+impl HoodBuffers {
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.members.capacity() * std::mem::size_of::<EdgeId>()
+            + self.levels.capacity() * std::mem::size_of::<Vec<Neighbor>>()
+            + self
+                .levels
+                .iter()
+                .map(|level| level.capacity() * std::mem::size_of::<Neighbor>())
+                .sum::<usize>()
+    }
+}
+
 /// Computes `neighbor(X)` for an arbitrary edge set non-incrementally,
 /// ascending (used to cross-check the incremental algebra in tests and by
 /// the oracle).
@@ -284,6 +329,23 @@ mod tests {
             "an empty cursor has no neighbours"
         );
         assert_eq!(hood.candidate(0), None);
+    }
+
+    #[test]
+    fn parked_buffers_serve_a_cursor_over_another_borrow() {
+        let catalog = EdgeCatalog::complete(4);
+        let mut hood = Neighborhood::of_edge(&catalog, EdgeId::new(0)).unwrap();
+        hood.push(EdgeId::new(2)).unwrap();
+        let parked = hood.take_buffers();
+        assert!(parked.heap_bytes() > 0);
+        assert_eq!(hood.members().len(), 0, "the parked cursor is empty");
+        let again = EdgeCatalog::complete(4);
+        let mut hood = Neighborhood::with_buffers(&again, parked);
+        assert_eq!(hood.members().len(), 0, "members do not carry over");
+        hood.seat(EdgeId::new(2)).unwrap();
+        hood.push(EdgeId::new(5)).unwrap();
+        assert_eq!(sym(hood.members().iter().copied()), "cf");
+        assert_eq!(sym(hood.neighbors()), "abde");
     }
 
     #[test]

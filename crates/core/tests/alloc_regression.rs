@@ -7,14 +7,21 @@
 //! per set bit; § "Delta mining" says no border entry owns an allocation.  A
 //! benchmark would notice a reintroduced per-candidate, per-bit or per-entry
 //! allocation as a slowdown on a quiet host; this file notices it as
-//! a count, under a per-thread counting allocator (the technique of
+//! a count, under a counting allocator (the technique of
 //! `crates/fsmd/tests/formats.rs`, counting requests instead of sizing
 //! them).
+//!
+//! Only *enrolled* threads are counted: the measuring test's own and, for a
+//! mine fanned out over a pool, that pool's helpers.  Measurements take one
+//! lock, so the tests of this file, which the harness runs in parallel,
+//! never count each other.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Barrier, Mutex, PoisonError};
 
-use fsm_core::{miners, Algorithm, DeltaMiner, Exec, StreamMinerBuilder};
+use fsm_core::{miners, Algorithm, DeltaMiner, Exec, StreamMinerBuilder, WorkerPool};
 use fsm_datagen::DenseGenerator;
 use fsm_dsmatrix::{DsMatrix, DsMatrixConfig};
 use fsm_fptree::MiningLimits;
@@ -24,20 +31,24 @@ use fsm_types::{Batch, EdgeCatalog, MinSup, Transaction};
 
 struct CountingAlloc;
 
+static REQUESTS: AtomicU64 = AtomicU64::new(0);
+
 thread_local! {
     // `const` + no destructor: touching it inside the allocator neither
     // allocates nor registers a TLS destructor.
-    static REQUESTS: Cell<u64> = const { Cell::new(0) };
+    static ENROLLED: Cell<bool> = const { Cell::new(false) };
 }
 
 fn note_request() {
-    let _ = REQUESTS.try_with(|requests| requests.set(requests.get() + 1));
+    if ENROLLED.try_with(Cell::get).unwrap_or(false) {
+        REQUESTS.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
 // unchanged, so `System`'s guarantees carry over; the only addition is a
-// thread-local counter bump that never allocates (see above) and is skipped
-// (`try_with`) while the thread's TLS is being torn down.
+// thread-local read (skipped, via `try_with`, while the thread's TLS is being
+// torn down) and an atomic counter bump, neither of which allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note_request();
@@ -61,12 +72,40 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// Enrols (or releases) the caller and every helper of `exec`: each
+/// participant blocks on a barrier inside its one task, so no participant
+/// can claim two and every helper claims exactly one.  `exec` must be a
+/// private, idle pool.
+fn enrol(exec: &Exec, enrolled: bool) {
+    let participants = exec.size() + 1;
+    let barrier = Barrier::new(participants);
+    exec.run_indexed_stateful(
+        participants,
+        || (),
+        |(), _| {
+            ENROLLED.with(|flag| flag.set(enrolled));
+            barrier.wait();
+        },
+    );
+}
+
 /// Runs `f` and returns its result with the number of allocator requests
-/// (`alloc` + `realloc`) this thread made while it ran.
-fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = REQUESTS.with(Cell::get);
+/// (`alloc` + `realloc`) made while it ran by this thread and by every
+/// helper of `exec`.
+fn allocations_on<T>(exec: &Exec, f: impl FnOnce() -> T) -> (T, u64) {
+    static MEASURING: Mutex<()> = Mutex::new(());
+    let _alone = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
+    enrol(exec, true);
+    let before = REQUESTS.load(Ordering::SeqCst);
     let value = f();
-    (value, REQUESTS.with(Cell::get) - before)
+    let requests = REQUESTS.load(Ordering::SeqCst) - before;
+    enrol(exec, false);
+    (value, requests)
+}
+
+/// [`allocations_on`] for work that runs on the calling thread alone.
+fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    allocations_on(&Exec::pool(Arc::new(WorkerPool::inline_only())), f)
 }
 
 fn memory_matrix(window: usize, edges: usize) -> DsMatrix {
@@ -118,53 +157,59 @@ fn a_sequential_direct_mine_allocates_per_pattern_not_per_screen() {
 #[test]
 fn a_steady_delta_advance_allocates_per_pattern_and_regrown_subtree_not_per_border_entry() {
     // The same shape again, as a stream: ten slides past a full window of
-    // five batches, every one of them an incremental advance.
+    // five batches, every one of them an incremental advance — once with
+    // every root on the caller, once fanned out over two helpers.
+    const ADVANCES: u64 = 10;
     let catalog = EdgeCatalog::complete(17);
-    let mut matrix = memory_matrix(5, 130);
-    let mut state = DeltaMiner::new();
+    let batches = DenseGenerator::default().generate_batches(5 + ADVANCES as usize, 100);
     let minsup = 90; // 18 % of 500
-    let (mut allocations, mut collected, mut border_touched) = (0, 0, 0);
-    let (mut regrown, mut prunes) = (0, 0);
-    for (i, batch) in DenseGenerator::default()
-        .generate_batches(15, 100)
-        .iter()
-        .enumerate()
-    {
-        matrix.ingest_batch(batch).unwrap();
-        let snapshot = matrix.snapshot_epoch().unwrap();
-        let (found, requests) = allocations_during(|| {
-            state.advance(&snapshot, minsup, MiningLimits::UNBOUNDED, &catalog)
-        });
-        let stats = state.stats();
-        if i < 5 {
-            continue; // the rebuild, and the window still filling
+    for exec in [Exec::scoped(1), Exec::scoped(3)] {
+        let participants = exec.size() as u64 + 1;
+        let mut matrix = memory_matrix(5, 130);
+        let mut state = DeltaMiner::new();
+        let (mut allocations, mut collected, mut border_touched) = (0, 0, 0);
+        let (mut regrown, mut prunes) = (0, 0);
+        for (i, batch) in batches.iter().enumerate() {
+            matrix.ingest_batch(batch).unwrap();
+            let snapshot = matrix.snapshot_epoch().unwrap();
+            let (found, requests) = allocations_on(&exec, || {
+                state.advance(&snapshot, minsup, MiningLimits::UNBOUNDED, &catalog, &exec)
+            });
+            let stats = state.stats();
+            if i < 5 {
+                continue; // the rebuild, and the window still filling
+            }
+            assert_eq!((stats.full_rebuilds, stats.slides_applied), (0, 1));
+            allocations += requests;
+            collected += found.unwrap().len() as u64;
+            regrown += stats.border_promotions + stats.singleton_sweeps;
+            border_touched += stats.border_updates;
+            prunes += stats.subtree_prunes;
         }
-        assert_eq!((stats.full_rebuilds, stats.slides_applied), (0, 1));
-        allocations += requests;
-        collected += found.unwrap().len() as u64;
-        regrown += stats.border_promotions + stats.singleton_sweeps;
-        border_touched += stats.border_updates;
-        prunes += stats.subtree_prunes;
+        assert!(
+            regrown >= 10 && prunes >= 10 && border_touched >= 20 * collected,
+            "fixture drifted: {regrown} subtrees re-grown, {prunes} prunes, {border_touched} \
+             border updates for {collected} patterns collected"
+        );
+        // Per pattern collected: its edge set, and a share of the output
+        // list.  Per re-grown subtree: per node attached its counts table,
+        // its border run (both sized once, before the screens) and its child
+        // list.  Per advance and participant, 16 at most: the participant's
+        // pool job, and the growth of the buffers it parks on the miner
+        // until they have met every depth (per advance, the caller adds
+        // every window segment's row table, the plan's lists, the task list
+        // and the pool's result slots).  Nothing per root, nothing per border
+        // entry touched.
+        let budget = 2 * collected + 16 * regrown + 64 + ADVANCES * 16 * participants;
+        assert!(
+            allocations <= budget,
+            "{participants} participants: {allocations} allocations over {ADVANCES} advances \
+             that collected {collected} patterns, re-grew {regrown} subtrees and updated \
+             {border_touched} border entries (budget {budget}): something allocates per root \
+             or per border entry.  This fixture made 1 318 556 when every entry owned a `Vec` \
+             of contributions and every segment a hash-index row."
+        );
     }
-    assert!(
-        regrown >= 10 && prunes >= 10 && border_touched >= 20 * collected,
-        "fixture drifted: {regrown} subtrees re-grown, {prunes} prunes, {border_touched} \
-         border updates for {collected} patterns collected"
-    );
-    // Per pattern collected: its edge set, and a share of the output list.
-    // Per re-grown subtree: the promoted node's root path, and per node
-    // attached its counts table, its border run (both sized once, before the
-    // screens) and its child list.  Per advance: the arriving segment's row
-    // table, the crossing context, the prune and crossing queues.  Nothing
-    // per border entry touched.
-    let budget = 2 * collected + 16 * regrown + 64;
-    assert!(
-        allocations <= budget,
-        "{allocations} allocations over ten advances that collected {collected} patterns, \
-         re-grew {regrown} subtrees and updated {border_touched} border entries (budget \
-         {budget}): something allocates per border entry.  This fixture made 1 318 556 \
-         when every entry owned a `Vec` of contributions and every segment a hash-index row."
-    );
 }
 
 /// `batches` batches of `transactions` transactions over `rows` rows, each

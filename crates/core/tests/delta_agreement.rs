@@ -14,16 +14,19 @@
 //! the pattern-level oracle would only surface indirectly — over windows of
 //! up to 13 batches, filling and full, with the state's own invariants
 //! ([`DeltaMiner::check_invariants`]) re-checked after every advance.
-//! Another test
-//! interleaves delta advances with a held epoch
-//! snapshot mined concurrently on another thread — the PR 7 reader/writer
-//! split must compose with delta state.
+//! The shadow model advances one state per pool shape ([`pools`]): the
+//! per-root fan-out must return the same patterns in the same order, with
+//! the same counters, as the advance that runs every root on the caller.
+//! Another test interleaves delta advances, fanned out over two helpers,
+//! with a held epoch snapshot mined concurrently on another thread — the
+//! reader/writer split must compose with delta state.
 
+use std::sync::{Arc, OnceLock};
 use std::thread;
 
 use fsm_core::{
-    Algorithm, ConnectivityMode, DeltaMiner, DeltaStats, MiningResult, StreamMiner,
-    StreamMinerBuilder,
+    Algorithm, ConnectivityMode, DeltaMiner, DeltaStats, Exec, MiningResult, StreamMiner,
+    StreamMinerBuilder, WorkerPool,
 };
 use fsm_fptree::MiningLimits;
 use fsm_storage::StorageBackend;
@@ -94,6 +97,18 @@ fn arb_stream(max_batches: usize) -> impl Strategy<Value = Vec<Vec<Vec<u32>>>> {
         ),
         1..max_batches,
     )
+}
+
+/// Every pool shape a delta advance is held byte-identical across: no
+/// helpers at all (every root runs on the caller), then 1, 2, 3 and 7
+/// helpers.  Built once for the whole suite.
+fn pools() -> &'static [Exec] {
+    static POOLS: OnceLock<Vec<Exec>> = OnceLock::new();
+    POOLS.get_or_init(|| {
+        let mut pools = vec![Exec::pool(Arc::new(WorkerPool::inline_only()))];
+        pools.extend([1, 2, 3, 7].map(|helpers| Exec::pool(Arc::new(WorkerPool::new(helpers)))));
+        pools
+    })
 }
 
 fn to_batches(raw: &[Vec<Vec<u32>>]) -> Vec<Batch> {
@@ -211,6 +226,10 @@ proptest! {
     /// mid-stream threshold switch, an edge past the catalog widening the
     /// matrix, a gap that turned the whole window over — and never
     /// otherwise; a window that merely grew is none of those.
+    ///
+    /// The recount checks the inline advance; a state per helper count runs
+    /// beside it and must match it byte for byte at every epoch — pattern
+    /// order, every [`DeltaStats`] field, its own invariants.
     #[test]
     fn connected_delta_state_matches_a_brute_force_recount(
         raw in arb_stream(31),
@@ -236,7 +255,9 @@ proptest! {
             .catalog(catalog.clone())
             .build()
             .unwrap();
+        let (inline, fanned) = pools().split_first().unwrap();
         let mut state = DeltaMiner::new();
+        let mut shadows: Vec<DeltaMiner> = fanned.iter().map(|_| DeltaMiner::new()).collect();
         // (batch index, threshold, matrix width) of the previous advance.
         let mut previous: Option<(usize, u64, usize)> = None;
         // Ingests still to go before the next advance; the last epoch is
@@ -253,7 +274,24 @@ proptest! {
             // Switch thresholds halfway through the stream.
             let threshold = if i >= batches.len() / 2 { switched } else { minsup };
             let snapshot = miner.matrix_mut().snapshot_epoch().unwrap();
-            let found = state.advance(&snapshot, threshold, limits, &catalog).unwrap();
+            let found = state.advance(&snapshot, threshold, limits, &catalog, inline).unwrap();
+            for (exec, shadow) in fanned.iter().zip(&mut shadows) {
+                let helpers = exec.size();
+                let same = shadow.advance(&snapshot, threshold, limits, &catalog, exec).unwrap();
+                prop_assert_eq!(&same, &found, "epoch {} on {} helpers: patterns", i, helpers);
+                prop_assert_eq!(
+                    shadow.stats(),
+                    state.stats(),
+                    "epoch {} on {} helpers: counters",
+                    i,
+                    helpers
+                );
+                #[cfg(debug_assertions)]
+                {
+                    let checked = shadow.check_invariants();
+                    prop_assert!(checked.is_ok(), "epoch {} on {} helpers: {:?}", i, helpers, checked);
+                }
+            }
 
             let oldest_in_window = (i + 1).saturating_sub(window);
             let must_rebuild = previous.is_none_or(|(at, minsup, width)| {
@@ -387,6 +425,8 @@ fn paper_stream_delta_mines_incrementally() {
 /// Epoch-snapshot interleaving: delta state advances (and stays correct)
 /// while a previously held snapshot of an older epoch is mined concurrently
 /// on another thread — and the held snapshot still reproduces its own epoch.
+/// The delta miner's pool has two helpers, so its advances fan out while the
+/// reader mines on the same pool.
 #[test]
 fn delta_advances_while_a_held_snapshot_is_mined() {
     let raw: Vec<Vec<Vec<u32>>> = vec![
@@ -402,7 +442,7 @@ fn delta_advances_while_a_held_snapshot_is_mined() {
         2,
         MinSup::absolute(2),
         StorageBackend::Memory,
-        1,
+        3,
         None,
         true,
     );
@@ -618,10 +658,11 @@ fn catalog_growth_alone_rebuilds_the_connected_tree() {
         .unwrap();
     let batches = to_batches(&[vec![vec![0, 1, 2], vec![0, 1, 2]], vec![vec![1, 2]]]);
     let mut state = DeltaMiner::new();
+    let exec = Exec::scoped(1);
     let mut advance = |miner: &mut StreamMiner, catalog: &EdgeCatalog| {
         let snapshot = miner.matrix_mut().snapshot_epoch().unwrap();
         let found = state
-            .advance(&snapshot, 2, MiningLimits::UNBOUNDED, catalog)
+            .advance(&snapshot, 2, MiningLimits::UNBOUNDED, catalog, &exec)
             .unwrap();
         (found.len(), state.stats().full_rebuilds)
     };
