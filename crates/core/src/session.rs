@@ -610,6 +610,8 @@ pub struct SessionStatus {
 pub struct Session {
     tenant: String,
     exec: Exec,
+    /// Edges of the catalog the tenant was created with.
+    catalog_edges: usize,
     max_pending: usize,
     /// The window — live or spilled.  Held only for the duration of one
     /// operation (an ingest drain, one mine, a spill or thaw); producers
@@ -691,6 +693,7 @@ impl Session {
         Self {
             tenant,
             exec,
+            catalog_edges: miner.catalog().num_edges(),
             max_pending: max_pending.max(1),
             window: Mutex::new(Window::Live(Box::new(miner))),
             lifecycle: Mutex::new(Lifecycle {
@@ -713,6 +716,15 @@ impl Session {
     /// This session's tenant id.
     pub fn tenant(&self) -> &str {
         &self.tenant
+    }
+
+    /// Number of edges in the catalog the tenant was created (or
+    /// recovered) with: the ids `0..catalog_edges()` a served ingest may
+    /// name.  `fsmd` refuses a batch naming any other id before it reaches
+    /// [`Session::ingest`], whose window would otherwise grow a row — and
+    /// its support and cache tables — up to it.
+    pub fn catalog_edges(&self) -> usize {
+        self.catalog_edges
     }
 
     /// Current lifecycle state.

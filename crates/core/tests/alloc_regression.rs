@@ -1,5 +1,6 @@
 //! Allocation regression gates for the three per-item loops of the dense
-//! step, and for the row assembly in front of a snapshot mine.
+//! step, for the row assembly in front of a snapshot mine, and for the
+//! served ingest's batch decode.
 //!
 //! `mine_direct`'s rustdoc and ARCHITECTURE § "Mining allocation discipline"
 //! say a screen allocates nothing and a pattern allocates only itself;
@@ -23,7 +24,7 @@ use std::sync::{Arc, Barrier, Mutex, PoisonError};
 
 use fsm_core::{miners, Algorithm, DeltaMiner, Exec, StreamMinerBuilder, WorkerPool};
 use fsm_datagen::DenseGenerator;
-use fsm_dsmatrix::{DsMatrix, DsMatrixConfig};
+use fsm_dsmatrix::{decode_batch_into, encode_batch, DsMatrix, DsMatrixConfig};
 use fsm_fptree::MiningLimits;
 use fsm_storage::{SegmentedWindowStore, StorageBackend};
 use fsm_stream::WindowConfig;
@@ -387,4 +388,72 @@ fn a_sequential_snapshot_mine_adds_one_allocation_per_row_and_memoises_nothing()
     assert_eq!(second.unwrap().patterns(), first.patterns());
     assert_eq!(second_allocations, first_allocations);
     assert_eq!(snapshot.epoch().heap_bytes(), held);
+}
+
+/// Allocator requests of one pass over `cycle`, each batch decoded from its
+/// payload into one reused [`Batch`] — what an `fsmd` connection does — and
+/// ingested into a memory window of five, after two passes to settle.
+/// Returns them with the rows the measured batches touched.
+fn steady_state_served_ingest_allocations(cycle: &[Batch]) -> (u64, u64) {
+    let payloads: Vec<Vec<u8>> = (0..3)
+        .flat_map(|pass| {
+            cycle.iter().enumerate().map(move |(i, batch)| {
+                let mut batch = batch.clone();
+                batch.id = (pass * cycle.len() + i) as u64;
+                encode_batch(&batch)
+            })
+        })
+        .collect();
+    let (settle, measured) = payloads.split_at(2 * cycle.len());
+    let mut matrix = memory_matrix(5, 130);
+    let mut batch = Batch::default();
+    let mut ingest = |payload: &[u8]| {
+        decode_batch_into(payload, &mut batch).unwrap();
+        matrix.ingest_batch(&batch).unwrap();
+    };
+    for payload in settle {
+        ingest(payload);
+    }
+    let ((), allocations) = allocations_during(|| measured.iter().for_each(|p| ingest(p)));
+    let rows = cycle
+        .iter()
+        .map(|batch| {
+            let mut rows: Vec<_> = batch.iter().flat_map(|t| t.iter()).collect();
+            rows.sort_unstable();
+            rows.dedup();
+            rows.len() as u64
+        })
+        .sum();
+    (allocations, rows)
+}
+
+#[test]
+fn a_steady_state_served_ingest_allocates_per_row_touched_not_per_transaction() {
+    // The repo benchmark's `dense_full` batches at two widths, replayed as a
+    // cycle the way the benchmark replays its own.
+    const CYCLE: usize = 8;
+    let narrow = DenseGenerator::default().generate_batches(CYCLE, 100);
+    let wide = DenseGenerator::default().generate_batches(CYCLE, 500);
+    let (narrow_allocations, narrow_rows) = steady_state_served_ingest_allocations(&narrow);
+    let (wide_allocations, wide_rows) = steady_state_served_ingest_allocations(&wide);
+    assert_eq!(
+        narrow_rows, wide_rows,
+        "fixture drifted: both widths touch every row"
+    );
+    assert_eq!(
+        narrow_allocations, wide_allocations,
+        "served ingest allocations must not depend on the transaction count"
+    );
+    // Budget: per ingest, one chunk copy per row touched in the segment
+    // store, plus at most 32 for the store's segment and row index and the
+    // matrix's per-slide list.  Decoding allocates nothing: every
+    // transaction refills the buffer it kept.  Decoding into fresh
+    // transactions, as `decode_batch` does, costs one allocation per
+    // transaction — 500 a dense batch, 4 000 over this cycle.
+    let budget = wide_rows + 32 * CYCLE as u64;
+    assert!(
+        wide_allocations <= budget,
+        "{wide_allocations} allocations over {CYCLE} served ingests touching {wide_rows} rows \
+         (budget {budget}): something allocates per transaction or per id"
+    );
 }

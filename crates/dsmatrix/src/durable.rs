@@ -31,8 +31,8 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use fsm_storage::Wal;
-use fsm_types::codec::{put_u32, put_u64, Reader};
-use fsm_types::{Batch, Result, Transaction};
+use fsm_types::codec::Reader;
+use fsm_types::{Batch, Result};
 
 /// Durability knobs of a [`crate::DsMatrixConfig`].
 #[derive(Debug, Clone)]
@@ -120,6 +120,8 @@ pub(crate) struct DurableState {
     pub(crate) recovery_replayed: u64,
     /// Report of the recovery that produced this state, if any.
     pub(crate) report: Option<RecoveryReport>,
+    /// The buffer every WAL append encodes its batch into.
+    pub(crate) record: Vec<u8>,
 }
 
 impl DurableState {
@@ -140,6 +142,7 @@ impl DurableState {
             extra_fsyncs: 0,
             recovery_replayed: 0,
             report: None,
+            record: Vec::new(),
         }
     }
 }
@@ -148,43 +151,90 @@ impl DurableState {
 ///
 /// Layout (all little-endian): `batch id (u64)`, `transaction count (u32)`,
 /// then per transaction `edge count (u32)` followed by the raw `u32` edge
-/// identifiers in canonical order.  Integrity comes from the WAL record's
-/// CRC; this encoding carries no checksum of its own.
+/// identifiers in canonical — strictly increasing — order, which a
+/// [`fsm_types::Transaction`] always holds and [`decode_batch`] requires.  Integrity
+/// comes from the WAL record's CRC; this encoding carries no checksum of its
+/// own.  A wrapper around [`encode_batch_into`].
 pub fn encode_batch(batch: &Batch) -> Vec<u8> {
-    let mut out = Vec::with_capacity(12 + batch.total_edge_occurrences() * 4);
-    put_u64(&mut out, batch.id);
-    put_u32(&mut out, batch.len() as u32);
-    for transaction in batch.iter() {
-        put_u32(&mut out, transaction.len() as u32);
-        for edge in transaction.iter() {
-            put_u32(&mut out, edge.index() as u32);
-        }
-    }
+    let mut out = Vec::new();
+    encode_batch_into(batch, &mut out);
     out
 }
 
-/// Decodes a WAL record payload back into a batch.
+/// Appends [`encode_batch`]'s bytes to `out`: one resize to the exact
+/// length (`12 + 4·transactions + 4·edge ids`), then every field copied into
+/// place — no per-id capacity check, and no allocation at all when `out`
+/// already has the room.
+pub fn encode_batch_into(batch: &Batch, out: &mut Vec<u8>) {
+    let start = out.len();
+    let len = 12 + 4 * (batch.len() + batch.total_edge_occurrences());
+    out.resize(start + len, 0);
+    let (head, mut rest) = out[start..].split_at_mut(12);
+    head[..8].copy_from_slice(&batch.id.to_le_bytes());
+    head[8..].copy_from_slice(&(batch.len() as u32).to_le_bytes());
+    for transaction in batch.iter() {
+        let (count, tail) = rest.split_at_mut(4);
+        count.copy_from_slice(&(transaction.len() as u32).to_le_bytes());
+        let (ids, tail) = tail.split_at_mut(4 * transaction.len());
+        for (slot, edge) in ids.chunks_exact_mut(4).zip(transaction.edges()) {
+            slot.copy_from_slice(&edge.0.to_le_bytes());
+        }
+        rest = tail;
+    }
+}
+
+/// Decodes a WAL record payload back into a batch.  A wrapper around
+/// [`decode_batch_into`]: every check is the same.
 pub fn decode_batch(payload: &[u8]) -> Result<Batch> {
+    let mut batch = Batch::default();
+    decode_batch_into(payload, &mut batch)?;
+    Ok(batch)
+}
+
+/// Decodes a WAL record payload into `batch`, reusing its transactions'
+/// buffers: each transaction's ids are read straight into the `Vec` the
+/// transaction already holds (see [`Batch::reuse`]), so decoding a payload
+/// of the batch's previous shape allocates nothing.
+///
+/// The payload is checked, never repaired: a truncated or padded payload, a
+/// count the bytes cannot hold, or a transaction whose ids do not strictly
+/// increase is a [`fsm_types::FsmError::CorruptArtifact`] naming the "wal
+/// batch payload".  On error `batch` is left empty.
+pub fn decode_batch_into(payload: &[u8], batch: &mut Batch) -> Result<()> {
     let mut reader = Reader::artifact(payload, "wal batch payload");
+    let decoded = read_batch(&mut reader, batch).and_then(|()| reader.finish());
+    if decoded.is_err() {
+        batch.reuse(0, 0);
+    }
+    decoded
+}
+
+fn read_batch(reader: &mut Reader<'_>, batch: &mut Batch) -> Result<()> {
     let id = reader.take_u64()?;
     // A transaction is at least its `u32` edge count; an edge is a `u32`.
     let num_tx = reader.count_u32(4)?;
-    let mut transactions = Vec::with_capacity(num_tx);
-    for _ in 0..num_tx {
+    for transaction in batch.reuse(id, num_tx) {
         let num_edges = reader.count_u32(4)?;
-        let mut edges = Vec::with_capacity(num_edges);
-        for _ in 0..num_edges {
-            edges.push(reader.take_u32()?);
-        }
-        transactions.push(Transaction::from_raw(edges));
+        transaction.read_canonical(reader, num_edges)?;
     }
-    reader.finish()?;
-    Ok(Batch::from_transactions(id, transactions))
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
+    use fsm_types::{FsmError, Transaction};
+
     use super::*;
+
+    fn batch(id: u64, transactions: &[&[u32]]) -> Batch {
+        Batch::from_transactions(
+            id,
+            transactions
+                .iter()
+                .map(|raw| Transaction::from_raw(raw.iter().copied()))
+                .collect(),
+        )
+    }
 
     #[test]
     fn batch_encoding_roundtrip() {
@@ -217,6 +267,71 @@ mod tests {
         let mut padded = encoded.clone();
         padded.push(0);
         assert!(decode_batch(&padded).is_err());
+    }
+
+    #[test]
+    fn decode_into_a_reused_batch_leaves_nothing_stale() {
+        let large = batch(1, &[&[0, 1, 2, 3], &[4, 5], &[6], &[7, 8, 9]]);
+        let small = batch(2, &[&[10], &[], &[11, 12]]);
+        let larger = batch(3, &[&[1, 2, 3, 4, 5, 6], &[0], &[], &[2, 9], &[13]]);
+        let mut reused = Batch::default();
+        // Larger → smaller → larger again: each decode equals a fresh one,
+        // with no transaction or id of the previous payload left over.
+        for next in [&large, &small, &larger, &small] {
+            decode_batch_into(&encode_batch(next), &mut reused).unwrap();
+            assert_eq!(&reused, next);
+        }
+        // Same shape again: every transaction keeps its buffer.
+        let buffers: Vec<_> = reused.iter().map(|t| t.edges().as_ptr()).collect();
+        let heap = reused.heap_bytes();
+        decode_batch_into(&encode_batch(&batch(4, &[&[3], &[], &[5, 6]])), &mut reused).unwrap();
+        assert_eq!(reused, batch(4, &[&[3], &[], &[5, 6]]));
+        assert_eq!(reused.heap_bytes(), heap);
+        assert_eq!(reused.transactions()[0].edges().as_ptr(), buffers[0]);
+        // A refused payload leaves the batch empty, not half-decoded.
+        let mut cut = encode_batch(&large);
+        cut.pop();
+        assert!(decode_batch_into(&cut, &mut reused).is_err());
+        assert!(reused.is_empty());
+    }
+
+    #[test]
+    fn non_canonical_ids_are_refused_not_repaired() {
+        // One transaction of two ids, written by hand: descending, repeated,
+        // and repeated at the top of the id space.
+        for pair in [[5u32, 4], [3, 3], [u32::MAX, u32::MAX], [u32::MAX, 0]] {
+            let mut payload = 9u64.to_le_bytes().to_vec();
+            payload.extend_from_slice(&1u32.to_le_bytes());
+            payload.extend_from_slice(&2u32.to_le_bytes());
+            for id in pair {
+                payload.extend_from_slice(&id.to_le_bytes());
+            }
+            match decode_batch(&payload) {
+                Err(FsmError::CorruptArtifact { artifact, detail }) => {
+                    assert_eq!(artifact, "wal batch payload");
+                    assert!(detail.contains("strictly increase"), "{detail}");
+                }
+                other => panic!("{pair:?} must be refused: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn encode_into_appends_the_bytes_encode_returns() {
+        let sample = batch(42, &[&[1, 3, 4], &[], &[1, 2, 5, 6, 9], &[u32::MAX]]);
+        let mut out = b"prefix".to_vec();
+        encode_batch_into(&sample, &mut out);
+        assert_eq!(&out[..6], b"prefix");
+        assert_eq!(&out[6..], encode_batch(&sample));
+        assert_eq!(out.len(), 6 + 12 + 4 * (4 + 9));
+        // Into a buffer with the room: no reallocation.
+        out.clear();
+        let buffer = out.as_ptr();
+        encode_batch_into(&sample, &mut out);
+        assert_eq!(
+            (out.as_ptr(), &out[..]),
+            (buffer, &encode_batch(&sample)[..])
+        );
     }
 
     #[test]

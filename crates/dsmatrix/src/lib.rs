@@ -73,7 +73,10 @@ mod matrix;
 mod snapshot;
 mod view;
 
-pub use durable::{decode_batch, encode_batch, DurabilityConfig, RecoveryReport};
+pub use durable::{
+    decode_batch, decode_batch_into, encode_batch, encode_batch_into, DurabilityConfig,
+    RecoveryReport,
+};
 pub use epoch::EpochSnapshot;
 pub use fsm_storage::CaptureStats;
 pub use matrix::{DsMatrix, DsMatrixConfig, ReadStats};

@@ -12,7 +12,9 @@ use fsm_storage::{
 use fsm_stream::{SlideOutcome, SlidingWindow, WindowConfig};
 use fsm_types::{Batch, BatchId, EdgeId, FsmError, Result, Support, Transaction};
 
-use crate::durable::{decode_batch, encode_batch, DurabilityConfig, DurableState, RecoveryReport};
+use crate::durable::{
+    decode_batch_into, encode_batch_into, DurabilityConfig, DurableState, RecoveryReport,
+};
 use crate::epoch::EpochSnapshot;
 use crate::view::WindowView;
 
@@ -176,11 +178,14 @@ impl DsMatrixConfig {
 }
 
 /// Transposes an entering batch — transactions listing their edges — into
-/// one bit chunk per row the batch touches, without an ordered map: a dense
-/// row → slot table finds a row's chunk in one indexed load per set bit, and
-/// the touched list (≤ rows touched) is sorted once per batch so the chunks
-/// read back ascending by row.  Chunk buffers, the table and the list are
-/// reused from batch to batch.
+/// one bit chunk per row the batch touches, 64 columns at a time.  Within a
+/// block of 64 transactions every edge ORs its bit into one word per row (a
+/// row-indexed word array); then each row the block touched stores that word
+/// into its chunk at the block's word index — one store per (row, block)
+/// instead of one bit set per edge.  A dense row → slot table finds a row's
+/// chunk in one indexed load, and the touched list (≤ rows touched) is sorted
+/// once per batch so the chunks read back ascending by row.  Chunk buffers,
+/// the tables and the lists are reused from batch to batch.
 #[derive(Debug, Default)]
 struct Transposer {
     /// Width of the batch being filled.
@@ -188,6 +193,11 @@ struct Transposer {
     /// `slot_of[row]` is one more than the row's index into `chunks`, or 0
     /// for a row the current batch has not touched.
     slot_of: Vec<u32>,
+    /// `block[row]`: the current block's bits of `row`; all zero between
+    /// blocks.  As long as `slot_of`.
+    block: Vec<u64>,
+    /// The rows whose `block` word is nonzero, in first-touch order.
+    block_rows: Vec<usize>,
     /// The rows the current batch touches, ascending once
     /// [`Transposer::fill`] returns.
     touched: Vec<usize>,
@@ -200,10 +210,28 @@ impl Transposer {
     /// Transposes `batch`, replacing whatever the previous one left behind.
     fn fill(&mut self, batch: &Batch) {
         self.begin(batch.len());
-        for (col, transaction) in batch.iter().enumerate() {
-            for edge in transaction.iter() {
-                self.set(edge.index(), col);
+        let rows = batch.max_edge().map_or(0, |edge| edge.index() + 1);
+        if self.slot_of.len() < rows {
+            self.slot_of.resize(rows, 0);
+            self.block.resize(rows, 0);
+        }
+        for (index, block) in batch.transactions().chunks(WORD_BITS).enumerate() {
+            for (bit, transaction) in block.iter().enumerate() {
+                for edge in transaction.edges() {
+                    let word = &mut self.block[edge.index()];
+                    if *word == 0 {
+                        self.block_rows.push(edge.index());
+                    }
+                    *word |= 1u64 << bit;
+                }
             }
+            for i in 0..self.block_rows.len() {
+                let row = self.block_rows[i];
+                let word = std::mem::take(&mut self.block[row]);
+                let slot = self.claim(row);
+                self.chunks[slot].set_word(index, word);
+            }
+            self.block_rows.clear();
         }
         self.touched.sort_unstable();
     }
@@ -220,12 +248,9 @@ impl Transposer {
         self.cols = cols;
     }
 
-    /// Sets bit `col` of `row`'s chunk, claiming a zeroed one on the row's
-    /// first touch.
-    fn set(&mut self, row: usize, col: usize) {
-        if self.slot_of.len() <= row {
-            self.slot_of.resize(row + 1, 0);
-        }
+    /// `row`'s index into `chunks`, claiming a chunk of `cols` zero bits on
+    /// the row's first touch.
+    fn claim(&mut self, row: usize) -> usize {
         if self.slot_of[row] == 0 {
             let slot = self.touched.len();
             if self.chunks.len() == slot {
@@ -237,7 +262,7 @@ impl Transposer {
             self.touched.push(row);
             self.slot_of[row] = slot as u32 + 1;
         }
-        self.chunks[self.slot_of[row] as usize - 1].set(col, true);
+        self.slot_of[row] as usize - 1
     }
 
     /// One past the largest row touched (0 for an empty batch).
@@ -255,7 +280,8 @@ impl Transposer {
     fn heap_bytes(&self) -> usize {
         self.chunks.iter().map(BitVec::heap_bytes).sum::<usize>()
             + self.slot_of.capacity() * std::mem::size_of::<u32>()
-            + self.touched.capacity() * std::mem::size_of::<usize>()
+            + self.block.capacity() * std::mem::size_of::<u64>()
+            + (self.block_rows.capacity() + self.touched.capacity()) * std::mem::size_of::<usize>()
     }
 }
 
@@ -546,6 +572,7 @@ impl DsMatrix {
         // artifact lied and recovering "around" it would fabricate a window
         // that never existed.
         let base_seq = ckpt.last_seq;
+        let mut batch = Batch::default();
         for record in records.into_iter().filter(|r| r.seq > base_seq) {
             let applied = matrix
                 .durable
@@ -562,7 +589,7 @@ impl DsMatrix {
                     ),
                 ));
             }
-            let batch = decode_batch(&record.payload)?;
+            decode_batch_into(&record.payload, &mut batch)?;
             matrix.ingest_applied(&batch)?;
             let durable = matrix
                 .durable
@@ -700,7 +727,9 @@ impl DsMatrix {
         self.rebalance_cache_budget();
         if let Some(durable) = &mut self.durable {
             let seq = durable.applied_seq + 1;
-            durable.wal.append(seq, &encode_batch(batch))?;
+            durable.record.clear();
+            encode_batch_into(batch, &mut durable.record);
+            durable.wal.append(seq, &durable.record)?;
         }
         self.ingest_applied(batch)
     }
@@ -1456,6 +1485,75 @@ mod tests {
         t.fill(&wide(2));
         assert_eq!(t.heap_bytes(), before);
         assert!(t.rows().all(|(_, chunk)| chunk.count_ones() == 2));
+    }
+
+    /// A batch of `cols` transactions: row 0 in every one, a pseudo-random
+    /// spread over rows 1..20, row 30 in the first column only, row 31 in
+    /// the second block's first column only, and the batch's largest row,
+    /// 40, in its last column only — inside the last, partial block
+    /// whenever `cols` is not a multiple of 64.
+    fn transposer_batch(id: u64, cols: usize) -> Batch {
+        let mut state = id.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let transactions = (0..cols)
+            .map(|col| {
+                let mut raw = vec![0u32];
+                for row in 1..20 {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    if (state >> 33).is_multiple_of(3) {
+                        raw.push(row);
+                    }
+                }
+                raw.extend((col == 0).then_some(30));
+                raw.extend((col == 64).then_some(31));
+                raw.extend((col + 1 == cols).then_some(40));
+                Transaction::from_raw(raw)
+            })
+            .collect();
+        Batch::from_transactions(id, transactions)
+    }
+
+    /// The transposition one `BitVec::set` per edge produces.
+    fn per_bit_reference(batch: &Batch) -> Vec<(usize, String)> {
+        let mut rows = BTreeMap::new();
+        for (col, transaction) in batch.iter().enumerate() {
+            for edge in transaction.iter() {
+                rows.entry(edge.index())
+                    .or_insert_with(|| BitVec::zeros(batch.len()))
+                    .set(col, true);
+            }
+        }
+        rows.iter()
+            .map(|(&row, bits)| (row, bit_string(bits)))
+            .collect()
+    }
+
+    #[test]
+    fn blocked_transposer_matches_a_per_bit_reference() {
+        let mut t = Transposer::default();
+        // Widths on both sides of each word boundary, refilled in an order
+        // that shrinks and grows the chunks between batches.
+        for (id, cols) in [0, 1, 63, 64, 65, 500, 65, 1, 500, 64, 0]
+            .into_iter()
+            .enumerate()
+        {
+            let batch = transposer_batch(id as u64, cols);
+            t.fill(&batch);
+            let expected = per_bit_reference(&batch);
+            assert_eq!(transposed(&t), expected, "{cols} columns");
+            assert_eq!(t.row_bound(), if cols == 0 { 0 } else { 41 });
+            for (_, chunk) in t.rows() {
+                assert_eq!(chunk.len(), cols);
+                assert_eq!(chunk.as_words().len(), cols.div_ceil(WORD_BITS));
+            }
+            assert!(t.block.iter().all(|&word| word == 0), "block left dirty");
+            if cols > 64 {
+                let only = |row| expected.iter().find(|(r, _)| *r == row).unwrap().1.clone();
+                assert_eq!(only(31).find('1'), Some(64));
+                assert_eq!(only(40).rfind('1'), Some(cols - 1));
+            }
+        }
     }
 
     fn row_string(m: &mut DsMatrix, item: u32) -> String {

@@ -23,6 +23,14 @@
 //! are `u16` length + UTF-8; pattern lists are `u32` count, then per
 //! pattern `u64` support, `u16` edge count and the raw `u32` edge ids in
 //! canonical order.
+//!
+//! Canonical order — every id list strictly increasing — is *required*, not
+//! repaired: both encoders always write it, and the decoders read ids
+//! straight into place and refuse a descending or repeated id with a typed
+//! error ([`FsmError::Parse`] on a pattern list, [`FsmError::CorruptArtifact`]
+//! naming the "wal batch payload" on a batch).  A served ingest also refuses
+//! an edge id outside the tenant's catalog ([`FsmError::UnknownEdge`]) before
+//! the batch reaches the window.
 
 use std::io::{Read, Write};
 
@@ -298,10 +306,21 @@ pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> Result<()> {
 /// what it sent, whichever is larger.  A frame cut short — in its header or
 /// its payload — is [`FsmError::Parse`], not an I/O error.
 pub fn read_frame(reader: &mut impl Read) -> Result<Option<Vec<u8>>> {
+    let mut payload = Vec::new();
+    Ok(read_frame_into(reader, &mut payload)?.then_some(payload))
+}
+
+/// [`read_frame`] into a reused buffer: `payload` is cleared and refilled,
+/// and grows — under the same bounded-reservation rule — only when its
+/// capacity is short.  `Ok(false)` on a clean EOF at a frame boundary.  A
+/// caller that keeps the buffer across frames gives it back once it has
+/// grown past [`FRAME_RESERVE_BYTES`] ([`release_if_outsized`]).
+pub fn read_frame_into(reader: &mut impl Read, payload: &mut Vec<u8>) -> Result<bool> {
+    payload.clear();
     let mut header = [0u8; 4];
     let got = read_up_to(reader, &mut header)?;
     if got == 0 {
-        return Ok(None);
+        return Ok(false);
     }
     if got < header.len() {
         return Err(FsmError::parse(format!(
@@ -314,7 +333,6 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Option<Vec<u8>>> {
             "peer announced a {len}-byte frame (limit {MAX_FRAME_BYTES})"
         )));
     }
-    let mut payload = Vec::new();
     while payload.len() < len {
         let filled = payload.len();
         let step = (len - filled).min(filled.max(FRAME_RESERVE_BYTES));
@@ -328,7 +346,16 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Option<Vec<u8>>> {
             )));
         }
     }
-    Ok(Some(payload))
+    Ok(true)
+}
+
+/// Gives back a reused frame buffer that an outsized frame grew past
+/// [`FRAME_RESERVE_BYTES`], so one large request or response does not stay
+/// resident for the connection's lifetime.
+pub fn release_if_outsized(buffer: &mut Vec<u8>) {
+    if buffer.capacity() > FRAME_RESERVE_BYTES {
+        *buffer = Vec::new();
+    }
 }
 
 /// Fills as much of `buf` as `reader` yields before EOF, retrying
@@ -362,18 +389,17 @@ pub fn put_patterns(out: &mut Vec<u8>, patterns: &[FrequentPattern]) {
     }
 }
 
-/// Reads a pattern list written by [`put_patterns`].
+/// Reads a pattern list written by [`put_patterns`].  Each pattern's ids
+/// are read into place and must strictly increase ([`EdgeSet::read_canonical`]);
+/// a non-canonical list is a [`FsmError::Parse`] error, not re-sorted.
 pub fn take_patterns(cursor: &mut Cursor<'_>) -> Result<Vec<FrequentPattern>> {
     let count = cursor.count_u32(MIN_PATTERN_BYTES)?;
     let mut patterns = Vec::with_capacity(count);
     for _ in 0..count {
         let support = cursor.take_u64()?;
         let num_edges = cursor.count_u16(4)?;
-        let mut edges = Vec::with_capacity(num_edges);
-        for _ in 0..num_edges {
-            edges.push(cursor.take_u32()?);
-        }
-        patterns.push(FrequentPattern::new(EdgeSet::from_raw(edges), support));
+        let edges = EdgeSet::read_canonical(cursor, num_edges)?;
+        patterns.push(FrequentPattern::new(edges, support));
     }
     Ok(patterns)
 }
@@ -391,6 +417,29 @@ mod tests {
         assert_eq!(read_frame(&mut reader).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut reader).unwrap().unwrap(), b"");
         assert!(read_frame(&mut reader).unwrap().is_none());
+    }
+
+    #[test]
+    fn frames_read_into_a_reused_buffer_and_outsized_ones_are_given_back() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &[7; 1000]).unwrap();
+        write_frame(&mut wire, b"hi").unwrap();
+        let big = vec![9; FRAME_RESERVE_BYTES + 1];
+        write_frame(&mut wire, &big).unwrap();
+        let mut reader = &wire[..];
+        let mut buffer = Vec::new();
+        assert!(read_frame_into(&mut reader, &mut buffer).unwrap());
+        assert_eq!(buffer, [7; 1000]);
+        let kept = buffer.as_ptr();
+        assert!(read_frame_into(&mut reader, &mut buffer).unwrap());
+        assert_eq!((buffer.as_ptr(), &buffer[..]), (kept, &b"hi"[..]));
+        release_if_outsized(&mut buffer);
+        assert_eq!(buffer.as_ptr(), kept, "a frame within the reserve is kept");
+        assert!(read_frame_into(&mut reader, &mut buffer).unwrap());
+        assert_eq!(buffer, big);
+        release_if_outsized(&mut buffer);
+        assert_eq!(buffer.capacity(), 0);
+        assert!(!read_frame_into(&mut reader, &mut buffer).unwrap());
     }
 
     #[test]
@@ -473,6 +522,10 @@ mod tests {
         let mut cursor = Cursor::new(&out);
         assert_eq!(take_patterns(&mut cursor).unwrap(), patterns);
         cursor.finish().unwrap();
+        // The same list with the first pattern's ids swapped: refused.
+        out.swap(14, 18);
+        let err = take_patterns(&mut Cursor::new(&out)).unwrap_err();
+        assert!(matches!(err, FsmError::Parse { .. }), "{err}");
     }
 
     #[test]

@@ -25,11 +25,11 @@ use fsm_core::{Algorithm, IngestOutcome, MinerConfig, SessionRegistry, Subscript
 use fsm_storage::StorageBackend;
 use fsm_stream::WindowConfig;
 use fsm_types::codec::put_u32;
-use fsm_types::{EdgeCatalog, FsmError, MinSup, Result};
+use fsm_types::{Batch, EdgeCatalog, FsmError, MinSup, Result};
 
 use crate::proto::{
-    encode_hello, put_patterns, put_str, read_frame, write_frame, Cursor, Opcode, Status,
-    TenantSpec, TenantStatus,
+    encode_hello, put_patterns, put_str, read_frame_into, release_if_outsized, write_frame, Cursor,
+    Opcode, Status, TenantSpec, TenantStatus, FRAME_RESERVE_BYTES,
 };
 
 /// A running server: the bound address plus the shutdown handle.
@@ -110,6 +110,24 @@ pub fn serve(registry: Arc<SessionRegistry>, listen: &str) -> Result<ServerHandl
     })
 }
 
+/// What one connection keeps across its requests.
+#[derive(Default)]
+struct Connection {
+    /// Its live subscriptions, by tenant.
+    subscriptions: HashMap<String, Subscription>,
+    /// The batch every `Ingest` request decodes into, its transactions'
+    /// buffers reused from request to request.
+    batch: Batch,
+}
+
+impl Connection {
+    /// Heap a connection's reused batch may keep between requests — room
+    /// for a dense ingest batch (≈ 100 KB decoded); a larger one is given
+    /// back once its request is answered, like the frame buffers
+    /// ([`release_if_outsized`]).
+    const BATCH_RETAIN_BYTES: usize = 2 * FRAME_RESERVE_BYTES;
+}
+
 /// Serves one connection until EOF, an I/O error or shutdown.
 fn serve_connection(
     registry: &SessionRegistry,
@@ -122,25 +140,35 @@ fn serve_connection(
     // Version handshake first: a peer from a different protocol era gets a
     // clean mismatch error instead of misparsing response bodies.
     write_frame(&mut writer, &encode_hello())?;
-    let mut subscriptions: HashMap<String, Subscription> = HashMap::new();
+    let mut connection = Connection::default();
+    let (mut request, mut response) = (Vec::new(), Vec::new());
     while !stop.load(Ordering::SeqCst) {
-        let Some(request) = read_frame(&mut reader)? else {
+        if !read_frame_into(&mut reader, &mut request)? {
             return Ok(()); // clean hang-up at a frame boundary
-        };
-        let response = respond(registry, &mut subscriptions, &request);
+        }
+        respond(registry, &mut connection, &request, &mut response);
         write_frame(&mut writer, &response)?;
+        release_if_outsized(&mut request);
+        release_if_outsized(&mut response);
+        if connection.batch.heap_bytes() > Connection::BATCH_RETAIN_BYTES {
+            connection.batch = Batch::default();
+        }
     }
     Ok(())
 }
 
-/// Turns one request into one response payload; never panics out.
+/// Turns one request into one response payload in `response`; never panics
+/// out.
 fn respond(
     registry: &SessionRegistry,
-    subscriptions: &mut HashMap<String, Subscription>,
+    connection: &mut Connection,
     request: &[u8],
-) -> Vec<u8> {
+    response: &mut Vec<u8>,
+) {
+    response.clear();
+    response.push(Status::Ok as u8);
     let handled = catch_unwind(AssertUnwindSafe(|| {
-        handle(registry, subscriptions, request)
+        handle(registry, connection, request, response)
     }))
     .unwrap_or_else(|panic| {
         let what = panic
@@ -153,34 +181,31 @@ fn respond(
         )))
     });
     match handled {
-        Ok(body) => {
-            let mut out = Vec::with_capacity(1 + body.len());
-            out.push(Status::Ok as u8);
-            out.extend_from_slice(&body);
-            out
+        Ok(()) => {}
+        Err(FsmError::Backpressure { .. }) => {
+            response.clear();
+            response.push(Status::Backpressure as u8);
         }
-        Err(FsmError::Backpressure { .. }) => vec![Status::Backpressure as u8],
         Err(err) => {
-            let mut out = vec![Status::Err as u8];
-            put_str(&mut out, &err.to_string());
-            out
+            response.clear();
+            response.push(Status::Err as u8);
+            put_str(response, &err.to_string());
         }
     }
 }
 
-/// Decodes and executes one request, returning the `Ok`-status body.
+/// Decodes and executes one request, appending its `Ok`-status body to
+/// `body`.
 fn handle(
     registry: &SessionRegistry,
-    subscriptions: &mut HashMap<String, Subscription>,
+    connection: &mut Connection,
     request: &[u8],
-) -> Result<Vec<u8>> {
+    body: &mut Vec<u8>,
+) -> Result<()> {
     let mut cursor = Cursor::new(request);
     let opcode = Opcode::decode(cursor.take_u8()?)?;
     match opcode {
-        Opcode::Ping => {
-            cursor.finish()?;
-            Ok(Vec::new())
-        }
+        Opcode::Ping => cursor.finish(),
         Opcode::CreateTenant | Opcode::RecoverTenant => {
             let spec = TenantSpec::decode(&mut cursor)?;
             cursor.finish()?;
@@ -190,34 +215,42 @@ fn handle(
             } else {
                 registry.recover_tenant(&spec.tenant, config)?;
             }
-            Ok(Vec::new())
+            Ok(())
         }
         Opcode::Ingest => {
             let tenant = cursor.take_str()?;
-            let batch = fsm_dsmatrix::decode_batch(cursor.rest())?;
-            let outcome = registry.get(&tenant)?.ingest(&batch)?;
-            Ok(vec![matches!(outcome, IngestOutcome::Applied(_)) as u8])
+            let batch = &mut connection.batch;
+            fsm_dsmatrix::decode_batch_into(cursor.rest(), batch)?;
+            let session = registry.get(&tenant)?;
+            // Refuse an id past the catalog before it can size the window's
+            // row tables.
+            if let Some(edge) = batch
+                .max_edge()
+                .filter(|edge| edge.index() >= session.catalog_edges())
+            {
+                return Err(FsmError::UnknownEdge { edge: edge.0 });
+            }
+            let outcome = session.ingest(batch)?;
+            body.push(matches!(outcome, IngestOutcome::Applied(_)) as u8);
+            Ok(())
         }
         Opcode::Mine => {
             let tenant = cursor.take_str()?;
             cursor.finish()?;
             let result = registry.get(&tenant)?.mine()?;
-            let mut body = Vec::new();
-            put_patterns(&mut body, result.patterns());
-            Ok(body)
+            put_patterns(body, result.patterns());
+            Ok(())
         }
         Opcode::DropTenant => {
             let tenant = cursor.take_str()?;
             cursor.finish()?;
-            subscriptions.remove(&tenant);
-            registry.drop_tenant(&tenant)?;
-            Ok(Vec::new())
+            connection.subscriptions.remove(&tenant);
+            registry.drop_tenant(&tenant)
         }
         Opcode::ListTenants => {
             cursor.finish()?;
             let statuses = registry.statuses();
-            let mut body = Vec::new();
-            put_u32(&mut body, statuses.len() as u32);
+            put_u32(body, statuses.len() as u32);
             for (tenant, status) in &statuses {
                 TenantStatus {
                     tenant: tenant.clone(),
@@ -226,33 +259,33 @@ fn handle(
                     thaws: status.thaws,
                     thaw_nanos: status.thaw_nanos,
                 }
-                .encode_into(&mut body);
+                .encode_into(body);
             }
-            Ok(body)
+            Ok(())
         }
         Opcode::Subscribe => {
             let tenant = cursor.take_str()?;
             cursor.finish()?;
             let subscription = registry.get(&tenant)?.subscribe();
-            subscriptions.insert(tenant, subscription);
-            Ok(Vec::new())
+            connection.subscriptions.insert(tenant, subscription);
+            Ok(())
         }
         Opcode::Poll => {
             let tenant = cursor.take_str()?;
             cursor.finish()?;
-            let subscription = subscriptions.get_mut(&tenant).ok_or_else(|| {
+            let subscription = connection.subscriptions.get_mut(&tenant).ok_or_else(|| {
                 FsmError::config(format!(
                     "tenant {tenant:?} is not subscribed on this connection"
                 ))
             })?;
             match subscription.poll() {
-                None => Ok(vec![0]),
+                None => body.push(0),
                 Some(result) => {
-                    let mut body = vec![1];
-                    put_patterns(&mut body, result.patterns());
-                    Ok(body)
+                    body.push(1);
+                    put_patterns(body, result.patterns());
                 }
             }
+            Ok(())
         }
     }
 }

@@ -803,3 +803,65 @@ fn a_lying_count_is_refused_before_anything_is_reserved() {
         }
     }
 }
+
+/// Every writer of a batch payload or a pattern list emits ids in canonical
+/// order, and the decoders read them into place instead of re-sorting: a
+/// descending pair, a repeated id — at the top of the id space too — is
+/// refused with the format's typed error, within the allocation bound.
+/// Ascending ids up to `u32::MAX` are still values.
+#[test]
+fn non_canonical_id_lists_are_refused_not_repaired() {
+    let words = |head: &[u8], ids: &[u32]| -> Vec<u8> {
+        let mut bytes = head.to_vec();
+        for id in ids {
+            bytes.extend_from_slice(&id.to_le_bytes());
+        }
+        bytes
+    };
+    // Batch 9 of one transaction; a pattern list of one pattern, support 7.
+    let batch_head = [9u64.to_le_bytes().as_slice(), &1u32.to_le_bytes()].concat();
+    let batch = |ids: &[u32]| {
+        let head = [batch_head.as_slice(), &(ids.len() as u32).to_le_bytes()].concat();
+        words(&head, ids)
+    };
+    let patterns = |ids: &[u32]| {
+        let head = [
+            1u32.to_le_bytes().as_slice(),
+            &7u64.to_le_bytes(),
+            &(ids.len() as u16).to_le_bytes(),
+        ]
+        .concat();
+        words(&head, ids)
+    };
+    let refused: [&[u32]; 5] = [
+        &[5, 4],
+        &[3, 3],
+        &[0, 1, 1, 2],
+        &[u32::MAX, u32::MAX],
+        &[u32::MAX, 0],
+    ];
+    for ids in refused {
+        for (name, decode, input) in [
+            ("batch payload", decode_batch_payload as Decoder, batch(ids)),
+            ("pattern list", decode_patterns, patterns(ids)),
+        ] {
+            match check_decoder(name, decode, &input) {
+                Ok(Err(err)) => assert!(err.to_string().contains("strictly increase"), "{err}"),
+                Ok(Ok(())) => panic!("{name}: {ids:?} was accepted"),
+                Err(violation) => panic!("{violation}"),
+            }
+        }
+    }
+    for ids in [&[0, u32::MAX][..], &[u32::MAX], &[1, 2, 70_000]] {
+        let decoded = decode_batch(&batch(ids)).unwrap();
+        assert_eq!(decoded.transactions()[0].edges().len(), ids.len());
+        assert_eq!(encode_batch(&decoded), batch(ids), "re-encodes identically");
+        let list = patterns(ids);
+        let mut cursor = Cursor::new(&list);
+        let decoded = take_patterns(&mut cursor).unwrap();
+        cursor.finish().unwrap();
+        let mut again = Vec::new();
+        put_patterns(&mut again, &decoded);
+        assert_eq!(again, list);
+    }
+}

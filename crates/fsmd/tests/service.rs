@@ -352,3 +352,80 @@ fn errors_are_responses_not_hangups() {
     assert_eq!(client.list_tenants().unwrap(), vec!["dup".to_string()]);
     handle.shutdown();
 }
+
+/// A served ingest names rows of the tenant's window, so an id is a claim
+/// too: one frame naming edge `0xFFFF_FFFF` would have sized the window's
+/// row tables by it.  An id outside the tenant's catalog, and a batch whose
+/// ids are not canonical, are error responses; the connection keeps
+/// serving, and the tenant's window is exactly as before.
+#[test]
+fn an_ingest_outside_the_catalog_or_out_of_order_is_refused_and_changes_nothing() {
+    let (registry, handle) = start(RegistryConfig::default());
+    let mut client = FsmdClient::connect(handle.local_addr()).unwrap();
+    client.create_tenant(&spec("strict", 4, 0)).unwrap();
+    let stream = batches();
+    assert!(client.ingest("strict", &stream[0]).unwrap());
+    let session = registry.get("strict").unwrap();
+    let edges = EdgeCatalog::complete(VERTICES).num_edges();
+    assert_eq!(session.catalog_edges(), edges);
+    let shape = |session: &fsm_core::Session| {
+        session
+            .with_miner(|miner| {
+                let matrix = miner.matrix_mut();
+                (
+                    matrix.num_items(),
+                    matrix.num_transactions(),
+                    matrix.num_batches(),
+                )
+            })
+            .unwrap()
+    };
+    let before = shape(&session);
+
+    let t = |raw: &[u32]| Transaction::from_raw(raw.iter().copied());
+    for outside in [u32::MAX, edges as u32] {
+        let batch = Batch::from_transactions(1, vec![t(&[0, 2]), t(&[1, outside]), t(&[3])]);
+        let err = client.ingest("strict", &batch).unwrap_err().to_string();
+        assert!(
+            err.contains(&format!("unknown edge identifier {outside}")),
+            "got: {err}"
+        );
+    }
+    // Ids 5, 4 in one transaction: refused, not sorted into {4, 5}.
+    let mut request = vec![fsm_fsmd::Opcode::Ingest as u8];
+    fsm_fsmd::proto::put_str(&mut request, "strict");
+    for word in [1u32, 0, 1, 2, 5, 4] {
+        request.extend_from_slice(&word.to_le_bytes());
+    }
+    let mut raw = std::net::TcpStream::connect(handle.local_addr()).unwrap();
+    fsm_fsmd::proto::read_frame(&mut raw)
+        .unwrap()
+        .expect("hello");
+    fsm_fsmd::proto::write_frame(&mut raw, &request).unwrap();
+    let response = fsm_fsmd::proto::read_frame(&mut raw).unwrap().unwrap();
+    assert_eq!(response[0], fsm_fsmd::Status::Err as u8);
+    let message = String::from_utf8_lossy(&response[3..]).into_owned();
+    assert!(message.contains("strictly increase"), "got: {message}");
+
+    assert_eq!(
+        shape(&session),
+        before,
+        "a refused ingest touched the window"
+    );
+    client.ping().unwrap();
+    for batch in &stream[1..] {
+        assert!(client.ingest("strict", batch).unwrap());
+    }
+    let mut oracle = standalone(
+        Algorithm::DirectVertical,
+        fsm_storage::StorageBackend::Memory,
+    );
+    for batch in &stream {
+        oracle.ingest_batch(batch).unwrap();
+    }
+    assert_eq!(
+        client.mine("strict").unwrap(),
+        oracle.mine().unwrap().patterns().to_vec()
+    );
+    handle.shutdown();
+}

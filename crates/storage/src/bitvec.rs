@@ -116,6 +116,23 @@ impl BitVec {
         }
     }
 
+    /// Stores `word` as the vector's `index`-th 64-bit word — bits
+    /// `64·index ..` in the little-endian order of [`BitVec::as_words`] —
+    /// dropping any of its bits at or past [`BitVec::len`], so the "bits past
+    /// `len` are zero" invariant holds.  The word-granular write of a
+    /// blocked transposition: one store where [`BitVec::set`] would take up
+    /// to 64.  Panics if the vector has no word `index`.
+    #[inline]
+    pub fn set_word(&mut self, index: usize, word: u64) {
+        let live = self.len.saturating_sub(index * WORD_BITS);
+        let mask = if live >= WORD_BITS {
+            u64::MAX
+        } else {
+            (1u64 << live) - 1
+        };
+        self.words[index] = word & mask;
+    }
+
     /// Grows or shrinks the vector to exactly `len` bits, zero-filling new
     /// bits and clearing any bits beyond the new length.
     pub fn resize(&mut self, len: usize) {
@@ -445,6 +462,32 @@ mod tests {
         v.set(70, false);
         assert!(!v.get(70));
         assert_eq!(v.count_ones(), 0);
+    }
+
+    #[test]
+    fn set_word_matches_a_set_loop_and_keeps_the_tail_clean() {
+        for len in [1usize, 63, 64, 65, 130] {
+            for index in 0..len.div_ceil(WORD_BITS) {
+                let mut fast = BitVec::zeros(len);
+                fast.set_word(index, u64::MAX);
+                let mut slow = BitVec::zeros(len);
+                for bit in index * WORD_BITS..((index + 1) * WORD_BITS).min(len) {
+                    slow.set(bit, true);
+                }
+                assert_eq!(fast, slow, "len {len}, word {index}");
+                assert_eq!(fast.count_ones(), slow.count_ones());
+            }
+        }
+        // A store replaces the word, it does not OR into it.
+        let mut v = BitVec::from_bools((0..70).map(|_| true));
+        v.set_word(0, 0b101);
+        assert_eq!(v.count_ones(), 2 + 6);
+    }
+
+    #[test]
+    #[should_panic]
+    fn set_word_past_the_last_word_panics() {
+        BitVec::zeros(64).set_word(1, 1);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! ([`Reader::count_u64`]): a count is a *claim*, checked against the bytes
 //! actually left before anything is reserved for it.
 
+use crate::edge::EdgeId;
 use crate::error::{FsmError, Result};
 
 /// Appends a little-endian `u16`.
@@ -174,6 +175,37 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// `count` little-endian `u32` edge ids in canonical order, read into
+    /// `out` (cleared first; it grows only when its capacity is short).  Ids
+    /// must strictly increase: a descending or repeated id is refused with
+    /// this reader's typed error, not repaired — every writer of these
+    /// formats emits canonical order, so anything else is damage.
+    pub fn take_canonical_edges(&mut self, count: usize, out: &mut Vec<EdgeId>) -> Result<()> {
+        out.clear();
+        let start = self.offset;
+        let bytes = self.take(count.saturating_mul(4))?;
+        out.reserve_exact(count);
+        // The smallest id the next one may be: strictly above the last.
+        let mut floor = 0u64;
+        for (i, id) in bytes.chunks_exact(4).enumerate() {
+            let id = u32::from_le_bytes([id[0], id[1], id[2], id[3]]);
+            if u64::from(id) < floor {
+                out.clear();
+                return Err(self.not_increasing(start + 4 * i, id, floor - 1));
+            }
+            floor = u64::from(id) + 1;
+            out.push(EdgeId(id));
+        }
+        Ok(())
+    }
+
+    #[cold]
+    fn not_increasing(&self, at: usize, id: u32, previous: u64) -> FsmError {
+        self.error(format!(
+            "edge id {id} at byte {at} follows {previous}: ids must strictly increase"
+        ))
+    }
+
     /// Everything not yet consumed.
     pub fn rest(&mut self) -> &'a [u8] {
         let rest = &self.bytes[self.offset..];
@@ -238,6 +270,45 @@ mod tests {
         let err = reader.take_u64().unwrap_err();
         assert!(matches!(err, FsmError::CorruptArtifact { .. }));
         assert!(err.to_string().contains("checkpoint-7.ckpt"), "{err}");
+    }
+
+    fn ids(raw: &[u32]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for &id in raw {
+            put_u32(&mut out, id);
+        }
+        out
+    }
+
+    #[test]
+    fn canonical_edges_are_read_in_place_and_anything_else_is_refused() {
+        let mut edges = vec![EdgeId(7); 9];
+        let bytes = ids(&[0, 3, u32::MAX]);
+        let mut reader = Reader::new(&bytes);
+        reader.take_canonical_edges(3, &mut edges).unwrap();
+        reader.finish().unwrap();
+        assert_eq!(edges, [EdgeId(0), EdgeId(3), EdgeId(u32::MAX)]);
+        // Descending, repeated and repeated-at-the-top ids: a typed error
+        // naming the byte, and nothing half-read left behind.
+        for raw in [&[5, 4][..], &[2, 2], &[u32::MAX, u32::MAX], &[0, 0]] {
+            let bytes = ids(raw);
+            let err = Reader::new(&bytes)
+                .take_canonical_edges(2, &mut edges)
+                .unwrap_err();
+            assert!(
+                matches!(&err, FsmError::Parse { message, .. } if message.contains("byte 4")),
+                "{raw:?}: {err}"
+            );
+            assert!(edges.is_empty());
+        }
+        let err = Reader::artifact(&ids(&[5, 4]), "wal batch payload")
+            .take_canonical_edges(2, &mut edges)
+            .unwrap_err();
+        assert!(matches!(err, FsmError::CorruptArtifact { .. }));
+        // A count past the bytes left is a truncation, not a reservation.
+        assert!(Reader::new(&bytes)
+            .take_canonical_edges(usize::MAX, &mut edges)
+            .is_err());
     }
 
     #[test]

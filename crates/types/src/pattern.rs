@@ -3,7 +3,9 @@
 use std::fmt;
 
 use crate::catalog::EdgeCatalog;
+use crate::codec::Reader;
 use crate::edge::EdgeId;
+use crate::error::Result;
 use crate::vertex::VertexId;
 
 /// Support (frequency) of a pattern within the current sliding window.
@@ -43,6 +45,15 @@ impl EdgeSet {
         I: IntoIterator<Item = u32>,
     {
         Self::from_edges(raw.into_iter().map(EdgeId::new))
+    }
+
+    /// Reads an edge set of `count` ids from `reader`.  The ids must already
+    /// be canonical (strictly increasing, see
+    /// [`Reader::take_canonical_edges`]); anything else is refused.
+    pub fn read_canonical(reader: &mut Reader<'_>, count: usize) -> Result<Self> {
+        let mut edges = Vec::new();
+        reader.take_canonical_edges(count, &mut edges)?;
+        Ok(Self { edges })
     }
 
     /// Builds a singleton edge set.

@@ -2,7 +2,9 @@
 
 use std::fmt;
 
+use crate::codec::Reader;
 use crate::edge::EdgeId;
+use crate::error::Result;
 
 /// Position of a transaction within the current sliding window (column index
 /// of the DSMatrix).
@@ -45,6 +47,19 @@ impl Transaction {
         I: IntoIterator<Item = u32>,
     {
         Self::from_edges(raw.into_iter().map(EdgeId::new))
+    }
+
+    /// Replaces the edges with `count` ids read from `reader`, reusing this
+    /// transaction's buffer.  The ids must already be canonical (strictly
+    /// increasing, see [`Reader::take_canonical_edges`]); on error the
+    /// transaction is left empty.
+    pub fn read_canonical(&mut self, reader: &mut Reader<'_>, count: usize) -> Result<()> {
+        reader.take_canonical_edges(count, &mut self.edges)
+    }
+
+    /// Bytes of edge buffer this transaction holds on the heap.
+    pub fn heap_bytes(&self) -> usize {
+        self.edges.capacity() * std::mem::size_of::<EdgeId>()
     }
 
     /// Adds an edge, keeping the canonical order invariant.
