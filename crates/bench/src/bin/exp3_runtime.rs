@@ -552,10 +552,11 @@ struct DeltaRow {
 
 /// Delta-mining section: the maintained pattern set
 /// ([`fsm_core::MinerConfig::delta`]) against a full re-mine after
-/// every slide.  The oracle runs [`Algorithm::DirectVertical`] — the same §4
-/// neighbourhood enumeration the delta tree maintains incrementally, so its
-/// intersection count is the work a from-scratch mine spends on the
-/// identical candidate space.  Byte-identity with the oracle is *asserted* at
+/// every slide.  The oracle runs [`Algorithm::DirectVertical`] — it
+/// enumerates the same §4 tree the delta maintains incrementally, so its
+/// intersection count is the work a from-scratch mine spends on it (a
+/// sibling join: every canonical neighbour screen its parent did not
+/// already fail).  Byte-identity with the oracle is *asserted* at
 /// every epoch; once the window is warm a slide must never fall back to a
 /// full rebuild, must re-examine fewer patterns than the full re-mine
 /// screens candidates, and must keep its total support evaluations
@@ -725,9 +726,9 @@ fn delta_mining(setup: &Setup) -> Vec<DeltaRow> {
         "every epoch byte-identical to the full re-mine (asserted); steady-state \
          re-examined < full screens and total delta evaluations < screens x \
          window (asserted) — delta evaluations touch one segment's chunks, \
-         full screens whole window rows; both sides walk \
-         the same §4 neighbourhood enumeration, so the border delta pays for \
-         each slide is the failed neighbour screens only\n"
+         full screens whole window rows; both sides enumerate the same §4 \
+         tree, the full re-mine skipping the screens a parent already failed \
+         and the border keeping every failed neighbour screen\n"
     );
     out
 }

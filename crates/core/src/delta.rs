@@ -53,7 +53,9 @@
 //! canonical growth step, so every tracked node is a connected pattern,
 //! every border entry a failed *neighbour* screen, and the collected set
 //! needs no connectivity post-processing — nothing is maintained only to be
-//! filtered away on collection.  Canonical growth sequences are
+//! filtered away on collection.  (The full re-mine skips the canonical
+//! neighbours a node's parent already failed; the border is those failed
+//! screens, so the delta walks every one.)  Canonical growth sequences are
 //! prefix-closed, which is what makes them a tree: a node's root path is its
 //! pattern's canonical sequence, its root is the pattern's smallest edge,
 //! and the remaining path edges are in absorption order, not ascending.

@@ -24,6 +24,10 @@ struct Neighbor {
 ///
 /// The direct vertical algorithm only ever intersects bit vectors of edges
 /// drawn from this set, which is what restricts it to connected collections.
+/// [`crate::DeltaMiner`] walks its tree with this cursor, because its border
+/// records every failed canonical neighbour screen;
+/// [`crate::miners::direct::mine_direct`] screens a subset of the same
+/// candidates without building the lists (its sibling join).
 ///
 /// The value is a *cursor*: it holds the members in the order they were
 /// added, `m1..mk` — for an enumeration node, the pattern's canonical growth

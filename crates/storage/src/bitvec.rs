@@ -218,12 +218,13 @@ impl BitVec {
 
     /// Drops the first `n` bits, shifting the remainder towards index 0.
     ///
-    /// A general in-place prefix-drop primitive (word-by-word, reusing the
-    /// existing buffer).  It implemented the window slide when rows were
-    /// stored flat — "shifting all columns from Cols 4–6 to Cols 1–3" in the
-    /// paper's Example 1 — before the segmented store made slides
-    /// append/unlink operations; it is retained (and still benchmarked in
-    /// `bitvec_kernels`) for consumers that maintain their own flat rows.
+    /// An in-place prefix drop, word by word, reusing the existing buffer —
+    /// "shifting all columns from Cols 4–6 to Cols 1–3" in the paper's
+    /// Example 1.  It is the compaction of the memory backend's flat-row
+    /// cache (`fsm_dsmatrix`): a slide zeroes the evicted columns and grows
+    /// a dead-prefix offset, and this pass drops that prefix once it
+    /// outgrows the live window, so its cost amortises below the words the
+    /// slides wrote.  `bitvec_kernels` benchmarks it.
     pub fn drop_prefix(&mut self, n: usize) {
         if n == 0 {
             return;
