@@ -1,10 +1,11 @@
 //! Micro-benchmarks of the BitVec hot-path kernels.
 //!
-//! The vertical miners spend almost their entire runtime in three kernels:
-//! intersect-and-count (candidate screening), intersect-into-buffer
-//! (materialising a frequent candidate's transaction set) and prefix dropping
-//! (the window slide).  This bench compares the allocating baselines against
-//! the fused / in-place variants the engine uses.
+//! The vertical miners spend almost their entire runtime in two kernels:
+//! intersect-and-count (candidate screening) and intersect-into-buffer
+//! (materialising a frequent candidate's transaction set); a window view
+//! first concatenates each row's per-batch chunks.  This bench compares the
+//! allocating baselines against the fused / in-place variants the engine
+//! uses, and times a row's assembly from its segments.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fsm_storage::{BitVec, SegmentedWindowStore, StorageBackend};
@@ -79,29 +80,5 @@ fn assembly_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-fn slide_kernels(c: &mut Criterion) {
-    let mut group = c.benchmark_group("bitvec_slide");
-    group.sample_size(30);
-
-    for bits in [8 * 1024usize, 128 * 1024] {
-        let (a, _) = vectors(bits);
-        // Drop one batch worth of columns (not word-aligned, the hard case).
-        let drop = bits / 7 + 1;
-        group.bench_with_input(BenchmarkId::new("drop_prefix", bits), &(), |bench, ()| {
-            bench.iter(|| {
-                let mut row = a.clone();
-                row.drop_prefix(drop);
-                std::hint::black_box(row.len())
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    intersection_kernels,
-    assembly_kernels,
-    slide_kernels
-);
+criterion_group!(benches, intersection_kernels, assembly_kernels);
 criterion_main!(benches);

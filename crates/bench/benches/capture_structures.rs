@@ -6,15 +6,12 @@
 //! FP-growth strategy.  The DSMatrix is expected to have the cheapest slide on
 //! dense data because it only drops a prefix of every bit row.
 //!
-//! A second group benchmarks the DSMatrix *read* surface: constructing the
-//! zero-copy `WindowView` over a captured memory window (it should cost
-//! nanoseconds regardless of window size).
-//!
-//! A third group benchmarks the *disk* read surface: assembling a view over
-//! a disk-backed window with the chunk cache disabled (budget 0 — every call
-//! fetches, decodes and flat-assembles all pages again) versus an unlimited
-//! budget (after the first call, the view assembles its rows from cached
-//! decoded chunks — no page fetch, no decode).
+//! A second group benchmarks the DSMatrix *read* surface: assembling a view
+//! over a captured window, the same way on every backend — over resident
+//! memory segments, and over disk segments with the chunk cache disabled
+//! (budget 0 — every call reads and decodes every segment run again) or
+//! unlimited (the view assembles its rows from cached decoded chunks — no
+//! run read, no decode).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fsm_bench::Workload;
@@ -83,43 +80,15 @@ fn read_surface(c: &mut Criterion) {
     group.sample_size(10);
 
     for workload in [Workload::graph_model(1, 11), Workload::dense(1, 12)] {
-        let mut matrix = DsMatrix::new(DsMatrixConfig::new(
-            WindowConfig::new(5).unwrap(),
-            StorageBackend::Memory,
-            workload.catalog.num_edges(),
-        ))
-        .unwrap();
-        for batch in &workload.batches {
-            matrix.ingest_batch(batch).unwrap();
-        }
-
-        group.bench_with_input(
-            BenchmarkId::new("view_zero_copy", &workload.name),
-            &(),
-            |b, ()| {
-                b.iter(|| {
-                    let view = matrix.view().unwrap();
-                    std::hint::black_box(view.num_transactions())
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-fn disk_read_surface(c: &mut Criterion) {
-    let mut group = c.benchmark_group("disk_read_surface");
-    group.sample_size(10);
-
-    for workload in [Workload::graph_model(1, 11), Workload::dense(1, 12)] {
-        for (label, budget) in [
-            ("view_eager_budget0", 0usize),
-            ("view_budgeted", usize::MAX),
+        for (label, backend, budget) in [
+            ("view_memory", StorageBackend::Memory, 0),
+            ("view_eager_budget0", StorageBackend::DiskTemp, 0),
+            ("view_budgeted", StorageBackend::DiskTemp, usize::MAX),
         ] {
             let mut matrix = DsMatrix::new(
                 DsMatrixConfig::new(
                     WindowConfig::new(5).unwrap(),
-                    StorageBackend::DiskTemp,
+                    backend,
                     workload.catalog.num_edges(),
                 )
                 .with_cache_budget(budget),
@@ -140,5 +109,5 @@ fn disk_read_surface(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, capture, read_surface, disk_read_surface);
+criterion_group!(benches, capture, read_surface);
 criterion_main!(benches);

@@ -10,7 +10,7 @@
 //! see: thread scaling of all five algorithms, the constructed concurrent
 //! ingest + mine overlap, delta-vs-full maintenance and the kernel / checksum
 //! timings — all four persisted by `--json-out` (`BENCH_delta.json`).
-//! What a served step costs layer by layer (capture, splice, assembly, pages,
+//! What a served step costs layer by layer (capture, assembly, pages,
 //! cache, WAL, spill / thaw, fleet contention) is `benchmark/`'s to report,
 //! and the accounting behind those counters is asserted by tier-1 tests.
 

@@ -21,9 +21,9 @@
 //! maintained tree); `0` uses every core, and the output is identical for
 //! any setting.  Capture is incremental regardless of threading: each
 //! batch is one appended row segment, so ingest cost tracks the batch, not
-//! the window.  Reads are incremental too — mining runs off a zero-copy
-//! window view on the memory backend, and the stderr summary reports how
-//! many words the read path had to materialise (zero in the steady state).
+//! the window.  Each mine assembles the window's rows once, segment by
+//! segment, on every backend, and the stderr summary reports how many words
+//! that read materialised.
 //!
 //! `--concurrent` overlaps mining with ingest: after every ingested batch
 //! the writer freezes an immutable epoch snapshot
@@ -231,13 +231,8 @@ fn run(options: &Options) -> Result<()> {
         result.stats().elapsed
     );
     eprintln!(
-        "read path: {} words materialised for this mine call{}",
-        result.stats().read_words_assembled,
-        if result.stats().read_words_assembled == 0 {
-            " (zero-copy window view)"
-        } else {
-            " (disk-backend row assembly)"
-        }
+        "read path: {} words materialised for this mine call",
+        result.stats().read_words_assembled
     );
     if !matches!(options.backend, fsm_storage::StorageBackend::Memory) {
         let budget = match options.cache_budget {

@@ -40,10 +40,10 @@ pub struct MiningStats {
     pub capture_words_written: u64,
     /// 64-bit words of window data the read path materialised *for this mine
     /// call* (the read-amplification counter; see
-    /// [`fsm_dsmatrix::DsMatrix::read_stats`]).  Zero on the memory backend,
-    /// whose miners borrow the incrementally-maintained row cache zero-copy;
-    /// on the disk backends it is the window, assembled once, at every
-    /// chunk-cache budget.
+    /// [`fsm_dsmatrix::DsMatrix::read_stats`]): the rows some live segment
+    /// holds, assembled once, on every backend and at every chunk-cache
+    /// budget.  Zero for a delta mine, which reads an epoch snapshot's
+    /// segments instead of a view.
     pub read_words_assembled: u64,
     /// Positional reads of segment runs the read path issued *for this mine
     /// call* (zero on the memory backend): at most one per segment, and

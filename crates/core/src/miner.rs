@@ -260,10 +260,10 @@ impl StreamMiner {
 
     /// Re-enumerates the window with the configured algorithm.
     fn mine_full(&mut self, resolved: Support, exec: &Exec) -> Result<RawMiningOutput> {
-        // The guard releases the flat rows a disk-backend view assembled
-        // whichever way mining exits — success, error or panic — so the
-        // between-mines resident footprint never silently retains a window
-        // copy on a failed mine.
+        // The guard releases the flat rows the view assembled whichever way
+        // mining exits — success, error or panic — so the between-mines
+        // resident footprint never silently retains a window copy on a
+        // failed mine.
         let matrix = TrimCacheGuard(&mut self.matrix);
         miners::run_algorithm(
             self.config.algorithm,
@@ -464,10 +464,10 @@ fn finish_mine(
     }
     if let Some((matrix, before)) = capture {
         // Read amplification of this call: words the read path materialised
-        // and segment runs it read.  Words are zero in the steady state on
-        // the memory backend (zero-copy view) and the window, once, on the
-        // disk backends; runs drop to those holding a chunk the chunk-cache
-        // budget did not admit.
+        // and segment runs it read.  Words are the rows some live segment
+        // holds, once, on every backend (zero for a delta mine, which reads
+        // an epoch snapshot's segments); runs drop to those holding a chunk
+        // the chunk-cache budget did not admit.
         let after = matrix.read_stats();
         stats.read_words_assembled = after.words_assembled - before.words_assembled;
         stats.pages_read = after.pages_read - before.pages_read;
@@ -490,8 +490,8 @@ fn finish_mine(
 }
 
 /// Calls [`DsMatrix::trim_cache`] when dropped, so a mine that exits early
-/// (miner error or panic) still releases the flat rows a disk-backend view
-/// assembled instead of leaking a resident window copy.
+/// (miner error or panic) still releases the flat rows its view assembled
+/// instead of leaking a resident window copy.
 struct TrimCacheGuard<'a>(&'a mut DsMatrix);
 
 impl Drop for TrimCacheGuard<'_> {

@@ -31,7 +31,7 @@
 //!
 //! Mining a snapshot starts with [`EpochSnapshot::assemble_rows`] — every
 //! row's chunks concatenated into one flat [`RowSnapshot`], exactly what a
-//! disk-backend live mine does — and reads it through
+//! live mine does on every backend — and reads it through
 //! [`EpochSnapshot::view`], the same flat [`crate::WindowView`] the miners
 //! consume everywhere else.  The copy belongs to the mine, not to the
 //! snapshot: a held snapshot never grows, and each in-flight mine of it
@@ -41,7 +41,7 @@
 
 use std::sync::Arc;
 
-use fsm_storage::EpochSegment;
+use fsm_storage::{BitVec, EpochSegment};
 use fsm_types::{BatchId, Support};
 
 use crate::snapshot::RowSnapshot;
@@ -156,34 +156,35 @@ impl EpochSnapshot {
         self.segments.iter().map(|s| s.heap_bytes()).sum()
     }
 
-    /// Assembles every row of the frozen epoch into one flat bit vector of
-    /// [`EpochSnapshot::num_transactions`] bits: each segment's chunk
-    /// appended in window order, zero-filled where the segment never saw the
-    /// row.  One allocation per row; nothing is memoised on the snapshot, so
-    /// the copy lives exactly as long as the caller keeps it.
+    /// Assembles every row of the frozen epoch into flat bit vectors,
+    /// segment by segment, through the fill a live [`crate::DsMatrix::view`]
+    /// uses ([`EpochSegment::assemble_rows`]): each segment's chunk appended
+    /// in window order, zero-filled only up to each chunk, so a row ends
+    /// where its last chunk ends and a row no segment holds stays empty and
+    /// unallocated.  One allocation per held row; nothing is memoised on the
+    /// snapshot, so the copy lives exactly as long as the caller keeps it.
     pub fn assemble_rows(&self) -> RowSnapshot {
-        RowSnapshot::assemble(self.num_items, self.num_cols, |idx, row| {
-            for segment in &self.segments {
-                match segment.chunk(idx) {
-                    Some(chunk) => row.extend_from_bitvec(chunk),
-                    None => row.resize(row.len() + segment.cols()),
-                }
-            }
-        })
+        let mut rows = Vec::new();
+        rows.resize_with(self.num_items, BitVec::new);
+        EpochSegment::assemble_rows(&self.segments, &mut rows);
+        RowSnapshot {
+            rows,
+            num_cols: self.num_cols,
+        }
     }
 
     /// The read surface over the frozen epoch: `rows` (from
     /// [`EpochSnapshot::assemble_rows`] on this snapshot) under the epoch's
-    /// frozen supports — the same flat [`WindowView`] a live mine reads, at
-    /// offset 0.  `&self` — any number of views (and threads) can read one
-    /// snapshot concurrently.
+    /// frozen supports — the same flat [`WindowView`] a live mine reads.
+    /// `&self` — any number of views (and threads) can read one snapshot
+    /// concurrently.
     pub fn view<'a>(&'a self, rows: &'a RowSnapshot) -> WindowView<'a> {
         assert_eq!(
             (rows.num_items(), rows.num_transactions()),
             (self.num_items, self.num_cols),
             "rows assembled from another epoch"
         );
-        WindowView::new(rows.rows(), &self.supports, 0, self.num_cols)
+        WindowView::new(rows.rows(), &self.supports, self.num_cols)
     }
 }
 

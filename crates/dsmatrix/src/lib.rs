@@ -13,8 +13,8 @@
 //!   window, read rows/columns, report memory.  Construction goes through
 //!   [`DsMatrixConfig`] (window size, storage backend, expected domain).
 //! * [`WindowView`] / [`ProjectionScratch`] — the miners' read surface: an
-//!   immutable, concurrently-shareable view of the live window (zero-copy on
-//!   the memory backend) plus per-worker scratch space, which is how the
+//!   immutable, concurrently-shareable view of the live window (its rows
+//!   assembled once per call) plus per-worker scratch space, which is how the
 //!   parallel miners read rows and build per-pivot projected databases
 //!   without contending on `&mut DsMatrix`.
 //! * [`EpochSnapshot`] — the owned, `Arc`-backed, `Send + Sync` snapshot of
@@ -25,7 +25,7 @@
 //!   assembles from the snapshot's segments and views for the duration of
 //!   the mine ([`EpochSnapshot::assemble_rows`], [`EpochSnapshot::view`]).
 //!
-//! # Incremental capture — and incremental reads
+//! # Incremental capture, one read path
 //!
 //! Physically the rows live in a [`fsm_storage::SegmentedWindowStore`]: one
 //! immutable segment per ingested batch, holding bit chunks only for the rows
@@ -36,23 +36,22 @@
 //! [`DsMatrix::capture_stats`] counters expose the words actually written so
 //! tests and benchmarks can assert the bound.
 //!
-//! The *read* side is incremental too: on the memory backend the matrix
-//! maintains a generation-tagged flat-row cache at ingest/evict time (splice
-//! the entering chunk, lazily zero the evicted prefix, amortised
-//! `drop_prefix` compaction) together with per-edge support counters, so
-//! [`DsMatrix::view`] hands the miners a zero-copy [`WindowView`] and the
-//! steady-state read cost of a mine call is proportional to the rows the
-//! slide touched, not to the window.  [`DsMatrix::read_stats`] counts the
-//! words the read path actually materialises, mirroring `capture_stats` on
-//! the write side.
+//! The read side has one path on every backend: [`DsMatrix::view`] assembles
+//! the window's flat rows from its segments, segment by segment, once per
+//! call — a row some segment holds allocated once, a row none holds left
+//! unallocated — and the facade frees them after the mine, so between mines
+//! the window is held once.  Singleton supports come from per-edge counters
+//! maintained at ingest/evict time, never from row scans.
+//! [`DsMatrix::read_stats`] counts the words the read path materialises,
+//! mirroring `capture_stats` on the write side.
 //!
 //! The matrix is "kept on the disk" by default: each segment is one packed,
 //! CRC-covered run file under a temporary directory (segment format v2,
 //! files recycled from slide to slide), the resident footprint during
 //! capture is only the boundary bookkeeping, counters and per-segment
-//! indexes, and [`DsMatrix::view`] falls back to assembling flat rows for
-//! the duration of a mine call.  An in-memory backend serves the zero-copy
-//! path, tests, and the storage ablation.
+//! indexes, and a view's chunks are fetched through a budgeted chunk cache.
+//! An in-memory backend keeps the segments resident; it serves the dense
+//! benchmarks, tests, and the storage ablation.
 //!
 //! # Durability
 //!

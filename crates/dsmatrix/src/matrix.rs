@@ -38,28 +38,24 @@ fn words_of(bits: usize) -> u64 {
 /// by `read_word_accounting_is_exact_for_a_known_window` below and by
 /// `view_consistency.rs`).  Differencing `words_assembled` across a mine
 /// call gives the exact number of words the read path had to materialise
-/// for it — zero in the steady state on the memory backend, where
-/// [`DsMatrix::view`] borrows the incrementally-maintained row cache; on
-/// the disk backends, the rows of the window some live segment holds, once.
+/// for it: the rows of the window some live segment holds, once, on every
+/// backend.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadStats {
-    /// 64-bit words of the flat rows or chunks eager reads materialised:
+    /// 64-bit words of the flat rows or chunks reads materialised:
     /// [`DsMatrix::row`] (a full-width row, held or not),
-    /// [`DsMatrix::column`] (each chunk it read) and [`DsMatrix::view`] on
-    /// the disk backends (each materialised row, up to the end of its last
-    /// chunk; a row no live segment holds is not materialised and adds
-    /// nothing).
+    /// [`DsMatrix::column`] (each chunk it read) and [`DsMatrix::view`]
+    /// (each materialised row, up to the end of its last chunk; a row no
+    /// live segment holds is not materialised and adds nothing).
     pub words_assembled: u64,
-    /// Flat rows those eager reads materialised: one per [`DsMatrix::row`]
-    /// call, and per disk [`DsMatrix::view`] the rows some live segment
-    /// holds.
+    /// Flat rows those reads materialised: one per [`DsMatrix::row`] call,
+    /// and per [`DsMatrix::view`] the rows some live segment holds.
     pub rows_assembled: u64,
-    /// Words spliced into the incremental row cache at ingest time (cost
-    /// proportional to the rows the batch touches).
+    /// Always 0: ingest no longer splices anything into a row cache, so
+    /// nothing writes this.  The field is kept only because
+    /// `benchmark/src/ladder.rs` reads it; the next `benchmark` PR removes it
+    /// together with the `dsmatrix.splice_words_per_slide` metric.
     pub cache_splice_words: u64,
-    /// Words moved by the amortised [`BitVec::drop_prefix`] compaction of the
-    /// row cache's dead prefix.
-    pub cache_compact_words: u64,
     /// Positional reads the chunk-read path issued (disk backends only; zero
     /// on the memory backend, whose chunks are borrowed): one per segment
     /// run read, and a view reads each segment with a cache miss at most
@@ -87,29 +83,6 @@ pub struct ReadStats {
     /// Batches replayed from the WAL tail by [`DsMatrix::recover`] (zero for
     /// a matrix that never recovered).
     pub recovery_replayed_batches: u64,
-}
-
-/// The incrementally-maintained flat-row cache behind [`DsMatrix::view`].
-///
-/// Invariants (memory backend): `rows[i]` holds item `i`'s window bits at
-/// positions `[offset, offset + k)` for some `k <= num_cols` (missing tail
-/// bits read as zero), and every bit below `offset` is zero.  A slide zeroes
-/// the evicted chunk in place and grows `offset` (lazy eviction); the entering
-/// chunk is spliced onto the touched rows only.  The physical dead prefix is
-/// compacted with [`BitVec::drop_prefix`] once it outgrows the live window,
-/// which keeps the amortised per-slide maintenance cost proportional to the
-/// rows the slide touches.
-#[derive(Default)]
-struct RowCache {
-    rows: Vec<BitVec>,
-    /// Dead (all-zero) bits at the front of every cached row.
-    offset: usize,
-    /// `false` on the disk backends: the cache is then only the buffers
-    /// [`DsMatrix::view`] assembles into, never maintained at ingest.
-    enabled: bool,
-    /// Store generation the cached rows reflect (see
-    /// [`fsm_storage::SegmentedWindowStore::generation`]).
-    generation: u64,
 }
 
 /// Construction options for a [`DsMatrix`].
@@ -292,12 +265,11 @@ impl Transposer {
 /// only the rows the batch touches, and a window slide drops the oldest
 /// segment whole.  Capture cost is therefore proportional to the entering
 /// batch plus the evicted columns — never to the full window.  Reads go
-/// through [`DsMatrix::view`], which on the memory backend borrows an
-/// incrementally-maintained row cache (zero-copy, same slide-proportional
-/// cost bound) and on the disk backends assembles the window once per call,
-/// segment by segment, through the budgeted chunk cache; [`DsMatrix::row`]
-/// assembles one row straight from the segment store and is the test
-/// reference, identical to the paper's conceptual matrix bit for bit.
+/// through [`DsMatrix::view`], which assembles the window once per call,
+/// segment by segment, on every backend (through the budgeted chunk cache on
+/// the disk backends); [`DsMatrix::row`] assembles one row straight from the
+/// segment store and is the test reference, identical to the paper's
+/// conceptual matrix bit for bit.
 pub struct DsMatrix {
     store: SegmentedWindowStore,
     window: SlidingWindow,
@@ -310,10 +282,11 @@ pub struct DsMatrix {
     /// scans): `supports[i]` is the popcount of item `i`'s window row.
     supports: Vec<Support>,
     /// Per live segment, the `(row, ones)` pairs it contributed — what a
-    /// future eviction must subtract from `supports` (and zero in the cache).
+    /// future eviction must subtract from `supports`.
     segment_ones: VecDeque<Vec<(usize, u64)>>,
-    /// The incrementally-maintained read surface behind [`DsMatrix::view`].
-    cache: RowCache,
+    /// The flat rows [`DsMatrix::view`] assembles into; freed by
+    /// [`DsMatrix::trim_cache`].
+    rows: Vec<BitVec>,
     /// Cumulative read-path cost counters.
     read_stats: ReadStats,
     /// Reused chunk buffer for the segment-direct [`DsMatrix::column`] read.
@@ -358,12 +331,6 @@ impl DsMatrix {
         let mut store = SegmentedWindowStore::open(backend)?;
         let lease = Self::lease_for(&config.governor, &store);
         store.set_cache_budget(Self::granted(&lease, config.cache_budget_bytes));
-        let cache = RowCache {
-            rows: Vec::new(),
-            offset: 0,
-            enabled: store.is_memory_resident(),
-            generation: store.generation(),
-        };
         Ok(Self {
             store,
             window: SlidingWindow::new(config.window),
@@ -372,7 +339,7 @@ impl DsMatrix {
             transposer: Transposer::default(),
             supports: vec![0; config.expected_edges],
             segment_ones: VecDeque::new(),
-            cache,
+            rows: Vec::new(),
             read_stats: ReadStats::default(),
             col_chunk: BitVec::new(),
             durable,
@@ -544,12 +511,6 @@ impl DsMatrix {
         durable.last_ckpt_uids = ckpt.segments.iter().map(|s| s.uid).collect();
         durable.synced_uid_watermark = ckpt.next_uid;
 
-        let cache = RowCache {
-            rows: Vec::new(),
-            offset: 0,
-            enabled: store.is_memory_resident(),
-            generation: store.generation(),
-        };
         let mut matrix = Self {
             store,
             window,
@@ -558,7 +519,7 @@ impl DsMatrix {
             transposer: Transposer::default(),
             supports,
             segment_ones,
-            cache,
+            rows: Vec::new(),
             read_stats: ReadStats::default(),
             col_chunk: BitVec::new(),
             durable: Some(durable),
@@ -760,22 +721,13 @@ impl DsMatrix {
             debug_assert_eq!(dropped, cols, "window bookkeeping must match the store");
             self.num_cols -= dropped;
             // Incremental evict: subtract the leaving segment's popcounts
-            // from the support counters, zero its bits in the cached rows it
-            // touched, and grow the dead prefix — no other row is visited.
+            // from the support counters — no other row is visited.
             let evicted = self
                 .segment_ones
                 .pop_front()
                 .ok_or_else(|| FsmError::corrupt("segment bookkeeping out of sync"))?;
             for &(row, ones) in &evicted {
                 self.supports[row] -= ones;
-                if self.cache.enabled {
-                    self.cache.rows[row]
-                        .clear_range(self.cache.offset, self.cache.offset + dropped);
-                }
-            }
-            if self.cache.enabled {
-                self.cache.offset += dropped;
-                self.compact_cache_if_due();
             }
         }
 
@@ -788,32 +740,20 @@ impl DsMatrix {
         if self.supports.len() < self.num_items {
             self.supports.resize(self.num_items, 0);
         }
-        if self.cache.enabled && self.cache.rows.len() < self.num_items {
-            self.cache.rows.resize_with(self.num_items, BitVec::new);
-        }
 
         self.store
             .push_segment(batch.len(), self.transposer.rows())?;
 
-        // Incremental read-side maintenance, again touching only the rows the
-        // batch touches: bump the support counters, remember what an eventual
-        // eviction must undo, and splice the chunk onto the cached row.
+        // Incremental support maintenance, again touching only the rows the
+        // batch touches: bump the support counters and remember what an
+        // eventual eviction must undo.
         let mut entering = Vec::with_capacity(self.transposer.touched.len());
-        let splice_at = self.cache.offset + self.num_cols;
         for (id, chunk) in self.transposer.rows() {
             let ones = chunk.count_ones();
             self.supports[id] += ones;
             entering.push((id, ones));
-            if self.cache.enabled {
-                let row = &mut self.cache.rows[id];
-                debug_assert!(row.len() <= splice_at, "cached row ahead of the window");
-                row.resize(splice_at);
-                row.extend_from_bitvec(chunk);
-                self.read_stats.cache_splice_words += words_of(chunk.len());
-            }
         }
         self.segment_ones.push_back(entering);
-        self.cache.generation = self.store.generation();
         self.num_cols += batch.len();
         debug_assert_eq!(self.num_cols, self.store.num_cols());
 
@@ -916,8 +856,8 @@ impl DsMatrix {
     /// Durable configurations recover from their WAL + checkpoints
     /// ([`DsMatrix::recover`]); non-durable ones load
     /// `spill_dir/window.hib` and replay the reconstructed batches through
-    /// the ordinary ingest path, which rebuilds the segments, the row cache
-    /// and the support counters exactly as the original ingests did — the
+    /// the ordinary ingest path, which rebuilds the segments and the support
+    /// counters exactly as the original ingests did — the
     /// thawed window is byte-identical to the hibernated one (and a fresh
     /// [`BudgetLease`] is registered when the config carries a governor).
     ///
@@ -1079,26 +1019,6 @@ impl DsMatrix {
         Ok(())
     }
 
-    /// Physically drops the cache's dead prefix once it outgrows the live
-    /// window.  Rationing the [`BitVec::drop_prefix`] pass this way keeps its
-    /// amortised cost per slide below the words the slide itself wrote, so
-    /// lazy eviction never degrades into per-slide full-row rewrites.
-    fn compact_cache_if_due(&mut self) {
-        const MIN_DEAD_BITS: usize = 512;
-        if self.cache.offset < self.num_cols.max(MIN_DEAD_BITS) {
-            return;
-        }
-        for row in &mut self.cache.rows {
-            if row.is_empty() {
-                continue;
-            }
-            self.read_stats.cache_compact_words +=
-                words_of(row.len().saturating_sub(self.cache.offset));
-            row.drop_prefix(self.cache.offset);
-        }
-        self.cache.offset = 0;
-    }
-
     /// Cumulative capture-cost counters (words/rows written, segments
     /// appended and dropped).  Differencing `words_written` across two
     /// [`DsMatrix::ingest_batch`] calls yields the exact write cost of one
@@ -1110,10 +1030,9 @@ impl DsMatrix {
     /// Loads the bit-vector row of `item` (all zeros if the edge has never
     /// occurred), assembled from the live per-batch segments.
     ///
-    /// This reads the segment store — the ground truth — not the row cache,
-    /// which is exactly what makes it useful as the reference the cache's
-    /// shadow-model tests compare against.  Miners should go through
-    /// [`DsMatrix::view`] instead.
+    /// One row at a time, with a search of every segment's index: the
+    /// ground truth [`DsMatrix::view`]'s segment-major assembly is tested
+    /// against.  Miners should go through [`DsMatrix::view`] instead.
     pub fn row(&mut self, item: EdgeId) -> Result<BitVec> {
         let mut row = BitVec::new();
         if item.index() < self.num_items {
@@ -1130,54 +1049,40 @@ impl DsMatrix {
     /// The read surface over the live window: what all five miners read —
     /// flat rows on every backend.
     ///
-    /// On the memory backend this borrows the incrementally-maintained row
-    /// cache — nothing is copied, so the steady-state read cost of a mine
-    /// call is whatever the preceding slides already paid (rows touched by
-    /// the slide, counted in [`DsMatrix::read_stats`]).
-    ///
-    /// On the disk backends the window is assembled once per call into the
-    /// cache buffers, segment by segment
-    /// ([`fsm_storage::SegmentedWindowStore::assemble_rows`]), each chunk
-    /// fetched once through the budgeted [`fsm_storage::ChunkCache`].  A row
-    /// some live segment holds is allocated once, at the window's width, and
-    /// ends where its last chunk ends; a row no live segment holds stays
-    /// empty and unallocated (both read as the zero-tailed rows
+    /// The window is assembled once per call into the matrix's row buffers,
+    /// segment by segment ([`fsm_storage::SegmentedWindowStore::assemble_rows`]):
+    /// a row some live segment holds is allocated once, at the window's
+    /// width, and ends where its last chunk ends; a row no live segment holds
+    /// stays empty and unallocated (both read as the zero-tailed rows
     /// [`WindowView`] documents).  `rows_assembled` / `words_assembled`
-    /// count the rows materialised and their words, once.  A
+    /// count the rows materialised and their words, once.  On the memory
+    /// backend the chunks are read in place; on the disk backends each is
+    /// fetched once through the budgeted [`fsm_storage::ChunkCache`].  A
     /// [`DsMatrixConfig::cache_budget_bytes`] budget buys decodes, never
     /// assembly: with a budget covering the window a view reads no run;
     /// with a smaller one, whatever fitted first keeps
     /// hitting and each segment holding a chunk that did not is read once
     /// (`pages_read`); with `0` (the default) every segment is re-read from
-    /// disk on every call — once, however many rows it holds.  The runs a
-    /// view read stay memoised until [`DsMatrix::trim_cache`].  Direct
+    /// disk on every call — once, however many rows it holds.  The rows and
+    /// the runs a view read stay until [`DsMatrix::trim_cache`].  Direct
     /// callers that keep taking views reuse the row allocations; the
     /// `StreamMiner` facade instead calls [`DsMatrix::trim_cache`] after each
     /// mine.
     pub fn view(&mut self) -> Result<WindowView<'_>> {
         self.rebalance_cache_budget();
-        if self.cache.rows.len() < self.num_items {
-            self.cache.rows.resize_with(self.num_items, BitVec::new);
+        if self.rows.len() < self.num_items {
+            self.rows.resize_with(self.num_items, BitVec::new);
         }
-        if self.cache.enabled {
-            debug_assert_eq!(
-                self.cache.generation,
-                self.store.generation(),
-                "row cache must be maintained by every ingest"
-            );
-        } else {
-            let rows = &mut self.cache.rows[..self.num_items];
-            self.store.assemble_rows(rows)?;
-            for row in rows.iter().filter(|row| !row.is_empty()) {
-                self.read_stats.rows_assembled += 1;
-                self.read_stats.words_assembled += words_of(row.len());
-            }
+        let rows = &mut self.rows[..self.num_items];
+        self.store.assemble_rows(rows)?;
+        for row in rows.iter().filter(|row| !row.is_empty()) {
+            self.read_stats.rows_assembled += 1;
+            self.read_stats.words_assembled += words_of(row.len());
         }
         debug_assert!(self.supports.len() >= self.num_items);
         Ok(WindowView::new(
-            &self.cache.rows[..self.num_items],
+            &self.rows[..self.num_items],
             &self.supports[..self.num_items],
-            self.cache.offset,
             self.num_cols,
         ))
     }
@@ -1226,8 +1131,8 @@ impl DsMatrix {
         Ok(snapshot)
     }
 
-    /// Cumulative read-path cost counters (words eagerly assembled, cache
-    /// maintenance work, segment runs read and chunk-cache hits).
+    /// Cumulative read-path cost counters (words assembled, segment runs
+    /// read and chunk-cache hits).
     /// Differencing `words_assembled` across a mine call measures that
     /// call's assembly cost; differencing `pages_read` measures its disk
     /// read amplification.
@@ -1260,23 +1165,18 @@ impl DsMatrix {
             .set_cache_budget(Self::granted(&self.lease, budget_bytes));
     }
 
-    /// Frees the flat rows [`DsMatrix::view`] materialised on the disk
-    /// backends — those some live segment held; the others were never
-    /// allocated — and the segment runs it read (no-op on the memory
-    /// backend, whose cache is the incrementally-maintained read surface,
-    /// not a copy).  The
-    /// chunk cache is untouched, so the next view re-reads only what it does
-    /// not hold.
+    /// Frees the flat rows [`DsMatrix::view`] materialised — those some
+    /// live segment held; the others were never allocated — and the segment
+    /// runs it read.  The chunk cache is untouched, so the next view
+    /// re-reads only what it does not hold.
     ///
-    /// The facade calls this after a disk-backed mine — through an RAII
-    /// guard, so it also runs when mining errors or panics — keeping the
-    /// window's between-mines resident footprint what the paper promises, at
-    /// every budget: bookkeeping, plus at most the chunk-cache budget.
+    /// The facade calls this after every full mine — through an RAII guard,
+    /// so it also runs when mining errors or panics — so that between mines
+    /// the window is held once: in its segments (on the memory backend) or
+    /// on disk, plus bookkeeping and at most the chunk-cache budget.
     pub fn trim_cache(&mut self) {
-        if !self.cache.enabled {
-            self.cache.rows = Vec::new();
-            self.store.release_runs();
-        }
+        self.rows = Vec::new();
+        self.store.release_runs();
     }
 
     /// Reconstructs one window transaction (one column read downwards).
@@ -1315,8 +1215,8 @@ impl DsMatrix {
     }
 
     /// Bytes resident in main memory: window bookkeeping, the reused chunk
-    /// buffers, the support counters and row cache, plus — for the memory
-    /// backend — the segment payloads.
+    /// buffers, the support counters, the rows of a view not yet trimmed,
+    /// plus — for the memory backend — the segment payloads.
     pub fn resident_bytes(&self) -> usize {
         let bookkeeping = self.window.num_batches() * std::mem::size_of::<(u64, usize)>();
         let scratch = self.transposer.heap_bytes();
@@ -1326,8 +1226,8 @@ impl DsMatrix {
                 .iter()
                 .map(|s| s.capacity() * std::mem::size_of::<(usize, u64)>())
                 .sum::<usize>();
-        let cache: usize = self.cache.rows.iter().map(BitVec::heap_bytes).sum();
-        bookkeeping + scratch + counters + cache + self.store.resident_bytes()
+        let rows: usize = self.rows.iter().map(BitVec::heap_bytes).sum();
+        bookkeeping + scratch + counters + rows + self.store.resident_bytes()
     }
 
     /// Bytes written to disk by the live segments (zero for the memory
@@ -1952,20 +1852,14 @@ mod tests {
                 2 * window_words
             );
 
-            // view(): zero words on the memory backend (borrowed), the
-            // window once on disk — both segments hold all three rows, so
-            // each is materialised at full width.
+            // view(): the window once, on every backend — both segments
+            // hold all three rows, so each is materialised at full width.
             let before_view = m.read_stats();
             m.view().unwrap();
             let after_view = m.read_stats();
-            let expected_view_words = if m.is_disk_backed() {
-                3 * window_words
-            } else {
-                0
-            };
             assert_eq!(
                 after_view.words_assembled - before_view.words_assembled,
-                expected_view_words,
+                3 * window_words,
                 "{backend:?}"
             );
 

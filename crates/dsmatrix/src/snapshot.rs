@@ -1,60 +1,37 @@
 //! Owned flat window rows and reusable projection scratch space.
 //!
 //! [`RowSnapshot`] is the crate's one owned flat-rows type: every row of one
-//! window, each assembled into a [`BitVec`] of exactly the window's width.
-//! It has one producer and one job: [`crate::EpochSnapshot::assemble_rows`]
-//! concatenates a frozen epoch's shared segment chunks — what a snapshot
-//! mine does once, up front — through [`RowSnapshot::assemble`]; reading the
-//! rows back is the ordinary [`crate::WindowView`]
-//! ([`crate::EpochSnapshot::view`]).
+//! window, laid out as a live view's rows are.  It has one producer and one
+//! job: [`crate::EpochSnapshot::assemble_rows`] concatenates a frozen
+//! epoch's shared segment chunks — what a snapshot mine does once, up front —
+//! through [`fsm_storage::EpochSegment::assemble_rows`], the fill a live
+//! [`crate::DsMatrix::view`] uses too; reading the rows back is the ordinary
+//! [`crate::WindowView`] ([`crate::EpochSnapshot::view`]).
 //! [`ProjectionScratch`] is the per-worker recycled buffer set the view
 //! projects through, so steady-state projection allocates nothing.
 
 use fsm_storage::BitVec;
 use fsm_types::{EdgeId, Support};
 
-const WORD_BITS: usize = 64;
-
 /// A weighted transaction list in canonical edge order — structurally the
 /// same type as `fsm_fptree::ProjectedDb`, spelled out here so the capture
 /// crate does not depend on the mining crate.
 pub type ProjectedRows = Vec<(Vec<EdgeId>, Support)>;
 
-/// An immutable copy of every row of one window, each exactly
-/// [`RowSnapshot::num_transactions`] bits long.
+/// An immutable copy of every row of one window: bit `c` of a row is window
+/// column `c`, a row ends where its last chunk ends, and a row no segment
+/// holds is empty and unallocated (the short-row convention of
+/// [`crate::WindowView`]).
 ///
 /// Built by [`crate::EpochSnapshot::assemble_rows`]; all access is `&self`,
 /// so the rows can be shared across mining worker threads.
 #[derive(Debug, Clone)]
 pub struct RowSnapshot {
-    rows: Vec<BitVec>,
-    num_cols: usize,
+    pub(crate) rows: Vec<BitVec>,
+    pub(crate) num_cols: usize,
 }
 
 impl RowSnapshot {
-    /// The one row-assembly routine: for each of `num_items` rows, one
-    /// buffer sized to `num_cols` that `fill` appends the row's chunks to
-    /// (anything it leaves short is zero-filled).
-    pub(crate) fn assemble(
-        num_items: usize,
-        num_cols: usize,
-        mut fill: impl FnMut(usize, &mut BitVec),
-    ) -> Self {
-        let mut rows = Vec::with_capacity(num_items);
-        for idx in 0..num_items {
-            // The row's only allocation.  The spare word is for
-            // `BitVec::extend_from_bitvec`, which pushes one spill word past
-            // the final length before truncating to it.
-            let mut row = BitVec::new();
-            row.ensure_capacity(num_cols + WORD_BITS);
-            fill(idx, &mut row);
-            debug_assert!(row.len() <= num_cols);
-            row.resize(num_cols);
-            rows.push(row);
-        }
-        Self { rows, num_cols }
-    }
-
     /// Number of rows (domain edges) captured.
     pub fn num_items(&self) -> usize {
         self.rows.len()
@@ -65,7 +42,8 @@ impl RowSnapshot {
         self.num_cols
     }
 
-    /// The row of `item`, if the snapshot has one.
+    /// The row of `item`, if the snapshot has one (possibly shorter than the
+    /// window; missing tail bits are zero).
     pub fn row(&self, item: EdgeId) -> Option<&BitVec> {
         self.rows.get(item.index())
     }
@@ -82,11 +60,10 @@ impl RowSnapshot {
 }
 
 /// The projection behind [`crate::WindowView::project_into`]: build the
-/// `{pivot}`-projected database into `scratch`, treating bit `c + offset` of
-/// every row as logical window column `c`.
+/// `{pivot}`-projected database into `scratch`, bit `c` of every row being
+/// window column `c`.
 pub(crate) fn project_rows_into<'a>(
     rows: &[BitVec],
-    offset: usize,
     pivot: EdgeId,
     scratch: &'a mut ProjectionScratch,
 ) -> &'a ProjectedRows {
@@ -94,11 +71,7 @@ pub(crate) fn project_rows_into<'a>(
     let Some(pivot_row) = rows.get(pivot.index()) else {
         return &scratch.db;
     };
-    // All set bits sit at or past the dead prefix, so the translation to
-    // logical columns never underflows.
-    scratch
-        .columns
-        .extend(pivot_row.iter_ones().map(|c| c - offset));
+    scratch.columns.extend(pivot_row.iter_ones());
     if scratch.columns.is_empty() {
         return &scratch.db;
     }
@@ -111,7 +84,7 @@ pub(crate) fn project_rows_into<'a>(
     // row-major sweep appends items in ascending (canonical) order.
     for (idx, row) in rows.iter().enumerate().skip(pivot.index() + 1) {
         for (slot, &col) in scratch.columns.iter().enumerate() {
-            if row.get(col + offset) {
+            if row.get(col) {
                 scratch.suffixes[slot].push(EdgeId::new(idx as u32));
             }
         }
@@ -174,6 +147,10 @@ impl ProjectionScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DsMatrix, DsMatrixConfig};
+    use fsm_storage::StorageBackend;
+    use fsm_stream::WindowConfig;
+    use fsm_types::{Batch, Transaction};
 
     /// The paper's window E4..E9 (Example 1 after the slide).
     fn paper_rows() -> Vec<BitVec> {
@@ -192,7 +169,7 @@ mod tests {
 
     fn project(rows: &[BitVec], pivot: u32) -> ProjectedRows {
         let mut scratch = ProjectionScratch::new();
-        project_rows_into(rows, 0, EdgeId::new(pivot), &mut scratch).clone()
+        project_rows_into(rows, EdgeId::new(pivot), &mut scratch).clone()
     }
 
     #[test]
@@ -217,7 +194,7 @@ mod tests {
         // Projecting twice through the same scratch matches fresh projections.
         for pivot in 0..6u32 {
             let through_scratch =
-                project_rows_into(&rows, 0, EdgeId::new(pivot), &mut scratch).clone();
+                project_rows_into(&rows, EdgeId::new(pivot), &mut scratch).clone();
             assert_eq!(through_scratch, project(&rows, pivot), "pivot {pivot}");
         }
         // Last edge projects to nothing; out-of-range pivots are empty too.
@@ -227,22 +204,33 @@ mod tests {
 
     #[test]
     fn supports_match_example_5() {
-        let rows = paper_rows();
-        let snap = RowSnapshot::assemble(6, 6, |idx, out| {
-            let mut stored = rows[idx].clone();
-            if idx == 4 {
-                // Row e stops after its last set bit; the routine pads it.
-                stored.resize(2);
-            }
-            out.extend_from_bitvec(&stored);
-        });
+        // The paper's three batches through a window of two: an epoch's
+        // assembled rows are the window E4..E9, row e cut short after its
+        // last chunk.
+        let e = |raw: &[u32]| Transaction::from_raw(raw.iter().copied());
+        let mut m = DsMatrix::new(DsMatrixConfig::new(
+            WindowConfig::new(2).unwrap(),
+            StorageBackend::Memory,
+            6,
+        ))
+        .unwrap();
+        for batch in [
+            Batch::from_transactions(0, vec![e(&[2, 3, 5]), e(&[0, 4, 5]), e(&[0, 2, 5])]),
+            Batch::from_transactions(1, vec![e(&[0, 2, 3, 5]), e(&[0, 3, 4, 5]), e(&[0, 1, 2])]),
+            Batch::from_transactions(2, vec![e(&[0, 2, 5]), e(&[0, 2, 3, 5]), e(&[1, 2, 3])]),
+        ] {
+            m.ingest_batch(&batch).unwrap();
+        }
+        let snap = m.snapshot_epoch().unwrap().assemble_rows();
         let expected = [5u64, 2, 5, 4, 1, 4];
         for (idx, &want) in expected.iter().enumerate() {
             let row = snap.row(EdgeId::new(idx as u32)).unwrap();
             assert_eq!(row.count_ones(), want, "support of row {idx}");
-            assert_eq!(row.len(), 6, "row {idx} is padded to the window");
+            let mut padded = row.clone();
+            padded.resize(6);
+            assert_eq!(padded, paper_rows()[idx], "row {idx}");
         }
-        assert_eq!(snap.rows(), rows.as_slice());
+        assert_eq!(snap.row(EdgeId::new(4)).unwrap().len(), 3, "row e is short");
         assert_eq!(snap.num_items(), 6);
         assert_eq!(snap.num_transactions(), 6);
         assert!(snap.row(EdgeId::new(6)).is_none());

@@ -3,37 +3,28 @@
 //! A [`WindowView`] is a slice of flat [`BitVec`] rows plus the window's
 //! singleton support counters — one representation, whoever owns the rows:
 //!
-//! * a **live** view ([`crate::DsMatrix::view`]) on the memory backend
-//!   *borrows* the matrix's incrementally-maintained row cache —
-//!   constructing a view copies nothing, so the per-mine read cost is
-//!   whatever the slide touched, not the window size.  On the disk backends
-//!   the matrix assembles the window once per call, segment by segment,
-//!   fetching chunks through the budgeted chunk cache (the budget buys
-//!   decodes, never assembly).  Those rows are not full-width: a row ends
-//!   where its last chunk in the window ends, and a row no live segment
-//!   holds is empty — the short-row convention below;
+//! * a **live** view ([`crate::DsMatrix::view`]) borrows the rows the matrix
+//!   assembled for it, once per call and segment by segment, on every
+//!   backend (fetching disk chunks through the budgeted chunk cache, which
+//!   buys decodes, never assembly);
 //! * a **frozen epoch** ([`crate::EpochSnapshot::view`]) borrows the
 //!   [`crate::RowSnapshot`] the caller assembled from the snapshot's shared
-//!   segments ([`crate::EpochSnapshot::assemble_rows`]) — freezing an epoch
-//!   copies no row; mining one copies the window once, for the duration of
-//!   that mine.
+//!   segments ([`crate::EpochSnapshot::assemble_rows`]) through the same
+//!   fill — freezing an epoch copies no row; mining one copies the window
+//!   once, for the duration of that mine.
 //!
-//! # Alignment convention
+//! # Short rows
 //!
-//! Cached rows may carry a **dead prefix** of `offset()` all-zero bits (lazy
-//! eviction: a window slide zeroes the evicted chunk and defers the physical
-//! [`fsm_storage::BitVec::drop_prefix`] until enough dead columns
-//! accumulate) and may be **shorter** than `offset() + num_transactions()`
-//! (rows untouched since their last set bit are not padded, on the memory
-//! backend's cache and in a disk view alike; missing tail bits read as
-//! zero).  Both conventions are invisible to the mining kernels:
+//! Bit `c` of every row is window column `c`, but a row may be **shorter**
+//! than [`WindowView::num_transactions`]: it ends where its last chunk in
+//! the window ends, and a row no live segment holds is empty.  Missing tail
+//! bits read as zero, which is invisible to the mining kernels:
 //!
-//! * every row shares the same `offset` (assembled rows — a disk-backend
-//!   view's, an epoch's — always have offset 0), so the fused AND kernels
-//!   between rows — the vertical hot loop — see identical intersections bit
-//!   for bit;
-//! * [`WindowView::project_into`] translates set-bit positions back to
-//!   logical window columns;
+//! * the fused AND kernels between rows — the vertical hot loop — treat a
+//!   word one operand lacks as zero, so they see the flat-matrix
+//!   intersection bit for bit;
+//! * [`WindowView::get`] and [`WindowView::project_into`] read a missing bit
+//!   as zero;
 //! * singleton supports come from counters the matrix maintains at
 //!   ingest/evict time, not from row scans.
 
@@ -45,31 +36,23 @@ use crate::snapshot::{ProjectedRows, ProjectionScratch};
 /// An immutable, concurrently-shareable (`&self` everywhere, `Send + Sync`)
 /// read surface over the window.
 ///
-/// Built by [`crate::DsMatrix::view`] — zero-copy on the memory backend,
-/// assembled once per call, segment by segment, on the disk backends — or by
-/// [`crate::EpochSnapshot::view`] over a frozen epoch's assembled rows.
+/// Built by [`crate::DsMatrix::view`] — assembled once per call, segment by
+/// segment — or by [`crate::EpochSnapshot::view`] over a frozen epoch's
+/// assembled rows.
 #[derive(Debug, Clone)]
 pub struct WindowView<'a> {
     rows: &'a [BitVec],
     supports: &'a [Support],
-    /// Dead (all-zero) bits at the front of every row.
-    offset: usize,
     num_cols: usize,
 }
 
 impl<'a> WindowView<'a> {
-    pub(crate) fn new(
-        rows: &'a [BitVec],
-        supports: &'a [Support],
-        offset: usize,
-        num_cols: usize,
-    ) -> Self {
+    pub(crate) fn new(rows: &'a [BitVec], supports: &'a [Support], num_cols: usize) -> Self {
         debug_assert_eq!(rows.len(), supports.len());
-        debug_assert!(rows.iter().all(|r| r.len() <= offset + num_cols));
+        debug_assert!(rows.iter().all(|r| r.len() <= num_cols));
         Self {
             rows,
             supports,
-            offset,
             num_cols,
         }
     }
@@ -84,18 +67,11 @@ impl<'a> WindowView<'a> {
         self.num_cols
     }
 
-    /// Dead bits at the front of every row (see the module docs).  Logical
-    /// window column `c` lives at bit `c + offset()` of every row.
-    pub fn offset(&self) -> usize {
-        self.offset
-    }
-
-    /// The aligned row of `item`: bits `[offset(), offset() + c)` hold the
-    /// window's first `c` columns, everything else is zero.
+    /// The row of `item`: bit `c` is window column `c`, and bits past the
+    /// row's end read as zero (see the module docs).
     ///
-    /// All rows of one view share the same alignment, so
-    /// [`BitVec::and_count`] / [`BitVec::and_into`] between two of them
-    /// yield exactly the flat-matrix intersection — this is what the
+    /// [`BitVec::and_count`] / [`BitVec::and_into`] between two rows of one
+    /// view yield exactly the flat-matrix intersection — this is what the
     /// vertical miners feed their hot loop.
     pub fn row(&self, item: EdgeId) -> Option<&'a BitVec> {
         self.rows.get(item.index())
@@ -107,7 +83,7 @@ impl<'a> WindowView<'a> {
         if col >= self.num_cols {
             return false;
         }
-        self.row(item).is_some_and(|row| row.get(col + self.offset))
+        self.row(item).is_some_and(|row| row.get(col))
     }
 
     /// Support of a single edge, from the matrix's ingest/evict-maintained
@@ -127,8 +103,7 @@ impl<'a> WindowView<'a> {
     }
 
     /// Heap bytes of the rows this view reads (the resident mining working
-    /// set; on the memory backend it is shared with the capture structures
-    /// rather than copied per mine call).
+    /// set, one copy of the rows some live segment holds).
     pub fn heap_bytes(&self) -> usize {
         self.rows.iter().map(BitVec::heap_bytes).sum()
     }
@@ -145,7 +120,7 @@ impl<'a> WindowView<'a> {
         pivot: EdgeId,
         scratch: &'s mut ProjectionScratch,
     ) -> &'s ProjectedRows {
-        crate::snapshot::project_rows_into(self.rows, self.offset, pivot, scratch)
+        crate::snapshot::project_rows_into(self.rows, pivot, scratch)
     }
 
     /// Convenience wrapper around [`WindowView::project_into`] that allocates
@@ -167,26 +142,25 @@ mod tests {
             .collect()
     }
 
-    /// The paper's window E4..E9 (Example 1 after the slide), with a
-    /// two-bit dead prefix and one lazily-short row to exercise the
-    /// alignment conventions.
+    /// The paper's window E4..E9 (Example 1 after the slide), with one
+    /// short row to exercise the short-row convention.
     fn paper_view() -> (Vec<BitVec>, Vec<Support>) {
         let rows = rows(&[
-            "00111110", // a
-            "00001001", // b
-            "00101111", // c
-            "00110011", // d
-            "000100",   // e — short tail: trailing zeros not stored
-            "00110110", // f
+            "111110", // a
+            "001001", // b
+            "101111", // c
+            "110011", // d
+            "0100",   // e — short tail: trailing zeros not stored
+            "110110", // f
         ]);
         let supports = vec![5, 2, 5, 4, 1, 4];
         (rows, supports)
     }
 
     #[test]
-    fn projection_matches_example_2_through_the_offset() {
+    fn projection_matches_example_2_over_a_short_row() {
         let (rows, supports) = paper_view();
-        let view = WindowView::new(&rows, &supports, 2, 6);
+        let view = WindowView::new(&rows, &supports, 6);
         let db = view.project(EdgeId::new(0));
         let as_strings: Vec<(String, Support)> = db
             .iter()
@@ -205,7 +179,7 @@ mod tests {
     #[test]
     fn supports_come_from_the_counters() {
         let (rows, supports) = paper_view();
-        let view = WindowView::new(&rows, &supports, 2, 6);
+        let view = WindowView::new(&rows, &supports, 6);
         assert_eq!(view.num_items(), 6);
         assert_eq!(view.num_transactions(), 6);
         assert_eq!(view.support(EdgeId::new(0)), 5);
@@ -219,7 +193,7 @@ mod tests {
     #[test]
     fn get_translates_columns_and_handles_short_tails() {
         let (rows, supports) = paper_view();
-        let view = WindowView::new(&rows, &supports, 2, 6);
+        let view = WindowView::new(&rows, &supports, 6);
         assert!(view.get(EdgeId::new(0), 0));
         assert!(!view.get(EdgeId::new(0), 5));
         // Row e is stored short; its missing tail reads as zero.

@@ -4,7 +4,7 @@
 //! Four surfaces are pinned against it on arbitrary slide sequences (uneven
 //! batches, empty batches, growing domain, both storage backends):
 //!
-//! * the incrementally-maintained row cache behind [`DsMatrix::view`];
+//! * the rows [`DsMatrix::view`] assembles from the window's segments;
 //! * the view's counter-maintained `singleton_supports` versus the ground
 //!   truth's popcounts, and [`WindowView::project`] versus a projected
 //!   database computed naively from the ground-truth rows;
@@ -16,11 +16,9 @@
 //! A fixed stream pins a disk view's rows read directly, at budgets 0,
 //! tight and covering: lazily padded — cut at their last chunk, or empty
 //! and unallocated when no live segment holds them — and bit for bit the
-//! ground truth.  A separate test forces the cache's amortised
-//! `drop_prefix` compaction and checks the rows survive it, and the
-//! read-amplification counters are
-//! asserted directly: steady-state view construction on the memory backend
-//! materialises zero words.
+//! ground truth.  The read-amplification counter is asserted across the
+//! corners: one view assembles the same words on the memory backend as on
+//! disk at every budget — a budget buys decodes, never assembly.
 
 use std::collections::BTreeMap;
 
@@ -39,8 +37,8 @@ fn matrix(window: usize, backend: StorageBackend, expected: usize) -> DsMatrix {
     .unwrap()
 }
 
-/// The backend/budget corners every consistency check runs on: zero-copy
-/// memory, uncached disk (budget 0 — every chunk decoded from its segment run),
+/// The backend/budget corners every consistency check runs on: memory,
+/// uncached disk (budget 0 — every chunk decoded from its segment run),
 /// a tiny budget (most admissions refused, so hits and run reads mix within
 /// one row) and an unlimited one (every chunk but the entering segment's
 /// served from the cache).
@@ -91,7 +89,7 @@ fn view_row_string(m: &mut DsMatrix, item: u32) -> String {
 }
 
 /// Renders item `item`'s window row assembled from the segment store — the
-/// from-scratch reference the cache must match.
+/// from-scratch reference every view must match.
 fn store_row_string(m: &mut DsMatrix, item: u32) -> String {
     let row = m.row(EdgeId::new(item)).unwrap();
     (0..row.len())
@@ -131,12 +129,12 @@ fn assert_view_matches_eager(m: &mut DsMatrix) {
     let num_items = m.num_items();
     let num_cols = m.num_transactions();
 
-    // 1. Cached rows equal from-scratch assembly (plus rows past the domain).
+    // 1. View rows equal from-scratch assembly (plus rows past the domain).
     for item in 0..(num_items as u32 + 2) {
         assert_eq!(
             view_row_string(m, item),
             store_row_string(m, item),
-            "cached row {item} diverged from the segment store"
+            "view row {item} diverged from the segment store"
         );
     }
 
@@ -250,74 +248,16 @@ fn every_bit_of_a_disk_view_equals_the_segment_store() {
     }
 }
 
-#[test]
-fn steady_state_views_are_zero_copy_on_the_memory_backend() {
-    let mut m = matrix(3, StorageBackend::Memory, 8);
-    for id in 0..6u64 {
-        m.ingest_batch(&batch(id, &[&[0, 1], &[2, 3], &[(id % 8) as u32]]))
-            .unwrap();
-        let before = m.read_stats().words_assembled;
-        let view = m.view().unwrap();
-        assert!(view.num_transactions() > 0);
-        let _ = view;
-        assert_eq!(
-            m.read_stats().words_assembled,
-            before,
-            "memory-backend view construction must materialise nothing"
-        );
-    }
-    // The disk backend pays the (counted) eager fallback instead.
-    let mut disk = matrix(3, StorageBackend::DiskTemp, 8);
-    disk.ingest_batch(&batch(0, &[&[0, 1], &[2, 3]])).unwrap();
-    let before = disk.read_stats().words_assembled;
-    let _ = disk.view().unwrap();
-    assert!(
-        disk.read_stats().words_assembled > before,
-        "disk-backend views assemble rows and must say so"
-    );
-}
-
-#[test]
-fn cache_survives_prefix_compaction() {
-    // One 80-column batch per slide with a window of 2 batches: the dead
-    // prefix grows by 80 bits per slide and must cross the compaction
-    // threshold several times over 20 slides.
-    let mut m = matrix(2, StorageBackend::Memory, 4);
-    for id in 0..20u64 {
-        let edge = (id % 4) as u32;
-        let transactions: Vec<Vec<u32>> = (0..80)
-            .map(|t| {
-                if t % 3 == 0 {
-                    vec![edge, (edge + 1) % 4]
-                } else {
-                    vec![edge]
-                }
-            })
-            .collect();
-        let refs: Vec<&[u32]> = transactions.iter().map(|t| t.as_slice()).collect();
-        m.ingest_batch(&batch(id, &refs)).unwrap();
-        for item in 0..4 {
-            assert_eq!(
-                view_row_string(&mut m, item),
-                store_row_string(&mut m, item),
-                "row {item} after slide {id}"
-            );
-        }
-    }
-    assert!(
-        m.read_stats().cache_compact_words > 0,
-        "the compaction path was never exercised"
-    );
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// On arbitrary streams, the incrementally-maintained cache (and every
-    /// other view surface) equals from-scratch assembly after every slide,
-    /// on both storage backends.
+    /// On arbitrary streams, a view's rows (and every other view surface)
+    /// equal from-scratch assembly after every slide, on every backend
+    /// corner — and every corner's view assembles the same words: the memory
+    /// backend assembles its rows as the disk backends do, and a chunk-cache
+    /// budget buys decodes, never assembly.
     #[test]
-    fn incremental_cache_matches_from_scratch_assembly(
+    fn views_match_from_scratch_assembly(
         raw in proptest::collection::vec(
             proptest::collection::vec(
                 proptest::collection::btree_set(0u32..10, 0..4)
@@ -328,7 +268,9 @@ proptest! {
         ),
         window in 1usize..4,
     ) {
+        let mut assembled_per_corner = Vec::new();
         for mut m in corner_matrices(window, 0) {
+            let mut assembled = Vec::new();
             for (id, transactions) in raw.iter().enumerate() {
                 let b = Batch::from_transactions(
                     id as u64,
@@ -338,6 +280,10 @@ proptest! {
                         .collect(),
                 );
                 m.ingest_batch(&b).unwrap();
+                let before = m.read_stats().words_assembled;
+                m.view().unwrap();
+                assembled.push(m.read_stats().words_assembled - before);
+                m.trim_cache();
                 for item in 0..m.num_items() as u32 {
                     prop_assert_eq!(
                         view_row_string(&mut m, item),
@@ -362,14 +308,21 @@ proptest! {
                     );
                 }
             }
+            assembled_per_corner.push(assembled);
         }
+        prop_assert!(
+            assembled_per_corner.windows(2).all(|pair| pair[0] == pair[1]),
+            "words assembled per slide differ across backend corners: {:?}",
+            assembled_per_corner
+        );
     }
 
     /// The flat rows an epoch mine assembles equal the segment store's at
-    /// that epoch, bit for bit and padded to the window — over batch widths
-    /// that are not multiples of 64 (so chunks land misaligned and straddle
-    /// word boundaries), empty batches, a domain that grows mid-stream and
-    /// rows absent from some segments (zero-filled), on every backend corner.
+    /// that epoch, bit for bit — each cut at its last chunk, or empty and
+    /// unallocated when no segment holds it — over batch widths that are not
+    /// multiples of 64 (so chunks land misaligned and straddle word
+    /// boundaries), empty batches, a domain that grows mid-stream and rows
+    /// absent from some segments (zero-filled), on every backend corner.
     #[test]
     fn an_epochs_flat_assembly_matches_the_segment_store(
         segments in proptest::collection::vec(
@@ -400,14 +353,23 @@ proptest! {
                 prop_assert_eq!(rows.num_transactions(), m.num_transactions());
                 for item in 0..m.num_items() as u32 {
                     let flat = rows.row(EdgeId::new(item)).unwrap();
-                    prop_assert_eq!(flat.len(), m.num_transactions(), "row {} is padded", item);
-                    prop_assert_eq!(
-                        flat,
-                        &m.row(EdgeId::new(item)).unwrap(),
-                        "row {} after batch {}",
-                        item,
-                        id
-                    );
+                    let truth = m.row(EdgeId::new(item)).unwrap();
+                    // A segment holds a row exactly when the row has a set
+                    // bit in it, so the row's last set bit names its last
+                    // chunk.
+                    match truth.iter_ones().last() {
+                        None => {
+                            prop_assert!(flat.is_empty(), "row {} is held by no segment", item);
+                            prop_assert_eq!(flat.heap_bytes(), 0, "row {} allocated", item);
+                        }
+                        Some(last) => {
+                            let end = *m.boundaries().iter().find(|&&end| end > last).unwrap();
+                            prop_assert_eq!(flat.len(), end, "row {} is cut at its last chunk", item);
+                        }
+                    }
+                    let mut padded = flat.clone();
+                    padded.resize(m.num_transactions());
+                    prop_assert_eq!(&padded, &truth, "row {} after batch {}", item, id);
                     prop_assert_eq!(view.support(EdgeId::new(item)), flat.count_ones());
                 }
                 prop_assert!(rows.row(EdgeId::new(m.num_items() as u32)).is_none());

@@ -2,9 +2,9 @@
 //!
 //! Each DSMatrix row is one bit per window transaction; the vertical mining
 //! algorithms (§3.4 and §4 of the paper) repeatedly intersect two rows and
-//! count the surviving ones, and the window slide drops a prefix of columns
-//! and appends new ones.  Those three operations — `and`, `count_ones`,
-//! `drop_prefix`/`push` — are the hot path of the whole system.
+//! count the surviving ones, and a window view concatenates each row's
+//! per-batch chunks.  Those three operations — `and`, `count_ones`,
+//! `extend_from_bitvec` — are the hot path of the whole system.
 
 mod kernel;
 
@@ -216,42 +216,6 @@ impl BitVec {
         kernel::run(AndCount(&self.words[..overlap], &other.words[..overlap]))
     }
 
-    /// Drops the first `n` bits, shifting the remainder towards index 0.
-    ///
-    /// An in-place prefix drop, word by word, reusing the existing buffer —
-    /// "shifting all columns from Cols 4–6 to Cols 1–3" in the paper's
-    /// Example 1.  It is the compaction of the memory backend's flat-row
-    /// cache (`fsm_dsmatrix`): a slide zeroes the evicted columns and grows
-    /// a dead-prefix offset, and this pass drops that prefix once it
-    /// outgrows the live window, so its cost amortises below the words the
-    /// slides wrote.  `bitvec_kernels` benchmarks it.
-    pub fn drop_prefix(&mut self, n: usize) {
-        if n == 0 {
-            return;
-        }
-        if n >= self.len {
-            self.words.clear();
-            self.len = 0;
-            return;
-        }
-        let new_len = self.len - n;
-        let word_shift = n / WORD_BITS;
-        let bit_shift = n % WORD_BITS;
-        let new_words = new_len.div_ceil(WORD_BITS);
-        if bit_shift == 0 {
-            self.words.copy_within(word_shift.., 0);
-        } else {
-            for i in 0..new_words {
-                let lo = self.words[i + word_shift];
-                let hi = self.words.get(i + word_shift + 1).copied().unwrap_or(0);
-                self.words[i] = (lo >> bit_shift) | (hi << (WORD_BITS - bit_shift));
-            }
-        }
-        self.words.truncate(new_words);
-        self.len = new_len;
-        self.clear_tail();
-    }
-
     /// Appends every bit of `other` after the current contents, preserving
     /// order (`self = self ++ other`).
     ///
@@ -282,37 +246,6 @@ impl BitVec {
         self.len += other.len;
         self.words.truncate(self.len.div_ceil(WORD_BITS));
         self.clear_tail();
-    }
-
-    /// Clears every bit in `[start, end)` without changing the length.
-    ///
-    /// This is the lazy-eviction primitive of the incremental row cache: when
-    /// the window slides, the evicted batch's bits are zeroed in place (word
-    /// masks, no shifting) and the physical prefix is only compacted with
-    /// [`BitVec::drop_prefix`] once enough dead columns have accumulated.
-    pub fn clear_range(&mut self, start: usize, end: usize) {
-        let end = end.min(self.len);
-        if start >= end {
-            return;
-        }
-        let first_word = start / WORD_BITS;
-        let last_word = (end - 1) / WORD_BITS;
-        let head_mask = !(u64::MAX << (start % WORD_BITS));
-        let tail_bits = end % WORD_BITS;
-        let tail_mask = if tail_bits == 0 {
-            0
-        } else {
-            u64::MAX << tail_bits
-        };
-        if first_word == last_word {
-            self.words[first_word] &= head_mask | tail_mask;
-            return;
-        }
-        self.words[first_word] &= head_mask;
-        for word in &mut self.words[first_word + 1..last_word] {
-            *word = 0;
-        }
-        self.words[last_word] &= tail_mask;
     }
 
     /// The backing 64-bit words (little-endian within each word; bits past
@@ -654,68 +587,6 @@ mod tests {
         assert_eq!(format!("{o:?}"), "BitVec[11111]");
         assert_eq!(o.len(), 5);
         assert_eq!(o.count_ones(), 5);
-    }
-
-    #[test]
-    fn drop_prefix_small() {
-        // Window slide of Example 1: keep the last three columns.
-        let mut row_a = bv("011111");
-        row_a.drop_prefix(3);
-        assert_eq!(format!("{row_a:?}"), "BitVec[111]");
-        let mut row_b = bv("000001");
-        row_b.drop_prefix(3);
-        assert_eq!(format!("{row_b:?}"), "BitVec[001]");
-    }
-
-    #[test]
-    fn drop_prefix_across_word_boundaries() {
-        let mut v = BitVec::zeros(200);
-        v.set(0, true);
-        v.set(67, true);
-        v.set(130, true);
-        v.set(199, true);
-        v.drop_prefix(65);
-        assert_eq!(v.len(), 135);
-        assert!(v.get(2)); // was 67
-        assert!(v.get(65)); // was 130
-        assert!(v.get(134)); // was 199
-        assert_eq!(v.count_ones(), 3);
-    }
-
-    #[test]
-    fn drop_prefix_edge_cases() {
-        let mut v = bv("1011");
-        v.drop_prefix(0);
-        assert_eq!(v.len(), 4);
-        v.drop_prefix(10);
-        assert!(v.is_empty());
-        assert_eq!(v.count_ones(), 0);
-    }
-
-    #[test]
-    fn clear_range_matches_a_set_loop() {
-        let cases = [
-            (0usize, 0usize),
-            (0, 3),
-            (2, 6),
-            (0, 64),
-            (1, 64),
-            (63, 65),
-            (64, 128),
-            (10, 150),
-            (100, 100),
-            (190, 400),
-        ];
-        for (start, end) in cases {
-            let mut fast = BitVec::from_bools((0..200).map(|i| i % 3 != 0));
-            let mut slow = fast.clone();
-            fast.clear_range(start, end);
-            for i in start..end.min(200) {
-                slow.set(i, false);
-            }
-            assert_eq!(fast, slow, "range [{start}, {end})");
-            assert_eq!(fast.len(), 200);
-        }
     }
 
     #[test]

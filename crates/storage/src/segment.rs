@@ -38,14 +38,18 @@
 //! The write side has always been incremental; this module also keeps the
 //! *read* side from paying full-window cost:
 //!
-//! * On the memory backend, segments hold decoded [`BitVec`] chunks
-//!   ([`EpochSegment`]), shared by `Arc` with every epoch snapshot that
-//!   covers them; readers that want a whole row concatenate its chunks into
-//!   a flat [`BitVec`] ([`SegmentedWindowStore::assemble_row`]).
-//! * On the disk backends a live read reaches a chunk one way, whether
+//! * Whole-window reads go one way on every backend:
 //!   [`SegmentedWindowStore::assemble_rows`] concatenates the window's
 //!   chunks into flat rows ([`BitVec::extend_from_bitvec`]) segment by
-//!   segment, [`SegmentedWindowStore::assemble_row`] one row's, or
+//!   segment, and [`EpochSegment::assemble_rows`] does the same over a
+//!   frozen epoch's segments, through the same fill.  A row no segment holds
+//!   is left unallocated, and a held row ends where its last chunk ends.
+//! * On the memory backend, segments hold decoded [`BitVec`] chunks
+//!   ([`EpochSegment`]), shared by `Arc` with every epoch snapshot that
+//!   covers them.
+//! * On the disk backends a live read reaches a chunk one way, whether
+//!   [`SegmentedWindowStore::assemble_rows`] fills the window's rows,
+//!   [`SegmentedWindowStore::assemble_row`] one row, or
 //!   [`SegmentedWindowStore::read_segment_chunk`] reads a single chunk:
 //!   through a budgeted decoded-chunk cache ([`crate::ChunkCache`],
 //!   [`SegmentedWindowStore::set_cache_budget`]).  The cache is
@@ -71,9 +75,8 @@
 //!   disables the cache — nothing is admitted, at write or at read — and
 //!   reproduces fully-eager reads byte for byte.
 //! * [`SegmentedWindowStore::generation`] is a monotonic counter bumped by
-//!   every segment append or drop, so cached derivations of the window (the
-//!   DSMatrix row cache) can tag themselves with the store state they
-//!   reflect.
+//!   every segment append or drop: the identity of a window epoch, which is
+//!   what a memoised epoch snapshot is checked against.
 //!
 //! Every write is counted in [`CaptureStats`], which is how the benchmark
 //! harness (and the slide-cost tests) assert the incremental behaviour
@@ -304,6 +307,67 @@ impl EpochSegment {
             .values()
             .map(|chunk| chunk.heap_bytes() + std::mem::size_of::<usize>() * 2)
             .sum()
+    }
+
+    /// Materialises the window `segments` tile, oldest first, into `rows` —
+    /// `rows[id]` is row `id` — segment by segment, exactly as
+    /// [`SegmentedWindowStore::assemble_rows`] lays out the live window: a
+    /// row some segment holds is allocated once and ends where its last
+    /// chunk ends, a row no segment holds stays empty and unallocated, and
+    /// chunks of rows at or past `rows.len()` are skipped.
+    pub fn assemble_rows(segments: &[Arc<EpochSegment>], rows: &mut [BitVec]) {
+        let mut fill = RowFill::new(rows, segments.iter().map(|s| s.cols).sum());
+        for segment in segments {
+            fill.extend(segment);
+            fill.start += segment.cols;
+        }
+    }
+}
+
+/// Segment-major assembly of flat rows — the one fill behind
+/// [`SegmentedWindowStore::assemble_rows`] and [`EpochSegment::assemble_rows`].
+///
+/// Every row is cleared first, keeping its buffer.  A row gets room for the
+/// whole window plus the spare word [`BitVec::extend_from_bitvec`] needs
+/// when its first chunk lands — one allocation, none if its buffer already
+/// has the room — and is zero-extended only up to the start of each chunk
+/// it receives, so it ends where its last chunk ends.  A row no segment
+/// holds is never opened: it stays empty and unallocated.
+struct RowFill<'r> {
+    rows: &'r mut [BitVec],
+    /// Bits a held row reserves: the window plus one spare word.
+    width: usize,
+    /// Window column the current segment starts at.
+    start: usize,
+}
+
+impl<'r> RowFill<'r> {
+    fn new(rows: &'r mut [BitVec], num_cols: usize) -> Self {
+        for row in rows.iter_mut() {
+            row.resize(0);
+        }
+        Self {
+            rows,
+            width: num_cols + WORD_BITS,
+            start: 0,
+        }
+    }
+
+    /// Row `id`, readied for a chunk starting at column `start`; `None` for
+    /// a row past the slice, whose chunks are not fetched.
+    fn open(&mut self, id: usize) -> Option<&mut BitVec> {
+        let row = self.rows.get_mut(id)?;
+        row.ensure_capacity(self.width);
+        row.resize(self.start);
+        Some(row)
+    }
+
+    /// Appends every chunk of a decoded segment starting at column `start`.
+    fn extend(&mut self, segment: &EpochSegment) {
+        for (id, chunk) in segment.rows() {
+            let Some(row) = self.open(id) else { break };
+            row.extend_from_bitvec(chunk);
+        }
     }
 }
 
@@ -616,9 +680,9 @@ impl SegmentedWindowStore {
     /// Monotonic counter bumped by every [`SegmentedWindowStore::push_segment`]
     /// and [`SegmentedWindowStore::pop_segment`].
     ///
-    /// Readers that cache a derivation of the window (assembled rows, support
-    /// counters) tag the cache with the generation it was computed at; a
-    /// mismatch means the window changed underneath them.
+    /// It names a window epoch: a reader that memoises a derivation of the
+    /// window (an epoch snapshot) tags it with the generation it was
+    /// computed at; a mismatch means the window changed underneath it.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -940,50 +1004,28 @@ impl SegmentedWindowStore {
     /// in one segment-major pass: the live segments oldest first, and within
     /// each the rows it holds, walked along its ascending row index.  Every
     /// held chunk is fetched once, in row order within its segment, and no
-    /// index is searched.
-    ///
-    /// Every row is cleared first, keeping its buffer.  A row that some live
-    /// segment holds gets room for the whole window plus the spare word
-    /// [`BitVec::extend_from_bitvec`] needs before its first chunk lands —
-    /// one allocation, none if its buffer already has the room — and is
-    /// zero-extended only up to the start of each chunk it receives, so it
-    /// ends where its last chunk ends.  A row no live segment holds stays
-    /// empty and unallocated.  Bit for bit, each row is
+    /// index is searched.  The layout is [`EpochSegment::assemble_rows`]'s
+    /// (one fill serves both): a row some live segment holds is allocated
+    /// once and ends where its last chunk ends, a row no live segment holds
+    /// stays empty and unallocated, and chunks of rows at or past
+    /// `rows.len()` are not fetched.  Bit for bit, each row is
     /// [`SegmentedWindowStore::assemble_row`]'s without its zero tail.
-    /// Chunks of rows at or past `rows.len()` are not fetched.
     pub fn assemble_rows(&mut self, rows: &mut [BitVec]) -> Result<()> {
-        let width = self.num_cols() + WORD_BITS;
-        for row in rows.iter_mut() {
-            row.resize(0);
-        }
+        let mut fill = RowFill::new(rows, self.num_cols());
         let Self {
             segments, reader, ..
         } = self;
-        let mut start = 0;
         for segment in segments.iter() {
-            // Readies the row a chunk starting at window column `start` is
-            // about to extend.
-            let open = |row: &mut BitVec| {
-                row.ensure_capacity(width);
-                row.resize(start);
-            };
             match &segment.rows {
-                SegmentRows::Memory(seg) => {
-                    for (id, chunk) in seg.rows() {
-                        let Some(row) = rows.get_mut(id) else { break };
-                        open(row);
-                        row.extend_from_bitvec(chunk);
-                    }
-                }
+                SegmentRows::Memory(seg) => fill.extend(seg),
                 SegmentRows::Disk { run, .. } => {
                     for (slot, &id) in run.rows.iter().enumerate() {
-                        let Some(row) = rows.get_mut(id) else { break };
-                        open(row);
+                        let Some(row) = fill.open(id) else { break };
                         reader.fetch(segment.id, segment.cols, run, slot, row)?;
                     }
                 }
             }
-            start += segment.cols;
+            fill.start += segment.cols;
         }
         Ok(())
     }
@@ -1295,6 +1337,14 @@ mod tests {
                 padded.resize(store.num_cols());
                 assert_eq!(padded, reference, "row {id}");
             }
+            // A frozen epoch of the same segments fills the same rows.
+            let epoch: Vec<_> = (0..store.num_segments())
+                .map(|seg| store.epoch_segment(seg).unwrap())
+                .collect();
+            let mut frozen = vec![BitVec::new(); 5];
+            EpochSegment::assemble_rows(&epoch, &mut frozen);
+            assert_eq!(frozen, rows);
+            assert_eq!(frozen[3].heap_bytes(), 0);
         }
     }
 

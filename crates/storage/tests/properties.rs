@@ -4,22 +4,6 @@ use fsm_storage::{BitVec, RowStore, StorageBackend};
 use proptest::prelude::*;
 
 proptest! {
-    /// `clear_range` equals clearing bit by bit, for arbitrary ranges.
-    #[test]
-    fn clear_range_is_a_bitwise_clear(
-        bits in proptest::collection::vec(any::<bool>(), 0..300),
-        start in 0usize..320,
-        len in 0usize..320,
-    ) {
-        let mut fast = BitVec::from_bools(bits.iter().copied());
-        let mut slow = fast.clone();
-        fast.clear_range(start, start + len);
-        for i in start..(start + len).min(bits.len()) {
-            slow.set(i, false);
-        }
-        prop_assert_eq!(&fast, &slow);
-        prop_assert_eq!(fast.len(), bits.len());
-    }
     /// BitVec round-trips through bytes for arbitrary contents.
     #[test]
     fn bitvec_byte_roundtrip(bits in proptest::collection::vec(any::<bool>(), 0..300)) {
@@ -110,21 +94,6 @@ proptest! {
             v.write_bytes(&mut buf);
             prop_assert_eq!(&buf, &v.to_bytes());
             prop_assert_eq!(BitVec::from_bytes(&buf).unwrap(), v);
-        }
-    }
-
-    /// Dropping a prefix behaves like slicing the boolean sequence.
-    #[test]
-    fn bitvec_drop_prefix_is_slicing(
-        bits in proptest::collection::vec(any::<bool>(), 0..300),
-        n in 0usize..350,
-    ) {
-        let mut v = BitVec::from_bools(bits.iter().copied());
-        v.drop_prefix(n);
-        let expected: Vec<bool> = bits.iter().skip(n).copied().collect();
-        prop_assert_eq!(v.len(), expected.len());
-        for (i, bit) in expected.iter().enumerate() {
-            prop_assert_eq!(v.get(i), *bit, "index {}", i);
         }
     }
 
