@@ -64,10 +64,11 @@ use crate::scratch::ScratchArena;
 /// neighbour lists per node and a walk over every neighbour.  Nothing is
 /// allocated per node or per candidate: surviving intersections land in
 /// per-depth [`ScratchArena`] buffers, passed lists are per-depth buffers
-/// too, and the only per-pattern allocation is the emitted pattern itself
-/// (`crates/core/tests/alloc_regression.rs` pins that).  The fan-out over
-/// frequent single edges runs on `exec`'s worker pool and merges
-/// deterministically.
+/// too, and an emitted pattern allocates nothing of its own — its edge set
+/// is held in place — so what remains per pattern is a share of the pattern
+/// lists' growth (`crates/core/tests/alloc_regression.rs` pins that).  The
+/// fan-out over frequent single edges runs on `exec`'s worker pool and
+/// merges deterministically.
 ///
 /// Singleton rows are borrowed from the [`WindowView`] — the live one or a
 /// frozen [`fsm_dsmatrix::EpochSnapshot`]'s — and their supports come from

@@ -1,14 +1,15 @@
 //! Allocation regression gates for the three per-item loops of the dense
-//! step, for the row assembly in front of a snapshot mine, and for the
-//! served ingest's batch decode.
+//! step, for the row assembly in front of a snapshot mine, for the served
+//! ingest's batch decode, and for a pattern's edge set.
 //!
 //! `mine_direct`'s rustdoc and ARCHITECTURE § "Mining allocation discipline"
-//! say a screen allocates nothing and a pattern allocates only itself;
+//! say a screen allocates nothing and a pattern nothing of its own (its edge
+//! set is held in place, § "Pattern representation");
 //! § "Incremental capture" says the batch transposition allocates nothing
 //! per set bit; § "Delta mining" says no border entry owns an allocation.  A
-//! benchmark would notice a reintroduced per-candidate, per-bit or per-entry
-//! allocation as a slowdown on a quiet host; this file notices it as
-//! a count, under a counting allocator (the technique of
+//! benchmark would notice a reintroduced per-candidate, per-bit, per-entry
+//! or per-pattern allocation as a slowdown on a quiet host; this file
+//! notices it as a count, under a counting allocator (the technique of
 //! `crates/fsmd/tests/formats.rs`, counting requests instead of sizing
 //! them).
 //!
@@ -28,7 +29,8 @@ use fsm_dsmatrix::{decode_batch_into, encode_batch, DsMatrix, DsMatrixConfig};
 use fsm_fptree::MiningLimits;
 use fsm_storage::{SegmentedWindowStore, StorageBackend};
 use fsm_stream::WindowConfig;
-use fsm_types::{Batch, EdgeCatalog, MinSup, Transaction};
+use fsm_types::codec::{put_u32, Reader};
+use fsm_types::{Batch, EdgeCatalog, EdgeId, EdgeSet, FrequentPattern, MinSup, Transaction};
 
 struct CountingAlloc;
 
@@ -144,15 +146,17 @@ fn a_sequential_direct_mine_allocates_per_pattern_not_per_screen() {
         screens >= 10 * patterns && patterns >= 100,
         "fixture drifted: {screens} screens, {patterns} patterns"
     );
-    // Per pattern: its edge set, and an amortised share of the pattern
-    // lists' growth (one list per singleton subtree, merged into one).  Per
-    // depth: one intersection buffer and one passed-candidate list, grown a
-    // few times each.  Nothing per screen.
-    let budget = 2 * patterns + 16 * depth + 64;
+    // Per pattern: an amortised share of the pattern lists' growth (one list
+    // per singleton subtree, merged into one) — the edge set is held in
+    // place.  Per depth: one intersection buffer and one passed-candidate
+    // list, grown a few times each.  Nothing per screen.  This fixture made
+    // 177 with the sets in place, 423 when each owned a `Vec`.
+    let budget = patterns + 16 * depth + 64;
     assert!(
         allocations <= budget,
         "{allocations} allocations for {patterns} patterns, depth {depth}, \
-         {screens} screens (budget {budget}): something allocates per screen"
+         {screens} screens (budget {budget}): something allocates per screen \
+         or per emitted edge set"
     );
 }
 
@@ -193,24 +197,49 @@ fn a_steady_delta_advance_allocates_per_pattern_and_regrown_subtree_not_per_bord
             "fixture drifted: {regrown} subtrees re-grown, {prunes} prunes, {border_touched} \
              border updates for {collected} patterns collected"
         );
-        // Per pattern collected: its edge set, and a share of the output
-        // list.  Per re-grown subtree: per node attached its counts table,
-        // its border run (both sized once, before the screens) and its child
-        // list.  Per advance and participant, 16 at most: the participant's
-        // pool job, and the growth of the buffers it parks on the miner
-        // until they have met every depth (per advance, the caller adds
-        // every window segment's row table, the plan's lists, the task list
-        // and the pool's result slots).  Nothing per root, nothing per border
-        // entry touched.
-        let budget = 2 * collected + 16 * regrown + 64 + ADVANCES * 16 * participants;
+        // Per pattern collected: a share of the output lists' growth (the
+        // edge set is held in place).  Per re-grown subtree: per node
+        // attached its counts table, its border run (both sized once, before
+        // the screens) and its child list.  Per advance and participant, 16
+        // at most: the participant's pool job, and the growth of the buffers
+        // it parks on the miner until they have met every depth (per
+        // advance, the caller adds every window segment's row table, the
+        // plan's lists, the task list and the pool's result slots).  Nothing
+        // per root, nothing per border entry touched.
+        let budget = collected + 16 * regrown + 64 + ADVANCES * 16 * participants;
         assert!(
             allocations <= budget,
             "{participants} participants: {allocations} allocations over {ADVANCES} advances \
              that collected {collected} patterns, re-grew {regrown} subtrees and updated \
              {border_touched} border entries (budget {budget}): something allocates per root \
              or per border entry.  This fixture made 1 318 556 when every entry owned a `Vec` \
-             of contributions and every segment a hash-index row."
+             of contributions and every segment a hash-index row, and 35 160 when every \
+             collected edge set owned one."
         );
+    }
+}
+
+#[test]
+fn an_edge_set_of_up_to_seven_ids_allocates_nothing() {
+    // Decoded as a served mine's response is, and built as a miner emits.
+    for count in 1..=8u32 {
+        let ids: Vec<u32> = (0..count).map(|i| 3 * i + 1).collect();
+        let mut bytes = Vec::new();
+        ids.iter().for_each(|&id| put_u32(&mut bytes, id));
+        let (decoded, allocations) = allocations_during(|| {
+            EdgeSet::read_canonical(&mut Reader::new(&bytes), ids.len()).map(drop)
+        });
+        decoded.unwrap();
+        let (_, built) = allocations_during(|| {
+            let mut set = EdgeSet::singleton(EdgeId::new(ids[0]));
+            for &id in &ids[1..] {
+                set = set.with(EdgeId::new(id));
+            }
+            FrequentPattern::new(set, 1)
+        });
+        let spilled = u64::from(count > 7);
+        assert_eq!(allocations, spilled, "decoding {count} ids");
+        assert_eq!(built, spilled, "building {count} ids");
     }
 }
 

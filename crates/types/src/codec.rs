@@ -179,22 +179,34 @@ impl<'a> Reader<'a> {
     /// `out` (cleared first; it grows only when its capacity is short).  Ids
     /// must strictly increase: a descending or repeated id is refused with
     /// this reader's typed error, not repaired — every writer of these
-    /// formats emits canonical order, so anything else is damage.
+    /// formats emits canonical order, so anything else is damage.  On error
+    /// `out` is left empty.
     pub fn take_canonical_edges(&mut self, count: usize, out: &mut Vec<EdgeId>) -> Result<()> {
         out.clear();
-        let start = self.offset;
-        let bytes = self.take(count.saturating_mul(4))?;
+        let needed = count.saturating_mul(4);
+        if needed > self.remaining() {
+            return Err(self.truncated(needed));
+        }
         out.reserve_exact(count);
+        out.resize(count, EdgeId(0));
+        self.fill_canonical_edges(out).inspect_err(|_| out.clear())
+    }
+
+    /// Fills `out` with as many little-endian `u32` edge ids, which must
+    /// strictly increase (see [`Reader::take_canonical_edges`]).  On error
+    /// the contents of `out` are unspecified.
+    pub fn fill_canonical_edges(&mut self, out: &mut [EdgeId]) -> Result<()> {
+        let start = self.offset;
+        let bytes = self.take(4 * out.len())?;
         // The smallest id the next one may be: strictly above the last.
         let mut floor = 0u64;
-        for (i, id) in bytes.chunks_exact(4).enumerate() {
+        for (i, (slot, id)) in out.iter_mut().zip(bytes.chunks_exact(4)).enumerate() {
             let id = u32::from_le_bytes([id[0], id[1], id[2], id[3]]);
             if u64::from(id) < floor {
-                out.clear();
                 return Err(self.not_increasing(start + 4 * i, id, floor - 1));
             }
             floor = u64::from(id) + 1;
-            out.push(EdgeId(id));
+            *slot = EdgeId(id);
         }
         Ok(())
     }

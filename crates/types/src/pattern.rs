@@ -1,6 +1,7 @@
 //! Frequent patterns: collections of co-occurring edges and their supports.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::catalog::EdgeCatalog;
 use crate::codec::Reader;
@@ -11,14 +12,45 @@ use crate::vertex::VertexId;
 /// Support (frequency) of a pattern within the current sliding window.
 pub type Support = u64;
 
+/// Most ids an [`EdgeSet`] holds in place: seven `u32` ids (28 bytes), the
+/// length byte and the variant tag fill 32 bytes, the size a spilled `Vec`'s
+/// three words and the tag take anyway.  An eighth id would grow every set.
+const INLINE: usize = 7;
+
 /// A set of edge identifiers in ascending canonical order.
 ///
 /// This is the pattern language of the paper: a *collection of co-occurring
 /// edges*, e.g. `{a, c, d, f}`.  Whether the collection forms a connected
 /// subgraph is a property judged against an [`EdgeCatalog`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+///
+/// A set of up to seven ids — every pattern a dense mine returns has three
+/// at most — is stored in place, so building, cloning, decoding and dropping
+/// it allocates nothing; a larger set spills to the heap.  Seven is what a
+/// 32-byte value holds beside its length and variant tag.  Equality, order,
+/// hashing and `Debug` are those of the id slice ([`EdgeSet::edges`]),
+/// whichever way it is stored.
+#[derive(Clone, Default)]
 pub struct EdgeSet {
-    edges: Vec<EdgeId>,
+    ids: Ids,
+}
+
+/// An [`EdgeSet`]'s storage.  A set of [`INLINE`] or fewer ids is always
+/// `Inline`, so the variant is a function of the length.
+#[derive(Clone)]
+enum Ids {
+    /// The first `len` of `ids`; the rest are filler.
+    Inline { len: u8, ids: [EdgeId; INLINE] },
+    /// More than [`INLINE`] ids.
+    Heap(Vec<EdgeId>),
+}
+
+impl Default for Ids {
+    fn default() -> Self {
+        Ids::Inline {
+            len: 0,
+            ids: [EdgeId(0); INLINE],
+        }
+    }
 }
 
 impl EdgeSet {
@@ -33,10 +65,22 @@ impl EdgeSet {
     where
         I: IntoIterator<Item = EdgeId>,
     {
-        let mut edges: Vec<EdgeId> = edges.into_iter().collect();
-        edges.sort_unstable();
-        edges.dedup();
-        Self { edges }
+        let mut edges = edges.into_iter();
+        let mut set = Self::new();
+        // In place, each id is inserted at its slot; once the set spills,
+        // the rest are sorted in bulk.
+        while matches!(set.ids, Ids::Inline { .. }) {
+            match edges.next() {
+                Some(edge) => set.insert(edge),
+                None => return set,
+            }
+        }
+        if let Ids::Heap(spilled) = &mut set.ids {
+            spilled.extend(edges);
+            spilled.sort_unstable();
+            spilled.dedup();
+        }
+        set
     }
 
     /// Builds an edge set from raw `u32` identifiers.
@@ -49,16 +93,37 @@ impl EdgeSet {
 
     /// Reads an edge set of `count` ids from `reader`.  The ids must already
     /// be canonical (strictly increasing, see
-    /// [`Reader::take_canonical_edges`]); anything else is refused.
+    /// [`Reader::take_canonical_edges`]); anything else is refused.  Seven or
+    /// fewer ids are read straight into place.
     pub fn read_canonical(reader: &mut Reader<'_>, count: usize) -> Result<Self> {
+        if count <= INLINE {
+            let mut ids = [EdgeId(0); INLINE];
+            reader.fill_canonical_edges(&mut ids[..count])?;
+            return Ok(Self::inline(count, ids));
+        }
         let mut edges = Vec::new();
         reader.take_canonical_edges(count, &mut edges)?;
-        Ok(Self { edges })
+        Ok(Self {
+            ids: Ids::Heap(edges),
+        })
     }
 
     /// Builds a singleton edge set.
     pub fn singleton(edge: EdgeId) -> Self {
-        Self { edges: vec![edge] }
+        let mut ids = [EdgeId(0); INLINE];
+        ids[0] = edge;
+        Self::inline(1, ids)
+    }
+
+    /// The first `len` (at most [`INLINE`]) of `ids`, which are canonical.
+    fn inline(len: usize, ids: [EdgeId; INLINE]) -> Self {
+        debug_assert!(len <= INLINE);
+        Self {
+            ids: Ids::Inline {
+                len: len as u8,
+                ids,
+            },
+        }
     }
 
     /// Returns a new set with `edge` added (no-op if already present).
@@ -68,44 +133,77 @@ impl EdgeSet {
         next
     }
 
-    /// Inserts an edge, keeping canonical order.
+    /// Inserts an edge, keeping canonical order.  The eighth id moves the set
+    /// to the heap.
     pub fn insert(&mut self, edge: EdgeId) {
-        if let Err(pos) = self.edges.binary_search(&edge) {
-            self.edges.insert(pos, edge);
+        match &mut self.ids {
+            Ids::Inline { len, ids } => {
+                // An insertion-sort step over seven ids at most, scanned
+                // down from the largest.
+                let end = usize::from(*len);
+                let mut at = end;
+                while at > 0 && ids[at - 1] > edge {
+                    at -= 1;
+                }
+                if at > 0 && ids[at - 1] == edge {
+                    return;
+                }
+                if end == INLINE {
+                    let mut spilled = Vec::with_capacity(INLINE + 1);
+                    spilled.extend_from_slice(&ids[..at]);
+                    spilled.push(edge);
+                    spilled.extend_from_slice(&ids[at..]);
+                    self.ids = Ids::Heap(spilled);
+                    return;
+                }
+                for slot in (at..end).rev() {
+                    ids[slot + 1] = ids[slot];
+                }
+                ids[at] = edge;
+                *len += 1;
+            }
+            Ids::Heap(edges) => {
+                if let Err(pos) = edges.binary_search(&edge) {
+                    edges.insert(pos, edge);
+                }
+            }
         }
     }
 
     /// Returns `true` if `edge` is a member.
     pub fn contains(&self, edge: EdgeId) -> bool {
-        self.edges.binary_search(&edge).is_ok()
+        self.edges().binary_search(&edge).is_ok()
     }
 
     /// The member edges in ascending canonical order.
     #[inline]
     pub fn edges(&self) -> &[EdgeId] {
-        &self.edges
+        match &self.ids {
+            Ids::Inline { len, ids } => &ids[..usize::from(*len)],
+            Ids::Heap(edges) => edges,
+        }
     }
 
     /// Number of member edges.
     #[inline]
     pub fn len(&self) -> usize {
-        self.edges.len()
+        self.edges().len()
     }
 
     /// Returns `true` if the set is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
+        self.edges().is_empty()
     }
 
     /// Iterates over the member edges.
     pub fn iter(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        self.edges.iter().copied()
+        self.edges().iter().copied()
     }
 
     /// Returns `true` if every member of `self` is also a member of `other`.
     pub fn is_subset_of(&self, other: &EdgeSet) -> bool {
-        self.edges.iter().all(|e| other.contains(*e))
+        self.iter().all(|e| other.contains(e))
     }
 
     /// Decides connectivity of the edge set against a catalog by exact
@@ -114,13 +212,13 @@ impl EdgeSet {
     /// Singletons and the empty set are considered connected (the paper only
     /// applies the connectivity test to collections of two or more edges).
     pub fn is_connected(&self, catalog: &EdgeCatalog) -> bool {
-        if self.edges.len() <= 1 {
+        if self.len() <= 1 {
             return true;
         }
         // Union-find over the vertices touched by the member edges.
-        let mut verts: Vec<VertexId> = Vec::with_capacity(self.edges.len() * 2);
-        let mut pairs: Vec<(VertexId, VertexId)> = Vec::with_capacity(self.edges.len());
-        for &e in &self.edges {
+        let mut verts: Vec<VertexId> = Vec::with_capacity(self.len() * 2);
+        let mut pairs: Vec<(VertexId, VertexId)> = Vec::with_capacity(self.len());
+        for &e in self.edges() {
             match catalog.endpoints(e) {
                 Ok((u, v)) => {
                     verts.push(u);
@@ -160,10 +258,10 @@ impl EdgeSet {
     /// triangles satisfy it).  It is retained for fidelity and for the
     /// ablation comparing it against the exact union–find check.
     pub fn is_connected_paper_rule(&self, catalog: &EdgeCatalog) -> bool {
-        if self.edges.len() <= 1 {
+        if self.len() <= 1 {
             return true;
         }
-        let mut counts: Vec<(VertexId, u32)> = Vec::with_capacity(self.edges.len() * 2);
+        let mut counts: Vec<(VertexId, u32)> = Vec::with_capacity(self.len() * 2);
         let bump = |v: VertexId, counts: &mut Vec<(VertexId, u32)>| match counts
             .iter_mut()
             .find(|(w, _)| *w == v)
@@ -171,7 +269,7 @@ impl EdgeSet {
             Some((_, c)) => *c += 1,
             None => counts.push((v, 1)),
         };
-        for &e in &self.edges {
+        for &e in self.edges() {
             let Ok((u, v)) = catalog.endpoints(e) else {
                 return false;
             };
@@ -185,7 +283,7 @@ impl EdgeSet {
                 .map(|(_, c)| *c)
                 .unwrap_or(0)
         };
-        self.edges.iter().all(|&e| {
+        self.edges().iter().all(|&e| {
             let (u, v) = catalog.endpoints(e).expect("checked above");
             freq(u) >= 2 || freq(v) >= 2
         })
@@ -193,9 +291,9 @@ impl EdgeSet {
 
     /// Renders the set using the paper's `{a,c,f}` symbol notation.
     pub fn symbols(&self) -> String {
-        let mut s = String::with_capacity(self.edges.len() * 2 + 2);
+        let mut s = String::with_capacity(self.len() * 2 + 2);
         s.push('{');
-        for (i, e) in self.edges.iter().enumerate() {
+        for (i, e) in self.edges().iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
@@ -203,6 +301,41 @@ impl EdgeSet {
         }
         s.push('}');
         s
+    }
+}
+
+impl PartialEq for EdgeSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.edges() == other.edges()
+    }
+}
+
+impl Eq for EdgeSet {}
+
+impl PartialOrd for EdgeSet {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for EdgeSet {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.edges().cmp(other.edges())
+    }
+}
+
+impl Hash for EdgeSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.edges().hash(state);
+    }
+}
+
+/// Prints `EdgeSet { edges: [..] }`, whichever way the ids are stored.
+impl fmt::Debug for EdgeSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EdgeSet")
+            .field("edges", &self.edges())
+            .finish()
     }
 }
 
@@ -298,6 +431,14 @@ mod tests {
         let s = EdgeSet::from_raw([3, 0, 3, 5]);
         assert_eq!(s.symbols(), "{a,d,f}");
         assert_eq!(s.len(), 3);
+    }
+
+    #[test]
+    fn seven_ids_fill_a_32_byte_value() {
+        assert_eq!(std::mem::size_of::<EdgeSet>(), 32);
+        assert_eq!(std::mem::size_of::<FrequentPattern>(), 40);
+        // An eighth id would not fit beside the length and the tag.
+        assert!((INLINE + 1) * std::mem::size_of::<EdgeId>() + 2 > 32);
     }
 
     #[test]
