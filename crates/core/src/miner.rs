@@ -27,7 +27,7 @@ enum BuildSource<'a> {
     Fresh,
     /// WAL + checkpoints under the durable directory.
     Recover,
-    /// A hibernation image under the given spill directory.
+    /// A spill image under the given spill directory.
     Thaw(&'a Path),
 }
 
@@ -74,18 +74,21 @@ impl StreamMiner {
         Self::build(config, BuildSource::Recover)
     }
 
-    /// Spills the miner's window to disk: a checkpoint for durable miners
-    /// (their artifacts already live under [`MinerConfig::durable_dir`]), a
-    /// full-payload hibernation image under `spill_dir` otherwise
-    /// ([`DsMatrix::hibernate`]).  The miner stays usable; the session layer
-    /// drops it right after, releasing the resident state and its budget
-    /// lease.  [`StreamMiner::thaw`] rebuilds a byte-identical miner.
+    /// Spills the miner's window to disk in its one cold form, a checkpoint
+    /// plus segment runs ([`DsMatrix::hibernate`]): a checkpoint for durable
+    /// miners (their runs already live under [`MinerConfig::durable_dir`]),
+    /// a checkpoint and a copy of every live segment's run under
+    /// [`DsMatrix::spill_image`]`(spill_dir)` otherwise.  The miner stays
+    /// usable; the session layer drops it right after, releasing the
+    /// resident state and its budget lease.  [`StreamMiner::thaw`] rebuilds
+    /// a byte-identical miner.
     pub fn hibernate(&mut self, spill_dir: &Path) -> Result<()> {
         self.matrix.hibernate(spill_dir)
     }
 
     /// Rebuilds a hibernated miner: [`StreamMiner::recover`] for durable
-    /// configurations, the spill image under `spill_dir` otherwise.
+    /// configurations, the spill image under `spill_dir` otherwise — loaded
+    /// by recovery's own loader ([`DsMatrix::thaw`]).
     ///
     /// The configuration must carry the catalog the original miner held (the
     /// session layer clones it back in at spill time).  Delta-mining state is
@@ -93,9 +96,6 @@ impl StreamMiner {
     /// rebuild, which is byte-identical to the maintained state by the
     /// delta-agreement property.
     pub fn thaw(config: MinerConfig, spill_dir: &Path) -> Result<Self> {
-        if config.durable_dir.is_some() {
-            return Self::recover(config);
-        }
         Self::build(config, BuildSource::Thaw(spill_dir))
     }
 

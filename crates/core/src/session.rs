@@ -72,11 +72,13 @@
 //! so the sweep passes over it instead of waiting for the window; the cap
 //! is re-checked on the next touch.  A spill drains the pending queue into
 //! the window first (publishing to subscribers exactly as a normal drain
-//! would), then serialises the window via
-//! [`StreamMiner::hibernate`] — a full-payload
-//! [`fsm_storage::Hibernation`] image under `spill_root/<tenant>/` for
-//! volatile tenants, a checkpoint under the durable root for durable ones —
-//! and drops the resident state.  Dropping the window releases its
+//! would), then serialises the window via [`StreamMiner::hibernate`] and
+//! drops the resident state.  The cold form is one for every tenant: a
+//! checkpoint plus the segment runs it references — under the durable root
+//! for durable tenants (their own checkpoint), and for volatile ones under
+//! `spill_root/<tenant>/image/` ([`DsMatrix::spill_image`]), where a thaw
+//! loads it with recovery's loader.  Dropping a volatile tenant removes
+//! that image directory, and nothing else.  Dropping the window releases its
 //! [`fsm_storage::BudgetLease`], so the governor re-expands the warm
 //! tenants' caches automatically.
 //!
@@ -95,6 +97,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError, Weak};
 use std::time::Instant;
 
+use fsm_dsmatrix::DsMatrix;
 use fsm_storage::BudgetGovernor;
 use fsm_stream::SlideOutcome;
 use fsm_types::{Batch, FsmError, Result};
@@ -280,7 +283,8 @@ impl SessionRegistry {
                 // Removed only under the sessions lock and only once the
                 // name is known free: a *live* spilled tenant of this name
                 // owns that image, and a duplicate create must not eat it.
-                let _ = std::fs::remove_file(fsm_storage::Hibernation::artifact_path(dir));
+                // Only the image goes: `dir` may be a durable tenant's too.
+                let _ = std::fs::remove_dir_all(DsMatrix::spill_image(dir));
             }
         }
         let miner = if recovering {
@@ -875,17 +879,18 @@ impl Session {
         Ok(true)
     }
 
-    /// Removes a volatile tenant's spill image and its then-empty directory
-    /// (best effort; a durable tenant's directory is never touched).  Called
-    /// by the registry as the session leaves the tenant table, not from
-    /// `Drop`: a stale `Arc<Session>` outliving a same-name re-creation
+    /// Removes a volatile tenant's spill image directory and the then-empty
+    /// tenant directory (best effort; a durable tenant's files — which may
+    /// share `spill_root/<tenant>/`, outside the image — are never touched).
+    /// Called by the registry as the session leaves the tenant table, not
+    /// from `Drop`: a stale `Arc<Session>` outliving a same-name re-creation
     /// would unlink the new tenant's image.
     fn discard_spill_image(&self) {
         if self.durable {
             return;
         }
         if let Some(dir) = &self.spill_dir {
-            let _ = std::fs::remove_file(fsm_storage::Hibernation::artifact_path(dir));
+            let _ = std::fs::remove_dir_all(DsMatrix::spill_image(dir));
             let _ = std::fs::remove_dir(dir);
         }
     }
@@ -1284,7 +1289,7 @@ mod tests {
         assert_eq!(a.state(), LifecycleState::Spilled);
         assert_eq!(a.status().resident_bytes, 0);
         assert!(
-            fsm_storage::Hibernation::artifact_path(&spill_root.path().join("a")).exists(),
+            DsMatrix::spill_image(&spill_root.path().join("a")).exists(),
             "volatile spill must leave an image under spill_root/<tenant>/"
         );
         // A request against the spilled tenant thaws it transparently and
@@ -1317,7 +1322,7 @@ mod tests {
         session.ingest(&batches[0]).unwrap();
         session.ingest(&batches[1]).unwrap();
         assert!(session.spill().unwrap());
-        let artifact = fsm_storage::Hibernation::artifact_path(&spill_root.path().join("t"));
+        let artifact = DsMatrix::spill_image(&spill_root.path().join("t"));
         assert!(artifact.exists());
         // The duplicate must bounce off the registry *before* the stale-
         // image cleanup: while spilled, that image is the live tenant's

@@ -19,8 +19,8 @@ use std::path::Path;
 
 use fsm_core::{Algorithm, MiningResult, StreamMinerBuilder};
 use fsm_dsmatrix::encode_batch;
-use fsm_storage::wal;
-use fsm_types::{Batch, FsmError, MinSup, Transaction};
+use fsm_storage::{wal, Checkpoint};
+use fsm_types::{Batch, EdgeId, FsmError, MinSup, Transaction};
 
 const VERTICES: u32 = 5;
 const EDGES: u32 = 10;
@@ -277,6 +277,50 @@ fn checkpoint_bit_flip_falls_back_to_the_previous_checkpoint() {
     );
     assert_eq!(report.replayed_batches, 2, "WAL tail past seq 6");
     assert_same(&recovered.mine().unwrap(), &expected[8], "checkpoint flip");
+}
+
+/// A checkpoint is trusted only once its support ledger adds up: one
+/// support lowered under a valid CRC is refused by name, recovery falls
+/// back to the older checkpoint, and the window slides past every segment
+/// the lie described — where a trusted lie underflows the counter.
+#[test]
+fn a_checkpoint_whose_ledger_disagrees_is_refused_and_survived() {
+    let window = 3;
+    let batches = batch_stream(6, 11);
+    let expected = oracle(window, &batches);
+    let root = fsm_storage::TempDir::new("ckptledger").unwrap();
+    let dir = root.path().join("durable");
+    let mut miner = durable_builder(window, &dir, 2).build().unwrap();
+    for batch in &batches[..8] {
+        miner.ingest_batch(batch).unwrap();
+    }
+    drop(miner);
+    // Checkpoints at seq 6 and 8; lower, in the newest, the support of a
+    // row the next two batches do not top up before the third one's
+    // eviction takes the last of its `ones`.
+    let newest = dir.join(Checkpoint::file_name(8));
+    let mut checkpoint = Checkpoint::load(&newest).unwrap();
+    let row = (0..checkpoint.supports.len())
+        .find(|&row| {
+            let edge = EdgeId::new(row as u32);
+            checkpoint.supports[row] > 0
+                && batches[8..10]
+                    .iter()
+                    .all(|b| b.transactions().iter().all(|t| !t.contains(edge)))
+        })
+        .unwrap();
+    checkpoint.supports[row] -= 1;
+    checkpoint.write(&dir).unwrap();
+
+    let mut recovered = durable_builder(window, &dir, 2).recover().build().unwrap();
+    for batch in &batches[8..] {
+        recovered.ingest_batch(batch).unwrap();
+    }
+    let report = recovered.recovery_report().unwrap();
+    assert_eq!(report.checkpoint_seq, Some(6), "{report:?}");
+    assert_eq!(report.skipped_artifacts.len(), 1, "{report:?}");
+    assert!(report.skipped_artifacts[0].contains(&Checkpoint::file_name(8)));
+    assert_same(&recovered.mine().unwrap(), &expected[11], "ledger lie");
 }
 
 /// Satellite (c) 3/3: a damaged byte — any byte — of the segment run

@@ -2,10 +2,13 @@
 //! cannot reach on its own: a corrupt spill artifact surfacing (and the
 //! tenant staying recreatable), a spill racing an in-flight mine, the
 //! residency sweep never waiting on a held window, a dropped tenant's spill
-//! image going with it, a delta tenant's incremental state rebuilding
-//! exactly across a spill/thaw cycle, and a subscribed disk tenant holding
-//! nothing resident outside its chunk-cache budget.
+//! image going with it (and never a durable namesake's files under an
+//! aliased root), a delta tenant's incremental state rebuilding exactly
+//! across a spill/thaw cycle, and a subscribed disk tenant holding nothing
+//! resident outside its chunk-cache budget.
 
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
@@ -13,7 +16,8 @@ use fsm_core::{
     Algorithm, Exec, LifecycleState, MinerConfig, RegistryConfig, Session, SessionRegistry,
     StreamMiner, WorkerPool,
 };
-use fsm_storage::{Hibernation, StorageBackend, TempDir};
+use fsm_dsmatrix::DsMatrix;
+use fsm_storage::{StorageBackend, TempDir};
 use fsm_stream::WindowConfig;
 use fsm_types::{Batch, EdgeCatalog, FsmError, MinSup, Transaction};
 
@@ -45,6 +49,26 @@ fn spilling_registry(root: &TempDir) -> SessionRegistry {
     })
 }
 
+/// Every file under `dir` with its bytes, keyed by path relative to `dir`.
+fn files_under(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    fn walk(root: &Path, dir: &Path, out: &mut BTreeMap<PathBuf, Vec<u8>>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                walk(root, &path, out);
+            } else {
+                let bytes = std::fs::read(&path).unwrap();
+                out.insert(path.strip_prefix(root).unwrap().to_path_buf(), bytes);
+            }
+        }
+    }
+    let mut out = BTreeMap::new();
+    if dir.exists() {
+        walk(dir, dir, &mut out);
+    }
+    out
+}
+
 /// Holds `session`'s window on another thread — as a long mine would —
 /// until the returned closure is called.
 fn hold_window(session: &Arc<Session>) -> impl FnOnce() {
@@ -68,60 +92,58 @@ fn hold_window(session: &Arc<Session>) -> impl FnOnce() {
     }
 }
 
-/// A corrupt spill artifact follows the recovery discipline: the thaw
-/// fails with an error naming `window.hib`, the proven-corrupt artifact is
+/// A corrupt spill artifact follows the recovery discipline, whichever
+/// file of the image is damaged — the checkpoint or any segment run: the
+/// thaw fails with an error naming that file, the proven-corrupt image is
 /// deleted so it cannot be retried into, and the tenant id stays usable —
 /// drop it and create it afresh.
 #[test]
 fn corrupt_spill_artifact_is_named_and_tenant_is_recreatable() {
     let root = TempDir::new("lifecycle-corrupt").unwrap();
     let registry = spilling_registry(&root);
-    let session = registry
-        .create_tenant("victim", config(false), false)
-        .unwrap();
-    for batch in &batches() {
-        session.ingest(batch).unwrap();
-    }
-    assert!(session.spill().unwrap());
-    assert_eq!(session.state(), LifecycleState::Spilled);
-
-    // Flip a byte in the middle of the artifact body.
-    let artifact = Hibernation::artifact_path(&root.path().join("victim"));
-    let mut bytes = std::fs::read(&artifact).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xFF;
-    std::fs::write(&artifact, &bytes).unwrap();
-
-    let err = session.mine().unwrap_err();
-    match &err {
-        FsmError::CorruptArtifact { artifact, .. } => {
-            assert!(
-                artifact.contains("window.hib"),
-                "error must name the spill artifact, got: {artifact:?}"
-            );
+    let image = DsMatrix::spill_image(&root.path().join("victim"));
+    let victim = || {
+        let session = registry
+            .create_tenant("victim", config(false), false)
+            .unwrap();
+        for batch in &batches() {
+            session.ingest(batch).unwrap();
         }
-        other => panic!("expected CorruptArtifact, got: {other}"),
-    }
-    assert!(
-        !artifact.exists(),
-        "a proven-corrupt spill artifact must be deleted, not retried into"
-    );
-
-    // The tenant id is not poisoned: drop and recreate, and the fresh
-    // tenant serves the stream like nothing happened.
+        session
+    };
+    let expected = victim().mine().unwrap();
     registry.drop_tenant("victim").unwrap();
-    let fresh = registry
-        .create_tenant("victim", config(false), false)
-        .unwrap();
-    let mut oracle = StreamMiner::new(config(false)).unwrap();
-    for batch in &batches() {
-        fresh.ingest(batch).unwrap();
-        oracle.ingest_batch(batch).unwrap();
+
+    for nth in 0..3 {
+        let session = victim();
+        assert!(session.spill().unwrap());
+        assert_eq!(session.state(), LifecycleState::Spilled);
+        let files = files_under(&image);
+        assert_eq!(files.len(), 3, "a checkpoint and one run per live batch");
+        // Flip a byte in the middle of the image's `nth` file.
+        let (file, mut bytes) = files.into_iter().nth(nth).unwrap();
+        let file = image.join(file);
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xFF;
+        std::fs::write(&file, &bytes).unwrap();
+
+        let name = file.file_name().unwrap().to_string_lossy();
+        match session.mine() {
+            Err(FsmError::CorruptArtifact { artifact, .. }) => assert_eq!(artifact, name),
+            Err(other) => panic!("{name}: expected CorruptArtifact, got: {other}"),
+            Ok(_) => panic!("{name}: a damaged image was served"),
+        }
+        assert!(
+            !image.exists(),
+            "{name}: a proven-corrupt spill image must be deleted, not retried into"
+        );
+
+        // The tenant id is not poisoned: drop and recreate, and the fresh
+        // tenant serves the stream like nothing happened.
+        registry.drop_tenant("victim").unwrap();
+        assert!(victim().mine().unwrap().same_patterns_as(&expected));
+        registry.drop_tenant("victim").unwrap();
     }
-    assert!(fresh
-        .mine()
-        .unwrap()
-        .same_patterns_as(&oracle.mine().unwrap()));
 }
 
 /// A spill issued while a mine holds the window drains cleanly: the spill
@@ -223,34 +245,38 @@ fn a_request_never_waits_on_another_tenants_window() {
 }
 
 /// A volatile tenant's spill image goes when the tenant goes — whether it
-/// was spilled at the time or had thawed again — and so does one the
-/// registry still holds when it is dropped.  A durable tenant's directory is
-/// the opposite case: it must survive the drop, because it is what
-/// `recover_tenant` reads.
+/// was spilled at the time or had thawed again — and so does
+/// one the registry still holds when it is dropped.  A durable tenant's
+/// directory is the opposite case: it must survive the drop, because it is
+/// what `recover_tenant` reads.  That holds with the spill root aliased to
+/// the durable root too, where a volatile namesake spills, thaws and is
+/// dropped inside the durable tenant's directory: its image has a
+/// subdirectory of its own, and the durable files stay byte for byte.
 #[test]
 fn dropping_a_volatile_tenant_removes_its_spill_image() {
     let root = TempDir::new("lifecycle-drop").unwrap();
-    let durable_root = TempDir::new("lifecycle-drop-durable").unwrap();
     let registry = SessionRegistry::new(RegistryConfig {
         spill_root: Some(root.path().into()),
-        durable_root: Some(durable_root.path().into()),
+        durable_root: Some(root.path().into()),
         ..RegistryConfig::default()
     });
     let stream = batches();
-    let image = |tenant: &str| Hibernation::artifact_path(&root.path().join(tenant));
-
-    for tenant in ["spilled", "thawed", "held"] {
+    let spilled_volatile = |tenant: &str| {
         let session = registry
             .create_tenant(tenant, config(false), false)
             .unwrap();
         session.ingest(&stream[0]).unwrap();
         assert!(session.spill().unwrap());
-        assert!(image(tenant).exists());
+        assert!(DsMatrix::spill_image(&root.path().join(tenant)).exists());
+        session
+    };
+
+    for tenant in ["spilled", "thawed", "held"] {
+        spilled_volatile(tenant);
     }
     registry.get("thawed").unwrap().mine().unwrap();
-    registry.drop_tenant("spilled").unwrap();
-    registry.drop_tenant("thawed").unwrap();
     for tenant in ["spilled", "thawed"] {
+        registry.drop_tenant(tenant).unwrap();
         assert!(
             !root.path().join(tenant).exists(),
             "{tenant}: the spill image outlived its tenant"
@@ -271,6 +297,14 @@ fn dropping_a_volatile_tenant_removes_its_spill_image() {
     assert!(session.spill().unwrap());
     drop(session);
     registry.drop_tenant("kept").unwrap();
+    let durable_files = files_under(&root.path().join("kept"));
+    spilled_volatile("kept").mine().unwrap();
+    registry.drop_tenant("kept").unwrap();
+    assert_eq!(
+        files_under(&root.path().join("kept")),
+        durable_files,
+        "the volatile namesake touched the durable tenant's files"
+    );
     let recovered = registry.recover_tenant("kept", durable).unwrap();
     assert!(recovered.mine().unwrap().same_patterns_as(&expected));
     drop(recovered);
@@ -280,7 +314,7 @@ fn dropping_a_volatile_tenant_removes_its_spill_image() {
         !root.path().join("held").exists(),
         "the spill image outlived the registry"
     );
-    assert!(durable_root.path().join("kept").exists());
+    assert!(root.path().join("kept").exists());
 }
 
 /// A delta tenant's incremental pattern set rebuilds exactly on thaw: the

@@ -1,13 +1,12 @@
 //! DSMatrix implementation.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use fsm_storage::{
     scan_segment_files, BitVec, BudgetGovernor, BudgetLease, CaptureStats, Checkpoint,
-    CheckpointRow, CheckpointSegment, Hibernation, HibernationRow, HibernationSegment,
-    SegmentedWindowStore, StorageBackend, Wal,
+    CheckpointRow, CheckpointSegment, SegmentMeta, SegmentedWindowStore, StorageBackend, Wal,
 };
 use fsm_stream::{SlideOutcome, SlidingWindow, WindowConfig};
 use fsm_types::{Batch, BatchId, EdgeId, FsmError, Result, Support, Transaction};
@@ -238,13 +237,8 @@ impl Transposer {
         self.slot_of[row] as usize - 1
     }
 
-    /// One past the largest row touched (0 for an empty batch).
-    fn row_bound(&self) -> usize {
-        self.touched.last().map_or(0, |row| row + 1)
-    }
-
     /// The touched rows and their chunks, ascending by row.
-    fn rows(&self) -> impl Iterator<Item = (usize, &BitVec)> {
+    fn rows(&self) -> impl Iterator<Item = (usize, &BitVec)> + Clone {
         self.touched
             .iter()
             .map(|&row| (row, &self.chunks[self.slot_of[row] as usize - 1]))
@@ -310,28 +304,39 @@ impl DsMatrix {
     /// Creates an empty matrix.
     ///
     /// With [`DsMatrixConfig::durability`] set this is a **fresh start**: any
-    /// checkpoints, WAL contents and segment files left in the durable
-    /// directory from a previous run are discarded.  Use
-    /// [`DsMatrix::recover`] to resume from them instead.
+    /// checkpoints and WAL contents left in the durable directory from a
+    /// previous run are discarded, and its segment files are released for
+    /// the new window's pushes to overwrite.  Use [`DsMatrix::recover`] to
+    /// resume from them instead.
     pub fn new(config: DsMatrixConfig) -> Result<Self> {
-        let (backend, durable) = match config.durability {
-            None => (config.backend, None),
+        let (backend, durable) = match config.durability.clone() {
+            None => (config.backend.clone(), None),
             Some(dur) => {
                 Self::validate_durability(&config.backend, &dur)?;
                 std::fs::create_dir_all(&dur.dir)?;
-                // Fresh start: drop every old durable artifact explicitly.
-                // (`SegmentedWindowStore::open` below wipes stale segment
-                // files in its directory the same way.)
+                // Fresh start: drop every old checkpoint and the WAL.
+                // (`SegmentedWindowStore::open` below releases stale segment
+                // files for reuse; nothing references them any more.)
                 Checkpoint::prune_keeping(&dur.dir, 0)?;
                 let wal = Wal::create(dur.wal_path())?;
                 let backend = StorageBackend::DiskAt(dur.segments_dir());
                 (backend, Some(DurableState::fresh(dur, wal)))
             }
         };
-        let mut store = SegmentedWindowStore::open(backend)?;
+        let store = SegmentedWindowStore::open(backend)?;
+        Ok(Self::with_store(&config, store, durable))
+    }
+
+    /// An empty window over `store`, leasing its cache budget from the
+    /// configured governor.
+    fn with_store(
+        config: &DsMatrixConfig,
+        mut store: SegmentedWindowStore,
+        durable: Option<DurableState>,
+    ) -> Self {
         let lease = Self::lease_for(&config.governor, &store);
         store.set_cache_budget(Self::granted(&lease, config.cache_budget_bytes));
-        Ok(Self {
+        Self {
             store,
             window: SlidingWindow::new(config.window),
             num_items: config.expected_edges,
@@ -346,7 +351,7 @@ impl DsMatrix {
             last_snapshot: None,
             desired_cache_budget: config.cache_budget_bytes,
             lease,
-        })
+        }
     }
 
     /// Registers with the configured governor — disk backends only: the
@@ -444,24 +449,15 @@ impl DsMatrix {
                     chosen = Some(pair);
                     break;
                 }
-                Err(err)
-                    if matches!(
-                        err,
-                        FsmError::CorruptArtifact { .. } | FsmError::CorruptStructure(_)
-                    ) =>
-                {
-                    let name = path
-                        .file_name()
-                        .map(|n| n.to_string_lossy().into_owned())
-                        .unwrap_or_else(|| path.display().to_string());
-                    skipped.push(format!("{name} rejected: {err}"));
+                Err(err) if is_corruption(&err) => {
+                    skipped.push(format!("{} rejected: {err}", file_label(&path)));
                     std::fs::remove_file(&path)?;
                 }
                 Err(other) => return Err(other),
             }
         }
         let checkpoint_seq = chosen.as_ref().map(|(c, _): &(Checkpoint, _)| c.last_seq);
-        let (ckpt, mut store) = match chosen {
+        let (ckpt, store) = match chosen {
             Some(pair) => pair,
             // No usable checkpoint: rebuild from an empty window.  `restore`
             // with `next_uid = 0` wipes every leftover segment file — the
@@ -471,35 +467,6 @@ impl DsMatrix {
                 SegmentedWindowStore::restore(segments_dir.clone(), &[], 0)?,
             ),
         };
-        let lease = Self::lease_for(&config.governor, &store);
-        store.set_cache_budget(Self::granted(&lease, config.cache_budget_bytes));
-
-        // Rebuild the in-memory bookkeeping the checkpoint captured.
-        let num_items = (ckpt.num_items as usize).max(config.expected_edges);
-        let mut supports: Vec<Support> = ckpt.supports.clone();
-        supports.resize(num_items, 0);
-        let mut window = SlidingWindow::new(config.window);
-        let mut segment_ones = VecDeque::new();
-        let mut num_cols = 0usize;
-        for seg in &ckpt.segments {
-            if window
-                .push(seg.batch_id, seg.cols as usize)
-                .evicted
-                .is_some()
-            {
-                return Err(FsmError::corrupt(
-                    "checkpoint holds more segments than the window admits",
-                ));
-            }
-            num_cols += seg.cols as usize;
-            segment_ones.push_back(
-                seg.rows
-                    .iter()
-                    .map(|r| (r.row as usize, r.ones))
-                    .collect::<Vec<_>>(),
-            );
-        }
-
         // A checkpoint can cover the whole log (two checkpoints with no
         // ingest between them prune it to nothing): the WAL then continues
         // from the checkpoint's sequence number, not from whatever the
@@ -511,22 +478,19 @@ impl DsMatrix {
         durable.last_ckpt_uids = ckpt.segments.iter().map(|s| s.uid).collect();
         durable.synced_uid_watermark = ckpt.next_uid;
 
-        let mut matrix = Self {
-            store,
-            window,
-            num_items,
-            num_cols,
-            transposer: Transposer::default(),
-            supports,
-            segment_ones,
-            rows: Vec::new(),
-            read_stats: ReadStats::default(),
-            col_chunk: BitVec::new(),
-            durable: Some(durable),
-            last_snapshot: None,
-            desired_cache_budget: config.cache_budget_bytes,
-            lease,
-        };
+        // Rebuild the in-memory bookkeeping the checkpoint captured.
+        // `try_restore` refused a checkpoint with more segments than the
+        // window holds, so none of these pushes evicts.
+        let mut matrix = Self::with_store(&config, store, Some(durable));
+        matrix.num_items = (ckpt.num_items as usize).max(config.expected_edges);
+        matrix.supports = ckpt.supports.clone();
+        matrix.supports.resize(matrix.num_items, 0);
+        for seg in &ckpt.segments {
+            matrix.window.push(seg.batch_id, seg.cols as usize);
+            matrix.num_cols += seg.cols as usize;
+            let ones = seg.rows.iter().map(|r| (r.row as usize, r.ones));
+            matrix.segment_ones.push_back(ones.collect());
+        }
 
         // Replay the WAL tail through the ordinary (post-WAL) ingest path.
         // The tail must continue the checkpoint contiguously; a gap means an
@@ -585,12 +549,14 @@ impl DsMatrix {
         Ok(matrix)
     }
 
-    /// Loads one checkpoint candidate and restores + verifies the segment
-    /// store it references.  Corruption errors make [`DsMatrix::recover`]
-    /// fall back to the next candidate.
+    /// Loads one checkpoint candidate, checks its support ledger
+    /// ([`check_ledger`]) and restores + verifies the segment store it
+    /// references — the one loader of a window's cold form, behind recovery
+    /// and [`DsMatrix::thaw`] alike.  Corruption errors make
+    /// [`DsMatrix::recover`] fall back to the next candidate.
     fn try_restore(
         dur: &DurabilityConfig,
-        path: &std::path::Path,
+        path: &Path,
         config: &DsMatrixConfig,
     ) -> Result<(Checkpoint, SegmentedWindowStore)> {
         let ckpt = Checkpoint::load(path)?;
@@ -602,9 +568,7 @@ impl DsMatrix {
         }
         if ckpt.segments.len() > config.window.window_batches {
             return Err(FsmError::corrupt_artifact(
-                path.file_name()
-                    .map(|n| n.to_string_lossy().into_owned())
-                    .unwrap_or_else(|| path.display().to_string()),
+                file_label(path),
                 format!(
                     "references {} segments but the window holds at most {}",
                     ckpt.segments.len(),
@@ -612,6 +576,8 @@ impl DsMatrix {
                 ),
             ));
         }
+        check_ledger(&ckpt)
+            .map_err(|detail| FsmError::corrupt_artifact(file_label(path), detail))?;
         let store = SegmentedWindowStore::restore(
             dur.segments_dir(),
             &ckpt.segment_metas(),
@@ -699,12 +665,37 @@ impl DsMatrix {
     /// state.  Recovery replays WAL records through this same path (without
     /// re-appending them).
     fn ingest_applied(&mut self, batch: &Batch) -> Result<SlideOutcome> {
+        // One bit chunk per row the batch touches; rows absent from the batch
+        // cost nothing and read back as zeros.  The transposer is moved out
+        // for the call so its chunks can be borrowed beside `&mut self`.
+        self.transposer.fill(batch);
+        let transposer = std::mem::take(&mut self.transposer);
+        let outcome = self.apply_segment(batch.id, batch.len(), transposer.rows());
+        self.transposer = transposer;
+        outcome
+    }
+
+    /// The post-transposition half of an ingest: slides the window by one
+    /// segment of `cols` columns holding `rows` — `(row id, chunk)` pairs
+    /// ascending by row, every chunk `cols` bits — as batch `batch_id`.
+    /// [`DsMatrix::ingest_applied`] feeds it a transposed batch, and
+    /// [`DsMatrix::thaw`] the decoded segments of a spill image, so a thawed
+    /// window is rebuilt by the very steps that built it.
+    fn apply_segment<'a, I>(
+        &mut self,
+        batch_id: BatchId,
+        cols: usize,
+        rows: I,
+    ) -> Result<SlideOutcome>
+    where
+        I: Iterator<Item = (usize, &'a BitVec)> + Clone,
+    {
         // The window is about to change epoch; snapshots already handed out
         // stay valid (they own their data), only the memo goes stale.
         // Dropping it here also releases the matrix's own reference to the
         // evicted segment, so reclamation is driven by readers alone.
         self.last_snapshot = None;
-        let outcome = self.window.push(batch.id, batch.len());
+        let outcome = self.window.push(batch_id, cols);
         if let Some((_, cols)) = outcome.evicted {
             let dropped = match &mut self.durable {
                 None => self.store.pop_segment()?,
@@ -731,30 +722,26 @@ impl DsMatrix {
             }
         }
 
-        // One bit chunk per row the batch touches; rows absent from the batch
-        // cost nothing and read back as zeros.
-        self.transposer.fill(batch);
-
-        // Grow the domain if the batch mentions edges beyond the current rows.
-        self.num_items = self.num_items.max(self.transposer.row_bound());
+        // Grow the domain to cover the segment's rows.
+        let row_bound = rows.clone().last().map_or(0, |(row, _)| row + 1);
+        self.num_items = self.num_items.max(row_bound);
         if self.supports.len() < self.num_items {
             self.supports.resize(self.num_items, 0);
         }
 
-        self.store
-            .push_segment(batch.len(), self.transposer.rows())?;
+        self.store.push_segment(cols, rows.clone())?;
 
         // Incremental support maintenance, again touching only the rows the
-        // batch touches: bump the support counters and remember what an
+        // segment holds: bump the support counters and remember what an
         // eventual eviction must undo.
-        let mut entering = Vec::with_capacity(self.transposer.touched.len());
-        for (id, chunk) in self.transposer.rows() {
+        let mut entering = Vec::with_capacity(rows.size_hint().0);
+        for (id, chunk) in rows {
             let ones = chunk.count_ones();
             self.supports[id] += ones;
             entering.push((id, ones));
         }
         self.segment_ones.push_back(entering);
-        self.num_cols += batch.len();
+        self.num_cols += cols;
         debug_assert_eq!(self.num_cols, self.store.num_cols());
 
         let checkpoint_due = if let Some(durable) = &mut self.durable {
@@ -787,18 +774,16 @@ impl DsMatrix {
         self.write_checkpoint()
     }
 
-    /// Serialises everything needed to rebuild this window — the
-    /// backend-agnostic half of tenant spill-to-disk.
-    ///
-    /// * **Durable matrices** already keep the full payload on disk under
-    ///   their durable root: hibernating one writes a checkpoint aligned
-    ///   with the present state (reusing [`Checkpoint`] — no second format,
-    ///   no second copy of the row data) and `spill_dir` is untouched.
-    /// * **Non-durable matrices** — the memory backend, or disk segments in
-    ///   a self-cleaning temp directory — write a full-payload
-    ///   [`Hibernation`] image (segments, batch boundaries, support
-    ///   counters) to `spill_dir/window.hib` under the same CRC-framed,
-    ///   temp+fsync+rename discipline as checkpoints.
+    /// Writes this window in its one cold form — a [`Checkpoint`] plus the
+    /// segment runs it references — the backend-agnostic half of tenant
+    /// spill-to-disk.  A durable matrix already keeps its runs under its
+    /// durable root, so it writes a checkpoint and leaves `spill_dir`
+    /// untouched.  A non-durable one (memory backend, or disk segments in a
+    /// self-cleaning temp directory) pushes each live segment's chunks into
+    /// a fresh disk store under [`DsMatrix::spill_image`]`(spill_dir)` —
+    /// overwriting the runs of a previous image, unlinking those left over
+    /// — then writes one checkpoint over them.  That checkpoint is the one
+    /// `fsync`: an image never outlives the process that spilled it.
     ///
     /// Either way, dropping the matrix afterwards releases its resident
     /// state — and its [`BudgetLease`], returning the cache grant to the
@@ -808,143 +793,91 @@ impl DsMatrix {
         if self.durable.is_some() {
             return self.checkpoint();
         }
-        let batch_ids = self.window.batch_ids();
-        if batch_ids.len() != self.store.num_segments() {
-            return Err(FsmError::corrupt(
-                "segment/window bookkeeping out of sync at hibernate",
-            ));
+        let image = DurabilityConfig::new(Self::spill_image(spill_dir));
+        // The old checkpoint goes before any run is rewritten: at no point
+        // does a checkpoint describe runs it did not cover.
+        Checkpoint::prune_keeping(&image.dir, 0)?;
+        let mut store = SegmentedWindowStore::open(StorageBackend::DiskAt(image.segments_dir()))?;
+        let snapshot = self.snapshot_epoch()?;
+        for segment in snapshot.segments() {
+            store.push_segment(segment.cols(), segment.rows())?;
         }
-        let mut segments = Vec::with_capacity(batch_ids.len());
-        let mut chunk = BitVec::new();
-        for (seg, batch_id) in batch_ids.into_iter().enumerate() {
-            let cols = self.store.segment_cols(seg).ok_or_else(|| {
-                FsmError::corrupt(format!("segment {seg} vanished mid-hibernate"))
-            })?;
-            let ids = self.store.segment_row_ids(seg).ok_or_else(|| {
-                FsmError::corrupt(format!("segment {seg} vanished mid-hibernate"))
-            })?;
-            let mut rows = Vec::with_capacity(ids.len());
-            for id in ids {
-                if !self.store.read_segment_chunk(seg, id, &mut chunk)? {
-                    return Err(FsmError::corrupt(format!(
-                        "segment {seg} lost row {id} between index and payload"
-                    )));
-                }
-                rows.push(HibernationRow {
-                    row: id as u64,
-                    chunk: chunk.to_bytes(),
-                });
-            }
-            segments.push(HibernationSegment {
-                batch_id,
-                cols: cols as u64,
-                rows,
-            });
-        }
-        let image = Hibernation {
-            num_items: self.num_items as u64,
-            window_batches: self.window.config().window_batches as u64,
-            supports: self.supports[..self.num_items].to_vec(),
-            segments,
-        };
-        image.write(spill_dir)?;
+        store.remove_spares()?;
+        let metas = store
+            .segment_metas()
+            .ok_or_else(|| FsmError::corrupt("a spill image store is memory-resident"))?;
+        self.checkpoint_of(metas, 0, store.next_segment_id())?
+            .write(&image.dir)?;
         Ok(())
+    }
+
+    /// A non-durable window's spill image: `spill_dir/image/`, laid out like
+    /// a durable directory without its WAL.  No durable directory has an
+    /// entry of that name, so a spill root aliased to a durable root keeps
+    /// the two apart.
+    pub fn spill_image(spill_dir: &Path) -> PathBuf {
+        spill_dir.join("image")
     }
 
     /// Rebuilds a hibernated window.
     ///
-    /// Durable configurations recover from their WAL + checkpoints
-    /// ([`DsMatrix::recover`]); non-durable ones load
-    /// `spill_dir/window.hib` and replay the reconstructed batches through
-    /// the ordinary ingest path, which rebuilds the segments and the support
-    /// counters exactly as the original ingests did — the
-    /// thawed window is byte-identical to the hibernated one (and a fresh
-    /// [`BudgetLease`] is registered when the config carries a governor).
+    /// Durable configurations recover ([`DsMatrix::recover`]).  Non-durable
+    /// ones load [`DsMatrix::spill_image`]`(spill_dir)` with recovery's own
+    /// loader — checkpoint, support ledger and runs verified — and feed each
+    /// decoded segment through the ingest path's post-transposition half,
+    /// rebuilding segments and support counters exactly as the original
+    /// ingests did; the rebuilt counters must equal the checkpoint's.  A
+    /// fresh [`BudgetLease`] is registered when the config carries a
+    /// governor.
     ///
     /// The corrupt-artifact discipline matches recovery: a damaged image
-    /// fails with [`FsmError::CorruptArtifact`] naming the file, and the
-    /// proven-corrupt artifact is deleted so the tenant can be dropped and
+    /// fails with [`FsmError::CorruptArtifact`] naming the damaged file, and
+    /// the proven-corrupt image is deleted so the tenant can be dropped and
     /// recreated cleanly instead of silently serving a different window.
     pub fn thaw(config: DsMatrixConfig, spill_dir: &Path) -> Result<Self> {
         if config.durability.is_some() {
             return Self::recover(config);
         }
-        let path = Hibernation::artifact_path(spill_dir);
-        let artifact = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or(Hibernation::FILE_NAME)
-            .to_string();
-        let image = match Hibernation::load(&path) {
-            Ok(image) => image,
-            Err(err @ (FsmError::CorruptArtifact { .. } | FsmError::CorruptStructure(_))) => {
-                // Same discipline as recovery's checkpoint walk: a
-                // proven-corrupt artifact is removed so it cannot poison a
-                // later attempt; transient I/O errors leave it in place.
-                let _ = std::fs::remove_file(&path);
-                return Err(err);
+        let image = DurabilityConfig::new(Self::spill_image(spill_dir));
+        let path = image.dir.join(Checkpoint::file_name(0));
+        let thawed = Self::try_restore(&image, &path, &config).and_then(|(ckpt, mut store)| {
+            let mut config = config;
+            config.expected_edges = config.expected_edges.max(ckpt.num_items as usize);
+            let mut matrix = Self::new(config)?;
+            for (seg, meta) in ckpt.segments.iter().enumerate() {
+                let segment = store.epoch_segment(seg)?;
+                matrix.apply_segment(meta.batch_id, segment.cols(), segment.rows())?;
             }
-            Err(err) => return Err(err),
-        };
-        if image.window_batches as usize != config.window.window_batches {
-            return Err(FsmError::config(format!(
-                "hibernated window holds {} batches but the config asks for {} — \
-                 thaw must use the original window size",
-                image.window_batches, config.window.window_batches
-            )));
+            // Divergence is damage no CRC could see (or a bug): never serve
+            // a silently different window.
+            if matrix.supports[..ckpt.supports.len()] != ckpt.supports[..] {
+                return Err(FsmError::corrupt_artifact(
+                    file_label(&path),
+                    "support counters diverge from the segment runs",
+                ));
+            }
+            Ok(matrix)
+        });
+        if let Err(err) = &thawed {
+            if is_corruption(err) {
+                // Same discipline as recovery's checkpoint walk: a
+                // proven-corrupt image is removed so it cannot poison a
+                // later attempt; transient I/O errors leave it in place.
+                let _ = std::fs::remove_dir_all(&image.dir);
+            }
         }
-        if image.segments.len() > image.window_batches as usize
-            || image.supports.len() != image.num_items as usize
-        {
-            let _ = std::fs::remove_file(&path);
-            return Err(FsmError::corrupt_artifact(
-                &artifact,
-                "segment or support counts disagree with the header",
-            ));
-        }
-        let mut config = config;
-        config.expected_edges = config.expected_edges.max(image.num_items as usize);
-        let mut matrix = Self::new(config)?;
-        for seg in &image.segments {
-            let batch = hibernated_batch(seg, &artifact)?;
-            matrix.ingest_batch(&batch)?;
-        }
-        // The image's counters are redundant with its payloads; divergence
-        // means damage the CRC could not see structurally (or a bug), and a
-        // silently different window is the one outcome thaw must never have.
-        let num_items = image.num_items as usize;
-        let rebuilt = matrix.supports.get(..num_items).unwrap_or(&[]);
-        if rebuilt != image.supports.as_slice()
-            || matrix.supports[num_items..].iter().any(|&s| s != 0)
-        {
-            let _ = std::fs::remove_file(&path);
-            return Err(FsmError::corrupt_artifact(
-                &artifact,
-                "support counters diverge from the segment payloads",
-            ));
-        }
-        Ok(matrix)
+        thawed
     }
 
-    fn write_checkpoint(&mut self) -> Result<()> {
-        let durable = self
-            .durable
-            .as_mut()
-            .expect("write_checkpoint on a non-durable matrix");
-
-        // 1. Make every live segment durable before referencing it from a
-        //    checkpoint.  Segments below the watermark were synced by an
-        //    earlier checkpoint and are immutable since.
-        durable.extra_fsyncs += self.store.sync_segments(durable.synced_uid_watermark)?;
-        durable.synced_uid_watermark = self.store.next_segment_id();
-
-        // 2. Snapshot the window metadata: segment list + row indexes +
-        //    support counters.  Row payloads stay in the (immutable) segment
-        //    files — a checkpoint never copies row data.
-        let metas = self
-            .store
-            .segment_metas()
-            .ok_or_else(|| FsmError::corrupt("durable matrix with a memory-resident store"))?;
+    /// The [`Checkpoint`] of the current window over the runs `metas`
+    /// describes (one per live segment, oldest first): the window's batch
+    /// ids, its support counters and each segment's `(row, ones)` ledger.
+    fn checkpoint_of(
+        &self,
+        metas: Vec<SegmentMeta>,
+        last_seq: u64,
+        next_uid: u64,
+    ) -> Result<Checkpoint> {
         let batch_ids = self.window.batch_ids();
         if metas.len() != batch_ids.len() || metas.len() != self.segment_ones.len() {
             return Err(FsmError::corrupt(
@@ -974,14 +907,41 @@ impl DsMatrix {
                 }
             })
             .collect();
-        let checkpoint = Checkpoint {
-            last_seq: durable.applied_seq,
-            next_uid: self.store.next_segment_id(),
+        Ok(Checkpoint {
+            last_seq,
+            next_uid,
             num_items: self.num_items as u64,
             window_batches: self.window.config().window_batches as u64,
             supports: self.supports[..self.num_items].to_vec(),
             segments,
-        };
+        })
+    }
+
+    fn write_checkpoint(&mut self) -> Result<()> {
+        let durable = self
+            .durable
+            .as_mut()
+            .expect("write_checkpoint on a non-durable matrix");
+
+        // 1. Make every live segment durable before referencing it from a
+        //    checkpoint.  Segments below the watermark were synced by an
+        //    earlier checkpoint and are immutable since.
+        durable.extra_fsyncs += self.store.sync_segments(durable.synced_uid_watermark)?;
+        durable.synced_uid_watermark = self.store.next_segment_id();
+        let last_seq = durable.applied_seq;
+
+        // 2. Snapshot the window metadata: segment list + row indexes +
+        //    support counters.  Row payloads stay in the (immutable) segment
+        //    files — a checkpoint never copies row data.
+        let metas = self
+            .store
+            .segment_metas()
+            .ok_or_else(|| FsmError::corrupt("durable matrix with a memory-resident store"))?;
+        let checkpoint = self.checkpoint_of(metas, last_seq, self.store.next_segment_id())?;
+        let durable = self
+            .durable
+            .as_mut()
+            .expect("write_checkpoint on a non-durable matrix");
 
         // 3. Persist it and drop checkpoints older than the two newest.
         let (_, bytes, fsyncs) = checkpoint.write(&durable.config.dir)?;
@@ -1237,53 +1197,51 @@ impl DsMatrix {
     }
 }
 
-/// Reconstructs the batch a hibernated segment captured: column `t` of the
-/// segment is transaction `t`, containing every row (edge) whose chunk has
-/// bit `t` set.  Feeding the result back through [`DsMatrix::ingest_batch`]
-/// rebuilds the segment bit for bit.
-fn hibernated_batch(seg: &HibernationSegment, artifact: &str) -> Result<Batch> {
-    let cols = seg.cols as usize;
-    let mut edges_per_col: Vec<Vec<u32>> = vec![Vec::new(); cols];
-    for row in &seg.rows {
-        let chunk = BitVec::from_bytes(&row.chunk).ok_or_else(|| {
-            FsmError::corrupt_artifact(
-                artifact,
-                format!(
-                    "row {} of batch {} has a malformed chunk",
-                    row.row, seg.batch_id
-                ),
-            )
-        })?;
-        if chunk.len() != cols {
-            return Err(FsmError::corrupt_artifact(
-                artifact,
-                format!(
-                    "row {} of batch {} spans {} columns, segment has {}",
-                    row.row,
-                    seg.batch_id,
-                    chunk.len(),
-                    cols
-                ),
-            ));
-        }
-        let row_id = u32::try_from(row.row).map_err(|_| {
-            FsmError::corrupt_artifact(
-                artifact,
-                format!(
-                    "row id {} of batch {} overflows the edge domain",
-                    row.row, seg.batch_id
-                ),
-            )
-        })?;
-        for col in chunk.iter_ones() {
-            edges_per_col[col].push(row_id);
+/// A checkpoint's name in errors and recovery reports: its file name.
+fn file_label(path: &Path) -> String {
+    path.file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_else(|| path.display().to_string())
+}
+
+/// Whether `err` proves an artifact damaged (as opposed to a transient I/O
+/// failure or a configuration mismatch, which must not delete anything).
+fn is_corruption(err: &FsmError) -> bool {
+    matches!(
+        err,
+        FsmError::CorruptArtifact { .. } | FsmError::CorruptStructure(_)
+    )
+}
+
+/// Checks the support ledger of a checkpoint before anything trusts it: the
+/// supports cover exactly `num_items` rows, every segment row lies inside
+/// them, and each row's `ones` over the segments sum to its support.
+/// Eviction subtracts those `ones`, so a ledger that passes can neither
+/// index past the supports nor underflow one.  `Err` details the first
+/// violation.
+fn check_ledger(ckpt: &Checkpoint) -> std::result::Result<(), String> {
+    let n = ckpt.supports.len();
+    if n as u64 != ckpt.num_items {
+        return Err(format!("{n} support counters for {} rows", ckpt.num_items));
+    }
+    // `u128`: no count of `u64`s a file can hold overflows it.
+    let mut sums = vec![0u128; n];
+    for row in ckpt.segments.iter().flat_map(|seg| &seg.rows) {
+        match usize::try_from(row.row)
+            .ok()
+            .and_then(|id| sums.get_mut(id))
+        {
+            Some(sum) => *sum += u128::from(row.ones),
+            None => return Err(format!("row {} lies outside the {n} rows", row.row)),
         }
     }
-    let transactions = edges_per_col
-        .into_iter()
-        .map(Transaction::from_raw)
-        .collect();
-    Ok(Batch::from_transactions(seg.batch_id, transactions))
+    match (0..n).find(|&row| sums[row] != u128::from(ckpt.supports[row])) {
+        None => Ok(()),
+        Some(row) => Err(format!(
+            "row {row}'s segments hold {} ones, its support counter says {}",
+            sums[row], ckpt.supports[row]
+        )),
+    }
 }
 
 impl std::fmt::Debug for DsMatrix {
@@ -1342,14 +1300,14 @@ mod tests {
             0,
             vec![e(&[2, 5]), e(&[0, 2]), e(&[5])],
         ));
-        assert_eq!(t.row_bound(), 6);
+        assert_eq!(t.rows().last().map_or(0, |(row, _)| row + 1), 6);
         assert_eq!(
             transposed(&t),
             [(0, "010".into()), (2, "110".into()), (5, "101".into())]
         );
         // An empty batch touches nothing.
         t.fill(&Batch::from_transactions(1, Vec::new()));
-        assert_eq!(t.row_bound(), 0);
+        assert_eq!(t.rows().last().map_or(0, |(row, _)| row + 1), 0);
         assert!(transposed(&t).is_empty());
     }
 
@@ -1373,7 +1331,7 @@ mod tests {
             1,
             vec![e(&[]), e(&[7]), e(&[]), e(&[4]), e(&[])],
         ));
-        assert_eq!(t.row_bound(), 8);
+        assert_eq!(t.rows().last().map_or(0, |(row, _)| row + 1), 8);
         assert_eq!(
             transposed(&t),
             [(4, "00010".into()), (7, "01000".into())],
@@ -1442,7 +1400,10 @@ mod tests {
             t.fill(&batch);
             let expected = per_bit_reference(&batch);
             assert_eq!(transposed(&t), expected, "{cols} columns");
-            assert_eq!(t.row_bound(), if cols == 0 { 0 } else { 41 });
+            assert_eq!(
+                t.rows().last().map_or(0, |(row, _)| row + 1),
+                if cols == 0 { 0 } else { 41 }
+            );
             for (_, chunk) in t.rows() {
                 assert_eq!(chunk.len(), cols);
                 assert_eq!(chunk.as_words().len(), cols.div_ceil(WORD_BITS));

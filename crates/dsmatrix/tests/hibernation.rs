@@ -5,10 +5,14 @@
 //! row-by-row against the matrix that hibernated (and against it again after
 //! both ingest the same suffix of the stream — a thaw must not perturb later
 //! slides), and a damaged artifact must fail loudly, naming the file, never
-//! serving a silently different window.
+//! serving a silently different window.  A non-durable image is a durable
+//! window's cold form — one checkpoint plus one segment run per live batch
+//! under `spill_dir/image/` — so its files are the ones damaged here.
+
+use std::path::Path;
 
 use fsm_dsmatrix::{DsMatrix, DsMatrixConfig, DurabilityConfig};
-use fsm_storage::{Hibernation, StorageBackend, TempDir};
+use fsm_storage::{Checkpoint, StorageBackend, TempDir};
 use fsm_stream::WindowConfig;
 use fsm_types::{Batch, EdgeId, FsmError, Transaction};
 use proptest::prelude::*;
@@ -49,6 +53,21 @@ fn assert_same_window(a: &mut DsMatrix, b: &mut DsMatrix, what: &str) {
             "{what}: row {item}"
         );
     }
+}
+
+/// The spill image's files under `spill`, relative to the image directory
+/// and sorted: the checkpoint, then the runs in `segments/`.
+fn image_files(spill: &Path) -> Vec<String> {
+    let image = DsMatrix::spill_image(spill);
+    let mut files: Vec<String> = [image.clone(), image.join("segments")]
+        .iter()
+        .flat_map(|dir| std::fs::read_dir(dir).unwrap())
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.is_file())
+        .map(|path| path.strip_prefix(&image).unwrap().display().to_string())
+        .collect();
+    files.sort();
+    files
 }
 
 fn raw_batches() -> impl Strategy<Value = Vec<Vec<Vec<u32>>>> {
@@ -118,7 +137,7 @@ fn durable_hibernate_reuses_the_checkpoint_path() {
 
     // No spill image: the durable artifacts under the durable root *are* the
     // hibernated state, reused via the recovery path.
-    assert!(!Hibernation::artifact_path(spill.path()).exists());
+    assert!(!DsMatrix::spill_image(spill.path()).exists());
     let mut thawed = DsMatrix::thaw(durable_config(), spill.path()).unwrap();
     let mut replayed = DsMatrix::new(config(2, StorageBackend::DiskTemp)).unwrap();
     for batch in &stream {
@@ -184,33 +203,101 @@ fn a_checkpoint_that_emptied_the_wal_still_thaws_into_an_ingestable_window() {
     assert_same_window(&mut replayed, &mut recovered, "ingest after recovery");
 }
 
+/// Hibernating into the same directory again and again — as the service
+/// does for a tenant that keeps getting evicted — replaces the image: one
+/// checkpoint and one run per live segment, whatever the earlier images
+/// held, and each thaw serves the window of the latest spill.
+#[test]
+fn hibernating_repeatedly_leaves_one_checkpoint_and_one_run_per_segment() {
+    let stream = batches(&[
+        vec![vec![0, 1], vec![2]],
+        vec![vec![1, 3]],
+        vec![vec![0, 4], vec![3, 5], vec![2]],
+        vec![vec![1, 2], vec![0, 5]],
+        vec![vec![3]],
+    ]);
+    for backend in [StorageBackend::Memory, StorageBackend::DiskTemp] {
+        let spill = TempDir::new("hib-repeat").unwrap();
+        // Images of 0, 1, 3, 3 (slid) and again 0 live segments, each
+        // written twice over the one before.
+        for len in [0, 1, 3, 5, 0] {
+            let mut matrix = DsMatrix::new(config(3, backend.clone())).unwrap();
+            for batch in &stream[..len] {
+                matrix.ingest_batch(batch).unwrap();
+            }
+            matrix.hibernate(spill.path()).unwrap();
+            matrix.hibernate(spill.path()).unwrap();
+            let mut expected = vec![Checkpoint::file_name(0)];
+            expected.extend((0..matrix.num_batches()).map(|uid| format!("segments/seg-{uid}.run")));
+            assert_eq!(
+                image_files(spill.path()),
+                expected,
+                "{backend:?}, {len} batches"
+            );
+            let mut thawed = DsMatrix::thaw(config(3, backend.clone()), spill.path()).unwrap();
+            assert_same_window(&mut matrix, &mut thawed, "after a repeated spill");
+        }
+    }
+}
+
+/// Any damaged byte of any image file — the checkpoint or a run — fails the
+/// thaw with `CorruptArtifact` naming that file, and the whole image is
+/// deleted so it cannot be retried into; a truncated file, or a checkpoint
+/// whose support ledger does not add up, is refused the same way.  A later
+/// spill of the same window thaws cleanly again.
 #[test]
 fn corrupt_image_is_named_deleted_and_never_served() {
-    let spill = TempDir::new("hib-corrupt").unwrap();
-    let mut matrix = DsMatrix::new(config(2, StorageBackend::Memory)).unwrap();
-    for batch in &batches(&[vec![vec![0, 1]], vec![vec![2, 3], vec![1]]]) {
-        matrix.ingest_batch(batch).unwrap();
+    for backend in [StorageBackend::Memory, StorageBackend::DiskTemp] {
+        let spill = TempDir::new("hib-corrupt").unwrap();
+        let image = DsMatrix::spill_image(spill.path());
+        let mut matrix = DsMatrix::new(config(2, backend.clone())).unwrap();
+        for batch in &batches(&[vec![vec![0, 1]], vec![vec![2, 3], vec![1]]]) {
+            matrix.ingest_batch(batch).unwrap();
+        }
+        matrix.hibernate(spill.path()).unwrap();
+        let files = image_files(spill.path());
+        assert_eq!(files.len(), 3, "one checkpoint and two runs");
+        for file in files.iter().map(|file| image.join(file)) {
+            matrix.hibernate(spill.path()).unwrap();
+            let clean = std::fs::read(&file).unwrap();
+            let last = clean.len() - 1;
+            let flipped = |at: usize| {
+                let mut bytes = clean.clone();
+                bytes[at] ^= 0x40;
+                bytes
+            };
+            for damaged in [
+                flipped(0),
+                flipped(last / 2),
+                flipped(last),
+                clean[..last].to_vec(),
+            ] {
+                matrix.hibernate(spill.path()).unwrap();
+                std::fs::write(&file, &damaged).unwrap();
+                let err = DsMatrix::thaw(config(2, backend.clone()), spill.path()).unwrap_err();
+                let name = file.file_name().unwrap().to_string_lossy();
+                assert!(
+                    matches!(&err, FsmError::CorruptArtifact { artifact, .. } if *artifact == name),
+                    "{backend:?}: expected CorruptArtifact naming {name}, got {err}"
+                );
+                assert!(!image.exists(), "a proven-corrupt image is deleted");
+            }
+        }
+        // A lie under a valid CRC: the support ledger is checked too.
+        matrix.hibernate(spill.path()).unwrap();
+        let mut checkpoint = Checkpoint::load(&image.join(&files[0])).unwrap();
+        checkpoint.supports[1] -= 1;
+        checkpoint.write(&image).unwrap();
+        let err = DsMatrix::thaw(config(2, backend.clone()), spill.path()).unwrap_err();
+        assert!(
+            matches!(&err, FsmError::CorruptArtifact { artifact, .. } if *artifact == files[0])
+        );
+        assert!(!image.exists());
+
+        matrix.hibernate(spill.path()).unwrap();
+        let mut thawed = DsMatrix::thaw(config(2, backend), spill.path()).unwrap();
+        assert_same_window(&mut matrix, &mut thawed, "after the damaged images");
     }
-    matrix.hibernate(spill.path()).unwrap();
-
-    let path = Hibernation::artifact_path(spill.path());
-    let mut bytes = std::fs::read(&path).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x40;
-    std::fs::write(&path, &bytes).unwrap();
-
-    let err = DsMatrix::thaw(config(2, StorageBackend::Memory), spill.path()).unwrap_err();
-    assert!(
-        matches!(err, FsmError::CorruptArtifact { .. }),
-        "expected CorruptArtifact, got {err}"
-    );
-    assert!(
-        err.to_string().contains(Hibernation::FILE_NAME),
-        "error must name the artifact: {err}"
-    );
-    // Recovery discipline: the proven-corrupt artifact is removed, so the
-    // tenant can be recreated without tripping over it again.
-    assert!(!path.exists());
 }
 
 #[test]
@@ -227,7 +314,7 @@ fn window_size_mismatch_is_a_config_error_not_corruption() {
     );
     // A mismatch is the caller's mistake, not damage: the image survives for
     // a thaw under the correct configuration.
-    assert!(Hibernation::artifact_path(spill.path()).exists());
+    assert!(DsMatrix::spill_image(spill.path()).exists());
     DsMatrix::thaw(config(3, StorageBackend::Memory), spill.path()).unwrap();
 }
 

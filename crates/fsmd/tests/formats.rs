@@ -3,14 +3,15 @@
 //!
 //! Every format that crosses a trust boundary — wire bodies
 //! ([`TenantSpec`], [`TenantStatus`], pattern lists), the batch payload,
-//! the WAL record frame, the two CRC-framed artifacts ([`Checkpoint`],
-//! [`Hibernation`]) and the segment run a disk window keeps per batch
-//! (segment format v2) — is written and read through one codec
-//! (`fsm_types::codec`, plus `fsm_storage::framed` for the framed
-//! artifacts).  The golden tests below hold the exact bytes of each format,
-//! so a port or refactor of the codec provably moves no byte; the wire,
-//! WAL and hibernation goldens are the bytes those formats had before the
-//! shared codec existed.  The retired `FSMCKPT1` checkpoint of segment
+//! the WAL record frame, the CRC-framed [`Checkpoint`] and the segment run
+//! a disk window keeps per batch (segment format v2) — is written and read
+//! through one codec (`fsm_types::codec`, plus `fsm_storage::framed` for
+//! the checkpoint).  A window's cold form is the checkpoint plus its runs,
+//! durable or spilled, so these two cover every byte a window leaves on
+//! disk.  The golden tests below hold the exact bytes of each format, so a
+//! port or refactor of the codec provably moves no byte; the wire and WAL
+//! goldens are the bytes those formats had before the shared codec
+//! existed.  The retired `FSMCKPT1` checkpoint of segment
 //! format v1 is pinned as a refusal.  The property test then feeds every
 //! decoder arbitrary bytes, every truncation of a valid encoding and a
 //! bit-flipped one: the answer must be a typed error — never a panic, and
@@ -28,8 +29,8 @@ use fsm_fsmd::proto::{
     FRAME_RESERVE_BYTES, MAX_FRAME_BYTES,
 };
 use fsm_storage::{
-    crc32, wal, BitVec, Checkpoint, CheckpointRow, CheckpointSegment, EpochSegment, Hibernation,
-    HibernationRow, HibernationSegment, SegmentedWindowStore, StorageBackend, TempDir, Wal,
+    crc32, wal, BitVec, Checkpoint, CheckpointRow, CheckpointSegment, EpochSegment,
+    SegmentedWindowStore, StorageBackend, TempDir, Wal,
 };
 use fsm_types::{Batch, EdgeSet, FrequentPattern, FsmError, Transaction};
 use proptest::prelude::*;
@@ -173,35 +174,6 @@ fn sample_checkpoint() -> Checkpoint {
     }
 }
 
-fn sample_hibernation() -> Hibernation {
-    Hibernation {
-        num_items: 3,
-        window_batches: 2,
-        supports: vec![2, 0, 1],
-        segments: vec![
-            HibernationSegment {
-                batch_id: 6,
-                cols: 3,
-                rows: vec![
-                    HibernationRow {
-                        row: 0,
-                        chunk: vec![0xAB, 0xCD, 0xEF],
-                    },
-                    HibernationRow {
-                        row: 2,
-                        chunk: vec![],
-                    },
-                ],
-            },
-            HibernationSegment {
-                batch_id: 7,
-                cols: 1,
-                rows: vec![],
-            },
-        ],
-    }
-}
-
 /// The run file of the segment [`sample_checkpoint`]'s first entry
 /// describes: uid 2 (two empty segments are pushed first), 3 columns, rows 0
 /// and 2.
@@ -235,14 +207,6 @@ fn segment_run(uid: u64, cols: usize, rows: &[(usize, Vec<bool>)]) -> Vec<u8> {
 fn checkpoint_file_bytes(checkpoint: &Checkpoint) -> Vec<u8> {
     let dir = TempDir::new("fmt-ckpt").unwrap();
     let (path, bytes, _) = checkpoint.write(dir.path()).unwrap();
-    let file = std::fs::read(path).unwrap();
-    assert_eq!(file.len() as u64, bytes);
-    file
-}
-
-fn hibernation_file_bytes(hibernation: &Hibernation) -> Vec<u8> {
-    let dir = TempDir::new("fmt-hib").unwrap();
-    let (path, bytes) = hibernation.write(dir.path()).unwrap();
     let file = std::fs::read(path).unwrap();
     assert_eq!(file.len() as u64, bytes);
     file
@@ -364,20 +328,11 @@ fn golden_v1_checkpoint_is_refused_as_segment_format_v1() {
     }
 }
 
-#[test]
-fn golden_hibernation_file() {
-    assert_eq!(
-        hex(&hibernation_file_bytes(&sample_hibernation())),
-        "46534d5350494c31030000000000000002000000000000000300000000000000020000000000000000000000000000000100000000000000020000000000000006000000000000000300000000000000020000000000000000000000000000000300000000000000abcdef02000000000000000000000000000000070000000000000001000000000000000000000000000000537abcdc"
-    );
-}
-
 // ---------------------------------------------------------------------------
 // Decoders under fire.
 // ---------------------------------------------------------------------------
 
 const CHECKPOINT_MAGIC: &[u8; 8] = b"FSMCKPT2";
-const HIBERNATION_MAGIC: &[u8; 8] = b"FSMSPIL1";
 
 /// `magic ‖ body ‖ crc32(body)` — a structurally arbitrary body behind a
 /// valid frame, so the field decoder behind the CRC check is reached.
@@ -462,15 +417,7 @@ fn run_with(uid: u64, cols: u64, rows: u64, payload_len: u64, payload: &[u8]) ->
     bytes
 }
 
-fn decode_hibernation(bytes: &[u8]) -> Result<(), FsmError> {
-    decode_file(bytes, Hibernation::load)
-}
-
-fn decode_hibernation_body(body: &[u8]) -> Result<(), FsmError> {
-    decode_hibernation(&framed(HIBERNATION_MAGIC, body))
-}
-
-const DECODERS: [(&str, Decoder); 10] = [
+const DECODERS: [(&str, Decoder); 8] = [
     ("tenant spec", decode_spec),
     ("tenant status", decode_status),
     ("pattern list", decode_patterns),
@@ -478,14 +425,12 @@ const DECODERS: [(&str, Decoder); 10] = [
     ("wal log", decode_wal),
     ("checkpoint file", decode_checkpoint),
     ("checkpoint body", decode_checkpoint_body),
-    ("hibernation file", decode_hibernation),
-    ("hibernation body", decode_hibernation_body),
     ("segment run", decode_run),
 ];
 
 /// The formats whose every byte a CRC covers: one flipped bit anywhere must
 /// be refused, not decoded into a different value.
-const CHECKSUMMED: [&str; 3] = ["checkpoint file", "hibernation file", "segment run"];
+const CHECKSUMMED: [&str; 2] = ["checkpoint file", "segment run"];
 
 /// What a decoder may allocate in one request for `input_len` bytes of
 /// input: a constant factor for in-memory records being wider than their
@@ -575,24 +520,6 @@ fn valid_encodings(id: u64, rows: &[Vec<u32>]) -> Vec<(&'static str, Decoder, Ve
             .collect(),
         ..sample_checkpoint()
     };
-    let hibernation = Hibernation {
-        supports: rows.iter().map(|row| row.len() as u64).collect(),
-        segments: rows
-            .iter()
-            .map(|row| HibernationSegment {
-                batch_id: id,
-                cols: 3,
-                rows: row
-                    .iter()
-                    .map(|&r| HibernationRow {
-                        row: u64::from(r),
-                        chunk: r.to_le_bytes()[..(r % 5) as usize].to_vec(),
-                    })
-                    .collect(),
-            })
-            .collect(),
-        ..sample_hibernation()
-    };
     // One segment holding a chunk for every distinct id the rows mention.
     let mut ids: Vec<usize> = rows.iter().flatten().map(|&r| r as usize).collect();
     ids.sort_unstable();
@@ -614,11 +541,6 @@ fn valid_encodings(id: u64, rows: &[Vec<u32>]) -> Vec<(&'static str, Decoder, Ve
             "checkpoint file",
             decode_checkpoint,
             checkpoint_file_bytes(&checkpoint),
-        ),
-        (
-            "hibernation file",
-            decode_hibernation,
-            hibernation_file_bytes(&hibernation),
         ),
         ("segment run", decode_run, run),
     ]
@@ -736,7 +658,7 @@ fn a_lying_count_is_refused_before_anything_is_reserved() {
     let chunk = [3u64, 5].map(u64::to_le_bytes).concat();
     let one_row = [0u64.to_le_bytes().as_slice(), &chunk].concat();
 
-    let cases: [(&str, Decoder, Vec<u8>); 13] = [
+    let cases: [(&str, Decoder, Vec<u8>); 10] = [
         ("pattern count", decode_patterns, lying_patterns),
         ("pattern edge count", decode_patterns, lying_edges),
         (
@@ -763,21 +685,6 @@ fn a_lying_count_is_refused_before_anything_is_reserved() {
             "checkpoint rows count",
             decode_checkpoint_body,
             u64s(&[9, 4, 3, 2, 0, 1, 1, 2, 3, huge, 0, 0, 0, 0]),
-        ),
-        (
-            "hibernation supports count",
-            decode_hibernation_body,
-            u64s(&[3, 2, huge, 5]),
-        ),
-        (
-            "hibernation segments count",
-            decode_hibernation_body,
-            u64s(&[3, 2, 0, huge, 6, 3, 0]),
-        ),
-        (
-            "hibernation rows count",
-            decode_hibernation_body,
-            u64s(&[3, 2, 0, 1, 6, 3, huge, 0, 0]),
         ),
         (
             "run row count",

@@ -1,6 +1,7 @@
-//! The CRC-framed artifact envelope [`crate::Checkpoint`] and
-//! [`crate::Hibernation`] share: `magic (8 bytes) ‖ body ‖ crc32(body): u32
-//! LE`, the body being `fsm_types::codec` fields.
+//! The CRC-framed artifact envelope of [`crate::Checkpoint`] — the one
+//! artifact that uses it: `magic (8 bytes) ‖ body ‖ crc32(body): u32 LE`,
+//! the body being `fsm_types::codec` fields.  (Segment runs carry their own
+//! CRC in their header; see the `run` module.)
 //!
 //! [`write`] goes to a temp path, fsyncs and renames into place, so a crash
 //! leaves either no artifact or one complete artifact — never a

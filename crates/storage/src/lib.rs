@@ -35,12 +35,14 @@
 //! * [`Wal`] — the write-ahead log (length-prefixed, checksummed,
 //!   fsync-on-commit records with torn-tail truncation on open) and
 //!   [`Checkpoint`] — segment-aligned metadata snapshots; together they make
-//!   the disk backend crash-recoverable (ROADMAP item 5);
-//! * [`Hibernation`] — the full-payload spill image a *non-durable* window
-//!   serialises itself into when the multi-tenant service evicts its tenant
-//!   from the resident set (durable tenants spill by checkpointing instead —
-//!   same framing, no second copy of the data).  Every durable artifact is
-//!   covered by the hand-rolled CRC-32 in [`checksum`].
+//!   the disk backend crash-recoverable (ROADMAP item 5).  A checkpoint
+//!   plus the segment runs it references is the *one* cold form of a
+//!   window: a durable window keeps it under its durable root, and a
+//!   non-durable one (memory backend, or disk segments in a self-cleaning
+//!   temp directory) writes the same two formats into its spill directory
+//!   when the multi-tenant service evicts its tenant from the resident set.
+//!   Every durable artifact is covered by the hand-rolled CRC-32 in
+//!   [`checksum`].
 
 // `deny`, not `forbid`: `bitvec::kernel` carries the crate's one
 // `#[allow(unsafe_code)]`, on the call into `#[target_feature]` code (see its
@@ -59,7 +61,6 @@ mod positional;
 pub mod rowstore;
 mod run;
 pub mod segment;
-pub mod spill;
 pub mod temp;
 pub mod wal;
 
@@ -73,6 +74,5 @@ pub use rowstore::{RowStore, StorageBackend};
 pub use segment::{
     scan_segment_files, CaptureStats, EpochSegment, SegmentMeta, SegmentedWindowStore,
 };
-pub use spill::{Hibernation, HibernationRow, HibernationSegment};
 pub use temp::TempDir;
 pub use wal::{TornTail, Wal, WalRecord, WalStats};

@@ -291,7 +291,7 @@ impl EpochSegment {
     }
 
     /// Iterates the `(row id, chunk)` pairs in ascending row order.
-    pub fn rows(&self) -> impl Iterator<Item = (usize, &BitVec)> {
+    pub fn rows(&self) -> impl Iterator<Item = (usize, &BitVec)> + Clone {
         self.rows.iter().map(|(id, chunk)| (*id, chunk))
     }
 
@@ -546,6 +546,12 @@ impl ChunkReader {
 /// file.  A released file that can no longer be renamed (removed behind the
 /// store's back) is dropped and the next one tried.
 fn write_run(free: &mut Vec<RunFile>, path: &Path, run: &[u8]) -> Result<File> {
+    // A spare already named `path` goes first: renaming another one over it
+    // would leave the free list holding a file by a name it lost.
+    if let Some(at) = free.iter().position(|spare| spare.path == path) {
+        let last = free.len() - 1;
+        free.swap(at, last);
+    }
     while let Some(spare) = free.pop() {
         if std::fs::rename(&spare.path, path).is_err() {
             continue;
@@ -584,7 +590,16 @@ pub struct SegmentedWindowStore {
 
 impl SegmentedWindowStore {
     /// Opens a store with the given backend.
+    ///
+    /// A store opened at an explicit path starts empty whatever a previous
+    /// one left there: format v1 files are removed, and its runs are
+    /// released for this store's pushes to overwrite instead of being
+    /// unlinked and created again ([`SegmentedWindowStore::remove_spares`]
+    /// unlinks the ones no push took).  Recovery goes through
+    /// [`SegmentedWindowStore::restore`] instead, which *keeps* referenced
+    /// files.
     pub fn open(backend: StorageBackend) -> Result<Self> {
+        let mut stale = Vec::new();
         let placement = match backend {
             StorageBackend::Memory => Placement::Memory,
             StorageBackend::DiskTemp => {
@@ -593,26 +608,25 @@ impl SegmentedWindowStore {
             }
             StorageBackend::DiskAt(path) => {
                 std::fs::create_dir_all(&path)?;
-                // Opening a fresh store at an explicit path is an explicit
-                // truncation of whatever a previous run left there — format
-                // v1 files included: stale segment files would collide with
-                // the uids this store is about to assign.  Recovery goes
-                // through [`SegmentedWindowStore::restore`] instead, which
-                // *keeps* referenced files.
-                for (_, stale) in segment_files(&path)? {
-                    std::fs::remove_file(&stale)?;
-                }
+                stale = segment_files(&path)?;
                 Self::disk(path, None)
             }
         };
-        Ok(Self {
+        let mut store = Self {
             placement,
             segments: VecDeque::new(),
             next_id: 0,
             stats: CaptureStats::default(),
             generation: 0,
             reader: ChunkReader::new(),
-        })
+        };
+        for (kind, path) in stale {
+            match kind {
+                SegmentFile::Run(_) => store.release_segment_file(&path)?,
+                SegmentFile::V1 => std::fs::remove_file(&path)?,
+            }
+        }
+        Ok(store)
     }
 
     fn disk(dir: PathBuf, tempdir: Option<TempDir>) -> Placement {
@@ -863,6 +877,17 @@ impl SegmentedWindowStore {
         Ok(())
     }
 
+    /// Unlinks the released files no push has overwritten yet (none on the
+    /// memory backend).
+    pub fn remove_spares(&mut self) -> Result<()> {
+        if let Placement::Disk { free, .. } = &mut self.placement {
+            for spare in free.drain(..) {
+                std::fs::remove_file(&spare.path)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Restores a disk-backed store from checkpointed segment metadata.
     ///
     /// Every entry of `metas` must name a segment run `seg-<uid>.run` in
@@ -1104,11 +1129,6 @@ impl SegmentedWindowStore {
                 Ok(segment)
             }
         }
-    }
-
-    /// Number of columns contributed by segment `seg` (0 = oldest live).
-    pub fn segment_cols(&self, seg: usize) -> Option<usize> {
-        self.segments.get(seg).map(|s| s.cols)
     }
 
     /// The row ids segment `seg` holds a chunk for, in ascending order (works
@@ -1385,9 +1405,6 @@ mod tests {
             store
                 .push_segment(2, [(1, &bv("01")), (4, &bv("10"))])
                 .unwrap();
-            assert_eq!(store.segment_cols(0), Some(3));
-            assert_eq!(store.segment_cols(1), Some(2));
-            assert_eq!(store.segment_cols(2), None);
             assert_eq!(store.locate_column(0), Some((0, 0)));
             assert_eq!(store.locate_column(2), Some((0, 2)));
             assert_eq!(store.locate_column(3), Some((1, 0)));
