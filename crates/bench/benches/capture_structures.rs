@@ -8,10 +8,9 @@
 //!
 //! A second group benchmarks the DSMatrix *read* surface: assembling a view
 //! over a captured window, the same way on every backend — over resident
-//! memory segments, and over disk segments with the chunk cache disabled
-//! (budget 0 — every call reads and decodes every segment run again) or
-//! unlimited (the view assembles its rows from cached decoded chunks — no
-//! run read, no decode).
+//! memory segments, and over disk segments with nothing resident (budget 0 —
+//! every call reads and decodes every segment run again) or an unlimited
+//! budget (every segment resident, decoded — no run read, no decode).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fsm_bench::Workload;

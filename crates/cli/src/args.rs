@@ -63,8 +63,8 @@ pub struct Options {
     /// DSMatrix storage backend (the paper's default keeps the window on
     /// disk).
     pub backend: StorageBackend,
-    /// Byte budget of the decoded-chunk cache the disk backend reads
-    /// through (0 disables it).
+    /// Byte budget of the decoded segments the disk backend keeps resident
+    /// (0 keeps none).
     pub cache_budget: usize,
     /// Durable-directory root: WAL + checkpoints land here and the run
     /// becomes crash-recoverable (`None` keeps the window volatile).
@@ -132,10 +132,11 @@ OPTIONS:
                         the printed output is identical to a full re-mine
   --backend <disk|memory>   where the DSMatrix keeps the window
                         (default: disk, the paper's space posture)
-  --cache-budget <BYTES>    decoded-chunk cache budget for the disk
-                        backend: chunks that fit are not re-read from disk
-                        by later mines (it buys decodes, never assembly);
-                        0 disables it, 'unlimited' holds the whole window
+  --cache-budget <BYTES>    bytes of decoded segments the disk backend keeps
+                        resident, a segment whole or not at all: resident
+                        segments are not re-read from disk by later mines
+                        (it buys decodes, never assembly); 0 keeps none,
+                        'unlimited' holds the whole window
                         (default: 0; rejected with --backend memory)
   --durable-dir <DIR>   make the run crash-recoverable: WAL every batch and
                         checkpoint the window into DIR (disk backend only)
@@ -266,12 +267,12 @@ pub fn parse(args: &[String]) -> Result<Options> {
         ));
     }
     if options.cache_budget > 0 && matches!(options.backend, StorageBackend::Memory) {
-        // Silently ignoring the budget (the memory backend has no chunk
-        // cache) hides a misconfiguration: the user asked for a bounded
-        // cache but got a fully-resident window.
+        // Silently ignoring the budget (the memory backend keeps every
+        // segment resident) hides a misconfiguration: the user asked for a
+        // bounded residency but got a fully-resident window.
         return Err(FsmError::config(
             "--cache-budget only applies to --backend disk; the memory backend \
-             keeps the whole window resident and has no chunk cache to budget",
+             keeps the whole window resident and has no residency to budget",
         ));
     }
     if options.durable_dir.is_some() && matches!(options.backend, StorageBackend::Memory) {

@@ -43,13 +43,13 @@
 //!
 //! `--backend` picks where the window lives (`disk`, the paper's default
 //! space posture, or `memory`), and `--cache-budget BYTES` lets the disk
-//! backend keep up to that many bytes of decoded row chunks between mines.
-//! The budget buys decodes, never assembly: every disk mine assembles the
-//! window into flat rows once, but chunks the budget holds are not decoded
-//! again, and a segment whose chunks it all holds is not read, so with a
-//! budget covering the window disk mines read nothing.  The stderr summary
-//! reports the segment runs read and cache hits of the final mine alongside
-//! the read-amplification line.  Combining `--cache-budget` with
+//! backend keep up to that many bytes of decoded segments resident between
+//! mines — a segment whole or not at all.  The budget buys decodes, never
+//! assembly: every disk mine assembles the window into flat rows once, but
+//! a resident segment is neither read nor decoded again, so with a budget
+//! covering the window disk mines read nothing.  The stderr summary reports
+//! the segment runs read and the chunks served from resident segments by
+//! the final mine alongside the read-amplification line.  Combining `--cache-budget` with
 //! `--backend memory` is rejected up front rather than silently ignored.
 //!
 //! `--durable-dir DIR` makes the run crash-recoverable: every ingested batch
@@ -241,7 +241,8 @@ fn run(options: &Options) -> Result<()> {
             bytes => format!("{bytes} bytes"),
         };
         eprintln!(
-            "disk cache: {} segment runs read, {} chunk-cache hits (budget {budget})",
+            "disk cache: {} segment runs read, {} chunks served from resident segments \
+             (budget {budget})",
             result.stats().pages_read,
             result.stats().cache_hits,
         );

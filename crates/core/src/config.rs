@@ -65,15 +65,15 @@ pub struct MinerConfig {
     /// [`crate::SessionRegistry`] mines its tenants on its own
     /// [`crate::RegistryConfig::exec`] instead.)
     pub threads: usize,
-    /// Byte budget of the decoded-chunk cache the disk backends read
-    /// through.  `0` (the default) disables it: every mine re-reads the
-    /// window from disk, the strictest space posture.  The budget buys
-    /// decodes, never assembly: every disk mine assembles the window into
-    /// flat rows once (and frees them when it returns), but the chunks the
-    /// budget holds are not decoded again, and a segment whose chunks it all
-    /// holds is not read at all — a budget covering the window makes disk
+    /// Byte budget of the decoded segments the disk backends keep resident,
+    /// a segment whole or not at all, each charged its decoded size.  `0`
+    /// (the default) keeps none: every mine re-reads the window from disk,
+    /// the strictest space posture.  The budget buys decodes, never
+    /// assembly: every disk mine assembles the window into flat rows once
+    /// (and frees them when it returns), but a resident segment is neither
+    /// read nor decoded again — a budget covering the window makes disk
     /// mines read nothing.  Results are byte-identical for every setting.
-    /// Ignored by the memory backend.
+    /// Ignored by the memory backend, whose segments are all resident.
     pub cache_budget_bytes: usize,
     /// Durable-directory root for the WAL + checkpoint layer (disk backends
     /// only).  `None` (the default) keeps the matrix volatile; `Some(dir)`
@@ -100,7 +100,7 @@ pub struct MinerConfig {
     /// budget and the matrix applies whatever the governor's cap and
     /// fair-share rule grant, re-requesting at ingest/view boundaries.
     /// Ignored by the memory backend.  Results are byte-identical either
-    /// way — budgets only move bytes between disk and cache.
+    /// way — budgets only decide which segments are read from disk.
     pub cache_governor: Option<Arc<BudgetGovernor>>,
 }
 
@@ -209,12 +209,12 @@ impl StreamMinerBuilder {
         self
     }
 
-    /// Budgets the decoded-chunk cache of the disk backends (`0` disables
-    /// it; ignored by the memory backend).  Mining output is byte-identical
-    /// for every budget — only the per-mine disk reads change: chunks the
-    /// budget holds are not decoded again, and a segment whose chunks it all
-    /// holds is not read (with a budget covering the window, nothing is).
-    /// The budget buys decodes, never assembly.
+    /// Budgets the decoded segments the disk backends keep resident (`0`
+    /// keeps none; ignored by the memory backend).  Mining output is
+    /// byte-identical for every budget — only the per-mine disk reads
+    /// change: a resident segment is not read or decoded again (with a
+    /// budget covering the window, nothing is read).  The budget buys
+    /// decodes, never assembly.
     ///
     /// ```
     /// use fsm_core::StreamMinerBuilder;
@@ -223,7 +223,7 @@ impl StreamMinerBuilder {
     ///
     /// let miner = StreamMinerBuilder::new()
     ///     .backend(StorageBackend::DiskTemp)
-    ///     .cache_budget_bytes(1 << 20) // keep up to 1 MiB of decoded chunks
+    ///     .cache_budget_bytes(1 << 20) // keep up to 1 MiB of decoded segments
     ///     .catalog(EdgeCatalog::complete(4))
     ///     .build()
     ///     .unwrap();
@@ -266,7 +266,7 @@ impl StreamMinerBuilder {
         self
     }
 
-    /// Subordinates this miner's chunk-cache budget to a process-wide
+    /// Subordinates this miner's residency budget to a process-wide
     /// [`BudgetGovernor`] (see [`MinerConfig::cache_governor`]).
     pub fn cache_governor(mut self, governor: Arc<BudgetGovernor>) -> Self {
         self.config.cache_governor = Some(governor);

@@ -41,17 +41,17 @@ pub struct MiningStats {
     /// 64-bit words of window data the read path materialised *for this mine
     /// call* (the read-amplification counter; see
     /// [`fsm_dsmatrix::DsMatrix::read_stats`]): the rows some live segment
-    /// holds, assembled once, on every backend and at every chunk-cache
+    /// holds, assembled once, on every backend and at every residency
     /// budget.  Zero for a delta mine, which reads an epoch snapshot's
     /// segments instead of a view.
     pub read_words_assembled: u64,
-    /// Positional reads of segment runs the read path issued *for this mine
-    /// call* (zero on the memory backend): at most one per segment, and
-    /// none with a [`crate::MinerConfig::cache_budget_bytes`] budget
-    /// covering the window.
+    /// Segment runs the read path read *for this mine call* (zero on the
+    /// memory backend): one per segment that was not resident, and none
+    /// with a [`crate::MinerConfig::cache_budget_bytes`] budget covering
+    /// the window.
     pub pages_read: u64,
-    /// Chunk reads this mine call served from the budgeted decoded-chunk
-    /// cache instead of a segment run (always zero with a zero budget).
+    /// Chunks this mine call served from resident disk segments instead of
+    /// a segment run (always zero with a zero budget).
     pub cache_hits: u64,
     /// Number of window transactions the run mined over.
     pub window_transactions: usize,

@@ -466,8 +466,8 @@ fn finish_mine(
         // Read amplification of this call: words the read path materialised
         // and segment runs it read.  Words are the rows some live segment
         // holds, once, on every backend (zero for a delta mine, which reads
-        // an epoch snapshot's segments); runs drop to those holding a chunk
-        // the chunk-cache budget did not admit.
+        // an epoch snapshot's segments); runs drop to the segments the
+        // residency budget did not hold.
         let after = matrix.read_stats();
         stats.read_words_assembled = after.words_assembled - before.words_assembled;
         stats.pages_read = after.pages_read - before.pages_read;

@@ -16,7 +16,7 @@
 //! [`WindowView`] (the live [`fsm_dsmatrix::DsMatrix::view`] or a frozen
 //! [`fsm_dsmatrix::EpochSnapshot::view`] — nothing is copied on the memory
 //! backend; a disk-backend mine and an epoch mine assemble each row once
-//! per call, whatever the chunk-cache budget),
+//! per call, whatever the residency budget),
 //! each worker owns one [`ProjectionScratch`] for allocation-free
 //! projection, and per-pivot outputs merge back in canonical edge order —
 //! pattern lists and statistics are byte-identical for every thread count.

@@ -12,8 +12,8 @@
 //!   [`crate::WorkerPool`], so a thousand concurrent tenant mines multiplex
 //!   their subtree tasks over one worker set instead of each bringing its
 //!   own threads;
-//! * one optional [`BudgetGovernor`] — the process-wide chunk-cache cap the
-//!   disk-backed tenants lease from;
+//! * one optional [`BudgetGovernor`] — the process-wide cap on resident
+//!   decoded segments the disk-backed tenants lease from;
 //! * one optional durable root — each durable tenant's WAL/checkpoints live
 //!   under `durable_root/<tenant>/`, so recovery is per tenant
 //!   ([`SessionRegistry::recover_tenant`]) and a tenant id is all an
@@ -116,8 +116,8 @@ pub struct RegistryConfig {
     /// ([`Exec::scoped`]`(1)`, a pool without helpers) mines each tenant
     /// sequentially on the calling thread.
     pub exec: Exec,
-    /// Process-wide chunk-cache cap the disk-backed tenants lease from
-    /// (see [`MinerConfig::cache_governor`]).  `None` leaves each tenant's
+    /// Process-wide cap on resident decoded segments the disk-backed tenants
+    /// lease from (see [`MinerConfig::cache_governor`]).  `None` leaves each tenant's
     /// configured budget private — the sum is then unmanaged.
     pub governor: Option<Arc<BudgetGovernor>>,
     /// Root directory for durable tenants: a tenant configured with a disk

@@ -1,37 +1,37 @@
-//! Cross-backend agreement: the disk read path (and the budgeted chunk
-//! cache underneath it) must be invisible in every output byte.
+//! Cross-backend agreement: the disk read path (and the budget of resident
+//! segments underneath it) must be invisible in every output byte.
 //!
-//! The same batch stream is mined on the `Memory` backend, the uncached
-//! `DiskTemp` backend (budget 0 — every chunk decoded from its segment run
-//! on every mine) and the budgeted disk path at both extremes (a deliberately
-//! tiny budget that refuses most admissions, so cache hits and run reads
-//! mix within one row, and an unlimited budget where every chunk is a hit,
-//! the entering segment's included — the cache admits them as they are
-//! written).  Mining after every ingested batch
+//! The same batch stream is mined on the `Memory` backend, the `DiskTemp`
+//! backend at budget 0 (every segment decoded from its run on every mine)
+//! and the budgeted disk path at both extremes (a deliberately tiny budget
+//! that holds a segment or two of the window, so resident segments and run
+//! reads mix within one view, and an unlimited budget where every segment is
+//! resident, the entering one included — a push keeps the segment it has
+//! just written).  Mining after every ingested batch
 //! exercises arbitrary slide schedules; the property also fans each corner
 //! over multiple worker thread counts.  Patterns (order included) and work
 //! counters must be byte-identical across every (corner × threads)
 //! combination; only the disk-read accounting may differ.
 //!
 //! A second test pins what a budget buys: with a budget covering the
-//! window a disk mine reads no run at all — the slide's chunks were
-//! admitted when they were written — while budget 0 keeps re-reading the
+//! window a disk mine reads no run at all — the slide's segment was
+//! admitted when it was written — while budget 0 keeps re-reading the
 //! whole window, and both assemble exactly the same words, because the
 //! budget buys decodes, never assembly.  A third holds every budget to the between-mines
 //! footprint: the flat rows a mine assembled are gone when it returns,
 //! however it returns.
 
 use fsm_core::{Algorithm, StreamMiner, StreamMinerBuilder};
-use fsm_storage::{BitVec, ChunkCache, StorageBackend, TempDir};
+use fsm_storage::{SegmentedWindowStore, StorageBackend, TempDir};
 use fsm_types::{Batch, FsmError, MinSup, Transaction};
 use proptest::prelude::*;
 
 const VERTICES: u32 = 5;
 const EDGES: u32 = 10;
 
-/// The backend/budget corners under test: memory, uncached disk, a tiny
-/// disk budget (hits and run reads mix within a row) and an unlimited disk
-/// budget (everything but the entering segment hits).
+/// The backend/budget corners under test: memory, disk at budget 0, a tiny
+/// disk budget (resident segments and run reads mix within a view) and an
+/// unlimited disk budget (every segment resident).
 fn corners() -> Vec<(&'static str, StorageBackend, usize)> {
     vec![
         ("memory", StorageBackend::Memory, 0),
@@ -79,8 +79,8 @@ proptest! {
     /// Mining after every ingested batch (arbitrary slide schedules) yields
     /// byte-identical patterns and work counters on all four backend/budget
     /// corners crossed with every worker thread count, for all five
-    /// algorithms — a cache hit is indistinguishable from a run read in
-    /// every output byte.
+    /// algorithms — a resident segment is indistinguishable from a run read
+    /// in every output byte.
     #[test]
     fn all_budget_corners_mine_identically(
         raw in arb_stream(),
@@ -137,9 +137,9 @@ proptest! {
 }
 
 /// What a budget buys, at the facade level: a disk mine under a budget
-/// covering the window reads no run, from the first mine on — the cache
-/// admitted every chunk as its segment was written — while budget 0
-/// reproduces the uncached read pattern (the whole window, every mine); the
+/// covering the window reads no run, from the first mine on — each segment
+/// was kept resident as it was written — while budget 0 reads the whole
+/// window from disk on every mine; the
 /// two assemble the same words — the rows the window holds, once — and agree
 /// on every pattern.
 #[test]
@@ -208,7 +208,7 @@ fn steady_state_disk_mines_read_only_the_slide() {
         assert_eq!(eager_result.stats().cache_hits, 0);
         assert!(
             eager_result.stats().pages_read > 0,
-            "mine #{id}: the uncached path reads the window from disk"
+            "mine #{id}: budget 0 reads the window from disk"
         );
         assert_eq!(
             budgeted_result.stats().pages_read,
@@ -222,8 +222,8 @@ fn steady_state_disk_mines_read_only_the_slide() {
 /// The between-mines promise, at every budget: whatever a mine assembled is
 /// released when it returns — normally or with an error half-way through its
 /// view — so the capture structure keeps resident only its bookkeeping plus
-/// what the chunk cache holds, which is at most the budget and never more
-/// than the window's chunks at the cache's own charge.
+/// its resident segments, which are at most the budget and never more than
+/// the window's segments at their decoded size.
 ///
 /// The window is 5 touched rows in a domain of 2016: a retained flat copy
 /// (2016 rows × 3 words) would dwarf every bound below.
@@ -236,23 +236,23 @@ fn a_disk_mine_releases_its_flat_rows() {
             .collect();
         Batch::from_transactions(id, transactions)
     };
-    // What a full window keeps resident with nothing cached: taken from the
-    // budget-0 miner (the first), since a budgeted one's cache is warm from
-    // its first ingest on.
+    // What a full window keeps resident with no segment resident: taken
+    // from the budget-0 miner (the first), since a budgeted one holds
+    // segments from its first ingest on.
     let mut bookkeeping = None;
-    // The most the chunk cache can hold whatever its budget: every chunk of
-    // a full window (3 segments × the touched rows, 64 columns each) at the
-    // cache's charge — a decoded copy plus its map entry.
-    let window_charge = {
-        let mut cache = ChunkCache::new(usize::MAX);
-        for seg in 0..3 {
-            for &row in &touched {
-                cache.insert(seg, row as usize, &BitVec::zeros(64));
-            }
-        }
-        cache.used_bytes()
+    // What one segment is charged when resident — its decoded size: the
+    // touched rows, 64 columns each.  The most a budget can hold is the
+    // window's three.
+    let segment = {
+        let mut store = SegmentedWindowStore::open(StorageBackend::Memory).unwrap();
+        let chunk = fsm_storage::BitVec::zeros(64);
+        store
+            .push_segment(64, touched.iter().map(|&row| (row as usize, &chunk)))
+            .unwrap();
+        store.epoch_segment(0).unwrap().heap_bytes()
     };
-    for budget in [0usize, 600, usize::MAX] {
+    let window_charge = 3 * segment;
+    for budget in [0usize, segment, usize::MAX] {
         let root = TempDir::new("flat-rows").unwrap();
         let segments = root.path().join("segments");
         let mut miner = StreamMinerBuilder::new()
@@ -268,7 +268,7 @@ fn a_disk_mine_releases_its_flat_rows() {
             miner.ingest_batch(&batch(id)).unwrap();
         }
         // Identical batches on a full window: the bookkeeping is steady, so
-        // whatever grows past this is the chunk cache — or a leak.
+        // whatever grows past this is resident segments — or a leak.
         let base = *bookkeeping.get_or_insert_with(|| miner.resident_bytes());
         let mut bound = base;
         // Every batch is the same, so every full window mines the same.
@@ -287,13 +287,13 @@ fn a_disk_mine_releases_its_flat_rows() {
         let clean = clean.expect("the loop mines");
 
         // Damage the middle of the run the last ingest wrote.  The tight
-        // budget holds one segment's chunks, and this is not the one (it
-        // admits every third segment: the room only ever comes from a
-        // cached segment leaving); budget 0 holds nothing.  For both, rows
-        // before the first that reads the run assemble, then the view fails
-        // on its checksum.  The unlimited budget admitted the chunks when
-        // they were written: it serves the values that were written and
-        // never opens the file.
+        // budget holds one segment, and this is not the one (it admits
+        // every third segment: the room only ever comes from a resident
+        // segment leaving); budget 0 holds nothing.  For both, rows before
+        // the first that reads the run assemble, then the view fails on its
+        // checksum.  The unlimited budget kept the segment when it was
+        // written: it serves the values that were written and never opens
+        // the file.
         let newest = segments.join("seg-8.run");
         let mut bytes = std::fs::read(&newest).unwrap();
         let middle = bytes.len() / 2;
@@ -318,10 +318,11 @@ fn a_disk_mine_releases_its_flat_rows() {
             assert_eq!(result.stats().pages_read, 0);
             assert!(
                 result.same_patterns_as(&clean),
-                "the cache serves what was written"
+                "a resident segment serves what was written"
             );
             assert!(miner.resident_bytes() <= bound);
-            // Without the cache the same mine has to read the damaged run.
+            // With nothing resident the same mine has to read the damaged
+            // run.
             miner.matrix_mut().set_cache_budget(0);
             expect_crc_error(&mut miner, "budget unlimited, then 0");
         } else {

@@ -323,6 +323,51 @@ fn a_checkpoint_whose_ledger_disagrees_is_refused_and_survived() {
     assert_same(&recovered.mine().unwrap(), &expected[11], "ledger lie");
 }
 
+/// A checkpoint is trusted only once every run it references has the
+/// length its index gives: a segment claiming 2^50 columns under a valid
+/// CRC — its offsets and chunk lengths the ones the run layout gives such a
+/// segment — is refused by name before any read is sized by it, and
+/// recovery falls back to the older checkpoint.
+#[test]
+fn a_checkpoint_whose_index_outgrows_its_run_is_refused_and_survived() {
+    let window = 3;
+    let batches = batch_stream(6, 11);
+    let expected = oracle(window, &batches);
+    let root = fsm_storage::TempDir::new("ckptrunlen").unwrap();
+    let dir = root.path().join("durable");
+    let mut miner = durable_builder(window, &dir, 2).build().unwrap();
+    for batch in &batches[..8] {
+        miner.ingest_batch(batch).unwrap();
+    }
+    drop(miner);
+    // Checkpoints at seq 6 and 8; the newest's last segment now claims
+    // 2^50 columns: chunks of 8 + 2^47 bytes after the row ids.
+    let newest = dir.join(Checkpoint::file_name(8));
+    let mut checkpoint = Checkpoint::load(&newest).unwrap();
+    let segment = checkpoint.segments.last_mut().unwrap();
+    let cols = 1u64 << 50;
+    let chunk = 8 + cols / 64 * 8;
+    let ids = 40 + 8 * segment.rows.len() as u64;
+    segment.cols = cols;
+    for (slot, row) in segment.rows.iter_mut().enumerate() {
+        row.offset = ids + slot as u64 * chunk;
+        row.len = chunk;
+    }
+    let lied = format!("seg-{}.run", segment.uid);
+    checkpoint.write(&dir).unwrap();
+
+    let mut recovered = durable_builder(window, &dir, 2).recover().build().unwrap();
+    for batch in &batches[8..] {
+        recovered.ingest_batch(batch).unwrap();
+    }
+    let report = recovered.recovery_report().unwrap();
+    assert_eq!(report.checkpoint_seq, Some(6), "{report:?}");
+    assert_eq!(report.skipped_artifacts.len(), 1, "{report:?}");
+    assert!(report.skipped_artifacts[0].contains(&Checkpoint::file_name(8)));
+    assert!(report.skipped_artifacts[0].contains(&lied), "{report:?}");
+    assert_same(&recovered.mine().unwrap(), &expected[11], "run length lie");
+}
+
 /// Satellite (c) 3/3: a damaged byte — any byte — of the segment run
 /// referenced only by the newest checkpoint is caught by the run's CRC at
 /// verification time; the checkpoint is distrusted, the older one restores,

@@ -35,9 +35,9 @@ const EDGES: u32 = 10;
 /// Reader threads mining snapshots concurrently with the writer.
 const READERS: usize = 3;
 
-/// The backend/budget corners under test: memory, uncached disk, a tiny
-/// disk budget (hits and run reads mix within a row) and an unlimited disk
-/// budget (everything but the entering segment hits).
+/// The backend/budget corners under test: memory, disk at budget 0, a tiny
+/// disk budget (600 B, whatever segments fit) and an unlimited disk budget
+/// (every segment resident).
 fn corners() -> Vec<(&'static str, StorageBackend, usize)> {
     vec![
         ("memory", StorageBackend::Memory, 0),

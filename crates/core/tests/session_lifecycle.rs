@@ -5,7 +5,7 @@
 //! image going with it (and never a durable namesake's files under an
 //! aliased root), a delta tenant's incremental state rebuilding exactly
 //! across a spill/thaw cycle, and a subscribed disk tenant holding nothing
-//! resident outside its chunk-cache budget.
+//! resident outside its residency budget.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -364,9 +364,10 @@ fn delta_state_rebuilds_exactly_on_thaw() {
 /// Publishing to a subscriber is the tenant's ordinary mine, so it leaves
 /// behind what an ordinary mine leaves behind: a disk tenant mined on every
 /// slide reports the resident bytes of an unsubscribed twin mined once at
-/// the end — bookkeeping plus at most its chunk-cache budget.  (Publishing
-/// from an epoch snapshot instead would leave the store's decoded-segment
-/// memo resident: a copy of the window outside that budget.)
+/// the end — bookkeeping plus at most its residency budget.  (Publishing
+/// from an epoch snapshot instead would keep the snapshot's decoded copy of
+/// every non-resident segment alive in the matrix's epoch memo until the
+/// next ingest: a copy of the window outside that budget.)
 #[test]
 fn a_subscribed_disk_tenant_holds_no_more_than_an_unsubscribed_one() {
     let disk = MinerConfig {

@@ -3,7 +3,7 @@
 //! All five algorithms read the window through [`fsm_dsmatrix::WindowView`],
 //! whose rows [`fsm_dsmatrix::DsMatrix::view`] assembles from the window's
 //! segments the same way on every backend — from resident segments on the
-//! memory backend, through segment runs and the chunk cache on the disk
+//! memory backend, from resident segments and segment runs on the disk
 //! backends.  Running the same stream through both backends therefore pits
 //! the two storage paths against each other, and this file property-tests
 //! that the pattern lists (order included) and the work counters are

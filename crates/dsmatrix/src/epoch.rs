@@ -12,15 +12,18 @@
 //!
 //! # Ownership and reclamation
 //!
-//! A snapshot owns `Arc` handles to decoded segment data, not chunk-cache
-//! entries and not borrows of the matrix:
+//! A snapshot owns `Arc` handles to decoded segment data, not borrows of the
+//! matrix:
 //!
 //! * on the **memory backend** the handles alias the live store segments —
 //!   taking a snapshot copies nothing but the support counters;
-//! * on the **disk backends** each segment is decoded once into an
-//!   [`EpochSegment`] and memoised on the live segment
-//!   ([`fsm_storage::SegmentedWindowStore::epoch_segment`]), so consecutive
-//!   snapshots of a sliding window pay only for the segment that entered.
+//! * on the **disk backends** a segment the residency budget holds is
+//!   aliased the same way, so under a budget covering the window a snapshot
+//!   copies nothing but the support counters either; a segment
+//!   the budget does not hold is decoded from its run into an
+//!   [`EpochSegment`] owned by this snapshot alone
+//!   ([`fsm_storage::SegmentedWindowStore::epoch_segment`]) — outside the
+//!   budget, until the snapshot drops.
 //!
 //! Either way the `Arc`s are all that keeps an epoch alive: a window slide,
 //! [`crate::DsMatrix::set_cache_budget`] or a later live view cannot

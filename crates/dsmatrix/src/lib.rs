@@ -49,7 +49,8 @@
 //! CRC-covered run file under a temporary directory (segment format v2,
 //! files recycled from slide to slide), the resident footprint during
 //! capture is only the boundary bookkeeping, counters and per-segment
-//! indexes, and a view's chunks are fetched through a budgeted chunk cache.
+//! indexes, and a view reads each segment from its run unless a byte budget
+//! keeps it resident, decoded, a segment whole or not at all.
 //! An in-memory backend keeps the segments resident; it serves the dense
 //! benchmarks, tests, and the storage ablation.
 //!

@@ -5,8 +5,8 @@
 //!
 //! * a **live** view ([`crate::DsMatrix::view`]) borrows the rows the matrix
 //!   assembled for it, once per call and segment by segment, on every
-//!   backend (fetching disk chunks through the budgeted chunk cache, which
-//!   buys decodes, never assembly);
+//!   backend (serving resident disk segments from memory and reading the
+//!   others from their runs — the budget buys decodes, never assembly);
 //! * a **frozen epoch** ([`crate::EpochSnapshot::view`]) borrows the
 //!   [`crate::RowSnapshot`] the caller assembled from the snapshot's shared
 //!   segments ([`crate::EpochSnapshot::assemble_rows`]) through the same

@@ -2,21 +2,23 @@
 //! last reader lets go, and never earlier.
 //!
 //! [`DsMatrix::snapshot_epoch`] hands out `Arc`-shared [`EpochSegment`]s, so
-//! reclamation is plain reference counting: a segment's decoded bits stay
-//! alive while it is inside the live window (the store itself holds an
-//! `Arc` — directly on the memory backend, via the decode-once memo on
-//! disk) **or** while any undropped snapshot still references it.  The
-//! matrix's own epoch memo only ever references the current window's
-//! segments and is invalidated by the next ingest, so it adds no liveness
-//! beyond window membership.
+//! reclamation is plain reference counting.  A *resident* segment — every
+//! segment on the memory backend, and on disk every segment the residency
+//! budget holds — is one decoded copy the store itself holds while the
+//! segment is in the live window, shared by every snapshot that covers it.
+//! A disk segment the budget does not hold is decoded afresh for each
+//! snapshot, and that copy lives exactly as long as the snapshot does.  The
+//! matrix's own epoch memo references the newest snapshot until the next
+//! ingest invalidates it.
 //!
-//! These tests pin that rule against a `HashMap` shadow model: `Weak`
-//! probes are taken for every segment the moment a snapshot first exposes
-//! it, an oracle tracks (external refcount, window membership) per segment
-//! uid, and after every step — randomized drop orders, and drops randomly
-//! interleaved with further slides — every probe's `upgrade()` must agree
-//! with the oracle.  No segment may be reclaimed while referenced; every
-//! segment must be reclaimed once its last reference drops.
+//! These tests pin that rule against a `HashMap` shadow model: a `Weak`
+//! probe is taken for every decoded copy the moment a snapshot first
+//! exposes it, an oracle tracks each copy's external refcount and whether
+//! the matrix keeps it (memo or residency), and after every step —
+//! randomized drop orders, and drops randomly interleaved with further
+//! slides — every probe's `upgrade()` must agree with the oracle.  No copy
+//! may be reclaimed while referenced; every copy must be reclaimed once its
+//! last reference drops.
 //!
 //! One documented deviation from a file-level model: on the disk backend
 //! the *files* of a popped segment may be unlinked while snapshots still
@@ -34,12 +36,20 @@ use fsm_types::{Batch, Transaction};
 const EDGES: usize = 6;
 const WINDOW: usize = 3;
 
-fn corners() -> Vec<(&'static str, StorageBackend, usize)> {
+/// The corners, each with whether its whole window is resident.  At most
+/// three segments of at most six one-word chunks (24 bytes charged each)
+/// are 432 bytes, so 600 bytes hold this fixture's window.
+fn corners() -> Vec<(&'static str, StorageBackend, usize, bool)> {
     vec![
-        ("memory", StorageBackend::Memory, 0),
-        ("disk budget=0", StorageBackend::DiskTemp, 0),
-        ("disk budget=tiny", StorageBackend::DiskTemp, 600),
-        ("disk budget=max", StorageBackend::DiskTemp, usize::MAX),
+        ("memory", StorageBackend::Memory, 0, true),
+        ("disk budget=0", StorageBackend::DiskTemp, 0, false),
+        ("disk budget=600", StorageBackend::DiskTemp, 600, true),
+        (
+            "disk budget=max",
+            StorageBackend::DiskTemp,
+            usize::MAX,
+            true,
+        ),
     ]
 }
 
@@ -83,49 +93,61 @@ impl Xorshift {
     }
 }
 
-/// The shadow model: per segment uid, a `Weak` probe plus the oracle's view
-/// of its external snapshot refcount; window membership is passed per check.
+/// A decoded copy of a segment, named by its address: the probe's `Weak`
+/// keeps the allocation, so no later copy can take the address over.
+type Decoded = usize;
+
+/// The shadow model: per decoded copy, its segment uid, a `Weak` probe and
+/// the oracle's view of its external snapshot refcount; the copies the
+/// matrix keeps are passed per check.
 #[derive(Default)]
 struct Shadow {
-    probes: HashMap<u64, Weak<EpochSegment>>,
-    refs: HashMap<u64, usize>,
+    probes: HashMap<Decoded, (u64, Weak<EpochSegment>)>,
+    refs: HashMap<Decoded, usize>,
 }
 
 impl Shadow {
-    /// Registers one held snapshot: probes for new segments, +1 refcount on
-    /// every segment it references.  Returns the snapshot's uid list.
-    fn acquire(&mut self, snapshot: &Arc<EpochSnapshot>) -> Vec<u64> {
+    /// Registers one held snapshot: probes for new copies, +1 refcount on
+    /// every copy it references.  Returns the snapshot's copies.
+    fn acquire(&mut self, snapshot: &Arc<EpochSnapshot>) -> Vec<Decoded> {
         snapshot
             .segments()
             .iter()
             .map(|seg| {
+                let copy = Arc::as_ptr(seg) as Decoded;
                 self.probes
-                    .entry(seg.uid())
-                    .or_insert_with(|| Arc::downgrade(seg));
-                *self.refs.entry(seg.uid()).or_insert(0) += 1;
-                seg.uid()
+                    .entry(copy)
+                    .or_insert_with(|| (seg.uid(), Arc::downgrade(seg)));
+                *self.refs.entry(copy).or_insert(0) += 1;
+                copy
             })
             .collect()
     }
 
-    /// Forgets one dropped snapshot (by its uid list): -1 refcount each.
-    fn release(&mut self, uids: &[u64]) {
-        for uid in uids {
-            *self.refs.get_mut(uid).unwrap() -= 1;
+    /// Forgets one dropped snapshot (by its copies): -1 refcount each.
+    fn release(&mut self, copies: &[Decoded]) {
+        for copy in copies {
+            *self.refs.get_mut(copy).unwrap() -= 1;
         }
     }
 
-    /// Every probe must agree with the oracle: alive iff still inside the
-    /// live window or still referenced by an undropped snapshot.
-    fn check(&self, window: &[u64], context: &str) {
-        for (uid, probe) in &self.probes {
-            let expected = window.contains(uid) || self.refs[uid] > 0;
+    /// How many distinct decoded copies of segment `uid` were exposed.
+    fn copies_of(&self, uid: u64) -> usize {
+        self.probes.values().filter(|(of, _)| *of == uid).count()
+    }
+
+    /// Every probe must agree with the oracle: alive iff the matrix keeps
+    /// it (`kept`: its memo's or its resident copies) or an undropped
+    /// snapshot still references it.
+    fn check(&self, kept: &[Decoded], context: &str) {
+        for (copy, (uid, probe)) in &self.probes {
+            let expected = kept.contains(copy) || self.refs[copy] > 0;
             assert_eq!(
                 probe.upgrade().is_some(),
                 expected,
-                "{context}: segment {uid} (in window: {}, external refs: {})",
-                window.contains(uid),
-                self.refs[uid]
+                "{context}: a copy of segment {uid} (kept: {}, external refs: {})",
+                kept.contains(copy),
+                self.refs[copy]
             );
         }
     }
@@ -139,28 +161,38 @@ impl Shadow {
 #[test]
 fn no_segment_outlives_its_last_reader() {
     const BATCHES: usize = 8;
-    for (label, backend, budget) in corners() {
+    for (label, backend, budget, resident) in corners() {
         for seed in 1u64..=4 {
             let mut m = matrix(backend.clone(), budget);
             let mut shadow = Shadow::default();
-            let mut held: Vec<Option<(Arc<EpochSnapshot>, Vec<u64>)>> = Vec::new();
+            let mut held: Vec<Option<(Arc<EpochSnapshot>, Vec<Decoded>)>> = Vec::new();
             let mut snapshot_probes: Vec<Weak<EpochSnapshot>> = Vec::new();
             for id in 0..BATCHES {
                 m.ingest_batch(&batch(id as u64)).unwrap();
                 let snap = m.snapshot_epoch().unwrap();
                 snapshot_probes.push(Arc::downgrade(&snap));
-                let uids = shadow.acquire(&snap);
-                shadow.check(&uids, &format!("{label} seed={seed} after ingest {id}"));
-                held.push(Some((snap, uids)));
+                let copies = shadow.acquire(&snap);
+                shadow.check(&copies, &format!("{label} seed={seed} after ingest {id}"));
+                held.push(Some((snap, copies)));
             }
-            let window: Vec<u64> = held.last().unwrap().as_ref().unwrap().1.clone();
+            let window: Vec<Decoded> = held.last().unwrap().as_ref().unwrap().1.clone();
+            // A resident segment is one copy, shared by every epoch; any
+            // other is decoded once per snapshot covering it.
+            for id in 0..BATCHES as u64 {
+                let covering = (id as usize..BATCHES).take(WINDOW).count();
+                assert_eq!(
+                    shadow.copies_of(id),
+                    if resident { 1 } else { covering },
+                    "{label} seed={seed}: copies of segment {id}"
+                );
+            }
 
             let mut order: Vec<usize> = (0..BATCHES).collect();
             Xorshift::new(seed).shuffle(&mut order);
             for idx in order {
-                let (snap, uids) = held[idx].take().unwrap();
+                let (snap, copies) = held[idx].take().unwrap();
                 drop(snap);
-                shadow.release(&uids);
+                shadow.release(&copies);
                 shadow.check(&window, &format!("{label} seed={seed} after drop {idx}"));
                 // The snapshot object itself: reclaimed with its last Arc,
                 // except the newest epoch, which the matrix memo still holds.
@@ -172,13 +204,19 @@ fn no_segment_outlives_its_last_reader() {
             }
 
             // The next ingest invalidates the memo: the newest epoch's
-            // snapshot dies, the popped segment's last reference with it.
+            // snapshot dies, the popped segment's last reference with it —
+            // and, where the budget holds no segment, every copy the
+            // snapshot held.
             m.ingest_batch(&batch(BATCHES as u64)).unwrap();
             assert!(
                 snapshot_probes[BATCHES - 1].upgrade().is_none(),
                 "{label} seed={seed}: the memo must not outlive the next ingest"
             );
-            let survivors: Vec<u64> = window[1..].to_vec();
+            let survivors: Vec<Decoded> = if resident {
+                window[1..].to_vec()
+            } else {
+                Vec::new()
+            };
             shadow.check(
                 &survivors,
                 &format!("{label} seed={seed} after final ingest"),
@@ -197,13 +235,14 @@ fn no_segment_outlives_its_last_reader() {
 #[test]
 fn interleaved_slides_and_drops_follow_the_shadow_model() {
     const BATCHES: u64 = 10;
-    for (label, backend, budget) in corners() {
+    for (label, backend, budget, _) in corners() {
         for seed in 1u64..=4 {
             let mut rng = Xorshift::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
             let mut m = matrix(backend.clone(), budget);
             let mut shadow = Shadow::default();
-            let mut held: Vec<(Arc<EpochSnapshot>, Vec<u64>)> = Vec::new();
-            let mut window: Vec<u64> = Vec::new();
+            let mut held: Vec<(Arc<EpochSnapshot>, Vec<Decoded>)> = Vec::new();
+            // The newest snapshot's copies, which the matrix memo keeps.
+            let mut window: Vec<Decoded> = Vec::new();
             let mut next_id = 0u64;
             let mut step = 0usize;
             while next_id < BATCHES || !held.is_empty() {
@@ -216,9 +255,9 @@ fn interleaved_slides_and_drops_follow_the_shadow_model() {
                     held.push((snap, window.clone()));
                 } else {
                     let idx = rng.below(held.len() as u64) as usize;
-                    let (snap, uids) = held.swap_remove(idx);
+                    let (snap, copies) = held.swap_remove(idx);
                     drop(snap);
-                    shadow.release(&uids);
+                    shadow.release(&copies);
                 }
                 shadow.check(&window, &format!("{label} seed={seed} step {step}"));
                 step += 1;

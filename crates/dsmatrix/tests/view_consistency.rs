@@ -37,11 +37,10 @@ fn matrix(window: usize, backend: StorageBackend, expected: usize) -> DsMatrix {
     .unwrap()
 }
 
-/// The backend/budget corners every consistency check runs on: memory,
-/// uncached disk (budget 0 — every chunk decoded from its segment run),
-/// a tiny budget (most admissions refused, so hits and run reads mix within
-/// one row) and an unlimited one (every chunk but the entering segment's
-/// served from the cache).
+/// The backend/budget corners every consistency check runs on: memory, disk
+/// at budget 0 (every segment decoded from its run), a tiny budget (600 B,
+/// whatever segments fit; the others read from their runs) and an unlimited
+/// one (every segment resident).
 fn corner_matrices(window: usize, expected: usize) -> Vec<DsMatrix> {
     let budgets = [600, usize::MAX];
     let mut matrices = vec![
@@ -254,7 +253,7 @@ proptest! {
     /// On arbitrary streams, a view's rows (and every other view surface)
     /// equal from-scratch assembly after every slide, on every backend
     /// corner — and every corner's view assembles the same words: the memory
-    /// backend assembles its rows as the disk backends do, and a chunk-cache
+    /// backend assembles its rows as the disk backends do, and a residency
     /// budget buys decodes, never assembly.
     #[test]
     fn views_match_from_scratch_assembly(

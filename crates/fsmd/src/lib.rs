@@ -10,7 +10,7 @@
 //! * one [`fsm_pool::WorkerPool`] multiplexes every tenant's mining
 //!   subtree tasks over a fixed thread set ([`fsm_core::Exec::pool`]);
 //! * one [`fsm_storage::BudgetGovernor`] arbitrates a process-wide
-//!   chunk-cache cap across the disk-backed tenants.
+//!   cap on resident decoded segments across the disk-backed tenants.
 //!
 //! [`proto`] defines the wire format, [`server`] the accept loop and
 //! request dispatch, [`client`] a blocking client used by the `fsmd drive`

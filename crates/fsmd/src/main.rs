@@ -12,9 +12,9 @@
 //! ```
 //!
 //! `serve` hosts a [`fsm_core::SessionRegistry`]: every tenant mine
-//! multiplexes over one worker pool, disk-backed tenants lease chunk-cache
-//! bytes from one governor, durable tenants live under
-//! `--durable-root/<tenant>/`.  With `--max-resident` / `--resident-bytes`
+//! multiplexes over one worker pool, disk-backed tenants lease the bytes of
+//! decoded segments they keep resident from one governor, durable tenants
+//! live under `--durable-root/<tenant>/`.  With `--max-resident` / `--resident-bytes`
 //! the registry keeps only that much window state in memory, spilling cold
 //! tenants (volatile ones under `--spill-root/<tenant>/`, durable ones via
 //! their checkpoints) and thawing them transparently on the next request.
@@ -45,7 +45,8 @@ USAGE:
 SERVE OPTIONS:
   --listen <HOST:PORT>  address to bind (port 0 picks one; it is printed)
   --pool <N>            shared mining worker threads (0 = all cores, default 0)
-  --cache-total <BYTES> process-wide chunk-cache cap leased to disk tenants
+  --cache-total <BYTES> process-wide cap on resident decoded segments,
+                        leased to disk tenants
   --durable-root <DIR>  root for per-tenant WAL/checkpoint directories
   --max-pending <N>     per-tenant ingest queue bound (default 64)
   --max-resident <N>    keep at most N tenant windows in memory; colder
@@ -64,7 +65,7 @@ DRIVE OPTIONS:
   --window <N>          sliding window size in batches     (default: 5)
   --batch-size <N>      transactions per batch             (default: 1000)
   --backend <NAME>      memory | disk                      (default: disk)
-  --cache-budget <B>    desired decoded-chunk cache bytes (leased)
+  --cache-budget <B>    desired bytes of resident decoded segments (leased)
   --catalog-items <N>   item count for the path catalog (default: derived
                         from the input; required by --recover when the
                         input is empty)

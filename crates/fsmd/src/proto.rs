@@ -174,7 +174,7 @@ pub struct TenantSpec {
     pub catalog_n: u32,
     /// `0` = memory backend, `1` = disk.
     pub backend: u8,
-    /// Desired decoded-chunk cache budget (leased from the server's
+    /// Desired budget of resident decoded segments (leased from the server's
     /// governor when one is configured).
     pub cache_budget: u64,
     /// Root this tenant under the server's durable root.

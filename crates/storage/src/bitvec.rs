@@ -324,6 +324,8 @@ impl BitVec {
         if body.len() != expected_words * 8 {
             return false;
         }
+        // Exactly the words, so a decoded chunk holds what a cloned one does.
+        self.words.reserve_exact(expected_words);
         self.words.extend(body.chunks_exact(8).map(|c| {
             let mut word = [0u8; 8];
             word.copy_from_slice(c);

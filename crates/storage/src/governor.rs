@@ -1,13 +1,14 @@
-//! Process-wide chunk-cache budget arbitration for multi-tenant deployments.
+//! Process-wide residency budget arbitration for multi-tenant deployments.
 //!
-//! A single-tenant process sizes its decoded-chunk cache with one knob
+//! A single-tenant process sizes the bytes of decoded disk segments it keeps
+//! resident with one knob
 //! ([`crate::SegmentedWindowStore::set_cache_budget`]).  A service hosting
 //! many tenants cannot hand every matrix that knob independently — the sum
 //! of per-tenant budgets, not any one of them, is what the box actually
 //! spends.  The [`BudgetGovernor`] owns that sum: each matrix registers for
 //! a [`BudgetLease`] and periodically *requests* the budget it would like;
 //! the governor grants what the process-wide cap and fairness allow, and the
-//! matrix applies the grant to its own cache.
+//! matrix applies the grant to its own resident segments.
 //!
 //! # Granting policy
 //!
@@ -33,8 +34,8 @@
 //!   again.  (A re-request that fits the headroom leaves the sum at `T` or
 //!   less; any later one in the round is clamped to a fair share its member
 //!   already held, so it cannot raise the sum.)  The governor never reaches
-//!   into a member's cache: a shrunken grant is applied — and evicts — on
-//!   the member's own thread, at that boundary.
+//!   into a member's store: a shrunken grant is applied — and drops resident
+//!   segments, oldest first — on the member's own thread, at that boundary.
 //!
 //! Leases release their grant on drop, so a departing tenant's share flows
 //! back to the survivors at their next request.
@@ -42,7 +43,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-/// Process-wide cache-budget arbiter; see the [module docs](self).
+/// Process-wide residency-budget arbiter; see the [module docs](self).
 ///
 /// Cheap to share: all state sits behind one mutex that is only touched at
 /// registration and at ingest/view boundaries, never per row read.
@@ -65,8 +66,8 @@ struct Member {
 
 impl BudgetGovernor {
     /// Creates a governor enforcing a process-wide cap of `total_bytes`
-    /// across all leases (`0` grants nobody anything — every member's cache
-    /// is disabled, the paper's strictest space posture).
+    /// across all leases (`0` grants nobody anything — no member keeps a
+    /// segment resident, the paper's strictest space posture).
     pub fn new(total_bytes: usize) -> Arc<Self> {
         Arc::new(Self {
             inner: Mutex::new(GovernorState {

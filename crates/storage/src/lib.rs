@@ -19,15 +19,13 @@
 //!   packed, CRC-covered run in its own file (segment format v2), written
 //!   with one positional write into a recycled file and read with one.  A
 //!   window row is read back as one flat [`BitVec`] — the only row type
-//!   this crate has — by concatenating its per-segment chunks: decoded
-//!   [`EpochSegment`] chunks on the memory backend, and on the disk backends
-//!   chunks fetched through a budgeted [`ChunkCache`] (run reads and hits
-//!   are counted);
-//! * [`ChunkCache`] — the budgeted `(segment, row) → decoded chunk` map
-//!   behind that read path: it admits a chunk only while it has room and
-//!   never evicts to make room, so the budget buys decodes, never
-//!   assembly;
-//! * [`BudgetGovernor`] — process-wide arbitration of those chunk-cache
+//!   this crate has — by concatenating its per-segment chunks.  A segment is
+//!   read whole, as one decoded [`EpochSegment`]: always resident on the
+//!   memory backend, and on the disk backends resident while a byte budget
+//!   holds it (admitted only where there is room, never by evicting), else
+//!   read from its run for the read that needs it (run reads and resident
+//!   chunks served are counted);
+//! * [`BudgetGovernor`] — process-wide arbitration of those residency
 //!   budgets across many matrices (the multi-tenant service's one cap), with
 //!   per-member [`BudgetLease`]s granted under a fair-share rule;
 //! * [`TempDir`] — a small self-cleaning temporary directory helper so the
@@ -53,7 +51,7 @@
 pub mod bitvec;
 pub mod checkpoint;
 pub mod checksum;
-pub mod chunkcache;
+mod chunkcache;
 mod framed;
 pub mod governor;
 pub mod paged;
@@ -67,7 +65,6 @@ pub mod wal;
 pub use bitvec::BitVec;
 pub use checkpoint::{Checkpoint, CheckpointRow, CheckpointSegment};
 pub use checksum::crc32;
-pub use chunkcache::{ChunkCache, ChunkCacheStats};
 pub use governor::{BudgetGovernor, BudgetLease};
 pub use paged::PagedFile;
 pub use rowstore::{RowStore, StorageBackend};

@@ -44,36 +44,32 @@
 //!   segment, and [`EpochSegment::assemble_rows`] does the same over a
 //!   frozen epoch's segments, through the same fill.  A row no segment holds
 //!   is left unallocated, and a held row ends where its last chunk ends.
-//! * On the memory backend, segments hold decoded [`BitVec`] chunks
-//!   ([`EpochSegment`]), shared by `Arc` with every epoch snapshot that
-//!   covers them.
-//! * On the disk backends a live read reaches a chunk one way, whether
-//!   [`SegmentedWindowStore::assemble_rows`] fills the window's rows,
-//!   [`SegmentedWindowStore::assemble_row`] one row, or
-//!   [`SegmentedWindowStore::read_segment_chunk`] reads a single chunk:
-//!   through a budgeted decoded-chunk cache ([`crate::ChunkCache`],
-//!   [`SegmentedWindowStore::set_cache_budget`]).  The cache is
-//!   **write-through**: [`SegmentedWindowStore::push_segment`] offers every
-//!   chunk it has written to the cache (admit-if-room), and a read miss
-//!   offers what it decoded the same way.  Segments are immutable,
-//!   so cached chunks stay valid until their segment is popped — which is
-//!   also what makes room: a slide pops before it pushes, so the leaving
-//!   segment's bytes admit the entering one's chunks.  With a budget
-//!   covering the window a steady-state scan therefore reads **no** run;
-//!   with a smaller one it decodes exactly the chunks that never fitted.
-//!   A cached chunk is the value that was written, so serving it is what a
-//!   hit has always been; whatever is *not* served from the cache is decoded
-//!   from the segment's run, CRC-verified when it was read (tight budgets,
-//!   budget 0, [`SegmentedWindowStore::verify_segments`], recovery).  A miss
-//!   reads its segment's run at most once until
-//!   [`SegmentedWindowStore::release_runs`]: the reader memoises every run
-//!   it reads, so a scan of the window reads each segment with a miss once,
-//!   however many of its chunks miss.  The budget buys decodes, never
-//!   assembly.  Run reads are counted in
-//!   [`SegmentedWindowStore::runs_read`], cache hits in
-//!   [`SegmentedWindowStore::cache_stats`]; a zero budget (the default)
-//!   disables the cache — nothing is admitted, at write or at read — and
-//!   reproduces fully-eager reads byte for byte.
+//! * A segment is read whole, as one decoded [`EpochSegment`] shared by
+//!   `Arc` — with the store while it is **resident**, and with every epoch
+//!   snapshot that covers it.  On the memory backend every segment is
+//!   resident.  On the disk backends a segment is resident while the
+//!   store's byte budget ([`SegmentedWindowStore::set_cache_budget`]) holds
+//!   it, charged its [`EpochSegment::heap_bytes`]; there is no finer unit.
+//! * Admission is **admit-if-room**, never evict-to-admit.
+//!   [`SegmentedWindowStore::push_segment`] writes through: it builds the
+//!   segment from the chunks it has just written and keeps it if it fits.
+//!   A read of a non-resident segment reads its run once, CRC-verified, and
+//!   offers the decoded segment the same way; a refused one serves that
+//!   read and is dropped — [`SegmentedWindowStore::assemble_rows`] streams
+//!   it into the rows instead of decoding a copy to drop.  The one
+//!   production access pattern is a cyclic scan of the window in the same
+//!   order every pass, and on a cyclic scan larger than the budget
+//!   evict-to-admit would throw out exactly what the next pass needs;
+//!   keeping whatever fitted first keeps hitting it on every pass.
+//! * A segment leaves residency when it is popped — a slide pops before it
+//!   pushes, so the room the leaving segment frees admits the entering one —
+//!   or when a budget shrink drops resident segments oldest first until the
+//!   rest fit.  A zero budget (the default) keeps nothing resident.  With a
+//!   budget covering the window a steady-state scan reads **no** run; with a
+//!   smaller one it reads exactly the segments that never fitted, the same
+//!   ones every pass.  The budget buys decodes, never assembly.  Run reads
+//!   are counted in [`SegmentedWindowStore::runs_read`], chunks served from
+//!   resident disk segments in [`SegmentedWindowStore::resident_hits`].
 //! * [`SegmentedWindowStore::generation`] is a monotonic counter bumped by
 //!   every segment append or drop: the identity of a window epoch, which is
 //!   what a memoised epoch snapshot is checked against.
@@ -89,7 +85,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::bitvec::BitVec;
-use crate::chunkcache::{ChunkCache, ChunkCacheStats};
+use crate::chunkcache::Residency;
 use crate::paged::{annotate, artifact_name};
 use crate::positional::{read_exact_at, write_all_at};
 use crate::rowstore::StorageBackend;
@@ -215,13 +211,14 @@ pub fn scan_segment_files(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
 /// epoch is dropped.  Segments are immutable once built, so sharing needs no
 /// locks: `EpochSegment` is `Send + Sync` by construction.
 ///
-/// On the memory backend the live segments *are* `EpochSegment`s (snapshots
-/// are free `Arc` clones); on the disk backends a segment is decoded into
-/// this form once, on the first snapshot that covers it, and memoised for
-/// every later epoch (see [`SegmentedWindowStore::epoch_segment`]).
+/// It is also the store's one residency unit.  On the memory backend the
+/// live segments *are* `EpochSegment`s (snapshots are free `Arc` clones); on
+/// the disk backends a segment is held in this form while the budget keeps
+/// it resident, and is otherwise decoded from its run for the read that
+/// needs it (see [`SegmentedWindowStore::epoch_segment`]).
 #[derive(Debug)]
 pub struct EpochSegment {
-    /// Stable uid of the segment (never reused; matches the chunk-cache key).
+    /// Stable uid of the segment (never reused).
     uid: u64,
     /// Number of window columns (transactions) the segment contributes.
     cols: usize,
@@ -238,6 +235,12 @@ impl EpochSegment {
     /// nothing is allocated for a count the bytes present cannot hold.
     pub fn decode_run(bytes: &[u8], artifact: &str) -> Result<Self> {
         let header = run::check(bytes, artifact)?;
+        Self::decode_checked(bytes, header, artifact)
+    }
+
+    /// [`EpochSegment::decode_run`] past the CRC: `header` is what
+    /// [`run::check`] returned for `bytes`.
+    fn decode_checked(bytes: &[u8], header: run::Header, artifact: &str) -> Result<Self> {
         let chunk_bytes = run::chunk_bytes(header.cols);
         let mut reader = Reader::artifact(&bytes[run::HEADER_BYTES..], artifact);
         // `check` proved the payload holds `header.rows` index entries.
@@ -301,11 +304,12 @@ impl EpochSegment {
     }
 
     /// Heap bytes of the decoded chunks (shared across every epoch that
-    /// references the segment, not per snapshot).
+    /// references the segment, not per snapshot) — what a resident disk
+    /// segment is charged against the store's budget.
     pub fn heap_bytes(&self) -> usize {
         self.rows
             .values()
-            .map(|chunk| chunk.heap_bytes() + std::mem::size_of::<usize>() * 2)
+            .map(|chunk| chunk.heap_bytes() + ROW_OVERHEAD)
             .sum()
     }
 
@@ -322,6 +326,15 @@ impl EpochSegment {
             fill.start += segment.cols;
         }
     }
+}
+
+/// Per-row bookkeeping [`EpochSegment::heap_bytes`] adds to a chunk's words.
+const ROW_OVERHEAD: usize = 2 * std::mem::size_of::<usize>();
+
+/// [`EpochSegment::heap_bytes`] of a segment of `rows` chunks of `cols`
+/// bits, each holding exactly its words — known before a byte is decoded.
+pub(crate) fn decoded_bytes(rows: usize, cols: usize) -> usize {
+    rows.saturating_mul(cols.div_ceil(WORD_BITS) * 8 + ROW_OVERHEAD)
 }
 
 /// Segment-major assembly of flat rows — the one fill behind
@@ -369,6 +382,34 @@ impl<'r> RowFill<'r> {
             row.extend_from_bitvec(chunk);
         }
     }
+
+    /// Appends every chunk of the verified run `bytes` of `run` (a segment
+    /// of `cols` columns) starting at column `start`, decoding each through
+    /// `chunk` — how a segment the budget refuses is read without decoding
+    /// a copy of it to drop.
+    fn extend_run(
+        &mut self,
+        run: &RunFile,
+        bytes: &[u8],
+        cols: usize,
+        chunk: &mut BitVec,
+    ) -> Result<()> {
+        let chunk_bytes = run::chunk_bytes(cols);
+        for (slot, &id) in run.rows.iter().enumerate() {
+            let Some(row) = self.open(id) else { break };
+            // `RunFile::load` proved the run holds `run.rows.len()` chunks
+            // of this size.
+            let at = run::chunk_offset(run.rows.len(), chunk_bytes, slot);
+            if !chunk.read_bytes(&bytes[at..at + chunk_bytes]) || chunk.len() != cols {
+                return Err(FsmError::corrupt_artifact(
+                    artifact_name(&run.path),
+                    format!("row {id}'s chunk is not {cols} bits"),
+                ));
+            }
+            row.extend_from_bitvec(chunk);
+        }
+        Ok(())
+    }
 }
 
 /// A disk segment's run file: the open handle, the run's length and the
@@ -383,15 +424,10 @@ struct RunFile {
 }
 
 impl RunFile {
-    /// The index slot of row `id`, if the run holds it.
-    fn slot(&self, id: usize) -> Option<usize> {
-        self.rows.binary_search(&id).ok()
-    }
-
     /// The whole run of segment `uid` (`cols` columns), read with one
     /// positional read and verified — the CRC first, then the header
     /// against the segment the window expects.
-    fn load(&self, uid: u64, cols: usize) -> Result<Vec<u8>> {
+    fn load(&self, uid: u64, cols: usize) -> Result<(Vec<u8>, run::Header)> {
         let name = artifact_name(&self.path);
         let mut bytes = vec![0u8; self.len];
         read_exact_at(&self.file, &mut bytes, 0).map_err(|err| {
@@ -416,25 +452,39 @@ impl RunFile {
                 format!("the run holds {header:?}, the window expects {expected:?}"),
             ));
         }
-        Ok(bytes)
+        Ok((bytes, header))
+    }
+
+    /// Segment `uid` (`cols` columns) decoded from one [`RunFile::load`],
+    /// its row ids checked against the index.
+    fn decode(&self, uid: u64, cols: usize) -> Result<EpochSegment> {
+        let name = artifact_name(&self.path);
+        let (bytes, header) = self.load(uid, cols)?;
+        let decoded = EpochSegment::decode_checked(&bytes, header, &name)?;
+        if !decoded.rows.keys().eq(self.rows.iter()) {
+            return Err(FsmError::corrupt_artifact(
+                name,
+                "the run's row ids are not the ones the window indexes",
+            ));
+        }
+        Ok(decoded)
     }
 }
 
 enum SegmentRows {
-    /// Memory backend: decoded chunks, borrowable zero-copy and shared with
+    /// Memory backend: the decoded segment, always resident and shared with
     /// epoch snapshots via `Arc`.
     Memory(Arc<EpochSegment>),
-    /// Disk backends: the segment's run, plus the memoised decoded form the
-    /// first covering snapshot produced (segments are immutable, so the memo
-    /// can never go stale).
+    /// Disk backends: the segment's run, plus its decoded form while it is
+    /// resident — charged against the store's [`Residency`] budget.
     Disk {
         run: RunFile,
-        decoded: Option<Arc<EpochSegment>>,
+        resident: Option<Arc<EpochSegment>>,
     },
 }
 
 struct Segment {
-    /// Stable uid of this segment (the chunk-cache key; never reused).
+    /// Stable uid of this segment (names its run; never reused).
     id: u64,
     /// Number of window columns (transactions) this segment contributes.
     cols: usize,
@@ -453,91 +503,6 @@ enum Placement {
         /// Reusable buffer a pushed segment's run is encoded into.
         stage: Vec<u8>,
     },
-}
-
-/// Everything a disk chunk read touches, kept together so the read surfaces
-/// can borrow it beside the segment queue.  (`push_segment` admits to the
-/// same `cache`.)
-struct ChunkReader {
-    /// Runs read since the last [`SegmentedWindowStore::release_runs`],
-    /// keyed by segment uid, each verified when it was read: a scan reads a
-    /// segment's run at most once, however many of its chunks miss.
-    runs: Vec<(u64, Vec<u8>)>,
-    /// Reusable decoded chunk (what [`ChunkReader::read`] decodes into).
-    chunk: BitVec,
-    /// Budgeted decoded-chunk cache over the disk segments (disabled — and
-    /// never consulted — with a zero budget or on the memory backend).
-    cache: ChunkCache,
-    /// Positional reads issued so far (one per run read).
-    reads: u64,
-}
-
-impl ChunkReader {
-    fn new() -> Self {
-        Self {
-            runs: Vec::new(),
-            chunk: BitVec::new(),
-            cache: ChunkCache::new(0),
-            reads: 0,
-        }
-    }
-
-    /// Index into `runs` of segment `uid`'s run: the memoised one, or one
-    /// [`RunFile::load`] — a positional read, verified before it is
-    /// memoised.
-    fn run(&mut self, uid: u64, cols: usize, run: &RunFile) -> Result<usize> {
-        if let Some(at) = self.runs.iter().position(|&(memo, _)| memo == uid) {
-            return Ok(at);
-        }
-        self.reads += 1;
-        let bytes = run.load(uid, cols)?;
-        self.runs.push((uid, bytes));
-        Ok(self.runs.len() - 1)
-    }
-
-    /// Decodes index slot `slot` of segment `uid`'s run into the scratch
-    /// chunk, bypassing the cache — the one place a chunk is decoded from
-    /// disk.  Admission is the caller's.
-    fn read(&mut self, uid: u64, cols: usize, run: &RunFile, slot: usize) -> Result<&BitVec> {
-        let at = self.run(uid, cols, run)?;
-        let chunk_bytes = run::chunk_bytes(cols);
-        // `run` proved the run holds `run.rows.len()` chunks of this size.
-        let start = run::chunk_offset(run.rows.len(), chunk_bytes, slot);
-        let bytes = &self.runs[at].1[start..start + chunk_bytes];
-        if !self.chunk.read_bytes(bytes) || self.chunk.len() != cols {
-            return Err(FsmError::corrupt_artifact(
-                artifact_name(&run.path),
-                format!("row {}'s chunk failed to decode", run.rows[slot]),
-            ));
-        }
-        Ok(&self.chunk)
-    }
-
-    /// Appends index slot `slot`'s chunk of disk segment `uid` to `out`:
-    /// served from the cache on a hit, else decoded from the run and
-    /// offered to the cache (which admits it if it has room).
-    fn fetch(
-        &mut self,
-        uid: u64,
-        cols: usize,
-        run: &RunFile,
-        slot: usize,
-        out: &mut BitVec,
-    ) -> Result<()> {
-        if let Some(cached) = self.cache.get(uid, run.rows[slot]) {
-            out.extend_from_bitvec(cached);
-            return Ok(());
-        }
-        self.read(uid, cols, run, slot)?;
-        self.cache.insert(uid, run.rows[slot], &self.chunk);
-        out.extend_from_bitvec(&self.chunk);
-        Ok(())
-    }
-
-    /// Drops segment `uid`'s memoised run, if any.
-    fn forget_run(&mut self, uid: u64) {
-        self.runs.retain(|&(memo, _)| memo != uid);
-    }
 }
 
 /// Writes `run` to `path` with one positional write — into a released file
@@ -584,8 +549,8 @@ pub struct SegmentedWindowStore {
     next_id: u64,
     stats: CaptureStats,
     generation: u64,
-    /// The disk segments' chunk read state (idle on the memory backend).
-    reader: ChunkReader,
+    /// The disk segments' residency budget and read counters.
+    residency: Residency,
 }
 
 impl SegmentedWindowStore {
@@ -618,7 +583,7 @@ impl SegmentedWindowStore {
             next_id: 0,
             stats: CaptureStats::default(),
             generation: 0,
-            reader: ChunkReader::new(),
+            residency: Residency::default(),
         };
         for (kind, path) in stale {
             match kind {
@@ -638,42 +603,39 @@ impl SegmentedWindowStore {
         }
     }
 
-    /// Sets the decoded-chunk cache budget in bytes (`0` disables caching,
-    /// reproducing fully-eager disk reads).  Shrinking the budget below the
-    /// bytes in use evicts immediately.  The memory backend ignores the
-    /// budget: its chunks are already resident and borrowed zero-copy.
+    /// Sets the byte budget resident disk segments are charged against
+    /// (`0` keeps nothing resident: every read decodes its segment's run).
+    /// A shrink drops resident segments oldest first — the next to leave
+    /// the window anyway — until the rest fit.  The memory backend ignores
+    /// the budget: every one of its segments is resident.
     pub fn set_cache_budget(&mut self, budget_bytes: usize) {
         if self.is_memory_resident() {
             return;
         }
-        self.reader.cache.set_budget(budget_bytes);
+        let slots = self.segments.iter_mut().filter_map(|s| match &mut s.rows {
+            SegmentRows::Disk { resident, .. } => Some(resident),
+            SegmentRows::Memory(_) => None,
+        });
+        self.residency.set_budget(budget_bytes, slots);
     }
 
-    /// The configured decoded-chunk cache budget in bytes.
+    /// The byte budget resident disk segments are charged against.
     pub fn cache_budget(&self) -> usize {
-        self.reader.cache.budget_bytes()
+        self.residency.budget()
     }
 
-    /// The chunk cache's cumulative hit/miss/eviction counters.
-    pub fn cache_stats(&self) -> ChunkCacheStats {
-        self.reader.cache.stats()
-    }
-
-    /// Positional reads the chunk-read path has issued so far — one per run
-    /// it read (always zero on the memory backend, whose chunks are
-    /// borrowed).  A scan reads each segment with a cache miss once until
-    /// [`SegmentedWindowStore::release_runs`], so differencing it across a
-    /// mine call counts the segments that call had to go to disk for — the
-    /// read amplification twin of [`CaptureStats::words_written`].
+    /// Segment runs read so far — one per read of a segment that was not
+    /// resident (always zero on the memory backend).  Differencing it across
+    /// a mine call counts the segments that call had to go to disk for —
+    /// the read amplification twin of [`CaptureStats::words_written`].
     pub fn runs_read(&self) -> u64 {
-        self.reader.reads
+        self.residency.runs_read
     }
 
-    /// Drops the runs the read path memoised (the memory backend has none).
-    /// The next miss in a segment reads its run again; the chunk cache is
-    /// untouched.
-    pub fn release_runs(&mut self) {
-        self.reader.runs.clear();
+    /// Chunks served from resident disk segments so far, each without a
+    /// run read (always zero on the memory backend, which has no runs).
+    pub fn resident_hits(&self) -> u64 {
+        self.residency.hits
     }
 
     /// Returns `true` if segment payloads live in main memory.
@@ -716,8 +678,9 @@ impl SegmentedWindowStore {
     /// never to data already stored.  On the disk backends the segment
     /// reaches its file as one run with one positional write (when this
     /// returns it has been handed to the operating system; the file is a
-    /// released one renamed, when there is one) and each chunk written is
-    /// then offered to the chunk cache.
+    /// released one renamed, when there is one) and the segment, built from
+    /// the chunks just written, is then kept resident if the budget has room
+    /// for it.
     pub fn push_segment<'a, I>(&mut self, cols: usize, rows: I) -> Result<()>
     where
         I: IntoIterator<Item = (usize, &'a BitVec)>,
@@ -773,15 +736,25 @@ impl SegmentedWindowStore {
                 run::encode(id, cols, &rows, stage);
                 let path = dir.join(run_file_name(id));
                 let file = write_run(free, &path, stage)?;
-                // Write-through: once the segment is on disk each chunk is
-                // offered to the cache (admit-if-room, the charge a read
-                // miss would pay), so the mine that follows finds the
-                // entering segment as warm as the budget allows instead of
-                // re-reading the run this call has just written.
-                for &(row, chunk) in &rows {
+                for &(_, chunk) in &rows {
                     self.stats.rows_written += 1;
                     self.stats.words_written += 1 + chunk.len().div_ceil(WORD_BITS) as u64;
-                    self.reader.cache.insert(id, row, chunk);
+                }
+                // Write-through: once the segment is on disk it is offered
+                // for residency (admit-if-room), so the mine that follows
+                // does not re-read the run this call has just written.  A
+                // segment with no room is not even built.
+                let mut resident = None;
+                if self.residency.has_room(decoded_bytes(rows.len(), cols)) {
+                    let segment = EpochSegment {
+                        uid: id,
+                        cols,
+                        rows: rows
+                            .iter()
+                            .map(|&(row, chunk)| (row, chunk.clone()))
+                            .collect(),
+                    };
+                    self.residency.offer(&mut resident, &Arc::new(segment));
                 }
                 SegmentRows::Disk {
                     run: RunFile {
@@ -790,7 +763,7 @@ impl SegmentedWindowStore {
                         len: stage.len(),
                         rows: rows.iter().map(|&(row, _)| row).collect(),
                     },
-                    decoded: None,
+                    resident,
                 }
             }
         };
@@ -838,17 +811,16 @@ impl SegmentedWindowStore {
         Ok((segment.cols, file))
     }
 
-    /// Takes the oldest segment off the queue; its cached chunks and its
-    /// memoised run leave with it, and generation and counters move.
+    /// Takes the oldest segment off the queue; its residency and charge
+    /// leave with it, and generation and counters move.
     fn pop_oldest(&mut self) -> Result<Segment> {
-        let segment = self
+        let mut segment = self
             .segments
             .pop_front()
             .ok_or_else(|| FsmError::corrupt("pop_segment on an empty window"))?;
-        // The popped segment's chunks can never be read again (its uid is
-        // not reused, and the window columns it covered are gone).
-        self.reader.cache.invalidate_segment(segment.id);
-        self.reader.forget_run(segment.id);
+        if let SegmentRows::Disk { resident, .. } = &mut segment.rows {
+            self.residency.release(resident);
+        }
         self.stats.segments_dropped += 1;
         self.generation += 1;
         Ok(segment)
@@ -891,9 +863,12 @@ impl SegmentedWindowStore {
     /// Restores a disk-backed store from checkpointed segment metadata.
     ///
     /// Every entry of `metas` must name a segment run `seg-<uid>.run` in
-    /// `dir`, and its row index must be the one the run layout places
+    /// `dir` whose length is the one the run layout gives its rows and
+    /// columns, and its row index must be the one that layout places
     /// (contents are validated on read, or eagerly via
-    /// [`SegmentedWindowStore::verify_segments`]).  Segment files with a uid
+    /// [`SegmentedWindowStore::verify_segments`]).  A file of another
+    /// length is [`FsmError::CorruptArtifact`] naming it: no read ever
+    /// sizes a buffer from an index the file does not back.  Segment files with a uid
     /// at or above `next_id` are crash leftovers — they were created (or
     /// renamed into place) by batches the checkpoint does not cover, and WAL
     /// replay will re-create them — so they are removed here.  Unreferenced
@@ -923,6 +898,18 @@ impl SegmentedWindowStore {
                 .write(true)
                 .open(&path)
                 .map_err(|err| annotate(err, "open segment run", &path))?;
+            let actual = file.metadata()?.len();
+            if actual != len as u64 {
+                return Err(FsmError::corrupt_artifact(
+                    artifact_name(&path),
+                    format!(
+                        "{actual} bytes, but the checkpoint's {} rows of {} columns \
+                         make a {len}-byte run",
+                        rows.len(),
+                        meta.cols
+                    ),
+                ));
+            }
             segments.push_back(Segment {
                 id: meta.uid,
                 cols: meta.cols,
@@ -933,7 +920,7 @@ impl SegmentedWindowStore {
                         len,
                         rows,
                     },
-                    decoded: None,
+                    resident: None,
                 },
             });
         }
@@ -943,7 +930,7 @@ impl SegmentedWindowStore {
             next_id,
             stats: CaptureStats::default(),
             generation: 0,
-            reader: ChunkReader::new(),
+            residency: Residency::default(),
         })
     }
 
@@ -981,15 +968,7 @@ impl SegmentedWindowStore {
     pub fn verify_segments(&self) -> Result<()> {
         for segment in &self.segments {
             if let SegmentRows::Disk { run, .. } = &segment.rows {
-                let name = artifact_name(&run.path);
-                let decoded =
-                    EpochSegment::decode_run(&run.load(segment.id, segment.cols)?, &name)?;
-                if !decoded.rows.keys().eq(run.rows.iter()) {
-                    return Err(FsmError::corrupt_artifact(
-                        name,
-                        "the run's row ids are not the ones the window indexes",
-                    ));
-                }
+                run.decode(segment.id, segment.cols)?;
             }
         }
         Ok(())
@@ -1027,30 +1006,41 @@ impl SegmentedWindowStore {
 
     /// Materialises the live window into `rows` — `rows[id]` is row `id` —
     /// in one segment-major pass: the live segments oldest first, and within
-    /// each the rows it holds, walked along its ascending row index.  Every
-    /// held chunk is fetched once, in row order within its segment, and no
-    /// index is searched.  The layout is [`EpochSegment::assemble_rows`]'s
-    /// (one fill serves both): a row some live segment holds is allocated
-    /// once and ends where its last chunk ends, a row no live segment holds
-    /// stays empty and unallocated, and chunks of rows at or past
-    /// `rows.len()` are not fetched.  Bit for bit, each row is
-    /// [`SegmentedWindowStore::assemble_row`]'s without its zero tail.
+    /// each the rows it holds, ascending.  Each segment is read once: served
+    /// from residency, or read from its run and offered for residency, or —
+    /// when the budget has no room for it — streamed from its run into the
+    /// rows without a decoded copy.  The layout is
+    /// [`EpochSegment::assemble_rows`]'s (one fill serves both): a row some
+    /// live segment holds is allocated once and ends where its last chunk
+    /// ends, a row no live segment holds stays empty and unallocated, and
+    /// chunks of rows at or past `rows.len()` are skipped.  Bit for bit,
+    /// each row is [`SegmentedWindowStore::assemble_row`]'s without its zero
+    /// tail.
     pub fn assemble_rows(&mut self, rows: &mut [BitVec]) -> Result<()> {
         let mut fill = RowFill::new(rows, self.num_cols());
-        let Self {
-            segments, reader, ..
-        } = self;
-        for segment in segments.iter() {
+        for seg in 0..self.segments.len() {
+            let Self {
+                segments,
+                residency,
+                ..
+            } = &mut *self;
+            let segment = &segments[seg];
+            let cols = segment.cols;
             match &segment.rows {
-                SegmentRows::Memory(seg) => fill.extend(seg),
-                SegmentRows::Disk { run, .. } => {
-                    for (slot, &id) in run.rows.iter().enumerate() {
-                        let Some(row) = fill.open(id) else { break };
-                        reader.fetch(segment.id, segment.cols, run, slot, row)?;
-                    }
+                SegmentRows::Disk {
+                    run,
+                    resident: None,
+                } if !residency.has_room(decoded_bytes(run.rows.len(), cols)) => {
+                    residency.runs_read += 1;
+                    let (bytes, _) = run.load(segment.id, cols)?;
+                    fill.extend_run(run, &bytes, cols, &mut residency.chunk)?;
+                }
+                _ => {
+                    let decoded = self.epoch_segment(seg)?;
+                    fill.extend(&decoded);
                 }
             }
-            fill.start += segment.cols;
+            fill.start += cols;
         }
         Ok(())
     }
@@ -1060,113 +1050,54 @@ impl SegmentedWindowStore {
     /// zero-fill where a segment never saw the row.  The result is always
     /// exactly [`SegmentedWindowStore::num_cols`] bits long.
     ///
-    /// One row at a time, with a search of every segment's index: the
-    /// reference [`SegmentedWindowStore::assemble_rows`] is checked against,
-    /// and the read behind a single-row lookup.
+    /// One row at a time, each segment read through
+    /// [`SegmentedWindowStore::epoch_segment`]: the reference
+    /// [`SegmentedWindowStore::assemble_rows`] is checked against.
     pub fn assemble_row(&mut self, id: usize, out: &mut BitVec) -> Result<()> {
         out.resize(0);
-        let Self {
-            segments, reader, ..
-        } = self;
-        for segment in segments.iter() {
-            match &segment.rows {
-                SegmentRows::Memory(seg) => match seg.chunk(id) {
-                    Some(chunk) => out.extend_from_bitvec(chunk),
-                    None => out.resize(out.len() + segment.cols),
-                },
-                SegmentRows::Disk { run, .. } => match run.slot(id) {
-                    Some(slot) => reader.fetch(segment.id, segment.cols, run, slot, out)?,
-                    None => out.resize(out.len() + segment.cols),
-                },
+        for seg in 0..self.segments.len() {
+            let segment = self.epoch_segment(seg)?;
+            match segment.chunk(id) {
+                Some(chunk) => out.extend_from_bitvec(chunk),
+                None => out.resize(out.len() + segment.cols),
             }
         }
         Ok(())
     }
 
-    /// Publishes segment `seg` (0 = oldest live) as a shared
-    /// [`EpochSegment`] handle — the building block of an epoch snapshot.
+    /// Segment `seg` (0 = oldest live) as a shared [`EpochSegment`] — the
+    /// one way a whole segment is read, and the building block of an epoch
+    /// snapshot.
     ///
-    /// On the memory backend this is a free `Arc` clone of the live segment.
-    /// On the disk backends the segment is decoded in full on the first call
-    /// (chunks warm in the [`ChunkCache`] are served from it and counted as
-    /// hits; cold chunks are decoded from one read of the run) and the
-    /// decoded form is memoised on the segment, so in the steady state a new
-    /// epoch only decodes the segment the latest slide appended.  The
-    /// decoded rows are *owned by the returned handle*, not held in the
-    /// shared cache: budget changes and slides on the writer side can never
-    /// invalidate them, and the memory is reclaimed when the store drops the
-    /// segment (window slide) *and* the last snapshot referencing it is
-    /// dropped.
+    /// A resident segment is a free `Arc` clone: always on the memory
+    /// backend, and on the disk backends while the budget holds it (its
+    /// chunks count as [`SegmentedWindowStore::resident_hits`]).  A disk
+    /// segment that is not resident is read from its run (one
+    /// [`SegmentedWindowStore::runs_read`]), CRC-verified, decoded and
+    /// offered for residency; if the budget has no room, the returned handle
+    /// is its only owner and the decoded rows are freed when the caller
+    /// drops it.  Either way the rows are owned by the handle: budget changes
+    /// and slides on the writer side never invalidate them.
     pub fn epoch_segment(&mut self, seg: usize) -> Result<Arc<EpochSegment>> {
-        let Self {
-            segments, reader, ..
-        } = self;
-        let segment = segments
+        let segment = self
+            .segments
             .get_mut(seg)
             .ok_or_else(|| FsmError::corrupt(format!("segment {seg} out of range")))?;
-        let uid = segment.id;
-        let cols = segment.cols;
         match &mut segment.rows {
-            SegmentRows::Memory(seg) => Ok(Arc::clone(seg)),
-            SegmentRows::Disk { run, decoded } => {
-                if let Some(seg) = decoded {
-                    return Ok(Arc::clone(seg));
-                }
-                let mut rows = BTreeMap::new();
-                for (slot, &id) in run.rows.iter().enumerate() {
-                    // Cold chunks are not admitted to the cache: the decoded
-                    // segment is memoised below, so nothing reads them twice.
-                    let chunk = match reader.cache.get(uid, id) {
-                        Some(cached) => cached.clone(),
-                        None => reader.read(uid, cols, run, slot)?.clone(),
-                    };
-                    rows.insert(id, chunk);
-                }
-                // For the same reason the run itself is not kept.
-                reader.forget_run(uid);
-                let segment = Arc::new(EpochSegment { uid, cols, rows });
-                *decoded = Some(Arc::clone(&segment));
-                Ok(segment)
+            SegmentRows::Memory(decoded) => Ok(Arc::clone(decoded)),
+            SegmentRows::Disk {
+                resident: Some(decoded),
+                ..
+            } => {
+                self.residency.hits += decoded.num_rows() as u64;
+                Ok(Arc::clone(decoded))
             }
-        }
-    }
-
-    /// The row ids segment `seg` holds a chunk for, in ascending order (works
-    /// on every backend; for disk segments this reads only the in-memory
-    /// index).
-    pub fn segment_row_ids(&self, seg: usize) -> Option<Vec<usize>> {
-        match &self.segments.get(seg)?.rows {
-            SegmentRows::Memory(segment) => Some(segment.rows().map(|(id, _)| id).collect()),
-            SegmentRows::Disk { run, .. } => Some(run.rows.clone()),
-        }
-    }
-
-    /// Reads the chunk of row `id` in segment `seg` into `out` (cleared
-    /// first).  Returns `Ok(false)` — leaving `out` empty — if the segment
-    /// never saw the row.
-    pub fn read_segment_chunk(&mut self, seg: usize, id: usize, out: &mut BitVec) -> Result<bool> {
-        let Self {
-            segments, reader, ..
-        } = self;
-        let segment = segments
-            .get(seg)
-            .ok_or_else(|| FsmError::corrupt(format!("segment {seg} out of range")))?;
-        out.resize(0);
-        match &segment.rows {
-            SegmentRows::Memory(seg) => match seg.chunk(id) {
-                Some(chunk) => {
-                    out.extend_from_bitvec(chunk);
-                    Ok(true)
-                }
-                None => Ok(false),
-            },
-            SegmentRows::Disk { run, .. } => match run.slot(id) {
-                Some(slot) => {
-                    reader.fetch(segment.id, segment.cols, run, slot, out)?;
-                    Ok(true)
-                }
-                None => Ok(false),
-            },
+            SegmentRows::Disk { run, resident } => {
+                self.residency.runs_read += 1;
+                let decoded = Arc::new(run.decode(segment.id, segment.cols)?);
+                self.residency.offer(resident, &decoded);
+                Ok(decoded)
+            }
         }
     }
 
@@ -1184,30 +1115,51 @@ impl SegmentedWindowStore {
     }
 
     /// Bytes held in main memory: for the memory backend the payloads, for
-    /// the disk backends the per-segment row indexes, the push buffer, the
-    /// runs the read path holds memoised (none once released) and whatever
-    /// the decoded-chunk cache currently holds (bounded by its budget).
+    /// the disk backends the per-segment row indexes, the push buffer and
+    /// the resident segments (at most the budget).
     pub fn resident_bytes(&self) -> usize {
         let stage = match &self.placement {
             Placement::Memory => 0,
             Placement::Disk { stage, .. } => stage.capacity(),
         };
-        let runs: usize = self.reader.runs.iter().map(|(_, run)| run.capacity()).sum();
         let segments: usize = self
             .segments
             .iter()
             .map(|s| {
                 let rows = match &s.rows {
                     SegmentRows::Memory(segment) => segment.heap_bytes(),
-                    SegmentRows::Disk { run, decoded } => {
+                    SegmentRows::Disk { run, .. } => {
                         run.rows.capacity() * std::mem::size_of::<usize>()
-                            + decoded.as_ref().map_or(0, |seg| seg.heap_bytes())
                     }
                 };
                 rows + std::mem::size_of::<Segment>()
             })
             .sum();
-        self.reader.cache.used_bytes() + stage + runs + segments
+        self.residency.charged() + stage + segments
+    }
+
+    /// The residency ledger of the disk segments.
+    #[cfg(test)]
+    pub(crate) fn residency(&self) -> &Residency {
+        &self.residency
+    }
+
+    /// Uids of the resident disk segments, oldest first.
+    #[cfg(test)]
+    pub(crate) fn resident_uids(&self) -> Vec<u64> {
+        self.segments
+            .iter()
+            .filter(|s| {
+                matches!(
+                    &s.rows,
+                    SegmentRows::Disk {
+                        resident: Some(_),
+                        ..
+                    }
+                )
+            })
+            .map(|s| s.id)
+            .collect()
     }
 
     /// Bytes the live segments' runs occupy on disk (zero for the memory
@@ -1280,6 +1232,15 @@ mod tests {
 
     fn backends() -> Vec<StorageBackend> {
         vec![StorageBackend::Memory, StorageBackend::DiskTemp]
+    }
+
+    /// Pushes a segment of `rows` rows (ids `0..rows`), each the same
+    /// `cols`-bit chunk with every other bit set.
+    fn uniform(store: &mut SegmentedWindowStore, rows: usize, cols: usize) {
+        let chunk = BitVec::from_bools((0..cols).map(|c| c % 2 == 0));
+        store
+            .push_segment(cols, (0..rows).map(|row| (row, &chunk)))
+            .unwrap();
     }
 
     /// The `seg-*` file names in `dir`, sorted.
@@ -1410,12 +1371,11 @@ mod tests {
             assert_eq!(store.locate_column(3), Some((1, 0)));
             assert_eq!(store.locate_column(4), Some((1, 1)));
             assert_eq!(store.locate_column(5), None);
-            assert_eq!(store.segment_row_ids(1).unwrap(), vec![1, 4]);
-            let mut chunk = BitVec::new();
-            assert!(store.read_segment_chunk(1, 4, &mut chunk).unwrap());
-            assert_eq!(format!("{chunk:?}"), "BitVec[10]");
-            assert!(!store.read_segment_chunk(1, 9, &mut chunk).unwrap());
-            assert!(store.read_segment_chunk(5, 0, &mut chunk).is_err());
+            let segment = store.epoch_segment(1).unwrap();
+            assert_eq!(segment.rows().map(|(id, _)| id).collect::<Vec<_>>(), [1, 4]);
+            assert_eq!(format!("{:?}", segment.chunk(4).unwrap()), "BitVec[10]");
+            assert!(segment.chunk(9).is_none());
+            assert!(store.epoch_segment(5).is_err());
         }
     }
 
@@ -1429,10 +1389,9 @@ mod tests {
             store
                 .push_segment(2, [(5, &bv("10")), (1, &bv("11")), (5, &bv("01"))])
                 .unwrap();
-            assert_eq!(store.segment_row_ids(0).unwrap(), vec![1, 5]);
-            let mut chunk = BitVec::new();
-            assert!(store.read_segment_chunk(0, 5, &mut chunk).unwrap());
-            assert_eq!(format!("{chunk:?}"), "BitVec[01]");
+            let segment = store.epoch_segment(0).unwrap();
+            assert_eq!(segment.rows().map(|(id, _)| id).collect::<Vec<_>>(), [1, 5]);
+            assert_eq!(format!("{:?}", segment.chunk(5).unwrap()), "BitVec[01]");
         }
     }
 
@@ -1507,18 +1466,16 @@ mod tests {
 
     #[test]
     fn budgeted_reads_agree_with_eager_reads() {
-        // Shadow model: the same push/pop/read sequence through a disabled
-        // cache (budget 0), a tight budget (most admissions refused) and an
-        // unlimited budget must produce identical rows at every step.
-        let budgets = [0usize, 700, usize::MAX];
-        let mut stores: Vec<SegmentedWindowStore> = budgets
-            .iter()
-            .map(|&budget| {
+        // The same push/pop sequence with nothing resident (budget 0), a
+        // tight budget (a segment or two resident, the rest refused) and an
+        // unlimited one: identical rows after every step.
+        let mut stores: Vec<SegmentedWindowStore> = [0usize, 250, usize::MAX]
+            .map(|budget| {
                 let mut store = SegmentedWindowStore::open(StorageBackend::DiskTemp).unwrap();
                 store.set_cache_budget(budget);
                 store
             })
-            .collect();
+            .into();
         let mut rng = 0x9e3779b97f4a7c15u64;
         let mut next = move |bound: usize| {
             rng = rng
@@ -1528,79 +1485,58 @@ mod tests {
         };
         for step in 0..24 {
             let cols = 1 + next(90);
-            let chunks: Vec<(usize, BitVec)> = (0..next(6))
+            let chunks: BTreeMap<usize, BitVec> = (0..next(6))
                 .map(|_| {
-                    let id = next(12);
-                    let chunk = BitVec::from_bools((0..cols).map(|_| next(2) == 1));
-                    (id, chunk)
+                    (
+                        next(12),
+                        BitVec::from_bools((0..cols).map(|_| next(2) == 1)),
+                    )
                 })
                 .collect();
-            // Deduplicate ids: push_segment stores one chunk per row.
-            let mut by_id: BTreeMap<usize, BitVec> = BTreeMap::new();
-            for (id, chunk) in chunks {
-                by_id.insert(id, chunk);
-            }
+            let mut views = Vec::new();
             for store in &mut stores {
                 store
-                    .push_segment(cols, by_id.iter().map(|(id, c)| (*id, c)))
+                    .push_segment(cols, chunks.iter().map(|(id, c)| (*id, c)))
                     .unwrap();
                 if store.num_segments() > 4 {
                     store.pop_segment().unwrap();
                 }
+                let mut rows = vec![BitVec::new(); 12];
+                store.assemble_rows(&mut rows).unwrap();
+                views.push(rows);
             }
-            let mut reference = BitVec::new();
-            let mut row = BitVec::new();
-            for id in 0..12 {
-                stores[0].assemble_row(id, &mut reference).unwrap();
-                for store in &mut stores[1..] {
-                    store.assemble_row(id, &mut row).unwrap();
-                    assert_eq!(row, reference, "row {id} diverged at step {step}");
-                }
-            }
-            for store in &mut stores {
-                store.release_runs();
-            }
+            assert!(views.iter().all(|rows| *rows == views[0]), "step {step}");
         }
-        // The eager store hit nothing; the cached stores hit, and the tight
-        // one did so without ever evicting to admit.
-        let [eager, tight, unlimited] = [0, 1, 2].map(|i| stores[i].cache_stats());
-        assert_eq!(eager.hits, 0);
-        assert!(tight.hits > 0);
-        assert!(
-            tight.insertions < tight.misses,
-            "tight budget refuses admissions"
-        );
-        assert_eq!(tight.evictions, 0, "nothing is evicted to make room");
-        assert!(unlimited.hits > tight.hits);
-        assert!(stores[2].runs_read() < stores[1].runs_read());
-        assert!(stores[1].runs_read() < stores[0].runs_read());
+        // Budget 0 served nothing from residency; the tight budget served
+        // some segments and read the others; the unlimited one never read a
+        // run: each of its segments was resident from its push.
+        let [eager, tight, unlimited] = [0, 1, 2].map(|i| &stores[i]);
+        assert_eq!(eager.resident_hits(), 0);
+        assert!(tight.resident_hits() > 0 && tight.runs_read() > 0);
+        assert_eq!(unlimited.runs_read(), 0);
+        assert!(unlimited.resident_hits() > tight.resident_hits());
+        assert!(tight.runs_read() < eager.runs_read());
     }
 
     #[test]
     fn steady_state_reads_are_bounded_by_the_slide() {
         let rows = 8usize;
-        let wide = bv(&"10".repeat(40));
-        let push = |store: &mut SegmentedWindowStore| {
-            store
-                .push_segment(80, (0..rows).map(|r| (r, &wide)))
-                .unwrap();
-        };
-        // One scan of the window, then the release a mine ends with; returns
-        // (cache hits, runs read) it cost.
+        let push = |store: &mut SegmentedWindowStore| uniform(store, rows, 80);
+        // One scan of the window, the way a view reads it; returns the
+        // (resident chunks served, runs read) it cost.
         let scan = |store: &mut SegmentedWindowStore| {
-            let (hits, reads) = (store.cache_stats().hits, store.runs_read());
-            let mut row = BitVec::new();
-            for id in 0..rows {
-                store.assemble_row(id, &mut row).unwrap();
+            let (hits, reads) = (store.resident_hits(), store.runs_read());
+            let mut assembled = vec![BitVec::new(); rows];
+            store.assemble_rows(&mut assembled).unwrap();
+            for row in &assembled {
                 assert_eq!(row.count_ones(), 40 * store.num_segments() as u64);
             }
-            store.release_runs();
-            (store.cache_stats().hits - hits, store.runs_read() - reads)
+            (store.resident_hits() - hits, store.runs_read() - reads)
         };
 
-        // A budget covering the window: the pushes themselves warmed the
-        // cache, so not even the first scan reads a run — and neither does
-        // the scan after a slide.
+        // A budget covering the window: the pushes themselves made every
+        // segment resident, so not even the first scan reads a run — and
+        // neither does the scan after a slide.
         let mut store = SegmentedWindowStore::open(StorageBackend::DiskTemp).unwrap();
         store.set_cache_budget(usize::MAX);
         for _ in 0..4 {
@@ -1621,108 +1557,85 @@ mod tests {
         }
         assert_eq!(scan(&mut eager), (0, 4));
         assert_eq!(scan(&mut eager), (0, 4));
-        assert_eq!(eager.cache_stats(), ChunkCacheStats::default());
+        assert!(eager.resident_uids().is_empty());
 
-        // A budget of exactly two segments' charge over a three-segment
-        // window.  The first two pushes fill it and the third is refused;
-        // from then on a slide pops before it pushes, so the room the
-        // leaving segment frees admits the entering one — and when the
-        // leaving segment held no room (it was the refused one), the
-        // entering one is refused in turn.  Nothing else ever moves.
-        let segment_charge = {
-            let mut probe = SegmentedWindowStore::open(StorageBackend::DiskTemp).unwrap();
-            probe.set_cache_budget(usize::MAX);
-            push(&mut probe);
-            probe.reader.cache.used_bytes()
-        };
+        // A budget of exactly two segments over a three-segment window.  The
+        // first two pushes fill it and the third is refused; from then on a
+        // slide pops before it pushes, so the room the leaving segment frees
+        // admits the entering one — and when the leaving segment held no
+        // room (it was the refused one), the entering one is refused in
+        // turn.  Nothing else ever moves.
+        let charge = decoded_bytes(rows, 80);
         let mut tight = SegmentedWindowStore::open(StorageBackend::DiskTemp).unwrap();
-        tight.set_cache_budget(2 * segment_charge);
+        tight.set_cache_budget(2 * charge);
         for _ in 0..3 {
             push(&mut tight);
         }
-        let (cached, read) = (2 * rows as u64, 1);
-        assert_eq!(tight.cache_stats().insertions, cached);
+        let (served, read) = (2 * rows as u64, 1);
+        assert_eq!(tight.resident_uids(), [0, 1]);
         assert_eq!(
             scan(&mut tight),
-            (cached, read),
-            "segments 0 1 cached, 2 read"
+            (served, read),
+            "segments 0 1 resident, 2 read"
         );
-        for slide in 0..3 {
+        for (slide, resident) in [[1, 3], [3, 4], [3, 4]].into_iter().enumerate() {
             tight.pop_segment().unwrap();
             push(&mut tight);
-            // Slides 0 and 1 trade a cached segment for the entering one;
-            // slide 2 pops the never-cached segment 2, frees nothing, and
+            // Slides 0 and 1 trade a resident segment for the entering one;
+            // slide 2 pops the never-resident segment 2, frees nothing, and
             // its entering segment is the one read from disk from then on.
-            assert_eq!(scan(&mut tight), (cached, read), "slide {slide}");
-            assert_eq!(scan(&mut tight), (cached, read), "slide {slide}, again");
-            let admitted = cached + rows as u64 * (slide as u64 + 1).min(2);
-            assert_eq!(tight.cache_stats().insertions, admitted, "slide {slide}");
-            assert_eq!(tight.reader.cache.used_bytes(), 2 * segment_charge);
+            assert_eq!(tight.resident_uids(), resident, "slide {slide}");
+            assert_eq!(scan(&mut tight), (served, read), "slide {slide}");
+            assert_eq!(scan(&mut tight), (served, read), "slide {slide}, again");
+            assert_eq!(tight.residency.charged(), 2 * charge);
         }
-        assert_eq!(tight.cache_stats().evictions, 0);
-        assert_eq!(tight.cache_stats().invalidations, cached);
     }
 
     #[test]
     fn a_scan_reads_each_segment_at_most_once_and_looks_each_chunk_up_once() {
         // Five segments of 60 rows (the disk fleet's shape, narrowed to 64
-        // columns) scanned twice per window — row by row (`assemble_row`,
-        // the reference), then segment by segment (`assemble_rows`, the
-        // view's pass) — at budget 0, at a budget holding two segments'
-        // chunks and at a covering one.  Both scans cost the same: each
-        // chunk looked up once, hits and misses as the budget decides, and
-        // one read per segment with a miss, never one per missed chunk.
+        // columns) scanned twice per window at budget 0, at a budget holding
+        // two segments and at a covering one.  Every chunk is either served
+        // from a resident segment or decoded from its segment's run, and a
+        // scan reads each non-resident segment once, never once per chunk.
         let (segments, rows) = (5usize, 60usize);
-        let chunk = BitVec::from_bools((0..64).map(|c| c % 3 == 0));
-        let charge = {
-            let mut probe = ChunkCache::new(usize::MAX);
-            probe.insert(0, 0, &chunk);
-            probe.used_bytes()
-        };
-        // (budget, hits, misses, reads) per scan.
+        let charge = decoded_bytes(rows, 64);
+        // (budget, resident chunks served, runs read) per scan.
         let cases = [
-            (0, 0, 0, segments as u64),
-            (2 * rows * charge, 2 * rows as u64, 3 * rows as u64, 3),
-            (usize::MAX, (segments * rows) as u64, 0, 0),
+            (0, 0, segments as u64),
+            (2 * charge, 2 * rows as u64, 3),
+            (usize::MAX, (segments * rows) as u64, 0),
         ];
-        for (budget, hits, misses, reads) in cases {
+        for (budget, hits, reads) in cases {
             let mut store = SegmentedWindowStore::open(StorageBackend::DiskTemp).unwrap();
             store.set_cache_budget(budget);
             for slide in 0..segments + 3 {
                 if store.num_segments() == segments {
                     store.pop_segment().unwrap();
                 }
-                store
-                    .push_segment(64, (0..rows).map(|row| (row, &chunk)))
-                    .unwrap();
+                uniform(&mut store, rows, 64);
                 if store.num_segments() < segments {
                     continue;
                 }
                 let mut reference = vec![BitVec::new(); rows];
-                let mut assembled = vec![BitVec::new(); rows];
+                for (id, row) in reference.iter_mut().enumerate() {
+                    store.assemble_row(id, row).unwrap();
+                }
                 for pass in 0..2 {
-                    let (before, read_before) = (store.cache_stats(), store.runs_read());
-                    if pass == 0 {
-                        for (id, row) in reference.iter_mut().enumerate() {
-                            store.assemble_row(id, row).unwrap();
-                        }
-                    } else {
-                        store.assemble_rows(&mut assembled).unwrap();
-                    }
-                    store.release_runs();
-                    let after = store.cache_stats();
+                    let (hits_before, reads_before) = (store.resident_hits(), store.runs_read());
+                    let mut assembled = vec![BitVec::new(); rows];
+                    store.assemble_rows(&mut assembled).unwrap();
                     assert_eq!(
                         (
-                            after.hits - before.hits,
-                            after.misses - before.misses,
-                            store.runs_read() - read_before
+                            store.resident_hits() - hits_before,
+                            store.runs_read() - reads_before
                         ),
-                        (hits, misses, reads),
+                        (hits, reads),
                         "budget {budget}, slide {slide}, pass {pass}"
                     );
+                    // Every segment holds every row, so no row is cut short.
+                    assert_eq!(assembled, reference, "budget {budget}, slide {slide}");
                 }
-                // Every segment holds every row, so no row is cut short.
-                assert_eq!(assembled, reference, "budget {budget}, slide {slide}");
             }
         }
     }
@@ -1939,23 +1852,27 @@ mod tests {
         let mut row = BitVec::new();
         store.assemble_row(0, &mut row).unwrap();
         assert_eq!(store.runs_read(), 0);
-        assert_eq!(store.cache_stats(), ChunkCacheStats::default());
+        assert_eq!(store.resident_hits(), 0, "memory segments are no hits");
     }
 
     #[test]
     fn disk_epoch_segments_are_memoised_and_outlive_the_slide() {
-        let mut store = SegmentedWindowStore::open(StorageBackend::DiskTemp).unwrap();
         let wide = bv(&"10".repeat(40));
-        store.push_segment(80, [(0, &wide), (1, &wide)]).unwrap();
-        store.push_segment(80, [(0, &wide)]).unwrap();
+        let fill = |budget: usize| {
+            let mut store = SegmentedWindowStore::open(StorageBackend::DiskTemp).unwrap();
+            store.set_cache_budget(budget);
+            store.push_segment(80, [(0, &wide), (1, &wide)]).unwrap();
+            store.push_segment(80, [(0, &wide)]).unwrap();
+            store
+        };
 
+        // Resident from its push: every epoch shares the one decoded copy,
+        // and no run is read.
+        let mut store = fill(usize::MAX);
         let first = store.epoch_segment(0).unwrap();
-        assert_eq!(store.runs_read(), 1, "the first decode reads the run once");
-        // A second epoch over the same segment is served from the memo.
         let again = store.epoch_segment(0).unwrap();
         assert!(Arc::ptr_eq(&first, &again));
-        assert_eq!(store.runs_read(), 1);
-        assert!(store.reader.runs.is_empty(), "the decode keeps no run");
+        assert_eq!((store.runs_read(), store.resident_hits()), (0, 4));
 
         // The slide drops the store's handle and releases the file, but the
         // snapshot's data survives until its last Arc drops.
@@ -1969,6 +1886,20 @@ mod tests {
             weak.upgrade().is_none(),
             "the decoded segment is reclaimed with its last reader"
         );
+
+        // Not resident: every epoch decodes its own copy, owned by the
+        // handle alone, and the store keeps none of it.
+        let mut eager = fill(0);
+        let before = eager.resident_bytes();
+        let first = eager.epoch_segment(0).unwrap();
+        let again = eager.epoch_segment(0).unwrap();
+        assert!(!Arc::ptr_eq(&first, &again));
+        assert_eq!(first.chunk(1), again.chunk(1));
+        assert_eq!((eager.runs_read(), eager.resident_hits()), (2, 0));
+        assert_eq!(eager.resident_bytes(), before);
+        let weak = Arc::downgrade(&first);
+        drop(first);
+        assert!(weak.upgrade().is_none());
     }
 
     #[test]
@@ -2037,5 +1968,48 @@ mod tests {
         assert_eq!(format!("{row:?}"), "BitVec[011]");
         // A durable window's release of a vanished file counts as done.
         store.release_segment_file(&root.join("seg-0.run")).unwrap();
+    }
+
+    #[test]
+    fn a_restored_store_refuses_a_run_whose_length_the_index_does_not_give() {
+        let dir = TempDir::new("segstore-runlen").unwrap();
+        let root = dir.file("segments");
+        let metas = {
+            let mut store =
+                SegmentedWindowStore::open(StorageBackend::DiskAt(root.clone())).unwrap();
+            uniform(&mut store, 1, 500);
+            store.segment_metas().unwrap()
+        };
+        let refused = |metas: &[SegmentMeta]| {
+            let err = SegmentedWindowStore::restore(root.clone(), metas, 1)
+                .map(drop)
+                .unwrap_err();
+            assert!(
+                matches!(&err, FsmError::CorruptArtifact { artifact, .. } if artifact == "seg-0.run"),
+                "{err}"
+            );
+        };
+        // A self-consistent index claiming 2^50 columns: its offsets and
+        // chunk length are the ones the layout gives such a run, whose
+        // length — 2^47 + 56 bytes — no read may size a buffer by.
+        let cols = 1usize << 50;
+        let chunk_bytes = run::chunk_bytes(cols);
+        let huge = SegmentMeta {
+            uid: 0,
+            cols,
+            rows: vec![(0, run::chunk_offset(1, chunk_bytes, 0), chunk_bytes)],
+        };
+        assert_eq!(run::run_len(1, cols), Some((1 << 47) + 56));
+        refused(&[huge]);
+        // A run cut short, or grown, behind the store's back.
+        let path = root.join("seg-0.run");
+        let clean = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &clean[..clean.len() - 1]).unwrap();
+        refused(&metas);
+        std::fs::write(&path, [clean.as_slice(), &[0]].concat()).unwrap();
+        refused(&metas);
+        std::fs::write(&path, &clean).unwrap();
+        let restored = SegmentedWindowStore::restore(root.clone(), &metas, 1).unwrap();
+        restored.verify_segments().unwrap();
     }
 }
