@@ -92,8 +92,7 @@ mod tests {
     use std::collections::{BTreeMap, VecDeque};
 
     use super::*;
-    use crate::rowstore::StorageBackend;
-    use crate::segment::{decoded_bytes, SegmentedWindowStore};
+    use crate::segment::{decoded_bytes, SegmentedWindowStore, StorageBackend};
 
     /// The chunk every pushed row holds: `cols` bits, every third set.
     fn chunk(cols: usize) -> BitVec {

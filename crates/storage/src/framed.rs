@@ -18,7 +18,7 @@ use fsm_types::codec::{put_u32, Reader};
 use fsm_types::{FsmError, Result};
 
 use crate::checksum::crc32;
-use crate::paged::{annotate, artifact_name};
+use crate::positional::{annotate, artifact_name};
 
 /// Bytes of the trailing CRC.
 const CRC_BYTES: usize = 4;

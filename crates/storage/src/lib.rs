@@ -1,4 +1,5 @@
-//! Storage substrate: bit vectors, paged files and disk-backed row stores.
+//! Storage substrate: bit vectors, the DSMatrix's window segments and the
+//! durable artifacts around them.
 //!
 //! The paper's central space argument is that the DSTable and the DSMatrix
 //! keep the window contents *on disk* while only small working structures
@@ -7,11 +8,6 @@
 //!
 //! * [`BitVec`] — the bit-vector representation used by the DSMatrix rows and
 //!   by the vertical mining algorithms (§3.4, §4);
-//! * [`PagedFile`] — a minimal append-only fixed-page file under the
-//!   DSTable's [`RowStore`]: positional reads and writes, every page
-//!   CRC-verified on read;
-//! * [`RowStore`] — a disk- or memory-backed store of variable-length rows
-//!   over a [`PagedFile`], used by the DSTable to spill contents to disk;
 //! * [`SegmentedWindowStore`] — an append-friendly queue of per-batch row
 //!   segments: the DSMatrix capture path, where a window slide appends one
 //!   segment and drops one instead of rewriting every row (writes are
@@ -25,6 +21,13 @@
 //!   holds it (admitted only where there is room, never by evicting), else
 //!   read from its run for the read that needs it (run reads and resident
 //!   chunks served are counted);
+//! * [`StorageBackend`] — where a capture structure keeps its window: in
+//!   memory, or on disk in a temporary or an explicit directory (the
+//!   DSMatrix's segments here, the DSTable's packed table file in
+//!   `fsm-dstable`);
+//! * [`positional`] — one `pread` / `pwrite` at an explicit offset, behind
+//!   every segment run and the DSTable's file, and the naming of a file in
+//!   its I/O errors;
 //! * [`BudgetGovernor`] — process-wide arbitration of those residency
 //!   budgets across many matrices (the multi-tenant service's one cap), with
 //!   per-member [`BudgetLease`]s granted under a fair-share rule;
@@ -54,9 +57,7 @@ pub mod checksum;
 mod chunkcache;
 mod framed;
 pub mod governor;
-pub mod paged;
-mod positional;
-pub mod rowstore;
+pub mod positional;
 mod run;
 pub mod segment;
 pub mod temp;
@@ -66,10 +67,9 @@ pub use bitvec::BitVec;
 pub use checkpoint::{Checkpoint, CheckpointRow, CheckpointSegment};
 pub use checksum::crc32;
 pub use governor::{BudgetGovernor, BudgetLease};
-pub use paged::PagedFile;
-pub use rowstore::{RowStore, StorageBackend};
 pub use segment::{
     scan_segment_files, CaptureStats, EpochSegment, SegmentMeta, SegmentedWindowStore,
+    StorageBackend,
 };
 pub use temp::TempDir;
 pub use wal::{TornTail, Wal, WalRecord, WalStats};

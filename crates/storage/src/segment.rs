@@ -86,15 +86,28 @@ use std::sync::Arc;
 
 use crate::bitvec::BitVec;
 use crate::chunkcache::Residency;
-use crate::paged::{annotate, artifact_name};
-use crate::positional::{read_exact_at, write_all_at};
-use crate::rowstore::StorageBackend;
+use crate::positional::{annotate, artifact_name, read_exact_at, write_all_at};
 use crate::run;
 use crate::temp::TempDir;
 use fsm_types::codec::Reader;
 use fsm_types::{FsmError, Result};
 
 const WORD_BITS: usize = 64;
+
+/// Where a capture structure — a [`SegmentedWindowStore`], or the DSTable's
+/// table file — keeps its window contents.
+#[derive(Debug, Clone, Default)]
+pub enum StorageBackend {
+    /// On disk, in a self-cleaning temporary directory (the paper's default:
+    /// the capture structure does not consume main memory).
+    #[default]
+    DiskTemp,
+    /// On disk, in the given directory (created if missing; kept across
+    /// runs).
+    DiskAt(PathBuf),
+    /// In main memory (baseline / ablation configuration).
+    Memory,
+}
 
 /// Cumulative capture-cost counters of a [`SegmentedWindowStore`].
 ///

@@ -41,7 +41,7 @@ use fsm_types::codec::{put_u32, put_u64, Reader};
 use fsm_types::{FsmError, Result};
 
 use crate::checksum::crc32;
-use crate::paged::{annotate, artifact_name};
+use crate::positional::{annotate, artifact_name};
 
 /// Size of the fixed record header (`len` + `crc`).
 const HEADER_BYTES: usize = 8;

@@ -1,6 +1,6 @@
 //! Property-based tests for the storage substrate.
 
-use fsm_storage::{BitVec, RowStore, StorageBackend};
+use fsm_storage::BitVec;
 use proptest::prelude::*;
 
 proptest! {
@@ -94,23 +94,6 @@ proptest! {
             v.write_bytes(&mut buf);
             prop_assert_eq!(&buf, &v.to_bytes());
             prop_assert_eq!(BitVec::from_bytes(&buf).unwrap(), v);
-        }
-    }
-
-    /// A RowStore returns exactly what was written, on both backends.
-    #[test]
-    fn rowstore_roundtrip(
-        rows in proptest::collection::btree_map(0usize..32, proptest::collection::vec(any::<u8>(), 0..200), 0..16)
-    ) {
-        for backend in [StorageBackend::Memory, StorageBackend::DiskTemp] {
-            let mut store = RowStore::with_page_size(backend, 32).unwrap();
-            for (id, payload) in &rows {
-                store.put_row(*id, payload).unwrap();
-            }
-            prop_assert_eq!(store.num_rows(), rows.len());
-            for (id, payload) in &rows {
-                prop_assert_eq!(&store.get_row(*id).unwrap(), payload);
-            }
         }
     }
 }
