@@ -116,7 +116,7 @@ use std::thread::{self, ThreadId};
 
 use fsm_dsmatrix::EpochSnapshot;
 use fsm_fptree::MiningLimits;
-use fsm_storage::{BitVec, EpochSegment};
+use fsm_storage::{BitSlice, BitVec, EpochSegment};
 use fsm_types::{EdgeCatalog, EdgeId, EdgeSet, FrequentPattern, FsmError, Result, Support};
 
 use crate::instrument::DeltaStats;
@@ -268,9 +268,9 @@ fn check_cols(cols: usize) -> Result<()> {
 }
 
 /// One segment's row chunks as a dense edge-indexed table, resolved once per
-/// advance from [`EpochSegment::rows`]; a row the segment never saw is
-/// `None` and reads as zeros.
-type RowTable<'s> = Vec<Option<&'s BitVec>>;
+/// advance from [`EpochSegment::rows`] — each borrowed from the segment's
+/// arena; a row the segment never saw is `None` and reads as zeros.
+type RowTable<'s> = Vec<Option<BitSlice<'s>>>;
 
 fn row_table(seg: &EpochSegment, num_items: usize) -> RowTable<'_> {
     let mut table = vec![None; num_items];
@@ -283,7 +283,7 @@ fn row_table(seg: &EpochSegment, num_items: usize) -> RowTable<'_> {
 }
 
 /// The chunk of `edge`'s row in the segment `rows` tabulates.
-fn row_of<'s>(rows: &[Option<&'s BitVec>], edge: EdgeId) -> Option<&'s BitVec> {
+fn row_of<'s>(rows: &[Option<BitSlice<'s>>], edge: EdgeId) -> Option<BitSlice<'s>> {
     rows.get(edge.index()).copied().flatten()
 }
 
@@ -918,7 +918,7 @@ impl<'a> Plan<'a> {
         for (i, (slot, rows)) in self.window.iter().enumerate() {
             let count = match row_of(rows, edge) {
                 Some(row) => tidset
-                    .map_or(row, |chunks| &chunks[i])
+                    .map_or(row, |chunks| chunks[i].as_bits())
                     .and_into(row, &mut out[i]),
                 None => {
                     out[i].resize(0);
@@ -938,7 +938,7 @@ impl<'a> Plan<'a> {
     fn screen(&self, tidset: &[BitVec], edge: EdgeId, counts: &mut [u32]) -> Support {
         let mut support = 0;
         for ((slot, rows), chunk) in self.window.iter().zip(tidset) {
-            let count = row_of(rows, edge).map_or(0, |row| chunk.and_count(row));
+            let count = row_of(rows, edge).map_or(0, |row| chunk.as_bits().and_count(row));
             counts[*slot] = count as u32;
             support += count;
         }
@@ -1053,10 +1053,10 @@ impl Task<'_, '_> {
     /// intersection, the popcount is free).
     fn add_walk(
         &mut self,
-        rows: &[Option<&BitVec>],
+        rows: &[Option<BitSlice<'_>>],
         slot: usize,
         nref: NodeRef,
-        prefix_chunk: Option<&BitVec>,
+        prefix_chunk: Option<BitSlice<'_>>,
         depth: usize,
     ) -> Result<()> {
         const DURING: &str = "segment-arrival walk";
@@ -1071,7 +1071,7 @@ impl Task<'_, '_> {
         let mut buf = self.ws.scratch.take(depth);
         let (contrib, chunk) = match prefix_chunk {
             None => (own.count_ones(), own),
-            Some(prefix) => (prefix.and_into(own, &mut buf), &buf),
+            Some(prefix) => (prefix.and_into(own, &mut buf), buf.as_bits()),
         };
         if contrib > 0 {
             let tree = &mut *self.tree;

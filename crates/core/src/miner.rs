@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fsm_dsmatrix::{
-    DsMatrix, DsMatrixConfig, DurabilityConfig, EpochSnapshot, ReadStats, RecoveryReport,
+    DsMatrix, DsMatrixConfig, DurabilityConfig, EpochSnapshot, Incoming, ReadStats, RecoveryReport,
 };
 use fsm_fptree::MiningLimits;
 use fsm_stream::SlideOutcome;
@@ -167,8 +167,17 @@ impl StreamMiner {
     /// [`StreamMiner::ingest_snapshots`]); unknown edges are still captured by
     /// the matrix but cannot participate in connectivity decisions.
     pub fn ingest_batch(&mut self, batch: &Batch) -> Result<SlideOutcome> {
-        self.next_batch_id = self.next_batch_id.max(batch.id + 1);
-        self.matrix.ingest_batch(batch)
+        self.ingest(Incoming::Batch(batch), usize::MAX)
+    }
+
+    /// [`StreamMiner::ingest_batch`] for a batch in either form — built, or
+    /// its encoded payload read in one pass — refusing a malformed payload
+    /// and any edge id at or past `edge_limit` ([`DsMatrix::ingest`]) before
+    /// anything changes.
+    pub fn ingest(&mut self, incoming: Incoming<'_>, edge_limit: usize) -> Result<SlideOutcome> {
+        let outcome = self.matrix.ingest(incoming, edge_limit)?;
+        self.next_batch_id = self.next_batch_id.max(outcome.entered.saturating_add(1));
+        Ok(outcome)
     }
 
     /// Ingests one batch worth of raw graph snapshots, interning any new

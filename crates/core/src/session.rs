@@ -97,7 +97,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError, Weak};
 use std::time::Instant;
 
-use fsm_dsmatrix::DsMatrix;
+use fsm_dsmatrix::{decode_batch, DsMatrix, Incoming};
 use fsm_storage::BudgetGovernor;
 use fsm_stream::SlideOutcome;
 use fsm_types::{Batch, FsmError, Result};
@@ -723,10 +723,12 @@ impl Session {
     }
 
     /// Number of edges in the catalog the tenant was created (or
-    /// recovered) with: the ids `0..catalog_edges()` a served ingest may
-    /// name.  `fsmd` refuses a batch naming any other id before it reaches
-    /// [`Session::ingest`], whose window would otherwise grow a row — and
-    /// its support and cache tables — up to it.
+    /// recovered) with: the ids `0..catalog_edges()` a batch may name.
+    /// Every ingest entry point — [`Session::ingest`] and
+    /// [`Session::ingest_encoded`], applied or queued — enforces it,
+    /// refusing a batch naming any other id with
+    /// [`FsmError::UnknownEdge`] before the window grows a row (and its
+    /// support and row tables) up to it.
     pub fn catalog_edges(&self) -> usize {
         self.catalog_edges
     }
@@ -756,20 +758,33 @@ impl Session {
     /// Ingests one batch: applied immediately when the window is free
     /// (thawing it first if spilled), queued (bounded) when it is busy,
     /// [`FsmError::Backpressure`] when the queue is full — see the module
-    /// docs for the exact protocol.
+    /// docs for the exact protocol.  A batch naming an edge id outside the
+    /// catalog ([`Session::catalog_edges`]) is refused with
+    /// [`FsmError::UnknownEdge`] on either path, and changes nothing.
     pub fn ingest(&self, batch: &Batch) -> Result<IngestOutcome> {
+        self.ingest_incoming(Incoming::Batch(batch))
+    }
+
+    /// [`Session::ingest`] for a batch payload as [`fsm_dsmatrix::encode_batch`]
+    /// lays it out — what `fsmd` receives.  An applied payload is checked
+    /// and transposed in one pass ([`StreamMiner::ingest`]) and, on a
+    /// durable tenant, logged as received; one that has to wait behind a
+    /// busy window is decoded into a [`Batch`] to queue.  A malformed
+    /// payload is refused as [`fsm_dsmatrix::decode_batch`] refuses it
+    /// ([`FsmError::CorruptArtifact`]), an id outside the catalog with
+    /// [`FsmError::UnknownEdge`]; a refused payload changes nothing.
+    pub fn ingest_encoded(&self, payload: &[u8]) -> Result<IngestOutcome> {
+        self.ingest_incoming(Incoming::Encoded(payload))
+    }
+
+    fn ingest_incoming(&self, incoming: Incoming<'_>) -> Result<IngestOutcome> {
         let (outcome, resident_bytes) = {
             let Ok(mut window) = self.window.try_lock() else {
-                let mut pending = lock_unpoisoned(&self.pending);
-                if pending.len() >= self.max_pending {
-                    return Err(FsmError::backpressure(&self.tenant));
-                }
-                pending.push_back(batch.clone());
-                return Ok(IngestOutcome::Queued);
+                return self.enqueue(incoming);
             };
             let miner = self.live(&mut window)?;
             self.drain_into(miner)?;
-            let outcome = miner.ingest_batch(batch)?;
+            let outcome = miner.ingest(incoming, self.catalog_edges)?;
             if self.has_subscribers() {
                 self.publish(miner)?;
             }
@@ -777,6 +792,28 @@ impl Session {
         };
         self.after_touch(resident_bytes);
         Ok(IngestOutcome::Applied(outcome))
+    }
+
+    /// Parks a batch behind a busy window — decoded, if it is a payload,
+    /// and checked against the catalog here, on this rare path, since the
+    /// window's one-pass transposer is behind the lock.
+    fn enqueue(&self, incoming: Incoming<'_>) -> Result<IngestOutcome> {
+        let batch = match incoming {
+            Incoming::Batch(batch) => batch.clone(),
+            Incoming::Encoded(payload) => decode_batch(payload)?,
+        };
+        if let Some(edge) = batch
+            .max_edge()
+            .filter(|edge| edge.index() >= self.catalog_edges)
+        {
+            return Err(FsmError::UnknownEdge { edge: edge.0 });
+        }
+        let mut pending = lock_unpoisoned(&self.pending);
+        if pending.len() >= self.max_pending {
+            return Err(FsmError::backpressure(&self.tenant));
+        }
+        pending.push_back(batch);
+        Ok(IngestOutcome::Queued)
     }
 
     /// Mines the current window (thawing it if spilled and draining any
@@ -975,7 +1012,7 @@ impl Session {
                     None => break,
                 }
             };
-            last = Some(miner.ingest_batch(&batch)?);
+            last = Some(miner.ingest(Incoming::Batch(&batch), self.catalog_edges)?);
         }
         if last.is_some() && self.has_subscribers() {
             self.publish(miner)?;
@@ -1193,6 +1230,57 @@ mod tests {
             .mine()
             .unwrap()
             .same_patterns_as(&standalone.mine().unwrap()));
+    }
+
+    #[test]
+    fn an_ingest_past_the_catalog_is_refused_on_every_path_and_changes_nothing() {
+        // A `complete(4)` catalog has 6 edges.  An id past it must not reach
+        // the window: applied, it would grow a row, its support counter and
+        // its row tables up to the id, and the next mine would report a
+        // pattern on an edge the catalog does not have.
+        let registry = SessionRegistry::new(RegistryConfig::default());
+        let session = registry.create_tenant("t", tenant_config(), false).unwrap();
+        assert_eq!(session.catalog_edges(), 6);
+        session.ingest(&paper_batches()[0]).unwrap();
+        let resident = session.status().resident_bytes;
+        let past = Batch::from_transactions(1, vec![Transaction::from_raw([1, 50_000])]);
+        let at_bound = Batch::from_transactions(1, vec![Transaction::from_raw([0, 6])]);
+        let payload = encode(&past);
+        let refused = |outcome: Result<IngestOutcome>, edge: u32| {
+            assert!(
+                matches!(outcome, Err(FsmError::UnknownEdge { edge: e }) if e == edge),
+                "{outcome:?}"
+            );
+        };
+        // Applied path: built and encoded.
+        refused(session.ingest(&past), 50_000);
+        refused(session.ingest(&at_bound), 6);
+        refused(session.ingest_encoded(&payload), 50_000);
+        assert_eq!(session.status().resident_bytes, resident);
+        // Queued path: refused before it is parked, as is a payload cut
+        // short.
+        let release = hold_window(&session);
+        refused(session.ingest(&past), 50_000);
+        refused(session.ingest_encoded(&payload), 50_000);
+        let cut = session.ingest_encoded(&payload[..payload.len() - 1]);
+        assert!(
+            matches!(cut, Err(FsmError::CorruptArtifact { .. })),
+            "{cut:?}"
+        );
+        assert_eq!(session.pending_batches(), 0);
+        release();
+        assert_eq!(session.status().resident_bytes, resident);
+        let mine = session.mine().unwrap();
+        assert!(mine
+            .patterns()
+            .iter()
+            .all(|p| p.edges.iter().all(|e| e.index() < 6)));
+        assert_eq!(session.with_miner(|m| m.window_batches()).unwrap(), 1);
+    }
+
+    /// A batch's payload, as `fsmd` receives it.
+    fn encode(batch: &Batch) -> Vec<u8> {
+        fsm_dsmatrix::encode_batch(batch)
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Allocation regression gates for the three per-item loops of the dense
-//! step, for the row assembly in front of a snapshot mine, for the served
-//! ingest's batch decode, and for a pattern's edge set.
+//! step, for the row assembly in front of a snapshot mine, for the memory
+//! window's ingest and the served ingest's one-pass transposition, and for
+//! a pattern's edge set.
 //!
 //! `mine_direct`'s rustdoc and ARCHITECTURE § "Mining allocation discipline"
 //! say a screen allocates nothing and a pattern nothing of its own (its edge
@@ -25,9 +26,9 @@ use std::sync::{Arc, Barrier, Mutex, PoisonError};
 
 use fsm_core::{miners, Algorithm, DeltaMiner, Exec, StreamMinerBuilder, WorkerPool};
 use fsm_datagen::DenseGenerator;
-use fsm_dsmatrix::{decode_batch_into, encode_batch, DsMatrix, DsMatrixConfig};
+use fsm_dsmatrix::{encode_batch, DsMatrix, DsMatrixConfig, Incoming};
 use fsm_fptree::MiningLimits;
-use fsm_storage::{SegmentedWindowStore, StorageBackend};
+use fsm_storage::StorageBackend;
 use fsm_stream::WindowConfig;
 use fsm_types::codec::{put_u32, Reader};
 use fsm_types::{Batch, EdgeCatalog, EdgeId, EdgeSet, FrequentPattern, MinSup, Transaction};
@@ -275,40 +276,54 @@ fn steady_state_ingest_allocations(batches: &[Batch], rows: u32, measured: usize
     allocations
 }
 
-#[test]
-fn a_steady_state_memory_ingest_allocates_per_row_touched_not_per_bit() {
-    const ROWS: u32 = 96;
-    const MEASURED: usize = 8;
-    // Same rows touched, same batch width, 4x the set bits.
-    let sparse = striped_batches(40, 200, ROWS, 12);
-    let dense = striped_batches(40, 200, ROWS, 48);
-    let sparse_allocations = steady_state_ingest_allocations(&sparse, ROWS, MEASURED);
-    let dense_allocations = steady_state_ingest_allocations(&dense, ROWS, MEASURED);
-    assert_eq!(
-        sparse_allocations, dense_allocations,
-        "ingest allocations must not depend on batch.len() x avg_len"
-    );
-
-    // And what they do depend on is the segment store's own write (one chunk
-    // copy per row touched plus its index), which the matrix tops up by a
-    // constant: the per-slide `(row, ones)` list.  An ordered map rebuilt per
-    // batch for the transposition would add its nodes — a term in the rows.
-    let mut store = SegmentedWindowStore::open(StorageBackend::Memory).unwrap();
-    let chunk = fsm_storage::BitVec::from_bools([true; 200]);
-    let ((), store_allocations) = allocations_during(|| {
-        for _ in 0..MEASURED {
-            store
-                .push_segment(200, (0..ROWS as usize).map(|row| (row, &chunk)))
-                .unwrap();
+/// Allocator requests of the second to fourth ingests of `batches` into a
+/// fresh memory matrix with a window of four: each adds a segment, none
+/// evicts one.
+fn filling_ingest_allocations(batches: &[Batch], rows: u32) -> u64 {
+    let mut matrix = memory_matrix(4, rows as usize);
+    matrix.ingest_batch(&batches[0]).unwrap();
+    let ((), allocations) = allocations_during(|| {
+        for batch in &batches[1..4] {
+            matrix.ingest_batch(batch).unwrap();
         }
     });
-    let matrix_share = dense_allocations - store_allocations;
-    assert!(
-        matrix_share <= 2 * MEASURED as u64,
-        "{dense_allocations} allocations over {MEASURED} ingests, the store's \
-         own writes account for {store_allocations}: the matrix adds \
-         {matrix_share}, more than a constant per ingest"
+    allocations
+}
+
+#[test]
+fn a_steady_state_memory_ingest_allocates_a_constant_not_per_row_or_bit() {
+    const MEASURED: usize = 8;
+    // The same batch width over 12 rows, each transaction listing all of
+    // them, and over 96 rows, each listing 48: eight times the rows
+    // touched, four times the set bits.
+    let narrow = striped_batches(40, 200, 12, 12);
+    let wide = striped_batches(40, 200, 96, 48);
+
+    // While the window fills, an ingest builds its segment in one arena and
+    // adds it with its `(row, ones)` list: a constant — the arena, the
+    // segment's `Arc`, the list — whatever the rows touched.  A segment
+    // kept as one map entry or buffer per row would add a term in the rows.
+    let filling = filling_ingest_allocations(&narrow, 12);
+    assert_eq!(
+        filling,
+        filling_ingest_allocations(&wide, 96),
+        "ingest allocations must not depend on the rows touched"
     );
+    assert!(
+        filling <= 3 * 3,
+        "{filling} allocations over three ingests: more than a constant per segment"
+    );
+
+    // Once the window slides, the evicted segment — no reader holds it —
+    // gives the entering one its arena, its `Arc` and its list: an ingest
+    // allocates nothing at all.
+    for (batches, rows) in [(&narrow, 12), (&wide, 96)] {
+        assert_eq!(
+            steady_state_ingest_allocations(batches, rows, MEASURED),
+            0,
+            "a sliding ingest over {rows} rows allocated"
+        );
+    }
 }
 
 /// Batch `id` of the disk-view fixture: 50 transactions over rows `0..40`,
@@ -420,9 +435,9 @@ fn a_sequential_snapshot_mine_adds_one_allocation_per_row_and_memoises_nothing()
     assert_eq!(snapshot.epoch().heap_bytes(), held);
 }
 
-/// Allocator requests of one pass over `cycle`, each batch decoded from its
-/// payload into one reused [`Batch`] — what an `fsmd` connection does — and
-/// ingested into a memory window of five, after two passes to settle.
+/// Allocator requests of one pass over `cycle`, each batch ingested from its
+/// payload in one pass ([`Incoming::Encoded`]) — what an `fsmd` connection
+/// does — into a memory window of five, after two passes to settle.
 /// Returns them with the rows the measured batches touched.
 fn steady_state_served_ingest_allocations(cycle: &[Batch]) -> (u64, u64) {
     let payloads: Vec<Vec<u8>> = (0..3)
@@ -436,10 +451,8 @@ fn steady_state_served_ingest_allocations(cycle: &[Batch]) -> (u64, u64) {
         .collect();
     let (settle, measured) = payloads.split_at(2 * cycle.len());
     let mut matrix = memory_matrix(5, 130);
-    let mut batch = Batch::default();
     let mut ingest = |payload: &[u8]| {
-        decode_batch_into(payload, &mut batch).unwrap();
-        matrix.ingest_batch(&batch).unwrap();
+        matrix.ingest(Incoming::Encoded(payload), 130).unwrap();
     };
     for payload in settle {
         ingest(payload);
@@ -474,12 +487,13 @@ fn a_steady_state_served_ingest_allocates_per_row_touched_not_per_transaction() 
         narrow_allocations, wide_allocations,
         "served ingest allocations must not depend on the transaction count"
     );
-    // Budget: per ingest, one chunk copy per row touched in the segment
-    // store, plus at most 32 for the store's segment and row index and the
-    // matrix's per-slide list.  Decoding allocates nothing: every
-    // transaction refills the buffer it kept.  Decoding into fresh
-    // transactions, as `decode_batch` does, costs one allocation per
-    // transaction — 500 a dense batch, 4 000 over this cycle.
+    // Budget: per ingest, one per row touched, plus at most 32 — far more
+    // than the one-pass path needs: it builds nothing per transaction or
+    // per row, and a slide reuses the evicted segment's arena (growing it
+    // only for a batch touching more rows than it held).  Decoding each
+    // payload into fresh transactions, as `decode_batch` does, would cost
+    // one allocation per transaction — 500 a dense batch, 4 000 over this
+    // cycle.
     let budget = wide_rows + 32 * CYCLE as u64;
     assert!(
         wide_allocations <= budget,

@@ -3,8 +3,10 @@
 //! The protocol is classic WAL-before-apply, specialised to the fact that
 //! window segments are *immutable runs*, one file each:
 //!
-//! 1. `ingest_batch` first appends the encoded batch to the WAL and `fsync`s
-//!    it (one record, one fsync per commit), and only then mutates any state.
+//! 1. An ingest first checks and transposes the batch into scratch, then
+//!    appends it to the WAL — the payload bytes as received, or a built
+//!    batch encoded into that layout — and `fsync`s it (one record, one
+//!    fsync per commit), and only then mutates any state.
 //! 2. Segment runs written since the last checkpoint are `fsync`ed lazily —
 //!    at checkpoint time, not per batch, one `fsync` per run — because the
 //!    WAL can always re-create them by replay.
@@ -24,7 +26,8 @@
 //!
 //! [`crate::DsMatrix::recover`] inverts the protocol: newest checkpoint that
 //! loads *and* whose segment runs verify wins, the WAL tail past it is
-//! replayed through the ordinary ingest path, and a [`RecoveryReport`] names
+//! replayed through the ordinary ingest path (each record transposed
+//! straight from its bytes), and a [`RecoveryReport`] names
 //! every artifact that had to be distrusted along the way.
 
 use std::collections::BTreeSet;
@@ -120,7 +123,8 @@ pub(crate) struct DurableState {
     pub(crate) recovery_replayed: u64,
     /// Report of the recovery that produced this state, if any.
     pub(crate) report: Option<RecoveryReport>,
-    /// The buffer every WAL append encodes its batch into.
+    /// The buffer a built batch is encoded into for its WAL append (a
+    /// payload received encoded is logged as it is).
     pub(crate) record: Vec<u8>,
 }
 

@@ -36,6 +36,15 @@
 //! [`DsMatrix::capture_stats`] counters expose the words actually written so
 //! tests and benchmarks can assert the bound.
 //!
+//! A batch reaches the window in one pass: [`DsMatrix::ingest`] takes it as
+//! built transactions or as its encoded payload ([`Incoming`]) — the bytes
+//! the wire carried, or a WAL record — and one transposer body reads its
+//! counts, checks its ids (strictly increasing, below an edge limit) and
+//! ORs every bit into the segment's words in the same scan.  The result is
+//! a flat [`fsm_storage::EpochSegment`] — one word arena of row ids and
+//! chunks — that moves into the store as it is, built in the arena of the
+//! segment the slide evicted.  A refused batch changes nothing.
+//!
 //! The read side has one path on every backend: [`DsMatrix::view`] assembles
 //! the window's flat rows from its segments, segment by segment, once per
 //! call — a row some segment holds allocated once, a row none holds left
@@ -57,8 +66,8 @@
 //! # Durability
 //!
 //! With [`DsMatrixConfig::durability`] set (disk backends only), every
-//! ingested batch is appended to a write-ahead log and `fsync`ed *before*
-//! any state mutates, a [`fsm_storage::Checkpoint`] snapshots the window
+//! ingested batch is checked, then appended to a write-ahead log — a payload
+//! as received — and `fsync`ed *before* any state mutates, a [`fsm_storage::Checkpoint`] snapshots the window
 //! metadata every K slides, and [`DsMatrix::recover`] rebuilds the exact
 //! pre-crash window from the newest verifiable checkpoint plus the WAL
 //! tail — see [`durable`] for the protocol and [`RecoveryReport`] for what
@@ -79,6 +88,6 @@ pub use durable::{
 };
 pub use epoch::EpochSnapshot;
 pub use fsm_storage::CaptureStats;
-pub use matrix::{DsMatrix, DsMatrixConfig, ReadStats};
+pub use matrix::{DsMatrix, DsMatrixConfig, Incoming, ReadStats};
 pub use snapshot::{ProjectedRows, ProjectionScratch, RowSnapshot};
 pub use view::WindowView;

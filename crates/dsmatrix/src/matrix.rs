@@ -6,14 +6,14 @@ use std::sync::Arc;
 
 use fsm_storage::{
     scan_segment_files, BitVec, BudgetGovernor, BudgetLease, CaptureStats, Checkpoint,
-    CheckpointRow, CheckpointSegment, SegmentMeta, SegmentedWindowStore, StorageBackend, Wal,
+    CheckpointRow, CheckpointSegment, EpochSegment, SegmentMeta, SegmentedWindowStore,
+    StorageBackend, Wal,
 };
 use fsm_stream::{SlideOutcome, SlidingWindow, WindowConfig};
+use fsm_types::codec::Reader;
 use fsm_types::{Batch, BatchId, EdgeId, FsmError, Result, Support, Transaction};
 
-use crate::durable::{
-    decode_batch_into, encode_batch_into, DurabilityConfig, DurableState, RecoveryReport,
-};
+use crate::durable::{encode_batch_into, DurabilityConfig, DurableState, RecoveryReport};
 use crate::epoch::EpochSnapshot;
 use crate::view::WindowView;
 
@@ -152,21 +152,119 @@ impl DsMatrixConfig {
     }
 }
 
+/// An entering batch, in either of the two forms it reaches the window in.
+#[derive(Debug, Clone, Copy)]
+pub enum Incoming<'a> {
+    /// Built transactions.
+    Batch(&'a Batch),
+    /// The batch's payload as [`crate::encode_batch`] lays it out — the
+    /// form it crosses the wire in and is logged in — transposed straight
+    /// from its bytes, never decoded into a [`Batch`].
+    Encoded(&'a [u8]),
+}
+
+/// The artifact a malformed batch payload is refused as, as
+/// [`crate::decode_batch`] refuses it.
+const PAYLOAD: &str = "wal batch payload";
+
+/// One transaction's edge ids at a time, in order — what the transposer
+/// reads a batch through, whichever form it came in.
+trait Transactions<'a> {
+    type Ids: Iterator<Item = u32>;
+
+    /// The next transaction's ids, as stored (the transposer checks that
+    /// they strictly increase).
+    fn next_ids(&mut self) -> Result<Self::Ids>;
+
+    /// Refuses anything left over once every transaction was read.
+    fn finish(self) -> Result<()>;
+}
+
+/// A batch payload's transactions, read from its bytes.
+struct Payload<'a>(Reader<'a>);
+
+impl<'a> Payload<'a> {
+    /// Reads the header: the batch id and its transaction count.
+    fn open(bytes: &'a [u8]) -> Result<(BatchId, usize, Self)> {
+        let mut reader = Reader::artifact(bytes, PAYLOAD);
+        let id = reader.take_u64()?;
+        // A transaction is at least its `u32` edge count.
+        let cols = reader.count_u32(4)?;
+        Ok((id, cols, Self(reader)))
+    }
+}
+
+/// One payload transaction's ids: little-endian `u32`s.
+struct PayloadIds<'a>(std::slice::ChunksExact<'a, u8>);
+
+impl Iterator for PayloadIds<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        let id = self.0.next()?;
+        Some(u32::from_le_bytes([id[0], id[1], id[2], id[3]]))
+    }
+}
+
+impl<'a> Transactions<'a> for Payload<'a> {
+    type Ids = PayloadIds<'a>;
+
+    fn next_ids(&mut self) -> Result<Self::Ids> {
+        // An edge id is a `u32`.
+        let count = self.0.count_u32(4)?;
+        Ok(PayloadIds(self.0.take(4 * count)?.chunks_exact(4)))
+    }
+
+    fn finish(self) -> Result<()> {
+        self.0.finish()
+    }
+}
+
+/// One built transaction's ids.
+struct BuiltIds<'a>(std::slice::Iter<'a, EdgeId>);
+
+impl Iterator for BuiltIds<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        self.0.next().map(|edge| edge.0)
+    }
+}
+
+impl<'a> Transactions<'a> for std::slice::Iter<'a, Transaction> {
+    type Ids = BuiltIds<'a>;
+
+    fn next_ids(&mut self) -> Result<Self::Ids> {
+        let transaction = self
+            .next()
+            .ok_or_else(|| FsmError::corrupt("a batch ran out of transactions"))?;
+        Ok(BuiltIds(transaction.edges().iter()))
+    }
+
+    fn finish(self) -> Result<()> {
+        Ok(())
+    }
+}
+
 /// Transposes an entering batch — transactions listing their edges — into
-/// one bit chunk per row the batch touches, 64 columns at a time.  Within a
-/// block of 64 transactions every edge ORs its bit into one word per row (a
-/// row-indexed word array); then each row the block touched stores that word
-/// into its chunk at the block's word index — one store per (row, block)
-/// instead of one bit set per edge.  A dense row → slot table finds a row's
-/// chunk in one indexed load, and the touched list (≤ rows touched) is sorted
-/// once per batch so the chunks read back ascending by row.  Chunk buffers,
-/// the tables and the lists are reused from batch to batch.
+/// one bit chunk per row the batch touches, 64 columns at a time, in the one
+/// scan that also validates it.  Within a block of 64 transactions every
+/// edge ORs its bit into one word per row (a row-indexed word array); then
+/// each row the block touched stores that word into its chunk at the
+/// block's word index — one store per (row, block) instead of one bit set
+/// per edge.  A dense row → slot table finds a row's chunk in one indexed
+/// load; the chunks live back to back in one word buffer, in first-touch
+/// order, and the touched list (≤ rows touched) is sorted once per batch so
+/// [`Transposer::build`] lays them out ascending by row in the segment's
+/// arena.  The tables and buffers are reused from batch to batch.
 #[derive(Debug, Default)]
 struct Transposer {
     /// Width of the batch being filled.
     cols: usize,
-    /// `slot_of[row]` is one more than the row's index into `chunks`, or 0
-    /// for a row the current batch has not touched.
+    /// `slot_of[row]` is one more than the row's chunk slot, or 0 for a row
+    /// the current batch has not touched.
     slot_of: Vec<u32>,
     /// `block[row]`: the current block's bits of `row`; all zero between
     /// blocks.  As long as `slot_of`.
@@ -176,26 +274,76 @@ struct Transposer {
     /// The rows the current batch touches, ascending once
     /// [`Transposer::fill`] returns.
     touched: Vec<usize>,
-    /// The first `touched.len()` chunks are claimed (in first-touch order);
-    /// the rest are spare buffers.
-    chunks: Vec<BitVec>,
+    /// Slot `i`'s chunk is `words[i·w..(i + 1)·w]`, `w` the batch's words
+    /// per row.
+    words: Vec<u64>,
 }
 
 impl Transposer {
-    /// Transposes `batch`, replacing whatever the previous one left behind.
-    fn fill(&mut self, batch: &Batch) {
-        self.begin(batch.len());
-        let rows = batch.max_edge().map_or(0, |edge| edge.index() + 1);
-        if self.slot_of.len() < rows {
-            self.slot_of.resize(rows, 0);
-            self.block.resize(rows, 0);
+    /// Transposes `incoming`, replacing whatever the previous batch left
+    /// behind, and returns the batch's id and width.  The scan refuses a
+    /// malformed payload as [`crate::decode_batch`] does —
+    /// [`FsmError::CorruptArtifact`] naming the "wal batch payload" — and
+    /// then a batch naming an edge id at or past `edge_limit` with
+    /// [`FsmError::UnknownEdge`] (its largest such id).  Nothing outside the
+    /// transposer changes either way.
+    fn fill(&mut self, incoming: Incoming<'_>, edge_limit: usize) -> Result<(BatchId, usize)> {
+        match incoming {
+            Incoming::Batch(batch) => {
+                self.scan(batch.len(), batch.transactions().iter(), edge_limit)?;
+                Ok((batch.id, batch.len()))
+            }
+            Incoming::Encoded(bytes) => {
+                let (id, cols, payload) = Payload::open(bytes)?;
+                self.scan(cols, payload, edge_limit)?;
+                Ok((id, cols))
+            }
         }
-        for (index, block) in batch.transactions().chunks(WORD_BITS).enumerate() {
-            for (bit, transaction) in block.iter().enumerate() {
-                for edge in transaction.edges() {
-                    let word = &mut self.block[edge.index()];
+    }
+
+    /// The one transposer body, over either form of a batch.
+    fn scan<'a>(
+        &mut self,
+        cols: usize,
+        mut transactions: impl Transactions<'a>,
+        edge_limit: usize,
+    ) -> Result<()> {
+        self.begin(cols);
+        let width = cols.div_ceil(WORD_BITS);
+        let room = self.words.capacity();
+        // Ids below `known` index the tables and lie inside the limit.
+        let mut known = edge_limit.min(self.block.len());
+        let mut unknown = None;
+        for index in 0..width {
+            for bit in 0..(cols - index * WORD_BITS).min(WORD_BITS) {
+                // The smallest id the next one may be: strictly above the last.
+                let mut floor = 0u64;
+                for id in transactions.next_ids()? {
+                    if u64::from(id) < floor {
+                        return Err(FsmError::corrupt_artifact(
+                            PAYLOAD,
+                            format!(
+                                "edge id {id} follows {} in transaction {}: ids must strictly \
+                                 increase",
+                                floor - 1,
+                                index * WORD_BITS + bit
+                            ),
+                        ));
+                    }
+                    floor = u64::from(id) + 1;
+                    let row = id as usize;
+                    if row >= known {
+                        if row >= edge_limit {
+                            unknown = unknown.max(Some(id));
+                            continue;
+                        }
+                        self.slot_of.resize(row + 1, 0);
+                        self.block.resize(row + 1, 0);
+                        known = edge_limit.min(self.block.len());
+                    }
+                    let word = &mut self.block[row];
                     if *word == 0 {
-                        self.block_rows.push(edge.index());
+                        self.block_rows.push(row);
                     }
                     *word |= 1u64 << bit;
                 }
@@ -203,54 +351,69 @@ impl Transposer {
             for i in 0..self.block_rows.len() {
                 let row = self.block_rows[i];
                 let word = std::mem::take(&mut self.block[row]);
-                let slot = self.claim(row);
-                self.chunks[slot].set_word(index, word);
+                let slot = self.claim(row, width);
+                self.words[slot * width + index] = word;
             }
             self.block_rows.clear();
         }
+        transactions.finish()?;
+        if let Some(edge) = unknown {
+            return Err(FsmError::UnknownEdge { edge });
+        }
+        if self.words.capacity() != room {
+            // A batch wider than any before grew the chunk buffer by
+            // doubling: keep what it needs, not the doubling's slack.
+            self.words.shrink_to_fit();
+        }
         self.touched.sort_unstable();
+        Ok(())
     }
 
     /// Starts a batch of `cols` columns.  The previous fill is released
-    /// here, on entry, rather than by whoever consumed it — an ingest that a
-    /// failed segment write abandoned never got that far — so every chunk
-    /// claimed from here on is `cols` zero bits.
+    /// here, on entry, rather than by whoever consumed it — a batch refused
+    /// halfway, or an ingest that a failed segment write abandoned, never
+    /// got that far — so every chunk claimed from here on is zero.
     fn begin(&mut self, cols: usize) {
         for &row in &self.touched {
             self.slot_of[row] = 0;
         }
+        for &row in &self.block_rows {
+            self.block[row] = 0;
+        }
         self.touched.clear();
+        self.block_rows.clear();
+        self.words.clear();
         self.cols = cols;
     }
 
-    /// `row`'s index into `chunks`, claiming a chunk of `cols` zero bits on
-    /// the row's first touch.
-    fn claim(&mut self, row: usize) -> usize {
+    /// `row`'s chunk slot, claiming `width` zero words on the row's first
+    /// touch.
+    fn claim(&mut self, row: usize, width: usize) -> usize {
         if self.slot_of[row] == 0 {
-            let slot = self.touched.len();
-            if self.chunks.len() == slot {
-                self.chunks.push(BitVec::new());
-            }
-            let chunk = &mut self.chunks[slot];
-            chunk.resize(0);
-            chunk.resize(self.cols);
             self.touched.push(row);
-            self.slot_of[row] = slot as u32 + 1;
+            self.words.resize(self.words.len() + width, 0);
+            self.slot_of[row] = self.touched.len() as u32;
         }
         self.slot_of[row] as usize - 1
     }
 
-    /// The touched rows and their chunks, ascending by row.
-    fn rows(&self) -> impl Iterator<Item = (usize, &BitVec)> + Clone {
-        self.touched
-            .iter()
-            .map(|&row| (row, &self.chunks[self.slot_of[row] as usize - 1]))
+    /// The touched rows and their chunks' words, ascending by row.
+    fn rows(&self) -> impl ExactSizeIterator<Item = (usize, &[u64])> + Clone {
+        let width = self.cols.div_ceil(WORD_BITS);
+        self.touched.iter().map(move |&row| {
+            let at = (self.slot_of[row] as usize - 1) * width;
+            (row, &self.words[at..at + width])
+        })
+    }
+
+    /// The filled batch as a flat segment, laid out in `arena`.
+    fn build(&self, arena: Vec<u64>) -> Result<EpochSegment> {
+        EpochSegment::from_words(self.cols, self.rows(), arena)
     }
 
     fn heap_bytes(&self) -> usize {
-        self.chunks.iter().map(BitVec::heap_bytes).sum::<usize>()
+        (self.block.capacity() + self.words.capacity()) * std::mem::size_of::<u64>()
             + self.slot_of.capacity() * std::mem::size_of::<u32>()
-            + self.block.capacity() * std::mem::size_of::<u64>()
             + (self.block_rows.capacity() + self.touched.capacity()) * std::mem::size_of::<usize>()
     }
 }
@@ -498,7 +661,6 @@ impl DsMatrix {
         // artifact lied and recovering "around" it would fabricate a window
         // that never existed.
         let base_seq = ckpt.last_seq;
-        let mut batch = Batch::default();
         for record in records.into_iter().filter(|r| r.seq > base_seq) {
             let applied = matrix
                 .durable
@@ -515,8 +677,10 @@ impl DsMatrix {
                     ),
                 ));
             }
-            decode_batch_into(&record.payload, &mut batch)?;
-            matrix.ingest_applied(&batch)?;
+            let (id, cols) = matrix
+                .transposer
+                .fill(Incoming::Encoded(&record.payload), usize::MAX)?;
+            matrix.apply_transposed(id, cols)?;
             let durable = matrix
                 .durable
                 .as_mut()
@@ -642,7 +806,9 @@ impl DsMatrix {
     /// new row segment (touching only the rows that actually occur in the
     /// batch), and — when the window slides — the evicted batch's segment is
     /// dropped whole.  Unevicted row prefixes are never rewritten; the
-    /// [`DsMatrix::capture_stats`] counters prove it.
+    /// [`DsMatrix::capture_stats`] counters prove it.  Any edge id is
+    /// accepted: the window grows a row for it ([`DsMatrix::ingest`] bounds
+    /// them).
     ///
     /// On a durable matrix the batch is first appended to the WAL and
     /// `fsync`ed — only then is any in-memory or segment state mutated
@@ -652,51 +818,70 @@ impl DsMatrix {
     /// no retained checkpoint references any more for later pushes to
     /// overwrite.
     pub fn ingest_batch(&mut self, batch: &Batch) -> Result<SlideOutcome> {
-        self.rebalance_cache_budget();
-        if let Some(durable) = &mut self.durable {
-            let seq = durable.applied_seq + 1;
-            durable.record.clear();
-            encode_batch_into(batch, &mut durable.record);
-            durable.wal.append(seq, &durable.record)?;
-        }
-        self.ingest_applied(batch)
+        self.ingest(Incoming::Batch(batch), usize::MAX)
     }
 
-    /// The post-WAL half of [`DsMatrix::ingest_batch`]: mutates the window
-    /// state.  Recovery replays WAL records through this same path (without
-    /// re-appending them).
-    fn ingest_applied(&mut self, batch: &Batch) -> Result<SlideOutcome> {
-        // One bit chunk per row the batch touches; rows absent from the batch
-        // cost nothing and read back as zeros.  The transposer is moved out
-        // for the call so its chunks can be borrowed beside `&mut self`.
-        self.transposer.fill(batch);
+    /// [`DsMatrix::ingest_batch`] for a batch in either form, refusing any
+    /// edge id at or past `edge_limit`.
+    ///
+    /// One scan of the batch checks it and transposes it into scratch: a
+    /// malformed payload is refused as [`crate::decode_batch`] refuses it
+    /// ([`FsmError::CorruptArtifact`] naming the "wal batch payload"), and
+    /// a well-formed batch naming an edge id at or past `edge_limit` with
+    /// [`FsmError::UnknownEdge`].  A refused batch leaves the window and the
+    /// WAL untouched.  A durable matrix then logs the batch — the received
+    /// payload bytes themselves, or a built batch encoded in that layout —
+    /// and only then applies it, moving the transposed segment into the
+    /// store.
+    pub fn ingest(&mut self, incoming: Incoming<'_>, edge_limit: usize) -> Result<SlideOutcome> {
+        self.rebalance_cache_budget();
+        let (id, cols) = self.transposer.fill(incoming, edge_limit)?;
+        if let Some(durable) = &mut self.durable {
+            let seq = durable.applied_seq + 1;
+            let record = match incoming {
+                Incoming::Encoded(payload) => payload,
+                Incoming::Batch(batch) => {
+                    durable.record.clear();
+                    encode_batch_into(batch, &mut durable.record);
+                    &durable.record
+                }
+            };
+            durable.wal.append(seq, record)?;
+        }
+        self.apply_transposed(id, cols)
+    }
+
+    /// Applies the batch the transposer holds as batch `batch_id` of `cols`
+    /// columns, building its segment in the arena the store recycles.
+    /// Recovery replays WAL records through [`Transposer::fill`] and this.
+    fn apply_transposed(&mut self, batch_id: BatchId, cols: usize) -> Result<SlideOutcome> {
+        // Moved out for the call so it can be read beside `&mut self`.
         let transposer = std::mem::take(&mut self.transposer);
-        let outcome = self.apply_segment(batch.id, batch.len(), transposer.rows());
+        let outcome = self.apply_segment(batch_id, cols, |arena| transposer.build(arena));
         self.transposer = transposer;
         outcome
     }
 
     /// The post-transposition half of an ingest: slides the window by one
-    /// segment of `cols` columns holding `rows` — `(row id, chunk)` pairs
-    /// ascending by row, every chunk `cols` bits — as batch `batch_id`.
-    /// [`DsMatrix::ingest_applied`] feeds it a transposed batch, and
-    /// [`DsMatrix::thaw`] the decoded segments of a spill image, so a thawed
-    /// window is rebuilt by the very steps that built it.
-    fn apply_segment<'a, I>(
+    /// segment of `cols` columns as batch `batch_id`, the segment built by
+    /// `build` in the arena of the segment the slide evicts (when no reader
+    /// holds it any more).  [`DsMatrix::apply_transposed`] builds it from a
+    /// transposed batch, and [`DsMatrix::thaw`] hands over the decoded
+    /// segments of a spill image, so a thawed window is rebuilt by the very
+    /// steps that built it.
+    fn apply_segment(
         &mut self,
         batch_id: BatchId,
         cols: usize,
-        rows: I,
-    ) -> Result<SlideOutcome>
-    where
-        I: Iterator<Item = (usize, &'a BitVec)> + Clone,
-    {
+        build: impl FnOnce(Vec<u64>) -> Result<EpochSegment>,
+    ) -> Result<SlideOutcome> {
         // The window is about to change epoch; snapshots already handed out
         // stay valid (they own their data), only the memo goes stale.
         // Dropping it here also releases the matrix's own reference to the
         // evicted segment, so reclamation is driven by readers alone.
         self.last_snapshot = None;
         let outcome = self.window.push(batch_id, cols);
+        let mut entering = Vec::new();
         if let Some((_, cols)) = outcome.evicted {
             let dropped = match &mut self.durable {
                 None => self.store.pop_segment()?,
@@ -714,32 +899,33 @@ impl DsMatrix {
             self.num_cols -= dropped;
             // Incremental evict: subtract the leaving segment's popcounts
             // from the support counters — no other row is visited.
-            let evicted = self
+            entering = self
                 .segment_ones
                 .pop_front()
                 .ok_or_else(|| FsmError::corrupt("segment bookkeeping out of sync"))?;
-            for &(row, ones) in &evicted {
+            for &(row, ones) in &entering {
                 self.supports[row] -= ones;
             }
         }
+        let segment = build(self.store.recycled_arena())?;
+        debug_assert_eq!(segment.cols(), cols);
 
         // Grow the domain to cover the segment's rows.
-        let row_bound = rows.clone().last().map_or(0, |(row, _)| row + 1);
+        let row_bound = segment.rows().last().map_or(0, |(row, _)| row + 1);
         self.num_items = self.num_items.max(row_bound);
         if self.supports.len() < self.num_items {
             self.supports.resize(self.num_items, 0);
         }
+        // What the segment adds to the support counters, touching only the
+        // rows it holds — and what an eventual eviction must undo (in the
+        // evicted segment's list, reused).
+        entering.clear();
+        entering.extend(segment.rows().map(|(id, chunk)| (id, chunk.count_ones())));
 
-        self.store.push_segment(cols, rows.clone())?;
+        self.store.push(segment)?;
 
-        // Incremental support maintenance, again touching only the rows the
-        // segment holds: bump the support counters and remember what an
-        // eventual eviction must undo.
-        let mut entering = Vec::with_capacity(rows.size_hint().0);
-        for (id, chunk) in rows {
-            let ones = chunk.count_ones();
+        for &(id, ones) in &entering {
             self.supports[id] += ones;
-            entering.push((id, ones));
         }
         self.segment_ones.push_back(entering);
         self.num_cols += cols;
@@ -801,7 +987,7 @@ impl DsMatrix {
         let mut store = SegmentedWindowStore::open(StorageBackend::DiskAt(image.segments_dir()))?;
         let snapshot = self.snapshot_epoch()?;
         for segment in snapshot.segments() {
-            store.push_segment(segment.cols(), segment.rows())?;
+            store.push(EpochSegment::clone(segment))?;
         }
         store.remove_spares()?;
         let metas = store
@@ -847,7 +1033,8 @@ impl DsMatrix {
             let mut matrix = Self::new(config)?;
             for (seg, meta) in ckpt.segments.iter().enumerate() {
                 let segment = store.epoch_segment(seg)?;
-                matrix.apply_segment(meta.batch_id, segment.cols(), segment.rows())?;
+                let segment = Arc::try_unwrap(segment).unwrap_or_else(|shared| (*shared).clone());
+                matrix.apply_segment(meta.batch_id, segment.cols(), |_| Ok(segment))?;
             }
             // Divergence is damage no CRC could see (or a bug): never serve
             // a silently different window.
@@ -1281,34 +1468,42 @@ mod tests {
 
     fn transposed(t: &Transposer) -> Vec<(usize, String)> {
         t.rows()
-            .map(|(row, chunk)| (row, bit_string(chunk)))
+            .map(|(row, words)| {
+                let chunk = fsm_storage::BitSlice::new(words, t.cols).expect("a clean chunk");
+                (row, bit_string(&chunk.to_bitvec()))
+            })
             .collect()
+    }
+
+    fn fill(t: &mut Transposer, batch: &Batch) {
+        t.fill(Incoming::Batch(batch), usize::MAX).unwrap();
     }
 
     #[test]
     fn transposer_reads_back_ascending_whatever_the_touch_order() {
         let e = |raw: &[u32]| Transaction::from_raw(raw.iter().copied());
         let mut t = Transposer::default();
-        t.fill(&Batch::from_transactions(
-            0,
-            vec![e(&[2, 5]), e(&[0, 2]), e(&[5])],
-        ));
+        fill(
+            &mut t,
+            &Batch::from_transactions(0, vec![e(&[2, 5]), e(&[0, 2]), e(&[5])]),
+        );
         assert_eq!(t.rows().last().map_or(0, |(row, _)| row + 1), 6);
         assert_eq!(
             transposed(&t),
             [(0, "010".into()), (2, "110".into()), (5, "101".into())]
         );
         // An empty batch touches nothing.
-        t.fill(&Batch::from_transactions(1, Vec::new()));
+        fill(&mut t, &Batch::from_transactions(1, Vec::new()));
         assert_eq!(t.rows().last().map_or(0, |(row, _)| row + 1), 0);
         assert!(transposed(&t).is_empty());
     }
 
     #[test]
     fn transposer_begin_resets_an_abandoned_fill() {
-        // A failed `push_segment` returns from the ingest with the batch
-        // transposed and nobody left to release it.  The next batch must not
-        // inherit a bit, a row or a width from it.
+        // A failed `push` returns from the ingest with the batch transposed
+        // and nobody left to release it, and a payload refused halfway
+        // leaves a block half ORed.  The next batch must not inherit a bit,
+        // a row or a width from either.
         let wide = |id| {
             let full = Transaction::from_raw([1, 4, 9]);
             let mut transactions = vec![Transaction::from_raw([]); 70];
@@ -1318,24 +1513,36 @@ mod tests {
         };
         let e = |raw: &[u32]| Transaction::from_raw(raw.iter().copied());
         let mut t = Transposer::default();
-        t.fill(&wide(0));
-        // Abandoned: nothing read it back.
-        t.fill(&Batch::from_transactions(
-            1,
-            vec![e(&[]), e(&[7]), e(&[]), e(&[4]), e(&[])],
-        ));
+        fill(&mut t, &wide(0));
+        // Abandoned: nothing read it back.  Then a payload cut short inside
+        // its first block, after rows 2 and 3 got a bit.
+        let mut cut =
+            crate::encode_batch(&Batch::from_transactions(1, vec![e(&[2, 3]), e(&[3, 8])]));
+        cut.pop();
+        let err = t.fill(Incoming::Encoded(&cut), usize::MAX).unwrap_err();
+        assert!(matches!(err, FsmError::CorruptArtifact { .. }), "{err}");
+        fill(
+            &mut t,
+            &Batch::from_transactions(1, vec![e(&[]), e(&[7]), e(&[]), e(&[3, 4]), e(&[])]),
+        );
         assert_eq!(t.rows().last().map_or(0, |(row, _)| row + 1), 8);
         assert_eq!(
             transposed(&t),
-            [(4, "00010".into()), (7, "01000".into())],
+            [
+                (3, "00010".into()),
+                (4, "00010".into()),
+                (7, "01000".into())
+            ],
             "only the new batch's rows, zeroed, at the new width"
         );
-        // The abandoned batch's buffers were recycled, not leaked or grown.
-        assert_eq!(t.chunks.len(), 3);
+        // The abandoned batches' buffers were recycled, not leaked or grown.
+        assert_eq!(t.words.len(), 3);
         let before = t.heap_bytes();
-        t.fill(&wide(2));
+        fill(&mut t, &wide(2));
         assert_eq!(t.heap_bytes(), before);
-        assert!(t.rows().all(|(_, chunk)| chunk.count_ones() == 2));
+        assert!(t
+            .rows()
+            .all(|(_, words)| words.iter().map(|w| w.count_ones()).sum::<u32>() == 2));
     }
 
     /// A batch of `cols` transactions: row 0 in every one, a pseudo-random
@@ -1390,16 +1597,15 @@ mod tests {
             .enumerate()
         {
             let batch = transposer_batch(id as u64, cols);
-            t.fill(&batch);
+            fill(&mut t, &batch);
             let expected = per_bit_reference(&batch);
             assert_eq!(transposed(&t), expected, "{cols} columns");
             assert_eq!(
                 t.rows().last().map_or(0, |(row, _)| row + 1),
                 if cols == 0 { 0 } else { 41 }
             );
-            for (_, chunk) in t.rows() {
-                assert_eq!(chunk.len(), cols);
-                assert_eq!(chunk.as_words().len(), cols.div_ceil(WORD_BITS));
+            for (_, words) in t.rows() {
+                assert_eq!(words.len(), cols.div_ceil(WORD_BITS));
             }
             assert!(t.block.iter().all(|&word| word == 0), "block left dirty");
             if cols > 64 {

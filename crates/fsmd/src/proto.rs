@@ -18,8 +18,10 @@
 //! `Err` a UTF-8 message, and `Backpressure` tells the producer to retry —
 //! the tenant's ingest queue was full, nothing was accepted.  Batch bodies
 //! reuse the durable layer's WAL encoding ([`fsm_dsmatrix::encode_batch`] /
-//! [`fsm_dsmatrix::decode_batch`]), so a byte captured on the wire is the
-//! byte a WAL replay would apply.  All integers are little-endian; strings
+//! [`fsm_dsmatrix::decode_batch`]): the server hands the body to the
+//! tenant as it is ([`fsm_core::Session::ingest_encoded`]), and a durable
+//! tenant logs those very bytes, so a byte captured on the wire is the byte
+//! a WAL replay applies.  All integers are little-endian; strings
 //! are `u16` length + UTF-8; pattern lists are `u32` count, then per
 //! pattern `u64` support, `u16` edge count and the raw `u32` edge ids in
 //! canonical order.
@@ -28,9 +30,10 @@
 //! repaired: both encoders always write it, and the decoders read ids
 //! straight into place and refuse a descending or repeated id with a typed
 //! error ([`FsmError::Parse`] on a pattern list, [`FsmError::CorruptArtifact`]
-//! naming the "wal batch payload" on a batch).  A served ingest also refuses
-//! an edge id outside the tenant's catalog ([`FsmError::UnknownEdge`]) before
-//! the batch reaches the window.
+//! naming the "wal batch payload" on a batch — the one-pass ingest refuses
+//! exactly what the decoder does).  An ingest also refuses an edge id
+//! outside the tenant's catalog ([`FsmError::UnknownEdge`]) before the batch
+//! reaches the window.
 
 use std::io::{Read, Write};
 

@@ -25,11 +25,11 @@ use fsm_core::{Algorithm, IngestOutcome, MinerConfig, SessionRegistry, Subscript
 use fsm_storage::StorageBackend;
 use fsm_stream::WindowConfig;
 use fsm_types::codec::put_u32;
-use fsm_types::{Batch, EdgeCatalog, FsmError, MinSup, Result};
+use fsm_types::{EdgeCatalog, FsmError, MinSup, Result};
 
 use crate::proto::{
     encode_hello, put_patterns, put_str, read_frame_into, release_if_outsized, write_frame, Cursor,
-    Opcode, Status, TenantSpec, TenantStatus, FRAME_RESERVE_BYTES,
+    Opcode, Status, TenantSpec, TenantStatus,
 };
 
 /// A running server: the bound address plus the shutdown handle.
@@ -115,17 +115,6 @@ pub fn serve(registry: Arc<SessionRegistry>, listen: &str) -> Result<ServerHandl
 struct Connection {
     /// Its live subscriptions, by tenant.
     subscriptions: HashMap<String, Subscription>,
-    /// The batch every `Ingest` request decodes into, its transactions'
-    /// buffers reused from request to request.
-    batch: Batch,
-}
-
-impl Connection {
-    /// Heap a connection's reused batch may keep between requests — room
-    /// for a dense ingest batch (≈ 100 KB decoded); a larger one is given
-    /// back once its request is answered, like the frame buffers
-    /// ([`release_if_outsized`]).
-    const BATCH_RETAIN_BYTES: usize = 2 * FRAME_RESERVE_BYTES;
 }
 
 /// Serves one connection until EOF, an I/O error or shutdown.
@@ -150,9 +139,6 @@ fn serve_connection(
         write_frame(&mut writer, &response)?;
         release_if_outsized(&mut request);
         release_if_outsized(&mut response);
-        if connection.batch.heap_bytes() > Connection::BATCH_RETAIN_BYTES {
-            connection.batch = Batch::default();
-        }
     }
     Ok(())
 }
@@ -219,18 +205,10 @@ fn handle(
         }
         Opcode::Ingest => {
             let tenant = cursor.take_str()?;
-            let batch = &mut connection.batch;
-            fsm_dsmatrix::decode_batch_into(cursor.rest(), batch)?;
-            let session = registry.get(&tenant)?;
-            // Refuse an id past the catalog before it can size the window's
-            // row tables.
-            if let Some(edge) = batch
-                .max_edge()
-                .filter(|edge| edge.index() >= session.catalog_edges())
-            {
-                return Err(FsmError::UnknownEdge { edge: edge.0 });
-            }
-            let outcome = session.ingest(batch)?;
+            // The payload goes to the window as received: checked (catalog
+            // bound included), transposed and, on a durable tenant, logged
+            // in one pass.
+            let outcome = registry.get(&tenant)?.ingest_encoded(cursor.rest())?;
             body.push(matches!(outcome, IngestOutcome::Applied(_)) as u8);
             Ok(())
         }

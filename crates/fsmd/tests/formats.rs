@@ -8,7 +8,10 @@
 //! through one codec (`fsm_types::codec`, plus `fsm_storage::framed` for
 //! the checkpoint).  A window's cold form is the checkpoint plus its runs,
 //! durable or spilled, so these two cover every byte a window leaves on
-//! disk.  The golden tests below hold the exact bytes of each format, so a
+//! disk.  The batch payload has two readers: [`decode_batch`], and the
+//! one-pass ingest a served tenant runs on the bytes as they arrive
+//! ([`Session::ingest_encoded`]), fuzzed side by side.  The golden tests
+//! below hold the exact bytes of each format, so a
 //! port or refactor of the codec provably moves no byte; the wire and WAL
 //! goldens are the bytes those formats had before the shared codec
 //! existed.  The retired `FSMCKPT1` checkpoint of segment
@@ -22,7 +25,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use fsm_core::LifecycleState;
+use std::sync::Arc;
+
+use fsm_core::{LifecycleState, MinerConfig, RegistryConfig, Session, SessionRegistry};
 use fsm_dsmatrix::{decode_batch, encode_batch};
 use fsm_fsmd::proto::{
     put_patterns, read_frame, take_patterns, write_frame, Cursor, TenantSpec, TenantStatus,
@@ -32,7 +37,8 @@ use fsm_storage::{
     crc32, wal, BitVec, Checkpoint, CheckpointRow, CheckpointSegment, EpochSegment,
     SegmentedWindowStore, StorageBackend, TempDir, Wal,
 };
-use fsm_types::{Batch, EdgeSet, FrequentPattern, FsmError, Transaction};
+use fsm_stream::WindowConfig;
+use fsm_types::{Batch, EdgeCatalog, EdgeSet, FrequentPattern, FsmError, Transaction};
 use proptest::prelude::*;
 
 /// Tracks the largest single allocation the *current thread* requests, so
@@ -291,7 +297,7 @@ fn golden_segment_run() {
         (segment.uid(), segment.cols(), segment.num_rows()),
         (2, 3, 2)
     );
-    assert_eq!(format!("{:?}", segment.chunk(2).unwrap()), "BitVec[011]");
+    assert_eq!(format!("{:?}", segment.chunk(2).unwrap()), "BitSlice[011]");
     // The golden checkpoint's first segment is this run: restored from its
     // row offsets, the run verifies.
     let dir = TempDir::new("fmt-run-restore").unwrap();
@@ -379,6 +385,40 @@ fn decode_batch_payload(bytes: &[u8]) -> Result<(), FsmError> {
     decode_batch(bytes).map(drop)
 }
 
+/// Edges in the catalog of the one-pass ingest's tenant: every id
+/// [`valid_encodings`] draws lies below it.
+const ONE_PASS_EDGES: usize = 100_000;
+
+/// The name the one-pass ingest goes by in the decoder tables.
+const ONE_PASS: &str = "one-pass ingest";
+
+thread_local! {
+    /// A memory tenant over a path catalog of [`ONE_PASS_EDGES`] edges, fed
+    /// a first batch naming its last edge so the window's row tables already
+    /// span the catalog: what a measured ingest allocates is its batch's own.
+    static ONE_PASS_TENANT: (SessionRegistry, Arc<Session>) = {
+        let registry = SessionRegistry::new(RegistryConfig::default());
+        let config = MinerConfig {
+            window: WindowConfig::new(2).unwrap(),
+            backend: StorageBackend::Memory,
+            catalog: Some(EdgeCatalog::path(ONE_PASS_EDGES as u32)),
+            ..MinerConfig::default()
+        };
+        let session = registry.create_tenant("one-pass", config, false).unwrap();
+        assert_eq!(session.catalog_edges(), ONE_PASS_EDGES);
+        let last = Transaction::from_raw([0, ONE_PASS_EDGES as u32 - 1]);
+        session.ingest(&Batch::from_transactions(0, vec![last])).unwrap();
+        (registry, session)
+    };
+}
+
+/// The served ingest's decoder: the payload checked and transposed into the
+/// tenant's window in one pass ([`Session::ingest_encoded`]).  An id past
+/// the catalog is its one typed verdict beyond the payload's own.
+fn decode_one_pass(bytes: &[u8]) -> Result<(), FsmError> {
+    ONE_PASS_TENANT.with(|(_, session)| session.ingest_encoded(bytes).map(drop))
+}
+
 /// A WAL's typed verdict on a bad record is a [`fsm_storage::TornTail`]
 /// report, not an `Err`: surface it as one so every decoder reads alike.
 fn decode_wal(bytes: &[u8]) -> Result<(), FsmError> {
@@ -417,11 +457,12 @@ fn run_with(uid: u64, cols: u64, rows: u64, payload_len: u64, payload: &[u8]) ->
     bytes
 }
 
-const DECODERS: [(&str, Decoder); 8] = [
+const DECODERS: [(&str, Decoder); 9] = [
     ("tenant spec", decode_spec),
     ("tenant status", decode_status),
     ("pattern list", decode_patterns),
     ("batch payload", decode_batch_payload),
+    (ONE_PASS, decode_one_pass),
     ("wal log", decode_wal),
     ("checkpoint file", decode_checkpoint),
     ("checkpoint body", decode_checkpoint_body),
@@ -449,6 +490,8 @@ fn check_decoder(
     decode: Decoder,
     input: &[u8],
 ) -> Result<Result<(), FsmError>, String> {
+    // The one-pass ingest's tenant is built before anything is measured.
+    ONE_PASS_TENANT.with(|_| ());
     let (verdict, largest) = largest_allocation_during(|| decode(input));
     if largest > allocation_bound(input.len()) {
         return Err(format!(
@@ -457,10 +500,12 @@ fn check_decoder(
         ));
     }
     if let Err(err) = &verdict {
-        if !matches!(
-            err,
-            FsmError::Parse { .. } | FsmError::CorruptArtifact { .. }
-        ) {
+        let typed = match err {
+            FsmError::Parse { .. } | FsmError::CorruptArtifact { .. } => true,
+            FsmError::UnknownEdge { edge } => name == ONE_PASS && *edge as usize >= ONE_PASS_EDGES,
+            _ => false,
+        };
+        if !typed {
             return Err(format!("{name}: untyped rejection: {err}"));
         }
     }
@@ -536,6 +581,7 @@ fn valid_encodings(id: u64, rows: &[Vec<u32>]) -> Vec<(&'static str, Decoder, Ve
         ("tenant status", decode_status, status),
         ("pattern list", decode_patterns, patterns),
         ("batch payload", decode_batch_payload, encode_batch(&batch)),
+        (ONE_PASS, decode_one_pass, encode_batch(&batch)),
         ("wal log", decode_wal, wal::frame(1, &encode_batch(&batch))),
         (
             "checkpoint file",
@@ -658,17 +704,27 @@ fn a_lying_count_is_refused_before_anything_is_reserved() {
     let chunk = [3u64, 5].map(u64::to_le_bytes).concat();
     let one_row = [0u64.to_le_bytes().as_slice(), &chunk].concat();
 
-    let cases: [(&str, Decoder, Vec<u8>); 10] = [
+    let cases: [(&str, Decoder, Vec<u8>); 12] = [
         ("pattern count", decode_patterns, lying_patterns),
         ("pattern edge count", decode_patterns, lying_edges),
         (
             "batch transaction count",
             decode_batch_payload,
-            lying_transactions,
+            lying_transactions.clone(),
         ),
         (
             "transaction edge count",
             decode_batch_payload,
+            lying_transaction_edges.clone(),
+        ),
+        (
+            "one-pass transaction count",
+            decode_one_pass,
+            lying_transactions,
+        ),
+        (
+            "one-pass transaction edge count",
+            decode_one_pass,
             lying_transaction_edges,
         ),
         (
@@ -750,6 +806,7 @@ fn non_canonical_id_lists_are_refused_not_repaired() {
     for ids in refused {
         for (name, decode, input) in [
             ("batch payload", decode_batch_payload as Decoder, batch(ids)),
+            (ONE_PASS, decode_one_pass, batch(ids)),
             ("pattern list", decode_patterns, patterns(ids)),
         ] {
             match check_decoder(name, decode, &input) {
@@ -760,6 +817,13 @@ fn non_canonical_id_lists_are_refused_not_repaired() {
         }
     }
     for ids in [&[0, u32::MAX][..], &[u32::MAX], &[1, 2, 70_000]] {
+        // The one-pass ingest reads the same ids, and holds them to its
+        // tenant's catalog.
+        match check_decoder(ONE_PASS, decode_one_pass, &batch(ids)) {
+            Ok(Ok(())) => assert!(ids.iter().all(|&id| (id as usize) < ONE_PASS_EDGES)),
+            Ok(Err(FsmError::UnknownEdge { edge })) => assert_eq!(Some(&edge), ids.last()),
+            other => panic!("{ids:?}: {other:?}"),
+        }
         let decoded = decode_batch(&batch(ids)).unwrap();
         assert_eq!(decoded.transactions()[0].edges().len(), ids.len());
         assert_eq!(encode_batch(&decoded), batch(ids), "re-encodes identically");

@@ -116,23 +116,6 @@ impl BitVec {
         }
     }
 
-    /// Stores `word` as the vector's `index`-th 64-bit word — bits
-    /// `64·index ..` in the little-endian order of [`BitVec::as_words`] —
-    /// dropping any of its bits at or past [`BitVec::len`], so the "bits past
-    /// `len` are zero" invariant holds.  The word-granular write of a
-    /// blocked transposition: one store where [`BitVec::set`] would take up
-    /// to 64.  Panics if the vector has no word `index`.
-    #[inline]
-    pub fn set_word(&mut self, index: usize, word: u64) {
-        let live = self.len.saturating_sub(index * WORD_BITS);
-        let mask = if live >= WORD_BITS {
-            u64::MAX
-        } else {
-            (1u64 << live) - 1
-        };
-        self.words[index] = word & mask;
-    }
-
     /// Grows or shrinks the vector to exactly `len` bits, zero-filling new
     /// bits and clearing any bits beyond the new length.
     pub fn resize(&mut self, len: usize) {
@@ -153,7 +136,16 @@ impl BitVec {
 
     /// Number of set bits — the row-sum / support count of §3.4.
     pub fn count_ones(&self) -> u64 {
-        kernel::run(CountOnes(&self.words))
+        self.as_bits().count_ones()
+    }
+
+    /// Borrows the vector as a [`BitSlice`].
+    #[inline]
+    pub fn as_bits(&self) -> BitSlice<'_> {
+        BitSlice {
+            words: &self.words,
+            len: self.len,
+        }
     }
 
     /// In-place intersection with `other` (`self &= other`).
@@ -181,18 +173,7 @@ impl BitVec {
     /// scratch buffer owned by the caller, so steady-state candidate
     /// extension performs no heap allocation at all.
     pub fn and_into(&self, other: &BitVec, out: &mut BitVec) -> u64 {
-        // Resize without clearing: the kernel overwrites `[..overlap]`, so
-        // only the words past it (none when `other` is as long) need zeroing.
-        out.words.resize(self.words.len(), 0);
-        out.len = self.len;
-        let overlap = self.words.len().min(other.words.len());
-        let (head, tail) = out.words.split_at_mut(overlap);
-        tail.fill(0);
-        kernel::run(AndInto(
-            head,
-            &self.words[..overlap],
-            &other.words[..overlap],
-        ))
+        self.as_bits().and_into(other.as_bits(), out)
     }
 
     /// Returns the union `self | other` as a new vector whose length is the
@@ -212,8 +193,7 @@ impl BitVec {
 
     /// Counts the set bits of `self & other` without materialising the result.
     pub fn and_count(&self, other: &BitVec) -> u64 {
-        let overlap = self.words.len().min(other.words.len());
-        kernel::run(AndCount(&self.words[..overlap], &other.words[..overlap]))
+        self.as_bits().and_count(other.as_bits())
     }
 
     /// Appends every bit of `other` after the current contents, preserving
@@ -224,25 +204,37 @@ impl BitVec {
     /// and this routine splices one segment onto the row word-by-word (two
     /// shifts and an OR per word) instead of bit-by-bit.
     pub fn extend_from_bitvec(&mut self, other: &BitVec) {
+        self.extend_from_bits(other.as_bits());
+    }
+
+    /// [`BitVec::extend_from_bitvec`] from a borrowed [`BitSlice`]: a row
+    /// that ends on a word boundary takes the slice's words as one copy.
+    pub fn extend_from_bits(&mut self, other: BitSlice<'_>) {
         if other.len == 0 {
             return;
         }
         let shift = self.len % WORD_BITS;
         if shift == 0 {
-            self.words.extend_from_slice(&other.words);
+            self.words.extend_from_slice(other.words);
             self.len += other.len;
             return;
         }
+        // Word `i` of `other` lands in two: its low bits fill the free space
+        // of the word before (the current last word, which exists: shift
+        // != 0 implies a non-empty vector, for `i` = 0), its high bits start
+        // a fresh one.  Each appended word is thus the high bits of one
+        // word of `other` over the low bits of the next.
+        let back = WORD_BITS - shift;
         self.words.reserve(other.words.len());
-        for &word in &other.words {
-            // Low bits fill the free space of the current last word (which
-            // exists: shift != 0 implies a non-empty vector); high bits
-            // spill into a fresh word.
-            if let Some(last) = self.words.last_mut() {
-                *last |= word << shift;
-            }
-            self.words.push(word >> (WORD_BITS - shift));
-        }
+        let last = self.words.len() - 1;
+        self.words[last] |= other.words[0] << shift;
+        self.words.extend(
+            other
+                .words
+                .windows(2)
+                .map(|pair| (pair[0] >> back) | (pair[1] << shift)),
+        );
+        self.words.push(other.words[other.words.len() - 1] >> back);
         self.len += other.len;
         self.words.truncate(self.len.div_ceil(WORD_BITS));
         self.clear_tail();
@@ -363,6 +355,105 @@ impl fmt::Debug for BitVec {
     }
 }
 
+/// A borrowed, read-only run of bits: `len` bits in 64-bit words,
+/// little-endian within each word, every bit past `len` zero — the layout
+/// of [`BitVec::as_words`].  What a window segment lends out for each of
+/// its row chunks (they live in the segment's one word arena), and what
+/// the word kernels read; [`BitVec::as_bits`] lends a vector the same way.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct BitSlice<'a> {
+    words: &'a [u64],
+    len: usize,
+}
+
+impl<'a> BitSlice<'a> {
+    /// `len` bits held in `words`, which must be exactly the
+    /// `⌈len / 64⌉` words with every bit past `len` clear (`None`
+    /// otherwise).
+    pub fn new(words: &'a [u64], len: usize) -> Option<Self> {
+        let tail = len % WORD_BITS;
+        let clean = tail == 0 || words.last().is_some_and(|&last| last >> tail == 0);
+        (words.len() == len.div_ceil(WORD_BITS) && clean).then_some(Self { words, len })
+    }
+
+    /// [`BitSlice::new`] for words the caller has already checked.
+    pub(crate) fn trusted(words: &'a [u64], len: usize) -> Self {
+        debug_assert!(Self::new(words, len).is_some(), "{len} bits in {words:?}");
+        Self { words, len }
+    }
+
+    /// Number of bits.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Returns `true` if the slice holds no bits.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The bit at `index`, or `false` past the end (see [`BitVec::get`]).
+    #[inline]
+    pub fn get(&self, index: usize) -> bool {
+        index < self.len && (self.words[index / WORD_BITS] >> (index % WORD_BITS)) & 1 == 1
+    }
+
+    /// The backing words.
+    pub fn as_words(&self) -> &'a [u64] {
+        self.words
+    }
+
+    /// Number of set bits.
+    pub fn count_ones(&self) -> u64 {
+        kernel::run(CountOnes(self.words))
+    }
+
+    /// Counts the set bits of `self & other` without materialising them.
+    pub fn and_count(&self, other: BitSlice<'_>) -> u64 {
+        let overlap = self.words.len().min(other.words.len());
+        kernel::run(AndCount(&self.words[..overlap], &other.words[..overlap]))
+    }
+
+    /// Writes `self & other` into `out` (reusing its buffer; the result has
+    /// `self`'s length, bits past `other` reading as zero) and returns its
+    /// popcount from the same pass — [`BitVec::and_into`] over borrowed
+    /// operands.
+    pub fn and_into(&self, other: BitSlice<'_>, out: &mut BitVec) -> u64 {
+        // Resize without clearing: the kernel overwrites `[..overlap]`, so
+        // only the words past it (none when `other` is as long) need zeroing.
+        out.words.resize(self.words.len(), 0);
+        out.len = self.len;
+        let overlap = self.words.len().min(other.words.len());
+        let (head, tail) = out.words.split_at_mut(overlap);
+        tail.fill(0);
+        kernel::run(AndInto(
+            head,
+            &self.words[..overlap],
+            &other.words[..overlap],
+        ))
+    }
+
+    /// An owned copy.
+    pub fn to_bitvec(&self) -> BitVec {
+        BitVec {
+            words: self.words.to_vec(),
+            len: self.len,
+        }
+    }
+}
+
+impl fmt::Debug for BitSlice<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "BitSlice[")?;
+        for i in 0..self.len {
+            write!(f, "{}", u8::from(self.get(i)))?;
+        }
+        write!(f, "]")
+    }
+}
+
 impl FromIterator<bool> for BitVec {
     fn from_iter<I: IntoIterator<Item = bool>>(iter: I) -> Self {
         Self::from_bools(iter)
@@ -398,32 +489,6 @@ mod tests {
         v.set(70, false);
         assert!(!v.get(70));
         assert_eq!(v.count_ones(), 0);
-    }
-
-    #[test]
-    fn set_word_matches_a_set_loop_and_keeps_the_tail_clean() {
-        for len in [1usize, 63, 64, 65, 130] {
-            for index in 0..len.div_ceil(WORD_BITS) {
-                let mut fast = BitVec::zeros(len);
-                fast.set_word(index, u64::MAX);
-                let mut slow = BitVec::zeros(len);
-                for bit in index * WORD_BITS..((index + 1) * WORD_BITS).min(len) {
-                    slow.set(bit, true);
-                }
-                assert_eq!(fast, slow, "len {len}, word {index}");
-                assert_eq!(fast.count_ones(), slow.count_ones());
-            }
-        }
-        // A store replaces the word, it does not OR into it.
-        let mut v = BitVec::from_bools((0..70).map(|_| true));
-        v.set_word(0, 0b101);
-        assert_eq!(v.count_ones(), 2 + 6);
-    }
-
-    #[test]
-    #[should_panic]
-    fn set_word_past_the_last_word_panics() {
-        BitVec::zeros(64).set_word(1, 1);
     }
 
     #[test]

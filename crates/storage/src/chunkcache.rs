@@ -63,11 +63,15 @@ impl Residency {
         }
     }
 
-    /// Drops the resident segment in `slot`, if any, and its charge.
-    pub(crate) fn release(&mut self, slot: &mut Option<Arc<EpochSegment>>) {
-        if let Some(decoded) = slot.take() {
-            self.charged -= decoded.heap_bytes();
-        }
+    /// Drops the resident segment in `slot`, if any, and its charge,
+    /// returning it.
+    pub(crate) fn release(
+        &mut self,
+        slot: &mut Option<Arc<EpochSegment>>,
+    ) -> Option<Arc<EpochSegment>> {
+        let decoded = slot.take()?;
+        self.charged -= decoded.heap_bytes();
+        Some(decoded)
     }
 
     /// Re-budgets the cache.  A shrink below the charge releases the

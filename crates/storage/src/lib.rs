@@ -7,20 +7,25 @@
 //! provides the pieces needed to make that claim measurable:
 //!
 //! * [`BitVec`] — the bit-vector representation used by the DSMatrix rows and
-//!   by the vertical mining algorithms (§3.4, §4);
+//!   by the vertical mining algorithms (§3.4, §4) — and [`BitSlice`], the
+//!   same bits borrowed, which the word kernels read as readily;
 //! * [`SegmentedWindowStore`] — an append-friendly queue of per-batch row
 //!   segments: the DSMatrix capture path, where a window slide appends one
 //!   segment and drops one instead of rewriting every row (writes are
-//!   counted in [`CaptureStats`]).  On the disk backends a segment is one
-//!   packed, CRC-covered run in its own file (segment format v2), written
-//!   with one positional write into a recycled file and read with one.  A
-//!   window row is read back as one flat [`BitVec`] — the only row type
-//!   this crate has — by concatenating its per-segment chunks.  A segment is
-//!   read whole, as one decoded [`EpochSegment`]: always resident on the
+//!   counted in [`CaptureStats`]).  A segment is a flat [`EpochSegment`]:
+//!   one word arena holding the ids of the rows it has a chunk for,
+//!   ascending, then those chunks, each lent out as a [`BitSlice`].  A
+//!   pushed segment's arena moves into the store as it is, and a popped one
+//!   no reader holds gives its arena to the next push.  On the disk
+//!   backends a segment is also one packed, CRC-covered run in its own file
+//!   (segment format v2), encoded from the arena and written with one
+//!   positional write into a recycled file, and read back with one.  A
+//!   window row is read back as one flat [`BitVec`] by concatenating its
+//!   per-segment chunks.  A segment is read whole: always resident on the
 //!   memory backend, and on the disk backends resident while a byte budget
 //!   holds it (admitted only where there is room, never by evicting), else
-//!   read from its run for the read that needs it (run reads and resident
-//!   chunks served are counted);
+//!   decoded from its run — into one arena — for the read that needs it
+//!   (run reads and resident chunks served are counted);
 //! * [`StorageBackend`] — where a capture structure keeps its window: in
 //!   memory, or on disk in a temporary or an explicit directory (the
 //!   DSMatrix's segments here, the DSTable's packed table file in
@@ -63,7 +68,7 @@ pub mod segment;
 pub mod temp;
 pub mod wal;
 
-pub use bitvec::BitVec;
+pub use bitvec::{BitSlice, BitVec};
 pub use checkpoint::{Checkpoint, CheckpointRow, CheckpointSegment};
 pub use checksum::crc32;
 pub use governor::{BudgetGovernor, BudgetLease};

@@ -11,7 +11,7 @@
 //! | `28..36` | payload length: the bytes after the header |
 //! | `36..40` | CRC-32 of bytes `0..36` followed by the payload |
 //! | `40..40 + 8n` | the row ids, `u64` each, strictly ascending |
-//! | then | `n` chunks in index order, each [`BitVec::to_bytes`]: its bit count (`cols`), then its words |
+//! | then | `n` chunks in index order, each [`crate::BitVec::to_bytes`]: its bit count (`cols`), then its words |
 //!
 //! Every chunk of a segment is `cols` bits wide, so every chunk is
 //! [`chunk_bytes`]`(cols)` long, the chunk of index slot `i` starts at
@@ -27,8 +27,8 @@
 use fsm_types::codec::{put_u32, put_u64, Reader};
 use fsm_types::{FsmError, Result};
 
-use crate::bitvec::BitVec;
 use crate::checksum::Crc32;
+use crate::segment::EpochSegment;
 
 /// The format version a run header carries.
 const VERSION: u32 = 2;
@@ -56,27 +56,28 @@ pub(crate) fn run_len(rows: usize, cols: usize) -> Option<usize> {
         .checked_add(HEADER_BYTES)
 }
 
-/// Encodes segment `uid`'s run into `out` (cleared first).  `rows` are
-/// `(row id, chunk)` pairs, strictly ascending by row, every chunk `cols`
-/// bits wide.
-pub(crate) fn encode(uid: u64, cols: usize, rows: &[(usize, &BitVec)], out: &mut Vec<u8>) {
+/// Encodes `segment`'s run into `out` (cleared first), straight from its
+/// arena: the row ids, then every chunk behind its bit count.
+pub(crate) fn encode(segment: &EpochSegment, out: &mut Vec<u8>) {
+    let (rows, cols) = (segment.num_rows(), segment.cols());
     out.clear();
+    out.reserve(run_len(rows, cols).unwrap_or(0));
     put_u32(out, VERSION);
-    put_u64(out, uid);
+    put_u64(out, segment.uid());
     put_u64(out, cols as u64);
-    put_u64(out, rows.len() as u64);
-    put_u64(out, (rows.len() * (8 + chunk_bytes(cols))) as u64);
+    put_u64(out, rows as u64);
+    put_u64(out, (rows * (8 + chunk_bytes(cols))) as u64);
     put_u32(out, 0); // the CRC, filled in once the payload is in place
-    for &(row, _) in rows {
+    for (row, _) in segment.rows() {
         put_u64(out, row as u64);
     }
-    for &(_, chunk) in rows {
+    for (_, chunk) in segment.rows() {
         put_u64(out, chunk.len() as u64);
         for &word in chunk.as_words() {
             put_u64(out, word);
         }
     }
-    debug_assert_eq!(Some(out.len()), run_len(rows.len(), cols));
+    debug_assert_eq!(Some(out.len()), run_len(rows, cols));
     let crc = crc_of(out);
     out[CRC_AT..HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
 }

@@ -5,13 +5,16 @@
 //! transaction and drops a prefix of every row when the window slides.  Doing
 //! that literally rewrites `O(rows × window columns)` cells on every slide.
 //! This store instead keeps the window as a queue of **batch segments**: each
-//! ingested batch becomes one immutable segment holding, for every row that
-//! has at least one set bit in the batch, that row's bit chunk for the
-//! batch's columns.  A window slide is then
+//! ingested batch becomes one immutable, flat segment ([`EpochSegment`]: one
+//! word arena) holding, for every row that has at least one set bit in the
+//! batch, that row's bit chunk for the batch's columns.  A window slide is
+//! then
 //!
-//! * **append** one new segment (cost: only the rows the batch touches), and
-//! * **drop** the oldest segment (cost: a queue pop; on the disk backends its
-//!   file is kept for the next append to overwrite),
+//! * **append** one new segment (cost: only the rows the batch touches; the
+//!   segment's arena moves in as it is), and
+//! * **drop** the oldest segment (cost: a queue pop; its arena goes to the
+//!   next append when no reader holds it, and on the disk backends its file
+//!   is kept for the next append to overwrite),
 //!
 //! so capture cost is `O(rows touched by the new batch + evicted columns)`
 //! and unevicted row prefixes are never rewritten.
@@ -21,8 +24,8 @@
 //! On the disk backends a segment is one **run** in `seg-<uid>.run`: a
 //! 40-byte header, the row index and the chunks packed back to back under
 //! one CRC-32 (segment format v2; the layout is in the `run` module's docs).
-//! [`SegmentedWindowStore::push_segment`] writes it with one positional
-//! write, and a read fetches it with one positional read, verifying the CRC
+//! [`SegmentedWindowStore::push`] encodes it from the segment's arena and
+//! writes it with one positional write, and a read fetches it with one positional read, verifying the CRC
 //! before a byte of it is decoded.  Files are **recycled**, not unlinked: a
 //! popped segment's file is released — at once by
 //! [`SegmentedWindowStore::pop_segment`], or by
@@ -40,7 +43,7 @@
 //!
 //! * Whole-window reads go one way on every backend:
 //!   [`SegmentedWindowStore::assemble_rows`] concatenates the window's
-//!   chunks into flat rows ([`BitVec::extend_from_bitvec`]) segment by
+//!   chunks into flat rows ([`BitVec::extend_from_bits`]) segment by
 //!   segment, and [`EpochSegment::assemble_rows`] does the same over a
 //!   frozen epoch's segments, through the same fill.  A row no segment holds
 //!   is left unallocated, and a held row ends where its last chunk ends.
@@ -51,8 +54,8 @@
 //!   store's byte budget ([`SegmentedWindowStore::set_cache_budget`]) holds
 //!   it, charged its [`EpochSegment::heap_bytes`]; there is no finer unit.
 //! * Admission is **admit-if-room**, never evict-to-admit.
-//!   [`SegmentedWindowStore::push_segment`] writes through: it builds the
-//!   segment from the chunks it has just written and keeps it if it fits.
+//!   [`SegmentedWindowStore::push`] writes through: it keeps the segment
+//!   whose arena it has just encoded the run from if it fits.
 //!   A read of a non-resident segment reads its run once, CRC-verified, and
 //!   offers the decoded segment the same way; a refused one serves that
 //!   read and is dropped — [`SegmentedWindowStore::assemble_rows`] streams
@@ -78,13 +81,12 @@
 //! harness (and the slide-cost tests) assert the incremental behaviour
 //! instead of merely hoping for it.
 
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use crate::bitvec::BitVec;
+use crate::bitvec::{BitSlice, BitVec};
 use crate::chunkcache::Residency;
 use crate::positional::{annotate, artifact_name, read_exact_at, write_all_at};
 use crate::run;
@@ -229,23 +231,111 @@ pub fn scan_segment_files(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
 /// the disk backends a segment is held in this form while the budget keeps
 /// it resident, and is otherwise decoded from its run for the read that
 /// needs it (see [`SegmentedWindowStore::epoch_segment`]).
-#[derive(Debug)]
+///
+/// A segment is **flat**: one word arena holding the ids of the rows it has
+/// a chunk for, ascending, then those rows' chunks in the same order, each
+/// exactly `⌈cols / 64⌉` words with the bits past `cols` clear.  A chunk is
+/// lent out as a [`BitSlice`] of the arena; rows without a set bit are
+/// absent.  The arena is what a segment costs ([`EpochSegment::heap_bytes`])
+/// and what a slide recycles: a popped segment no reader still holds hands
+/// its arena, and its `Arc`, to the next push.
+#[derive(Debug, Clone, Default)]
 pub struct EpochSegment {
-    /// Stable uid of the segment (never reused).
+    /// Stable uid of the segment (never reused), given by the store that
+    /// takes it ([`SegmentedWindowStore::push`]).
     uid: u64,
     /// Number of window columns (transactions) the segment contributes.
     cols: usize,
-    /// Row chunks of the segment; rows without a set bit are absent.
-    rows: BTreeMap<usize, BitVec>,
+    /// Number of rows the segment holds a chunk for.
+    rows: usize,
+    /// `rows` row ids, then `rows` chunks of `words_per_row(cols)` words.
+    arena: Vec<u64>,
+}
+
+/// Words of one chunk of `cols` bits.
+fn words_per_row(cols: usize) -> usize {
+    cols.div_ceil(WORD_BITS)
 }
 
 impl EpochSegment {
+    /// A segment of `cols` columns built in `arena` (a buffer to reuse:
+    /// its contents are discarded, its capacity kept) from `rows` —
+    /// `(row id, words)` pairs strictly ascending by id, each exactly
+    /// `⌈cols / 64⌉` words.  Bits past `cols` in a row's last word are
+    /// cleared.  A row out of order or of another width is refused with
+    /// [`FsmError::InvalidConfig`].  The segment has no uid until a store
+    /// takes it.
+    pub fn from_words<'w, I>(cols: usize, rows: I, mut arena: Vec<u64>) -> Result<Self>
+    where
+        I: IntoIterator<Item = (usize, &'w [u64])>,
+        I::IntoIter: ExactSizeIterator + Clone,
+    {
+        let rows = rows.into_iter();
+        let (n, width) = (rows.len(), words_per_row(cols));
+        arena.clear();
+        arena.reserve_exact(n * (1 + width));
+        for (id, words) in rows.clone() {
+            if arena.last().is_some_and(|&last| last >= id as u64) {
+                return Err(FsmError::config(format!(
+                    "row {id} does not follow row {} in ascending order",
+                    arena[arena.len() - 1]
+                )));
+            }
+            if words.len() != width {
+                return Err(FsmError::config(format!(
+                    "row {id}'s chunk is {} words, but a segment of {cols} columns \
+                     holds {width}",
+                    words.len()
+                )));
+            }
+            arena.push(id as u64);
+        }
+        for (_, words) in rows {
+            arena.extend_from_slice(words);
+        }
+        let mut segment = Self {
+            uid: 0,
+            cols,
+            rows: n,
+            arena,
+        };
+        segment.clear_tails();
+        Ok(segment)
+    }
+
+    /// A segment of `cols` columns from `(row id, chunk)` pairs in any
+    /// order; a row given twice keeps its last chunk.  A chunk that is not
+    /// exactly `cols` bits long is refused with [`FsmError::InvalidConfig`].
+    pub fn from_rows<'a, I>(cols: usize, rows: I) -> Result<Self>
+    where
+        I: IntoIterator<Item = (usize, &'a BitVec)>,
+    {
+        let mut rows: Vec<(usize, &BitVec)> = rows.into_iter().collect();
+        if let Some(&(row, chunk)) = rows.iter().find(|(_, chunk)| chunk.len() != cols) {
+            return Err(FsmError::config(format!(
+                "row {row}'s chunk is {} bits, but the segment is {cols} columns",
+                chunk.len()
+            )));
+        }
+        // Reversing first makes the stable sort put a repeated row's last
+        // chunk first, which is the one `dedup` keeps.
+        rows.reverse();
+        rows.sort_by_key(|&(row, _)| row);
+        rows.dedup_by_key(|&mut (row, _)| row);
+        Self::from_words(
+            cols,
+            rows.iter().map(|&(row, chunk)| (row, chunk.as_words())),
+            Vec::new(),
+        )
+    }
+
     /// Decodes one whole segment run — the bytes of a `seg-<uid>.run` file
-    /// (segment format v2).  The CRC is verified before any field is read;
-    /// then the header must describe exactly the bytes present, the row ids
-    /// must ascend strictly and every chunk must be the segment's columns
-    /// wide.  Damage is [`FsmError::CorruptArtifact`] naming `artifact`, and
-    /// nothing is allocated for a count the bytes present cannot hold.
+    /// (segment format v2) — into one arena.  The CRC is verified before any
+    /// field is read; then the header must describe exactly the bytes
+    /// present, the row ids must ascend strictly and every chunk must be the
+    /// segment's columns wide.  Damage is [`FsmError::CorruptArtifact`]
+    /// naming `artifact`, and nothing is allocated for a count the bytes
+    /// present cannot hold.
     pub fn decode_run(bytes: &[u8], artifact: &str) -> Result<Self> {
         let header = run::check(bytes, artifact)?;
         Self::decode_checked(bytes, header, artifact)
@@ -254,14 +344,15 @@ impl EpochSegment {
     /// [`EpochSegment::decode_run`] past the CRC: `header` is what
     /// [`run::check`] returned for `bytes`.
     fn decode_checked(bytes: &[u8], header: run::Header, artifact: &str) -> Result<Self> {
-        let chunk_bytes = run::chunk_bytes(header.cols);
+        let width = words_per_row(header.cols);
         let mut reader = Reader::artifact(&bytes[run::HEADER_BYTES..], artifact);
-        // `check` proved the payload holds `header.rows` index entries.
-        let mut ids: Vec<usize> = Vec::with_capacity(header.rows);
+        // `check` proved the payload holds `header.rows` index entries and
+        // as many chunks of `width` words.
+        let mut arena: Vec<u64> = Vec::with_capacity(header.rows * (1 + width));
         for _ in 0..header.rows {
             let id = reader.take_u64()?;
             match usize::try_from(id) {
-                Ok(id) if ids.last().is_none_or(|&last| last < id) => ids.push(id),
+                Ok(_) if arena.last().is_none_or(|&last| last < id) => arena.push(id),
                 _ => {
                     return Err(FsmError::corrupt_artifact(
                         artifact,
@@ -270,24 +361,38 @@ impl EpochSegment {
                 }
             }
         }
-        let mut rows = BTreeMap::new();
-        for id in ids {
-            let chunk = BitVec::from_bytes(reader.take(chunk_bytes)?)
-                .filter(|chunk| chunk.len() == header.cols)
-                .ok_or_else(|| {
-                    FsmError::corrupt_artifact(
-                        artifact,
-                        format!("row {id}'s chunk is not {} bits", header.cols),
-                    )
-                })?;
-            rows.insert(id, chunk);
+        for slot in 0..header.rows {
+            let bits = reader.take_u64()?;
+            if bits != header.cols as u64 {
+                return Err(FsmError::corrupt_artifact(
+                    artifact,
+                    format!("row {}'s chunk is not {} bits", arena[slot], header.cols),
+                ));
+            }
+            for _ in 0..width {
+                arena.push(reader.take_u64()?);
+            }
         }
         reader.finish()?;
-        Ok(Self {
+        let mut segment = Self {
             uid: header.uid,
             cols: header.cols,
-            rows,
-        })
+            rows: header.rows,
+            arena,
+        };
+        segment.clear_tails();
+        Ok(segment)
+    }
+
+    /// Clears the bits past `cols` in every chunk's last word.
+    fn clear_tails(&mut self) {
+        let (width, tail) = (words_per_row(self.cols), self.cols % WORD_BITS);
+        if tail == 0 {
+            return;
+        }
+        for chunk in self.arena[self.rows..].chunks_exact_mut(width) {
+            chunk[width - 1] &= (1u64 << tail) - 1;
+        }
     }
 
     /// The segment's stable uid (never reused across the store's lifetime).
@@ -300,30 +405,41 @@ impl EpochSegment {
         self.cols
     }
 
+    /// The ids of the rows the segment holds, ascending.
+    fn ids(&self) -> &[u64] {
+        &self.arena[..self.rows]
+    }
+
+    /// The chunk in index slot `slot`.
+    fn chunk_at(&self, slot: usize) -> BitSlice<'_> {
+        let width = words_per_row(self.cols);
+        let at = self.rows + slot * width;
+        BitSlice::trusted(&self.arena[at..at + width], self.cols)
+    }
+
     /// Borrows the chunk of row `id`, or `None` if the segment never saw the
     /// row (its span reads as zeros).
-    pub fn chunk(&self, id: usize) -> Option<&BitVec> {
-        self.rows.get(&id)
+    pub fn chunk(&self, id: usize) -> Option<BitSlice<'_>> {
+        let slot = self.ids().binary_search(&(id as u64)).ok()?;
+        Some(self.chunk_at(slot))
     }
 
     /// Iterates the `(row id, chunk)` pairs in ascending row order.
-    pub fn rows(&self) -> impl Iterator<Item = (usize, &BitVec)> + Clone {
-        self.rows.iter().map(|(id, chunk)| (*id, chunk))
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = (usize, BitSlice<'_>)> + Clone {
+        (0..self.rows).map(move |slot| (self.arena[slot] as usize, self.chunk_at(slot)))
     }
 
     /// Number of rows the segment holds a chunk for.
     pub fn num_rows(&self) -> usize {
-        self.rows.len()
+        self.rows
     }
 
-    /// Heap bytes of the decoded chunks (shared across every epoch that
-    /// references the segment, not per snapshot) — what a resident disk
-    /// segment is charged against the store's budget.
+    /// Bytes of the segment's arena — `8 × (1 + ⌈cols / 64⌉)` per row, its
+    /// id and its chunk's words (shared across every epoch that references
+    /// the segment, not per snapshot) — what a resident disk segment is
+    /// charged against the store's budget.
     pub fn heap_bytes(&self) -> usize {
-        self.rows
-            .values()
-            .map(|chunk| chunk.heap_bytes() + ROW_OVERHEAD)
-            .sum()
+        self.arena.len() * std::mem::size_of::<u64>()
     }
 
     /// Materialises the window `segments` tile, oldest first, into `rows` —
@@ -341,13 +457,11 @@ impl EpochSegment {
     }
 }
 
-/// Per-row bookkeeping [`EpochSegment::heap_bytes`] adds to a chunk's words.
-const ROW_OVERHEAD: usize = 2 * std::mem::size_of::<usize>();
-
 /// [`EpochSegment::heap_bytes`] of a segment of `rows` chunks of `cols`
-/// bits, each holding exactly its words — known before a byte is decoded.
+/// bits — one id word plus the chunk's words per row — known before a byte
+/// is decoded.
 pub(crate) fn decoded_bytes(rows: usize, cols: usize) -> usize {
-    rows.saturating_mul(cols.div_ceil(WORD_BITS) * 8 + ROW_OVERHEAD)
+    rows.saturating_mul((1 + words_per_row(cols)) * std::mem::size_of::<u64>())
 }
 
 /// Segment-major assembly of flat rows — the one fill behind
@@ -388,11 +502,12 @@ impl<'r> RowFill<'r> {
         Some(row)
     }
 
-    /// Appends every chunk of a decoded segment starting at column `start`.
+    /// Appends every chunk of a decoded segment starting at column `start`,
+    /// each as one run of words.
     fn extend(&mut self, segment: &EpochSegment) {
         for (id, chunk) in segment.rows() {
             let Some(row) = self.open(id) else { break };
-            row.extend_from_bitvec(chunk);
+            row.extend_from_bits(chunk);
         }
     }
 
@@ -474,7 +589,12 @@ impl RunFile {
         let name = artifact_name(&self.path);
         let (bytes, header) = self.load(uid, cols)?;
         let decoded = EpochSegment::decode_checked(&bytes, header, &name)?;
-        if !decoded.rows.keys().eq(self.rows.iter()) {
+        if !decoded
+            .ids()
+            .iter()
+            .map(|&id| id as usize)
+            .eq(self.rows.iter().copied())
+        {
             return Err(FsmError::corrupt_artifact(
                 name,
                 "the run's row ids are not the ones the window indexes",
@@ -552,8 +672,8 @@ fn write_run(free: &mut Vec<RunFile>, path: &Path, run: &[u8]) -> Result<File> {
 
 /// A queue of per-batch row segments backing one sliding window.
 ///
-/// All three [`StorageBackend`]s are supported: `Memory` keeps segments as
-/// decoded chunk maps (zero-copy readable), the disk backends write one run
+/// All three [`StorageBackend`]s are supported: `Memory` keeps the flat
+/// segments themselves (zero-copy readable), the disk backends write one run
 /// file per segment (so eviction never rewrites surviving data, and the
 /// evicted file is recycled by a later push).
 pub struct SegmentedWindowStore {
@@ -564,6 +684,9 @@ pub struct SegmentedWindowStore {
     generation: u64,
     /// The disk segments' residency budget and read counters.
     residency: Residency,
+    /// A popped segment no reader holds, whose `Arc` and arena the next push
+    /// reuses.
+    spare: Option<Arc<EpochSegment>>,
 }
 
 impl SegmentedWindowStore {
@@ -597,6 +720,7 @@ impl SegmentedWindowStore {
             stats: CaptureStats::default(),
             generation: 0,
             residency: Residency::default(),
+            spare: None,
         };
         for (kind, path) in stale {
             match kind {
@@ -684,104 +808,83 @@ impl SegmentedWindowStore {
     /// Appends one segment of `cols` columns whose touched rows are given as
     /// `(row id, bit chunk)` pairs; a row given twice keeps its last chunk.
     /// A chunk that is not exactly `cols` bits long is refused before
-    /// anything is written.
-    ///
-    /// This is the only write path of the store; its cost — and the counter
-    /// increments it performs — are proportional to the chunks passed in,
-    /// never to data already stored.  On the disk backends the segment
-    /// reaches its file as one run with one positional write (when this
-    /// returns it has been handed to the operating system; the file is a
-    /// released one renamed, when there is one) and the segment, built from
-    /// the chunks just written, is then kept resident if the budget has room
-    /// for it.
+    /// anything is written.  [`EpochSegment::from_rows`] then
+    /// [`SegmentedWindowStore::push`].
     pub fn push_segment<'a, I>(&mut self, cols: usize, rows: I) -> Result<()>
     where
         I: IntoIterator<Item = (usize, &'a BitVec)>,
     {
-        let check = |row: usize, chunk: &BitVec| {
-            if chunk.len() == cols {
-                Ok(())
-            } else {
-                Err(FsmError::config(format!(
-                    "row {row}'s chunk is {} bits, but the segment is {cols} columns",
-                    chunk.len()
-                )))
-            }
-        };
+        self.push(EpochSegment::from_rows(cols, rows)?)
+    }
+
+    /// The word buffer the next segment should be built in: the arena of a
+    /// popped segment no reader held any more, or an empty one.  Handing it
+    /// back through [`SegmentedWindowStore::push`] makes a steady slide
+    /// allocate no segment at all.
+    pub fn recycled_arena(&mut self) -> Vec<u64> {
+        self.spare
+            .as_mut()
+            .and_then(Arc::get_mut)
+            .map(|spare| std::mem::take(&mut spare.arena))
+            .unwrap_or_default()
+    }
+
+    /// Appends `segment` as the window's newest, giving it the store's next
+    /// uid.  This is the only write path of the store; its cost — and the
+    /// counter increments it performs — are proportional to the segment's
+    /// rows, never to data already stored.  On the memory backend the
+    /// segment's arena *is* the stored segment.  On the disk backends its
+    /// run is encoded from the arena and reaches its file with one
+    /// positional write (when this returns it has been handed to the
+    /// operating system; the file is a released one renamed, when there is
+    /// one), and the same arena is then kept resident if the budget has
+    /// room for it.
+    pub fn push(&mut self, mut segment: EpochSegment) -> Result<()> {
         let id = self.next_id;
-        self.next_id += 1;
+        segment.uid = id;
+        let (cols, rows) = (segment.cols, segment.rows);
+        // Into the `Arc` of a popped segment when there is one.
+        let segment = match self.spare.take() {
+            Some(mut spare) => match Arc::get_mut(&mut spare) {
+                Some(slot) => {
+                    *slot = segment;
+                    spare
+                }
+                None => Arc::new(segment),
+            },
+            None => Arc::new(segment),
+        };
         let segment_rows = match &mut self.placement {
-            Placement::Memory => {
-                let mut map = BTreeMap::new();
-                for (row, chunk) in rows {
-                    check(row, chunk)?;
-                    map.insert(row, chunk.clone());
-                }
-                for chunk in map.values() {
-                    self.stats.rows_written += 1;
-                    // One header word plus the payload words — identical for
-                    // both backends so the slide-cost tables are
-                    // backend-independent.
-                    self.stats.words_written += 1 + chunk.len().div_ceil(WORD_BITS) as u64;
-                }
-                let segment = EpochSegment {
-                    uid: id,
-                    cols,
-                    rows: map,
-                };
-                SegmentRows::Memory(Arc::new(segment))
-            }
+            Placement::Memory => SegmentRows::Memory(segment),
             Placement::Disk {
                 dir, free, stage, ..
             } => {
-                let mut rows: Vec<(usize, &BitVec)> = rows.into_iter().collect();
-                for &(row, chunk) in &rows {
-                    check(row, chunk)?;
-                }
-                // A run stores one chunk per row, ascending.  Reversing
-                // first makes the stable sort put a repeated row's last
-                // chunk first, which is the one `dedup` keeps.
-                if !rows.is_sorted_by(|a, b| a.0 < b.0) {
-                    rows.reverse();
-                    rows.sort_by_key(|&(row, _)| row);
-                    rows.dedup_by_key(|&mut (row, _)| row);
-                }
-                run::encode(id, cols, &rows, stage);
+                run::encode(&segment, stage);
                 let path = dir.join(run_file_name(id));
                 let file = write_run(free, &path, stage)?;
-                for &(_, chunk) in &rows {
-                    self.stats.rows_written += 1;
-                    self.stats.words_written += 1 + chunk.len().div_ceil(WORD_BITS) as u64;
-                }
                 // Write-through: once the segment is on disk it is offered
                 // for residency (admit-if-room), so the mine that follows
                 // does not re-read the run this call has just written.  A
-                // segment with no room is not even built.
+                // segment with no room is dropped here: nothing outside the
+                // budget stays decoded.
                 let mut resident = None;
-                if self.residency.has_room(decoded_bytes(rows.len(), cols)) {
-                    let segment = EpochSegment {
-                        uid: id,
-                        cols,
-                        rows: rows
-                            .iter()
-                            .map(|&(row, chunk)| (row, chunk.clone()))
-                            .collect(),
-                    };
-                    self.residency.offer(&mut resident, &Arc::new(segment));
-                }
-                SegmentRows::Disk {
-                    run: RunFile {
-                        file,
-                        path,
-                        len: stage.len(),
-                        rows: rows.iter().map(|&(row, _)| row).collect(),
-                    },
-                    resident,
-                }
+                self.residency.offer(&mut resident, &segment);
+                let run = RunFile {
+                    file,
+                    path,
+                    len: stage.len(),
+                    rows: segment.ids().iter().map(|&id| id as usize).collect(),
+                };
+                SegmentRows::Disk { run, resident }
             }
         };
+        // One header word plus the payload words per row — identical for
+        // both backends so the slide-cost tables are backend-independent.
+        self.stats.rows_written += rows as u64;
+        self.stats.words_written += (rows * (1 + words_per_row(cols))) as u64;
         self.stats.segments_written += 1;
         self.generation += 1;
+        self.next_id += 1;
         self.segments.push_back(Segment {
             id,
             cols,
@@ -790,20 +893,25 @@ impl SegmentedWindowStore {
         Ok(())
     }
 
+    /// Keeps `segment` for the next push to build in, if no reader holds it.
+    fn recycle(&mut self, mut segment: Arc<EpochSegment>) {
+        if self.spare.is_none() && Arc::get_mut(&mut segment).is_some() {
+            self.spare = Some(segment);
+        }
+    }
+
     /// Drops the oldest segment, returning how many columns left with it.
     ///
     /// Surviving segments are untouched.  On the disk backends the leaving
     /// segment's file is released at once — the next push renames and
     /// overwrites it — so a slide issues no unlink.
     pub fn pop_segment(&mut self) -> Result<usize> {
-        let segment = self.pop_oldest()?;
-        if let (SegmentRows::Disk { mut run, .. }, Placement::Disk { free, .. }) =
-            (segment.rows, &mut self.placement)
-        {
+        let (_, cols, run) = self.pop_oldest()?;
+        if let (Some(mut run), Placement::Disk { free, .. }) = (run, &mut self.placement) {
             run.rows = Vec::new();
             free.push(run);
         }
-        Ok(segment.cols)
+        Ok(cols)
     }
 
     /// Drops the oldest segment like [`SegmentedWindowStore::pop_segment`],
@@ -816,27 +924,34 @@ impl SegmentedWindowStore {
     /// caller owns the returned path and hands it back through
     /// [`SegmentedWindowStore::release_segment_file`] once it is.
     pub fn pop_segment_detached(&mut self) -> Result<(usize, Option<(u64, PathBuf)>)> {
-        let segment = self.pop_oldest()?;
-        let file = match segment.rows {
-            SegmentRows::Disk { run, .. } => Some((segment.id, run.path)),
-            SegmentRows::Memory(_) => None,
-        };
-        Ok((segment.cols, file))
+        let (id, cols, run) = self.pop_oldest()?;
+        Ok((cols, run.map(|run| (id, run.path))))
     }
 
-    /// Takes the oldest segment off the queue; its residency and charge
-    /// leave with it, and generation and counters move.
-    fn pop_oldest(&mut self) -> Result<Segment> {
-        let mut segment = self
+    /// Takes the oldest segment off the queue as `(uid, columns, its run on
+    /// the disk backends)`; its residency and charge leave with it — its
+    /// decoded form is recycled when no reader holds it — and generation
+    /// and counters move.
+    fn pop_oldest(&mut self) -> Result<(u64, usize, Option<RunFile>)> {
+        let segment = self
             .segments
             .pop_front()
             .ok_or_else(|| FsmError::corrupt("pop_segment on an empty window"))?;
-        if let SegmentRows::Disk { resident, .. } = &mut segment.rows {
-            self.residency.release(resident);
-        }
+        let run = match segment.rows {
+            SegmentRows::Memory(decoded) => {
+                self.recycle(decoded);
+                None
+            }
+            SegmentRows::Disk { run, mut resident } => {
+                if let Some(decoded) = self.residency.release(&mut resident) {
+                    self.recycle(decoded);
+                }
+                Some(run)
+            }
+        };
         self.stats.segments_dropped += 1;
         self.generation += 1;
-        Ok(segment)
+        Ok((segment.id, segment.cols, run))
     }
 
     /// Releases a segment file [`SegmentedWindowStore::pop_segment_detached`]
@@ -944,6 +1059,7 @@ impl SegmentedWindowStore {
             stats: CaptureStats::default(),
             generation: 0,
             residency: Residency::default(),
+            spare: None,
         })
     }
 
@@ -1071,7 +1187,7 @@ impl SegmentedWindowStore {
         for seg in 0..self.segments.len() {
             let segment = self.epoch_segment(seg)?;
             match segment.chunk(id) {
-                Some(chunk) => out.extend_from_bitvec(chunk),
+                Some(chunk) => out.extend_from_bits(chunk),
                 None => out.resize(out.len() + segment.cols),
             }
         }
@@ -1135,6 +1251,9 @@ impl SegmentedWindowStore {
             Placement::Memory => 0,
             Placement::Disk { stage, .. } => stage.capacity(),
         };
+        let spare = self.spare.as_ref().map_or(0, |spare| {
+            spare.arena.capacity() * std::mem::size_of::<u64>()
+        });
         let segments: usize = self
             .segments
             .iter()
@@ -1148,7 +1267,7 @@ impl SegmentedWindowStore {
                 rows + std::mem::size_of::<Segment>()
             })
             .sum();
-        self.residency.charged() + stage + segments
+        self.residency.charged() + stage + spare + segments
     }
 
     /// The residency ledger of the disk segments.
@@ -1237,6 +1356,8 @@ impl std::fmt::Debug for SegmentedWindowStore {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     fn bv(pattern: &str) -> BitVec {
@@ -1386,7 +1507,7 @@ mod tests {
             assert_eq!(store.locate_column(5), None);
             let segment = store.epoch_segment(1).unwrap();
             assert_eq!(segment.rows().map(|(id, _)| id).collect::<Vec<_>>(), [1, 4]);
-            assert_eq!(format!("{:?}", segment.chunk(4).unwrap()), "BitVec[10]");
+            assert_eq!(format!("{:?}", segment.chunk(4).unwrap()), "BitSlice[10]");
             assert!(segment.chunk(9).is_none());
             assert!(store.epoch_segment(5).is_err());
         }
@@ -1404,7 +1525,7 @@ mod tests {
                 .unwrap();
             let segment = store.epoch_segment(0).unwrap();
             assert_eq!(segment.rows().map(|(id, _)| id).collect::<Vec<_>>(), [1, 5]);
-            assert_eq!(format!("{:?}", segment.chunk(5).unwrap()), "BitVec[01]");
+            assert_eq!(format!("{:?}", segment.chunk(5).unwrap()), "BitSlice[01]");
         }
     }
 
@@ -1937,12 +2058,12 @@ mod tests {
         let wide = bv(&"10".repeat(40));
         store.push_segment(80, [(0, &wide)]).unwrap();
         let epoch = store.epoch_segment(0).unwrap();
-        let before = epoch.chunk(0).unwrap().clone();
+        let before = epoch.chunk(0).unwrap().to_bitvec();
         store.set_cache_budget(64);
         store.set_cache_budget(0);
         store.push_segment(80, [(0, &wide)]).unwrap();
         store.pop_segment().unwrap();
-        assert_eq!(epoch.chunk(0).unwrap(), &before);
+        assert_eq!(epoch.chunk(0).unwrap().to_bitvec(), before);
     }
 
     #[test]
