@@ -279,10 +279,11 @@ fn checkpoint_bit_flip_falls_back_to_the_previous_checkpoint() {
     assert_same(&recovered.mine().unwrap(), &expected[8], "checkpoint flip");
 }
 
-/// A checkpoint is trusted only once its support ledger adds up: one
-/// support lowered under a valid CRC is refused by name, recovery falls
-/// back to the older checkpoint, and the window slides past every segment
-/// the lie described — where a trusted lie underflows the counter.
+/// A checkpoint is trusted only once the ledger its runs give adds up to
+/// its supports: one support lowered under a valid CRC is refused by name,
+/// recovery falls back to the older checkpoint, and the window slides past
+/// every segment the lie described — where a trusted lie underflows the
+/// counter.
 #[test]
 fn a_checkpoint_whose_ledger_disagrees_is_refused_and_survived() {
     let window = 3;
@@ -297,7 +298,7 @@ fn a_checkpoint_whose_ledger_disagrees_is_refused_and_survived() {
     drop(miner);
     // Checkpoints at seq 6 and 8; lower, in the newest, the support of a
     // row the next two batches do not top up before the third one's
-    // eviction takes the last of its `ones`.
+    // eviction takes the last of the ones its runs hold.
     let newest = dir.join(Checkpoint::file_name(8));
     let mut checkpoint = Checkpoint::load(&newest).unwrap();
     let row = (0..checkpoint.supports.len())
@@ -323,11 +324,10 @@ fn a_checkpoint_whose_ledger_disagrees_is_refused_and_survived() {
     assert_same(&recovered.mine().unwrap(), &expected[11], "ledger lie");
 }
 
-/// A checkpoint is trusted only once every run it references has the
-/// length its index gives: a segment claiming 2^50 columns under a valid
-/// CRC — its offsets and chunk lengths the ones the run layout gives such a
-/// segment — is refused by name before any read is sized by it, and
-/// recovery falls back to the older checkpoint.
+/// A checkpoint is trusted only once every run it names holds what it
+/// claims: a segment claiming 2^50 columns for a real run under a valid CRC
+/// is refused naming the run — its read sized by the file, never by the
+/// claim — and recovery falls back to the older checkpoint.
 #[test]
 fn a_checkpoint_whose_index_outgrows_its_run_is_refused_and_survived() {
     let window = 3;
@@ -341,18 +341,11 @@ fn a_checkpoint_whose_index_outgrows_its_run_is_refused_and_survived() {
     }
     drop(miner);
     // Checkpoints at seq 6 and 8; the newest's last segment now claims
-    // 2^50 columns: chunks of 8 + 2^47 bytes after the row ids.
+    // 2^50 columns: a run of 8 + 2^47 bytes a chunk.
     let newest = dir.join(Checkpoint::file_name(8));
     let mut checkpoint = Checkpoint::load(&newest).unwrap();
     let segment = checkpoint.segments.last_mut().unwrap();
-    let cols = 1u64 << 50;
-    let chunk = 8 + cols / 64 * 8;
-    let ids = 40 + 8 * segment.rows.len() as u64;
-    segment.cols = cols;
-    for (slot, row) in segment.rows.iter_mut().enumerate() {
-        row.offset = ids + slot as u64 * chunk;
-        row.len = chunk;
-    }
+    segment.cols = 1 << 50;
     let lied = format!("seg-{}.run", segment.uid);
     checkpoint.write(&dir).unwrap();
 
@@ -486,41 +479,74 @@ fn a_vanished_queued_segment_file_neither_fails_the_ingest_nor_strands_the_queue
     );
 }
 
-/// A directory written by segment format v1 — `seg-<uid>.pages` page files
-/// with `.crc` sidecars — is refused by name, and refusing it deletes
-/// nothing: no v1 decoder is kept, and recovery must not mistake the
-/// unreadable for the corrupt.
+/// The same window as checkpoint format 2 wrote it (`FSMCKPT2`, the row
+/// index and per-row one-counts of its runs copied in): the golden bytes
+/// of `formats.rs` before format 3.
+const FORMAT_2_CHECKPOINT: &str = "46534d434b5054320900000000000000040000000000000003000000000000000200000000000000030000000000000005000000000000000000000000000000020000000000000002000000000000000200000000000000060000000000000003000000000000000200000000000000000000000000000038000000000000001000000000000000020000000000000002000000000000004800000000000000100000000000000001000000000000000300000000000000070000000000000001000000000000000000000000000000ffcc84c0";
+
+/// A directory an earlier format wrote — segment format v1's
+/// `seg-<uid>.pages` page files with `.crc` sidecars, or a checkpoint of
+/// format 2 — is refused by name, and refusing it changes no file: no
+/// decoder for either is kept, and recovery must not mistake the
+/// unreadable for the corrupt (deleting checkpoints it cannot read would
+/// strand the pruned WAL).
 #[test]
 fn a_format_v1_directory_is_refused_and_left_untouched() {
     let window = 3;
-    let root = fsm_storage::TempDir::new("formatv1").unwrap();
-    let dir = root.path().join("durable");
-    {
-        let mut miner = durable_builder(window, &dir, 2).build().unwrap();
-        for batch in &batch_stream(3, 4) {
-            miner.ingest_batch(batch).unwrap();
+    let format_2: Vec<u8> = (0..FORMAT_2_CHECKPOINT.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&FORMAT_2_CHECKPOINT[i..i + 2], 16).unwrap())
+        .collect();
+    /// Files an earlier format leaves in a durable directory.
+    type Files<'a> = &'a [(&'a str, &'a [u8])];
+    let retired: [(&str, Files); 2] = [
+        (
+            "segment format v1",
+            &[
+                ("segments/seg-3.pages", &[0u8; 1024]),
+                ("segments/seg-3.pages.crc", &[0u8; 4]),
+            ],
+        ),
+        ("checkpoint format 2", &[("checkpoint-9.ckpt", &format_2)]),
+    ];
+    for (format, files) in retired {
+        let root = fsm_storage::TempDir::new("formatv1").unwrap();
+        let dir = root.path().join("durable");
+        {
+            let mut miner = durable_builder(window, &dir, 2).build().unwrap();
+            for batch in &batch_stream(3, 4) {
+                miner.ingest_batch(batch).unwrap();
+            }
         }
+        for (name, bytes) in files {
+            fs::write(dir.join(name), bytes).unwrap();
+        }
+        let contents = |dir: &Path| {
+            let mut files: Vec<(String, Vec<u8>)> = [dir.to_path_buf(), dir.join("segments")]
+                .iter()
+                .flat_map(|dir| fs::read_dir(dir).unwrap())
+                .map(|e| e.unwrap().path())
+                .filter(|path| path.is_file())
+                .map(|path| (path.display().to_string(), fs::read(&path).unwrap()))
+                .collect();
+            files.sort();
+            files
+        };
+        let before = contents(&dir);
+        let err = durable_builder(window, &dir, 2)
+            .recover()
+            .build()
+            .unwrap_err();
+        assert!(
+            matches!(&err, FsmError::CorruptArtifact { detail, .. } if detail.contains(format)),
+            "{err}"
+        );
+        assert_eq!(
+            contents(&dir),
+            before,
+            "{format}: every file left as it was"
+        );
     }
-    fs::write(dir.join("segments").join("seg-3.pages"), [0u8; 1024]).unwrap();
-    fs::write(dir.join("segments").join("seg-3.pages.crc"), [0u8; 4]).unwrap();
-    let listing = |dir: &Path| {
-        let mut names: Vec<String> = fs::read_dir(dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .collect();
-        names.sort();
-        names
-    };
-    let before = (listing(&dir), listing(&dir.join("segments")));
-    let err = durable_builder(window, &dir, 2)
-        .recover()
-        .build()
-        .unwrap_err();
-    assert!(
-        matches!(&err, FsmError::CorruptArtifact { detail, .. } if detail.contains("segment format v1")),
-        "{err}"
-    );
-    assert_eq!((listing(&dir), listing(&dir.join("segments"))), before);
 }
 
 /// A live epoch snapshot neither blocks nor skews recovery: crash while a

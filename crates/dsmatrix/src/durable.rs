@@ -10,9 +10,10 @@
 //! 2. Segment runs written since the last checkpoint are `fsync`ed lazily —
 //!    at checkpoint time, not per batch, one `fsync` per run — because the
 //!    WAL can always re-create them by replay.
-//! 3. Every K slides a [`fsm_storage::Checkpoint`] snapshots the window
-//!    *metadata* (segment list + row indexes + support counters; never row
-//!    payloads), the two newest checkpoints are retained, and the WAL is
+//! 3. Every K slides a [`fsm_storage::Checkpoint`] names the live segment
+//!    runs and records the support counters — nothing a run holds, since
+//!    each run carries its own row ids and chunks — the two newest
+//!    checkpoints are retained, and the WAL is
 //!    pruned only up to the **older** retained checkpoint — so if the newest
 //!    checkpoint file is ever found corrupt, the older one plus the retained
 //!    WAL suffix still reaches the exact pre-crash window.
@@ -25,7 +26,8 @@
 //!    that triggered it still succeeds.
 //!
 //! [`crate::DsMatrix::recover`] inverts the protocol: newest checkpoint that
-//! loads *and* whose segment runs verify wins, the WAL tail past it is
+//! loads *and* whose segment runs verify and add up to its support counters
+//! wins, the WAL tail past it is
 //! replayed through the ordinary ingest path (each record transposed
 //! straight from its bytes), and a [`RecoveryReport`] names
 //! every artifact that had to be distrusted along the way.
@@ -35,7 +37,7 @@ use std::path::PathBuf;
 
 use fsm_storage::Wal;
 use fsm_types::codec::Reader;
-use fsm_types::{Batch, Result};
+use fsm_types::{Batch, Result, Transaction};
 
 /// Durability knobs of a [`crate::DsMatrixConfig`].
 #[derive(Debug, Clone)]
@@ -187,46 +189,29 @@ pub fn encode_batch_into(batch: &Batch, out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes a WAL record payload back into a batch.  A wrapper around
-/// [`decode_batch_into`]: every check is the same.
-pub fn decode_batch(payload: &[u8]) -> Result<Batch> {
-    let mut batch = Batch::default();
-    decode_batch_into(payload, &mut batch)?;
-    Ok(batch)
-}
-
-/// Decodes a WAL record payload into `batch`, reusing its transactions'
-/// buffers: each transaction's ids are read straight into the `Vec` the
-/// transaction already holds (see [`Batch::reuse`]), so decoding a payload
-/// of the batch's previous shape allocates nothing.
+/// Decodes a WAL record payload back into a batch.
 ///
 /// The payload is checked, never repaired: a truncated or padded payload, a
 /// count the bytes cannot hold, or a transaction whose ids do not strictly
 /// increase is a [`fsm_types::FsmError::CorruptArtifact`] naming the "wal
-/// batch payload".  On error `batch` is left empty.
-pub fn decode_batch_into(payload: &[u8], batch: &mut Batch) -> Result<()> {
+/// batch payload".
+pub fn decode_batch(payload: &[u8]) -> Result<Batch> {
     let mut reader = Reader::artifact(payload, "wal batch payload");
-    let decoded = read_batch(&mut reader, batch).and_then(|()| reader.finish());
-    if decoded.is_err() {
-        batch.reuse(0, 0);
-    }
-    decoded
-}
-
-fn read_batch(reader: &mut Reader<'_>, batch: &mut Batch) -> Result<()> {
     let id = reader.take_u64()?;
     // A transaction is at least its `u32` edge count; an edge is a `u32`.
     let num_tx = reader.count_u32(4)?;
-    for transaction in batch.reuse(id, num_tx) {
+    let mut transactions = Vec::with_capacity(num_tx);
+    for _ in 0..num_tx {
         let num_edges = reader.count_u32(4)?;
-        transaction.read_canonical(reader, num_edges)?;
+        transactions.push(Transaction::read_canonical(&mut reader, num_edges)?);
     }
-    Ok(())
+    reader.finish()?;
+    Ok(Batch::from_transactions(id, transactions))
 }
 
 #[cfg(test)]
 mod tests {
-    use fsm_types::{FsmError, Transaction};
+    use fsm_types::FsmError;
 
     use super::*;
 
@@ -271,32 +256,6 @@ mod tests {
         let mut padded = encoded.clone();
         padded.push(0);
         assert!(decode_batch(&padded).is_err());
-    }
-
-    #[test]
-    fn decode_into_a_reused_batch_leaves_nothing_stale() {
-        let large = batch(1, &[&[0, 1, 2, 3], &[4, 5], &[6], &[7, 8, 9]]);
-        let small = batch(2, &[&[10], &[], &[11, 12]]);
-        let larger = batch(3, &[&[1, 2, 3, 4, 5, 6], &[0], &[], &[2, 9], &[13]]);
-        let mut reused = Batch::default();
-        // Larger → smaller → larger again: each decode equals a fresh one,
-        // with no transaction or id of the previous payload left over.
-        for next in [&large, &small, &larger, &small] {
-            decode_batch_into(&encode_batch(next), &mut reused).unwrap();
-            assert_eq!(&reused, next);
-        }
-        // Same shape again: every transaction keeps its buffer.
-        let buffers: Vec<_> = reused.iter().map(|t| t.edges().as_ptr()).collect();
-        let heap = reused.heap_bytes();
-        decode_batch_into(&encode_batch(&batch(4, &[&[3], &[], &[5, 6]])), &mut reused).unwrap();
-        assert_eq!(reused, batch(4, &[&[3], &[], &[5, 6]]));
-        assert_eq!(reused.heap_bytes(), heap);
-        assert_eq!(reused.transactions()[0].edges().as_ptr(), buffers[0]);
-        // A refused payload leaves the batch empty, not half-decoded.
-        let mut cut = encode_batch(&large);
-        cut.pop();
-        assert!(decode_batch_into(&cut, &mut reused).is_err());
-        assert!(reused.is_empty());
     }
 
     #[test]

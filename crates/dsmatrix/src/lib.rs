@@ -83,8 +83,7 @@ mod snapshot;
 mod view;
 
 pub use durable::{
-    decode_batch, decode_batch_into, encode_batch, encode_batch_into, DurabilityConfig,
-    RecoveryReport,
+    decode_batch, encode_batch, encode_batch_into, DurabilityConfig, RecoveryReport,
 };
 pub use epoch::EpochSnapshot;
 pub use fsm_storage::CaptureStats;

@@ -1,13 +1,12 @@
 //! DSMatrix implementation.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use fsm_storage::{
     scan_segment_files, BitVec, BudgetGovernor, BudgetLease, CaptureStats, Checkpoint,
-    CheckpointRow, CheckpointSegment, EpochSegment, SegmentMeta, SegmentedWindowStore,
-    StorageBackend, Wal,
+    CheckpointSegment, EpochSegment, SegmentedWindowStore, StorageBackend, Wal,
 };
 use fsm_stream::{SlideOutcome, SlidingWindow, WindowConfig};
 use fsm_types::codec::Reader;
@@ -55,12 +54,14 @@ pub struct ReadStats {
     /// `benchmark/src/ladder.rs` reads it; the next `benchmark` PR removes it
     /// together with the `dsmatrix.splice_words_per_slide` metric.
     pub cache_splice_words: u64,
-    /// Segment runs read (disk backends only; zero on the memory backend,
-    /// whose segments are all resident): one per read of a segment that was
-    /// not resident, so a view reads each such segment once.  (The name is
-    /// the metric's, `storage.pages_read_per_mine`, from when a segment was
-    /// a file of pages read one per chunk.)  With a budget covering the
-    /// window it stays 0.
+    /// Segment runs read: one per read of a disk segment that was not
+    /// resident, so a view reads each such segment once, plus — for a
+    /// matrix [`DsMatrix::thaw`] or [`DsMatrix::recover`] built — one per
+    /// run its load read, each once.  Past the load it stays 0 on the
+    /// memory backend, whose segments are all resident, and with a budget
+    /// covering the window.  (The name is the metric's,
+    /// `storage.pages_read_per_mine`, from when a segment was a file of
+    /// pages read one per chunk.)
     pub pages_read: u64,
     /// Chunks served from resident disk segments instead of a segment run
     /// (zero on the memory backend).  (The name is the metric's,
@@ -569,8 +570,9 @@ impl DsMatrix {
     /// Rebuilds the exact pre-crash window from the durable directory.
     ///
     /// Recovery loads the newest checkpoint that (a) parses with a valid
-    /// CRC and (b) whose referenced segment runs all verify, then replays
-    /// the WAL tail past it through the ordinary ingest path.  A corrupt
+    /// CRC and (b) whose referenced segment runs all verify and add up to
+    /// its support counters, then replays the WAL tail past it through the
+    /// ordinary ingest path.  A corrupt
     /// newest checkpoint (or a corrupt segment run it references) makes
     /// recovery fall back to the older retained checkpoint — whose WAL
     /// suffix is retained precisely for this — and, failing that, to an
@@ -580,8 +582,9 @@ impl DsMatrix {
     ///
     /// Any I/O error that is *not* a proven corruption fails recovery
     /// outright rather than falling back — a transient error must not
-    /// masquerade as data loss — and so does a directory holding segment
-    /// format v1 files, which is refused by name without deleting anything.
+    /// masquerade as data loss — and so does a directory an earlier format
+    /// wrote (segment format v1 files, or a checkpoint of a retired
+    /// format), which is refused by name without deleting anything.
     pub fn recover(config: DsMatrixConfig) -> Result<Self> {
         let Some(dur) = config.durability.clone() else {
             return Err(FsmError::config(
@@ -592,10 +595,11 @@ impl DsMatrix {
         std::fs::create_dir_all(&dur.dir)?;
         std::fs::create_dir_all(dur.segments_dir())?;
         let segments_dir = dur.segments_dir();
-        // A directory segment format v1 wrote is refused before anything in
-        // it is touched: no v1 decoder exists, and the checkpoint walk below
-        // would otherwise delete its checkpoints as corrupt.
+        // A directory an earlier format wrote is refused before anything in
+        // it is touched: no decoder for it exists, and the checkpoint walk
+        // below would otherwise delete its checkpoints as corrupt.
         scan_segment_files(&segments_dir)?;
+        let candidates = Checkpoint::candidates(&dur.dir)?;
 
         // The WAL self-repairs its torn tail on open; everything before the
         // tear is intact (per-record CRCs).
@@ -607,10 +611,15 @@ impl DsMatrix {
         // prune cannot prefer them over a good older checkpoint.
         let mut skipped = Vec::new();
         let mut chosen = None;
-        for (_, path) in Checkpoint::candidates(&dur.dir)? {
-            match Self::try_restore(&dur, &path, &config) {
-                Ok(pair) => {
-                    chosen = Some(pair);
+        for (_, path) in candidates {
+            let mut ledgers = VecDeque::new();
+            let loaded = Self::load_cold(&dur, &path, &config, |_, _, ledger| {
+                ledgers.push_back(ledger);
+                Ok(())
+            });
+            match loaded {
+                Ok((ckpt, store)) => {
+                    chosen = Some((ckpt, store, ledgers));
                     break;
                 }
                 Err(err) if is_corruption(&err) => {
@@ -620,16 +629,18 @@ impl DsMatrix {
                 Err(other) => return Err(other),
             }
         }
-        let checkpoint_seq = chosen.as_ref().map(|(c, _): &(Checkpoint, _)| c.last_seq);
-        let (ckpt, store) = match chosen {
-            Some(pair) => pair,
+        let checkpoint_seq = chosen.as_ref().map(|(ckpt, ..)| ckpt.last_seq);
+        let (mut ckpt, store, ledgers) = match chosen {
+            Some(loaded) => loaded,
             // No usable checkpoint: rebuild from an empty window.  `restore`
             // with `next_uid = 0` wipes every leftover segment file — the
             // replay below re-creates them.
-            None => (
-                Checkpoint::default(),
-                SegmentedWindowStore::restore(segments_dir.clone(), &[], 0)?,
-            ),
+            None => {
+                let empty = Checkpoint::default();
+                let store =
+                    SegmentedWindowStore::restore(segments_dir.clone(), &empty, |_, _| Ok(()))?;
+                (empty, store, VecDeque::new())
+            }
         };
         // A checkpoint can cover the whole log (two checkpoints with no
         // ingest between them prune it to nothing): the WAL then continues
@@ -642,19 +653,18 @@ impl DsMatrix {
         durable.last_ckpt_uids = ckpt.segments.iter().map(|s| s.uid).collect();
         durable.synced_uid_watermark = ckpt.next_uid;
 
-        // Rebuild the in-memory bookkeeping the checkpoint captured.
-        // `try_restore` refused a checkpoint with more segments than the
-        // window holds, so none of these pushes evicts.
+        // Rebuild the in-memory bookkeeping from the checkpoint and the
+        // ledgers its runs gave.  `load_cold` refused a checkpoint with more
+        // segments than the window holds, so none of these pushes evicts.
         let mut matrix = Self::with_store(&config, store, Some(durable));
-        matrix.num_items = (ckpt.num_items as usize).max(config.expected_edges);
-        matrix.supports = ckpt.supports.clone();
+        matrix.num_items = ckpt.supports.len().max(config.expected_edges);
+        matrix.supports = std::mem::take(&mut ckpt.supports);
         matrix.supports.resize(matrix.num_items, 0);
         for seg in &ckpt.segments {
             matrix.window.push(seg.batch_id, seg.cols as usize);
             matrix.num_cols += seg.cols as usize;
-            let ones = seg.rows.iter().map(|r| (r.row as usize, r.ones));
-            matrix.segment_ones.push_back(ones.collect());
         }
+        matrix.segment_ones = ledgers;
 
         // Replay the WAL tail through the ordinary (post-WAL) ingest path.
         // The tail must continue the checkpoint contiguously; a gap means an
@@ -714,15 +724,23 @@ impl DsMatrix {
         Ok(matrix)
     }
 
-    /// Loads one checkpoint candidate, checks its support ledger
-    /// ([`check_ledger`]) and restores + verifies the segment store it
-    /// references — the one loader of a window's cold form, behind recovery
-    /// and [`DsMatrix::thaw`] alike.  Corruption errors make
+    /// Loads one checkpoint and the runs it names — the one loader of a
+    /// window's cold form, behind recovery and [`DsMatrix::thaw`] alike.
+    ///
+    /// Each run is read and decoded once
+    /// ([`SegmentedWindowStore::restore`]), and its segment handed to
+    /// `each` with its batch id and the `(row, ones)` ledger derived from
+    /// its chunks — what a later eviction subtracts from the supports.  A
+    /// row at or past the checkpoint's row domain, or ledgers that do not
+    /// sum to its support counters, is [`FsmError::CorruptArtifact`] naming
+    /// the checkpoint: a checkpoint that passes can neither index past the
+    /// supports nor underflow one.  Corruption errors make
     /// [`DsMatrix::recover`] fall back to the next candidate.
-    fn try_restore(
+    fn load_cold(
         dur: &DurabilityConfig,
         path: &Path,
         config: &DsMatrixConfig,
+        mut each: impl FnMut(BatchId, EpochSegment, Vec<(usize, u64)>) -> Result<()>,
     ) -> Result<(Checkpoint, SegmentedWindowStore)> {
         let ckpt = Checkpoint::load(path)?;
         if ckpt.window_batches != config.window.window_batches as u64 {
@@ -741,14 +759,32 @@ impl DsMatrix {
                 ),
             ));
         }
-        check_ledger(&ckpt)
-            .map_err(|detail| FsmError::corrupt_artifact(file_label(path), detail))?;
-        let store = SegmentedWindowStore::restore(
-            dur.segments_dir(),
-            &ckpt.segment_metas(),
-            ckpt.next_uid,
-        )?;
-        store.verify_segments()?;
+        let rows = ckpt.supports.len();
+        let mut sums = vec![0u64; rows];
+        let store = SegmentedWindowStore::restore(dur.segments_dir(), &ckpt, |entry, segment| {
+            let mut ledger = Vec::with_capacity(segment.num_rows());
+            for (row, chunk) in segment.rows() {
+                let Some(sum) = sums.get_mut(row) else {
+                    return Err(FsmError::corrupt_artifact(
+                        file_label(path),
+                        format!("a run holds row {row}, outside the {rows} rows"),
+                    ));
+                };
+                let ones = chunk.count_ones();
+                *sum += ones;
+                ledger.push((row, ones));
+            }
+            each(entry.batch_id, segment, ledger)
+        })?;
+        if let Some(row) = (0..rows).find(|&row| sums[row] != ckpt.supports[row]) {
+            return Err(FsmError::corrupt_artifact(
+                file_label(path),
+                format!(
+                    "row {row}'s segments hold {} ones, its support counter says {}",
+                    sums[row], ckpt.supports[row]
+                ),
+            ));
+        }
         Ok((ckpt, store))
     }
 
@@ -990,10 +1026,7 @@ impl DsMatrix {
             store.push(EpochSegment::clone(segment))?;
         }
         store.remove_spares()?;
-        let metas = store
-            .segment_metas()
-            .ok_or_else(|| FsmError::corrupt("a spill image store is memory-resident"))?;
-        self.checkpoint_of(metas, 0, store.next_segment_id())?
+        self.checkpoint_of(store.live_uids(), 0, store.next_segment_id())?
             .write(&image.dir)?;
         Ok(())
     }
@@ -1010,12 +1043,12 @@ impl DsMatrix {
     ///
     /// Durable configurations recover ([`DsMatrix::recover`]).  Non-durable
     /// ones load [`DsMatrix::spill_image`]`(spill_dir)` with recovery's own
-    /// loader — checkpoint, support ledger and runs verified — and feed each
-    /// decoded segment through the ingest path's post-transposition half,
-    /// rebuilding segments and support counters exactly as the original
-    /// ingests did; the rebuilt counters must equal the checkpoint's.  A
-    /// fresh [`BudgetLease`] is registered when the config carries a
-    /// governor.
+    /// loader — each run read once, and its ledger checked against the
+    /// checkpoint's support counters — and feed each decoded segment
+    /// through the ingest path's post-transposition half, rebuilding
+    /// segments and support counters exactly as the original ingests did.
+    /// The runs the load read count in [`ReadStats::pages_read`].  A fresh
+    /// [`BudgetLease`] is registered when the config carries a governor.
     ///
     /// The corrupt-artifact discipline matches recovery: a damaged image
     /// fails with [`FsmError::CorruptArtifact`] naming the damaged file, and
@@ -1027,78 +1060,51 @@ impl DsMatrix {
         }
         let image = DurabilityConfig::new(Self::spill_image(spill_dir));
         let path = image.dir.join(Checkpoint::file_name(0));
-        let thawed = Self::try_restore(&image, &path, &config).and_then(|(ckpt, mut store)| {
-            let mut config = config;
-            config.expected_edges = config.expected_edges.max(ckpt.num_items as usize);
-            let mut matrix = Self::new(config)?;
-            for (seg, meta) in ckpt.segments.iter().enumerate() {
-                let segment = store.epoch_segment(seg)?;
-                let segment = Arc::try_unwrap(segment).unwrap_or_else(|shared| (*shared).clone());
-                matrix.apply_segment(meta.batch_id, segment.cols(), |_| Ok(segment))?;
-            }
-            // Divergence is damage no CRC could see (or a bug): never serve
-            // a silently different window.
-            if matrix.supports[..ckpt.supports.len()] != ckpt.supports[..] {
-                return Err(FsmError::corrupt_artifact(
-                    file_label(&path),
-                    "support counters diverge from the segment runs",
-                ));
-            }
-            Ok(matrix)
+        let mut matrix = Self::new(config.clone())?;
+        let loaded = Self::load_cold(&image, &path, &config, |batch_id, segment, _| {
+            matrix.apply_segment(batch_id, segment.cols(), |_| Ok(segment))?;
+            Ok(())
         });
-        if let Err(err) = &thawed {
-            if is_corruption(err) {
-                // Same discipline as recovery's checkpoint walk: a
-                // proven-corrupt image is removed so it cannot poison a
-                // later attempt; transient I/O errors leave it in place.
-                let _ = std::fs::remove_dir_all(&image.dir);
+        match loaded {
+            Ok((ckpt, store)) => {
+                matrix.num_items = matrix.num_items.max(ckpt.supports.len());
+                matrix.supports.resize(matrix.num_items, 0);
+                matrix.read_stats.pages_read = store.runs_read();
+                Ok(matrix)
+            }
+            Err(err) => {
+                if is_corruption(&err) {
+                    // Same discipline as recovery's checkpoint walk: a
+                    // proven-corrupt image is removed so it cannot poison a
+                    // later attempt; transient I/O errors leave it in place.
+                    let _ = std::fs::remove_dir_all(&image.dir);
+                }
+                Err(err)
             }
         }
-        thawed
     }
 
-    /// The [`Checkpoint`] of the current window over the runs `metas`
-    /// describes (one per live segment, oldest first): the window's batch
-    /// ids, its support counters and each segment's `(row, ones)` ledger.
-    fn checkpoint_of(
-        &self,
-        metas: Vec<SegmentMeta>,
-        last_seq: u64,
-        next_uid: u64,
-    ) -> Result<Checkpoint> {
-        let batch_ids = self.window.batch_ids();
-        if metas.len() != batch_ids.len() || metas.len() != self.segment_ones.len() {
+    /// The [`Checkpoint`] of the current window over the runs `uids` names
+    /// (one per live segment, oldest first): its support counters, and each
+    /// segment's run with its batch id and columns.
+    fn checkpoint_of(&self, uids: Vec<u64>, last_seq: u64, next_uid: u64) -> Result<Checkpoint> {
+        if uids.len() != self.window.num_batches() {
             return Err(FsmError::corrupt(
-                "segment/window/support bookkeeping out of sync at checkpoint",
+                "segment/window bookkeeping out of sync at checkpoint",
             ));
         }
-        let segments = metas
+        let segments = uids
             .into_iter()
-            .zip(batch_ids)
-            .zip(self.segment_ones.iter())
-            .map(|((meta, batch_id), ones)| {
-                let ones: BTreeMap<usize, u64> = ones.iter().copied().collect();
-                CheckpointSegment {
-                    uid: meta.uid,
-                    batch_id,
-                    cols: meta.cols as u64,
-                    rows: meta
-                        .rows
-                        .iter()
-                        .map(|&(row, offset, len)| CheckpointRow {
-                            row: row as u64,
-                            offset: offset as u64,
-                            len: len as u64,
-                            ones: ones.get(&row).copied().unwrap_or(0),
-                        })
-                        .collect(),
-                }
+            .zip(self.window.batches())
+            .map(|(uid, (batch_id, cols))| CheckpointSegment {
+                uid,
+                batch_id,
+                cols: cols as u64,
             })
             .collect();
         Ok(Checkpoint {
             last_seq,
             next_uid,
-            num_items: self.num_items as u64,
             window_batches: self.window.config().window_batches as u64,
             supports: self.supports[..self.num_items].to_vec(),
             segments,
@@ -1118,14 +1124,14 @@ impl DsMatrix {
         durable.synced_uid_watermark = self.store.next_segment_id();
         let last_seq = durable.applied_seq;
 
-        // 2. Snapshot the window metadata: segment list + row indexes +
-        //    support counters.  Row payloads stay in the (immutable) segment
-        //    files — a checkpoint never copies row data.
-        let metas = self
-            .store
-            .segment_metas()
-            .ok_or_else(|| FsmError::corrupt("durable matrix with a memory-resident store"))?;
-        let checkpoint = self.checkpoint_of(metas, last_seq, self.store.next_segment_id())?;
+        // 2. Name the live runs and record the support counters.  Each run
+        //    holds its own row ids and chunks — a checkpoint copies nothing
+        //    a run holds.
+        let checkpoint = self.checkpoint_of(
+            self.store.live_uids(),
+            last_seq,
+            self.store.next_segment_id(),
+        )?;
         let durable = self
             .durable
             .as_mut()
@@ -1286,7 +1292,7 @@ impl DsMatrix {
     /// read amplification.
     pub fn read_stats(&self) -> ReadStats {
         let mut stats = self.read_stats;
-        stats.pages_read = self.store.runs_read();
+        stats.pages_read += self.store.runs_read();
         stats.cache_hits = self.store.resident_hits();
         if let Some(durable) = &self.durable {
             let wal = durable.wal.stats();
@@ -1391,37 +1397,6 @@ fn is_corruption(err: &FsmError) -> bool {
         err,
         FsmError::CorruptArtifact { .. } | FsmError::CorruptStructure(_)
     )
-}
-
-/// Checks the support ledger of a checkpoint before anything trusts it: the
-/// supports cover exactly `num_items` rows, every segment row lies inside
-/// them, and each row's `ones` over the segments sum to its support.
-/// Eviction subtracts those `ones`, so a ledger that passes can neither
-/// index past the supports nor underflow one.  `Err` details the first
-/// violation.
-fn check_ledger(ckpt: &Checkpoint) -> std::result::Result<(), String> {
-    let n = ckpt.supports.len();
-    if n as u64 != ckpt.num_items {
-        return Err(format!("{n} support counters for {} rows", ckpt.num_items));
-    }
-    // `u128`: no count of `u64`s a file can hold overflows it.
-    let mut sums = vec![0u128; n];
-    for row in ckpt.segments.iter().flat_map(|seg| &seg.rows) {
-        match usize::try_from(row.row)
-            .ok()
-            .and_then(|id| sums.get_mut(id))
-        {
-            Some(sum) => *sum += u128::from(row.ones),
-            None => return Err(format!("row {} lies outside the {n} rows", row.row)),
-        }
-    }
-    match (0..n).find(|&row| sums[row] != u128::from(ckpt.supports[row])) {
-        None => Ok(()),
-        Some(row) => Err(format!(
-            "row {row}'s segments hold {} ones, its support counter says {}",
-            sums[row], ckpt.supports[row]
-        )),
-    }
 }
 
 impl std::fmt::Debug for DsMatrix {
@@ -1574,7 +1549,7 @@ mod tests {
 
     /// The transposition one `BitVec::set` per edge produces.
     fn per_bit_reference(batch: &Batch) -> Vec<(usize, String)> {
-        let mut rows = BTreeMap::new();
+        let mut rows = std::collections::BTreeMap::new();
         for (col, transaction) in batch.iter().enumerate() {
             for edge in transaction.iter() {
                 rows.entry(edge.index())
@@ -1911,14 +1886,12 @@ mod tests {
         assert_eq!(per_view, [(5, 1), (5, 1)], "nothing moves between views");
     }
 
-    /// Per live disk segment, oldest first, the rows it holds a chunk for,
-    /// from the store's in-memory index (reading it counts nothing).
+    /// Per live segment, oldest first, the rows it holds a chunk for, from
+    /// the support ledger (reading it counts nothing).
     fn segment_rows(m: &DsMatrix) -> Vec<Vec<usize>> {
-        m.store
-            .segment_metas()
-            .unwrap()
-            .into_iter()
-            .map(|meta| meta.rows.into_iter().map(|(row, _, _)| row).collect())
+        m.segment_ones
+            .iter()
+            .map(|ledger| ledger.iter().map(|&(row, _)| row).collect())
             .collect()
     }
 

@@ -243,7 +243,7 @@ fn hibernating_repeatedly_leaves_one_checkpoint_and_one_run_per_segment() {
 /// Any damaged byte of any image file — the checkpoint or a run — fails the
 /// thaw with `CorruptArtifact` naming that file, and the whole image is
 /// deleted so it cannot be retried into; a truncated file, or a checkpoint
-/// whose support ledger does not add up, is refused the same way.  A later
+/// whose supports are not what its runs add up to, is refused the same way.  A later
 /// spill of the same window thaws cleanly again.
 #[test]
 fn corrupt_image_is_named_deleted_and_never_served() {
@@ -283,7 +283,8 @@ fn corrupt_image_is_named_deleted_and_never_served() {
                 assert!(!image.exists(), "a proven-corrupt image is deleted");
             }
         }
-        // A lie under a valid CRC: the support ledger is checked too.
+        // A lie under a valid CRC: the supports are checked against the
+        // ledger the runs give.
         matrix.hibernate(spill.path()).unwrap();
         let mut checkpoint = Checkpoint::load(&image.join(&files[0])).unwrap();
         checkpoint.supports[1] -= 1;
@@ -298,6 +299,50 @@ fn corrupt_image_is_named_deleted_and_never_served() {
         let mut thawed = DsMatrix::thaw(config(2, backend), spill.path()).unwrap();
         assert_same_window(&mut matrix, &mut thawed, "after the damaged images");
     }
+}
+
+/// Loading a cold window reads and decodes each run it names exactly once —
+/// a thaw into either volatile backend, and a recovery — and the reads
+/// count in `pages_read`.
+#[test]
+fn a_cold_window_loads_reading_each_run_once() {
+    let stream = batches(&[
+        vec![vec![0, 1], vec![2]],
+        vec![vec![1, 3]],
+        vec![vec![0, 4], vec![3, 5], vec![2]],
+        vec![vec![1, 2], vec![0, 5]],
+        vec![vec![3]],
+    ]);
+    for backend in [StorageBackend::Memory, StorageBackend::DiskTemp] {
+        let spill = TempDir::new("hib-reads").unwrap();
+        let mut matrix = DsMatrix::new(config(3, backend.clone())).unwrap();
+        for batch in &stream {
+            matrix.ingest_batch(batch).unwrap();
+        }
+        matrix.hibernate(spill.path()).unwrap();
+        let mut thawed = DsMatrix::thaw(config(3, backend.clone()), spill.path()).unwrap();
+        assert_eq!(thawed.read_stats().pages_read, 3, "{backend:?} thaw");
+        assert_same_window(&mut matrix, &mut thawed, "thaw");
+    }
+    let durable_root = TempDir::new("hib-reads-durable").unwrap();
+    let durable_config = || {
+        config(3, StorageBackend::DiskTemp).with_durability(
+            DurabilityConfig::new(durable_root.path().to_path_buf()).with_checkpoint_every(5),
+        )
+    };
+    let mut original = DsMatrix::new(durable_config()).unwrap();
+    for batch in &stream {
+        original.ingest_batch(batch).unwrap();
+    }
+    drop(original);
+    let mut recovered = DsMatrix::recover(durable_config()).unwrap();
+    assert_eq!(recovered.recovery_report().unwrap().replayed_batches, 0);
+    assert_eq!(recovered.read_stats().pages_read, 3, "recovery");
+    let mut replayed = DsMatrix::new(config(3, StorageBackend::Memory)).unwrap();
+    for batch in &stream {
+        replayed.ingest_batch(batch).unwrap();
+    }
+    assert_same_window(&mut replayed, &mut recovered, "recovery");
 }
 
 #[test]

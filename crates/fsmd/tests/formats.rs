@@ -6,16 +6,17 @@
 //! the WAL record frame, the CRC-framed [`Checkpoint`] and the segment run
 //! a disk window keeps per batch (segment format v2) — is written and read
 //! through one codec (`fsm_types::codec`, plus `fsm_storage::framed` for
-//! the checkpoint).  A window's cold form is the checkpoint plus its runs,
-//! durable or spilled, so these two cover every byte a window leaves on
-//! disk.  The batch payload has two readers: [`decode_batch`], and the
+//! the checkpoint).  A window's cold form is the checkpoint — a manifest
+//! naming the runs, plus the support counters — and its runs, durable or
+//! spilled, so these two cover every byte a window leaves on disk.  The batch payload has two readers: [`decode_batch`], and the
 //! one-pass ingest a served tenant runs on the bytes as they arrive
 //! ([`Session::ingest_encoded`]), fuzzed side by side.  The golden tests
 //! below hold the exact bytes of each format, so a
 //! port or refactor of the codec provably moves no byte; the wire and WAL
 //! goldens are the bytes those formats had before the shared codec
-//! existed.  The retired `FSMCKPT1` checkpoint of segment
-//! format v1 is pinned as a refusal.  The property test then feeds every
+//! existed.  The retired checkpoints — `FSMCKPT2`, which copied each run's
+//! row index and one-counts, and `FSMCKPT1` of segment format v1 — are
+//! pinned as refusals.  The property test then feeds every
 //! decoder arbitrary bytes, every truncation of a valid encoding and a
 //! bit-flipped one: the answer must be a typed error — never a panic, and
 //! never a reservation sized by a count the input merely *announces*
@@ -34,8 +35,8 @@ use fsm_fsmd::proto::{
     FRAME_RESERVE_BYTES, MAX_FRAME_BYTES,
 };
 use fsm_storage::{
-    crc32, wal, BitVec, Checkpoint, CheckpointRow, CheckpointSegment, EpochSegment,
-    SegmentedWindowStore, StorageBackend, TempDir, Wal,
+    crc32, wal, BitVec, Checkpoint, CheckpointSegment, EpochSegment, SegmentedWindowStore,
+    StorageBackend, TempDir, Wal,
 };
 use fsm_stream::WindowConfig;
 use fsm_types::{Batch, EdgeCatalog, EdgeSet, FrequentPattern, FsmError, Transaction};
@@ -94,6 +95,13 @@ fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect()
+}
+
 // ---------------------------------------------------------------------------
 // Fixed samples, one per format.
 // ---------------------------------------------------------------------------
@@ -147,7 +155,6 @@ fn sample_checkpoint() -> Checkpoint {
     Checkpoint {
         last_seq: 9,
         next_uid: 4,
-        num_items: 3,
         window_batches: 2,
         supports: vec![5, 0, 2],
         segments: vec![
@@ -155,26 +162,11 @@ fn sample_checkpoint() -> Checkpoint {
                 uid: 2,
                 batch_id: 6,
                 cols: 3,
-                rows: vec![
-                    CheckpointRow {
-                        row: 0,
-                        offset: 56,
-                        len: 16,
-                        ones: 2,
-                    },
-                    CheckpointRow {
-                        row: 2,
-                        offset: 72,
-                        len: 16,
-                        ones: 1,
-                    },
-                ],
             },
             CheckpointSegment {
                 uid: 3,
                 batch_id: 7,
                 cols: 1,
-                rows: vec![],
             },
         ],
     }
@@ -298,23 +290,45 @@ fn golden_segment_run() {
         (2, 3, 2)
     );
     assert_eq!(format!("{:?}", segment.chunk(2).unwrap()), "BitSlice[011]");
-    // The golden checkpoint's first segment is this run: restored from its
-    // row offsets, the run verifies.
+    // The golden checkpoint's first segment is this run: restored from the
+    // checkpoint's entry, the run verifies.
     let dir = TempDir::new("fmt-run-restore").unwrap();
     std::fs::write(dir.path().join("seg-2.run"), &run).unwrap();
-    let metas = sample_checkpoint().segment_metas();
-    SegmentedWindowStore::restore(dir.path().to_path_buf(), &metas[..1], 4)
-        .unwrap()
-        .verify_segments()
-        .unwrap();
+    let mut checkpoint = sample_checkpoint();
+    checkpoint.segments.truncate(1);
+    let mut restored = 0;
+    SegmentedWindowStore::restore(dir.path().to_path_buf(), &checkpoint, |_, segment| {
+        assert_eq!(format!("{:?}", segment.chunk(0).unwrap()), "BitSlice[101]");
+        restored += 1;
+        Ok(())
+    })
+    .unwrap();
+    assert_eq!(restored, 1);
 }
 
+/// Checkpoint format 3: `last_seq`, `next_uid`, `window_batches`, the
+/// count-prefixed supports, then each live segment's uid, batch id and
+/// columns — nothing its run holds.
 #[test]
 fn golden_checkpoint_file() {
     assert_eq!(
         hex(&checkpoint_file_bytes(&sample_checkpoint())),
-        "46534d434b5054320900000000000000040000000000000003000000000000000200000000000000030000000000000005000000000000000000000000000000020000000000000002000000000000000200000000000000060000000000000003000000000000000200000000000000000000000000000038000000000000001000000000000000020000000000000002000000000000004800000000000000100000000000000001000000000000000300000000000000070000000000000001000000000000000000000000000000ffcc84c0"
+        "46534d434b5054330900000000000000040000000000000002000000000000000300000000000000050000000000000000000000000000000200000000000000020000000000000002000000000000000600000000000000030000000000000003000000000000000700000000000000010000000000000031bffecd"
     );
+}
+
+/// The same window as checkpoint format 2 wrote it (`FSMCKPT2`: the row
+/// index and per-row one-counts of every run copied in), byte for byte:
+/// refused by name, never decoded.
+#[test]
+fn golden_v2_checkpoint_is_refused_as_checkpoint_format_2() {
+    let v2 = "46534d434b5054320900000000000000040000000000000003000000000000000200000000000000030000000000000005000000000000000000000000000000020000000000000002000000000000000200000000000000060000000000000003000000000000000200000000000000000000000000000038000000000000001000000000000000020000000000000002000000000000004800000000000000100000000000000001000000000000000300000000000000070000000000000001000000000000000000000000000000ffcc84c0";
+    match decode_checkpoint(&unhex(v2)) {
+        Err(FsmError::CorruptArtifact { detail, .. }) => {
+            assert!(detail.contains("checkpoint format 2"), "{detail}")
+        }
+        other => panic!("an FSMCKPT2 checkpoint must be refused: {other:?}"),
+    }
 }
 
 /// The same sample as written by segment format v1 (`FSMCKPT1`, its second
@@ -338,7 +352,7 @@ fn golden_v1_checkpoint_is_refused_as_segment_format_v1() {
 // Decoders under fire.
 // ---------------------------------------------------------------------------
 
-const CHECKPOINT_MAGIC: &[u8; 8] = b"FSMCKPT2";
+const CHECKPOINT_MAGIC: &[u8; 8] = b"FSMCKPT3";
 
 /// `magic ‖ body ‖ crc32(body)` — a structurally arbitrary body behind a
 /// valid frame, so the field decoder behind the CRC check is reached.
@@ -551,16 +565,7 @@ fn valid_encodings(id: u64, rows: &[Vec<u32>]) -> Vec<(&'static str, Decoder, Ve
             .map(|(uid, row)| CheckpointSegment {
                 uid: uid as u64,
                 batch_id: id,
-                cols: 3,
-                rows: row
-                    .iter()
-                    .map(|&r| CheckpointRow {
-                        row: u64::from(r),
-                        offset: 56,
-                        len: 16,
-                        ones: 1,
-                    })
-                    .collect(),
+                cols: row.len() as u64,
             })
             .collect(),
         ..sample_checkpoint()
@@ -704,7 +709,7 @@ fn a_lying_count_is_refused_before_anything_is_reserved() {
     let chunk = [3u64, 5].map(u64::to_le_bytes).concat();
     let one_row = [0u64.to_le_bytes().as_slice(), &chunk].concat();
 
-    let cases: [(&str, Decoder, Vec<u8>); 12] = [
+    let cases: [(&str, Decoder, Vec<u8>); 11] = [
         ("pattern count", decode_patterns, lying_patterns),
         ("pattern edge count", decode_patterns, lying_edges),
         (
@@ -730,17 +735,12 @@ fn a_lying_count_is_refused_before_anything_is_reserved() {
         (
             "checkpoint supports count",
             decode_checkpoint_body,
-            u64s(&[9, 4, 3, 2, huge, 5]),
+            u64s(&[9, 4, 2, huge, 5]),
         ),
         (
             "checkpoint segments count",
             decode_checkpoint_body,
-            u64s(&[9, 4, 3, 2, 0, huge, 1, 2, 3, 0]),
-        ),
-        (
-            "checkpoint rows count",
-            decode_checkpoint_body,
-            u64s(&[9, 4, 3, 2, 0, 1, 1, 2, 3, huge, 0, 0, 0, 0]),
+            u64s(&[9, 4, 2, 0, huge, 1, 2, 3]),
         ),
         (
             "run row count",

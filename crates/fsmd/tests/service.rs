@@ -429,3 +429,34 @@ fn an_ingest_outside_the_catalog_or_out_of_order_is_refused_and_changes_nothing(
     );
     handle.shutdown();
 }
+
+/// A window width is a claim as well: one `CreateTenant` frame asking for
+/// `u32::MAX` batches used to reserve the window's batch queue for all of
+/// them — a 64 GiB request that aborted the server with every tenant on
+/// it.  Such a tenant is created, ingests and mines like any other, on
+/// every backend and with delta maintenance too.
+#[test]
+fn a_tenant_as_wide_as_the_window_field_allows_is_served() {
+    let registry = SessionRegistry::new(RegistryConfig::default());
+    let stream = batches();
+    for (backend, delta) in [(0u8, false), (1, false), (0, true)] {
+        let spec = TenantSpec {
+            window_batches: u32::MAX,
+            delta,
+            ..spec(&format!("wide-{backend}-{delta}"), 4, backend)
+        };
+        let config = fsm_fsmd::server::miner_config(&spec).unwrap();
+        let session = registry.create_tenant(&spec.tenant, config, false).unwrap();
+        session.ingest(&stream[0]).unwrap();
+        let mut oracle = standalone(
+            Algorithm::DirectVertical,
+            fsm_storage::StorageBackend::Memory,
+        );
+        oracle.ingest_batch(&stream[0]).unwrap();
+        assert_eq!(
+            session.mine().unwrap().patterns(),
+            oracle.mine().unwrap().patterns(),
+            "backend {backend}, delta {delta}"
+        );
+    }
+}

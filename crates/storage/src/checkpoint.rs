@@ -1,26 +1,29 @@
-//! Segment-aligned checkpoints: durable snapshots of the window metadata.
+//! Segment-aligned checkpoints: the manifest of a window's cold form.
 //!
-//! Segments are immutable runs, so a checkpoint never copies row data — it
-//! serialises only the *metadata* needed to reopen them: the live segment
-//! list (uid, batch id, columns, row index), the ingest-time support
-//! counters, and the WAL sequence number it covers.  Checkpoint files are
-//! written to a temp path, fsynced and renamed into place, so a crash during
-//! checkpointing leaves either the old set of checkpoints or the old set plus
-//! one complete new file — never a half-written one that parses.
+//! Segments are immutable runs, and each run carries its own uid, columns,
+//! row ids and chunks under one CRC, so a checkpoint copies nothing a run
+//! holds.  It names the live runs — each `(uid, batch id, columns)` — and
+//! records what no run holds: the ingest-time support counters, the WAL
+//! sequence number it covers, the next segment uid and the window size.
+//! Checkpoint files are written to a temp path, fsynced and renamed into
+//! place, so a crash during checkpointing leaves either the old set of
+//! checkpoints or the old set plus one complete new file — never a
+//! half-written one that parses.
 //!
 //! # File format
 //!
-//! A `crate::framed` artifact with magic `"FSMCKPT2"` whose body is all
-//! `u64` little-endian fields: `last_seq`, `next_uid`, `num_items`,
-//! `window_batches`, the support counters (count-prefixed), then the live
-//! segments (count-prefixed) — each `uid`, `batch_id`, `cols` and its
-//! count-prefixed rows as `(row, offset, len, ones)`, `offset` and `len`
-//! locating the row's chunk in the segment's run (segment format v2).  A
-//! single flipped bit anywhere makes [`Checkpoint::load`] reject the file,
-//! and recovery falls back to the next older checkpoint (whose WAL suffix
-//! is retained for exactly this reason).  `"FSMCKPT1"` — the same fields,
-//! with the second one a page number of segment format v1 — is refused by
-//! name: no v1 decoder is kept.
+//! A `crate::framed` artifact with magic `"FSMCKPT3"` whose body is all
+//! `u64` little-endian fields: `last_seq`, `next_uid`, `window_batches`,
+//! the support counters (count-prefixed; the count is the window's row
+//! domain), then the live segments (count-prefixed) — each `uid`,
+//! `batch_id`, `cols`.  A single flipped bit anywhere makes
+//! [`Checkpoint::load`] reject the file, and recovery falls back to the
+//! next older checkpoint (whose WAL suffix is retained for exactly this
+//! reason).  The retired formats are refused by name, and no decoder for
+//! either is kept: `"FSMCKPT2"` copied each run's row index and per-row
+//! one-counts, and `"FSMCKPT1"` did the same for segment format v1.
+//! [`Checkpoint::candidates`] refuses them before recovery reads, or
+//! deletes, anything.
 
 use std::path::{Path, PathBuf};
 
@@ -28,31 +31,17 @@ use fsm_types::codec::put_u64;
 use fsm_types::Result;
 
 use crate::framed;
-use crate::segment::SegmentMeta;
 
-const MAGIC: &[u8; 8] = b"FSMCKPT2";
-/// The magic of the checkpoints segment format v1 wrote.
-const MAGIC_V1: &[u8; 8] = b"FSMCKPT1";
-/// Encoded bytes of a segment with no rows: uid, batch id, cols, row count.
-const SEGMENT_HEADER_BYTES: usize = 32;
-/// Encoded bytes of one [`CheckpointRow`].
-const ROW_BYTES: usize = 32;
+const MAGIC: &[u8; 8] = b"FSMCKPT3";
+/// The magics of the retired checkpoint formats, with their names.
+const RETIRED: [(&[u8; 8], &str); 2] = [
+    (b"FSMCKPT2", "checkpoint format 2"),
+    (b"FSMCKPT1", "segment format v1"),
+];
+/// Encoded bytes of one [`CheckpointSegment`].
+const SEGMENT_BYTES: usize = 24;
 
-/// Durable metadata of one row of one segment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointRow {
-    /// Row (edge) identifier.
-    pub row: u64,
-    /// Byte offset of the row's chunk in the segment's run.
-    pub offset: u64,
-    /// Byte length of the serialised row chunk.
-    pub len: u64,
-    /// Number of set bits the row contributes in this segment (lets recovery
-    /// rebuild the per-segment support ledger without reading any chunk).
-    pub ones: u64,
-}
-
-/// Durable metadata of one live segment.
+/// One live segment a checkpoint names: its run holds the rest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointSegment {
     /// Stable uid (names the file `seg-<uid>.run`).
@@ -61,23 +50,20 @@ pub struct CheckpointSegment {
     pub batch_id: u64,
     /// Window columns the segment contributes.
     pub cols: u64,
-    /// Per-row metadata in ascending row order.
-    pub rows: Vec<CheckpointRow>,
 }
 
-/// A complete, self-validating snapshot of the durable window metadata.
+/// A complete, self-validating manifest of a window's cold form.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Checkpoint {
     /// WAL sequence number of the last batch this snapshot covers.
     pub last_seq: u64,
     /// The segment uid counter at snapshot time (next uid to be assigned).
     pub next_uid: u64,
-    /// Size of the row domain (number of catalogued edges).
-    pub num_items: u64,
     /// Window capacity in batches, recorded to reject recovery under a
     /// different configuration.
     pub window_batches: u64,
-    /// Ingest-time support counter per row, `num_items` entries.
+    /// Ingest-time support counter per row: one entry for every row of the
+    /// window's domain (number of catalogued edges).
     pub supports: Vec<u64>,
     /// Live segments, oldest first.
     pub segments: Vec<CheckpointSegment>,
@@ -105,8 +91,20 @@ impl Checkpoint {
     /// Lists the checkpoint files in `dir` as `(seq, path)`, newest first.
     ///
     /// Recovery walks this list until it finds a checkpoint that loads and
-    /// whose referenced segment files verify.
+    /// whose referenced segment runs verify.  A checkpoint of a retired
+    /// format fails the listing with [`fsm_types::FsmError::CorruptArtifact`]
+    /// naming it and its format, so a directory an earlier version wrote is
+    /// refused before any of it is read or deleted.
     pub fn candidates(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
+        let candidates = Self::list(dir)?;
+        for (_, path) in &candidates {
+            framed::refuse_retired(path, &RETIRED)?;
+        }
+        Ok(candidates)
+    }
+
+    /// The checkpoint files in `dir` as `(seq, path)`, newest first.
+    fn list(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
         let mut out = Vec::new();
         if !dir.exists() {
             return Ok(out);
@@ -129,11 +127,11 @@ impl Checkpoint {
         Ok(out)
     }
 
-    /// Removes all but the `keep` newest checkpoint files (and any stale
-    /// `.tmp` leftovers), returning the removed paths.
+    /// Removes all but the `keep` newest checkpoint files, whatever their
+    /// format (and any stale `.tmp` leftovers), returning the removed paths.
     pub fn prune_keeping(dir: &Path, keep: usize) -> Result<Vec<PathBuf>> {
         let mut removed = Vec::new();
-        for (_, path) in Self::candidates(dir)?.into_iter().skip(keep) {
+        for (_, path) in Self::list(dir)?.into_iter().skip(keep) {
             std::fs::remove_file(&path)?;
             removed.push(path);
         }
@@ -158,45 +156,29 @@ impl Checkpoint {
     /// Any damage — wrong magic, truncation, a flipped bit anywhere in the
     /// body, a count the body cannot hold — fails with
     /// [`fsm_types::FsmError::CorruptArtifact`] naming the file, and so does
-    /// an `FSMCKPT1` checkpoint, as "segment format v1".
+    /// a checkpoint of a retired format, by the format's name.
     pub fn load(path: &Path) -> Result<Self> {
-        framed::load(path, MAGIC, &[(MAGIC_V1, "segment format v1")], |reader| {
+        framed::load(path, MAGIC, &RETIRED, |reader| {
             let last_seq = reader.take_u64()?;
             let next_uid = reader.take_u64()?;
-            let num_items = reader.take_u64()?;
             let window_batches = reader.take_u64()?;
             let num_supports = reader.count_u64(8)?;
             let mut supports = Vec::with_capacity(num_supports);
             for _ in 0..num_supports {
                 supports.push(reader.take_u64()?);
             }
-            let num_segments = reader.count_u64(SEGMENT_HEADER_BYTES)?;
+            let num_segments = reader.count_u64(SEGMENT_BYTES)?;
             let mut segments = Vec::with_capacity(num_segments);
             for _ in 0..num_segments {
-                let uid = reader.take_u64()?;
-                let batch_id = reader.take_u64()?;
-                let cols = reader.take_u64()?;
-                let num_rows = reader.count_u64(ROW_BYTES)?;
-                let mut rows = Vec::with_capacity(num_rows);
-                for _ in 0..num_rows {
-                    rows.push(CheckpointRow {
-                        row: reader.take_u64()?,
-                        offset: reader.take_u64()?,
-                        len: reader.take_u64()?,
-                        ones: reader.take_u64()?,
-                    });
-                }
                 segments.push(CheckpointSegment {
-                    uid,
-                    batch_id,
-                    cols,
-                    rows,
+                    uid: reader.take_u64()?,
+                    batch_id: reader.take_u64()?,
+                    cols: reader.take_u64()?,
                 });
             }
             Ok(Self {
                 last_seq,
                 next_uid,
-                num_items,
                 window_batches,
                 supports,
                 segments,
@@ -204,28 +186,10 @@ impl Checkpoint {
         })
     }
 
-    /// Converts the segment entries into the form
-    /// [`crate::SegmentedWindowStore::restore`] consumes.
-    pub fn segment_metas(&self) -> Vec<SegmentMeta> {
-        self.segments
-            .iter()
-            .map(|seg| SegmentMeta {
-                uid: seg.uid,
-                cols: seg.cols as usize,
-                rows: seg
-                    .rows
-                    .iter()
-                    .map(|r| (r.row as usize, r.offset as usize, r.len as usize))
-                    .collect(),
-            })
-            .collect()
-    }
-
     fn encode_body(&self) -> Vec<u8> {
         let mut body = Vec::new();
         put_u64(&mut body, self.last_seq);
         put_u64(&mut body, self.next_uid);
-        put_u64(&mut body, self.num_items);
         put_u64(&mut body, self.window_batches);
         put_u64(&mut body, self.supports.len() as u64);
         for &s in &self.supports {
@@ -236,13 +200,6 @@ impl Checkpoint {
             put_u64(&mut body, seg.uid);
             put_u64(&mut body, seg.batch_id);
             put_u64(&mut body, seg.cols);
-            put_u64(&mut body, seg.rows.len() as u64);
-            for row in &seg.rows {
-                put_u64(&mut body, row.row);
-                put_u64(&mut body, row.offset);
-                put_u64(&mut body, row.len);
-                put_u64(&mut body, row.ones);
-            }
         }
         body
     }
@@ -258,7 +215,6 @@ mod tests {
         Checkpoint {
             last_seq: seq,
             next_uid: 4,
-            num_items: 3,
             window_batches: 2,
             supports: vec![5, 0, 2],
             segments: vec![
@@ -266,26 +222,11 @@ mod tests {
                     uid: 2,
                     batch_id: 6,
                     cols: 3,
-                    rows: vec![
-                        CheckpointRow {
-                            row: 0,
-                            offset: 56,
-                            len: 16,
-                            ones: 2,
-                        },
-                        CheckpointRow {
-                            row: 2,
-                            offset: 72,
-                            len: 16,
-                            ones: 1,
-                        },
-                    ],
                 },
                 CheckpointSegment {
                     uid: 3,
                     batch_id: 7,
                     cols: 1,
-                    rows: vec![],
                 },
             ],
         }
@@ -298,11 +239,10 @@ mod tests {
         let (path, bytes, fsyncs) = ckpt.write(dir.path()).unwrap();
         assert!(path.ends_with("checkpoint-9.ckpt"));
         assert_eq!(bytes, std::fs::metadata(&path).unwrap().len());
+        // Magic, five fields and three supports, two segments, CRC.
+        assert_eq!(bytes, 8 + 8 * (5 + 3) + 2 * 24 + 4);
         assert_eq!(fsyncs, 1);
         assert_eq!(Checkpoint::load(&path).unwrap(), ckpt);
-        let metas = ckpt.segment_metas();
-        assert_eq!(metas.len(), 2);
-        assert_eq!(metas[0].rows, vec![(0, 56, 16), (2, 72, 16)]);
     }
 
     #[test]
@@ -350,21 +290,34 @@ mod tests {
         Checkpoint::load(&path).unwrap();
     }
 
+    /// A retired checkpoint is refused by its format's name — by `load`,
+    /// and by `candidates` before recovery walks (and deletes) anything —
+    /// while a fresh start may still prune it.
     #[test]
     fn a_format_v1_checkpoint_is_refused_by_name() {
-        // The v1 frame differs only in its magic (the CRC covers the body),
-        // so this is a checkpoint v1 would have loaded.
-        let dir = TempDir::new("ckpt").unwrap();
-        let (path, _, _) = sample(5).write(dir.path()).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[..8].copy_from_slice(MAGIC_V1);
-        std::fs::write(&path, &bytes).unwrap();
-        let err = Checkpoint::load(&path).unwrap_err();
-        assert!(
-            matches!(&err, FsmError::CorruptArtifact { artifact, detail }
-                if artifact == "checkpoint-5.ckpt" && detail.contains("segment format v1")),
-            "{err}"
-        );
+        for (magic, format) in RETIRED {
+            // Retired frames differ from this one in their magic (the CRC
+            // covers the body), so each is a file its format's version wrote
+            // with a valid CRC.
+            let dir = TempDir::new("ckpt").unwrap();
+            let (path, _, _) = sample(5).write(dir.path()).unwrap();
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[..8].copy_from_slice(magic);
+            std::fs::write(&path, &bytes).unwrap();
+            for err in [
+                Checkpoint::load(&path).unwrap_err(),
+                Checkpoint::candidates(dir.path()).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(&err, FsmError::CorruptArtifact { artifact, detail }
+                        if artifact == "checkpoint-5.ckpt" && detail.contains(format)),
+                    "{err}"
+                );
+            }
+            assert_eq!(std::fs::read(&path).unwrap(), bytes);
+            Checkpoint::prune_keeping(dir.path(), 0).unwrap();
+            assert!(!path.exists());
+        }
     }
 
     #[test]

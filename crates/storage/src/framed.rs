@@ -8,10 +8,10 @@
 //! half-written one that parses.  [`load`] checks length, magic and CRC
 //! before a single body field is decoded, and reports any damage as
 //! [`FsmError::CorruptArtifact`] naming the file — a retired format's magic
-//! by the format's name.
+//! by the format's name, which [`refuse_retired`] checks alone.
 
-use std::fs::OpenOptions;
-use std::io::Write;
+use std::fs::{File, OpenOptions};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 use fsm_types::codec::{put_u32, Reader};
@@ -72,12 +72,7 @@ pub(crate) fn load<T>(
         ));
     }
     let body_end = bytes.len() - CRC_BYTES;
-    if let Some((_, format)) = retired.iter().find(|(old, _)| bytes.starts_with(*old)) {
-        return Err(FsmError::corrupt_artifact(
-            &name,
-            format!("{format}: written by an earlier version, and no decoder for it is kept"),
-        ));
-    }
+    check_retired(&bytes, &name, retired)?;
     if !bytes.starts_with(magic) {
         return Err(FsmError::corrupt_artifact(&name, "bad magic"));
     }
@@ -94,4 +89,29 @@ pub(crate) fn load<T>(
     let value = decode(&mut reader)?;
     reader.finish()?;
     Ok(value)
+}
+
+/// Refuses the artifact at `path` if it starts with one of the `retired`
+/// magics, by that format's name, reading only its magic.  A file too short
+/// to hold one is left to [`load`] to refuse.
+pub(crate) fn refuse_retired(path: &Path, retired: &[(&[u8; 8], &str)]) -> Result<()> {
+    let mut magic = [0u8; 8];
+    let read = File::open(path).and_then(|mut file| file.read_exact(&mut magic));
+    match read {
+        Ok(()) => check_retired(&magic, &artifact_name(path), retired),
+        Err(err) if err.kind() == std::io::ErrorKind::UnexpectedEof => Ok(()),
+        Err(err) => Err(annotate(err, "read artifact", path)),
+    }
+}
+
+/// `Err` naming `name` and the format if `bytes` start with a `retired`
+/// magic.
+fn check_retired(bytes: &[u8], name: &str, retired: &[(&[u8; 8], &str)]) -> Result<()> {
+    match retired.iter().find(|(old, _)| bytes.starts_with(*old)) {
+        None => Ok(()),
+        Some((_, format)) => Err(FsmError::corrupt_artifact(
+            name,
+            format!("{format}: written by an earlier version, and no decoder for it is kept"),
+        )),
+    }
 }

@@ -40,10 +40,11 @@
 //!   disk-backed structures need no external crates;
 //! * [`Wal`] — the write-ahead log (length-prefixed, checksummed,
 //!   fsync-on-commit records with torn-tail truncation on open) and
-//!   [`Checkpoint`] — segment-aligned metadata snapshots; together they make
-//!   the disk backend crash-recoverable (ROADMAP item 5).  A checkpoint
-//!   plus the segment runs it references is the *one* cold form of a
-//!   window: a durable window keeps it under its durable root, and a
+//!   [`Checkpoint`] — a manifest naming the live segment runs, plus the
+//!   support counters no run holds; together they make the disk backend
+//!   crash-recoverable.  A checkpoint plus the segment runs it names is the
+//!   *one* cold form of a window, read back by
+//!   [`SegmentedWindowStore::restore`] with one read per run: a durable window keeps it under its durable root, and a
 //!   non-durable one (memory backend, or disk segments in a self-cleaning
 //!   temp directory) writes the same two formats into its spill directory
 //!   when the multi-tenant service evicts its tenant from the resident set.
@@ -69,12 +70,11 @@ pub mod temp;
 pub mod wal;
 
 pub use bitvec::{BitSlice, BitVec};
-pub use checkpoint::{Checkpoint, CheckpointRow, CheckpointSegment};
+pub use checkpoint::{Checkpoint, CheckpointSegment};
 pub use checksum::crc32;
 pub use governor::{BudgetGovernor, BudgetLease};
 pub use segment::{
-    scan_segment_files, CaptureStats, EpochSegment, SegmentMeta, SegmentedWindowStore,
-    StorageBackend,
+    scan_segment_files, CaptureStats, EpochSegment, SegmentedWindowStore, StorageBackend,
 };
 pub use temp::TempDir;
 pub use wal::{TornTail, Wal, WalRecord, WalStats};

@@ -87,6 +87,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::bitvec::{BitSlice, BitVec};
+use crate::checkpoint::{Checkpoint, CheckpointSegment};
 use crate::chunkcache::Residency;
 use crate::positional::{annotate, artifact_name, read_exact_at, write_all_at};
 use crate::run;
@@ -128,23 +129,6 @@ pub struct CaptureStats {
     pub segments_written: u64,
     /// Segments dropped by window eviction.
     pub segments_dropped: u64,
-}
-
-/// Durable metadata of one live segment, as recorded by a checkpoint and
-/// consumed by [`SegmentedWindowStore::restore`].
-///
-/// Segment runs are immutable once written, so this — the uid, the column
-/// count and the row index — is all a checkpoint has to persist; the row
-/// payloads stay where they are.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegmentMeta {
-    /// Stable uid of the segment (names its file `seg-<uid>.run`).
-    pub uid: u64,
-    /// Number of window columns the segment contributes.
-    pub cols: usize,
-    /// Row index entries `(row id, byte offset of its chunk in the run,
-    /// byte length)`, ascending by row.
-    pub rows: Vec<(usize, usize, usize)>,
 }
 
 /// File name of segment `uid`'s run.
@@ -554,8 +538,9 @@ struct RunFile {
 impl RunFile {
     /// The whole run of segment `uid` (`cols` columns), read with one
     /// positional read and verified — the CRC first, then the header
-    /// against the segment the window expects.
-    fn load(&self, uid: u64, cols: usize) -> Result<(Vec<u8>, run::Header)> {
+    /// against the segment the window expects: its uid and columns, and its
+    /// row count when the window knows one.
+    fn load(&self, uid: u64, cols: usize, rows: Option<usize>) -> Result<(Vec<u8>, run::Header)> {
         let name = artifact_name(&self.path);
         let mut bytes = vec![0u8; self.len];
         read_exact_at(&self.file, &mut bytes, 0).map_err(|err| {
@@ -572,7 +557,7 @@ impl RunFile {
         let expected = run::Header {
             uid,
             cols,
-            rows: self.rows.len(),
+            rows: rows.unwrap_or(header.rows),
         };
         if header != expected {
             return Err(FsmError::corrupt_artifact(
@@ -587,7 +572,7 @@ impl RunFile {
     /// its row ids checked against the index.
     fn decode(&self, uid: u64, cols: usize) -> Result<EpochSegment> {
         let name = artifact_name(&self.path);
-        let (bytes, header) = self.load(uid, cols)?;
+        let (bytes, header) = self.load(uid, cols, Some(self.rows.len()))?;
         let decoded = EpochSegment::decode_checked(&bytes, header, &name)?;
         if !decoded
             .ids()
@@ -988,119 +973,90 @@ impl SegmentedWindowStore {
         Ok(())
     }
 
-    /// Restores a disk-backed store from checkpointed segment metadata.
+    /// Restores a disk-backed store from checkpoint `ckpt`, reading each run
+    /// it names once — oldest first — and handing the decoded segment to
+    /// `each` with its checkpoint entry.
     ///
-    /// Every entry of `metas` must name a segment run `seg-<uid>.run` in
-    /// `dir` whose length is the one the run layout gives its rows and
-    /// columns, and its row index must be the one that layout places
-    /// (contents are validated on read, or eagerly via
-    /// [`SegmentedWindowStore::verify_segments`]).  A file of another
-    /// length is [`FsmError::CorruptArtifact`] naming it: no read ever
-    /// sizes a buffer from an index the file does not back.  Segment files with a uid
-    /// at or above `next_id` are crash leftovers — they were created (or
-    /// renamed into place) by batches the checkpoint does not cover, and WAL
-    /// replay will re-create them — so they are removed here.  Unreferenced
-    /// files *below* `next_id` may belong to an older retained checkpoint
-    /// and are left for the caller to release once a new checkpoint commits.
-    /// A directory holding format v1 files is refused
-    /// ([`scan_segment_files`]).
-    pub fn restore(dir: PathBuf, metas: &[SegmentMeta], next_id: u64) -> Result<Self> {
+    /// Every segment `ckpt` names must be a run `seg-<uid>.run` in `dir`.
+    /// Before a read is sized, the file must be no longer than a run of
+    /// `ckpt.supports.len()` rows (the window's row domain) of the columns
+    /// the checkpoint names; the read then checks the CRC and that the
+    /// header holds the checkpoint's uid and columns, and the row index is
+    /// the run's own.  A run that fails is [`FsmError::CorruptArtifact`]
+    /// naming it.  Reads are counted in [`SegmentedWindowStore::runs_read`];
+    /// nothing is left resident.  Segment files with a uid at or above
+    /// `ckpt.next_uid` are crash leftovers — they were created (or renamed
+    /// into place) by batches the checkpoint does not cover, and WAL replay
+    /// will re-create them — so they are removed here.  Unreferenced files
+    /// *below* it may belong to an older retained checkpoint and are left
+    /// for the caller to release once a new checkpoint commits.  A
+    /// directory holding format v1 files is refused ([`scan_segment_files`]).
+    pub fn restore(
+        dir: PathBuf,
+        ckpt: &Checkpoint,
+        mut each: impl FnMut(&CheckpointSegment, EpochSegment) -> Result<()>,
+    ) -> Result<Self> {
         std::fs::create_dir_all(&dir)?;
+        let next_id = ckpt.next_uid;
         for (uid, stale) in scan_segment_files(&dir)? {
             if uid >= next_id {
                 std::fs::remove_file(&stale)?;
             }
         }
-        let mut segments = VecDeque::with_capacity(metas.len());
-        for meta in metas {
-            if meta.uid >= next_id {
+        let mut store = Self {
+            placement: Self::disk(dir.clone(), None),
+            segments: VecDeque::with_capacity(ckpt.segments.len()),
+            next_id,
+            stats: CaptureStats::default(),
+            generation: 0,
+            residency: Residency::default(),
+            spare: None,
+        };
+        let rows = ckpt.supports.len();
+        for entry in &ckpt.segments {
+            if entry.uid >= next_id {
                 return Err(FsmError::corrupt(format!(
                     "checkpointed segment uid {} is not below next uid {next_id}",
-                    meta.uid
+                    entry.uid
                 )));
             }
-            let path = dir.join(run_file_name(meta.uid));
-            let (rows, len) = checkpointed_index(&path, meta)?;
+            let path = dir.join(run_file_name(entry.uid));
             let file = OpenOptions::new()
                 .read(true)
                 .write(true)
                 .open(&path)
                 .map_err(|err| annotate(err, "open segment run", &path))?;
             let actual = file.metadata()?.len();
-            if actual != len as u64 {
+            let cols = usize::try_from(entry.cols).unwrap_or(usize::MAX);
+            // A bound too large to compute bounds no file.
+            let bound = run::run_len(rows, cols).map_or(u64::MAX, |len| len as u64);
+            let Some(len) = usize::try_from(actual).ok().filter(|_| actual <= bound) else {
                 return Err(FsmError::corrupt_artifact(
                     artifact_name(&path),
-                    format!(
-                        "{actual} bytes, but the checkpoint's {} rows of {} columns \
-                         make a {len}-byte run",
-                        rows.len(),
-                        meta.cols
-                    ),
+                    format!("{actual} bytes, longer than a run of {rows} rows of {cols} columns"),
                 ));
-            }
-            segments.push_back(Segment {
-                id: meta.uid,
-                cols: meta.cols,
+            };
+            let mut run = RunFile {
+                file,
+                path,
+                len,
+                rows: Vec::new(),
+            };
+            let (bytes, header) = run.load(entry.uid, cols, None)?;
+            store.residency.runs_read += 1;
+            let decoded = EpochSegment::decode_checked(&bytes, header, &artifact_name(&run.path))?;
+            run.rows = decoded.ids().iter().map(|&id| id as usize).collect();
+            store.segments.push_back(Segment {
+                id: entry.uid,
+                cols,
                 rows: SegmentRows::Disk {
-                    run: RunFile {
-                        file,
-                        path,
-                        len,
-                        rows,
-                    },
+                    run,
                     resident: None,
                 },
             });
+            each(entry, decoded)?;
         }
-        Ok(Self {
-            placement: Self::disk(dir, None),
-            segments,
-            next_id,
-            stats: CaptureStats::default(),
-            generation: 0,
-            residency: Residency::default(),
-            spare: None,
-        })
-    }
-
-    /// Exports the live segments as checkpoint metadata, oldest first.
-    ///
-    /// Returns `None` on the memory backend, which has no durable form.
-    pub fn segment_metas(&self) -> Option<Vec<SegmentMeta>> {
-        self.segments
-            .iter()
-            .map(|segment| match &segment.rows {
-                SegmentRows::Memory(_) => None,
-                SegmentRows::Disk { run, .. } => {
-                    let chunk_bytes = run::chunk_bytes(segment.cols);
-                    let n = run.rows.len();
-                    Some(SegmentMeta {
-                        uid: segment.id,
-                        cols: segment.cols,
-                        rows: run
-                            .rows
-                            .iter()
-                            .enumerate()
-                            .map(|(slot, &row)| {
-                                (row, run::chunk_offset(n, chunk_bytes, slot), chunk_bytes)
-                            })
-                            .collect(),
-                    })
-                }
-            })
-            .collect()
-    }
-
-    /// Reads and fully decodes every live segment's run, checking it holds
-    /// the segment the window describes (uid, columns, row ids).  The error
-    /// names the first damaged run.
-    pub fn verify_segments(&self) -> Result<()> {
-        for segment in &self.segments {
-            if let SegmentRows::Disk { run, .. } = &segment.rows {
-                run.decode(segment.id, segment.cols)?;
-            }
-        }
-        Ok(())
+        Ok(store)
     }
 
     /// Forces every live segment with uid `>= min_uid` to stable storage,
@@ -1161,7 +1117,7 @@ impl SegmentedWindowStore {
                     resident: None,
                 } if !residency.has_room(decoded_bytes(run.rows.len(), cols)) => {
                     residency.runs_read += 1;
-                    let (bytes, _) = run.load(segment.id, cols)?;
+                    let (bytes, _) = run.load(segment.id, cols, Some(run.rows.len()))?;
                     fill.extend_run(run, &bytes, cols, &mut residency.chunk)?;
                 }
                 _ => {
@@ -1308,35 +1264,6 @@ impl SegmentedWindowStore {
     }
 }
 
-/// The row index a checkpoint records for segment `meta`, checked against
-/// the run layout — rows strictly ascending, each chunk at the offset and
-/// of the length the layout places it — with the run's length.
-fn checkpointed_index(path: &Path, meta: &SegmentMeta) -> Result<(Vec<usize>, usize)> {
-    let n = meta.rows.len();
-    let chunk_bytes = run::chunk_bytes(meta.cols);
-    let len = run::run_len(n, meta.cols).ok_or_else(|| {
-        FsmError::corrupt_artifact(
-            artifact_name(path),
-            format!("{n} rows of {} columns overflow a run", meta.cols),
-        )
-    })?;
-    let mut rows = Vec::with_capacity(n);
-    for (slot, &(row, offset, bytes)) in meta.rows.iter().enumerate() {
-        let at = run::chunk_offset(n, chunk_bytes, slot);
-        if rows.last().is_some_and(|&last| last >= row) || offset != at || bytes != chunk_bytes {
-            return Err(FsmError::corrupt_artifact(
-                artifact_name(path),
-                format!(
-                    "the checkpoint places row {row} at byte {offset} ({bytes} bytes), \
-                     the run layout at byte {at} ({chunk_bytes} bytes)"
-                ),
-            ));
-        }
-        rows.push(row);
-    }
-    Ok((rows, len))
-}
-
 impl std::fmt::Debug for SegmentedWindowStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SegmentedWindowStore")
@@ -1375,6 +1302,30 @@ mod tests {
         store
             .push_segment(cols, (0..rows).map(|row| (row, &chunk)))
             .unwrap();
+    }
+
+    /// The checkpoint manifest of `store`'s live segments over a row domain
+    /// of `rows` rows.
+    fn manifest(store: &SegmentedWindowStore, rows: usize) -> Checkpoint {
+        Checkpoint {
+            next_uid: store.next_segment_id(),
+            supports: vec![0; rows],
+            segments: store
+                .segments
+                .iter()
+                .map(|s| CheckpointSegment {
+                    uid: s.id,
+                    batch_id: s.id,
+                    cols: s.cols as u64,
+                })
+                .collect(),
+            ..Checkpoint::default()
+        }
+    }
+
+    /// Restores `manifest` from `root`, discarding the decoded segments.
+    fn restore(root: &Path, manifest: &Checkpoint) -> Result<SegmentedWindowStore> {
+        SegmentedWindowStore::restore(root.to_path_buf(), manifest, |_, _| Ok(()))
     }
 
     /// The `seg-*` file names in `dir`, sorted.
@@ -1850,7 +1801,7 @@ mod tests {
             std::fs::metadata(root.join("seg-0.run")).unwrap().len(),
             40 + 3 * (8 + 72)
         );
-        store.verify_segments().unwrap();
+        restore(&root, &manifest(&store, 10)).unwrap();
     }
 
     #[test]
@@ -1872,7 +1823,7 @@ mod tests {
                 let err = if check == 0 {
                     store.assemble_row(4, &mut row).unwrap_err()
                 } else {
-                    store.verify_segments().unwrap_err()
+                    restore(&root, &manifest(&store, 5)).map(drop).unwrap_err()
                 };
                 assert!(
                     matches!(&err, FsmError::CorruptArtifact { artifact, .. } if artifact == "seg-0.run"),
@@ -1889,11 +1840,13 @@ mod tests {
         assert_eq!(row.count_ones(), 70);
     }
 
+    /// A restore reads each run the manifest names once, hands over the
+    /// segment pushed, and refuses a manifest that lies about a run.
     #[test]
     fn a_restored_store_reads_what_was_pushed_and_refuses_a_lying_index() {
         let dir = TempDir::new("segstore-restore").unwrap();
         let root = dir.file("segments");
-        let (metas, next_id, expected) = {
+        let (manifest, pushed, expected) = {
             let mut store =
                 SegmentedWindowStore::open(StorageBackend::DiskAt(root.clone())).unwrap();
             store.push_segment(3, [(0, &bv("101"))]).unwrap();
@@ -1907,46 +1860,58 @@ mod tests {
                 store.assemble_row(id, &mut row).unwrap();
                 expected.push(row);
             }
-            (
-                store.segment_metas().unwrap(),
-                store.next_segment_id(),
-                expected,
-            )
+            let pushed: Vec<Vec<(usize, BitVec)>> = (0..2)
+                .map(|seg| {
+                    let segment = store.epoch_segment(seg).unwrap();
+                    segment.rows().map(|(id, c)| (id, c.to_bitvec())).collect()
+                })
+                .collect();
+            (manifest(&store, 8), pushed, expected)
         };
         // A leftover at or past the next uid is removed; below it, kept.
         std::fs::write(root.join("seg-9.run"), b"torn").unwrap();
-        let mut restored = SegmentedWindowStore::restore(root.clone(), &metas, next_id).unwrap();
-        restored.verify_segments().unwrap();
+        let mut handed: Vec<Vec<(usize, BitVec)>> = Vec::new();
+        let mut restored = SegmentedWindowStore::restore(root.clone(), &manifest, |_, segment| {
+            handed.push(segment.rows().map(|(id, c)| (id, c.to_bitvec())).collect());
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(handed, pushed);
+        assert_eq!(restored.runs_read(), 2, "one read per run");
         assert!(!root.join("seg-9.run").exists());
         for (id, want) in expected.iter().enumerate() {
             let mut row = BitVec::new();
             restored.assemble_row(id, &mut row).unwrap();
             assert_eq!(&row, want, "row {id}");
         }
-        assert_eq!(restored.segment_metas().unwrap(), metas);
+        assert_eq!(restored.live_uids(), [0, 1]);
         drop(restored);
 
-        // An index entry the run layout does not place there.
-        let mut lying = metas.clone();
-        lying[1].rows[1].1 += 8;
-        let err = SegmentedWindowStore::restore(root.clone(), &lying, next_id).unwrap_err();
-        assert!(
-            matches!(&err, FsmError::CorruptArtifact { artifact, .. } if artifact == "seg-1.run"),
-            "{err}"
-        );
+        let refused = |manifest: &Checkpoint, run: &str| {
+            let err = restore(&root, manifest).map(drop).unwrap_err();
+            assert!(
+                matches!(&err, FsmError::CorruptArtifact { artifact, .. } if artifact == run),
+                "{err}"
+            );
+        };
+        // Columns the run does not hold.
+        let mut lying = manifest.clone();
+        lying.segments[1].cols = 65;
+        refused(&lying, "seg-1.run");
+        // A row domain too small for the rows the run holds.
+        let mut lying = manifest.clone();
+        lying.supports.truncate(1);
+        refused(&lying, "seg-1.run");
         // A file renamed into place but never rewritten: the header's uid
         // is not the one its name claims.
         std::fs::rename(root.join("seg-0.run"), root.join("seg-5.run")).unwrap();
-        let renamed = [SegmentMeta {
+        let mut renamed = manifest.clone();
+        renamed.next_uid = 6;
+        renamed.segments = vec![CheckpointSegment {
             uid: 5,
-            ..metas[0].clone()
+            ..renamed.segments[0].clone()
         }];
-        let restored = SegmentedWindowStore::restore(root.clone(), &renamed, 6).unwrap();
-        let err = restored.verify_segments().unwrap_err();
-        assert!(
-            matches!(&err, FsmError::CorruptArtifact { artifact, .. } if artifact == "seg-5.run"),
-            "{err}"
-        );
+        refused(&renamed, "seg-5.run");
     }
 
     #[test]
@@ -1958,7 +1923,14 @@ mod tests {
         std::fs::write(root.join("seg-3.pages.crc"), [0u8; 4]).unwrap();
         for refused in [
             scan_segment_files(&root).map(drop),
-            SegmentedWindowStore::restore(root.clone(), &[], 4).map(drop),
+            restore(
+                &root,
+                &Checkpoint {
+                    next_uid: 4,
+                    ..Checkpoint::default()
+                },
+            )
+            .map(drop),
         ] {
             let err = refused.unwrap_err();
             assert!(
@@ -2108,42 +2080,42 @@ mod tests {
     fn a_restored_store_refuses_a_run_whose_length_the_index_does_not_give() {
         let dir = TempDir::new("segstore-runlen").unwrap();
         let root = dir.file("segments");
-        let metas = {
+        let manifest = {
             let mut store =
                 SegmentedWindowStore::open(StorageBackend::DiskAt(root.clone())).unwrap();
             uniform(&mut store, 1, 500);
-            store.segment_metas().unwrap()
+            manifest(&store, 1)
         };
-        let refused = |metas: &[SegmentMeta]| {
-            let err = SegmentedWindowStore::restore(root.clone(), metas, 1)
-                .map(drop)
-                .unwrap_err();
+        let refused = |manifest: &Checkpoint| {
+            let err = restore(&root, manifest).map(drop).unwrap_err();
             assert!(
                 matches!(&err, FsmError::CorruptArtifact { artifact, .. } if artifact == "seg-0.run"),
                 "{err}"
             );
+            err
         };
-        // A self-consistent index claiming 2^50 columns: its offsets and
-        // chunk length are the ones the layout gives such a run, whose
-        // length — 2^47 + 56 bytes — no read may size a buffer by.
-        let cols = 1usize << 50;
-        let chunk_bytes = run::chunk_bytes(cols);
-        let huge = SegmentMeta {
-            uid: 0,
-            cols,
-            rows: vec![(0, run::chunk_offset(1, chunk_bytes, 0), chunk_bytes)],
-        };
-        assert_eq!(run::run_len(1, cols), Some((1 << 47) + 56));
-        refused(&[huge]);
-        // A run cut short, or grown, behind the store's back.
+        // A manifest claiming 2^50 columns for the real run: such a run
+        // would be 2^47 + 56 bytes, but the read is sized by the file, and
+        // the run's header refuses the claim.
+        let cols = 1u64 << 50;
+        assert_eq!(run::run_len(1, cols as usize), Some((1 << 47) + 56));
+        let mut huge = manifest.clone();
+        huge.segments[0].cols = cols;
+        let err = refused(&huge);
+        assert!(err.to_string().contains(&format!("cols: {cols}")), "{err}");
+        // A run cut short, or grown past what its row domain allows, behind
+        // the store's back.
         let path = root.join("seg-0.run");
         let clean = std::fs::read(&path).unwrap();
         std::fs::write(&path, &clean[..clean.len() - 1]).unwrap();
-        refused(&metas);
+        refused(&manifest);
         std::fs::write(&path, [clean.as_slice(), &[0]].concat()).unwrap();
-        refused(&metas);
+        let err = refused(&manifest);
+        assert!(
+            err.to_string().contains("longer than a run of 1 rows"),
+            "{err}"
+        );
         std::fs::write(&path, &clean).unwrap();
-        let restored = SegmentedWindowStore::restore(root.clone(), &metas, 1).unwrap();
-        restored.verify_segments().unwrap();
+        restore(&root, &manifest).unwrap();
     }
 }

@@ -55,11 +55,13 @@ pub struct SlidingWindow {
 }
 
 impl SlidingWindow {
-    /// Creates an empty window.
+    /// Creates an empty window.  Nothing is reserved for the configured
+    /// width: the queue grows with the batches the window actually holds,
+    /// so a width no stream ever fills costs nothing.
     pub fn new(config: WindowConfig) -> Self {
         Self {
             config,
-            batches: VecDeque::with_capacity(config.window_batches),
+            batches: VecDeque::new(),
         }
     }
 
@@ -118,9 +120,10 @@ impl SlidingWindow {
         out
     }
 
-    /// Identifiers of the batches in the window, oldest first.
-    pub fn batch_ids(&self) -> Vec<BatchId> {
-        self.batches.iter().map(|(id, _)| *id).collect()
+    /// `(batch id, transactions)` of every batch in the window, oldest
+    /// first.
+    pub fn batches(&self) -> impl ExactSizeIterator<Item = (BatchId, usize)> + '_ {
+        self.batches.iter().copied()
     }
 
     /// Identifier of the oldest batch currently in the window.
@@ -159,7 +162,7 @@ mod tests {
         let outcome = window.push(2, 3);
         assert_eq!(outcome.evicted, Some((0, 3)));
         assert_eq!(window.boundaries(), vec![3, 6]);
-        assert_eq!(window.batch_ids(), vec![1, 2]);
+        assert!(window.batches().eq([(1, 3), (2, 3)]));
         assert_eq!(window.oldest(), Some(1));
         assert_eq!(window.newest(), Some(2));
     }

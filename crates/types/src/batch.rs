@@ -40,29 +40,6 @@ impl Batch {
         self.transactions.push(transaction);
     }
 
-    /// Re-targets this batch at stream id `id` with exactly `len`
-    /// transactions and returns them for refilling in place (for instance
-    /// with [`Transaction::read_canonical`]): the first `len` keep their
-    /// edges and buffers until overwritten, those past `len` are dropped, and
-    /// missing ones are added empty.  This is how a decoder reuses one batch
-    /// across payloads instead of allocating per transaction.
-    pub fn reuse(&mut self, id: BatchId, len: usize) -> &mut [Transaction] {
-        self.id = id;
-        self.transactions.resize_with(len, Transaction::new);
-        &mut self.transactions
-    }
-
-    /// Bytes this batch holds on the heap: its transaction list and every
-    /// transaction's edge buffer, at capacity.
-    pub fn heap_bytes(&self) -> usize {
-        self.transactions.capacity() * std::mem::size_of::<Transaction>()
-            + self
-                .transactions
-                .iter()
-                .map(Transaction::heap_bytes)
-                .sum::<usize>()
-    }
-
     /// The transactions in arrival order.
     #[inline]
     pub fn transactions(&self) -> &[Transaction] {
@@ -136,25 +113,6 @@ mod tests {
         assert_eq!(b.transactions()[0].edges()[0].0, 5);
         assert_eq!(b.to_string(), "B0[2 txs]");
         assert_eq!(b.max_edge(), Some(EdgeId::new(5)));
-    }
-
-    #[test]
-    fn reuse_resizes_and_keeps_the_kept_transactions_buffers() {
-        let mut b = Batch::from_transactions(
-            1,
-            vec![
-                Transaction::from_raw([0, 1, 2]),
-                Transaction::from_raw([3]),
-                Transaction::from_raw([4, 5]),
-            ],
-        );
-        let kept = b.transactions()[0].edges().as_ptr();
-        assert_eq!(b.reuse(9, 2).len(), 2);
-        assert_eq!((b.id, b.len()), (9, 2));
-        assert_eq!(b.transactions()[0].edges().as_ptr(), kept);
-        let grown = b.reuse(10, 4);
-        assert!(grown[2].is_empty() && grown[3].is_empty());
-        assert!(b.heap_bytes() >= 4 * std::mem::size_of::<Transaction>() + 4 * 4);
     }
 
     #[test]

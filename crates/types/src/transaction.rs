@@ -49,17 +49,13 @@ impl Transaction {
         Self::from_edges(raw.into_iter().map(EdgeId::new))
     }
 
-    /// Replaces the edges with `count` ids read from `reader`, reusing this
-    /// transaction's buffer.  The ids must already be canonical (strictly
-    /// increasing, see [`Reader::take_canonical_edges`]); on error the
-    /// transaction is left empty.
-    pub fn read_canonical(&mut self, reader: &mut Reader<'_>, count: usize) -> Result<()> {
-        reader.take_canonical_edges(count, &mut self.edges)
-    }
-
-    /// Bytes of edge buffer this transaction holds on the heap.
-    pub fn heap_bytes(&self) -> usize {
-        self.edges.capacity() * std::mem::size_of::<EdgeId>()
+    /// A transaction of `count` ids read from `reader`, which must already
+    /// be canonical (strictly increasing, see
+    /// [`Reader::take_canonical_edges`]): read into place, never re-sorted.
+    pub fn read_canonical(reader: &mut Reader<'_>, count: usize) -> Result<Self> {
+        let mut edges = Vec::new();
+        reader.take_canonical_edges(count, &mut edges)?;
+        Ok(Self { edges })
     }
 
     /// Adds an edge, keeping the canonical order invariant.
