@@ -6,8 +6,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fsm_bench::Workload;
-use fsm_core::{Algorithm, StreamMinerBuilder};
+use fsm_core::{Algorithm, MinerConfig, StreamMiner};
+use fsm_fptree::MiningLimits;
 use fsm_storage::StorageBackend;
+use fsm_stream::WindowConfig;
 use fsm_types::MinSup;
 
 fn backends(c: &mut Criterion) {
@@ -24,15 +26,16 @@ fn backends(c: &mut Criterion) {
             &backend,
             |b, backend| {
                 b.iter(|| {
-                    let mut miner = StreamMinerBuilder::new()
-                        .algorithm(Algorithm::DirectVertical)
-                        .window_batches(5)
-                        .min_support(MinSup::relative(0.03))
-                        .max_pattern_len(4)
-                        .backend(backend.clone())
-                        .catalog(workload.catalog.clone())
-                        .build()
-                        .expect("miner");
+                    let mut miner = StreamMiner::new(MinerConfig {
+                        algorithm: Algorithm::DirectVertical,
+                        window: WindowConfig::new(5).expect("window"),
+                        min_support: MinSup::relative(0.03),
+                        limits: MiningLimits::with_max_len(4),
+                        backend: backend.clone(),
+                        catalog: Some(workload.catalog.clone()),
+                        ..MinerConfig::default()
+                    })
+                    .expect("miner");
                     for batch in &workload.batches {
                         miner.ingest_batch(batch).expect("ingest");
                     }

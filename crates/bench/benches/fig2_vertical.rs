@@ -10,24 +10,23 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fsm_bench::Workload;
-use fsm_core::{Algorithm, StreamMinerBuilder};
+use fsm_core::{Algorithm, MinerConfig, StreamMiner};
+use fsm_fptree::MiningLimits;
 use fsm_storage::StorageBackend;
+use fsm_stream::WindowConfig;
 use fsm_types::MinSup;
 
-fn prepared_miner(
-    workload: &Workload,
-    algorithm: Algorithm,
-    minsup: MinSup,
-) -> fsm_core::StreamMiner {
-    let mut miner = StreamMinerBuilder::new()
-        .algorithm(algorithm)
-        .window_batches(5)
-        .min_support(minsup)
-        .max_pattern_len(4)
-        .backend(StorageBackend::Memory)
-        .catalog(workload.catalog.clone())
-        .build()
-        .expect("miner");
+fn prepared_miner(workload: &Workload, algorithm: Algorithm, minsup: MinSup) -> StreamMiner {
+    let mut miner = StreamMiner::new(MinerConfig {
+        algorithm,
+        window: WindowConfig::new(5).expect("window"),
+        min_support: minsup,
+        limits: MiningLimits::with_max_len(4),
+        backend: StorageBackend::Memory,
+        catalog: Some(workload.catalog.clone()),
+        ..MinerConfig::default()
+    })
+    .expect("miner");
     for batch in &workload.batches {
         miner.ingest_batch(batch).expect("ingest");
     }

@@ -7,9 +7,11 @@
 //! wasted on collections that are pruned afterwards.
 
 use fsm_bench::report::{markdown_table, millis};
-use fsm_core::{Algorithm, StreamMinerBuilder};
+use fsm_core::{Algorithm, MinerConfig, StreamMiner};
 use fsm_datagen::{GraphModel, GraphModelConfig, GraphStreamConfig, GraphStreamGenerator};
+use fsm_fptree::MiningLimits;
 use fsm_storage::StorageBackend;
+use fsm_stream::WindowConfig;
 use fsm_types::MinSup;
 
 fn main() {
@@ -42,15 +44,16 @@ fn main() {
         let batches = generator.generate_batches(6);
 
         for algorithm in [Algorithm::Vertical, Algorithm::DirectVertical] {
-            let mut miner = StreamMinerBuilder::new()
-                .algorithm(algorithm)
-                .window_batches(5)
-                .min_support(MinSup::relative(0.03))
-                .max_pattern_len(4)
-                .backend(StorageBackend::Memory)
-                .catalog(catalog.clone())
-                .build()
-                .expect("miner");
+            let mut miner = StreamMiner::new(MinerConfig {
+                algorithm,
+                window: WindowConfig::new(5).expect("window"),
+                min_support: MinSup::relative(0.03),
+                limits: MiningLimits::with_max_len(4),
+                backend: StorageBackend::Memory,
+                catalog: Some(catalog.clone()),
+                ..MinerConfig::default()
+            })
+            .expect("miner");
             for batch in &batches {
                 miner.ingest_batch(batch).expect("ingest");
             }

@@ -16,8 +16,10 @@
 
 use fsm_bench::report::{host_json, markdown_table, millis};
 use fsm_bench::{run_algorithm_on, run_algorithm_threaded, run_baselines_on, Workload};
-use fsm_core::{Algorithm, MinerSnapshot, StreamMiner, StreamMinerBuilder};
+use fsm_core::{Algorithm, MinerConfig, MinerSnapshot, StreamMiner};
+use fsm_fptree::MiningLimits;
 use fsm_storage::{BitVec, StorageBackend};
+use fsm_stream::WindowConfig;
 use fsm_types::{Batch, MinSup};
 
 /// Shared experiment setup: every section mines the same workload suite at
@@ -235,15 +237,16 @@ fn concurrent_ingest_mine(setup: &Setup) -> Vec<SnapshotRow> {
     for (workload, minsup) in &setup.workloads {
         let minsup = *minsup;
         let build = || -> StreamMiner {
-            StreamMinerBuilder::new()
-                .algorithm(algorithm)
-                .window_batches(setup.window)
-                .min_support(minsup)
-                .backend(StorageBackend::DiskTemp)
-                .cache_budget_bytes(usize::MAX)
-                .catalog(workload.catalog.clone())
-                .build()
-                .expect("miner")
+            StreamMiner::new(MinerConfig {
+                algorithm,
+                window: WindowConfig::new(setup.window).expect("window"),
+                min_support: minsup,
+                backend: StorageBackend::DiskTemp,
+                cache_budget_bytes: usize::MAX,
+                catalog: Some(workload.catalog.clone()),
+                ..MinerConfig::default()
+            })
+            .expect("miner")
         };
 
         // Stop-the-world baseline: ingest waits for every mine.
@@ -584,18 +587,20 @@ fn delta_mining(setup: &Setup) -> Vec<DeltaRow> {
     let mut rows = Vec::new();
     for (workload, minsup) in &setup.workloads {
         let build = |delta: bool| -> StreamMiner {
-            let mut builder = StreamMinerBuilder::new()
-                .algorithm(Algorithm::DirectVertical)
-                .window_batches(setup.window)
-                .min_support(*minsup)
-                .backend(StorageBackend::DiskTemp)
-                .threads(setup.threads)
-                .delta(delta)
-                .catalog(workload.catalog.clone());
-            if let Some(max) = setup.max_len {
-                builder = builder.max_pattern_len(max);
-            }
-            builder.build().expect("miner")
+            StreamMiner::new(MinerConfig {
+                algorithm: Algorithm::DirectVertical,
+                window: WindowConfig::new(setup.window).expect("window"),
+                min_support: *minsup,
+                limits: MiningLimits {
+                    max_pattern_len: setup.max_len,
+                },
+                backend: StorageBackend::DiskTemp,
+                threads: setup.threads,
+                delta,
+                catalog: Some(workload.catalog.clone()),
+                ..MinerConfig::default()
+            })
+            .expect("miner")
         };
         let mut delta_miner = build(true);
         let mut oracle = build(false);

@@ -2,9 +2,11 @@
 //! mining cost as the stream grows longer while the window stays fixed.
 
 use fsm_bench::report::{markdown_table, millis};
-use fsm_core::{Algorithm, StreamMinerBuilder};
+use fsm_core::{Algorithm, MinerConfig, StreamMiner};
 use fsm_datagen::{QuestConfig, QuestGenerator};
+use fsm_fptree::MiningLimits;
 use fsm_storage::StorageBackend;
+use fsm_stream::WindowConfig;
 use fsm_types::{EdgeCatalog, MinSup};
 use std::time::Instant;
 
@@ -32,15 +34,16 @@ fn main() {
         let batches = generator.generate_batches(num_batches, batch_size);
 
         for algorithm in [Algorithm::Vertical, Algorithm::DirectVertical] {
-            let mut miner = StreamMinerBuilder::new()
-                .algorithm(algorithm)
-                .window_batches(window)
-                .min_support(MinSup::relative(0.03))
-                .max_pattern_len(4)
-                .backend(StorageBackend::DiskTemp)
-                .catalog(EdgeCatalog::path(num_items))
-                .build()
-                .expect("miner");
+            let mut miner = StreamMiner::new(MinerConfig {
+                algorithm,
+                window: WindowConfig::new(window).expect("window"),
+                min_support: MinSup::relative(0.03),
+                limits: MiningLimits::with_max_len(4),
+                backend: StorageBackend::DiskTemp,
+                catalog: Some(EdgeCatalog::path(num_items)),
+                ..MinerConfig::default()
+            })
+            .expect("miner");
             let capture_start = Instant::now();
             for batch in &batches {
                 miner.ingest_batch(batch).expect("ingest");

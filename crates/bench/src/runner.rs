@@ -3,7 +3,7 @@
 use std::time::{Duration, Instant};
 
 use fsm_core::{
-    mine_dstable, mine_dstree, Algorithm, ConnectivityMode, MiningResult, StreamMinerBuilder,
+    mine_dstable, mine_dstree, Algorithm, ConnectivityMode, MinerConfig, MiningResult, StreamMiner,
 };
 use fsm_dstable::{DsTable, DsTableConfig};
 use fsm_dstree::{DsTree, DsTreeConfig};
@@ -62,17 +62,18 @@ pub fn run_algorithm_threaded(
     backend: StorageBackend,
     threads: usize,
 ) -> Result<AlgorithmRun> {
-    let mut builder = StreamMinerBuilder::new()
-        .algorithm(algorithm)
-        .window_batches(window)
-        .min_support(minsup)
-        .backend(backend)
-        .threads(threads)
-        .catalog(workload.catalog.clone());
-    if let Some(max) = max_len {
-        builder = builder.max_pattern_len(max);
-    }
-    let mut miner = builder.build()?;
+    let mut miner = StreamMiner::new(MinerConfig {
+        algorithm,
+        window: WindowConfig::new(window)?,
+        min_support: minsup,
+        limits: MiningLimits {
+            max_pattern_len: max_len,
+        },
+        backend,
+        catalog: Some(workload.catalog.clone()),
+        threads,
+        ..MinerConfig::default()
+    })?;
 
     let capture_start = Instant::now();
     for batch in &workload.batches {
@@ -89,8 +90,8 @@ pub fn run_algorithm_threaded(
         patterns: result.len(),
         patterns_before_postprocess: stats.patterns_before_postprocess,
         peak_mining_bytes: stats.peak_mining_bytes(),
-        capture_resident_bytes: stats.capture_resident_bytes,
-        capture_on_disk_bytes: stats.capture_on_disk_bytes,
+        capture_resident_bytes: miner.resident_bytes(),
+        capture_on_disk_bytes: miner.matrix_mut().on_disk_bytes(),
         result,
     })
 }
@@ -102,9 +103,8 @@ pub fn run_baselines_on(
     minsup: MinSup,
     max_len: Option<usize>,
 ) -> Result<Vec<AlgorithmRun>> {
-    let limits = match max_len {
-        Some(max) => MiningLimits::with_max_len(max),
-        None => MiningLimits::UNBOUNDED,
+    let limits = MiningLimits {
+        max_pattern_len: max_len,
     };
     let window_config = WindowConfig::new(window)?;
     let mut runs = Vec::new();

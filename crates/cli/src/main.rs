@@ -63,13 +63,14 @@
 
 mod args;
 
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use args::{InputFormat, Options, OutputKind};
-use fsm_core::{closed_patterns, maximal_patterns, top_k, StreamMinerBuilder};
+use fsm_core::{closed_patterns, maximal_patterns, top_k, MinerConfig, StreamMiner};
 use fsm_datagen::read_fimi;
 use fsm_linked_data::{ntriples, GroupingStrategy, TripleStreamAdapter};
-use fsm_stream::BatchBuilder;
+use fsm_stream::{BatchBuilder, WindowConfig};
 use fsm_types::{EdgeCatalog, FrequentPattern, Result, Transaction};
 
 fn main() -> ExitCode {
@@ -99,27 +100,25 @@ fn run(options: &Options) -> Result<()> {
         options.input
     );
 
-    let mut builder = StreamMinerBuilder::new()
-        .algorithm(options.algorithm)
-        .window_batches(options.window)
-        .min_support(options.minsup)
-        .threads(options.threads)
-        .backend(options.backend.clone())
-        .cache_budget_bytes(options.cache_budget)
-        .delta(options.delta)
-        .catalog(catalog.clone());
-    if let Some(max) = options.max_len {
-        builder = builder.max_pattern_len(max);
-    }
-    if let Some(dir) = &options.durable_dir {
-        builder = builder
-            .durable(dir.as_str())
-            .checkpoint_every(options.checkpoint_every);
-    }
-    if options.recover {
-        builder = builder.recover();
-    }
-    let mut miner = builder.build()?;
+    let mut config = MinerConfig {
+        algorithm: options.algorithm,
+        window: WindowConfig::new(options.window)?,
+        min_support: options.minsup,
+        backend: options.backend.clone(),
+        catalog: Some(catalog),
+        threads: options.threads,
+        cache_budget_bytes: options.cache_budget,
+        durable_dir: options.durable_dir.as_ref().map(PathBuf::from),
+        checkpoint_every: options.checkpoint_every,
+        delta: options.delta,
+        ..MinerConfig::default()
+    };
+    config.limits.max_pattern_len = options.max_len;
+    let mut miner = if options.recover {
+        StreamMiner::recover(config)?
+    } else {
+        StreamMiner::new(config)?
+    };
 
     // A recovered miner already holds batches 0..=last; resume the stream
     // after them.  Batches are fixed-size, so skipping the covered input
@@ -251,13 +250,14 @@ fn run(options: &Options) -> Result<()> {
         eprintln!("delta: {}", result.stats().delta);
     }
     if options.durable_dir.is_some() {
+        let durability = miner.matrix_mut().read_stats();
         eprintln!(
             "durability: {} WAL bytes written, {} fsyncs, {} checkpoint bytes, \
              {} batches replayed by recovery",
-            result.stats().wal_bytes_written,
-            result.stats().fsyncs,
-            result.stats().checkpoint_bytes,
-            result.stats().recovery_replayed_batches,
+            durability.wal_bytes_written,
+            durability.fsyncs,
+            durability.checkpoint_bytes,
+            durability.recovery_replayed_batches,
         );
     }
 

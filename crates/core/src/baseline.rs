@@ -51,7 +51,6 @@ pub fn mine_dstree(
     let start = Instant::now();
     let minsup = minsup.max(1);
     let mut stats = MiningStats {
-        capture_resident_bytes: tree.resident_bytes(),
         window_transactions: tree.num_transactions(),
         resolved_minsup: minsup,
         ..MiningStats::default()
@@ -104,8 +103,6 @@ pub fn mine_dstable(
     let start = Instant::now();
     let minsup = minsup.max(1);
     let mut stats = MiningStats {
-        capture_resident_bytes: table.resident_bytes(),
-        capture_on_disk_bytes: table.on_disk_bytes(),
         window_transactions: table.num_transactions(),
         resolved_minsup: minsup,
         ..MiningStats::default()
@@ -234,7 +231,7 @@ mod tests {
         assert_eq!(strings(&result), expected_15());
         assert_eq!(result.stats().patterns_before_postprocess, 17);
         assert_eq!(result.stats().patterns_pruned, 2);
-        assert!(result.stats().capture_resident_bytes > 0);
+        assert!(result.stats().tree_footprint.trees_built > 0);
     }
 
     #[test]

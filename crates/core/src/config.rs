@@ -1,4 +1,4 @@
-//! Configuration and builder for the [`crate::miner::StreamMiner`] facade.
+//! Configuration of the [`crate::miner::StreamMiner`] facade.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -6,15 +6,18 @@ use std::sync::Arc;
 use fsm_fptree::MiningLimits;
 use fsm_storage::{BudgetGovernor, StorageBackend};
 use fsm_stream::WindowConfig;
-use fsm_types::{EdgeCatalog, MinSup, Result};
+use fsm_types::{EdgeCatalog, MinSup};
 
 use crate::algorithm::{Algorithm, ConnectivityMode};
+#[cfg(doc)]
 use crate::miner::StreamMiner;
 
 /// Full configuration of a streaming miner.
 ///
-/// `MinerConfig` is plain data: build one directly when you want to spell
-/// every knob out, or go through [`StreamMinerBuilder`] for the fluent path.
+/// `MinerConfig` is plain data and the one way to configure a miner: spell
+/// out the knobs that differ from the defaults and pass it to
+/// [`StreamMiner::new`], or to [`StreamMiner::recover`] to resume a durable
+/// window.
 ///
 /// ```
 /// use fsm_core::{Algorithm, MinerConfig, StreamMiner};
@@ -124,222 +127,6 @@ impl Default for MinerConfig {
     }
 }
 
-/// Builder-style construction of a [`StreamMiner`].
-///
-/// ```
-/// use fsm_core::{Algorithm, StreamMinerBuilder};
-/// use fsm_types::{EdgeCatalog, MinSup};
-///
-/// let miner = StreamMinerBuilder::new()
-///     .algorithm(Algorithm::Vertical)
-///     .window_batches(5)
-///     .min_support(MinSup::relative(0.1))
-///     .catalog(EdgeCatalog::complete(4))
-///     .build()
-///     .unwrap();
-/// assert_eq!(miner.config().algorithm, Algorithm::Vertical);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct StreamMinerBuilder {
-    config: MinerConfig,
-    window_batches: Option<usize>,
-    recover: bool,
-}
-
-impl StreamMinerBuilder {
-    /// Starts from the default configuration.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Selects the mining algorithm.
-    pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.config.algorithm = algorithm;
-        self
-    }
-
-    /// Sets the sliding-window size in batches.
-    pub fn window_batches(mut self, batches: usize) -> Self {
-        self.window_batches = Some(batches);
-        self
-    }
-
-    /// Sets the minimum support threshold.
-    pub fn min_support(mut self, min_support: MinSup) -> Self {
-        self.config.min_support = min_support;
-        self
-    }
-
-    /// Sets the connectivity decision procedure.
-    pub fn connectivity(mut self, mode: ConnectivityMode) -> Self {
-        self.config.connectivity = mode;
-        self
-    }
-
-    /// Caps the pattern cardinality.
-    pub fn max_pattern_len(mut self, max: usize) -> Self {
-        self.config.limits = MiningLimits::with_max_len(max);
-        self
-    }
-
-    /// Selects the DSMatrix storage backend.
-    pub fn backend(mut self, backend: StorageBackend) -> Self {
-        self.config.backend = backend;
-        self
-    }
-
-    /// Sets the worker-thread count for mining — all five algorithms honour
-    /// it (`0` = all available cores, `1` = sequential), and every setting
-    /// produces byte-identical results.
-    ///
-    /// ```
-    /// use fsm_core::{Algorithm, StreamMinerBuilder};
-    /// use fsm_types::EdgeCatalog;
-    ///
-    /// let miner = StreamMinerBuilder::new()
-    ///     .algorithm(Algorithm::TopDown)
-    ///     .threads(0) // fan the per-pivot FP-trees over every core
-    ///     .catalog(EdgeCatalog::complete(4))
-    ///     .build()
-    ///     .unwrap();
-    /// assert_eq!(miner.config().threads, 0);
-    /// ```
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
-        self
-    }
-
-    /// Budgets the decoded segments the disk backends keep resident (`0`
-    /// keeps none; ignored by the memory backend).  Mining output is
-    /// byte-identical for every budget — only the per-mine disk reads
-    /// change: a resident segment is not read or decoded again (with a
-    /// budget covering the window, nothing is read).  The budget buys
-    /// decodes, never assembly.
-    ///
-    /// ```
-    /// use fsm_core::StreamMinerBuilder;
-    /// use fsm_storage::StorageBackend;
-    /// use fsm_types::EdgeCatalog;
-    ///
-    /// let miner = StreamMinerBuilder::new()
-    ///     .backend(StorageBackend::DiskTemp)
-    ///     .cache_budget_bytes(1 << 20) // keep up to 1 MiB of decoded segments
-    ///     .catalog(EdgeCatalog::complete(4))
-    ///     .build()
-    ///     .unwrap();
-    /// assert_eq!(miner.config().cache_budget_bytes, 1 << 20);
-    /// ```
-    pub fn cache_budget_bytes(mut self, budget_bytes: usize) -> Self {
-        self.config.cache_budget_bytes = budget_bytes;
-        self
-    }
-
-    /// Makes the window durable: every ingested batch is WAL-logged and
-    /// `fsync`ed before it is applied, checkpoints land in `dir`, and a
-    /// crashed process can rebuild the exact window with
-    /// [`StreamMiner::recover`].  Requires a disk backend.
-    ///
-    /// ```
-    /// use fsm_core::StreamMinerBuilder;
-    /// use fsm_storage::StorageBackend;
-    /// use fsm_types::EdgeCatalog;
-    ///
-    /// let dir = fsm_storage::TempDir::new("miner-durable").unwrap();
-    /// let miner = StreamMinerBuilder::new()
-    ///     .backend(StorageBackend::DiskTemp)
-    ///     .durable(dir.path())
-    ///     .checkpoint_every(4)
-    ///     .catalog(EdgeCatalog::complete(4))
-    ///     .build()
-    ///     .unwrap();
-    /// assert!(miner.is_durable());
-    /// ```
-    pub fn durable(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.config.durable_dir = Some(dir.into());
-        self
-    }
-
-    /// Sets the durable layer's checkpoint interval in window slides
-    /// (ignored without [`StreamMinerBuilder::durable`]).
-    pub fn checkpoint_every(mut self, every: usize) -> Self {
-        self.config.checkpoint_every = every;
-        self
-    }
-
-    /// Subordinates this miner's residency budget to a process-wide
-    /// [`BudgetGovernor`] (see [`MinerConfig::cache_governor`]).
-    pub fn cache_governor(mut self, governor: Arc<BudgetGovernor>) -> Self {
-        self.config.cache_governor = Some(governor);
-        self
-    }
-
-    /// Makes [`StreamMinerBuilder::build`] recover the window from the
-    /// durable directory ([`StreamMiner::recover`]) instead of starting
-    /// fresh.  Requires [`StreamMinerBuilder::durable`].
-    pub fn recover(mut self) -> Self {
-        self.recover = true;
-        self
-    }
-
-    /// Enables delta mining ([`MinerConfig::delta`]): [`StreamMiner::mine`]
-    /// maintains the frequent-pattern set across window slides instead of
-    /// re-enumerating the window on every call.  Output stays byte-identical to a full re-mine; the
-    /// incremental work performed is reported in
-    /// [`crate::MiningStats::delta`].
-    ///
-    /// ```
-    /// use fsm_core::StreamMinerBuilder;
-    /// use fsm_types::{Batch, EdgeCatalog, MinSup, Transaction};
-    ///
-    /// let mut miner = StreamMinerBuilder::new()
-    ///     .window_batches(2)
-    ///     .min_support(MinSup::absolute(2))
-    ///     .delta(true)
-    ///     .catalog(EdgeCatalog::complete(4))
-    ///     .build()
-    ///     .unwrap();
-    /// for id in 0..3 {
-    ///     let batch = Batch::from_transactions(id, vec![
-    ///         Transaction::from_raw([0, 2, 5]),
-    ///         Transaction::from_raw([2, 3, 5]),
-    ///     ]);
-    ///     miner.ingest_batch(&batch).unwrap();
-    ///     let result = miner.mine().unwrap(); // incremental after the first call
-    ///     assert!(result.stats().delta.patterns_tracked > 0);
-    /// }
-    /// ```
-    pub fn delta(mut self, delta: bool) -> Self {
-        self.config.delta = delta;
-        self
-    }
-
-    /// Provides the edge vocabulary up front.
-    pub fn catalog(mut self, catalog: EdgeCatalog) -> Self {
-        self.config.catalog = Some(catalog);
-        self
-    }
-
-    /// Declares the vertex universe as `1..=n`, using the complete graph over
-    /// it as the edge vocabulary (the convention of the paper's running
-    /// example).
-    pub fn complete_graph_vertices(mut self, n: u32) -> Self {
-        self.config.catalog = Some(EdgeCatalog::complete(n));
-        self
-    }
-
-    /// Builds the miner.
-    pub fn build(mut self) -> Result<StreamMiner> {
-        if let Some(batches) = self.window_batches {
-            self.config.window = WindowConfig::new(batches)?;
-        }
-        if self.recover {
-            StreamMiner::recover(self.config)
-        } else {
-            StreamMiner::new(self.config)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,29 +141,11 @@ mod tests {
     }
 
     #[test]
-    fn builder_sets_every_knob() {
-        let miner = StreamMinerBuilder::new()
-            .algorithm(Algorithm::MultiTree)
-            .window_batches(3)
-            .min_support(MinSup::absolute(4))
-            .connectivity(ConnectivityMode::PaperRule)
-            .max_pattern_len(3)
-            .backend(StorageBackend::Memory)
-            .threads(4)
-            .complete_graph_vertices(4)
-            .build()
-            .unwrap();
-        let config = miner.config();
-        assert_eq!(config.algorithm, Algorithm::MultiTree);
-        assert_eq!(config.window.window_batches, 3);
-        assert_eq!(config.connectivity, ConnectivityMode::PaperRule);
-        assert_eq!(config.limits.max_pattern_len, Some(3));
-        assert_eq!(config.threads, 4);
-        assert_eq!(miner.catalog().num_edges(), 6);
-    }
-
-    #[test]
     fn zero_window_is_rejected() {
-        assert!(StreamMinerBuilder::new().window_batches(0).build().is_err());
+        let config = MinerConfig {
+            window: WindowConfig { window_batches: 0 },
+            ..MinerConfig::default()
+        };
+        assert!(crate::StreamMiner::new(config).is_err());
     }
 }

@@ -30,14 +30,6 @@ pub struct MiningStats {
     /// Number of collections removed by the connectivity filter (always zero
     /// for the direct algorithm).
     pub patterns_pruned: usize,
-    /// Resident bytes of the capture structure at mining time.
-    pub capture_resident_bytes: usize,
-    /// Bytes the capture structure keeps on disk at mining time.
-    pub capture_on_disk_bytes: u64,
-    /// Cumulative 64-bit words the capture structure has written since it was
-    /// created (the incremental-slide cost counter; see
-    /// [`fsm_dsmatrix::DsMatrix::capture_stats`]).
-    pub capture_words_written: u64,
     /// 64-bit words of window data the read path materialised *for this mine
     /// call* (the read-amplification counter; see
     /// [`fsm_dsmatrix::DsMatrix::read_stats`]): the rows some live segment
@@ -57,18 +49,6 @@ pub struct MiningStats {
     pub window_transactions: usize,
     /// The absolute minimum support the thresholds resolved to.
     pub resolved_minsup: u64,
-    /// Cumulative bytes appended to the write-ahead log since the miner was
-    /// created (durable configurations only; always zero otherwise).
-    pub wal_bytes_written: u64,
-    /// Cumulative `fsync` calls issued by the durability layer (WAL commits,
-    /// segment syncs, checkpoint writes; durable configurations only).
-    pub fsyncs: u64,
-    /// Cumulative bytes of checkpoint files written (durable configurations
-    /// only).
-    pub checkpoint_bytes: u64,
-    /// Batches crash recovery replayed from the WAL tail to rebuild this
-    /// miner's window (zero unless the miner was built by recovery).
-    pub recovery_replayed_batches: u64,
     /// Incremental-maintenance counters of this mine, when it advanced the
     /// [`crate::DeltaMiner`] state ([`crate::MinerConfig::delta`]); all zero
     /// for full re-mines.
@@ -171,24 +151,11 @@ impl MiningStats {
         self.peak_bitvector_bytes = self.peak_bitvector_bytes.max(other.peak_bitvector_bytes);
         self.patterns_before_postprocess += other.patterns_before_postprocess;
         self.patterns_pruned += other.patterns_pruned;
-        self.capture_resident_bytes = self
-            .capture_resident_bytes
-            .max(other.capture_resident_bytes);
-        self.capture_on_disk_bytes = self.capture_on_disk_bytes.max(other.capture_on_disk_bytes);
-        self.capture_words_written = self.capture_words_written.max(other.capture_words_written);
         self.read_words_assembled = self.read_words_assembled.max(other.read_words_assembled);
         self.pages_read = self.pages_read.max(other.pages_read);
         self.cache_hits = self.cache_hits.max(other.cache_hits);
         self.window_transactions = self.window_transactions.max(other.window_transactions);
         self.resolved_minsup = self.resolved_minsup.max(other.resolved_minsup);
-        // Durability counters are cumulative window-level quantities sampled
-        // once per mine, not per-worker work: the maximum is the truth.
-        self.wal_bytes_written = self.wal_bytes_written.max(other.wal_bytes_written);
-        self.fsyncs = self.fsyncs.max(other.fsyncs);
-        self.checkpoint_bytes = self.checkpoint_bytes.max(other.checkpoint_bytes);
-        self.recovery_replayed_batches = self
-            .recovery_replayed_batches
-            .max(other.recovery_replayed_batches);
         self.delta.merge(&other.delta);
     }
 
@@ -212,7 +179,7 @@ impl fmt::Display for MiningStats {
         write!(
             f,
             "{:?} elapsed, {} trees (peak {} bytes), {} intersections (peak {} bytes), \
-             {} patterns (-{} pruned), capture {} bytes resident / {} on disk",
+             {} patterns (-{} pruned)",
             self.elapsed,
             self.tree_footprint.trees_built,
             self.tree_footprint.peak_tree_bytes,
@@ -220,8 +187,6 @@ impl fmt::Display for MiningStats {
             self.peak_bitvector_bytes,
             self.patterns_before_postprocess,
             self.patterns_pruned,
-            self.capture_resident_bytes,
-            self.capture_on_disk_bytes,
         )
     }
 }

@@ -5,21 +5,22 @@
 //! capture structure, the connectivity post-processing step, the neighbourhood
 //! algebra used by the direct algorithm, the DSTree/DSTable baseline miners
 //! used in the accuracy experiment, and the [`StreamMiner`] facade that ties
-//! capture and mining together behind one builder-style API:
+//! capture and mining together, configured by one plain [`MinerConfig`]:
 //!
 //! ```
-//! use fsm_core::{Algorithm, StreamMinerBuilder};
+//! use fsm_core::{Algorithm, MinerConfig, StreamMiner};
+//! use fsm_stream::WindowConfig;
 //! use fsm_types::{Batch, EdgeCatalog, MinSup, Transaction};
 //!
 //! // The paper's running example: complete graph over v1..v4, edges a..f.
-//! let catalog = EdgeCatalog::complete(4);
-//! let mut miner = StreamMinerBuilder::new()
-//!     .algorithm(Algorithm::DirectVertical)
-//!     .window_batches(2)
-//!     .min_support(MinSup::absolute(2))
-//!     .catalog(catalog)
-//!     .build()
-//!     .unwrap();
+//! let mut miner = StreamMiner::new(MinerConfig {
+//!     algorithm: Algorithm::DirectVertical,
+//!     window: WindowConfig::new(2).unwrap(),
+//!     min_support: MinSup::absolute(2),
+//!     catalog: Some(EdgeCatalog::complete(4)),
+//!     ..MinerConfig::default()
+//! })
+//! .unwrap();
 //!
 //! let batch = Batch::from_transactions(0, vec![
 //!     Transaction::from_raw([2, 3, 5]),
@@ -49,7 +50,7 @@
 //!   per pivot edge for the horizontal family) fans out over one executor,
 //!   the caller-participating [`WorkerPool`] behind [`Exec`], with dynamic
 //!   load balancing ([`parallel`]).  A [`StreamMiner`] builds its pool once
-//!   from [`StreamMinerBuilder::threads`] / [`MinerConfig::threads`] — `1`
+//!   from [`MinerConfig::threads`] — `1`
 //!   (default) is sequential and spawns nothing, `0` uses every available
 //!   core — and every mine and snapshot mine reuses it.  Per-worker
 //!   results merge back in canonical edge order ([`MiningStats::merge`]), so
@@ -72,7 +73,7 @@
 //!   steady-state projection allocates nothing either.
 //! * **Incremental capture** — the DSMatrix itself never rewrites surviving
 //!   rows on a window slide (see [`fsm_dsmatrix`]); the words it does write
-//!   surface as [`MiningStats::capture_words_written`].
+//!   are counted by [`fsm_dsmatrix::DsMatrix::capture_stats`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -95,7 +96,7 @@ pub mod session;
 
 pub use algorithm::{Algorithm, ConnectivityMode};
 pub use baseline::{mine_dstable, mine_dstree, BaselineStructure};
-pub use config::{MinerConfig, StreamMinerBuilder};
+pub use config::MinerConfig;
 pub use connectivity::ConnectivityChecker;
 pub use delta::DeltaMiner;
 pub use fsm_dsmatrix::{DurabilityConfig, RecoveryReport};

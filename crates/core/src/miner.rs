@@ -10,7 +10,7 @@ use fsm_dsmatrix::{
     DsMatrix, DsMatrixConfig, DurabilityConfig, EpochSnapshot, Incoming, ReadStats, RecoveryReport,
 };
 use fsm_fptree::MiningLimits;
-use fsm_stream::SlideOutcome;
+use fsm_stream::{SlideOutcome, WindowConfig};
 use fsm_types::{Batch, BatchId, EdgeCatalog, GraphSnapshot, Result, Support, Transaction};
 
 use crate::algorithm::{Algorithm, ConnectivityMode};
@@ -51,8 +51,7 @@ pub struct StreamMiner {
 }
 
 impl StreamMiner {
-    /// Creates a miner from a full configuration (use
-    /// [`crate::config::StreamMinerBuilder`] for the ergonomic path).
+    /// Creates a miner from its configuration.
     ///
     /// With [`MinerConfig::durable_dir`] set this is a **fresh start**: any
     /// WAL, checkpoints or segment files a previous run left in the
@@ -100,6 +99,9 @@ impl StreamMiner {
     }
 
     fn build(mut config: MinerConfig, source: BuildSource<'_>) -> Result<Self> {
+        // `WindowConfig::new` refuses an empty window; a literal must not
+        // slip one past it.
+        WindowConfig::new(config.window.window_batches)?;
         let catalog = config.catalog.take().unwrap_or_default();
         let mut matrix_config =
             DsMatrixConfig::new(config.window, config.backend.clone(), catalog.num_edges())
@@ -307,10 +309,9 @@ impl StreamMiner {
     /// it to another thread and call [`MinerSnapshot::mine`] there while
     /// this miner keeps ingesting.  Its output is byte-identical to what
     /// [`StreamMiner::mine`] would have returned at the same epoch
-    /// (property-tested in `crates/core/tests/epoch_agreement.rs`), with the
-    /// capture-side statistics (resident bytes, WAL counters, read
-    /// amplification) zeroed: a frozen epoch has no live capture structure
-    /// to measure.
+    /// (property-tested in `crates/core/tests/epoch_agreement.rs`), and so
+    /// are its statistics, but for the elapsed time and the read counters:
+    /// a frozen epoch reads no live window, so those stay zero.
     ///
     /// Relative minimum supports are resolved against the epoch's
     /// transaction count at snapshot time, exactly as a stop-the-world mine
@@ -380,8 +381,7 @@ impl MinerSnapshot {
     /// `&self` — mining does not consume the snapshot, and several threads
     /// may mine one snapshot simultaneously.  Pattern output is
     /// byte-identical to a stop-the-world [`StreamMiner::mine`] at the same
-    /// epoch; the capture/durability statistics are zero (a snapshot has no
-    /// capture structure).
+    /// epoch; the read counters are zero (a snapshot reads no live window).
     ///
     /// Each call assembles the epoch's rows into one flat copy of the
     /// window ([`EpochSnapshot::assemble_rows`]) and drops it on return:
@@ -458,7 +458,9 @@ fn postprocessor(
 ///
 /// `capture` is the live capture structure the mine ran against, with its
 /// read counters from before the mine; a frozen epoch passes `None` and
-/// reports zero capture, read-amplification and durability statistics.
+/// reports zero read counters.  What the window itself holds and has
+/// written is the matrix's to report ([`DsMatrix::read_stats`],
+/// [`DsMatrix::capture_stats`]), not a mine's.
 fn finish_mine(
     mut raw: RawMiningOutput,
     start: Instant,
@@ -481,16 +483,6 @@ fn finish_mine(
         stats.read_words_assembled = after.words_assembled - before.words_assembled;
         stats.pages_read = after.pages_read - before.pages_read;
         stats.cache_hits = after.cache_hits - before.cache_hits;
-        stats.capture_resident_bytes = matrix.resident_bytes();
-        stats.capture_on_disk_bytes = matrix.on_disk_bytes();
-        stats.capture_words_written = matrix.capture_stats().words_written;
-        // Durability counters are cumulative (like `capture_words_written`):
-        // what the WAL + checkpoint layer has cost since the miner was
-        // created.  All zero on non-durable configurations.
-        stats.wal_bytes_written = after.wal_bytes_written;
-        stats.fsyncs = after.fsyncs;
-        stats.checkpoint_bytes = after.checkpoint_bytes;
-        stats.recovery_replayed_batches = after.recovery_replayed_batches;
     }
     stats.elapsed = start.elapsed();
     stats.window_transactions = window_transactions;
@@ -524,7 +516,6 @@ impl std::fmt::Debug for StreamMiner {
 mod tests {
     use super::*;
     use crate::algorithm::Algorithm;
-    use crate::config::StreamMinerBuilder;
     use fsm_types::{EdgeSet, MinSup};
 
     fn paper_batches() -> Vec<Batch> {
@@ -536,14 +527,20 @@ mod tests {
         ]
     }
 
+    /// The paper's example configuration: a two-batch window over the
+    /// complete graph on four vertices, minsup 2.
+    fn config(algorithm: Algorithm) -> MinerConfig {
+        MinerConfig {
+            algorithm,
+            window: WindowConfig::new(2).unwrap(),
+            min_support: MinSup::absolute(2),
+            catalog: Some(EdgeCatalog::complete(4)),
+            ..MinerConfig::default()
+        }
+    }
+
     fn build(algorithm: Algorithm) -> StreamMiner {
-        StreamMinerBuilder::new()
-            .algorithm(algorithm)
-            .window_batches(2)
-            .min_support(MinSup::absolute(2))
-            .complete_graph_vertices(4)
-            .build()
-            .unwrap()
+        StreamMiner::new(config(algorithm)).unwrap()
     }
 
     #[test]
@@ -598,13 +595,11 @@ mod tests {
 
     #[test]
     fn relative_minsup_resolves_against_the_window() {
-        let mut miner = StreamMinerBuilder::new()
-            .algorithm(Algorithm::Vertical)
-            .window_batches(2)
-            .min_support(MinSup::relative(0.5))
-            .complete_graph_vertices(4)
-            .build()
-            .unwrap();
+        let mut miner = StreamMiner::new(MinerConfig {
+            min_support: MinSup::relative(0.5),
+            ..config(Algorithm::Vertical)
+        })
+        .unwrap();
         for batch in paper_batches() {
             miner.ingest_batch(&batch).unwrap();
         }
@@ -616,12 +611,11 @@ mod tests {
 
     #[test]
     fn snapshots_are_interned_and_mined() {
-        let mut miner = StreamMinerBuilder::new()
-            .algorithm(Algorithm::DirectVertical)
-            .window_batches(2)
-            .min_support(MinSup::absolute(2))
-            .build()
-            .unwrap();
+        let mut miner = StreamMiner::new(MinerConfig {
+            catalog: None,
+            ..config(Algorithm::DirectVertical)
+        })
+        .unwrap();
         let graphs = vec![
             GraphSnapshot::from_pairs([(1, 2), (2, 3)]),
             GraphSnapshot::from_pairs([(1, 2), (2, 3), (3, 4)]),
@@ -669,14 +663,11 @@ mod tests {
         use std::sync::Mutex;
         use std::thread::ThreadId;
 
-        let mut miner = StreamMinerBuilder::new()
-            .algorithm(Algorithm::Vertical)
-            .window_batches(2)
-            .min_support(MinSup::absolute(2))
-            .complete_graph_vertices(4)
-            .threads(4)
-            .build()
-            .unwrap();
+        let mut miner = StreamMiner::new(MinerConfig {
+            threads: 4,
+            ..config(Algorithm::Vertical)
+        })
+        .unwrap();
         for batch in paper_batches() {
             miner.ingest_batch(&batch).unwrap();
         }
@@ -733,14 +724,11 @@ mod tests {
     #[test]
     fn resident_bytes_include_the_maintained_delta_state() {
         let build = |delta: bool| {
-            StreamMinerBuilder::new()
-                .algorithm(Algorithm::DirectVertical)
-                .window_batches(2)
-                .min_support(MinSup::absolute(2))
-                .complete_graph_vertices(4)
-                .delta(delta)
-                .build()
-                .unwrap()
+            StreamMiner::new(MinerConfig {
+                delta,
+                ..config(Algorithm::DirectVertical)
+            })
+            .unwrap()
         };
         let (mut delta, mut full) = (build(true), build(false));
         for batch in paper_batches() {

@@ -4,7 +4,7 @@
 //! first experiment, E1, as a property).
 
 use fsm_core::{
-    mine_dstable, mine_dstree, oracle, Algorithm, ConnectivityMode, StreamMinerBuilder,
+    mine_dstable, mine_dstree, oracle, Algorithm, ConnectivityMode, MinerConfig, StreamMiner,
 };
 use fsm_datagen::{GraphModel, GraphModelConfig, GraphStreamConfig, GraphStreamGenerator};
 use fsm_dstable::{DsTable, DsTableConfig};
@@ -76,12 +76,7 @@ proptest! {
 
         // The five DSMatrix algorithms through the facade.
         for algorithm in Algorithm::ALL {
-            let mut miner = StreamMinerBuilder::new()
-                .algorithm(algorithm)
-                .window_batches(window)
-                .min_support(MinSup::absolute(minsup))
-                .catalog(catalog.clone())
-                .build()
+            let mut miner = StreamMiner::new(MinerConfig { algorithm, window: WindowConfig::new(window).unwrap(), min_support: MinSup::absolute(minsup), catalog: Some(catalog.clone()), ..MinerConfig::default() })
                 .unwrap();
             for batch in &batches {
                 miner.ingest_batch(batch).unwrap();
@@ -150,13 +145,7 @@ proptest! {
         let (catalog, batches) = generate_stream(seed, 3, 6);
         let mut results = Vec::new();
         for backend in [StorageBackend::Memory, StorageBackend::DiskTemp] {
-            let mut miner = StreamMinerBuilder::new()
-                .algorithm(Algorithm::DirectVertical)
-                .window_batches(2)
-                .min_support(MinSup::absolute(minsup))
-                .backend(backend)
-                .catalog(catalog.clone())
-                .build()
+            let mut miner = StreamMiner::new(MinerConfig { algorithm: Algorithm::DirectVertical, window: WindowConfig::new(2).unwrap(), min_support: MinSup::absolute(minsup), backend, catalog: Some(catalog.clone()), ..MinerConfig::default() })
                 .unwrap();
             for batch in &batches {
                 miner.ingest_batch(batch).unwrap();

@@ -24,7 +24,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex, PoisonError};
 
-use fsm_core::{miners, Algorithm, DeltaMiner, Exec, StreamMinerBuilder, WorkerPool};
+use fsm_core::{miners, Algorithm, DeltaMiner, Exec, MinerConfig, StreamMiner, WorkerPool};
 use fsm_datagen::DenseGenerator;
 use fsm_dsmatrix::{encode_batch, DsMatrix, DsMatrixConfig, Incoming};
 use fsm_fptree::MiningLimits;
@@ -367,14 +367,16 @@ fn a_steady_state_disk_view_allocates_one_buffer_per_held_row_and_none_for_the_o
             }
             assert_eq!(after.rows_assembled - before.rows_assembled, held);
             // One buffer per held row, sized once at the window's width; the
-            // row table the matrix lends out; and, at budget 0, the buffer
-            // each segment's run is read into.  Nothing for the 221 rows no
-            // live segment holds, nothing per chunk.
+            // row table the matrix lends out; and, at budget 0, per segment
+            // run read, the three buffers of the one way a segment is read —
+            // the run's bytes, the decoded arena and its `Arc`, dropped once
+            // the rows are filled.  Nothing for the 221 rows no live segment
+            // holds, nothing per chunk.
             let runs = after.pages_read - reads;
             assert_eq!(runs, if budget == 0 { WINDOW } else { 0 });
             assert_eq!(
                 allocations,
-                held + 1 + runs,
+                held + 1 + 3 * runs,
                 "budget {budget}, batch {id}: {allocations} allocations for a view of {held} \
                  held rows and {runs} run reads"
             );
@@ -386,14 +388,15 @@ fn a_steady_state_disk_view_allocates_one_buffer_per_held_row_and_none_for_the_o
 fn a_sequential_snapshot_mine_adds_one_allocation_per_row_and_memoises_nothing() {
     // The first test's window, frozen: a snapshot mine assembles its flat
     // rows up front and then is the same enumeration.
-    let mut miner = StreamMinerBuilder::new()
-        .algorithm(Algorithm::DirectVertical)
-        .window_batches(5)
-        .min_support(MinSup::absolute(90)) // 18 % of 500
-        .backend(StorageBackend::Memory)
-        .catalog(EdgeCatalog::complete(17))
-        .build()
-        .unwrap();
+    let mut miner = StreamMiner::new(MinerConfig {
+        algorithm: Algorithm::DirectVertical,
+        window: WindowConfig::new(5).unwrap(),
+        min_support: MinSup::absolute(90), // 18 % of 500
+        backend: StorageBackend::Memory,
+        catalog: Some(EdgeCatalog::complete(17)),
+        ..MinerConfig::default()
+    })
+    .unwrap();
     for batch in DenseGenerator::default().generate_batches(5, 100) {
         miner.ingest_batch(&batch).unwrap();
     }

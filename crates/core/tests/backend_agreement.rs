@@ -21,9 +21,10 @@
 //! footprint: the flat rows a mine assembled are gone when it returns,
 //! however it returns.
 
-use fsm_core::{Algorithm, StreamMiner, StreamMinerBuilder};
+use fsm_core::{Algorithm, MinerConfig, StreamMiner};
 use fsm_storage::{SegmentedWindowStore, StorageBackend, TempDir};
-use fsm_types::{Batch, FsmError, MinSup, Transaction};
+use fsm_stream::WindowConfig;
+use fsm_types::{Batch, EdgeCatalog, FsmError, MinSup, Transaction};
 use proptest::prelude::*;
 
 const VERTICES: u32 = 5;
@@ -49,16 +50,17 @@ fn build(
     budget: usize,
     threads: usize,
 ) -> StreamMiner {
-    StreamMinerBuilder::new()
-        .algorithm(algorithm)
-        .window_batches(window)
-        .min_support(MinSup::absolute(minsup))
-        .backend(backend)
-        .cache_budget_bytes(budget)
-        .threads(threads)
-        .complete_graph_vertices(VERTICES)
-        .build()
-        .unwrap()
+    StreamMiner::new(MinerConfig {
+        algorithm,
+        window: WindowConfig::new(window).unwrap(),
+        min_support: MinSup::absolute(minsup),
+        backend,
+        cache_budget_bytes: budget,
+        threads,
+        catalog: Some(EdgeCatalog::complete(VERTICES)),
+        ..MinerConfig::default()
+    })
+    .unwrap()
 }
 
 fn arb_stream() -> impl Strategy<Value = Vec<Vec<Vec<u32>>>> {
@@ -255,15 +257,16 @@ fn a_disk_mine_releases_its_flat_rows() {
     for budget in [0usize, segment, usize::MAX] {
         let root = TempDir::new("flat-rows").unwrap();
         let segments = root.path().join("segments");
-        let mut miner = StreamMinerBuilder::new()
-            .algorithm(Algorithm::DirectVertical)
-            .window_batches(3)
-            .min_support(MinSup::absolute(2))
-            .backend(StorageBackend::DiskAt(segments.clone()))
-            .cache_budget_bytes(budget)
-            .complete_graph_vertices(64)
-            .build()
-            .unwrap();
+        let mut miner = StreamMiner::new(MinerConfig {
+            algorithm: Algorithm::DirectVertical,
+            window: WindowConfig::new(3).unwrap(),
+            min_support: MinSup::absolute(2),
+            backend: StorageBackend::DiskAt(segments.clone()),
+            cache_budget_bytes: budget,
+            catalog: Some(EdgeCatalog::complete(64)),
+            ..MinerConfig::default()
+        })
+        .unwrap();
         for id in 0..4 {
             miner.ingest_batch(&batch(id)).unwrap();
         }

@@ -17,10 +17,11 @@
 use std::fs;
 use std::path::Path;
 
-use fsm_core::{Algorithm, MiningResult, StreamMinerBuilder};
+use fsm_core::{Algorithm, MinerConfig, MiningResult, StreamMiner};
 use fsm_dsmatrix::encode_batch;
 use fsm_storage::{wal, Checkpoint};
-use fsm_types::{Batch, EdgeId, FsmError, MinSup, Transaction};
+use fsm_stream::WindowConfig;
+use fsm_types::{Batch, EdgeCatalog, EdgeId, FsmError, MinSup, Transaction};
 
 const VERTICES: u32 = 5;
 const EDGES: u32 = 10;
@@ -51,27 +52,32 @@ fn batch_stream(seed: u64, num_batches: usize) -> Vec<Batch> {
         .collect()
 }
 
-fn builder(window: usize) -> StreamMinerBuilder {
-    StreamMinerBuilder::new()
-        .algorithm(Algorithm::DirectVertical)
-        .window_batches(window)
-        .min_support(MinSup::absolute(2))
-        .complete_graph_vertices(VERTICES)
+fn config(window: usize) -> MinerConfig {
+    MinerConfig {
+        algorithm: Algorithm::DirectVertical,
+        window: WindowConfig::new(window).unwrap(),
+        min_support: MinSup::absolute(2),
+        catalog: Some(EdgeCatalog::complete(VERTICES)),
+        ..MinerConfig::default()
+    }
 }
 
-fn durable_builder(window: usize, dir: &Path, every: usize) -> StreamMinerBuilder {
-    builder(window)
-        .backend(fsm_storage::StorageBackend::DiskTemp)
-        .durable(dir)
-        .checkpoint_every(every)
+fn durable_config(window: usize, dir: &Path, every: usize) -> MinerConfig {
+    MinerConfig {
+        backend: fsm_storage::StorageBackend::DiskTemp,
+        durable_dir: Some(dir.into()),
+        checkpoint_every: every,
+        ..config(window)
+    }
 }
 
 /// `expected[j]` = patterns of a never-crashed run after `j` batches.
 fn oracle(window: usize, batches: &[Batch]) -> Vec<MiningResult> {
-    let mut miner = builder(window)
-        .backend(fsm_storage::StorageBackend::Memory)
-        .build()
-        .unwrap();
+    let mut miner = StreamMiner::new(MinerConfig {
+        backend: fsm_storage::StorageBackend::Memory,
+        ..config(window)
+    })
+    .unwrap();
     let mut results = vec![miner.mine().unwrap()];
     for batch in batches {
         miner.ingest_batch(batch).unwrap();
@@ -112,7 +118,7 @@ fn recovery_is_exact_at_every_wal_byte_cut() {
         // Snapshot the durable directory after every commit.
         let root = fsm_storage::TempDir::new("crashpoint").unwrap();
         let live = root.path().join("live");
-        let mut miner = durable_builder(window, &live, every).build().unwrap();
+        let mut miner = StreamMiner::new(durable_config(window, &live, every)).unwrap();
         let mut snapshots = vec![root.path().join("snap-0")];
         copy_dir(&live, &snapshots[0]);
         for (i, batch) in batches.iter().enumerate() {
@@ -140,10 +146,8 @@ fn recovery_is_exact_at_every_wal_byte_cut() {
                 fs::write(&wal_path, wal_bytes).unwrap();
                 fs::write(scene.join("segments").join("seg-999983.run"), b"torn").unwrap();
 
-                let mut recovered = durable_builder(window, &scene, every)
-                    .recover()
-                    .build()
-                    .unwrap();
+                let mut recovered =
+                    StreamMiner::recover(durable_config(window, &scene, every)).unwrap();
                 // A full frame is a durable commit; anything less recovers
                 // the previous slide.
                 let durable_prefix = if cut == frame.len() { i + 1 } else { i };
@@ -174,14 +178,14 @@ fn resumed_stream_matches_uninterrupted_run() {
 
     let root = fsm_storage::TempDir::new("resume").unwrap();
     let dir = root.path().join("durable");
-    let mut miner = durable_builder(window, &dir, 2).build().unwrap();
+    let mut miner = StreamMiner::new(durable_config(window, &dir, 2)).unwrap();
     for batch in &batches[..6] {
         miner.ingest_batch(batch).unwrap();
     }
     // "Crash": drop without any shutdown checkpoint.
     drop(miner);
 
-    let mut resumed = durable_builder(window, &dir, 2).recover().build().unwrap();
+    let mut resumed = StreamMiner::recover(durable_config(window, &dir, 2)).unwrap();
     assert_eq!(resumed.last_batch_id(), Some(5));
     for batch in &batches[6..] {
         resumed.ingest_batch(batch).unwrap();
@@ -206,7 +210,7 @@ fn wal_bit_flip_truncates_at_the_damaged_record() {
     let dir = root.path().join("durable");
     {
         // Interval larger than the stream: the WAL holds all six records.
-        let mut miner = durable_builder(window, &dir, 100).build().unwrap();
+        let mut miner = StreamMiner::new(durable_config(window, &dir, 100)).unwrap();
         for batch in &batches {
             miner.ingest_batch(batch).unwrap();
         }
@@ -222,10 +226,7 @@ fn wal_bit_flip_truncates_at_the_damaged_record() {
     bytes[offset + 20] ^= 0x10;
     fs::write(&wal_path, bytes).unwrap();
 
-    let mut recovered = durable_builder(window, &dir, 100)
-        .recover()
-        .build()
-        .unwrap();
+    let mut recovered = StreamMiner::recover(durable_config(window, &dir, 100)).unwrap();
     let report = recovered.recovery_report().unwrap().clone();
     let torn = report.wal_torn.expect("damage must be reported");
     assert!(
@@ -249,7 +250,7 @@ fn checkpoint_bit_flip_falls_back_to_the_previous_checkpoint() {
     let root = fsm_storage::TempDir::new("ckptflip").unwrap();
     let dir = root.path().join("durable");
     {
-        let mut miner = durable_builder(window, &dir, 2).build().unwrap();
+        let mut miner = StreamMiner::new(durable_config(window, &dir, 2)).unwrap();
         for batch in &batches {
             miner.ingest_batch(batch).unwrap();
         }
@@ -261,7 +262,7 @@ fn checkpoint_bit_flip_falls_back_to_the_previous_checkpoint() {
     bytes[mid] ^= 0x01;
     fs::write(&newest, bytes).unwrap();
 
-    let mut recovered = durable_builder(window, &dir, 2).recover().build().unwrap();
+    let mut recovered = StreamMiner::recover(durable_config(window, &dir, 2)).unwrap();
     let report = recovered.recovery_report().unwrap().clone();
     assert_eq!(report.checkpoint_seq, Some(6), "fell back to the older one");
     assert_eq!(
@@ -291,7 +292,7 @@ fn a_checkpoint_whose_ledger_disagrees_is_refused_and_survived() {
     let expected = oracle(window, &batches);
     let root = fsm_storage::TempDir::new("ckptledger").unwrap();
     let dir = root.path().join("durable");
-    let mut miner = durable_builder(window, &dir, 2).build().unwrap();
+    let mut miner = StreamMiner::new(durable_config(window, &dir, 2)).unwrap();
     for batch in &batches[..8] {
         miner.ingest_batch(batch).unwrap();
     }
@@ -313,7 +314,7 @@ fn a_checkpoint_whose_ledger_disagrees_is_refused_and_survived() {
     checkpoint.supports[row] -= 1;
     checkpoint.write(&dir).unwrap();
 
-    let mut recovered = durable_builder(window, &dir, 2).recover().build().unwrap();
+    let mut recovered = StreamMiner::recover(durable_config(window, &dir, 2)).unwrap();
     for batch in &batches[8..] {
         recovered.ingest_batch(batch).unwrap();
     }
@@ -335,7 +336,7 @@ fn a_checkpoint_whose_index_outgrows_its_run_is_refused_and_survived() {
     let expected = oracle(window, &batches);
     let root = fsm_storage::TempDir::new("ckptrunlen").unwrap();
     let dir = root.path().join("durable");
-    let mut miner = durable_builder(window, &dir, 2).build().unwrap();
+    let mut miner = StreamMiner::new(durable_config(window, &dir, 2)).unwrap();
     for batch in &batches[..8] {
         miner.ingest_batch(batch).unwrap();
     }
@@ -349,7 +350,7 @@ fn a_checkpoint_whose_index_outgrows_its_run_is_refused_and_survived() {
     let lied = format!("seg-{}.run", segment.uid);
     checkpoint.write(&dir).unwrap();
 
-    let mut recovered = durable_builder(window, &dir, 2).recover().build().unwrap();
+    let mut recovered = StreamMiner::recover(durable_config(window, &dir, 2)).unwrap();
     for batch in &batches[8..] {
         recovered.ingest_batch(batch).unwrap();
     }
@@ -375,7 +376,7 @@ fn data_page_bit_flip_is_detected_and_survived() {
     let root = fsm_storage::TempDir::new("pageflip").unwrap();
     let dir = root.path().join("durable");
     {
-        let mut miner = durable_builder(window, &dir, 2).build().unwrap();
+        let mut miner = StreamMiner::new(durable_config(window, &dir, 2)).unwrap();
         for batch in &batches {
             miner.ingest_batch(batch).unwrap();
         }
@@ -409,10 +410,7 @@ fn data_page_bit_flip_is_detected_and_survived() {
         bytes[at] ^= 0x80;
         fs::write(scene.join("segments").join(&name), bytes).unwrap();
 
-        let mut recovered = durable_builder(window, &scene, 2)
-            .recover()
-            .build()
-            .unwrap();
+        let mut recovered = StreamMiner::recover(durable_config(window, &scene, 2)).unwrap();
         let report = recovered.recovery_report().unwrap().clone();
         assert_eq!(
             report.checkpoint_seq,
@@ -450,7 +448,7 @@ fn a_vanished_queued_segment_file_neither_fails_the_ingest_nor_strands_the_queue
     let root = fsm_storage::TempDir::new("gcqueue").unwrap();
     let dir = root.path().join("durable");
     let segments = dir.join("segments");
-    let mut miner = durable_builder(window, &dir, 2).build().unwrap();
+    let mut miner = StreamMiner::new(durable_config(window, &dir, 2)).unwrap();
     // Batch i is segment uid i; a checkpoint follows every second batch.
     // Batches 4 and 5 evict segments 1 and 2, which the checkpoints after
     // batches 3 and 5 still reference; the checkpoint after batch 7 is the
@@ -471,7 +469,7 @@ fn a_vanished_queued_segment_file_neither_fails_the_ingest_nor_strands_the_queue
     }
     drop(miner);
 
-    let mut recovered = durable_builder(window, &dir, 2).recover().build().unwrap();
+    let mut recovered = StreamMiner::recover(durable_config(window, &dir, 2)).unwrap();
     assert_same(
         &recovered.mine().unwrap(),
         &expected[batches.len()],
@@ -513,7 +511,7 @@ fn a_format_v1_directory_is_refused_and_left_untouched() {
         let root = fsm_storage::TempDir::new("formatv1").unwrap();
         let dir = root.path().join("durable");
         {
-            let mut miner = durable_builder(window, &dir, 2).build().unwrap();
+            let mut miner = StreamMiner::new(durable_config(window, &dir, 2)).unwrap();
             for batch in &batch_stream(3, 4) {
                 miner.ingest_batch(batch).unwrap();
             }
@@ -533,10 +531,7 @@ fn a_format_v1_directory_is_refused_and_left_untouched() {
             files
         };
         let before = contents(&dir);
-        let err = durable_builder(window, &dir, 2)
-            .recover()
-            .build()
-            .unwrap_err();
+        let err = StreamMiner::recover(durable_config(window, &dir, 2)).unwrap_err();
         assert!(
             matches!(&err, FsmError::CorruptArtifact { detail, .. } if detail.contains(format)),
             "{err}"
@@ -562,7 +557,7 @@ fn recovery_is_exact_while_a_snapshot_is_still_held() {
 
     let root = fsm_storage::TempDir::new("heldsnap").unwrap();
     let dir = root.path().join("durable");
-    let mut miner = durable_builder(window, &dir, 2).build().unwrap();
+    let mut miner = StreamMiner::new(durable_config(window, &dir, 2)).unwrap();
     // Freeze an epoch mid-stream, then slide through two more checkpoints
     // with the snapshot still live.
     for batch in &batches[..4] {
@@ -576,7 +571,7 @@ fn recovery_is_exact_while_a_snapshot_is_still_held() {
     // snapshot outlives it.
     drop(miner);
 
-    let mut recovered = durable_builder(window, &dir, 2).recover().build().unwrap();
+    let mut recovered = StreamMiner::recover(durable_config(window, &dir, 2)).unwrap();
     assert_eq!(recovered.last_batch_id(), Some(7));
     assert_same(
         &recovered.mine().unwrap(),
@@ -598,20 +593,23 @@ fn recovery_is_exact_while_a_snapshot_is_still_held() {
 #[test]
 fn durability_is_rejected_on_memory_and_free_when_off() {
     let root = fsm_storage::TempDir::new("zerocost").unwrap();
-    let err = builder(2)
-        .backend(fsm_storage::StorageBackend::Memory)
-        .durable(root.path())
-        .build();
+    let err = StreamMiner::new(MinerConfig {
+        backend: fsm_storage::StorageBackend::Memory,
+        durable_dir: Some(root.path().into()),
+        ..config(2)
+    });
     assert!(err.is_err(), "memory backend must reject durability");
 
-    let mut volatile = builder(2)
-        .backend(fsm_storage::StorageBackend::DiskTemp)
-        .build()
-        .unwrap();
+    let mut volatile = StreamMiner::new(MinerConfig {
+        backend: fsm_storage::StorageBackend::DiskTemp,
+        ..config(2)
+    })
+    .unwrap();
     for batch in batch_stream(4, 4) {
         volatile.ingest_batch(&batch).unwrap();
     }
-    let stats = volatile.mine().unwrap().stats().clone();
+    volatile.mine().unwrap();
+    let stats = volatile.matrix_mut().read_stats();
     assert!(!volatile.is_durable());
     assert_eq!(stats.wal_bytes_written, 0);
     assert_eq!(stats.fsyncs, 0);

@@ -25,11 +25,12 @@ use std::sync::{Arc, OnceLock};
 use std::thread;
 
 use fsm_core::{
-    Algorithm, ConnectivityMode, DeltaMiner, DeltaStats, Exec, MiningResult, StreamMiner,
-    StreamMinerBuilder, WorkerPool,
+    Algorithm, ConnectivityMode, DeltaMiner, DeltaStats, Exec, MinerConfig, MiningResult,
+    StreamMiner, WorkerPool,
 };
 use fsm_fptree::MiningLimits;
 use fsm_storage::StorageBackend;
+use fsm_stream::WindowConfig;
 use fsm_types::{Batch, EdgeCatalog, EdgeSet, GraphSnapshot, MinSup, Transaction, VertexId};
 use proptest::prelude::*;
 
@@ -72,19 +73,21 @@ fn build(
     max_len: Option<usize>,
     delta: bool,
 ) -> StreamMiner {
-    let mut builder = StreamMinerBuilder::new()
-        .algorithm(algorithm)
-        .connectivity(connectivity)
-        .window_batches(window)
-        .min_support(minsup)
-        .backend(backend)
-        .threads(threads)
-        .delta(delta)
-        .catalog(two_triangles());
-    if let Some(max) = max_len {
-        builder = builder.max_pattern_len(max);
-    }
-    builder.build().unwrap()
+    StreamMiner::new(MinerConfig {
+        algorithm,
+        window: WindowConfig::new(window).unwrap(),
+        min_support: minsup,
+        connectivity,
+        limits: MiningLimits {
+            max_pattern_len: max_len,
+        },
+        backend,
+        catalog: Some(two_triangles()),
+        threads,
+        delta,
+        ..MinerConfig::default()
+    })
+    .unwrap()
 }
 
 /// A stream of fewer than `max_batches` batches.
@@ -250,10 +253,7 @@ proptest! {
             max => MiningLimits::with_max_len(max),
         };
         let batches = to_batches(&raw);
-        let mut miner = StreamMinerBuilder::new()
-            .window_batches(window)
-            .catalog(catalog.clone())
-            .build()
+        let mut miner = StreamMiner::new(MinerConfig { window: WindowConfig::new(window).unwrap(), catalog: Some(catalog.clone()), ..MinerConfig::default() })
             .unwrap();
         let (inline, fanned) = pools().split_first().unwrap();
         let mut state = DeltaMiner::new();
@@ -400,14 +400,15 @@ fn paper_stream_delta_mines_incrementally() {
     ];
     let batches = to_batches(&raw);
     for backend in [StorageBackend::Memory, StorageBackend::DiskTemp] {
-        let mut miner = StreamMinerBuilder::new()
-            .window_batches(2)
-            .min_support(MinSup::absolute(2))
-            .backend(backend)
-            .delta(true)
-            .complete_graph_vertices(4)
-            .build()
-            .unwrap();
+        let mut miner = StreamMiner::new(MinerConfig {
+            window: WindowConfig::new(2).unwrap(),
+            min_support: MinSup::absolute(2),
+            backend,
+            delta: true,
+            catalog: Some(EdgeCatalog::complete(4)),
+            ..MinerConfig::default()
+        })
+        .unwrap();
         let mut last = None;
         for batch in &batches {
             miner.ingest_batch(batch).unwrap();
@@ -530,14 +531,15 @@ fn direct_vertical_under_the_paper_rule_reports_no_disconnected_collection() {
     let transaction = [pair(1, 2), pair(2, 3), pair(4, 5), pair(5, 6)];
     let batch = Batch::from_transactions(0, vec![Transaction::from_raw(transaction); 3]);
     let mine = |delta: bool| {
-        let mut miner = StreamMinerBuilder::new()
-            .algorithm(Algorithm::DirectVertical)
-            .connectivity(ConnectivityMode::PaperRule)
-            .min_support(MinSup::absolute(2))
-            .delta(delta)
-            .catalog(catalog.clone())
-            .build()
-            .unwrap();
+        let mut miner = StreamMiner::new(MinerConfig {
+            algorithm: Algorithm::DirectVertical,
+            connectivity: ConnectivityMode::PaperRule,
+            min_support: MinSup::absolute(2),
+            delta,
+            catalog: Some(catalog.clone()),
+            ..MinerConfig::default()
+        })
+        .unwrap();
         miner.ingest_batch(&batch).unwrap();
         miner.mine().unwrap()
     };
@@ -617,13 +619,14 @@ fn interning_an_adjacent_vertex_pair_mid_stream_rebuilds_once() {
         snapshots(&[&[(1, 2), (2, 3), (3, 4)], &[(2, 3), (3, 4)]]),
     ];
     let build = |delta: bool| {
-        StreamMinerBuilder::new()
-            .algorithm(Algorithm::Vertical)
-            .window_batches(2)
-            .min_support(MinSup::absolute(2))
-            .delta(delta)
-            .build()
-            .unwrap()
+        StreamMiner::new(MinerConfig {
+            algorithm: Algorithm::Vertical,
+            window: WindowConfig::new(2).unwrap(),
+            min_support: MinSup::absolute(2),
+            delta,
+            ..MinerConfig::default()
+        })
+        .unwrap()
     };
     let (mut delta_miner, mut oracle) = (build(true), build(false));
     let mut rebuilds = Vec::new();
@@ -651,11 +654,12 @@ fn interning_an_adjacent_vertex_pair_mid_stream_rebuilds_once() {
 fn catalog_growth_alone_rebuilds_the_connected_tree() {
     let narrow = catalog_of(&[(1, 2), (2, 3)]);
     let wide = catalog_of(&[(1, 2), (2, 3), (3, 4)]);
-    let mut miner = StreamMinerBuilder::new()
-        .window_batches(2)
-        .catalog(wide.clone())
-        .build()
-        .unwrap();
+    let mut miner = StreamMiner::new(MinerConfig {
+        window: WindowConfig::new(2).unwrap(),
+        catalog: Some(wide.clone()),
+        ..MinerConfig::default()
+    })
+    .unwrap();
     let batches = to_batches(&[vec![vec![0, 1, 2], vec![0, 1, 2]], vec![vec![1, 2]]]);
     let mut state = DeltaMiner::new();
     let exec = Exec::scoped(1);

@@ -20,13 +20,19 @@
 //! streams, windows and thresholds.  A second test pins relative-threshold
 //! semantics: `MinSup::relative` resolves against the *epoch's* transaction
 //! count at snapshot time, not the live window's at mine time.
+//!
+//! A mine's statistics depend on its epoch alone, too: every epoch's frozen
+//! mine reports what the oracle's stop-the-world mine reports, but for the
+//! wall clock and the read counters of the live window the oracle read.
 
 use std::sync::mpsc;
 use std::thread;
+use std::time::Duration;
 
-use fsm_core::{Algorithm, MinerSnapshot, MiningResult, StreamMiner, StreamMinerBuilder};
+use fsm_core::{Algorithm, MinerConfig, MinerSnapshot, MiningResult, MiningStats, StreamMiner};
 use fsm_storage::StorageBackend;
-use fsm_types::{Batch, BatchId, MinSup, Transaction};
+use fsm_stream::WindowConfig;
+use fsm_types::{Batch, BatchId, EdgeCatalog, MinSup, Transaction};
 use proptest::prelude::*;
 
 const VERTICES: u32 = 5;
@@ -55,16 +61,17 @@ fn build(
     budget: usize,
     threads: usize,
 ) -> StreamMiner {
-    StreamMinerBuilder::new()
-        .algorithm(algorithm)
-        .window_batches(window)
-        .min_support(minsup)
-        .backend(backend)
-        .cache_budget_bytes(budget)
-        .threads(threads)
-        .complete_graph_vertices(VERTICES)
-        .build()
-        .unwrap()
+    StreamMiner::new(MinerConfig {
+        algorithm,
+        window: WindowConfig::new(window).unwrap(),
+        min_support: minsup,
+        backend,
+        cache_budget_bytes: budget,
+        threads,
+        catalog: Some(EdgeCatalog::complete(VERTICES)),
+        ..MinerConfig::default()
+    })
+    .unwrap()
 }
 
 fn arb_stream() -> impl Strategy<Value = Vec<Vec<Vec<u32>>>> {
@@ -110,6 +117,18 @@ fn oracle_at(
         }
     }
     miner.mine().unwrap()
+}
+
+/// A mine's statistics with what depends on more than its epoch zeroed: the
+/// wall clock, and the read counters of a live window.
+fn epoch_stats(result: &MiningResult) -> MiningStats {
+    MiningStats {
+        elapsed: Duration::ZERO,
+        read_words_assembled: 0,
+        pages_read: 0,
+        cache_hits: 0,
+        ..result.stats().clone()
+    }
 }
 
 /// Slides `batches` through `miner` while a pool of reader threads mines
@@ -196,6 +215,12 @@ proptest! {
                             "{} {} threads={} epoch={:?}: {:?}",
                             algorithm, label, threads, epoch, expected.diff(result)
                         );
+                        prop_assert_eq!(
+                            epoch_stats(result),
+                            epoch_stats(&expected),
+                            "{} {} threads={} epoch={:?}: statistics",
+                            algorithm, label, threads, epoch
+                        );
                     }
                 }
             }
@@ -229,6 +254,11 @@ fn every_algorithm_survives_the_concurrent_harness() {
                 result.same_patterns_as(&expected),
                 "{algorithm} epoch={epoch:?}: {:?}",
                 expected.diff(&result)
+            );
+            assert_eq!(
+                epoch_stats(&result),
+                epoch_stats(&expected),
+                "{algorithm} epoch={epoch:?}: statistics"
             );
         }
     }

@@ -7,7 +7,8 @@
 //! reports: 17 collections of frequently co-occurring edges, of which 15 are
 //! connected subgraphs once {a,f} and {c,d} are pruned.
 
-use fsm_core::{Algorithm, ConnectivityMode, StreamMinerBuilder};
+use fsm_core::{Algorithm, ConnectivityMode, MinerConfig, StreamMiner};
+use fsm_stream::WindowConfig;
 use fsm_types::{EdgeCatalog, EdgeSet, GraphSnapshot, MinSup};
 
 /// The nine graphs of Figure 1, expressed as vertex pairs.
@@ -26,14 +27,15 @@ fn figure_1_stream() -> Vec<GraphSnapshot> {
 }
 
 fn miner_for(algorithm: Algorithm, connectivity: ConnectivityMode) -> fsm_core::StreamMiner {
-    StreamMinerBuilder::new()
-        .algorithm(algorithm)
-        .window_batches(2)
-        .min_support(MinSup::absolute(2))
-        .connectivity(connectivity)
-        .catalog(EdgeCatalog::complete(4))
-        .build()
-        .expect("valid configuration")
+    StreamMiner::new(MinerConfig {
+        algorithm,
+        window: WindowConfig::new(2).unwrap(),
+        min_support: MinSup::absolute(2),
+        connectivity,
+        catalog: Some(EdgeCatalog::complete(4)),
+        ..MinerConfig::default()
+    })
+    .expect("valid configuration")
 }
 
 fn run(algorithm: Algorithm, connectivity: ConnectivityMode) -> fsm_core::MiningResult {

@@ -364,10 +364,7 @@ fn delta_state_rebuilds_exactly_on_thaw() {
 /// Publishing to a subscriber is the tenant's ordinary mine, so it leaves
 /// behind what an ordinary mine leaves behind: a disk tenant mined on every
 /// slide reports the resident bytes of an unsubscribed twin mined once at
-/// the end — bookkeeping plus at most its residency budget.  (Publishing
-/// from an epoch snapshot instead would keep the snapshot's decoded copy of
-/// every non-resident segment alive in the matrix's epoch memo until the
-/// next ingest: a copy of the window outside that budget.)
+/// the end — bookkeeping plus at most its residency budget.
 #[test]
 fn a_subscribed_disk_tenant_holds_no_more_than_an_unsubscribed_one() {
     let disk = MinerConfig {

@@ -12,7 +12,7 @@
 //! It also pins the read cost directly: a steady-state mine-after-slide
 //! assembles the same, non-zero, number of words on both backends.
 
-use fsm_core::{miners, Algorithm, Exec, StreamMinerBuilder};
+use fsm_core::{miners, Algorithm, Exec, MinerConfig, StreamMiner};
 use fsm_dsmatrix::{DsMatrix, DsMatrixConfig};
 use fsm_fptree::MiningLimits;
 use fsm_storage::StorageBackend;
@@ -104,14 +104,15 @@ proptest! {
 fn memory_and_disk_mines_assemble_the_same_words() {
     for algorithm in Algorithm::ALL {
         let build = |backend: StorageBackend| {
-            StreamMinerBuilder::new()
-                .algorithm(algorithm)
-                .window_batches(3)
-                .min_support(MinSup::absolute(2))
-                .backend(backend)
-                .complete_graph_vertices(VERTICES)
-                .build()
-                .unwrap()
+            StreamMiner::new(MinerConfig {
+                algorithm,
+                window: WindowConfig::new(3).unwrap(),
+                min_support: MinSup::absolute(2),
+                backend,
+                catalog: Some(EdgeCatalog::complete(VERTICES)),
+                ..MinerConfig::default()
+            })
+            .unwrap()
         };
         let mut memory = build(StorageBackend::Memory);
         let mut disk = build(StorageBackend::DiskTemp);

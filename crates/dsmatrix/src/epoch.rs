@@ -54,9 +54,8 @@ use crate::view::WindowView;
 ///
 /// Built by [`crate::DsMatrix::snapshot_epoch`]; `Send + Sync`, so it can be
 /// handed to another thread and mined there while the source matrix keeps
-/// ingesting.  Two snapshots of the same epoch share their segment data (and
-/// the matrix memoises the last one, so repeated calls without an intervening
-/// ingest return the same `Arc`).
+/// ingesting.  Two snapshots of the same epoch share their resident segment
+/// data; the matrix keeps neither of them.
 #[derive(Debug)]
 pub struct EpochSnapshot {
     /// Store generation this snapshot froze (see
@@ -66,8 +65,8 @@ pub struct EpochSnapshot {
     batches: usize,
     /// Newest batch id at the epoch (`None` for an empty window).
     last_batch_id: Option<BatchId>,
-    /// The window's segments, oldest first, shared with the store (memory
-    /// backend) or with its decode memo (disk backends).
+    /// The window's segments, oldest first: shared with the store while
+    /// resident, otherwise decoded for this snapshot alone (disk backends).
     segments: Vec<Arc<EpochSegment>>,
     /// Frozen singleton supports: `supports[i]` is the popcount of item `i`'s
     /// window row at the epoch.
@@ -285,19 +284,6 @@ mod tests {
                 assert_eq!(snap.last_batch_id(), m.last_batch_id());
             }
         }
-    }
-
-    #[test]
-    fn snapshots_of_one_epoch_are_memoised_and_new_epochs_are_not() {
-        let mut m = matrix(StorageBackend::Memory, 0);
-        m.ingest_batch(&paper_batches()[0]).unwrap();
-        let first = m.snapshot_epoch().unwrap();
-        let again = m.snapshot_epoch().unwrap();
-        assert!(std::sync::Arc::ptr_eq(&first, &again));
-        m.ingest_batch(&paper_batches()[1]).unwrap();
-        let next = m.snapshot_epoch().unwrap();
-        assert!(!std::sync::Arc::ptr_eq(&first, &next));
-        assert_ne!(first.epoch(), next.epoch());
     }
 
     #[test]

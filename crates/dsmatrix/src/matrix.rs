@@ -455,10 +455,6 @@ pub struct DsMatrix {
     /// GC).  `None` on volatile matrices — including every memory-backend
     /// matrix — so the non-durable ingest path pays exactly one branch.
     durable: Option<DurableState>,
-    /// Memo of the newest [`DsMatrix::snapshot_epoch`] result, invalidated
-    /// by every ingest: repeated snapshot calls within one epoch return the
-    /// same `Arc` (and prove it with pointer equality in tests).
-    last_snapshot: Option<Arc<EpochSnapshot>>,
     /// The residency budget this matrix *wants*; what it actually gets is
     /// `lease.request(desired)` when governed, `desired` otherwise.
     desired_cache_budget: usize,
@@ -513,7 +509,6 @@ impl DsMatrix {
             rows: Vec::new(),
             read_stats: ReadStats::default(),
             durable,
-            last_snapshot: None,
             desired_cache_budget: config.cache_budget_bytes,
             lease,
         }
@@ -911,11 +906,6 @@ impl DsMatrix {
         cols: usize,
         build: impl FnOnce(Vec<u64>) -> Result<EpochSegment>,
     ) -> Result<SlideOutcome> {
-        // The window is about to change epoch; snapshots already handed out
-        // stay valid (they own their data), only the memo goes stale.
-        // Dropping it here also releases the matrix's own reference to the
-        // evicted segment, so reclamation is driven by readers alone.
-        self.last_snapshot = None;
         let outcome = self.window.push(batch_id, cols);
         let mut entering = Vec::new();
         if let Some((_, cols)) = outcome.evicted {
@@ -1256,33 +1246,26 @@ impl DsMatrix {
     /// them.  On the disk backends a segment the budget does not hold is
     /// decoded from its run for this snapshot
     /// ([`fsm_storage::SegmentedWindowStore::epoch_segment`]) and owned by it
-    /// alone, outside the budget, until the snapshot is dropped.  Within one
-    /// epoch repeated calls return the same `Arc`.  Old epochs are reclaimed
-    /// by plain `Arc` drops — a slide, [`DsMatrix::set_cache_budget`] or a
-    /// later mine never invalidates a held snapshot.
+    /// alone, outside the budget, until the snapshot is dropped.  Each call
+    /// builds a new snapshot, and the matrix keeps none of them: epochs are
+    /// reclaimed by plain `Arc` drops alone — a slide,
+    /// [`DsMatrix::set_cache_budget`] or a later mine never invalidates a
+    /// held snapshot.
     pub fn snapshot_epoch(&mut self) -> Result<Arc<EpochSnapshot>> {
-        let epoch = self.store.generation();
-        if let Some(snapshot) = &self.last_snapshot {
-            if snapshot.epoch() == epoch {
-                return Ok(Arc::clone(snapshot));
-            }
-        }
         let mut segments = Vec::with_capacity(self.store.num_segments());
         for seg in 0..self.store.num_segments() {
             segments.push(self.store.epoch_segment(seg)?);
         }
         debug_assert!(self.supports.len() >= self.num_items);
-        let snapshot = Arc::new(EpochSnapshot::new(
-            epoch,
+        Ok(Arc::new(EpochSnapshot::new(
+            self.store.generation(),
             self.window.num_batches(),
             self.window.newest(),
             segments,
             self.supports[..self.num_items].to_vec(),
             self.num_items,
             self.num_cols,
-        ));
-        self.last_snapshot = Some(Arc::clone(&snapshot));
-        Ok(snapshot)
+        )))
     }
 
     /// Cumulative read-path cost counters (words assembled, segment runs
@@ -1966,8 +1949,8 @@ mod tests {
 
     /// A disk snapshot is held to the budget: what the store keeps decoded
     /// after a snapshot is at most the residency budget, and a segment the
-    /// budget does not hold lives only as long as the snapshot (and the
-    /// matrix's memo of it, until the next ingest) references it.
+    /// budget does not hold lives only as long as the snapshot references
+    /// it.
     #[test]
     fn a_disk_snapshot_keeps_no_more_decoded_than_the_budget() {
         let window = 5;
@@ -2000,9 +1983,8 @@ mod tests {
         assert_eq!(probes.len(), window);
         drop(snapshot);
         assert_eq!(zero.resident_bytes(), baseline);
-        // The memo holds the epoch until the next ingest; then no segment of
-        // it survives, the four still in the window included.
-        zero.ingest_batch(&paper_batches()[0]).unwrap();
+        // No segment of it survives the snapshot, though all are still in
+        // the window.
         assert!(probes.iter().all(|probe| probe.upgrade().is_none()));
 
         // Whatever the snapshot decoded, the store keeps at most the budget
@@ -2022,6 +2004,24 @@ mod tests {
                 assert_eq!(decoded, held, "a covering budget keeps the whole window");
             }
         }
+    }
+
+    /// The matrix keeps no snapshot of its own: what a disk snapshot decoded
+    /// outside a zero budget is freed with the last `Arc` its readers drop,
+    /// with no ingest needed to let it go.
+    #[test]
+    fn a_dropped_disk_snapshot_frees_what_it_decoded() {
+        let mut m = DsMatrix::new(DsMatrixConfig::new(
+            WindowConfig::new(2).unwrap(),
+            StorageBackend::DiskTemp,
+            6,
+        ))
+        .unwrap();
+        m.ingest_batch(&paper_batches()[0]).unwrap();
+        let snapshot = m.snapshot_epoch().unwrap();
+        let probe = Arc::downgrade(&snapshot.segments()[0]);
+        drop(snapshot);
+        assert!(probe.upgrade().is_none());
     }
 
     /// Satellite regression: `words_assembled` is counted in 64-bit words of

@@ -8,13 +8,12 @@
 //! segment is in the live window, shared by every snapshot that covers it.
 //! A disk segment the budget does not hold is decoded afresh for each
 //! snapshot, and that copy lives exactly as long as the snapshot does.  The
-//! matrix's own epoch memo references the newest snapshot until the next
-//! ingest invalidates it.
+//! matrix keeps no snapshot of its own.
 //!
 //! These tests pin that rule against a `HashMap` shadow model: a `Weak`
 //! probe is taken for every decoded copy the moment a snapshot first
 //! exposes it, an oracle tracks each copy's external refcount and whether
-//! the matrix keeps it (memo or residency), and after every step —
+//! the matrix keeps it resident, and after every step —
 //! randomized drop orders, and drops randomly interleaved with further
 //! slides — every probe's `upgrade()` must agree with the oracle.  No copy
 //! may be reclaimed while referenced; every copy must be reclaimed once its
@@ -137,8 +136,8 @@ impl Shadow {
     }
 
     /// Every probe must agree with the oracle: alive iff the matrix keeps
-    /// it (`kept`: its memo's or its resident copies) or an undropped
-    /// snapshot still references it.
+    /// it (`kept`: its resident copies) or an undropped snapshot still
+    /// references it.
     fn check(&self, kept: &[Decoded], context: &str) {
         for (copy, (uid, probe)) in &self.probes {
             let expected = kept.contains(copy) || self.refs[copy] > 0;
@@ -156,8 +155,7 @@ impl Shadow {
 /// Slide a full stream holding every epoch's snapshot, then drop the
 /// snapshots in a randomized order: a segment must survive exactly until
 /// its last reader drops, and the snapshot *objects* themselves must die
-/// with their last `Arc` — except the newest epoch's, which the matrix memo
-/// keeps until the next ingest invalidates it.
+/// with their last `Arc`, the newest epoch's included.
 #[test]
 fn no_segment_outlives_its_last_reader() {
     const BATCHES: usize = 8;
@@ -176,6 +174,8 @@ fn no_segment_outlives_its_last_reader() {
                 held.push(Some((snap, copies)));
             }
             let window: Vec<Decoded> = held.last().unwrap().as_ref().unwrap().1.clone();
+            // The copies the matrix keeps: the live window's, when resident.
+            let kept: Vec<Decoded> = if resident { window.clone() } else { Vec::new() };
             // A resident segment is one copy, shared by every epoch; any
             // other is decoded once per snapshot covering it.
             for id in 0..BATCHES as u64 {
@@ -193,25 +193,17 @@ fn no_segment_outlives_its_last_reader() {
                 let (snap, copies) = held[idx].take().unwrap();
                 drop(snap);
                 shadow.release(&copies);
-                shadow.check(&window, &format!("{label} seed={seed} after drop {idx}"));
-                // The snapshot object itself: reclaimed with its last Arc,
-                // except the newest epoch, which the matrix memo still holds.
-                assert_eq!(
-                    snapshot_probes[idx].upgrade().is_some(),
-                    idx == BATCHES - 1,
-                    "{label} seed={seed}: snapshot {idx} liveness after its drop"
+                shadow.check(&kept, &format!("{label} seed={seed} after drop {idx}"));
+                // The snapshot object itself: reclaimed with its last Arc.
+                assert!(
+                    snapshot_probes[idx].upgrade().is_none(),
+                    "{label} seed={seed}: snapshot {idx} outlived its drop"
                 );
             }
 
-            // The next ingest invalidates the memo: the newest epoch's
-            // snapshot dies, the popped segment's last reference with it —
-            // and, where the budget holds no segment, every copy the
-            // snapshot held.
+            // The next ingest pops the oldest segment: its last reference
+            // goes with it.
             m.ingest_batch(&batch(BATCHES as u64)).unwrap();
-            assert!(
-                snapshot_probes[BATCHES - 1].upgrade().is_none(),
-                "{label} seed={seed}: the memo must not outlive the next ingest"
-            );
             let survivors: Vec<Decoded> = if resident {
                 window[1..].to_vec()
             } else {
@@ -235,14 +227,14 @@ fn no_segment_outlives_its_last_reader() {
 #[test]
 fn interleaved_slides_and_drops_follow_the_shadow_model() {
     const BATCHES: u64 = 10;
-    for (label, backend, budget, _) in corners() {
+    for (label, backend, budget, resident) in corners() {
         for seed in 1u64..=4 {
             let mut rng = Xorshift::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
             let mut m = matrix(backend.clone(), budget);
             let mut shadow = Shadow::default();
             let mut held: Vec<(Arc<EpochSnapshot>, Vec<Decoded>)> = Vec::new();
-            // The newest snapshot's copies, which the matrix memo keeps.
-            let mut window: Vec<Decoded> = Vec::new();
+            // The copies the matrix keeps: the live window's, when resident.
+            let mut kept: Vec<Decoded> = Vec::new();
             let mut next_id = 0u64;
             let mut step = 0usize;
             while next_id < BATCHES || !held.is_empty() {
@@ -251,15 +243,18 @@ fn interleaved_slides_and_drops_follow_the_shadow_model() {
                     m.ingest_batch(&batch(next_id)).unwrap();
                     next_id += 1;
                     let snap = m.snapshot_epoch().unwrap();
-                    window = shadow.acquire(&snap);
-                    held.push((snap, window.clone()));
+                    let copies = shadow.acquire(&snap);
+                    if resident {
+                        kept = copies.clone();
+                    }
+                    held.push((snap, copies));
                 } else {
                     let idx = rng.below(held.len() as u64) as usize;
                     let (snap, copies) = held.swap_remove(idx);
                     drop(snap);
                     shadow.release(&copies);
                 }
-                shadow.check(&window, &format!("{label} seed={seed} step {step}"));
+                shadow.check(&kept, &format!("{label} seed={seed} step {step}"));
                 step += 1;
             }
             drop(m);

@@ -89,7 +89,7 @@ fn mine_db(db: &ProjectedDb, state: &mut RecursionState, suffix: &[EdgeId]) {
         return;
     }
     let tree = FpTree::build(db, state.minsup);
-    let bytes = tree.stats().resident_bytes;
+    let bytes = tree.heap_bytes();
     state.tree_built(bytes);
 
     // Items are processed in reverse canonical order (bottom-up): every

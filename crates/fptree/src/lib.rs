@@ -44,7 +44,7 @@ pub mod tree;
 pub use growth::mine_recursive;
 pub use subsets::mine_by_subset_enumeration;
 pub use topdown::mine_top_down;
-pub use tree::{FpTree, TreeStats};
+pub use tree::FpTree;
 
 use fsm_types::{EdgeId, Support};
 

@@ -25,7 +25,7 @@ pub fn mine_top_down(db: &ProjectedDb, minsup: Support, limits: MiningLimits) ->
     let footprint = Footprint {
         trees_built: usize::from(!tree.is_empty()),
         peak_trees: usize::from(!tree.is_empty()),
-        peak_tree_bytes: tree.stats().resident_bytes,
+        peak_tree_bytes: tree.heap_bytes(),
     };
     if tree.is_empty() {
         return MineOutcome {

@@ -23,17 +23,6 @@ pub struct FpNode {
     pub children: Vec<NodeIdx>,
 }
 
-/// Size statistics of a tree, used by the space experiment.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TreeStats {
-    /// Number of nodes excluding the root.
-    pub nodes: usize,
-    /// Depth of the deepest node.
-    pub depth: usize,
-    /// Estimated resident bytes (nodes, child lists and header links).
-    pub resident_bytes: usize,
-}
-
 /// An FP-tree over canonical-order transactions.
 ///
 /// Unlike the classic FP-growth presentation, items are *not* reordered by
@@ -189,19 +178,10 @@ impl FpTree {
         db
     }
 
-    /// Size statistics for memory accounting.
-    pub fn stats(&self) -> TreeStats {
-        let nodes = self.nodes.len() - 1;
-        let mut depth = 0;
-        for idx in 1..self.nodes.len() {
-            let mut d = 0;
-            let mut current = idx;
-            while current != 0 {
-                d += 1;
-                current = self.nodes[current].parent;
-            }
-            depth = depth.max(d);
-        }
+    /// Estimated heap bytes of the tree — its nodes, their child lists and
+    /// the header table's node-links — what the space experiment charges a
+    /// built FP-tree.
+    pub fn heap_bytes(&self) -> usize {
         let node_bytes = self.nodes.len() * std::mem::size_of::<FpNode>();
         let child_bytes: usize = self
             .nodes
@@ -215,11 +195,7 @@ impl FpTree {
                 links.len() * std::mem::size_of::<NodeIdx>() + std::mem::size_of::<EdgeId>()
             })
             .sum();
-        TreeStats {
-            nodes,
-            depth,
-            resident_bytes: node_bytes + child_bytes + header_bytes,
-        }
+        node_bytes + child_bytes + header_bytes
     }
 }
 
@@ -273,7 +249,7 @@ mod tests {
     fn empty_tree() {
         let tree = FpTree::new();
         assert!(tree.is_empty());
-        assert_eq!(tree.stats().nodes, 0);
+        assert_eq!(tree.nodes.len() - 1, 0);
         assert_eq!(tree.item_support(EdgeId::new(0)), 0);
         assert!(tree.node_links(EdgeId::new(0)).is_empty());
     }
@@ -285,7 +261,7 @@ mod tests {
         tree.insert(&ids(&[2, 3]), 2);
         tree.insert(&ids(&[2, 5]), 1);
         // Nodes: c (shared), d, f, f — four item nodes.
-        assert_eq!(tree.stats().nodes, 4);
+        assert_eq!(tree.nodes.len() - 1, 4);
         assert_eq!(tree.item_support(EdgeId::new(2)), 4);
         assert_eq!(tree.item_support(EdgeId::new(3)), 3);
         assert_eq!(tree.item_support(EdgeId::new(5)), 2);
@@ -361,11 +337,12 @@ mod tests {
     }
 
     #[test]
-    fn stats_report_nodes_depth_and_bytes() {
+    fn heap_bytes_count_nodes_links_and_headers() {
         let tree = FpTree::build(&example_2_projected_db(), 1);
-        let stats = tree.stats();
-        assert!(stats.nodes >= 6);
-        assert!(stats.depth >= 3);
-        assert!(stats.resident_bytes > 0);
+        assert!(
+            tree.nodes.len() > 6,
+            "six item nodes below the root, at least"
+        );
+        assert!(tree.heap_bytes() > FpTree::new().heap_bytes());
     }
 }

@@ -268,7 +268,17 @@ fn handle(
     }
 }
 
-/// Materialises the [`MinerConfig`] a [`TenantSpec`] describes.  Durable
+/// The largest path catalog a [`TenantSpec`] may ask for, in edges.
+/// Building a catalog grows faster than linearly in its size, and a
+/// `CreateTenant` frame holds its connection while it builds.
+const MAX_PATH_EDGES: u32 = 65_536;
+
+/// The largest complete-graph catalog a [`TenantSpec`] may ask for, in
+/// vertices: 8 128 edges.
+const MAX_COMPLETE_VERTICES: u32 = 128;
+
+/// Materialises the [`MinerConfig`] a [`TenantSpec`] describes, refusing a
+/// catalog over its kind's limit before building any of it.  Durable
 /// directories and the governor stay the registry's business.
 pub fn miner_config(spec: &TenantSpec) -> Result<MinerConfig> {
     let algorithm = *Algorithm::ALL.get(spec.algorithm as usize).ok_or_else(|| {
@@ -278,15 +288,26 @@ pub fn miner_config(spec: &TenantSpec) -> Result<MinerConfig> {
             Algorithm::ALL.len()
         ))
     })?;
-    let catalog = match spec.catalog_kind {
-        0 => EdgeCatalog::path(spec.catalog_n),
-        1 => EdgeCatalog::complete(spec.catalog_n),
+    let (build, limit, unit): (fn(u32) -> EdgeCatalog, u32, &str) = match spec.catalog_kind {
+        0 => (EdgeCatalog::path, MAX_PATH_EDGES, "edges of a path"),
+        1 => (
+            EdgeCatalog::complete,
+            MAX_COMPLETE_VERTICES,
+            "vertices of a complete graph",
+        ),
         other => {
             return Err(FsmError::config(format!(
                 "unknown catalog kind {other} (0 = path, 1 = complete)"
             )))
         }
     };
+    if spec.catalog_n > limit {
+        return Err(FsmError::config(format!(
+            "catalog_n {} is over the limit of {limit} {unit}",
+            spec.catalog_n
+        )));
+    }
+    let catalog = build(spec.catalog_n);
     let backend = match spec.backend {
         0 => StorageBackend::Memory,
         1 => StorageBackend::DiskTemp,
@@ -311,4 +332,31 @@ pub fn miner_config(spec: &TenantSpec) -> Result<MinerConfig> {
         delta: spec.delta,
         ..MinerConfig::default()
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn spec(catalog_kind: u8, catalog_n: u32) -> TenantSpec {
+        TenantSpec {
+            catalog_kind,
+            catalog_n,
+            ..TenantSpec::new("wide")
+        }
+    }
+
+    #[test]
+    fn catalogs_over_their_kinds_limit_are_refused() {
+        for (kind, limit) in [(0, MAX_PATH_EDGES), (1, MAX_COMPLETE_VERTICES)] {
+            let err = miner_config(&spec(kind, u32::MAX)).unwrap_err();
+            assert!(
+                matches!(&err, FsmError::InvalidConfig(message) if message.contains(&limit.to_string())),
+                "kind {kind}: {err}"
+            );
+            assert!(miner_config(&spec(kind, limit + 1)).is_err(), "kind {kind}");
+            let config = miner_config(&spec(kind, limit)).unwrap();
+            assert!(config.catalog.unwrap().num_edges() > 0, "kind {kind}");
+        }
+    }
 }

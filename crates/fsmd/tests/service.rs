@@ -321,8 +321,10 @@ fn spilled_tenants_are_served_transparently_over_the_socket() {
 }
 
 /// Protocol-level failures are reported as error responses, not hangups:
-/// unknown tenants, duplicate creates, malformed opcodes and polls without
-/// a subscription all leave the connection serving.
+/// unknown tenants, duplicate creates, malformed opcodes, polls without a
+/// subscription and catalogs over their kind's limit (`catalog_n =
+/// u32::MAX` used to build for as long as the connection lived) all leave
+/// the connection serving.
 #[test]
 fn errors_are_responses_not_hangups() {
     let (_registry, handle) = start(RegistryConfig::default());
@@ -347,6 +349,15 @@ fn errors_are_responses_not_hangups() {
         .unwrap_err()
         .to_string();
     assert!(err.contains("tenant id"), "got: {err}");
+    for kind in [0, 1] {
+        let huge = TenantSpec {
+            catalog_kind: kind,
+            catalog_n: u32::MAX,
+            ..spec(&format!("huge-{kind}"), 4, 0)
+        };
+        let err = client.create_tenant(&huge).unwrap_err().to_string();
+        assert!(err.contains("over the limit"), "kind {kind}: {err}");
+    }
     // The connection is still alive and serving after all of the above.
     client.ping().unwrap();
     assert_eq!(client.list_tenants().unwrap(), vec!["dup".to_string()]);

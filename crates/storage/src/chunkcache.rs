@@ -13,7 +13,6 @@
 
 use std::sync::Arc;
 
-use crate::bitvec::BitVec;
 use crate::segment::EpochSegment;
 
 /// The byte budget resident disk segments are charged against, and the
@@ -28,8 +27,6 @@ pub(crate) struct Residency {
     pub(crate) runs_read: u64,
     /// Chunks served from resident disk segments so far.
     pub(crate) hits: u64,
-    /// Reusable chunk a refused segment's run is decoded through.
-    pub(crate) chunk: BitVec,
 }
 
 impl Residency {
@@ -96,6 +93,7 @@ mod tests {
     use std::collections::{BTreeMap, VecDeque};
 
     use super::*;
+    use crate::bitvec::BitVec;
     use crate::segment::{decoded_bytes, SegmentedWindowStore, StorageBackend};
 
     /// The chunk every pushed row holds: `cols` bits, every third set.

@@ -14,9 +14,9 @@
 //! | then | `n` chunks in index order, each [`crate::BitVec::to_bytes`]: its bit count (`cols`), then its words |
 //!
 //! Every chunk of a segment is `cols` bits wide, so every chunk is
-//! [`chunk_bytes`]`(cols)` long, the chunk of index slot `i` starts at
-//! [`chunk_offset`] — no per-row offset table — and the payload is exactly
-//! `n × (8 + chunk_bytes(cols))` bytes.  The CRC covers every other byte of
+//! [`chunk_bytes`]`(cols)` long, the chunk of index slot `i` starts at byte
+//! `40 + 8n + i × chunk_bytes(cols)` — no per-row offset table — and the
+//! payload is exactly `n × (8 + chunk_bytes(cols))` bytes.  The CRC covers every other byte of
 //! the run, and [`check`] compares it before a single field is trusted.
 //!
 //! Format v1 kept each chunk alone in a zero-padded 1 KiB page of
@@ -41,12 +41,6 @@ const CRC_AT: usize = 36;
 /// words.
 pub(crate) fn chunk_bytes(cols: usize) -> usize {
     8 + cols.div_ceil(64) * 8
-}
-
-/// Byte offset of index slot `slot`'s chunk in a run of `rows` chunks of
-/// `chunk_bytes` each.
-pub(crate) fn chunk_offset(rows: usize, chunk_bytes: usize, slot: usize) -> usize {
-    HEADER_BYTES + 8 * rows + slot * chunk_bytes
 }
 
 /// Length of a run of `rows` chunks of `cols` bits, or `None` if it does

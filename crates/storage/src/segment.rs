@@ -58,8 +58,7 @@
 //!   whose arena it has just encoded the run from if it fits.
 //!   A read of a non-resident segment reads its run once, CRC-verified, and
 //!   offers the decoded segment the same way; a refused one serves that
-//!   read and is dropped — [`SegmentedWindowStore::assemble_rows`] streams
-//!   it into the rows instead of decoding a copy to drop.  The one
+//!   read and is dropped.  The one
 //!   production access pattern is a cyclic scan of the window in the same
 //!   order every pass, and on a cyclic scan larger than the budget
 //!   evict-to-admit would throw out exactly what the next pass needs;
@@ -74,8 +73,8 @@
 //!   are counted in [`SegmentedWindowStore::runs_read`], chunks served from
 //!   resident disk segments in [`SegmentedWindowStore::resident_hits`].
 //! * [`SegmentedWindowStore::generation`] is a monotonic counter bumped by
-//!   every segment append or drop: the identity of a window epoch, which is
-//!   what a memoised epoch snapshot is checked against.
+//!   every segment append or drop: the identity of a window epoch, which an
+//!   epoch snapshot carries and a delta miner checks its state against.
 //!
 //! Every write is counted in [`CaptureStats`], which is how the benchmark
 //! harness (and the slide-cost tests) assert the incremental behaviour
@@ -442,8 +441,9 @@ impl EpochSegment {
 }
 
 /// [`EpochSegment::heap_bytes`] of a segment of `rows` chunks of `cols`
-/// bits — one id word plus the chunk's words per row — known before a byte
-/// is decoded.
+/// bits — one id word plus the chunk's words per row: what the residency
+/// tests expect a segment to be charged.
+#[cfg(test)]
 pub(crate) fn decoded_bytes(rows: usize, cols: usize) -> usize {
     rows.saturating_mul((1 + words_per_row(cols)) * std::mem::size_of::<u64>())
 }
@@ -494,40 +494,12 @@ impl<'r> RowFill<'r> {
             row.extend_from_bits(chunk);
         }
     }
-
-    /// Appends every chunk of the verified run `bytes` of `run` (a segment
-    /// of `cols` columns) starting at column `start`, decoding each through
-    /// `chunk` — how a segment the budget refuses is read without decoding
-    /// a copy of it to drop.
-    fn extend_run(
-        &mut self,
-        run: &RunFile,
-        bytes: &[u8],
-        cols: usize,
-        chunk: &mut BitVec,
-    ) -> Result<()> {
-        let chunk_bytes = run::chunk_bytes(cols);
-        for (slot, &id) in run.rows.iter().enumerate() {
-            let Some(row) = self.open(id) else { break };
-            // `RunFile::load` proved the run holds `run.rows.len()` chunks
-            // of this size.
-            let at = run::chunk_offset(run.rows.len(), chunk_bytes, slot);
-            if !chunk.read_bytes(&bytes[at..at + chunk_bytes]) || chunk.len() != cols {
-                return Err(FsmError::corrupt_artifact(
-                    artifact_name(&run.path),
-                    format!("row {id}'s chunk is not {cols} bits"),
-                ));
-            }
-            row.extend_from_bitvec(chunk);
-        }
-        Ok(())
-    }
 }
 
 /// A disk segment's run file: the open handle, the run's length and the
-/// row index — the ids of the rows the run holds, ascending; the chunk of
-/// `rows[i]` sits at [`run::chunk_offset`] of slot `i`.  A released file
-/// (free for the next push to overwrite) has an empty index.
+/// row index — the ids of the rows the run holds, ascending, which every
+/// decode of the run is checked against.  A released file (free for the
+/// next push to overwrite) has an empty index.
 struct RunFile {
     file: File,
     path: PathBuf,
@@ -778,9 +750,10 @@ impl SegmentedWindowStore {
     /// Monotonic counter bumped by every [`SegmentedWindowStore::push_segment`]
     /// and [`SegmentedWindowStore::pop_segment`].
     ///
-    /// It names a window epoch: a reader that memoises a derivation of the
-    /// window (an epoch snapshot) tags it with the generation it was
-    /// computed at; a mismatch means the window changed underneath it.
+    /// It names a window epoch: an epoch snapshot is tagged with the
+    /// generation it was taken at, and a reader that keeps a derivation of
+    /// the window (a delta miner's state) compares tags; a mismatch means
+    /// the window changed underneath it.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -1091,10 +1064,10 @@ impl SegmentedWindowStore {
 
     /// Materialises the live window into `rows` — `rows[id]` is row `id` —
     /// in one segment-major pass: the live segments oldest first, and within
-    /// each the rows it holds, ascending.  Each segment is read once: served
-    /// from residency, or read from its run and offered for residency, or —
-    /// when the budget has no room for it — streamed from its run into the
-    /// rows without a decoded copy.  The layout is
+    /// each the rows it holds, ascending.  Each segment is read once,
+    /// through [`SegmentedWindowStore::epoch_segment`]: served from
+    /// residency, or read from its run and offered for residency — a
+    /// refused one is dropped as soon as its rows are filled.  The layout is
     /// [`EpochSegment::assemble_rows`]'s (one fill serves both): a row some
     /// live segment holds is allocated once and ends where its last chunk
     /// ends, a row no live segment holds stays empty and unallocated, and
@@ -1104,28 +1077,9 @@ impl SegmentedWindowStore {
     pub fn assemble_rows(&mut self, rows: &mut [BitVec]) -> Result<()> {
         let mut fill = RowFill::new(rows, self.num_cols());
         for seg in 0..self.segments.len() {
-            let Self {
-                segments,
-                residency,
-                ..
-            } = &mut *self;
-            let segment = &segments[seg];
-            let cols = segment.cols;
-            match &segment.rows {
-                SegmentRows::Disk {
-                    run,
-                    resident: None,
-                } if !residency.has_room(decoded_bytes(run.rows.len(), cols)) => {
-                    residency.runs_read += 1;
-                    let (bytes, _) = run.load(segment.id, cols, Some(run.rows.len()))?;
-                    fill.extend_run(run, &bytes, cols, &mut residency.chunk)?;
-                }
-                _ => {
-                    let decoded = self.epoch_segment(seg)?;
-                    fill.extend(&decoded);
-                }
-            }
-            fill.start += cols;
+            let decoded = self.epoch_segment(seg)?;
+            fill.extend(&decoded);
+            fill.start += decoded.cols;
         }
         Ok(())
     }

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --example paper_walkthrough`
 
-use streaming_fsm::core::{Algorithm, StreamMinerBuilder};
+use streaming_fsm::core::{Algorithm, MinerConfig, StreamMiner};
 use streaming_fsm::dsmatrix::{DsMatrix, DsMatrixConfig};
 use streaming_fsm::storage::StorageBackend;
 use streaming_fsm::stream::WindowConfig;
@@ -74,12 +74,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // frequent edges; Examples 6: two of them are disjoint and pruned.
     // ------------------------------------------------------------------
     for algorithm in [Algorithm::Vertical, Algorithm::DirectVertical] {
-        let mut miner = StreamMinerBuilder::new()
-            .algorithm(algorithm)
-            .window_batches(2)
-            .min_support(MinSup::absolute(2))
-            .catalog(catalog.clone())
-            .build()?;
+        let mut miner = StreamMiner::new(MinerConfig {
+            algorithm,
+            window: WindowConfig::new(2)?,
+            min_support: MinSup::absolute(2),
+            catalog: Some(catalog.clone()),
+            ..MinerConfig::default()
+        })?;
         for batch in &batches {
             miner.ingest_batch(batch)?;
         }

@@ -2,18 +2,20 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use streaming_fsm::core::{Algorithm, StreamMinerBuilder};
+use streaming_fsm::core::{Algorithm, MinerConfig, StreamMiner};
+use streaming_fsm::stream::WindowConfig;
 use streaming_fsm::types::{GraphSnapshot, MinSup};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Configure the miner: direct vertical mining (the paper's fifth and
     //    fastest algorithm), a sliding window of two batches, and an absolute
     //    minimum support of two graphs.
-    let mut miner = StreamMinerBuilder::new()
-        .algorithm(Algorithm::DirectVertical)
-        .window_batches(2)
-        .min_support(MinSup::absolute(2))
-        .build()?;
+    let mut miner = StreamMiner::new(MinerConfig {
+        algorithm: Algorithm::DirectVertical,
+        window: WindowConfig::new(2)?,
+        min_support: MinSup::absolute(2),
+        ..MinerConfig::default()
+    })?;
 
     // 2. Stream graphs in.  Each snapshot is the set of links observed at one
     //    time tick; each call to `ingest_snapshots` forms one batch.

@@ -8,8 +8,9 @@
 //!
 //! Run with: `cargo run --example rdf_stream`
 
-use streaming_fsm::core::{Algorithm, StreamMinerBuilder};
+use streaming_fsm::core::{Algorithm, MinerConfig, StreamMiner};
 use streaming_fsm::linked_data::{ntriples, GroupingStrategy, TripleStreamAdapter};
+use streaming_fsm::stream::WindowConfig;
 use streaming_fsm::types::MinSup;
 
 /// A small update log: each block of statements describes the outgoing links
@@ -49,11 +50,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 3. Stream the graphs through the miner in two batches of three.
-    let mut miner = StreamMinerBuilder::new()
-        .algorithm(Algorithm::DirectVertical)
-        .window_batches(2)
-        .min_support(MinSup::absolute(2))
-        .build()?;
+    let mut miner = StreamMiner::new(MinerConfig {
+        algorithm: Algorithm::DirectVertical,
+        window: WindowConfig::new(2)?,
+        min_support: MinSup::absolute(2),
+        ..MinerConfig::default()
+    })?;
     for chunk in snapshots.chunks(3) {
         miner.ingest_snapshots(chunk)?;
     }

@@ -6,10 +6,12 @@
 //!
 //! Run with: `cargo run --example social_stream`
 
-use streaming_fsm::core::{Algorithm, StreamMinerBuilder};
+use streaming_fsm::core::{Algorithm, MinerConfig, StreamMiner};
 use streaming_fsm::datagen::{
     GraphModel, GraphModelConfig, GraphStreamConfig, GraphStreamGenerator, Topology,
 };
+use streaming_fsm::fptree::MiningLimits;
+use streaming_fsm::stream::WindowConfig;
 use streaming_fsm::types::{EdgeSet, MinSup};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -39,13 +41,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     );
 
-    let mut miner = StreamMinerBuilder::new()
-        .algorithm(Algorithm::DirectVertical)
-        .window_batches(3)
-        .min_support(MinSup::relative(0.02))
-        .max_pattern_len(4)
-        .catalog(catalog.clone())
-        .build()?;
+    let mut miner = StreamMiner::new(MinerConfig {
+        algorithm: Algorithm::DirectVertical,
+        window: WindowConfig::new(3)?,
+        min_support: MinSup::relative(0.02),
+        limits: MiningLimits::with_max_len(4),
+        catalog: Some(catalog.clone()),
+        ..MinerConfig::default()
+    })?;
 
     // Stream 8 batches; report after every slide once the window is full so
     // the drift of the frequent structures is visible.

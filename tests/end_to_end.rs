@@ -1,13 +1,14 @@
 //! Cross-crate integration tests exercised through the `streaming-fsm`
 //! facade: generator → linked-data adapter → capture structures → miners.
 
-use streaming_fsm::core::{oracle, Algorithm, ConnectivityMode, StreamMinerBuilder};
+use streaming_fsm::core::{oracle, Algorithm, ConnectivityMode, MinerConfig, StreamMiner};
 use streaming_fsm::datagen::{
     write_fimi, GraphModel, GraphModelConfig, GraphStreamConfig, GraphStreamGenerator,
     RdfStreamGenerator,
 };
 use streaming_fsm::linked_data::{ntriples, GroupingStrategy, TripleStreamAdapter};
 use streaming_fsm::storage::{StorageBackend, TempDir};
+use streaming_fsm::stream::WindowConfig;
 use streaming_fsm::types::{MinSup, Transaction};
 
 fn small_model(seed: u64) -> GraphModel {
@@ -35,14 +36,15 @@ fn generated_stream_matches_oracle_through_the_facade() {
     let batches = generator.generate_batches(4);
 
     // Facade run (disk-backed matrix, direct algorithm).
-    let mut miner = StreamMinerBuilder::new()
-        .algorithm(Algorithm::DirectVertical)
-        .window_batches(3)
-        .min_support(MinSup::absolute(3))
-        .backend(StorageBackend::DiskTemp)
-        .catalog(catalog.clone())
-        .build()
-        .unwrap();
+    let mut miner = StreamMiner::new(MinerConfig {
+        algorithm: Algorithm::DirectVertical,
+        window: WindowConfig::new(3).unwrap(),
+        min_support: MinSup::absolute(3),
+        backend: StorageBackend::DiskTemp,
+        catalog: Some(catalog.clone()),
+        ..MinerConfig::default()
+    })
+    .unwrap();
     for batch in &batches {
         miner.ingest_batch(batch).unwrap();
     }
@@ -92,12 +94,13 @@ fn rdf_round_trip_from_triples_to_patterns() {
     let snapshots = adapter.convert(&reparsed);
     assert!(!snapshots.is_empty());
 
-    let mut miner = StreamMinerBuilder::new()
-        .algorithm(Algorithm::Vertical)
-        .window_batches(4)
-        .min_support(MinSup::relative(0.05))
-        .build()
-        .unwrap();
+    let mut miner = StreamMiner::new(MinerConfig {
+        algorithm: Algorithm::Vertical,
+        window: WindowConfig::new(4).unwrap(),
+        min_support: MinSup::relative(0.05),
+        ..MinerConfig::default()
+    })
+    .unwrap();
     for chunk in snapshots.chunks(10) {
         miner.ingest_snapshots(chunk).unwrap();
     }
@@ -116,12 +119,13 @@ fn rdf_round_trip_from_triples_to_patterns() {
 fn window_slide_forgets_old_behaviour() {
     // Edges seen only in early batches must disappear from the results once
     // the window slides past them.
-    let mut miner = StreamMinerBuilder::new()
-        .algorithm(Algorithm::DirectVertical)
-        .window_batches(2)
-        .min_support(MinSup::absolute(2))
-        .build()
-        .unwrap();
+    let mut miner = StreamMiner::new(MinerConfig {
+        algorithm: Algorithm::DirectVertical,
+        window: WindowConfig::new(2).unwrap(),
+        min_support: MinSup::absolute(2),
+        ..MinerConfig::default()
+    })
+    .unwrap();
 
     use streaming_fsm::types::GraphSnapshot;
     let early = vec![
