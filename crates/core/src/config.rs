@@ -135,17 +135,21 @@ mod tests {
     fn default_configuration_is_sensible() {
         let config = MinerConfig::default();
         assert_eq!(config.algorithm, Algorithm::DirectVertical);
-        assert_eq!(config.window.window_batches, 5);
+        assert_eq!(config.window.window_batches(), 5);
         assert_eq!(config.connectivity, ConnectivityMode::Exact);
         assert!(config.catalog.is_none());
     }
 
+    /// `WindowConfig::new` is the only way to build a window, so no miner
+    /// configuration can carry one that holds no batch.
     #[test]
     fn zero_window_is_rejected() {
+        assert!(WindowConfig::new(0).is_err());
         let config = MinerConfig {
-            window: WindowConfig { window_batches: 0 },
+            window: WindowConfig::new(1).unwrap(),
             ..MinerConfig::default()
         };
-        assert!(crate::StreamMiner::new(config).is_err());
+        let miner = crate::StreamMiner::new(config).unwrap();
+        assert_eq!(miner.config().window.window_batches(), 1);
     }
 }

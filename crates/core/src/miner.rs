@@ -10,7 +10,7 @@ use fsm_dsmatrix::{
     DsMatrix, DsMatrixConfig, DurabilityConfig, EpochSnapshot, Incoming, ReadStats, RecoveryReport,
 };
 use fsm_fptree::MiningLimits;
-use fsm_stream::{SlideOutcome, WindowConfig};
+use fsm_stream::SlideOutcome;
 use fsm_types::{Batch, BatchId, EdgeCatalog, GraphSnapshot, Result, Support, Transaction};
 
 use crate::algorithm::{Algorithm, ConnectivityMode};
@@ -45,6 +45,10 @@ pub struct StreamMiner {
     /// The miner's own executor, sized once by [`MinerConfig::threads`] and
     /// shared with every [`MinerSnapshot`] it hands out.
     exec: Exec,
+    /// Screens of the last full vertical-family mine, which decide whether
+    /// the next one hires helpers ([`crate::parallel::HIRE_SCREENS`]);
+    /// `None` until such a mine has run.
+    last_screens: Option<u64>,
     /// Incrementally maintained pattern state, created on the first delta
     /// mine and advanced epoch by epoch.
     delta: Option<DeltaMiner>,
@@ -99,9 +103,6 @@ impl StreamMiner {
     }
 
     fn build(mut config: MinerConfig, source: BuildSource<'_>) -> Result<Self> {
-        // `WindowConfig::new` refuses an empty window; a literal must not
-        // slip one past it.
-        WindowConfig::new(config.window.window_batches)?;
         let catalog = config.catalog.take().unwrap_or_default();
         let mut matrix_config =
             DsMatrixConfig::new(config.window, config.backend.clone(), catalog.num_edges())
@@ -127,6 +128,7 @@ impl StreamMiner {
             matrix,
             next_batch_id,
             exec,
+            last_screens: None,
             delta: None,
         })
     }
@@ -223,7 +225,10 @@ impl StreamMiner {
     /// either backend; the state it maintains counts towards
     /// [`StreamMiner::resident_bytes`].  Either kind of mine fans out over
     /// the miner's own executor ([`MinerConfig::threads`]): a full one per
-    /// frequent singleton, a delta one per root of the maintained tree.
+    /// frequent singleton, a delta one per root of the maintained tree.  A
+    /// full [`Algorithm::Vertical`] or [`Algorithm::DirectVertical`] mine
+    /// runs on its caller alone when the previous one made fewer than
+    /// [`crate::parallel::HIRE_SCREENS`] screens.
     pub fn mine(&mut self) -> Result<MiningResult> {
         let exec = self.exec.clone();
         self.mine_with(&exec)
@@ -269,21 +274,24 @@ impl StreamMiner {
         ))
     }
 
-    /// Re-enumerates the window with the configured algorithm.
+    /// Re-enumerates the window with the configured algorithm, on `exec`
+    /// or — after a small mine — on the caller alone.
     fn mine_full(&mut self, resolved: Support, exec: &Exec) -> Result<RawMiningOutput> {
         // The guard releases the flat rows the view assembled whichever way
         // mining exits — success, error or panic — so the between-mines
         // resident footprint never silently retains a window copy on a
         // failed mine.
         let matrix = TrimCacheGuard(&mut self.matrix);
-        miners::run_algorithm(
+        let raw = miners::run_algorithm(
             self.config.algorithm,
             matrix.0,
             &self.catalog,
             resolved,
             self.config.limits,
-            exec,
-        )
+            &exec.hire(self.last_screens),
+        )?;
+        self.last_screens = screens(self.config.algorithm, &raw);
+        Ok(raw)
     }
 
     /// Advances the maintained [`DeltaMiner`] state to the current epoch.
@@ -327,6 +335,7 @@ impl StreamMiner {
             connectivity: self.config.connectivity,
             limits: self.config.limits,
             exec: self.exec.clone(),
+            last_screens: self.last_screens,
         })
     }
 
@@ -371,6 +380,9 @@ pub struct MinerSnapshot {
     limits: MiningLimits,
     /// The source miner's executor: snapshot mines share its helper threads.
     exec: Exec,
+    /// The source miner's screen history at snapshot time: a snapshot mine
+    /// hires helpers exactly when the source's next full mine would.
+    last_screens: Option<u64>,
 }
 
 impl MinerSnapshot {
@@ -392,7 +404,8 @@ impl MinerSnapshot {
     }
 
     /// Like [`MinerSnapshot::mine`] but under an explicit executor (see
-    /// [`StreamMiner::mine_with`]).
+    /// [`StreamMiner::mine_with`]), hired as the source miner's next full
+    /// mine would hire it.
     pub fn mine_with(&self, exec: &Exec) -> Result<MiningResult> {
         let start = Instant::now();
         // One flat copy of the window per in-flight mine — what a
@@ -405,7 +418,7 @@ impl MinerSnapshot {
             &self.catalog,
             self.resolved_minsup,
             self.limits,
-            exec,
+            &exec.hire(self.last_screens),
         )?;
         Ok(finish_mine(
             raw,
@@ -441,6 +454,14 @@ const _: fn() = || {
     fn assert_send_sync<T: Send + Sync + 'static>() {}
     assert_send_sync::<MinerSnapshot>();
 };
+
+/// The screens a full mine by `algorithm` leaves for the next one's hire
+/// rule ([`Exec::hire`]): the vertical family counts its kernel screens; the
+/// horizontal family reports none, so it leaves no history and keeps hiring.
+fn screens(algorithm: Algorithm, raw: &RawMiningOutput) -> Option<u64> {
+    matches!(algorithm, Algorithm::Vertical | Algorithm::DirectVertical)
+        .then_some(raw.stats.intersections)
+}
 
 /// The §3.5 filter `algorithm`'s raw output still needs, if any.
 fn postprocessor(
@@ -505,7 +526,7 @@ impl std::fmt::Debug for StreamMiner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StreamMiner")
             .field("algorithm", &self.config.algorithm)
-            .field("window_batches", &self.config.window.window_batches)
+            .field("window_batches", &self.config.window.window_batches())
             .field("window_transactions", &self.matrix.num_transactions())
             .field("edges", &self.catalog.num_edges())
             .finish()
@@ -516,6 +537,7 @@ impl std::fmt::Debug for StreamMiner {
 mod tests {
     use super::*;
     use crate::algorithm::Algorithm;
+    use fsm_stream::WindowConfig;
     use fsm_types::{EdgeSet, MinSup};
 
     fn paper_batches() -> Vec<Batch> {

@@ -12,10 +12,42 @@
 //! returned **in task-index order**, which keeps the merged pattern list
 //! identical to the sequential traversal and the whole engine deterministic
 //! regardless of thread count.
+//!
+//! Waking helpers costs more than they save on a small mine, so a full
+//! vertical-family mine hires them only when its tenant's previous full mine
+//! screened at least [`HIRE_SCREENS`] candidates; a smaller one runs on its
+//! caller alone ([`Exec::solo`]).  The rule reads a deterministic count that
+//! is the same for every pool shape, so it moves time, never output.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 pub use fsm_pool::WorkerPool;
+
+/// The fewest kernel screens ([`crate::MiningStats::intersections`]) a
+/// tenant's previous full mine must have made for its next full mine to
+/// hire the pool's helpers; below it the mine runs on [`Exec::solo`].
+///
+/// A full mine by [`crate::Algorithm::Vertical`] or
+/// [`crate::Algorithm::DirectVertical`] is the only mine this reads: the
+/// horizontal family reports no screens, and a delta advance's re-examined
+/// count predicts nothing about its per-slide work (`dense_delta`'s spreads
+/// from 0 to 17 791 a slide around ≈ 27 000 border updates), so both always
+/// hire.  A miner with no full mine behind it — new, recovered or thawed —
+/// hires too.
+///
+/// The constant sits in the gap between the benchmark's gated workloads: a
+/// `fleet_serial` mine makes 294–322 screens, where waking the shared
+/// two-helper pool costs more than the helpers save, and a `dense_full`
+/// mine 6 051–13 272, where the helpers pay.  On a 2-vCPU host
+/// (`avx512-vpopcntdq` kernels), ten alternating 40 s pairs, `fleet_serial`
+/// `tx_per_s` read a median 4.09 M with every mine hiring and 4.92 M with
+/// small mines solo, ahead in 10 of 10; `dense_full` and `dense_delta`,
+/// whose mines all hire, stayed within their spread.
+/// Regenerate the screen ranges from the `core.miners.intersections_per_mine`
+/// spread of `fsm-benchmark --workload <fleet_serial|dense_full> --quick
+/// --trace 1`, and the pairs by alternating `fsm-benchmark --workload
+/// fleet_serial --seed N` between a build with and without this rule.
+pub const HIRE_SCREENS: u64 = 1_024;
 
 /// The executor a mine call fans its top-level subtree tasks out on: a
 /// cheaply clonable handle that derefs to one [`WorkerPool`]
@@ -28,7 +60,9 @@ pub use fsm_pool::WorkerPool;
 /// ([`Exec::pool`]).  Nothing spawns threads per mine, and output — pattern
 /// lists *and* statistics — is byte-identical for every pool size,
 /// including none at all (`miner_agreement` / `epoch_agreement` /
-/// `tenant_isolation` pin this).
+/// `tenant_isolation` / `hire_rule` pin this).  Which of the two a full mine
+/// runs on — its pool or [`Exec::solo`] — is the hire rule's
+/// ([`HIRE_SCREENS`]).
 #[derive(Debug, Clone)]
 pub struct Exec(Arc<WorkerPool>);
 
@@ -50,6 +84,25 @@ impl Exec {
     /// Execution on a shared pool — the multi-tenant shape.
     pub fn pool(pool: Arc<WorkerPool>) -> Self {
         Self(pool)
+    }
+
+    /// The caller alone: one process-wide [`WorkerPool::inline_only`] pool,
+    /// built on first use, that spawns no thread and queues no job.
+    pub fn solo() -> Self {
+        static SOLO: OnceLock<Arc<WorkerPool>> = OnceLock::new();
+        Self(Arc::clone(
+            SOLO.get_or_init(|| Arc::new(WorkerPool::inline_only())),
+        ))
+    }
+
+    /// The executor a full mine runs on when its tenant's previous full
+    /// mine made `last_screens` screens (`None`: no such mine): `self`, or
+    /// [`Exec::solo`] below [`HIRE_SCREENS`].
+    pub(crate) fn hire(&self, last_screens: Option<u64>) -> Self {
+        match last_screens {
+            Some(screens) if screens < HIRE_SCREENS => Self::solo(),
+            _ => self.clone(),
+        }
     }
 }
 
@@ -101,6 +154,21 @@ mod tests {
         assert_eq!(Exec::scoped(4).size(), 3);
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         assert_eq!(Exec::scoped(0).size(), cores - 1, "auto = one per core");
+    }
+
+    #[test]
+    fn small_history_mines_solo_and_every_other_hires() {
+        let exec = Exec::pool(Arc::new(WorkerPool::new(2)));
+        for last in [None, Some(HIRE_SCREENS), Some(u64::MAX)] {
+            assert_eq!(exec.hire(last).size(), 2, "{last:?} hires");
+        }
+        for last in [Some(0), Some(HIRE_SCREENS - 1)] {
+            assert_eq!(exec.hire(last).size(), 0, "{last:?} mines solo");
+        }
+        assert!(
+            Arc::ptr_eq(&Exec::solo().0, &Exec::solo().0),
+            "one solo pool"
+        );
     }
 
     #[test]

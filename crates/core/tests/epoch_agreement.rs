@@ -24,6 +24,10 @@
 //! A mine's statistics depend on its epoch alone, too: every epoch's frozen
 //! mine reports what the oracle's stop-the-world mine reports, but for the
 //! wall clock and the read counters of the live window the oracle read.
+//!
+//! The writer never mines, so no snapshot carries a screen history, and
+//! every snapshot mine on the two-thread axis hires its miner's helper (the
+//! hire rule, `hire_rule.rs`).
 
 use std::sync::mpsc;
 use std::thread;

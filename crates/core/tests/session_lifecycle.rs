@@ -148,7 +148,10 @@ fn corrupt_spill_artifact_is_named_and_tenant_is_recreatable() {
 
 /// A spill issued while a mine holds the window drains cleanly: the spill
 /// blocks until the in-flight work releases the window, then lands, and
-/// the next request thaws back to the exact same window.
+/// the next request thaws back to the exact same window.  Both mines hire
+/// the pool's helpers: one is the tenant's first, the other a thawed
+/// miner's, and neither has a screen history (the hire rule,
+/// `hire_rule.rs`).
 #[test]
 fn spill_racing_an_in_flight_mine_drains_cleanly() {
     let root = TempDir::new("lifecycle-race").unwrap();

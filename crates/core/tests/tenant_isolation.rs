@@ -23,10 +23,14 @@
 //! recovery, identical windows.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
+use fsm_core::parallel::HIRE_SCREENS;
 use fsm_core::{
-    Algorithm, Exec, MinerConfig, RegistryConfig, SessionRegistry, StreamMiner, WorkerPool,
+    Algorithm, Exec, MinerConfig, MiningResult, MiningStats, RegistryConfig, SessionRegistry,
+    StreamMiner, WorkerPool,
 };
+use fsm_datagen::DenseGenerator;
 use fsm_storage::{BudgetGovernor, StorageBackend};
 use fsm_stream::WindowConfig;
 use fsm_types::{Batch, EdgeCatalog, MinSup, Transaction};
@@ -254,6 +258,77 @@ fn tenants_driven_from_their_own_threads_equal_tenants_run_alone() {
             "tenant {i} diverged from its standalone run: {:?}",
             expected.diff(&got)
         );
+    }
+}
+
+/// Tenants whose every mine makes more than [`HIRE_SCREENS`] screens hire
+/// the shared pool's helpers for every mine, not only their first (the
+/// small tenants of the property above mine on their callers after it), so
+/// this case keeps the helpers in the isolation contract: dense vertical
+/// and direct tenants, interleaved over pools of 1, 2 and 3 helpers, each
+/// equal to its standalone run mine for mine, statistics included.
+#[test]
+fn dense_tenants_hiring_every_mine_equal_tenants_run_alone() {
+    let config = |i: usize| MinerConfig {
+        algorithm: [Algorithm::Vertical, Algorithm::DirectVertical][i % 2],
+        window: WindowConfig::new(2).unwrap(),
+        min_support: MinSup::relative(0.25),
+        backend: if i < 2 {
+            StorageBackend::Memory
+        } else {
+            StorageBackend::DiskTemp
+        },
+        catalog: Some(EdgeCatalog::complete(9)),
+        ..MinerConfig::default()
+    };
+    let batches = |i: usize| {
+        DenseGenerator {
+            num_items: 36,
+            avg_transaction_len: 18.0,
+            num_blocks: 4,
+            seed: 7 + i as u64,
+        }
+        .generate_batches(4, 30)
+    };
+    for helpers in 1..=3 {
+        let pool = Arc::new(WorkerPool::new(helpers));
+        let registry = SessionRegistry::new(RegistryConfig {
+            exec: Exec::pool(Arc::clone(&pool)),
+            ..RegistryConfig::default()
+        });
+        let mut tenants: Vec<_> = (0..4)
+            .map(|i| {
+                let session = registry
+                    .create_tenant(&format!("dense-{i}"), config(i), false)
+                    .unwrap();
+                let alone = StreamMiner::new(config(i)).unwrap();
+                (session, alone, batches(i))
+            })
+            .collect();
+        let timeless = |r: &MiningResult| MiningStats {
+            elapsed: Duration::ZERO,
+            ..r.stats().clone()
+        };
+        let mut mines = 0;
+        for b in 0..4 {
+            for (i, (session, alone, stream)) in tenants.iter_mut().enumerate() {
+                session.ingest(&stream[b]).unwrap();
+                let got = session.mine().unwrap();
+                assert!(got.stats().intersections >= HIRE_SCREENS, "tenant {i}");
+                mines += 1;
+                alone.ingest_batch(&stream[b]).unwrap();
+                let expected = alone.mine().unwrap();
+                assert_eq!(got.patterns(), expected.patterns(), "tenant {i}");
+                assert_eq!(timeless(&got), timeless(&expected), "tenant {i}");
+            }
+        }
+        // Every mine queued helper jobs; the pool's workers run each one,
+        // if only to find its batch already finished.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while pool.jobs_run() < mines && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(pool.jobs_run() >= mines, "{helpers} helpers");
     }
 }
 

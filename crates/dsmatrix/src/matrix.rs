@@ -738,19 +738,20 @@ impl DsMatrix {
         mut each: impl FnMut(BatchId, EpochSegment, Vec<(usize, u64)>) -> Result<()>,
     ) -> Result<(Checkpoint, SegmentedWindowStore)> {
         let ckpt = Checkpoint::load(path)?;
-        if ckpt.window_batches != config.window.window_batches as u64 {
+        if ckpt.window_batches != config.window.window_batches() as u64 {
             return Err(FsmError::config(format!(
                 "checkpoint was written with window_batches = {}, config says {}",
-                ckpt.window_batches, config.window.window_batches
+                ckpt.window_batches,
+                config.window.window_batches()
             )));
         }
-        if ckpt.segments.len() > config.window.window_batches {
+        if ckpt.segments.len() > config.window.window_batches() {
             return Err(FsmError::corrupt_artifact(
                 file_label(path),
                 format!(
                     "references {} segments but the window holds at most {}",
                     ckpt.segments.len(),
-                    config.window.window_batches
+                    config.window.window_batches()
                 ),
             ));
         }
@@ -1095,7 +1096,7 @@ impl DsMatrix {
         Ok(Checkpoint {
             last_seq,
             next_uid,
-            window_batches: self.window.config().window_batches as u64,
+            window_batches: self.window.config().window_batches() as u64,
             supports: self.supports[..self.num_items].to_vec(),
             segments,
         })

@@ -23,6 +23,13 @@
 //!   `epoch_agreement` / `tenant_isolation` property suites in `fsm-core`
 //!   gate exactly this.
 //!
+//! The pool never decides whether a batch is worth its helpers: every call
+//! with more than one task queues them.  The caller decides by which pool it
+//! calls — `fsm_core`'s hire rule (`fsm_core::parallel::HIRE_SCREENS`) sends
+//! a full mine whose tenant last mined small to one process-wide
+//! [`WorkerPool::inline_only`] pool instead, where waking helpers would cost
+//! more than they save.
+//!
 //! # Why this crate contains `unsafe`
 //!
 //! Subtree tasks borrow the per-mine window view (frequent-row tables,

@@ -7,8 +7,9 @@ use fsm_types::{BatchId, FsmError, Result};
 /// Configuration of the sliding window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowConfig {
-    /// Number of batches kept in the window (`w` in the paper).
-    pub window_batches: usize,
+    /// Number of batches kept in the window (`w` in the paper); private so
+    /// that [`WindowConfig::new`] is the only way to set it.
+    window_batches: usize,
 }
 
 impl WindowConfig {
@@ -19,6 +20,11 @@ impl WindowConfig {
             return Err(FsmError::config("window must hold at least one batch"));
         }
         Ok(Self { window_batches })
+    }
+
+    /// Number of batches kept in the window (`w` in the paper), at least one.
+    pub fn window_batches(&self) -> usize {
+        self.window_batches
     }
 }
 
@@ -144,8 +150,8 @@ mod tests {
     #[test]
     fn config_rejects_zero_window() {
         assert!(WindowConfig::new(0).is_err());
-        assert_eq!(WindowConfig::new(5).unwrap().window_batches, 5);
-        assert_eq!(WindowConfig::default().window_batches, 5);
+        assert_eq!(WindowConfig::new(5).unwrap().window_batches(), 5);
+        assert_eq!(WindowConfig::default().window_batches(), 5);
     }
 
     #[test]

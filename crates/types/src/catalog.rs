@@ -88,16 +88,20 @@ impl EdgeCatalog {
         let edge = Edge::new(id, key.0, key.1);
 
         // Wire the neighbourhood lists: the new edge neighbours every existing
-        // edge incident to either endpoint.
+        // edge incident to either endpoint.  The two endpoints' lists share
+        // no edge — only `key` itself would join both, and it is not in the
+        // catalog yet — so nothing needs deduplicating; a self-loop has one
+        // endpoint and walks its list once.
+        let endpoints: &[VertexId] = if key.0 == key.1 {
+            &[key.0]
+        } else {
+            &[key.0, key.1]
+        };
         let mut new_neighbors = Vec::new();
-        for &endpoint in &[key.0, key.1] {
-            if let Some(existing) = self.incident.get(&endpoint) {
-                for &other in existing {
-                    if !new_neighbors.contains(&other) {
-                        new_neighbors.push(other);
-                        self.neighbors[other.index()].push(id);
-                    }
-                }
+        for endpoint in endpoints {
+            for &other in self.incident.get(endpoint).into_iter().flatten() {
+                new_neighbors.push(other);
+                self.neighbors[other.index()].push(id);
             }
         }
         new_neighbors.sort_unstable();
@@ -309,6 +313,36 @@ mod tests {
         ]);
         assert_eq!(cat.endpoints(EdgeId::new(0)).unwrap().0, VertexId::new(2));
         assert_eq!(cat.num_edges(), 2);
+    }
+
+    /// Every edge's neighbour list equals the brute-force one: the other
+    /// edges sharing an endpoint with it, in ascending id order.
+    #[test]
+    fn neighbor_lists_match_a_brute_force_reference() {
+        let v = VertexId::new;
+        let with_loops = EdgeCatalog::from_pairs([
+            (v(1), v(2)),
+            (v(2), v(2)),
+            (v(3), v(2)),
+            (v(1), v(1)),
+            (v(3), v(1)),
+            (v(4), v(5)),
+        ]);
+        for cat in [EdgeCatalog::complete(9), EdgeCatalog::path(12), with_loops] {
+            let endpoints: Vec<_> = cat.iter().map(|e| (e.u, e.v)).collect();
+            for (x, &(xu, xv)) in endpoints.iter().enumerate() {
+                let expected: Vec<EdgeId> = (0..endpoints.len())
+                    .filter(|&y| y != x)
+                    .filter(|&y| {
+                        let (yu, yv) = endpoints[y];
+                        [yu, yv].contains(&xu) || [yu, yv].contains(&xv)
+                    })
+                    .map(|y| EdgeId::new(y as u32))
+                    .collect();
+                let id = EdgeId::new(x as u32);
+                assert_eq!(cat.neighbors(id).unwrap(), expected, "edge {x}");
+            }
+        }
     }
 
     #[test]
