@@ -184,20 +184,8 @@ pub fn parse(args: &[String]) -> Result<Options> {
                     other => return Err(FsmError::config(format!("unknown format '{other}'"))),
                 };
             }
-            "--algorithm" => {
-                options.algorithm = match value("--algorithm")?.as_str() {
-                    "multi-tree" => Algorithm::MultiTree,
-                    "single-tree" => Algorithm::SingleTree,
-                    "top-down" => Algorithm::TopDown,
-                    "vertical" => Algorithm::Vertical,
-                    "direct-vertical" | "direct" => Algorithm::DirectVertical,
-                    other => return Err(FsmError::config(format!("unknown algorithm '{other}'"))),
-                };
-            }
-            "--minsup" => {
-                let raw = value("--minsup")?;
-                options.minsup = parse_minsup(&raw)?;
-            }
+            "--algorithm" => options.algorithm = Algorithm::from_key(&value("--algorithm")?)?,
+            "--minsup" => options.minsup = MinSup::parse(&value("--minsup")?)?,
             "--window" => options.window = parse_number(&value("--window")?, "--window")?,
             "--batch-size" => {
                 options.batch_size = parse_number(&value("--batch-size")?, "--batch-size")?
@@ -294,18 +282,6 @@ pub fn parse(args: &[String]) -> Result<Options> {
         return Err(FsmError::config("--checkpoint-every must be positive"));
     }
     Ok(options)
-}
-
-fn parse_minsup(raw: &str) -> Result<MinSup> {
-    if let Ok(count) = raw.parse::<u64>() {
-        return Ok(MinSup::absolute(count));
-    }
-    match raw.parse::<f64>() {
-        Ok(fraction) if fraction > 0.0 && fraction <= 1.0 => Ok(MinSup::relative(fraction)),
-        _ => Err(FsmError::config(format!(
-            "--minsup must be a positive integer or a fraction in (0, 1], got '{raw}'"
-        ))),
-    }
 }
 
 fn parse_number(raw: &str, flag: &str) -> Result<usize> {

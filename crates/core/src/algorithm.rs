@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use fsm_types::{FsmError, Result};
+
 /// The five mining algorithms proposed by the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Algorithm {
@@ -52,6 +54,18 @@ impl Algorithm {
             Algorithm::TopDown => "top-down",
             Algorithm::Vertical => "vertical",
             Algorithm::DirectVertical => "direct-vertical",
+        }
+    }
+
+    /// The inverse of [`Algorithm::key`], also taking `direct` for
+    /// `direct-vertical`; an unknown key is [`FsmError::InvalidConfig`].
+    pub fn from_key(key: &str) -> Result<Self> {
+        match key {
+            "direct" => Ok(Self::DirectVertical),
+            key => Self::ALL
+                .into_iter()
+                .find(|algorithm| algorithm.key() == key)
+                .ok_or_else(|| FsmError::config(format!("unknown algorithm '{key}'"))),
         }
     }
 }
@@ -112,6 +126,14 @@ mod tests {
         let keys: std::collections::BTreeSet<&str> =
             Algorithm::ALL.iter().map(|a| a.key()).collect();
         assert_eq!(keys.len(), 5);
+        for algorithm in Algorithm::ALL {
+            assert_eq!(Algorithm::from_key(algorithm.key()).unwrap(), algorithm);
+        }
+        assert_eq!(
+            Algorithm::from_key("direct").unwrap(),
+            Algorithm::DirectVertical
+        );
+        assert!(Algorithm::from_key("nope").is_err());
         assert_eq!(Algorithm::MultiTree.to_string(), "multi-tree");
         assert_eq!(ConnectivityMode::Exact.to_string(), "exact");
         assert_eq!(ConnectivityMode::PaperRule.to_string(), "paper-rule");

@@ -60,45 +60,17 @@ use crate::view::WindowView;
 pub struct EpochSnapshot {
     /// Store generation this snapshot froze (see
     /// [`fsm_storage::SegmentedWindowStore::generation`]).
-    epoch: u64,
-    /// Batches inside the window at the epoch.
-    batches: usize,
-    /// Newest batch id at the epoch (`None` for an empty window).
-    last_batch_id: Option<BatchId>,
-    /// The window's segments, oldest first: shared with the store while
-    /// resident, otherwise decoded for this snapshot alone (disk backends).
-    segments: Vec<Arc<EpochSegment>>,
+    pub(crate) epoch: u64,
+    /// The window's segments, oldest first — each with its batch id and
+    /// columns: shared with the store while resident, otherwise decoded for
+    /// this snapshot alone (disk backends).
+    pub(crate) segments: Vec<Arc<EpochSegment>>,
     /// Frozen singleton supports: `supports[i]` is the popcount of item `i`'s
-    /// window row at the epoch.
-    supports: Vec<Support>,
-    num_items: usize,
-    num_cols: usize,
+    /// window row at the epoch.  Its length is the snapshot's row domain.
+    pub(crate) supports: Vec<Support>,
 }
 
 impl EpochSnapshot {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        epoch: u64,
-        batches: usize,
-        last_batch_id: Option<BatchId>,
-        segments: Vec<Arc<EpochSegment>>,
-        supports: Vec<Support>,
-        num_items: usize,
-        num_cols: usize,
-    ) -> Self {
-        debug_assert_eq!(supports.len(), num_items);
-        debug_assert_eq!(segments.iter().map(|s| s.cols()).sum::<usize>(), num_cols);
-        Self {
-            epoch,
-            batches,
-            last_batch_id,
-            segments,
-            supports,
-            num_items,
-            num_cols,
-        }
-    }
-
     /// The store generation this snapshot froze — the epoch's identity.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -106,24 +78,25 @@ impl EpochSnapshot {
 
     /// Number of batches inside the window at the epoch.
     pub fn batches(&self) -> usize {
-        self.batches
+        self.segments.len()
     }
 
     /// Identifier of the newest batch at the epoch (`None` when the window
     /// was empty).  This is what an oracle replaying the same stream aligns
     /// on.
     pub fn last_batch_id(&self) -> Option<BatchId> {
-        self.last_batch_id
+        self.segments.last().map(|segment| segment.batch_id())
     }
 
     /// Number of rows (domain edges) the snapshot covers.
     pub fn num_items(&self) -> usize {
-        self.num_items
+        self.supports.len()
     }
 
-    /// Number of columns (window transactions) at the epoch.
+    /// Number of columns (window transactions) at the epoch: its segments'
+    /// columns.
     pub fn num_transactions(&self) -> usize {
-        self.num_cols
+        self.segments.iter().map(|segment| segment.cols()).sum()
     }
 
     /// The snapshot's segment handles, oldest first (exposed so lifecycle
@@ -167,11 +140,11 @@ impl EpochSnapshot {
     /// snapshot, so the copy lives exactly as long as the caller keeps it.
     pub fn assemble_rows(&self) -> RowSnapshot {
         let mut rows = Vec::new();
-        rows.resize_with(self.num_items, BitVec::new);
+        rows.resize_with(self.num_items(), BitVec::new);
         EpochSegment::assemble_rows(&self.segments, &mut rows);
         RowSnapshot {
             rows,
-            num_cols: self.num_cols,
+            num_cols: self.num_transactions(),
         }
     }
 
@@ -181,12 +154,13 @@ impl EpochSnapshot {
     /// `&self` — any number of views (and threads) can read one snapshot
     /// concurrently.
     pub fn view<'a>(&'a self, rows: &'a RowSnapshot) -> WindowView<'a> {
+        let num_cols = self.num_transactions();
         assert_eq!(
             (rows.num_items(), rows.num_transactions()),
-            (self.num_items, self.num_cols),
+            (self.num_items(), num_cols),
             "rows assembled from another epoch"
         );
-        WindowView::new(rows.rows(), &self.supports, self.num_cols)
+        WindowView::new(rows.rows(), &self.supports, num_cols)
     }
 }
 

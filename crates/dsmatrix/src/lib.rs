@@ -5,7 +5,8 @@
 //! `t` contains edge `x`.  The matrix keeps one global boundary value per
 //! batch so a window slide simply discards the evicted batch's columns and
 //! appends the new batch's columns — no per-row bookkeeping, which is the
-//! advantage over the DSTable the paper emphasises (§2.3).
+//! advantage over the DSTable the paper emphasises (§2.3).  The boundaries
+//! are read from each live segment's one record in the store.
 //!
 //! # What this crate owns
 //!
@@ -43,7 +44,8 @@
 //! ORs every bit into the segment's words in the same scan.  The result is
 //! a flat [`fsm_storage::EpochSegment`] — one word arena of row ids and
 //! chunks — that moves into the store as it is, built in the arena of the
-//! segment the slide evicted.  A refused batch changes nothing.
+//! segment the previous slide evicted.  A refused batch changes nothing,
+//! nor does a failed run write: a slide writes before it evicts.
 //!
 //! The read side has one path on every backend: [`DsMatrix::view`] assembles
 //! the window's flat rows from its segments, segment by segment, once per
@@ -57,9 +59,11 @@
 //! The matrix is "kept on the disk" by default: each segment is one packed,
 //! CRC-covered run file under a temporary directory (segment format v2,
 //! files recycled from slide to slide), the resident footprint during
-//! capture is only the boundary bookkeeping, counters and per-segment
-//! indexes, and a view reads each segment from its run unless a byte budget
-//! keeps it resident, decoded, a segment whole or not at all.
+//! capture is only the boundary bookkeeping — one record per live segment,
+//! whose `(row, ones)` ledger holds its row ids once — the counters, and the
+//! last evicted segment's arena and ledger, and a view reads each segment
+//! from its run unless a byte budget keeps it resident, decoded, a segment
+//! whole or not at all.
 //! An in-memory backend keeps the segments resident; it serves the dense
 //! benchmarks, tests, and the storage ablation.
 //!

@@ -1,14 +1,14 @@
 //! DSMatrix implementation.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use fsm_storage::{
     scan_segment_files, BitVec, BudgetGovernor, BudgetLease, CaptureStats, Checkpoint,
-    CheckpointSegment, EpochSegment, SegmentedWindowStore, StorageBackend, Wal,
+    EpochSegment, SegmentedWindowStore, StorageBackend, Wal,
 };
-use fsm_stream::{SlideOutcome, SlidingWindow, WindowConfig};
+use fsm_stream::{SlideOutcome, WindowConfig};
 use fsm_types::codec::Reader;
 use fsm_types::{Batch, BatchId, EdgeId, FsmError, Result, Support, Transaction};
 
@@ -282,22 +282,22 @@ struct Transposer {
 
 impl Transposer {
     /// Transposes `incoming`, replacing whatever the previous batch left
-    /// behind, and returns the batch's id and width.  The scan refuses a
+    /// behind, and returns the batch's id.  The scan refuses a
     /// malformed payload as [`crate::decode_batch`] does —
     /// [`FsmError::CorruptArtifact`] naming the "wal batch payload" — and
     /// then a batch naming an edge id at or past `edge_limit` with
     /// [`FsmError::UnknownEdge`] (its largest such id).  Nothing outside the
     /// transposer changes either way.
-    fn fill(&mut self, incoming: Incoming<'_>, edge_limit: usize) -> Result<(BatchId, usize)> {
+    fn fill(&mut self, incoming: Incoming<'_>, edge_limit: usize) -> Result<BatchId> {
         match incoming {
             Incoming::Batch(batch) => {
                 self.scan(batch.len(), batch.transactions().iter(), edge_limit)?;
-                Ok((batch.id, batch.len()))
+                Ok(batch.id)
             }
             Incoming::Encoded(bytes) => {
                 let (id, cols, payload) = Payload::open(bytes)?;
                 self.scan(cols, payload, edge_limit)?;
-                Ok((id, cols))
+                Ok(id)
             }
         }
     }
@@ -424,7 +424,10 @@ impl Transposer {
 /// Rows are stored as per-batch segments in a
 /// [`SegmentedWindowStore`]: ingesting a batch appends one segment holding
 /// only the rows the batch touches, and a window slide drops the oldest
-/// segment whole.  Capture cost is therefore proportional to the entering
+/// segment whole.  The store keeps each live segment's one record — uid,
+/// batch id, columns and `(row, ones)` support ledger — and the paper's
+/// boundaries are read from those; the matrix adds the support counters.
+/// Capture cost is therefore proportional to the entering
 /// batch plus the evicted columns — never to the full window.  Reads go
 /// through [`DsMatrix::view`], which assembles the window once per call,
 /// segment by segment, on every backend (resident segments served from
@@ -434,18 +437,15 @@ impl Transposer {
 /// conceptual matrix bit for bit.
 pub struct DsMatrix {
     store: SegmentedWindowStore,
-    window: SlidingWindow,
-    num_items: usize,
-    num_cols: usize,
+    /// The window's width in batches.
+    window: WindowConfig,
     /// Reused per-ingest transposition of the entering batch into one bit
     /// chunk per row it touches.
     transposer: Transposer,
     /// Singleton supports, maintained at ingest/evict time (never by row
-    /// scans): `supports[i]` is the popcount of item `i`'s window row.
+    /// scans) from the segments' ledgers: `supports[i]` is the popcount of
+    /// item `i`'s window row.  Its length is the row domain.
     supports: Vec<Support>,
-    /// Per live segment, the `(row, ones)` pairs it contributed — what a
-    /// future eviction must subtract from `supports`.
-    segment_ones: VecDeque<Vec<(usize, u64)>>,
     /// The flat rows [`DsMatrix::view`] assembles into; freed by
     /// [`DsMatrix::trim_cache`].
     rows: Vec<BitVec>,
@@ -500,12 +500,9 @@ impl DsMatrix {
         store.set_cache_budget(Self::granted(&lease, config.cache_budget_bytes));
         Self {
             store,
-            window: SlidingWindow::new(config.window),
-            num_items: config.expected_edges,
-            num_cols: 0,
+            window: config.window,
             transposer: Transposer::default(),
             supports: vec![0; config.expected_edges],
-            segment_ones: VecDeque::new(),
             rows: Vec::new(),
             read_stats: ReadStats::default(),
             durable,
@@ -607,14 +604,9 @@ impl DsMatrix {
         let mut skipped = Vec::new();
         let mut chosen = None;
         for (_, path) in candidates {
-            let mut ledgers = VecDeque::new();
-            let loaded = Self::load_cold(&dur, &path, &config, |_, _, ledger| {
-                ledgers.push_back(ledger);
-                Ok(())
-            });
-            match loaded {
-                Ok((ckpt, store)) => {
-                    chosen = Some((ckpt, store, ledgers));
+            match Self::load_cold(&dur, &path, &config, |_| Ok(())) {
+                Ok(loaded) => {
+                    chosen = Some(loaded);
                     break;
                 }
                 Err(err) if is_corruption(&err) => {
@@ -625,7 +617,7 @@ impl DsMatrix {
             }
         }
         let checkpoint_seq = chosen.as_ref().map(|(ckpt, ..)| ckpt.last_seq);
-        let (mut ckpt, store, ledgers) = match chosen {
+        let (mut ckpt, store) = match chosen {
             Some(loaded) => loaded,
             // No usable checkpoint: rebuild from an empty window.  `restore`
             // with `next_uid = 0` wipes every leftover segment file — the
@@ -634,7 +626,7 @@ impl DsMatrix {
                 let empty = Checkpoint::default();
                 let store =
                     SegmentedWindowStore::restore(segments_dir.clone(), &empty, |_, _| Ok(()))?;
-                (empty, store, VecDeque::new())
+                (empty, store)
             }
         };
         // A checkpoint can cover the whole log (two checkpoints with no
@@ -648,18 +640,12 @@ impl DsMatrix {
         durable.last_ckpt_uids = ckpt.segments.iter().map(|s| s.uid).collect();
         durable.synced_uid_watermark = ckpt.next_uid;
 
-        // Rebuild the in-memory bookkeeping from the checkpoint and the
-        // ledgers its runs gave.  `load_cold` refused a checkpoint with more
-        // segments than the window holds, so none of these pushes evicts.
+        // The restored store holds every segment's record; the checkpoint
+        // adds the support counters its runs' ledgers were checked against.
         let mut matrix = Self::with_store(&config, store, Some(durable));
-        matrix.num_items = ckpt.supports.len().max(config.expected_edges);
+        let rows = ckpt.supports.len().max(config.expected_edges);
         matrix.supports = std::mem::take(&mut ckpt.supports);
-        matrix.supports.resize(matrix.num_items, 0);
-        for seg in &ckpt.segments {
-            matrix.window.push(seg.batch_id, seg.cols as usize);
-            matrix.num_cols += seg.cols as usize;
-        }
-        matrix.segment_ones = ledgers;
+        matrix.supports.resize(rows, 0);
 
         // Replay the WAL tail through the ordinary (post-WAL) ingest path.
         // The tail must continue the checkpoint contiguously; a gap means an
@@ -682,10 +668,10 @@ impl DsMatrix {
                     ),
                 ));
             }
-            let (id, cols) = matrix
+            let id = matrix
                 .transposer
                 .fill(Incoming::Encoded(&record.payload), usize::MAX)?;
-            matrix.apply_transposed(id, cols)?;
+            matrix.apply_transposed(id)?;
             let durable = matrix
                 .durable
                 .as_mut()
@@ -695,7 +681,7 @@ impl DsMatrix {
 
         // Stray segment files (older crashes, bypassed evict GC): queue them
         // for the next checkpoint's garbage collection rather than leaking.
-        let live: BTreeSet<u64> = matrix.store.live_uids().into_iter().collect();
+        let live: BTreeSet<u64> = matrix.store.manifest().iter().map(|s| s.uid).collect();
         let strays = scan_segment_files(&segments_dir)?;
         let durable = matrix
             .durable
@@ -723,19 +709,19 @@ impl DsMatrix {
     /// window's cold form, behind recovery and [`DsMatrix::thaw`] alike.
     ///
     /// Each run is read and decoded once
-    /// ([`SegmentedWindowStore::restore`]), and its segment handed to
-    /// `each` with its batch id and the `(row, ones)` ledger derived from
-    /// its chunks — what a later eviction subtracts from the supports.  A
-    /// row at or past the checkpoint's row domain, or ledgers that do not
-    /// sum to its support counters, is [`FsmError::CorruptArtifact`] naming
-    /// the checkpoint: a checkpoint that passes can neither index past the
-    /// supports nor underflow one.  Corruption errors make
-    /// [`DsMatrix::recover`] fall back to the next candidate.
+    /// ([`SegmentedWindowStore::restore`], which gives each segment's record
+    /// its `(row, ones)` ledger — what a later eviction subtracts from the
+    /// supports), and its segment handed to `each`.  A row at or past the
+    /// checkpoint's row domain, or ledgers that do not sum to its support
+    /// counters, is [`FsmError::CorruptArtifact`] naming the checkpoint: a
+    /// checkpoint that passes can neither index past the supports nor
+    /// underflow one.  Corruption errors make [`DsMatrix::recover`] fall
+    /// back to the next candidate.
     fn load_cold(
         dur: &DurabilityConfig,
         path: &Path,
         config: &DsMatrixConfig,
-        mut each: impl FnMut(BatchId, EpochSegment, Vec<(usize, u64)>) -> Result<()>,
+        mut each: impl FnMut(EpochSegment) -> Result<()>,
     ) -> Result<(Checkpoint, SegmentedWindowStore)> {
         let ckpt = Checkpoint::load(path)?;
         if ckpt.window_batches != config.window.window_batches() as u64 {
@@ -756,22 +742,20 @@ impl DsMatrix {
             ));
         }
         let rows = ckpt.supports.len();
-        let mut sums = vec![0u64; rows];
-        let store = SegmentedWindowStore::restore(dur.segments_dir(), &ckpt, |entry, segment| {
-            let mut ledger = Vec::with_capacity(segment.num_rows());
-            for (row, chunk) in segment.rows() {
-                let Some(sum) = sums.get_mut(row) else {
-                    return Err(FsmError::corrupt_artifact(
-                        file_label(path),
-                        format!("a run holds row {row}, outside the {rows} rows"),
-                    ));
-                };
-                let ones = chunk.count_ones();
-                *sum += ones;
-                ledger.push((row, ones));
+        let store = SegmentedWindowStore::restore(dur.segments_dir(), &ckpt, |_, segment| {
+            // Before `each` sees it: thaw grows the domain to what it gets.
+            match segment.rows().last() {
+                Some((row, _)) if row >= rows => Err(FsmError::corrupt_artifact(
+                    file_label(path),
+                    format!("a run holds row {row}, outside the {rows} rows"),
+                )),
+                _ => each(segment),
             }
-            each(entry.batch_id, segment, ledger)
         })?;
+        let mut sums = vec![0u64; rows];
+        for &(row, ones) in store.ledgers().flatten() {
+            sums[row] += ones;
+        }
         if let Some(row) = (0..rows).find(|&row| sums[row] != ckpt.supports[row]) {
             return Err(FsmError::corrupt_artifact(
                 file_label(path),
@@ -786,28 +770,28 @@ impl DsMatrix {
 
     /// Number of rows (domain edges) currently represented.
     pub fn num_items(&self) -> usize {
-        self.num_items
+        self.supports.len()
     }
 
     /// Number of columns (window transactions), `|T|` in the paper.
     pub fn num_transactions(&self) -> usize {
-        self.num_cols
+        self.store.num_cols()
     }
 
     /// Batch boundaries as cumulative column counts (Example 1's
     /// "Boundaries: Cols 3 & 6").
     pub fn boundaries(&self) -> Vec<usize> {
-        self.window.boundaries()
+        self.store.boundaries()
     }
 
     /// Number of batches currently inside the window.
     pub fn num_batches(&self) -> usize {
-        self.window.num_batches()
+        self.store.num_segments()
     }
 
     /// Returns `true` if no batch has been ingested yet.
     pub fn is_empty(&self) -> bool {
-        self.window.is_empty()
+        self.store.num_segments() == 0
     }
 
     /// Returns `true` if the rows are spilled to disk rather than resident.
@@ -829,7 +813,7 @@ impl DsMatrix {
     /// Identifier of the newest batch in the window (what a resumed stream
     /// should continue after).
     pub fn last_batch_id(&self) -> Option<BatchId> {
-        self.window.newest()
+        self.store.newest_batch()
     }
 
     /// Ingests one batch, sliding the window if it is already full.
@@ -864,10 +848,11 @@ impl DsMatrix {
     /// WAL untouched.  A durable matrix then logs the batch — the received
     /// payload bytes themselves, or a built batch encoded in that layout —
     /// and only then applies it, moving the transposed segment into the
-    /// store.
+    /// store.  A run write that fails is returned as [`FsmError::Io`] and,
+    /// as it comes before the eviction, leaves the window as it was.
     pub fn ingest(&mut self, incoming: Incoming<'_>, edge_limit: usize) -> Result<SlideOutcome> {
         self.rebalance_cache_budget();
-        let (id, cols) = self.transposer.fill(incoming, edge_limit)?;
+        let id = self.transposer.fill(incoming, edge_limit)?;
         if let Some(durable) = &mut self.durable {
             let seq = durable.applied_seq + 1;
             let record = match incoming {
@@ -880,83 +865,64 @@ impl DsMatrix {
             };
             durable.wal.append(seq, record)?;
         }
-        self.apply_transposed(id, cols)
+        self.apply_transposed(id)
     }
 
-    /// Applies the batch the transposer holds as batch `batch_id` of `cols`
-    /// columns, building its segment in the arena the store recycles.
-    /// Recovery replays WAL records through [`Transposer::fill`] and this.
-    fn apply_transposed(&mut self, batch_id: BatchId, cols: usize) -> Result<SlideOutcome> {
+    /// Applies the batch the transposer holds as batch `batch_id`, building
+    /// its segment in the arena the store recycles.  Recovery replays WAL
+    /// records through [`Transposer::fill`] and this.
+    fn apply_transposed(&mut self, batch_id: BatchId) -> Result<SlideOutcome> {
         // Moved out for the call so it can be read beside `&mut self`.
         let transposer = std::mem::take(&mut self.transposer);
-        let outcome = self.apply_segment(batch_id, cols, |arena| transposer.build(arena));
+        let outcome = self.apply_segment(batch_id, |arena| transposer.build(arena));
         self.transposer = transposer;
         outcome
     }
 
     /// The post-transposition half of an ingest: slides the window by one
-    /// segment of `cols` columns as batch `batch_id`, the segment built by
-    /// `build` in the arena of the segment the slide evicts (when no reader
+    /// segment as batch `batch_id`, the segment built by `build` in the
+    /// arena of the segment the previous slide evicted (when no reader
     /// holds it any more).  [`DsMatrix::apply_transposed`] builds it from a
     /// transposed batch, and [`DsMatrix::thaw`] hands over the decoded
     /// segments of a spill image, so a thawed window is rebuilt by the very
     /// steps that built it.
+    ///
+    /// The store writes the entering run before it evicts, so a failed
+    /// write moves nothing here.  Then the two segments' ledgers move the
+    /// supports, and the evicted run file goes back to the store — on a
+    /// durable matrix, once a checkpoint proves no retained one names it.
     fn apply_segment(
         &mut self,
         batch_id: BatchId,
-        cols: usize,
         build: impl FnOnce(Vec<u64>) -> Result<EpochSegment>,
     ) -> Result<SlideOutcome> {
-        let outcome = self.window.push(batch_id, cols);
-        let mut entering = Vec::new();
-        if let Some((_, cols)) = outcome.evicted {
-            let dropped = match &mut self.durable {
-                None => self.store.pop_segment()?,
-                Some(durable) => {
-                    // Durable evictions defer the release: a retained
-                    // checkpoint may still reference the file.
-                    let (cols, detached) = self.store.pop_segment_detached()?;
-                    if let Some((uid, path)) = detached {
-                        durable.garbage.push((uid, path));
-                    }
-                    cols
-                }
-            };
-            debug_assert_eq!(dropped, cols, "window bookkeeping must match the store");
-            self.num_cols -= dropped;
-            // Incremental evict: subtract the leaving segment's popcounts
-            // from the support counters — no other row is visited.
-            entering = self
-                .segment_ones
-                .pop_front()
-                .ok_or_else(|| FsmError::corrupt("segment bookkeeping out of sync"))?;
-            for &(row, ones) in &entering {
+        let segment = build(self.store.recycled_arena())?;
+        let cols = segment.cols();
+        let evicted = self
+            .store
+            .slide(batch_id, segment, self.window.window_batches())?;
+        let evicted = evicted.map(|mut evicted| {
+            for &(row, ones) in &evicted.ledger {
                 self.supports[row] -= ones;
             }
-        }
-        let segment = build(self.store.recycled_arena())?;
-        debug_assert_eq!(segment.cols(), cols);
-
+            if let Some(durable) = &mut self.durable {
+                if let Some(path) = evicted.park() {
+                    durable.garbage.push((evicted.uid, path));
+                }
+            }
+            let left = (evicted.batch_id, evicted.cols);
+            self.store.release(evicted);
+            left
+        });
+        let entering = self.store.ledgers().last().unwrap_or_default();
         // Grow the domain to cover the segment's rows.
-        let row_bound = segment.rows().last().map_or(0, |(row, _)| row + 1);
-        self.num_items = self.num_items.max(row_bound);
-        if self.supports.len() < self.num_items {
-            self.supports.resize(self.num_items, 0);
+        let row_bound = entering.last().map_or(0, |&(row, _)| row + 1);
+        if self.supports.len() < row_bound {
+            self.supports.resize(row_bound, 0);
         }
-        // What the segment adds to the support counters, touching only the
-        // rows it holds — and what an eventual eviction must undo (in the
-        // evicted segment's list, reused).
-        entering.clear();
-        entering.extend(segment.rows().map(|(id, chunk)| (id, chunk.count_ones())));
-
-        self.store.push(segment)?;
-
-        for &(id, ones) in &entering {
-            self.supports[id] += ones;
+        for &(row, ones) in entering {
+            self.supports[row] += ones;
         }
-        self.segment_ones.push_back(entering);
-        self.num_cols += cols;
-        debug_assert_eq!(self.num_cols, self.store.num_cols());
 
         let checkpoint_due = if let Some(durable) = &mut self.durable {
             durable.applied_seq += 1;
@@ -968,7 +934,11 @@ impl DsMatrix {
         if checkpoint_due {
             self.write_checkpoint()?;
         }
-        Ok(outcome)
+        Ok(SlideOutcome {
+            entered: batch_id,
+            entered_transactions: cols,
+            evicted,
+        })
     }
 
     /// Writes a checkpoint of the current window, rotates the two retained
@@ -1014,11 +984,10 @@ impl DsMatrix {
         let mut store = SegmentedWindowStore::open(StorageBackend::DiskAt(image.segments_dir()))?;
         let snapshot = self.snapshot_epoch()?;
         for segment in snapshot.segments() {
-            store.push(EpochSegment::clone(segment))?;
+            store.slide(segment.batch_id(), EpochSegment::clone(segment), usize::MAX)?;
         }
         store.remove_spares()?;
-        self.checkpoint_of(store.live_uids(), 0, store.next_segment_id())?
-            .write(&image.dir)?;
+        self.checkpoint_of(&store, 0).write(&image.dir)?;
         Ok(())
     }
 
@@ -1052,14 +1021,14 @@ impl DsMatrix {
         let image = DurabilityConfig::new(Self::spill_image(spill_dir));
         let path = image.dir.join(Checkpoint::file_name(0));
         let mut matrix = Self::new(config.clone())?;
-        let loaded = Self::load_cold(&image, &path, &config, |batch_id, segment, _| {
-            matrix.apply_segment(batch_id, segment.cols(), |_| Ok(segment))?;
+        let loaded = Self::load_cold(&image, &path, &config, |segment| {
+            matrix.apply_segment(segment.batch_id(), |_| Ok(segment))?;
             Ok(())
         });
         match loaded {
             Ok((ckpt, store)) => {
-                matrix.num_items = matrix.num_items.max(ckpt.supports.len());
-                matrix.supports.resize(matrix.num_items, 0);
+                let rows = matrix.num_items().max(ckpt.supports.len());
+                matrix.supports.resize(rows, 0);
                 matrix.read_stats.pages_read = store.runs_read();
                 Ok(matrix)
             }
@@ -1075,31 +1044,16 @@ impl DsMatrix {
         }
     }
 
-    /// The [`Checkpoint`] of the current window over the runs `uids` names
-    /// (one per live segment, oldest first): its support counters, and each
-    /// segment's run with its batch id and columns.
-    fn checkpoint_of(&self, uids: Vec<u64>, last_seq: u64, next_uid: u64) -> Result<Checkpoint> {
-        if uids.len() != self.window.num_batches() {
-            return Err(FsmError::corrupt(
-                "segment/window bookkeeping out of sync at checkpoint",
-            ));
-        }
-        let segments = uids
-            .into_iter()
-            .zip(self.window.batches())
-            .map(|(uid, (batch_id, cols))| CheckpointSegment {
-                uid,
-                batch_id,
-                cols: cols as u64,
-            })
-            .collect();
-        Ok(Checkpoint {
+    /// The [`Checkpoint`] of this window's supports over `store`'s manifest
+    /// (this matrix's store, or a spill image's copy of it).
+    fn checkpoint_of(&self, store: &SegmentedWindowStore, last_seq: u64) -> Checkpoint {
+        Checkpoint {
             last_seq,
-            next_uid,
-            window_batches: self.window.config().window_batches() as u64,
-            supports: self.supports[..self.num_items].to_vec(),
-            segments,
-        })
+            next_uid: store.next_segment_id(),
+            window_batches: self.window.window_batches() as u64,
+            supports: self.supports.clone(),
+            segments: store.manifest(),
+        }
     }
 
     fn write_checkpoint(&mut self) -> Result<()> {
@@ -1118,11 +1072,7 @@ impl DsMatrix {
         // 2. Name the live runs and record the support counters.  Each run
         //    holds its own row ids and chunks — a checkpoint copies nothing
         //    a run holds.
-        let checkpoint = self.checkpoint_of(
-            self.store.live_uids(),
-            last_seq,
-            self.store.next_segment_id(),
-        )?;
+        let checkpoint = self.checkpoint_of(&self.store, last_seq);
         let durable = self
             .durable
             .as_mut()
@@ -1180,10 +1130,10 @@ impl DsMatrix {
     /// against.  Miners should go through [`DsMatrix::view`] instead.
     pub fn row(&mut self, item: EdgeId) -> Result<BitVec> {
         let mut row = BitVec::new();
-        if item.index() < self.num_items {
+        if item.index() < self.num_items() {
             self.store.assemble_row(item.index(), &mut row)?;
         }
-        row.resize(self.num_cols);
+        row.resize(self.store.num_cols());
         // Unknown rows materialise a (zero-filled) flat row too, so both
         // counters tick together — one row, its padded word count.
         self.read_stats.rows_assembled += 1;
@@ -1215,20 +1165,20 @@ impl DsMatrix {
     /// [`DsMatrix::trim_cache`] after each mine.
     pub fn view(&mut self) -> Result<WindowView<'_>> {
         self.rebalance_cache_budget();
-        if self.rows.len() < self.num_items {
-            self.rows.resize_with(self.num_items, BitVec::new);
+        let items = self.num_items();
+        if self.rows.len() < items {
+            self.rows.resize_with(items, BitVec::new);
         }
-        let rows = &mut self.rows[..self.num_items];
+        let rows = &mut self.rows[..items];
         self.store.assemble_rows(rows)?;
         for row in rows.iter().filter(|row| !row.is_empty()) {
             self.read_stats.rows_assembled += 1;
             self.read_stats.words_assembled += words_of(row.len());
         }
-        debug_assert!(self.supports.len() >= self.num_items);
         Ok(WindowView::new(
-            &self.rows[..self.num_items],
-            &self.supports[..self.num_items],
-            self.num_cols,
+            &self.rows[..items],
+            &self.supports,
+            self.store.num_cols(),
         ))
     }
 
@@ -1257,16 +1207,11 @@ impl DsMatrix {
         for seg in 0..self.store.num_segments() {
             segments.push(self.store.epoch_segment(seg)?);
         }
-        debug_assert!(self.supports.len() >= self.num_items);
-        Ok(Arc::new(EpochSnapshot::new(
-            self.store.generation(),
-            self.window.num_batches(),
-            self.window.newest(),
+        Ok(Arc::new(EpochSnapshot {
+            epoch: self.store.generation(),
             segments,
-            self.supports[..self.num_items].to_vec(),
-            self.num_items,
-            self.num_cols,
-        )))
+            supports: self.supports.clone(),
+        }))
     }
 
     /// Cumulative read-path cost counters (words assembled, segment runs
@@ -1326,7 +1271,7 @@ impl DsMatrix {
         let (seg, offset) = self.store.locate_column(column).ok_or_else(|| {
             FsmError::corrupt(format!(
                 "column {column} out of range ({} transactions in window)",
-                self.num_cols
+                self.store.num_cols()
             ))
         })?;
         let segment = self.store.epoch_segment(seg)?;
@@ -1343,21 +1288,15 @@ impl DsMatrix {
         Ok(Transaction::from_edges(edges))
     }
 
-    /// Bytes resident in main memory: window bookkeeping, the reused chunk
-    /// buffers, the support counters, the rows of a view not yet trimmed,
-    /// plus the resident segments — on the memory backend every segment's
-    /// payload, on the disk backends at most the residency budget.
+    /// Bytes resident in main memory: the reused chunk buffers, the support
+    /// counters, the rows of a view not yet trimmed, plus the store's
+    /// records, spares and resident segments — on the memory backend every
+    /// segment's payload, on the disk backends at most the residency budget.
     pub fn resident_bytes(&self) -> usize {
-        let bookkeeping = self.window.num_batches() * std::mem::size_of::<(u64, usize)>();
         let scratch = self.transposer.heap_bytes();
-        let counters = self.supports.capacity() * std::mem::size_of::<Support>()
-            + self
-                .segment_ones
-                .iter()
-                .map(|s| s.capacity() * std::mem::size_of::<(usize, u64)>())
-                .sum::<usize>();
+        let counters = self.supports.capacity() * std::mem::size_of::<Support>();
         let rows: usize = self.rows.iter().map(BitVec::heap_bytes).sum();
-        bookkeeping + scratch + counters + rows + self.store.resident_bytes()
+        scratch + counters + rows + self.store.resident_bytes()
     }
 
     /// Bytes written to disk by the live segments (zero for the memory
@@ -1386,9 +1325,9 @@ fn is_corruption(err: &FsmError) -> bool {
 impl std::fmt::Debug for DsMatrix {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DsMatrix")
-            .field("items", &self.num_items)
-            .field("transactions", &self.num_cols)
-            .field("batches", &self.window.num_batches())
+            .field("items", &self.num_items())
+            .field("transactions", &self.num_transactions())
+            .field("batches", &self.num_batches())
             .field("disk_backed", &self.is_disk_backed())
             .finish()
     }
@@ -1873,8 +1812,8 @@ mod tests {
     /// Per live segment, oldest first, the rows it holds a chunk for, from
     /// the support ledger (reading it counts nothing).
     fn segment_rows(m: &DsMatrix) -> Vec<Vec<usize>> {
-        m.segment_ones
-            .iter()
+        m.store
+            .ledgers()
             .map(|ledger| ledger.iter().map(|&(row, _)| row).collect())
             .collect()
     }

@@ -12,7 +12,7 @@
 use std::path::Path;
 
 use fsm_dsmatrix::{DsMatrix, DsMatrixConfig, DurabilityConfig};
-use fsm_storage::{Checkpoint, StorageBackend, TempDir};
+use fsm_storage::{BitVec, Checkpoint, SegmentedWindowStore, StorageBackend, TempDir};
 use fsm_stream::WindowConfig;
 use fsm_types::{Batch, EdgeId, FsmError, Transaction};
 use proptest::prelude::*;
@@ -292,6 +292,27 @@ fn corrupt_image_is_named_deleted_and_never_served() {
         let err = DsMatrix::thaw(config(2, backend.clone()), spill.path()).unwrap_err();
         assert!(
             matches!(&err, FsmError::CorruptArtifact { artifact, .. } if *artifact == files[0])
+        );
+        assert!(!image.exists());
+        // A run under a valid CRC holding a row far past the checkpoint's
+        // domain: refused before the thaw grows a counter to reach it.
+        matrix.hibernate(spill.path()).unwrap();
+        let forged = TempDir::new("hib-forged").unwrap();
+        let mut store =
+            SegmentedWindowStore::open(StorageBackend::DiskAt(forged.file("segments"))).unwrap();
+        store
+            .push_segment(1, [(1usize << 40, &BitVec::from_bools([true]))])
+            .unwrap();
+        std::fs::copy(
+            forged.file("segments").join("seg-0.run"),
+            image.join(&files[1]),
+        )
+        .unwrap();
+        let err = DsMatrix::thaw(config(2, backend.clone()), spill.path()).unwrap_err();
+        assert!(
+            matches!(&err, FsmError::CorruptArtifact { artifact, detail }
+                if *artifact == files[0] && detail.contains("outside the 6 rows")),
+            "{err}"
         );
         assert!(!image.exists());
 

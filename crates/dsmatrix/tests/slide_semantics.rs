@@ -10,9 +10,9 @@
 use std::collections::VecDeque;
 
 use fsm_dsmatrix::{DsMatrix, DsMatrixConfig};
-use fsm_storage::StorageBackend;
+use fsm_storage::{StorageBackend, TempDir};
 use fsm_stream::WindowConfig;
-use fsm_types::{Batch, EdgeId, Transaction};
+use fsm_types::{Batch, BatchId, EdgeId, FsmError, Support, Transaction};
 use proptest::prelude::*;
 
 fn batch(id: u64, transactions: &[&[u32]]) -> Batch {
@@ -189,6 +189,83 @@ fn eviction_of_exactly_one_full_batch() {
     assert_eq!(m.capture_stats().segments_dropped, 1);
     assert_matches_shadow(&mut m, &shadow);
     assert_eq!(m.num_transactions(), 3);
+}
+
+/// Everything a caller reads of a window: `(batches, boundaries,
+/// transactions, newest batch)`, every row, the singleton supports, and an
+/// epoch snapshot's `(batches, segments, transactions)`.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    shape: (usize, Vec<usize>, usize, Option<BatchId>),
+    rows: Vec<String>,
+    supports: Vec<(EdgeId, Support)>,
+    snapshot: (usize, usize, usize),
+}
+
+fn observe(m: &mut DsMatrix, rows: u32) -> Observed {
+    let shape = (
+        m.num_batches(),
+        m.boundaries(),
+        m.num_transactions(),
+        m.last_batch_id(),
+    );
+    let rows = (0..rows).map(|item| row_string(m, item)).collect();
+    let supports = m.view().unwrap().singleton_supports();
+    m.trim_cache();
+    let snapshot = m.snapshot_epoch().unwrap();
+    Observed {
+        shape,
+        rows,
+        supports,
+        snapshot: (
+            snapshot.batches(),
+            snapshot.segments().len(),
+            snapshot.num_transactions(),
+        ),
+    }
+}
+
+/// A slide writes the entering segment's run before it evicts anything, so
+/// a write that fails — here because the segment directory vanished —
+/// refuses the batch and leaves the window exactly as it was: no batch
+/// recorded that was never stored, no columns lost, and once the directory
+/// is back the window goes on as if the refused batch had never come.
+#[test]
+fn a_refused_segment_write_leaves_no_phantom_batch() {
+    let dir = TempDir::new("phantom-batch").unwrap();
+    let segments = dir.file("segments");
+    let mut m = matrix(2, StorageBackend::DiskAt(segments.clone()), 4);
+    let batches = [
+        batch(0, &[&[0, 1]]),
+        batch(1, &[&[1, 2]]),
+        batch(2, &[&[0], &[3]]),
+        batch(3, &[&[2, 3]]),
+        batch(4, &[&[0, 3]]),
+    ];
+    m.ingest_batch(&batches[0]).unwrap();
+    m.ingest_batch(&batches[1]).unwrap();
+    let before = observe(&mut m, 4);
+    assert_eq!(before.shape, (2, vec![1, 2], 2, Some(1)));
+
+    std::fs::remove_dir_all(&segments).unwrap();
+    let err = m.ingest_batch(&batches[2]).unwrap_err();
+    assert!(matches!(err, FsmError::Io(_)), "{err}");
+    assert_eq!(
+        observe(&mut m, 4),
+        before,
+        "the refused batch moved the window"
+    );
+
+    std::fs::create_dir_all(&segments).unwrap();
+    let mut reference = matrix(2, StorageBackend::Memory, 4);
+    for b in [&batches[0], &batches[1], &batches[3], &batches[4]] {
+        reference.ingest_batch(b).unwrap();
+    }
+    m.ingest_batch(&batches[3]).unwrap();
+    m.ingest_batch(&batches[4]).unwrap();
+    let after = observe(&mut m, 4);
+    assert_eq!(after.shape, (2, vec![1, 2], 2, Some(4)));
+    assert_eq!(after, observe(&mut reference, 4));
 }
 
 /// The acceptance criterion of the incremental store: a slide writes words

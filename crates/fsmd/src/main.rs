@@ -27,11 +27,11 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use fsm_core::{Exec, RegistryConfig, SessionRegistry, WorkerPool};
+use fsm_core::{Algorithm, Exec, RegistryConfig, SessionRegistry, WorkerPool};
 use fsm_datagen::read_fimi;
 use fsm_storage::BudgetGovernor;
 use fsm_stream::BatchBuilder;
-use fsm_types::{FsmError, Result};
+use fsm_types::{FsmError, MinSup, Result};
 
 use fsm_fsmd::{serve, FsmdClient, TenantSpec};
 
@@ -238,24 +238,16 @@ fn run_drive(args: &[String]) -> Result<()> {
         .value("--input")?
         .ok_or_else(|| FsmError::config("drive needs --input FILE"))?;
     let tenant = flags.value("--tenant")?.unwrap_or("drive").to_string();
-    let algorithm = match flags.value("--algorithm")?.unwrap_or("direct-vertical") {
-        "multi-tree" => 0,
-        "single-tree" => 1,
-        "top-down" => 2,
-        "vertical" => 3,
-        "direct-vertical" | "direct" => 4,
-        other => return Err(FsmError::config(format!("unknown algorithm '{other}'"))),
-    };
-    let (minsup_absolute, minsup) = match flags.value("--minsup")? {
+    let algorithm = Algorithm::from_key(flags.value("--algorithm")?.unwrap_or("direct-vertical"))?;
+    let algorithm = Algorithm::ALL
+        .iter()
+        .position(|&listed| listed == algorithm)
+        .expect("every algorithm is listed") as u8;
+    let (minsup_absolute, minsup) = match flags.value("--minsup")?.map(MinSup::parse) {
         None => (true, 1),
-        Some(raw) => match raw.parse::<u64>() {
-            Ok(count) => (true, count),
-            Err(_) => {
-                let fraction: f64 = raw
-                    .parse()
-                    .map_err(|_| FsmError::config(format!("--minsup: cannot parse {raw:?}")))?;
-                (false, fraction.to_bits())
-            }
+        Some(minsup) => match minsup? {
+            MinSup::Absolute(count) => (true, count),
+            MinSup::Relative(fraction) => (false, fraction.to_bits()),
         },
     };
     let backend = match flags.value("--backend")?.unwrap_or("disk") {

@@ -320,7 +320,7 @@ pub fn miner_config(spec: &TenantSpec) -> Result<MinerConfig> {
     let min_support = if spec.minsup_absolute {
         MinSup::absolute(spec.minsup)
     } else {
-        MinSup::relative(f64::from_bits(spec.minsup))
+        MinSup::checked_relative(f64::from_bits(spec.minsup))?
     };
     Ok(MinerConfig {
         algorithm,
@@ -343,6 +343,28 @@ mod tests {
             catalog_kind,
             catalog_n,
             ..TenantSpec::new("wide")
+        }
+    }
+
+    #[test]
+    fn a_relative_minsup_outside_zero_to_one_is_refused() {
+        let relative = |fraction: f64| {
+            miner_config(&TenantSpec {
+                minsup_absolute: false,
+                minsup: fraction.to_bits(),
+                ..spec(0, 8)
+            })
+        };
+        for refused in [f64::NAN, 0.0, -0.0, -0.5, 1.5, f64::INFINITY] {
+            let err = relative(refused).unwrap_err();
+            assert!(
+                matches!(err, FsmError::InvalidConfig(_)),
+                "{refused}: {err}"
+            );
+        }
+        for accepted in [0.05, 1.0] {
+            let config = relative(accepted).unwrap();
+            assert_eq!(config.min_support, MinSup::Relative(accepted));
         }
     }
 

@@ -94,6 +94,7 @@ mod tests {
 
     use super::*;
     use crate::bitvec::BitVec;
+    use crate::segment::tests::pop;
     use crate::segment::{decoded_bytes, SegmentedWindowStore, StorageBackend};
 
     /// The chunk every pushed row holds: `cols` bits, every third set.
@@ -270,9 +271,9 @@ mod tests {
         let unit = segment(3, 64).heap_bytes();
         let mut store = disk(2 * unit, 2, 3, 64);
         assert_eq!(store.residency().charged(), 2 * unit);
-        // A pop takes its segment's charge with it, and a slide pops before
-        // it pushes: the room freed admits the entering segment.
-        store.pop_segment().unwrap();
+        // An eviction takes its segment's charge with it, and a slide evicts
+        // before it offers the entering segment: the room freed admits it.
+        pop(&mut store).unwrap();
         assert_eq!(store.resident_uids(), [1]);
         assert_eq!(store.residency().charged(), unit);
         let chunk = chunk(64);
@@ -284,15 +285,15 @@ mod tests {
         push(&mut store);
         assert_eq!(store.resident_uids(), [1, 2]);
         assert_eq!(store.residency().charged(), 2 * unit);
-        // A detached pop releases the same way.
-        store.pop_segment_detached().unwrap();
+        // An eviction whose record is not handed back releases the same way.
+        store.evict().unwrap();
         assert_eq!(store.resident_uids(), [2]);
         assert_eq!(store.residency().charged(), unit);
         // A pop of a segment that was never resident frees nothing.
         let mut store = disk(unit, 1, 10, 64);
         push(&mut store);
         assert_eq!(store.resident_uids(), [1]);
-        store.pop_segment().unwrap();
+        pop(&mut store).unwrap();
         assert_eq!(store.resident_uids(), [1]);
         assert_eq!(store.residency().charged(), unit);
     }
@@ -421,7 +422,7 @@ mod tests {
                 }
                 30..=44 => {
                     if !model.is_empty() {
-                        assert_eq!(store.pop_segment().unwrap(), twin.pop_segment().unwrap());
+                        assert_eq!(pop(&mut store).unwrap(), pop(&mut twin).unwrap());
                         model.pop_front();
                     }
                 }

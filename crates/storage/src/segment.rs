@@ -19,16 +19,22 @@
 //! so capture cost is `O(rows touched by the new batch + evicted columns)`
 //! and unevicted row prefixes are never rewritten.
 //!
+//! Each live segment has **one record** here (uid, batch id, columns,
+//! `(row, ones)` support ledger), and [`SegmentedWindowStore::slide`], the
+//! one write path, writes the entering run before it evicts, so a failed
+//! write leaves the window as it was.
+//!
 //! # Disk segments
 //!
 //! On the disk backends a segment is one **run** in `seg-<uid>.run`: a
 //! 40-byte header, the row index and the chunks packed back to back under
 //! one CRC-32 (segment format v2; the layout is in the `run` module's docs).
-//! [`SegmentedWindowStore::push`] encodes it from the segment's arena and
-//! writes it with one positional write, and a read fetches it with one positional read, verifying the CRC
-//! before a byte of it is decoded.  Files are **recycled**, not unlinked: a
-//! popped segment's file is released — at once by
-//! [`SegmentedWindowStore::pop_segment`], or by
+//! [`SegmentedWindowStore::slide`] encodes it from the segment's arena and
+//! writes it with one positional write, and a read fetches it with one
+//! positional read, verifying the CRC and checking the row ids against the
+//! segment's ledger before a byte of it is decoded.  Files are
+//! **recycled**, not unlinked: an evicted segment's file is released — at
+//! once by [`SegmentedWindowStore::release`], or by
 //! [`SegmentedWindowStore::release_segment_file`] once a durable window's
 //! checkpoint GC proves no retained checkpoint references it — and the next
 //! push renames a released file to its own name and overwrites it
@@ -54,7 +60,7 @@
 //!   store's byte budget ([`SegmentedWindowStore::set_cache_budget`]) holds
 //!   it, charged its [`EpochSegment::heap_bytes`]; there is no finer unit.
 //! * Admission is **admit-if-room**, never evict-to-admit.
-//!   [`SegmentedWindowStore::push`] writes through: it keeps the segment
+//!   [`SegmentedWindowStore::slide`] writes through: it keeps the segment
 //!   whose arena it has just encoded the run from if it fits.
 //!   A read of a non-resident segment reads its run once, CRC-verified, and
 //!   offers the decoded segment the same way; a refused one serves that
@@ -63,10 +69,11 @@
 //!   order every pass, and on a cyclic scan larger than the budget
 //!   evict-to-admit would throw out exactly what the next pass needs;
 //!   keeping whatever fitted first keeps hitting it on every pass.
-//! * A segment leaves residency when it is popped — a slide pops before it
-//!   pushes, so the room the leaving segment frees admits the entering one —
-//!   or when a budget shrink drops resident segments oldest first until the
-//!   rest fit.  A zero budget (the default) keeps nothing resident.  With a
+//! * A segment leaves residency when it is evicted — a slide evicts before
+//!   it offers the entering segment, so the room the leaving segment frees
+//!   admits the entering one — or when a budget shrink drops resident
+//!   segments oldest first until the rest fit.  A zero budget (the default)
+//!   keeps nothing resident.  With a
 //!   budget covering the window a steady-state scan reads **no** run; with a
 //!   smaller one it reads exactly the segments that never fitted, the same
 //!   ones every pass.  The budget buys decodes, never assembly.  Run reads
@@ -92,7 +99,7 @@ use crate::positional::{annotate, artifact_name, read_exact_at, write_all_at};
 use crate::run;
 use crate::temp::TempDir;
 use fsm_types::codec::Reader;
-use fsm_types::{FsmError, Result};
+use fsm_types::{BatchId, FsmError, Result};
 
 const WORD_BITS: usize = 64;
 
@@ -225,8 +232,10 @@ pub fn scan_segment_files(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
 #[derive(Debug, Clone, Default)]
 pub struct EpochSegment {
     /// Stable uid of the segment (never reused), given by the store that
-    /// takes it ([`SegmentedWindowStore::push`]).
+    /// takes it ([`SegmentedWindowStore::slide`]).
     uid: u64,
+    /// Id of the batch the segment holds, given with the uid.
+    batch_id: BatchId,
     /// Number of window columns (transactions) the segment contributes.
     cols: usize,
     /// Number of rows the segment holds a chunk for.
@@ -246,8 +255,8 @@ impl EpochSegment {
     /// `(row id, words)` pairs strictly ascending by id, each exactly
     /// `⌈cols / 64⌉` words.  Bits past `cols` in a row's last word are
     /// cleared.  A row out of order or of another width is refused with
-    /// [`FsmError::InvalidConfig`].  The segment has no uid until a store
-    /// takes it.
+    /// [`FsmError::InvalidConfig`].  The segment has no uid or batch id
+    /// until a store takes it.
     pub fn from_words<'w, I>(cols: usize, rows: I, mut arena: Vec<u64>) -> Result<Self>
     where
         I: IntoIterator<Item = (usize, &'w [u64])>,
@@ -278,6 +287,7 @@ impl EpochSegment {
         }
         let mut segment = Self {
             uid: 0,
+            batch_id: 0,
             cols,
             rows: n,
             arena,
@@ -359,6 +369,7 @@ impl EpochSegment {
         reader.finish()?;
         let mut segment = Self {
             uid: header.uid,
+            batch_id: 0,
             cols: header.cols,
             rows: header.rows,
             arena,
@@ -381,6 +392,12 @@ impl EpochSegment {
     /// The segment's stable uid (never reused across the store's lifetime).
     pub fn uid(&self) -> u64 {
         self.uid
+    }
+
+    /// Id of the batch the segment holds (0 until a store takes it; a run
+    /// does not record it, so [`EpochSegment::decode_run`] leaves it 0).
+    pub fn batch_id(&self) -> BatchId {
+        self.batch_id
     }
 
     /// Number of window columns the segment contributes.
@@ -496,23 +513,20 @@ impl<'r> RowFill<'r> {
     }
 }
 
-/// A disk segment's run file: the open handle, the run's length and the
-/// row index — the ids of the rows the run holds, ascending, which every
-/// decode of the run is checked against.  A released file (free for the
-/// next push to overwrite) has an empty index.
+/// A disk segment's run file: the open handle, its path and the run's
+/// length (the run's row ids are held once, in its segment's ledger).
+#[derive(Debug)]
 struct RunFile {
     file: File,
     path: PathBuf,
     len: usize,
-    rows: Vec<usize>,
 }
 
 impl RunFile {
     /// The whole run of segment `uid` (`cols` columns), read with one
     /// positional read and verified — the CRC first, then the header
-    /// against the segment the window expects: its uid and columns, and its
-    /// row count when the window knows one.
-    fn load(&self, uid: u64, cols: usize, rows: Option<usize>) -> Result<(Vec<u8>, run::Header)> {
+    /// against the segment the window expects: its uid and columns.
+    fn load(&self, uid: u64, cols: usize) -> Result<(Vec<u8>, run::Header)> {
         let name = artifact_name(&self.path);
         let mut bytes = vec![0u8; self.len];
         read_exact_at(&self.file, &mut bytes, 0).map_err(|err| {
@@ -529,7 +543,7 @@ impl RunFile {
         let expected = run::Header {
             uid,
             cols,
-            rows: rows.unwrap_or(header.rows),
+            ..header
         };
         if header != expected {
             return Err(FsmError::corrupt_artifact(
@@ -538,26 +552,6 @@ impl RunFile {
             ));
         }
         Ok((bytes, header))
-    }
-
-    /// Segment `uid` (`cols` columns) decoded from one [`RunFile::load`],
-    /// its row ids checked against the index.
-    fn decode(&self, uid: u64, cols: usize) -> Result<EpochSegment> {
-        let name = artifact_name(&self.path);
-        let (bytes, header) = self.load(uid, cols, Some(self.rows.len()))?;
-        let decoded = EpochSegment::decode_checked(&bytes, header, &name)?;
-        if !decoded
-            .ids()
-            .iter()
-            .map(|&id| id as usize)
-            .eq(self.rows.iter().copied())
-        {
-            return Err(FsmError::corrupt_artifact(
-                name,
-                "the run's row ids are not the ones the window indexes",
-            ));
-        }
-        Ok(decoded)
     }
 }
 
@@ -573,13 +567,70 @@ enum SegmentRows {
     },
 }
 
+/// The one record of a live segment: its uid, batch id, columns and
+/// support ledger, and where its rows are.
 struct Segment {
     /// Stable uid of this segment (names its run; never reused).
-    id: u64,
+    uid: u64,
+    /// Id of the batch the segment holds.
+    batch_id: BatchId,
     /// Number of window columns (transactions) this segment contributes.
     cols: usize,
+    /// `(row, ones)` for every row the segment holds a chunk for, ascending:
+    /// what it adds to the window's supports, and the index every decode of
+    /// its run is checked against.
+    ledger: Vec<(usize, u64)>,
     /// Row chunks of the segment; rows without a set bit are absent.
     rows: SegmentRows,
+}
+
+impl Segment {
+    /// Segment `self` decoded from one [`RunFile::load`] of `run`, its row
+    /// ids checked against the ledger.
+    fn decode(&self, run: &RunFile) -> Result<EpochSegment> {
+        let name = artifact_name(&run.path);
+        let (bytes, header) = run.load(self.uid, self.cols)?;
+        let mut decoded = EpochSegment::decode_checked(&bytes, header, &name)?;
+        if !decoded
+            .ids()
+            .iter()
+            .map(|&id| id as usize)
+            .eq(self.ledger.iter().map(|&(row, _)| row))
+        {
+            return Err(FsmError::corrupt_artifact(
+                name,
+                "the run's row ids are not the ones the window indexes",
+            ));
+        }
+        decoded.batch_id = self.batch_id;
+        Ok(decoded)
+    }
+}
+
+/// The record of a segment taken off the window, with its run file on the
+/// disk backends.  [`SegmentedWindowStore::release`] takes it back for the
+/// next slide to reuse its ledger buffer and, unless parked, its file.
+#[derive(Debug)]
+pub struct Evicted {
+    /// Uid of the evicted segment.
+    pub uid: u64,
+    /// Id of the batch that left the window.
+    pub batch_id: BatchId,
+    /// Columns that left with it.
+    pub cols: usize,
+    /// `(row, ones)` for every row the segment held a chunk for, ascending:
+    /// what its leaving takes from the window's singleton supports.
+    pub ledger: Vec<(usize, u64)>,
+    run: Option<RunFile>,
+}
+
+impl Evicted {
+    /// Keeps the run file out of reuse, returning its path (`None` on the
+    /// memory backend): a durable window's checkpoint may still name it,
+    /// until [`SegmentedWindowStore::release_segment_file`] releases it.
+    pub fn park(&mut self) -> Option<PathBuf> {
+        self.run.take().map(|run| run.path)
+    }
 }
 
 enum Placement {
@@ -597,34 +648,49 @@ enum Placement {
 
 /// Writes `run` to `path` with one positional write — into a released file
 /// renamed to `path` (and truncated when the run is shorter than what it
-/// held), or into a file created there when none is free — and returns the
-/// file.  A released file that can no longer be renamed (removed behind the
-/// store's back) is dropped and the next one tried.
-fn write_run(free: &mut Vec<RunFile>, path: &Path, run: &[u8]) -> Result<File> {
+/// held), or into a file created there when none is free.  A released file
+/// that can no longer be renamed (removed behind the store's back) is
+/// dropped and the next one tried.  A file whose write fails goes back on
+/// the free list under `path`, for a retry of the same uid to take first.
+fn write_run(free: &mut Vec<RunFile>, path: &Path, run: &[u8]) -> Result<RunFile> {
     // A spare already named `path` goes first: renaming another one over it
     // would leave the free list holding a file by a name it lost.
     if let Some(at) = free.iter().position(|spare| spare.path == path) {
         let last = free.len() - 1;
         free.swap(at, last);
     }
-    while let Some(spare) = free.pop() {
-        if std::fs::rename(&spare.path, path).is_err() {
-            continue;
+    let path = path.to_path_buf();
+    let mut target = loop {
+        match free.pop() {
+            Some(spare) if std::fs::rename(&spare.path, &path).is_ok() => {
+                break RunFile { path, ..spare }
+            }
+            Some(_) => continue,
+            None => {
+                let file = OpenOptions::new()
+                    .read(true)
+                    .write(true)
+                    .create_new(true)
+                    .open(&path)
+                    .map_err(|err| annotate(err, "create segment run", &path))?;
+                break RunFile { file, path, len: 0 };
+            }
         }
-        write_all_at(&spare.file, run, 0)?;
-        if spare.len > run.len() {
-            spare.file.set_len(run.len() as u64)?;
+    };
+    let written = write_all_at(&target.file, run, 0).and_then(|()| {
+        if target.len > run.len() {
+            target.file.set_len(run.len() as u64)
+        } else {
+            Ok(())
         }
-        return Ok(spare.file);
+    });
+    if let Err(err) = written {
+        target.len = target.len.max(run.len());
+        free.push(target);
+        return Err(err.into());
     }
-    let file = OpenOptions::new()
-        .read(true)
-        .write(true)
-        .create_new(true)
-        .open(path)
-        .map_err(|err| annotate(err, "create segment run", path))?;
-    write_all_at(&file, run, 0)?;
-    Ok(file)
+    target.len = run.len();
+    Ok(target)
 }
 
 /// A queue of per-batch row segments backing one sliding window.
@@ -632,18 +698,20 @@ fn write_run(free: &mut Vec<RunFile>, path: &Path, run: &[u8]) -> Result<File> {
 /// All three [`StorageBackend`]s are supported: `Memory` keeps the flat
 /// segments themselves (zero-copy readable), the disk backends write one run
 /// file per segment (so eviction never rewrites surviving data, and the
-/// evicted file is recycled by a later push).
+/// evicted file is recycled by a later push).  Each live segment has one
+/// record here: uid, batch id, columns and `(row, ones)` support ledger.
 pub struct SegmentedWindowStore {
     placement: Placement,
     segments: VecDeque<Segment>,
     next_id: u64,
     stats: CaptureStats,
-    generation: u64,
     /// The disk segments' residency budget and read counters.
     residency: Residency,
-    /// A popped segment no reader holds, whose `Arc` and arena the next push
-    /// reuses.
+    /// An evicted segment no reader holds, whose `Arc` and arena the next
+    /// slide reuses.
     spare: Option<Arc<EpochSegment>>,
+    /// A released segment's ledger, which the next slide's record reuses.
+    spare_ledger: Vec<(usize, u64)>,
 }
 
 impl SegmentedWindowStore {
@@ -670,15 +738,7 @@ impl SegmentedWindowStore {
                 Self::disk(path, None)
             }
         };
-        let mut store = Self {
-            placement,
-            segments: VecDeque::new(),
-            next_id: 0,
-            stats: CaptureStats::default(),
-            generation: 0,
-            residency: Residency::default(),
-            spare: None,
-        };
+        let mut store = Self::empty(placement, 0);
         for (kind, path) in stale {
             match kind {
                 SegmentFile::Run(_) => store.release_segment_file(&path)?,
@@ -686,6 +746,18 @@ impl SegmentedWindowStore {
             }
         }
         Ok(store)
+    }
+
+    fn empty(placement: Placement, next_id: u64) -> Self {
+        Self {
+            placement,
+            segments: VecDeque::new(),
+            next_id,
+            stats: CaptureStats::default(),
+            residency: Residency::default(),
+            spare: None,
+            spare_ledger: Vec::new(),
+        }
     }
 
     fn disk(dir: PathBuf, tempdir: Option<TempDir>) -> Placement {
@@ -747,15 +819,49 @@ impl SegmentedWindowStore {
         self.segments.iter().map(|s| s.cols).sum()
     }
 
-    /// Monotonic counter bumped by every [`SegmentedWindowStore::push_segment`]
-    /// and [`SegmentedWindowStore::pop_segment`].
+    /// Batch boundaries as cumulative column counts, oldest segment first.
+    pub fn boundaries(&self) -> Vec<usize> {
+        self.segments
+            .iter()
+            .scan(0, |end, s| {
+                *end += s.cols;
+                Some(*end)
+            })
+            .collect()
+    }
+
+    /// Id of the newest live segment's batch (`None` for an empty window).
+    pub fn newest_batch(&self) -> Option<BatchId> {
+        self.segments.back().map(|s| s.batch_id)
+    }
+
+    /// The live segments' `(row, ones)` support ledgers, oldest first.
+    pub fn ledgers(&self) -> impl ExactSizeIterator<Item = &[(usize, u64)]> + '_ {
+        self.segments.iter().map(|s| s.ledger.as_slice())
+    }
+
+    /// The checkpoint manifest of the live segments, oldest first: each
+    /// one's uid, batch id and columns.
+    pub fn manifest(&self) -> Vec<CheckpointSegment> {
+        self.segments
+            .iter()
+            .map(|s| CheckpointSegment {
+                uid: s.uid,
+                batch_id: s.batch_id,
+                cols: s.cols as u64,
+            })
+            .collect()
+    }
+
+    /// Segments appended plus segments evicted since the store was opened
+    /// or restored: a monotonic count of the window's changes.
     ///
     /// It names a window epoch: an epoch snapshot is tagged with the
     /// generation it was taken at, and a reader that keeps a derivation of
     /// the window (a delta miner's state) compares tags; a mismatch means
     /// the window changed underneath it.
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.stats.segments_written + self.stats.segments_dropped
     }
 
     /// The cumulative capture-cost counters.
@@ -764,21 +870,23 @@ impl SegmentedWindowStore {
     }
 
     /// Appends one segment of `cols` columns whose touched rows are given as
-    /// `(row id, bit chunk)` pairs; a row given twice keeps its last chunk.
-    /// A chunk that is not exactly `cols` bits long is refused before
-    /// anything is written.  [`EpochSegment::from_rows`] then
-    /// [`SegmentedWindowStore::push`].
+    /// `(row id, bit chunk)` pairs, as a batch whose id is the segment's
+    /// uid; a row given twice keeps its last chunk.  A chunk that is not
+    /// exactly `cols` bits long is refused before anything is written.
+    /// [`EpochSegment::from_rows`] then [`SegmentedWindowStore::slide`],
+    /// never evicting: the tests' and benches' way to fill a store.
     pub fn push_segment<'a, I>(&mut self, cols: usize, rows: I) -> Result<()>
     where
         I: IntoIterator<Item = (usize, &'a BitVec)>,
     {
-        self.push(EpochSegment::from_rows(cols, rows)?)
+        let segment = EpochSegment::from_rows(cols, rows)?;
+        self.slide(self.next_id, segment, usize::MAX).map(drop)
     }
 
-    /// The word buffer the next segment should be built in: the arena of a
-    /// popped segment no reader held any more, or an empty one.  Handing it
-    /// back through [`SegmentedWindowStore::push`] makes a steady slide
-    /// allocate no segment at all.
+    /// The word buffer the next segment should be built in: the arena of
+    /// the last evicted segment, if no reader held it any more, or an empty
+    /// one.  Handing it back through [`SegmentedWindowStore::slide`] makes
+    /// a steady slide allocate no segment at all.
     pub fn recycled_arena(&mut self) -> Vec<u64> {
         self.spare
             .as_mut()
@@ -787,114 +895,99 @@ impl SegmentedWindowStore {
             .unwrap_or_default()
     }
 
-    /// Appends `segment` as the window's newest, giving it the store's next
-    /// uid.  This is the only write path of the store; its cost — and the
-    /// counter increments it performs — are proportional to the segment's
-    /// rows, never to data already stored.  On the memory backend the
-    /// segment's arena *is* the stored segment.  On the disk backends its
-    /// run is encoded from the arena and reaches its file with one
-    /// positional write (when this returns it has been handed to the
-    /// operating system; the file is a released one renamed, when there is
-    /// one), and the same arena is then kept resident if the budget has
-    /// room for it.
-    pub fn push(&mut self, mut segment: EpochSegment) -> Result<()> {
-        let id = self.next_id;
-        segment.uid = id;
-        let (cols, rows) = (segment.cols, segment.rows);
-        // Into the `Arc` of a popped segment when there is one.
-        let segment = match self.spare.take() {
-            Some(mut spare) => match Arc::get_mut(&mut spare) {
-                Some(slot) => {
-                    *slot = segment;
-                    spare
-                }
-                None => Arc::new(segment),
-            },
-            None => Arc::new(segment),
-        };
-        let segment_rows = match &mut self.placement {
-            Placement::Memory => SegmentRows::Memory(segment),
+    /// Slides the window by one segment: appends `segment` as batch
+    /// `batch_id` with the store's next uid, evicting the oldest segment
+    /// when `capacity` are live, and returns what left.
+    ///
+    /// 1. On the disk backends the run is encoded from the arena and
+    ///    written with one positional write, into a released file when
+    ///    there is one.  This is the only step that can fail, and a failure
+    ///    changes nothing; the arena goes back to the spare.
+    /// 2. The oldest segment is evicted ([`SegmentedWindowStore::evict`]).
+    /// 3. The segment is offered for residency — after the eviction, so the
+    ///    room the leaving segment freed can admit it.  On the memory
+    ///    backend it is the stored segment.
+    /// 4. Its record is appended, its `(row, ones)` ledger counted from its
+    ///    chunks into the spare ledger buffer.
+    ///
+    /// The cost is proportional to the segment's rows, never to data
+    /// already stored.
+    pub fn slide(
+        &mut self,
+        batch_id: BatchId,
+        mut segment: EpochSegment,
+        capacity: usize,
+    ) -> Result<Option<Evicted>> {
+        segment.uid = self.next_id;
+        segment.batch_id = batch_id;
+        // The `Arc` whose arena `recycled_arena` lent out, if any: taken
+        // before the eviction, which may leave a new spare.
+        let shell = self.spare.take();
+        let run = match &mut self.placement {
+            Placement::Memory => None,
             Placement::Disk {
                 dir, free, stage, ..
             } => {
                 run::encode(&segment, stage);
-                let path = dir.join(run_file_name(id));
-                let file = write_run(free, &path, stage)?;
-                // Write-through: once the segment is on disk it is offered
-                // for residency (admit-if-room), so the mine that follows
-                // does not re-read the run this call has just written.  A
-                // segment with no room is dropped here: nothing outside the
-                // budget stays decoded.
+                match write_run(free, &dir.join(run_file_name(segment.uid)), stage) {
+                    Ok(run) => Some(run),
+                    Err(err) => {
+                        self.spare = Some(into_shell(shell, segment));
+                        return Err(err);
+                    }
+                }
+            }
+        };
+        let evicted = if self.segments.len() >= capacity {
+            self.evict()
+        } else {
+            None
+        };
+        let mut ledger = std::mem::take(&mut self.spare_ledger);
+        ledger.clear();
+        ledger.extend(segment.rows().map(|(row, chunk)| (row, chunk.count_ones())));
+        let (uid, cols) = (segment.uid, segment.cols);
+        let segment = into_shell(shell, segment);
+        let rows = match run {
+            None => SegmentRows::Memory(segment),
+            Some(run) => {
+                // A segment with no room is dropped here: nothing outside
+                // the budget stays decoded.
                 let mut resident = None;
                 self.residency.offer(&mut resident, &segment);
-                let run = RunFile {
-                    file,
-                    path,
-                    len: stage.len(),
-                    rows: segment.ids().iter().map(|&id| id as usize).collect(),
-                };
                 SegmentRows::Disk { run, resident }
             }
         };
         // One header word plus the payload words per row — identical for
         // both backends so the slide-cost tables are backend-independent.
-        self.stats.rows_written += rows as u64;
-        self.stats.words_written += (rows * (1 + words_per_row(cols))) as u64;
+        self.stats.rows_written += ledger.len() as u64;
+        self.stats.words_written += (ledger.len() * (1 + words_per_row(cols))) as u64;
         self.stats.segments_written += 1;
-        self.generation += 1;
         self.next_id += 1;
         self.segments.push_back(Segment {
-            id,
+            uid,
+            batch_id,
             cols,
-            rows: segment_rows,
+            ledger,
+            rows,
         });
-        Ok(())
+        Ok(evicted)
     }
 
-    /// Keeps `segment` for the next push to build in, if no reader holds it.
+    /// Keeps `segment` for the next slide to build in, if no reader holds it.
     fn recycle(&mut self, mut segment: Arc<EpochSegment>) {
         if self.spare.is_none() && Arc::get_mut(&mut segment).is_some() {
             self.spare = Some(segment);
         }
     }
 
-    /// Drops the oldest segment, returning how many columns left with it.
-    ///
-    /// Surviving segments are untouched.  On the disk backends the leaving
-    /// segment's file is released at once — the next push renames and
-    /// overwrites it — so a slide issues no unlink.
-    pub fn pop_segment(&mut self) -> Result<usize> {
-        let (_, cols, run) = self.pop_oldest()?;
-        if let (Some(mut run), Placement::Disk { free, .. }) = (run, &mut self.placement) {
-            run.rows = Vec::new();
-            free.push(run);
-        }
-        Ok(cols)
-    }
-
-    /// Drops the oldest segment like [`SegmentedWindowStore::pop_segment`],
-    /// but *keeps its backing file out of reuse*, returning
-    /// `(columns, uid, path)`.
-    ///
-    /// Durable windows evict through this path: an evicted segment's file may
-    /// still be referenced by a retained checkpoint, so it must not be
-    /// overwritten until a later checkpoint proves it unreferenced.  The
-    /// caller owns the returned path and hands it back through
-    /// [`SegmentedWindowStore::release_segment_file`] once it is.
-    pub fn pop_segment_detached(&mut self) -> Result<(usize, Option<(u64, PathBuf)>)> {
-        let (id, cols, run) = self.pop_oldest()?;
-        Ok((cols, run.map(|run| (id, run.path))))
-    }
-
-    /// Takes the oldest segment off the queue as `(uid, columns, its run on
-    /// the disk backends)`; its residency and charge leave with it — its
-    /// decoded form is recycled when no reader holds it — and generation
-    /// and counters move.
-    fn pop_oldest(&mut self) -> Result<(u64, usize, Option<RunFile>)> {
-        let segment = self
-            .segments
-            .pop_front()
-            .ok_or_else(|| FsmError::corrupt("pop_segment on an empty window"))?;
+    /// Takes the oldest segment off the window (`None` when it is empty)
+    /// and returns its record: the one eviction, behind every slide.
+    /// Surviving segments are untouched.  Its residency and charge leave
+    /// with it, its decoded form is recycled when no reader holds it, and
+    /// on the disk backends its run file travels in the record.
+    pub fn evict(&mut self) -> Option<Evicted> {
+        let segment = self.segments.pop_front()?;
         let run = match segment.rows {
             SegmentRows::Memory(decoded) => {
                 self.recycle(decoded);
@@ -908,14 +1001,28 @@ impl SegmentedWindowStore {
             }
         };
         self.stats.segments_dropped += 1;
-        self.generation += 1;
-        Ok((segment.id, segment.cols, run))
+        Some(Evicted {
+            uid: segment.uid,
+            batch_id: segment.batch_id,
+            cols: segment.cols,
+            ledger: segment.ledger,
+            run,
+        })
     }
 
-    /// Releases a segment file [`SegmentedWindowStore::pop_segment_detached`]
-    /// kept out of reuse: a later push renames and overwrites it instead of
-    /// creating a file.  A file that no longer exists counts as released;
-    /// any other failure to open it is returned, and the caller may retry.
+    /// Takes back an eviction's ledger buffer for the next slide's record,
+    /// and its run file, unless parked, for the next push to overwrite.
+    pub fn release(&mut self, evicted: Evicted) {
+        self.spare_ledger = evicted.ledger;
+        if let (Some(run), Placement::Disk { free, .. }) = (evicted.run, &mut self.placement) {
+            free.push(run);
+        }
+    }
+
+    /// Releases a segment file an [`Evicted::park`] kept out of reuse: a
+    /// later push renames and overwrites it instead of creating a file.  A
+    /// file that no longer exists counts as released; any other failure to
+    /// open it is returned, and the caller may retry.
     pub fn release_segment_file(&mut self, path: &Path) -> Result<()> {
         let Placement::Disk { free, .. } = &mut self.placement else {
             return Err(FsmError::config("the memory backend has no segment files"));
@@ -930,7 +1037,6 @@ impl SegmentedWindowStore {
             file,
             path: path.to_path_buf(),
             len,
-            rows: Vec::new(),
         });
         Ok(())
     }
@@ -954,16 +1060,18 @@ impl SegmentedWindowStore {
     /// Before a read is sized, the file must be no longer than a run of
     /// `ckpt.supports.len()` rows (the window's row domain) of the columns
     /// the checkpoint names; the read then checks the CRC and that the
-    /// header holds the checkpoint's uid and columns, and the row index is
-    /// the run's own.  A run that fails is [`FsmError::CorruptArtifact`]
-    /// naming it.  Reads are counted in [`SegmentedWindowStore::runs_read`];
-    /// nothing is left resident.  Segment files with a uid at or above
-    /// `ckpt.next_uid` are crash leftovers — they were created (or renamed
-    /// into place) by batches the checkpoint does not cover, and WAL replay
-    /// will re-create them — so they are removed here.  Unreferenced files
-    /// *below* it may belong to an older retained checkpoint and are left
-    /// for the caller to release once a new checkpoint commits.  A
-    /// directory holding format v1 files is refused ([`scan_segment_files`]).
+    /// header holds the checkpoint's uid and columns.  Each segment's
+    /// record takes its uid, batch id and columns from the checkpoint and
+    /// its `(row, ones)` ledger from the run.  A run that fails is
+    /// [`FsmError::CorruptArtifact`] naming it.  Reads are counted in
+    /// [`SegmentedWindowStore::runs_read`]; nothing is left resident.
+    /// Segment files with a uid at or above `ckpt.next_uid` are crash
+    /// leftovers — they were created (or renamed into place) by batches the
+    /// checkpoint does not cover, and WAL replay will re-create them — so
+    /// they are removed here.  Unreferenced files *below* it may belong to
+    /// an older retained checkpoint and are left for the caller to release
+    /// once a new checkpoint commits.  A directory holding format v1 files
+    /// is refused ([`scan_segment_files`]).
     pub fn restore(
         dir: PathBuf,
         ckpt: &Checkpoint,
@@ -976,15 +1084,7 @@ impl SegmentedWindowStore {
                 std::fs::remove_file(&stale)?;
             }
         }
-        let mut store = Self {
-            placement: Self::disk(dir.clone(), None),
-            segments: VecDeque::with_capacity(ckpt.segments.len()),
-            next_id,
-            stats: CaptureStats::default(),
-            generation: 0,
-            residency: Residency::default(),
-            spare: None,
-        };
+        let mut store = Self::empty(Self::disk(dir.clone(), None), next_id);
         let rows = ckpt.supports.len();
         for entry in &ckpt.segments {
             if entry.uid >= next_id {
@@ -1009,19 +1109,21 @@ impl SegmentedWindowStore {
                     format!("{actual} bytes, longer than a run of {rows} rows of {cols} columns"),
                 ));
             };
-            let mut run = RunFile {
-                file,
-                path,
-                len,
-                rows: Vec::new(),
-            };
-            let (bytes, header) = run.load(entry.uid, cols, None)?;
+            let run = RunFile { file, path, len };
+            let (bytes, header) = run.load(entry.uid, cols)?;
             store.residency.runs_read += 1;
-            let decoded = EpochSegment::decode_checked(&bytes, header, &artifact_name(&run.path))?;
-            run.rows = decoded.ids().iter().map(|&id| id as usize).collect();
+            let mut decoded =
+                EpochSegment::decode_checked(&bytes, header, &artifact_name(&run.path))?;
+            decoded.batch_id = entry.batch_id;
+            let ledger = decoded
+                .rows()
+                .map(|(row, c)| (row, c.count_ones()))
+                .collect();
             store.segments.push_back(Segment {
-                id: entry.uid,
+                uid: entry.uid,
+                batch_id: entry.batch_id,
                 cols,
+                ledger,
                 rows: SegmentRows::Disk {
                     run,
                     resident: None,
@@ -1041,7 +1143,7 @@ impl SegmentedWindowStore {
     pub fn sync_segments(&self, min_uid: u64) -> Result<u64> {
         let mut fsyncs = 0;
         for segment in &self.segments {
-            if segment.id < min_uid {
+            if segment.uid < min_uid {
                 continue;
             }
             if let SegmentRows::Disk { run, .. } = &segment.rows {
@@ -1055,11 +1157,6 @@ impl SegmentedWindowStore {
     /// The uid the next pushed segment will receive (never reused).
     pub fn next_segment_id(&self) -> u64 {
         self.next_id
-    }
-
-    /// Uids of the live segments, oldest first.
-    pub fn live_uids(&self) -> Vec<u64> {
-        self.segments.iter().map(|s| s.id).collect()
     }
 
     /// Materialises the live window into `rows` — `rows[id]` is row `id` —
@@ -1122,22 +1219,24 @@ impl SegmentedWindowStore {
             .segments
             .get_mut(seg)
             .ok_or_else(|| FsmError::corrupt(format!("segment {seg} out of range")))?;
-        match &mut segment.rows {
-            SegmentRows::Memory(decoded) => Ok(Arc::clone(decoded)),
+        let decoded = match &segment.rows {
+            SegmentRows::Memory(decoded) => return Ok(Arc::clone(decoded)),
             SegmentRows::Disk {
                 resident: Some(decoded),
                 ..
             } => {
                 self.residency.hits += decoded.num_rows() as u64;
-                Ok(Arc::clone(decoded))
+                return Ok(Arc::clone(decoded));
             }
-            SegmentRows::Disk { run, resident } => {
+            SegmentRows::Disk { run, .. } => {
                 self.residency.runs_read += 1;
-                let decoded = Arc::new(run.decode(segment.id, segment.cols)?);
-                self.residency.offer(resident, &decoded);
-                Ok(decoded)
+                Arc::new(segment.decode(run)?)
             }
+        };
+        if let SegmentRows::Disk { resident, .. } = &mut segment.rows {
+            self.residency.offer(resident, &decoded);
         }
+        Ok(decoded)
     }
 
     /// Maps a live-window column to `(segment index, column offset within the
@@ -1153,28 +1252,28 @@ impl SegmentedWindowStore {
         None
     }
 
-    /// Bytes held in main memory: for the memory backend the payloads, for
-    /// the disk backends the per-segment row indexes, the push buffer and
+    /// Bytes held in main memory: the segment records and their ledgers,
+    /// the spare arena and ledger the next slide reuses, for the memory
+    /// backend the payloads, and for the disk backends the push buffer and
     /// the resident segments (at most the budget).
     pub fn resident_bytes(&self) -> usize {
         let stage = match &self.placement {
             Placement::Memory => 0,
             Placement::Disk { stage, .. } => stage.capacity(),
         };
+        let entry = std::mem::size_of::<(usize, u64)>();
         let spare = self.spare.as_ref().map_or(0, |spare| {
             spare.arena.capacity() * std::mem::size_of::<u64>()
-        });
+        }) + self.spare_ledger.capacity() * entry;
         let segments: usize = self
             .segments
             .iter()
             .map(|s| {
-                let rows = match &s.rows {
+                let payload = match &s.rows {
                     SegmentRows::Memory(segment) => segment.heap_bytes(),
-                    SegmentRows::Disk { run, .. } => {
-                        run.rows.capacity() * std::mem::size_of::<usize>()
-                    }
+                    SegmentRows::Disk { .. } => 0,
                 };
-                rows + std::mem::size_of::<Segment>()
+                payload + s.ledger.capacity() * entry + std::mem::size_of::<Segment>()
             })
             .sum();
         self.residency.charged() + stage + spare + segments
@@ -1200,7 +1299,7 @@ impl SegmentedWindowStore {
                     }
                 )
             })
-            .map(|s| s.id)
+            .map(|s| s.uid)
             .collect()
     }
 
@@ -1215,6 +1314,20 @@ impl SegmentedWindowStore {
                 SegmentRows::Disk { run, .. } => run.len as u64,
             })
             .sum()
+    }
+}
+
+/// `segment` in `shell` — the `Arc` of an evicted segment no reader holds —
+/// when there is one, else in a new `Arc`.
+fn into_shell(shell: Option<Arc<EpochSegment>>, segment: EpochSegment) -> Arc<EpochSegment> {
+    match shell {
+        Some(mut shell) if Arc::strong_count(&shell) == 1 => {
+            // Unshared (a spare never lends a `Weak`), so this writes in
+            // place and clones nothing.
+            *Arc::make_mut(&mut shell) = segment;
+            shell
+        }
+        _ => Arc::new(segment),
     }
 }
 
@@ -1236,10 +1349,19 @@ impl std::fmt::Debug for SegmentedWindowStore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use std::collections::BTreeMap;
 
     use super::*;
+
+    /// Evicts `store`'s oldest segment and hands its record straight back,
+    /// as a volatile window's slide does, returning its columns.
+    pub(crate) fn pop(store: &mut SegmentedWindowStore) -> Option<usize> {
+        let evicted = store.evict()?;
+        let cols = evicted.cols;
+        store.release(evicted);
+        Some(cols)
+    }
 
     fn bv(pattern: &str) -> BitVec {
         BitVec::from_bools(pattern.chars().map(|c| c == '1'))
@@ -1264,15 +1386,7 @@ mod tests {
         Checkpoint {
             next_uid: store.next_segment_id(),
             supports: vec![0; rows],
-            segments: store
-                .segments
-                .iter()
-                .map(|s| CheckpointSegment {
-                    uid: s.id,
-                    batch_id: s.id,
-                    cols: s.cols as u64,
-                })
-                .collect(),
+            segments: store.manifest(),
             ..Checkpoint::default()
         }
     }
@@ -1374,7 +1488,7 @@ mod tests {
             let mut store = SegmentedWindowStore::open(backend).unwrap();
             store.push_segment(3, [(0, &bv("111"))]).unwrap();
             store.push_segment(2, [(0, &bv("01"))]).unwrap();
-            assert_eq!(store.pop_segment().unwrap(), 3);
+            assert_eq!(pop(&mut store).unwrap(), 3);
             assert_eq!(store.num_cols(), 2);
             let mut row = BitVec::new();
             store.assemble_row(0, &mut row).unwrap();
@@ -1382,7 +1496,7 @@ mod tests {
             assert_eq!(store.stats().segments_dropped, 1);
         }
         let mut empty = SegmentedWindowStore::open(StorageBackend::Memory).unwrap();
-        assert!(empty.pop_segment().is_err());
+        assert!(pop(&mut empty).is_none());
     }
 
     #[test]
@@ -1393,7 +1507,7 @@ mod tests {
         assert_eq!(store.generation(), 1);
         store.push_segment(1, [(0, &bv("1"))]).unwrap();
         assert_eq!(store.generation(), 2);
-        store.pop_segment().unwrap();
+        pop(&mut store).unwrap();
         assert_eq!(store.generation(), 3);
     }
 
@@ -1445,7 +1559,7 @@ mod tests {
             .unwrap();
         let before = store.on_disk_bytes();
         assert!(before > 0);
-        store.pop_segment().unwrap();
+        pop(&mut store).unwrap();
         assert!(
             store.on_disk_bytes() < before,
             "the evicted segment leaves the window's footprint"
@@ -1454,7 +1568,7 @@ mod tests {
         // renames and overwrites it — shorter than what it held, so it is
         // truncated — instead of creating a file.
         assert_eq!(segment_file_names(&root), ["seg-0.run", "seg-1.run"]);
-        store.pop_segment().unwrap();
+        pop(&mut store).unwrap();
         store.push_segment(8, [(3, &bv("00000001"))]).unwrap();
         let names = segment_file_names(&root);
         assert_eq!(names.len(), 2, "{names:?}");
@@ -1499,7 +1613,7 @@ mod tests {
             let mut row = BitVec::new();
             store.assemble_row(0, &mut row).unwrap();
             assert_eq!(format!("{row:?}"), "BitVec[10]");
-            assert_eq!(store.pop_segment().unwrap(), 0);
+            assert_eq!(pop(&mut store).unwrap(), 0);
         }
     }
 
@@ -1538,7 +1652,7 @@ mod tests {
                     .push_segment(cols, chunks.iter().map(|(id, c)| (*id, c)))
                     .unwrap();
                 if store.num_segments() > 4 {
-                    store.pop_segment().unwrap();
+                    pop(store).unwrap();
                 }
                 let mut rows = vec![BitVec::new(); 12];
                 store.assemble_rows(&mut rows).unwrap();
@@ -1583,7 +1697,7 @@ mod tests {
         }
         assert_eq!(scan(&mut store), (4 * rows as u64, 0), "first scan");
         assert_eq!(scan(&mut store), (4 * rows as u64, 0), "second scan");
-        store.pop_segment().unwrap();
+        pop(&mut store).unwrap();
         push(&mut store);
         assert_eq!(scan(&mut store), (4 * rows as u64, 0), "after a slide");
         assert_eq!(store.runs_read(), 0);
@@ -1618,7 +1732,7 @@ mod tests {
             "segments 0 1 resident, 2 read"
         );
         for (slide, resident) in [[1, 3], [3, 4], [3, 4]].into_iter().enumerate() {
-            tight.pop_segment().unwrap();
+            pop(&mut tight).unwrap();
             push(&mut tight);
             // Slides 0 and 1 trade a resident segment for the entering one;
             // slide 2 pops the never-resident segment 2, frees nothing, and
@@ -1650,7 +1764,7 @@ mod tests {
             store.set_cache_budget(budget);
             for slide in 0..segments + 3 {
                 if store.num_segments() == segments {
-                    store.pop_segment().unwrap();
+                    pop(&mut store).unwrap();
                 }
                 uniform(&mut store, rows, 64);
                 if store.num_segments() < segments {
@@ -1838,7 +1952,14 @@ mod tests {
             restored.assemble_row(id, &mut row).unwrap();
             assert_eq!(&row, want, "row {id}");
         }
-        assert_eq!(restored.live_uids(), [0, 1]);
+        assert_eq!(
+            restored
+                .manifest()
+                .iter()
+                .map(|s| s.uid)
+                .collect::<Vec<_>>(),
+            [0, 1]
+        );
         drop(restored);
 
         let refused = |manifest: &Checkpoint, run: &str| {
@@ -1937,7 +2058,7 @@ mod tests {
         // The slide drops the store's handle and releases the file, but the
         // snapshot's data survives until its last Arc drops.
         let weak = Arc::downgrade(&first);
-        store.pop_segment().unwrap();
+        pop(&mut store).unwrap();
         assert_eq!(first.chunk(0).unwrap().len(), 80);
         assert_eq!(first.num_rows(), 2);
         drop(again);
@@ -1988,7 +2109,7 @@ mod tests {
         store.set_cache_budget(64);
         store.set_cache_budget(0);
         store.push_segment(80, [(0, &wide)]).unwrap();
-        store.pop_segment().unwrap();
+        pop(&mut store).unwrap();
         assert_eq!(epoch.chunk(0).unwrap().to_bitvec(), before);
     }
 
@@ -1999,7 +2120,7 @@ mod tests {
         let mut store = SegmentedWindowStore::open(StorageBackend::DiskAt(root.clone())).unwrap();
         store.push_segment(4, [(0, &bv("1001"))]).unwrap();
         assert!(root.join("seg-0.run").exists());
-        store.pop_segment().unwrap();
+        pop(&mut store).unwrap();
         store.push_segment(4, [(1, &bv("0110"))]).unwrap();
         assert_eq!(segment_file_names(&root), ["seg-1.run"]);
     }
@@ -2016,7 +2137,7 @@ mod tests {
         std::fs::remove_file(root.join("seg-0.run")).unwrap();
 
         // The pop releases a file that is gone; the window moves regardless.
-        assert_eq!(store.pop_segment().unwrap(), 3);
+        assert_eq!(pop(&mut store).unwrap(), 3);
         assert_eq!(store.num_segments(), 1);
         assert_eq!(store.generation(), generation + 1);
         assert_eq!(store.stats().segments_dropped, 1);
@@ -2028,6 +2149,47 @@ mod tests {
         assert_eq!(format!("{row:?}"), "BitVec[011]");
         // A durable window's release of a vanished file counts as done.
         store.release_segment_file(&root.join("seg-0.run")).unwrap();
+    }
+
+    /// A slide writes the entering run before it evicts: a write that fails
+    /// — here into a removed directory — changes no segment, counter, uid or
+    /// generation, keeps the lent arena for the retry, and once the
+    /// directory is back the same slide goes through.
+    #[test]
+    fn a_failed_write_changes_nothing() {
+        let dir = TempDir::new("segstore-failed-write").unwrap();
+        let root = dir.file("segments");
+        let mut store = SegmentedWindowStore::open(StorageBackend::DiskAt(root.clone())).unwrap();
+        store.set_cache_budget(usize::MAX);
+        for cols in [3, 2] {
+            uniform(&mut store, 4, cols);
+        }
+        let state = |store: &SegmentedWindowStore| {
+            (
+                store.manifest(),
+                store.boundaries(),
+                store.ledgers().map(<[_]>::to_vec).collect::<Vec<_>>(),
+                store.stats(),
+                store.generation(),
+                store.next_segment_id(),
+                store.resident_uids(),
+            )
+        };
+        let before = state(&store);
+        std::fs::remove_dir_all(&root).unwrap();
+        let chunk = bv("1111");
+        let entering = || EpochSegment::from_rows(4, [(9, &chunk)]).unwrap();
+        let err = store.slide(7, entering(), 2).unwrap_err();
+        assert!(matches!(err, FsmError::Io(_)), "{err}");
+        assert_eq!(state(&store), before);
+        assert!(store.recycled_arena().capacity() > 0, "the arena went back");
+
+        std::fs::create_dir_all(&root).unwrap();
+        let evicted = store.slide(7, entering(), 2).unwrap().unwrap();
+        assert_eq!((evicted.batch_id, evicted.cols), (0, 3));
+        assert_eq!(store.boundaries(), [2, 6]);
+        assert_eq!(store.newest_batch(), Some(7));
+        assert_eq!(store.ledgers().last().unwrap(), [(9, 4)]);
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! `w = 2` in the running example).  This crate provides:
 //!
 //! * [`BatchBuilder`] — groups incoming transactions into fixed-size batches;
-//! * [`SlidingWindow`] — tracks which batches are inside the window and where
-//!   the batch boundaries fall, the bookkeeping every capture structure needs
-//!   when the window slides.
+//! * [`SlidingWindow`] — tracks which batches are inside the window and how
+//!   many transactions each holds, the bookkeeping the DSTree and the
+//!   DSTable keep beside their window (the DSMatrix reads its boundaries
+//!   from its segment store's records instead).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -46,12 +46,13 @@ pub struct SlideOutcome {
     pub evicted: Option<(BatchId, usize)>,
 }
 
-/// Tracks which batches are currently inside the window and where the batch
-/// boundaries fall, without retaining the transactions themselves.
+/// Tracks which batches are currently inside the window and how many
+/// transactions each holds, without retaining the transactions themselves.
 ///
-/// This is the "boundary information" every capture structure keeps: the
-/// DSMatrix keeps exactly `w` global boundary values (one per batch) so that a
-/// window slide knows how many leading columns to discard.
+/// This is the boundary information the DSTree and the DSTable keep beside
+/// their window, so that a slide knows which batch leaves and how many
+/// transactions it takes.  The DSMatrix keeps none of its own: its segment
+/// store holds one record per batch, and its boundaries are read from those.
 #[derive(Debug, Clone, Default)]
 pub struct SlidingWindow {
     config: WindowConfig,
@@ -69,11 +70,6 @@ impl SlidingWindow {
             config,
             batches: VecDeque::new(),
         }
-    }
-
-    /// The window configuration.
-    pub fn config(&self) -> WindowConfig {
-        self.config
     }
 
     /// Registers the arrival of a batch with `transactions` transactions,
@@ -97,49 +93,10 @@ impl SlidingWindow {
         self.batches.len()
     }
 
-    /// Returns `true` if the window holds no batches yet.
-    pub fn is_empty(&self) -> bool {
-        self.batches.is_empty()
-    }
-
-    /// Returns `true` if the window has reached its configured capacity.
-    pub fn is_full(&self) -> bool {
-        self.batches.len() == self.config.window_batches
-    }
-
-    /// Total number of transactions across all batches in the window (the
-    /// number of DSMatrix columns, `|T|`).
+    /// Total number of transactions across all batches in the window
+    /// (`|T|` in the paper).
     pub fn total_transactions(&self) -> usize {
         self.batches.iter().map(|(_, n)| *n).sum()
-    }
-
-    /// Cumulative batch boundaries, exactly as the DSMatrix records them:
-    /// `boundaries()[i]` is the number of columns up to and including batch
-    /// `i` of the window.  Example 1 reports "Boundaries: Cols 3 & 6".
-    pub fn boundaries(&self) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.batches.len());
-        let mut acc = 0;
-        for (_, n) in &self.batches {
-            acc += n;
-            out.push(acc);
-        }
-        out
-    }
-
-    /// `(batch id, transactions)` of every batch in the window, oldest
-    /// first.
-    pub fn batches(&self) -> impl ExactSizeIterator<Item = (BatchId, usize)> + '_ {
-        self.batches.iter().copied()
-    }
-
-    /// Identifier of the oldest batch currently in the window.
-    pub fn oldest(&self) -> Option<BatchId> {
-        self.batches.front().map(|(id, _)| *id)
-    }
-
-    /// Identifier of the newest batch currently in the window.
-    pub fn newest(&self) -> Option<BatchId> {
-        self.batches.back().map(|(id, _)| *id)
     }
 }
 
@@ -156,32 +113,33 @@ mod tests {
 
     #[test]
     fn boundaries_match_paper_example_1() {
-        // Window of w = 2 batches, three transactions each.
+        // Window of w = 2 batches, three transactions each: the boundaries
+        // fall after columns 3 and 6.
         let mut window = SlidingWindow::new(WindowConfig::new(2).unwrap());
         window.push(0, 3);
+        assert_eq!(window.total_transactions(), 3);
         window.push(1, 3);
-        assert_eq!(window.boundaries(), vec![3, 6]);
         assert_eq!(window.total_transactions(), 6);
-        assert!(window.is_full());
+        assert_eq!(window.num_batches(), 2);
 
-        // Batch B3 arrives: B1 is evicted, boundaries stay at 3 & 6.
+        // Batch B3 arrives: B1 is evicted with its three columns, and the
+        // window is six columns again.
         let outcome = window.push(2, 3);
         assert_eq!(outcome.evicted, Some((0, 3)));
-        assert_eq!(window.boundaries(), vec![3, 6]);
-        assert!(window.batches().eq([(1, 3), (2, 3)]));
-        assert_eq!(window.oldest(), Some(1));
-        assert_eq!(window.newest(), Some(2));
+        assert_eq!(window.total_transactions(), 6);
+        // B2 leaves next.
+        assert_eq!(window.push(3, 3).evicted, Some((1, 3)));
     }
 
     #[test]
     fn window_grows_until_full_without_evicting() {
         let mut window = SlidingWindow::new(WindowConfig::new(3).unwrap());
-        assert!(window.is_empty());
+        assert_eq!(window.num_batches(), 0);
         for id in 0..3u64 {
             let outcome = window.push(id, 2);
             assert!(outcome.evicted.is_none());
         }
-        assert!(window.is_full());
+        assert_eq!(window.num_batches(), 3);
         let outcome = window.push(3, 2);
         assert_eq!(outcome.evicted, Some((0, 2)));
         assert_eq!(window.num_batches(), 3);
@@ -189,12 +147,16 @@ mod tests {
 
     #[test]
     fn uneven_batches_produce_uneven_boundaries() {
+        // The boundaries are the running totals: 2, 7, 8.
         let mut window = SlidingWindow::new(WindowConfig::new(3).unwrap());
-        window.push(0, 2);
-        window.push(1, 5);
-        window.push(2, 1);
-        assert_eq!(window.boundaries(), vec![2, 7, 8]);
-        assert_eq!(window.total_transactions(), 8);
+        let totals: Vec<usize> = [(0, 2), (1, 5), (2, 1)]
+            .into_iter()
+            .map(|(id, transactions)| {
+                window.push(id, transactions);
+                window.total_transactions()
+            })
+            .collect();
+        assert_eq!(totals, [2, 7, 8]);
     }
 
     #[test]

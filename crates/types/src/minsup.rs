@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::error::{FsmError, Result};
+
 /// A user-specified minimum support threshold.
 ///
 /// The paper states thresholds as absolute frequencies in the running example
@@ -24,10 +26,37 @@ impl MinSup {
 
     /// Creates a relative threshold from a fraction in `[0, 1]`.
     ///
-    /// Values are clamped into the valid range so that a slightly negative or
-    /// >1 value produced by arithmetic does not panic later.
+    /// Values are clamped into the valid range so that a value slightly
+    /// outside it, produced by arithmetic, does not panic later; input goes
+    /// through [`MinSup::checked_relative`], which refuses what this clamps.
     pub fn relative(fraction: f64) -> Self {
         Self::Relative(fraction.clamp(0.0, 1.0))
+    }
+
+    /// Creates a relative threshold from a fraction in `(0, 1]`; anything
+    /// else, NaN and the infinities included, is [`FsmError::InvalidConfig`].
+    pub fn checked_relative(fraction: f64) -> Result<Self> {
+        if fraction > 0.0 && fraction <= 1.0 {
+            Ok(Self::Relative(fraction))
+        } else {
+            Err(FsmError::config(format!(
+                "a relative minsup must be a fraction in (0, 1], got {fraction}"
+            )))
+        }
+    }
+
+    /// Parses a threshold as the command lines spell it: a whole number is an
+    /// absolute count, anything else a fraction [`MinSup::checked_relative`]
+    /// accepts, or [`FsmError::InvalidConfig`].
+    pub fn parse(raw: &str) -> Result<Self> {
+        if let Ok(count) = raw.parse() {
+            return Ok(Self::Absolute(count));
+        }
+        Self::checked_relative(raw.parse().unwrap_or(f64::NAN)).map_err(|_| {
+            FsmError::config(format!(
+                "--minsup must be a positive integer or a fraction in (0, 1], got '{raw}'"
+            ))
+        })
     }
 
     /// Resolves the threshold to an absolute count given the number of
@@ -85,6 +114,47 @@ mod tests {
     fn relative_clamps_out_of_range_inputs() {
         assert_eq!(MinSup::relative(1.5).resolve(10), 10);
         assert_eq!(MinSup::relative(-0.5).resolve(10), 1);
+    }
+
+    #[test]
+    fn checked_fractions_refuse_what_relative_clamps() {
+        for refused in [
+            f64::NAN,
+            0.0,
+            -0.0,
+            -0.5,
+            1.5,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            let err = MinSup::checked_relative(refused).unwrap_err();
+            assert!(
+                matches!(err, FsmError::InvalidConfig(_)),
+                "{refused}: {err}"
+            );
+        }
+        assert_eq!(
+            MinSup::checked_relative(1.0).unwrap(),
+            MinSup::Relative(1.0)
+        );
+        assert_eq!(
+            MinSup::checked_relative(0.05).unwrap(),
+            MinSup::Relative(0.05)
+        );
+    }
+
+    #[test]
+    fn parse_reads_counts_and_checked_fractions() {
+        assert_eq!(MinSup::parse("20").unwrap(), MinSup::Absolute(20));
+        assert_eq!(MinSup::parse("0.5").unwrap(), MinSup::Relative(0.5));
+        assert_eq!(MinSup::parse("1").unwrap(), MinSup::Absolute(1));
+        for refused in ["0.0", "-0.5", "1.5", "NaN", "inf", "-3", "half", ""] {
+            let err = MinSup::parse(refused).unwrap_err();
+            assert!(
+                matches!(&err, FsmError::InvalidConfig(message) if message.contains(refused)),
+                "{refused:?}: {err}"
+            );
+        }
     }
 
     #[test]
