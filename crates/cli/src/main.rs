@@ -257,7 +257,9 @@ fn run(options: &Options) -> Result<()> {
             durability.wal_bytes_written,
             durability.fsyncs,
             durability.checkpoint_bytes,
-            durability.recovery_replayed_batches,
+            miner
+                .recovery_report()
+                .map_or(0, |report| report.replayed_batches),
         );
     }
 

@@ -4,8 +4,9 @@
 //! residency sweep never waiting on a held window, a dropped tenant's spill
 //! image going with it (and never a durable namesake's files under an
 //! aliased root), a delta tenant's incremental state rebuilding exactly
-//! across a spill/thaw cycle, and a subscribed disk tenant holding nothing
-//! resident outside its residency budget.
+//! across a spill/thaw cycle, a subscribed disk tenant holding nothing
+//! resident outside its residency budget, and a durable tenant refusing a
+//! batch whose segment write failed without wedging its log.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -13,8 +14,8 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use fsm_core::{
-    Algorithm, Exec, LifecycleState, MinerConfig, RegistryConfig, Session, SessionRegistry,
-    StreamMiner, WorkerPool,
+    Algorithm, Exec, IngestOutcome, LifecycleState, MinerConfig, RegistryConfig, Session,
+    SessionRegistry, StreamMiner, WorkerPool,
 };
 use fsm_dsmatrix::DsMatrix;
 use fsm_storage::{StorageBackend, TempDir};
@@ -318,6 +319,72 @@ fn dropping_a_volatile_tenant_removes_its_spill_image() {
         "the spill image outlived the registry"
     );
     assert!(root.path().join("kept").exists());
+}
+
+/// A durable tenant whose segment write fails refuses that batch and keeps
+/// serving: the run is written before the WAL record is appended, so the
+/// refused batch is never logged, every later ingest is applied, and
+/// `recover_tenant` brings back the window the tenant served — never one
+/// holding the refused batch.
+#[test]
+fn a_durable_tenant_refusing_a_segment_write_keeps_serving_and_recovers_without_it() {
+    let root = TempDir::new("lifecycle-refused-write").unwrap();
+    let registry = SessionRegistry::new(RegistryConfig {
+        durable_root: Some(root.path().into()),
+        ..RegistryConfig::default()
+    });
+    let durable = MinerConfig {
+        backend: StorageBackend::DiskTemp,
+        checkpoint_every: 100,
+        ..config(false)
+    };
+    let t = |raw: &[u32]| Transaction::from_raw(raw.iter().copied());
+    let mut stream = batches();
+    stream.push(Batch::from_transactions(
+        3,
+        vec![t(&[1, 4]), t(&[0, 2]), t(&[0, 2, 5])],
+    ));
+    stream.push(Batch::from_transactions(
+        4,
+        vec![t(&[0, 5]), t(&[0, 2, 3]), t(&[2, 3, 5])],
+    ));
+
+    let session = registry
+        .create_tenant("refusing", durable.clone(), true)
+        .unwrap();
+    session.ingest(&stream[0]).unwrap();
+    session.ingest(&stream[1]).unwrap();
+    let segments = root.path().join("refusing").join("segments");
+    std::fs::remove_dir_all(&segments).unwrap();
+    let err = session.ingest(&stream[2]).unwrap_err();
+    assert!(matches!(err, FsmError::Io(_)), "{err}");
+    std::fs::create_dir_all(&segments).unwrap();
+    for batch in &stream[3..] {
+        let outcome = session.ingest(batch).unwrap();
+        assert!(matches!(outcome, IngestOutcome::Applied(_)), "{outcome:?}");
+    }
+
+    let mut oracle = StreamMiner::new(config(false)).unwrap();
+    for batch in [&stream[0], &stream[1], &stream[3], &stream[4]] {
+        oracle.ingest_batch(batch).unwrap();
+    }
+    let expected = oracle.mine().unwrap();
+    let window = |session: &Session| {
+        session
+            .with_miner(|miner| {
+                let matrix = miner.matrix_mut();
+                (matrix.boundaries(), matrix.last_batch_id())
+            })
+            .unwrap()
+    };
+    assert!(session.mine().unwrap().same_patterns_as(&expected));
+    assert_eq!(window(&session), (vec![3, 6], Some(4)));
+    drop(session);
+    registry.drop_tenant("refusing").unwrap();
+
+    let recovered = registry.recover_tenant("refusing", durable).unwrap();
+    assert!(recovered.mine().unwrap().same_patterns_as(&expected));
+    assert_eq!(window(&recovered), (vec![3, 6], Some(4)));
 }
 
 /// A delta tenant's incremental pattern set rebuilds exactly on thaw: the

@@ -1,12 +1,22 @@
 //! Durability plumbing for the disk-backed [`crate::DsMatrix`].
 //!
-//! The protocol is classic WAL-before-apply, specialised to the fact that
-//! window segments are *immutable runs*, one file each:
+//! The protocol is a write-ahead log specialised to the fact that window
+//! segments are *immutable runs*, one file each:
 //!
-//! 1. An ingest first checks and transposes the batch into scratch, then
-//!    appends it to the WAL — the payload bytes as received, or a built
-//!    batch encoded into that layout — and `fsync`s it (one record, one
-//!    fsync per commit), and only then mutates any state.
+//! 1. An ingest has one commit point, its WAL append, and every step that
+//!    can fail comes before it.  It checks and transposes the batch into
+//!    scratch, builds the segment and writes its run, then appends the
+//!    batch to the WAL — the payload bytes as received, or a built batch
+//!    encoded into that layout — and `fsync`s it (one record, one fsync per
+//!    commit).  Only then does the window change: the oldest segment is
+//!    evicted, the new one pushed and the supports moved
+//!    ([`fsm_storage::SegmentedWindowStore::slide`] runs the append between
+//!    the write and the eviction).  A refused batch, a failed run write or
+//!    a failed append changes nothing: the written run goes back on the
+//!    store's free list, and the WAL is truncated back to its committed
+//!    length, so the next ingest takes the same sequence number and uid.
+//!    A crash between the run write and the append leaves a run whose uid
+//!    is at or above the checkpoint's next uid, which recovery removes.
 //! 2. Segment runs written since the last checkpoint are `fsync`ed lazily —
 //!    at checkpoint time, not per batch, one `fsync` per run — because the
 //!    WAL can always re-create them by replay.
@@ -38,6 +48,8 @@ use std::path::PathBuf;
 use fsm_storage::Wal;
 use fsm_types::codec::Reader;
 use fsm_types::{Batch, Result, Transaction};
+
+use crate::Incoming;
 
 /// Durability knobs of a [`crate::DsMatrixConfig`].
 #[derive(Debug, Clone)]
@@ -98,18 +110,13 @@ pub struct RecoveryReport {
 /// Live durability state of a durable [`crate::DsMatrix`].
 pub(crate) struct DurableState {
     pub(crate) config: DurabilityConfig,
+    /// The log.  Its last sequence number counts the committed batches —
+    /// the ones the window holds, except while recovery replays the tail.
     pub(crate) wal: Wal,
-    /// WAL sequence number of the last batch applied to the matrix.
-    pub(crate) applied_seq: u64,
-    /// Sequence of the newest on-disk checkpoint.
-    pub(crate) last_ckpt_seq: Option<u64>,
-    /// Sequence of the previous retained checkpoint (WAL is pruned up to
-    /// here, never further).
-    pub(crate) prev_ckpt_seq: Option<u64>,
-    /// Segment uids referenced by the newest checkpoint.
-    pub(crate) last_ckpt_uids: BTreeSet<u64>,
-    /// Segment uids referenced by the previous retained checkpoint.
-    pub(crate) prev_ckpt_uids: BTreeSet<u64>,
+    /// The retained checkpoints, oldest first and at most two: each one's
+    /// WAL sequence number and the segment uids it names.  The WAL is
+    /// pruned up to the older one, never further.
+    pub(crate) checkpoints: Vec<(u64, BTreeSet<u64>)>,
     /// Evicted segment files whose release is deferred until a checkpoint
     /// proves them unreferenced (or whose release failed).
     pub(crate) garbage: Vec<(u64, PathBuf)>,
@@ -117,12 +124,13 @@ pub(crate) struct DurableState {
     pub(crate) slides_since_ckpt: usize,
     /// Segments with uid below this were fsynced by an earlier checkpoint.
     pub(crate) synced_uid_watermark: u64,
+    /// Cumulative bytes appended to the WAL.
+    pub(crate) wal_bytes: u64,
+    /// Cumulative `fsync`s: WAL appends, prunes and torn-tail truncations,
+    /// segment syncs and checkpoint writes.
+    pub(crate) fsyncs: u64,
     /// Cumulative bytes of checkpoint files written.
     pub(crate) checkpoint_bytes: u64,
-    /// Cumulative `fsync`s beyond the WAL's own (segment + checkpoint syncs).
-    pub(crate) extra_fsyncs: u64,
-    /// Batches replayed by recovery (0 for a fresh durable matrix).
-    pub(crate) recovery_replayed: u64,
     /// Report of the recovery that produced this state, if any.
     pub(crate) report: Option<RecoveryReport>,
     /// The buffer a built batch is encoded into for its WAL append (a
@@ -136,20 +144,48 @@ impl DurableState {
         Self {
             config,
             wal,
-            applied_seq: 0,
-            last_ckpt_seq: None,
-            prev_ckpt_seq: None,
-            last_ckpt_uids: BTreeSet::new(),
-            prev_ckpt_uids: BTreeSet::new(),
+            checkpoints: Vec::new(),
             garbage: Vec::new(),
             slides_since_ckpt: 0,
             synced_uid_watermark: 0,
+            wal_bytes: 0,
+            fsyncs: 0,
             checkpoint_bytes: 0,
-            extra_fsyncs: 0,
-            recovery_replayed: 0,
             report: None,
             record: Vec::new(),
         }
+    }
+
+    /// Commits `incoming` — appends it to the WAL as the next record and
+    /// `fsync`s it — and returns its sequence number.  A failed append
+    /// leaves the log as it was.
+    pub(crate) fn commit(&mut self, incoming: Incoming<'_>) -> Result<u64> {
+        let seq = self.wal.last_seq() + 1;
+        let record = match incoming {
+            Incoming::Encoded(payload) => payload,
+            Incoming::Batch(batch) => {
+                self.record.clear();
+                encode_batch_into(batch, &mut self.record);
+                &self.record
+            }
+        };
+        self.wal_bytes += self.wal.append(seq, record)?;
+        self.fsyncs += 1;
+        Ok(seq)
+    }
+
+    /// Retains the checkpoint just written at `seq`, naming `uids`, beside
+    /// the newest one before it.
+    pub(crate) fn retain_checkpoint(&mut self, seq: u64, uids: BTreeSet<u64>) {
+        if self.checkpoints.len() == 2 {
+            self.checkpoints.remove(0);
+        }
+        self.checkpoints.push((seq, uids));
+    }
+
+    /// Whether a retained checkpoint names segment `uid`.
+    pub(crate) fn retains(&self, uid: u64) -> bool {
+        self.checkpoints.iter().any(|(_, uids)| uids.contains(&uid))
     }
 }
 

@@ -69,13 +69,17 @@
 //!
 //! # Durability
 //!
-//! With [`DsMatrixConfig::durability`] set (disk backends only), every
-//! ingested batch is checked, then appended to a write-ahead log — a payload
-//! as received — and `fsync`ed *before* any state mutates, a [`fsm_storage::Checkpoint`] snapshots the window
-//! metadata every K slides, and [`DsMatrix::recover`] rebuilds the exact
-//! pre-crash window from the newest verifiable checkpoint plus the WAL
-//! tail — see [`durable`] for the protocol and [`RecoveryReport`] for what
-//! a recovery observed.
+//! With [`DsMatrixConfig::durability`] set (disk backends only), an ingest
+//! has one commit point: after the batch is checked and its segment run
+//! written, it is appended to a write-ahead log — a payload as received —
+//! and `fsync`ed, and only then does the window slide.  A refused batch, a
+//! failed run write or a failed append leaves the window, the store and the
+//! log as they were, so the next ingest goes through.  A
+//! [`fsm_storage::Checkpoint`] snapshots the window metadata every K
+//! slides, and [`DsMatrix::recover`] rebuilds the exact pre-crash window
+//! from the newest verifiable checkpoint plus the WAL tail — see
+//! [`durable`] for the protocol and [`RecoveryReport`] for what a recovery
+//! observed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -12,7 +12,7 @@ use fsm_stream::{SlideOutcome, WindowConfig};
 use fsm_types::codec::Reader;
 use fsm_types::{Batch, BatchId, EdgeId, FsmError, Result, Support, Transaction};
 
-use crate::durable::{encode_batch_into, DurabilityConfig, DurableState, RecoveryReport};
+use crate::durable::{DurabilityConfig, DurableState, RecoveryReport};
 use crate::epoch::EpochSnapshot;
 use crate::view::WindowView;
 
@@ -81,9 +81,6 @@ pub struct ReadStats {
     pub fsyncs: u64,
     /// Bytes of checkpoint files written (durable windows only).
     pub checkpoint_bytes: u64,
-    /// Batches replayed from the WAL tail by [`DsMatrix::recover`] (zero for
-    /// a matrix that never recovered).
-    pub recovery_replayed_batches: u64,
 }
 
 /// Construction options for a [`DsMatrix`].
@@ -635,9 +632,10 @@ impl DsMatrix {
         // surviving records say.
         wal.resume_after(ckpt.last_seq);
         let mut durable = DurableState::fresh(dur, wal);
-        durable.applied_seq = ckpt.last_seq;
-        durable.last_ckpt_seq = checkpoint_seq;
-        durable.last_ckpt_uids = ckpt.segments.iter().map(|s| s.uid).collect();
+        durable.fsyncs = u64::from(wal_torn.is_some());
+        if let Some(seq) = checkpoint_seq {
+            durable.retain_checkpoint(seq, ckpt.segments.iter().map(|s| s.uid).collect());
+        }
         durable.synced_uid_watermark = ckpt.next_uid;
 
         // The restored store holds every segment's record; the checkpoint
@@ -647,23 +645,19 @@ impl DsMatrix {
         matrix.supports = std::mem::take(&mut ckpt.supports);
         matrix.supports.resize(rows, 0);
 
-        // Replay the WAL tail through the ordinary (post-WAL) ingest path.
-        // The tail must continue the checkpoint contiguously; a gap means an
-        // artifact lied and recovering "around" it would fabricate a window
-        // that never existed.
-        let base_seq = ckpt.last_seq;
-        for record in records.into_iter().filter(|r| r.seq > base_seq) {
-            let applied = matrix
-                .durable
-                .as_ref()
-                .expect("recovering matrix is durable")
-                .applied_seq;
-            if record.seq != applied + 1 {
+        // Replay the WAL tail through the ordinary ingest path, each record
+        // already committed: its own sequence number is the one a checkpoint
+        // written on the way names.  The tail must continue the checkpoint
+        // contiguously; a gap means an artifact lied and recovering
+        // "around" it would fabricate a window that never existed.
+        let mut replayed = 0;
+        for record in records.into_iter().filter(|r| r.seq > ckpt.last_seq) {
+            let expected = ckpt.last_seq + replayed + 1;
+            if record.seq != expected {
                 return Err(FsmError::corrupt_artifact(
                     "wal.log",
                     format!(
-                        "replay gap: expected seq {}, found seq {}",
-                        applied + 1,
+                        "replay gap: expected seq {expected}, found seq {}",
                         record.seq
                     ),
                 ));
@@ -671,12 +665,8 @@ impl DsMatrix {
             let id = matrix
                 .transposer
                 .fill(Incoming::Encoded(&record.payload), usize::MAX)?;
-            matrix.apply_transposed(id)?;
-            let durable = matrix
-                .durable
-                .as_mut()
-                .expect("recovering matrix is durable");
-            durable.recovery_replayed += 1;
+            matrix.apply_transposed(id, |_| Ok(record.seq))?;
+            replayed += 1;
         }
 
         // Stray segment files (older crashes, bypassed evict GC): queue them
@@ -689,8 +679,7 @@ impl DsMatrix {
             .expect("recovering matrix is durable");
         for (uid, path) in strays {
             let referenced = live.contains(&uid)
-                || durable.last_ckpt_uids.contains(&uid)
-                || durable.prev_ckpt_uids.contains(&uid)
+                || durable.retains(uid)
                 || durable.garbage.iter().any(|(g, _)| *g == uid);
             if !referenced {
                 durable.garbage.push((uid, path));
@@ -698,7 +687,7 @@ impl DsMatrix {
         }
         durable.report = Some(RecoveryReport {
             checkpoint_seq,
-            replayed_batches: durable.recovery_replayed,
+            replayed_batches: replayed,
             wal_torn,
             skipped_artifacts: skipped,
         });
@@ -826,10 +815,10 @@ impl DsMatrix {
     /// accepted: the window grows a row for it ([`DsMatrix::ingest`] bounds
     /// them).
     ///
-    /// On a durable matrix the batch is first appended to the WAL and
-    /// `fsync`ed — only then is any in-memory or segment state mutated
-    /// (write-ahead protocol).  Every `checkpoint_every` slides the apply
-    /// step also writes a checkpoint, prunes the WAL prefix the *older*
+    /// On a durable matrix the batch's run is written, then the batch is
+    /// appended to the WAL and `fsync`ed — the commit — and only then does
+    /// the window change.  Every `checkpoint_every` slides the ingest also
+    /// writes a checkpoint, prunes the WAL prefix the *older*
     /// retained checkpoint covers, and releases evicted segment files that
     /// no retained checkpoint references any more for later pushes to
     /// overwrite.
@@ -844,37 +833,31 @@ impl DsMatrix {
     /// malformed payload is refused as [`crate::decode_batch`] refuses it
     /// ([`FsmError::CorruptArtifact`] naming the "wal batch payload"), and
     /// a well-formed batch naming an edge id at or past `edge_limit` with
-    /// [`FsmError::UnknownEdge`].  A refused batch leaves the window and the
-    /// WAL untouched.  A durable matrix then logs the batch — the received
-    /// payload bytes themselves, or a built batch encoded in that layout —
-    /// and only then applies it, moving the transposed segment into the
-    /// store.  A run write that fails is returned as [`FsmError::Io`] and,
-    /// as it comes before the eviction, leaves the window as it was.
+    /// [`FsmError::UnknownEdge`].  The transposed segment is then moved into
+    /// the store: its run written, on a durable matrix the batch committed
+    /// to the WAL — the received payload bytes themselves, or a built batch
+    /// encoded in that layout — and only then the window slid.  A refused
+    /// batch, a failed run write ([`FsmError::Io`]) or a failed WAL append
+    /// leaves the window, the store and the WAL as they were, and the next
+    /// ingest goes through as if it had never been tried.
     pub fn ingest(&mut self, incoming: Incoming<'_>, edge_limit: usize) -> Result<SlideOutcome> {
         self.rebalance_cache_budget();
         let id = self.transposer.fill(incoming, edge_limit)?;
-        if let Some(durable) = &mut self.durable {
-            let seq = durable.applied_seq + 1;
-            let record = match incoming {
-                Incoming::Encoded(payload) => payload,
-                Incoming::Batch(batch) => {
-                    durable.record.clear();
-                    encode_batch_into(batch, &mut durable.record);
-                    &durable.record
-                }
-            };
-            durable.wal.append(seq, record)?;
-        }
-        self.apply_transposed(id)
+        self.apply_transposed(id, |durable| durable.commit(incoming))
     }
 
     /// Applies the batch the transposer holds as batch `batch_id`, building
-    /// its segment in the arena the store recycles.  Recovery replays WAL
+    /// its segment in the arena the store recycles, with `commit` as the
+    /// durable commit ([`DsMatrix::apply_segment`]).  Recovery replays WAL
     /// records through [`Transposer::fill`] and this.
-    fn apply_transposed(&mut self, batch_id: BatchId) -> Result<SlideOutcome> {
+    fn apply_transposed(
+        &mut self,
+        batch_id: BatchId,
+        commit: impl FnOnce(&mut DurableState) -> Result<u64>,
+    ) -> Result<SlideOutcome> {
         // Moved out for the call so it can be read beside `&mut self`.
         let transposer = std::mem::take(&mut self.transposer);
-        let outcome = self.apply_segment(batch_id, |arena| transposer.build(arena));
+        let outcome = self.apply_segment(batch_id, |arena| transposer.build(arena), commit);
         self.transposer = transposer;
         outcome
     }
@@ -887,20 +870,30 @@ impl DsMatrix {
     /// segments of a spill image, so a thawed window is rebuilt by the very
     /// steps that built it.
     ///
-    /// The store writes the entering run before it evicts, so a failed
-    /// write moves nothing here.  Then the two segments' ledgers move the
+    /// The store writes the entering run, then — on a durable matrix —
+    /// runs `commit`, which makes the batch durable and returns its WAL
+    /// sequence number, and only then evicts: a failed write or commit
+    /// moves nothing here.  Then the two segments' ledgers move the
     /// supports, and the evicted run file goes back to the store — on a
     /// durable matrix, once a checkpoint proves no retained one names it.
     fn apply_segment(
         &mut self,
         batch_id: BatchId,
         build: impl FnOnce(Vec<u64>) -> Result<EpochSegment>,
+        commit: impl FnOnce(&mut DurableState) -> Result<u64>,
     ) -> Result<SlideOutcome> {
         let segment = build(self.store.recycled_arena())?;
         let cols = segment.cols();
+        let durable = &mut self.durable;
+        let mut committed = None;
         let evicted = self
             .store
-            .slide(batch_id, segment, self.window.window_batches())?;
+            .slide(batch_id, segment, self.window.window_batches(), || {
+                if let Some(durable) = durable {
+                    committed = Some(commit(durable)?);
+                }
+                Ok(())
+            })?;
         let evicted = evicted.map(|mut evicted| {
             for &(row, ones) in &evicted.ledger {
                 self.supports[row] -= ones;
@@ -924,15 +917,11 @@ impl DsMatrix {
             self.supports[row] += ones;
         }
 
-        let checkpoint_due = if let Some(durable) = &mut self.durable {
-            durable.applied_seq += 1;
+        if let (Some(seq), Some(durable)) = (committed, &mut self.durable) {
             durable.slides_since_ckpt += 1;
-            durable.slides_since_ckpt >= durable.config.checkpoint_every
-        } else {
-            false
-        };
-        if checkpoint_due {
-            self.write_checkpoint()?;
+            if durable.slides_since_ckpt >= durable.config.checkpoint_every {
+                self.write_checkpoint(seq)?;
+            }
         }
         Ok(SlideOutcome {
             entered: batch_id,
@@ -950,12 +939,12 @@ impl DsMatrix {
     /// slides; exposed for tests and shutdown paths.  Errors if the matrix is
     /// not durable.
     pub fn checkpoint(&mut self) -> Result<()> {
-        if self.durable.is_none() {
+        let Some(durable) = &self.durable else {
             return Err(FsmError::config(
                 "checkpoint() requires a durable matrix (DsMatrixConfig::durability)",
             ));
-        }
-        self.write_checkpoint()
+        };
+        self.write_checkpoint(durable.wal.last_seq())
     }
 
     /// Writes this window in its one cold form — a [`Checkpoint`] plus the
@@ -984,7 +973,8 @@ impl DsMatrix {
         let mut store = SegmentedWindowStore::open(StorageBackend::DiskAt(image.segments_dir()))?;
         let snapshot = self.snapshot_epoch()?;
         for segment in snapshot.segments() {
-            store.slide(segment.batch_id(), EpochSegment::clone(segment), usize::MAX)?;
+            let segment = EpochSegment::clone(segment);
+            store.slide(segment.batch_id(), segment, usize::MAX, || Ok(()))?;
         }
         store.remove_spares()?;
         self.checkpoint_of(&store, 0).write(&image.dir)?;
@@ -1022,7 +1012,8 @@ impl DsMatrix {
         let path = image.dir.join(Checkpoint::file_name(0));
         let mut matrix = Self::new(config.clone())?;
         let loaded = Self::load_cold(&image, &path, &config, |segment| {
-            matrix.apply_segment(segment.batch_id(), |_| Ok(segment))?;
+            let no_log = |_: &mut DurableState| unreachable!("a thawed window is volatile");
+            matrix.apply_segment(segment.batch_id(), |_| Ok(segment), no_log)?;
             Ok(())
         });
         match loaded {
@@ -1056,7 +1047,10 @@ impl DsMatrix {
         }
     }
 
-    fn write_checkpoint(&mut self) -> Result<()> {
+    /// Writes a checkpoint of the window as of WAL record `last_seq` (the
+    /// batch the window ends at) and does the bookkeeping
+    /// [`DsMatrix::checkpoint`] names.
+    fn write_checkpoint(&mut self, last_seq: u64) -> Result<()> {
         let durable = self
             .durable
             .as_mut()
@@ -1065,9 +1059,8 @@ impl DsMatrix {
         // 1. Make every live segment durable before referencing it from a
         //    checkpoint.  Segments below the watermark were synced by an
         //    earlier checkpoint and are immutable since.
-        durable.extra_fsyncs += self.store.sync_segments(durable.synced_uid_watermark)?;
+        durable.fsyncs += self.store.sync_segments(durable.synced_uid_watermark)?;
         durable.synced_uid_watermark = self.store.next_segment_id();
-        let last_seq = durable.applied_seq;
 
         // 2. Name the live runs and record the support counters.  Each run
         //    holds its own row ids and chunks — a checkpoint copies nothing
@@ -1081,14 +1074,14 @@ impl DsMatrix {
         // 3. Persist it and drop checkpoints older than the two newest.
         let (_, bytes, fsyncs) = checkpoint.write(&durable.config.dir)?;
         durable.checkpoint_bytes += bytes;
-        durable.extra_fsyncs += fsyncs;
+        durable.fsyncs += fsyncs;
         Checkpoint::prune_keeping(&durable.config.dir, 2)?;
 
         // 4. Rotate the retained-checkpoint bookkeeping.
-        durable.prev_ckpt_seq = durable.last_ckpt_seq;
-        durable.last_ckpt_seq = Some(durable.applied_seq);
-        let live: BTreeSet<u64> = checkpoint.segments.iter().map(|s| s.uid).collect();
-        durable.prev_ckpt_uids = std::mem::replace(&mut durable.last_ckpt_uids, live);
+        durable.retain_checkpoint(
+            last_seq,
+            checkpoint.segments.iter().map(|s| s.uid).collect(),
+        );
 
         // 5. Release evicted segment files no retained checkpoint
         //    references, for later pushes to overwrite.  The checkpoint has
@@ -1097,9 +1090,7 @@ impl DsMatrix {
         //    batch logged, applied and checkpointed — still succeeds.
         let garbage = std::mem::take(&mut durable.garbage);
         for (uid, path) in garbage {
-            let referenced =
-                durable.last_ckpt_uids.contains(&uid) || durable.prev_ckpt_uids.contains(&uid);
-            if referenced || self.store.release_segment_file(&path).is_err() {
+            if durable.retains(uid) || self.store.release_segment_file(&path).is_err() {
                 durable.garbage.push((uid, path));
             }
         }
@@ -1107,8 +1098,9 @@ impl DsMatrix {
         // 6. Prune the WAL prefix the *older* retained checkpoint covers: if
         //    the newest checkpoint is ever found corrupt, the older one plus
         //    the retained WAL suffix still reaches the pre-crash window.
-        if let Some(prev_seq) = durable.prev_ckpt_seq {
-            durable.wal.prune_through(prev_seq)?;
+        if let [(older, _), _] = durable.checkpoints[..] {
+            durable.wal.prune_through(older)?;
+            durable.fsyncs += 1;
         }
         durable.slides_since_ckpt = 0;
         Ok(())
@@ -1224,11 +1216,9 @@ impl DsMatrix {
         stats.pages_read += self.store.runs_read();
         stats.cache_hits = self.store.resident_hits();
         if let Some(durable) = &self.durable {
-            let wal = durable.wal.stats();
-            stats.wal_bytes_written = wal.bytes_written;
-            stats.fsyncs = wal.fsyncs + durable.extra_fsyncs;
+            stats.wal_bytes_written = durable.wal_bytes;
+            stats.fsyncs = durable.fsyncs;
             stats.checkpoint_bytes = durable.checkpoint_bytes;
-            stats.recovery_replayed_batches = durable.recovery_replayed;
         }
         stats
     }
@@ -2073,7 +2063,6 @@ mod tests {
         assert_eq!(stats.wal_bytes_written, 0);
         assert_eq!(stats.fsyncs, 0);
         assert_eq!(stats.checkpoint_bytes, 0);
-        assert_eq!(stats.recovery_replayed_batches, 0);
     }
 
     #[test]
@@ -2092,7 +2081,7 @@ mod tests {
         assert!(stats.wal_bytes_written > 0);
         assert!(stats.fsyncs >= 3);
         assert!(stats.checkpoint_bytes > 0);
-        assert_eq!(stats.recovery_replayed_batches, 0);
+        assert!(durable.recovery_report().is_none());
     }
 
     #[test]
@@ -2116,7 +2105,6 @@ mod tests {
         assert_eq!(report.wal_torn, None);
         assert!(report.skipped_artifacts.is_empty());
         assert_eq!(recovered.last_batch_id(), Some(2));
-        assert_eq!(recovered.read_stats().recovery_replayed_batches, 1);
 
         // Recovery is repeatable (it mutates nothing it then depends on).
         let mut again = DsMatrix::recover(durable_config(dir.path(), 2)).unwrap();

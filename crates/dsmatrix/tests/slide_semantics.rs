@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 
-use fsm_dsmatrix::{DsMatrix, DsMatrixConfig};
+use fsm_dsmatrix::{DsMatrix, DsMatrixConfig, DurabilityConfig};
 use fsm_storage::{StorageBackend, TempDir};
 use fsm_stream::WindowConfig;
 use fsm_types::{Batch, BatchId, EdgeId, FsmError, Support, Transaction};
@@ -266,6 +266,55 @@ fn a_refused_segment_write_leaves_no_phantom_batch() {
     let after = observe(&mut m, 4);
     assert_eq!(after.shape, (2, vec![1, 2], 2, Some(4)));
     assert_eq!(after, observe(&mut reference, 4));
+}
+
+/// The durable twin: a durable ingest writes its run before it appends its
+/// WAL record, so a refused write logs nothing.  The log is not wedged —
+/// the next ingests take the sequence number the refused one would have —
+/// and recovery returns the window the client was told about, not one
+/// holding the refused batch.
+#[test]
+fn a_refused_durable_segment_write_is_neither_logged_nor_recovered() {
+    let dir = TempDir::new("phantom-durable").unwrap();
+    let config = DsMatrixConfig::new(WindowConfig::new(2).unwrap(), StorageBackend::DiskTemp, 4)
+        .with_durability(DurabilityConfig::new(dir.path()).with_checkpoint_every(100));
+    let segments = config.durability.as_ref().unwrap().segments_dir();
+    let mut m = DsMatrix::new(config.clone()).unwrap();
+    let batches = [
+        batch(0, &[&[0, 1]]),
+        batch(1, &[&[1, 2]]),
+        batch(2, &[&[0], &[3]]),
+        batch(3, &[&[2, 3]]),
+        batch(4, &[&[0, 3]]),
+    ];
+    m.ingest_batch(&batches[0]).unwrap();
+    m.ingest_batch(&batches[1]).unwrap();
+    let before = observe(&mut m, 4);
+
+    std::fs::remove_dir_all(&segments).unwrap();
+    let err = m.ingest_batch(&batches[2]).unwrap_err();
+    assert!(matches!(err, FsmError::Io(_)), "{err}");
+    assert_eq!(
+        observe(&mut m, 4),
+        before,
+        "the refused batch moved the window"
+    );
+
+    std::fs::create_dir_all(&segments).unwrap();
+    m.ingest_batch(&batches[3]).unwrap();
+    m.ingest_batch(&batches[4]).unwrap();
+    let mut reference = matrix(2, StorageBackend::Memory, 4);
+    for b in [&batches[0], &batches[1], &batches[3], &batches[4]] {
+        reference.ingest_batch(b).unwrap();
+    }
+    let expected = observe(&mut reference, 4);
+    assert_eq!(observe(&mut m, 4), expected);
+    drop(m);
+
+    let mut recovered = DsMatrix::recover(config).unwrap();
+    let report = recovered.recovery_report().unwrap();
+    assert_eq!(report.replayed_batches, 4, "{report:?}");
+    assert_eq!(observe(&mut recovered, 4), expected);
 }
 
 /// The acceptance criterion of the incremental store: a slide writes words

@@ -242,6 +242,53 @@ fn durable_tenants_recover_across_server_restarts() {
     handle.shutdown();
 }
 
+/// A durable tenant whose segment write fails answers that `Ingest` with an
+/// error status and keeps serving: nothing of the refused batch is logged,
+/// the next ingests are applied, and it mines what a tenant that never saw
+/// the refused batch mines.
+#[test]
+fn a_durable_tenant_refusing_a_segment_write_keeps_serving() {
+    let root = fsm_storage::TempDir::new("fsmd-refused-write").unwrap();
+    let (_registry, handle) = start(RegistryConfig {
+        durable_root: Some(root.path().into()),
+        ..RegistryConfig::default()
+    });
+    let stream = batches();
+    let t = |raw: &[u32]| Transaction::from_raw(raw.iter().copied());
+    let last = Batch::from_transactions(4, vec![t(&[0, 5]), t(&[0, 2, 3]), t(&[2, 3, 5])]);
+    let mut durable_spec = spec("refusing", 4, 1);
+    durable_spec.durable = true;
+    let mut client = FsmdClient::connect(handle.local_addr()).unwrap();
+    client.create_tenant(&durable_spec).unwrap();
+    assert!(client.ingest("refusing", &stream[0]).unwrap());
+    assert!(client.ingest("refusing", &stream[1]).unwrap());
+
+    let segments = root.path().join("refusing").join("segments");
+    std::fs::remove_dir_all(&segments).unwrap();
+    let err = client
+        .ingest("refusing", &stream[2])
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("segment run"), "got: {err}");
+    std::fs::create_dir_all(&segments).unwrap();
+    client.ping().unwrap();
+    assert!(client.ingest("refusing", &stream[3]).unwrap());
+    assert!(client.ingest("refusing", &last).unwrap());
+
+    let mut oracle = standalone(
+        Algorithm::DirectVertical,
+        fsm_storage::StorageBackend::DiskTemp,
+    );
+    for batch in [&stream[0], &stream[1], &stream[3], &last] {
+        oracle.ingest_batch(batch).unwrap();
+    }
+    assert_eq!(
+        client.mine("refusing").unwrap(),
+        oracle.mine().unwrap().patterns().to_vec()
+    );
+    handle.shutdown();
+}
+
 /// A resident-set cap on the served registry is invisible on the wire:
 /// with `max_resident = 1` every cross-tenant request lands on a spilled
 /// tenant and thaws it transparently, outputs stay byte-identical to the

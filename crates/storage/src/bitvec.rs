@@ -266,68 +266,6 @@ impl BitVec {
         })
     }
 
-    /// Serialises the vector into a compact byte representation (little-endian
-    /// length header followed by the words).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.words.len() * 8);
-        self.write_bytes(&mut out);
-        out
-    }
-
-    /// Serialises into `out`, clearing and reusing its buffer (the
-    /// allocation-free counterpart of [`BitVec::to_bytes`] used when the
-    /// DSMatrix re-serialises every row on a window slide).
-    pub fn write_bytes(&self, out: &mut Vec<u8>) {
-        out.clear();
-        out.reserve(8 + self.words.len() * 8);
-        out.extend_from_slice(&(self.len as u64).to_le_bytes());
-        for word in &self.words {
-            out.extend_from_slice(&word.to_le_bytes());
-        }
-    }
-
-    /// Reconstructs a vector from [`BitVec::to_bytes`] output.
-    ///
-    /// Returns `None` if the buffer is truncated or malformed.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut v = Self::new();
-        v.read_bytes(bytes).then_some(v)
-    }
-
-    /// Deserialises [`BitVec::to_bytes`] output into `self`, reusing the
-    /// existing word buffer (the allocation-free counterpart of
-    /// [`BitVec::from_bytes`], and the read-side twin of
-    /// [`BitVec::write_bytes`]).
-    ///
-    /// Returns `false` — leaving `self` empty — if the buffer is truncated
-    /// or malformed.
-    pub fn read_bytes(&mut self, bytes: &[u8]) -> bool {
-        self.words.clear();
-        self.len = 0;
-        if bytes.len() < 8 {
-            return false;
-        }
-        let Ok(header) = bytes[..8].try_into() else {
-            return false;
-        };
-        let len = u64::from_le_bytes(header) as usize;
-        let expected_words = len.div_ceil(WORD_BITS);
-        let body = &bytes[8..];
-        if body.len() != expected_words * 8 {
-            return false;
-        }
-        // Exactly the words, so a decoded chunk holds what a cloned one does.
-        self.words.reserve_exact(expected_words);
-        self.words.extend(body.chunks_exact(8).map(|c| {
-            let mut word = [0u8; 8];
-            word.copy_from_slice(c);
-            u64::from_le_bytes(word)
-        }));
-        self.len = len;
-        self.clear_tail();
-        true
-    }
-
     /// Heap bytes used by the word buffer (for memory accounting).
     pub fn heap_bytes(&self) -> usize {
         self.words.capacity() * std::mem::size_of::<u64>()
@@ -701,34 +639,6 @@ mod tests {
         let mut w = v.clone();
         w.resize(v.len());
         assert_eq!(v, w);
-    }
-
-    #[test]
-    fn roundtrip_bytes() {
-        for pattern in ["", "1", "10110", &"101".repeat(50)] {
-            let v = bv(pattern);
-            let back = BitVec::from_bytes(&v.to_bytes()).unwrap();
-            assert_eq!(v, back, "pattern {pattern}");
-        }
-    }
-
-    #[test]
-    fn write_bytes_reuses_buffers_and_roundtrips() {
-        let mut buf = Vec::new();
-        for pattern in ["", "1", "10110", &"011".repeat(40)] {
-            let v = bv(pattern);
-            v.write_bytes(&mut buf);
-            assert_eq!(buf, v.to_bytes(), "pattern {pattern}");
-            assert_eq!(BitVec::from_bytes(&buf).unwrap(), v);
-        }
-    }
-
-    #[test]
-    fn from_bytes_rejects_malformed_input() {
-        assert!(BitVec::from_bytes(&[1, 2, 3]).is_none());
-        let mut bytes = bv("1111").to_bytes();
-        bytes.pop();
-        assert!(BitVec::from_bytes(&bytes).is_none());
     }
 
     #[test]

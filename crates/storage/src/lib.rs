@@ -77,4 +77,4 @@ pub use segment::{
     scan_segment_files, CaptureStats, EpochSegment, SegmentedWindowStore, StorageBackend,
 };
 pub use temp::TempDir;
-pub use wal::{TornTail, Wal, WalRecord, WalStats};
+pub use wal::{TornTail, Wal, WalRecord};

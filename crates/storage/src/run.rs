@@ -11,7 +11,7 @@
 //! | `28..36` | payload length: the bytes after the header |
 //! | `36..40` | CRC-32 of bytes `0..36` followed by the payload |
 //! | `40..40 + 8n` | the row ids, `u64` each, strictly ascending |
-//! | then | `n` chunks in index order, each [`crate::BitVec::to_bytes`]: its bit count (`cols`), then its words |
+//! | then | `n` chunks in index order, each its bit count (`cols`), then its words |
 //!
 //! Every chunk of a segment is `cols` bits wide, so every chunk is
 //! [`chunk_bytes`]`(cols)` long, the chunk of index slot `i` starts at byte

@@ -880,7 +880,8 @@ impl SegmentedWindowStore {
         I: IntoIterator<Item = (usize, &'a BitVec)>,
     {
         let segment = EpochSegment::from_rows(cols, rows)?;
-        self.slide(self.next_id, segment, usize::MAX).map(drop)
+        self.slide(self.next_id, segment, usize::MAX, || Ok(()))
+            .map(drop)
     }
 
     /// The word buffer the next segment should be built in: the arena of
@@ -901,13 +902,17 @@ impl SegmentedWindowStore {
     ///
     /// 1. On the disk backends the run is encoded from the arena and
     ///    written with one positional write, into a released file when
-    ///    there is one.  This is the only step that can fail, and a failure
-    ///    changes nothing; the arena goes back to the spare.
-    /// 2. The oldest segment is evicted ([`SegmentedWindowStore::evict`]).
-    /// 3. The segment is offered for residency — after the eviction, so the
+    ///    there is one.
+    /// 2. `commit` runs: a durable window's WAL append, a no-op anywhere
+    ///    else.  These two are the only steps that can fail, and a failure
+    ///    changes nothing: the arena goes back to the spare, and a written
+    ///    run file goes back on the free list under its name, for the retry
+    ///    of the same uid to take first.
+    /// 3. The oldest segment is evicted ([`SegmentedWindowStore::evict`]).
+    /// 4. The segment is offered for residency — after the eviction, so the
     ///    room the leaving segment freed can admit it.  On the memory
     ///    backend it is the stored segment.
-    /// 4. Its record is appended, its `(row, ones)` ledger counted from its
+    /// 5. Its record is appended, its `(row, ones)` ledger counted from its
     ///    chunks into the spare ledger buffer.
     ///
     /// The cost is proportional to the segment's rows, never to data
@@ -917,6 +922,7 @@ impl SegmentedWindowStore {
         batch_id: BatchId,
         mut segment: EpochSegment,
         capacity: usize,
+        commit: impl FnOnce() -> Result<()>,
     ) -> Result<Option<Evicted>> {
         segment.uid = self.next_id;
         segment.batch_id = batch_id;
@@ -938,6 +944,13 @@ impl SegmentedWindowStore {
                 }
             }
         };
+        if let Err(err) = commit() {
+            if let (Some(run), Placement::Disk { free, .. }) = (run, &mut self.placement) {
+                free.push(run);
+            }
+            self.spare = Some(into_shell(shell, segment));
+            return Err(err);
+        }
         let evicted = if self.segments.len() >= capacity {
             self.evict()
         } else {
@@ -2179,17 +2192,73 @@ pub(crate) mod tests {
         std::fs::remove_dir_all(&root).unwrap();
         let chunk = bv("1111");
         let entering = || EpochSegment::from_rows(4, [(9, &chunk)]).unwrap();
-        let err = store.slide(7, entering(), 2).unwrap_err();
+        let err = store.slide(7, entering(), 2, || Ok(())).unwrap_err();
         assert!(matches!(err, FsmError::Io(_)), "{err}");
         assert_eq!(state(&store), before);
         assert!(store.recycled_arena().capacity() > 0, "the arena went back");
 
         std::fs::create_dir_all(&root).unwrap();
-        let evicted = store.slide(7, entering(), 2).unwrap().unwrap();
+        let evicted = store.slide(7, entering(), 2, || Ok(())).unwrap().unwrap();
         assert_eq!((evicted.batch_id, evicted.cols), (0, 3));
         assert_eq!(store.boundaries(), [2, 6]);
         assert_eq!(store.newest_batch(), Some(7));
         assert_eq!(store.ledgers().last().unwrap(), [(9, 4)]);
+    }
+
+    /// A commit step that fails after the run is written changes nothing
+    /// either: the written file goes back on the free list under its name,
+    /// and the retry of the same uid overwrites it — no second file.
+    #[test]
+    fn a_refused_commit_changes_nothing_and_its_run_is_reused() {
+        let dir = TempDir::new("segstore-refused-commit").unwrap();
+        let root = dir.file("segments");
+        let mut store = SegmentedWindowStore::open(StorageBackend::DiskAt(root.clone())).unwrap();
+        store.set_cache_budget(usize::MAX);
+        for cols in [3, 2] {
+            uniform(&mut store, 4, cols);
+        }
+        let state = |store: &SegmentedWindowStore| {
+            (
+                store.manifest(),
+                store.ledgers().map(<[_]>::to_vec).collect::<Vec<_>>(),
+                store.stats(),
+                store.next_segment_id(),
+                store.resident_uids(),
+            )
+        };
+        let before = state(&store);
+        let chunk = bv("1111");
+        let entering = || EpochSegment::from_rows(4, [(9, &chunk)]).unwrap();
+        let err = store
+            .slide(7, entering(), 2, || Err(FsmError::corrupt("refused")))
+            .unwrap_err();
+        assert!(err.to_string().contains("refused"), "{err}");
+        assert_eq!(state(&store), before);
+        assert!(store.recycled_arena().capacity() > 0, "the arena went back");
+        let files = segment_file_names(&root);
+        assert_eq!(files, ["seg-0.run", "seg-1.run", "seg-2.run"]);
+
+        let mut committed = false;
+        let evicted = store
+            .slide(7, entering(), 2, || {
+                committed = true;
+                Ok(())
+            })
+            .unwrap()
+            .unwrap();
+        assert!(committed);
+        assert_eq!((evicted.uid, evicted.batch_id), (0, 0));
+        assert_eq!(store.manifest().last().map(|s| s.uid), Some(2));
+        assert_eq!(segment_file_names(&root), files);
+        assert_eq!(
+            store
+                .epoch_segment(1)
+                .unwrap()
+                .chunk(9)
+                .unwrap()
+                .count_ones(),
+            4
+        );
     }
 
     #[test]

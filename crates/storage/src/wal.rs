@@ -1,10 +1,17 @@
 //! Write-ahead log: the durability anchor of the disk backend.
 //!
-//! Every `ingest_batch` on a durable window appends exactly one record to the
-//! WAL — the encoded batch — and `fsync`s it *before* any in-memory or
-//! segment-file state changes.  A crash at any instant therefore leaves the
+//! Every ingest on a durable window appends exactly one record to the WAL —
+//! the encoded batch — and `fsync`s it: that append is the ingest's commit
+//! point.  The batch's segment run is written before it and nothing in
+//! memory changes until it returns, so a crash at any instant leaves the
 //! durable state describable as "the last checkpoint plus a prefix of the
 //! WAL", and recovery only has to find where that prefix ends.
+//!
+//! An append writes at the committed length, never through a file cursor,
+//! and leaves the file exactly that long plus its record.  One that fails —
+//! a short write, `ENOSPC`, a failed `fsync` — truncates the file back to the
+//! committed length, so the next append continues the log as if it had
+//! never been tried.
 //!
 //! # Record format
 //!
@@ -34,14 +41,14 @@
 //! interval rather than the stream length.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 use fsm_types::codec::{put_u32, put_u64, Reader};
 use fsm_types::{FsmError, Result};
 
 use crate::checksum::crc32;
-use crate::positional::{annotate, artifact_name};
+use crate::positional::{annotate, artifact_name, read_exact_at, write_all_at};
 
 /// Size of the fixed record header (`len` + `crc`).
 const HEADER_BYTES: usize = 8;
@@ -57,22 +64,14 @@ pub struct WalRecord {
     pub payload: Vec<u8>,
 }
 
-/// What [`Wal::open`] found (and did) about the tail of the log.
+/// What [`Wal::open`] found (and did) about the tail of the log: its
+/// truncation cost one `fsync`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TornTail {
     /// Byte offset the log was truncated back to.
     pub truncated_at: u64,
     /// Why the first bad record was rejected.
     pub reason: String,
-}
-
-/// Cumulative durability counters of a [`Wal`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WalStats {
-    /// Bytes appended to the log (headers + bodies).
-    pub bytes_written: u64,
-    /// `fsync` system calls issued by appends and prunes.
-    pub fsyncs: u64,
 }
 
 /// An append-only, checksummed, fsync-on-commit log file.
@@ -84,7 +83,6 @@ pub struct Wal {
     len: u64,
     /// Sequence number of the last committed record (0 if none).
     last_seq: u64,
-    stats: WalStats,
 }
 
 impl Wal {
@@ -106,7 +104,6 @@ impl Wal {
             path,
             len: 0,
             last_seq: 0,
-            stats: WalStats::default(),
         })
     }
 
@@ -153,26 +150,26 @@ impl Wal {
             file.set_len(good as u64)?;
             file.sync_all()?;
         }
-        file.seek(SeekFrom::Start(good as u64))?;
         let last_seq = records.last().map_or(0, |r| r.seq);
-        let mut wal = Self {
+        let wal = Self {
             file,
             path,
             len: good as u64,
             last_seq,
-            stats: WalStats::default(),
         };
-        if torn.is_some() {
-            wal.stats.fsyncs += 1;
-        }
         Ok((wal, records, torn))
     }
 
-    /// Appends one record and forces it to stable storage before returning.
+    /// Appends one record at the committed length, sets the file's length
+    /// to the record's end, and forces it to stable storage (one `fsync`)
+    /// before returning the record's length in bytes.
     ///
     /// `seq` must continue the log (`last sequence + 1`): the contiguity that
-    /// replay later relies on is enforced at write time.
-    pub fn append(&mut self, seq: u64, payload: &[u8]) -> Result<()> {
+    /// replay later relies on is enforced at write time.  A failed write,
+    /// length change or sync truncates the file back to the committed
+    /// length (best effort: the next append writes and sets the length from
+    /// there anyway) and leaves the log as it was.
+    pub fn append(&mut self, seq: u64, payload: &[u8]) -> Result<u64> {
         if seq != self.last_seq + 1 {
             return Err(FsmError::corrupt(format!(
                 "WAL append out of order: got seq {seq}, expected {}",
@@ -180,24 +177,28 @@ impl Wal {
             )));
         }
         let record = frame(seq, payload);
-        self.file.write_all(&record)?;
-        self.file.sync_all()?;
-        self.stats.fsyncs += 1;
-        self.stats.bytes_written += record.len() as u64;
-        self.len += record.len() as u64;
+        let end = self.len + record.len() as u64;
+        let committed = write_all_at(&self.file, &record, self.len)
+            .and_then(|()| self.file.set_len(end))
+            .and_then(|()| self.file.sync_all());
+        if let Err(err) = committed {
+            let _ = self.file.set_len(self.len);
+            return Err(annotate(err, "append to WAL", &self.path));
+        }
+        self.len = end;
         self.last_seq = seq;
-        Ok(())
+        Ok(record.len() as u64)
     }
 
     /// Drops every record with `seq <= through`, rewriting the survivors to a
     /// temporary file and atomically renaming it over the log.
     ///
     /// Called after a checkpoint commits: the pruned prefix is exactly the
-    /// history the checkpoint already captures.
+    /// history the checkpoint already captures.  One `fsync`, of the
+    /// rewritten log.
     pub fn prune_through(&mut self, through: u64) -> Result<()> {
-        self.file.seek(SeekFrom::Start(0))?;
-        let mut bytes = Vec::new();
-        self.file.read_to_end(&mut bytes)?;
+        let mut bytes = vec![0; self.len as usize];
+        read_exact_at(&self.file, &mut bytes, 0)?;
         let mut keep = Vec::new();
         let mut offset = 0usize;
         while offset < bytes.len() {
@@ -222,7 +223,6 @@ impl Wal {
             .map_err(|err| annotate(err, "create WAL prune temp", &tmp))?;
         tmp_file.write_all(&keep)?;
         tmp_file.sync_all()?;
-        self.stats.fsyncs += 1;
         drop(tmp_file);
         std::fs::rename(&tmp, &self.path)?;
         self.file = OpenOptions::new()
@@ -230,7 +230,6 @@ impl Wal {
             .write(true)
             .open(&self.path)
             .map_err(|err| annotate(err, "reopen pruned WAL", &self.path))?;
-        self.file.seek(SeekFrom::Start(keep.len() as u64))?;
         self.len = keep.len() as u64;
         Ok(())
     }
@@ -260,11 +259,6 @@ impl Wal {
     /// Path of the log file.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// The cumulative durability counters.
-    pub fn stats(&self) -> WalStats {
-        self.stats
     }
 }
 
@@ -335,14 +329,11 @@ mod tests {
         let dir = TempDir::new("wal").unwrap();
         let path = dir.file("wal.log");
         let mut wal = Wal::create(&path).unwrap();
-        wal.append(1, b"alpha").unwrap();
-        wal.append(2, b"").unwrap();
-        wal.append(3, b"gamma-gamma").unwrap();
+        assert_eq!(wal.append(1, b"alpha").unwrap(), 16 + 5);
+        assert_eq!(wal.append(2, b"").unwrap(), 16);
+        assert_eq!(wal.append(3, b"gamma-gamma").unwrap(), 16 + 11);
         assert_eq!(wal.last_seq(), 3);
-        assert_eq!(wal.stats().fsyncs, 3, "one fsync per commit");
-        let expected_len = (16 + 5) + 16 + (16 + 11);
-        assert_eq!(wal.stats().bytes_written, expected_len);
-        assert_eq!(wal.len_bytes(), expected_len);
+        assert_eq!(wal.len_bytes(), (16 + 5) + 16 + (16 + 11));
         drop(wal);
 
         let (wal, records, torn) = reopen(&path);
@@ -512,6 +503,32 @@ mod tests {
         assert_eq!(wal.last_seq(), 4);
         let seqs: Vec<u64> = records.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![3, 4]);
+    }
+
+    /// What a failed append may leave — here a torn record a second handle
+    /// wrote past the committed length, longer than the records that follow
+    /// — is gone after the next append: a reopen reads every record and
+    /// finds no torn tail.
+    #[test]
+    fn bytes_past_the_committed_length_are_gone_after_the_next_append() {
+        let dir = TempDir::new("wal").unwrap();
+        let path = dir.file("wal.log");
+        let mut wal = Wal::create(&path).unwrap();
+        wal.append(1, b"first").unwrap();
+        let stray = OpenOptions::new().write(true).open(&path).unwrap();
+        write_all_at(&stray, &frame(2, &[7; 200])[..150], wal.len_bytes()).unwrap();
+        drop(stray);
+        wal.append(2, b"second").unwrap();
+        wal.append(3, b"third").unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), wal.len_bytes());
+        drop(wal);
+
+        let (wal, records, torn) = reopen(&path);
+        assert!(torn.is_none(), "{torn:?}");
+        assert_eq!(wal.last_seq(), 3);
+        let seqs: Vec<u64> = records.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![1, 2, 3]);
+        assert_eq!(records[1].payload, b"second");
     }
 
     #[test]

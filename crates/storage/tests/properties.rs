@@ -4,22 +4,15 @@ use fsm_storage::BitVec;
 use proptest::prelude::*;
 
 proptest! {
-    /// BitVec round-trips through bytes for arbitrary contents.
+    /// Popcount equals the number of true inputs, and iter_ones agrees;
+    /// every bit reads back as given.
     #[test]
-    fn bitvec_byte_roundtrip(bits in proptest::collection::vec(any::<bool>(), 0..300)) {
+    fn bitvec_counting_is_exact(bits in proptest::collection::vec(any::<bool>(), 0..300)) {
         let v = BitVec::from_bools(bits.iter().copied());
-        let back = BitVec::from_bytes(&v.to_bytes()).unwrap();
-        prop_assert_eq!(&v, &back);
         prop_assert_eq!(v.len(), bits.len());
         for (i, bit) in bits.iter().enumerate() {
             prop_assert_eq!(v.get(i), *bit);
         }
-    }
-
-    /// Popcount equals the number of true inputs, and iter_ones agrees.
-    #[test]
-    fn bitvec_counting_is_exact(bits in proptest::collection::vec(any::<bool>(), 0..300)) {
-        let v = BitVec::from_bools(bits.iter().copied());
         let expected = bits.iter().filter(|b| **b).count() as u64;
         prop_assert_eq!(v.count_ones(), expected);
         prop_assert_eq!(v.iter_ones().count() as u64, expected);
@@ -80,20 +73,5 @@ proptest! {
         let va = BitVec::from_bools(a);
         let vb = BitVec::from_bools(b);
         prop_assert_eq!(va.and_count(&vb), va.and(&vb).count_ones());
-    }
-
-    /// `write_bytes` into a reused buffer equals a fresh `to_bytes`.
-    #[test]
-    fn bitvec_write_bytes_matches_to_bytes(
-        a in proptest::collection::vec(any::<bool>(), 0..300),
-        b in proptest::collection::vec(any::<bool>(), 0..300),
-    ) {
-        let mut buf = Vec::new();
-        for bits in [a, b] {
-            let v = BitVec::from_bools(bits);
-            v.write_bytes(&mut buf);
-            prop_assert_eq!(&buf, &v.to_bytes());
-            prop_assert_eq!(BitVec::from_bytes(&buf).unwrap(), v);
-        }
     }
 }
