@@ -3,13 +3,14 @@
 //! alone, and every other mine hires the pool's helpers.
 //!
 //! Each case serves one tenant from a registry over a one-helper pool, so a
-//! hired mine over at least two frequent singletons queues exactly one
-//! helper job and a solo mine queues none; [`WorkerPool::jobs_run`] counts
-//! them.  Whoever ran the tasks, patterns and statistics (but for the wall
-//! clock) must equal the same tenant's on an inline-only registry.
+//! hired mine over at least two frequent singletons offers the pool exactly
+//! one batch and a solo mine offers none; [`WorkerPool::hires`] counts them
+//! before the mine returns.  Whoever ran the tasks, patterns and statistics
+//! (but for the wall clock) must equal the same tenant's on an inline-only
+//! registry.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use fsm_core::parallel::HIRE_SCREENS;
 use fsm_core::{
@@ -69,19 +70,6 @@ fn dense_tenant(algorithm: Algorithm) -> (MinerConfig, Vec<Batch>) {
     (config, batches)
 }
 
-/// Waits until `pool` has run `jobs` helper jobs, then checks it ran no
-/// more.  A helper job counts once it has run, which may be after the
-/// mine that queued it has returned.
-fn assert_jobs_run(pool: &WorkerPool, jobs: u64, case: &str) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while pool.jobs_run() < jobs && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    // Give a job the rule should not have queued the time to show.
-    std::thread::sleep(Duration::from_millis(20));
-    assert_eq!(pool.jobs_run(), jobs, "{case}: helper jobs run");
-}
-
 /// A mine's statistics without the wall clock.
 fn timeless(result: &MiningResult) -> MiningStats {
     MiningStats {
@@ -96,7 +84,7 @@ fn assert_same(got: &MiningResult, expected: &MiningResult, case: &str) {
 }
 
 /// Ingests `batch` into `session` and mines; `hires` says whether the mine
-/// must queue a helper job on the one-helper `pool`.
+/// must hire the one-helper `pool`.
 fn step(
     session: &Session,
     pool: &WorkerPool,
@@ -104,10 +92,10 @@ fn step(
     hires: bool,
     case: &str,
 ) -> MiningResult {
-    let before = pool.jobs_run();
+    let before = pool.hires();
     session.ingest(batch).unwrap();
     let result = session.mine().unwrap();
-    assert_jobs_run(pool, before + u64::from(hires), case);
+    assert_eq!(pool.hires(), before + u64::from(hires), "{case}");
     result
 }
 
@@ -206,18 +194,18 @@ fn a_snapshot_inherits_its_miners_choice() {
             .unwrap()
             .unwrap();
         let got = fresh.mine_with(&exec).unwrap();
-        assert_jobs_run(&pool, 1, &format!("{label}: snapshot of an unmined miner"));
+        assert_eq!(pool.hires(), 1, "{label}: snapshot of an unmined miner");
         assert_eq!(got.patterns(), expected.patterns(), "{label}");
 
         session.mine().unwrap();
-        assert_jobs_run(&pool, 2, &format!("{label}: the miner's first mine"));
+        assert_eq!(pool.hires(), 2, "{label}: the miner's first mine");
         let after = session
             .with_miner(|miner| miner.snapshot())
             .unwrap()
             .unwrap();
         let got = after.mine_with(&exec).unwrap();
         let case = format!("{label}: snapshot after a mine");
-        assert_jobs_run(&pool, 2 + u64::from(hires_after_mine), &case);
+        assert_eq!(pool.hires(), 2 + u64::from(hires_after_mine), "{case}");
         assert_eq!(got.patterns(), expected.patterns(), "{case}");
     }
 }

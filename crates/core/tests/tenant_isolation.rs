@@ -23,7 +23,7 @@
 //! recovery, identical windows.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use fsm_core::parallel::HIRE_SCREENS;
 use fsm_core::{
@@ -322,13 +322,8 @@ fn dense_tenants_hiring_every_mine_equal_tenants_run_alone() {
                 assert_eq!(timeless(&got), timeless(&expected), "tenant {i}");
             }
         }
-        // Every mine queued helper jobs; the pool's workers run each one,
-        // if only to find its batch already finished.
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while pool.jobs_run() < mines && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(pool.jobs_run() >= mines, "{helpers} helpers");
+        // Every mine offered its batch to the pool's workers, once.
+        assert_eq!(pool.hires(), mines, "{helpers} helpers");
     }
 }
 

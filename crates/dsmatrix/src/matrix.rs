@@ -821,7 +821,9 @@ impl DsMatrix {
     /// writes a checkpoint, prunes the WAL prefix the *older*
     /// retained checkpoint covers, and releases evicted segment files that
     /// no retained checkpoint references any more for later pushes to
-    /// overwrite.
+    /// overwrite.  That checkpoint is best-effort: the batch has committed,
+    /// so a failed one leaves the ingest `Ok` and is retried by the next
+    /// ingest ([`DsMatrix::checkpoint`] reports the error).
     pub fn ingest_batch(&mut self, batch: &Batch) -> Result<SlideOutcome> {
         self.ingest(Incoming::Batch(batch), usize::MAX)
     }
@@ -920,7 +922,10 @@ impl DsMatrix {
         if let (Some(seq), Some(durable)) = (committed, &mut self.durable) {
             durable.slides_since_ckpt += 1;
             if durable.slides_since_ckpt >= durable.config.checkpoint_every {
-                self.write_checkpoint(seq)?;
+                // The batch is committed and applied, so a failed checkpoint
+                // must not report it refused: a client would resend it.  The
+                // slide count stays, and the next ingest tries again.
+                let _ = self.write_checkpoint(seq);
             }
         }
         Ok(SlideOutcome {

@@ -317,6 +317,46 @@ fn a_refused_durable_segment_write_is_neither_logged_nor_recovered() {
     assert_eq!(observe(&mut recovered, 4), expected);
 }
 
+/// A checkpoint is written after its batch committed, so one that fails
+/// does not fail the ingest: the batch is logged and applied, and a client
+/// told otherwise would resend it.  The next ingest retries the checkpoint,
+/// and recovery returns the live window.
+#[test]
+fn a_failed_automatic_checkpoint_leaves_the_ingest_committed() {
+    let dir = TempDir::new("checkpoint-fails").unwrap();
+    let config = DsMatrixConfig::new(WindowConfig::new(2).unwrap(), StorageBackend::DiskTemp, 4)
+        .with_durability(DurabilityConfig::new(dir.path()).with_checkpoint_every(2));
+    let mut m = DsMatrix::new(config.clone()).unwrap();
+    let batches = [
+        batch(0, &[&[0, 1]]),
+        batch(1, &[&[1, 2]]),
+        batch(2, &[&[0], &[3]]),
+    ];
+    // The second ingest's checkpoint cannot create its temp file.
+    let blocker = dir.path().join("checkpoint-2.ckpt.tmp");
+    std::fs::create_dir(&blocker).unwrap();
+    m.ingest_batch(&batches[0]).unwrap();
+    m.ingest_batch(&batches[1]).unwrap();
+    assert!(!dir.path().join("checkpoint-2.ckpt").exists());
+    // Asked for explicitly, the checkpoint still reports its failure.
+    let err = m.checkpoint().unwrap_err();
+    assert!(matches!(err, FsmError::Io(_)), "{err}");
+
+    std::fs::remove_dir(&blocker).unwrap();
+    m.ingest_batch(&batches[2]).unwrap();
+    assert!(dir.path().join("checkpoint-3.ckpt").exists());
+
+    let mut reference = matrix(2, StorageBackend::Memory, 4);
+    for b in &batches {
+        reference.ingest_batch(b).unwrap();
+    }
+    let expected = observe(&mut reference, 4);
+    assert_eq!(observe(&mut m, 4), expected);
+    drop(m);
+    let mut recovered = DsMatrix::recover(config).unwrap();
+    assert_eq!(observe(&mut recovered, 4), expected);
+}
+
 /// The acceptance criterion of the incremental store: a slide writes words
 /// proportional to the entering batch, never to the unevicted window prefix.
 #[test]

@@ -24,8 +24,8 @@
 //!   gate exactly this.
 //!
 //! The pool never decides whether a batch is worth its helpers: every call
-//! with more than one task queues them.  The caller decides by which pool it
-//! calls — `fsm_core`'s hire rule (`fsm_core::parallel::HIRE_SCREENS`) sends
+//! with more than one task offers it to them.  The caller decides by which
+//! pool it calls — `fsm_core`'s hire rule (`fsm_core::parallel::HIRE_SCREENS`) sends
 //! a full mine whose tenant last mined small to one process-wide
 //! [`WorkerPool::inline_only`] pool instead, where waking helpers would cost
 //! more than they save.
@@ -37,17 +37,23 @@
 //! `'static`.  The safe way to run borrowed closures on other threads is
 //! `std::thread::scope`, which spawns and joins its threads per call — the
 //! engine's original executor.  Persistent pool threads cannot accept
-//! borrowed closures safely, so the batch context is passed as a type-erased
-//! raw pointer and re-borrowed inside a monomorphised runner function.
-//! Soundness rests on a simple join protocol, documented at `Gate`: the
-//! caller does not return from `run_indexed_stateful` (i.e. the borrowed
-//! context stays alive) until every helper that could still dereference the
-//! pointer has provably exited its dereferencing region — including when the
-//! caller itself unwinds, via `GateGuard`.  The rest of the workspace keeps
-//! its `#![forbid(unsafe_code)]` (one exception: `fsm-storage`'s
-//! `bitvec::kernel`, two calls into `#[target_feature]` code behind the CPU
-//! feature test — it carries its own number); the unsafety is confined to
-//! this module, audited by the stress tests below, and run under Miri in CI.
+//! borrowed closures safely, so a batch is offered to them as one queued
+//! *ticket*: the batch context as a type-erased raw pointer, plus the
+//! runner monomorphised to re-borrow it.  Soundness rests on one join
+//! protocol, argued at `Offer`:
+//!
+//! * **join** — a worker takes a seat in the front ticket and counts itself
+//!   inside it, under the queue lock;
+//! * **leave** — it uncounts itself when the runner returns;
+//! * **withdraw** — the caller removes its ticket under the same lock, then
+//!   blocks until nobody is inside, on every exit path (a drop guard, so an
+//!   unwinding caller withdraws too).
+//!
+//! The rest of the workspace keeps its `#![forbid(unsafe_code)]` (one exception:
+//! `fsm-storage`'s `bitvec::kernel`, two calls into `#[target_feature]`
+//! code behind the CPU feature test — it carries its own number); the
+//! unsafety is confined to this module, audited by the stress tests below,
+//! and run under Miri in CI.
 //!
 //! **The number that pays for it.**  The two executors were
 //! property-tested byte-identical, so which one to keep was a measurement:
@@ -82,9 +88,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-/// A job queued on the pool: a boxed helper that participates in one batch.
-type Job = Box<dyn FnOnce() + Send>;
-
 /// Lock a mutex, shrugging off poisoning (a panicked task in one tenant's
 /// batch must not wedge every other tenant's mine; the panic itself is still
 /// surfaced to whoever owns the batch).
@@ -96,11 +99,12 @@ fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Shared state between the pool handle and its worker threads.
 struct PoolShared {
-    queue: Mutex<VecDeque<Job>>,
+    /// The batches offered to helpers, oldest first.
+    queue: Mutex<VecDeque<Arc<Ticket>>>,
     work_ready: Condvar,
     shutdown: AtomicBool,
-    /// Cumulative helper jobs executed by pool workers (observability only).
-    jobs_run: AtomicU64,
+    /// Cumulative batches offered to helpers (observability only).
+    hires: AtomicU64,
 }
 
 /// A fixed set of worker threads multiplexing mining subtree tasks from many
@@ -108,8 +112,9 @@ struct PoolShared {
 ///
 /// The pool is inert until someone calls
 /// [`WorkerPool::run_indexed_stateful`]; idle workers block on a condvar and
-/// cost nothing.  Dropping the pool joins every worker (queued helpers are
-/// drained first — they become no-ops once their batch has completed).
+/// cost nothing.  Dropping the pool joins every worker; its queue is empty
+/// by then, because every batch withdraws its ticket before its call
+/// returns.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     workers: Vec<JoinHandle<()>>,
@@ -119,7 +124,7 @@ impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
             .field("threads", &self.workers.len())
-            .field("jobs_run", &self.jobs_run())
+            .field("hires", &self.hires())
             .finish()
     }
 }
@@ -145,7 +150,7 @@ impl WorkerPool {
             queue: Mutex::new(VecDeque::new()),
             work_ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            jobs_run: AtomicU64::new(0),
+            hires: AtomicU64::new(0),
         });
         let workers = (0..threads)
             .map(|i| {
@@ -164,9 +169,12 @@ impl WorkerPool {
         self.workers.len()
     }
 
-    /// Cumulative helper jobs executed by pool workers since creation.
-    pub fn jobs_run(&self) -> u64 {
-        self.shared.jobs_run.load(Ordering::Relaxed)
+    /// Cumulative batches offered to this pool's workers since creation:
+    /// every [`WorkerPool::run_indexed_stateful`] call with at least two
+    /// tasks on a pool with at least one worker, counted before the call
+    /// returns — whether or not a worker woke in time to help.
+    pub fn hires(&self) -> u64 {
+        self.shared.hires.load(Ordering::Relaxed)
     }
 
     /// Runs `task(0..tasks)` and returns the results **in index order**:
@@ -197,96 +205,64 @@ impl WorkerPool {
             tasks,
             init: &init,
             task: &task,
-            done: Mutex::new(DoneState {
-                slots: (0..tasks).map(|_| None).collect(),
-                remaining: tasks,
-            }),
-            all_done: Condvar::new(),
+            slots: Mutex::new((0..tasks).map(|_| None).collect()),
         };
-        let gate = Arc::new(Gate::new());
-        // The guard executes the close protocol on every exit path —
-        // including a panic unwinding out of the caller's own task loop —
-        // so `ctx` can never be destroyed while a helper might still be
-        // inside its dereferencing region.
-        let guard = GateGuard(&gate);
 
         // The caller is always one participant, so helpers beyond `tasks - 1`
         // could never claim anything.
-        let helpers = self.size().min(tasks.saturating_sub(1));
-        if helpers > 0 {
+        let seats = self.size().min(tasks - 1);
+        // Declared after `ctx`, so even an unwinding caller withdraws the
+        // ticket before `ctx` dies.
+        let offer = (seats > 0).then(|| {
             // SAFETY (pointer creation): the pointer is only dereferenced by
-            // `run_batch_erased::<T, S, I, F>` below, which casts it back to
-            // the exact `BatchCtx` type it was erased from, and only while
-            // `ctx` is provably alive — see the protocol on `Gate`.
-            let ptr = ErasedCtx(&ctx as *const BatchCtx<'_, T, I, F> as *const ());
-            let runner = run_batch_erased::<T, S, I, F> as unsafe fn(*const ());
-            let mut jobs: Vec<Job> = Vec::with_capacity(helpers);
-            for _ in 0..helpers {
-                let gate = Arc::clone(&gate);
-                jobs.push(Box::new(move || {
-                    // Capture the `Send` wrapper whole (edition 2021 would
-                    // otherwise capture just the non-`Send` raw field).
-                    let ptr = ptr;
-                    // Protocol steps H1..H3; see `Gate` for why this is sound.
-                    gate.running.fetch_add(1, Ordering::SeqCst);
-                    if gate.open.load(Ordering::SeqCst) {
-                        // SAFETY: the gate is open, so the batch's caller is
-                        // still inside `run_indexed_stateful` (the guard
-                        // closes the gate and waits for `running == 0`
-                        // before the context dies), hence `ctx` — and
-                        // everything it borrows — is alive.  `run_batch`
-                        // catches task panics internally, so the decrement
-                        // below is unconditionally reached.
-                        unsafe { runner(ptr.0) };
-                    }
-                    gate.running.fetch_sub(1, Ordering::SeqCst);
-                }));
-            }
-            self.submit(jobs);
-        }
+            // `run_batch_erased::<T, S, I, F>`, which casts it back to the
+            // exact `BatchCtx` type it was erased from, and only by a worker
+            // counted inside the ticket — see `Offer` for why `ctx` outlives
+            // every such worker.
+            let erased = &ctx as *const BatchCtx<'_, T, I, F> as *const ();
+            self.offer(erased, run_batch_erased::<T, S, I, F>, seats)
+        });
 
         // The caller participates like any worker: claims tasks until the
         // counter runs dry.  This is what guarantees progress even when every
         // pool worker is busy with other tenants' batches.
         run_batch(&ctx);
+        // Withdraw the ticket and wait for the helpers inside it: after
+        // this, every claimed task is done and nobody holds `ctx`.
+        drop(offer);
 
-        // Wait for the tasks claimed by helpers to complete.  `run_batch`
-        // never unwinds (panics are captured per task), so every claimed
-        // index is eventually marked done and this wait terminates.
-        let mut done = lock_unpoisoned(&ctx.done);
-        while done.remaining > 0 {
-            done = ctx
-                .all_done
-                .wait(done)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-        let slots = std::mem::take(&mut done.slots);
-        drop(done);
-        drop(guard); // close protocol: helpers are out of the region now
-
-        let mut values = Vec::with_capacity(tasks);
-        let mut first_panic = None;
-        for slot in slots {
-            match slot.expect("every index was claimed by exactly one participant") {
-                Ok(value) => values.push(value),
-                Err(payload) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(payload);
-                    }
-                }
-            }
-        }
-        if let Some(payload) = first_panic {
-            resume_unwind(payload);
-        }
-        values
+        // In index order, so the first panic resumed is the lowest index's.
+        // An index nobody claimed lies past the index of the panicked `init`
+        // that stopped its participant, so it is never reached.
+        ctx.slots
+            .into_inner()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .into_iter()
+            .map(|slot| {
+                slot.expect("indices before the lowest panic were all claimed")
+                    .unwrap_or_else(|payload| resume_unwind(payload))
+            })
+            .collect()
     }
 
-    fn submit(&self, jobs: Vec<Job>) {
-        let mut queue = lock_unpoisoned(&self.shared.queue);
-        queue.extend(jobs);
-        drop(queue);
+    /// Queues a ticket with `seats` seats for `run(ctx)` and counts the hire.
+    fn offer(&self, ctx: *const (), run: unsafe fn(*const ()), seats: usize) -> Offer<'_> {
+        let ticket = Arc::new(Ticket {
+            ctx,
+            run,
+            seats: Mutex::new(Seats {
+                open: seats,
+                inside: 0,
+            }),
+            emptied: Condvar::new(),
+        });
+        lock_unpoisoned(&self.shared.queue).push_back(Arc::clone(&ticket));
+        self.shared.hires.fetch_add(1, Ordering::Relaxed);
         self.shared.work_ready.notify_all();
+        Offer {
+            shared: &self.shared,
+            ticket,
+        }
     }
 }
 
@@ -309,93 +285,114 @@ impl Drop for WorkerPool {
 }
 
 fn worker_loop(shared: &PoolShared) {
+    while let Some(ticket) = join(shared) {
+        // SAFETY: this worker is counted inside `ticket`, so the ticket's
+        // caller is still blocked in `Offer::drop` or has not reached it:
+        // `ctx` and everything it borrows are alive (see `Offer`).
+        // `run_batch` catches task panics, so the leave below is always
+        // reached.
+        unsafe { (ticket.run)(ticket.ctx) };
+        let mut seats = lock_unpoisoned(&ticket.seats);
+        seats.inside -= 1;
+        if seats.inside == 0 {
+            ticket.emptied.notify_one();
+        }
+    }
+}
+
+/// Blocks until a ticket is queued, takes a seat in the front one and counts
+/// this worker inside it; `None` once the pool shuts down.  The worker that
+/// takes a ticket's last seat dequeues it.
+fn join(shared: &PoolShared) -> Option<Arc<Ticket>> {
+    let mut queue = lock_unpoisoned(&shared.queue);
     loop {
-        let job = {
-            let mut queue = lock_unpoisoned(&shared.queue);
-            loop {
-                if let Some(job) = queue.pop_front() {
-                    break job;
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                queue = shared
-                    .work_ready
-                    .wait(queue)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
+        if let Some(front) = queue.front() {
+            let ticket = Arc::clone(front);
+            let mut seats = lock_unpoisoned(&ticket.seats);
+            seats.open -= 1;
+            seats.inside += 1;
+            let full = seats.open == 0;
+            drop(seats);
+            if full {
+                queue.pop_front();
             }
-        };
-        job();
-        shared.jobs_run.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Join protocol between a batch's caller and its queued helpers.
-///
-/// The helper jobs hold a raw pointer to the caller's stack-allocated
-/// [`BatchCtx`]; the gate makes dereferencing it sound:
-///
-/// * **H1** — a helper first increments `running`.
-/// * **H2** — it then loads `open`; only if `true` does it touch the context.
-/// * **H3** — it decrements `running` when done (whether or not it ran; the
-///   runner cannot unwind, so H3 is always reached).
-/// * **C1** — before the context dies, the caller stores `open = false`.
-/// * **C2** — the caller spins until `running == 0`; only then may the
-///   context's lifetime end.
-///
-/// All operations are `SeqCst`, so they form one total order.  Suppose a
-/// helper passes H2 seeing `open == true` after the context died.  The
-/// context's death requires C2 to have observed `running == 0`, which in
-/// the total order must precede this helper's H1 (otherwise `running` was
-/// ≥ 1 at C2); so the helper's H2 follows its H1, which follows C2, which
-/// follows C1's store of `false` — the helper must have seen `false`.
-/// Contradiction.  Therefore any helper that dereferences the pointer does
-/// so while the context is alive.
-///
-/// On the normal path C1/C2 run after every task has completed, so a helper
-/// caught inside the region exits after one exhausted counter read.  On the
-/// unwind path (the caller's own task panicked — impossible for mining
-/// tasks after the fsm-core sweep, but guarded regardless) helpers may
-/// still be executing claimed tasks; C2 then waits for them to drain the
-/// counter, which is finite work.
-struct Gate {
-    open: AtomicBool,
-    running: AtomicUsize,
-}
-
-impl Gate {
-    fn new() -> Self {
-        Self {
-            open: AtomicBool::new(true),
-            running: AtomicUsize::new(0),
+            return Some(ticket);
         }
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return None;
+        }
+        queue = shared
+            .work_ready
+            .wait(queue)
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
     }
 }
 
-/// Executes protocol steps C1 + C2 on drop, making the close protocol
-/// unwind-safe.
-struct GateGuard<'a>(&'a Gate);
+/// One batch offered to the pool's workers: its caller's type-erased
+/// [`BatchCtx`] and the runner monomorphised for it.  Queued by
+/// [`WorkerPool::offer`], joined by [`join`], withdrawn by [`Offer`].
+struct Ticket {
+    ctx: *const (),
+    run: unsafe fn(*const ()),
+    seats: Mutex<Seats>,
+    /// Signalled when the last worker inside leaves.
+    emptied: Condvar,
+}
 
-impl Drop for GateGuard<'_> {
+// SAFETY: `ctx` is the one field that is not `Send` and `Sync` by itself.
+// It is dereferenced only by workers counted inside the ticket, while its
+// caller keeps the context alive (see `Offer`), and everything reachable
+// from a `BatchCtx` is shareable across threads (the `I: Sync`, `F: Sync`,
+// `T: Send` bounds mirror what `std::thread::scope` demanded of the old
+// fan-out).  `run` is a function pointer; `seats` and `emptied` are a
+// `Mutex` and a `Condvar`.
+unsafe impl Send for Ticket {}
+// SAFETY: as for `Send`: a shared `&Ticket` reads `ctx` and `run`, and
+// changes nothing but through `seats`' mutex.
+unsafe impl Sync for Ticket {}
+
+struct Seats {
+    /// Workers that may still join.
+    open: usize,
+    /// Workers that joined and have not left.
+    inside: usize,
+}
+
+/// The caller's hold on its queued ticket.  Dropping it — on return, or
+/// while the caller unwinds — withdraws the ticket and waits until no
+/// worker is inside it (the module docs' join / leave / withdraw).
+///
+/// A worker joins only a ticket it finds in the queue, under the queue
+/// lock, so that lock orders every join before or after the withdrawal.  A
+/// worker that joined before it is counted when the caller reads `inside`,
+/// and is waited for; a worker that comes after it finds no ticket.  So no
+/// worker dereferences `ctx` after the caller leaves
+/// `run_indexed_stateful`, and every task a helper claimed is done when the
+/// wait ends: the caller's own [`run_batch`] exhausted the counter, and the
+/// helpers that claimed the rest have left.  Helpers may still be running
+/// long subtrees at that moment, so the wait blocks rather than spins.
+struct Offer<'a> {
+    shared: &'a PoolShared,
+    ticket: Arc<Ticket>,
+}
+
+impl Drop for Offer<'_> {
     fn drop(&mut self) {
-        self.0.open.store(false, Ordering::SeqCst);
-        while self.0.running.load(Ordering::SeqCst) > 0 {
-            std::thread::yield_now();
+        let mut queue = lock_unpoisoned(&self.shared.queue);
+        if let Some(at) = queue.iter().position(|t| Arc::ptr_eq(t, &self.ticket)) {
+            queue.remove(at);
+        }
+        drop(queue);
+        let mut seats = lock_unpoisoned(&self.ticket.seats);
+        while seats.inside > 0 {
+            seats = self
+                .ticket
+                .emptied
+                .wait(seats)
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
         }
     }
 }
-
-/// Type-erased pointer to a [`BatchCtx`].  `Send` is sound because the
-/// pointee is only accessed under the [`Gate`] protocol while the owning
-/// caller keeps it alive, and everything reachable from a `BatchCtx` is
-/// shareable across threads (the `I: Sync`, `F: Sync`, `T: Send` bounds
-/// mirror what `std::thread::scope` demanded of the old fan-out).
-#[derive(Clone, Copy)]
-struct ErasedCtx(*const ());
-
-// SAFETY: see the type docs; the pointer crosses threads only inside helper
-// jobs governed by the gate protocol.
-unsafe impl Send for ErasedCtx {}
 
 /// Everything one batch's participants share, on the caller's stack.
 struct BatchCtx<'a, T, I, F> {
@@ -403,16 +400,10 @@ struct BatchCtx<'a, T, I, F> {
     tasks: usize,
     init: &'a I,
     task: &'a F,
-    done: Mutex<DoneState<T>>,
-    all_done: Condvar,
+    slots: Mutex<Vec<Option<TaskResult<T>>>>,
 }
 
 type TaskResult<T> = Result<T, Box<dyn std::any::Any + Send + 'static>>;
-
-struct DoneState<T> {
-    slots: Vec<Option<TaskResult<T>>>,
-    remaining: usize,
-}
 
 /// Monomorphised helper entry point: recovers the typed context from the
 /// erased pointer.
@@ -421,8 +412,9 @@ struct DoneState<T> {
 ///
 /// `ptr` must point to a live `BatchCtx<T, I, F>` produced by a
 /// `run_indexed_stateful::<T, S, I, F>` call with exactly these type
-/// parameters; guaranteed by the [`Gate`] protocol plus the fact that each
-/// helper job captures the runner monomorphised alongside its own pointer.
+/// parameters; guaranteed by the join protocol (see [`Offer`]) plus the
+/// fact that each ticket carries the runner monomorphised alongside its own
+/// pointer.
 unsafe fn run_batch_erased<T, S, I, F>(ptr: *const ())
 where
     T: Send,
@@ -451,10 +443,9 @@ where
         Ok(state) => Some(state),
         Err(payload) => {
             // `init` panicked: this participant can run nothing.  Record the
-            // panic on the claimed index and put the index's siblings back in
-            // play by *not* claiming further (other participants' counters
-            // still cover them — the caller always participates and its
-            // `init` result is independent).
+            // panic on the claimed index and claim no further: the other
+            // participants may run the rest, and the caller resumes this
+            // panic before any index left unclaimed.
             complete(ctx, first, Err(payload));
             return;
         }
@@ -471,21 +462,15 @@ where
     }
 }
 
-/// Records one task's outcome and wakes the caller when the batch is done.
+/// Records one task's outcome.
 fn complete<T, I, F>(ctx: &BatchCtx<'_, T, I, F>, index: usize, result: TaskResult<T>) {
-    let mut done = lock_unpoisoned(&ctx.done);
-    done.slots[index] = Some(result);
-    done.remaining -= 1;
-    let finished = done.remaining == 0;
-    drop(done);
-    if finished {
-        ctx.all_done.notify_all();
-    }
+    lock_unpoisoned(&ctx.slots)[index] = Some(result);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::atomic::AtomicU32;
 
     #[test]
@@ -519,7 +504,7 @@ mod tests {
             },
         );
         assert_eq!(results.len(), 100);
-        assert_eq!(pool.jobs_run(), 0);
+        assert_eq!(pool.hires(), 0);
     }
 
     #[test]
@@ -548,18 +533,20 @@ mod tests {
     #[test]
     fn pool_workers_actually_participate() {
         let pool = WorkerPool::new(4);
-        let results = pool.run_indexed_stateful(
+        let runners = pool.run_indexed_stateful(
             256,
             || (),
-            |(), i| {
+            |(), _| {
                 std::thread::sleep(std::time::Duration::from_micros(50));
-                i
+                std::thread::current().id()
             },
         );
-        assert_eq!(results.len(), 256);
+        assert_eq!(runners.len(), 256);
         // Timing-dependent in principle, but with 256 sleeping tasks and 4
-        // idle workers, at least one helper job must have run.
-        assert!(pool.jobs_run() > 0, "no pool worker ever helped");
+        // idle workers, at least one worker must have run a task beside the
+        // caller.
+        let distinct: HashSet<_> = runners.into_iter().collect();
+        assert!(distinct.len() >= 2, "no pool worker ever helped");
     }
 
     #[test]
@@ -585,11 +572,10 @@ mod tests {
 
     #[test]
     fn batches_outlive_queued_helpers_without_touching_freed_state() {
-        // Saturate the single pool worker with a slow job from one thread,
-        // then run many short-lived batches whose helpers will only be
-        // dequeued after the batches have completed and their contexts are
-        // gone — those helpers must exit through the closed gate without
-        // dereferencing anything.
+        // Saturate the single pool worker with a slow batch from one thread,
+        // then run many short-lived batches that finish before the worker
+        // is free: each must withdraw its ticket, so the worker never joins
+        // a batch whose context is gone.
         let pool = Arc::new(WorkerPool::new(1));
         let blocker = {
             let pool = Arc::clone(&pool);
@@ -611,6 +597,52 @@ mod tests {
             assert_eq!(results, vec![round, round + 1, round + 2, round + 3]);
         }
         blocker.join().expect("blocker panicked");
+    }
+
+    #[test]
+    fn a_panicking_init_propagates_from_the_caller_alone() {
+        let pool = WorkerPool::inline_only();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            pool.run_indexed_stateful(3, || panic!("init boom"), |(), i| i)
+        }));
+        let payload = outcome.expect_err("panic was swallowed");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"init boom"));
+    }
+
+    #[test]
+    fn a_finished_batch_leaves_nothing_queued() {
+        let pool = WorkerPool::new(1);
+        let started = AtomicUsize::new(0);
+        let release = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            // Hold the one worker inside a blocker batch: both of its tasks
+            // wait for `release`, and its caller can run only one of them.
+            let blocker = scope.spawn(|| {
+                pool.run_indexed_stateful(
+                    2,
+                    || (),
+                    |(), i| {
+                        started.fetch_add(1, Ordering::SeqCst);
+                        while !release.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                        i
+                    },
+                )
+            });
+            while started.load(Ordering::SeqCst) < 2 {
+                std::thread::yield_now();
+            }
+
+            // The worker is busy, so this batch's caller runs every task.
+            let results = pool.run_indexed_stateful(4, || (), |(), i| i * 3);
+            assert_eq!(results, vec![0, 3, 6, 9]);
+            assert!(lock_unpoisoned(&pool.shared.queue).is_empty());
+            assert_eq!(pool.hires(), 2);
+
+            release.store(true, Ordering::SeqCst);
+            assert_eq!(blocker.join().expect("blocker panicked"), vec![0, 1]);
+        });
     }
 
     #[test]
