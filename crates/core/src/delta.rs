@@ -747,13 +747,17 @@ impl Workspace {
 
 /// One participant of an advance's fan-out: the workspace it took from the
 /// miner's stash, its cursor grown into the workspace's lists, both handed
-/// back when the batch ends.
+/// back when the worker is dropped, and what its roots' tasks returned.
 struct Worker<'a> {
     hood: Neighborhood<'a>,
     ws: Workspace,
     stash: &'a Mutex<Vec<Workspace>>,
     /// Whether the [`Dealer`] deals this participant the front roots.
     front: bool,
+    /// The counters of every root this participant ran, merged.
+    stats: DeltaStats,
+    /// The lowest root whose task failed here, and why.
+    failed: Option<(usize, FsmError)>,
 }
 
 impl<'a> Worker<'a> {
@@ -772,6 +776,8 @@ impl<'a> Worker<'a> {
             ws,
             stash,
             front,
+            stats: DeltaStats::default(),
+            failed: None,
         }
     }
 }
@@ -780,6 +786,13 @@ impl Drop for Worker<'_> {
     fn drop(&mut self) {
         self.ws.hood = self.hood.take_buffers();
         lock(self.stash).push(mem::take(&mut self.ws));
+    }
+}
+
+/// Keeps `job`'s failure in `lowest` unless a lower job's is there.
+fn keep_lowest(lowest: &mut Option<(usize, FsmError)>, job: usize, err: FsmError) {
+    if lowest.as_ref().is_none_or(|&(at, _)| job < at) {
+        *lowest = Some((job, err));
     }
 }
 
@@ -1772,7 +1785,7 @@ impl DeltaMiner {
             .collect();
         let stash = &self.workspaces;
         let dealer = Dealer::new(jobs.len());
-        let mut outcomes = exec.run_indexed_stateful(
+        let workers = exec.run_indexed_stateful(
             jobs.len(),
             || Worker::new(catalog, stash, plan.stride, dealer.deals_front()),
             |worker, _| {
@@ -1787,14 +1800,24 @@ impl DeltaMiner {
                     ws,
                     stats: DeltaStats::default(),
                 };
-                (job, task.run(*root))
+                match task.run(*root) {
+                    Ok(stats) => worker.stats.merge(&stats),
+                    Err(err) => keep_lowest(&mut worker.failed, job, err),
+                }
             },
         );
-        // Roots are dealt in no fixed order: restore root order, so the
-        // error reported is the first failing root's whatever the schedule.
-        outcomes.sort_unstable_by_key(|&(job, _)| job);
-        for (_, stats) in outcomes {
-            self.stats.merge(&stats?);
+        // Roots are dealt in no fixed order, and the counters merge in any:
+        // the error reported is the first failing root's whatever the
+        // schedule.
+        let mut failed: Option<(usize, FsmError)> = None;
+        for mut worker in workers {
+            self.stats.merge(&worker.stats);
+            if let Some((job, err)) = worker.failed.take() {
+                keep_lowest(&mut failed, job, err);
+            }
+        }
+        if let Some((_, err)) = failed {
+            return Err(err);
         }
         let collected = jobs
             .iter_mut()

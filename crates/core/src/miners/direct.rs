@@ -12,7 +12,7 @@ use fsm_fptree::MiningLimits;
 use fsm_storage::BitVec;
 use fsm_types::{EdgeCatalog, EdgeId, EdgeSet, FrequentPattern, Result, Support};
 
-use super::{Bytes, RawMiningOutput};
+use super::{fan_out_roots, Bytes, RawMiningOutput};
 use crate::parallel::Exec;
 use crate::scratch::ScratchArena;
 
@@ -67,8 +67,9 @@ use crate::scratch::ScratchArena;
 /// too, and an emitted pattern allocates nothing of its own — its edge set
 /// is held in place — so what remains per pattern is a share of the pattern
 /// lists' growth (`crates/core/tests/alloc_regression.rs` pins that).  The
-/// fan-out over frequent single edges runs on `exec`'s worker pool and
-/// merges deterministically.
+/// fan-out over frequent single edges runs on `exec`'s worker pool, one
+/// pattern list per participant and none per root, and merges
+/// deterministically (`fan_out_roots`).
 ///
 /// Singleton rows are borrowed from the [`WindowView`] — the live one or a
 /// frozen [`fsm_dsmatrix::EpochSnapshot`]'s — and their supports come from
@@ -99,10 +100,11 @@ struct Tree<'v> {
 }
 
 /// Emits every frequent single edge and grows each one the catalog knows
-/// with `subtree`, one task per edge on `exec`'s worker pool; every
-/// participant builds one `state` and reuses it for all the roots it
-/// claims.  Subtrees merge in edge order, whatever the pool's shape.
-fn fan_out<'v, S>(
+/// with `subtree`, one task per edge on `exec`'s worker pool
+/// ([`fan_out_roots`]); every participant builds one `state` and reuses it
+/// for all the roots it claims.  Subtrees merge in edge order, whatever the
+/// pool's shape.
+fn fan_out<'v, S: Send>(
     view: &'v WindowView<'_>,
     catalog: &EdgeCatalog,
     minsup: Support,
@@ -150,19 +152,16 @@ fn fan_out<'v, S>(
         limits,
         base_bytes,
     };
-    let worker = |state: &mut S, idx: usize| -> Result<RawMiningOutput> {
+    let root = |state: &mut S, idx: usize, out: &mut RawMiningOutput| {
         let (edge, support, row) = frequent[idx];
-        let mut sub = RawMiningOutput::default();
-        sub.patterns
+        out.patterns
             .push(FrequentPattern::new(EdgeSet::singleton(edge), support));
         if limits.allows(2) && edge.index() < catalog.num_edges() {
-            subtree(state, &tree, (edge, row), &mut sub)?;
+            subtree(state, &tree, (edge, row), out)?;
         }
-        Ok(sub)
+        Ok(())
     };
-    for sub in exec.run_indexed_stateful(frequent.len(), || state(&tree), worker) {
-        output.merge(sub?);
-    }
+    output.merge(fan_out_roots(exec, frequent.len(), || state(&tree), root)?);
 
     output.stats.patterns_before_postprocess = output.patterns.len();
     Ok(output)

@@ -26,7 +26,7 @@ use fsm_fptree::growth::MineOutcome;
 use fsm_fptree::{MiningLimits, ProjectedDb};
 use fsm_types::{EdgeId, EdgeSet, FrequentPattern, Result, Support};
 
-use super::RawMiningOutput;
+use super::{fan_out_roots, RawMiningOutput};
 use crate::parallel::Exec;
 
 /// §3.1 — mining with multiple recursive FP-trees.
@@ -105,39 +105,40 @@ fn mine_horizontal(
 
     // Step 2: one projected database per frequent edge, mined in parallel.
     // Pivot costs are skewed (small pivots see the largest projected
-    // databases), which is exactly the case the dynamic load balancer of
-    // the executor's dynamic load balancer handles.
-    let per_pivot =
-        exec.run_indexed_stateful(frequent.len(), ProjectionScratch::new, |scratch, idx| {
-            let (edge, support) = frequent[idx];
-            let mut out = RawMiningOutput::default();
-            out.patterns
-                .push(FrequentPattern::new(EdgeSet::singleton(edge), support));
-            if singles_only {
-                return out;
-            }
-            let projected = view.project_into(edge, scratch);
-            if projected.is_empty() {
-                return out;
-            }
-            let outcome = strategy(projected, minsup, suffix_limits);
-            out.stats
-                .tree_footprint
-                .merge_sequential(&outcome.footprint);
-            for (suffix, suffix_support) in outcome.sets {
-                let mut edges = Vec::with_capacity(suffix.len() + 1);
-                edges.push(edge);
-                edges.extend(suffix);
-                out.patterns.push(FrequentPattern::new(
-                    EdgeSet::from_edges(edges),
-                    suffix_support,
-                ));
-            }
-            out
-        });
-    for subtree in per_pivot {
-        output.merge(subtree);
-    }
+    // databases), which is exactly the case the executor's dynamic load
+    // balancer handles.
+    let pivot = |scratch: &mut ProjectionScratch, idx: usize, out: &mut RawMiningOutput| {
+        let (edge, support) = frequent[idx];
+        out.patterns
+            .push(FrequentPattern::new(EdgeSet::singleton(edge), support));
+        if singles_only {
+            return Ok(());
+        }
+        let projected = view.project_into(edge, scratch);
+        if projected.is_empty() {
+            return Ok(());
+        }
+        let outcome = strategy(projected, minsup, suffix_limits);
+        out.stats
+            .tree_footprint
+            .merge_sequential(&outcome.footprint);
+        for (suffix, suffix_support) in outcome.sets {
+            let mut edges = Vec::with_capacity(suffix.len() + 1);
+            edges.push(edge);
+            edges.extend(suffix);
+            out.patterns.push(FrequentPattern::new(
+                EdgeSet::from_edges(edges),
+                suffix_support,
+            ));
+        }
+        Ok(())
+    };
+    output.merge(fan_out_roots(
+        exec,
+        frequent.len(),
+        ProjectionScratch::new,
+        pivot,
+    )?);
 
     output.stats.patterns_before_postprocess = output.patterns.len();
     Ok(output)

@@ -16,7 +16,7 @@ pub mod vertical;
 
 use fsm_dsmatrix::{DsMatrix, WindowView};
 use fsm_fptree::MiningLimits;
-use fsm_types::{EdgeCatalog, FrequentPattern, Result, Support};
+use fsm_types::{EdgeCatalog, FrequentPattern, FsmError, Result, Support};
 
 use crate::algorithm::Algorithm;
 use crate::instrument::MiningStats;
@@ -48,11 +48,97 @@ impl RawMiningOutput {
     /// Appends the patterns of a parallel worker's subtree and folds its
     /// statistics in (see [`MiningStats::merge`]).  Merging the per-singleton
     /// subtrees in canonical (edge-index) order reproduces the sequential
-    /// traversal's pattern order exactly.
+    /// traversal's pattern order exactly.  Into an output with no patterns
+    /// yet, `other`'s list moves rather than being copied.
     pub fn merge(&mut self, other: RawMiningOutput) {
-        self.patterns.extend(other.patterns);
+        if self.patterns.is_empty() {
+            self.patterns = other.patterns;
+        } else {
+            self.patterns.extend(other.patterns);
+        }
         self.stats.merge(&other.stats);
     }
+}
+
+/// One participant's share of a full mine's fan-out: its walk state, and
+/// one output for every root it claimed.
+struct Share<W> {
+    walk: W,
+    /// The claimed roots' patterns, root after root, and their statistics
+    /// folded together ([`MiningStats::merge`] is order-free).
+    out: RawMiningOutput,
+    /// Each claimed root's index with the end of its patterns in
+    /// `out.patterns`, ascending: the pool deals a participant its roots in
+    /// increasing order.
+    ends: Vec<(usize, usize)>,
+    /// The first root that failed, and why.  Roots this participant claims
+    /// after it are skipped: they cannot be the batch's lowest failure.
+    failed: Option<(usize, FsmError)>,
+}
+
+/// Runs `root(walk, i, out)` for every root `i` in `0..roots` on `exec` and
+/// returns the roots' outputs merged in root order — the sequential
+/// traversal's pattern order and statistics, whatever the pool's shape —
+/// or the lowest failing root's error.
+///
+/// Every participant builds one `walk` state and appends every root it
+/// claims to one output of its own, so nothing is allocated or locked per
+/// root.  The participants' outputs are then merged by moving each root's
+/// range of patterns into place, root by root — no sort, and no copy at all
+/// when one participant ran every root.
+pub(crate) fn fan_out_roots<W: Send>(
+    exec: &Exec,
+    roots: usize,
+    walk: impl Fn() -> W + Sync,
+    root: impl Fn(&mut W, usize, &mut RawMiningOutput) -> Result<()> + Sync,
+) -> Result<RawMiningOutput> {
+    let init = || Share {
+        walk: walk(),
+        out: RawMiningOutput::default(),
+        ends: Vec::with_capacity(roots),
+        failed: None,
+    };
+    let mut shares = exec.run_indexed_stateful(roots, init, |share, idx| {
+        if share.failed.is_some() {
+            return;
+        }
+        match root(&mut share.walk, idx, &mut share.out) {
+            Ok(()) => share.ends.push((idx, share.out.patterns.len())),
+            Err(err) => share.failed = Some((idx, err)),
+        }
+    });
+    if let Some((_, err)) = shares
+        .iter_mut()
+        .filter_map(|share| share.failed.take())
+        .min_by_key(|&(idx, _)| idx)
+    {
+        return Err(err);
+    }
+    if shares.len() <= 1 {
+        return Ok(shares.pop().map(|share| share.out).unwrap_or_default());
+    }
+
+    let mut merged = RawMiningOutput {
+        patterns: Vec::with_capacity(shares.iter().map(|s| s.out.patterns.len()).sum()),
+        stats: MiningStats::default(),
+    };
+    // Which share holds each root's patterns, and where they end in it.
+    let mut owner = vec![(0, 0); roots];
+    let mut drains = Vec::with_capacity(shares.len());
+    for (at, share) in shares.into_iter().enumerate() {
+        merged.stats.merge(&share.out.stats);
+        for &(idx, end) in &share.ends {
+            owner[idx] = (at, end);
+        }
+        drains.push((share.out.patterns.into_iter(), 0));
+    }
+    // A share's roots ascend, so its ranges leave its front in root order.
+    for (at, end) in owner {
+        let (patterns, start) = &mut drains[at];
+        merged.patterns.extend(patterns.take(end - *start));
+        *start = end;
+    }
+    Ok(merged)
 }
 
 /// Runs the selected algorithm over the live window of `matrix`

@@ -5,7 +5,7 @@ use fsm_fptree::MiningLimits;
 use fsm_storage::BitVec;
 use fsm_types::{EdgeId, EdgeSet, FrequentPattern, FsmError, Result, Support};
 
-use super::{Bytes, RawMiningOutput};
+use super::{fan_out_roots, Bytes, RawMiningOutput};
 use crate::parallel::Exec;
 use crate::scratch::ScratchArena;
 
@@ -68,51 +68,33 @@ pub fn mine_vertical(
         return Ok(output);
     }
 
-    // Each worker owns one scratch arena for all the subtrees it processes,
-    // so intersection buffers are allocated once per worker per depth.
-    let subtrees = exec.run_indexed_stateful(frequent.len(), ScratchArena::new, |scratch, idx| {
-        mine_subtree(&frequent, idx, minsup, limits, row_bytes, scratch)
-    });
-    for sub in subtrees {
-        output.merge(sub);
-    }
+    // Each participant owns one scratch arena and one root path for all the
+    // subtrees it processes, so intersection buffers are allocated once per
+    // participant per depth, and nothing per subtree.  A subtree is the
+    // singleton pattern itself plus every extension by edges after it in
+    // canonical order.
+    let walk = || (ScratchArena::new(), Vec::new());
+    let subtrees = fan_out_roots(exec, frequent.len(), walk, |(scratch, prefix), idx, out| {
+        let (edge, support, row) = frequent[idx];
+        out.patterns
+            .push(FrequentPattern::new(EdgeSet::singleton(edge), support));
+        if limits.allows(2) {
+            prefix.clear();
+            prefix.push(edge);
+            let bytes = Bytes {
+                base: row_bytes,
+                ancestors: 0,
+            };
+            extend(
+                &frequent, idx, prefix, row, minsup, limits, bytes, scratch, out,
+            );
+        }
+        Ok(())
+    })?;
+    output.merge(subtrees);
 
     output.stats.patterns_before_postprocess = output.patterns.len();
     Ok(output)
-}
-
-/// Mines the enumeration subtree rooted at `frequent[idx]`: the singleton
-/// pattern itself plus every extension by edges after it in canonical order.
-fn mine_subtree(
-    frequent: &[(EdgeId, Support, &BitVec)],
-    idx: usize,
-    minsup: Support,
-    limits: MiningLimits,
-    base_bytes: usize,
-    scratch: &mut ScratchArena,
-) -> RawMiningOutput {
-    let (edge, support, row) = &frequent[idx];
-    let mut output = RawMiningOutput::default();
-    output
-        .patterns
-        .push(FrequentPattern::new(EdgeSet::singleton(*edge), *support));
-    if limits.allows(2) {
-        extend(
-            frequent,
-            idx,
-            &mut vec![*edge],
-            row,
-            minsup,
-            limits,
-            Bytes {
-                base: base_bytes,
-                ancestors: 0,
-            },
-            scratch,
-            &mut output,
-        );
-    }
-    output
 }
 
 /// Depth-first extension of `prefix` (whose transaction set is `vector`) with

@@ -3,15 +3,22 @@
 //! The top level of all five algorithms is an embarrassingly parallel loop
 //! over the frequent single edges: a vertical subtree rooted at edge *i* only
 //! reads the shared frequent-row table, and a horizontal pivot *i* only reads
-//! the shared row snapshot — either way each task writes its own
-//! [`crate::miners::RawMiningOutput`].  [`Exec`] hands those tasks to the
-//! workspace's one executor, the caller-participating [`WorkerPool`]: tasks
-//! are claimed off an atomic counter (task costs are heavily skewed towards
-//! small indices — they see the most extensions / the largest projected
-//! databases — so static chunking would idle most workers) and results are
-//! returned **in task-index order**, which keeps the merged pattern list
-//! identical to the sequential traversal and the whole engine deterministic
-//! regardless of thread count.
+//! the shared row snapshot.  [`Exec`] hands those tasks to the workspace's
+//! one executor, the caller-participating [`WorkerPool`]: tasks are claimed
+//! off an atomic counter (task costs are heavily skewed towards small
+//! indices — they see the most extensions / the largest projected databases
+//! — so static chunking would idle most workers).
+//!
+//! The output is the participants', not the tasks': each participant
+//! appends everything the tasks it claims produce to its own `init()` state
+//! — for a full mine one pattern list, the task boundaries in it, its
+//! statistics and its first failure — and the pool hands the states back.
+//! A participant claims indices in increasing order, so the caller merges
+//! the states **in task-index order** by moving each task's range into
+//! place (`miners::fan_out_roots`; with one participant there is nothing
+//! to move).  That keeps the merged pattern list identical to the
+//! sequential traversal, and the whole engine deterministic regardless of
+//! thread count, with nothing allocated or locked per task.
 //!
 //! Waking helpers costs more than they save on a small mine, so a full
 //! vertical-family mine hires them only when its tenant's previous full mine
@@ -51,7 +58,8 @@ pub const HIRE_SCREENS: u64 = 1_024;
 
 /// The executor a mine call fans its top-level subtree tasks out on: a
 /// cheaply clonable handle that derefs to one [`WorkerPool`]
-/// ([`WorkerPool::run_indexed_stateful`] is the fan-out).
+/// ([`WorkerPool::run_indexed_stateful`] is the fan-out; it returns the
+/// participants' states, which the caller merges in task-index order).
 ///
 /// A standalone [`crate::StreamMiner`] owns a private pool sized by
 /// [`crate::MinerConfig::threads`] ([`Exec::scoped`]), built once and reused
@@ -131,19 +139,35 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
+    /// `f` of every index of a batch of `tasks` on `exec`, in index order:
+    /// each participant keeps its tasks' `(index, output)` pairs, and the
+    /// states are merged back by index.
+    fn indexed<T: Send>(exec: &Exec, tasks: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        let mut all: Vec<(usize, T)> = exec
+            .run_indexed_stateful(tasks, Vec::new, |out, i| out.push((i, f(i))))
+            .into_iter()
+            .flatten()
+            .collect();
+        all.sort_unstable_by_key(|&(i, _)| i);
+        all.into_iter().map(|(_, out)| out).collect()
+    }
+
     #[test]
     fn results_come_back_in_index_order() {
         for exec in pool_shapes() {
-            let results = exec.run_indexed_stateful(37, || (), |(), i| i * i);
-            assert_eq!(results, (0..37).map(|i| i * i).collect::<Vec<_>>());
+            let expected: Vec<usize> = (0..37).map(|i| i * i).collect();
+            assert_eq!(indexed(&exec, 37, |i| i * i), expected, "{exec:?}");
         }
     }
 
     #[test]
     fn zero_and_tiny_task_counts_are_safe() {
         for exec in pool_shapes() {
-            assert!(exec.run_indexed_stateful(0, || (), |(), i| i).is_empty());
-            assert_eq!(exec.run_indexed_stateful(1, || (), |(), i| i), vec![0]);
+            assert!(exec.run_indexed_stateful(0, || (), |(), _| ()).is_empty());
+            assert_eq!(
+                exec.run_indexed_stateful(1, Vec::new, |seen, i| seen.push(i)),
+                [vec![0]]
+            );
         }
     }
 
@@ -174,30 +198,30 @@ mod tests {
     #[test]
     fn stateful_variant_reuses_one_state_per_worker() {
         let inits = AtomicUsize::new(0);
-        let results = Exec::scoped(1).run_indexed_stateful(
+        let states = Exec::scoped(1).run_indexed_stateful(
+            20,
+            || {
+                inits.fetch_add(1, Ordering::Relaxed);
+                Vec::new()
+            },
+            |seen, index| seen.push(index),
+        );
+        // One participant: one state serves every task, in index order.
+        assert_eq!(inits.load(Ordering::Relaxed), 1);
+        assert_eq!(states, vec![(0..20).collect::<Vec<_>>()]);
+        // Four participants: at most one state each, and each comes back.
+        let inits = AtomicUsize::new(0);
+        let states = Exec::scoped(4).run_indexed_stateful(
             20,
             || {
                 inits.fetch_add(1, Ordering::Relaxed);
                 0usize
             },
-            |state, index| {
-                *state += 1;
-                (*state, index)
-            },
-        );
-        // One participant: one state serves every task and counts them all.
-        assert_eq!(inits.load(Ordering::Relaxed), 1);
-        assert_eq!(results.last(), Some(&(20, 19)));
-        // Four participants: at most one state each.
-        let inits = AtomicUsize::new(0);
-        Exec::scoped(4).run_indexed_stateful(
-            20,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-            },
-            |(), _| (),
+            |ran, _| *ran += 1,
         );
         assert!(inits.load(Ordering::Relaxed) <= 4);
+        assert_eq!(states.len(), inits.load(Ordering::Relaxed));
+        assert_eq!(states.iter().sum::<usize>(), 20);
     }
 
     #[test]
@@ -207,7 +231,7 @@ mod tests {
             .into_iter()
             .chain([Exec::scoped(1), Exec::scoped(4)])
         {
-            let results = exec.run_indexed_stateful(53, || (), |(), i| i * 7 + 1);
+            let results = indexed(&exec, 53, |i| i * 7 + 1);
             assert_eq!(results, expected, "executor {exec:?} diverged");
         }
     }
@@ -215,16 +239,12 @@ mod tests {
     #[test]
     fn work_is_shared_between_workers() {
         let seen: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
-        let results = Exec::scoped(4).run_indexed_stateful(
-            64,
-            || (),
-            |(), i| {
-                // Make tasks slow enough that several workers participate.
-                std::thread::sleep(std::time::Duration::from_micros(200));
-                seen.lock().unwrap().insert(std::thread::current().id());
-                i
-            },
-        );
+        let results = indexed(&Exec::scoped(4), 64, |i| {
+            // Make tasks slow enough that several workers participate.
+            std::thread::sleep(std::time::Duration::from_micros(200));
+            seen.lock().unwrap().insert(std::thread::current().id());
+            i
+        });
         assert_eq!(results.len(), 64);
         let seen = seen.lock().unwrap().len();
         assert!((2..=4).contains(&seen), "{seen} threads ran tasks");

@@ -1,7 +1,7 @@
 //! Allocation regression gates for the three per-item loops of the dense
-//! step, for the row assembly in front of a snapshot mine, for the memory
-//! window's ingest and the served ingest's one-pass transposition, and for
-//! a pattern's edge set.
+//! step, for a hired full mine's fan-out over its roots, for the row
+//! assembly in front of a snapshot mine, for the memory window's ingest and
+//! the served ingest's one-pass transposition, and for a pattern's edge set.
 //!
 //! `mine_direct`'s rustdoc and ARCHITECTURE § "Mining allocation discipline"
 //! say a screen allocates nothing and a pattern nothing of its own (its edge
@@ -147,8 +147,8 @@ fn a_sequential_direct_mine_allocates_per_pattern_not_per_screen() {
         screens >= 10 * patterns && patterns >= 100,
         "fixture drifted: {screens} screens, {patterns} patterns"
     );
-    // Per pattern: an amortised share of the pattern lists' growth (one list
-    // per singleton subtree, merged into one) — the edge set is held in
+    // Per pattern: an amortised share of the pattern list's growth (one list
+    // per participant, here the caller alone) — the edge set is held in
     // place.  Per depth: one intersection buffer and one passed-candidate
     // list, grown a few times each.  Nothing per screen.  This fixture made
     // 177 with the sets in place, 423 when each owned a `Vec`.
@@ -159,6 +159,55 @@ fn a_sequential_direct_mine_allocates_per_pattern_not_per_screen() {
          {screens} screens (budget {budget}): something allocates per screen \
          or per emitted edge set"
     );
+}
+
+/// Allocator requests of one full mine by `algorithm` over complete(`vertices`),
+/// fanned out on `exec`, with every catalog edge a frequent root whose
+/// subtree is its singleton alone: each edge is listed by two transactions
+/// of its own, so at minsup 2 no two edges ever meet.  Returns them with
+/// the number of roots.
+fn lone_roots_mine_allocations(algorithm: Algorithm, vertices: u32, exec: &Exec) -> (u64, u64) {
+    let catalog = EdgeCatalog::complete(vertices);
+    let edges = catalog.num_edges() as u32;
+    let mut matrix = memory_matrix(1, edges as usize);
+    let lone = (0..2 * edges).map(|t| Transaction::from_raw([t % edges]));
+    matrix
+        .ingest_batch(&Batch::from_transactions(0, lone.collect()))
+        .unwrap();
+    let view = matrix.view().unwrap();
+    let (output, allocations) = allocations_on(exec, || match algorithm {
+        Algorithm::Vertical => {
+            miners::vertical::mine_vertical(&view, 2, MiningLimits::UNBOUNDED, exec)
+        }
+        _ => miners::direct::mine_direct(&view, &catalog, 2, MiningLimits::UNBOUNDED, exec),
+    });
+    let output = output.unwrap();
+    assert_eq!(output.patterns.len(), edges as usize, "fixture drifted");
+    (allocations, u64::from(edges))
+}
+
+#[test]
+fn a_hired_full_mine_allocates_per_participant_not_per_root() {
+    // Eight times the roots, the same subtrees: what a full mine allocates
+    // per root shows as the difference.  Every participant appends the
+    // roots it claims to one pattern list of its own, and the merge moves
+    // them into one list sized once, so what grows is each participant's
+    // list (a few doublings) and the frequent-edge tables the mine sets
+    // up.  An output list per root, a result slot per root, or a root path
+    // per root would add one allocation per root: over 450 here.
+    let exec = Exec::scoped(4);
+    let participants = exec.size() as u64 + 1;
+    for algorithm in [Algorithm::Vertical, Algorithm::DirectVertical] {
+        let (narrow, narrow_roots) = lone_roots_mine_allocations(algorithm, 12, &exec);
+        let (wide, wide_roots) = lone_roots_mine_allocations(algorithm, 33, &exec);
+        assert_eq!((narrow_roots, wide_roots), (66, 528));
+        let budget = narrow + 24 * participants;
+        assert!(
+            wide <= budget,
+            "{algorithm}: {wide} allocations for {wide_roots} roots against {narrow} for \
+             {narrow_roots} (budget {budget}): something allocates per root"
+        );
+    }
 }
 
 #[test]
@@ -205,7 +254,7 @@ fn a_steady_delta_advance_allocates_per_pattern_and_regrown_subtree_not_per_bord
         // at most: the participant's pool job, and the growth of the buffers
         // it parks on the miner until they have met every depth (per
         // advance, the caller adds every window segment's row table, the
-        // plan's lists, the task list and the pool's result slots).  Nothing
+        // plan's lists, the task list and the pool's list of states).  Nothing
         // per root, nothing per border entry touched.
         let budget = collected + 16 * regrown + 64 + ADVANCES * 16 * participants;
         assert!(

@@ -1076,17 +1076,21 @@ impl DsMatrix {
             .as_mut()
             .expect("write_checkpoint on a non-durable matrix");
 
-        // 3. Persist it and drop checkpoints older than the two newest.
+        // 3. Persist it, and rotate the retained-checkpoint bookkeeping the
+        //    moment it is in place: from here on it is on disk, and the
+        //    garbage collection below must know what it references.
         let (_, bytes, fsyncs) = checkpoint.write(&durable.config.dir)?;
         durable.checkpoint_bytes += bytes;
         durable.fsyncs += fsyncs;
-        Checkpoint::prune_keeping(&durable.config.dir, 2)?;
-
-        // 4. Rotate the retained-checkpoint bookkeeping.
         durable.retain_checkpoint(
             last_seq,
             checkpoint.segments.iter().map(|s| s.uid).collect(),
         );
+
+        // 4. Drop checkpoints older than the two newest.  The checkpoint has
+        //    committed, so this is best-effort: a file whose removal fails
+        //    stays until the next checkpoint's prune removes it.
+        let _ = Checkpoint::prune_keeping(&durable.config.dir, 2);
 
         // 5. Release evicted segment files no retained checkpoint
         //    references, for later pushes to overwrite.  The checkpoint has
@@ -1298,6 +1302,16 @@ impl DsMatrix {
     /// backend).
     pub fn on_disk_bytes(&self) -> u64 {
         self.store.on_disk_bytes()
+    }
+
+    /// The WAL sequence numbers of the checkpoints a durable matrix
+    /// retains, oldest first and at most two: the ones whose segment runs
+    /// its garbage collection keeps.  Empty for a non-durable matrix.
+    pub fn retained_checkpoints(&self) -> Vec<u64> {
+        self.durable
+            .as_ref()
+            .map(|durable| durable.checkpoints.iter().map(|&(seq, _)| seq).collect())
+            .unwrap_or_default()
     }
 }
 

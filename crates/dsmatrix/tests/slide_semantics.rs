@@ -357,6 +357,78 @@ fn a_failed_automatic_checkpoint_leaves_the_ingest_committed() {
     assert_eq!(observe(&mut recovered, 4), expected);
 }
 
+/// The WAL sequence numbers of the checkpoint files in `dir`, ascending.
+fn checkpoint_files(dir: &std::path::Path) -> Vec<u64> {
+    let mut seqs: Vec<u64> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.is_file())
+        .filter_map(|path| {
+            let name = path.file_name()?.to_str()?;
+            name.strip_prefix("checkpoint-")?
+                .strip_suffix(".ckpt")?
+                .parse()
+                .ok()
+        })
+        .collect();
+    seqs.sort_unstable();
+    seqs
+}
+
+/// A checkpoint is retained the moment it is in place, before older ones
+/// are pruned, and the prune is best-effort.  One that fails — here
+/// because a directory squats on an old checkpoint's name — leaves the new
+/// checkpoint named in the retained list, so the garbage collection keeps
+/// every run it references, the ingest stays committed, and the next
+/// checkpoint prunes what this one could not.  Recovery with the newest
+/// checkpoint damaged then falls back to the older one on disk and reaches
+/// the acknowledged window.
+#[test]
+fn a_failed_checkpoint_prune_still_retains_the_checkpoint() {
+    let dir = TempDir::new("prune-fails").unwrap();
+    let config = DsMatrixConfig::new(WindowConfig::new(2).unwrap(), StorageBackend::DiskTemp, 4)
+        .with_durability(DurabilityConfig::new(dir.path()).with_checkpoint_every(2));
+    let mut m = DsMatrix::new(config.clone()).unwrap();
+    let batches: Vec<Batch> = (0..10u32)
+        .map(|id| batch(u64::from(id), &[&[id % 4, (id + 1) % 4], &[(id + 2) % 4]]))
+        .collect();
+    // Older than every checkpoint the matrix writes, so every prune tries
+    // to remove it, and `remove_file` fails on a directory.
+    let squatter = dir.path().join("checkpoint-0.ckpt");
+    std::fs::create_dir(&squatter).unwrap();
+    for (i, b) in batches.iter().enumerate() {
+        if i == 6 {
+            std::fs::remove_dir(&squatter).unwrap();
+        }
+        m.ingest_batch(b).unwrap();
+        assert_eq!(
+            checkpoint_files(dir.path()),
+            m.retained_checkpoints(),
+            "after batch {i}: a checkpoint on disk is not retained"
+        );
+    }
+    let retained = m.retained_checkpoints();
+    assert_eq!(retained.len(), 2, "{retained:?}");
+
+    let mut reference = matrix(2, StorageBackend::Memory, 4);
+    for b in &batches[batches.len() - 2..] {
+        reference.ingest_batch(b).unwrap();
+    }
+    let expected = observe(&mut reference, 4);
+    assert_eq!(observe(&mut m, 4), expected);
+    drop(m);
+
+    let newest = dir.path().join(format!("checkpoint-{}.ckpt", retained[1]));
+    let mut bytes = std::fs::read(&newest).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&newest, bytes).unwrap();
+    let mut recovered = DsMatrix::recover(config).unwrap();
+    let report = recovered.recovery_report().unwrap();
+    assert_eq!(report.checkpoint_seq, Some(retained[0]), "{report:?}");
+    assert_eq!(observe(&mut recovered, 4), expected);
+}
+
 /// The acceptance criterion of the incremental store: a slide writes words
 /// proportional to the entering batch, never to the unevicted window prefix.
 #[test]

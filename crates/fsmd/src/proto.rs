@@ -35,7 +35,7 @@
 //! outside the tenant's catalog ([`FsmError::UnknownEdge`]) before the batch
 //! reaches the window.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 
 use fsm_core::LifecycleState;
 use fsm_types::codec::{put_u16, put_u32, put_u64};
@@ -283,7 +283,14 @@ impl TenantStatus {
     }
 }
 
-/// Writes one frame.
+/// Writes one frame and flushes it.
+///
+/// Header and payload leave in one vectored write.  A `BufWriter` over a
+/// socket passes a frame larger than its free buffer straight through, so
+/// such a frame — every ingest, every dense mine response — is one `writev`,
+/// not a 4-byte send of its own (its own TCP segment, its own wake-up of
+/// the peer) followed by the payload.  A short write resumes where it
+/// stopped.
 pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> Result<()> {
     if payload.len() > MAX_FRAME_BYTES {
         return Err(FsmError::config(format!(
@@ -291,10 +298,17 @@ pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> Result<()> {
             payload.len()
         )));
     }
-    let mut header = Vec::with_capacity(4);
-    put_u32(&mut header, payload.len() as u32);
-    writer.write_all(&header)?;
-    writer.write_all(payload)?;
+    let header = (payload.len() as u32).to_le_bytes();
+    let mut slices = [IoSlice::new(&header), IoSlice::new(payload)];
+    let mut unsent = &mut slices[..];
+    while !unsent.is_empty() {
+        match writer.write_vectored(unsent) {
+            Ok(0) => return Err(std::io::Error::from(ErrorKind::WriteZero).into()),
+            Ok(sent) => IoSlice::advance_slices(&mut unsent, sent),
+            Err(err) if err.kind() == ErrorKind::Interrupted => {}
+            Err(err) => return Err(err.into()),
+        }
+    }
     writer.flush()?;
     Ok(())
 }
@@ -420,6 +434,78 @@ mod tests {
         assert_eq!(read_frame(&mut reader).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut reader).unwrap().unwrap(), b"");
         assert!(read_frame(&mut reader).unwrap().is_none());
+    }
+
+    /// A writer that records every write call it takes and accepts at most
+    /// `limit` bytes a call, refusing every other call as interrupted when
+    /// `interrupt` is set.
+    #[derive(Default)]
+    struct Recorder {
+        bytes: Vec<u8>,
+        calls: usize,
+        limit: Option<usize>,
+        interrupt: bool,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.interrupt && self.calls % 2 == 1 {
+                return Err(ErrorKind::Interrupted.into());
+            }
+            let mut room = self.limit.unwrap_or(usize::MAX);
+            let before = self.bytes.len();
+            for buf in bufs {
+                let take = buf.len().min(room);
+                self.bytes.extend_from_slice(&buf[..take]);
+                room -= take;
+            }
+            Ok(self.bytes.len() - before)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_vectored_write() {
+        let payload: Vec<u8> = (0..20_000).map(|i| i as u8).collect();
+        let mut expected = (payload.len() as u32).to_le_bytes().to_vec();
+        expected.extend_from_slice(&payload);
+        let mut recorder = Recorder::default();
+        write_frame(&mut recorder, &payload).unwrap();
+        assert_eq!(recorder.bytes, expected);
+        assert_eq!(recorder.calls, 1, "the header left on its own");
+    }
+
+    #[test]
+    fn short_and_interrupted_writes_resume_where_they_stopped() {
+        for payload in [&b""[..], b"x", b"hello, frames", &[5; 300]] {
+            let mut whole = Vec::new();
+            write_frame(&mut whole, payload).unwrap();
+            for limit in [1, 3, 4, 5, 7] {
+                for interrupt in [false, true] {
+                    let mut recorder = Recorder {
+                        limit: Some(limit),
+                        interrupt,
+                        ..Recorder::default()
+                    };
+                    write_frame(&mut recorder, payload).unwrap();
+                    assert_eq!(recorder.bytes, whole, "limit {limit}, {interrupt}");
+                }
+            }
+        }
+        // A writer that takes nothing is an error, not a spin.
+        let mut stuck = Recorder {
+            limit: Some(0),
+            ..Recorder::default()
+        };
+        assert!(write_frame(&mut stuck, b"hi").is_err());
     }
 
     #[test]

@@ -16,12 +16,16 @@
 //!   [`WorkerPool::inline_only`]) pool degrades a mine to sequential
 //!   execution on its own thread; it never deadlocks or queues behind other
 //!   tenants' mines.
-//! * **Determinism is untouched.**  Tasks are claimed from an atomic counter
-//!   (dynamic load balancing) but results are returned **in task-index
-//!   order**, so the canonical-order merge — and therefore byte-identical
-//!   output for any pool size — is preserved.  The `miner_agreement` /
-//!   `epoch_agreement` / `tenant_isolation` property suites in `fsm-core`
-//!   gate exactly this.
+//! * **Determinism is the caller's to keep, and cheap to keep.**  Tasks are
+//!   claimed from an atomic counter (dynamic load balancing), and every
+//!   participant accumulates what its tasks produce in its own `init()`
+//!   state: the pool keeps no per-task result, slot or lock.  The states
+//!   come back to the caller, and because a participant claims indices in
+//!   increasing order, the caller merges them **in task-index order** by
+//!   moving each task's range of output into place — no sort, and nothing
+//!   to move with one participant — so the canonical-order output is
+//!   byte-identical for any pool size.  The `miner_agreement` / `epoch_agreement` /
+//!   `tenant_isolation` property suites in `fsm-core` gate exactly this.
 //!
 //! The pool never decides whether a batch is worth its helpers: every call
 //! with more than one task offers it to them.  The caller decides by which
@@ -85,7 +89,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// Lock a mutex, shrugging off poisoning (a panicked task in one tenant's
@@ -177,50 +181,62 @@ impl WorkerPool {
         self.shared.hires.load(Ordering::Relaxed)
     }
 
-    /// Runs `task(0..tasks)` and returns the results **in index order**:
-    /// the calling thread executes tasks itself while up to
-    /// `min(pool size, tasks - 1)` pool workers help.  Every participant
-    /// owns one `init()`-created state for the whole batch (the miners share
-    /// one scratch arena per worker this way).
+    /// Runs `task(state, i)` for every `i` in `0..tasks` and hands back the
+    /// participants' states: the calling thread executes tasks itself while
+    /// up to `min(pool size, tasks - 1)` pool workers help.  Every
+    /// participant owns one `init()`-created state for the whole batch and
+    /// accumulates in it whatever its tasks produce (the miners keep one
+    /// scratch arena and one output list per participant this way); the pool
+    /// keeps nothing per task.
+    ///
+    /// One state comes back per participant that claimed a task — none for
+    /// zero tasks, one when the caller ran them all — in no particular
+    /// order.  Which indices a state saw depends on the schedule, but a
+    /// participant claims them off a shared counter, so each state saw its
+    /// own in increasing order: a caller that needs output in index order
+    /// records the indices in its state and merges the states by them,
+    /// without a sort.
     ///
     /// Concurrent calls from different threads interleave their tasks over
     /// the same fixed worker set; each caller always makes progress on its
     /// own batch regardless of what the pool is doing for anyone else.
     ///
-    /// If any task panics, the batch completes (every index is still
-    /// executed — panic payloads are captured per task) and the panic of the
-    /// lowest index is resumed on the caller, mirroring what
-    /// `std::thread::scope` would have done.
-    pub fn run_indexed_stateful<T, S, I, F>(&self, tasks: usize, init: I, task: F) -> Vec<T>
+    /// If `init` or a task panics, its participant drops its state and
+    /// claims no further, while the others run on until the counter runs
+    /// dry.  The caller then resumes the panic of the lowest index,
+    /// whichever participant hit it, mirroring what `std::thread::scope`
+    /// would have done: every lower index was claimed before it, and ran.
+    pub fn run_indexed_stateful<S, I, F>(&self, tasks: usize, init: I, task: F) -> Vec<S>
     where
-        T: Send,
+        S: Send,
         I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) -> T + Sync,
+        F: Fn(&mut S, usize) + Sync,
     {
         if tasks == 0 {
             return Vec::new();
         }
-        let ctx: BatchCtx<'_, T, I, F> = BatchCtx {
+        // The caller is always one participant, so helpers beyond `tasks - 1`
+        // could never claim anything.
+        let seats = self.size().min(tasks - 1);
+        let ctx: BatchCtx<'_, S, I, F> = BatchCtx {
             next: AtomicUsize::new(0),
             tasks,
             init: &init,
             task: &task,
-            slots: Mutex::new((0..tasks).map(|_| None).collect()),
+            states: Mutex::new(Vec::with_capacity(seats + 1)),
+            panic: Mutex::new(None),
         };
 
-        // The caller is always one participant, so helpers beyond `tasks - 1`
-        // could never claim anything.
-        let seats = self.size().min(tasks - 1);
         // Declared after `ctx`, so even an unwinding caller withdraws the
         // ticket before `ctx` dies.
         let offer = (seats > 0).then(|| {
             // SAFETY (pointer creation): the pointer is only dereferenced by
-            // `run_batch_erased::<T, S, I, F>`, which casts it back to the
+            // `run_batch_erased::<S, I, F>`, which casts it back to the
             // exact `BatchCtx` type it was erased from, and only by a worker
             // counted inside the ticket — see `Offer` for why `ctx` outlives
             // every such worker.
-            let erased = &ctx as *const BatchCtx<'_, T, I, F> as *const ();
-            self.offer(erased, run_batch_erased::<T, S, I, F>, seats)
+            let erased = &ctx as *const BatchCtx<'_, S, I, F> as *const ();
+            self.offer(erased, run_batch_erased::<S, I, F>, seats)
         });
 
         // The caller participates like any worker: claims tasks until the
@@ -231,18 +247,16 @@ impl WorkerPool {
         // this, every claimed task is done and nobody holds `ctx`.
         drop(offer);
 
-        // In index order, so the first panic resumed is the lowest index's.
-        // An index nobody claimed lies past the index of the panicked `init`
-        // that stopped its participant, so it is never reached.
-        ctx.slots
+        if let Some((_, payload)) = ctx
+            .panic
             .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .into_iter()
-            .map(|slot| {
-                slot.expect("indices before the lowest panic were all claimed")
-                    .unwrap_or_else(|payload| resume_unwind(payload))
-            })
-            .collect()
+            .unwrap_or_else(PoisonError::into_inner)
+        {
+            resume_unwind(payload);
+        }
+        ctx.states
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Queues a ticket with `seats` seats for `run(ctx)` and counts the hire.
@@ -342,10 +356,10 @@ struct Ticket {
 // SAFETY: `ctx` is the one field that is not `Send` and `Sync` by itself.
 // It is dereferenced only by workers counted inside the ticket, while its
 // caller keeps the context alive (see `Offer`), and everything reachable
-// from a `BatchCtx` is shareable across threads (the `I: Sync`, `F: Sync`,
-// `T: Send` bounds mirror what `std::thread::scope` demanded of the old
-// fan-out).  `run` is a function pointer; `seats` and `emptied` are a
-// `Mutex` and a `Condvar`.
+// from a `BatchCtx` is shareable across threads (the `I: Sync`, `F: Sync`
+// bounds mirror what `std::thread::scope` demanded of the old fan-out, and
+// `S: Send` lets a helper's state travel back to the caller).  `run` is a
+// function pointer; `seats` and `emptied` are a `Mutex` and a `Condvar`.
 unsafe impl Send for Ticket {}
 // SAFETY: as for `Send`: a shared `&Ticket` reads `ctx` and `run`, and
 // changes nothing but through `seats`' mutex.
@@ -394,77 +408,82 @@ impl Drop for Offer<'_> {
     }
 }
 
-/// Everything one batch's participants share, on the caller's stack.
-struct BatchCtx<'a, T, I, F> {
+/// Everything one batch's participants share, on the caller's stack.  Each
+/// participant takes `states` or `panic` once, when it stops claiming.
+struct BatchCtx<'a, S, I, F> {
     next: AtomicUsize,
     tasks: usize,
     init: &'a I,
     task: &'a F,
-    slots: Mutex<Vec<Option<TaskResult<T>>>>,
+    /// The states of the participants that ran every task they claimed.
+    states: Mutex<Vec<S>>,
+    /// The lowest index whose `init` or task panicked, with its payload.
+    panic: Mutex<Option<(usize, Payload)>>,
 }
 
-type TaskResult<T> = Result<T, Box<dyn std::any::Any + Send + 'static>>;
+type Payload = Box<dyn std::any::Any + Send + 'static>;
 
 /// Monomorphised helper entry point: recovers the typed context from the
 /// erased pointer.
 ///
 /// # Safety
 ///
-/// `ptr` must point to a live `BatchCtx<T, I, F>` produced by a
-/// `run_indexed_stateful::<T, S, I, F>` call with exactly these type
+/// `ptr` must point to a live `BatchCtx<S, I, F>` produced by a
+/// `run_indexed_stateful::<S, I, F>` call with exactly these type
 /// parameters; guaranteed by the join protocol (see [`Offer`]) plus the
 /// fact that each ticket carries the runner monomorphised alongside its own
 /// pointer.
-unsafe fn run_batch_erased<T, S, I, F>(ptr: *const ())
+unsafe fn run_batch_erased<S, I, F>(ptr: *const ())
 where
-    T: Send,
+    S: Send,
     I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
+    F: Fn(&mut S, usize) + Sync,
 {
-    let ctx = unsafe { &*(ptr as *const BatchCtx<'_, T, I, F>) };
-    run_batch::<T, S, I, F>(ctx);
+    let ctx = unsafe { &*(ptr as *const BatchCtx<'_, S, I, F>) };
+    run_batch::<S, I, F>(ctx);
 }
 
 /// One participant's work loop: claim indices off the shared counter until
-/// exhausted, owning one `init()` state for the whole run.  Never unwinds:
-/// `init` and each task run under `catch_unwind`, and captured panics are
-/// recorded as that index's result for the caller to resume.
-fn run_batch<T, S, I, F>(ctx: &BatchCtx<'_, T, I, F>)
+/// exhausted, owning one `init()` state for the whole run, then hand the
+/// state back.  Never unwinds: `init` and each task run under
+/// `catch_unwind`, and a captured panic stops the participant and is
+/// recorded for the caller to resume.
+fn run_batch<S, I, F>(ctx: &BatchCtx<'_, S, I, F>)
 where
-    T: Send,
+    S: Send,
     I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
+    F: Fn(&mut S, usize) + Sync,
 {
-    let first = ctx.next.fetch_add(1, Ordering::SeqCst);
-    if first >= ctx.tasks {
+    let mut index = ctx.next.fetch_add(1, Ordering::SeqCst);
+    if index >= ctx.tasks {
         return;
     }
+    // `init` panicking records the panic on the index it claimed: this
+    // participant can run nothing, the others may run the rest, and the
+    // caller resumes this panic before any index left unclaimed.
     let mut state = match catch_unwind(AssertUnwindSafe(ctx.init)) {
-        Ok(state) => Some(state),
-        Err(payload) => {
-            // `init` panicked: this participant can run nothing.  Record the
-            // panic on the claimed index and claim no further: the other
-            // participants may run the rest, and the caller resumes this
-            // panic before any index left unclaimed.
-            complete(ctx, first, Err(payload));
-            return;
-        }
+        Ok(state) => state,
+        Err(payload) => return record_panic(ctx, index, payload),
     };
-    let state = state.as_mut().expect("state initialised above");
-    let mut index = first;
     loop {
-        let result = catch_unwind(AssertUnwindSafe(|| (ctx.task)(state, index)));
-        complete(ctx, index, result);
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (ctx.task)(&mut state, index))) {
+            drop(state);
+            return record_panic(ctx, index, payload);
+        }
         index = ctx.next.fetch_add(1, Ordering::SeqCst);
         if index >= ctx.tasks {
-            return;
+            break;
         }
     }
+    lock_unpoisoned(&ctx.states).push(state);
 }
 
-/// Records one task's outcome.
-fn complete<T, I, F>(ctx: &BatchCtx<'_, T, I, F>, index: usize, result: TaskResult<T>) {
-    lock_unpoisoned(&ctx.slots)[index] = Some(result);
+/// Keeps `index`'s panic if it is the lowest so far.
+fn record_panic<S, I, F>(ctx: &BatchCtx<'_, S, I, F>, index: usize, payload: Payload) {
+    let mut lowest = lock_unpoisoned(&ctx.panic);
+    if lowest.as_ref().is_none_or(|&(at, _)| index < at) {
+        *lowest = Some((index, payload));
+    }
 }
 
 #[cfg(test)]
@@ -473,37 +492,72 @@ mod tests {
     use std::collections::HashSet;
     use std::sync::atomic::AtomicU32;
 
+    /// Runs `f` on every index of a batch of `tasks` with participant-owned
+    /// output — each state the `(index, output)` pairs its tasks pushed —
+    /// and merges the states back by index.  Checks the contract on the
+    /// way: every state saw its indices in increasing order, and every
+    /// index landed in exactly one state, exactly once.
+    fn indexed<T: Send>(pool: &WorkerPool, tasks: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        let states = pool.run_indexed_stateful(tasks, Vec::new, |out: &mut Vec<(usize, T)>, i| {
+            out.push((i, f(i)))
+        });
+        assert!(states.len() <= (pool.size() + 1).min(tasks));
+        for state in &states {
+            assert!(
+                !state.is_empty(),
+                "a participant that claimed nothing came back"
+            );
+            assert!(
+                state.windows(2).all(|w| w[0].0 < w[1].0),
+                "a participant claimed out of order"
+            );
+        }
+        let mut all: Vec<(usize, T)> = states.into_iter().flatten().collect();
+        all.sort_unstable_by_key(|&(i, _)| i);
+        assert!(
+            all.iter().map(|&(i, _)| i).eq(0..tasks),
+            "an index landed twice or not at all"
+        );
+        all.into_iter().map(|(_, out)| out).collect()
+    }
+
     #[test]
     fn results_come_back_in_index_order() {
-        for pool_size in [1, 2, 4] {
-            let pool = WorkerPool::new(pool_size);
-            let results = pool.run_indexed_stateful(37, || (), |(), i| i * i);
-            assert_eq!(results, (0..37).map(|i| i * i).collect::<Vec<_>>());
+        let tasks = [0, 1, 2, 3, if cfg!(miri) { 100 } else { 1_000 }];
+        for pool in [1, 2, 4].map(WorkerPool::new) {
+            for tasks in tasks {
+                // `2` and `3` are fewer tasks than a four-helper pool has
+                // participants.
+                let results = indexed(&pool, tasks, |i| i * i);
+                assert_eq!(results, (0..tasks).map(|i| i * i).collect::<Vec<_>>());
+            }
         }
     }
 
     #[test]
     fn zero_and_tiny_task_counts_are_safe() {
         let pool = WorkerPool::new(2);
-        assert!(pool
-            .run_indexed_stateful(0, || (), |(), i: usize| i)
-            .is_empty());
-        assert_eq!(pool.run_indexed_stateful(1, || (), |(), i| i), vec![0]);
+        let inits = AtomicU32::new(0);
+        let states = pool.run_indexed_stateful(
+            0,
+            || inits.fetch_add(1, Ordering::SeqCst),
+            |_, _| unreachable!("no index to run"),
+        );
+        assert!(states.is_empty());
+        assert_eq!(inits.load(Ordering::SeqCst), 0);
+        assert_eq!(pool.hires(), 0);
+        // One task has no index to offer a helper.
+        assert_eq!(indexed(&pool, 1, |i| i), vec![0]);
+        assert_eq!(pool.hires(), 0);
     }
 
     #[test]
     fn caller_alone_finishes_when_pool_is_empty() {
         let pool = WorkerPool::inline_only();
         assert_eq!(pool.size(), 0);
-        let results = pool.run_indexed_stateful(
-            100,
-            || 0usize,
-            |state, i| {
-                *state += 1;
-                i
-            },
-        );
-        assert_eq!(results.len(), 100);
+        let states = pool.run_indexed_stateful(100, Vec::new, |seen, i| seen.push(i));
+        // The caller's one state saw every index, in order.
+        assert_eq!(states, vec![(0..100).collect::<Vec<_>>()]);
         assert_eq!(pool.hires(), 0);
     }
 
@@ -511,37 +565,32 @@ mod tests {
     fn one_state_per_participant() {
         let pool = WorkerPool::new(3);
         let inits = AtomicU32::new(0);
-        let results = pool.run_indexed_stateful(
+        let states = pool.run_indexed_stateful(
             64,
             || {
                 inits.fetch_add(1, Ordering::SeqCst);
                 0usize
             },
-            |state, i| {
-                *state += 1;
+            |ran, _| {
+                *ran += 1;
                 std::thread::sleep(std::time::Duration::from_micros(100));
-                i
             },
         );
-        assert_eq!(results.len(), 64);
         // Caller + at most 3 helpers, and only participants that claimed at
-        // least one task ever init a state.
+        // least one task ever init a state; every state comes back.
         let inits = inits.load(Ordering::SeqCst);
         assert!((1..=4).contains(&inits), "{inits} states initialised");
+        assert_eq!(states.len(), inits as usize);
+        assert_eq!(states.iter().sum::<usize>(), 64);
     }
 
     #[test]
     fn pool_workers_actually_participate() {
         let pool = WorkerPool::new(4);
-        let runners = pool.run_indexed_stateful(
-            256,
-            || (),
-            |(), _| {
-                std::thread::sleep(std::time::Duration::from_micros(50));
-                std::thread::current().id()
-            },
-        );
-        assert_eq!(runners.len(), 256);
+        let runners = indexed(&pool, 256, |_| {
+            std::thread::sleep(std::time::Duration::from_micros(50));
+            std::thread::current().id()
+        });
         // Timing-dependent in principle, but with 256 sleeping tasks and 4
         // idle workers, at least one worker must have run a task beside the
         // caller.
@@ -559,7 +608,7 @@ mod tests {
                 for round in 0..20u64 {
                     let tasks = 1 + ((t + round) % 17) as usize;
                     let base = t * 1_000 + round;
-                    let results = pool.run_indexed_stateful(tasks, || (), |(), i| base + i as u64);
+                    let results = indexed(&pool, tasks, |i| base + i as u64);
                     let expected: Vec<u64> = (0..tasks).map(|i| base + i as u64).collect();
                     assert_eq!(results, expected);
                 }
@@ -580,33 +629,94 @@ mod tests {
         let blocker = {
             let pool = Arc::clone(&pool);
             std::thread::spawn(move || {
-                pool.run_indexed_stateful(
-                    2,
-                    || (),
-                    |(), i| {
-                        if i == 0 {
-                            std::thread::sleep(std::time::Duration::from_millis(100));
-                        }
-                        i
-                    },
-                )
+                indexed(&pool, 2, |i| {
+                    if i == 0 {
+                        std::thread::sleep(std::time::Duration::from_millis(100));
+                    }
+                    i
+                })
             })
         };
         for round in 0..50usize {
-            let results = pool.run_indexed_stateful(4, || (), |(), i| i + round);
+            let results = indexed(&pool, 4, |i| i + round);
             assert_eq!(results, vec![round, round + 1, round + 2, round + 3]);
         }
-        blocker.join().expect("blocker panicked");
+        assert_eq!(blocker.join().expect("blocker panicked"), vec![0, 1]);
     }
 
     #[test]
     fn a_panicking_init_propagates_from_the_caller_alone() {
         let pool = WorkerPool::inline_only();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            pool.run_indexed_stateful(3, || panic!("init boom"), |(), i| i)
+            pool.run_indexed_stateful(3, || -> () { panic!("init boom") }, |(), _| ())
         }));
         let payload = outcome.expect_err("panic was swallowed");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"init boom"));
+    }
+
+    #[test]
+    fn a_panicking_init_stops_its_participant_alone() {
+        // Only a helper's `init` panics.  A helper runs `init` only once it
+        // has claimed an index, which then never runs: its panic is the
+        // batch's.  A helper too late to claim one never runs `init`, and
+        // the caller's state comes back holding every index.
+        let pool = WorkerPool::new(1);
+        let caller = std::thread::current().id();
+        for _ in 0..if cfg!(miri) { 5 } else { 200 } {
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                pool.run_indexed_stateful(
+                    8,
+                    || {
+                        if std::thread::current().id() != caller {
+                            panic!("helper init boom");
+                        }
+                        Vec::new()
+                    },
+                    |seen, i| seen.push(i),
+                )
+            }));
+            match outcome {
+                Ok(states) => assert_eq!(states, vec![(0..8).collect::<Vec<_>>()]),
+                Err(payload) => {
+                    assert_eq!(payload.downcast_ref::<&str>(), Some(&"helper init boom"))
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_lowest_panicking_index_is_resumed_whichever_participant_ran_it() {
+        // Indices 3 and 5 panic.  A slow index 1 keeps its participant busy
+        // while the other claims on, so which participant reaches 3 and 5
+        // varies with the schedule; the resumed panic is always index 3's.
+        for helpers in [0, 1, 3] {
+            let pool = match helpers {
+                0 => WorkerPool::inline_only(),
+                n => WorkerPool::new(n),
+            };
+            for round in 0..if cfg!(miri) { 3 } else { 50 } {
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    pool.run_indexed_stateful(
+                        12,
+                        || (),
+                        |(), i| match i {
+                            1 if round % 2 == 0 => {
+                                std::thread::sleep(std::time::Duration::from_micros(200))
+                            }
+                            3 => panic!("index 3"),
+                            5 => panic!("index 5"),
+                            _ => {}
+                        },
+                    )
+                }));
+                let payload = outcome.expect_err("panic was swallowed");
+                assert_eq!(
+                    payload.downcast_ref::<&str>(),
+                    Some(&"index 3"),
+                    "{helpers} helpers, round {round}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -618,25 +728,21 @@ mod tests {
             // Hold the one worker inside a blocker batch: both of its tasks
             // wait for `release`, and its caller can run only one of them.
             let blocker = scope.spawn(|| {
-                pool.run_indexed_stateful(
-                    2,
-                    || (),
-                    |(), i| {
-                        started.fetch_add(1, Ordering::SeqCst);
-                        while !release.load(Ordering::SeqCst) {
-                            std::thread::yield_now();
-                        }
-                        i
-                    },
-                )
+                indexed(&pool, 2, |i| {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    while !release.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    i
+                })
             });
             while started.load(Ordering::SeqCst) < 2 {
                 std::thread::yield_now();
             }
 
             // The worker is busy, so this batch's caller runs every task.
-            let results = pool.run_indexed_stateful(4, || (), |(), i| i * 3);
-            assert_eq!(results, vec![0, 3, 6, 9]);
+            let states = pool.run_indexed_stateful(4, Vec::new, |seen, i| seen.push(i * 3));
+            assert_eq!(states, vec![vec![0, 3, 6, 9]]);
             assert!(lock_unpoisoned(&pool.shared.queue).is_empty());
             assert_eq!(pool.hires(), 2);
 
@@ -654,10 +760,7 @@ mod tests {
         let rounds = if cfg!(miri) { 20 } else { 2_000 };
         for round in 0..rounds {
             let pool = WorkerPool::new(2);
-            assert_eq!(
-                pool.run_indexed_stateful(3, || (), |(), i| i + round).len(),
-                3
-            );
+            assert_eq!(indexed(&pool, 3, |i| i + round).len(), 3);
         }
     }
 
@@ -674,7 +777,6 @@ mod tests {
                         if i == 3 {
                             panic!("task boom");
                         }
-                        i
                     },
                 )
             })
@@ -683,7 +785,6 @@ mod tests {
         // The batch's caller observes the panic whichever participant hit it.
         assert!(outcome.is_err(), "panic was swallowed");
         // And the pool still serves new batches afterwards.
-        let results = pool.run_indexed_stateful(5, || (), |(), i| i * 2);
-        assert_eq!(results, vec![0, 2, 4, 6, 8]);
+        assert_eq!(indexed(&pool, 5, |i| i * 2), vec![0, 2, 4, 6, 8]);
     }
 }
