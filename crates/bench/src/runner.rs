@@ -14,46 +14,28 @@ use fsm_types::{MinSup, Result};
 
 use crate::workloads::Workload;
 
-/// Measurements of one algorithm run over one workload.
+/// Measurements of one algorithm run over one workload.  The mine's own
+/// numbers (patterns, elapsed time, working set) are its result's stats.
 #[derive(Debug, Clone)]
 pub struct AlgorithmRun {
     /// Label of the runner ("multi-tree", "dstree-baseline", …).
     pub label: String,
     /// Capture time: ingesting every batch of the stream.
     pub capture_time: Duration,
-    /// Mining time of the final window.
-    pub mining_time: Duration,
-    /// Number of connected collections found.
-    pub patterns: usize,
-    /// Collections found before the connectivity filter.
-    pub patterns_before_postprocess: usize,
-    /// Peak bytes of the mining working set (trees or bit vectors).
-    pub peak_mining_bytes: usize,
     /// Resident bytes of the capture structure at mining time.
     pub capture_resident_bytes: usize,
     /// On-disk bytes of the capture structure at mining time.
     pub capture_on_disk_bytes: u64,
-    /// The mining result itself (for accuracy comparisons).
+    /// 64-bit words the DSMatrix capture serialised over the whole stream
+    /// (zero for the baselines).
+    pub capture_words: u64,
+    /// The mining result of the final window.
     pub result: MiningResult,
 }
 
-/// Runs one of the five DSMatrix algorithms over a workload (sequentially;
-/// see [`run_algorithm_threaded`] for the parallel engine).
+/// Runs one of the five DSMatrix algorithms over a workload with `threads`
+/// mining workers (`0` = all cores; the result is identical for any count).
 pub fn run_algorithm_on(
-    workload: &Workload,
-    algorithm: Algorithm,
-    window: usize,
-    minsup: MinSup,
-    max_len: Option<usize>,
-    backend: StorageBackend,
-) -> Result<AlgorithmRun> {
-    run_algorithm_threaded(workload, algorithm, window, minsup, max_len, backend, 1)
-}
-
-/// Runs one of the five DSMatrix algorithms over a workload with an explicit
-/// worker-thread count for the vertical algorithms (`0` = all cores).
-#[allow(clippy::too_many_arguments)]
-pub fn run_algorithm_threaded(
     workload: &Workload,
     algorithm: Algorithm,
     window: usize,
@@ -82,16 +64,12 @@ pub fn run_algorithm_threaded(
     let capture_time = capture_start.elapsed();
 
     let result = miner.mine()?;
-    let stats = result.stats().clone();
     Ok(AlgorithmRun {
         label: algorithm.key().to_string(),
         capture_time,
-        mining_time: stats.elapsed,
-        patterns: result.len(),
-        patterns_before_postprocess: stats.patterns_before_postprocess,
-        peak_mining_bytes: stats.peak_mining_bytes(),
         capture_resident_bytes: miner.resident_bytes(),
         capture_on_disk_bytes: miner.matrix_mut().on_disk_bytes(),
+        capture_words: miner.matrix_mut().capture_stats().words_written,
         result,
     })
 }
@@ -107,9 +85,8 @@ pub fn run_baselines_on(
         max_pattern_len: max_len,
     };
     let window_config = WindowConfig::new(window)?;
-    let mut runs = Vec::new();
 
-    // DSTree.
+    // DSTree: it holds the entire window in memory.
     let mut tree = DsTree::new(DsTreeConfig {
         window: window_config,
     });
@@ -119,26 +96,20 @@ pub fn run_baselines_on(
     }
     let capture_time = capture_start.elapsed();
     let resolved = minsup.resolve(tree.num_transactions());
-    let result = mine_dstree(
-        &tree,
-        &workload.catalog,
-        resolved,
-        limits,
-        ConnectivityMode::Exact,
-    )?;
-    let stats = result.stats().clone();
-    runs.push(AlgorithmRun {
+    let dstree = AlgorithmRun {
         label: "dstree-baseline".to_string(),
         capture_time,
-        mining_time: stats.elapsed,
-        patterns: result.len(),
-        patterns_before_postprocess: stats.patterns_before_postprocess,
-        peak_mining_bytes: stats.peak_mining_bytes(),
-        // The DSTree holds the entire window in memory.
         capture_resident_bytes: tree.resident_bytes(),
         capture_on_disk_bytes: 0,
-        result,
-    });
+        capture_words: 0,
+        result: mine_dstree(
+            &tree,
+            &workload.catalog,
+            resolved,
+            limits,
+            ConnectivityMode::Exact,
+        )?,
+    };
 
     // DSTable.
     let mut table = DsTable::new(DsTableConfig {
@@ -152,29 +123,31 @@ pub fn run_baselines_on(
     }
     let capture_time = capture_start.elapsed();
     let resolved = minsup.resolve(table.num_transactions());
-    let resident = table.resident_bytes();
-    let on_disk = table.on_disk_bytes();
-    let result = mine_dstable(
-        &mut table,
-        &workload.catalog,
-        resolved,
-        limits,
-        ConnectivityMode::Exact,
-    )?;
-    let stats = result.stats().clone();
-    runs.push(AlgorithmRun {
+    let dstable = AlgorithmRun {
         label: "dstable-baseline".to_string(),
         capture_time,
-        mining_time: stats.elapsed,
-        patterns: result.len(),
-        patterns_before_postprocess: stats.patterns_before_postprocess,
-        peak_mining_bytes: stats.peak_mining_bytes(),
-        capture_resident_bytes: resident,
-        capture_on_disk_bytes: on_disk,
-        result,
-    });
+        capture_resident_bytes: table.resident_bytes(),
+        capture_on_disk_bytes: table.on_disk_bytes(),
+        capture_words: 0,
+        result: mine_dstable(
+            &mut table,
+            &workload.catalog,
+            resolved,
+            limits,
+            ConnectivityMode::Exact,
+        )?,
+    };
 
-    Ok(runs)
+    Ok(vec![dstree, dstable])
+}
+
+/// The median of `samples` (the upper one of an even count).
+///
+/// # Panics
+/// If `samples` is empty.
+pub(crate) fn median(mut samples: Vec<Duration>) -> Duration {
+    samples.sort();
+    samples[samples.len() / 2]
 }
 
 #[cfg(test)]
@@ -187,17 +160,20 @@ mod tests {
         let minsup = MinSup::relative(0.05);
         let mut results = Vec::new();
         for algorithm in Algorithm::ALL {
-            let run = run_algorithm_on(
-                &workload,
-                algorithm,
-                3,
-                minsup,
-                Some(4),
-                StorageBackend::Memory,
-            )
-            .unwrap();
-            assert!(run.patterns > 0, "{algorithm} found nothing");
-            results.push(run);
+            for threads in [1, 2] {
+                let run = run_algorithm_on(
+                    &workload,
+                    algorithm,
+                    3,
+                    minsup,
+                    Some(4),
+                    StorageBackend::Memory,
+                    threads,
+                )
+                .unwrap();
+                assert!(!run.result.is_empty(), "{algorithm} found nothing");
+                results.push(run);
+            }
         }
         for pair in results.windows(2) {
             assert!(

@@ -29,16 +29,6 @@ pub enum WorkloadKind {
     Dense,
 }
 
-impl std::fmt::Display for WorkloadKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WorkloadKind::GraphModel => f.write_str("graph-model"),
-            WorkloadKind::Quest => f.write_str("quest"),
-            WorkloadKind::Dense => f.write_str("dense"),
-        }
-    }
-}
-
 /// A fully materialised workload: the stream plus the edge catalog it is
 /// drawn over.
 #[derive(Debug, Clone)]

@@ -15,8 +15,8 @@
 //! around it, was once the largest single cost of a disk-resident window:
 //! under segment format v1 a step of the disk fleet checksummed ≈ 200 1 KiB
 //! pages, and the byte loop's 2.5 ns/B made that ≈ 40 % of the step; sliced
-//! it is ≈ 0.5 ns/B (`exp3_runtime` times it; the `crc32` kernel rows of
-//! `BENCH_delta.json`).  Sixteen rather than eight because it measured
+//! it is ≈ 0.5 ns/B (the `crc32` rows of the paper runner's `kernels`
+//! section, `BENCH_paper.json`).  Sixteen rather than eight because it measured
 //! faster on page-sized input: 0.41–0.49 µs against 0.53–0.68 µs per 1 KiB
 //! page on the same host, for 8 KiB more tables.  The hardware `crc32`
 //! instruction of SSE4.2 computes CRC-32C — a different polynomial, i.e. a
