@@ -58,6 +58,7 @@ fn main() {
     emit(paper::e4(&setup));
     emit(paper::e5(&setup));
     emit(paper::a1(&setup));
+    emit(paper::a2(&setup));
     emit(paper::a3(&setup));
     emit(paper::a4(&setup));
     emit(engine::snapshot(&setup));

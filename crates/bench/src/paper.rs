@@ -1,4 +1,4 @@
-//! The paper's experiments (§5) and the three ablations, one [`Section`] each.
+//! The paper's experiments (§5) and the four ablations, one [`Section`] each.
 //!
 //! Every section asserts the paper's *qualitative* claim through a check over
 //! its own rows.  Deterministic quantities (pattern sets and counts, bytes,
@@ -42,6 +42,7 @@ const E3: &str = "e3_runtime";
 const E4: &str = "e4_minsup";
 const E5: &str = "e5_scalability";
 const A1: &str = "a1_postproc";
+const A2: &str = "a2_storage";
 const A3: &str = "a3_window";
 const A4: &str = "a4_connectivity";
 
@@ -551,6 +552,80 @@ fn check_a1(rows: &[Row]) -> Verdict {
     )
 }
 
+/// Ablation A2: the DSMatrix on disk against in memory.  The paper keeps
+/// the matrix on disk to bound memory; this captures every standard stream
+/// and mines it with the direct miner over both backends, [`REPEATS`] times
+/// with the backends alternating.  The check holds the two to identical
+/// patterns; what the disk costs in capture and mine time (medians) is a
+/// finding.
+pub fn a2(setup: &Setup) -> Section {
+    let backends = [("memory", Memory), ("disk", DiskTemp)];
+    let mut rows = Vec::new();
+    for (workload, minsup) in &setup.suite {
+        let mut runs: [Vec<AlgorithmRun>; 2] = Default::default();
+        for _ in 0..REPEATS {
+            for (runs, (_, backend)) in runs.iter_mut().zip(&backends) {
+                runs.push(mine(
+                    workload,
+                    DirectVertical,
+                    WINDOW,
+                    *minsup,
+                    backend.clone(),
+                ));
+            }
+        }
+        let memory = &runs[0][0].result;
+        for ((label, _), runs) in backends.iter().zip(&runs) {
+            let median_of = |f: fn(&AlgorithmRun) -> Duration| median(runs.iter().map(f).collect());
+            let first = &runs[0];
+            rows.push(
+                Row::default()
+                    .text("workload", &workload.name)
+                    .text("backend", *label)
+                    .int("patterns", first.result.len() as u64)
+                    .flag("matches_memory", memory.same_patterns_as(&first.result))
+                    .bytes("capture_resident", first.capture_resident_bytes as u64)
+                    .bytes("capture_on_disk", first.capture_on_disk_bytes)
+                    .ms("capture_ms", median_of(|r| r.capture_time))
+                    .ms("mine_ms", median_of(|r| r.result.stats().elapsed)),
+            );
+        }
+    }
+    let notes = groups(&rows, "workload")
+        .into_iter()
+        .map(|(workload, group)| {
+            let disk_over_memory = |key| group[1].number(key) / group[0].number(key).max(1e-9);
+            format!(
+                "finding on {workload}: on disk, capture takes {:.2}x and the mine {:.2}x their \
+                 time in memory",
+                disk_over_memory("capture_ms"),
+                disk_over_memory("mine_ms")
+            )
+        })
+        .collect();
+    Section::checked(
+        A2,
+        "A2 — the DSMatrix on disk against in memory (direct-vertical)",
+        rows,
+        notes,
+        check_a2,
+    )
+}
+
+fn check_a2(rows: &[Row]) -> Verdict {
+    match rows.iter().find(|row| row.number("matches_memory") == 0.0) {
+        Some(row) => fail(
+            A2,
+            format!(
+                "{}: the {} backend's patterns differ from memory's",
+                row.get("workload"),
+                row.get("backend")
+            ),
+        ),
+        None => Ok("on every workload both backends find identical patterns".into()),
+    }
+}
+
 /// Ablation A3: the window size `w` against capture and mining cost (the
 /// paper fixes `w = 5`).
 pub fn a3(setup: &Setup) -> Section {
@@ -826,6 +901,18 @@ mod tests {
         assert!(check_a1(&rows(0, 40)).is_ok());
         assert_fails(check_a1(&rows(2, 40)), A1);
         assert_fails(check_a1(&rows(0, 100)), A1);
+    }
+
+    #[test]
+    fn a2_fails_when_the_disk_backend_finds_other_patterns() {
+        let row = |backend: &str, matches| {
+            Row::default()
+                .text("workload", "w")
+                .text("backend", backend)
+                .flag("matches_memory", matches)
+        };
+        assert!(check_a2(&[row("memory", true), row("disk", true)]).is_ok());
+        assert_fails(check_a2(&[row("memory", true), row("disk", false)]), A2);
     }
 
     #[test]

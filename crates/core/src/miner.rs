@@ -45,10 +45,6 @@ pub struct StreamMiner {
     /// The miner's own executor, sized once by [`MinerConfig::threads`] and
     /// shared with every [`MinerSnapshot`] it hands out.
     exec: Exec,
-    /// Screens of the last full vertical-family mine, which decide whether
-    /// the next one hires helpers ([`crate::parallel::HIRE_SCREENS`]);
-    /// `None` until such a mine has run.
-    last_screens: Option<u64>,
     /// Incrementally maintained pattern state, created on the first delta
     /// mine and advanced epoch by epoch.
     delta: Option<DeltaMiner>,
@@ -128,7 +124,6 @@ impl StreamMiner {
             matrix,
             next_batch_id,
             exec,
-            last_screens: None,
             delta: None,
         })
     }
@@ -227,8 +222,9 @@ impl StreamMiner {
     /// the miner's own executor ([`MinerConfig::threads`]): a full one per
     /// frequent singleton, a delta one per root of the maintained tree.  A
     /// full [`Algorithm::Vertical`] or [`Algorithm::DirectVertical`] mine
-    /// runs on its caller alone when the previous one made fewer than
-    /// [`crate::parallel::HIRE_SCREENS`] screens.
+    /// runs on its caller alone when its own first level — what its roots
+    /// screen at depth 1, counted from the window before it starts — is
+    /// under [`crate::parallel::HIRE_SCREENS`] screens.
     pub fn mine(&mut self) -> Result<MiningResult> {
         let exec = self.exec.clone();
         self.mine_with(&exec)
@@ -275,23 +271,17 @@ impl StreamMiner {
     }
 
     /// Re-enumerates the window with the configured algorithm, on `exec`
-    /// or — after a small mine — on the caller alone.
+    /// or — for a small first level — on the caller alone.
     fn mine_full(&mut self, resolved: Support, exec: &Exec) -> Result<RawMiningOutput> {
+        let (algorithm, limits) = (self.config.algorithm, self.config.limits);
         // The guard releases the flat rows the view assembled whichever way
         // mining exits — success, error or panic — so the between-mines
         // resident footprint never silently retains a window copy on a
         // failed mine.
         let matrix = TrimCacheGuard(&mut self.matrix);
-        let raw = miners::run_algorithm(
-            self.config.algorithm,
-            matrix.0,
-            &self.catalog,
-            resolved,
-            self.config.limits,
-            &exec.hire(self.last_screens),
-        )?;
-        self.last_screens = screens(self.config.algorithm, &raw);
-        Ok(raw)
+        let view = matrix.0.view()?;
+        let exec = miners::hire(exec, algorithm, &view, &self.catalog, resolved, limits);
+        miners::run_algorithm_on_view(algorithm, &view, &self.catalog, resolved, limits, &exec)
     }
 
     /// Advances the maintained [`DeltaMiner`] state to the current epoch.
@@ -335,7 +325,6 @@ impl StreamMiner {
             connectivity: self.config.connectivity,
             limits: self.config.limits,
             exec: self.exec.clone(),
-            last_screens: self.last_screens,
         })
     }
 
@@ -380,9 +369,6 @@ pub struct MinerSnapshot {
     limits: MiningLimits,
     /// The source miner's executor: snapshot mines share its helper threads.
     exec: Exec,
-    /// The source miner's screen history at snapshot time: a snapshot mine
-    /// hires helpers exactly when the source's next full mine would.
-    last_screens: Option<u64>,
 }
 
 impl MinerSnapshot {
@@ -404,21 +390,23 @@ impl MinerSnapshot {
     }
 
     /// Like [`MinerSnapshot::mine`] but under an explicit executor (see
-    /// [`StreamMiner::mine_with`]), hired as the source miner's next full
-    /// mine would hire it.
+    /// [`StreamMiner::mine_with`]), hired by the epoch's own first level as
+    /// a live full mine of the same window would hire it.
     pub fn mine_with(&self, exec: &Exec) -> Result<MiningResult> {
         let start = Instant::now();
         // One flat copy of the window per in-flight mine — what a
         // disk-backend live mine assembles — dropped when this returns.
         let rows = self.snapshot.assemble_rows();
         let view = self.snapshot.view(&rows);
+        let (minsup, limits) = (self.resolved_minsup, self.limits);
+        let exec = miners::hire(exec, self.algorithm, &view, &self.catalog, minsup, limits);
         let raw = miners::run_algorithm_on_view(
             self.algorithm,
             &view,
             &self.catalog,
-            self.resolved_minsup,
-            self.limits,
-            &exec.hire(self.last_screens),
+            minsup,
+            limits,
+            &exec,
         )?;
         Ok(finish_mine(
             raw,
@@ -454,14 +442,6 @@ const _: fn() = || {
     fn assert_send_sync<T: Send + Sync + 'static>() {}
     assert_send_sync::<MinerSnapshot>();
 };
-
-/// The screens a full mine by `algorithm` leaves for the next one's hire
-/// rule ([`Exec::hire`]): the vertical family counts its kernel screens; the
-/// horizontal family reports none, so it leaves no history and keeps hiring.
-fn screens(algorithm: Algorithm, raw: &RawMiningOutput) -> Option<u64> {
-    matches!(algorithm, Algorithm::Vertical | Algorithm::DirectVertical)
-        .then_some(raw.stats.intersections)
-}
 
 /// The §3.5 filter `algorithm`'s raw output still needs, if any.
 fn postprocessor(

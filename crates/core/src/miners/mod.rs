@@ -16,11 +16,11 @@ pub mod vertical;
 
 use fsm_dsmatrix::{DsMatrix, WindowView};
 use fsm_fptree::MiningLimits;
-use fsm_types::{EdgeCatalog, FrequentPattern, FsmError, Result, Support};
+use fsm_types::{EdgeCatalog, EdgeId, FrequentPattern, FsmError, Result, Support};
 
 use crate::algorithm::Algorithm;
 use crate::instrument::MiningStats;
-use crate::parallel::Exec;
+use crate::parallel::{Exec, HIRE_SCREENS};
 
 /// Working-set accounting the vertical miners thread through their
 /// recursion: the resident frequent rows (`base`) plus the intersection
@@ -141,11 +141,78 @@ pub(crate) fn fan_out_roots<W: Send>(
     Ok(merged)
 }
 
+/// The executor a facade's full mine by `algorithm` over `view` runs on
+/// ([`crate::StreamMiner::mine`], [`crate::MinerSnapshot::mine`]): for the
+/// vertical family `exec` hired by the mine's own first level
+/// ([`Exec::hire`]), for the horizontal family `exec` itself.
+pub(crate) fn hire(
+    exec: &Exec,
+    algorithm: Algorithm,
+    view: &WindowView<'_>,
+    catalog: &EdgeCatalog,
+    minsup: Support,
+    limits: MiningLimits,
+) -> Exec {
+    match first_level_screens(algorithm, view, catalog, minsup, limits) {
+        Some(screens) => exec.hire(screens),
+        None => exec.clone(),
+    }
+}
+
+/// The screens a full mine by `algorithm` makes at depth 1 — its roots'
+/// screens before any of them descends — counted from the view's singleton
+/// supports and the catalog, and only until they reach [`HIRE_SCREENS`];
+/// `None` for the horizontal family, which screens no candidates.
+///
+/// * [`Algorithm::Vertical`]: root `i` screens every frequent edge after
+///   it, so `k` frequent singletons make `k(k − 1) / 2`;
+/// * [`Algorithm::DirectVertical`]: a root's candidates are its frequent
+///   catalog neighbours above it, all fresh ([`direct::mine_direct`]);
+/// * 0 when `limits` stops at length 1: no root descends.
+fn first_level_screens(
+    algorithm: Algorithm,
+    view: &WindowView<'_>,
+    catalog: &EdgeCatalog,
+    minsup: Support,
+    limits: MiningLimits,
+) -> Option<u64> {
+    let direct = match algorithm {
+        Algorithm::Vertical => false,
+        Algorithm::DirectVertical => true,
+        _ => return None,
+    };
+    if !limits.allows(2) {
+        return Some(0);
+    }
+    let minsup = minsup.max(1);
+    let frequent = |edge: &EdgeId| view.support(*edge) >= minsup;
+    let roots = (0..view.num_items() as u32)
+        .map(EdgeId::new)
+        .filter(frequent);
+    let mut screens = 0u64;
+    for (before, root) in roots.enumerate() {
+        screens += if direct {
+            // A root the catalog does not know has no neighbours.
+            let adjacent = catalog.neighbors(root).unwrap_or(&[]);
+            let above = &adjacent[adjacent.partition_point(|&n| n <= root)..];
+            above.iter().filter(|n| frequent(n)).count() as u64
+        } else {
+            // Every pair of frequent edges is one screen, at the lower root.
+            before as u64
+        };
+        if screens >= HIRE_SCREENS {
+            break;
+        }
+    }
+    Some(screens)
+}
+
 /// Runs the selected algorithm over the live window of `matrix`
 /// (stop-the-world: takes the view and mines it in one call).
 ///
-/// This is the dispatch point used by the facade and by the experiment
-/// harness when it wants raw (pre-post-processing) output.  `exec` fans
+/// This is the dispatch point for raw (pre-post-processing) output on an
+/// executor of the caller's choosing; the facade's full mine takes the view
+/// itself, to hire by its first level.  `exec` fans
 /// every algorithm's top-level enumeration — per-singleton subtrees for the
 /// vertical family, per-pivot projected databases for the horizontal family —
 /// out over the [`crate::parallel::WorkerPool`] behind `exec`: the caller
@@ -183,5 +250,132 @@ pub fn run_algorithm_on_view(
         Algorithm::TopDown => horizontal::mine_top_down(view, minsup, limits, exec),
         Algorithm::Vertical => vertical::mine_vertical(view, minsup, limits, exec),
         Algorithm::DirectVertical => direct::mine_direct(view, catalog, minsup, limits, exec),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fsm_dsmatrix::DsMatrixConfig;
+    use fsm_storage::StorageBackend;
+    use fsm_stream::WindowConfig;
+    use fsm_types::{Batch, Transaction};
+    use proptest::prelude::*;
+
+    /// A one-batch memory window over `items` rows holding `transactions`.
+    fn window(items: usize, transactions: &[Vec<u32>]) -> DsMatrix {
+        let mut matrix = DsMatrix::new(DsMatrixConfig::new(
+            WindowConfig::new(1).unwrap(),
+            StorageBackend::Memory,
+            items,
+        ))
+        .unwrap();
+        let batch = transactions
+            .iter()
+            .map(|t| Transaction::from_raw(t.iter().map(|&e| e % items as u32)))
+            .collect();
+        matrix
+            .ingest_batch(&Batch::from_transactions(0, batch))
+            .unwrap();
+        matrix
+    }
+
+    /// The count against its oracle, the screens of the same mine capped at
+    /// length 2 — which screens exactly the first level: equal below
+    /// [`HIRE_SCREENS`], at least it from there.  Returns the count.
+    fn counted(
+        algorithm: Algorithm,
+        view: &WindowView<'_>,
+        catalog: &EdgeCatalog,
+        minsup: Support,
+        limits: MiningLimits,
+    ) -> u64 {
+        let count = first_level_screens(algorithm, view, catalog, minsup, limits).unwrap();
+        let first_level = MiningLimits::with_max_len(if limits.allows(2) { 2 } else { 1 });
+        let oracle =
+            run_algorithm_on_view(algorithm, view, catalog, minsup, first_level, &Exec::solo())
+                .unwrap()
+                .stats
+                .intersections;
+        if oracle < HIRE_SCREENS {
+            assert_eq!(count, oracle, "{algorithm}, minsup {minsup}, {limits:?}");
+        } else {
+            assert!(
+                count >= HIRE_SCREENS && count <= oracle,
+                "{count} of {oracle}"
+            );
+        }
+        count
+    }
+
+    #[test]
+    fn a_dense_first_level_reaches_the_hire_count_and_stops_there() {
+        let catalog = EdgeCatalog::complete(17);
+        let every_edge: Vec<u32> = (0..136).collect();
+        let mut matrix = window(136, &vec![every_edge; 3]);
+        let view = matrix.view().unwrap();
+        let exec = Exec::pool(std::sync::Arc::new(crate::parallel::WorkerPool::new(1)));
+        for algorithm in [Algorithm::Vertical, Algorithm::DirectVertical] {
+            let count = counted(algorithm, &view, &catalog, 3, MiningLimits::UNBOUNDED);
+            assert!(
+                count < 2 * HIRE_SCREENS,
+                "{algorithm}: counted on to {count}"
+            );
+            let hired = hire(
+                &exec,
+                algorithm,
+                &view,
+                &catalog,
+                3,
+                MiningLimits::UNBOUNDED,
+            );
+            assert_eq!(hired.size(), 1, "{algorithm} hires");
+            let capped = MiningLimits::with_max_len(1);
+            assert_eq!(counted(algorithm, &view, &catalog, 3, capped), 0);
+            let solo = hire(&exec, algorithm, &view, &catalog, 3, capped);
+            assert_eq!(solo.size(), 0, "{algorithm} at length 1 mines solo");
+        }
+        for algorithm in [
+            Algorithm::MultiTree,
+            Algorithm::SingleTree,
+            Algorithm::TopDown,
+        ] {
+            let capped = MiningLimits::with_max_len(1);
+            assert_eq!(
+                first_level_screens(algorithm, &view, &catalog, 3, capped),
+                None
+            );
+            let hired = hire(&exec, algorithm, &view, &catalog, 3, capped);
+            assert_eq!(hired.size(), 1, "{algorithm} always hires");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The count is the first level a mine screens, for both vertical
+        /// miners at every support and length cap, with frequent edges
+        /// outside the catalog among the roots.
+        #[test]
+        fn the_count_is_the_first_level_a_mine_screens(
+            vertices in 2u32..8,
+            outside in 0usize..3,
+            transactions in proptest::collection::vec(
+                proptest::collection::vec(0u32..40, 0..12),
+                1..16,
+            ),
+        ) {
+            let catalog = EdgeCatalog::complete(vertices);
+            let mut matrix = window(catalog.num_edges() + outside, &transactions);
+            let view = matrix.view().unwrap();
+            let caps = (0..=3).map(MiningLimits::with_max_len).chain([MiningLimits::UNBOUNDED]);
+            for limits in caps {
+                for minsup in 1..=4 {
+                    for algorithm in [Algorithm::Vertical, Algorithm::DirectVertical] {
+                        counted(algorithm, &view, &catalog, minsup, limits);
+                    }
+                }
+            }
+        }
     }
 }

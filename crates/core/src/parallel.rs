@@ -21,39 +21,47 @@
 //! thread count, with nothing allocated or locked per task.
 //!
 //! Waking helpers costs more than they save on a small mine, so a full
-//! vertical-family mine hires them only when its tenant's previous full mine
-//! screened at least [`HIRE_SCREENS`] candidates; a smaller one runs on its
-//! caller alone ([`Exec::solo`]).  The rule reads a deterministic count that
-//! is the same for every pool shape, so it moves time, never output.
+//! vertical-family mine hires them only when its own first level screens at
+//! least [`HIRE_SCREENS`] candidates; a smaller one runs on its caller alone
+//! ([`Exec::solo`]).  The rule reads a deterministic count of the window
+//! being mined that is the same for every pool shape, so it moves time,
+//! never output.
 
 use std::sync::{Arc, OnceLock};
 
 pub use fsm_pool::WorkerPool;
 
-/// The fewest kernel screens ([`crate::MiningStats::intersections`]) a
-/// tenant's previous full mine must have made for its next full mine to
-/// hire the pool's helpers; below it the mine runs on [`Exec::solo`].
+/// The fewest first-level screens a full mine must make to hire the pool's
+/// helpers; below it the mine runs on [`Exec::solo`].
 ///
-/// A full mine by [`crate::Algorithm::Vertical`] or
-/// [`crate::Algorithm::DirectVertical`] is the only mine this reads: the
-/// horizontal family reports no screens, and a delta advance's re-examined
-/// count predicts nothing about its per-slide work (`dense_delta`'s spreads
-/// from 0 to 17 791 a slide around ≈ 27 000 border updates), so both always
-/// hire.  A miner with no full mine behind it — new, recovered or thawed —
-/// hires too.
+/// The first level is what the fan-out's roots screen at depth 1, counted
+/// from the window's singleton supports and the catalog before the mine
+/// starts (`miners::hire`): `k(k − 1) / 2` for [`crate::Algorithm::Vertical`]
+/// over `k` frequent singletons, and for [`crate::Algorithm::DirectVertical`]
+/// the sum over its frequent roots of their frequent catalog neighbours above
+/// the root; 0 when the limits stop at length 1.  The count stops once it
+/// reaches this constant.  A full mine by one of those two algorithms is the
+/// only mine this decides: the horizontal family screens no candidates, and
+/// a delta advance's work is its border updates (`dense_delta`'s re-examined
+/// count spreads from 0 to 17 791 a slide around ≈ 27 000 border updates),
+/// so both always hire.
 ///
 /// The constant sits in the gap between the benchmark's gated workloads: a
-/// `fleet_serial` mine makes 294–322 screens, where waking the shared
-/// two-helper pool costs more than the helpers save, and a `dense_full`
-/// mine 6 051–13 272, where the helpers pay.  On a 2-vCPU host
+/// `fleet_serial` mine makes 256–273 first-level screens (57–59 roots,
+/// 295–322 screens in all), where waking the shared two-helper pool costs
+/// more than the helpers save, and a `dense_full` mine 1 872 on every window
+/// (130 roots, 6 051–13 272 in all), where the helpers pay.  Every
+/// direct-vertical mine of the paper runner makes 0–282.  On a 2-vCPU host
 /// (`avx512-vpopcntdq` kernels), ten alternating 40 s pairs, `fleet_serial`
 /// `tx_per_s` read a median 4.09 M with every mine hiring and 4.92 M with
-/// small mines solo, ahead in 10 of 10; `dense_full` and `dense_delta`,
-/// whose mines all hire, stayed within their spread.
-/// Regenerate the screen ranges from the `core.miners.intersections_per_mine`
-/// spread of `fsm-benchmark --workload <fleet_serial|dense_full> --quick
-/// --trace 1`, and the pairs by alternating `fsm-benchmark --workload
-/// fleet_serial --seed N` between a build with and without this rule.
+/// all but each tenant's first mine solo, ahead in 10 of 10; `dense_full` and `dense_delta`, whose
+/// mines all hire, stayed within their spread.  Counting costs 2.1 µs p50
+/// per `fleet_serial` mine and 1.4 µs per `dense_full` mine on that host.
+/// Regenerate the first-level ranges and the count's cost by printing and
+/// timing the count in `miners::hire` on a copy, under `fsm-benchmark
+/// --workload <fleet_serial|dense_full> --quick`; the totals are the
+/// `core.miners.intersections_per_mine` spread of the same runs with
+/// `--trace 1`.
 pub const HIRE_SCREENS: u64 = 1_024;
 
 /// The executor a mine call fans its top-level subtree tasks out on: a
@@ -103,13 +111,13 @@ impl Exec {
         ))
     }
 
-    /// The executor a full mine runs on when its tenant's previous full
-    /// mine made `last_screens` screens (`None`: no such mine): `self`, or
-    /// [`Exec::solo`] below [`HIRE_SCREENS`].
-    pub(crate) fn hire(&self, last_screens: Option<u64>) -> Self {
-        match last_screens {
-            Some(screens) if screens < HIRE_SCREENS => Self::solo(),
-            _ => self.clone(),
+    /// The executor a full mine whose first level makes `screens` screens
+    /// runs on: `self`, or [`Exec::solo`] below [`HIRE_SCREENS`].
+    pub(crate) fn hire(&self, screens: u64) -> Self {
+        if screens < HIRE_SCREENS {
+            Self::solo()
+        } else {
+            self.clone()
         }
     }
 }
@@ -181,13 +189,13 @@ mod tests {
     }
 
     #[test]
-    fn small_history_mines_solo_and_every_other_hires() {
+    fn small_first_levels_mine_solo_and_every_other_hires() {
         let exec = Exec::pool(Arc::new(WorkerPool::new(2)));
-        for last in [None, Some(HIRE_SCREENS), Some(u64::MAX)] {
-            assert_eq!(exec.hire(last).size(), 2, "{last:?} hires");
+        for screens in [HIRE_SCREENS, u64::MAX] {
+            assert_eq!(exec.hire(screens).size(), 2, "{screens} hires");
         }
-        for last in [Some(0), Some(HIRE_SCREENS - 1)] {
-            assert_eq!(exec.hire(last).size(), 0, "{last:?} mines solo");
+        for screens in [0, HIRE_SCREENS - 1] {
+            assert_eq!(exec.hire(screens).size(), 0, "{screens} mines solo");
         }
         assert!(
             Arc::ptr_eq(&Exec::solo().0, &Exec::solo().0),

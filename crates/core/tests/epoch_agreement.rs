@@ -25,9 +25,11 @@
 //! mine reports what the oracle's stop-the-world mine reports, but for the
 //! wall clock and the read counters of the live window the oracle read.
 //!
-//! The writer never mines, so no snapshot carries a screen history, and
-//! every snapshot mine on the two-thread axis hires its miner's helper (the
-//! hire rule, `hire_rule.rs`).
+//! These windows' first levels are far too small for a direct-vertical
+//! snapshot mine to hire its miner's helper (the hire rule, `hire_rule.rs`),
+//! so on the two-thread axis those mines run on their reader while the
+//! multi-tree ones hire; the direct miner's fan-out is `miner_agreement`'s
+//! and `tenant_isolation`'s to cover.
 
 use std::sync::mpsc;
 use std::thread;

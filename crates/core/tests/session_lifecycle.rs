@@ -149,9 +149,9 @@ fn corrupt_spill_artifact_is_named_and_tenant_is_recreatable() {
 
 /// A spill issued while a mine holds the window drains cleanly: the spill
 /// blocks until the in-flight work releases the window, then lands, and
-/// the next request thaws back to the exact same window.  Both mines hire
-/// the pool's helpers: one is the tenant's first, the other a thawed
-/// miner's, and neither has a screen history (the hire rule,
+/// the next request thaws back to the exact same window.  Both mines run on
+/// their caller alone, the tenant's first as well as the thawed miner's:
+/// the window's first level is far below the hire count (the hire rule,
 /// `hire_rule.rs`).
 #[test]
 fn spill_racing_an_in_flight_mine_drains_cleanly() {

@@ -31,6 +31,7 @@ use fsm_core::{
     StreamMiner, WorkerPool,
 };
 use fsm_datagen::DenseGenerator;
+use fsm_fptree::MiningLimits;
 use fsm_storage::{BudgetGovernor, StorageBackend};
 use fsm_stream::WindowConfig;
 use fsm_types::{Batch, EdgeCatalog, MinSup, Transaction};
@@ -261,32 +262,34 @@ fn tenants_driven_from_their_own_threads_equal_tenants_run_alone() {
     }
 }
 
-/// Tenants whose every mine makes more than [`HIRE_SCREENS`] screens hire
-/// the shared pool's helpers for every mine, not only their first (the
-/// small tenants of the property above mine on their callers after it), so
-/// this case keeps the helpers in the isolation contract: dense vertical
-/// and direct tenants, interleaved over pools of 1, 2 and 3 helpers, each
-/// equal to its standalone run mine for mine, statistics included.
+/// Tenants whose every mine's first level makes at least [`HIRE_SCREENS`]
+/// screens hire the shared pool's helpers for every mine (the small tenants
+/// of the property above mine on their callers), so this case keeps the
+/// helpers in the isolation contract: dense vertical and direct tenants on
+/// `dense_full`'s shape — connect4-like records over `complete(17)`, 117–130
+/// frequent edges a window, first levels of 1 527–1 872 (direct) and
+/// 7 021–8 385 (vertical) screens — interleaved over pools of 1, 2 and 3
+/// helpers, each equal to its standalone run mine for mine, statistics
+/// included.
 #[test]
 fn dense_tenants_hiring_every_mine_equal_tenants_run_alone() {
     let config = |i: usize| MinerConfig {
         algorithm: [Algorithm::Vertical, Algorithm::DirectVertical][i % 2],
         window: WindowConfig::new(2).unwrap(),
-        min_support: MinSup::relative(0.25),
+        min_support: MinSup::relative(0.18),
+        limits: MiningLimits::with_max_len(3),
         backend: if i < 2 {
             StorageBackend::Memory
         } else {
             StorageBackend::DiskTemp
         },
-        catalog: Some(EdgeCatalog::complete(9)),
+        catalog: Some(EdgeCatalog::complete(17)),
         ..MinerConfig::default()
     };
     let batches = |i: usize| {
         DenseGenerator {
-            num_items: 36,
-            avg_transaction_len: 18.0,
-            num_blocks: 4,
             seed: 7 + i as u64,
+            ..DenseGenerator::default()
         }
         .generate_batches(4, 30)
     };

@@ -30,9 +30,9 @@
 //! The pool never decides whether a batch is worth its helpers: every call
 //! with more than one task offers it to them.  The caller decides by which
 //! pool it calls — `fsm_core`'s hire rule (`fsm_core::parallel::HIRE_SCREENS`) sends
-//! a full mine whose tenant last mined small to one process-wide
-//! [`WorkerPool::inline_only`] pool instead, where waking helpers would cost
-//! more than they save.
+//! a full mine whose own first level screens few candidates to one
+//! process-wide [`WorkerPool::inline_only`] pool instead, where waking
+//! helpers would cost more than they save.
 //!
 //! # Why this crate contains `unsafe`
 //!
