@@ -71,7 +71,7 @@ use fsm_core::{closed_patterns, maximal_patterns, top_k, MinerConfig, StreamMine
 use fsm_datagen::read_fimi;
 use fsm_linked_data::{ntriples, GroupingStrategy, TripleStreamAdapter};
 use fsm_stream::{BatchBuilder, WindowConfig};
-use fsm_types::{EdgeCatalog, FrequentPattern, Result, Transaction};
+use fsm_types::{Batch, EdgeCatalog, FrequentPattern, Result, Transaction};
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -145,7 +145,6 @@ fn run(options: &Options) -> Result<()> {
         batches.push(last);
     }
     let total_batches = next_batch_id as usize + batches.len();
-    let mut ingested = 0usize;
     let result = if options.concurrent {
         // Concurrent mode: after every ingested batch the writer freezes an
         // epoch snapshot and hands it to a mining worker over a channel, so
@@ -163,20 +162,10 @@ fn run(options: &Options) -> Result<()> {
             }
             (mined, last)
         });
-        let mut feed = || -> Result<()> {
-            for batch in &batches {
-                miner.ingest_batch(batch)?;
-                ingested += 1;
-                if options.crash_after == Some(ingested) {
-                    eprintln!("crash-after: aborting after {ingested} ingested batches");
-                    std::process::abort();
-                }
-                jobs.send(miner.snapshot()?)
-                    .map_err(|_| fsm_types::FsmError::config("mining worker hung up"))?;
-            }
-            Ok(())
-        };
-        let fed = feed();
+        let fed = ingest_all(&mut miner, &batches, options.crash_after, |miner| {
+            jobs.send(miner.snapshot()?)
+                .map_err(|_| fsm_types::FsmError::config("mining worker hung up"))
+        });
         // Hang up and join before looking at `fed`, so the worker is never
         // left detached on an ingest error.
         drop(jobs);
@@ -195,31 +184,17 @@ fn run(options: &Options) -> Result<()> {
         // pattern state advances one slide at a time; the newest result is
         // the final window's, identical to a full re-mine.
         let mut newest = None;
-        for batch in &batches {
-            miner.ingest_batch(batch)?;
-            ingested += 1;
-            if options.crash_after == Some(ingested) {
-                eprintln!("crash-after: aborting after {ingested} ingested batches");
-                std::process::abort();
-            }
+        ingest_all(&mut miner, &batches, options.crash_after, |miner| {
             newest = Some(miner.mine()?);
-        }
+            Ok(())
+        })?;
         match newest {
             Some(result) => result,
             // An empty resumed stream slides nothing: mine the window as-is.
             None => miner.mine()?,
         }
     } else {
-        for batch in &batches {
-            miner.ingest_batch(batch)?;
-            ingested += 1;
-            if options.crash_after == Some(ingested) {
-                // Simulated crash: no destructors, no flushes — exactly the
-                // failure mode the WAL + checkpoint layer must survive.
-                eprintln!("crash-after: aborting after {ingested} ingested batches");
-                std::process::abort();
-            }
-        }
+        ingest_all(&mut miner, &batches, options.crash_after, |_| Ok(()))?;
         miner.mine()?
     };
     eprintln!(
@@ -284,6 +259,28 @@ fn run(options: &Options) -> Result<()> {
         for pattern in &patterns {
             println!("  {pattern}");
         }
+    }
+    Ok(())
+}
+
+/// Ingests `batches` in order, running `after_each` on the miner after
+/// every one; `--crash-after N` aborts right after the N-th ingest, before
+/// its `after_each`.
+fn ingest_all(
+    miner: &mut StreamMiner,
+    batches: &[Batch],
+    crash_after: Option<usize>,
+    mut after_each: impl FnMut(&mut StreamMiner) -> Result<()>,
+) -> Result<()> {
+    for (ingested, batch) in (1..).zip(batches) {
+        miner.ingest_batch(batch)?;
+        if crash_after == Some(ingested) {
+            // Simulated crash: no destructors, no flushes — exactly the
+            // failure mode the WAL + checkpoint layer must survive.
+            eprintln!("crash-after: aborting after {ingested} ingested batches");
+            std::process::abort();
+        }
+        after_each(miner)?;
     }
     Ok(())
 }

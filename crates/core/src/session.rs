@@ -50,35 +50,42 @@
 //!
 //! # Tenant lifecycle: resident set, spill and thaw
 //!
-//! Each session is a small state machine ([`LifecycleState`]):
+//! Each session is a small state machine ([`LifecycleState`]), and
+//! `Lifecycle::step` is the only code that changes it:
 //!
 //! ```text
-//!              touch                  evicted (clock sweep)
-//!   Active ◄────────── Idle ────────────► Draining ──► Spilled
-//!     ▲  │  hand passes: touched cleared      ▲           │
-//!     │  └────────────────────────────────────┘           │
-//!     └──────────── request arrives: transparent thaw ◄───┘
+//!   state            event                   next      also
+//!   Active, Idle     touch                   Active    touched set, bytes recorded
+//!   Active, Idle     hand passes (touched)   Idle      touched cleared
+//!   Active, Idle     spill begun             Draining
+//!   Draining (spill) spill done              Spilled   bytes 0, touched cleared
+//!   Draining (spill) spill failed            Active
+//!   Spilled          thaw begun              Draining
+//!   Draining (thaw)  thaw done               Active    bytes recorded, thaw counted
+//!   Draining (thaw)  thaw failed             Spilled
 //! ```
+//!
+//! Any other pair changes nothing, so a touch that lands after a racing
+//! spill leaves the tenant spilled at 0 bytes.  A session has two locks:
+//! `window` (the [`StreamMiner`], or what a thaw needs), held for a whole
+//! operation, and `control` (the lifecycle, the ingest queue and the
+//! publication slot subscribers wait on), held for a few field updates.
+//! The one lock-order rule is `window` before `control`; a lock a caught
+//! panic left poisoned counts as free.
 //!
 //! When [`RegistryConfig::max_resident`] or
 //! [`RegistryConfig::max_resident_bytes`] is set, the registry keeps only
-//! that many windows resident.  Residency enforcement is clock-style
-//! second chance: every completed operation stamps its session *touched*;
-//! the sweep (run opportunistically after each touch, never blocking the
-//! toucher) rotates a hand over the tenant table, demoting touched
-//! sessions to [`LifecycleState::Idle`] and spilling the first session it
-//! finds cold.  A session whose window is held at that moment is in use,
-//! not cold — its touch bit is only stamped when the operation completes —
-//! so the sweep passes over it instead of waiting for the window; the cap
-//! is re-checked on the next touch.  A spill drains the pending queue into
-//! the window first (publishing to subscribers exactly as a normal drain
-//! would), then serialises the window via [`StreamMiner::hibernate`] and
-//! drops the resident state.  The cold form is one for every tenant: a
+//! that many windows resident, by clock-style second chance: every
+//! completed operation touches its session, and the sweep (run after each
+//! touch, never blocking the toucher) rotates a hand over the tenant table
+//! and spills the first resident it finds untouched.  A session whose
+//! window is held at that moment is in use, not cold, so the sweep passes
+//! over it instead of waiting; the cap is re-checked on the next touch.  A
+//! spill ([`Session::spill`]) leaves one cold form for every tenant: a
 //! checkpoint plus the segment runs it references — under the durable root
 //! for durable tenants (their own checkpoint), and for volatile ones under
 //! `spill_root/<tenant>/image/` ([`DsMatrix::spill_image`]), where a thaw
-//! loads it with recovery's loader.  Dropping a volatile tenant removes
-//! that image directory, and nothing else.  Dropping the window releases its
+//! loads it with recovery's loader.  Dropping the window releases its
 //! [`fsm_storage::BudgetLease`], so the governor re-expands the warm
 //! tenants' caches automatically.
 //!
@@ -175,17 +182,11 @@ pub struct SessionRegistry {
 struct Shared {
     config: RegistryConfig,
     sessions: Mutex<BTreeMap<String, Arc<Session>>>,
-    /// The clock-sweep hand.  `try_lock`ed by [`Shared::enforce`] so at most
-    /// one thread sweeps and a toucher never blocks on residency
-    /// enforcement.
-    sweep: Mutex<SweepHand>,
-}
-
-#[derive(Default)]
-struct SweepHand {
-    /// Tenant id the next sweep starts from (first id `>=` it; the table
-    /// may have changed since the hand last moved).
-    cursor: Option<String>,
+    /// The clock-sweep hand: the tenant id the next sweep starts from
+    /// (first id `>=` it; the table may have changed since the hand last
+    /// moved).  `try_lock`ed by [`Shared::enforce`] so at most one thread
+    /// sweeps and a toucher never blocks on residency enforcement.
+    sweep: Mutex<Option<String>>,
 }
 
 impl SessionRegistry {
@@ -198,7 +199,7 @@ impl SessionRegistry {
             shared: Arc::new(Shared {
                 config,
                 sessions: Mutex::new(BTreeMap::new()),
-                sweep: Mutex::new(SweepHand::default()),
+                sweep: Mutex::new(None),
             }),
         }
     }
@@ -295,11 +296,9 @@ impl SessionRegistry {
         let session = Arc::new(Session::new(
             tenant.to_string(),
             miner,
-            self.shared.config.exec.clone(),
-            self.shared.config.max_pending_batches,
             spill_dir,
             durable,
-            Arc::downgrade(&self.shared),
+            &self.shared,
         ));
         sessions.insert(tenant.to_string(), Arc::clone(&session));
         drop(sessions);
@@ -348,11 +347,8 @@ impl SessionRegistry {
     /// Every tenant's id and lifecycle status, sorted by id — what the
     /// service's `list` verb reports.
     pub fn statuses(&self) -> Vec<(String, SessionStatus)> {
-        let sessions: Vec<(String, Arc<Session>)> = lock_unpoisoned(&self.shared.sessions)
-            .iter()
-            .map(|(tenant, session)| (tenant.clone(), Arc::clone(session)))
-            .collect();
-        sessions
+        self.shared
+            .sessions()
             .into_iter()
             .map(|(tenant, session)| (tenant, session.status()))
             .collect()
@@ -370,20 +366,15 @@ impl SessionRegistry {
     /// Empty without a durable root; ids that fail validation (a stray
     /// directory) are skipped.
     pub fn durable_tenants(&self) -> Result<Vec<String>> {
-        let Some(root) = &self.shared.config.durable_root else {
+        let durable_root = self.shared.config.durable_root.as_ref();
+        let Some(root) = durable_root.filter(|root| root.exists()) else {
             return Ok(Vec::new());
         };
         let mut tenants = Vec::new();
-        if !root.exists() {
-            return Ok(tenants);
-        }
         for entry in std::fs::read_dir(root)? {
             let entry = entry?;
-            if !entry.file_type()?.is_dir() {
-                continue;
-            }
             let name = entry.file_name().to_string_lossy().into_owned();
-            if validate_tenant_id(&name).is_ok() {
+            if entry.file_type()?.is_dir() && validate_tenant_id(&name).is_ok() {
                 tenants.push(name);
             }
         }
@@ -393,29 +384,35 @@ impl SessionRegistry {
 }
 
 impl Shared {
+    /// The tenant table, copied out so that no session lock nests in it.
+    fn sessions(&self) -> Vec<(String, Arc<Session>)> {
+        lock_unpoisoned(&self.sessions)
+            .iter()
+            .map(|(tenant, session)| (tenant.clone(), Arc::clone(session)))
+            .collect()
+    }
+
     /// Spills cold tenants until the resident set fits the configured caps.
     /// `try_lock` on the sweep hand keeps this single-flight and keeps the
-    /// triggering request from ever blocking on another tenant's spill.
+    /// triggering request from ever blocking on another tenant's spill; a
+    /// hand poisoned by a panic in an earlier sweep's spill still sweeps.
     fn enforce(&self) {
         if self.config.max_resident.is_none() && self.config.max_resident_bytes.is_none() {
             return;
         }
-        let Ok(mut hand) = self.sweep.try_lock() else {
+        let Some(mut hand) = try_lock_unpoisoned(&self.sweep) else {
             return;
         };
         // Tenants already tried this sweep (spilled, or failed to): never
         // re-selected, so an unspillable resident set terminates the loop.
         let mut attempted = BTreeSet::new();
         loop {
-            let sessions: Vec<(String, Arc<Session>)> = lock_unpoisoned(&self.sessions)
-                .iter()
-                .map(|(tenant, session)| (tenant.clone(), Arc::clone(session)))
-                .collect();
+            let sessions = self.sessions();
             let mut resident = 0usize;
             let mut resident_bytes = 0usize;
             for (_, session) in &sessions {
-                let lifecycle = lock_unpoisoned(&session.lifecycle);
-                if lifecycle.state != LifecycleState::Spilled {
+                let lifecycle = &session.control().lifecycle;
+                if lifecycle.state != Phase::Spilled {
                     resident += 1;
                     resident_bytes += lifecycle.resident_bytes;
                 }
@@ -433,10 +430,13 @@ impl Shared {
             };
             attempted.insert(victim.tenant().to_string());
             // A failed spill (I/O error) or a victim whose window is held
-            // (mid-operation, so its touch bit is stale) leaves the tenant
-            // resident and usable; `attempted` stops us retrying it this
-            // sweep.
-            let _ = victim.try_spill();
+            // (mid-operation, so its touch bit is stale; and the triggering
+            // request must never wait out another tenant's mine) leaves the
+            // tenant resident; `attempted` stops us retrying it this sweep.
+            let Some(window) = try_lock_unpoisoned(&victim.window) else {
+                continue;
+            };
+            let _ = victim.spill_window(window);
         }
     }
 
@@ -446,14 +446,10 @@ impl Shared {
     /// pick when any eligible session exists.
     fn select_victim(
         sessions: &[(String, Arc<Session>)],
-        hand: &mut SweepHand,
+        hand: &mut Option<String>,
         attempted: &BTreeSet<String>,
     ) -> Option<Arc<Session>> {
-        if sessions.is_empty() {
-            return None;
-        }
         let start = hand
-            .cursor
             .as_ref()
             .and_then(|cursor| sessions.iter().position(|(tenant, _)| tenant >= cursor))
             .unwrap_or(0);
@@ -463,17 +459,15 @@ impl Shared {
             if attempted.contains(tenant) || session.spill_dir.is_none() {
                 continue;
             }
-            let mut lifecycle = lock_unpoisoned(&session.lifecycle);
-            match lifecycle.state {
-                LifecycleState::Spilled | LifecycleState::Draining => continue,
-                LifecycleState::Active | LifecycleState::Idle => {}
-            }
-            if lifecycle.touched {
-                lifecycle.touched = false;
-                lifecycle.state = LifecycleState::Idle;
+            let lifecycle = &mut session.control().lifecycle;
+            // Spilled and draining tenants have nothing to give; a touched
+            // resident spends its second chance (the hand passes).
+            if !matches!(lifecycle.state, Phase::Active | Phase::Idle)
+                || lifecycle.step(Event::HandPasses)
+            {
                 continue;
             }
-            hand.cursor = Some(sessions[(index + 1) % sessions.len()].0.clone());
+            *hand = Some(sessions[(index + 1) % sessions.len()].0.clone());
             return Some(Arc::clone(session));
         }
         None
@@ -536,48 +530,41 @@ pub enum IngestOutcome {
 
 /// Where a session is in its residency lifecycle (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum LifecycleState {
     /// Window resident and recently touched.
-    Active,
+    Active = 0,
     /// Window resident; the clock hand passed without a touch since the
     /// last rotation — the next pass spills it.
-    Idle,
+    Idle = 1,
     /// Mid-transition: spilling or thawing under the window lock.
-    Draining,
+    Draining = 2,
     /// Window serialised to disk; the next request thaws it transparently.
-    Spilled,
+    Spilled = 3,
 }
 
 impl LifecycleState {
+    /// Every state with its name, indexed by its wire code.
+    const TABLE: [(Self, &'static str); 4] = [
+        (Self::Active, "active"),
+        (Self::Idle, "idle"),
+        (Self::Draining, "draining"),
+        (Self::Spilled, "spilled"),
+    ];
+
     /// Stable lower-case name (wire protocol, CLI output).
     pub fn as_str(self) -> &'static str {
-        match self {
-            Self::Active => "active",
-            Self::Idle => "idle",
-            Self::Draining => "draining",
-            Self::Spilled => "spilled",
-        }
+        Self::TABLE[self as usize].1
     }
 
     /// Stable single-byte wire encoding.
     pub fn code(self) -> u8 {
-        match self {
-            Self::Active => 0,
-            Self::Idle => 1,
-            Self::Draining => 2,
-            Self::Spilled => 3,
-        }
+        self as u8
     }
 
     /// Inverse of [`LifecycleState::code`].
     pub fn from_code(code: u8) -> Option<Self> {
-        match code {
-            0 => Some(Self::Active),
-            1 => Some(Self::Idle),
-            2 => Some(Self::Draining),
-            3 => Some(Self::Spilled),
-            _ => None,
-        }
+        Self::TABLE.get(usize::from(code)).map(|&(state, _)| state)
     }
 }
 
@@ -619,12 +606,13 @@ pub struct Session {
     max_pending: usize,
     /// The window — live or spilled.  Held only for the duration of one
     /// operation (an ingest drain, one mine, a spill or thaw); producers
-    /// meeting a held lock park their batches in `pending` instead of
-    /// blocking on it.
+    /// meeting a held lock park their batches in the pending queue instead
+    /// of blocking on it.
     window: Mutex<Window>,
-    /// Residency bookkeeping.  Lock order: `window` before `lifecycle`;
-    /// never the reverse.
-    lifecycle: Mutex<Lifecycle>,
+    /// Lifecycle, pending queue and publication slot, each touched for a
+    /// few field updates.  Lock order: `window` before `control`; never the
+    /// reverse.
+    control: Mutex<Control>,
     /// Where this tenant spills: `spill_root/<tenant>/` for volatile
     /// tenants, the durable directory for durable ones, `None` when the
     /// tenant is pinned resident (volatile, no spill root configured).
@@ -634,31 +622,37 @@ pub struct Session {
     durable: bool,
     /// Back-pointer for sweep triggering.
     shared: Weak<Shared>,
-    /// Bounded arrival-order ingest queue (see the module docs).
-    pending: Mutex<VecDeque<Batch>>,
-    /// Latest mine-on-slide publication plus subscriber bookkeeping.
-    published: Mutex<Published>,
+    /// Signalled on every publication; subscribers wait on `control`.
     publish_signal: Condvar,
 }
 
-/// The two residency states of a window, behind [`Session::window`].
+/// The two residency states of a window, behind [`Session::window`]; a
+/// spilled one keeps the miner configuration a thaw needs (catalog cloned
+/// back in: the miner moves it out at build time).
 enum Window {
     // Boxed: a resident miner is ~1.5 KiB, a spilled stub a fraction of
     // that — keep the enum small so the mutex guard stays cheap to move.
     Live(Box<StreamMiner>),
-    Spilled(Box<SpilledWindow>),
+    Spilled(Box<MinerConfig>),
 }
 
-/// Everything needed to rebuild a spilled window: the full miner
-/// configuration (catalog cloned back in — the miner moves it out at build
-/// time) and the directory holding the cold copy.
-struct SpilledWindow {
-    config: MinerConfig,
-    dir: PathBuf,
+/// Everything behind [`Session::control`].
+#[derive(Default)]
+struct Control {
+    lifecycle: Lifecycle,
+    /// Bounded arrival-order ingest queue (see the module docs).
+    pending: VecDeque<Batch>,
+    /// Monotone publication counter; `0` = nothing published yet.
+    seq: u64,
+    /// The latest mine-on-slide publication.
+    result: Option<MiningResult>,
+    subscribers: usize,
 }
 
+/// Residency bookkeeping, written only by [`Lifecycle::step`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Lifecycle {
-    state: LifecycleState,
+    state: Phase,
     /// Clock-sweep reference bit: set on every completed operation, cleared
     /// by a passing hand.
     touched: bool,
@@ -666,53 +660,117 @@ struct Lifecycle {
     thaws: u64,
     thaw_nanos: u64,
     /// Individual thaw latencies (nanoseconds), capped at
-    /// [`Session::THAW_SAMPLE_CAP`] — enough for the percentiles the repo
+    /// [`Lifecycle::THAW_SAMPLE_CAP`] — enough for the percentiles the repo
     /// benchmark reports (`core.session.thaw_us`, `thaw_p95_us`) without
     /// unbounded growth.
     thaw_samples: Vec<u64>,
 }
 
-#[derive(Default)]
-struct Published {
-    /// Monotone publication counter; `0` = nothing published yet.
-    seq: u64,
-    result: Option<MiningResult>,
-    subscribers: usize,
+/// [`LifecycleState`] with `Draining` split by direction, so that only the
+/// transition that began a drain can end it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Phase {
+    #[default]
+    Active,
+    Idle,
+    Spilling,
+    Spilled,
+    Thawing,
 }
 
-impl Session {
+/// What happened to a session; [`Lifecycle::step`] maps it to a state change.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    /// An operation completed, leaving the window this many bytes big.
+    Touch(usize),
+    HandPasses,
+    SpillBegun,
+    SpillDone,
+    SpillFailed,
+    ThawBegun,
+    /// The thawed window's bytes, and the thaw's nanoseconds.
+    ThawDone(usize, u64),
+    ThawFailed,
+}
+
+impl Lifecycle {
     /// Per-session cap on retained thaw-latency samples.
     const THAW_SAMPLE_CAP: usize = 1024;
 
+    fn public_state(&self) -> LifecycleState {
+        match self.state {
+            Phase::Active => LifecycleState::Active,
+            Phase::Idle => LifecycleState::Idle,
+            Phase::Spilling | Phase::Thawing => LifecycleState::Draining,
+            Phase::Spilled => LifecycleState::Spilled,
+        }
+    }
+
+    /// The one transition function (the table in the module docs): returns
+    /// whether `event` applied, and one that does not changes nothing.
+    fn step(&mut self, event: Event) -> bool {
+        match (self.state, event) {
+            (Phase::Active | Phase::Idle, Event::Touch(resident_bytes)) => {
+                self.state = Phase::Active;
+                self.touched = true;
+                self.resident_bytes = resident_bytes;
+            }
+            (Phase::Active | Phase::Idle, Event::HandPasses) if self.touched => {
+                self.state = Phase::Idle;
+                self.touched = false;
+            }
+            (Phase::Active | Phase::Idle, Event::SpillBegun) => self.state = Phase::Spilling,
+            (Phase::Spilling, Event::SpillDone) => {
+                self.state = Phase::Spilled;
+                self.touched = false;
+                self.resident_bytes = 0;
+            }
+            (Phase::Spilling, Event::SpillFailed) => self.state = Phase::Active,
+            (Phase::Spilled, Event::ThawBegun) => self.state = Phase::Thawing,
+            (Phase::Thawing, Event::ThawDone(resident_bytes, nanos)) => {
+                self.state = Phase::Active;
+                // Counted resident at once — waiting for the operation's
+                // touch would let a concurrent sweep see this session
+                // resident with 0 bytes.
+                self.resident_bytes = resident_bytes;
+                self.thaws += 1;
+                self.thaw_nanos += nanos;
+                if self.thaw_samples.len() < Self::THAW_SAMPLE_CAP {
+                    self.thaw_samples.push(nanos);
+                }
+            }
+            (Phase::Thawing, Event::ThawFailed) => self.state = Phase::Spilled,
+            _ => return false,
+        }
+        true
+    }
+}
+
+impl Session {
     fn new(
         tenant: String,
         miner: StreamMiner,
-        exec: Exec,
-        max_pending: usize,
         spill_dir: Option<PathBuf>,
         durable: bool,
-        shared: Weak<Shared>,
+        shared: &Arc<Shared>,
     ) -> Self {
-        let resident_bytes = miner.resident_bytes();
         Self {
             tenant,
-            exec,
+            exec: shared.config.exec.clone(),
             catalog_edges: miner.catalog().num_edges(),
-            max_pending: max_pending.max(1),
-            window: Mutex::new(Window::Live(Box::new(miner))),
-            lifecycle: Mutex::new(Lifecycle {
-                state: LifecycleState::Active,
-                touched: true,
-                resident_bytes,
-                thaws: 0,
-                thaw_nanos: 0,
-                thaw_samples: Vec::new(),
+            max_pending: shared.config.max_pending_batches.max(1),
+            control: Mutex::new(Control {
+                lifecycle: Lifecycle {
+                    touched: true,
+                    resident_bytes: miner.resident_bytes(),
+                    ..Lifecycle::default()
+                },
+                ..Control::default()
             }),
+            window: Mutex::new(Window::Live(Box::new(miner))),
             spill_dir,
             durable,
-            shared,
-            pending: Mutex::new(VecDeque::new()),
-            published: Mutex::new(Published::default()),
+            shared: Arc::downgrade(shared),
             publish_signal: Condvar::new(),
         }
     }
@@ -735,14 +793,14 @@ impl Session {
 
     /// Current lifecycle state.
     pub fn state(&self) -> LifecycleState {
-        lock_unpoisoned(&self.lifecycle).state
+        self.status().state
     }
 
     /// Lifecycle bookkeeping snapshot: state, resident bytes, thaw stats.
     pub fn status(&self) -> SessionStatus {
-        let lifecycle = lock_unpoisoned(&self.lifecycle);
+        let lifecycle = &self.control().lifecycle;
         SessionStatus {
-            state: lifecycle.state,
+            state: lifecycle.public_state(),
             resident_bytes: lifecycle.resident_bytes as u64,
             thaws: lifecycle.thaws,
             thaw_nanos: lifecycle.thaw_nanos,
@@ -752,7 +810,7 @@ impl Session {
     /// Individual thaw latencies in nanoseconds (capped retention; see
     /// [`SessionStatus`] for the running totals).
     pub fn thaw_latencies(&self) -> Vec<u64> {
-        lock_unpoisoned(&self.lifecycle).thaw_samples.clone()
+        self.control().lifecycle.thaw_samples.clone()
     }
 
     /// Ingests one batch: applied immediately when the window is free
@@ -778,20 +836,14 @@ impl Session {
     }
 
     fn ingest_incoming(&self, incoming: Incoming<'_>) -> Result<IngestOutcome> {
-        let (outcome, resident_bytes) = {
-            let Ok(mut window) = self.window.try_lock() else {
-                return self.enqueue(incoming);
-            };
-            let miner = self.live(&mut window)?;
-            self.drain_into(miner)?;
-            let outcome = miner.ingest(incoming, self.catalog_edges)?;
-            if self.has_subscribers() {
-                self.publish(miner)?;
-            }
-            (outcome, miner.resident_bytes())
+        let Some(window) = try_lock_unpoisoned(&self.window) else {
+            return self.enqueue(incoming);
         };
-        self.after_touch(resident_bytes);
-        Ok(IngestOutcome::Applied(outcome))
+        self.operate(window, |miner| {
+            let outcome = miner.ingest(incoming, self.catalog_edges)?;
+            self.publish(miner)?;
+            Ok(IngestOutcome::Applied(outcome))
+        })
     }
 
     /// Parks a batch behind a busy window — decoded, if it is a payload,
@@ -808,11 +860,11 @@ impl Session {
         {
             return Err(FsmError::UnknownEdge { edge: edge.0 });
         }
-        let mut pending = lock_unpoisoned(&self.pending);
-        if pending.len() >= self.max_pending {
+        let mut control = self.control();
+        if control.pending.len() >= self.max_pending {
             return Err(FsmError::backpressure(&self.tenant));
         }
-        pending.push_back(batch);
+        control.pending.push_back(batch);
         Ok(IngestOutcome::Queued)
     }
 
@@ -820,14 +872,9 @@ impl Session {
     /// queued ingests first) under the registry's executor.  Equivalent to
     /// [`StreamMiner::mine`] on a standalone miner fed the same batches.
     pub fn mine(&self) -> Result<MiningResult> {
-        let (result, resident_bytes) = {
-            let mut window = lock_unpoisoned(&self.window);
-            let miner = self.live(&mut window)?;
-            self.drain_into(miner)?;
-            (miner.mine_with(&self.exec)?, miner.resident_bytes())
-        };
-        self.after_touch(resident_bytes);
-        Ok(result)
+        self.operate(lock_unpoisoned(&self.window), |miner| {
+            miner.mine_with(&self.exec)
+        })
     }
 
     /// Registers a mine-on-every-slide consumer; see the module docs.
@@ -835,11 +882,11 @@ impl Session {
     /// is alive.  Subscribing does not thaw a spilled session — the next
     /// slide (an ingest) does, and publishes as usual.
     pub fn subscribe(self: &Arc<Self>) -> Subscription {
-        let mut published = lock_unpoisoned(&self.published);
-        published.subscribers += 1;
+        let mut control = self.control();
+        control.subscribers += 1;
         Subscription {
             session: Arc::clone(self),
-            last_seen: published.seq,
+            last_seen: control.seq,
         }
     }
 
@@ -848,14 +895,44 @@ impl Session {
     /// [`StreamMiner`] surface the session does not wrap (recovery reports,
     /// memory accounting).
     pub fn with_miner<R>(&self, f: impl FnOnce(&mut StreamMiner) -> R) -> Result<R> {
-        let (value, resident_bytes) = {
-            let mut window = lock_unpoisoned(&self.window);
-            let miner = self.live(&mut window)?;
-            self.drain_into(miner)?;
-            let value = f(miner);
-            (value, miner.resident_bytes())
+        self.operate(lock_unpoisoned(&self.window), |miner| Ok(f(miner)))
+    }
+
+    /// One operation on the window: thaw it if spilled, drain the queued
+    /// ingests, run `op`, then — with the window released — touch and give
+    /// the registry a chance to re-balance the resident set (it `try_lock`s
+    /// the sweep hand, so this never blocks the completing request).  A
+    /// failed thaw leaves the session spilled and surfaces the error (a
+    /// proven-corrupt image was already deleted down in the matrix layer,
+    /// so the operator can drop and recreate the tenant).
+    fn operate<R>(
+        &self,
+        mut window: MutexGuard<'_, Window>,
+        op: impl FnOnce(&mut StreamMiner) -> Result<R>,
+    ) -> Result<R> {
+        if let (Window::Spilled(config), Some(dir)) = (&*window, &self.spill_dir) {
+            self.control().lifecycle.step(Event::ThawBegun);
+            let started = Instant::now();
+            let miner = StreamMiner::thaw((**config).clone(), dir).inspect_err(|_| {
+                self.control().lifecycle.step(Event::ThawFailed);
+            })?;
+            let nanos = started.elapsed().as_nanos() as u64;
+            let done = Event::ThawDone(miner.resident_bytes(), nanos);
+            self.control().lifecycle.step(done);
+            *window = Window::Live(Box::new(miner));
+        }
+        let Window::Live(miner) = &mut *window else {
+            unreachable!("window was thawed above")
         };
-        self.after_touch(resident_bytes);
+        self.drain_into(miner)?;
+        let value = op(miner)?;
+        let resident_bytes = miner.resident_bytes();
+        drop(window);
+        // A sweep may have spilled the session since: the touch is then moot.
+        self.control().lifecycle.step(Event::Touch(resident_bytes));
+        if let Some(shared) = self.shared.upgrade() {
+            shared.enforce();
+        }
         Ok(value)
     }
 
@@ -872,47 +949,23 @@ impl Session {
         self.spill_window(lock_unpoisoned(&self.window))
     }
 
-    /// The sweep's [`Session::spill`]: `Ok(false)` without waiting when the
-    /// window is held — the request that triggered the sweep must never wait
-    /// out another tenant's mine.
-    fn try_spill(&self) -> Result<bool> {
-        match self.window.try_lock() {
-            Ok(window) => self.spill_window(window),
-            Err(TryLockError::Poisoned(poisoned)) => self.spill_window(poisoned.into_inner()),
-            Err(TryLockError::WouldBlock) => Ok(false),
-        }
-    }
-
     fn spill_window(&self, mut window: MutexGuard<'_, Window>) -> Result<bool> {
-        let Some(dir) = &self.spill_dir else {
+        let (Some(dir), Window::Live(miner)) = (&self.spill_dir, &mut *window) else {
             return Ok(false);
         };
-        let Window::Live(miner) = &mut *window else {
-            return Ok(false);
-        };
-        self.set_state(LifecycleState::Draining);
+        self.control().lifecycle.step(Event::SpillBegun);
         let sealed = self.drain_into(miner).and_then(|_| miner.hibernate(dir));
         if let Err(err) = sealed {
-            self.set_state(LifecycleState::Active);
+            self.control().lifecycle.step(Event::SpillFailed);
             return Err(err);
         }
         let mut config = miner.config().clone();
         config.catalog = Some(miner.catalog().clone());
-        *window = Window::Spilled(Box::new(SpilledWindow {
-            config,
-            dir: dir.clone(),
-        }));
-        // Still under the window lock (lock order: `window` before
-        // `lifecycle`): releasing the window first would let a racing
-        // request thaw it back to Live in the gap, after which this tail
-        // would stamp Spilled/0 over an Active session — a state nothing
-        // downstream ever repairs.
-        let mut lifecycle = lock_unpoisoned(&self.lifecycle);
-        lifecycle.state = LifecycleState::Spilled;
-        lifecycle.resident_bytes = 0;
-        lifecycle.touched = false;
-        drop(lifecycle);
-        drop(window);
+        *window = Window::Spilled(Box::new(config));
+        // Still under the window lock: a request thawing the window in a
+        // gap would find the lifecycle Spilling, where thaw events do not
+        // apply, and this step would then mark a live window Spilled.
+        self.control().lifecycle.step(Event::SpillDone);
         Ok(true)
     }
 
@@ -934,69 +987,11 @@ impl Session {
 
     /// Queued batches not yet applied to the window.
     pub fn pending_batches(&self) -> usize {
-        lock_unpoisoned(&self.pending).len()
+        self.control().pending.len()
     }
 
-    /// Returns the live miner behind `window`, transparently thawing a
-    /// spilled one first.  Thaw latency lands in the lifecycle bookkeeping;
-    /// a failed thaw leaves the session spilled and surfaces the error (a
-    /// proven-corrupt image was already deleted down in the matrix layer,
-    /// so the operator can drop and recreate the tenant).
-    fn live<'a>(&self, window: &'a mut Window) -> Result<&'a mut StreamMiner> {
-        if let Window::Spilled(spilled) = window {
-            let config = spilled.config.clone();
-            let dir = spilled.dir.clone();
-            self.set_state(LifecycleState::Draining);
-            let started = Instant::now();
-            match StreamMiner::thaw(config, &dir) {
-                Ok(miner) => {
-                    let nanos = started.elapsed().as_nanos() as u64;
-                    let resident_bytes = miner.resident_bytes();
-                    *window = Window::Live(Box::new(miner));
-                    let mut lifecycle = lock_unpoisoned(&self.lifecycle);
-                    lifecycle.state = LifecycleState::Active;
-                    // Counted resident immediately — waiting for the
-                    // post-operation `after_touch` would let a concurrent
-                    // enforce() see this session Active with 0 bytes.
-                    lifecycle.resident_bytes = resident_bytes;
-                    lifecycle.thaws += 1;
-                    lifecycle.thaw_nanos += nanos;
-                    if lifecycle.thaw_samples.len() < Self::THAW_SAMPLE_CAP {
-                        lifecycle.thaw_samples.push(nanos);
-                    }
-                }
-                Err(err) => {
-                    self.set_state(LifecycleState::Spilled);
-                    return Err(err);
-                }
-            }
-        }
-        match window {
-            Window::Live(miner) => Ok(&mut **miner),
-            Window::Spilled(_) => unreachable!("window was thawed above"),
-        }
-    }
-
-    fn set_state(&self, state: LifecycleState) {
-        lock_unpoisoned(&self.lifecycle).state = state;
-    }
-
-    /// Post-operation bookkeeping, called strictly *after* the window lock
-    /// is released: stamp the touch, then give the registry a chance to
-    /// re-balance the resident set (it `try_lock`s the sweep hand, so this
-    /// never blocks the completing request).
-    fn after_touch(&self, resident_bytes: usize) {
-        {
-            let mut lifecycle = lock_unpoisoned(&self.lifecycle);
-            lifecycle.touched = true;
-            lifecycle.resident_bytes = resident_bytes;
-            if lifecycle.state == LifecycleState::Idle {
-                lifecycle.state = LifecycleState::Active;
-            }
-        }
-        if let Some(shared) = self.shared.upgrade() {
-            shared.enforce();
-        }
+    fn control(&self) -> MutexGuard<'_, Control> {
+        lock_unpoisoned(&self.control)
     }
 
     /// Applies every queued batch in arrival order; returns the last slide
@@ -1005,33 +1000,27 @@ impl Session {
     fn drain_into(&self, miner: &mut StreamMiner) -> Result<Option<SlideOutcome>> {
         let mut last = None;
         loop {
-            let batch = {
-                let mut pending = lock_unpoisoned(&self.pending);
-                match pending.pop_front() {
-                    Some(batch) => batch,
-                    None => break,
-                }
+            let Some(batch) = self.control().pending.pop_front() else {
+                break;
             };
             last = Some(miner.ingest(Incoming::Batch(&batch), self.catalog_edges)?);
         }
-        if last.is_some() && self.has_subscribers() {
+        if last.is_some() {
             self.publish(miner)?;
         }
         Ok(last)
     }
 
-    fn has_subscribers(&self) -> bool {
-        lock_unpoisoned(&self.published).subscribers > 0
-    }
-
     /// Mines the just-slid window — the mine [`Session::mine`] would run —
-    /// and publishes the result.
+    /// and publishes the result, if anyone subscribes.
     fn publish(&self, miner: &mut StreamMiner) -> Result<()> {
+        if self.control().subscribers == 0 {
+            return Ok(());
+        }
         let result = miner.mine_with(&self.exec)?;
-        let mut published = lock_unpoisoned(&self.published);
-        published.seq += 1;
-        published.result = Some(result);
-        drop(published);
+        let mut control = self.control();
+        control.seq += 1;
+        control.result = Some(result);
         self.publish_signal.notify_all();
         Ok(())
     }
@@ -1059,42 +1048,50 @@ impl Subscription {
     /// Slides between polls coalesce: only the latest epoch's result is
     /// retained, mirroring how a dashboard consumes a stream.
     pub fn poll(&mut self) -> Option<MiningResult> {
-        let published = lock_unpoisoned(&self.session.published);
-        if published.seq == self.last_seen {
+        let control = self.session.control();
+        if control.seq == self.last_seen {
             return None;
         }
-        self.last_seen = published.seq;
-        published.result.clone()
+        self.last_seen = control.seq;
+        control.result.clone()
     }
 
     /// Blocks until a result newer than the last seen one is published,
     /// then returns it.
     pub fn wait(&mut self) -> MiningResult {
-        let mut published = lock_unpoisoned(&self.session.published);
-        while published.seq == self.last_seen || published.result.is_none() {
-            published = self
-                .session
-                .publish_signal
-                .wait(published)
-                .unwrap_or_else(|p| p.into_inner());
-        }
-        self.last_seen = published.seq;
-        published
+        let last_seen = self.last_seen;
+        let control = self
+            .session
+            .publish_signal
+            .wait_while(self.session.control(), |c| c.seq == last_seen)
+            .unwrap_or_else(|p| p.into_inner());
+        self.last_seen = control.seq;
+        control
             .result
             .clone()
-            .expect("loop exits only with a published result")
+            .expect("every publication carries its result")
     }
 }
 
 impl Drop for Subscription {
     fn drop(&mut self) {
-        let mut published = lock_unpoisoned(&self.session.published);
-        published.subscribers = published.subscribers.saturating_sub(1);
+        let mut control = self.session.control();
+        control.subscribers = control.subscribers.saturating_sub(1);
     }
 }
 
 fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// `None` only while another thread holds `mutex`: a lock a panic left
+/// poisoned is free (the holder is gone), as [`lock_unpoisoned`] treats it.
+fn try_lock_unpoisoned<T>(mutex: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+    match mutex.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    }
 }
 
 #[cfg(test)]
@@ -1335,9 +1332,9 @@ mod tests {
         drop(subscription);
         drop(late);
         // With no subscribers, slides stop publishing.
-        let seq_before = lock_unpoisoned(&session.published).seq;
+        let seq_before = session.control().seq;
         session.ingest(&batches[0]).unwrap();
-        assert_eq!(lock_unpoisoned(&session.published).seq, seq_before);
+        assert_eq!(session.control().seq, seq_before);
     }
 
     #[test]
@@ -1485,5 +1482,157 @@ mod tests {
             .poll()
             .expect("post-thaw slide publishes")
             .same_patterns_as(&standalone.mine().unwrap()));
+    }
+
+    /// Poisons `mutex` the way a caught panic under it does.
+    fn poison<T>(mutex: &Mutex<T>) {
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = mutex.lock();
+            panic!("a request panics under the lock");
+        }));
+        assert!(caught.is_err() && mutex.is_poisoned());
+    }
+
+    #[test]
+    fn an_ingest_after_a_panic_under_the_window_is_applied() {
+        let registry = SessionRegistry::new(RegistryConfig::default());
+        let session = registry.create_tenant("t", tenant_config(), false).unwrap();
+        poison(&session.window);
+        for batch in &paper_batches() {
+            assert!(matches!(
+                session.ingest(batch).unwrap(),
+                IngestOutcome::Applied(_)
+            ));
+        }
+        assert_eq!(session.pending_batches(), 0);
+    }
+
+    #[test]
+    fn a_sweep_after_a_panic_under_the_hand_still_spills() {
+        let spill_root = TempDir::new("session-poisoned-hand").unwrap();
+        let registry = SessionRegistry::new(RegistryConfig {
+            max_resident: Some(1),
+            spill_root: Some(spill_root.path().to_path_buf()),
+            ..RegistryConfig::default()
+        });
+        let a = registry.create_tenant("a", tenant_config(), false).unwrap();
+        a.ingest(&paper_batches()[0]).unwrap();
+        poison(&registry.shared.sweep);
+        // Admitting b puts two tenants over a cap of one.
+        registry.create_tenant("b", tenant_config(), false).unwrap();
+        registry.enforce_residency();
+        assert_eq!(a.state(), LifecycleState::Spilled);
+    }
+
+    #[test]
+    fn a_touch_after_a_racing_spill_leaves_the_tenant_spilled_at_zero_bytes() {
+        let spill_root = TempDir::new("session-touch-after-spill").unwrap();
+        let registry = SessionRegistry::new(RegistryConfig {
+            spill_root: Some(spill_root.path().to_path_buf()),
+            ..RegistryConfig::default()
+        });
+        let session = registry.create_tenant("t", tenant_config(), false).unwrap();
+        session.ingest(&paper_batches()[0]).unwrap();
+        // An operation releases the window before it touches, so a sweep
+        // can spill the tenant in between; the touch then lands here.
+        assert!(session.spill().unwrap());
+        session.control().lifecycle.step(Event::Touch(648));
+        let spilled = SessionStatus {
+            state: LifecycleState::Spilled,
+            resident_bytes: 0,
+            thaws: 0,
+            thaw_nanos: 0,
+        };
+        assert_eq!(session.status(), spilled);
+        assert!(!session.control().lifecycle.touched);
+    }
+
+    /// Applies every event to `before`, and recursively to each result,
+    /// `depth` events deep, checking the lifecycle invariants at each step.
+    fn walk_every_sequence(before: &Lifecycle, depth: usize) {
+        const EVENTS: [Event; 8] = [
+            Event::Touch(7),
+            Event::HandPasses,
+            Event::SpillBegun,
+            Event::SpillDone,
+            Event::SpillFailed,
+            Event::ThawBegun,
+            Event::ThawDone(11, 3),
+            Event::ThawFailed,
+        ];
+        for event in EVENTS {
+            let mut after = before.clone();
+            let applied = after.step(event);
+            let context = || format!("{before:?} --{event:?}--> {after:?}");
+            if !applied {
+                assert_eq!(&after, before, "{}", context());
+            }
+            if after.state == Phase::Spilled {
+                assert!(after.resident_bytes == 0 && !after.touched, "{}", context());
+            }
+            if after.state != before.state {
+                let entered_by = match after.state {
+                    Phase::Spilling => Some(matches!(event, Event::SpillBegun)),
+                    Phase::Thawing => Some(matches!(event, Event::ThawBegun)),
+                    _ => None,
+                };
+                let left_by = match before.state {
+                    Phase::Spilling => Some(matches!(event, Event::SpillDone | Event::SpillFailed)),
+                    Phase::Thawing => {
+                        Some(matches!(event, Event::ThawDone(..) | Event::ThawFailed))
+                    }
+                    _ => None,
+                };
+                assert_ne!(entered_by, Some(false), "{}", context());
+                assert_ne!(left_by, Some(false), "{}", context());
+                // Residency changes only through Draining.
+                let resident = |phase| matches!(phase, Phase::Active | Phase::Idle);
+                let spilled_to_resident = before.state == Phase::Spilled && resident(after.state);
+                let resident_to_spilled = resident(before.state) && after.state == Phase::Spilled;
+                assert!(
+                    !spilled_to_resident && !resident_to_spilled,
+                    "{}",
+                    context()
+                );
+            }
+            let samples = (after.thaws as usize).min(Lifecycle::THAW_SAMPLE_CAP);
+            assert_eq!(after.thaw_samples.len(), samples, "{}", context());
+            if depth > 1 {
+                walk_every_sequence(&after, depth - 1);
+            }
+        }
+    }
+
+    #[test]
+    fn step_keeps_the_lifecycle_invariants_over_every_sequence_of_six_events() {
+        let resident = |state, touched| Lifecycle {
+            state,
+            touched,
+            resident_bytes: 5,
+            ..Lifecycle::default()
+        };
+        let cold = |state| Lifecycle {
+            state,
+            ..Lifecycle::default()
+        };
+        // Two thaws away from the sample cap: the sixth event crosses it.
+        let nearly_capped = Lifecycle {
+            thaws: Lifecycle::THAW_SAMPLE_CAP as u64 - 1,
+            thaw_samples: vec![1; Lifecycle::THAW_SAMPLE_CAP - 1],
+            ..cold(Phase::Spilled)
+        };
+        let starts = [
+            resident(Phase::Active, true),
+            resident(Phase::Active, false),
+            resident(Phase::Idle, false),
+            resident(Phase::Spilling, true),
+            resident(Phase::Spilling, false),
+            cold(Phase::Spilled),
+            cold(Phase::Thawing),
+            nearly_capped,
+        ];
+        for start in &starts {
+            walk_every_sequence(start, 6);
+        }
     }
 }
