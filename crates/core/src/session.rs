@@ -98,9 +98,24 @@
 //! live outside the window.  The gating property (the `max_resident = 1`
 //! axis of `tenant_isolation.rs`): a fleet served under eviction pressure
 //! is byte-identical to the same fleet fully resident.
+//!
+//! # Dropping a tenant: the session owns its files
+//!
+//! [`SessionRegistry::drop_tenant`] closes the session before the id leaves
+//! the table: it waits for the operation in flight, drops the window (the
+//! miner with its log handle, store and budget lease), discards the batches
+//! queued behind it and removes a volatile tenant's spill image.  A
+//! retained [`Arc<Session>`] of a dropped tenant is then refused —
+//! [`Session::ingest`], [`Session::mine`] and [`Session::with_miner`] with
+//! [`fsm_types::FsmError::UnknownTenant`], [`Session::spill`] with
+//! `Ok(false)` — so it can neither thaw nor spill nor log into a same-name
+//! successor's files.  A session its registry still holds when the registry
+//! is dropped removes its own image as it goes.  No registry code removes a
+//! file: a spill image is removed only by its session (at close or drop)
+//! and by [`DsMatrix::thaw`] when it proves the image corrupt.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError, Weak};
 use std::time::Instant;
 
@@ -264,29 +279,14 @@ impl SessionRegistry {
         config.cache_governor = self.shared.config.governor.clone();
         // Durable tenants spill through their checkpoints (the durable dir
         // *is* the cold copy); volatile tenants need an explicit spill root.
-        let spill_dir = if durable {
-            config.durable_dir.clone()
-        } else {
-            self.shared
-                .config
-                .spill_root
-                .as_ref()
-                .map(|root| root.join(tenant))
-        };
+        let spill_root = self.shared.config.spill_root.as_ref();
+        let spill_dir = config
+            .durable_dir
+            .clone()
+            .or_else(|| spill_root.map(|root| root.join(tenant)));
         let mut sessions = lock_unpoisoned(&self.shared.sessions);
         if sessions.contains_key(tenant) {
             return Err(FsmError::tenant_exists(tenant));
-        }
-        if !durable {
-            if let Some(dir) = &spill_dir {
-                // A dropped predecessor of the same name may have left a
-                // spill image behind; it must never thaw into this tenant.
-                // Removed only under the sessions lock and only once the
-                // name is known free: a *live* spilled tenant of this name
-                // owns that image, and a duplicate create must not eat it.
-                // Only the image goes: `dir` may be a durable tenant's too.
-                let _ = std::fs::remove_dir_all(DsMatrix::spill_image(dir));
-            }
         }
         let miner = if recovering {
             StreamMiner::recover(config)?
@@ -297,7 +297,6 @@ impl SessionRegistry {
             tenant.to_string(),
             miner,
             spill_dir,
-            durable,
             &self.shared,
         ));
         sessions.insert(tenant.to_string(), Arc::clone(&session));
@@ -314,25 +313,34 @@ impl SessionRegistry {
             .ok_or_else(|| FsmError::unknown_tenant(tenant))
     }
 
-    /// Removes a tenant from the registry.  In-flight operations on clones
-    /// of its [`Arc<Session>`] complete normally; the session's resources
-    /// (worker-pool access aside, which is shared) are freed when the last
-    /// clone drops — including its budget lease, whose grant flows back to
-    /// the surviving tenants.
+    /// Removes a tenant from the registry and closes its session.
     ///
-    /// A volatile tenant's spill image (`spill_root/<tenant>/`) is removed
-    /// with it, so a retained [`Arc<Session>`] of a dropped tenant that was
-    /// spilled at the time can no longer thaw.  A durable tenant's directory
-    /// is left alone: it is what [`SessionRegistry::recover_tenant`] needs.
+    /// Waits for the operation in flight on the tenant's window, then drops
+    /// the window — its miner, durable log handle, store and budget lease,
+    /// whose grant flows back to the surviving tenants — discards the
+    /// queued batches and removes a volatile tenant's spill image
+    /// (`spill_root/<tenant>/`).  Only then does the id leave the table, so
+    /// a same-name successor is admitted only once its predecessor can no
+    /// longer write.  Every later call on a retained [`Arc<Session>`] is
+    /// refused ([`Session::mine`] with [`FsmError::UnknownTenant`]).  A
+    /// durable tenant's directory is left alone: it is what
+    /// [`SessionRegistry::recover_tenant`] needs.
+    ///
+    /// Must not be called from inside [`Session::with_miner`] on the same
+    /// tenant: it would wait on the window that call holds.
     pub fn drop_tenant(&self, tenant: &str) -> Result<()> {
+        let session = self.get(tenant)?;
+        session.close();
         let mut sessions = lock_unpoisoned(&self.shared.sessions);
-        let session = sessions
-            .remove(tenant)
-            .ok_or_else(|| FsmError::unknown_tenant(tenant))?;
-        // Still under the sessions lock, like the cleanup in `admit`: a
-        // same-name successor cannot be created (and spill) until this is
-        // done.
-        session.discard_spill_image();
+        // A concurrent drop of the same tenant may have won the race, and a
+        // successor may hold the name since: remove only this session.
+        if !sessions
+            .get(tenant)
+            .is_some_and(|entry| Arc::ptr_eq(entry, &session))
+        {
+            return Err(FsmError::unknown_tenant(tenant));
+        }
+        sessions.remove(tenant);
         Ok(())
     }
 
@@ -474,18 +482,6 @@ impl Shared {
     }
 }
 
-/// The tenants a registry still holds go the way of
-/// [`SessionRegistry::drop_tenant`]: their volatile spill images have no
-/// owner once the table is gone.
-impl Drop for Shared {
-    fn drop(&mut self) {
-        let sessions = self.sessions.get_mut().unwrap_or_else(|p| p.into_inner());
-        for session in sessions.values() {
-            session.discard_spill_image();
-        }
-    }
-}
-
 impl std::fmt::Debug for SessionRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SessionRegistry")
@@ -617,23 +613,23 @@ pub struct Session {
     /// tenants, the durable directory for durable ones, `None` when the
     /// tenant is pinned resident (volatile, no spill root configured).
     spill_dir: Option<PathBuf>,
-    /// Whether `spill_dir` is the tenant's durable directory — state that
-    /// outlives the tenant — rather than a disposable image directory.
-    durable: bool,
     /// Back-pointer for sweep triggering.
     shared: Weak<Shared>,
     /// Signalled on every publication; subscribers wait on `control`.
     publish_signal: Condvar,
 }
 
-/// The two residency states of a window, behind [`Session::window`]; a
-/// spilled one keeps the miner configuration a thaw needs (catalog cloned
-/// back in: the miner moves it out at build time).
+/// The two residency states of a window, behind [`Session::window`], and
+/// its end; a spilled one keeps the miner configuration a thaw needs
+/// (catalog cloned back in: the miner moves it out at build time).
 enum Window {
     // Boxed: a resident miner is ~1.5 KiB, a spilled stub a fraction of
     // that — keep the enum small so the mutex guard stays cheap to move.
     Live(Box<StreamMiner>),
     Spilled(Box<MinerConfig>),
+    /// The tenant was dropped ([`SessionRegistry::drop_tenant`]): every
+    /// operation is refused.
+    Closed,
 }
 
 /// Everything behind [`Session::control`].
@@ -751,7 +747,6 @@ impl Session {
         tenant: String,
         miner: StreamMiner,
         spill_dir: Option<PathBuf>,
-        durable: bool,
         shared: &Arc<Shared>,
     ) -> Self {
         Self {
@@ -769,7 +764,6 @@ impl Session {
             }),
             window: Mutex::new(Window::Live(Box::new(miner))),
             spill_dir,
-            durable,
             shared: Arc::downgrade(shared),
             publish_signal: Condvar::new(),
         }
@@ -922,7 +916,7 @@ impl Session {
             *window = Window::Live(Box::new(miner));
         }
         let Window::Live(miner) = &mut *window else {
-            unreachable!("window was thawed above")
+            return Err(FsmError::unknown_tenant(&self.tenant));
         };
         self.drain_into(miner)?;
         let value = op(miner)?;
@@ -940,8 +934,8 @@ impl Session {
     /// subscribers exactly as a normal drain would), hibernates the miner
     /// ([`StreamMiner::hibernate`]) and drops the resident state — its
     /// budget lease flows back to the governor.  Returns `Ok(false)` when
-    /// there is nothing to do: already spilled, or the tenant is pinned
-    /// resident (volatile with no spill root).
+    /// there is nothing to do: already spilled, the tenant is pinned
+    /// resident (volatile with no spill root), or it was dropped.
     ///
     /// Blocks on the window lock, so a spill racing an in-flight mine
     /// simply waits for the mine (and the drain that follows it) to finish.
@@ -969,20 +963,13 @@ impl Session {
         Ok(true)
     }
 
-    /// Removes a volatile tenant's spill image directory and the then-empty
-    /// tenant directory (best effort; a durable tenant's files — which may
-    /// share `spill_root/<tenant>/`, outside the image — are never touched).
-    /// Called by the registry as the session leaves the tenant table, not
-    /// from `Drop`: a stale `Arc<Session>` outliving a same-name re-creation
-    /// would unlink the new tenant's image.
-    fn discard_spill_image(&self) {
-        if self.durable {
-            return;
-        }
-        if let Some(dir) = &self.spill_dir {
-            let _ = std::fs::remove_dir_all(DsMatrix::spill_image(dir));
-            let _ = std::fs::remove_dir(dir);
-        }
+    /// Closes the session for good ([`SessionRegistry::drop_tenant`]):
+    /// waits for the window, drops it, removes a volatile tenant's spill
+    /// image and discards the queued batches.
+    fn close(&self) {
+        let mut window = lock_unpoisoned(&self.window);
+        close_window(&mut window, self.spill_dir.as_deref());
+        self.control().pending.clear();
     }
 
     /// Queued batches not yet applied to the window.
@@ -1026,6 +1013,34 @@ impl Session {
     }
 }
 
+/// A session never closed by [`SessionRegistry::drop_tenant`] — one its
+/// registry still held when the registry was dropped — closes as its last
+/// handle goes: its volatile spill image has no other owner.
+impl Drop for Session {
+    fn drop(&mut self) {
+        let window = self.window.get_mut().unwrap_or_else(|p| p.into_inner());
+        close_window(window, self.spill_dir.as_deref());
+    }
+}
+
+/// Replaces `window` with [`Window::Closed`], dropping the miner, then
+/// removes a volatile window's spill image and the then-empty tenant
+/// directory under `spill_dir` (best effort).  A durable tenant's files —
+/// which may share `spill_root/<tenant>/`, outside the image — are never
+/// touched, and an already-closed window removes nothing: its image went
+/// when it closed, and the path may be a successor's by now.
+fn close_window(window: &mut Window, spill_dir: Option<&Path>) {
+    let volatile = match std::mem::replace(window, Window::Closed) {
+        Window::Live(miner) => miner.config().durable_dir.is_none(),
+        Window::Spilled(config) => config.durable_dir.is_none(),
+        Window::Closed => false,
+    };
+    if let (true, Some(dir)) = (volatile, spill_dir) {
+        let _ = std::fs::remove_dir_all(DsMatrix::spill_image(dir));
+        let _ = std::fs::remove_dir(dir);
+    }
+}
+
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
@@ -1057,7 +1072,9 @@ impl Subscription {
     }
 
     /// Blocks until a result newer than the last seen one is published,
-    /// then returns it.
+    /// then returns it.  Never returns once its tenant is dropped
+    /// ([`SessionRegistry::drop_tenant`]): a closed session publishes
+    /// nothing.
     pub fn wait(&mut self) -> MiningResult {
         let last_seen = self.last_seen;
         let control = self
@@ -1409,9 +1426,8 @@ mod tests {
         assert!(session.spill().unwrap());
         let artifact = DsMatrix::spill_image(&spill_root.path().join("t"));
         assert!(artifact.exists());
-        // The duplicate must bounce off the registry *before* the stale-
-        // image cleanup: while spilled, that image is the live tenant's
-        // only copy of its window.
+        // While spilled, that image is the live tenant's only copy of its
+        // window: a duplicate create must bounce off without touching it.
         assert!(matches!(
             registry.create_tenant("t", tenant_config(), false),
             Err(FsmError::TenantExists(_))

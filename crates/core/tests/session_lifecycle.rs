@@ -3,10 +3,13 @@
 //! tenant staying recreatable), a spill racing an in-flight mine, the
 //! residency sweep never waiting on a held window, a dropped tenant's spill
 //! image going with it (and never a durable namesake's files under an
-//! aliased root), a delta tenant's incremental state rebuilding exactly
-//! across a spill/thaw cycle, a subscribed disk tenant holding nothing
-//! resident outside its residency budget, and a durable tenant refusing a
-//! batch whose segment write failed without wedging its log.
+//! aliased root), a dropped tenant's retained handle refused instead of
+//! spilling, logging or leaving files under its successor's name, a stale
+//! image never reaching a new tenant, the resident-byte cap, a delta
+//! tenant's incremental state rebuilding exactly across a spill/thaw cycle,
+//! a subscribed disk tenant holding nothing resident outside its residency
+//! budget, and a durable tenant refusing a batch whose segment write failed
+//! without wedging its log.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -478,4 +481,272 @@ fn a_subscribed_disk_tenant_holds_no_more_than_an_unsubscribed_one() {
         unsubscribed.status().resident_bytes,
         "a publish must leave resident exactly what a mine leaves resident"
     );
+}
+
+/// One batch per edge set, each set one transaction.
+fn stream_of(sets: &[&[u32]]) -> Vec<Batch> {
+    (0u64..)
+        .zip(sets)
+        .map(|(id, set)| {
+            Batch::from_transactions(id, vec![Transaction::from_raw(set.iter().copied())])
+        })
+        .collect()
+}
+
+/// What a never-spilled standalone miner mines from `stream`.
+fn oracle(config: MinerConfig, stream: &[Batch]) -> fsm_core::MiningResult {
+    let mut miner = StreamMiner::new(config).unwrap();
+    for batch in stream {
+        miner.ingest_batch(batch).unwrap();
+    }
+    miner.mine().unwrap()
+}
+
+fn assert_unknown_tenant<T: std::fmt::Debug>(outcome: fsm_types::Result<T>) {
+    assert!(
+        matches!(outcome, Err(FsmError::UnknownTenant(ref id)) if id == "t"),
+        "{outcome:?}"
+    );
+}
+
+/// A handle a caller kept across `drop_tenant` cannot spill its window
+/// over a same-name successor's image: the successor's next thaw serves
+/// its own window, not its predecessor's.
+#[test]
+fn a_dropped_tenants_handle_never_spills_over_its_successor() {
+    let root = TempDir::new("lifecycle-stale-spill").unwrap();
+    let registry = spilling_registry(&root);
+    let old = registry.create_tenant("t", config(false), false).unwrap();
+    for batch in &stream_of(&[&[0, 1], &[0, 1]]) {
+        old.ingest(batch).unwrap();
+    }
+    registry.drop_tenant("t").unwrap();
+
+    let successor_stream = stream_of(&[&[2, 3], &[2, 3]]);
+    let successor = registry.create_tenant("t", config(false), false).unwrap();
+    for batch in &successor_stream {
+        successor.ingest(batch).unwrap();
+    }
+    let expected = oracle(config(false), &successor_stream);
+    assert!(successor.mine().unwrap().same_patterns_as(&expected));
+    assert!(successor.spill().unwrap());
+
+    let stale = old.spill();
+    assert!(
+        successor.mine().unwrap().same_patterns_as(&expected),
+        "the successor thawed its predecessor's window"
+    );
+    assert!(!stale.unwrap(), "a dropped tenant's handle spilled");
+}
+
+/// A durable handle kept across `drop_tenant` cannot log into the
+/// directory a same-name successor now owns: its ingest is refused, and
+/// recovery rebuilds the successor's window alone.
+#[test]
+fn a_dropped_durable_tenants_handle_never_logs_into_its_successor() {
+    let root = TempDir::new("lifecycle-stale-durable").unwrap();
+    let registry = SessionRegistry::new(RegistryConfig {
+        durable_root: Some(root.path().into()),
+        ..RegistryConfig::default()
+    });
+    let durable = MinerConfig {
+        backend: StorageBackend::DiskTemp,
+        ..config(false)
+    };
+    let old_stream = stream_of(&[&[0, 1], &[0, 1]]);
+    let old = registry.create_tenant("t", durable.clone(), true).unwrap();
+    for batch in &old_stream {
+        old.ingest(batch).unwrap();
+    }
+    registry.drop_tenant("t").unwrap();
+
+    let successor_stream = stream_of(&[&[2, 3], &[2, 3]]);
+    let successor = registry.create_tenant("t", durable.clone(), true).unwrap();
+    for batch in &successor_stream {
+        successor.ingest(batch).unwrap();
+    }
+    let expected = oracle(config(false), &successor_stream);
+    assert!(successor.mine().unwrap().same_patterns_as(&expected));
+    assert!(successor.spill().unwrap());
+
+    let stale = old.ingest(&old_stream[0]);
+    drop(old);
+    drop(successor);
+    registry.drop_tenant("t").unwrap();
+    let recovered = registry.recover_tenant("t", durable).unwrap();
+    assert!(
+        recovered.mine().unwrap().same_patterns_as(&expected),
+        "recovery mixed two tenants' batches"
+    );
+    assert_unknown_tenant(stale);
+}
+
+/// A handle kept across `drop_tenant` cannot write a spill image that
+/// nothing owns: its spill is refused, and no file of the tenant survives
+/// the handle and the registry.
+#[test]
+fn a_dropped_tenants_handle_leaves_no_file() {
+    let root = TempDir::new("lifecycle-leak").unwrap();
+    let registry = spilling_registry(&root);
+    let old = registry.create_tenant("t", config(false), false).unwrap();
+    old.ingest(&batches()[0]).unwrap();
+    registry.drop_tenant("t").unwrap();
+    let stale = old.spill();
+    drop(old);
+    drop(registry);
+    assert!(
+        !root.path().join("t").exists(),
+        "a dropped tenant left its spill image behind"
+    );
+    assert!(!stale.unwrap(), "a dropped tenant's handle spilled");
+}
+
+/// `drop_tenant` waits for the operation in flight on the window, which
+/// completes; the tenant keeps its name until then, and every call on a
+/// retained handle afterwards is refused.
+#[test]
+fn drop_tenant_waits_for_the_operation_in_flight() {
+    let root = TempDir::new("lifecycle-drop-waits").unwrap();
+    let registry = Arc::new(spilling_registry(&root));
+    let session = registry.create_tenant("t", config(false), false).unwrap();
+    session.ingest(&batches()[0]).unwrap();
+    let release = hold_window(&session);
+    let (done_tx, done_rx) = mpsc::channel();
+    let dropper = {
+        let registry = Arc::clone(&registry);
+        std::thread::spawn(move || done_tx.send(registry.drop_tenant("t")).unwrap())
+    };
+    assert!(
+        done_rx.recv_timeout(Duration::from_millis(100)).is_err(),
+        "drop_tenant returned while an operation held the window"
+    );
+    assert!(registry.get("t").is_ok(), "the name left before the window");
+    // The held operation completes (`hold_window` unwraps its result).
+    release();
+    done_rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("drop_tenant never returned")
+        .unwrap();
+    dropper.join().unwrap();
+
+    assert_unknown_tenant(registry.get("t"));
+    assert_unknown_tenant(session.ingest(&batches()[1]));
+    assert_unknown_tenant(session.ingest_encoded(&fsm_dsmatrix::encode_batch(&batches()[1])));
+    assert_unknown_tenant(session.mine());
+    assert_unknown_tenant(session.with_miner(|_| ()));
+    assert!(!session.spill().unwrap());
+    assert_unknown_tenant(registry.drop_tenant("t"));
+}
+
+/// A spill image left under a tenant's spill directory by someone else —
+/// another window's checkpoint and runs, plus a run past the ones that
+/// checkpoint names — never reaches a new tenant of that name: its first
+/// spill rewrites the image whole, the thaw serves its own window, and the
+/// directory goes with the tenant.
+#[test]
+fn a_stale_image_never_reaches_a_new_tenant() {
+    let root = TempDir::new("lifecycle-stale-image").unwrap();
+    let dir = root.path().join("t");
+    let mut foreign = StreamMiner::new(config(false)).unwrap();
+    for batch in &stream_of(&[&[0, 1], &[0, 1]]) {
+        foreign.ingest_batch(batch).unwrap();
+    }
+    foreign.hibernate(&dir).unwrap();
+    drop(foreign);
+    // One more run, at the image's next uid: the runs are `seg-<uid>.run`
+    // numbered from 0, and the checkpoint's next uid follows the highest.
+    let segments = DsMatrix::spill_image(&dir).join("segments");
+    let runs = files_under(&segments);
+    let uid = |run: &Path| -> u64 {
+        let name = run.to_str().unwrap();
+        name["seg-".len()..name.len() - ".run".len()]
+            .parse()
+            .unwrap()
+    };
+    let (last, bytes) = runs.iter().max_by_key(|(run, _)| uid(run)).unwrap();
+    std::fs::write(segments.join(format!("seg-{}.run", uid(last) + 1)), bytes).unwrap();
+
+    let registry = spilling_registry(&root);
+    let session = registry.create_tenant("t", config(false), false).unwrap();
+    let stream = batches();
+    for batch in &stream {
+        session.ingest(batch).unwrap();
+    }
+    assert!(session.spill().unwrap());
+    let expected = oracle(config(false), &stream);
+    assert!(session.mine().unwrap().same_patterns_as(&expected));
+    registry.drop_tenant("t").unwrap();
+    assert!(!dir.exists(), "the tenant's spill directory outlived it");
+}
+
+/// `max_resident_bytes` caps the summed resident bytes of the windows kept
+/// in memory, and the fleet served under it mines what it mines uncapped.
+#[test]
+fn a_byte_cap_keeps_the_resident_windows_under_it() {
+    let tenants = ["w", "x", "y", "z"];
+    // One to three batches each: windows of two sizes.
+    let stream = |index: usize| batches()[..=index % 3].to_vec();
+    let uncapped = SessionRegistry::new(RegistryConfig::default());
+    let mut expected = Vec::new();
+    let mut largest = 0;
+    for (index, tenant) in tenants.iter().enumerate() {
+        let session = uncapped
+            .create_tenant(tenant, config(false), false)
+            .unwrap();
+        for batch in &stream(index) {
+            session.ingest(batch).unwrap();
+        }
+        expected.push(session.mine().unwrap());
+        largest = largest.max(session.status().resident_bytes);
+    }
+    let cap = 2 * largest;
+    let total: u64 = uncapped
+        .statuses()
+        .iter()
+        .map(|(_, s)| s.resident_bytes)
+        .sum();
+    assert!(total > cap, "the cap must bind: {total} B against {cap} B");
+
+    let root = TempDir::new("lifecycle-byte-cap").unwrap();
+    let registry = SessionRegistry::new(RegistryConfig {
+        max_resident_bytes: Some(cap as usize),
+        spill_root: Some(root.path().into()),
+        ..RegistryConfig::default()
+    });
+    let sessions: Vec<_> = tenants
+        .iter()
+        .map(|tenant| {
+            registry
+                .create_tenant(tenant, config(false), false)
+                .unwrap()
+        })
+        .collect();
+    for position in 0..batches().len() {
+        for (index, session) in sessions.iter().enumerate() {
+            if let Some(batch) = stream(index).get(position) {
+                session.ingest(batch).unwrap();
+            }
+        }
+    }
+    let within_cap = |registry: &SessionRegistry| {
+        registry.enforce_residency();
+        let statuses = registry.statuses();
+        let resident: u64 = statuses
+            .iter()
+            .filter(|(_, s)| s.state != LifecycleState::Spilled)
+            .map(|(_, s)| s.resident_bytes)
+            .sum();
+        assert!(
+            resident <= cap,
+            "{resident} B resident against a {cap} B cap"
+        );
+        assert!(statuses
+            .iter()
+            .any(|(_, s)| s.state == LifecycleState::Spilled));
+    };
+    within_cap(&registry);
+    for (session, expected) in sessions.iter().zip(&expected) {
+        assert!(session.mine().unwrap().same_patterns_as(expected));
+        within_cap(&registry);
+    }
 }
